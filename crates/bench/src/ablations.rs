@@ -14,10 +14,10 @@
 
 use crate::par;
 use crate::util::{testbed, Table};
-use openoptics_core::{archs, NetConfig, OpenOpticsNet, TransportKind};
+use openoptics_core::{Architecture, NetConfig, OpenOpticsNet, TransportKind};
 use openoptics_proto::{HostId, NodeId};
-use openoptics_routing::algos::{Hoho, Vlb};
-use openoptics_routing::MultipathMode;
+use openoptics_routing::algos::Hoho;
+use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::time::SimTime;
 use openoptics_workload::{PoissonArrivals, Trace};
 
@@ -44,7 +44,8 @@ pub fn guardband_sweep() -> Vec<GuardRow> {
             cfg.guard_ns = guard;
             cfg.fabric_dead_ns = 100;
             cfg.sync_err_ns = 28;
-            let mut net = archs::rotornet(cfg).expect("rotornet deploys");
+            let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet())
+                .expect("rotornet deploys");
             for i in 0..8u32 {
                 net.add_flow(
                     SimTime::from_ns(100 + i as u64 * 977),
@@ -91,8 +92,14 @@ pub fn defer_sweep(ms: u64) -> Vec<DeferRow> {
                 cfg.congestion_policy = "defer".to_string();
                 cfg.defer_max_extra_slices = window;
             }
-            let mut net = archs::rotornet_with(cfg, Hoho::default(), MultipathMode::None)
-                .expect("rotornet deploys");
+            let mut net = OpenOpticsNet::deploy(
+                cfg,
+                Architecture::rotornet(),
+                Box::new(Hoho::default()),
+                LookupMode::PerHop,
+                MultipathMode::None,
+            )
+            .expect("rotornet deploys");
             net.engine.record_delays = true;
             net.engine.watchdog_retransmit = false;
             attach_trace(&mut net, Trace::Rpc, 0.35, ms);
@@ -140,8 +147,14 @@ pub fn eqo_sweep(ms: u64) -> Vec<EqoRow> {
             let mut cfg = testbed(20_000, 1);
             cfg.node_num = 8;
             cfg.eqo_ground_truth = truth;
-            let mut net = archs::rotornet_with(cfg, Hoho::default(), MultipathMode::None)
-                .expect("rotornet deploys");
+            let mut net = OpenOpticsNet::deploy(
+                cfg,
+                Architecture::rotornet(),
+                Box::new(Hoho::default()),
+                LookupMode::PerHop,
+                MultipathMode::None,
+            )
+            .expect("rotornet deploys");
             net.engine.watchdog_retransmit = false;
             attach_trace(&mut net, Trace::KvStore, 0.3, ms);
             net.run_for(SimTime::from_ms(ms));
@@ -189,8 +202,8 @@ pub fn offload_lead_sweep() -> Vec<LeadRow> {
             cfg.offload = true;
             cfg.offload_keep_ranks = 2;
             cfg.offload_return_lead_ns = lead;
-            let mut net =
-                archs::rotornet_with(cfg, Vlb, MultipathMode::PerPacket).expect("rotornet deploys");
+            let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet())
+                .expect("rotornet deploys");
             for i in 0..12u32 {
                 net.add_flow(
                     SimTime::from_ns(100 + i as u64 * 1_313),

@@ -15,10 +15,8 @@
 
 use crate::par;
 use crate::util::{self, Table};
-use openoptics_core::{archs, FaultPlan, TransportKind};
+use openoptics_core::{Architecture, FaultPlan, OpenOpticsNet, TransportKind};
 use openoptics_proto::{HostId, NodeId, PortId};
-use openoptics_routing::algos::Vlb;
-use openoptics_routing::MultipathMode;
 use openoptics_sim::time::SimTime;
 
 /// One fault scenario's outcome.
@@ -78,7 +76,7 @@ const SCENARIOS: [&str; 6] = [
 /// Run the six scenarios; each is an independent parallel point.
 pub fn run(ms: u64) -> Vec<FaultsRow> {
     par::par_map(SCENARIOS.len(), |i| {
-        let mut net = archs::rotornet_with(faults_cfg(), Vlb, MultipathMode::PerPacket)
+        let mut net = OpenOpticsNet::deploy_preset(faults_cfg(), Architecture::rotornet())
             .expect("rotornet deploys");
         if i > 0 {
             net.inject_faults(&plan_for(i)).expect("plans target the testbed");

@@ -10,7 +10,7 @@
 
 use crate::par;
 use crate::util::{self, Table};
-use openoptics_core::archs;
+use openoptics_core::{Architecture, OpenOpticsNet};
 use openoptics_proto::HostId;
 use openoptics_sim::time::SimTime;
 
@@ -32,7 +32,8 @@ pub struct Fig13Row {
 fn measure(emulated: bool, probes: u64) -> Fig13Row {
     let mut cfg = util::testbed(100_000, 1);
     cfg.emulated_fabric = emulated;
-    let mut net = archs::rotornet(cfg).expect("rotornet deploys");
+    let mut net =
+        OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
     let train = net.add_probe_train(HostId(0), HostId(5), 50_000, probes, 100);
     net.run_for(SimTime::from_ms(probes / 20 * 2 + 50));
     par::note_net(&net);

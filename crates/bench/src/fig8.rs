@@ -14,10 +14,10 @@
 
 use crate::par;
 use crate::util::{self, Table};
-use openoptics_core::archs;
+use openoptics_core::{Architecture, OpenOpticsNet};
 use openoptics_proto::{HostId, NodeId};
 use openoptics_routing::algos::Ucmp;
-use openoptics_routing::MultipathMode;
+use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::time::SimTime;
 
 /// One architecture's mice-FCT row.
@@ -62,13 +62,19 @@ fn architecture_with_spans(
     };
     let tm = || util::memcached_tm(8, NodeId(0));
     let net = match ARCH_NAMES[i] {
-        "clos" => archs::clos(cfg()),
-        "c-through" => archs::cthrough(cfg(), &tm()),
-        "jupiter" => archs::jupiter(cfg()),
-        "mordia" => archs::mordia(cfg(), &tm(), 8),
-        "rotornet-vlb" => archs::rotornet(cfg()),
-        "opera" => archs::opera(cfg()),
-        _ => archs::rotornet_with(cfg(), Ucmp::default(), MultipathMode::PerPacket),
+        "clos" => OpenOpticsNet::deploy_preset(cfg(), Architecture::clos()),
+        "c-through" => OpenOpticsNet::deploy_preset(cfg(), Architecture::cthrough(&tm())),
+        "jupiter" => OpenOpticsNet::deploy_preset(cfg(), Architecture::jupiter()),
+        "mordia" => OpenOpticsNet::deploy_preset(cfg(), Architecture::mordia(&tm(), 8)),
+        "rotornet-vlb" => OpenOpticsNet::deploy_preset(cfg(), Architecture::rotornet()),
+        "opera" => OpenOpticsNet::deploy_preset(cfg(), Architecture::opera()),
+        _ => OpenOpticsNet::deploy(
+            cfg(),
+            Architecture::rotornet(),
+            Box::new(Ucmp::default()),
+            LookupMode::PerHop,
+            MultipathMode::PerPacket,
+        ),
     };
     (ARCH_NAMES[i], net.expect("preset architecture deploys"))
 }
@@ -169,22 +175,19 @@ pub fn run_allreduce(data_bytes: u64) -> Vec<AllreduceRow> {
         let tm = util::ring_tm(8);
         // TA architectures get 2 uplinks so matching circuits can realize
         // the full ring (as the paper's testbed topology does).
+        let ta = |cfg, arch| OpenOpticsNet::deploy_preset(cfg, arch).expect("TA preset deploys");
         let (name, mut net) = match ARCH_NAMES[i] {
             "c-through" => {
                 let mut c = util::testbed(TO_SLICE_NS, 2);
                 c.elephant_threshold = 100_000;
-                ("c-through", archs::cthrough(c, &tm).expect("c-through deploys"))
+                ("c-through", ta(c, Architecture::cthrough(&tm)))
             }
             "jupiter" => {
-                let mut net =
-                    archs::jupiter(util::testbed(TO_SLICE_NS, 2)).expect("jupiter deploys");
+                let mut net = ta(util::testbed(TO_SLICE_NS, 2), Architecture::jupiter());
                 net.reconfigure(&tm).expect("jupiter evolution stays valid");
                 ("jupiter", net)
             }
-            "mordia" => (
-                "mordia",
-                archs::mordia(util::testbed(TO_SLICE_NS, 2), &tm, 8).expect("mordia deploys"),
-            ),
+            "mordia" => ("mordia", ta(util::testbed(TO_SLICE_NS, 2), Architecture::mordia(&tm, 8))),
             _ => architecture(i, 2),
         };
         let hosts: Vec<HostId> = (0..8).map(HostId).collect();

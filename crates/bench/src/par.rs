@@ -8,9 +8,9 @@
 //! `--jobs 1` runs the points inline in order, exactly the old serial
 //! behavior.
 //!
-//! The module also aggregates engine throughput: runners report each
-//! network's `events_scheduled()` here, and the binary drains the counter
-//! per experiment to print events/second and write `BENCH_engine.json`.
+//! The module also aggregates engine work: runners report each network's
+//! `events_scheduled()` and telemetry totals here, and the binary drains
+//! them per experiment for its stderr lines.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

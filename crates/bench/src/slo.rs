@@ -19,11 +19,11 @@
 
 use crate::par;
 use crate::util::{self, Table};
-use openoptics_core::{archs, FaultPlan, SloSummary, SloTarget, TransportKind};
+use openoptics_core::{
+    Architecture, FaultPlan, OpenOpticsNet, SloSummary, SloTarget, TransportKind,
+};
 use openoptics_host::apps::MemcachedParams;
 use openoptics_proto::{HostId, NodeId, PortId};
-use openoptics_routing::algos::Vlb;
-use openoptics_routing::MultipathMode;
 use openoptics_sim::time::SimTime;
 
 /// Run the SLO scenario for `ms` simulated milliseconds, returning the
@@ -34,7 +34,7 @@ pub fn run(ms: u64) -> (Vec<SloSummary>, usize) {
     cfg.sync_err_ns = 0;
     cfg.sample_every_ns = 100_000;
     let mut net =
-        archs::rotornet_with(cfg, Vlb, MultipathMode::PerPacket).expect("rotornet deploys");
+        OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
     let cache = net.declare_service(
         "cache",
         Some(SloTarget { latency_ns: 100_000, objective_milli: 900, window_ns: 1_000_000 }),

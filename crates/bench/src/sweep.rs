@@ -9,8 +9,7 @@
 //!
 //! Cells are independent simulation points and fan out over the [`par`]
 //! pool in index order, so the rendered output is byte-identical at any
-//! `--jobs` / `--workers` count (wall-clock figures go only to
-//! `BENCH_engine.json`, never to stdout).
+//! `--jobs` / `--workers` count.
 //!
 //! [`par`]: crate::par
 
@@ -108,11 +107,6 @@ pub struct Cell {
     pub fault: &'static str,
     /// Ran or skipped (with the recorded reason).
     pub outcome: Outcome,
-    /// Engine events scheduled by this cell (0 when skipped).
-    pub events: u64,
-    /// Wall-clock seconds this cell took (reported only in
-    /// `BENCH_engine.json`; stdout stays byte-identical across runs).
-    pub wall_s: f64,
 }
 
 /// The grid: every architecture × routing pair, crossed with the load
@@ -151,7 +145,6 @@ fn run_cell(
     fault: &'static str,
     quick: bool,
 ) -> Cell {
-    let t = std::time::Instant::now();
     let cfg = crate::util::testbed(100_000, 1);
     let (routing, lookup, multipath) = routing_for(algo);
     let mut net = match OpenOpticsNet::deploy(cfg, arch_for(arch), routing, lookup, multipath) {
@@ -163,8 +156,6 @@ fn run_cell(
                 load,
                 fault,
                 outcome: Outcome::Skipped { reason: e.to_string() },
-                events: 0,
-                wall_s: t.elapsed().as_secs_f64(),
             }
         }
     };
@@ -200,15 +191,7 @@ fn run_cell(
     let outcome =
         Outcome::Ran { completed: fcts.len(), total: i as usize, p50_us: p(50.0), p99_us: p(99.0) };
     crate::par::note_net(&net);
-    Cell {
-        arch,
-        algo,
-        load,
-        fault,
-        outcome,
-        events: net.events_scheduled(),
-        wall_s: t.elapsed().as_secs_f64(),
-    }
+    Cell { arch, algo, load, fault, outcome }
 }
 
 /// Render the comparison table plus the skipped-pair section.

@@ -10,9 +10,9 @@
 
 use crate::par;
 use crate::util::{testbed, Table};
-use openoptics_core::{archs, OpenOpticsNet, TransportKind};
+use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
 use openoptics_routing::algos::Hoho;
-use openoptics_routing::MultipathMode;
+use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::time::SimTime;
 use openoptics_workload::{PoissonArrivals, Trace};
 
@@ -46,8 +46,14 @@ fn build(detection: bool, pushback: bool) -> OpenOpticsNet {
     // Let the slice-capacity condition (the paper's novel detector) bind;
     // the classical threshold sits near queue capacity.
     cfg.congestion_threshold = 6 * 1024 * 1024;
-    let mut net =
-        archs::rotornet_with(cfg, Hoho::default(), MultipathMode::None).expect("rotornet deploys");
+    let mut net = OpenOpticsNet::deploy(
+        cfg,
+        Architecture::rotornet(),
+        Box::new(Hoho::default()),
+        LookupMode::PerHop,
+        MultipathMode::None,
+    )
+    .expect("rotornet deploys");
     net.engine.record_delays = true;
     // Open-loop trace replay: measure first-transmission loss and delay,
     // not a retransmission storm.
@@ -79,20 +85,7 @@ fn measure(
     for f in gen.take_until(SimTime::from_ms(ms)) {
         net.add_flow(f.at, f.src, f.dst, f.bytes.min(2_000_000), TransportKind::Paced);
     }
-    let cell_t0 = std::time::Instant::now();
     net.run_for(SimTime::from_ms(ms));
-    if std::env::var_os("OO_PROFILE_CELLS").is_some() {
-        let qs = net.queue_stats();
-        eprintln!(
-            "[table4 cell {config}/{}: {:.2}s wall, {} events, {} far, {} overlay, peak {}]",
-            trace.name(),
-            cell_t0.elapsed().as_secs_f64(),
-            qs.scheduled_total,
-            qs.far_scheduled,
-            qs.overlay_scheduled,
-            qs.peak_len,
-        );
-    }
     par::note_net(&net);
     let c = net.engine.counters;
     let lost = c.switch_drops + c.fabric_drops + c.link_drops + c.no_route_drops;

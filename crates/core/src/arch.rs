@@ -7,8 +7,8 @@
 //! time-expanded graph. This module captures what actually *differs*
 //! between designs as plain data — an [`Architecture`] is a schedule
 //! generator ([`ScheduleGen`]), a fabric class ([`ArchClass`]),
-//! dispatch/pause defaults, and a handful of config fixups — so the preset
-//! builders in [`crate::archs`] are all instances of the same
+//! dispatch/pause defaults, and a handful of config fixups — so the eight
+//! presets are all instances of the same
 //! `deploy(cfg, arch, routing, lookup, multipath)` entry point instead of
 //! eight hand-wired recipes.
 //!
@@ -376,8 +376,9 @@ impl Architecture {
         &mut self.schedule
     }
 
-    /// The preset's canonical routing pairing (what the thin `archs::*`
-    /// wrappers deploy).
+    /// The preset's canonical routing pairing (what
+    /// [`OpenOpticsNet::deploy_preset`](crate::OpenOpticsNet::deploy_preset)
+    /// deploys).
     pub fn default_routing(&self) -> RoutingChoice {
         (self.default_routing)()
     }
@@ -499,6 +500,7 @@ pub fn check_compat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::OpenOpticsNet;
     use openoptics_routing::algos::{Ecmp, Ucmp};
 
     fn sched(circuits: &[Circuit], slices: u32, n: u32, uplink: u16) -> OpticalSchedule {
@@ -617,5 +619,47 @@ mod tests {
             before.as_ref().map(|(c, s)| (c.len(), *s)),
             rr.generate(&cfg, &[]).as_ref().map(|(c, s)| (c.len(), *s))
         );
+    }
+
+    fn cfg8() -> NetConfig {
+        NetConfig { node_num: 8, uplink: 1, slice_ns: 10_000, sync_err_ns: 0, ..Default::default() }
+    }
+
+    #[test]
+    fn clos_carries_traffic_electrically() {
+        use crate::engine::TransportKind;
+        use openoptics_proto::HostId;
+        use openoptics_sim::time::SimTime;
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::clos()).expect("clos");
+        net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 20_000, TransportKind::Paced);
+        net.run_for(SimTime::from_ms(20));
+        assert_eq!(net.fct().completed().len(), 1, "flow did not complete");
+        let (delivered, _) = net.engine.fabric_stats();
+        assert_eq!(delivered, 0, "no packet should touch the optical fabric");
+    }
+
+    #[test]
+    fn reconfigure_regenerates_from_the_adjusted_generator() {
+        // The Fig. 5c loop: raise SORN's extra-slice budget through
+        // `arch_mut`, then the single reconfigure hook redeploys with it.
+        let mut tm = TrafficMatrix::zeros(8);
+        tm.set(openoptics_proto::NodeId(0), openoptics_proto::NodeId(5), 500.0);
+        let mut net = OpenOpticsNet::deploy_preset(cfg8(), Architecture::semi_oblivious(&tm, 2))
+            .expect("semi-oblivious deploys");
+        let before = net.engine.schedule().slice_config().num_slices;
+        match net.arch_mut().expect("deployed net keeps its descriptor").schedule_mut() {
+            ScheduleGen::Sorn { extra_slices, .. } => *extra_slices = 6,
+            other => panic!("semi-oblivious generator expected, got {other:?}"),
+        }
+        net.reconfigure(&tm).expect("semi-oblivious reconfigures under the test demand");
+        let after = net.engine.schedule().slice_config().num_slices;
+        assert!(after > before, "extra slices must grow the schedule ({before} -> {after})");
+    }
+
+    #[test]
+    fn reconfigure_without_descriptor_is_typed_error() {
+        let mut net = OpenOpticsNet::new(cfg8());
+        let e = net.reconfigure(&TrafficMatrix::zeros(8)).unwrap_err();
+        assert!(matches!(e, crate::Error::Config(_)), "got {e}");
     }
 }

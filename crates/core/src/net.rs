@@ -147,7 +147,7 @@ impl OpenOpticsNet {
     }
 
     /// [`deploy`](Self::deploy) with the architecture's canonical routing
-    /// pairing (what the preset builders in [`crate::archs`] use).
+    /// pairing ([`Architecture::default_routing`]).
     pub fn deploy_preset(cfg: NetConfig, arch: Architecture) -> Result<OpenOpticsNet, Error> {
         let (algo, lookup, multipath) = arch.default_routing();
         OpenOpticsNet::deploy(cfg, arch, algo, lookup, multipath)
@@ -898,7 +898,8 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.electrical_gbps = 1;
         cfg.hosts_per_node = 3;
-        let mut net = crate::archs::clos(cfg).expect("clos deploys on the test config");
+        let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::clos())
+            .expect("clos deploys on the test config");
         net.engine.watchdog_retransmit = false;
         for h in [0u32, 1, 2] {
             net.add_flow(

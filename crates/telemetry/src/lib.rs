@@ -11,8 +11,8 @@
 //! * **Zero cost when disabled.** Every instrument handle is an
 //!   `Option<Rc<…>>`. A disabled [`Registry`] hands out detached handles
 //!   whose hot-path operations compile to a single `None` branch — no
-//!   allocation, no hashing, no atomics. The measured overhead on the
-//!   event-queue churn micro-bench is recorded in `BENCH_engine.json`.
+//!   allocation, no hashing, no atomics. The benchmark's
+//!   `telemetry.counter_off_ns` row prices that branch.
 //! * **Sim time only.** Snapshots and trace records are stamped with
 //!   [`SimTime`](openoptics_sim::time::SimTime), never the wall clock, so a
 //!   seeded run exports byte-identical telemetry at any `--jobs` count.

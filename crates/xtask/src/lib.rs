@@ -895,212 +895,6 @@ pub fn compare_ratchet(
     findings
 }
 
-/// One experiment row parsed from a `BENCH_engine.json` report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRow {
-    /// Experiment id (`fig8a`, `table3`, ...).
-    pub id: String,
-    /// Events scheduled during the experiment.
-    pub events: u64,
-    /// Wall-clock duration of the experiment, seconds.
-    pub wall_s: f64,
-    /// Engine throughput, events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Whether the experiment is analytic: it runs no simulation, so its
-    /// throughput carries no signal and is exempt from the regression gate.
-    pub analytic: bool,
-    /// Cumulative SLO burn rate (per-mille of error budget) when the
-    /// experiment reports one (`experiments slo`). Gated only when both
-    /// reports carry the field — higher is worse.
-    pub slo_burn_milli: Option<f64>,
-    /// p99.9 service latency in µs when the experiment reports one.
-    /// Gated only when both reports carry the field — higher is worse.
-    pub p999_us: Option<f64>,
-}
-
-/// String value of `"key": "..."` inside one flattened JSON object.
-fn field_str(obj: &str, key: &str) -> Option<String> {
-    let k = format!("\"{key}\"");
-    let pos = obj.find(&k)? + k.len();
-    let rest = obj[pos..].trim_start().strip_prefix(':')?.trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Numeric value of `"key": n` inside one flattened JSON object.
-fn field_num(obj: &str, key: &str) -> Option<f64> {
-    let k = format!("\"{key}\"");
-    let pos = obj.find(&k)? + k.len();
-    let rest = obj[pos..].trim_start().strip_prefix(':')?.trim_start();
-    let num: String =
-        rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-').collect();
-    num.parse().ok()
-}
-
-/// Parse the `experiments` array of a `BENCH_engine.json` report (the
-/// format written by the `openoptics-bench` `experiments` binary). A
-/// deliberately small hand parser — the report is first-party and flat —
-/// so the gate builds offline with no JSON dependency.
-pub fn parse_bench_json(content: &str) -> Result<Vec<BenchRow>, String> {
-    let start = content.find("\"experiments\"").ok_or("no \"experiments\" key")?;
-    let rest = &content[start..];
-    let open = rest.find('[').ok_or("no experiments array")?;
-    let close = rest.find(']').ok_or("unterminated experiments array")?;
-    if close < open {
-        return Err("malformed experiments array".into());
-    }
-    let mut rows = Vec::new();
-    for obj in rest[open + 1..close].split('{').skip(1) {
-        let obj = obj.split('}').next().unwrap_or("");
-        let id = field_str(obj, "id").ok_or_else(|| format!("experiment without id: {obj:?}"))?;
-        rows.push(BenchRow {
-            id,
-            events: field_num(obj, "events").unwrap_or(0.0).max(0.0) as u64,
-            wall_s: field_num(obj, "wall_s").unwrap_or(0.0).max(0.0),
-            events_per_sec: field_num(obj, "events_per_sec").unwrap_or(0.0),
-            analytic: obj.contains("\"analytic\": true") || obj.contains("\"analytic\":true"),
-            slo_burn_milli: field_num(obj, "slo_burn_milli"),
-            p999_us: field_num(obj, "p999_us"),
-        });
-    }
-    Ok(rows)
-}
-
-/// Outcome of comparing two bench reports.
-pub struct BenchDiffOutcome {
-    /// Human-readable comparison lines, one per experiment.
-    pub lines: Vec<String>,
-    /// Regressions (and missing experiments) beyond what the gate allows.
-    pub failures: Vec<String>,
-    /// One-line digest (`--summary` mode): aggregate throughput movement
-    /// plus the worst per-experiment delta.
-    pub summary: String,
-}
-
-/// Aggregate engine throughput of a report: total events over total wall
-/// time, simulation experiments only (analytic rows run no engine and
-/// would dilute the figure with pure-arithmetic wall time).
-fn aggregate_events_per_sec(rows: &[BenchRow]) -> f64 {
-    let (events, wall) = rows
-        .iter()
-        .filter(|r| !r.analytic && r.events > 0)
-        .fold((0u64, 0f64), |(e, w), r| (e + r.events, w + r.wall_s));
-    if wall > 0.0 {
-        events as f64 / wall
-    } else {
-        0.0
-    }
-}
-
-/// Compare engine throughput between an `old` (baseline) and `new`
-/// `BENCH_engine.json` report, per experiment *and* in aggregate (total
-/// events over total wall across simulation experiments — the suite-level
-/// figure the parallel engine is accountable to). Analytic experiments
-/// and rows with zero events on either side are reported but not gated; a
-/// throughput drop of more than `max_regress_pct` percent — per
-/// experiment or aggregate — or an experiment vanishing from the new
-/// report is a failure.
-pub fn bench_diff(old: &[BenchRow], new: &[BenchRow], max_regress_pct: f64) -> BenchDiffOutcome {
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    let mut worst: Option<(&str, f64)> = None;
-    for o in old {
-        let Some(n) = new.iter().find(|n| n.id == o.id) else {
-            // Sweep cells come and go with the grid (`experiments sweep`
-            // writes them; `experiments all` does not) — their absence is
-            // informational, not a regression.
-            if o.id.starts_with("sweep:") {
-                lines.push(format!("{:<10} sweep cell absent from new report (not gated)", o.id));
-            } else {
-                failures.push(format!("{}: present in baseline but missing from new report", o.id));
-            }
-            continue;
-        };
-        // SLO cells gate independently of throughput: when both reports
-        // carry a quality field, a rise beyond the allowance is a failure
-        // (higher burn / higher tail latency is worse).
-        for (key, ov, nv) in [
-            ("slo_burn_milli", o.slo_burn_milli, n.slo_burn_milli),
-            ("p999_us", o.p999_us, n.p999_us),
-        ] {
-            let (Some(ov), Some(nv)) = (ov, nv) else { continue };
-            let (delta_pct, regressed) = if ov > 0.0 {
-                let d = (nv / ov - 1.0) * 100.0;
-                (d, d > max_regress_pct)
-            } else {
-                (0.0, nv > 0.0)
-            };
-            lines.push(format!(
-                "{:<10} {key} {ov:.0} -> {nv:.0} ({delta_pct:+.1}%){}",
-                o.id,
-                if regressed { "  REGRESSED" } else { "" }
-            ));
-            if regressed {
-                failures.push(format!(
-                    "{}: {key} rose from {ov:.0} to {nv:.0} (allowed {max_regress_pct}%)",
-                    o.id
-                ));
-            }
-        }
-        if o.analytic || n.analytic || o.events == 0 || n.events == 0 || o.events_per_sec <= 0.0 {
-            lines.push(format!("{:<10} skipped (analytic or no engine events)", o.id));
-            continue;
-        }
-        let delta_pct = (n.events_per_sec / o.events_per_sec - 1.0) * 100.0;
-        if worst.is_none_or(|(_, w)| delta_pct < w) {
-            worst = Some((&o.id, delta_pct));
-        }
-        let regressed = -delta_pct > max_regress_pct;
-        lines.push(format!(
-            "{:<10} {:>12.0} -> {:>12.0} events/s ({:+.1}%){}",
-            o.id,
-            o.events_per_sec,
-            n.events_per_sec,
-            delta_pct,
-            if regressed { "  REGRESSED" } else { "" }
-        ));
-        if regressed {
-            failures.push(format!(
-                "{}: events/sec fell {:.1}% (from {:.0} to {:.0}; allowed {max_regress_pct}%)",
-                o.id, -delta_pct, o.events_per_sec, n.events_per_sec
-            ));
-        }
-    }
-    for n in new {
-        if !old.iter().any(|o| o.id == n.id) {
-            lines.push(format!("{:<10} new experiment (no baseline)", n.id));
-        }
-    }
-    // The suite-level gate: aggregate throughput must hold up even when
-    // every per-experiment drop individually stays inside the allowance.
-    let old_agg = aggregate_events_per_sec(old);
-    let new_agg = aggregate_events_per_sec(new);
-    let agg_delta_pct = if old_agg > 0.0 { (new_agg / old_agg - 1.0) * 100.0 } else { 0.0 };
-    let agg_regressed = old_agg > 0.0 && -agg_delta_pct > max_regress_pct;
-    lines.push(format!(
-        "{:<10} {:>12.0} -> {:>12.0} events/s ({:+.1}%){}",
-        "aggregate",
-        old_agg,
-        new_agg,
-        agg_delta_pct,
-        if agg_regressed { "  REGRESSED" } else { "" }
-    ));
-    if agg_regressed {
-        failures.push(format!(
-            "aggregate: events/sec fell {:.1}% (from {:.0} to {:.0}; allowed {max_regress_pct}%)",
-            -agg_delta_pct, old_agg, new_agg
-        ));
-    }
-    let summary = format!(
-        "aggregate {:.2}M -> {:.2}M events/s ({:+.1}%); worst {}; {} failure(s)",
-        old_agg / 1e6,
-        new_agg / 1e6,
-        agg_delta_pct,
-        worst.map_or("n/a".to_string(), |(id, d)| format!("{id} {d:+.1}%")),
-        failures.len(),
-    );
-    BenchDiffOutcome { lines, failures, summary }
-}
-
 /// Recursively collect `.rs` files under `dir` (skipping `target/`).
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.exists() {
@@ -1677,127 +1471,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_parses_rows_and_analytic_flag() {
-        let json = "{\n  \"jobs\": 1,\n  \"experiments\": [\n    \
-                    {\"id\": \"fig8a\", \"wall_s\": 0.012, \"events\": 47932, \
-                     \"events_per_sec\": 3979975},\n    \
-                    {\"id\": \"fig11\", \"wall_s\": 0.001, \"events\": 0, \
-                     \"events_per_sec\": 0, \"analytic\": true}\n  ]\n}\n";
-        let rows = parse_bench_json(json).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].id, "fig8a");
-        assert_eq!(rows[0].events, 47932);
-        assert!(!rows[0].analytic);
-        assert!((rows[0].events_per_sec - 3979975.0).abs() < 0.5);
-        assert_eq!(rows[1].id, "fig11");
-        assert!(rows[1].analytic);
-        assert!(parse_bench_json("{}").is_err());
-    }
-
-    #[test]
-    fn bench_diff_gates_regressions_only() {
-        let row = |id: &str, events: u64, eps: f64, analytic: bool| BenchRow {
-            id: id.into(),
-            events,
-            wall_s: if eps > 0.0 { events as f64 / eps } else { 0.0 },
-            events_per_sec: eps,
-            analytic,
-            slo_burn_milli: None,
-            p999_us: None,
-        };
-        let old = vec![
-            row("fig8a", 1000, 1000.0, false),
-            row("fig9", 1000, 1000.0, false),
-            row("fig11", 0, 0.0, true),
-            row("gone", 10, 10.0, false),
-        ];
-        let new = vec![
-            row("fig8a", 1000, 950.0, false), // -5%: within a 10% gate
-            row("fig9", 1000, 800.0, false),  // -20%: regression
-            row("fig11", 0, 0.0, true),       // analytic: never gated
-            row("extra", 10, 10.0, false),    // new experiment: informational
-        ];
-        let out = bench_diff(&old, &new, 10.0);
-        assert_eq!(out.failures.len(), 2, "{:?}", out.failures);
-        assert!(out.failures.iter().any(|f| f.starts_with("fig9:")), "{:?}", out.failures);
-        assert!(out.failures.iter().any(|f| f.starts_with("gone:")), "{:?}", out.failures);
-        assert!(out.lines.iter().any(|l| l.contains("REGRESSED")), "{:?}", out.lines);
-        assert!(out.lines.iter().any(|l| l.contains("skipped")), "{:?}", out.lines);
-        assert!(out.lines.iter().any(|l| l.contains("new experiment")), "{:?}", out.lines);
-        assert!(out.lines.iter().any(|l| l.starts_with("aggregate")), "{:?}", out.lines);
-        assert!(out.summary.contains("worst fig9"), "{}", out.summary);
-        // Improvements and within-gate noise pass.
-        assert!(bench_diff(&new[..1], &old[..1], 10.0).failures.is_empty());
-    }
-
-    #[test]
-    fn bench_diff_sweep_cells_are_notes_not_failures() {
-        let row = |id: &str, events: u64, eps: f64| BenchRow {
-            id: id.into(),
-            events,
-            wall_s: if eps > 0.0 { events as f64 / eps } else { 0.0 },
-            events_per_sec: eps,
-            analytic: false,
-            slo_burn_milli: None,
-            p999_us: None,
-        };
-        // Baseline carries sweep cells; the new report (an `experiments
-        // all` run) has none of them — informational, not a failure.
-        let old = vec![row("fig8a", 1000, 1000.0), row("sweep:rotornetxvlb@0.4/none", 500, 500.0)];
-        let new = vec![row("fig8a", 1000, 1000.0)];
-        let out = bench_diff(&old, &new, 10.0);
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert!(out.lines.iter().any(|l| l.contains("sweep cell absent")), "{:?}", out.lines);
-        // A sweep cell present on both sides still gates like any other row
-        // (here the -80% cell drags the aggregate under the gate too).
-        let slow = vec![row("fig8a", 1000, 1000.0), row("sweep:rotornetxvlb@0.4/none", 500, 100.0)];
-        let out = bench_diff(&old, &slow, 10.0);
-        assert!(out.failures.iter().any(|f| f.starts_with("sweep:")), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn bench_diff_gates_slo_fields_when_present_on_both_sides() {
-        let row = |id: &str, burn: Option<f64>, p999: Option<f64>| BenchRow {
-            id: id.into(),
-            events: 1000,
-            wall_s: 1.0,
-            events_per_sec: 1000.0,
-            analytic: false,
-            slo_burn_milli: burn,
-            p999_us: p999,
-        };
-        // Both sides carry the fields: a rise beyond the gate fails, a
-        // within-gate wobble and the latency column holding steady pass.
-        let old = vec![row("slo", Some(100.0), Some(200.0))];
-        let new = vec![row("slo", Some(150.0), Some(205.0))];
-        let out = bench_diff(&old, &new, 10.0);
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        assert!(out.failures[0].contains("slo_burn_milli"), "{:?}", out.failures);
-        assert!(out.lines.iter().any(|l| l.contains("p999_us")), "{:?}", out.lines);
-        // Burn appearing where the baseline had zero is a regression even
-        // though the relative delta is undefined.
-        let out = bench_diff(&[row("slo", Some(0.0), None)], &[row("slo", Some(5.0), None)], 10.0);
-        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
-        // A field absent on either side is never gated (old baselines
-        // predate the slo experiment).
-        let out = bench_diff(&[row("slo", None, None)], &new, 10.0);
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        // Improvement passes.
-        let out = bench_diff(&new, &old, 10.0);
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn bench_json_parses_slo_fields() {
-        let json = "{\n  \"experiments\": [\n    \
-                     {\"id\": \"slo\", \"wall_s\": 0.1, \"events\": 9, \
-                      \"events_per_sec\": 90, \"slo_burn_milli\": 151, \"p999_us\": 106}\n  ]\n}\n";
-        let rows = parse_bench_json(json).unwrap();
-        assert_eq!(rows[0].slo_burn_milli, Some(151.0));
-        assert_eq!(rows[0].p999_us, Some(106.0));
-    }
-
-    #[test]
     fn arch_compose_flags_policy_assignment_outside_descriptor() {
         let bad = "net.engine.policy = DispatchPolicy::HybridDirect;\n\
                    net.engine.pause_mode = PauseMode::DirectCircuit;\n";
@@ -1815,32 +1488,6 @@ mod tests {
                        // oolint: allow(arch-compose, carrying forward)\n";
         let (f, _) = lint_file(&ctx("openoptics-core", "crates/core/src/net.rs"), allowed);
         assert!(f.iter().all(|x| x.rule != "arch-compose"), "{f:?}");
-    }
-
-    #[test]
-    fn bench_diff_aggregate_catches_compounding_drops() {
-        // The aggregate gate weights experiments by wall time, so one slow
-        // experiment ballooning drags the suite figure down far more than
-        // the per-experiment average suggests.
-        let row = |id: &str, events: u64, wall_s: f64| BenchRow {
-            id: id.into(),
-            events,
-            wall_s,
-            events_per_sec: events as f64 / wall_s,
-            analytic: false,
-            slo_burn_milli: None,
-            p999_us: None,
-        };
-        let old = vec![row("a", 1_000_000, 0.1), row("b", 1_000_000, 1.0)];
-        // "a" unchanged; "b" slows 3x: b's own delta (-66%) fails, and so
-        // does the aggregate (1.82M -> 0.65M events/s).
-        let new = vec![row("a", 1_000_000, 0.1), row("b", 1_000_000, 3.0)];
-        let out = bench_diff(&old, &new, 50.0);
-        assert!(out.failures.iter().any(|f| f.starts_with("aggregate:")), "{:?}", out.failures);
-        // Identical reports: aggregate is flat, nothing fails.
-        let out = bench_diff(&old, &old, 10.0);
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert!(out.summary.contains("(+0.0%)"), "{}", out.summary);
     }
 
     #[test]

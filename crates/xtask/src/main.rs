@@ -1,6 +1,5 @@
 //! Workspace task runner: `lint` (alias `oolint`), the determinism &
-//! robustness pass described in [`xtask`]'s crate docs, and `bench-diff`,
-//! the engine-throughput regression gate over `BENCH_engine.json` reports.
+//! robustness pass described in [`xtask`]'s crate docs.
 //!
 //! ```text
 //! cargo run -p xtask -- lint                 # check (CI hard gate)
@@ -8,7 +7,6 @@
 //! cargo run -p xtask -- lint --json          # machine-readable findings
 //! cargo run -p xtask -- lint --explain graph-nondet
 //! cargo run -p xtask -- lint --update        # rewrite lint-ratchet.toml
-//! cargo run -p xtask -- bench-diff old.json new.json --max-regress 10
 //! ```
 
 use std::path::PathBuf;
@@ -23,8 +21,7 @@ fn workspace_root() -> PathBuf {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo run -p xtask -- lint [--graph] [--json] [--update] [--root PATH]\n       \
-         cargo run -p xtask -- lint --explain <rule>\n       \
-         cargo run -p xtask -- bench-diff <old.json> <new.json> [--max-regress PCT] [--summary]"
+         cargo run -p xtask -- lint --explain <rule>"
     );
     ExitCode::FAILURE
 }
@@ -33,7 +30,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") | Some("oolint") => lint_cmd(&args[1..]),
-        Some("bench-diff") => bench_diff_cmd(&args[1..]),
         _ => usage(),
     }
 }
@@ -132,68 +128,5 @@ fn explain_cmd(rule: &str) -> ExitCode {
             }
             ExitCode::FAILURE
         }
-    }
-}
-
-fn bench_diff_cmd(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut max_regress = 10.0f64;
-    let mut summary = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--max-regress" => {
-                let Some(pct) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("--max-regress expects a percentage");
-                    return ExitCode::FAILURE;
-                };
-                max_regress = pct;
-            }
-            "--summary" => summary = true,
-            other if !other.starts_with("--") => paths.push(a),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
-        }
-    }
-    let [old_path, new_path] = paths[..] else {
-        return usage();
-    };
-    let load = |path: &String| -> Result<Vec<xtask::BenchRow>, String> {
-        let content =
-            std::fs::read_to_string(path).map_err(|e| format!("{path}: read failed: {e}"))?;
-        xtask::parse_bench_json(&content).map_err(|e| format!("{path}: {e}"))
-    };
-    let (old, new) = match (load(old_path), load(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (o, n) => {
-            for r in [o.err(), n.err()].into_iter().flatten() {
-                eprintln!("bench-diff: {r}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    let out = xtask::bench_diff(&old, &new, max_regress);
-    if summary {
-        // One line, pass or fail — for commit messages and CI step names.
-        println!(
-            "bench-diff: {} {}",
-            if out.failures.is_empty() { "ok" } else { "FAIL" },
-            out.summary
-        );
-        return if out.failures.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
-    for l in &out.lines {
-        println!("{l}");
-    }
-    if out.failures.is_empty() {
-        println!("bench-diff: ok (gate: {max_regress}% on events/sec)");
-        ExitCode::SUCCESS
-    } else {
-        for f in &out.failures {
-            eprintln!("bench-diff: FAIL {f}");
-        }
-        ExitCode::FAILURE
     }
 }

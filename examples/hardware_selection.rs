@@ -28,9 +28,15 @@ fn main() {
                 .build()
                 .expect("catalog devices yield valid configs");
             let mut net = if routing == "VLB" {
-                archs::rotornet_with(cfg, Vlb, MultipathMode::PerPacket)
+                OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet())
             } else {
-                archs::rotornet_with(cfg, Ucmp::default(), MultipathMode::PerPacket)
+                OpenOpticsNet::deploy(
+                    cfg,
+                    Architecture::rotornet(),
+                    Box::new(Ucmp::default()),
+                    LookupMode::PerHop,
+                    MultipathMode::PerPacket,
+                )
             }
             .expect("rotornet deploys");
             let clients = (1..8).map(HostId).collect();

@@ -3,10 +3,9 @@
 //! congestion under the minimum slice, and monitoring consistency under
 //! load.
 
-use openoptics::core::archs;
-use openoptics::core::{NetConfig, OpenOpticsNet, TransportKind};
+use openoptics::core::{Architecture, NetConfig, OpenOpticsNet, TransportKind};
 use openoptics::proto::{HostId, NodeId, PortId};
-use openoptics::routing::algos::{Hoho, Vlb};
+use openoptics::routing::algos::Hoho;
 use openoptics::routing::{LookupMode, MultipathMode};
 use openoptics::sim::time::SimTime;
 use openoptics::topo::round_robin_multidim;
@@ -29,7 +28,8 @@ fn multi_host_racks_route_inter_and_intra() {
     // inter-rack flows do. Both complete.
     let mut cfg = base_cfg();
     cfg.hosts_per_node = 3;
-    let mut net = archs::rotornet(cfg).expect("rotornet deploys");
+    let mut net =
+        OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
     // Intra-rack: host 0 -> host 2 (both under ToR 0).
     net.add_flow(SimTime::from_ns(100), HostId(0), HostId(2), 50_000, TransportKind::Paced);
     // Inter-rack: host 1 (ToR 0) -> host 10 (ToR 3).
@@ -91,7 +91,8 @@ fn min_slice_sustains_continuous_load() {
     cfg.slice_ns = 2_000;
     cfg.guard_ns = 200;
     cfg.sync_err_ns = 28;
-    let mut net = archs::rotornet(cfg).expect("rotornet deploys");
+    let mut net =
+        OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
     for i in 0..8u32 {
         net.add_flow(
             SimTime::from_ns(100 + i as u64 * 777),
@@ -120,7 +121,7 @@ fn buffer_usage_monitoring_tracks_load() {
     let mut cfg = base_cfg();
     cfg.node_num = 8;
     let mut net =
-        archs::rotornet_with(cfg, Vlb, MultipathMode::PerPacket).expect("rotornet deploys");
+        OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
     net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 500_000, TransportKind::Paced);
     // Run just past the burst injection: relays still hold packets.
     net.run_for(SimTime::from_us(120));
@@ -144,7 +145,8 @@ fn seeds_change_stochastic_outcomes() {
         cfg.node_num = 8;
         cfg.seed = seed;
         cfg.sync_err_ns = 28;
-        let mut net = archs::rotornet(cfg).expect("rotornet deploys");
+        let mut net =
+            OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
         net.engine.record_delays = true;
         net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 200_000, TransportKind::Paced);
         net.run_for(SimTime::from_ms(20));

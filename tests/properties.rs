@@ -153,9 +153,9 @@ proptest! {
             .build()
             .expect("sampled config is valid");
         let mut net = match arch_pick {
-            0 => archs::clos(cfg),
-            1 => archs::rotornet(cfg),
-            _ => archs::opera(cfg),
+            0 => OpenOpticsNet::deploy_preset(cfg, Architecture::clos()),
+            1 => OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()),
+            _ => OpenOpticsNet::deploy_preset(cfg, Architecture::opera()),
         }
         .expect("sampled architecture deploys");
         let stop = SimTime::from_ms(2);
@@ -193,9 +193,9 @@ proptest! {
                 .build()
                 .expect("sampled config is valid");
             let mut net = match arch_pick {
-                0 => archs::clos(cfg),
-                1 => archs::rotornet(cfg),
-                _ => archs::opera(cfg),
+                0 => OpenOpticsNet::deploy_preset(cfg, Architecture::clos()),
+                1 => OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()),
+                _ => OpenOpticsNet::deploy_preset(cfg, Architecture::opera()),
             }
             .expect("sampled architecture deploys");
             let plan = match fault_pick {

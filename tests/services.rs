@@ -2,7 +2,7 @@
 //! data plane (§5.2): circuit notifications, trim-NACK recovery, pending-
 //! demand collection, and the Shale preset.
 
-use openoptics::core::{archs, Architecture, NetConfig, OpenOpticsNet, PauseMode, TransportKind};
+use openoptics::core::{Architecture, NetConfig, OpenOpticsNet, PauseMode, TransportKind};
 use openoptics::proto::{HostId, NodeId};
 use openoptics::routing::algos::Direct;
 use openoptics::routing::{LookupMode, MultipathMode};
@@ -46,7 +46,14 @@ fn trim_nack_recovers_without_watchdog() {
     let mut c = cfg(8, 50);
     c.congestion_policy = "trim".to_string();
     c.congestion_threshold = 64 * 1024;
-    let mut net = archs::rotornet_with(c, Direct, MultipathMode::None).expect("rotornet deploys");
+    let mut net = OpenOpticsNet::deploy(
+        c,
+        Architecture::rotornet(),
+        Box::new(Direct),
+        LookupMode::PerHop,
+        MultipathMode::None,
+    )
+    .expect("rotornet deploys");
     net.engine.watchdog_retransmit = false; // isolate the NACK path
     net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 2_000_000, TransportKind::Paced);
     net.run_for(SimTime::from_ms(60));
@@ -66,7 +73,8 @@ fn pending_demand_report_sees_paused_elephants() {
     };
     let mut c = cfg(8, 100);
     c.elephant_threshold = 10_000;
-    let mut net = archs::cthrough(c, &tm0).expect("cthrough deploys");
+    let mut net =
+        OpenOpticsNet::deploy_preset(c, Architecture::cthrough(&tm0)).expect("cthrough deploys");
     // Elephant 0 -> 5: pair (0,5) has no circuit, so it pauses.
     net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 3_000_000, TransportKind::Paced);
     net.run_for(SimTime::from_ms(2));
@@ -77,8 +85,7 @@ fn pending_demand_report_sees_paused_elephants() {
     );
     // Reconfigure from the pending report — the c-Through loop — and the
     // elephant drains.
-    archs::cthrough_reconfigure(&mut net, &pending)
-        .expect("pending demand yields a valid schedule");
+    net.reconfigure(&pending).expect("pending demand yields a valid schedule");
     net.run_for(SimTime::from_ms(80));
     assert_eq!(net.fct().completed().len(), 1, "elephant completes after reconfiguration");
 }
@@ -86,7 +93,8 @@ fn pending_demand_report_sees_paused_elephants() {
 #[test]
 fn shale_preset_runs_grid_traffic() {
     // 27 nodes = 3^3 grid, the paper's "three-dimensional round-robin".
-    let mut net = archs::shale(cfg(27, 50), 3).expect("shale deploys");
+    let mut net =
+        OpenOpticsNet::deploy_preset(cfg(27, 50), Architecture::shale(3)).expect("shale deploys");
     // A pair differing in all three coordinates (0 vs 26) needs 3 hops.
     net.add_flow(SimTime::from_ns(100), HostId(0), HostId(26), 60_000, TransportKind::Paced);
     net.add_flow(SimTime::from_ns(200), HostId(3), HostId(4), 60_000, TransportKind::Paced);
