@@ -19,10 +19,10 @@
 //! fabric is rejected with a typed [`ConfigError`] instead of compiling
 //! silently-wrong (or silently-empty) time-flow tables.
 //!
-//! This module is also the **only** place dispatch policy and pause mode
-//! may be assigned (enforced by the `arch-compose` oolint rule): every
-//! composition decision lives in the descriptor, not scattered across call
-//! sites.
+//! This module is also the only place dispatch policy and pause mode
+//! originate: the engine's `policy` / `pause_mode` fields are private to
+//! this crate, so every composition decision lives in the descriptor, not
+//! scattered across call sites.
 
 use crate::config::{ConfigError, NetConfig};
 use crate::engine::{DispatchPolicy, Engine, PauseMode};
@@ -421,8 +421,8 @@ impl Architecture {
     }
 
     /// Install the descriptor's dispatch policy and pause mode on the
-    /// engine. The one sanctioned assignment site (see the `arch-compose`
-    /// lint rule).
+    /// engine — the one place these values originate (the fields are
+    /// crate-private).
     pub(crate) fn install_policies(&self, engine: &mut Engine) {
         engine.policy = self.dispatch;
         engine.pause_mode = self.pause;

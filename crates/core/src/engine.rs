@@ -35,8 +35,8 @@ use openoptics_switch::congestion::{CongestionConfig, CongestionPolicy};
 use openoptics_switch::offload::OffloadPolicy;
 use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::{
-    Counter, FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow,
-    ServiceStats, SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
+    FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow, ServiceStats,
+    SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
 };
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::fct::{FlowRecord, ELEPHANT_MIN_BYTES, MICE_MAX_BYTES};
@@ -344,14 +344,6 @@ struct FaultRuntime {
     per_fault: Vec<FaultCounters>,
 }
 
-/// Live engine-side instruments: bound once at construction, `detached`
-/// (inert) when telemetry is off so hot paths pay one branch.
-#[derive(Clone, Default)]
-struct EngineTele {
-    guardband_holds: Counter,
-    trace: Trace,
-}
-
 /// Lifecycle cursor for one in-flight sampled data packet: its root span
 /// and whichever stage span is currently open.
 #[derive(Clone)]
@@ -429,17 +421,7 @@ impl ObsState {
         }
         let Some(c) = self.cursors.get_mut(&pkt) else { return };
         if let Some((stage, s)) = c.open.take() {
-            // Dynamic close: the stage is whatever was opened last. The
-            // `span-paired` lint checks literal-stage begins; each stage
-            // opened through [`ObsState::open`] gets its literal close in
-            // one of these arms.
-            match stage {
-                Stage::CalendarWait => self.spans.span_end(at, s, Stage::CalendarWait),
-                Stage::GuardbandHold => self.spans.span_end(at, s, Stage::GuardbandHold),
-                Stage::Propagation => self.spans.span_end(at, s, Stage::Propagation),
-                Stage::Rx => self.spans.span_end(at, s, Stage::Rx),
-                other => self.spans.span_end(at, s, other),
-            }
+            self.spans.span_end(at, s, stage);
         }
     }
 
@@ -555,6 +537,23 @@ fn phase_of(event: &Event) -> Phase {
 /// field that cannot be cloned breaks the build, not determinism), but the
 /// derived copy shares telemetry/obs buffers through their `Rc` handles —
 /// use [`Engine::fork`] for the independent copy checkpoint forks need.
+///
+/// Dispatch policy and pause mode are composed through an
+/// [`Architecture`](crate::arch::Architecture) descriptor at deploy time;
+/// the fields are private to this crate, so assigning them from outside
+/// does not build:
+///
+/// ```compile_fail,E0616
+/// use openoptics_core::{DispatchPolicy, NetConfig, OpenOpticsNet};
+/// let mut net = OpenOpticsNet::new(NetConfig::default());
+/// net.engine.policy = DispatchPolicy::HybridDirect;
+/// ```
+///
+/// ```compile_fail,E0616
+/// use openoptics_core::{NetConfig, OpenOpticsNet, PauseMode};
+/// let mut net = OpenOpticsNet::new(NetConfig::default());
+/// net.engine.pause_mode = PauseMode::DirectCircuit;
+/// ```
 #[derive(Clone)]
 pub struct Engine {
     /// Static configuration this engine was built from.
@@ -598,10 +597,11 @@ pub struct Engine {
     /// first-scheduled one, so the drain happens at the same (time, order)
     /// point the first duplicate fired at before.
     recall_outstanding: Vec<Vec<SimTime>>,
-    /// Fabric dispatch policy.
-    pub policy: DispatchPolicy,
-    /// Host pausing behavior.
-    pub pause_mode: PauseMode,
+    /// Fabric dispatch policy. Crate-private: only an
+    /// [`Architecture`](crate::arch::Architecture) descriptor installs it.
+    pub(crate) policy: DispatchPolicy,
+    /// Host pausing behavior; crate-private like `policy`.
+    pub(crate) pause_mode: PauseMode,
     /// Aggregate counters.
     pub counters: EngineCounters,
     /// When `true`, per-packet one-way delays of delivered data packets are
@@ -615,8 +615,9 @@ pub struct Engine {
     pub delay_samples: Vec<u64>,
     /// Metrics registry + trace stream (disabled = every handle detached).
     telemetry: Registry,
-    /// Engine-side live instruments.
-    tele: EngineTele,
+    /// The registry's trace stream: bound once at construction, `detached`
+    /// (inert) when telemetry is off so hot paths pay one branch.
+    trace: Trace,
     /// Declared services: per-service latency sketches + SLO accounting.
     services: Vec<ServiceStats>,
     /// Per-flow-class FCT sketches (mice/medium/elephant), fed on every
@@ -676,10 +677,7 @@ impl Engine {
             return_lead_ns: cfg.offload_return_lead_ns,
         });
         let telemetry = Registry::new(cfg.telemetry, cfg.trace_capacity as usize);
-        let tele = EngineTele {
-            guardband_holds: telemetry.counter("engine.guardband_holds", Labels::None),
-            trace: telemetry.trace(),
-        };
+        let trace = telemetry.trace();
         let tors: Vec<ToRSwitch> = (0..n)
             .map(|i| {
                 let mut tor = ToRSwitch::new(TorConfig {
@@ -746,7 +744,7 @@ impl Engine {
             watchdog_retransmit: true,
             delay_samples: vec![],
             telemetry,
-            tele,
+            trace,
             services: vec![],
             class_sketches: [QuantileSketch::new(), QuantileSketch::new(), QuantileSketch::new()],
             timeseries: TimeSeries::new(SAMPLE_CAPACITY),
@@ -766,10 +764,7 @@ impl Engine {
     pub fn fork(&self) -> Engine {
         let mut e = self.clone();
         e.telemetry = self.telemetry.deep_clone();
-        e.tele = EngineTele {
-            guardband_holds: e.telemetry.counter("engine.guardband_holds", Labels::None),
-            trace: e.telemetry.trace(),
-        };
+        e.trace = e.telemetry.trace();
         let reg = e.telemetry.clone();
         for tor in &mut e.tors {
             tor.attach_telemetry(&reg);
@@ -829,6 +824,7 @@ impl Engine {
             ("engine.fast_retransmits", c.fast_retransmits),
             ("engine.nack_retransmits", c.nack_retransmits),
             ("engine.fault_drops", c.fault_drops),
+            ("engine.guardband_holds", c.guardband_holds),
         ] {
             reg.counter(name, Labels::None).set(v);
         }
@@ -984,7 +980,7 @@ impl Engine {
             svc.total(),
         );
         self.frames.push(line);
-        self.tele.trace.emit(now, kind);
+        self.trace.emit(now, kind);
     }
 
     /// One sampling tick: mirror counters, snapshot, and append the row to
@@ -1011,10 +1007,10 @@ impl Engine {
     /// on fault activation and when a strict-invariants check is about to
     /// trip; no-op when tracing is off.
     fn flight_dump(&mut self, now: SimTime, trigger: FlightTrigger) {
-        if !self.tele.trace.is_on() {
+        if !self.trace.is_on() {
             return;
         }
-        let recent = self.tele.trace.recent_records();
+        let recent = self.trace.recent_records();
         let mut line = String::with_capacity(64 + recent.len() * 72);
         use std::fmt::Write as _;
         let _ = write!(
@@ -1031,9 +1027,7 @@ impl Engine {
         }
         line.push_str("]}");
         self.frames.push(line);
-        self.tele
-            .trace
-            .emit(now, TraceKind::FlightDump { trigger, records: idx_u32(recent.len()) });
+        self.trace.emit(now, TraceKind::FlightDump { trigger, records: idx_u32(recent.len()) });
     }
 
     // -- fault injection -----------------------------------------------------
@@ -1190,7 +1184,7 @@ impl Engine {
         } else {
             TraceKind::FaultClear { node: spec.node, port: spec.port }
         };
-        self.tele.trace.emit(now, kind);
+        self.trace.emit(now, kind);
         if up {
             // A fault firing is exactly the moment a subscriber wants the
             // recent trace tail: dump the flight recorder (which now ends
@@ -1944,7 +1938,7 @@ impl Engine {
             .filter(|h| self.hosts[h.index()].tor == node)
             .collect();
         let dsts: Vec<NodeId> = (0..self.cfg.node_num).map(NodeId).collect();
-        let tracing = self.tele.trace.is_on();
+        let tracing = self.trace.is_on();
         for h in hosts {
             for &d in &dsts {
                 if d == node {
@@ -1962,7 +1956,7 @@ impl Engine {
                     } else {
                         TraceKind::FlowPause { host: h, dst: d }
                     };
-                    self.tele.trace.emit(now, kind);
+                    self.trace.emit(now, kind);
                 }
             }
         }
@@ -2153,8 +2147,7 @@ impl Engine {
             let resume = self.sync.global_fire_time(node.index(), resume_local);
             self.port_pending[node.index()][port.index()] = true;
             self.counters.guardband_holds += 1;
-            self.tele.guardband_holds.inc();
-            self.tele.trace.emit(now, TraceKind::GuardbandHold { node, port });
+            self.trace.emit(now, TraceKind::GuardbandHold { node, port });
             if self.obs.spans.is_on() {
                 if let Some((pid, _)) = self.tors[node.index()].head_packet_ids(port) {
                     self.obs.hold_begin(pid, now);
@@ -2209,7 +2202,7 @@ impl Engine {
                             c.dropped += 1;
                         }
                     }
-                    self.tele.trace.emit(now, TraceKind::FaultDrop { node, port });
+                    self.trace.emit(now, TraceKind::FaultDrop { node, port });
                     self.obs.profiler.mark(Phase::FaultRuntime);
                     self.obs.fault_dropped(pkt.id, now, code);
                     return;
@@ -2228,14 +2221,14 @@ impl Engine {
                     lost => {
                         self.counters.fabric_drops += 1;
                         self.obs.dropped(pkt.id, now + tx, 3);
-                        if self.tele.trace.is_on() {
+                        if self.trace.is_on() {
                             let kind = match lost {
                                 openoptics_fabric::Transit::Guardband => {
                                     TraceKind::GuardbandDrop { node, port }
                                 }
                                 _ => TraceKind::NoCircuitDrop { node, port },
                             };
-                            self.tele.trace.emit(now, kind);
+                            self.trace.emit(now, kind);
                         }
                     }
                 }
@@ -2453,8 +2446,7 @@ impl Engine {
                 }
                 if fast_retx {
                     self.counters.fast_retransmits += 1;
-                    self.tele
-                        .trace
+                    self.trace
                         .emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::FastRetx });
                     self.obs.retransmit_mark(fid, now, 3);
                 }
@@ -2515,7 +2507,7 @@ impl Engine {
             }
             ControlMsg::CircuitNotify { dst, .. } => {
                 if self.hosts[host.index()].vma.resume(dst) {
-                    self.tele.trace.emit(now, TraceKind::FlowResume { host, dst });
+                    self.trace.emit(now, TraceKind::FlowResume { host, dst });
                 }
                 self.pump_host(host, now, q);
             }
@@ -2628,8 +2620,7 @@ impl Engine {
                     let src = f.src_host;
                     self.hosts[src.index()].backlog.push(fid);
                     self.counters.watchdog_retransmits += 1;
-                    self.tele
-                        .trace
+                    self.trace
                         .emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::Watchdog });
                     self.obs.retransmit_mark(fid, now, 1);
                     self.pump_host(src, now, q);
@@ -2663,9 +2654,7 @@ impl Engine {
                 }
                 if fired {
                     self.counters.rto_retransmits += 1;
-                    self.tele
-                        .trace
-                        .emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::Rto });
+                    self.trace.emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::Rto });
                     self.obs.retransmit_mark(fid, now, 2);
                     self.pump_tcp(fid, now);
                     if let Some(s) = src {
@@ -2695,7 +2684,7 @@ impl Engine {
                     .send(dst_tor, Segment { flow, dst_host, bytes: len, seq, queued_at: now })
                     .ok();
                 self.counters.nack_retransmits += 1;
-                self.tele.trace.emit(now, TraceKind::Retransmit { flow, kind: RetxKind::Nack });
+                self.trace.emit(now, TraceKind::Retransmit { flow, kind: RetxKind::Nack });
                 self.obs.retransmit_mark(flow, now, 4);
                 self.pump_host(src, now, q);
             }

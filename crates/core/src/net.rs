@@ -269,8 +269,8 @@ impl OpenOpticsNet {
             let mut fresh = Engine::new(netcfg, sched);
             // Policies and routing survive a pre-run redeploy; only the
             // architecture descriptor module may originate these values.
-            fresh.policy = self.engine.policy; // oolint: allow(arch-compose, carrying forward)
-            fresh.pause_mode = self.engine.pause_mode; // oolint: allow(arch-compose, carrying forward)
+            fresh.policy = self.engine.policy;
+            fresh.pause_mode = self.engine.pause_mode;
             let ta = fresh.schedule().slice_config().num_slices == 1;
             fresh.adopt_router(&mut self.engine, ta);
             self.engine = fresh;

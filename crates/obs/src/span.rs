@@ -223,7 +223,7 @@ impl Spans {
     }
 
     /// Close span `span` at `at`. `stage` must repeat the begin's stage
-    /// (the `span-paired` oolint rule checks call sites textually).
+    /// (`tests/obs.rs::recorded_stream_is_well_formed` checks the stream).
     #[inline]
     pub fn span_end(&self, at: SimTime, span: u64, stage: Stage) {
         let Some(b) = &self.0 else { return };

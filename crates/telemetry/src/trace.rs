@@ -104,7 +104,9 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    /// Stable event name used in exports.
+    /// Stable event name used in exports. No wildcard arm is allowed, so a
+    /// new variant without a name does not build.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn name(&self) -> &'static str {
         match self {
             TraceKind::SliceRotate { .. } => "slice_rotate",
@@ -138,7 +140,9 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Render as one JSON object with a stable field order.
+    /// Render as one JSON object with a stable field order. No wildcard arm
+    /// is allowed, so a new variant without a field renderer does not build.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
         let _ = write!(s, "{{\"t_ns\":{},\"event\":\"{}\"", self.t.as_ns(), self.kind.name());

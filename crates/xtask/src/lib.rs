@@ -8,41 +8,24 @@
 //! # Rules
 //!
 //! * **nondet-map** — `std::collections::{HashMap, HashSet}` are banned in
-//!   simulation-path crates: their SipHash keys are randomized per process,
-//!   so iteration order differs between runs and silently breaks the
-//!   "same experiment, same result" contract. Use the deterministic
-//!   [`FxHashMap`]/[`FxHashSet`] aliases from `openoptics_sim::hash`, or a
-//!   `BTreeMap`/`BTreeSet` where iteration order is observable.
-//! * **wall-clock** — `std::time::Instant`/`SystemTime` and `thread_rng`
-//!   must not leak into simulation logic; simulation time comes from
-//!   `SimTime` and randomness from the seeded `SimRng`. Only the bench
-//!   harness (which measures real elapsed time) is exempt.
+//!   every first-party crate (tests included): their SipHash keys are
+//!   randomized per process, so iteration order differs between runs and
+//!   silently breaks the "same experiment, same result" contract. Use the
+//!   deterministic [`FxHashMap`]/[`FxHashSet`] aliases from
+//!   `openoptics_sim::hash`, or a `BTreeMap`/`BTreeSet` where iteration
+//!   order is observable.
+//! * **wall-clock** — host state must not leak into simulation logic:
+//!   `std::time::Instant`/`SystemTime`, `thread_rng`,
+//!   `std::thread::current`, `std::env::` and `std::fs::` are banned in
+//!   non-test code. Simulation time comes from `SimTime`, randomness from
+//!   the seeded `SimRng`, inputs from the caller. Only the bench harness
+//!   (which measures real elapsed time and writes artifacts) is exempt.
 //! * **relaxed-ordering** — `Ordering::Relaxed` is banned on cross-thread
 //!   counters; use acquire/release orderings so counter reads in the
 //!   parallel runner are well-defined at any `--jobs` count.
-//! * **shared-mutable** — `Mutex`/`RwLock`/`RefCell` are banned in the
-//!   sim-path crates' domain-execution modules (`domain.rs`, `engine.rs`,
-//!   `event.rs`, `net.rs`): the sharded engine is deterministic *because*
-//!   domains share nothing and exchange state only as outbox messages
-//!   merged in `(time, src, seq)` order at the epoch barrier; a lock would
-//!   let wall-clock scheduling order back into simulated state.
-//! * **arch-compose** — `DispatchPolicy`/`PauseMode` may only be assigned
-//!   inside the Architecture descriptor module (`crates/core/src/arch.rs`):
-//!   everything else composes via `Architecture::with_dispatch` /
-//!   `with_pause` and `OpenOpticsNet::deploy`, so a deployed network's
-//!   policies always match its descriptor. (`congestion.policy`, the
-//!   switch-level knob, is unrelated and exempt.)
 //! * **bool-api** — public functions in `openoptics-core` must report
 //!   failure as `Result<_, Error>`, not `bool` (predicates named `is_*`,
 //!   `has_*`, … are exempt).
-//! * **trace-complete** — every `TraceKind` variant must be handled by the
-//!   trace stream's `name()` and `to_json()` match arms.
-//! * **span-paired** — every `span_begin(..., Stage::X, ...)` call site
-//!   with a literal stage must have a matching `span_end(..., Stage::X)`
-//!   somewhere in the same crate; a begun lifecycle stage that no code
-//!   path closes leaks open spans into every export. Calls whose stage is
-//!   a variable (dynamic closes) and the `fn span_begin`/`fn span_end`
-//!   definitions themselves are exempt.
 //! * **ratchet** — counted budgets for `.unwrap()` / `.expect(` / `panic!(`
 //!   in first-party code (tests included), stored in `lint-ratchet.toml`.
 //!   A rising count fails the lint; `--update` rewrites the file so
@@ -58,18 +41,8 @@
 //!   nanoseconds is a determinism hazard. New sites use
 //!   `openoptics_sim::cast` checked helpers or `try_into` instead.
 //!
-//! # Flow-aware rules (`lint --graph`)
-//!
-//! The per-line pass cannot see a `thread_rng` wrapper called three crates
-//! away from the engine hot loop. `--graph` adds oolint v2: a hand-rolled
-//! lexer ([`lex`]) and item/call extractor ([`graph`]) build a cross-crate
-//! call graph, and [`taint`] runs reachability from sim-path entry points
-//! to nondeterminism sources (**graph-nondet**), reporting each hit as a
-//! full call chain, plus the structural **domain-send** fire-time check on
-//! `Outbox::send` sites. `--json` renders findings machine-readable;
-//! `--explain <rule>` prints the rationale for any rule.
-//!
-//! Any rule can be suppressed for one line with a justification:
+//! `--explain <rule>` prints the rationale for any rule. Any rule can be
+//! suppressed for one line with a justification:
 //!
 //! ```text
 //! let m = std::collections::HashMap::new(); // oolint: allow(nondet-map, never iterated)
@@ -78,21 +51,17 @@
 //! The annotation may also sit alone on the preceding line(s) — `//` or
 //! `/* */` comments both work — and balanced parentheses inside the
 //! justification are fine. An annotation without a reason is itself a lint
-//! error. The graph rules honor annotations at *any hop* of a chain.
+//! error.
 //!
 //! [`FxHashMap`]: https://docs.rs/rustc-hash
 //! [`FxHashSet`]: https://docs.rs/rustc-hash
-
-pub mod graph;
-pub mod lex;
-pub mod taint;
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Crates whose sources are simulation-path: nondeterministic containers
-/// there can change simulated behavior, not just diagnostics.
+/// Crates whose sources are simulation-path: the numeric-cast ratchet
+/// counts narrowing casts there, where they can change simulated behavior.
 pub const SIM_PATH_CRATES: &[&str] = &[
     "openoptics-sim",
     "openoptics-core",
@@ -106,14 +75,6 @@ pub const SIM_PATH_CRATES: &[&str] = &[
     "openoptics-obs",
     "openoptics-ctl",
 ];
-
-/// Domain-execution modules of the sim-path crates: the files that run
-/// inside (or drive) the sharded engine's epoch loop. Shared-mutability
-/// primitives are banned here — domains communicate by message passing
-/// (outboxes merged at the epoch barrier), never through locks, so worker
-/// scheduling can never influence simulated state.
-pub const DOMAIN_EXECUTION_MODULES: &[&str] =
-    &["src/domain.rs", "src/engine.rs", "src/event.rs", "src/net.rs"];
 
 /// Bool-returning name prefixes that are idiomatic predicates, exempt from
 /// the `bool-api` rule.
@@ -182,18 +143,13 @@ pub struct FileCtx<'a> {
     pub is_test_file: bool,
 }
 
-/// Split a source line into its code part and its `//` comment part, with
+/// Splits a source line into its code part and its comment part, with
 /// string-literal contents blanked out of the code part so patterns never
 /// match inside literals. Good enough for tidy-style linting; raw strings
-/// and multi-line literals are not tracked across lines. For `/* */`-aware
-/// splitting across lines, use [`LineSplitter`].
-fn split_code_comment(line: &str) -> (String, String) {
-    LineSplitter::default().split(line)
-}
-
-/// Stateful per-line splitter that also tracks `/* */` block comments
-/// across lines, so an `oolint: allow` annotation inside one is recognized
-/// and code inside one is not linted. Feed lines top to bottom.
+/// and multi-line literals are not tracked across lines. `/* */` block
+/// comments are tracked across lines, so an `oolint: allow` annotation
+/// inside one is recognized and code inside one is not linted. Feed lines
+/// top to bottom.
 #[derive(Default)]
 struct LineSplitter {
     in_block: bool,
@@ -237,9 +193,8 @@ impl LineSplitter {
     }
 }
 
-/// Scan one code token starting at byte `i` (string/char literal handling
-/// shared by the splitters); returns the blanked text to append and the
-/// next index.
+/// Scan one code token starting at byte `i` ([`LineSplitter`]'s string/char
+/// literal handling); returns the blanked text to append and the next index.
 fn scan_code_char(b: &[u8], i: usize) -> (String, usize) {
     let mut code = String::new();
     let mut i = i;
@@ -441,8 +396,7 @@ pub fn lint_file(ctx: &FileCtx<'_>, content: &str) -> (Vec<Finding>, Budget) {
 
         // nondet-map: applies to test code too — a set iterated in a test
         // can make the test itself flaky.
-        if sim_path
-            && code.contains("std::collections::")
+        if code.contains("std::collections::")
             && (code.contains("HashMap") || code.contains("HashSet"))
         {
             flag(
@@ -455,12 +409,16 @@ pub fn lint_file(ctx: &FileCtx<'_>, content: &str) -> (Vec<Finding>, Budget) {
             );
         }
 
-        // wall-clock: sim logic must never read the host clock or an
-        // unseeded RNG. The bench harness measures real time by design.
+        // wall-clock: sim logic must never read host state — the clock,
+        // an unseeded RNG, the thread id, the environment or the file
+        // system. The bench harness measures real time by design.
         if !is_test && ctx.crate_name != "openoptics-bench" {
             let wall = code.contains("Instant::now")
                 || code.contains("SystemTime::now")
                 || code.contains("thread_rng")
+                || code.contains("std::thread::current")
+                || code.contains("std::env::")
+                || code.contains("std::fs::")
                 || (code.contains("std::time::")
                     && (code.contains("Instant") || code.contains("SystemTime")));
             if wall {
@@ -468,31 +426,11 @@ pub fn lint_file(ctx: &FileCtx<'_>, content: &str) -> (Vec<Finding>, Budget) {
                     &mut findings,
                     idx,
                     "wall-clock",
-                    "wall-clock time / unseeded randomness in simulation code; use SimTime \
-                     and the seeded SimRng"
+                    "host state (wall clock, unseeded RNG, thread id, env, fs) in simulation \
+                     code; use SimTime, the seeded SimRng and caller-supplied inputs"
                         .into(),
                 );
             }
-        }
-
-        // shared-mutable: the sharded engine's determinism argument rests
-        // on domains exchanging state only through outbox messages merged
-        // at the epoch barrier. A lock or interior-mutability cell in a
-        // domain-execution module reintroduces scheduling-order-dependent
-        // state, the exact failure mode the design rules out.
-        if sim_path
-            && !is_test
-            && DOMAIN_EXECUTION_MODULES.iter().any(|m| ctx.rel_path.ends_with(m))
-            && (code.contains("Mutex") || code.contains("RwLock") || code.contains("RefCell"))
-        {
-            flag(
-                &mut findings,
-                idx,
-                "shared-mutable",
-                "Mutex/RwLock/RefCell in a domain-execution module; domains communicate \
-                 by message passing (Outbox merged at the epoch barrier) only"
-                    .into(),
-            );
         }
 
         // relaxed-ordering: cross-thread counters need acquire/release.
@@ -503,27 +441,6 @@ pub fn lint_file(ctx: &FileCtx<'_>, content: &str) -> (Vec<Finding>, Budget) {
                 "relaxed-ordering",
                 "Ordering::Relaxed on shared atomics; use Acquire/Release/AcqRel so \
                  cross-thread counter reads are well-defined"
-                    .into(),
-            );
-        }
-
-        // arch-compose: dispatch/pause policy is owned by the Architecture
-        // descriptor (`with_dispatch`/`with_pause` feeding
-        // `install_policies`); a direct field assignment anywhere else
-        // bypasses the composition API and silently diverges from what
-        // `deploy` would install. `congestion.policy` (the switch-level
-        // CongestionPolicy knob) is a different field and stays free.
-        if ctx.rel_path != "crates/core/src/arch.rs"
-            && (code.contains(".pause_mode = ")
-                || (code.contains(".policy = ") && !code.contains("congestion.policy")))
-        {
-            flag(
-                &mut findings,
-                idx,
-                "arch-compose",
-                "direct DispatchPolicy/PauseMode assignment outside the Architecture \
-                 descriptor module; compose via Architecture::with_dispatch/with_pause \
-                 and OpenOpticsNet::deploy"
                     .into(),
             );
         }
@@ -613,186 +530,6 @@ pub fn lint_file(ctx: &FileCtx<'_>, content: &str) -> (Vec<Finding>, Budget) {
         }
     }
     (findings, budget)
-}
-
-/// One `span_begin`/`span_end` call site with a literal `Stage::` argument,
-/// collected per crate for the `span-paired` rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanSite {
-    /// Path relative to the workspace root.
-    pub file: String,
-    /// 1-based line of the call.
-    pub line: usize,
-    /// Stage identifier (`Flow`, `CalendarWait`, ...).
-    pub stage: String,
-    /// Whether the call opens the span (`span_begin`) or closes it.
-    pub is_begin: bool,
-}
-
-/// First `Stage::Ident` literal at or after byte offset `from` in `code`.
-fn stage_literal_after(code: &str, from: usize) -> Option<String> {
-    let pos = code.get(from..)?.find("Stage::")? + from + "Stage::".len();
-    let ident: String =
-        code[pos..].chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-    if ident.is_empty() {
-        None
-    } else {
-        Some(ident)
-    }
-}
-
-/// Collect `span_begin`/`span_end` call sites with literal stages from one
-/// file. Definitions (`fn span_begin`) are skipped, calls whose stage is a
-/// variable are exempt (dynamic closes), and an
-/// `// oolint: allow(span-paired, reason)` annotation drops the site. The
-/// returned findings are malformed annotations only; pairing itself is
-/// checked per crate by [`check_span_pairing`].
-pub fn collect_span_sites(ctx: &FileCtx<'_>, content: &str) -> (Vec<Finding>, Vec<SpanSite>) {
-    let mut findings = Vec::new();
-    let mut sites = Vec::new();
-    let split: Vec<(String, String)> = content.lines().map(split_code_comment).collect();
-    for idx in 0..split.len() {
-        let code = &split[idx].0;
-        for (needle, is_begin) in [("span_begin(", true), ("span_end(", false)] {
-            let Some(call) = code.find(needle) else { continue };
-            // Skip the API definitions in openoptics-obs itself.
-            if code.contains("fn span_begin") || code.contains("fn span_end") {
-                continue;
-            }
-            // The stage argument rides the call line, or — for a call
-            // whose argument list spans lines (no `;` yet) — one of the
-            // next three. No literal found means the stage is a variable:
-            // a dynamic close, exempt by design.
-            let mut stage = stage_literal_after(code, call + needle.len());
-            if stage.is_none() && !code[call..].contains(';') {
-                for next in split.iter().skip(idx + 1).take(3) {
-                    stage = stage_literal_after(&next.0, 0);
-                    if stage.is_some() || next.0.contains(';') {
-                        break;
-                    }
-                }
-            }
-            let Some(stage) = stage else { continue };
-            let here = allow_in(&split[idx].1, "span-paired");
-            let above = if idx > 0 && split[idx - 1].0.trim().is_empty() {
-                allow_in(&split[idx - 1].1, "span-paired")
-            } else {
-                None
-            };
-            match here.or(above) {
-                Some(true) => continue,
-                Some(false) => findings.push(Finding {
-                    file: ctx.rel_path.to_string(),
-                    line: idx + 1,
-                    rule: "span-paired",
-                    msg: "allow(span-paired) annotation needs a justification".into(),
-                }),
-                None => {}
-            }
-            sites.push(SpanSite { file: ctx.rel_path.to_string(), line: idx + 1, stage, is_begin });
-        }
-    }
-    (findings, sites)
-}
-
-/// Pairing check over one crate's collected [`SpanSite`]s: every begun
-/// literal stage needs at least one literal `span_end` for the same stage
-/// somewhere in the crate.
-pub fn check_span_pairing(crate_name: &str, sites: &[SpanSite]) -> Vec<Finding> {
-    let ends: std::collections::BTreeSet<&str> =
-        sites.iter().filter(|s| !s.is_begin).map(|s| s.stage.as_str()).collect();
-    let mut findings = Vec::new();
-    for s in sites.iter().filter(|s| s.is_begin) {
-        if !ends.contains(s.stage.as_str()) {
-            findings.push(Finding {
-                file: s.file.clone(),
-                line: s.line,
-                rule: "span-paired",
-                msg: format!(
-                    "span_begin(Stage::{stage}) has no span_end(Stage::{stage}) anywhere in \
-                     crate {crate_name}; every begun stage needs a close path (dynamic closes \
-                     via a variable stage are exempt)",
-                    stage = s.stage
-                ),
-            });
-        }
-    }
-    findings
-}
-
-/// Completeness check: every `TraceKind` variant must appear in at least
-/// two match arms outside the enum definition (the `name()` mapping and the
-/// `to_json()` field renderer).
-pub fn check_trace_completeness(rel_path: &str, content: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let lines: Vec<&str> = content.lines().collect();
-    let mut variants: Vec<(String, usize)> = Vec::new();
-    let mut depth = 0i64;
-    let mut in_enum = false;
-    let mut enum_lines = vec![false; lines.len()];
-    for (idx, line) in lines.iter().enumerate() {
-        let (code, _) = split_code_comment(line);
-        if !in_enum {
-            if code.contains("pub enum TraceKind") {
-                in_enum = true;
-                depth = code.matches('{').count() as i64 - code.matches('}').count() as i64;
-                enum_lines[idx] = true;
-            }
-            continue;
-        }
-        enum_lines[idx] = true;
-        if depth == 1 {
-            let t = code.trim();
-            if t.starts_with(|c: char| c.is_ascii_uppercase()) {
-                let name: String =
-                    t.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-                if !name.is_empty() {
-                    variants.push((name, idx + 1));
-                }
-            }
-        }
-        depth += code.matches('{').count() as i64 - code.matches('}').count() as i64;
-        if depth <= 0 {
-            in_enum = false;
-        }
-    }
-    if variants.is_empty() {
-        findings.push(Finding {
-            file: rel_path.to_string(),
-            line: 1,
-            rule: "trace-complete",
-            msg: "could not locate `pub enum TraceKind` variants".into(),
-        });
-        return findings;
-    }
-    for (name, line) in variants {
-        let needle = format!("TraceKind::{name}");
-        let mut refs = 0usize;
-        for (idx, l) in lines.iter().enumerate() {
-            if enum_lines[idx] {
-                continue;
-            }
-            for (pos, _) in l.match_indices(&needle) {
-                // Reject prefix matches (e.g. `FlowPause` vs `FlowPauseX`).
-                let after = l[pos + needle.len()..].chars().next();
-                if !matches!(after, Some(c) if c.is_ascii_alphanumeric() || c == '_') {
-                    refs += 1;
-                }
-            }
-        }
-        if refs < 2 {
-            findings.push(Finding {
-                file: rel_path.to_string(),
-                line,
-                rule: "trace-complete",
-                msg: format!(
-                    "TraceKind::{name} has {refs} match-arm reference(s) outside the enum; \
-                     every event kind needs a name() arm and a to_json() arm"
-                ),
-            });
-        }
-    }
-    findings
 }
 
 /// Parse `lint-ratchet.toml` (a flat `[crate]` / `key = n` subset of TOML).
@@ -969,7 +706,6 @@ pub fn run_lint(root: &Path, update: bool) -> std::io::Result<LintOutcome> {
     for dir in &crate_dirs {
         let name = package_name(dir)?;
         let budget = counts.entry(name.clone()).or_default();
-        let mut span_sites: Vec<SpanSite> = Vec::new();
         let subdirs: &[&str] =
             if *dir == root { &["src", "tests", "examples"] } else { &["src", "tests", "benches"] };
         for sub in subdirs {
@@ -987,15 +723,8 @@ pub fn run_lint(root: &Path, update: bool) -> std::io::Result<LintOutcome> {
                 budget.panics += b.panics;
                 budget.undocumented += b.undocumented;
                 budget.narrowing_casts += b.narrowing_casts;
-                if rel.ends_with("telemetry/src/trace.rs") {
-                    findings.append(&mut check_trace_completeness(&rel, &content));
-                }
-                let (mut sf, mut ss) = collect_span_sites(&ctx, &content);
-                findings.append(&mut sf);
-                span_sites.append(&mut ss);
             }
         }
-        findings.extend(check_span_pairing(&name, &span_sites));
     }
 
     let ratchet_path = root.join("lint-ratchet.toml");
@@ -1012,62 +741,23 @@ pub fn run_lint(root: &Path, update: bool) -> std::io::Result<LintOutcome> {
     Ok(LintOutcome { findings, counts })
 }
 
-/// Run the flow-aware (oolint v2) pass over the workspace rooted at
-/// `root`: lex and extract every first-party crate's library sources into
-/// a cross-crate call graph, then apply the `graph-nondet` taint
-/// reachability and `domain-send` structural rules. Test/bench/example
-/// code is excluded — the graph models the shipped sim path.
-pub fn run_graph_lint(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut ws = taint::TaintWorkspace::default();
-
-    let mut crate_dirs: Vec<PathBuf> = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut entries: Vec<_> =
-            std::fs::read_dir(&crates)?.collect::<Result<Vec<_>, _>>()?.into_iter().collect();
-        entries.sort_by_key(|e| e.path());
-        for e in entries {
-            if e.path().is_dir() && e.file_name() != "xtask" {
-                crate_dirs.push(e.path());
-            }
-        }
-    }
-    crate_dirs.push(root.to_path_buf());
-
-    for dir in &crate_dirs {
-        let name = package_name(dir)?;
-        let mut files = Vec::new();
-        collect_rs(&dir.join("src"), &mut files)?;
-        for f in files {
-            let rel = f.strip_prefix(root).unwrap_or(&f).to_string_lossy().into_owned();
-            let content = std::fs::read_to_string(&f)?;
-            let lexed = lex::lex(&content);
-            ws.fns.extend(graph::extract(&name, &rel, &lexed));
-            ws.comments.insert(rel, taint::FileComments::from_lexed(&lexed));
-        }
-    }
-
-    let idx = taint::Index::build(&ws.fns);
-    let mut findings = taint::taint_findings(&ws, &idx);
-    findings.extend(taint::domain_send_findings(&ws, &idx));
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(findings)
-}
-
 /// Rationale text for every rule, for `lint --explain <rule>`.
 pub const RULE_EXPLANATIONS: &[(&str, &str)] = &[
     (
         "nondet-map",
         "std HashMap/HashSet randomize their SipHash keys per process, so iteration order \
-         differs between runs. In a sim-path crate that breaks the byte-identical-exports \
-         contract. Use FxHashMap/FxHashSet from openoptics_sim::hash, or BTreeMap/BTreeSet \
-         where iteration order is observable.",
+         differs between runs; anything that feeds an export breaks the \
+         byte-identical-exports contract. Banned in every first-party crate. Use \
+         FxHashMap/FxHashSet from openoptics_sim::hash, or BTreeMap/BTreeSet where \
+         iteration order is observable.",
     ),
     (
         "wall-clock",
-        "Instant::now/SystemTime::now/thread_rng read host state, so simulated behavior \
-         would differ between runs and machines. Simulation time comes from SimTime; \
-         randomness from the seeded SimRng. Only the bench harness measures real time.",
+        "Instant::now/SystemTime::now/thread_rng/std::thread::current/std::env::/std::fs:: \
+         read host state, so simulated behavior would differ between runs and machines. \
+         Simulation time comes from SimTime, randomness from the seeded SimRng, inputs \
+         from the caller. Banned in non-test code of every first-party crate; only the \
+         bench harness (real elapsed time, artifact files) is exempt.",
     ),
     (
         "relaxed-ordering",
@@ -1075,32 +765,9 @@ pub const RULE_EXPLANATIONS: &[(&str, &str)] = &[
          runner would be schedule-dependent. Use Acquire/Release/AcqRel.",
     ),
     (
-        "shared-mutable",
-        "Mutex/RwLock/RefCell in a domain-execution module lets wall-clock scheduling \
-         order back into simulated state. Domains exchange state only as Outbox messages \
-         merged in (time, src, seq) order at the epoch barrier.",
-    ),
-    (
-        "arch-compose",
-        "DispatchPolicy/PauseMode may only be assigned in the Architecture descriptor \
-         module; everything else composes via Architecture::with_dispatch/with_pause and \
-         OpenOpticsNet::deploy, so a deployed network always matches its descriptor.",
-    ),
-    (
         "bool-api",
         "Public functions in openoptics-core report failure as Result<_, Error>, not bool \
          (is_*/has_*/... predicates exempt).",
-    ),
-    (
-        "trace-complete",
-        "Every TraceKind variant needs a name() arm and a to_json() arm; an unhandled \
-         event kind would silently vanish from exports.",
-    ),
-    (
-        "span-paired",
-        "Every span_begin(Stage::X) with a literal stage needs a span_end(Stage::X) \
-         somewhere in the crate; an unclosed lifecycle stage leaks open spans into every \
-         export.",
     ),
     (
         "ratchet",
@@ -1119,69 +786,11 @@ pub const RULE_EXPLANATIONS: &[(&str, &str)] = &[
          crates count them against the per-crate `narrowing_casts` ratchet budget; new \
          sites use the openoptics_sim::cast checked helpers or try_into.",
     ),
-    (
-        "graph-nondet",
-        "Flow-aware taint reachability over the cross-crate call graph: no call chain \
-         from a sim-path entry point (engine run loops, DomainScheduler epoch execution, \
-         deploy/reconfigure, fault injection) may reach a nondeterminism source (wall \
-         clock, OS RNG, std HashMap/HashSet, Ordering::Relaxed, thread-id/env/fs reads, \
-         float reductions in the parallel merge). Violations print the full chain; \
-         `// oolint: allow(graph-nondet, why)` is honored at any hop.",
-    ),
-    (
-        "domain-send",
-        "Cross-domain emission must go through Outbox::send with a fire time provably \
-         at or after the epoch lookahead bound — the conservative-PDES contract the \
-         sharded engine's determinism rests on. The fire-time argument must reference \
-         the epoch bound (epoch_end/lookahead) or be `now + <physical delay>`; anything \
-         else needs `// oolint: allow(domain-send, why)`. This is the static counterpart \
-         of the strict-invariants runtime assert, which only catches violations a given \
-         seed happens to trigger.",
-    ),
 ];
 
 /// Explanation text for one rule, if it exists.
 pub fn explain_rule(rule: &str) -> Option<&'static str> {
     RULE_EXPLANATIONS.iter().find(|(r, _)| *r == rule).map(|(_, e)| *e)
-}
-
-/// Escape a string for JSON output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render findings as machine-readable JSON (for `lint --json`; CI uploads
-/// this as an artifact).
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"msg\": \"{}\"}}",
-            json_escape(&f.file),
-            f.line,
-            json_escape(f.rule),
-            json_escape(&f.msg)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!("],\n  \"count\": {}\n}}\n", findings.len()));
-    out
 }
 
 #[cfg(test)]
@@ -1194,21 +803,22 @@ mod tests {
 
     #[test]
     fn strings_and_comments_are_blanked() {
-        let (code, comment) = split_code_comment(r#"let x = "panic!(no)"; // .unwrap() here"#);
+        let mut splitter = LineSplitter::default();
+        let (code, comment) = splitter.split(r#"let x = "panic!(no)"; // .unwrap() here"#);
         assert!(!code.contains("panic!("));
         assert!(comment.contains(".unwrap()"));
-        let (code, _) = split_code_comment("let c = '\"'; let d = 1;");
+        let (code, _) = splitter.split("let c = '\"'; let d = 1;");
         assert!(code.contains("let d = 1;"));
     }
 
     #[test]
-    fn nondet_map_flags_sim_path_only() {
+    fn nondet_map_flags_every_crate() {
         let src = "use std::collections::HashMap;\n";
-        let (f, _) = lint_file(&ctx("openoptics-core", "a.rs"), src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "nondet-map");
-        let (f, _) = lint_file(&ctx("openoptics-telemetry", "a.rs"), src);
-        assert!(f.is_empty());
+        for krate in ["openoptics-core", "openoptics-telemetry", "openoptics-bench"] {
+            let (f, _) = lint_file(&ctx(krate, "a.rs"), src);
+            assert_eq!(f.len(), 1, "{krate}: {f:?}");
+            assert_eq!(f[0].rule, "nondet-map");
+        }
     }
 
     #[test]
@@ -1246,33 +856,6 @@ mod tests {
         let (f, _) = lint_file(&ctx("openoptics-bench", "a.rs"), src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "relaxed-ordering");
-    }
-
-    #[test]
-    fn shared_mutable_flagged_in_domain_execution_modules() {
-        let src = "let m = std::sync::Mutex::new(0);\n";
-        let (f, _) = lint_file(&ctx("openoptics-sim", "crates/sim/src/domain.rs"), src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "shared-mutable");
-        let (f, _) = lint_file(&ctx("openoptics-core", "crates/core/src/engine.rs"), src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        // RefCell counts too.
-        let (f, _) = lint_file(
-            &ctx("openoptics-sim", "crates/sim/src/event.rs"),
-            "use std::cell::RefCell;\n",
-        );
-        assert_eq!(f.len(), 1);
-        // Other modules of sim-path crates are out of scope.
-        let (f, _) = lint_file(&ctx("openoptics-sim", "crates/sim/src/rate.rs"), src);
-        assert!(f.is_empty(), "{f:?}");
-        // Non-sim-path crates (the bench harness pools results in locks).
-        let (f, _) = lint_file(&ctx("openoptics-bench", "crates/bench/src/par.rs"), src);
-        assert!(f.is_empty(), "{f:?}");
-        // A justified allow suppresses it.
-        let ok = "let m = std::sync::Mutex::new(0); \
-                  // oolint: allow(shared-mutable, merge point outside the epoch loop)\n";
-        let (f, _) = lint_file(&ctx("openoptics-sim", "crates/sim/src/domain.rs"), ok);
-        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
@@ -1418,92 +1001,5 @@ mod tests {
         let f = compare_ratchet(&counts, &extra);
         assert_eq!(f.len(), 1);
         assert!(f[0].msg.contains("missing"), "{}", f[0].msg);
-    }
-
-    #[test]
-    fn span_pairing_requires_matching_end() {
-        let paired = "let s = spans.span_begin(now, 0, f, p, Stage::Rx, 0);\n\
-                      spans.span_end(now, s, Stage::Rx);\n";
-        let (f, sites) = collect_span_sites(&ctx("openoptics-core", "a.rs"), paired);
-        assert!(f.is_empty(), "{f:?}");
-        assert_eq!(sites.len(), 2);
-        assert!(check_span_pairing("openoptics-core", &sites).is_empty());
-
-        let unpaired = "let s = spans.span_begin(now, 0, f, p, Stage::Rx, 0);\n";
-        let (_, sites) = collect_span_sites(&ctx("openoptics-core", "a.rs"), unpaired);
-        let findings = check_span_pairing("openoptics-core", &sites);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "span-paired");
-        assert!(findings[0].msg.contains("Stage::Rx"), "{}", findings[0].msg);
-    }
-
-    #[test]
-    fn span_pairing_exempts_definitions_dynamic_and_allowed() {
-        // The API definitions themselves are not call sites.
-        let defs = "pub fn span_begin(&self, at: SimTime, stage: Stage) -> u64 {\n\
-                    pub fn span_end(&self, at: SimTime, stage: Stage) {}\n";
-        let (_, sites) = collect_span_sites(&ctx("openoptics-obs", "a.rs"), defs);
-        assert!(sites.is_empty(), "{sites:?}");
-
-        // A variable stage is a dynamic close: exempt, and a Stage literal
-        // on a later line must not be misattributed to it.
-        let dynamic = "spans.span_begin(now, 0, f, p, stage, 0);\n\
-                       let x = Stage::Rx;\n";
-        let (_, sites) = collect_span_sites(&ctx("openoptics-core", "a.rs"), dynamic);
-        assert!(sites.is_empty(), "{sites:?}");
-
-        // Multi-line calls find the stage on a following line.
-        let multiline = "let s = spans.span_begin(\n    now, 0, f, p,\n    Stage::Rx,\n    0);\n";
-        let (_, sites) = collect_span_sites(&ctx("openoptics-core", "a.rs"), multiline);
-        assert_eq!(sites.len(), 1, "{sites:?}");
-        assert_eq!(sites[0].stage, "Rx");
-
-        // An allow annotation with a reason drops the site; without one it
-        // is a finding.
-        let allowed = "spans.span_begin(now, 0, f, p, Stage::Rx, 0); \
-                       // oolint: allow(span-paired, closed dynamically elsewhere)\n";
-        let (f, sites) = collect_span_sites(&ctx("openoptics-core", "a.rs"), allowed);
-        assert!(f.is_empty() && sites.is_empty(), "{f:?} {sites:?}");
-        let bare = "spans.span_begin(now, 0, f, p, Stage::Rx, 0); // oolint: allow(span-paired)\n";
-        let (f, _) = collect_span_sites(&ctx("openoptics-core", "a.rs"), bare);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].msg.contains("justification"), "{}", f[0].msg);
-    }
-
-    #[test]
-    fn arch_compose_flags_policy_assignment_outside_descriptor() {
-        let bad = "net.engine.policy = DispatchPolicy::HybridDirect;\n\
-                   net.engine.pause_mode = PauseMode::DirectCircuit;\n";
-        let (f, _) = lint_file(&ctx("openoptics-core", "crates/core/src/net.rs"), bad);
-        assert_eq!(f.iter().filter(|x| x.rule == "arch-compose").count(), 2, "{f:?}");
-        // The descriptor module itself is the one sanctioned site.
-        let (f, _) = lint_file(&ctx("openoptics-core", "crates/core/src/arch.rs"), bad);
-        assert!(f.iter().all(|x| x.rule != "arch-compose"), "{f:?}");
-        // The switch-level congestion knob is a different field.
-        let knob = "c.congestion.policy = CongestionPolicy::Trim;\n";
-        let (f, _) = lint_file(&ctx("openoptics-switch", "crates/switch/src/tor.rs"), knob);
-        assert!(f.iter().all(|x| x.rule != "arch-compose"), "{f:?}");
-        // Suppressible with a justification, like every rule.
-        let allowed = "fresh.policy = self.engine.policy; \
-                       // oolint: allow(arch-compose, carrying forward)\n";
-        let (f, _) = lint_file(&ctx("openoptics-core", "crates/core/src/net.rs"), allowed);
-        assert!(f.iter().all(|x| x.rule != "arch-compose"), "{f:?}");
-    }
-
-    #[test]
-    fn trace_completeness_detects_missing_arm() {
-        let good = "pub enum TraceKind {\n    A { x: u8 },\n    B,\n}\n\
-                    fn name(k: TraceKind) { match k { TraceKind::A { .. } => {}, \
-                    TraceKind::B => {} } }\n\
-                    fn json(k: TraceKind) { match k { TraceKind::A { .. } => {}, \
-                    TraceKind::B => {} } }\n";
-        assert!(check_trace_completeness("t.rs", good).is_empty());
-        let missing = "pub enum TraceKind {\n    A { x: u8 },\n    B,\n}\n\
-                       fn name(k: TraceKind) { match k { TraceKind::A { .. } => {}, \
-                       TraceKind::B => {} } }\n\
-                       fn json(k: TraceKind) { match k { TraceKind::A { .. } => {} } }\n";
-        let f = check_trace_completeness("t.rs", missing);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].msg.contains("TraceKind::B"), "{}", f[0].msg);
     }
 }

@@ -3,9 +3,7 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint                 # check (CI hard gate)
-//! cargo run -p xtask -- lint --graph         # + flow-aware taint analysis
-//! cargo run -p xtask -- lint --json          # machine-readable findings
-//! cargo run -p xtask -- lint --explain graph-nondet
+//! cargo run -p xtask -- lint --explain wall-clock
 //! cargo run -p xtask -- lint --update        # rewrite lint-ratchet.toml
 //! ```
 
@@ -20,7 +18,7 @@ fn workspace_root() -> PathBuf {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo run -p xtask -- lint [--graph] [--json] [--update] [--root PATH]\n       \
+        "usage: cargo run -p xtask -- lint [--update] [--root PATH]\n       \
          cargo run -p xtask -- lint --explain <rule>"
     );
     ExitCode::FAILURE
@@ -36,15 +34,11 @@ fn main() -> ExitCode {
 
 fn lint_cmd(args: &[String]) -> ExitCode {
     let mut update = false;
-    let mut graph = false;
-    let mut json = false;
     let mut root = workspace_root();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--update" => update = true,
-            "--graph" => graph = true,
-            "--json" => json = true,
             "--explain" => {
                 let Some(rule) = it.next() else {
                     eprintln!("--explain needs a rule name");
@@ -73,24 +67,8 @@ fn lint_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut findings = outcome.findings;
-    if graph {
-        match xtask::run_graph_lint(&root) {
-            Ok(mut f) => findings.append(&mut f),
-            Err(e) => {
-                eprintln!("oolint: graph pass i/o error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if json {
-        // Machine-readable findings on stdout (CI uploads this artifact);
-        // the human summary stays on stderr.
-        print!("{}", xtask::findings_to_json(&findings));
-    } else {
-        for f in &findings {
-            eprintln!("{f}");
-        }
+    for f in &outcome.findings {
+        eprintln!("{f}");
     }
     let (mut u, mut e, mut p, mut d, mut c) = (0, 0, 0, 0, 0);
     for b in outcome.counts.values() {
@@ -101,14 +79,13 @@ fn lint_cmd(args: &[String]) -> ExitCode {
         c += b.narrowing_casts;
     }
     eprintln!(
-        "oolint: {} finding(s){}; ratchet counts: {u} unwraps, {e} expects, {p} panics, \
+        "oolint: {} finding(s); ratchet counts: {u} unwraps, {e} expects, {p} panics, \
          {d} undocumented pub items, {c} narrowing casts across {} crates{}",
-        findings.len(),
-        if graph { " (text + graph)" } else { "" },
+        outcome.findings.len(),
         outcome.counts.len(),
         if update { " (lint-ratchet.toml rewritten)" } else { "" },
     );
-    if findings.is_empty() {
+    if outcome.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,4 +1,4 @@
-//! Fixture root package: not a sim-path crate, so std maps are fine here.
+//! Fixture root package: off the sim path, and std maps are still banned.
 
 use std::collections::HashMap;
 

@@ -4,9 +4,8 @@
 //! sim time in eight increments — each step's `sample`/`slo`/`flight`
 //! delta frames stream before the response on the same turn. Finishes
 //! with the per-service SLO report. Everything printed is sim-time
-//! stamped, so the full stdout is byte-identical at any worker count —
-//! CI runs this twice (workers 1 vs 4, plain and strict-invariants
-//! builds) and compares.
+//! stamped, so the full stdout is byte-identical from run to run — CI
+//! runs it in the plain and strict-invariants builds and compares.
 //!
 //! Run with: `cargo run --example subscribe_stream [workers]`
 
