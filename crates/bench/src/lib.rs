@@ -188,10 +188,7 @@ pub fn select(which: &str) -> Vec<&'static Experiment> {
 /// The `experiments` usage line, listing every id in table order.
 pub fn usage() -> String {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-    format!(
-        "usage: experiments <{}|all> [--quick] [--jobs N] [--workers N] [--profile]",
-        ids.join("|")
-    )
+    format!("usage: experiments <{}|all> [--quick] [--jobs N] [--profile]", ids.join("|"))
 }
 
 fn run_fig8a(o: Opts) {

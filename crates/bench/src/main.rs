@@ -2,16 +2,17 @@
 //! evaluation.
 //!
 //! ```text
-//! experiments <id|all> [--quick] [--jobs N] [--workers N] [--profile]
+//! experiments <id|all> [--quick] [--jobs N] [--profile]
 //! ```
 //!
 //! The ids, their section titles and which of them `all` runs come from
 //! one table, [`openoptics_bench::EXPERIMENTS`]; running with no arguments
 //! prints them. Stdout is the byte-stable oracle: `experiments all` must
 //! equal the committed `experiments_full.txt` and `experiments sweep
-//! --quick` the committed `sweep_quick.txt`, at any `--jobs` / `--workers`.
-//! The binary writes no performance report — `benchmark/` is the only
-//! source of performance numbers.
+//! --quick` the committed `sweep_quick.txt`, at any `--jobs`. Any other
+//! `--flag` is a usage error (exit 2, nothing on stdout). The binary
+//! writes no performance report — `benchmark/` is the only source of
+//! performance numbers.
 //!
 //! `sweep` runs the architecture × routing composition matrix (every
 //! preset architecture against every routing scheme, × load, × fault
@@ -27,11 +28,6 @@
 //! across a `std::thread::scope` pool; results are collected in original
 //! order, so the rendered output is byte-identical at any worker count —
 //! `--jobs 1` reproduces the serial behavior exactly.
-//!
-//! `--workers N` sets `NetConfig::workers` on every simulated network
-//! (default 1): `> 1` routes each run through conservative-lookahead
-//! epochs, the synchronization structure of the sharded engine. Output is
-//! byte-identical at any value — that invariant is CI-gated.
 //!
 //! The fig8a run also records causal lifecycle spans on its RotorNet-VLB
 //! point (every 4th flow) and writes `fig8a_spans.json` (Chrome
@@ -53,36 +49,25 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The positive integer following `flag`, if the flag is present.
-fn positive(args: &[String], flag: &str) -> Option<usize> {
-    let i = args.iter().position(|a| a == flag)?;
-    let n = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()).filter(|&n| n >= 1);
-    Some(n.unwrap_or_else(|| usage_error(&format!("{flag} expects a positive integer"))))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = x::Opts {
-        quick: args.iter().any(|a| a == "--quick"),
-        profile: args.iter().any(|a| a == "--profile"),
-    };
-    if let Some(n) = positive(&args, "--jobs") {
-        x::par::set_jobs(n);
+    let mut opts = x::Opts { quick: false, profile: false };
+    let mut which = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => opts.quick = true,
+            "--profile" => opts.profile = true,
+            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n >= 1 => x::par::set_jobs(n),
+                _ => usage_error("--jobs expects a positive integer"),
+            },
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag: {flag}")),
+            // The first positional argument is the experiment id.
+            _ => which = which.or(Some(arg)),
+        }
     }
-    if let Some(n) = positive(&args, "--workers") {
-        x::par::set_workers(n);
-    }
-    // The first argument that is neither a flag nor a flag's value.
-    let which = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--")
-                && (*i == 0 || (args[i - 1] != "--jobs" && args[i - 1] != "--workers"))
-        })
-        .map(|(_, a)| a.as_str())
-        .unwrap_or_else(|| usage_error("missing experiment id"));
-    let selected = x::select(which);
+    let which = which.unwrap_or_else(|| usage_error("missing experiment id"));
+    let selected = x::select(&which);
     if selected.is_empty() {
         usage_error(&format!("unknown experiment id: {which}"));
     }

@@ -13,9 +13,8 @@
 //! but attributes its bad completions to the fault window
 //! (`bad_in_fault > 0`); the bulk transfers, squeezed behind the failed
 //! port on the slowed 25 Gbps fabric, blow through their threshold and
-//! breach. Every number is byte-identical at any `--jobs` / `--workers`
-//! count because the sketches, windows and samples live on the
-//! simulation clock.
+//! breach. Every number is byte-identical at any `--jobs` count because
+//! the sketches, windows and samples live on the simulation clock.
 
 use crate::par;
 use crate::util::{self, Table};

@@ -9,14 +9,13 @@
 //!
 //! Cells are independent simulation points and fan out over the [`par`]
 //! pool in index order, so the rendered output is byte-identical at any
-//! `--jobs` / `--workers` count.
+//! `--jobs` count.
 //!
 //! [`par`]: crate::par
 
-use openoptics_core::{Architecture, FaultPlan, OpenOpticsNet, TransportKind};
+use openoptics_core::{Architecture, FaultPlan, OpenOpticsNet, PresetShape, TransportKind};
 use openoptics_proto::{HostId, NodeId, PortId};
-use openoptics_routing::algos::{Direct, Ecmp, Hoho, Ksp, OperaRouting, Ucmp, Vlb, Wcmp};
-use openoptics_routing::{LookupMode, MultipathMode, RoutingAlgorithm};
+use openoptics_routing::algos;
 use openoptics_sim::time::SimTime;
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::FctStats;
@@ -25,11 +24,10 @@ use openoptics_workload::FctStats;
 const NODES: u32 = 8;
 
 /// Every preset architecture, in table order.
-pub const ARCHS: &[&str] =
-    &["clos", "cthrough", "jupiter", "mordia", "rotornet", "opera", "shale", "semi_oblivious"];
+pub const ARCHS: &[&str] = Architecture::PRESET_NAMES;
 
 /// Every routing scheme, in table order.
-pub const ALGOS: &[&str] = &["direct", "ecmp", "wcmp", "ksp", "vlb", "ucmp", "opera", "hoho"];
+pub const ALGOS: &[&str] = algos::NAMES;
 
 /// The traffic matrix handed to demand-driven schedule generators: the
 /// same all-pairs mesh the sweep's workload offers.
@@ -43,36 +41,9 @@ fn mesh_tm() -> TrafficMatrix {
 
 /// Instantiate one architecture descriptor by sweep name.
 fn arch_for(name: &str) -> Architecture {
-    let tm = mesh_tm();
-    match name {
-        "clos" => Architecture::clos(),
-        "cthrough" => Architecture::cthrough(&tm),
-        "jupiter" => Architecture::jupiter(),
-        "mordia" => Architecture::mordia(&tm, NODES),
-        "rotornet" => Architecture::rotornet(),
-        "opera" => Architecture::opera(),
-        "shale" => Architecture::shale(3),
-        "semi_oblivious" => Architecture::semi_oblivious(&tm, 3),
-        other => unreachable!("unknown sweep architecture {other}"),
-    }
-}
-
-/// Instantiate one routing scheme (with its idiomatic lookup/multipath
-/// modes) by sweep name.
-fn routing_for(name: &str) -> (Box<dyn RoutingAlgorithm>, LookupMode, MultipathMode) {
-    match name {
-        "direct" => (Box::new(Direct), LookupMode::PerHop, MultipathMode::None),
-        "ecmp" => (Box::new(Ecmp::default()), LookupMode::PerHop, MultipathMode::PerFlow),
-        "wcmp" => (Box::new(Wcmp::default()), LookupMode::PerHop, MultipathMode::PerFlow),
-        "ksp" => (Box::new(Ksp::default()), LookupMode::PerHop, MultipathMode::PerFlow),
-        "vlb" => (Box::new(Vlb), LookupMode::PerHop, MultipathMode::PerPacket),
-        "ucmp" => (Box::new(Ucmp::default()), LookupMode::PerHop, MultipathMode::PerPacket),
-        "opera" => {
-            (Box::new(OperaRouting::default()), LookupMode::SourceRouting, MultipathMode::PerPacket)
-        }
-        "hoho" => (Box::new(Hoho::default()), LookupMode::PerHop, MultipathMode::None),
-        other => unreachable!("unknown sweep routing {other}"),
-    }
+    let shape = PresetShape { tm: &mesh_tm(), mordia_slices: NODES, shale_dim: 3, extra_slices: 3 };
+    Architecture::by_name(name, &shape)
+        .unwrap_or_else(|| unreachable!("unknown sweep architecture {name}"))
 }
 
 /// What happened in one sweep cell.
@@ -146,7 +117,8 @@ fn run_cell(
     quick: bool,
 ) -> Cell {
     let cfg = crate::util::testbed(100_000, 1);
-    let (routing, lookup, multipath) = routing_for(algo);
+    let (routing, lookup, multipath) =
+        algos::by_name(algo).unwrap_or_else(|| unreachable!("unknown sweep routing {algo}"));
     let mut net = match OpenOpticsNet::deploy(cfg, arch_for(arch), routing, lookup, multipath) {
         Ok(net) => net,
         Err(e) => {

@@ -21,7 +21,6 @@ pub fn testbed(slice_ns: u64, uplinks: u16) -> NetConfig {
         sync_err_ns: 28,
         seed: 7,
         queue_capacity: 8 * 1024 * 1024,
-        workers: crate::par::workers(),
         ..Default::default()
     }
 }

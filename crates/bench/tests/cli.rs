@@ -11,7 +11,13 @@ fn experiments() -> Command {
 #[test]
 fn usage_errors_exit_2_with_the_table_generated_usage() {
     let usage = openoptics_bench::usage();
-    for args in [&[][..], &["--jobs", "0"], &["--workers", "0"], &["no-such-id"]] {
+    for args in [
+        &[][..],
+        &["--jobs", "0"],
+        &["fig12", "--workers", "4"],
+        &["fig12", "--quik"],
+        &["no-such-id"],
+    ] {
         let out = experiments().args(args).output().expect("experiments starts");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");

@@ -189,6 +189,20 @@ pub struct Architecture {
     fixed_uplink: Option<u16>,
 }
 
+/// Shape parameters of the parameterised presets, for
+/// [`Architecture::by_name`].
+#[derive(Clone, Copy, Debug)]
+pub struct PresetShape<'a> {
+    /// Demand matrix for `cthrough`, `mordia` and `semi_oblivious`.
+    pub tm: &'a TrafficMatrix,
+    /// Schedule length for `mordia`.
+    pub mordia_slices: u32,
+    /// Torus dimensionality for `shale`.
+    pub shale_dim: u32,
+    /// Extra demand-aware slices for `semi_oblivious`.
+    pub extra_slices: u32,
+}
+
 impl Architecture {
     /// Traditional electrical Clos baseline: no optical schedule,
     /// everything rides the electrical fabric.
@@ -339,6 +353,26 @@ impl Architecture {
             min_uplink: 0,
             fixed_uplink: None,
         }
+    }
+
+    /// Every preset [`Architecture::by_name`] knows, in table order.
+    pub const PRESET_NAMES: &'static [&'static str] =
+        &["clos", "cthrough", "jupiter", "mordia", "rotornet", "opera", "shale", "semi_oblivious"];
+
+    /// The preset called `name` (one of [`Self::PRESET_NAMES`]), handed the
+    /// parts of `shape` it takes.
+    pub fn by_name(name: &str, shape: &PresetShape) -> Option<Self> {
+        Some(match name {
+            "clos" => Self::clos(),
+            "cthrough" => Self::cthrough(shape.tm),
+            "jupiter" => Self::jupiter(),
+            "mordia" => Self::mordia(shape.tm, shape.mordia_slices),
+            "rotornet" => Self::rotornet(),
+            "opera" => Self::opera(),
+            "shale" => Self::shale(shape.shale_dim),
+            "semi_oblivious" => Self::semi_oblivious(shape.tm, shape.extra_slices),
+            _ => return None,
+        })
     }
 
     /// Override the dispatch policy (e.g. hybrid experiments running

@@ -108,12 +108,10 @@ pub struct NetConfig {
     /// subscription frame stream. 0 disables sampling entirely — the
     /// sampling timer is never scheduled, so the hot path cost is zero.
     pub sample_every_ns: u64,
-    /// Worker budget for intra-run execution. `1` runs the classic serial
-    /// loop; `> 1` routes `run_for` through conservative-lookahead epochs
-    /// (windows derived from the optical schedule — see
-    /// `Fabric::conservative_lookahead_ns`), the barrier structure that
-    /// sharded execution synchronizes on. Output is byte-identical at any
-    /// value — the lookahead contract is exactly what makes that hold.
+    /// Reserved: always `1`. There is no intra-run parallelism (DESIGN.md,
+    /// "No intra-run parallelism"); the field survives only because the
+    /// frozen `benchmark/` workloads spell `workers: 1` in their struct
+    /// literals, and [`NetConfig::validate`] rejects any other value.
     pub workers: usize,
     /// Simulation seed.
     pub seed: u64,
@@ -316,8 +314,12 @@ impl NetConfig {
         if self.queue_capacity == 0 {
             return Err(err("queue_capacity", "calendar queues need a positive byte capacity"));
         }
-        if self.workers == 0 {
-            return Err(err("workers", "the engine needs at least one worker"));
+        if self.workers != 1 {
+            return Err(err(
+                "workers",
+                "reserved, must be 1: a run is one event loop on one thread; \
+                 parallelism is across independent runs (`experiments --jobs`)",
+            ));
         }
         match self.congestion_policy.as_str() {
             "drop" | "trim" | "wait" | "defer" => {}
@@ -453,6 +455,13 @@ mod tests {
         let c = NetConfig { slice_ns: 500, guard_ns: 1_000, ..Default::default() };
         let sc = c.slice_config(4);
         assert!(sc.guard_ns < sc.slice_ns);
+    }
+
+    #[test]
+    fn workers_is_reserved_at_one() {
+        let e = NetConfig::builder().workers(4).build().expect_err("workers != 1 is rejected");
+        assert_eq!(e.field, "workers");
+        assert!(NetConfig::builder().workers(1).build().is_ok());
     }
 
     #[test]

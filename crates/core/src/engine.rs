@@ -17,7 +17,6 @@ use openoptics_fabric::{Circuit, ClockSync, Fabric, FabricProfile, OpticalSchedu
 use openoptics_faults::{FaultCounters, FaultError, FaultKind, FaultPlan, FaultReport, FaultSpec};
 use openoptics_host::apps::{MemcachedParams, RingAllreduce};
 use openoptics_host::tcp::{TcpConfig, TcpReceiver, TcpSender};
-use openoptics_host::tdtcp::TdTcpSender;
 use openoptics_host::udp::ProbeStats;
 use openoptics_host::vma::{Segment, VmaStack};
 use openoptics_host::FlowAging;
@@ -93,9 +92,9 @@ pub enum TransportKind {
     Paced,
     /// The TCP model of [`openoptics_host::tcp`] (Fig. 9).
     Tcp(TcpConfig),
-    /// The TDTCP-style per-topology variant of
-    /// [`openoptics_host::tdtcp`]: topology 0 = optical, 1 = electrical
-    /// (meaningful under [`DispatchPolicy::HybridDirect`]).
+    /// The same model with TDTCP-style per-topology congestion state:
+    /// topology 0 = optical, 1 = electrical (meaningful under
+    /// [`DispatchPolicy::HybridDirect`]).
     TdTcp(TcpConfig),
 }
 
@@ -127,7 +126,6 @@ pub enum FlowKind {
 enum Transport {
     Paced,
     Tcp { sender: TcpSender, receiver: TcpReceiver },
-    TdTcp { sender: TdTcpSender, receiver: TcpReceiver },
 }
 
 #[derive(Clone)]
@@ -1326,9 +1324,7 @@ impl Engine {
         self.flows
             .get(&flow)
             .map(|f| match &f.transport {
-                Transport::Tcp { receiver, .. } | Transport::TdTcp { receiver, .. } => {
-                    receiver.delivered_bytes
-                }
+                Transport::Tcp { receiver, .. } => receiver.delivered_bytes,
                 Transport::Paced => f.delivered,
             })
             .unwrap_or(0)
@@ -1339,9 +1335,7 @@ impl Engine {
         self.flows
             .get(&flow)
             .map(|f| match &f.transport {
-                Transport::Tcp { receiver, .. } | Transport::TdTcp { receiver, .. } => {
-                    receiver.reorder_events
-                }
+                Transport::Tcp { receiver, .. } => receiver.reorder_events,
                 Transport::Paced => 0,
             })
             .unwrap_or(0)
@@ -1353,7 +1347,6 @@ impl Engine {
             .get(&flow)
             .map(|f| match &f.transport {
                 Transport::Tcp { sender, .. } => (sender.fast_retransmits, sender.timeouts),
-                Transport::TdTcp { sender, .. } => (sender.fast_retransmits, sender.timeouts),
                 Transport::Paced => (0, 0),
             })
             .unwrap_or((0, 0))
@@ -1459,16 +1452,6 @@ impl Engine {
         self.probe_trains.len() - 1
     }
 
-    /// Conservative lookahead window (ns) for epoch-stepped execution: the
-    /// fabric's minimum cross-node delay plus the serialization floor of
-    /// the smallest frame (64 B) on an optical uplink. Any two nodes'
-    /// interactions carry at least this much simulated delay, so execution
-    /// chunked into windows of this size is equivalent to (and, sharded,
-    /// safely parallelizable against) the serial event loop.
-    pub fn conservative_lookahead_ns(&self) -> u64 {
-        self.fabric.conservative_lookahead_ns(self.cfg.uplink_bandwidth().tx_time_ns(64))
-    }
-
     /// Install the initial events: rotations, scheduled flows, app timers.
     /// Call once before running.
     pub fn prime(&mut self, q: &mut EventQueue<Event>) {
@@ -1530,7 +1513,7 @@ impl Engine {
             q.schedule(SimTime::from_ns(1), Event::Timer(Timer::ProbeSend(t)));
         }
         // Fault windows: each edge is an ordinary (time, seq) event, so
-        // campaigns replay byte-identically at any worker count.
+        // campaigns replay byte-identically.
         if let Some(f) = &self.faults {
             for (i, s) in f.specs.iter().enumerate() {
                 q.schedule(s.start, Event::Timer(Timer::FaultStart(i)));
@@ -1568,9 +1551,9 @@ impl Engine {
                 sender: TcpSender::new(cfg, Some(bytes), now),
                 receiver: TcpReceiver::new(),
             },
-            TransportKind::TdTcp(cfg) => Transport::TdTcp {
+            TransportKind::TdTcp(cfg) => Transport::Tcp {
                 // Two topologies: the optical fabric and the electrical one.
-                sender: TdTcpSender::new(cfg, 2, Some(bytes), now),
+                sender: TcpSender::with_topologies(cfg, 2, Some(bytes), now),
                 receiver: TcpReceiver::new(),
             },
         };
@@ -1600,14 +1583,8 @@ impl Engine {
             Transport::Tcp { sender, .. } => {
                 let deadline = sender.rto_deadline();
                 q.schedule(deadline, Event::Timer(Timer::TcpRto(id)));
+                self.pump_tcp(id, now);
             }
-            Transport::TdTcp { sender, .. } => {
-                let deadline = sender.rto_deadline();
-                q.schedule(deadline, Event::Timer(Timer::TcpRto(id)));
-            }
-        }
-        if matches!(self.flows[&id].transport, Transport::Tcp { .. } | Transport::TdTcp { .. }) {
-            self.pump_tcp(id, now);
         }
         self.pump_host(src, now, q);
         id
@@ -1683,37 +1660,16 @@ impl Engine {
         let dst_tor = self.hosts[dst_host.index()].tor;
         let topo = self.topology_id(src_tor, dst_tor);
         let Some(f) = self.flows.get_mut(&fid) else { return };
-        match &mut f.transport {
-            Transport::Tcp { sender, .. } => loop {
-                // Respect socket capacity before consuming sender state.
-                if !self.hosts[src.index()].vma.would_accept(dst_tor, MSS) {
-                    break;
-                }
-                let Some((seq, len)) = sender.next_segment(now) else { break };
-                self.hosts[src.index()]
-                    .vma
-                    .send(dst_tor, Segment { flow: fid, dst_host, bytes: len, seq, queued_at: now })
-                    .ok();
-                self.hosts[src.index()].aging.record(fid, len as u64);
-            },
-            Transport::TdTcp { sender, .. } => {
-                sender.set_topology(topo, now);
-                loop {
-                    if !self.hosts[src.index()].vma.would_accept(dst_tor, MSS) {
-                        break;
-                    }
-                    let Some((seq, len)) = sender.next_segment(now) else { break };
-                    self.hosts[src.index()]
-                        .vma
-                        .send(
-                            dst_tor,
-                            Segment { flow: fid, dst_host, bytes: len, seq, queued_at: now },
-                        )
-                        .ok();
-                    self.hosts[src.index()].aging.record(fid, len as u64);
-                }
-            }
-            Transport::Paced => {}
+        let Transport::Tcp { sender, .. } = &mut f.transport else { return };
+        sender.set_topology(topo, now);
+        // Respect socket capacity before consuming sender state.
+        while self.hosts[src.index()].vma.would_accept(dst_tor, MSS) {
+            let Some((seq, len)) = sender.next_segment(now) else { break };
+            self.hosts[src.index()]
+                .vma
+                .send(dst_tor, Segment { flow: fid, dst_host, bytes: len, seq, queued_at: now })
+                .ok();
+            self.hosts[src.index()].aging.record(fid, len as u64);
         }
     }
 
@@ -2387,7 +2343,7 @@ impl Engine {
                             self.finish_flow(fid, now, q);
                         }
                     }
-                    Transport::Tcp { receiver, .. } | Transport::TdTcp { receiver, .. } => {
+                    Transport::Tcp { receiver, .. } => {
                         let cum = receiver.on_data(pkt.seq, pkt.payload);
                         // Send an ACK back through the network.
                         let src_host = f.src_host;
@@ -2425,14 +2381,6 @@ impl Engine {
                 if let Some(f) = self.flows.get_mut(&fid) {
                     match &mut f.transport {
                         Transport::Tcp { sender, .. } => {
-                            let before = sender.fast_retransmits;
-                            sender.on_ack(cum_ack, now);
-                            fast_retx = sender.fast_retransmits > before;
-                            if sender.done() && !f.done {
-                                finished = true;
-                            }
-                        }
-                        Transport::TdTcp { sender, .. } => {
                             sender.set_topology(topo, now);
                             let before = sender.fast_retransmits;
                             sender.on_ack(cum_ack, now);
@@ -2640,11 +2588,6 @@ impl Engine {
                     }
                     match &mut f.transport {
                         Transport::Tcp { sender, .. } => {
-                            fired = sender.maybe_timeout(now);
-                            deadline = Some(sender.rto_deadline());
-                            src = Some(f.src_host);
-                        }
-                        Transport::TdTcp { sender, .. } => {
                             fired = sender.maybe_timeout(now);
                             deadline = Some(sender.rto_deadline());
                             src = Some(f.src_host);

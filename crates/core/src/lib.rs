@@ -29,7 +29,7 @@ pub mod json;
 pub mod net;
 pub mod workflow;
 
-pub use arch::{check_compat, ArchClass, Architecture, RoutingChoice, ScheduleGen};
+pub use arch::{check_compat, ArchClass, Architecture, PresetShape, RoutingChoice, ScheduleGen};
 pub use config::{ConfigError, NetConfig, NetConfigBuilder};
 pub use engine::{DispatchPolicy, Engine, PauseMode, TransportKind};
 pub use error::Error;

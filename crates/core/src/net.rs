@@ -208,8 +208,7 @@ impl OpenOpticsNet {
     /// a warm what-if branch. The fork owns deep copies of the engine,
     /// event queue, and every telemetry/trace/span buffer, so running the
     /// fork and the original produces two fully separate histories; each,
-    /// run alone, is byte-identical to an uninterrupted run at any worker
-    /// count.
+    /// run alone, is byte-identical to an uninterrupted run.
     pub fn fork(&self) -> OpenOpticsNet {
         let mut net = self.clone();
         net.engine = self.engine.fork();
@@ -419,8 +418,8 @@ impl OpenOpticsNet {
     /// lie in the simulated past. Each window edge becomes an ordinary
     /// `(time, seq)` event on the calendar queue, so the same plan + seed
     /// reproduces identical [`fault_report`](Self::fault_report) counters
-    /// on every run and at any worker count. May be called repeatedly; new
-    /// windows extend the campaign.
+    /// on every run. May be called repeatedly; new windows extend the
+    /// campaign.
     pub fn inject_faults(&mut self, plan: &openoptics_faults::FaultPlan) -> Result<(), Error> {
         let not_before = if self.primed { self.now } else { SimTime::ZERO };
         let range = self.engine.set_fault_plan(plan, not_before).map_err(Error::from)?;
@@ -512,7 +511,7 @@ impl OpenOpticsNet {
     /// A deterministic snapshot of every metric at the current simulation
     /// time: engine-side plain counters are mirrored into the registry
     /// first, so the snapshot is complete. Stamped in sim time only —
-    /// byte-identical across runs and worker counts.
+    /// byte-identical across runs.
     pub fn telemetry_snapshot(&self) -> openoptics_telemetry::Snapshot {
         self.engine.sync_telemetry(Some(self.queue.stats()));
         self.engine.telemetry().snapshot(self.now)
@@ -546,7 +545,7 @@ impl OpenOpticsNet {
     /// The sampled time series as JSON lines, one [`SampleRow`] per line
     /// (see [`openoptics_telemetry::SampleRow::to_json`]). Errors when
     /// telemetry is disabled or sampling was never configured
-    /// (`sample_every_ns == 0`). Byte-identical at any worker count.
+    /// (`sample_every_ns == 0`). Byte-identical across runs.
     ///
     /// [`SampleRow`]: openoptics_telemetry::SampleRow
     pub fn export_timeseries(&self) -> Result<String, Error> {
@@ -633,7 +632,7 @@ impl OpenOpticsNet {
     /// The recorded lifecycle spans as Chrome trace-event JSON (loadable
     /// in Perfetto / `chrome://tracing`). Requires `span_sample_every > 0`
     /// in the configuration; errors when span recording is off. Stamped in
-    /// sim time only — byte-identical across runs and worker counts.
+    /// sim time only — byte-identical across runs.
     pub fn export_spans_chrome_trace(&self) -> Result<String, Error> {
         if !self.engine.has_span_recording() {
             return Err(openoptics_obs::ObsError::Disabled.into());
@@ -703,32 +702,17 @@ impl OpenOpticsNet {
         snaps
     }
 
-    /// Run the simulation for `dur` more simulated time.
-    ///
-    /// With `cfg.workers > 1` the run advances in conservative-lookahead
-    /// epochs (`Engine::conservative_lookahead_ns` windows) — the barrier
-    /// structure sharded execution synchronizes on. The event order, and
-    /// therefore every export, is byte-identical at any worker count: all
-    /// events still drain from one `(time, seq)`-ordered queue, only the
-    /// horizon handed to the driver changes.
+    /// Run the simulation for `dur` more simulated time. Where a driver
+    /// pauses never changes the result: `run_for(a)` then `run_for(b)` is
+    /// `run_for(a + b)`.
     pub fn run_for(&mut self, dur: SimTime) {
         if !self.primed {
             self.engine.prime(&mut self.queue);
             self.primed = true;
         }
         let until = self.now + dur.as_ns();
-        if self.engine.cfg.workers > 1 {
-            let lookahead = self.engine.conservative_lookahead_ns().max(1);
-            while self.now < until {
-                let end =
-                    SimTime::from_ns(self.now.as_ns().saturating_add(lookahead).min(until.as_ns()));
-                run(&mut self.engine, &mut self.queue, end);
-                self.now = end;
-            }
-        } else {
-            run(&mut self.engine, &mut self.queue, until);
-            self.now = until;
-        }
+        run(&mut self.engine, &mut self.queue, until);
+        self.now = until;
     }
 
     /// Completed-flow FCT statistics.

@@ -5,8 +5,8 @@
 //! control-plane operations applied since deploy. Restoring replays that
 //! journal through the same public API, which makes the result correct by
 //! construction — the restored engine is the engine an uninterrupted run
-//! would have produced, byte-for-byte, at any worker count — and keeps the
-//! document small, portable and diffable. The cost is O(t) restore time;
+//! would have produced, byte-for-byte — and keeps the document small,
+//! portable and diffable. The cost is O(t) restore time;
 //! [`crate::Session::fork`] is the O(state) in-memory alternative for warm
 //! what-if branches (see DESIGN.md for the tradeoff).
 

@@ -14,8 +14,8 @@
 //!   line-delimited JSON-RPC TCP protocol or directly in-process.
 //! - **Checkpoint/restore** ([`Checkpoint`]): snapshot a run as scenario +
 //!   operation journal, restore it by replay, byte-identical to an
-//!   uninterrupted run at any worker count; or branch a warm run in memory
-//!   with [`Session::fork`].
+//!   uninterrupted run; or branch a warm run in memory with
+//!   [`Session::fork`].
 //!
 //! The crate never reads wall-clock time and the server never touches the
 //! filesystem (documents travel inline); only the `openoptics-ctl` binary's
@@ -35,7 +35,7 @@ pub mod session;
 pub use checkpoint::{Checkpoint, Op, CHECKPOINT_VERSION};
 pub use scenario::{
     ArchSpec, FaultEntry, RoutingSpec, Scenario, ScenarioError, SloEntry, TmSpec, TransportSpec,
-    WorkloadSpec, ARCH_NAMES, FAULT_KINDS, ROUTING_NAMES, SCENARIO_VERSION,
+    WorkloadSpec, FAULT_KINDS, SCENARIO_VERSION,
 };
 pub use server::{serve, serve_on, ControlPlane, Subscriptions, MAX_FRAMES_PER_TURN};
 pub use session::Session;

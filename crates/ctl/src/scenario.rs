@@ -17,11 +17,13 @@
 use std::fmt;
 
 use openoptics_core::json::{self, Json};
-use openoptics_core::{Architecture, FaultPlan, NetConfig, OpenOpticsNet, TransportKind};
+use openoptics_core::{
+    Architecture, FaultPlan, NetConfig, OpenOpticsNet, PresetShape, TransportKind,
+};
 use openoptics_host::apps::MemcachedParams;
 use openoptics_host::TcpConfig;
 use openoptics_proto::{HostId, NodeId, PortId};
-use openoptics_routing::algos::{Direct, Ecmp, Hoho, Ksp, OperaRouting, Ucmp, Vlb, Wcmp};
+use openoptics_routing::algos;
 use openoptics_routing::{LookupMode, MultipathMode, RoutingAlgorithm};
 use openoptics_sim::SimTime;
 use openoptics_topo::TrafficMatrix;
@@ -182,9 +184,12 @@ pub struct ArchSpec {
     pub tm: TmSpec,
 }
 
-/// The preset names [`ArchSpec`] accepts, in scenario-file spelling.
-pub const ARCH_NAMES: &[&str] =
-    &["clos", "cthrough", "jupiter", "mordia", "rotornet", "opera", "shale", "semi_oblivious"];
+fn unknown_arch(name: &str) -> ScenarioError {
+    ScenarioError::new(
+        "architecture.name",
+        format!("unknown architecture `{name}` (want one of {:?})", Architecture::PRESET_NAMES),
+    )
+}
 
 impl ArchSpec {
     /// A spec with default shape parameters for the given preset name.
@@ -200,37 +205,21 @@ impl ArchSpec {
 
     /// Instantiate the [`Architecture`] this spec names.
     pub fn build(&self, cfg: &NetConfig) -> Result<Architecture, ScenarioError> {
-        let tm = self.tm.matrix(cfg.node_num);
-        Ok(match self.name.as_str() {
-            "clos" => Architecture::clos(),
-            "cthrough" => Architecture::cthrough(&tm),
-            "jupiter" => Architecture::jupiter(),
-            "mordia" => {
-                let n = if self.num_slices == 0 { cfg.node_num } else { self.num_slices };
-                Architecture::mordia(&tm, n)
-            }
-            "rotornet" => Architecture::rotornet(),
-            "opera" => Architecture::opera(),
-            "shale" => Architecture::shale(self.dim),
-            "semi_oblivious" => Architecture::semi_oblivious(&tm, self.extra_slices),
-            other => {
-                return Err(ScenarioError::new(
-                    "architecture.name",
-                    format!("unknown architecture `{other}` (want one of {ARCH_NAMES:?})"),
-                ))
-            }
-        })
+        let shape = PresetShape {
+            tm: &self.tm.matrix(cfg.node_num),
+            mordia_slices: if self.num_slices == 0 { cfg.node_num } else { self.num_slices },
+            shale_dim: self.dim,
+            extra_slices: self.extra_slices,
+        };
+        Architecture::by_name(&self.name, &shape).ok_or_else(|| unknown_arch(&self.name))
     }
 
     fn from_json(v: &Json) -> Result<ArchSpec, ScenarioError> {
         ctx(v.as_obj(), "architecture")?;
         let name = get_str(v, "name", "architecture.name")?
             .ok_or_else(|| ScenarioError::new("architecture.name", "missing required field"))?;
-        if !ARCH_NAMES.contains(&name) {
-            return Err(ScenarioError::new(
-                "architecture.name",
-                format!("unknown architecture `{name}` (want one of {ARCH_NAMES:?})"),
-            ));
+        if !Architecture::PRESET_NAMES.contains(&name) {
+            return Err(unknown_arch(name));
         }
         let mut spec = ArchSpec::named(name);
         if let Some(d) = get_u64(v, "dim", "architecture.dim")? {
@@ -279,24 +268,32 @@ pub struct RoutingSpec {
     pub multipath: String,
 }
 
-/// The algorithm names [`RoutingSpec`] accepts, in scenario-file spelling.
-pub const ROUTING_NAMES: &[&str] =
-    &["direct", "ecmp", "wcmp", "ksp", "vlb", "ucmp", "opera", "hoho"];
+fn unknown_routing(algo: &str) -> ScenarioError {
+    ScenarioError::new(
+        "routing.algo",
+        format!("unknown routing `{algo}` (want one of {:?})", algos::NAMES),
+    )
+}
 
 impl RoutingSpec {
     /// A spec with the idiomatic lookup/multipath pairing for `algo` — the
     /// same pairing the built-in sweeps use.
     pub fn named(algo: &str) -> RoutingSpec {
-        let (lookup, multipath) = match algo {
-            "direct" | "hoho" => ("per_hop", "none"),
-            "ecmp" | "wcmp" | "ksp" => ("per_hop", "per_flow"),
-            "vlb" | "ucmp" => ("per_hop", "per_packet"),
-            _ => ("source_routing", "per_packet"), // opera
-        };
+        let (lookup, multipath) = algos::by_name(algo)
+            .map_or((LookupMode::PerHop, MultipathMode::None), |(_, l, m)| (l, m));
         RoutingSpec {
             algo: algo.to_string(),
-            lookup: lookup.to_string(),
-            multipath: multipath.to_string(),
+            lookup: match lookup {
+                LookupMode::PerHop => "per_hop",
+                LookupMode::SourceRouting => "source_routing",
+            }
+            .to_string(),
+            multipath: match multipath {
+                MultipathMode::None => "none",
+                MultipathMode::PerFlow => "per_flow",
+                MultipathMode::PerPacket => "per_packet",
+            }
+            .to_string(),
         }
     }
 
@@ -304,22 +301,7 @@ impl RoutingSpec {
     pub fn build(
         &self,
     ) -> Result<(Box<dyn RoutingAlgorithm>, LookupMode, MultipathMode), ScenarioError> {
-        let algo: Box<dyn RoutingAlgorithm> = match self.algo.as_str() {
-            "direct" => Box::new(Direct),
-            "ecmp" => Box::new(Ecmp::default()),
-            "wcmp" => Box::new(Wcmp::default()),
-            "ksp" => Box::new(Ksp::default()),
-            "vlb" => Box::new(Vlb),
-            "ucmp" => Box::new(Ucmp::default()),
-            "opera" => Box::new(OperaRouting::default()),
-            "hoho" => Box::new(Hoho::default()),
-            other => {
-                return Err(ScenarioError::new(
-                    "routing.algo",
-                    format!("unknown routing `{other}` (want one of {ROUTING_NAMES:?})"),
-                ))
-            }
-        };
+        let (algo, _, _) = algos::by_name(&self.algo).ok_or_else(|| unknown_routing(&self.algo))?;
         let lookup = match self.lookup.as_str() {
             "per_hop" => LookupMode::PerHop,
             "source_routing" => LookupMode::SourceRouting,
@@ -348,11 +330,8 @@ impl RoutingSpec {
         ctx(v.as_obj(), "routing")?;
         let algo = get_str(v, "algo", "routing.algo")?
             .ok_or_else(|| ScenarioError::new("routing.algo", "missing required field"))?;
-        if !ROUTING_NAMES.contains(&algo) {
-            return Err(ScenarioError::new(
-                "routing.algo",
-                format!("unknown routing `{algo}` (want one of {ROUTING_NAMES:?})"),
-            ));
+        if !algos::NAMES.contains(&algo) {
+            return Err(unknown_routing(algo));
         }
         let mut spec = RoutingSpec::named(algo);
         if let Some(l) = get_str(v, "lookup", "routing.lookup")? {
@@ -1000,21 +979,7 @@ impl Scenario {
     /// inject the fault campaign. The returned network has not simulated
     /// anything yet.
     pub fn build(&self) -> Result<OpenOpticsNet, ScenarioError> {
-        self.build_with_workers(None)
-    }
-
-    /// Like [`Scenario::build`], overriding the configured worker count —
-    /// an execution knob only, deliberately kept out of the document so a
-    /// checkpoint taken at `--workers 4` restores byte-identically at
-    /// `--workers 1`.
-    pub fn build_with_workers(
-        &self,
-        workers: Option<usize>,
-    ) -> Result<OpenOpticsNet, ScenarioError> {
-        let mut cfg = self.config.clone();
-        if let Some(w) = workers {
-            cfg.workers = w;
-        }
+        let cfg = self.config.clone();
         let arch = self.architecture.build(&cfg)?;
         let (algo, lookup, multipath) = match &self.routing {
             Some(r) => r.build()?,

@@ -54,18 +54,16 @@ impl Subscriptions {
 ///
 /// Holds no sockets and touches no files — callers feed it one request
 /// document at a time and write back the response however they like.
+#[derive(Default)]
 pub struct ControlPlane {
     sessions: BTreeMap<String, Session>,
-    workers: Option<usize>,
     shutdown: bool,
 }
 
 impl ControlPlane {
-    /// An empty control plane. `workers` overrides the worker count of
-    /// every session it deploys (checkpoints are unaffected; the override
-    /// is an execution knob only).
-    pub fn new(workers: Option<usize>) -> ControlPlane {
-        ControlPlane { sessions: BTreeMap::new(), workers, shutdown: false }
+    /// An empty control plane.
+    pub fn new() -> ControlPlane {
+        ControlPlane::default()
     }
 
     /// True once a `shutdown` request has been handled.
@@ -232,7 +230,7 @@ impl ControlPlane {
                     ScenarioError::new("params.checkpoint", "missing required field")
                 })?;
                 let ckpt = Checkpoint::from_json(doc)?;
-                let s = Session::restore(ckpt, self.workers)?;
+                let s = Session::restore(ckpt, None)?;
                 let result = now_obj(&s);
                 self.sessions.insert(name, s);
                 Ok(result)
@@ -269,7 +267,7 @@ impl ControlPlane {
             .get("scenario")
             .ok_or_else(|| ScenarioError::new("params.scenario", "missing required field"))?;
         let scenario = Scenario::from_json(doc)?;
-        let session = Session::with_workers(scenario, self.workers)?;
+        let session = Session::new(scenario)?;
         let result = Json::Obj(vec![
             ("now_ns".to_string(), Json::Num(session.now_ns() as f64)),
             ("stop_ns".to_string(), Json::Num(session.stop_ns() as f64)),
@@ -334,8 +332,8 @@ fn with_op(params: &Json, op: &str) -> Json {
 
 /// Bind `addr` and serve the control plane over TCP until a `shutdown`
 /// request arrives.
-pub fn serve(addr: &str, workers: Option<usize>) -> std::io::Result<()> {
-    serve_on(TcpListener::bind(addr)?, workers)
+pub fn serve(addr: &str) -> std::io::Result<()> {
+    serve_on(TcpListener::bind(addr)?, None)
 }
 
 /// Serve an already-bound listener until a `shutdown` request arrives.
@@ -346,8 +344,10 @@ pub fn serve(addr: &str, workers: Option<usize>) -> std::io::Result<()> {
 /// Connections are handled one at a time (the simulator is single-run
 /// deterministic state — concurrent mutation would be a bug, not a
 /// feature) and each connection may carry any number of request lines.
-pub fn serve_on(listener: TcpListener, workers: Option<usize>) -> std::io::Result<()> {
-    let mut cp = ControlPlane::new(workers);
+///
+/// The second parameter is reserved: `benchmark/` passes `Some(1)` here.
+pub fn serve_on(listener: TcpListener, _reserved: Option<usize>) -> std::io::Result<()> {
+    let mut cp = ControlPlane::new();
     for stream in listener.incoming() {
         let stream = stream?;
         // A client dropping mid-request or mid-stream is that client's

@@ -100,6 +100,20 @@ fn version_mismatch_is_rejected_with_the_field_named() {
 }
 
 #[test]
+fn reserved_worker_count_is_rejected_unless_one() {
+    let with = |w: u32| {
+        format!(
+            r#"{{"version": 1, "architecture": {{"name": "clos"}},
+                "config": {{"workers": {w}}}, "stop_ns": 10}}"#
+        )
+    };
+    let err = Scenario::parse(&with(4)).expect_err("workers: 4 must be rejected");
+    assert_eq!(err.field, "config");
+    assert!(err.reason.contains("invalid `workers`"), "{err}");
+    assert!(Scenario::parse(&with(1)).is_ok(), "workers: 1 loads as before");
+}
+
+#[test]
 fn typed_rejections_name_the_offending_field() {
     let cases = [
         ("not json at all", "scenario"),
@@ -151,35 +165,32 @@ fn typed_rejections_name_the_offending_field() {
 // --- determinism ---
 
 #[test]
-fn export_bundle_is_identical_across_worker_counts() {
-    let mut w1 = Session::with_workers(scenario(), Some(1)).unwrap();
-    let mut w4 = Session::with_workers(scenario(), Some(4)).unwrap();
-    w1.run_until(2_000_000);
-    w4.run_until(2_000_000);
-    assert_eq!(w1.export_bundle(), w4.export_bundle());
+fn export_bundle_is_reproducible() {
+    let mut a = Session::new(scenario()).unwrap();
+    let mut b = Session::new(scenario()).unwrap();
+    a.run_until(2_000_000);
+    b.run_until(2_000_000);
+    assert_eq!(a.export_bundle(), b.export_bundle());
 }
 
 #[test]
 fn restore_then_run_matches_an_uninterrupted_run() {
-    let mut straight = Session::with_workers(scenario(), Some(1)).unwrap();
+    let mut straight = Session::new(scenario()).unwrap();
     straight.run_until(2_000_000);
     let reference = straight.export_bundle();
 
-    // Checkpoint mid-fault-window, serialize, reparse, restore at several
-    // worker counts; every continuation must land on the reference bytes.
-    let mut half = Session::with_workers(scenario(), Some(1)).unwrap();
+    // Checkpoint mid-fault-window, serialize, reparse, restore; the
+    // continuation must land on the reference bytes.
+    let mut half = Session::new(scenario()).unwrap();
     half.run_until(600_000);
     let doc = half.checkpoint().to_json();
     let reparsed = Checkpoint::parse(&doc).expect("checkpoint parses");
     assert_eq!(reparsed.to_json(), doc, "checkpoint render is a fixed point");
 
-    for workers in [1usize, 4] {
-        let mut resumed =
-            Session::restore(Checkpoint::parse(&doc).unwrap(), Some(workers)).unwrap();
-        assert_eq!(resumed.now_ns(), 600_000);
-        resumed.run_until(2_000_000);
-        assert_eq!(resumed.export_bundle(), reference, "restore at workers={workers}");
-    }
+    let mut resumed = Session::restore(reparsed, None).unwrap();
+    assert_eq!(resumed.now_ns(), 600_000);
+    resumed.run_until(2_000_000);
+    assert_eq!(resumed.export_bundle(), reference);
 }
 
 #[test]
@@ -257,7 +268,7 @@ fn mid_run_mutations_replay_exactly() {
     drive(&mut live);
 
     let doc = live.checkpoint().to_json();
-    let restored = Session::restore(Checkpoint::parse(&doc).unwrap(), Some(4)).unwrap();
+    let restored = Session::restore(Checkpoint::parse(&doc).unwrap(), None).unwrap();
     assert_eq!(restored.export_bundle(), live.export_bundle());
     // And the restored journal re-serializes to the same document.
     assert_eq!(restored.checkpoint().to_json(), doc);
@@ -305,7 +316,7 @@ fn rpc_round_trip_matches_direct_session_use() {
     let mut direct = Session::new(scenario()).unwrap();
     direct.run_until(2_000_000);
 
-    let mut cp = ControlPlane::new(None);
+    let mut cp = ControlPlane::new();
     let load = cp.handle_line(&format!(
         r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{SCENARIO}}}}}"#
     ));
@@ -324,7 +335,7 @@ fn rpc_round_trip_matches_direct_session_use() {
 
 #[test]
 fn rpc_checkpoint_travels_inline_and_restores() {
-    let mut cp = ControlPlane::new(None);
+    let mut cp = ControlPlane::new();
     cp.handle_line(&format!(
         r#"{{"id":1,"method":"load","params":{{"name":"a","scenario":{SCENARIO}}}}}"#
     ));
@@ -359,9 +370,9 @@ fn slo_scenario_is_a_fixed_point_and_declares_services() {
 }
 
 #[test]
-fn subscription_stream_is_identical_across_worker_counts() {
-    let drive = |workers: usize| {
-        let mut cp = ControlPlane::new(Some(workers));
+fn subscription_stream_is_reproducible() {
+    let drive = || {
+        let mut cp = ControlPlane::new();
         let mut subs = Subscriptions::new();
         let mut lines = Vec::new();
         for req in [
@@ -378,16 +389,15 @@ fn subscription_stream_is_identical_across_worker_counts() {
         }
         lines.join("\n")
     };
-    let w1 = drive(1);
-    assert!(w1.contains(r#""frame":"sample""#), "no sample frames streamed:\n{w1}");
-    assert!(w1.contains(r#""sub":"s""#), "frames must name their subscription:\n{w1}");
-    let w4 = drive(4);
-    assert_eq!(w1, w4, "frame stream and exports must not depend on worker count");
+    let first = drive();
+    assert!(first.contains(r#""frame":"sample""#), "no sample frames streamed:\n{first}");
+    assert!(first.contains(r#""sub":"s""#), "frames must name their subscription:\n{first}");
+    assert_eq!(first, drive(), "the frame stream and exports must reproduce");
 }
 
 #[test]
 fn unsubscribe_stops_the_stream_and_frames_only_flow_while_subscribed() {
-    let mut cp = ControlPlane::new(None);
+    let mut cp = ControlPlane::new();
     let mut subs = Subscriptions::new();
     cp.handle_request(
         &format!(r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{SLO_SCENARIO}}}}}"#),
@@ -475,7 +485,7 @@ fn client_disconnect_mid_stream_does_not_poison_the_server() {
 
 #[test]
 fn rpc_errors_are_typed_and_echo_the_id() {
-    let mut cp = ControlPlane::new(None);
+    let mut cp = ControlPlane::new();
     let missing = cp.handle_line(r#"{"id":7,"method":"status","params":{"name":"ghost"}}"#);
     assert!(missing.contains(r#""id":7"#) && missing.contains("no session named"), "{missing}");
     let unknown = cp.handle_line(r#"{"id":8,"method":"teleport","params":{}}"#);

@@ -12,10 +12,9 @@
 //!   flow-size knowledge;
 //! * [`tcp`] — an event-driven TCP sender/receiver pair with configurable
 //!   dupack threshold, enough to reproduce the reordering pathology of
-//!   Fig. 9;
-//! * [`tdtcp`] — a TDTCP-style variant with per-topology congestion state,
-//!   the kind of "newly designed protocol" the framework exists to let
-//!   researchers evaluate (§6 Case II);
+//!   Fig. 9; built with two topologies the sender keeps TDTCP-style
+//!   per-topology congestion state, the kind of "newly designed protocol"
+//!   the framework exists to let researchers evaluate (§6 Case II);
 //! * [`udp`] — the UDP RTT probe train of Fig. 13;
 //! * [`apps`] — workload state machines: Memcached/Memslap SETs, Gloo ring
 //!   allreduce, and iperf bulk flows (§6).
@@ -23,12 +22,10 @@
 pub mod aging;
 pub mod apps;
 pub mod tcp;
-pub mod tdtcp;
 pub mod udp;
 pub mod vma;
 
 pub use aging::FlowAging;
 pub use tcp::{TcpConfig, TcpReceiver, TcpSender};
-pub use tdtcp::TdTcpSender;
 pub use udp::ProbeStats;
 pub use vma::{Segment, VmaStack};

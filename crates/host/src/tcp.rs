@@ -9,6 +9,21 @@
 //! ACKs, a configurable dupack threshold, NewReno-style fast
 //! retransmit/recovery, slow start, congestion avoidance, and an RTO
 //! fallback. SACK, Nagle, and window scaling are intentionally out of scope.
+//!
+//! # Per-topology windows (TDTCP)
+//!
+//! TDTCP (SIGCOMM'22) targets exactly the pathology Fig. 9 exposes: in a
+//! reconfigurable network one connection alternates between *topologies*
+//! (here: the optical circuit and the electrical fabric) with very
+//! different bandwidth-delay products, and a single congestion window both
+//! mis-sizes each path and collapses under the reordering their latency gap
+//! creates. A sender built with [`TcpSender::with_topologies`] keeps the
+//! congestion state (`cwnd`/`ssthresh`/dupacks/recovery point) **per
+//! topology**: it uses the state of the topology it is currently
+//! transmitting into ([`TcpSender::set_topology`]), a loss signal only
+//! penalizes the topology that carried it, and duplicate ACKs right after a
+//! switch are read as cross-topology reordering. With one topology
+//! ([`TcpSender::new`]) no switch ever happens and this is plain TCP.
 
 use openoptics_sim::cast::to_u32;
 use openoptics_sim::time::SimTime;
@@ -42,21 +57,35 @@ impl Default for TcpConfig {
     }
 }
 
+/// Congestion state of one topology.
+#[derive(Clone, Copy, Debug)]
+struct TopoState {
+    cwnd: f64,
+    ssthresh: f64,
+    dupacks: u32,
+    /// NewReno recovery point: in recovery until `cum_acked > recover`.
+    recover: Option<u64>,
+}
+
 /// Sender-side connection state.
 #[derive(Clone, Debug)]
 pub struct TcpSender {
     cfg: TcpConfig,
+    /// Congestion state per topology; entries past `topologies` are unused.
+    states: [TopoState; TcpSender::MAX_TOPOLOGIES],
+    topologies: usize,
+    /// Topology currently carrying transmissions.
+    active: usize,
+    /// Instant of the last topology switch, if any; duplicate ACKs within
+    /// [`Self::REORDER_GRACE_NS`] of it are attributed to cross-topology
+    /// reordering rather than loss (TDTCP's loss disambiguation).
+    last_switch: Option<SimTime>,
     /// Next new byte to send.
     next_seq: u64,
     /// Highest cumulatively acknowledged byte.
     cum_acked: u64,
     /// Bytes the application wants to send; `None` = unbounded (iperf).
     total: Option<u64>,
-    cwnd: f64,
-    ssthresh: f64,
-    dupacks: u32,
-    /// NewReno recovery point: in recovery until `cum_acked > recover`.
-    recover: Option<u64>,
     /// Pending retransmission (one segment at a time, no SACK).
     pending_retx: Option<u64>,
     /// Last time forward progress happened (for RTO).
@@ -65,6 +94,8 @@ pub struct TcpSender {
     pub fast_retransmits: u64,
     /// RTO events fired.
     pub timeouts: u64,
+    /// Topology switches observed.
+    pub topology_switches: u64,
     /// Total retransmitted segments.
     pub retransmitted_segments: u64,
     /// Total segments handed to the network (incl. retransmissions).
@@ -72,23 +103,68 @@ pub struct TcpSender {
 }
 
 impl TcpSender {
-    /// A sender for `total` bytes (`None` = run forever).
+    /// Topologies a sender can keep congestion state for: the optical
+    /// fabric and the electrical one.
+    pub const MAX_TOPOLOGIES: usize = 2;
+
+    /// In-flight packets from before a topology switch interleave with the
+    /// new path's for about one path-alternation period; dupacks within
+    /// this window of a switch are reordering, not loss.
+    pub const REORDER_GRACE_NS: u64 = 200_000;
+
+    /// A plain (one-topology) sender for `total` bytes (`None` = run
+    /// forever).
     pub fn new(cfg: TcpConfig, total: Option<u64>, now: SimTime) -> Self {
-        TcpSender {
+        Self::with_topologies(cfg, 1, total, now)
+    }
+
+    /// A sender keeping one congestion state for each of `topologies`
+    /// distinct paths (`1..=MAX_TOPOLOGIES`); see the module docs.
+    pub fn with_topologies(
+        cfg: TcpConfig,
+        topologies: usize,
+        total: Option<u64>,
+        now: SimTime,
+    ) -> Self {
+        assert!((1..=Self::MAX_TOPOLOGIES).contains(&topologies));
+        let st = TopoState {
             cwnd: cfg.init_cwnd as f64,
             ssthresh: cfg.max_cwnd as f64,
+            dupacks: 0,
+            recover: None,
+        };
+        TcpSender {
             cfg,
+            states: [st; Self::MAX_TOPOLOGIES],
+            topologies,
+            active: 0,
+            last_switch: None,
             next_seq: 0,
             cum_acked: 0,
             total,
-            dupacks: 0,
-            recover: None,
             pending_retx: None,
             last_progress: now,
             fast_retransmits: 0,
             timeouts: 0,
+            topology_switches: 0,
             retransmitted_segments: 0,
             segments_sent: 0,
+        }
+    }
+
+    /// Tell the sender which topology currently carries its packets (the
+    /// network-signaled topology id of TDTCP); ids past the sender's
+    /// topology count share its last state, so a plain sender never
+    /// switches. Switching resets the new topology's dupack counter and
+    /// opens a reordering grace window — dupacks across the switch are
+    /// expected, not a loss signal.
+    pub fn set_topology(&mut self, topo: usize, now: SimTime) {
+        let topo = topo.min(self.topologies - 1);
+        if topo != self.active {
+            self.active = topo;
+            self.states[topo].dupacks = 0;
+            self.last_switch = Some(now);
+            self.topology_switches += 1;
         }
     }
 
@@ -97,9 +173,14 @@ impl TcpSender {
         self.next_seq - self.cum_acked
     }
 
-    /// Current congestion window, bytes.
+    /// The active topology's congestion window, bytes.
     pub fn cwnd(&self) -> u64 {
-        self.cwnd as u64
+        self.states[self.active].cwnd as u64
+    }
+
+    /// The congestion window of topology `t`, bytes.
+    pub fn cwnd_of(&self, t: usize) -> u64 {
+        self.states[t].cwnd as u64
     }
 
     /// Cumulative acknowledged bytes (goodput).
@@ -149,43 +230,53 @@ impl TcpSender {
         }
     }
 
-    /// Process a cumulative ACK. Returns `true` if new data may now be
-    /// sendable (the engine should pump [`Self::next_segment`]).
+    /// Process a cumulative ACK, attributed to the active topology. Returns
+    /// `true` if new data may now be sendable (the engine should pump
+    /// [`Self::next_segment`]).
     pub fn on_ack(&mut self, cum_ack: u64, now: SimTime) -> bool {
+        let cfg = self.cfg;
+        let inflight = self.inflight();
+        let st = &mut self.states[self.active];
         if cum_ack > self.cum_acked {
             let newly = cum_ack - self.cum_acked;
             self.cum_acked = cum_ack;
-            self.dupacks = 0;
+            st.dupacks = 0;
             self.last_progress = now;
-            match self.recover {
+            match st.recover {
                 Some(r) if cum_ack <= r => {
                     // Partial ACK inside recovery: retransmit the next hole.
                     self.pending_retx = Some(cum_ack);
                 }
                 _ => {
-                    self.recover = None;
+                    st.recover = None;
                     // Window growth.
-                    if self.cwnd < self.ssthresh {
-                        self.cwnd += newly as f64; // slow start
+                    if st.cwnd < st.ssthresh {
+                        st.cwnd += newly as f64; // slow start
                     } else {
-                        self.cwnd += (self.cfg.mss as f64) * (newly as f64 / self.cwnd);
-                        // CA
+                        st.cwnd += (cfg.mss as f64) * (newly as f64 / st.cwnd); // CA
                     }
-                    self.cwnd = self.cwnd.min(self.cfg.max_cwnd as f64);
+                    st.cwnd = st.cwnd.min(cfg.max_cwnd as f64);
                 }
             }
             true
         } else if cum_ack == self.cum_acked {
             // Duplicate ACK (an ACK below cum_acked is merely stale —
-            // a reordered ACK, not a loss signal).
-            if self.inflight() > 0 {
-                self.dupacks += 1;
-                if self.dupacks == self.cfg.dupack_threshold && self.recover.is_none() {
-                    // Fast retransmit + NewReno recovery.
+            // a reordered ACK, not a loss signal). Within the post-switch
+            // grace window, dupacks are cross-topology reordering.
+            if let Some(sw) = self.last_switch {
+                if now.saturating_since(sw) < Self::REORDER_GRACE_NS {
+                    return false;
+                }
+            }
+            if inflight > 0 {
+                st.dupacks += 1;
+                if st.dupacks == cfg.dupack_threshold && st.recover.is_none() {
+                    // Fast retransmit + NewReno recovery. Only the topology
+                    // that carried the (apparent) loss pays for it.
                     self.fast_retransmits += 1;
-                    self.ssthresh = (self.inflight() as f64 / 2.0).max(2.0 * self.cfg.mss as f64);
-                    self.cwnd = self.ssthresh;
-                    self.recover = Some(self.next_seq.saturating_sub(1));
+                    st.ssthresh = (inflight as f64 / 2.0).max(2.0 * cfg.mss as f64);
+                    st.cwnd = st.ssthresh;
+                    st.recover = Some(self.next_seq.saturating_sub(1));
                     self.pending_retx = Some(self.cum_acked);
                 }
             }
@@ -196,8 +287,9 @@ impl TcpSender {
         }
     }
 
-    /// RTO check: if no progress for `rto_ns`, collapse to slow start and
-    /// retransmit from the hole. Returns `true` if a timeout fired.
+    /// RTO check: if no progress for `rto_ns`, collapse the active topology
+    /// to slow start and retransmit from the hole. Returns `true` if a
+    /// timeout fired.
     pub fn maybe_timeout(&mut self, now: SimTime) -> bool {
         if self.inflight() == 0 || self.done() {
             return false;
@@ -206,10 +298,11 @@ impl TcpSender {
             return false;
         }
         self.timeouts += 1;
-        self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
-        self.cwnd = self.cfg.mss as f64;
-        self.recover = None;
-        self.dupacks = 0;
+        let st = &mut self.states[self.active];
+        st.ssthresh = (st.cwnd / 2.0).max(2.0 * self.cfg.mss as f64);
+        st.cwnd = self.cfg.mss as f64;
+        st.recover = None;
+        st.dupacks = 0;
         self.pending_retx = Some(self.cum_acked);
         self.last_progress = now;
         true
@@ -384,6 +477,81 @@ mod tests {
         s.on_ack(total, SimTime::from_us(50));
         assert!(s.done());
         assert!(s.next_segment(SimTime::from_us(51)).is_none());
+    }
+
+    fn two_topologies() -> TcpSender {
+        TcpSender::with_topologies(cfg(), 2, Some(10_000_000), SimTime::ZERO)
+    }
+
+    #[test]
+    fn plain_sender_never_switches_topology() {
+        let mut s = TcpSender::new(cfg(), Some(1_000_000), SimTime::ZERO);
+        s.set_topology(1, SimTime::from_ms(1));
+        assert_eq!(s.topology_switches, 0);
+    }
+
+    #[test]
+    fn windows_are_per_topology() {
+        let mut s = two_topologies();
+        // Fill the initial window on topology 0, then suffer dupacks.
+        while s.next_segment(SimTime::ZERO).is_some() {}
+        for t in 0..3 {
+            s.on_ack(0, SimTime::from_us(10 + t));
+        }
+        assert_eq!(s.fast_retransmits, 1);
+        let halved = s.cwnd_of(0);
+        assert!(halved < cfg().init_cwnd);
+        // Topology 1's window is untouched.
+        assert_eq!(s.cwnd_of(1), cfg().init_cwnd);
+        // Switching to topology 1 restores full sending capacity.
+        s.set_topology(1, SimTime::from_ms(1));
+        assert_eq!(s.cwnd(), cfg().init_cwnd);
+        assert_eq!(s.topology_switches, 1);
+    }
+
+    #[test]
+    fn switch_grace_absorbs_reordering_dupacks() {
+        let mut s = two_topologies();
+        while s.next_segment(SimTime::ZERO).is_some() {}
+        // Two dupacks on topology 0 (threshold 3 not yet reached)...
+        s.on_ack(0, SimTime::from_us(1));
+        s.on_ack(0, SimTime::from_us(2));
+        // ...switch away and back: the count restarts and a reordering
+        // grace window opens.
+        s.set_topology(1, SimTime::from_ms(1));
+        s.set_topology(0, SimTime::from_ms(1));
+        // Dupacks inside the grace window are reordering, not loss.
+        for t in 0..5 {
+            s.on_ack(0, SimTime::from_ns(1_000_000 + 10_000 * t));
+        }
+        assert_eq!(s.fast_retransmits, 0, "in-grace dupacks must be absorbed");
+        // Past the grace window, persistent dupacks mean real loss.
+        let after = 1_000_000 + TcpSender::REORDER_GRACE_NS;
+        for t in 0..3 {
+            s.on_ack(0, SimTime::from_ns(after + 1_000 * t));
+        }
+        assert_eq!(s.fast_retransmits, 1);
+    }
+
+    #[test]
+    fn growth_applies_to_active_topology() {
+        let mut s = two_topologies();
+        while s.next_segment(SimTime::ZERO).is_some() {}
+        let acked = s.next_seq;
+        s.set_topology(1, SimTime::from_ms(1));
+        s.on_ack(acked, SimTime::from_us(50));
+        assert!(s.cwnd_of(1) > cfg().init_cwnd, "active topo grows");
+        assert_eq!(s.cwnd_of(0), cfg().init_cwnd, "idle topo untouched");
+    }
+
+    #[test]
+    fn timeout_penalizes_only_active() {
+        let mut s = two_topologies();
+        while s.next_segment(SimTime::ZERO).is_some() {}
+        s.set_topology(1, SimTime::from_ms(1));
+        assert!(s.maybe_timeout(SimTime::from_ms(6)));
+        assert_eq!(s.cwnd_of(1), cfg().mss as u64);
+        assert_eq!(s.cwnd_of(0), cfg().init_cwnd);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::path::{Path, PathHop};
 use crate::timegraph::earliest_arrival;
-use crate::RoutingAlgorithm;
+use crate::{LookupMode, MultipathMode, RoutingAlgorithm};
 use openoptics_fabric::OpticalSchedule;
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::cast::idx_u32;
@@ -643,6 +643,32 @@ impl RoutingAlgorithm for Hoho {
         let ts = arr.expect("HOHO is a TO scheme; arrival slice required");
         earliest_arrival(schedule, src, ts, self.max_hops).path_to(dst).into_iter().collect()
     }
+}
+
+// ---------------------------------------------------------------------------
+// By-name catalogue
+// ---------------------------------------------------------------------------
+
+/// Every scheme [`by_name`] knows, in table order (TA schemes, then TO).
+pub const NAMES: &[&str] = &["direct", "ecmp", "wcmp", "ksp", "vlb", "ucmp", "opera", "hoho"];
+
+/// The scheme called `name` (one of [`NAMES`]) with default parameters,
+/// plus its idiomatic lookup / multipath pairing — what scenario files,
+/// the composition sweep and the architecture presets mean by that name.
+pub fn by_name(name: &str) -> Option<(Box<dyn RoutingAlgorithm>, LookupMode, MultipathMode)> {
+    use LookupMode::{PerHop, SourceRouting};
+    use MultipathMode as M;
+    Some(match name {
+        "direct" => (Box::new(Direct), PerHop, M::None),
+        "ecmp" => (Box::new(Ecmp::default()), PerHop, M::PerFlow),
+        "wcmp" => (Box::new(Wcmp::default()), PerHop, M::PerFlow),
+        "ksp" => (Box::new(Ksp::default()), PerHop, M::PerFlow),
+        "vlb" => (Box::new(Vlb), PerHop, M::PerPacket),
+        "ucmp" => (Box::new(Ucmp::default()), PerHop, M::PerPacket),
+        "opera" => (Box::new(OperaRouting::default()), SourceRouting, M::PerPacket),
+        "hoho" => (Box::new(Hoho::default()), PerHop, M::None),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]

@@ -228,6 +228,20 @@ impl<E> EventQueue<E> {
         self.schedule(now + delay_ns, event);
     }
 
+    /// Move every far-heap event that now falls inside the near window
+    /// (`base .. base + NUM_BUCKETS`) into its ring bucket.
+    fn refill_from_far(&mut self) {
+        let horizon = self.base + NUM_BUCKETS as u64;
+        while let Some(e) = self.far.peek() {
+            if bucket_of(e.time) >= horizon {
+                break;
+            }
+            let e = self.far.pop().expect("peeked entry vanished");
+            self.buckets[(bucket_of(e.time) % NUM_BUCKETS as u64) as usize].push(e);
+            self.near_len += 1;
+        }
+    }
+
     /// Advance the cursor to the bucket holding the earliest pending event
     /// and sort it for draining. After this, the global minimum is the
     /// smaller of the current bucket's tail and the overlay's head.
@@ -252,15 +266,7 @@ impl<E> EventQueue<E> {
                 self.base = bucket_of(t);
                 self.cur = self.base;
                 self.cur_sorted = false;
-                let horizon = self.base + NUM_BUCKETS as u64;
-                while let Some(e) = self.far.peek() {
-                    if bucket_of(e.time) >= horizon {
-                        break;
-                    }
-                    let e = self.far.pop().expect("peeked entry vanished");
-                    self.buckets[(bucket_of(e.time) % NUM_BUCKETS as u64) as usize].push(e);
-                    self.near_len += 1;
-                }
+                self.refill_from_far();
                 continue;
             }
             // Walk to the next bucket; on window end, refill from `far`.
@@ -268,63 +274,14 @@ impl<E> EventQueue<E> {
             self.cur_sorted = false;
             if self.cur == self.base + NUM_BUCKETS as u64 {
                 self.base = self.cur;
-                let horizon = self.base + NUM_BUCKETS as u64;
-                while let Some(e) = self.far.peek() {
-                    if bucket_of(e.time) >= horizon {
-                        break;
-                    }
-                    let e = self.far.pop().expect("peeked entry vanished");
-                    self.buckets[(bucket_of(e.time) % NUM_BUCKETS as u64) as usize].push(e);
-                    self.near_len += 1;
-                }
+                self.refill_from_far();
             }
         }
     }
 
     /// Remove and return the earliest event, with its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.ensure_current();
-        self.len -= 1;
-        self.popped_total += 1;
-        let slot = (self.cur % NUM_BUCKETS as u64) as usize;
-        let take_bucket = match (self.buckets[slot].last(), self.overlay.peek()) {
-            (Some(b), Some(o)) => b.key() < o.key(),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => unreachable!("ensure_current found no event"),
-        };
-        let e = if take_bucket {
-            self.near_len -= 1;
-            self.buckets[slot].pop().expect("checked non-empty")
-        } else {
-            self.overlay.pop().expect("checked non-empty")
-        };
-        if cfg!(feature = "strict-invariants") {
-            assert_eq!(
-                self.near_len + self.overlay.len() + self.far.len(),
-                self.len,
-                "event queue occupancy leak: near + overlay + far != pending"
-            );
-            assert_eq!(
-                self.scheduled_total - self.popped_total,
-                self.len as u64,
-                "event queue conservation: scheduled - popped != pending"
-            );
-            if let Some(last) = self.last_popped {
-                assert!(
-                    e.key() > last,
-                    "event queue delivered (time, seq) keys out of order: \
-                     {:?} after {:?}",
-                    e.key(),
-                    last,
-                );
-            }
-            self.last_popped = Some(e.key());
-        }
-        Some((e.time, e.event))
+        self.pop_before(SimTime::MAX)
     }
 
     /// Remove and return the earliest event if it fires at or before

@@ -7,7 +7,7 @@
 //! the line buffer streaming subscriptions drain. Both stores are plain
 //! owned data (deep-cloned by `fork`), stamped exclusively with sim time,
 //! and rendered with stable field order, so the series and the frame
-//! stream are byte-identical at any `--jobs`/`--workers` count.
+//! stream are byte-identical at any `--jobs` count.
 
 use std::fmt::Write as _;
 

@@ -7,7 +7,7 @@
 //! stamped, so the full stdout is byte-identical from run to run — CI
 //! runs it in the plain and strict-invariants builds and compares.
 //!
-//! Run with: `cargo run --example subscribe_stream [workers]`
+//! Run with: `cargo run --example subscribe_stream`
 
 use openoptics::ctl::{ControlPlane, Subscriptions};
 
@@ -15,8 +15,7 @@ use openoptics::ctl::{ControlPlane, Subscriptions};
 const SCENARIO: &str = include_str!("scenarios/slo_live.json");
 
 fn main() {
-    let workers = std::env::args().nth(1).and_then(|v| v.parse::<usize>().ok());
-    let mut cp = ControlPlane::new(workers);
+    let mut cp = ControlPlane::new();
     let mut subs = Subscriptions::new();
 
     let load = cp.handle_request(

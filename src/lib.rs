@@ -62,8 +62,8 @@ pub mod prelude {
     pub use openoptics_core::{
         check_compat, ArchClass, Architecture, ConfigError, DeployError, DispatchPolicy, Error,
         FaultCounters, FaultError, FaultKind, FaultPlan, FaultPlanBuilder, FaultReport, FaultSpec,
-        NetConfig, NetConfigBuilder, OpenOpticsNet, PauseMode, RoutingChoice, ScheduleGen,
-        TransportKind,
+        NetConfig, NetConfigBuilder, OpenOpticsNet, PauseMode, PresetShape, RoutingChoice,
+        ScheduleGen, TransportKind,
     };
     pub use openoptics_fabric::Circuit;
     pub use openoptics_host::apps::MemcachedParams;

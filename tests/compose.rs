@@ -2,17 +2,16 @@
 //! every routing scheme through `OpenOpticsNet::deploy`. Each pairing
 //! either deploys or is rejected with a typed `Error::Config` — never a
 //! panic, never a silently-wrong table — and deployed networks export
-//! byte-identically at any intra-run worker count.
+//! byte-identically from run to run.
 
 use openoptics::prelude::*;
-use openoptics::routing::algos::{Ecmp, Hoho, Ksp, OperaRouting, Ucmp, Wcmp};
+use openoptics::routing::algos;
 use proptest::prelude::*;
 
-const ARCHS: &[&str] =
-    &["clos", "cthrough", "jupiter", "mordia", "rotornet", "opera", "shale", "semi_oblivious"];
-const ALGOS: &[&str] = &["direct", "ecmp", "wcmp", "ksp", "vlb", "ucmp", "opera", "hoho"];
+const ARCHS: &[&str] = Architecture::PRESET_NAMES;
+const ALGOS: &[&str] = algos::NAMES;
 
-fn cfg(seed: u64, workers: usize) -> NetConfig {
+fn cfg(seed: u64) -> NetConfig {
     NetConfig {
         node_num: 8,
         uplink: 1,
@@ -21,48 +20,21 @@ fn cfg(seed: u64, workers: usize) -> NetConfig {
         guard_ns: 1_000,
         sync_err_ns: 0,
         seed,
-        workers,
         ..Default::default()
     }
 }
 
-fn arch_for(name: &str) -> Architecture {
+fn deploy(arch: &str, algo: &str, seed: u64) -> Result<OpenOpticsNet, Error> {
     let mut tm = TrafficMatrix::uniform(8, 100.0);
     for i in 0..8 {
         tm.set(NodeId(i), NodeId(i), 0.0);
     }
-    match name {
-        "clos" => Architecture::clos(),
-        "cthrough" => Architecture::cthrough(&tm),
-        "jupiter" => Architecture::jupiter(),
-        "mordia" => Architecture::mordia(&tm, 8),
-        "rotornet" => Architecture::rotornet(),
-        "opera" => Architecture::opera(),
-        "shale" => Architecture::shale(3),
-        "semi_oblivious" => Architecture::semi_oblivious(&tm, 3),
-        other => unreachable!("unknown architecture {other}"),
-    }
-}
-
-fn routing_for(name: &str) -> (Box<dyn RoutingAlgorithm>, LookupMode, MultipathMode) {
-    match name {
-        "direct" => (Box::new(Direct), LookupMode::PerHop, MultipathMode::None),
-        "ecmp" => (Box::new(Ecmp::default()), LookupMode::PerHop, MultipathMode::PerFlow),
-        "wcmp" => (Box::new(Wcmp::default()), LookupMode::PerHop, MultipathMode::PerFlow),
-        "ksp" => (Box::new(Ksp::default()), LookupMode::PerHop, MultipathMode::PerFlow),
-        "vlb" => (Box::new(Vlb), LookupMode::PerHop, MultipathMode::PerPacket),
-        "ucmp" => (Box::new(Ucmp::default()), LookupMode::PerHop, MultipathMode::PerPacket),
-        "opera" => {
-            (Box::new(OperaRouting::default()), LookupMode::SourceRouting, MultipathMode::PerPacket)
-        }
-        "hoho" => (Box::new(Hoho::default()), LookupMode::PerHop, MultipathMode::None),
-        other => unreachable!("unknown routing {other}"),
-    }
-}
-
-fn deploy(arch: &str, algo: &str, seed: u64, workers: usize) -> Result<OpenOpticsNet, Error> {
-    let (routing, lookup, multipath) = routing_for(algo);
-    OpenOpticsNet::deploy(cfg(seed, workers), arch_for(arch), routing, lookup, multipath)
+    let shape = PresetShape { tm: &tm, mordia_slices: 8, shale_dim: 3, extra_slices: 3 };
+    let arch = Architecture::by_name(arch, &shape)
+        .unwrap_or_else(|| unreachable!("unknown architecture {arch}"));
+    let (routing, lookup, multipath) =
+        algos::by_name(algo).unwrap_or_else(|| unreachable!("unknown routing {algo}"));
+    OpenOpticsNet::deploy(cfg(seed), arch, routing, lookup, multipath)
 }
 
 /// The full matrix: every pairing either deploys or comes back as a typed
@@ -74,7 +46,7 @@ fn every_pairing_deploys_or_is_rejected_with_config_error() {
     let mut rejected = 0;
     for &arch in ARCHS {
         for &algo in ALGOS {
-            match deploy(arch, algo, 7, 1) {
+            match deploy(arch, algo, 7) {
                 Ok(net) => {
                     deployed += 1;
                     assert!(
@@ -103,7 +75,7 @@ fn every_pairing_deploys_or_is_rejected_with_config_error() {
 #[test]
 fn rejections_are_typed_and_name_the_offending_field() {
     for (arch, algo) in [("clos", "vlb"), ("jupiter", "ucmp"), ("rotornet", "ecmp")] {
-        match deploy(arch, algo, 7, 1) {
+        match deploy(arch, algo, 7) {
             Err(Error::Config(e)) => {
                 assert_eq!(e.field, "routing", "{arch} x {algo} rejects via the routing field");
                 assert!(
@@ -118,12 +90,12 @@ fn rejections_are_typed_and_name_the_offending_field() {
     }
 }
 
-/// The sharded-engine contract through the composition API: a deployed
-/// network's exports are byte-identical at any `NetConfig::workers` count.
+/// Determinism through the composition API: the same seed reproduces a
+/// deployed network's exports byte for byte.
 #[test]
-fn deployed_networks_export_identically_across_workers() {
-    let run = |workers: usize| {
-        let mut net = deploy("rotornet", "vlb", 7, workers).expect("rotornet x vlb deploys");
+fn deployed_networks_export_identically_for_the_same_seed() {
+    let run = || {
+        let mut net = deploy("rotornet", "vlb", 7).expect("rotornet x vlb deploys");
         for i in 1..8u32 {
             net.add_flow(
                 SimTime::from_ns(100 + 911 * i as u64),
@@ -136,27 +108,24 @@ fn deployed_networks_export_identically_across_workers() {
         net.run_for(SimTime::from_ms(5));
         net.export_telemetry("json").expect("telemetry is on by default")
     };
-    let serial = run(1);
-    assert_eq!(serial, run(4), "workers=4 diverged from serial");
-    assert_eq!(serial, run(1), "same seed must reproduce byte-identical exports");
+    assert_eq!(run(), run(), "same seed must reproduce byte-identical exports");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random sweep cells: deploy is total over the whole grid — any
-    /// pairing, seed, and worker count either runs (and schedules events)
-    /// or is rejected with a typed Config error.
+    /// pairing and seed either runs (and schedules events) or is rejected
+    /// with a typed Config error.
     #[test]
     fn random_cells_run_or_reject_cleanly(
         arch_pick in 0usize..8,
         algo_pick in 0usize..8,
         seed in 0u64..1_000,
-        workers in 1usize..5,
     ) {
         let arch = ARCHS[arch_pick];
         let algo = ALGOS[algo_pick];
-        match deploy(arch, algo, seed, workers) {
+        match deploy(arch, algo, seed) {
             Ok(mut net) => {
                 net.add_flow(
                     SimTime::from_ns(100),

@@ -15,6 +15,9 @@ fn rr_schedule(n: u32, uplinks: u16) -> OpticalSchedule {
         .expect("round robin always deploys")
 }
 
+/// Run length of `run_for_is_pause_invariant`, ns.
+const HORIZON_NS: u64 = 3_000_000;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -165,22 +168,24 @@ proptest! {
         prop_assert!(net.events_scheduled() > 0);
     }
 
-    /// The parallel-engine contract: `NetConfig::workers` must never change
-    /// any export. Serial (`workers = 1`) and epoch-stepped (`workers` in
-    /// {2, 4, 8}) runs of the same randomized quick-mode configuration —
-    /// including a randomized fault plan — must produce byte-identical
-    /// telemetry, lifecycle spans, and fault reports.
+    /// Where the driver pauses never changes the result — the assumption
+    /// `Op::RunUntil` journal merging in `openoptics-ctl` rests on. One
+    /// `run_for(3 ms)` and the same horizon split at arbitrary instants, on
+    /// the same randomized quick-mode configuration (including a randomized
+    /// fault plan), must produce byte-identical telemetry, lifecycle spans,
+    /// and fault reports.
     #[test]
-    fn workers_never_change_exports(
+    fn run_for_is_pause_invariant(
         n in 4u32..9,
         slice_us in 1u64..4,
         seed in 0u64..1_000,
         arch_pick in 0u8..3,
         fault_pick in 0u8..4,
+        pauses in proptest::collection::vec(1u64..HORIZON_NS, 1..6),
     ) {
         use openoptics::faults::FaultPlan;
         use openoptics::prelude::*;
-        let run = |workers: usize| -> (String, String, String) {
+        let run = |pauses: &[u64]| -> (String, String, String) {
             let cfg = NetConfig::builder()
                 .node_num(n)
                 .uplink(1)
@@ -189,7 +194,6 @@ proptest! {
                 .guard_ns(1_000)
                 .span_sample_every(4)
                 .seed(seed)
-                .workers(workers)
                 .build()
                 .expect("sampled config is valid");
             let mut net = match arch_pick {
@@ -217,20 +221,24 @@ proptest! {
             let stop = SimTime::from_ms(2);
             let clients = (1..n).map(HostId).collect();
             net.add_memcached(MemcachedParams::paper(), HostId(0), clients, stop);
-            net.run_for(SimTime::from_ms(3));
+            let mut now = 0;
+            for &at in pauses.iter().chain([&HORIZON_NS]) {
+                net.run_for(SimTime::from_ns(at - now));
+                now = at;
+            }
             (
                 net.export_telemetry("json").expect("telemetry is on"),
                 net.export_spans_chrome_trace().expect("spans are on"),
                 format!("{:?}", net.fault_report()),
             )
         };
-        let serial = run(1);
-        for workers in [2usize, 4, 8] {
-            let sharded = run(workers);
-            prop_assert_eq!(&sharded.0, &serial.0, "telemetry diverged at {} workers", workers);
-            prop_assert_eq!(&sharded.1, &serial.1, "spans diverged at {} workers", workers);
-            prop_assert_eq!(&sharded.2, &serial.2, "fault report diverged at {} workers", workers);
-        }
+        let mut pauses = pauses;
+        pauses.sort_unstable();
+        let straight = run(&[]);
+        let paused = run(&pauses);
+        prop_assert_eq!(&paused.0, &straight.0, "telemetry diverged pausing at {:?}", pauses);
+        prop_assert_eq!(&paused.1, &straight.1, "spans diverged pausing at {:?}", pauses);
+        prop_assert_eq!(&paused.2, &straight.2, "fault report diverged pausing at {:?}", pauses);
     }
 
     /// The wildcard reduction: a schedule of held circuits routes
