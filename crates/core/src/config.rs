@@ -7,7 +7,7 @@
 //! a JSON-deserializable [`NetConfig`] plus a program against
 //! [`crate::net::OpenOpticsNet`].
 
-use crate::json;
+use crate::json::{self, Json, ToJson, Writer};
 use openoptics_sim::rate::Bandwidth;
 use openoptics_sim::time::SliceConfig;
 
@@ -337,12 +337,14 @@ impl NetConfig {
     /// their defaults; unknown fields are ignored; wrongly-typed fields are
     /// an error.
     pub fn from_json(json_text: &str) -> Result<Self, json::JsonError> {
-        let parsed = json::parse(json_text)?;
-        let json::Json::Obj(fields) = parsed else {
-            return Err(json::JsonError::not_an_object());
-        };
+        NetConfig::from_value(&json::parse(json_text)?)
+    }
+
+    /// [`NetConfig::from_json`] for an already-parsed document. An integer
+    /// too large for its field is an error naming it, never a truncation.
+    pub fn from_value(doc: &Json) -> Result<Self, json::JsonError> {
         let mut cfg = NetConfig::default();
-        for (key, value) in &fields {
+        for (key, value) in doc.as_obj()? {
             macro_rules! read_field {
                 (str $name:ident) => {
                     if key == stringify!($name) {
@@ -356,9 +358,9 @@ impl NetConfig {
                         continue;
                     }
                 };
-                ($int:ident $name:ident) => {
+                ($_int:ident $name:ident) => {
                     if key == stringify!($name) {
-                        cfg.$name = value.as_u64()? as $int;
+                        cfg.$name = value.as_uint()?;
                         continue;
                     }
                 };
@@ -370,21 +372,7 @@ impl NetConfig {
 
     /// Serialize to JSON (all fields, pretty-printed).
     pub fn to_json(&self) -> String {
-        let mut lines: Vec<String> = vec![];
-        macro_rules! write_field {
-            (str $name:ident) => {
-                lines.push(format!(
-                    "  {}: {}",
-                    json::escape(stringify!($name)),
-                    json::escape(&self.$name)
-                ));
-            };
-            ($_kind:ident $name:ident) => {
-                lines.push(format!("  {}: {}", json::escape(stringify!($name)), self.$name));
-            };
-        }
-        for_each_config_field!(write_field);
-        format!("{{\n{}\n}}", lines.join(",\n"))
+        json::pretty(self)
     }
 
     /// The slice structure for a schedule of `num_slices` slices.
@@ -410,6 +398,19 @@ impl NetConfig {
     /// Total hosts in the network.
     pub fn total_hosts(&self) -> u32 {
         self.node_num * self.hosts_per_node
+    }
+}
+
+impl ToJson for NetConfig {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            macro_rules! write_field {
+                ($_kind:ident $name:ident) => {
+                    w.field(stringify!($name), &self.$name);
+                };
+            }
+            for_each_config_field!(write_field);
+        });
     }
 }
 

@@ -33,6 +33,7 @@ use openoptics_sim::{EventQueue, SimRng, World};
 use openoptics_switch::congestion::{CongestionConfig, CongestionPolicy};
 use openoptics_switch::offload::OffloadPolicy;
 use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
+use openoptics_telemetry::json;
 use openoptics_telemetry::{
     FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow, ServiceStats,
     SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
@@ -313,6 +314,50 @@ pub struct EngineCounters {
     /// Packets destroyed by injected faults (drain-and-drop at failed
     /// ports plus transceiver-flap corruption).
     pub fault_drops: u64,
+}
+
+impl EngineCounters {
+    /// Every counter as a `(metric name, value)` pair, for telemetry
+    /// mirroring. The pattern has no `..`, so a counter added without a
+    /// name here does not build.
+    pub fn counter_pairs(&self) -> [(&'static str, u64); 16] {
+        let EngineCounters {
+            host_tx_packets,
+            delivered_packets,
+            delivered_payload_bytes,
+            fabric_drops,
+            switch_drops,
+            no_route_drops,
+            link_drops,
+            pushback_deliveries,
+            circuit_notifications,
+            trimmed_received,
+            guardband_holds,
+            watchdog_retransmits,
+            rto_retransmits,
+            fast_retransmits,
+            nack_retransmits,
+            fault_drops,
+        } = *self;
+        [
+            ("engine.host_tx_packets", host_tx_packets),
+            ("engine.delivered_packets", delivered_packets),
+            ("engine.delivered_payload_bytes", delivered_payload_bytes),
+            ("engine.fabric_drops", fabric_drops),
+            ("engine.switch_drops", switch_drops),
+            ("engine.no_route_drops", no_route_drops),
+            ("engine.link_drops", link_drops),
+            ("engine.pushback_deliveries", pushback_deliveries),
+            ("engine.circuit_notifications", circuit_notifications),
+            ("engine.trimmed_received", trimmed_received),
+            ("engine.guardband_holds", guardband_holds),
+            ("engine.watchdog_retransmits", watchdog_retransmits),
+            ("engine.rto_retransmits", rto_retransmits),
+            ("engine.fast_retransmits", fast_retransmits),
+            ("engine.nack_retransmits", nack_retransmits),
+            ("engine.fault_drops", fault_drops),
+        ]
+    }
 }
 
 /// Runtime state of an injected fault campaign. Masks are rebuilt from the
@@ -805,25 +850,7 @@ impl Engine {
         if !reg.is_enabled() {
             return;
         }
-        let c = &self.counters;
-        for (name, v) in [
-            ("engine.host_tx_packets", c.host_tx_packets),
-            ("engine.delivered_packets", c.delivered_packets),
-            ("engine.delivered_payload_bytes", c.delivered_payload_bytes),
-            ("engine.fabric_drops", c.fabric_drops),
-            ("engine.switch_drops", c.switch_drops),
-            ("engine.no_route_drops", c.no_route_drops),
-            ("engine.link_drops", c.link_drops),
-            ("engine.pushback_deliveries", c.pushback_deliveries),
-            ("engine.circuit_notifications", c.circuit_notifications),
-            ("engine.trimmed_received", c.trimmed_received),
-            ("engine.watchdog_retransmits", c.watchdog_retransmits),
-            ("engine.rto_retransmits", c.rto_retransmits),
-            ("engine.fast_retransmits", c.fast_retransmits),
-            ("engine.nack_retransmits", c.nack_retransmits),
-            ("engine.fault_drops", c.fault_drops),
-            ("engine.guardband_holds", c.guardband_holds),
-        ] {
+        for (name, v) in self.counters.counter_pairs() {
             reg.counter(name, Labels::None).set(v);
         }
         if let Some(qs) = queue_stats {
@@ -839,19 +866,7 @@ impl Engine {
         }
         for t in &self.tors {
             let node = Labels::Node(t.cfg.id);
-            let tc = t.counters;
-            for (name, v) in [
-                ("tor.enqueued", tc.enqueued),
-                ("tor.delivered_local", tc.delivered_local),
-                ("tor.deferred", tc.deferred),
-                ("tor.defer_exhausted", tc.defer_exhausted),
-                ("tor.trimmed", tc.trimmed),
-                ("tor.dropped_congestion", tc.dropped_congestion),
-                ("tor.dropped_capacity", tc.dropped_capacity),
-                ("tor.dropped_rank", tc.dropped_rank),
-                ("tor.tx_bytes", tc.tx_bytes),
-                ("tor.tx_packets", tc.tx_packets),
-            ] {
+            for (name, v) in t.counters.counter_pairs() {
                 reg.counter(name, node).set(v);
             }
             let (pb_events, pb_emitted) = t.pushback_stats();
@@ -886,23 +901,13 @@ impl Engine {
             .set(self.sync.max_err_ns().min(i64::MAX as u64) as i64);
         reg.counter("fct.completed_flows", Labels::None).set(self.fct.completed().len() as u64);
         if let Some(f) = &self.faults {
-            let mut sums = FaultCounters::default();
+            let mut sums = FaultCounters::default().counter_pairs();
             for c in &f.per_fault {
-                sums.activations += c.activations;
-                sums.dropped += c.dropped;
-                sums.corrupted += c.corrupted;
-                sums.missed_rotations += c.missed_rotations;
-                sums.paused_tx += c.paused_tx;
-                sums.reroutes += c.reroutes;
+                for (sum, (_, v)) in sums.iter_mut().zip(c.counter_pairs()) {
+                    sum.1 += v;
+                }
             }
-            for (name, v) in [
-                ("faults.activations", sums.activations),
-                ("faults.dropped", sums.dropped),
-                ("faults.corrupted", sums.corrupted),
-                ("faults.missed_rotations", sums.missed_rotations),
-                ("faults.paused_tx", sums.paused_tx),
-                ("faults.reroutes", sums.reroutes),
-            ] {
+            for (name, v) in sums {
                 reg.counter(name, Labels::None).set(v);
             }
         }
@@ -967,16 +972,15 @@ impl Engine {
                 ("recover", TraceKind::SloRecover { service: u32::from(sid) })
             }
         };
-        let line = format!(
-            "{{\"frame\":\"slo\",\"t_ns\":{},\"service\":\"{}\",\"state\":\"{}\",\
-             \"burn_milli\":{},\"bad\":{},\"total\":{}}}",
-            now.as_ns(),
-            svc.name(),
-            state,
-            svc.burn_milli(),
-            svc.bad(),
-            svc.total(),
-        );
+        let line = json::object(|w| {
+            w.field("frame", "slo");
+            w.field("t_ns", now.as_ns());
+            w.field("service", svc.name());
+            w.field("state", state);
+            w.field("burn_milli", svc.burn_milli());
+            w.field("bad", svc.bad());
+            w.field("total", svc.total());
+        });
         self.frames.push(line);
         self.trace.emit(now, kind);
     }
@@ -1009,21 +1013,12 @@ impl Engine {
             return;
         }
         let recent = self.trace.recent_records();
-        let mut line = String::with_capacity(64 + recent.len() * 72);
-        use std::fmt::Write as _;
-        let _ = write!(
-            line,
-            "{{\"frame\":\"flight\",\"t_ns\":{},\"trigger\":\"{}\",\"records\":[",
-            now.as_ns(),
-            trigger.as_str(),
-        );
-        for (i, rec) in recent.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            line.push_str(&rec.to_json());
-        }
-        line.push_str("]}");
+        let line = json::object(|w| {
+            w.field("frame", "flight");
+            w.field("t_ns", now.as_ns());
+            w.field("trigger", trigger.as_str());
+            w.field("records", &recent);
+        });
         self.frames.push(line);
         self.trace.emit(now, TraceKind::FlightDump { trigger, records: idx_u32(recent.len()) });
     }

@@ -25,7 +25,9 @@ pub mod arch;
 pub mod config;
 pub mod engine;
 pub mod error;
-pub mod json;
+/// The workspace's one JSON layer, re-exported from
+/// [`openoptics_telemetry::json`] under the path callers have always used.
+pub use openoptics_telemetry::json;
 pub mod net;
 pub mod workflow;
 

@@ -10,9 +10,9 @@
 //! [`crate::Session::fork`] is the O(state) in-memory alternative for warm
 //! what-if branches (see DESIGN.md for the tradeoff).
 
-use openoptics_core::json::{self, Json};
+use openoptics_core::json::{self, Json, Reader, ToJson, Writer};
 
-use crate::scenario::{FaultEntry, Scenario, ScenarioError, TmSpec, TransportSpec};
+use crate::scenario::{at, list, FaultEntry, Scenario, ScenarioError, TmSpec, TransportSpec};
 
 /// The checkpoint file format version this crate reads and writes.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -53,86 +53,54 @@ pub enum Op {
     },
 }
 
-impl Op {
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            Op::RunUntil { ns } => Json::Obj(vec![
-                ("op".to_string(), Json::Str("run_until".to_string())),
-                ("ns".to_string(), Json::Num(*ns as f64)),
-            ]),
-            Op::AddFlow { at_ns, src, dst, bytes, transport } => Json::Obj(vec![
-                ("op".to_string(), Json::Str("add_flow".to_string())),
-                ("at_ns".to_string(), Json::Num(*at_ns as f64)),
-                ("src".to_string(), Json::Num(*src as f64)),
-                ("dst".to_string(), Json::Num(*dst as f64)),
-                ("bytes".to_string(), Json::Num(*bytes as f64)),
-                ("transport".to_string(), transport.to_json()),
-            ]),
-            Op::InjectFaults { faults } => Json::Obj(vec![
-                ("op".to_string(), Json::Str("inject_faults".to_string())),
-                ("faults".to_string(), Json::Arr(faults.iter().map(|e| e.to_json()).collect())),
-            ]),
-            Op::Reconfigure { tm } => Json::Obj(vec![
-                ("op".to_string(), Json::Str("reconfigure".to_string())),
-                ("tm".to_string(), tm.to_json()),
-            ]),
-        }
+impl ToJson for Op {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| match self {
+            Op::RunUntil { ns } => {
+                w.field("op", "run_until");
+                w.field("ns", ns);
+            }
+            Op::AddFlow { at_ns, src, dst, bytes, transport } => {
+                w.field("op", "add_flow");
+                w.field("at_ns", at_ns);
+                w.field("src", src);
+                w.field("dst", dst);
+                w.field("bytes", bytes);
+                w.field("transport", transport);
+            }
+            Op::InjectFaults { faults } => {
+                w.field("op", "inject_faults");
+                w.field("faults", faults);
+            }
+            Op::Reconfigure { tm } => {
+                w.field("op", "reconfigure");
+                w.field("tm", tm);
+            }
+        });
     }
+}
 
-    pub(crate) fn from_json(v: &Json, i: usize) -> Result<Op, ScenarioError> {
-        let f = format!("journal[{i}]");
-        v.as_obj().map_err(|e| ScenarioError::new(&f, e.to_string()))?;
-        let op = match v.get("op") {
-            Some(Json::Str(s)) => s.as_str(),
-            _ => return Err(ScenarioError::new(format!("{f}.op"), "missing required field")),
-        };
-        let num = |key: &str| -> Result<u64, ScenarioError> {
-            match v.get(key) {
-                Some(n) => {
-                    n.as_u64().map_err(|e| ScenarioError::new(format!("{f}.{key}"), e.to_string()))
-                }
-                None => Err(ScenarioError::new(format!("{f}.{key}"), "missing required field")),
-            }
-        };
+impl Op {
+    /// Read the operation named `op` from the members of `r`: a journal
+    /// entry, or the params of the RPC method of the same name (the
+    /// methods deliberately use the journal's field names).
+    pub(crate) fn from_json(r: Reader<'_>, op: &str) -> Result<Op, ScenarioError> {
         match op {
-            "run_until" => Ok(Op::RunUntil { ns: num("ns")? }),
+            "run_until" => Ok(Op::RunUntil { ns: r.req("ns")?.u64()? }),
             "add_flow" => Ok(Op::AddFlow {
-                at_ns: num("at_ns")?,
-                src: crate::scenario::narrow(num("src")?, &format!("{f}.src"))?,
-                dst: crate::scenario::narrow(num("dst")?, &format!("{f}.dst"))?,
-                bytes: num("bytes")?,
-                transport: TransportSpec::from_json(v.get("transport"), &format!("{f}.transport"))?,
+                at_ns: r.req("at_ns")?.u64()?,
+                src: r.req("src")?.uint()?,
+                dst: r.req("dst")?.uint()?,
+                bytes: r.req("bytes")?.u64()?,
+                transport: TransportSpec::from_json(r.opt("transport"))?,
             }),
-            "inject_faults" => {
-                let arr = match v.get("faults") {
-                    Some(a) => a
-                        .as_arr()
-                        .map_err(|e| ScenarioError::new(format!("{f}.faults"), e.to_string()))?,
-                    None => {
-                        return Err(ScenarioError::new(
-                            format!("{f}.faults"),
-                            "missing required field",
-                        ))
-                    }
-                };
-                let mut faults = Vec::with_capacity(arr.len());
-                for (j, e) in arr.iter().enumerate() {
-                    faults.push(FaultEntry::from_json(e, &format!("{f}.faults[{j}]"))?);
-                }
-                Ok(Op::InjectFaults { faults })
-            }
-            "reconfigure" => {
-                let tm = v.get("tm").ok_or_else(|| {
-                    ScenarioError::new(format!("{f}.tm"), "missing required field")
-                })?;
-                Ok(Op::Reconfigure { tm: TmSpec::from_json(tm, &format!("{f}.tm"))? })
-            }
-            other => Err(ScenarioError::new(
-                format!("{f}.op"),
-                format!(
-                    "unknown op `{other}` (want run_until, add_flow, inject_faults or reconfigure)"
-                ),
-            )),
+            "inject_faults" => Ok(Op::InjectFaults {
+                faults: list(Some(r.req("faults")?), FaultEntry::from_json)?,
+            }),
+            "reconfigure" => Ok(Op::Reconfigure { tm: TmSpec::from_json(r.req("tm")?)? }),
+            other => Err(r.req("op")?.err(format!(
+                "unknown op `{other}` (want run_until, add_flow, inject_faults or reconfigure)"
+            ))),
         }
     }
 }
@@ -158,51 +126,36 @@ impl Checkpoint {
 
     /// Validate an already-parsed checkpoint document.
     pub fn from_json(doc: &Json) -> Result<Checkpoint, ScenarioError> {
-        doc.as_obj().map_err(|e| ScenarioError::new("checkpoint", e.to_string()))?;
-        let version = match doc.get("version") {
-            Some(v) => v.as_u64().map_err(|e| ScenarioError::new("version", e.to_string()))?,
-            None => return Err(ScenarioError::new("version", "missing required field")),
-        };
+        doc.as_obj().map_err(at("checkpoint"))?;
+        let r = Reader::new(doc, "");
+        let version = r.req("version")?.u64()?;
         if version != CHECKPOINT_VERSION {
             return Err(ScenarioError::new(
                 "version",
                 format!("unsupported checkpoint version {version} (this build reads version {CHECKPOINT_VERSION})"),
             ));
         }
-        let at_ns = match doc.get("at_ns") {
-            Some(v) => v.as_u64().map_err(|e| ScenarioError::new("at_ns", e.to_string()))?,
-            None => return Err(ScenarioError::new("at_ns", "missing required field")),
-        };
-        let scenario = match doc.get("scenario") {
-            Some(v) => Scenario::from_json(v)?,
-            None => return Err(ScenarioError::new("scenario", "missing required field")),
-        };
-        let mut journal = Vec::new();
-        if let Some(v) = doc.get("journal") {
-            let arr = v.as_arr().map_err(|e| ScenarioError::new("journal", e.to_string()))?;
-            for (i, op) in arr.iter().enumerate() {
-                journal.push(Op::from_json(op, i)?);
-            }
-        }
+        let at_ns = r.req("at_ns")?.u64()?;
+        let scenario = Scenario::from_json(r.req("scenario")?.json())?;
+        let journal = list(r.opt("journal"), |e| Op::from_json(e.obj()?, e.req("op")?.str()?))?;
         Ok(Checkpoint { at_ns, scenario, journal })
-    }
-
-    /// The document as a JSON value with fixed key order.
-    pub fn to_json_value(&self) -> Json {
-        Json::Obj(vec![
-            ("version".to_string(), Json::Num(CHECKPOINT_VERSION as f64)),
-            ("at_ns".to_string(), Json::Num(self.at_ns as f64)),
-            ("scenario".to_string(), self.scenario.to_json_value()),
-            (
-                "journal".to_string(),
-                Json::Arr(self.journal.iter().map(|op| op.to_json()).collect()),
-            ),
-        ])
     }
 
     /// Render the document, pretty-printed. Like scenarios, the rendered
     /// form is a fixed point of the parse/render cycle.
     pub fn to_json(&self) -> String {
-        json::pretty(&self.to_json_value())
+        json::pretty(self)
+    }
+}
+
+impl ToJson for Checkpoint {
+    /// The document, with a fixed key order.
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("version", CHECKPOINT_VERSION);
+            w.field("at_ns", self.at_ns);
+            w.field("scenario", &self.scenario);
+            w.field("journal", &self.journal);
+        });
     }
 }

@@ -35,7 +35,7 @@ pub mod session;
 pub use checkpoint::{Checkpoint, Op, CHECKPOINT_VERSION};
 pub use scenario::{
     ArchSpec, FaultEntry, RoutingSpec, Scenario, ScenarioError, SloEntry, TmSpec, TransportSpec,
-    WorkloadSpec, FAULT_KINDS, SCENARIO_VERSION,
+    WorkloadSpec, SCENARIO_VERSION,
 };
 pub use server::{serve, serve_on, ControlPlane, Subscriptions, MAX_FRAMES_PER_TURN};
 pub use session::Session;

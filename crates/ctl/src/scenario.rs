@@ -16,9 +16,10 @@
 
 use std::fmt;
 
-use openoptics_core::json::{self, Json};
+use openoptics_core::json::{self, Json, Reader, ToJson, Writer};
 use openoptics_core::{
-    Architecture, FaultPlan, NetConfig, OpenOpticsNet, PresetShape, TransportKind,
+    Architecture, FaultKind, FaultPlan, FaultSpec, NetConfig, OpenOpticsNet, PresetShape,
+    TransportKind,
 };
 use openoptics_host::apps::MemcachedParams;
 use openoptics_host::TcpConfig;
@@ -35,56 +36,14 @@ pub const SCENARIO_VERSION: u64 = 1;
 ///
 /// `field` is a JSON-path-like locator (`"workloads[2].bytes"`,
 /// `"architecture.name"`) so a failing scenario can be fixed without
-/// guessing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScenarioError {
-    /// Path of the offending field within the scenario document.
-    pub field: String,
-    /// Human-readable explanation of what is wrong with it.
-    pub reason: String,
-}
+/// guessing. It is the JSON layer's field error: most of them are raised
+/// by the [`Reader`] the document is read through.
+pub use openoptics_core::json::FieldError as ScenarioError;
 
-impl ScenarioError {
-    pub(crate) fn new(field: impl Into<String>, reason: impl Into<String>) -> ScenarioError {
-        ScenarioError { field: field.into(), reason: reason.into() }
-    }
-}
-
-impl fmt::Display for ScenarioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "scenario field `{}`: {}", self.field, self.reason)
-    }
-}
-
-impl std::error::Error for ScenarioError {}
-
-fn ctx<T, E: fmt::Display>(r: Result<T, E>, field: &str) -> Result<T, ScenarioError> {
-    r.map_err(|e| ScenarioError::new(field, e.to_string()))
-}
-
-fn get_u64(obj: &Json, key: &str, field: &str) -> Result<Option<u64>, ScenarioError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => Ok(Some(ctx(v.as_u64(), field)?)),
-    }
-}
-
-fn need_u64(obj: &Json, key: &str, field: &str) -> Result<u64, ScenarioError> {
-    get_u64(obj, key, field)?.ok_or_else(|| ScenarioError::new(field, "missing required field"))
-}
-
-/// Checked narrowing of a document number into a host/node/port-width
-/// integer: out-of-range values are a typed error naming the field, never
-/// a silent truncation.
-pub(crate) fn narrow<T: TryFrom<u64>>(v: u64, field: &str) -> Result<T, ScenarioError> {
-    T::try_from(v).map_err(|_| ScenarioError::new(field, format!("value {v} out of range")))
-}
-
-fn get_str<'a>(obj: &'a Json, key: &str, field: &str) -> Result<Option<&'a str>, ScenarioError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => Ok(Some(ctx(v.as_str(), field)?)),
-    }
+/// `map_err` adapter: any displayable failure becomes a [`ScenarioError`]
+/// at `field` (for steps with no document position, such as deploy).
+pub(crate) fn at<E: fmt::Display>(field: &str) -> impl Fn(E) -> ScenarioError + '_ {
+    move |e| ScenarioError::new(field, e.to_string())
 }
 
 /// Traffic-matrix specification for architectures that are demand-aware
@@ -115,45 +74,43 @@ impl TmSpec {
         }
     }
 
-    pub(crate) fn from_json(v: &Json, field: &str) -> Result<TmSpec, ScenarioError> {
-        match v {
+    pub(crate) fn from_json(r: Reader<'_>) -> Result<TmSpec, ScenarioError> {
+        match r.json() {
             Json::Str(s) if s == "mesh" => Ok(TmSpec::Mesh),
-            Json::Str(s) => Err(ScenarioError::new(
-                field,
-                format!("unknown traffic matrix `{s}` (want \"mesh\", a number, or a record list)"),
-            )),
-            Json::Num(_) => Ok(TmSpec::Uniform(ctx(v.as_f64(), field)?)),
-            Json::Arr(items) => {
-                let mut recs = Vec::with_capacity(items.len());
-                for (i, rec) in items.iter().enumerate() {
-                    let f = format!("{field}[{i}]");
-                    let parts = ctx(rec.as_arr(), &f)?;
-                    if parts.len() != 3 {
-                        return Err(ScenarioError::new(&f, "want a [src, dst, demand] triple"));
-                    }
-                    recs.push((
-                        narrow(ctx(parts[0].as_u64(), &f)?, &f)?,
-                        narrow(ctx(parts[1].as_u64(), &f)?, &f)?,
-                        ctx(parts[2].as_f64(), &f)?,
-                    ));
+            Json::Str(s) => Err(r.err(format!(
+                "unknown traffic matrix `{s}` (want \"mesh\", a number, or a record list)"
+            ))),
+            Json::Int(_) | Json::Num(_) => Ok(TmSpec::Uniform(r.f64()?)),
+            Json::Arr(_) => {
+                let mut recs = Vec::new();
+                for rec in r.items()? {
+                    let parts: Vec<Reader<'_>> = rec.items()?.collect();
+                    let [src, dst, demand] = parts.as_slice() else {
+                        return Err(rec.err("want a [src, dst, demand] triple"));
+                    };
+                    recs.push((src.uint()?, dst.uint()?, demand.f64()?));
                 }
                 Ok(TmSpec::Records(recs))
             }
-            _ => Err(ScenarioError::new(field, "want \"mesh\", a number, or a record list")),
+            _ => Err(r.err("want \"mesh\", a number, or a record list")),
         }
     }
+}
 
-    pub(crate) fn to_json(&self) -> Json {
+impl ToJson for TmSpec {
+    fn write_json(&self, w: &mut Writer) {
         match self {
-            TmSpec::Mesh => Json::Str("mesh".to_string()),
-            TmSpec::Uniform(v) => Json::Num(*v),
-            TmSpec::Records(recs) => Json::Arr(
-                recs.iter()
-                    .map(|&(s, d, v)| {
-                        Json::Arr(vec![Json::Num(s as f64), Json::Num(d as f64), Json::Num(v)])
-                    })
-                    .collect(),
-            ),
+            TmSpec::Mesh => w.str("mesh"),
+            TmSpec::Uniform(v) => w.float(*v),
+            TmSpec::Records(recs) => w.arr(|w| {
+                for &(src, dst, demand) in recs {
+                    w.arr(|w| {
+                        w.value(src);
+                        w.value(dst);
+                        w.value(demand);
+                    });
+                }
+            }),
         }
     }
 }
@@ -214,45 +171,41 @@ impl ArchSpec {
         Architecture::by_name(&self.name, &shape).ok_or_else(|| unknown_arch(&self.name))
     }
 
-    fn from_json(v: &Json) -> Result<ArchSpec, ScenarioError> {
-        ctx(v.as_obj(), "architecture")?;
-        let name = get_str(v, "name", "architecture.name")?
-            .ok_or_else(|| ScenarioError::new("architecture.name", "missing required field"))?;
+    fn from_json(r: Reader<'_>) -> Result<ArchSpec, ScenarioError> {
+        let r = r.obj()?;
+        let name = r.req("name")?.str()?;
         if !Architecture::PRESET_NAMES.contains(&name) {
             return Err(unknown_arch(name));
         }
         let mut spec = ArchSpec::named(name);
-        if let Some(d) = get_u64(v, "dim", "architecture.dim")? {
-            spec.dim = narrow(d, "architecture.dim")?;
-        }
-        if let Some(n) = get_u64(v, "num_slices", "architecture.num_slices")? {
-            spec.num_slices = narrow(n, "architecture.num_slices")?;
-        }
-        if let Some(e) = get_u64(v, "extra_slices", "architecture.extra_slices")? {
-            spec.extra_slices = narrow(e, "architecture.extra_slices")?;
-        }
-        if let Some(tm) = v.get("tm") {
-            spec.tm = TmSpec::from_json(tm, "architecture.tm")?;
+        spec.dim = r.uint_or("dim", spec.dim)?;
+        spec.num_slices = r.uint_or("num_slices", spec.num_slices)?;
+        spec.extra_slices = r.uint_or("extra_slices", spec.extra_slices)?;
+        if let Some(tm) = r.opt("tm") {
+            spec.tm = TmSpec::from_json(tm)?;
         }
         Ok(spec)
     }
+}
 
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("name".to_string(), Json::Str(self.name.clone()))];
-        match self.name.as_str() {
-            "shale" => fields.push(("dim".to_string(), Json::Num(self.dim as f64))),
-            "mordia" => {
-                fields.push(("num_slices".to_string(), Json::Num(self.num_slices as f64)));
-                fields.push(("tm".to_string(), self.tm.to_json()));
+impl ToJson for ArchSpec {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("name", &self.name);
+            match self.name.as_str() {
+                "shale" => w.field("dim", self.dim),
+                "mordia" => {
+                    w.field("num_slices", self.num_slices);
+                    w.field("tm", &self.tm);
+                }
+                "semi_oblivious" => {
+                    w.field("extra_slices", self.extra_slices);
+                    w.field("tm", &self.tm);
+                }
+                "cthrough" => w.field("tm", &self.tm),
+                _ => {}
             }
-            "semi_oblivious" => {
-                fields.push(("extra_slices".to_string(), Json::Num(self.extra_slices as f64)));
-                fields.push(("tm".to_string(), self.tm.to_json()));
-            }
-            "cthrough" => fields.push(("tm".to_string(), self.tm.to_json())),
-            _ => {}
-        }
-        Json::Obj(fields)
+        });
     }
 }
 
@@ -326,30 +279,31 @@ impl RoutingSpec {
         Ok((algo, lookup, multipath))
     }
 
-    fn from_json(v: &Json) -> Result<RoutingSpec, ScenarioError> {
-        ctx(v.as_obj(), "routing")?;
-        let algo = get_str(v, "algo", "routing.algo")?
-            .ok_or_else(|| ScenarioError::new("routing.algo", "missing required field"))?;
+    fn from_json(r: Reader<'_>) -> Result<RoutingSpec, ScenarioError> {
+        let r = r.obj()?;
+        let algo = r.req("algo")?.str()?;
         if !algos::NAMES.contains(&algo) {
             return Err(unknown_routing(algo));
         }
         let mut spec = RoutingSpec::named(algo);
-        if let Some(l) = get_str(v, "lookup", "routing.lookup")? {
-            spec.lookup = l.to_string();
+        if let Some(l) = r.opt("lookup") {
+            spec.lookup = l.str()?.to_string();
         }
-        if let Some(m) = get_str(v, "multipath", "routing.multipath")? {
-            spec.multipath = m.to_string();
+        if let Some(m) = r.opt("multipath") {
+            spec.multipath = m.str()?.to_string();
         }
         spec.build()?; // reject bad lookup/multipath spellings at parse time
         Ok(spec)
     }
+}
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("algo".to_string(), Json::Str(self.algo.clone())),
-            ("lookup".to_string(), Json::Str(self.lookup.clone())),
-            ("multipath".to_string(), Json::Str(self.multipath.clone())),
-        ])
+impl ToJson for RoutingSpec {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("algo", &self.algo);
+            w.field("lookup", &self.lookup);
+            w.field("multipath", &self.multipath);
+        });
     }
 }
 
@@ -371,7 +325,7 @@ impl PartialEq for TransportSpec {
     fn eq(&self, other: &Self) -> bool {
         // TcpConfig has no PartialEq; the normalized JSON form is the
         // canonical identity anyway.
-        self.to_json().to_string() == other.to_json().to_string()
+        json::render(self) == json::render(other)
     }
 }
 
@@ -381,61 +335,51 @@ impl TransportSpec {
         self.kind
     }
 
-    pub(crate) fn from_json(v: Option<&Json>, field: &str) -> Result<TransportSpec, ScenarioError> {
-        let Some(v) = v else {
-            return Ok(TransportSpec { kind: TransportKind::Paced });
+    pub(crate) fn from_json(r: Option<Reader<'_>>) -> Result<TransportSpec, ScenarioError> {
+        let Some(r) = r else { return Ok(TransportSpec::default()) };
+        let r = r.obj()?;
+        let make: fn(TcpConfig) -> TransportKind = match r.opt("kind") {
+            None => |_| TransportKind::Paced,
+            Some(kind) => match kind.str()? {
+                "paced" => |_| TransportKind::Paced,
+                "tcp" => TransportKind::Tcp,
+                "tdtcp" => TransportKind::TdTcp,
+                other => {
+                    return Err(
+                        kind.err(format!("unknown transport `{other}` (want paced, tcp or tdtcp)"))
+                    )
+                }
+            },
         };
-        ctx(v.as_obj(), field)?;
-        let kind = get_str(v, "kind", &format!("{field}.kind"))?.unwrap_or("paced");
-        let mut tcp = TcpConfig::default();
-        if let Some(m) = get_u64(v, "mss", &format!("{field}.mss"))? {
-            tcp.mss = narrow(m, &format!("{field}.mss"))?;
-        }
-        if let Some(c) = get_u64(v, "init_cwnd", &format!("{field}.init_cwnd"))? {
-            tcp.init_cwnd = c;
-        }
-        if let Some(d) = get_u64(v, "dupack_threshold", &format!("{field}.dupack_threshold"))? {
-            tcp.dupack_threshold = narrow(d, &format!("{field}.dupack_threshold"))?;
-        }
-        if let Some(r) = get_u64(v, "rto_ns", &format!("{field}.rto_ns"))? {
-            tcp.rto_ns = r;
-        }
-        if let Some(m) = get_u64(v, "max_cwnd", &format!("{field}.max_cwnd"))? {
-            tcp.max_cwnd = m;
-        }
-        let kind = match kind {
-            "paced" => TransportKind::Paced,
-            "tcp" => TransportKind::Tcp(tcp),
-            "tdtcp" => TransportKind::TdTcp(tcp),
-            other => {
-                return Err(ScenarioError::new(
-                    format!("{field}.kind"),
-                    format!("unknown transport `{other}` (want paced, tcp or tdtcp)"),
-                ))
-            }
-        };
-        Ok(TransportSpec { kind })
-    }
-
-    pub(crate) fn to_json(self) -> Json {
-        let (name, tcp) = match &self.kind {
-            TransportKind::Paced => return Json::Obj(vec![kindv("paced")]),
-            TransportKind::Tcp(c) => ("tcp", c),
-            TransportKind::TdTcp(c) => ("tdtcp", c),
-        };
-        Json::Obj(vec![
-            kindv(name),
-            ("mss".to_string(), Json::Num(tcp.mss as f64)),
-            ("init_cwnd".to_string(), Json::Num(tcp.init_cwnd as f64)),
-            ("dupack_threshold".to_string(), Json::Num(tcp.dupack_threshold as f64)),
-            ("rto_ns".to_string(), Json::Num(tcp.rto_ns as f64)),
-            ("max_cwnd".to_string(), Json::Num(tcp.max_cwnd as f64)),
-        ])
+        let d = TcpConfig::default();
+        Ok(TransportSpec {
+            kind: make(TcpConfig {
+                mss: r.uint_or("mss", d.mss)?,
+                init_cwnd: r.uint_or("init_cwnd", d.init_cwnd)?,
+                dupack_threshold: r.uint_or("dupack_threshold", d.dupack_threshold)?,
+                rto_ns: r.uint_or("rto_ns", d.rto_ns)?,
+                max_cwnd: r.uint_or("max_cwnd", d.max_cwnd)?,
+            }),
+        })
     }
 }
 
-fn kindv(name: &str) -> (String, Json) {
-    ("kind".to_string(), Json::Str(name.to_string()))
+impl ToJson for TransportSpec {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            let (name, tcp) = match &self.kind {
+                TransportKind::Paced => return w.field("kind", "paced"),
+                TransportKind::Tcp(c) => ("tcp", c),
+                TransportKind::TdTcp(c) => ("tdtcp", c),
+            };
+            w.field("kind", name);
+            w.field("mss", tcp.mss);
+            w.field("init_cwnd", tcp.init_cwnd);
+            w.field("dupack_threshold", tcp.dupack_threshold);
+            w.field("rto_ns", tcp.rto_ns);
+            w.field("max_cwnd", tcp.max_cwnd);
+        });
+    }
 }
 
 /// One per-service SLO target, scenario-file form of an
@@ -455,45 +399,27 @@ pub struct SloEntry {
 }
 
 impl SloEntry {
-    pub(crate) fn from_json(v: &Json, field: &str) -> Result<SloEntry, ScenarioError> {
-        ctx(v.as_obj(), field)?;
-        let service = get_str(v, "service", &format!("{field}.service"))?
-            .ok_or_else(|| {
-                ScenarioError::new(format!("{field}.service"), "missing required field")
-            })?
-            .to_string();
-        let objective_milli: u32 = narrow(
-            need_u64(v, "objective_milli", &format!("{field}.objective_milli"))?,
-            &format!("{field}.objective_milli"),
-        )?;
+    pub(crate) fn from_json(r: Reader<'_>) -> Result<SloEntry, ScenarioError> {
+        let r = r.obj()?;
+        let service = r.req("service")?.str()?.to_string();
+        let objective = r.req("objective_milli")?;
+        let objective_milli: u32 = objective.uint()?;
         if objective_milli >= 1000 {
-            return Err(ScenarioError::new(
-                format!("{field}.objective_milli"),
-                format!("objective {objective_milli}‰ leaves no error budget (want < 1000)"),
-            ));
+            return Err(objective.err(format!(
+                "objective {objective_milli}‰ leaves no error budget (want < 1000)"
+            )));
         }
-        let window_ns = need_u64(v, "window_ns", &format!("{field}.window_ns"))?;
+        let window = r.req("window_ns")?;
+        let window_ns = window.u64()?;
         if window_ns == 0 {
-            return Err(ScenarioError::new(
-                format!("{field}.window_ns"),
-                "burn-rate window must be positive",
-            ));
+            return Err(window.err("burn-rate window must be positive"));
         }
         Ok(SloEntry {
             service,
-            latency_ns: need_u64(v, "latency_ns", &format!("{field}.latency_ns"))?,
+            latency_ns: r.req("latency_ns")?.u64()?,
             objective_milli,
             window_ns,
         })
-    }
-
-    pub(crate) fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("service".to_string(), Json::Str(self.service.clone())),
-            ("latency_ns".to_string(), Json::Num(self.latency_ns as f64)),
-            ("objective_milli".to_string(), Json::Num(self.objective_milli as f64)),
-            ("window_ns".to_string(), Json::Num(self.window_ns as f64)),
-        ])
     }
 
     /// The engine-level target this entry declares.
@@ -503,6 +429,17 @@ impl SloEntry {
             objective_milli: self.objective_milli,
             window_ns: self.window_ns,
         }
+    }
+}
+
+impl ToJson for SloEntry {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("service", &self.service);
+            w.field("latency_ns", self.latency_ns);
+            w.field("objective_milli", self.objective_milli);
+            w.field("window_ns", self.window_ns);
+        });
     }
 }
 
@@ -567,69 +504,59 @@ pub enum WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    fn from_json(v: &Json, i: usize) -> Result<WorkloadSpec, ScenarioError> {
-        let f = format!("workloads[{i}]");
-        ctx(v.as_obj(), &f)?;
-        let kind = get_str(v, "kind", &format!("{f}.kind"))?
-            .ok_or_else(|| ScenarioError::new(format!("{f}.kind"), "missing required field"))?;
-        match kind {
+    /// Read one workload; host ids are checked against the `total_hosts`
+    /// the scenario's configuration provides.
+    fn from_json(r: Reader<'_>, total_hosts: u32) -> Result<WorkloadSpec, ScenarioError> {
+        let r = r.obj()?;
+        let host = |h: Reader<'_>| -> Result<u32, ScenarioError> {
+            let id: u32 = h.uint()?;
+            if id >= total_hosts {
+                let reason = format!("host {id} out of range (network has {total_hosts} hosts)");
+                return Err(h.err(reason));
+            }
+            Ok(id)
+        };
+        let hosts = |key: &str| -> Result<Vec<u32>, ScenarioError> {
+            r.req(key)?.items()?.map(host).collect()
+        };
+        let service = || r.opt("service").map(|s| s.str().map(str::to_string)).transpose();
+        let kind = r.req("kind")?;
+        match kind.str()? {
             "flow" => Ok(WorkloadSpec::Flow {
-                at_ns: get_u64(v, "at_ns", &format!("{f}.at_ns"))?.unwrap_or(0),
-                src: narrow(need_u64(v, "src", &format!("{f}.src"))?, &format!("{f}.src"))?,
-                dst: narrow(need_u64(v, "dst", &format!("{f}.dst"))?, &format!("{f}.dst"))?,
-                bytes: need_u64(v, "bytes", &format!("{f}.bytes"))?,
-                transport: TransportSpec::from_json(v.get("transport"), &format!("{f}.transport"))?,
-                service: get_str(v, "service", &format!("{f}.service"))?.map(str::to_string),
+                at_ns: r.uint_or("at_ns", 0)?,
+                src: host(r.req("src")?)?,
+                dst: host(r.req("dst")?)?,
+                bytes: r.req("bytes")?.u64()?,
+                transport: TransportSpec::from_json(r.opt("transport"))?,
+                service: service()?,
             }),
             "memcached" => {
                 let p = MemcachedParams::paper();
                 Ok(WorkloadSpec::Memcached {
-                    server: narrow(
-                        need_u64(v, "server", &format!("{f}.server"))?,
-                        &format!("{f}.server"),
-                    )?,
-                    clients: host_list(v, "clients", &f)?,
-                    stop_ns: need_u64(v, "stop_ns", &format!("{f}.stop_ns"))?,
-                    set_bytes: narrow(
-                        get_u64(v, "set_bytes", &format!("{f}.set_bytes"))?
-                            .unwrap_or(p.set_bytes as u64),
-                        &format!("{f}.set_bytes"),
-                    )?,
-                    response_bytes: narrow(
-                        get_u64(v, "response_bytes", &format!("{f}.response_bytes"))?
-                            .unwrap_or(p.response_bytes as u64),
-                        &format!("{f}.response_bytes"),
-                    )?,
-                    mean_interval_ns: get_u64(
-                        v,
-                        "mean_interval_ns",
-                        &format!("{f}.mean_interval_ns"),
-                    )?
-                    .unwrap_or(p.mean_interval_ns),
-                    service: get_str(v, "service", &format!("{f}.service"))?.map(str::to_string),
+                    server: host(r.req("server")?)?,
+                    clients: hosts("clients")?,
+                    stop_ns: r.req("stop_ns")?.u64()?,
+                    set_bytes: r.uint_or("set_bytes", p.set_bytes)?,
+                    response_bytes: r.uint_or("response_bytes", p.response_bytes)?,
+                    mean_interval_ns: r.uint_or("mean_interval_ns", p.mean_interval_ns)?,
+                    service: service()?,
                 })
             }
             "allreduce" => Ok(WorkloadSpec::Allreduce {
-                hosts: host_list(v, "hosts", &f)?,
-                data_bytes: need_u64(v, "data_bytes", &format!("{f}.data_bytes"))?,
-                service: get_str(v, "service", &format!("{f}.service"))?.map(str::to_string),
+                hosts: hosts("hosts")?,
+                data_bytes: r.req("data_bytes")?.u64()?,
+                service: service()?,
             }),
             "probe_train" => Ok(WorkloadSpec::ProbeTrain {
-                src: narrow(need_u64(v, "src", &format!("{f}.src"))?, &format!("{f}.src"))?,
-                dst: narrow(need_u64(v, "dst", &format!("{f}.dst"))?, &format!("{f}.dst"))?,
-                interval_ns: need_u64(v, "interval_ns", &format!("{f}.interval_ns"))?,
-                count: need_u64(v, "count", &format!("{f}.count"))?,
-                payload: narrow(
-                    get_u64(v, "payload", &format!("{f}.payload"))?.unwrap_or(64),
-                    &format!("{f}.payload"),
-                )?,
+                src: host(r.req("src")?)?,
+                dst: host(r.req("dst")?)?,
+                interval_ns: r.req("interval_ns")?.u64()?,
+                count: r.req("count")?.u64()?,
+                payload: r.uint_or("payload", 64)?,
             }),
-            other => Err(ScenarioError::new(
-                format!("{f}.kind"),
-                format!(
-                    "unknown workload `{other}` (want flow, memcached, allreduce or probe_train)"
-                ),
-            )),
+            other => Err(kind.err(format!(
+                "unknown workload `{other}` (want flow, memcached, allreduce or probe_train)"
+            ))),
         }
     }
 
@@ -642,133 +569,113 @@ impl WorkloadSpec {
             WorkloadSpec::ProbeTrain { .. } => None,
         }
     }
+}
 
-    fn to_json(&self) -> Json {
-        let mut obj = match self {
-            WorkloadSpec::Flow { at_ns, src, dst, bytes, transport, .. } => vec![
-                kindv("flow"),
-                ("at_ns".to_string(), Json::Num(*at_ns as f64)),
-                ("src".to_string(), Json::Num(*src as f64)),
-                ("dst".to_string(), Json::Num(*dst as f64)),
-                ("bytes".to_string(), Json::Num(*bytes as f64)),
-                ("transport".to_string(), transport.to_json()),
-            ],
-            WorkloadSpec::Memcached {
-                server,
-                clients,
-                stop_ns,
-                set_bytes,
-                response_bytes,
-                mean_interval_ns,
-                ..
-            } => vec![
-                kindv("memcached"),
-                ("server".to_string(), Json::Num(*server as f64)),
-                ("clients".to_string(), num_arr(clients)),
-                ("stop_ns".to_string(), Json::Num(*stop_ns as f64)),
-                ("set_bytes".to_string(), Json::Num(*set_bytes as f64)),
-                ("response_bytes".to_string(), Json::Num(*response_bytes as f64)),
-                ("mean_interval_ns".to_string(), Json::Num(*mean_interval_ns as f64)),
-            ],
-            WorkloadSpec::Allreduce { hosts, data_bytes, .. } => vec![
-                kindv("allreduce"),
-                ("hosts".to_string(), num_arr(hosts)),
-                ("data_bytes".to_string(), Json::Num(*data_bytes as f64)),
-            ],
-            WorkloadSpec::ProbeTrain { src, dst, interval_ns, count, payload } => vec![
-                kindv("probe_train"),
-                ("src".to_string(), Json::Num(*src as f64)),
-                ("dst".to_string(), Json::Num(*dst as f64)),
-                ("interval_ns".to_string(), Json::Num(*interval_ns as f64)),
-                ("count".to_string(), Json::Num(*count as f64)),
-                ("payload".to_string(), Json::Num(*payload as f64)),
-            ],
-        };
-        if let Some(s) = self.service() {
-            obj.push(("service".to_string(), Json::Str(s.to_string())));
-        }
-        Json::Obj(obj)
+impl ToJson for WorkloadSpec {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            match self {
+                WorkloadSpec::Flow { at_ns, src, dst, bytes, transport, .. } => {
+                    w.field("kind", "flow");
+                    w.field("at_ns", at_ns);
+                    w.field("src", src);
+                    w.field("dst", dst);
+                    w.field("bytes", bytes);
+                    w.field("transport", transport);
+                }
+                WorkloadSpec::Memcached {
+                    server,
+                    clients,
+                    stop_ns,
+                    set_bytes,
+                    response_bytes,
+                    mean_interval_ns,
+                    ..
+                } => {
+                    w.field("kind", "memcached");
+                    w.field("server", server);
+                    w.field("clients", clients);
+                    w.field("stop_ns", stop_ns);
+                    w.field("set_bytes", set_bytes);
+                    w.field("response_bytes", response_bytes);
+                    w.field("mean_interval_ns", mean_interval_ns);
+                }
+                WorkloadSpec::Allreduce { hosts, data_bytes, .. } => {
+                    w.field("kind", "allreduce");
+                    w.field("hosts", hosts);
+                    w.field("data_bytes", data_bytes);
+                }
+                WorkloadSpec::ProbeTrain { src, dst, interval_ns, count, payload } => {
+                    w.field("kind", "probe_train");
+                    w.field("src", src);
+                    w.field("dst", dst);
+                    w.field("interval_ns", interval_ns);
+                    w.field("count", count);
+                    w.field("payload", payload);
+                }
+            }
+            if let Some(s) = self.service() {
+                w.field("service", s);
+            }
+        });
     }
 }
 
-fn host_list(v: &Json, key: &str, f: &str) -> Result<Vec<u32>, ScenarioError> {
-    let field = format!("{f}.{key}");
-    let arr = v.get(key).ok_or_else(|| ScenarioError::new(&field, "missing required field"))?;
-    let items = ctx(arr.as_arr(), &field)?;
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            let f = format!("{field}[{i}]");
-            narrow(ctx(h.as_u64(), &f)?, &f)
-        })
-        .collect()
-}
-
-fn num_arr(values: &[u32]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::Num(v as f64)).collect())
-}
-
-/// One fault window, scenario-file form of a `FaultSpec`.
+/// One fault window, scenario-file form of a [`FaultSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultEntry {
-    /// Fault kind: `link_down`, `transceiver_flap`, `ocs_port_stuck`,
-    /// `slice_corruption` or `nic_pause_storm`.
-    pub kind: String,
+    /// What to inject; `transceiver_flap` carries its corruption percentage
+    /// (the `corrupt_pct` key, 1–100).
+    pub kind: FaultKind,
     /// Node the fault hits.
     pub node: u32,
     /// Port on that node (only meaningful for the per-port kinds).
     pub port: u16,
-    /// Corruption percentage for `transceiver_flap` (0–100).
-    pub corrupt_pct: u8,
     /// Fault activation time, ns.
     pub start_ns: u64,
     /// Fault clear time, ns (must be after `start_ns`).
     pub end_ns: u64,
 }
 
-/// The fault kinds [`FaultEntry`] accepts, in scenario-file spelling.
-pub const FAULT_KINDS: &[&str] =
-    &["link_down", "transceiver_flap", "ocs_port_stuck", "slice_corruption", "nic_pause_storm"];
-
 impl FaultEntry {
-    pub(crate) fn from_json(v: &Json, field: &str) -> Result<FaultEntry, ScenarioError> {
-        ctx(v.as_obj(), field)?;
-        let kind = get_str(v, "kind", &format!("{field}.kind"))?
-            .ok_or_else(|| ScenarioError::new(format!("{field}.kind"), "missing required field"))?;
-        if !FAULT_KINDS.contains(&kind) {
-            return Err(ScenarioError::new(
-                format!("{field}.kind"),
-                format!("unknown fault kind `{kind}` (want one of {FAULT_KINDS:?})"),
-            ));
+    pub(crate) fn from_json(r: Reader<'_>) -> Result<FaultEntry, ScenarioError> {
+        let r = r.obj()?;
+        let kind_at = r.req("kind")?;
+        let name = kind_at.str()?;
+        let mut kind = FaultKind::from_name(name).ok_or_else(|| {
+            let names = FaultKind::ALL.map(|k| k.name());
+            kind_at.err(format!("unknown fault kind `{name}` (want one of {names:?})"))
+        })?;
+        let node = r.req("node")?.uint()?;
+        let port = r.uint_or("port", 0)?;
+        let pct = r.uint_or("corrupt_pct", 0)?;
+        if let FaultKind::TransceiverFlap { corrupt_pct } = &mut kind {
+            *corrupt_pct = pct;
         }
         Ok(FaultEntry {
-            kind: kind.to_string(),
-            node: narrow(need_u64(v, "node", &format!("{field}.node"))?, &format!("{field}.node"))?,
-            port: narrow(
-                get_u64(v, "port", &format!("{field}.port"))?.unwrap_or(0),
-                &format!("{field}.port"),
-            )?,
-            corrupt_pct: narrow(
-                get_u64(v, "corrupt_pct", &format!("{field}.corrupt_pct"))?.unwrap_or(0),
-                &format!("{field}.corrupt_pct"),
-            )?,
-            start_ns: need_u64(v, "start_ns", &format!("{field}.start_ns"))?,
-            end_ns: need_u64(v, "end_ns", &format!("{field}.end_ns"))?,
+            kind,
+            node,
+            port,
+            start_ns: r.req("start_ns")?.u64()?,
+            end_ns: r.req("end_ns")?.u64()?,
         })
     }
+}
 
-    pub(crate) fn to_json(&self) -> Json {
-        let mut fields = vec![kindv(&self.kind), ("node".to_string(), Json::Num(self.node as f64))];
-        if matches!(self.kind.as_str(), "link_down" | "transceiver_flap" | "ocs_port_stuck") {
-            fields.push(("port".to_string(), Json::Num(self.port as f64)));
-        }
-        if self.kind == "transceiver_flap" {
-            fields.push(("corrupt_pct".to_string(), Json::Num(self.corrupt_pct as f64)));
-        }
-        fields.push(("start_ns".to_string(), Json::Num(self.start_ns as f64)));
-        fields.push(("end_ns".to_string(), Json::Num(self.end_ns as f64)));
-        Json::Obj(fields)
+impl ToJson for FaultEntry {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("kind", self.kind.name());
+            w.field("node", self.node);
+            if self.kind.is_port_scoped() {
+                w.field("port", self.port);
+            }
+            if let FaultKind::TransceiverFlap { corrupt_pct } = self.kind {
+                w.field("corrupt_pct", corrupt_pct);
+            }
+            w.field("start_ns", self.start_ns);
+            w.field("end_ns", self.end_ns);
+        });
     }
 }
 
@@ -780,19 +687,16 @@ pub(crate) fn build_fault_plan(
 ) -> Result<FaultPlan, ScenarioError> {
     let mut b = FaultPlan::builder();
     for e in entries {
-        let node = NodeId(e.node);
-        let port = PortId(e.port);
-        b = match e.kind.as_str() {
-            "link_down" => b.link_down(node, port, e.start_ns, e.end_ns),
-            "transceiver_flap" => {
-                b.transceiver_flap(node, port, e.corrupt_pct, e.start_ns, e.end_ns)
-            }
-            "ocs_port_stuck" => b.ocs_port_stuck(node, port, e.start_ns, e.end_ns),
-            "slice_corruption" => b.slice_corruption(node, e.start_ns, e.end_ns),
-            _ => b.nic_pause_storm(node, e.start_ns, e.end_ns),
-        };
+        b = b.fault(FaultSpec {
+            kind: e.kind,
+            node: NodeId(e.node),
+            // Node-scoped kinds ignore the port; the plan carries 0 for them.
+            port: PortId(if e.kind.is_port_scoped() { e.port } else { 0 }),
+            start: SimTime::from_ns(e.start_ns),
+            end: SimTime::from_ns(e.end_ns),
+        });
     }
-    ctx(b.build(), field)
+    b.build().map_err(at(field))
 }
 
 /// A fully validated scenario: everything needed to deploy and drive one
@@ -802,7 +706,7 @@ pub struct Scenario {
     /// Free-text description carried through normalization.
     pub description: String,
     /// The `config` object exactly as written (comment keys included); fed
-    /// to [`NetConfig::from_json`] so unknown keys are ignored and defaults
+    /// to [`NetConfig::from_value`] so unknown keys are ignored and defaults
     /// fill in missing ones.
     config_raw: Json,
     /// The validated engine configuration built from `config_raw`.
@@ -830,58 +734,43 @@ impl Scenario {
 
     /// Validate an already-parsed scenario document.
     pub fn from_json(doc: &Json) -> Result<Scenario, ScenarioError> {
-        ctx(doc.as_obj(), "scenario")?;
-        let version = need_u64(doc, "version", "version")?;
+        doc.as_obj().map_err(at("scenario"))?;
+        let r = Reader::new(doc, "");
+        let version = r.req("version")?.u64()?;
         if version != SCENARIO_VERSION {
             return Err(ScenarioError::new(
                 "version",
                 format!("unsupported scenario version {version} (this build reads version {SCENARIO_VERSION})"),
             ));
         }
-        let description = get_str(doc, "description", "description")?.unwrap_or("").to_string();
-        let config_raw = match doc.get("config") {
-            None => Json::Obj(vec![]),
-            Some(v) => {
-                ctx(v.as_obj(), "config")?;
-                v.clone()
+        let description = match r.opt("description") {
+            Some(d) => d.str()?.to_string(),
+            None => String::new(),
+        };
+        let (config_raw, config) = match r.opt("config") {
+            None => (Json::Obj(vec![]), NetConfig::default()),
+            Some(c) => {
+                let c = c.obj()?;
+                (c.json().clone(), c.ctx(NetConfig::from_value(c.json()))?)
             }
         };
-        let config = ctx(NetConfig::from_json(&config_raw.to_string()), "config")?;
-        ctx(config.validate(), "config")?;
-        let architecture = match doc.get("architecture") {
-            None => return Err(ScenarioError::new("architecture", "missing required field")),
-            Some(v) => ArchSpec::from_json(v)?,
-        };
-        let routing = match doc.get("routing") {
-            None => None,
-            Some(v) => Some(RoutingSpec::from_json(v)?),
-        };
-        let mut workloads = Vec::new();
-        if let Some(v) = doc.get("workloads") {
-            for (i, w) in ctx(v.as_arr(), "workloads")?.iter().enumerate() {
-                workloads.push(WorkloadSpec::from_json(w, i)?);
+        config.validate().map_err(at("config"))?;
+        let architecture = ArchSpec::from_json(r.req("architecture")?)?;
+        let routing = r.opt("routing").map(RoutingSpec::from_json).transpose()?;
+        let total_hosts = config.total_hosts();
+        let workloads = list(r.opt("workloads"), |w| WorkloadSpec::from_json(w, total_hosts))?;
+        let mut slos: Vec<SloEntry> = Vec::new();
+        list(r.opt("slos"), |e| {
+            let entry = SloEntry::from_json(e)?;
+            if slos.iter().any(|s| s.service == entry.service) {
+                let reason = format!("duplicate SLO for service `{}`", entry.service);
+                return Err(e.req("service")?.err(reason));
             }
-        }
-        let mut slos = Vec::new();
-        if let Some(v) = doc.get("slos") {
-            for (i, e) in ctx(v.as_arr(), "slos")?.iter().enumerate() {
-                let entry = SloEntry::from_json(e, &format!("slos[{i}]"))?;
-                if slos.iter().any(|s: &SloEntry| s.service == entry.service) {
-                    return Err(ScenarioError::new(
-                        format!("slos[{i}].service"),
-                        format!("duplicate SLO for service `{}`", entry.service),
-                    ));
-                }
-                slos.push(entry);
-            }
-        }
-        let mut faults = Vec::new();
-        if let Some(v) = doc.get("faults") {
-            for (i, e) in ctx(v.as_arr(), "faults")?.iter().enumerate() {
-                faults.push(FaultEntry::from_json(e, &format!("faults[{i}]"))?);
-            }
-        }
-        let stop_ns = need_u64(doc, "stop_ns", "stop_ns")?;
+            slos.push(entry);
+            Ok(())
+        })?;
+        let faults = list(r.opt("faults"), FaultEntry::from_json)?;
+        let stop_ns = r.req("stop_ns")?.u64()?;
         let scenario = Scenario {
             description,
             config_raw,
@@ -893,78 +782,9 @@ impl Scenario {
             faults,
             stop_ns,
         };
-        scenario.check_hosts()?;
         build_fault_plan(&scenario.faults, "faults")?;
         scenario.architecture.build(&scenario.config)?;
         Ok(scenario)
-    }
-
-    /// Cross-validate workload host ids against the configured network size.
-    fn check_hosts(&self) -> Result<(), ScenarioError> {
-        let total = self.config.total_hosts();
-        let check = |h: u32, field: String| {
-            if h >= total {
-                Err(ScenarioError::new(
-                    field,
-                    format!("host {h} out of range (network has {total} hosts)"),
-                ))
-            } else {
-                Ok(())
-            }
-        };
-        for (i, w) in self.workloads.iter().enumerate() {
-            match w {
-                WorkloadSpec::Flow { src, dst, .. } => {
-                    check(*src, format!("workloads[{i}].src"))?;
-                    check(*dst, format!("workloads[{i}].dst"))?;
-                }
-                WorkloadSpec::Memcached { server, clients, .. } => {
-                    check(*server, format!("workloads[{i}].server"))?;
-                    for (j, c) in clients.iter().enumerate() {
-                        check(*c, format!("workloads[{i}].clients[{j}]"))?;
-                    }
-                }
-                WorkloadSpec::Allreduce { hosts, .. } => {
-                    for (j, h) in hosts.iter().enumerate() {
-                        check(*h, format!("workloads[{i}].hosts[{j}]"))?;
-                    }
-                }
-                WorkloadSpec::ProbeTrain { src, dst, .. } => {
-                    check(*src, format!("workloads[{i}].src"))?;
-                    check(*dst, format!("workloads[{i}].dst"))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The normalized document as a JSON value with fixed key order.
-    pub fn to_json_value(&self) -> Json {
-        let mut fields = vec![("version".to_string(), Json::Num(SCENARIO_VERSION as f64))];
-        if !self.description.is_empty() {
-            fields.push(("description".to_string(), Json::Str(self.description.clone())));
-        }
-        fields.push(("config".to_string(), self.config_raw.clone()));
-        fields.push(("architecture".to_string(), self.architecture.to_json()));
-        if let Some(r) = &self.routing {
-            fields.push(("routing".to_string(), r.to_json()));
-        }
-        fields.push((
-            "workloads".to_string(),
-            Json::Arr(self.workloads.iter().map(|w| w.to_json()).collect()),
-        ));
-        if !self.slos.is_empty() {
-            fields.push((
-                "slos".to_string(),
-                Json::Arr(self.slos.iter().map(|e| e.to_json()).collect()),
-            ));
-        }
-        fields.push((
-            "faults".to_string(),
-            Json::Arr(self.faults.iter().map(|e| e.to_json()).collect()),
-        ));
-        fields.push(("stop_ns".to_string(), Json::Num(self.stop_ns as f64)));
-        Json::Obj(fields)
     }
 
     /// Render the normalized document, pretty-printed.
@@ -972,7 +792,7 @@ impl Scenario {
     /// `parse(to_json()) → to_json()` is byte-identical: the normalized
     /// form is a fixed point of the parse/render cycle.
     pub fn to_json(&self) -> String {
-        json::pretty(&self.to_json_value())
+        json::pretty(self)
     }
 
     /// Deploy the scenario: build the network, attach every workload and
@@ -985,8 +805,8 @@ impl Scenario {
             Some(r) => r.build()?,
             None => arch.default_routing(),
         };
-        let mut net =
-            ctx(OpenOpticsNet::deploy(cfg, arch, algo, lookup, multipath), "architecture")?;
+        let mut net = OpenOpticsNet::deploy(cfg, arch, algo, lookup, multipath)
+            .map_err(at("architecture"))?;
         // Declare SLO-bearing services first (in document order), then any
         // service a workload names without an SLO — so ids depend only on
         // the document, never on attach timing.
@@ -1003,37 +823,27 @@ impl Scenario {
                 }
             }
         }
-        for (i, w) in self.workloads.iter().enumerate() {
+        for w in &self.workloads {
             let service = w
                 .service()
                 .and_then(|name| service_ids.iter().find(|(n, _)| n == name))
                 .map(|&(_, id)| id);
-            attach_workload(&mut net, w, service, &format!("workloads[{i}]"))?;
+            attach_workload(&mut net, w, service);
         }
         if !self.faults.is_empty() {
             let plan = build_fault_plan(&self.faults, "faults")?;
-            ctx(net.inject_faults(&plan), "faults")?;
+            net.inject_faults(&plan).map_err(at("faults"))?;
         }
         Ok(net)
     }
 }
 
-/// Attach one workload to a deployed network, tagging it with a declared
-/// service id when the spec names one.
-pub(crate) fn attach_workload(
-    net: &mut OpenOpticsNet,
-    w: &WorkloadSpec,
-    service: Option<u16>,
-    field: &str,
-) -> Result<(), ScenarioError> {
+/// Attach one workload to a freshly deployed network (sim time 0, so every
+/// flow start is in the future), tagging it with a declared service id when
+/// the spec names one.
+fn attach_workload(net: &mut OpenOpticsNet, w: &WorkloadSpec, service: Option<u16>) {
     match w {
         WorkloadSpec::Flow { at_ns, src, dst, bytes, transport, .. } => {
-            if SimTime(*at_ns) < net.now() {
-                return Err(ScenarioError::new(
-                    format!("{field}.at_ns"),
-                    format!("flow start {} ns is before sim time {} ns", at_ns, net.now().0),
-                ));
-            }
             net.add_flow_tagged(
                 SimTime(*at_ns),
                 HostId(*src),
@@ -1068,5 +878,40 @@ pub(crate) fn attach_workload(
             net.add_probe_train(HostId(*src), HostId(*dst), *interval_ns, *count, *payload);
         }
     }
-    Ok(())
+}
+
+/// Read every element of an optional array member (absent means empty).
+pub(crate) fn list<'a, T>(
+    arr: Option<Reader<'a>>,
+    mut read: impl FnMut(Reader<'_>) -> Result<T, ScenarioError>,
+) -> Result<Vec<T>, ScenarioError> {
+    let Some(arr) = arr else { return Ok(Vec::new()) };
+    let mut out = Vec::new();
+    for item in arr.items()? {
+        out.push(read(item)?);
+    }
+    Ok(out)
+}
+
+impl ToJson for Scenario {
+    /// The normalized document, with a fixed key order.
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("version", SCENARIO_VERSION);
+            if !self.description.is_empty() {
+                w.field("description", &self.description);
+            }
+            w.field("config", &self.config_raw);
+            w.field("architecture", &self.architecture);
+            if let Some(r) = &self.routing {
+                w.field("routing", r);
+            }
+            w.field("workloads", &self.workloads);
+            if !self.slos.is_empty() {
+                w.field("slos", &self.slos);
+            }
+            w.field("faults", &self.faults);
+            w.field("stop_ns", self.stop_ns);
+        });
+    }
 }

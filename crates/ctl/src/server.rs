@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
-use openoptics_core::json::{self, Json};
+use openoptics_core::json::{self, object, Json, Reader};
 
 use crate::checkpoint::{Checkpoint, Op};
 use crate::scenario::{Scenario, ScenarioError};
@@ -98,18 +98,23 @@ impl ControlPlane {
             }
             Err(e) => (Json::Null, Err(ScenarioError::new("request", e.to_string()))),
         };
-        let body = match outcome {
-            Ok(result) => ("result".to_string(), result),
-            Err(e) => (
-                "error".to_string(),
-                Json::Obj(vec![
-                    ("field".to_string(), Json::Str(e.field)),
-                    ("reason".to_string(), Json::Str(e.reason)),
-                ]),
-            ),
-        };
         let mut out = self.drain_frames(subs);
-        out.push(Json::Obj(vec![("id".to_string(), id), body]).to_string());
+        out.push(object(|w| {
+            w.field("id", &id);
+            match &outcome {
+                Ok(result) => {
+                    w.key("result");
+                    w.raw(result);
+                }
+                Err(e) => {
+                    w.key("error");
+                    w.obj(|w| {
+                        w.field("field", &e.field);
+                        w.field("reason", &e.reason);
+                    });
+                }
+            }
+        }));
         out
     }
 
@@ -123,211 +128,159 @@ impl ControlPlane {
             let frames = s.net().frames();
             let fresh = frames.since(*cursor);
             let take = fresh.len().min(MAX_FRAMES_PER_TURN);
-            let sub = Json::Str(name.clone()).to_string();
-            for line in &fresh[..take] {
-                out.push(format!("{{\"sub\":{sub},\"frame\":{line}}}"));
-            }
+            let frame_line = |frame: &str| {
+                object(|w| {
+                    w.field("sub", name);
+                    w.key("frame");
+                    w.raw(frame);
+                })
+            };
+            out.extend(fresh[..take].iter().map(|line| frame_line(line)));
             if fresh.len() > take {
-                out.push(format!(
-                    "{{\"sub\":{sub},\"frame\":{{\"frame\":\"overflow\",\"skipped\":{}}}}}",
-                    fresh.len() - take
-                ));
+                out.push(frame_line(&object(|w| {
+                    w.field("frame", "overflow");
+                    w.field("skipped", fresh.len() - take);
+                })));
             }
             *cursor = frames.len();
         }
         out
     }
 
-    fn dispatch(&mut self, req: &Json, subs: &mut Subscriptions) -> Result<Json, ScenarioError> {
-        let method = match req.get("method") {
-            Some(Json::Str(m)) => m.as_str(),
-            _ => return Err(ScenarioError::new("method", "missing required field")),
-        };
+    /// Run one request; `Ok` carries the rendered `result` value.
+    fn dispatch(&mut self, req: &Json, subs: &mut Subscriptions) -> Result<String, ScenarioError> {
+        let req = Reader::new(req, "");
+        let method = req.req("method")?.str()?;
         let empty = Json::Obj(vec![]);
-        let params = req.get("params").unwrap_or(&empty);
+        let params = Reader::new(req.opt("params").map_or(&empty, |p| p.json()), "params");
         match method {
-            "load" => self.load(params),
+            "load" => {
+                let name = params.req("name")?.str()?;
+                let session = Session::new(Scenario::from_json(params.req("scenario")?.json())?)?;
+                let result = object(|w| {
+                    w.field("now_ns", session.now_ns());
+                    w.field("stop_ns", session.stop_ns());
+                    w.field("hosts", session.scenario().config.total_hosts());
+                });
+                self.sessions.insert(name.to_string(), session);
+                Ok(result)
+            }
             "status" => {
-                let s = self.session(params)?;
-                Ok(Json::Obj(vec![
-                    ("now_ns".to_string(), Json::Num(s.now_ns() as f64)),
-                    ("stop_ns".to_string(), Json::Num(s.stop_ns() as f64)),
-                    ("journal_len".to_string(), Json::Num(s.journal().len() as f64)),
-                    ("events_scheduled".to_string(), Json::Num(s.net().events_scheduled() as f64)),
-                ]))
+                let s = self.session(&params, "name")?;
+                Ok(object(|w| {
+                    w.field("now_ns", s.now_ns());
+                    w.field("stop_ns", s.stop_ns());
+                    w.field("journal_len", s.journal().len());
+                    w.field("events_scheduled", s.net().events_scheduled());
+                }))
             }
             "run_until" => {
-                let ns = param_u64(params, "ns")?;
-                let s = self.session_mut(params)?;
+                let ns = params.req("ns")?.u64()?;
+                let s = self.session_mut(&params)?;
                 s.run_until(ns);
                 Ok(now_obj(s))
             }
             "run_for" => {
-                let dur = param_u64(params, "dur_ns")?;
-                let s = self.session_mut(params)?;
+                let dur = params.req("dur_ns")?.u64()?;
+                let s = self.session_mut(&params)?;
                 s.run_for(dur);
                 Ok(now_obj(s))
             }
+            // The params of these methods are the journal entry of the same
+            // name, and errors are reported against that form.
             "add_flow" | "inject_faults" | "reconfigure" => {
-                let op = Op::from_json(&with_op(params, method), 0)?;
-                let s = self.session_mut(params)?;
+                let op = Op::from_json(Reader::new(params.json(), "journal[0]"), method)?;
+                let s = self.session_mut(&params)?;
                 s.apply(op)?;
                 Ok(now_obj(s))
             }
             "export" => {
-                let what = param_str(params, "what")?;
-                let s = self.session(params)?;
-                let text = match what.as_str() {
+                let what = params.req("what")?;
+                let kind = what.str()?;
+                let s = self.session(&params, "name")?;
+                let net = s.net();
+                let text = match kind {
                     "bundle" => s.export_bundle(),
-                    "telemetry" => s.net().telemetry_snapshot().to_json(),
-                    "telemetry_csv" => s.net().telemetry_snapshot().to_csv(),
-                    "trace" => err_ctx(s.net().export_trace())?,
-                    "timeseries" => err_ctx(s.net().export_timeseries())?,
-                    "slo" => err_ctx(s.net().export_slo_report())?,
-                    "spans" => err_ctx(s.net().export_spans_chrome_trace())?,
-                    "span_report" => err_ctx(s.net().export_span_report())?,
+                    "telemetry" => net.telemetry_snapshot().to_json(),
+                    "telemetry_csv" => net.telemetry_snapshot().to_csv(),
+                    "trace" => what.ctx(net.export_trace())?,
+                    "timeseries" => what.ctx(net.export_timeseries())?,
+                    "slo" => what.ctx(net.export_slo_report())?,
+                    "spans" => what.ctx(net.export_spans_chrome_trace())?,
+                    "span_report" => what.ctx(net.export_span_report())?,
                     other => {
-                        return Err(ScenarioError::new(
-                            "params.what",
-                            format!("unknown export `{other}` (want bundle, telemetry, telemetry_csv, trace, timeseries, slo, spans or span_report)"),
-                        ))
+                        return Err(what
+                            .err(format!("unknown export `{other}` (want bundle, telemetry, telemetry_csv, trace, timeseries, slo, spans or span_report)")))
                     }
                 };
-                Ok(Json::Obj(vec![("text".to_string(), Json::Str(text))]))
+                Ok(object(|w| w.field("text", &text)))
             }
             "subscribe" => {
-                let name = param_str(params, "name")?;
-                let s = self.sessions.get(&name).ok_or_else(|| {
-                    ScenarioError::new("params.name", format!("no session named `{name}`"))
-                })?;
                 // The cursor starts at the current end of the frame log:
                 // a subscriber streams what happens from now on, not
                 // history (use `export timeseries` for history). Neither
                 // subscribe nor unsubscribe is journaled — subscriptions
                 // are connection state, not simulation state.
-                let cursor = s.net().frames().len();
-                subs.cursors.insert(name, cursor);
-                Ok(Json::Obj(vec![
-                    ("subscribed".to_string(), Json::Bool(true)),
-                    ("cursor".to_string(), Json::Num(cursor as f64)),
-                ]))
+                let cursor = self.session(&params, "name")?.net().frames().len();
+                subs.cursors.insert(params.req("name")?.str()?.to_string(), cursor);
+                Ok(object(|w| {
+                    w.field("subscribed", true);
+                    w.field("cursor", cursor);
+                }))
             }
             "unsubscribe" => {
-                let name = param_str(params, "name")?;
-                let was = subs.cursors.remove(&name).is_some();
-                Ok(Json::Obj(vec![
-                    ("subscribed".to_string(), Json::Bool(false)),
-                    ("was_subscribed".to_string(), Json::Bool(was)),
-                ]))
+                let was = subs.cursors.remove(params.req("name")?.str()?).is_some();
+                Ok(object(|w| {
+                    w.field("subscribed", false);
+                    w.field("was_subscribed", was);
+                }))
             }
             "checkpoint" => {
-                let s = self.session(params)?;
-                Ok(Json::Obj(vec![("checkpoint".to_string(), s.checkpoint().to_json_value())]))
+                let ckpt = self.session(&params, "name")?.checkpoint();
+                Ok(object(|w| w.field("checkpoint", &ckpt)))
             }
             "restore" => {
-                let name = param_str(params, "name")?;
-                let doc = params.get("checkpoint").ok_or_else(|| {
-                    ScenarioError::new("params.checkpoint", "missing required field")
-                })?;
-                let ckpt = Checkpoint::from_json(doc)?;
+                let name = params.req("name")?.str()?;
+                let ckpt = Checkpoint::from_json(params.req("checkpoint")?.json())?;
                 let s = Session::restore(ckpt, None)?;
                 let result = now_obj(&s);
-                self.sessions.insert(name, s);
+                self.sessions.insert(name.to_string(), s);
                 Ok(result)
             }
             "fork" => {
-                let from = param_str(params, "from")?;
-                let name = param_str(params, "name")?;
-                let branch = self
-                    .sessions
-                    .get(&from)
-                    .ok_or_else(|| {
-                        ScenarioError::new("params.from", format!("no session named `{from}`"))
-                    })?
-                    .fork();
+                let branch = self.session(&params, "from")?.fork();
                 let result = now_obj(&branch);
-                self.sessions.insert(name, branch);
+                self.sessions.insert(params.req("name")?.str()?.to_string(), branch);
                 Ok(result)
             }
-            "sessions" => Ok(Json::Obj(vec![(
-                "names".to_string(),
-                Json::Arr(self.sessions.keys().map(|k| Json::Str(k.clone())).collect()),
-            )])),
+            "sessions" => {
+                let names: Vec<&String> = self.sessions.keys().collect();
+                Ok(object(|w| w.field("names", &names)))
+            }
             "shutdown" => {
                 self.shutdown = true;
-                Ok(Json::Obj(vec![("ok".to_string(), Json::Bool(true))]))
+                Ok(object(|w| w.field("ok", true)))
             }
             other => Err(ScenarioError::new("method", format!("unknown method `{other}`"))),
         }
     }
 
-    fn load(&mut self, params: &Json) -> Result<Json, ScenarioError> {
-        let name = param_str(params, "name")?;
-        let doc = params
-            .get("scenario")
-            .ok_or_else(|| ScenarioError::new("params.scenario", "missing required field"))?;
-        let scenario = Scenario::from_json(doc)?;
-        let session = Session::new(scenario)?;
-        let result = Json::Obj(vec![
-            ("now_ns".to_string(), Json::Num(session.now_ns() as f64)),
-            ("stop_ns".to_string(), Json::Num(session.stop_ns() as f64)),
-            ("hosts".to_string(), Json::Num(session.scenario().config.total_hosts() as f64)),
-        ]);
-        self.sessions.insert(name, session);
-        Ok(result)
+    /// The session named by string param `key`.
+    fn session(&self, params: &Reader<'_>, key: &str) -> Result<&Session, ScenarioError> {
+        let at = params.req(key)?;
+        let name = at.str()?;
+        self.sessions.get(name).ok_or_else(|| at.err(format!("no session named `{name}`")))
     }
 
-    fn session(&self, params: &Json) -> Result<&Session, ScenarioError> {
-        let name = param_str(params, "name")?;
-        self.sessions
-            .get(&name)
-            .ok_or_else(|| ScenarioError::new("params.name", format!("no session named `{name}`")))
-    }
-
-    fn session_mut(&mut self, params: &Json) -> Result<&mut Session, ScenarioError> {
-        let name = param_str(params, "name")?;
-        self.sessions
-            .get_mut(&name)
-            .ok_or_else(|| ScenarioError::new("params.name", format!("no session named `{name}`")))
+    fn session_mut(&mut self, params: &Reader<'_>) -> Result<&mut Session, ScenarioError> {
+        let at = params.req("name")?;
+        let name = at.str()?;
+        self.sessions.get_mut(name).ok_or_else(|| at.err(format!("no session named `{name}`")))
     }
 }
 
-fn now_obj(s: &Session) -> Json {
-    Json::Obj(vec![("now_ns".to_string(), Json::Num(s.now_ns() as f64))])
-}
-
-fn param_u64(params: &Json, key: &str) -> Result<u64, ScenarioError> {
-    match params.get(key) {
-        Some(v) => {
-            v.as_u64().map_err(|e| ScenarioError::new(format!("params.{key}"), e.to_string()))
-        }
-        None => Err(ScenarioError::new(format!("params.{key}"), "missing required field")),
-    }
-}
-
-fn param_str(params: &Json, key: &str) -> Result<String, ScenarioError> {
-    match params.get(key) {
-        Some(v) => v
-            .as_str()
-            .map(str::to_string)
-            .map_err(|e| ScenarioError::new(format!("params.{key}"), e.to_string())),
-        None => Err(ScenarioError::new(format!("params.{key}"), "missing required field")),
-    }
-}
-
-fn err_ctx(r: Result<String, openoptics_core::Error>) -> Result<String, ScenarioError> {
-    r.map_err(|e| ScenarioError::new("params.what", e.to_string()))
-}
-
-/// Reshape method params into the journal-op JSON form by prepending the
-/// `op` discriminator — the RPC methods deliberately use the same field
-/// names as [`Op`] serialization.
-fn with_op(params: &Json, op: &str) -> Json {
-    let mut fields = vec![("op".to_string(), Json::Str(op.to_string()))];
-    if let Json::Obj(existing) = params {
-        fields.extend(existing.iter().cloned());
-    }
-    Json::Obj(fields)
+fn now_obj(s: &Session) -> String {
+    object(|w| w.field("now_ns", s.now_ns()))
 }
 
 /// Bind `addr` and serve the control plane over TCP until a `shutdown`

@@ -13,7 +13,7 @@ use openoptics_proto::HostId;
 use openoptics_sim::SimTime;
 
 use crate::checkpoint::{Checkpoint, Op};
-use crate::scenario::{build_fault_plan, Scenario, ScenarioError};
+use crate::scenario::{at, build_fault_plan, Scenario, ScenarioError};
 
 /// A deployed scenario being stepped and mutated on demand.
 #[derive(Clone)]
@@ -112,15 +112,11 @@ impl Session {
             }
             Op::InjectFaults { faults } => {
                 let plan = build_fault_plan(faults, "inject_faults")?;
-                self.net
-                    .inject_faults(&plan)
-                    .map_err(|e| ScenarioError::new("inject_faults", e.to_string()))?;
+                self.net.inject_faults(&plan).map_err(at("inject_faults"))?;
             }
             Op::Reconfigure { tm } => {
                 let matrix = tm.matrix(self.scenario.config.node_num);
-                self.net
-                    .reconfigure(&matrix)
-                    .map_err(|e| ScenarioError::new("reconfigure", e.to_string()))?;
+                self.net.reconfigure(&matrix).map_err(at("reconfigure"))?;
             }
         }
         self.journal.push(op);

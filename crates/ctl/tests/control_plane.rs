@@ -2,6 +2,7 @@
 //! checkpoint/restore determinism at multiple worker counts, and the RPC
 //! dispatch layer.
 
+use openoptics_core::json;
 use openoptics_ctl::{
     Checkpoint, ControlPlane, FaultEntry, Op, Scenario, Session, Subscriptions, TmSpec,
 };
@@ -89,6 +90,23 @@ fn comment_keys_are_preserved_in_config_and_ignored_by_validation() {
     let parsed = Scenario::parse(&commented).expect("commented scenario parses");
     assert!(parsed.to_json().contains("eight ToRs"), "config comments survive normalization");
     assert_eq!(parsed.config.node_num, s.config.node_num);
+}
+
+#[test]
+fn integers_beyond_f64_precision_are_not_a_different_scenario() {
+    // 2^53 + 1: the first integer an f64 cannot hold.
+    let big = SCENARIO.replacen(r#""seed": 7"#, r#""seed": 9007199254740993"#, 1);
+    let parsed = Scenario::parse(&big).map(|s| (s.config.seed, s.to_json()));
+    assert!(
+        matches!(&parsed, Ok((9_007_199_254_740_993, text)) if text.contains(r#""seed": 9007199254740993"#)),
+        "{parsed:?}"
+    );
+    // A value no u64 holds is refused, not saturated.
+    let huge = SCENARIO.replacen(r#""seed": 7"#, r#""seed": 18446744073709551616"#, 1);
+    assert_eq!(Scenario::parse(&huge).expect_err("2^64 is not a u64").field, "scenario");
+    // And one too wide for its field is refused, not truncated.
+    let wide = SCENARIO.replacen(r#""node_num": 8"#, r#""node_num": 4294967304"#, 1);
+    assert_eq!(Scenario::parse(&wide).expect_err("2^32 + 8 is not a u32").field, "config");
 }
 
 #[test]
@@ -216,10 +234,9 @@ fn forked_branches_diverge_only_through_their_own_mutations() {
     faulted
         .apply(Op::InjectFaults {
             faults: vec![FaultEntry {
-                kind: "link_down".into(),
+                kind: openoptics_core::FaultKind::LinkDown,
                 node: 2,
                 port: 1,
-                corrupt_pct: 0,
                 start_ns: 700_000,
                 end_ns: 1_500_000,
             }],
@@ -324,7 +341,7 @@ fn rpc_round_trip_matches_direct_session_use() {
     cp.handle_line(r#"{"id":2,"method":"run_until","params":{"name":"s","ns":2000000}}"#);
     let export =
         cp.handle_line(r#"{"id":3,"method":"export","params":{"name":"s","what":"bundle"}}"#);
-    let doc = openoptics_core::json::parse(&export).unwrap();
+    let doc = json::parse(&export).unwrap();
     let text = doc
         .get("result")
         .and_then(|r| r.get("text"))
@@ -341,7 +358,7 @@ fn rpc_checkpoint_travels_inline_and_restores() {
     ));
     cp.handle_line(r#"{"id":2,"method":"run_until","params":{"name":"a","ns":600000}}"#);
     let resp = cp.handle_line(r#"{"id":3,"method":"checkpoint","params":{"name":"a"}}"#);
-    let doc = openoptics_core::json::parse(&resp).unwrap();
+    let doc = json::parse(&resp).unwrap();
     let ckpt = doc.get("result").and_then(|r| r.get("checkpoint")).expect("inline checkpoint");
     let restore = cp.handle_line(&format!(
         r#"{{"id":4,"method":"restore","params":{{"name":"b","checkpoint":{ckpt}}}}}"#
@@ -370,29 +387,60 @@ fn slo_scenario_is_a_fixed_point_and_declares_services() {
 }
 
 #[test]
-fn subscription_stream_is_reproducible() {
-    let drive = || {
-        let mut cp = ControlPlane::new();
-        let mut subs = Subscriptions::new();
-        let mut lines = Vec::new();
-        for req in [
-            format!(
-                r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{SLO_SCENARIO}}}}}"#
-            ),
-            r#"{"id":2,"method":"subscribe","params":{"name":"s"}}"#.to_string(),
-            r#"{"id":3,"method":"run_until","params":{"name":"s","ns":700000}}"#.to_string(),
-            r#"{"id":4,"method":"run_until","params":{"name":"s","ns":2000000}}"#.to_string(),
-            r#"{"id":5,"method":"export","params":{"name":"s","what":"timeseries"}}"#.to_string(),
-            r#"{"id":6,"method":"export","params":{"name":"s","what":"slo"}}"#.to_string(),
-        ] {
-            lines.extend(cp.handle_request(&req, &mut subs));
+fn subscription_stream_is_reproducible() -> Result<(), Box<dyn std::error::Error>> {
+    // The second case names its service `ca"che<newline>`: a user string
+    // must come back escaped, as written, from every frame and export.
+    let hostile = SLO_SCENARIO.replace(r#""cache""#, r#""ca\"che\n""#);
+    for (scenario, service) in [(SLO_SCENARIO, "cache"), (hostile.as_str(), "ca\"che\n")] {
+        let drive = || {
+            let mut cp = ControlPlane::new();
+            let mut subs = Subscriptions::new();
+            let mut lines = Vec::new();
+            for req in [
+                format!(
+                    r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{scenario}}}}}"#
+                ),
+                r#"{"id":2,"method":"subscribe","params":{"name":"s"}}"#.to_string(),
+                r#"{"id":3,"method":"run_until","params":{"name":"s","ns":700000}}"#.to_string(),
+                r#"{"id":4,"method":"run_until","params":{"name":"s","ns":2000000}}"#.to_string(),
+                r#"{"id":5,"method":"export","params":{"name":"s","what":"timeseries"}}"#
+                    .to_string(),
+                r#"{"id":6,"method":"export","params":{"name":"s","what":"slo"}}"#.to_string(),
+                r#"{"id":7,"method":"export","params":{"name":"s","what":"bundle"}}"#.to_string(),
+            ] {
+                lines.extend(cp.handle_request(&req, &mut subs));
+            }
+            lines
+        };
+        let first = drive();
+        let joined = first.join("\n");
+        assert!(joined.contains(r#""frame":"sample""#), "no sample frames streamed:\n{joined}");
+        assert!(joined.contains(r#""sub":"s""#), "frames must name their subscription:\n{joined}");
+        assert_eq!(first, drive(), "the frame stream and exports must reproduce");
+
+        // Every line is one JSON document, and so is every JSON line inside
+        // an export's text (the SLO report is a plain-text table). A parsed
+        // line renders back to itself, so the name inside it round-trips;
+        // frames, time series and the bundle's SLO section all carry it.
+        let spelled = json::render(service);
+        let (mut frames, mut exports) = (0, 0);
+        for line in &first {
+            let doc = json::parse(line).map_err(|e| format!("{e}: {line}"))?;
+            assert_eq!(&doc.to_string(), line);
+            let Some(text) = doc.get("result").and_then(|r| r.get("text")) else {
+                frames += usize::from(doc.get("frame").is_some() && line.contains(&spelled));
+                continue;
+            };
+            let text = text.as_str()?;
+            for inner in text.lines().filter(|l| l.starts_with('{')) {
+                let doc = json::parse(inner).map_err(|e| format!("{e}: {inner}"))?;
+                assert_eq!(doc.to_string(), inner);
+            }
+            exports += usize::from(text.contains(&spelled));
         }
-        lines.join("\n")
-    };
-    let first = drive();
-    assert!(first.contains(r#""frame":"sample""#), "no sample frames streamed:\n{first}");
-    assert!(first.contains(r#""sub":"s""#), "frames must name their subscription:\n{first}");
-    assert_eq!(first, drive(), "the frame stream and exports must reproduce");
+        assert!(frames > 0 && exports == 2, "{frames} frames, {exports} exports name {service:?}");
+    }
+    Ok(())
 }
 
 #[test]
@@ -492,6 +540,10 @@ fn rpc_errors_are_typed_and_echo_the_id() {
     assert!(unknown.contains("unknown method"), "{unknown}");
     let garbage = cp.handle_line("{not json");
     assert!(garbage.contains(r#""error""#), "{garbage}");
+    // Hostile nesting is a typed error with a null id, not a stack overflow.
+    let deep = cp.handle_line(&"[".repeat(300_000));
+    assert!(deep.starts_with(r#"{"id":null,"error":{"field":"request""#), "{deep}");
+    assert!(deep.contains("nesting deeper than 128"), "{deep}");
     assert!(!cp.shutdown_requested());
     let bye = cp.handle_line(r#"{"id":9,"method":"shutdown"}"#);
     assert!(bye.contains(r#""ok":true"#), "{bye}");

@@ -68,7 +68,22 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Short stable identifier used in traces and reports.
+    /// One of each kind, in [`FaultKind::code`] order (the flap carries a
+    /// placeholder percentage for the caller to fill in).
+    pub const ALL: [FaultKind; 5] = [
+        FaultKind::LinkDown,
+        FaultKind::TransceiverFlap { corrupt_pct: 0 },
+        FaultKind::OcsPortStuck,
+        FaultKind::SliceCorruption,
+        FaultKind::NicPauseStorm,
+    ];
+
+    /// The kind spelled `name` (inverse of [`FaultKind::name`]), if any.
+    pub fn from_name(name: &str) -> Option<FaultKind> {
+        FaultKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Short stable identifier used in traces, reports and scenario files.
     pub fn name(&self) -> &'static str {
         match self {
             FaultKind::LinkDown => "link_down",
@@ -327,6 +342,28 @@ impl FaultCounters {
     pub fn lost(&self) -> u64 {
         self.dropped + self.corrupted
     }
+
+    /// Every counter as a `(metric name, value)` pair, for telemetry
+    /// mirroring. The pattern has no `..`, so a counter added without a
+    /// name here does not build.
+    pub fn counter_pairs(&self) -> [(&'static str, u64); 6] {
+        let FaultCounters {
+            activations,
+            dropped,
+            corrupted,
+            missed_rotations,
+            paused_tx,
+            reroutes,
+        } = *self;
+        [
+            ("faults.activations", activations),
+            ("faults.dropped", dropped),
+            ("faults.corrupted", corrupted),
+            ("faults.missed_rotations", missed_rotations),
+            ("faults.paused_tx", paused_tx),
+            ("faults.reroutes", reroutes),
+        ]
+    }
 }
 
 /// Results of a fault campaign: campaign-wide delivery totals plus the
@@ -459,11 +496,20 @@ mod tests {
 
     #[test]
     fn kind_names_are_stable() {
-        assert_eq!(FaultKind::LinkDown.name(), "link_down");
-        assert_eq!(FaultKind::TransceiverFlap { corrupt_pct: 1 }.name(), "transceiver_flap");
-        assert_eq!(FaultKind::OcsPortStuck.name(), "ocs_port_stuck");
-        assert_eq!(FaultKind::SliceCorruption.name(), "slice_corruption");
-        assert_eq!(FaultKind::NicPauseStorm.name(), "nic_pause_storm");
+        assert_eq!(
+            FaultKind::ALL.map(|k| k.name()),
+            [
+                "link_down",
+                "transceiver_flap",
+                "ocs_port_stuck",
+                "slice_corruption",
+                "nic_pause_storm"
+            ]
+        );
+        for k in FaultKind::ALL {
+            assert_eq!(FaultKind::from_name(k.name()), Some(k));
+        }
+        assert_eq!(FaultKind::from_name("gamma_ray"), None);
     }
 
     #[test]

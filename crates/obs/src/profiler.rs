@@ -163,10 +163,8 @@ pub struct PhaseStat {
     pub wall_child_ns: u64,
 }
 
-#[cfg(feature = "enabled")]
 type WallClock = Box<dyn Fn() -> u64>;
 
-#[cfg(feature = "enabled")]
 pub(crate) struct ProfBuf {
     stats: RefCell<[PhaseStat; PHASE_COUNT]>,
     /// Phase and sim-time of the most recent top-level event.
@@ -178,17 +176,9 @@ pub(crate) struct ProfBuf {
 
 /// Handle to the profiler. Detached (inert) when profiling is off, so the
 /// per-event hook is a single branch.
-#[cfg(feature = "enabled")]
 #[derive(Clone, Default)]
 pub struct Profiler(pub(crate) Option<Rc<ProfBuf>>);
 
-/// Handle to the profiler. The `enabled` cargo feature is off: this is a
-/// zero-sized type and every method is a no-op that compiles away.
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Copy, Default)]
-pub struct Profiler;
-
-#[cfg(feature = "enabled")]
 impl Profiler {
     /// A handle that records nothing.
     pub fn detached() -> Profiler {
@@ -374,70 +364,4 @@ impl Profiler {
             reg.counter(p.counter_name(), Labels::None).set(s.events);
         }
     }
-}
-
-#[cfg(not(feature = "enabled"))]
-impl Profiler {
-    /// A handle that records nothing.
-    pub fn detached() -> Profiler {
-        Profiler
-    }
-
-    /// No-op constructor: the `enabled` feature is compiled out.
-    pub fn enabled() -> Profiler {
-        Profiler
-    }
-
-    /// Always `false` with the `enabled` feature compiled out.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        false
-    }
-
-    /// No-op.
-    pub fn set_clock(&self, _clock: impl Fn() -> u64 + 'static) {}
-
-    /// Always `false` with the `enabled` feature compiled out.
-    pub fn has_clock(&self) -> bool {
-        false
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn event(&self, _phase: Phase, _now: SimTime) {}
-
-    /// No-op.
-    #[inline]
-    pub fn enter(&self, _sub: Phase) {}
-
-    /// No-op.
-    #[inline]
-    pub fn exit(&self, _sub: Phase) {}
-
-    /// No-op.
-    #[inline]
-    pub fn mark(&self, _sub: Phase) {}
-
-    /// No-op copy with the `enabled` feature compiled out.
-    pub fn deep_clone(&self) -> Profiler {
-        Profiler
-    }
-
-    /// Always empty with the `enabled` feature compiled out.
-    pub fn stats(&self) -> Vec<(Phase, PhaseStat)> {
-        Vec::new()
-    }
-
-    /// Always the empty header with the `enabled` feature compiled out.
-    pub fn report(&self) -> String {
-        String::from("phase                events      sim_ns\n")
-    }
-
-    /// Always `None` with the `enabled` feature compiled out.
-    pub fn wall_report(&self) -> Option<String> {
-        None
-    }
-
-    /// No-op.
-    pub fn mirror_into(&self, _reg: &Registry) {}
 }

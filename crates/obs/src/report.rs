@@ -6,6 +6,7 @@
 
 use crate::span::{SpanEvent, SpanPhase, Stage};
 use openoptics_sim::time::SimTime;
+use openoptics_telemetry::json;
 
 /// One reconstructed span interval with resolved children.
 #[derive(Clone, Debug)]
@@ -170,29 +171,30 @@ pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedErr
 /// are reported, never partially exported.
 pub fn chrome_trace(events: &[SpanEvent]) -> Result<String, WellFormedError> {
     let forest = build_forest(events)?;
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for n in &forest {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{},\"tid\":{},\"args\":{{\"span\":{},\"parent\":{},\"arg\":{}}}}}",
-            n.stage.name(),
-            if matches!(n.stage, Stage::Flow | Stage::Packet) { "lifecycle" } else { "stage" },
-            n.begin.as_ns(),
-            n.duration_ns(),
-            n.flow,
-            n.packet,
-            n.span,
-            n.parent,
-            n.arg,
-        ));
-    }
-    out.push_str("],\"displayTimeUnit\":\"ns\"}");
-    Ok(out)
+    Ok(json::object(|w| {
+        w.key("traceEvents");
+        w.arr(|w| {
+            for n in &forest {
+                let lifecycle = matches!(n.stage, Stage::Flow | Stage::Packet);
+                w.obj(|w| {
+                    w.field("name", n.stage.name());
+                    w.field("cat", if lifecycle { "lifecycle" } else { "stage" });
+                    w.field("ph", "X");
+                    w.field("ts", n.begin.as_ns());
+                    w.field("dur", n.duration_ns());
+                    w.field("pid", n.flow);
+                    w.field("tid", n.packet);
+                    w.key("args");
+                    w.obj(|w| {
+                        w.field("span", n.span);
+                        w.field("parent", n.parent);
+                        w.field("arg", n.arg);
+                    });
+                });
+            }
+        });
+        w.field("displayTimeUnit", "ns");
+    }))
 }
 
 fn fmt_ns(ns: u64) -> String {

@@ -111,7 +111,6 @@ pub struct SpanEvent {
     pub arg: u64,
 }
 
-#[cfg(feature = "enabled")]
 pub(crate) struct SpanBuf {
     /// Soft cap on recorded events: once reached, *new* flow/packet spans
     /// are refused (counted in `skipped`) but edges of already-admitted
@@ -127,17 +126,9 @@ pub(crate) struct SpanBuf {
 
 /// Handle to the span stream. Cheap to clone; detached (inert) when span
 /// recording is off, so hot paths pay one branch.
-#[cfg(feature = "enabled")]
 #[derive(Clone, Default)]
 pub struct Spans(pub(crate) Option<Rc<SpanBuf>>);
 
-/// Handle to the span stream. The `enabled` cargo feature is off: this is
-/// a zero-sized type and every method is a no-op that compiles away.
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Copy, Default)]
-pub struct Spans;
-
-#[cfg(feature = "enabled")]
 impl Spans {
     /// A handle that records nothing (span recording off).
     pub fn detached() -> Spans {
@@ -315,102 +306,6 @@ impl Spans {
         reg.counter("obs.spans_started", Labels::None).set(self.started());
         reg.counter("obs.spans_skipped", Labels::None).set(self.skipped());
     }
-}
-
-#[cfg(not(feature = "enabled"))]
-impl Spans {
-    /// A handle that records nothing (span recording off).
-    pub fn detached() -> Spans {
-        Spans
-    }
-
-    /// No-op constructor: the `enabled` feature is compiled out, so the
-    /// parameters are ignored and the handle stays inert.
-    pub fn bounded(_sample_every: u64, _seed: u64, _capacity: usize) -> Spans {
-        Spans
-    }
-
-    /// Always `false` with the `enabled` feature compiled out.
-    #[inline]
-    pub fn is_on(&self) -> bool {
-        false
-    }
-
-    /// Always `false` with the `enabled` feature compiled out.
-    #[inline]
-    pub fn samples(&self, _flow: u64) -> bool {
-        false
-    }
-
-    /// Always `false` with the `enabled` feature compiled out.
-    #[inline]
-    pub fn admit(&self) -> bool {
-        false
-    }
-
-    /// No-op; returns span id 0.
-    #[inline]
-    pub fn span_begin(
-        &self,
-        _at: SimTime,
-        _parent: u64,
-        _flow: u64,
-        _packet: u64,
-        _stage: Stage,
-        _arg: u64,
-    ) -> u64 {
-        0
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn span_end(&self, _at: SimTime, _span: u64, _stage: Stage) {}
-
-    /// No-op.
-    #[inline]
-    pub fn span_mark(
-        &self,
-        _at: SimTime,
-        _parent: u64,
-        _flow: u64,
-        _packet: u64,
-        _stage: Stage,
-        _arg: u64,
-    ) {
-    }
-
-    /// Always 0 with the `enabled` feature compiled out.
-    pub fn len(&self) -> usize {
-        0
-    }
-
-    /// Always `true` with the `enabled` feature compiled out.
-    pub fn is_empty(&self) -> bool {
-        true
-    }
-
-    /// Always 0 with the `enabled` feature compiled out.
-    pub fn started(&self) -> u64 {
-        0
-    }
-
-    /// Always 0 with the `enabled` feature compiled out.
-    pub fn skipped(&self) -> u64 {
-        0
-    }
-
-    /// No-op copy with the `enabled` feature compiled out.
-    pub fn deep_clone(&self) -> Spans {
-        Spans
-    }
-
-    /// Always empty with the `enabled` feature compiled out.
-    pub fn finalized_events(&self, _now: SimTime) -> Vec<SpanEvent> {
-        Vec::new()
-    }
-
-    /// No-op.
-    pub fn mirror_into(&self, _reg: &Registry) {}
 }
 
 /// Close every open span in `events` (see [`Spans::finalized_events`]).

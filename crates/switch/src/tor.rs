@@ -152,6 +152,38 @@ pub struct TorCounters {
     pub tx_packets: u64,
 }
 
+impl TorCounters {
+    /// Every counter as a `(metric name, value)` pair, for telemetry
+    /// mirroring. The pattern has no `..`, so a counter added without a
+    /// name here does not build.
+    pub fn counter_pairs(&self) -> [(&'static str, u64); 10] {
+        let TorCounters {
+            enqueued,
+            delivered_local,
+            deferred,
+            defer_exhausted,
+            trimmed,
+            dropped_congestion,
+            dropped_capacity,
+            dropped_rank,
+            tx_bytes,
+            tx_packets,
+        } = *self;
+        [
+            ("tor.enqueued", enqueued),
+            ("tor.delivered_local", delivered_local),
+            ("tor.deferred", deferred),
+            ("tor.defer_exhausted", defer_exhausted),
+            ("tor.trimmed", trimmed),
+            ("tor.dropped_congestion", dropped_congestion),
+            ("tor.dropped_capacity", dropped_capacity),
+            ("tor.dropped_rank", dropped_rank),
+            ("tor.tx_bytes", tx_bytes),
+            ("tor.tx_packets", tx_packets),
+        ]
+    }
+}
+
 /// Live registry instruments of one switch. Detached (free) by default;
 /// [`ToRSwitch::attach_telemetry`] binds them to a registry.
 #[derive(Clone, Debug, Default)]

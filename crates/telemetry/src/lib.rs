@@ -20,12 +20,19 @@
 //!   keyed by `(static name, typed labels)`; JSON/CSV renderings iterate in
 //!   that order and contain no floats, pointers, or wall-clock residue.
 //!
+//! The crate also hosts [`json`], the workspace's one JSON layer (parser,
+//! streaming writer, path-carrying field reader): it is the lowest crate
+//! that renders JSON, and every crate above it reads and writes through it.
+//!
 //! Instruments are single-threaded by construction (`Rc`/`Cell`), matching
 //! the one-engine-per-worker execution model of the deterministic parallel
 //! runner.
 
 pub mod error;
 pub mod instruments;
+/// The workspace's one JSON layer: parser, streaming writer, path-carrying
+/// field reader.
+pub mod json;
 pub mod labels;
 pub mod registry;
 /// Deterministic fixed-bucket quantile sketch (p50/p99/p999 with a

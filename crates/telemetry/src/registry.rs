@@ -8,6 +8,7 @@ use std::rc::Rc;
 use openoptics_sim::time::SimTime;
 
 use crate::instruments::{Counter, Gauge, HistData, Histogram, HistogramSummary};
+use crate::json::{self, ToJson, Writer};
 use crate::labels::Labels;
 use crate::trace::Trace;
 
@@ -200,45 +201,7 @@ impl Snapshot {
     /// consumer), fields in a fixed order: byte-identical across identical
     /// runs and worker counts.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        let _ = write!(s, "{{\"at_ns\":{},\"counters\":{{", self.at.as_ns());
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{v}");
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{v}");
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                h.count, h.sum, h.min, h.max
-            );
-            for (j, (b, c)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{b},{c}]");
-            }
-            s.push_str("]}");
-        }
-        let _ = write!(
-            s,
-            "}},\"trace\":{{\"len\":{},\"dropped\":{}}}}}",
-            self.trace_len, self.trace_dropped
-        );
-        s
+        json::render(self)
     }
 
     /// CSV with header `type,name,field,value`, one row per scalar.
@@ -266,6 +229,44 @@ impl Snapshot {
         let _ = writeln!(s, "meta,trace,len,{}", self.trace_len);
         let _ = writeln!(s, "meta,trace,dropped,{}", self.trace_dropped);
         s
+    }
+}
+
+impl ToJson for Snapshot {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("at_ns", self.at.as_ns());
+            w.key("counters");
+            w.obj(|w| self.counters.iter().for_each(|(name, v)| w.field(name, v)));
+            w.key("gauges");
+            w.obj(|w| self.gauges.iter().for_each(|(name, v)| w.field(name, v)));
+            w.key("histograms");
+            w.obj(|w| {
+                for (name, h) in &self.histograms {
+                    w.key(name);
+                    w.obj(|w| {
+                        w.field("count", h.count);
+                        w.field("sum", h.sum);
+                        w.field("min", h.min);
+                        w.field("max", h.max);
+                        w.key("buckets");
+                        w.arr(|w| {
+                            for &(bucket, count) in &h.buckets {
+                                w.arr(|w| {
+                                    w.value(bucket);
+                                    w.value(count);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("trace");
+            w.obj(|w| {
+                w.field("len", self.trace_len);
+                w.field("dropped", self.trace_dropped);
+            });
+        });
     }
 }
 

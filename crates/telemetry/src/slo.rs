@@ -24,8 +24,7 @@
 //! Everything is integer arithmetic on sim-time values, so SLO state is
 //! byte-identical at any worker count.
 
-use std::fmt::Write as _;
-
+use crate::json::{self, ToJson, Writer};
 use crate::sketch::QuantileSketch;
 
 /// A declared latency objective for one service.
@@ -216,21 +215,25 @@ pub struct SloSummary {
 impl SloSummary {
     /// Render as one JSON object with a stable field order.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        let _ = write!(
-            s,
-            "{{\"service\":\"{}\",\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{}",
-            self.service, self.count, self.p50_ns, self.p99_ns, self.p999_ns
-        );
-        if self.has_target {
-            let _ = write!(
-                s,
-                ",\"bad\":{},\"bad_in_fault\":{},\"burn_milli\":{},\"breached\":{}",
-                self.bad, self.bad_in_fault, self.burn_milli, self.breached
-            );
-        }
-        s.push('}');
-        s
+        json::render(self)
+    }
+}
+
+impl ToJson for SloSummary {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("service", &self.service);
+            w.field("count", self.count);
+            w.field("p50_ns", self.p50_ns);
+            w.field("p99_ns", self.p99_ns);
+            w.field("p999_ns", self.p999_ns);
+            if self.has_target {
+                w.field("bad", self.bad);
+                w.field("bad_in_fault", self.bad_in_fault);
+                w.field("burn_milli", self.burn_milli);
+                w.field("breached", self.breached);
+            }
+        });
     }
 }
 

@@ -9,8 +9,7 @@
 //! and rendered with stable field order, so the series and the frame
 //! stream are byte-identical at any `--jobs` count.
 
-use std::fmt::Write as _;
-
+use crate::json::{self, ToJson, Writer};
 use crate::slo::SloSummary;
 
 /// One sampling instant: every counter/gauge plus per-service summaries.
@@ -29,30 +28,21 @@ pub struct SampleRow {
 impl SampleRow {
     /// Render as one JSON frame line with a stable field order.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        let _ = write!(s, "{{\"frame\":\"sample\",\"t_ns\":{},\"counters\":{{", self.at_ns);
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{v}");
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{name}\":{v}");
-        }
-        s.push_str("},\"services\":[");
-        for (i, svc) in self.services.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&svc.to_json());
-        }
-        s.push_str("]}");
-        s
+        json::render(self)
+    }
+}
+
+impl ToJson for SampleRow {
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("frame", "sample");
+            w.field("t_ns", self.at_ns);
+            w.key("counters");
+            w.obj(|w| self.counters.iter().for_each(|(name, v)| w.field(name, v)));
+            w.key("gauges");
+            w.obj(|w| self.gauges.iter().for_each(|(name, v)| w.field(name, v)));
+            w.field("services", &self.services);
+        });
     }
 }
 

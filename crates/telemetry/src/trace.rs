@@ -7,11 +7,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::rc::Rc;
 
 use openoptics_proto::{FlowId, HostId, NodeId, PortId};
 use openoptics_sim::time::{SimTime, SliceIndex};
+
+use crate::json::{self, ToJson, Writer};
 
 /// Which retransmission mechanism fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,56 +141,66 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Render as one JSON object with a stable field order. No wildcard arm
-    /// is allowed, so a new variant without a field renderer does not build.
-    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    /// Render as one JSON object with a stable field order.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(96);
-        let _ = write!(s, "{{\"t_ns\":{},\"event\":\"{}\"", self.t.as_ns(), self.kind.name());
-        match self.kind {
-            TraceKind::SliceRotate { node, slice } => {
-                let _ = write!(s, ",\"node\":{},\"slice\":{}", node.0, slice);
+        json::render(self)
+    }
+}
+
+impl ToJson for TraceRecord {
+    /// No wildcard arm is allowed, so a new variant without a field
+    /// renderer does not build.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+    fn write_json(&self, w: &mut Writer) {
+        w.obj(|w| {
+            w.field("t_ns", self.t.as_ns());
+            w.field("event", self.kind.name());
+            match self.kind {
+                TraceKind::SliceRotate { node, slice } => {
+                    w.field("node", node.0);
+                    w.field("slice", slice);
+                }
+                TraceKind::GuardbandHold { node, port }
+                | TraceKind::SliceMiss { node, port }
+                | TraceKind::GuardbandDrop { node, port }
+                | TraceKind::NoCircuitDrop { node, port }
+                | TraceKind::FaultDrop { node, port }
+                | TraceKind::FaultInject { node, port }
+                | TraceKind::FaultClear { node, port } => {
+                    w.field("node", node.0);
+                    w.field("port", port.0);
+                }
+                TraceKind::EqoSample { node, port, queue, estimate_bytes, actual_bytes } => {
+                    w.field("node", node.0);
+                    w.field("port", port.0);
+                    w.field("queue", queue);
+                    w.field("estimate_bytes", estimate_bytes);
+                    w.field("actual_bytes", actual_bytes);
+                }
+                TraceKind::PushbackAssert { node, dst, slice, cycle }
+                | TraceKind::PushbackDeassert { node, dst, slice, cycle } => {
+                    w.field("node", node.0);
+                    w.field("dst", dst.0);
+                    w.field("slice", slice);
+                    w.field("cycle", cycle);
+                }
+                TraceKind::FlowPause { host, dst } | TraceKind::FlowResume { host, dst } => {
+                    w.field("host", host.0);
+                    w.field("dst", dst.0);
+                }
+                TraceKind::Retransmit { flow, kind } => {
+                    w.field("flow", flow);
+                    w.field("kind", kind.as_str());
+                }
+                TraceKind::SloBreach { service } | TraceKind::SloRecover { service } => {
+                    w.field("service", service);
+                }
+                TraceKind::FlightDump { trigger, records } => {
+                    w.field("trigger", trigger.as_str());
+                    w.field("records", records);
+                }
             }
-            TraceKind::GuardbandHold { node, port }
-            | TraceKind::SliceMiss { node, port }
-            | TraceKind::GuardbandDrop { node, port }
-            | TraceKind::NoCircuitDrop { node, port }
-            | TraceKind::FaultDrop { node, port }
-            | TraceKind::FaultInject { node, port }
-            | TraceKind::FaultClear { node, port } => {
-                let _ = write!(s, ",\"node\":{},\"port\":{}", node.0, port.0);
-            }
-            TraceKind::EqoSample { node, port, queue, estimate_bytes, actual_bytes } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{},\"port\":{},\"queue\":{},\"estimate_bytes\":{},\
-                     \"actual_bytes\":{}",
-                    node.0, port.0, queue, estimate_bytes, actual_bytes
-                );
-            }
-            TraceKind::PushbackAssert { node, dst, slice, cycle }
-            | TraceKind::PushbackDeassert { node, dst, slice, cycle } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":{},\"dst\":{},\"slice\":{},\"cycle\":{}",
-                    node.0, dst.0, slice, cycle
-                );
-            }
-            TraceKind::FlowPause { host, dst } | TraceKind::FlowResume { host, dst } => {
-                let _ = write!(s, ",\"host\":{},\"dst\":{}", host.0, dst.0);
-            }
-            TraceKind::Retransmit { flow, kind } => {
-                let _ = write!(s, ",\"flow\":{},\"kind\":\"{}\"", flow, kind.as_str());
-            }
-            TraceKind::SloBreach { service } | TraceKind::SloRecover { service } => {
-                let _ = write!(s, ",\"service\":{service}");
-            }
-            TraceKind::FlightDump { trigger, records } => {
-                let _ = write!(s, ",\"trigger\":\"{}\",\"records\":{}", trigger.as_str(), records);
-            }
-        }
-        s.push('}');
-        s
+        });
     }
 }
 

@@ -3,11 +3,6 @@
 //! report exports at any worker count, the disabled-mode error surface,
 //! and the stage-tiling invariant (a delivered packet's stage durations
 //! sum to its end-to-end latency).
-//!
-//! The compile-time zero-cost proof (`size_of::<Spans>() == 0`, no `Drop`
-//! glue) lives in the `openoptics-obs` crate's own tests and runs with
-//! `cargo test -p openoptics-obs --no-default-features`; here the obs
-//! feature is on, so these tests cover the *runtime* contracts instead.
 
 use openoptics::core::{Error, NetConfig, OpenOpticsNet, TransportKind};
 use openoptics::obs::{build_forest, Spans, Stage};
