@@ -32,7 +32,7 @@ use openoptics_sim::time::{SimTime, SliceConfig};
 use openoptics_sim::{EventQueue, SimRng, World};
 use openoptics_switch::congestion::{CongestionConfig, CongestionPolicy};
 use openoptics_switch::offload::OffloadPolicy;
-use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
+use openoptics_switch::{IngressDecision, IngressResult, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::json;
 use openoptics_telemetry::{
     FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow, ServiceStats,
@@ -1156,9 +1156,7 @@ impl Engine {
             // tables are dropped so the next lookup recompiles against the
             // masked time-expanded graph (bounded by the router's hop
             // horizon — the reroute cannot wander).
-            for t in &mut self.tors {
-                t.tft_mut().clear();
-            }
+            self.invalidate_routes();
             if let Some(f) = &mut self.faults {
                 f.per_fault[idx].reroutes += 1;
             }
@@ -1218,7 +1216,13 @@ impl Engine {
         ta: bool,
     ) {
         self.router = Some(RouterSpec { algo, lookup, multipath, ta });
-        // Route tables derived from the old schedule/algorithm are stale.
+        self.invalidate_routes();
+    }
+
+    /// Drop every installed route: tables compiled against the old
+    /// schedule, algorithm or fault mask are stale, and the next lookup
+    /// miss recompiles lazily.
+    fn invalidate_routes(&mut self) {
         for t in &mut self.tors {
             t.tft_mut().clear();
         }
@@ -1256,9 +1260,7 @@ impl Engine {
     pub fn reconfigure_schedule(&mut self, schedule: OpticalSchedule, now: SimTime) -> SimTime {
         let done = self.fabric.reconfigure(schedule, now);
         self.fabric.set_dead_window_ns(self.cfg.fabric_dead_ns.min(self.slice_cfg.slice_ns / 2));
-        for t in &mut self.tors {
-            t.tft_mut().clear();
-        }
+        self.invalidate_routes();
         // Link-down masks derived from the old schedule are stale; rebuild
         // (they refresh again at the next fault window edge).
         self.rebuild_fault_masks();
@@ -1288,6 +1290,13 @@ impl Engine {
     /// The ToR a host hangs off.
     pub fn host_tor(&self, host: HostId) -> NodeId {
         self.hosts[host.index()].tor
+    }
+
+    /// The hosts hanging off `node`: host `h` sits under ToR
+    /// `h / hosts_per_node`, so they are one contiguous id range.
+    pub fn hosts_of(&self, node: NodeId) -> std::ops::Range<u32> {
+        let per = self.cfg.hosts_per_node;
+        node.0 * per..(node.0 + 1) * per
     }
 
     /// Per-port transmitted bytes (`bw_usage`).
@@ -1884,14 +1893,9 @@ impl Engine {
     /// (DirectCircuit pause mode — the flow-pausing service fed by circuit
     /// notifications).
     fn refresh_pause_state(&mut self, node: NodeId, slice: u32, now: SimTime) {
-        let hosts: Vec<HostId> = (0..self.cfg.total_hosts())
-            .map(HostId)
-            .filter(|h| self.hosts[h.index()].tor == node)
-            .collect();
-        let dsts: Vec<NodeId> = (0..self.cfg.node_num).map(NodeId).collect();
         let tracing = self.trace.is_on();
-        for h in hosts {
-            for &d in &dsts {
+        for h in self.hosts_of(node).map(HostId) {
+            for d in (0..self.cfg.node_num).map(NodeId) {
                 if d == node {
                     continue;
                 }
@@ -1992,27 +1996,32 @@ impl Engine {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let src_tor_of_pkt = pkt.src;
-        let dst = pkt.dst;
-        let pid = pkt.id;
-        let res = self.tors[node.index()].ingress(pkt, now);
+        let (src_tor, dst, pid) = (pkt.src, pkt.dst, pkt.id);
+        let mut res = self.tors[node.index()].ingress(pkt, now);
+        if let IngressDecision::NoRoute(unrouted) = res.decision {
+            // Table miss (reported before admission, so it never carries a
+            // push-back): compile routes for this (node, dst) lazily and
+            // retry once with the fresh entries.
+            debug_assert!(res.pushback.is_none());
+            res = if self.install_routes_for(node, dst) {
+                self.tors[node.index()].ingress(unrouted, now)
+            } else {
+                IngressResult { decision: IngressDecision::NoRoute(unrouted), pushback: None }
+            };
+        }
         if let Some(msg) = res.pushback {
             // Broadcast to the sender ToR's hosts after a control RTT.
-            let hosts: Vec<HostId> = (0..self.cfg.total_hosts())
-                .map(HostId)
-                .filter(|h| self.hosts[h.index()].tor == src_tor_of_pkt)
-                .collect();
-            for h in hosts {
+            for h in self.hosts_of(src_tor).map(HostId) {
                 q.schedule_after(now, 2_000, Event::HostControl(h, msg.clone()));
             }
         }
         match res.decision {
             IngressDecision::DeliverLocal(p) => {
                 let host = p.dst_host;
-                if host.0 == u32::MAX {
-                    return; // control packet addressed to the switch itself
+                // `u32::MAX`: a control packet addressed to the switch itself.
+                if host.0 != u32::MAX {
+                    self.to_downlink(host, p, now, q);
                 }
-                self.to_downlink(host, p, now, q);
             }
             IngressDecision::Enqueued { port, .. } | IngressDecision::Trimmed { port, .. } => {
                 self.obs.open(pid, Stage::CalendarWait, now);
@@ -2026,55 +2035,13 @@ impl Engine {
                     self.schedule_recall(node, t.max(now), q);
                 }
             }
-            IngressDecision::Dropped(reason) => {
+            IngressDecision::Dropped(_) => {
                 self.counters.switch_drops += 1;
                 self.obs.dropped(pid, now, 1);
-                let _ = reason;
             }
-            IngressDecision::NoRoute(p) => {
-                if self.install_routes_for(node, dst) {
-                    // Retry once with fresh entries.
-                    let res2 = self.tors[node.index()].ingress(p, now);
-                    match res2.decision {
-                        IngressDecision::DeliverLocal(p2) => {
-                            let host = p2.dst_host;
-                            self.to_downlink(host, p2, now, q);
-                        }
-                        IngressDecision::Enqueued { port, .. }
-                        | IngressDecision::Trimmed { port, .. } => {
-                            self.obs.open(pid, Stage::CalendarWait, now);
-                            if self.tors[node.index()].has_active_traffic(port) {
-                                self.kick_port(node, port, now, q);
-                            }
-                        }
-                        IngressDecision::Offloaded { .. } => {
-                            self.obs.open(pid, Stage::CalendarWait, now);
-                            if let Some(t) = self.tors[node.index()].next_offload_recall() {
-                                self.schedule_recall(node, t.max(now), q);
-                            }
-                        }
-                        IngressDecision::Dropped(_) => {
-                            self.counters.switch_drops += 1;
-                            self.obs.dropped(pid, now, 1);
-                        }
-                        IngressDecision::NoRoute(_) => {
-                            self.counters.no_route_drops += 1;
-                            self.obs.dropped(pid, now, 2);
-                        }
-                    }
-                    if let Some(msg) = res2.pushback {
-                        let hosts: Vec<HostId> = (0..self.cfg.total_hosts())
-                            .map(HostId)
-                            .filter(|h| self.hosts[h.index()].tor == src_tor_of_pkt)
-                            .collect();
-                        for h in hosts {
-                            q.schedule_after(now, 2_000, Event::HostControl(h, msg.clone()));
-                        }
-                    }
-                } else {
-                    self.counters.no_route_drops += 1;
-                    self.obs.dropped(pid, now, 2);
-                }
+            IngressDecision::NoRoute(_) => {
+                self.counters.no_route_drops += 1;
+                self.obs.dropped(pid, now, 2);
             }
         }
     }
@@ -2241,11 +2208,7 @@ impl Engine {
         }
         let upcoming = self.slice_cfg.advance(self.tors[node.index()].current_slice(), 1);
         self.refresh_pause_state(node, upcoming, now);
-        let hosts: Vec<HostId> = (0..self.cfg.total_hosts())
-            .map(HostId)
-            .filter(|h| self.hosts[h.index()].tor == node)
-            .collect();
-        for h in hosts {
+        for h in self.hosts_of(node).map(HostId) {
             self.counters.circuit_notifications += 1;
             if self.hosts[h.index()].vma.has_sendable(now)
                 || self.hosts[h.index()].vma_mice.has_sendable(now)

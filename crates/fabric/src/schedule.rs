@@ -56,8 +56,8 @@ pub struct OpticalSchedule {
     cfg: SliceConfig,
     num_nodes: u32,
     uplinks: u16,
-    /// `table[slice][node * uplinks + port]` = peer, if lit.
-    table: Vec<Vec<Option<(NodeId, PortId)>>>,
+    /// `table[(slice * num_nodes + node) * uplinks + port]` = peer, if lit.
+    table: Vec<Option<(NodeId, PortId)>>,
     circuits: Vec<Circuit>,
 }
 
@@ -69,8 +69,14 @@ impl OpticalSchedule {
         uplinks: u16,
         circuits: &[Circuit],
     ) -> Result<Self, ScheduleError> {
-        let slots = num_nodes as usize * uplinks as usize;
-        let mut table = vec![vec![None; slots]; cfg.num_slices as usize];
+        let slots = num_nodes as usize * uplinks as usize * cfg.num_slices as usize;
+        let mut sched = OpticalSchedule {
+            cfg,
+            num_nodes,
+            uplinks,
+            table: vec![None; slots],
+            circuits: circuits.to_vec(),
+        };
 
         for &c in circuits {
             if c.is_loopback() {
@@ -87,15 +93,12 @@ impl OpticalSchedule {
                     return Err(ScheduleError::SliceOutOfRange { circuit: c });
                 }
             }
-            let slices: Vec<SliceIndex> = match c.slice {
-                Some(ts) => vec![ts],
-                None => (0..cfg.num_slices).collect(),
-            };
-            for ts in slices {
+            for ts in c.slice.map_or(0..cfg.num_slices, |ts| ts..ts + 1) {
                 for (n, p, peer, peer_p) in
                     [(c.a, c.a_port, c.b, c.b_port), (c.b, c.b_port, c.a, c.a_port)]
                 {
-                    let slot = &mut table[ts as usize][n.index() * uplinks as usize + p.index()];
+                    let at = sched.row(n, ts) + p.index();
+                    let slot = &mut sched.table[at];
                     if slot.is_some() {
                         return Err(ScheduleError::PortConflict { node: n, port: p, slice: ts });
                     }
@@ -104,7 +107,14 @@ impl OpticalSchedule {
             }
         }
 
-        Ok(OpticalSchedule { cfg, num_nodes, uplinks, table, circuits: circuits.to_vec() })
+        Ok(sched)
+    }
+
+    /// Where the ports of `node` during `slice` start in `table`.
+    #[inline]
+    fn row(&self, node: NodeId, slice: SliceIndex) -> usize {
+        debug_assert!(node.0 < self.num_nodes, "node {node} out of range");
+        (slice as usize * self.num_nodes as usize + node.index()) * self.uplinks as usize
     }
 
     /// An empty schedule (no circuits) — the state before any deploy.
@@ -132,26 +142,37 @@ impl OpticalSchedule {
         &self.circuits
     }
 
+    /// The ports of `node` during `slice`, indexed by local port.
+    #[inline]
+    fn ports(&self, node: NodeId, slice: SliceIndex) -> &[Option<(NodeId, PortId)>] {
+        let at = self.row(node, slice);
+        &self.table[at..at + self.uplinks as usize]
+    }
+
     /// The peer of `(node, port)` during `slice`, if the port is lit.
     #[inline]
     pub fn peer(&self, node: NodeId, port: PortId, slice: SliceIndex) -> Option<(NodeId, PortId)> {
-        self.table[slice as usize][node.index() * self.uplinks as usize + port.index()]
+        self.ports(node, slice)[port.index()]
     }
 
-    /// All neighbors of `node` in `slice`: `(local port, peer node)` pairs.
+    /// All neighbors of `node` in `slice`: `(local port, peer node)` pairs
+    /// in ascending port order, borrowed from the schedule (no allocation).
     /// This is the `neighbors()` helper of Table 1.
-    pub fn neighbors(&self, node: NodeId, slice: SliceIndex) -> Vec<(PortId, NodeId)> {
+    #[inline]
+    pub fn neighbors(
+        &self,
+        node: NodeId,
+        slice: SliceIndex,
+    ) -> impl Iterator<Item = (PortId, NodeId)> + '_ {
         (0..self.uplinks)
-            .filter_map(|p| self.peer(node, PortId(p), slice).map(|(peer, _)| (PortId(p), peer)))
-            .collect()
+            .zip(self.ports(node, slice))
+            .filter_map(|(p, lit)| lit.map(|(peer, _)| (PortId(p), peer)))
     }
 
     /// The local egress port on `node` that reaches `dst` directly in
     /// `slice`, if a circuit exists.
     pub fn port_to(&self, node: NodeId, dst: NodeId, slice: SliceIndex) -> Option<PortId> {
-        (0..self.uplinks)
-            .map(PortId)
-            .find(|&p| self.peer(node, p, slice).map(|(peer, _)| peer == dst).unwrap_or(false))
+        self.neighbors(node, slice).find(|&(_, peer)| peer == dst).map(|(port, _)| port)
     }
 
     /// All slices (cycle-relative, ascending) in which `a` and `b` share a
@@ -161,16 +182,18 @@ impl OpticalSchedule {
     }
 
     /// The first slice `>= from` (wrapping the cycle) with a direct circuit
-    /// `a <-> b`, with the number of slices waited, if any exists in the cycle.
+    /// `a <-> b`: `(slice, slices waited, a's egress port)`, if any exists
+    /// in the cycle.
     pub fn first_slice_connecting(
         &self,
         a: NodeId,
         b: NodeId,
         from: SliceIndex,
-    ) -> Option<(SliceIndex, u32)> {
-        (0..self.cfg.num_slices)
-            .map(|d| (self.cfg.advance(from, d), d))
-            .find(|&(ts, _)| self.port_to(a, b, ts).is_some())
+    ) -> Option<(SliceIndex, u32, PortId)> {
+        (0..self.cfg.num_slices).find_map(|d| {
+            let ts = self.cfg.advance(from, d);
+            self.port_to(a, b, ts).map(|port| (ts, d, port))
+        })
     }
 
     /// Whether every node can reach every other node using circuits of a
@@ -202,7 +225,7 @@ impl OpticalSchedule {
     pub fn cycle_covers_all_pairs(&self) -> bool {
         for a in 0..self.num_nodes {
             for b in 0..self.num_nodes {
-                if a != b && self.slices_connecting(NodeId(a), NodeId(b)).is_empty() {
+                if a != b && self.first_slice_connecting(NodeId(a), NodeId(b), 0).is_none() {
                     return false;
                 }
             }
@@ -212,7 +235,7 @@ impl OpticalSchedule {
 
     /// Total circuits lit in a given slice.
     pub fn circuits_in_slice(&self, slice: SliceIndex) -> usize {
-        self.table[slice as usize].iter().flatten().count() / 2
+        (0..self.num_nodes).map(|n| self.neighbors(NodeId(n), slice).count()).sum::<usize>() / 2
     }
 }
 
@@ -268,8 +291,8 @@ mod tests {
     fn first_slice_connecting_wraps() {
         let s = OpticalSchedule::build(cfg(3), 4, 1, &rr4()).unwrap();
         // 0<->1 only in slice 0; from slice 1 we wait 2 slices.
-        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 1), Some((0, 2)));
-        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 0), Some((0, 0)));
+        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 1), Some((0, 2, PortId(0))));
+        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 0), Some((0, 0, PortId(0))));
     }
 
     #[test]
@@ -341,9 +364,9 @@ mod tests {
     #[test]
     fn neighbors_lists_lit_ports() {
         let s = OpticalSchedule::build(cfg(3), 4, 1, &rr4()).unwrap();
-        assert_eq!(s.neighbors(NodeId(0), 1), vec![(PortId(0), NodeId(2))]);
+        assert_eq!(s.neighbors(NodeId(0), 1).collect::<Vec<_>>(), vec![(PortId(0), NodeId(2))]);
         let empty = OpticalSchedule::empty(cfg(3), 4, 1);
-        assert!(empty.neighbors(NodeId(0), 0).is_empty());
+        assert_eq!(empty.neighbors(NodeId(0), 0).count(), 0);
         assert!(!empty.cycle_covers_all_pairs());
     }
 }

@@ -132,15 +132,12 @@ impl RoutingAlgorithm for Direct {
     ) -> Vec<Path> {
         match arr {
             Some(ts) => match schedule.first_slice_connecting(src, dst, ts) {
-                Some((dep, _)) => {
-                    let port = schedule.port_to(src, dst, dep).expect("circuit just found");
-                    vec![Path {
-                        src,
-                        dst,
-                        arr_slice: Some(ts),
-                        hops: vec![PathHop { node: src, port, dep_slice: Some(dep) }],
-                    }]
-                }
+                Some((dep, _, port)) => vec![Path {
+                    src,
+                    dst,
+                    arr_slice: Some(ts),
+                    hops: vec![PathHop { node: src, port, dep_slice: Some(dep) }],
+                }],
                 None => vec![],
             },
             None => match schedule.port_to(src, dst, 0) {
@@ -425,7 +422,7 @@ impl RoutingAlgorithm for Vlb {
         // has no circuit in the arrival slice it waits for its next one.
         let ts = (0..cfg.num_slices)
             .map(|d| cfg.advance(ts0, d))
-            .find(|&t| !schedule.neighbors(src, t).is_empty())
+            .find(|&t| schedule.neighbors(src, t).next().is_some())
             .unwrap_or(ts0);
         let mut out = Vec::new();
         for (port, inter) in schedule.neighbors(src, ts) {
@@ -442,8 +439,7 @@ impl RoutingAlgorithm for Vlb {
             // Second hop: wait at `inter` for its direct circuit to dst,
             // searching from the slice the packet lands in (it can depart
             // within the same slice if the circuit exists right now).
-            if let Some((dep2, _)) = schedule.first_slice_connecting(inter, dst, ts) {
-                let port2 = schedule.port_to(inter, dst, dep2).expect("just found");
+            if let Some((dep2, _, port2)) = schedule.first_slice_connecting(inter, dst, ts) {
                 out.push(Path {
                     src,
                     dst,
@@ -543,15 +539,13 @@ impl RoutingAlgorithm for Ucmp {
         arr: Option<SliceIndex>,
     ) -> Vec<Path> {
         let ts = arr.expect("UCMP is a TO scheme; arrival slice required");
-        let cfg = schedule.slice_config();
         let info = earliest_arrival(schedule, src, ts, self.max_hops);
         let Some(best_delta) = info.delta_to(dst) else { return vec![] };
 
         let mut out = Vec::new();
         // Direct candidate.
-        if let Some((dep, wait)) = schedule.first_slice_connecting(src, dst, ts) {
+        if let Some((dep, wait, port)) = schedule.first_slice_connecting(src, dst, ts) {
             if wait == best_delta {
-                let port = schedule.port_to(src, dst, dep).expect("found");
                 out.push(Path {
                     src,
                     dst,
@@ -567,9 +561,8 @@ impl RoutingAlgorithm for Ucmp {
             if inter == dst {
                 continue; // covered by the direct candidate (wait == 0)
             }
-            if let Some((dep2, wait2)) = schedule.first_slice_connecting(inter, dst, ts) {
+            if let Some((dep2, wait2, port2)) = schedule.first_slice_connecting(inter, dst, ts) {
                 if wait2 == best_delta {
-                    let port2 = schedule.port_to(inter, dst, dep2).expect("found");
                     out.push(Path {
                         src,
                         dst,
@@ -591,7 +584,6 @@ impl RoutingAlgorithm for Ucmp {
                 out.push(p);
             }
         }
-        let _ = cfg;
         out.truncate(self.max_paths);
         out
     }

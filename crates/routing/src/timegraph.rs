@@ -5,8 +5,13 @@
 //! slices elapsed since arrival at the source; transitions are *wait*
 //! (`delta + 1`, same node) and *traverse* (any circuit lit in slice
 //! `arr + delta`, same `delta` — fabric transit is orders of magnitude
-//! shorter than a slice). The search minimizes `(delta, hops)`
-//! lexicographically, i.e. earliest arrival first, fewest hops among those.
+//! shorter than a slice). Each node keeps the lexicographically least
+//! `(delta, hops)` label the sweep finds — earliest arrival first, then
+//! fewest hops. `delta` is the true earliest arrival whenever the hop
+//! budget cannot bind (`max_hops >= n - 1`, or `1`); with a binding budget
+//! the one-label-per-node search is greedy and may label a node later than
+//! a hop-constrained optimum would (DESIGN.md, "Route computation"; the
+//! tests pin both statements against a brute force).
 
 use crate::path::{Path, PathHop};
 use openoptics_fabric::OpticalSchedule;
@@ -17,27 +22,27 @@ use openoptics_sim::time::SliceIndex;
 /// Result of the earliest-arrival sweep from one source/arrival slice.
 ///
 /// All state is behind accessors: [`best`](Self::best) for the
-/// `(delta, hops)` optimum of a node, [`prev_hop`](Self::prev_hop) for the
-/// predecessor edge on an optimal path, and
-/// [`reconstruct_path`](Self::reconstruct_path) to materialize the full
-/// [`Path`] — so the sweep's internal vectors can change representation
-/// without breaking callers.
-#[derive(Clone, Debug)]
+/// `(delta, hops)` label of a node, [`prev_hop`](Self::prev_hop) for the
+/// predecessor edge on the labelled path, and [`path_to`](Self::path_to) to
+/// materialize the full [`Path`] — so the sweep's internal vectors can
+/// change representation without breaking callers.
+#[derive(Clone, Debug, PartialEq)]
 pub struct EarliestInfo {
-    /// `best[node] = (delta, hops)` — earliest slice offset and the fewest
-    /// hops achieving it; `None` if unreachable within the horizon.
+    /// `best[node] = (delta, hops)` — earliest slice offset found and the
+    /// hops of the path that achieves it; `None` if unreachable within the
+    /// horizon.
     best: Vec<Option<(u32, u32)>>,
     /// Predecessor for path reconstruction: `prev[node] =
-    /// (prev_node, port, dep_slice)` on an optimal path.
+    /// (prev_node, port, dep_slice)` on the labelled path.
     prev: Vec<Option<(NodeId, PortId, SliceIndex)>>,
     src: NodeId,
     arr: SliceIndex,
 }
 
-/// Sweep the time-expanded graph from `(src, arr)` out to `max_delta`
-/// slices and `max_hops` hops. `max_delta` defaults sensibly to one full
-/// cycle — waiting longer than a cycle can never improve arrival time on a
-/// periodic schedule.
+/// Sweep the time-expanded graph from `(src, arr)` within `max_hops` hops.
+/// The horizon is one full cycle — waiting longer than a cycle can never
+/// improve arrival time on a periodic schedule — and the sweep stops as
+/// soon as every node is labelled.
 pub fn earliest_arrival(
     schedule: &OpticalSchedule,
     src: NodeId,
@@ -46,37 +51,50 @@ pub fn earliest_arrival(
 ) -> EarliestInfo {
     let n = schedule.num_nodes() as usize;
     let cfg = schedule.slice_config();
-    let max_delta = cfg.num_slices; // a full cycle horizon
     let mut best: Vec<Option<(u32, u32)>> = vec![None; n];
     let mut prev: Vec<Option<(NodeId, PortId, SliceIndex)>> = vec![None; n];
     best[src.index()] = Some((0, 0));
+    let mut unlabelled = n - 1;
+    // Label changed since the node last relayed in the current slice.
+    let mut dirty = vec![false; n];
 
-    // Sweep slices in order. Within slice `arr + delta`, any node already
-    // reached at delta' <= delta (it simply waited since) may traverse
-    // circuits lit in that slice; multi-hop within one slice is closed out
-    // by the inner fixpoint (Opera-style same-slice relays). Since deltas
-    // only grow and the per-slice closure is monotone, one forward sweep
-    // computes exact lexicographic (delta, hops) optima.
-    for delta in 0..=max_delta {
+    // Sweep slices in order. Within slice `arr + delta`, any node labelled
+    // at delta' <= delta (it simply waited since) may traverse circuits lit
+    // in that slice; multi-hop within one slice is closed out by the inner
+    // fixpoint (Opera-style same-slice relays), visiting nodes and ports in
+    // ascending order so ties resolve the same way every time. A label only
+    // ever improves, and a candidate minted at a later delta compares
+    // greater than every existing label — so once no node is unlabelled
+    // neither `best` nor `prev` can change again and the sweep is done.
+    for delta in 0..=cfg.num_slices {
+        if unlabelled == 0 {
+            break;
+        }
         let slice = cfg.advance(arr, delta);
+        // A new slice lights new circuits: every labelled node relays once.
+        // After that, relaying again from an unchanged label would offer
+        // its peers the same candidate they already declined.
+        dirty.fill(true);
         let mut progress = true;
         while progress {
             progress = false;
             for i in 0..n {
-                let Some((d0, h0)) = best[i] else { continue };
-                if d0 > delta || h0 >= max_hops {
+                if !std::mem::take(&mut dirty[i]) {
+                    continue;
+                }
+                let Some((_, h0)) = best[i] else { continue };
+                if h0 >= max_hops {
                     continue;
                 }
                 let node = NodeId(idx_u32(i));
+                let cand = (delta, h0 + 1);
                 for (port, peer) in schedule.neighbors(node, slice) {
-                    let cand = (delta, h0 + 1);
-                    let better = match best[peer.index()] {
-                        None => true,
-                        Some(cur) => cand < cur,
-                    };
-                    if better {
-                        best[peer.index()] = Some(cand);
+                    let label = &mut best[peer.index()];
+                    if label.is_none_or(|cur| cand < cur) {
+                        unlabelled -= usize::from(label.is_none());
+                        *label = Some(cand);
                         prev[peer.index()] = Some((node, port, slice));
+                        dirty[peer.index()] = true;
                         progress = true;
                     }
                 }
@@ -111,9 +129,9 @@ impl EarliestInfo {
         self.prev.get(node.index()).copied().flatten()
     }
 
-    /// Reconstruct the optimal path to `dst` by walking the predecessor
+    /// Reconstruct the labelled path to `dst` by walking the predecessor
     /// chain, if `dst` is reachable.
-    pub fn reconstruct_path(&self, dst: NodeId) -> Option<Path> {
+    pub fn path_to(&self, dst: NodeId) -> Option<Path> {
         self.best(dst)?;
         let mut hops_rev = Vec::new();
         let mut at = dst;
@@ -124,13 +142,6 @@ impl EarliestInfo {
         }
         hops_rev.reverse();
         Some(Path { src: self.src, dst, arr_slice: Some(self.arr), hops: hops_rev })
-    }
-
-    /// Reconstruct the optimal path to `dst`, if reachable. Alias of
-    /// [`reconstruct_path`](Self::reconstruct_path), kept for the
-    /// `earliest_path()` helper's historical name.
-    pub fn path_to(&self, dst: NodeId) -> Option<Path> {
-        self.reconstruct_path(dst)
     }
 
     /// Earliest arrival offset (slices after `arr`) for `dst`.
@@ -173,11 +184,65 @@ pub fn earliest_path(
     earliest_arrival(schedule, src, ts, max_hops).path_to(dst)
 }
 
+/// The sweep as it stood before it learned to stop early and skip clean
+/// nodes, code verbatim (every delta of the cycle, every labelled node in
+/// every pass): the oracle `earliest_arrival` must equal on `best` *and*
+/// `prev`.
+#[cfg(test)]
+fn earliest_arrival_reference(
+    schedule: &OpticalSchedule,
+    src: NodeId,
+    arr: SliceIndex,
+    max_hops: u32,
+) -> EarliestInfo {
+    let n = schedule.num_nodes() as usize;
+    let cfg = schedule.slice_config();
+    let max_delta = cfg.num_slices; // a full cycle horizon
+    let mut best: Vec<Option<(u32, u32)>> = vec![None; n];
+    let mut prev: Vec<Option<(NodeId, PortId, SliceIndex)>> = vec![None; n];
+    best[src.index()] = Some((0, 0));
+
+    for delta in 0..=max_delta {
+        let slice = cfg.advance(arr, delta);
+        let mut progress = true;
+        while progress {
+            progress = false;
+            for i in 0..n {
+                let Some((d0, h0)) = best[i] else { continue };
+                if d0 > delta || h0 >= max_hops {
+                    continue;
+                }
+                let node = NodeId(idx_u32(i));
+                for (port, peer) in schedule.neighbors(node, slice) {
+                    let cand = (delta, h0 + 1);
+                    let better = match best[peer.index()] {
+                        None => true,
+                        Some(cur) => cand < cur,
+                    };
+                    if better {
+                        best[peer.index()] = Some(cand);
+                        prev[peer.index()] = Some((node, port, slice));
+                        progress = true;
+                    }
+                }
+            }
+        }
+    }
+    EarliestInfo { best, prev, src, arr }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use openoptics_fabric::Circuit;
     use openoptics_sim::time::SliceConfig;
+    use openoptics_topo::round_robin;
+    use proptest::prelude::*;
+
+    fn deploy(n: u32, uplinks: u16, slices: u32, circuits: &[Circuit]) -> OpticalSchedule {
+        OpticalSchedule::build(SliceConfig::new(1_000, slices, 100), n, uplinks, circuits)
+            .expect("schedule deploys")
+    }
 
     /// Fig. 2 schedule: ts0 {0-1, 2-3}, ts1 {0-2, 1-3}, ts2 {0-3, 1-2}.
     fn fig2() -> OpticalSchedule {
@@ -188,8 +253,7 @@ mod tests {
                 cs.push(Circuit::in_slice(NodeId(a), PortId(0), NodeId(b), PortId(0), idx_u32(ts)));
             }
         }
-        OpticalSchedule::build(SliceConfig::new(1_000, 3, 100), 4, 1, &cs)
-            .expect("schedule deploys")
+        deploy(4, 1, 3, &cs)
     }
 
     #[test]
@@ -241,10 +305,9 @@ mod tests {
         assert_eq!(info.best(NodeId(0)), Some((0, 0)));
         assert_eq!(info.prev_hop(NodeId(0)), None);
         // N1 is a slice-0 neighbor: its predecessor edge departs N0 in
-        // slice 0, and reconstruct_path agrees with path_to.
+        // slice 0.
         let (pnode, _, dep) = info.prev_hop(NodeId(1)).expect("N1 reachable");
         assert_eq!((pnode, dep), (NodeId(0), 0));
-        assert_eq!(info.reconstruct_path(NodeId(3)), info.path_to(NodeId(3)));
         // Out-of-range nodes answer None rather than panicking.
         assert_eq!(info.best(NodeId(99)), None);
         assert_eq!(info.prev_hop(NodeId(99)), None);
@@ -257,8 +320,7 @@ mod tests {
             Circuit::in_slice(NodeId(0), PortId(0), NodeId(1), PortId(0), 0),
             Circuit::in_slice(NodeId(1), PortId(1), NodeId(2), PortId(1), 0),
         ];
-        let s = OpticalSchedule::build(SliceConfig::new(1_000, 1, 100), 3, 2, &cs)
-            .expect("schedule deploys");
+        let s = deploy(3, 2, 1, &cs);
         let info = earliest_arrival(&s, NodeId(0), 0, 4);
         assert_eq!(info.best(NodeId(2)), Some((0, 2)));
         let p = info.path_to(NodeId(2)).expect("destination reachable");
@@ -271,8 +333,7 @@ mod tests {
     fn unreachable_is_none() {
         // Node 3 is isolated (no circuits touch it).
         let cs = vec![Circuit::in_slice(NodeId(0), PortId(0), NodeId(1), PortId(0), 0)];
-        let s = OpticalSchedule::build(SliceConfig::new(1_000, 2, 100), 4, 1, &cs)
-            .expect("schedule deploys");
+        let s = deploy(4, 1, 2, &cs);
         assert!(earliest_path(&s, NodeId(0), NodeId(3), 0, 8).is_none());
     }
 
@@ -290,11 +351,213 @@ mod tests {
                     let expect = s.first_slice_connecting(NodeId(src), NodeId(dst), arr);
                     assert_eq!(
                         info.delta_to(NodeId(dst)),
-                        expect.map(|(_, wait)| wait),
+                        expect.map(|(_, wait, _)| wait),
                         "src={src} dst={dst} arr={arr}"
                     );
                 }
             }
+        }
+    }
+
+    // -- oracles ------------------------------------------------------------
+
+    fn rr(n: u32, uplinks: u16) -> OpticalSchedule {
+        let (circuits, slices) = round_robin(n, uplinks);
+        deploy(n, uplinks, slices, &circuits)
+    }
+
+    /// `s` without the circuits touching `(node, port)` — how the engine's
+    /// `rebuild_fault_masks` derives the schedule routes compile against
+    /// while that link is down.
+    fn masked(s: &OpticalSchedule, node: NodeId, port: PortId) -> OpticalSchedule {
+        let kept: Vec<Circuit> =
+            s.circuits().iter().filter(|c| c.peer_of(node, port).is_none()).copied().collect();
+        deploy(s.num_nodes(), s.uplinks(), s.slice_config().num_slices, &kept)
+    }
+
+    /// A partial schedule from arbitrary `(a, b, a_port, b_port, slice)`
+    /// picks: a pick that would loop back or light a port twice is skipped,
+    /// and the last node never gets a circuit.
+    fn partial(
+        n: u32,
+        uplinks: u16,
+        slices: u32,
+        picks: &[(u32, u32, u16, u16, u32)],
+    ) -> OpticalSchedule {
+        let cfg = SliceConfig::new(1_000, slices, 100);
+        let mut kept = vec![];
+        for &(a, b, pa, pb, ts) in picks {
+            kept.push(Circuit::in_slice(
+                NodeId(a % (n - 1)),
+                PortId(pa % uplinks),
+                NodeId(b % (n - 1)),
+                PortId(pb % uplinks),
+                ts % slices,
+            ));
+            if OpticalSchedule::build(cfg, n, uplinks, &kept).is_err() {
+                kept.pop();
+            }
+        }
+        deploy(n, uplinks, slices, &kept)
+    }
+
+    /// Independent of the sweep's structure (by hop count, not by slice;
+    /// `peer`, not `neighbors`): `arrive[h][v]` is the earliest delta at
+    /// which a walk of exactly `h` hops from `(src, arr)` stands at `v`.
+    fn brute_force(
+        s: &OpticalSchedule,
+        src: NodeId,
+        arr: SliceIndex,
+        max_hops: u32,
+    ) -> Vec<Vec<Option<u32>>> {
+        let cfg = s.slice_config();
+        let n = s.num_nodes() as usize;
+        let mut arrive = vec![vec![None; n]; max_hops as usize + 1];
+        arrive[0][src.index()] = Some(0);
+        for h in 0..max_hops as usize {
+            for u in 0..n {
+                let Some(du) = arrive[h][u] else { continue };
+                for d in du..=cfg.num_slices {
+                    for p in 0..s.uplinks() {
+                        let lit = s.peer(NodeId(idx_u32(u)), PortId(p), cfg.advance(arr, d));
+                        if let Some((v, _)) = lit {
+                            let at = &mut arrive[h + 1][v.index()];
+                            *at = Some(at.map_or(d, |cur: u32| cur.min(d)));
+                        }
+                    }
+                }
+            }
+        }
+        arrive
+    }
+
+    /// New sweep == reference sweep, `best` and `prev`, at every arrival slice.
+    fn matches_reference(
+        s: &OpticalSchedule,
+        src: NodeId,
+        max_hops: u32,
+    ) -> Result<(), TestCaseError> {
+        for arr in 0..s.slice_config().num_slices {
+            prop_assert_eq!(
+                earliest_arrival(s, src, arr, max_hops),
+                earliest_arrival_reference(s, src, arr, max_hops),
+                "{s:?} src={src} arr={arr} max_hops={max_hops}"
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn sweep_equals_reference_at_paper_scale() -> Result<(), TestCaseError> {
+        let s = rr(108, 6);
+        for (src, max_hops) in [(0, 4), (53, 2), (107, 6)] {
+            matches_reference(&s, NodeId(src), max_hops)?;
+        }
+        matches_reference(&masked(&s, NodeId(0), PortId(2)), NodeId(0), 4)
+    }
+
+    /// The sweep is a greedy label-setting search, not the hop-constrained
+    /// optimum: a node keeps only its least `(delta, hops)` label, so once
+    /// that label has spent the hop budget the node stops relaying even if a
+    /// later-but-shorter way to reach it could still go on. Pinned here so
+    /// that closing the gap (it moves HOHO/UCMP path choice) is a reviewed
+    /// diff; [`sweep_is_sound_and_exact_when_the_budget_does_not_bind`]
+    /// states what does hold.
+    #[test]
+    fn binding_hop_budget_can_label_later_than_the_optimum() {
+        let s = rr(8, 2);
+        let (src, arr, dst, max_hops) = (NodeId(0), 3, NodeId(4), 2);
+        assert_eq!(earliest_arrival(&s, src, arr, max_hops).best(dst), Some((2, 2)));
+        assert_eq!(brute_force(&s, src, arr, max_hops)[2][dst.index()], Some(1));
+    }
+
+    /// What the labels promise, against the brute force, from every source
+    /// at every arrival slice of `s`.
+    fn sound_and_exact(s: &OpticalSchedule, max_hops: u32) -> Result<(), TestCaseError> {
+        let cfg = s.slice_config();
+        let n = s.num_nodes();
+        for (src, arr) in (0..n).flat_map(|src| (0..cfg.num_slices).map(move |arr| (src, arr))) {
+            let info = earliest_arrival(s, NodeId(src), arr, max_hops);
+            let arrive = brute_force(s, NodeId(src), arr, max_hops);
+            for v in (0..n).map(NodeId) {
+                let at = || format!("{s:?} src={src} arr={arr} max_hops={max_hops} node={v}");
+                let earliest = arrive.iter().filter_map(|by_hops| by_hops[v.index()]).min();
+                if let Some((delta, hops)) = info.best(v) {
+                    // Sound: the label is a real walk — never earlier than
+                    // the optimum — and `path_to` is that walk.
+                    prop_assert!(hops <= max_hops, "{}: {hops} hops", at());
+                    let fastest = arrive[hops as usize][v.index()];
+                    prop_assert!(
+                        fastest.is_some_and(|d| d <= delta),
+                        "{}: {fastest:?} > {delta}",
+                        at()
+                    );
+                    let Some(path) = info.path_to(v) else {
+                        return Err(TestCaseError::fail(format!("{}: labelled but no path", at())));
+                    };
+                    prop_assert!(v.0 == src || path.validate(s).is_ok(), "{}: {path:?}", at());
+                    prop_assert_eq!(path.hops.len(), hops as usize, "{}: {path:?}", at());
+                    let landed = path.hops.last().map_or(Some(arr), |hop| hop.dep_slice);
+                    prop_assert_eq!(landed, Some(cfg.advance(arr, delta)), "{}: {path:?}", at());
+                }
+                // Exact: with no relays, or a budget no simple path can
+                // exhaust, delta is the true earliest arrival.
+                if max_hops == 1 || max_hops >= n - 1 {
+                    prop_assert_eq!(info.delta_to(v), earliest, "{}", at());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn sweep_equals_reference_on_round_robin(
+            n in 2u32..=40,
+            uplinks in 1u16..=6,
+            src in 0u32..40,
+            max_hops in 1u32..=6,
+        ) {
+            matches_reference(&rr(n, uplinks), NodeId(src % n), max_hops)?;
+        }
+
+        #[test]
+        fn sweep_equals_reference_on_partial_schedules(
+            n in 2u32..=12,
+            uplinks in 1u16..=3,
+            slices in 1u32..=6,
+            picks in collection::vec((0u32..12, 0u32..12, 0u16..3, 0u16..3, 0u32..6), 0..40),
+            src in 0u32..12,
+            max_hops in 1u32..=6,
+        ) {
+            matches_reference(&partial(n, uplinks, slices, &picks), NodeId(src % n), max_hops)?;
+        }
+
+        #[test]
+        fn sweep_equals_reference_with_a_link_masked(
+            n in 3u32..=24,
+            uplinks in 1u16..=4,
+            down in 0usize..1024,
+            src in 0u32..24,
+            max_hops in 1u32..=6,
+        ) {
+            let s = rr(n, uplinks);
+            let down = s.circuits()[down % s.circuits().len()];
+            matches_reference(&masked(&s, down.a, down.a_port), NodeId(src % n), max_hops)?;
+        }
+
+        #[test]
+        fn sweep_is_sound_and_exact_when_the_budget_does_not_bind(
+            n in 2u32..=8,
+            uplinks in 1u16..=3,
+            slices in 1u32..=5,
+            picks in collection::vec((0u32..8, 0u32..8, 0u16..3, 0u16..3, 0u32..5), 0..30),
+            max_hops in 1u32..=8,
+        ) {
+            sound_and_exact(&rr(n, uplinks), max_hops)?;
+            sound_and_exact(&partial(n, uplinks, slices, &picks), max_hops)?;
         }
     }
 }

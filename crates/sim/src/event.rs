@@ -291,6 +291,7 @@ impl<E> EventQueue<E> {
     /// it in place of the `peek_time` + `pop` pair, halving the
     /// cursor-advance (`ensure_current`) work per delivered event — the
     /// dominant fixed cost of the hot loop once handlers are cheap.
+    #[inline]
     pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;

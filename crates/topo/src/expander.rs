@@ -113,7 +113,7 @@ mod tests {
         let s = schedule_of(12, 3);
         for ts in 0..s.slice_config().num_slices {
             for node in 0..12 {
-                assert_eq!(s.neighbors(NodeId(node), ts).len(), 3);
+                assert_eq!(s.neighbors(NodeId(node), ts).count(), 3);
             }
         }
     }

@@ -135,7 +135,7 @@ mod tests {
         let mesh = uniform_mesh(8, 3);
         let s = deployable(&mesh, 8, 3);
         for node in 0..8 {
-            assert_eq!(s.neighbors(NodeId(node), 0).len(), 3);
+            assert_eq!(s.neighbors(NodeId(node), 0).count(), 3);
         }
     }
 

@@ -189,7 +189,7 @@ mod tests {
         let sched = OpticalSchedule::build(cfg, 8, 2, &circuits).unwrap();
         for ts in 0..slices {
             for node in 0..8 {
-                assert_eq!(sched.neighbors(NodeId(node), ts).len(), 2, "node {node} ts {ts}");
+                assert_eq!(sched.neighbors(NodeId(node), ts).count(), 2, "node {node} ts {ts}");
             }
         }
     }

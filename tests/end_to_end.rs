@@ -9,6 +9,7 @@ use openoptics::proto::{HostId, NodeId};
 use openoptics::routing::algos::{Direct, Hoho, Ucmp, Vlb};
 use openoptics::routing::{LookupMode, MultipathMode, RoutingAlgorithm};
 use openoptics::sim::time::SimTime;
+use openoptics::workload::{PoissonArrivals, Trace};
 use openoptics_host::tcp::TcpConfig;
 
 fn cfg(n: u32, uplinks: u16, slice_us: u64) -> NetConfig {
@@ -89,6 +90,49 @@ fn to_routings_deliver_on_shared_schedule() {
         run_flows(&mut net, &[(0, 5, 200_000), (3, 1, 80_000), (7, 2, 40_000)], 60);
         assert_eq!(net.fct().completed().len(), 3, "{name} left flows incomplete");
     }
+}
+
+#[test]
+fn paper_scale_ucmp_and_hoho_complete_every_flow() -> Result<(), openoptics::core::Error> {
+    // The size of the paper's Tables 3-4: 108 ToRs x 6 uplinks, RPC trace at
+    // 20 % host load for one 300 us slice, then drain. Both schemes route
+    // every miss through the earliest-arrival sweep.
+    let routings: [(&str, Box<dyn RoutingAlgorithm>, MultipathMode); 2] = [
+        ("ucmp", Box::new(Ucmp::default()), MultipathMode::PerPacket),
+        ("hoho", Box::new(Hoho::default()), MultipathMode::None),
+    ];
+    for (name, algo, multipath) in routings {
+        let mut net = OpenOpticsNet::deploy(
+            cfg(108, 6, 300),
+            Architecture::rotornet(),
+            algo,
+            LookupMode::PerHop,
+            multipath,
+        )?;
+        let hosts = (0..108).map(HostId).collect();
+        let link = net.engine.cfg.host_link_bandwidth();
+        let mut arrivals = PoissonArrivals::new(hosts, Trace::Rpc.dist(), link, 0.2, 1);
+        let mut want: Vec<u64> = vec![];
+        for f in arrivals.take_until(SimTime::from_ns(300_000)) {
+            let bytes = f.bytes.min(256 * 1024);
+            net.add_flow(f.at, f.src, f.dst, bytes, TransportKind::Paced);
+            want.push(bytes);
+        }
+        assert!(want.len() > 100, "{name}: only {} flows offered", want.len());
+        net.run_for(SimTime::from_ms(40));
+
+        let fct = net.fct();
+        assert_eq!(fct.outstanding(), 0, "{name} left flows incomplete");
+        for r in fct.completed() {
+            assert_eq!(net.flow_delivered(r.flow), r.bytes, "{name}: flow {}", r.flow);
+        }
+        let mut got: Vec<u64> = fct.completed().iter().map(|r| r.bytes).collect();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "{name}: completed sizes differ from the requested sizes");
+        assert_eq!(net.engine.counters.no_route_drops, 0, "{name}");
+    }
+    Ok(())
 }
 
 #[test]

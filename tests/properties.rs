@@ -30,7 +30,7 @@ proptest! {
         for ts in 0..s.slice_config().num_slices {
             for node in 0..n {
                 // Degree never exceeds the uplink count.
-                prop_assert!(s.neighbors(NodeId(node), ts).len() <= u as usize);
+                prop_assert!(s.neighbors(NodeId(node), ts).count() <= u as usize);
             }
         }
     }
