@@ -12,9 +12,14 @@
 //! Sessions are named: `load` creates one, `fork` branches one in memory,
 //! and every other method addresses one by name, so a single server can
 //! hold a warm baseline and several what-if branches at once.
+//!
+//! On the wire a *turn* — the frame lines a request owes its connection
+//! plus the one response — leaves in a single write on a `TCP_NODELAY`
+//! socket, and a request line may be at most 16 MiB (DESIGN.md "Framing
+//! and latency").
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use openoptics_core::json::{self, object, Json, Reader};
@@ -28,6 +33,11 @@ use crate::session::Session;
 /// plus one `overflow` frame counting what was skipped — bounded
 /// back-pressure instead of an unbounded write burst.
 pub const MAX_FRAMES_PER_TURN: usize = 1024;
+
+/// Longest request line accepted, newline excluded. A longer line is
+/// discarded unparsed and answered with a typed error; the connection
+/// stays open.
+const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Per-connection subscription state: which sessions this connection
 /// streams frames from, and how far into each session's frame log it has
@@ -98,9 +108,20 @@ impl ControlPlane {
             }
             Err(e) => (Json::Null, Err(ScenarioError::new("request", e.to_string()))),
         };
+        self.turn(&id, outcome, subs)
+    }
+
+    /// One turn's lines: the frames owed to `subs`, then the response to
+    /// request `id`.
+    fn turn(
+        &self,
+        id: &Json,
+        outcome: Result<String, ScenarioError>,
+        subs: &mut Subscriptions,
+    ) -> Vec<String> {
         let mut out = self.drain_frames(subs);
         out.push(object(|w| {
-            w.field("id", &id);
+            w.field("id", id);
             match &outcome {
                 Ok(result) => {
                     w.key("result");
@@ -317,21 +338,183 @@ pub fn serve_on(listener: TcpListener, _reserved: Option<usize>) -> std::io::Res
 }
 
 fn serve_connection(cp: &mut ControlPlane, stream: TcpStream) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
+    // A client waits for each response before it sends the next request,
+    // so there is never a later segment for Nagle's algorithm to merge a
+    // held one with: holding only adds the peer's delayed-ACK timer.
+    stream.set_nodelay(true)?;
+    serve_lines(cp, BufReader::new(&stream), &stream)
+}
+
+/// The connection loop: one request line in, one turn out, until EOF or a
+/// `shutdown` request. A turn is written with a single `write_all`, so a
+/// response is never split across segments that wait for each other.
+fn serve_lines(
+    cp: &mut ControlPlane,
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+) -> std::io::Result<()> {
     let mut subs = Subscriptions::new();
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        for out in cp.handle_request(&line, &mut subs) {
-            writer.write_all(out.as_bytes())?;
-            writer.write_all(b"\n")?;
-        }
-        if cp.shutdown_requested() {
+    let mut line = Vec::new();
+    while !cp.shutdown_requested() {
+        line.clear();
+        // One byte over the limit tells an over-long line from a full one.
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
             break;
         }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        }
+        let request = if line.len() > MAX_REQUEST_BYTES {
+            reader.skip_until(b'\n')?;
+            Err(format!("request line longer than {MAX_REQUEST_BYTES} bytes"))
+        } else {
+            std::str::from_utf8(&line).map_err(|_| "request line is not UTF-8".to_string())
+        };
+        let lines = match request {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => cp.handle_request(text, &mut subs),
+            Err(reason) => {
+                cp.turn(&Json::Null, Err(ScenarioError::new("request", reason)), &mut subs)
+            }
+        };
+        let mut turn = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for l in &lines {
+            turn.push_str(l);
+            turn.push('\n');
+        }
+        writer.write_all(turn.as_bytes())?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Small enough to inline, with telemetry and sampling on so that a
+    /// subscribed `run_for` owes its connection frames.
+    const SCENARIO: &str = r#"{"version":1,"config":{"node_num":4,"slice_ns":10000,"seed":7,"telemetry":true,"sample_every_ns":50000},"architecture":{"name":"rotornet"},"workloads":[{"kind":"flow","at_ns":100,"src":0,"dst":3,"bytes":200000}],"stop_ns":2000000}"#;
+
+    /// A writer that remembers every `write` call it received (the
+    /// server only ever writes whole `String`s).
+    #[derive(Default)]
+    struct Writes(Vec<String>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(String::from_utf8_lossy(buf).into_owned());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn request_error(reason: &str) -> String {
+        format!(r#"{{"id":null,"error":{{"field":"request","reason":"{reason}"}}}}"#)
+    }
+
+    fn too_long() -> String {
+        request_error(&format!("request line longer than {MAX_REQUEST_BYTES} bytes"))
+    }
+
+    #[test]
+    fn each_turn_is_one_write_and_the_protocol_bytes_are_unchanged() -> std::io::Result<()> {
+        let run = |id: u32| {
+            format!(r#"{{"id":{id},"method":"run_for","params":{{"name":"s","dur_ns":100000}}}}"#)
+        };
+        // (request line, the id its response echoes).
+        let transcript: Vec<(String, &str)> = vec![
+            (
+                format!(
+                    r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{SCENARIO}}}}}"#
+                ),
+                "1",
+            ),
+            (r#"{"id":2,"method":"subscribe","params":{"name":"s"}}"#.into(), "2"),
+            (run(3), "3"),
+            (run(4), "4"),
+            (run(5), "5"),
+            (r#"{"id":6,"method":"status","params":{"name":"s"}}"#.into(), "6"),
+            (r#"{"id":7,"method":"export","params":{"name":"s","what":"bundle"}}"#.into(), "7"),
+            ("{not json".into(), "null"),
+            ("x".repeat(MAX_REQUEST_BYTES + 1), "null"),
+            (run(8), "8"),
+            (r#"{"id":9,"method":"shutdown"}"#.into(), "9"),
+        ];
+        let after_shutdown = "{\"id\":10,\"method\":\"sessions\"}\n";
+        let mut wire = String::new();
+        for (line, _) in &transcript {
+            // A blank line between requests is skipped, not answered.
+            wire.push_str("  \n");
+            wire.push_str(line);
+            wire.push('\n');
+        }
+        wire.push_str(after_shutdown);
+
+        let mut cp = ControlPlane::new();
+        let mut reader = wire.as_bytes();
+        let mut writes = Writes::default();
+        serve_lines(&mut cp, &mut reader, &mut writes)?;
+
+        // (c) The loop stopped at `shutdown`: what follows was never read.
+        assert!(cp.shutdown_requested());
+        assert_eq!(reader, after_shutdown.as_bytes());
+
+        // (a) + (b) One write per request, and it is exactly the lines a
+        // fresh `ControlPlane` returns for that request — frames first,
+        // the id-matched response last — each newline-terminated. Only
+        // the over-long line is the transport's to answer.
+        assert_eq!(writes.0.len(), transcript.len());
+        let mut fresh = ControlPlane::new();
+        let mut subs = Subscriptions::new();
+        let mut framed_turns = 0;
+        for ((line, id), turn) in transcript.iter().zip(&writes.0) {
+            let mut lines = if line.len() > MAX_REQUEST_BYTES {
+                vec![too_long()]
+            } else {
+                fresh.handle_request(line, &mut subs)
+            };
+            assert_eq!(*turn, lines.join("\n") + "\n", "protocol bytes changed");
+            let response = lines.pop().unwrap_or_default();
+            assert!(response.starts_with(&format!(r#"{{"id":{id},"#)), "{id}: {response}");
+            assert!(lines.iter().all(|f| f.starts_with(r#"{"sub":"s","frame":"#)), "{lines:?}");
+            framed_turns += usize::from(!lines.is_empty());
+        }
+        assert!(framed_turns >= 3, "only {framed_turns} turns carried frames");
+        Ok(())
+    }
+
+    #[test]
+    fn hostile_lines_get_typed_errors_and_the_connection_survives() -> std::io::Result<()> {
+        let load =
+            format!(r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{SCENARIO}}}}}"#);
+        let sessions = r#"{"id":2,"method":"sessions"}"#;
+        let mut wire = Vec::new();
+        wire.extend_from_slice(load.as_bytes());
+        wire.push(b'\n');
+        // Exactly the limit is a request like any other...
+        wire.extend_from_slice(sessions.as_bytes());
+        wire.resize(wire.len() + MAX_REQUEST_BYTES - sessions.len(), b' ');
+        wire.push(b'\n');
+        // ...one byte more is discarded through its newline, unparsed.
+        wire.resize(wire.len() + MAX_REQUEST_BYTES + 1, b' ');
+        wire.extend_from_slice(b"\n{\"id\":3,\"method\":\"caf\xe9\"}\n\n\r\n");
+        // EOF in mid-line still ends a request.
+        wire.extend_from_slice(br#"{"id":4,"method":"status","params":{"name":"s"}}"#);
+
+        let mut cp = ControlPlane::new();
+        let mut writes = Writes::default();
+        serve_lines(&mut cp, wire.as_slice(), &mut writes)?;
+
+        let turns = writes.0;
+        assert_eq!(turns.len(), 5, "{turns:?}");
+        assert!(turns[0].starts_with(r#"{"id":1,"result":"#), "{}", turns[0]);
+        assert_eq!(turns[1], "{\"id\":2,\"result\":{\"names\":[\"s\"]}}\n");
+        assert_eq!(turns[2], too_long() + "\n");
+        assert_eq!(turns[3], request_error("request line is not UTF-8") + "\n");
+        assert!(turns[4].starts_with(r#"{"id":4,"result":{"now_ns":0,"#), "{}", turns[4]);
+        Ok(())
+    }
 }

@@ -8,6 +8,8 @@
 //! through the same public API the live session used, so the restored
 //! engine is byte-identical to one that never stopped.
 
+use std::fmt::Write;
+
 use openoptics_core::OpenOpticsNet;
 use openoptics_proto::HostId;
 use openoptics_sim::SimTime;
@@ -183,15 +185,20 @@ impl Session {
     /// This is the byte-identity probe the CI determinism gates compare:
     /// two engines in the same state render the same bundle.
     pub fn export_bundle(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("== openoptics-ctl export @ {} ns ==\n", self.now_ns()));
+        let telemetry = self.net.telemetry_snapshot().to_json();
+        let spans = self.net.export_span_report().ok();
+        // One allocation for the two big sections plus the short lines.
+        let mut out =
+            String::with_capacity(telemetry.len() + spans.as_ref().map_or(0, String::len) + 1024);
+        let _ = writeln!(out, "== openoptics-ctl export @ {} ns ==", self.now_ns());
         out.push_str("-- telemetry --\n");
-        out.push_str(&self.net.telemetry_snapshot().to_json());
+        out.push_str(&telemetry);
         out.push('\n');
         out.push_str("-- faults --\n");
         let report = self.net.fault_report();
-        out.push_str(&format!(
-            "delivered={} dropped={} corrupted={} retransmitted={} rerouted={} missed_rotations={} paused_tx={}\n",
+        let _ = writeln!(
+            out,
+            "delivered={} dropped={} corrupted={} retransmitted={} rerouted={} missed_rotations={} paused_tx={}",
             report.delivered,
             report.dropped,
             report.corrupted,
@@ -199,20 +206,18 @@ impl Session {
             report.rerouted,
             report.missed_rotations,
             report.paused_tx,
-        ));
+        );
         for (i, f) in report.per_fault.iter().enumerate() {
-            out.push_str(&format!(
-                "fault[{i}]: activations={} dropped={} corrupted={} missed_rotations={} paused_tx={} reroutes={}\n",
+            let _ = writeln!(
+                out,
+                "fault[{i}]: activations={} dropped={} corrupted={} missed_rotations={} paused_tx={} reroutes={}",
                 f.activations, f.dropped, f.corrupted, f.missed_rotations, f.paused_tx, f.reroutes,
-            ));
+            );
         }
         out.push_str("-- fct --\n");
         let fct = self.net.fct();
-        out.push_str(&format!(
-            "completed={} outstanding={}\n",
-            fct.completed().len(),
-            fct.outstanding(),
-        ));
+        let _ =
+            writeln!(out, "completed={} outstanding={}", fct.completed().len(), fct.outstanding());
         let slo = self.net.slo_summaries();
         if !slo.is_empty() {
             out.push_str("-- slo --\n");
@@ -221,7 +226,7 @@ impl Session {
                 out.push('\n');
             }
         }
-        if let Ok(spans) = self.net.export_span_report() {
+        if let Some(spans) = spans {
             out.push_str("-- spans --\n");
             out.push_str(&spans);
             if !spans.ends_with('\n') {

@@ -123,6 +123,91 @@ mod tests {
         assert_eq!(flow.end.as_ns(), 90);
     }
 
+    /// `finalize` used to recover the stage of every span it closed by
+    /// re-scanning the stream; this pins stage, order and time of each
+    /// synthesized end to what that lookup (and a closure over ancestor
+    /// chains, not the descending pass) yields, on a stream with
+    /// thousands of spans still open.
+    #[test]
+    fn finalize_closes_thousands_of_open_spans_like_the_rescan_did() -> Result<(), &'static str> {
+        const STAGES: [Stage; 7] = [
+            Stage::HostTxQueue,
+            Stage::CalendarWait,
+            Stage::GuardbandHold,
+            Stage::Serialization,
+            Stage::Propagation,
+            Stage::Rx,
+            Stage::TcpDelivery,
+        ];
+        let now = t(20_000);
+        let mut raw: Vec<SpanEvent> = Vec::new();
+        let mut edge = |at: u64, span: u64, parent: u64, stage: Stage, phase: SpanPhase| {
+            raw.push(SpanEvent {
+                at: t(at),
+                span,
+                parent,
+                flow: 0,
+                packet: 0,
+                stage,
+                phase,
+                arg: 0,
+            });
+        };
+        // 40 flows x 10 packets x 7 stages = 3,240 spans; half the flows
+        // begin after `now`, and only every third stage span is closed.
+        let mut next = 1;
+        for f in 0..40 {
+            let flow = next;
+            edge(f * 1_000, flow, 0, Stage::Flow, SpanPhase::Begin);
+            next += 1;
+            for p in 0..10 {
+                let (pkt, at) = (next, f * 1_000 + p * 100);
+                edge(at, pkt, flow, Stage::Packet, SpanPhase::Begin);
+                next += 1;
+                for (k, stage) in (0..).zip(STAGES) {
+                    edge(at + k * 10, next, pkt, stage, SpanPhase::Begin);
+                    if next % 3 == 0 {
+                        edge(at + k * 10 + 5, next, 0, stage, SpanPhase::End);
+                    }
+                    next += 1;
+                }
+            }
+        }
+        let out = finalize(&raw, now);
+
+        // Recorded edges keep their place (no closed span here has
+        // children, so none of their times move either).
+        assert_eq!(out[..raw.len()], raw[..]);
+        let begin_of = |span: u64| {
+            raw.iter()
+                .find(|e| e.span == span && e.phase == SpanPhase::Begin)
+                .ok_or("a span without a begin")
+        };
+        let recorded_end =
+            |span: u64| raw.iter().find(|e| e.span == span && e.phase == SpanPhase::End);
+        // A span's own end, raised along its ancestor chain.
+        let mut want_end = vec![SimTime::ZERO; next as usize];
+        for span in 1..next {
+            let own = recorded_end(span).map_or(begin_of(span)?.at.max(now), |e| e.at);
+            let mut up = span;
+            while up != 0 {
+                want_end[up as usize] = want_end[up as usize].max(own);
+                up = begin_of(up)?.parent;
+            }
+        }
+        let open: Vec<u64> = (1..next).rev().filter(|s| recorded_end(*s).is_none()).collect();
+        assert!(open.len() > 2_000, "{} open spans", open.len());
+        let synthesized = &out[raw.len()..];
+        assert_eq!(synthesized.iter().map(|e| e.span).collect::<Vec<_>>(), open);
+        for e in synthesized {
+            assert_eq!(e.phase, SpanPhase::End);
+            assert_eq!(e.stage, begin_of(e.span)?.stage, "span {}", e.span);
+            assert_eq!(e.at, want_end[e.span as usize], "span {}", e.span);
+        }
+        assert!(build_forest(&out).is_ok());
+        Ok(())
+    }
+
     #[test]
     fn forest_rejects_malformed_streams() {
         let s = Spans::bounded(1, 0, 16);
@@ -162,6 +247,74 @@ mod tests {
         assert!(rep.contains("calendar_wait"));
         assert!(rep.contains("flow 2"));
         assert!(rep.contains("packet 4"));
+    }
+
+    /// Every rendering branch of [`span_report`] against literal bytes:
+    /// the three duration units in tree and totals column, values that
+    /// round up into the next magnitude's digits (`1_999` ns, `999_999` ns),
+    /// the first `ms` value, an exact binary tie (`1_125` ns is 1.125 us
+    /// and prints `1.12`, half-to-even — integer rounding would say
+    /// `1.13`), `arg` present and absent, depth 3, flow / packet / stage
+    /// labels, and more roots than the report prints.
+    #[test]
+    fn span_report_matches_its_golden_rendering() -> Result<(), WellFormedError> {
+        let s = Spans::bounded(1, 0, usize::MAX);
+        let stage = |parent, pkt, st, from, to, arg| {
+            let id = s.span_begin(t(from), parent, 7, pkt, st, arg);
+            s.span_end(t(to), id, st);
+            id
+        };
+        let f = s.span_begin(t(0), 0, 7, 0, Stage::Flow, 0);
+        let p = s.span_begin(t(10), f, 7, 9, Stage::Packet, 0);
+        stage(p, 9, Stage::HostTxQueue, 10, 2_009, 0);
+        stage(p, 9, Stage::CalendarWait, 2_009, 2_508, 3);
+        stage(p, 9, Stage::Serialization, 2_508, 3_633, 0);
+        let prop = s.span_begin(t(3_633), p, 7, 9, Stage::Propagation, 0);
+        s.span_mark(t(1_000_009), prop, 7, 9, Stage::Drop, 5);
+        s.span_end(t(1_000_009), prop, Stage::Propagation);
+        s.span_end(t(1_000_009), p, Stage::Packet);
+        s.span_mark(t(500), f, 7, 0, Stage::Retransmit, 2);
+        let q = s.span_begin(t(1_000_000), f, 7, 10, Stage::Packet, 0);
+        stage(q, 10, Stage::GuardbandHold, 1_000_000, 1_000_999, 0);
+        stage(q, 10, Stage::Rx, 1_000_999, 2_000_999, 0);
+        stage(q, 10, Stage::TcpDelivery, 2_000_999, 2_000_999, 0);
+        s.span_end(t(2_000_999), q, Stage::Packet);
+        s.span_end(t(3_456_789), f, Stage::Flow);
+        for _ in 0..REPORT_MAX_FLOWS + 1 {
+            s.span_mark(t(4_000_000), 0, 0, 0, Stage::FaultDrop, 1);
+        }
+        let report = span_report(&s.finalized_events(t(5_000_000)))?;
+        let head = "\
+span report: 63 spans
+
+stage            count    total_sim
+rx                   1      1.000ms
+propagation          1     996.38us
+host_tx_queue        1       2.00us
+serialization        1       1.12us
+guardband_hold       1        999ns
+calendar_wait        1        499ns
+tcp_delivery         1          0ns
+retransmit           1          0ns
+fault_drop          51          0ns
+drop                 1          0ns
+
+flow 7 [0 .. 3456789] 3.457ms
+  packet 9 [10 .. 1000009] 1000.00us
+    host_tx_queue [10 .. 2009] 2.00us
+    calendar_wait [2009 .. 2508] 499ns (arg 3)
+    serialization [2508 .. 3633] 1.12us
+    propagation [3633 .. 1000009] 996.38us
+      drop [1000009 .. 1000009] 0ns (arg 5)
+  retransmit [500 .. 500] 0ns (arg 2)
+  packet 10 [1000000 .. 2000999] 1.001ms
+    guardband_hold [1000000 .. 1000999] 999ns
+    rx [1000999 .. 2000999] 1.000ms
+    tcp_delivery [2000999 .. 2000999] 0ns
+";
+        let marks = "fault_drop [4000000 .. 4000000] 0ns (arg 1)\n".repeat(REPORT_MAX_FLOWS - 1);
+        assert_eq!(report, format!("{head}{marks}(+2 more root spans)\n"));
+        Ok(())
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! (see [`crate::Spans::finalized_events`]), so both exporters are
 //! byte-identical for identical simulations at any worker count.
 
+use std::fmt::Write;
+
 use crate::span::{SpanEvent, SpanPhase, Stage};
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::json;
@@ -197,31 +199,38 @@ pub fn chrome_trace(events: &[SpanEvent]) -> Result<String, WellFormedError> {
     }))
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000 {
-        format!("{:.3}ms", ns as f64 / 1_000_000.0)
+/// Append `ns` in its display unit, the number right-aligned in `width`
+/// columns (every unit is two characters, so a caller padding the whole
+/// field to `w` passes `w - 2`).
+fn write_ns(out: &mut String, ns: u64, width: usize) {
+    let _ = if ns >= 1_000_000 {
+        write!(out, "{:>width$.3}ms", ns as f64 / 1_000_000.0)
     } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1_000.0)
+        write!(out, "{:>width$.2}us", ns as f64 / 1_000.0)
     } else {
-        format!("{ns}ns")
-    }
+        write!(out, "{ns:>width$}ns")
+    };
 }
 
+// Writes each line straight into `out`: a report runs to tens of
+// thousands of lines, so a temporary `String` per label, indent or
+// duration would be most of what an export bundle costs.
 fn render_node(forest: &[SpanNode], i: usize, depth: usize, out: &mut String) {
     let n = &forest[i];
-    let label = match n.stage {
-        Stage::Flow => format!("flow {}", n.flow),
-        Stage::Packet => format!("packet {}", n.packet),
-        _ => n.stage.name().to_string(),
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+    let _ = match n.stage {
+        Stage::Flow => write!(out, "flow {}", n.flow),
+        Stage::Packet => write!(out, "packet {}", n.packet),
+        _ => out.write_str(n.stage.name()),
     };
-    out.push_str(&format!(
-        "{}{label} [{} .. {}] {}{}\n",
-        "  ".repeat(depth),
-        n.begin.as_ns(),
-        n.end.as_ns(),
-        fmt_ns(n.duration_ns()),
-        if n.arg != 0 { format!(" (arg {})", n.arg) } else { String::new() },
-    ));
+    let _ = write!(out, " [{} .. {}] ", n.begin.as_ns(), n.end.as_ns());
+    write_ns(out, n.duration_ns(), 0);
+    if n.arg != 0 {
+        let _ = write!(out, " (arg {})", n.arg);
+    }
+    out.push('\n');
     for &c in &n.children {
         render_node(forest, c, depth + 1, out);
     }
@@ -238,7 +247,7 @@ pub const REPORT_MAX_FLOWS: usize = 50;
 pub fn span_report(events: &[SpanEvent]) -> Result<String, WellFormedError> {
     let forest = build_forest(events)?;
     let mut out = String::new();
-    out.push_str(&format!("span report: {} spans\n\n", forest.len()));
+    let _ = write!(out, "span report: {} spans\n\n", forest.len());
     // Stage totals over *leaf-stage* spans (roots would double-count).
     let mut totals: Vec<(Stage, u64, u64)> = Vec::new();
     for n in &forest {
@@ -256,13 +265,15 @@ pub fn span_report(events: &[SpanEvent]) -> Result<String, WellFormedError> {
     totals.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
     out.push_str("stage            count    total_sim\n");
     for (s, count, ns) in &totals {
-        out.push_str(&format!("{:<15} {:>6} {:>12}\n", s.name(), count, fmt_ns(*ns)));
+        let _ = write!(out, "{:<15} {:>6} ", s.name(), count);
+        write_ns(&mut out, *ns, 10);
+        out.push('\n');
     }
     out.push('\n');
     let roots: Vec<usize> = (0..forest.len()).filter(|&i| forest[i].parent == 0).collect();
     for (printed, &r) in roots.iter().enumerate() {
         if printed >= REPORT_MAX_FLOWS {
-            out.push_str(&format!("(+{} more root spans)\n", roots.len() - printed));
+            let _ = writeln!(out, "(+{} more root spans)", roots.len() - printed);
             break;
         }
         render_node(&forest, r, 0, &mut out);

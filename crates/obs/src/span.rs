@@ -319,6 +319,7 @@ pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
     let max_span = out.iter().map(|e| e.span).max().unwrap_or(0) as usize;
     let mut begin_at: Vec<Option<SimTime>> = vec![None; max_span + 1];
     let mut parent_of: Vec<u64> = vec![0; max_span + 1];
+    let mut stage_of: Vec<Stage> = vec![Stage::Packet; max_span + 1];
     // Index into `out` of the span's End event, if recorded.
     let mut end_idx: Vec<Option<usize>> = vec![None; max_span + 1];
     for (i, e) in out.iter().enumerate() {
@@ -327,6 +328,7 @@ pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
             SpanPhase::Begin => {
                 begin_at[s] = Some(e.at);
                 parent_of[s] = e.parent;
+                stage_of[s] = e.stage;
             }
             SpanPhase::End => end_idx[s] = Some(i),
         }
@@ -346,18 +348,13 @@ pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
         match end_idx[s] {
             Some(i) => out[i].at = end,
             None => {
-                let stage = out
-                    .iter()
-                    .find(|e| e.span == s as u64 && e.phase == SpanPhase::Begin)
-                    .map(|e| e.stage)
-                    .unwrap_or(Stage::Packet);
                 out.push(SpanEvent {
                     at: end,
                     span: s as u64,
                     parent: 0,
                     flow: 0,
                     packet: 0,
-                    stage,
+                    stage: stage_of[s],
                     phase: SpanPhase::End,
                     arg: 0,
                 });

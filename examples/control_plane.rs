@@ -24,7 +24,11 @@ fn main() {
     let addr = listener.local_addr().expect("bound address");
     let server = std::thread::spawn(move || openoptics::ctl::serve_on(listener, None));
 
-    let stream = TcpStream::connect(addr).expect("connect to server");
+    // One request in flight at a time: a segment held back for Nagle's
+    // algorithm would only wait out the server's delayed ACK.
+    let stream = TcpStream::connect(addr)
+        .and_then(|s| s.set_nodelay(true).map(|()| s))
+        .expect("connect to server");
     let mut client = Client {
         reader: BufReader::new(stream.try_clone().expect("clone stream")),
         writer: stream,
