@@ -91,15 +91,13 @@ pub struct SpanCapture {
     pub chrome_trace: String,
     /// Deterministic plain-text span report (stage totals + trees).
     pub report: String,
-    /// Wall-clock profiler report, when `--profile` installed a clock.
-    pub wall_report: Option<String>,
 }
 
 /// Fig. 8(a): memcached mice FCT distribution per architecture.
 /// `duration_ms` controls the measurement window. Architectures run as
 /// independent parallel points.
 pub fn run_mice(duration_ms: u64) -> Vec<MiceRow> {
-    run_mice_with_spans(duration_ms, 0, false).0
+    run_mice_with_spans(duration_ms, 0).0
 }
 
 /// Fig. 8(a) with lifecycle-span capture: the [`SPAN_ARCH`] point records
@@ -107,21 +105,15 @@ pub fn run_mice(duration_ms: u64) -> Vec<MiceRow> {
 /// Chrome trace + span report alongside the rows. Spans are stamped in sim
 /// time only and the capture comes from a single point collected in index
 /// order, so the returned strings are byte-identical at any `--jobs`
-/// count. With `profile` set, that point also self-profiles in wall-clock
-/// mode (bench-only: simulation results never depend on the host clock).
+/// count.
 pub fn run_mice_with_spans(
     duration_ms: u64,
     span_sample_every: u64,
-    profile: bool,
 ) -> (Vec<MiceRow>, Option<SpanCapture>) {
     let results = par::par_map(ARCH_NAMES.len(), |i| {
         let spans_here = span_sample_every > 0 && ARCH_NAMES[i] == SPAN_ARCH;
         let (name, mut net) =
             architecture_with_spans(i, 1, if spans_here { span_sample_every } else { 0 });
-        if spans_here && profile {
-            let t0 = std::time::Instant::now();
-            net.set_profiler_clock(move || t0.elapsed().as_nanos() as u64);
-        }
         let stop = SimTime::from_ms(duration_ms);
         util::attach_memcached(&mut net, stop);
         net.run_for(SimTime::from_ms(duration_ms + 5));
@@ -130,7 +122,6 @@ pub fn run_mice_with_spans(
             Some(SpanCapture {
                 chrome_trace: net.export_spans_chrome_trace().unwrap_or_default(),
                 report: net.export_span_report().unwrap_or_default(),
-                wall_report: net.profiler_wall_report(),
             })
         } else {
             None

@@ -43,9 +43,6 @@ pub mod util;
 pub struct Opts {
     /// `--quick`: shrink measurement windows for smoke runs.
     pub quick: bool,
-    /// `--profile`: also self-profile the fig8a / table3 reference cells in
-    /// wall-clock mode (stderr only; stdout never changes).
-    pub profile: bool,
 }
 
 impl Opts {
@@ -188,18 +185,15 @@ pub fn select(which: &str) -> Vec<&'static Experiment> {
 /// The `experiments` usage line, listing every id in table order.
 pub fn usage() -> String {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-    format!("usage: experiments <{}|all> [--quick] [--jobs N] [--profile]", ids.join("|"))
+    format!("usage: experiments <{}|all> [--quick] [--jobs N]", ids.join("|"))
 }
 
 fn run_fig8a(o: Opts) {
-    let (rows, capture) = fig8::run_mice_with_spans(o.pick(8, 40), 4, o.profile);
+    let (rows, capture) = fig8::run_mice_with_spans(o.pick(8, 40), 4);
     print!("{}", fig8::render_mice(&rows));
     if let Some(c) = capture {
         write_artifact("fig8a_spans.json", &c.chrome_trace);
         write_artifact("fig8a_span_report.txt", &c.report);
-        if let Some(wall) = c.wall_report {
-            eprintln!("[fig8a wall-clock profile of the {} point]\n{wall}", fig8::SPAN_ARCH);
-        }
     }
 }
 
@@ -218,25 +212,7 @@ fn run_fig8b(o: Opts) {
 }
 
 fn run_table3(o: Opts) {
-    let (rows, capture) = table3::run_with_profile(o.pick(6, 30), o.profile);
-    print!("{}", table3::render(&rows));
-    if let Some(c) = capture {
-        let (algo, trace) = table3::PROFILE_CELL;
-        eprintln!("[table3 sim-time profile of the {algo}/{trace} cell]\n{}", c.sim_report);
-        if let Some(wall) = c.wall_report {
-            eprintln!("[table3 wall-clock profile of the {algo}/{trace} cell]\n{wall}");
-        }
-        let qs = c.queue_stats;
-        eprintln!(
-            "[table3 queue mix of the {algo}/{trace} cell: {} scheduled, {} popped, \
-             {} far-heap, {} overlay-heap, peak {} pending]",
-            qs.scheduled_total,
-            qs.popped_total,
-            qs.far_scheduled,
-            qs.overlay_scheduled,
-            qs.peak_len,
-        );
-    }
+    print!("{}", table3::render(&table3::run(o.pick(6, 30))));
 }
 
 /// Write one run artifact to the working directory, reporting the outcome

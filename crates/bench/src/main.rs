@@ -2,7 +2,7 @@
 //! evaluation.
 //!
 //! ```text
-//! experiments <id|all> [--quick] [--jobs N] [--profile]
+//! experiments <id|all> [--quick] [--jobs N]
 //! ```
 //!
 //! The ids, their section titles and which of them `all` runs come from
@@ -34,8 +34,6 @@
 //! trace-event JSON, loadable in `chrome://tracing` or Perfetto) plus
 //! `fig8a_span_report.txt` (stage totals and per-flow trees) — both
 //! byte-identical at any `--jobs` count, and the only files a run writes.
-//! `--profile` additionally self-profiles that point in wall-clock mode
-//! and prints the per-phase inclusive/exclusive table to stderr.
 //!
 //! Each experiment reports its wall-clock time, scheduled-event count and
 //! merged telemetry totals to stderr.
@@ -50,13 +48,12 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut opts = x::Opts { quick: false, profile: false };
+    let mut opts = x::Opts::default();
     let mut which = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
-            "--profile" => opts.profile = true,
             "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => x::par::set_jobs(n),
                 _ => usage_error("--jobs expects a positive integer"),

@@ -68,19 +68,9 @@ fn attach_load(net: &mut OpenOpticsNet, trace: Trace, load: f64, horizon: SimTim
     }
 }
 
-fn measure(
-    routing: &'static str,
-    offload: bool,
-    trace: Trace,
-    ms: u64,
-    profile: bool,
-) -> (Table3Row, Option<ProfileCapture>) {
+fn measure(routing: &'static str, offload: bool, trace: Trace, ms: u64) -> Table3Row {
     let algo_key = routing.split('+').next().expect("non-empty routing key");
     let mut net = build(algo_key, offload);
-    if profile {
-        let t0 = std::time::Instant::now();
-        net.set_profiler_clock(move || t0.elapsed().as_nanos() as u64);
-    }
     // The paper's "40% core link utilization" is fabric-side; VLB doubles
     // every byte (two hops), so host injection of 20% yields 40% core for
     // VLB and less for the single-ish-hop schemes.
@@ -103,67 +93,25 @@ fn measure(
         .max()
         .unwrap_or(0);
     par::note_net(&net);
-    let capture = profile.then(|| ProfileCapture {
-        sim_report: net.profiler_report().unwrap_or_default(),
-        wall_report: net.profiler_wall_report(),
-        queue_stats: net.queue_stats(),
-    });
-    let row = Table3Row {
+    Table3Row {
         routing,
         trace: trace.name(),
         p999_mb: p999 as f64 / 1e6,
         peak_mb: peak as f64 / 1e6,
         offloaded_peak_mb: off_peak as f64 / 1e6,
-    };
-    (row, capture)
+    }
 }
-
-/// Per-phase profile of the representative cell (satellite of the
-/// `--profile` flag): the deterministic sim-time report plus, when a wall
-/// clock was installed, the wall-clock inclusive/exclusive table.
-pub struct ProfileCapture {
-    /// Deterministic sim-time phase report.
-    pub sim_report: String,
-    /// Wall-clock phase report (not deterministic; stderr only).
-    pub wall_report: Option<String>,
-    /// Event-queue structure mix at the end of the cell (how many events
-    /// took the O(1) ring vs the overlay/far heap slow paths).
-    pub queue_stats: openoptics_sim::QueueStats,
-}
-
-/// The cell `--profile` attributes: VLB with offloading under the KV-store
-/// trace — the slowest cell of the sweep (the many-tiny-flow trace puts
-/// the most packets through the offload book), hence the one whose phase
-/// mix explains the experiment's wall time.
-pub const PROFILE_CELL: (&str, &str) = ("vlb+offload", "KV store");
 
 /// Run the routing × trace sweep over `ms` milliseconds per cell; each
 /// `(trace, routing)` cell is an independent parallel point.
 pub fn run(ms: u64) -> Vec<Table3Row> {
-    run_with_profile(ms, false).0
-}
-
-/// Like [`run`], but with `profile` set it additionally self-profiles the
-/// [`PROFILE_CELL`] point in wall-clock mode and returns the phase
-/// breakdown (simulation results never depend on the host clock; the
-/// capture comes from a single fixed cell, so rows stay byte-identical at
-/// any `--jobs` count).
-pub fn run_with_profile(ms: u64, profile: bool) -> (Vec<Table3Row>, Option<ProfileCapture>) {
     const ROUTINGS: [(&str, bool); 4] =
         [("vlb", false), ("vlb+offload", true), ("hoho", false), ("ucmp", false)];
-    let results = par::par_map(Trace::ALL.len() * ROUTINGS.len(), |i| {
+    par::par_map(Trace::ALL.len() * ROUTINGS.len(), |i| {
         let trace = Trace::ALL[i / ROUTINGS.len()];
         let (routing, offload) = ROUTINGS[i % ROUTINGS.len()];
-        let profile_here = profile && routing == PROFILE_CELL.0 && trace.name() == PROFILE_CELL.1;
-        measure(routing, offload, trace, ms, profile_here)
-    });
-    let mut rows = Vec::with_capacity(results.len());
-    let mut capture = None;
-    for (row, c) in results {
-        rows.push(row);
-        capture = capture.or(c);
-    }
-    (rows, capture)
+        measure(routing, offload, trace, ms)
+    })
 }
 
 /// Render as a table.

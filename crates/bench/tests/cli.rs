@@ -11,11 +11,14 @@ fn experiments() -> Command {
 #[test]
 fn usage_errors_exit_2_with_the_table_generated_usage() {
     let usage = openoptics_bench::usage();
+    // Flags earlier versions had are unknown flags now.
+    let removed = ["workers", "profile"].map(|name| format!("--{name}"));
     for args in [
         &[][..],
         &["--jobs", "0"],
-        &["fig12", "--workers", "4"],
+        &["fig12", &removed[0], "4"],
         &["fig12", "--quik"],
+        &["table3", &removed[1]],
         &["no-such-id"],
     ] {
         let out = experiments().args(args).output().expect("experiments starts");

@@ -14,15 +14,15 @@
 
 use crate::config::NetConfig;
 use openoptics_fabric::{Circuit, ClockSync, Fabric, FabricProfile, OpticalSchedule};
-use openoptics_faults::{FaultCounters, FaultError, FaultKind, FaultPlan, FaultReport, FaultSpec};
-use openoptics_host::apps::{MemcachedParams, RingAllreduce};
+use openoptics_faults::{FaultError, FaultKind, FaultPlan, FaultReport, FaultRuntime};
+use openoptics_host::apps::{ChunkSend, MemcachedParams, RingAllreduce};
 use openoptics_host::tcp::{TcpConfig, TcpReceiver, TcpSender};
 use openoptics_host::udp::ProbeStats;
 use openoptics_host::vma::{Segment, VmaStack};
 use openoptics_host::FlowAging;
-use openoptics_obs::{Phase, Profiler, SpanEvent, Spans, Stage};
+use openoptics_obs::{DropSite, PacketEnd, Phase, Profiler, SpanCursors, SpanEvent, Spans, Stage};
 use openoptics_proto::packet::{PacketKind, HEADER_BYTES};
-use openoptics_proto::{ControlMsg, FlowId, HostId, NodeId, Packet, PortId};
+use openoptics_proto::{FlowId, HostId, NodeId, Packet, PortId, PushBack};
 use openoptics_routing::{compile, LookupMode, MultipathMode, Path, RoutingAlgorithm};
 use openoptics_sim::bytequeue::ByteQueue;
 use openoptics_sim::cast::{idx_u32, to_u32, to_u8};
@@ -101,7 +101,7 @@ pub enum TransportKind {
 
 /// Role a flow plays in an application.
 #[derive(Clone, Copy, Debug)]
-pub enum FlowKind {
+enum FlowKind {
     /// Standalone flow.
     Plain,
     /// Memcached-style request; completion triggers a response and the FCT
@@ -173,6 +173,33 @@ impl Link {
     fn new(capacity: u64) -> Self {
         Link { queue: ByteQueue::new(capacity), busy_until: SimTime::ZERO, draining: false }
     }
+
+    /// Queue `pkt` behind whatever the link is sending; `Err` is a tail
+    /// drop. `Ok(Some(at))` means the link was idle: the caller schedules
+    /// its free event at `at`, and exactly one stays outstanding until the
+    /// queue runs dry.
+    fn push(&mut self, pkt: Packet, now: SimTime) -> Result<Option<SimTime>, Packet> {
+        self.queue.push(pkt.size, pkt)?;
+        if self.draining {
+            return Ok(None);
+        }
+        self.draining = true;
+        Ok(Some(self.busy_until.max(now)))
+    }
+
+    /// The link's free event fired: start sending the head packet at rate
+    /// `bw`, if there is one. Returns it with its serialization time — the
+    /// caller schedules the next free event that far ahead — or goes idle.
+    fn pop(&mut self, now: SimTime, bw: Bandwidth) -> Option<(Packet, u64)> {
+        debug_assert!(now >= self.busy_until, "one free event per link, never early");
+        let Some((len, pkt)) = self.queue.pop() else {
+            self.draining = false;
+            return None;
+        };
+        let tx = bw.tx_time_ns(len as u64).max(1);
+        self.busy_until = now + tx;
+        Some((pkt, tx))
+    }
 }
 
 #[derive(Clone)]
@@ -216,8 +243,8 @@ pub enum Event {
     OffloadRecall(NodeId),
     /// Re-admit a recalled offloaded packet.
     Reinject(NodeId, u64, PortId, Packet),
-    /// Deliver a control message to a host.
-    HostControl(HostId, ControlMsg),
+    /// Deliver a push-back broadcast to a host.
+    HostControl(HostId, PushBack),
     /// Application / transport timer.
     Timer(Timer),
 }
@@ -261,21 +288,16 @@ pub enum Timer {
     Sample,
 }
 
-/// Pre-scheduled flow descriptor.
-#[derive(Clone)]
-pub struct PendingFlow {
-    /// Start time.
-    pub at: SimTime,
-    /// Source host.
-    pub src: HostId,
-    /// Destination host.
-    pub dst: HostId,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// Transport.
-    pub transport: TransportKind,
+/// A flow scheduled to start at `at` (`Timer::FlowStart` indexes these).
+#[derive(Clone, Copy)]
+struct PendingFlow {
+    at: SimTime,
+    src: HostId,
+    dst: HostId,
+    bytes: u64,
+    transport: TransportKind,
     /// Declared service the flow reports latency under, if any.
-    pub service: Option<u16>,
+    service: Option<u16>,
 }
 
 /// Aggregate packet counters.
@@ -357,203 +379,6 @@ impl EngineCounters {
             ("engine.nack_retransmits", nack_retransmits),
             ("engine.fault_drops", fault_drops),
         ]
-    }
-}
-
-/// Runtime state of an injected fault campaign. Masks are rebuilt from the
-/// active flags on every window edge — campaigns are tiny and transitions
-/// rare, so a full rebuild keeps overlapping windows on one target correct
-/// without reference counting.
-#[derive(Clone, Default)]
-struct FaultRuntime {
-    /// All injected fault windows, campaign order (stable indices).
-    specs: Vec<FaultSpec>,
-    active: Vec<bool>,
-    /// `(node, port)` → fault index whose window black-holes transmissions
-    /// (link down / stuck OCS port). First active fault in campaign order
-    /// owns the key.
-    drop_mask: FxHashMap<(NodeId, PortId), usize>,
-    /// `(node, port)` → fault index for transceiver-flap corruption.
-    flap_mask: FxHashMap<(NodeId, PortId), usize>,
-    /// node → fault index for slice-schedule corruption.
-    slice_mask: FxHashMap<NodeId, usize>,
-    /// node → fault index for NIC pause storms.
-    pause_mask: FxHashMap<NodeId, usize>,
-    /// Rotations each fault's node has missed and not yet replayed.
-    rotation_lag: Vec<u32>,
-    /// Schedule with link-down circuits removed — what routing compiles
-    /// against while a link-down window is open. `None` = no mask.
-    masked: Option<OpticalSchedule>,
-    per_fault: Vec<FaultCounters>,
-}
-
-/// Lifecycle cursor for one in-flight sampled data packet: its root span
-/// and whichever stage span is currently open.
-#[derive(Clone)]
-struct PktCursor {
-    /// The packet's root span id.
-    span: u64,
-    /// Owning flow.
-    flow: FlowId,
-    /// Currently open stage span, if any.
-    open: Option<(Stage, u64)>,
-}
-
-/// Engine-side observability: sampled causal lifecycle spans plus the
-/// per-phase profiler. Every method early-returns on a single branch when
-/// span recording is off (and compiles away entirely without the core
-/// `obs` feature, where [`Spans`]/[`Profiler`] are zero-sized no-ops).
-#[derive(Clone)]
-struct ObsState {
-    spans: Spans,
-    profiler: Profiler,
-    /// Flow id → its root flow span.
-    flow_spans: FxHashMap<FlowId, u64>,
-    /// Packet id → lifecycle cursor.
-    cursors: FxHashMap<u64, PktCursor>,
-}
-
-impl ObsState {
-    fn new(cfg: &NetConfig) -> Self {
-        ObsState {
-            spans: Spans::bounded(cfg.span_sample_every, cfg.seed, cfg.span_capacity as usize),
-            profiler: if cfg.telemetry { Profiler::enabled() } else { Profiler::detached() },
-            flow_spans: FxHashMap::default(),
-            cursors: FxHashMap::default(),
-        }
-    }
-
-    /// Open the flow's root span, if the flow falls in the sample.
-    fn flow_begin(&mut self, flow: FlowId, now: SimTime) {
-        if !self.spans.samples(flow) || !self.spans.admit() {
-            return;
-        }
-        let s = self.spans.span_begin(now, 0, flow, 0, Stage::Flow, 0);
-        self.flow_spans.insert(flow, s);
-    }
-
-    /// Close the flow's root span (finalization raises the end further if
-    /// a retransmitted packet lands later).
-    fn flow_end(&mut self, flow: FlowId, now: SimTime) {
-        if let Some(s) = self.flow_spans.remove(&flow) {
-            self.spans.span_end(now, s, Stage::Flow);
-        }
-    }
-
-    /// Open a packet's root span under its flow, covering the host tx
-    /// queue wait `[queued_at, now]` as the first stage.
-    fn packet_begin(&mut self, flow: FlowId, pkt: u64, queued_at: SimTime, now: SimTime) {
-        if !self.spans.is_on() {
-            return;
-        }
-        let Some(&fs) = self.flow_spans.get(&flow) else { return };
-        if !self.spans.admit() {
-            return;
-        }
-        let at = queued_at.min(now);
-        let ps = self.spans.span_begin(at, fs, flow, pkt, Stage::Packet, 0);
-        let q = self.spans.span_begin(at, ps, flow, pkt, Stage::HostTxQueue, 0);
-        self.spans.span_end(now, q, Stage::HostTxQueue);
-        self.cursors.insert(pkt, PktCursor { span: ps, flow, open: None });
-    }
-
-    /// Close the packet's currently open stage span, if any, at `at`.
-    fn close_open(&mut self, pkt: u64, at: SimTime) {
-        if !self.spans.is_on() {
-            return;
-        }
-        let Some(c) = self.cursors.get_mut(&pkt) else { return };
-        if let Some((stage, s)) = c.open.take() {
-            self.spans.span_end(at, s, stage);
-        }
-    }
-
-    /// Transition the packet to `stage` at `at`: closes the open stage
-    /// span (stages tile — no gaps, no overlap) and opens the next.
-    fn open(&mut self, pkt: u64, stage: Stage, at: SimTime) {
-        if !self.spans.is_on() {
-            return;
-        }
-        self.close_open(pkt, at);
-        let Some(c) = self.cursors.get_mut(&pkt) else { return };
-        let s = self.spans.span_begin(at, c.span, c.flow, pkt, stage, 0);
-        c.open = Some((stage, s));
-    }
-
-    /// Begin (or continue) a guardband hold for the packet at the head of
-    /// a held port. Repeated holds on the same head extend the same span.
-    fn hold_begin(&mut self, pkt: u64, at: SimTime) {
-        if !self.spans.is_on() {
-            return;
-        }
-        match self.cursors.get(&pkt) {
-            Some(c) if matches!(c.open, Some((Stage::GuardbandHold, _))) => {}
-            Some(_) => self.open(pkt, Stage::GuardbandHold, at),
-            None => {}
-        }
-    }
-
-    /// The packet left a queue and serializes onto the wire for `tx` ns:
-    /// closes the open wait span at `at` and records the full
-    /// serialization interval (its end is already known).
-    fn serialized(&mut self, pkt: u64, at: SimTime, tx: u64) {
-        if !self.spans.is_on() {
-            return;
-        }
-        self.close_open(pkt, at);
-        let Some(c) = self.cursors.get(&pkt) else { return };
-        let s = self.spans.span_begin(at, c.span, c.flow, pkt, Stage::Serialization, 0);
-        self.spans.span_end(at + tx, s, Stage::Serialization);
-    }
-
-    /// The packet reached its destination host: close the open stage, mark
-    /// the transport hand-off, and end the packet span.
-    fn delivered(&mut self, pkt: u64, at: SimTime) {
-        if !self.spans.is_on() {
-            return;
-        }
-        self.close_open(pkt, at);
-        if let Some(c) = self.cursors.remove(&pkt) {
-            self.spans.span_mark(at, c.span, c.flow, pkt, Stage::TcpDelivery, 0);
-            self.spans.span_end(at, c.span, Stage::Packet);
-        }
-    }
-
-    /// The packet was dropped (`site`: 1 switch, 2 no-route, 3 fabric,
-    /// 4 link queue, 5 trimmed): annotate and end the packet span.
-    fn dropped(&mut self, pkt: u64, at: SimTime, site: u64) {
-        if !self.spans.is_on() {
-            return;
-        }
-        self.close_open(pkt, at);
-        if let Some(c) = self.cursors.remove(&pkt) {
-            self.spans.span_mark(at, c.span, c.flow, pkt, Stage::Drop, site);
-            self.spans.span_end(at, c.span, Stage::Packet);
-        }
-    }
-
-    /// The packet was eaten by an injected fault (`code` =
-    /// `FaultKind::code`): annotate and end the packet span.
-    fn fault_dropped(&mut self, pkt: u64, at: SimTime, code: u64) {
-        if !self.spans.is_on() {
-            return;
-        }
-        self.close_open(pkt, at);
-        if let Some(c) = self.cursors.remove(&pkt) {
-            self.spans.span_mark(at, c.span, c.flow, pkt, Stage::FaultDrop, code);
-            self.spans.span_end(at, c.span, Stage::Packet);
-        }
-    }
-
-    /// Annotate the flow with a retransmission trigger (`code` mirrors
-    /// `RetxKind`: 1 watchdog, 2 RTO, 3 fast, 4 NACK).
-    fn retransmit_mark(&mut self, flow: FlowId, at: SimTime, code: u64) {
-        if !self.spans.is_on() {
-            return;
-        }
-        if let Some(&fs) = self.flow_spans.get(&flow) {
-            self.spans.span_mark(at, fs, flow, 0, Stage::Retransmit, code);
-        }
     }
 }
 
@@ -672,10 +497,16 @@ pub struct Engine {
     /// Rendered frame lines for streaming subscriptions (samples, SLO
     /// transitions, flight-recorder dumps).
     frames: FrameLog,
-    /// Injected fault campaign, if any (`None` = sunny-day run).
-    faults: Option<FaultRuntime>,
-    /// Lifecycle spans + phase profiler (inert unless configured).
-    obs: ObsState,
+    /// Injected fault campaign (empty = sunny-day run).
+    faults: FaultRuntime,
+    /// The schedule with the circuits of every open link-down window
+    /// removed — what routing compiles against while one is open, so the
+    /// reroute avoids the failed link. `None` = nothing masked.
+    fault_masked: Option<OpticalSchedule>,
+    /// Lifecycle spans and their cursors (inert unless configured).
+    cursors: SpanCursors,
+    /// Per-phase profiler (inert unless telemetry is on).
+    profiler: Profiler,
 }
 
 #[derive(Clone)]
@@ -683,8 +514,58 @@ struct RouterSpec {
     algo: Box<dyn RoutingAlgorithm>,
     lookup: LookupMode,
     multipath: MultipathMode,
-    /// TA mode: wildcard-slice routing over the topology instance.
-    ta: bool,
+}
+
+/// The optical fabric `cfg` describes, running `schedule`.
+fn build_fabric(cfg: &NetConfig, schedule: OpticalSchedule) -> Fabric {
+    let profile = if cfg.emulated_fabric {
+        FabricProfile::Emulated { propagation_ns: 100, cut_through_ns: 400 }
+    } else {
+        FabricProfile::RealOcs { propagation_ns: 100 }
+    };
+    let slice_ns = schedule.slice_config().slice_ns;
+    let mut fabric = Fabric::new(schedule, profile, cfg.ocs_reconfig_ns);
+    fabric.set_dead_window_ns(cfg.fabric_dead_ns.min(slice_ns / 2));
+    fabric
+}
+
+/// One ToR switch per node, shaped by `slice_cfg` and reporting into
+/// `telemetry` (series are get-or-create by key, so rebuilding the
+/// switches re-binds the same series).
+fn build_tors(cfg: &NetConfig, slice_cfg: SliceConfig, telemetry: &Registry) -> Vec<ToRSwitch> {
+    let congestion = CongestionConfig {
+        detection_enabled: cfg.congestion_detection,
+        threshold_bytes: cfg.congestion_threshold,
+        policy: match cfg.congestion_policy.as_str() {
+            "drop" => CongestionPolicy::Drop,
+            "trim" => CongestionPolicy::Trim,
+            "wait" => CongestionPolicy::Wait,
+            _ => CongestionPolicy::Defer { max_extra_slices: cfg.defer_max_extra_slices },
+        },
+    };
+    let offload = cfg.offload.then_some(OffloadPolicy {
+        keep_ranks: cfg.offload_keep_ranks,
+        return_lead_ns: cfg.offload_return_lead_ns,
+    });
+    (0..cfg.node_num)
+        .map(|i| {
+            let mut tor = ToRSwitch::new(TorConfig {
+                id: NodeId(i),
+                slice_cfg,
+                uplinks: cfg.uplink,
+                uplink_bandwidth: cfg.uplink_bandwidth(),
+                num_queues: cfg.num_queues.min(slice_cfg.num_slices as usize).max(1),
+                queue_capacity: cfg.queue_capacity,
+                congestion,
+                pushback_enabled: cfg.pushback,
+                offload,
+                eqo_interval_ns: cfg.eqo_interval_ns,
+                use_true_occupancy: cfg.eqo_ground_truth,
+            });
+            tor.attach_telemetry(telemetry);
+            tor
+        })
+        .collect()
 }
 
 impl Engine {
@@ -692,54 +573,14 @@ impl Engine {
     pub fn new(cfg: NetConfig, schedule: OpticalSchedule) -> Self {
         let slice_cfg = schedule.slice_config();
         let n = cfg.node_num;
-        let profile = if cfg.emulated_fabric {
-            FabricProfile::Emulated { propagation_ns: 100, cut_through_ns: 400 }
-        } else {
-            FabricProfile::RealOcs { propagation_ns: 100 }
-        };
-        let mut fabric = Fabric::new(schedule, profile, cfg.ocs_reconfig_ns);
-        fabric.set_dead_window_ns(cfg.fabric_dead_ns.min(slice_cfg.slice_ns / 2));
         let mut rng = SimRng::new(cfg.seed);
         let sync = if cfg.sync_err_ns == 0 {
             ClockSync::perfect(n)
         } else {
             ClockSync::uniform(n, cfg.sync_err_ns, &mut rng)
         };
-        let policy_cfg = CongestionConfig {
-            detection_enabled: cfg.congestion_detection,
-            threshold_bytes: cfg.congestion_threshold,
-            policy: match cfg.congestion_policy.as_str() {
-                "drop" => CongestionPolicy::Drop,
-                "trim" => CongestionPolicy::Trim,
-                "wait" => CongestionPolicy::Wait,
-                _ => CongestionPolicy::Defer { max_extra_slices: cfg.defer_max_extra_slices },
-            },
-        };
-        let offload = cfg.offload.then_some(OffloadPolicy {
-            keep_ranks: cfg.offload_keep_ranks,
-            return_lead_ns: cfg.offload_return_lead_ns,
-        });
         let telemetry = Registry::new(cfg.telemetry, cfg.trace_capacity as usize);
         let trace = telemetry.trace();
-        let tors: Vec<ToRSwitch> = (0..n)
-            .map(|i| {
-                let mut tor = ToRSwitch::new(TorConfig {
-                    id: NodeId(i),
-                    slice_cfg,
-                    uplinks: cfg.uplink,
-                    uplink_bandwidth: cfg.uplink_bandwidth(),
-                    num_queues: cfg.num_queues.min(slice_cfg.num_slices as usize).max(1),
-                    queue_capacity: cfg.queue_capacity,
-                    congestion: policy_cfg,
-                    pushback_enabled: cfg.pushback,
-                    offload,
-                    eqo_interval_ns: cfg.eqo_interval_ns,
-                    use_true_occupancy: cfg.eqo_ground_truth,
-                });
-                tor.attach_telemetry(&telemetry);
-                tor
-            })
-            .collect();
         let hosts: Vec<HostState> = (0..cfg.total_hosts())
             .map(|h| HostState {
                 tor: NodeId(h / cfg.hosts_per_node),
@@ -751,19 +592,18 @@ impl Engine {
                 aging: FlowAging::new(cfg.elephant_threshold),
             })
             .collect();
-        let elec = (0..n).map(|_| Link::new(16 * 1024 * 1024)).collect();
-        let downlinks = (0..cfg.total_hosts()).map(|_| Link::new(16 * 1024 * 1024)).collect();
-        let obs = ObsState::new(&cfg);
+        let link = Link::new(16 * 1024 * 1024);
+        let spans = Spans::bounded(cfg.span_sample_every, cfg.seed, cfg.span_capacity as usize);
         Engine {
             slice_cfg,
-            fabric,
+            fabric: build_fabric(&cfg, schedule),
             port_pending: vec![vec![false; cfg.uplink as usize]; n as usize],
             tx_bytes_per_port: vec![vec![0; cfg.uplink as usize]; n as usize],
-            tors,
+            tors: build_tors(&cfg, slice_cfg, &telemetry),
             hosts,
-            elec,
+            elec: vec![link.clone(); n as usize],
             elec_bw: cfg.electrical_bandwidth(),
-            downlinks,
+            downlinks: vec![link; cfg.total_hosts() as usize],
             router: None,
             pipeline: PipelineModel::default(),
             sync,
@@ -792,10 +632,24 @@ impl Engine {
             class_sketches: [QuantileSketch::new(), QuantileSketch::new(), QuantileSketch::new()],
             timeseries: TimeSeries::new(SAMPLE_CAPACITY),
             frames: FrameLog::new(FRAME_CAPACITY),
-            faults: None,
-            obs,
+            faults: FaultRuntime::default(),
+            fault_masked: None,
+            cursors: SpanCursors::new(spans),
+            profiler: if cfg.telemetry { Profiler::enabled() } else { Profiler::detached() },
             cfg,
         }
+    }
+
+    /// Replace the optical schedule of an engine that has not run yet, in
+    /// place: only what [`Engine::new`] derives from the schedule (the
+    /// slice structure, the fabric, the switches) is rebuilt. Everything
+    /// attached so far — flows, apps, services, the fault plan, the
+    /// router, policies — survives by not being touched, and neither the
+    /// RNG nor the clock offsets are redrawn.
+    pub(crate) fn install_schedule(&mut self, schedule: OpticalSchedule) {
+        self.slice_cfg = schedule.slice_config();
+        self.tors = build_tors(&self.cfg, self.slice_cfg, &self.telemetry);
+        self.fabric = build_fabric(&self.cfg, schedule);
     }
 
     /// An independent copy of the whole engine — the warm-state leg of a
@@ -812,27 +666,27 @@ impl Engine {
         for tor in &mut e.tors {
             tor.attach_telemetry(&reg);
         }
-        e.obs.spans = self.obs.spans.deep_clone();
-        e.obs.profiler = self.obs.profiler.deep_clone();
+        e.cursors = self.cursors.deep_clone();
+        e.profiler = self.profiler.deep_clone();
         e
     }
 
     /// Whether lifecycle-span recording is active for this engine.
     pub fn has_span_recording(&self) -> bool {
-        self.obs.spans.is_on()
+        self.cursors.is_on()
     }
 
     /// A finalized, well-formed copy of the recorded span stream at sim
     /// time `now` (still-open spans get synthesized ends; parent ends are
     /// extended to cover late children). Empty when spans are off.
     pub fn span_events(&self, now: SimTime) -> Vec<SpanEvent> {
-        self.obs.spans.finalized_events(now)
+        self.cursors.spans().finalized_events(now)
     }
 
     /// The engine-phase profiler handle (for reports and for the bench
     /// binary to install a wall clock into).
     pub fn profiler(&self) -> &Profiler {
-        &self.obs.profiler
+        &self.profiler
     }
 
     /// The metrics registry this engine reports into. Disabled when the
@@ -843,9 +697,9 @@ impl Engine {
 
     /// Mirror engine-side plain counters into the registry so a snapshot
     /// sees them. Cheap relative to a snapshot; call before snapshotting.
-    /// `queue_stats` carries the event-queue statistics, which live outside
-    /// the engine (the sim crate does not depend on telemetry).
-    pub fn sync_telemetry(&self, queue_stats: Option<openoptics_sim::QueueStats>) {
+    /// `qs` carries the event-queue statistics, which live outside the
+    /// engine (the sim crate does not depend on telemetry).
+    pub fn sync_telemetry(&self, qs: openoptics_sim::QueueStats) {
         let reg = &self.telemetry;
         if !reg.is_enabled() {
             return;
@@ -853,14 +707,12 @@ impl Engine {
         for (name, v) in self.counters.counter_pairs() {
             reg.counter(name, Labels::None).set(v);
         }
-        if let Some(qs) = queue_stats {
-            reg.counter("sim.events_scheduled", Labels::None).set(qs.scheduled_total);
-            reg.counter("sim.events_popped", Labels::None).set(qs.popped_total);
-            reg.counter("sim.events_far_scheduled", Labels::None).set(qs.far_scheduled);
-            reg.counter("sim.events_overlay_scheduled", Labels::None).set(qs.overlay_scheduled);
-            reg.gauge("sim.queue_len", Labels::None).set(qs.len as i64);
-            reg.gauge("sim.queue_peak_len", Labels::None).set(qs.peak_len as i64);
-        }
+        reg.counter("sim.events_scheduled", Labels::None).set(qs.scheduled_total);
+        reg.counter("sim.events_popped", Labels::None).set(qs.popped_total);
+        reg.counter("sim.events_far_scheduled", Labels::None).set(qs.far_scheduled);
+        reg.counter("sim.events_overlay_scheduled", Labels::None).set(qs.overlay_scheduled);
+        reg.gauge("sim.queue_len", Labels::None).set(qs.len as i64);
+        reg.gauge("sim.queue_peak_len", Labels::None).set(qs.peak_len as i64);
         for (name, v) in self.fabric.counter_pairs() {
             reg.counter(name, Labels::None).set(v);
         }
@@ -900,19 +752,13 @@ impl Engine {
         reg.gauge("fabric.sync_max_err_ns", Labels::None)
             .set(self.sync.max_err_ns().min(i64::MAX as u64) as i64);
         reg.counter("fct.completed_flows", Labels::None).set(self.fct.completed().len() as u64);
-        if let Some(f) = &self.faults {
-            let mut sums = FaultCounters::default().counter_pairs();
-            for c in &f.per_fault {
-                for (sum, (_, v)) in sums.iter_mut().zip(c.counter_pairs()) {
-                    sum.1 += v;
-                }
-            }
-            for (name, v) in sums {
+        if !self.faults.specs().is_empty() {
+            for (name, v) in self.faults.totals().counter_pairs() {
                 reg.counter(name, Labels::None).set(v);
             }
         }
-        self.obs.spans.mirror_into(reg);
-        self.obs.profiler.mirror_into(reg);
+        self.cursors.spans().mirror_into(reg);
+        self.profiler.mirror_into(reg);
     }
 
     // -- services, sampling, and the frame stream ---------------------------
@@ -921,7 +767,7 @@ impl Engine {
     /// with optional SLO accounting. Returns the service id used for
     /// tagging. Declaration order is the id order, so scenario-driven and
     /// programmatic declaration produce identical exports.
-    pub fn declare_service(&mut self, name: &str, slo: Option<SloTarget>) -> u16 {
+    pub(crate) fn declare_service(&mut self, name: &str, slo: Option<SloTarget>) -> u16 {
         self.services.push(ServiceStats::new(name.to_string(), slo));
         u16::try_from(self.services.len() - 1).expect("more than 65535 declared services")
     }
@@ -963,7 +809,7 @@ impl Engine {
         };
         self.class_sketches[class].record(fct);
         let Some(sid) = service else { return };
-        let fault_active = self.faults.as_ref().is_some_and(|f| f.active.iter().any(|&a| a));
+        let fault_active = self.faults.any_active();
         let Some(svc) = self.services.get_mut(sid as usize) else { return };
         let Some(transition) = svc.record(now.as_ns(), fct, fault_active) else { return };
         let (state, kind) = match transition {
@@ -987,11 +833,7 @@ impl Engine {
 
     /// One sampling tick: mirror counters, snapshot, and append the row to
     /// the time series and the frame log.
-    pub(crate) fn take_sample(
-        &mut self,
-        now: SimTime,
-        queue_stats: Option<openoptics_sim::QueueStats>,
-    ) {
+    fn take_sample(&mut self, now: SimTime, queue_stats: openoptics_sim::QueueStats) {
         self.sync_telemetry(queue_stats);
         let snap = self.telemetry.snapshot(now);
         let row = SampleRow {
@@ -1028,88 +870,47 @@ impl Engine {
     /// Install (or extend) the fault campaign. The plan is validated
     /// against this engine's shape (`node_num`, `uplink`) and against
     /// `not_before` — window starts must not lie in the simulated past.
-    /// Returns the campaign indices the new windows occupy so the caller
-    /// can schedule their edges as events.
-    pub fn set_fault_plan(
+    /// Returns the campaign indices the new windows occupy, for
+    /// [`Engine::schedule_fault_edges`].
+    pub(crate) fn set_fault_plan(
         &mut self,
         plan: &FaultPlan,
         not_before: SimTime,
     ) -> Result<std::ops::Range<usize>, FaultError> {
-        plan.validate_against(self.cfg.node_num, u32::from(self.cfg.uplink), not_before)?;
-        let f = self.faults.get_or_insert_with(FaultRuntime::default);
-        let lo = f.specs.len();
-        f.specs.extend_from_slice(plan.faults());
-        f.active.resize(f.specs.len(), false);
-        f.rotation_lag.resize(f.specs.len(), 0);
-        f.per_fault.resize(f.specs.len(), FaultCounters::default());
-        Ok(lo..f.specs.len())
+        self.faults.extend(plan, self.cfg.node_num, u32::from(self.cfg.uplink), not_before)
     }
 
-    /// The fault window at campaign index `idx`, if one is installed.
-    pub fn fault_spec(&self, idx: usize) -> Option<FaultSpec> {
-        self.faults.as_ref().and_then(|f| f.specs.get(idx).copied())
+    /// Schedule both edges of campaign faults `which`. Each edge is an
+    /// ordinary `(time, seq)` event, so campaigns replay byte-identically.
+    pub(crate) fn schedule_fault_edges(
+        &self,
+        which: std::ops::Range<usize>,
+        q: &mut EventQueue<Event>,
+    ) {
+        for i in which {
+            let s = self.faults.specs()[i];
+            q.schedule(s.start, Event::Timer(Timer::FaultStart(i)));
+            q.schedule(s.end, Event::Timer(Timer::FaultEnd(i)));
+        }
     }
 
     /// Results of the injected fault campaign. Campaign-wide totals come
     /// from the engine counters; the per-fault breakdown is empty when no
     /// plan was installed.
     pub fn fault_report(&self) -> FaultReport {
-        let mut r = FaultReport {
-            delivered: self.counters.delivered_packets,
-            retransmitted: self.counters.rto_retransmits
-                + self.counters.watchdog_retransmits
-                + self.counters.fast_retransmits
-                + self.counters.nack_retransmits,
-            ..FaultReport::default()
-        };
-        if let Some(f) = &self.faults {
-            r.per_fault = f.per_fault.clone();
-            for c in &f.per_fault {
-                r.dropped += c.dropped;
-                r.corrupted += c.corrupted;
-                r.rerouted += c.reroutes;
-                r.missed_rotations += c.missed_rotations;
-                r.paused_tx += c.paused_tx;
-            }
-        }
-        r
+        let c = &self.counters;
+        self.faults.report(
+            c.delivered_packets,
+            c.rto_retransmits + c.watchdog_retransmits + c.fast_retransmits + c.nack_retransmits,
+        )
     }
 
-    /// Rebuild every fault mask from the campaign's active flags, including
-    /// the link-down-masked schedule routing compiles against. Called on
-    /// every window edge; for a key claimed by overlapping windows, the
-    /// first active fault in campaign order owns it.
-    fn rebuild_fault_masks(&mut self) {
-        let Some(f) = &mut self.faults else { return };
-        f.drop_mask.clear();
-        f.flap_mask.clear();
-        f.slice_mask.clear();
-        f.pause_mask.clear();
-        let mut down: Vec<(NodeId, PortId)> = vec![];
-        for (i, s) in f.specs.iter().enumerate() {
-            if !f.active[i] {
-                continue;
-            }
-            match s.kind {
-                FaultKind::LinkDown => {
-                    f.drop_mask.entry((s.node, s.port)).or_insert(i);
-                    down.push((s.node, s.port));
-                }
-                FaultKind::OcsPortStuck => {
-                    f.drop_mask.entry((s.node, s.port)).or_insert(i);
-                }
-                FaultKind::TransceiverFlap { .. } => {
-                    f.flap_mask.entry((s.node, s.port)).or_insert(i);
-                }
-                FaultKind::SliceCorruption => {
-                    f.slice_mask.entry(s.node).or_insert(i);
-                }
-                FaultKind::NicPauseStorm => {
-                    f.pause_mask.entry(s.node).or_insert(i);
-                }
-            }
-        }
-        f.masked = if down.is_empty() {
+    /// Rebuild the link-down-masked schedule routing compiles against from
+    /// the links that are down right now. Called on every window edge and
+    /// after a reconfiguration.
+    fn rebuild_masked_schedule(&mut self) {
+        let down: Vec<(NodeId, PortId)> = self.faults.down_links().collect();
+        self.fault_masked = if down.is_empty() {
             None
         } else {
             let sched = self.fabric.schedule();
@@ -1136,86 +937,45 @@ impl Engine {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let Some(f) = &mut self.faults else { return };
-        let Some(spec) = f.specs.get(idx).copied() else { return };
-        if f.active[idx] == up {
-            return;
-        }
-        f.active[idx] = up;
-        if up {
-            f.per_fault[idx].activations += 1;
-        }
-        let lag = if !up && spec.kind == FaultKind::SliceCorruption {
-            std::mem::take(&mut f.rotation_lag[idx])
-        } else {
-            0
-        };
-        self.rebuild_fault_masks();
+        let Some((spec, lag)) = self.faults.flip(idx, up) else { return };
+        self.rebuild_masked_schedule();
         if spec.kind == FaultKind::LinkDown {
             // Link-down edges are visible to the controller: stale route
             // tables are dropped so the next lookup recompiles against the
             // masked time-expanded graph (bounded by the router's hop
             // horizon — the reroute cannot wander).
             self.invalidate_routes();
-            if let Some(f) = &mut self.faults {
-                f.per_fault[idx].reroutes += 1;
-            }
         }
         // A recovering slice-corrupted switch replays its missed rotations
         // to resynchronize its calendar with the fabric.
         for _ in 0..lag {
             self.tors[spec.node.index()].rotate(now);
         }
-        if !up {
-            // A cleared fault can unblock traffic already queued at the node.
-            self.kick_all_ports(spec.node, now, q);
-        }
-        let kind = if up {
-            TraceKind::FaultInject { node: spec.node, port: spec.port }
-        } else {
-            TraceKind::FaultClear { node: spec.node, port: spec.port }
-        };
-        self.trace.emit(now, kind);
+        let (node, port) = (spec.node, spec.port);
         if up {
+            self.trace.emit(now, TraceKind::FaultInject { node, port });
             // A fault firing is exactly the moment a subscriber wants the
             // recent trace tail: dump the flight recorder (which now ends
             // with the FaultInject record just emitted).
             self.flight_dump(now, FlightTrigger::FaultEdge);
-        }
-        self.obs.profiler.mark(Phase::FaultRuntime);
-    }
-
-    /// Whether a fault destroys the packet about to leave `(node, port)`:
-    /// `Some((fault, corrupted))` — drop-masked ports always lose it,
-    /// flapping transceivers lose it with the configured probability (drawn
-    /// from the engine's seeded RNG, so runs replay identically).
-    fn fault_tx_check(&mut self, node: NodeId, port: PortId) -> Option<(usize, bool)> {
-        let f = self.faults.as_ref()?;
-        if let Some(&i) = f.drop_mask.get(&(node, port)) {
-            return Some((i, false));
-        }
-        let &i = f.flap_mask.get(&(node, port))?;
-        let pct = match f.specs[i].kind {
-            FaultKind::TransceiverFlap { corrupt_pct } => u32::from(corrupt_pct),
-            _ => 0,
-        };
-        if self.rng.range(0..100u32) < pct {
-            Some((i, true))
         } else {
-            None
+            // A cleared fault can unblock traffic already queued at the node.
+            self.kick_all_ports(node, now, q);
+            self.trace.emit(now, TraceKind::FaultClear { node, port });
         }
+        self.profiler.mark(Phase::FaultRuntime);
     }
 
-    /// Set the routing scheme (`deploy_routing`). `ta` selects
-    /// wildcard-slice (topology-instance) routing.
-    pub fn set_router(
+    /// Set the routing scheme (`deploy_routing`). Whether it routes over
+    /// one held instance (TA, wildcard slice) or across the rotation is not
+    /// stored: the active schedule says so when routes are compiled.
+    pub(crate) fn set_router(
         &mut self,
         algo: Box<dyn RoutingAlgorithm>,
         lookup: LookupMode,
         multipath: MultipathMode,
-        ta: bool,
     ) {
-        self.router = Some(RouterSpec { algo, lookup, multipath, ta });
+        self.router = Some(RouterSpec { algo, lookup, multipath });
         self.invalidate_routes();
     }
 
@@ -1228,42 +988,19 @@ impl Engine {
         }
     }
 
-    /// Move the routing scheme out of `from` into this engine, updating its
-    /// TA flag for this engine's schedule. Used when `deploy_topo` replaces
-    /// an unprimed engine wholesale: the routing deployed on the old engine
-    /// survives the swap (route tables start empty in a fresh engine, so
-    /// there is nothing stale to clear).
-    pub(crate) fn adopt_router(&mut self, from: &mut Engine, ta: bool) {
-        self.router = from.router.take();
-        if let Some(spec) = &mut self.router {
-            spec.ta = ta;
-        }
-    }
-
-    /// Re-derive the router's TA flag after a schedule change (a
-    /// reconfiguration can move between a held instance and a rotating
-    /// schedule, e.g. SORN growing extra slices).
-    pub(crate) fn refresh_router_ta(&mut self, ta: bool) {
-        if let Some(spec) = &mut self.router {
-            spec.ta = ta;
-        }
-    }
-
-    /// Whether a routing scheme is installed.
-    pub fn has_router(&self) -> bool {
-        self.router.is_some()
-    }
-
     /// Replace the optical schedule (TA reconfiguration). Honors the OCS
     /// reconfiguration delay; routing tables are cleared so new paths are
     /// computed against the new topology.
-    pub fn reconfigure_schedule(&mut self, schedule: OpticalSchedule, now: SimTime) -> SimTime {
+    pub(crate) fn reconfigure_schedule(
+        &mut self,
+        schedule: OpticalSchedule,
+        now: SimTime,
+    ) -> SimTime {
         let done = self.fabric.reconfigure(schedule, now);
-        self.fabric.set_dead_window_ns(self.cfg.fabric_dead_ns.min(self.slice_cfg.slice_ns / 2));
         self.invalidate_routes();
         // Link-down masks derived from the old schedule are stale; rebuild
         // (they refresh again at the next fault window edge).
-        self.rebuild_fault_masks();
+        self.rebuild_masked_schedule();
         done
     }
 
@@ -1285,11 +1022,6 @@ impl Engine {
     /// Fabric loss counters.
     pub fn fabric_stats(&self) -> (u64, u64) {
         (self.fabric.delivered, self.fabric.total_lost())
-    }
-
-    /// The ToR a host hangs off.
-    pub fn host_tor(&self, host: HostId) -> NodeId {
-        self.hosts[host.index()].tor
     }
 
     /// The hosts hanging off `node`: host `h` sits under ToR
@@ -1323,37 +1055,30 @@ impl Engine {
         std::mem::replace(&mut self.tm_accum, TrafficMatrix::zeros(self.cfg.node_num as usize))
     }
 
+    /// The TCP endpoints of `flow`, if it exists and runs over TCP.
+    fn tcp(&self, flow: FlowId) -> Option<(&TcpSender, &TcpReceiver)> {
+        match &self.flows.get(&flow)?.transport {
+            Transport::Tcp { sender, receiver } => Some((sender, receiver)),
+            Transport::Paced => None,
+        }
+    }
+
     /// Bytes delivered so far for a flow.
     pub fn flow_delivered(&self, flow: FlowId) -> u64 {
-        self.flows
-            .get(&flow)
-            .map(|f| match &f.transport {
-                Transport::Tcp { receiver, .. } => receiver.delivered_bytes,
-                Transport::Paced => f.delivered,
-            })
-            .unwrap_or(0)
+        self.flows.get(&flow).map_or(0, |f| match &f.transport {
+            Transport::Tcp { receiver, .. } => receiver.delivered_bytes,
+            Transport::Paced => f.delivered,
+        })
     }
 
     /// Reordering events observed by a TCP flow's receiver (Fig. 9b).
     pub fn flow_reorder_events(&self, flow: FlowId) -> u64 {
-        self.flows
-            .get(&flow)
-            .map(|f| match &f.transport {
-                Transport::Tcp { receiver, .. } => receiver.reorder_events,
-                Transport::Paced => 0,
-            })
-            .unwrap_or(0)
+        self.tcp(flow).map_or(0, |(_, receiver)| receiver.reorder_events)
     }
 
     /// TCP sender diagnostics `(fast retransmits, timeouts)`.
     pub fn flow_tcp_stats(&self, flow: FlowId) -> (u64, u64) {
-        self.flows
-            .get(&flow)
-            .map(|f| match &f.transport {
-                Transport::Tcp { sender, .. } => (sender.fast_retransmits, sender.timeouts),
-                Transport::Paced => (0, 0),
-            })
-            .unwrap_or((0, 0))
+        self.tcp(flow).map_or((0, 0), |(sender, _)| (sender.fast_retransmits, sender.timeouts))
     }
 
     /// Probe-train statistics.
@@ -1363,22 +1088,11 @@ impl Engine {
 
     // -- workload attachment (before `prime`) ------------------------------
 
-    /// Schedule a flow to start at `at`; returns its pending-flow index
-    /// (used by the API layer to arm the start timer after priming).
-    pub fn add_flow(
-        &mut self,
-        at: SimTime,
-        src: HostId,
-        dst: HostId,
-        bytes: u64,
-        transport: TransportKind,
-    ) -> usize {
-        self.add_flow_tagged(at, src, dst, bytes, transport, None)
-    }
-
-    /// [`Engine::add_flow`] with a service tag for SLO accounting.
+    /// Schedule a flow to start at `at`, tagged with `service` for SLO
+    /// accounting; returns its pending-flow index (used by the API layer
+    /// to arm the start timer after priming).
     #[allow(clippy::too_many_arguments)]
-    pub fn add_flow_tagged(
+    pub(crate) fn add_flow_tagged(
         &mut self,
         at: SimTime,
         src: HostId,
@@ -1391,20 +1105,9 @@ impl Engine {
         self.pending_flows.len() - 1
     }
 
-    /// Attach a memcached app: `clients` SET to `server` until `stop_at`.
-    pub fn add_memcached(
-        &mut self,
-        params: MemcachedParams,
-        server: HostId,
-        clients: Vec<HostId>,
-        stop_at: SimTime,
-    ) -> usize {
-        self.add_memcached_tagged(params, server, clients, stop_at, None)
-    }
-
-    /// [`Engine::add_memcached`] with a service tag: each operation's
-    /// request→response latency reports under the service's SLO.
-    pub fn add_memcached_tagged(
+    /// Attach a memcached app: `clients` SET to `server` until `stop_at`;
+    /// each operation's request→response latency reports under `service`.
+    pub(crate) fn add_memcached_tagged(
         &mut self,
         params: MemcachedParams,
         server: HostId,
@@ -1416,14 +1119,9 @@ impl Engine {
         self.memcached.len() - 1
     }
 
-    /// Attach a ring allreduce over `hosts` of `data_bytes`.
-    pub fn add_allreduce(&mut self, hosts: Vec<HostId>, data_bytes: u64) -> usize {
-        self.add_allreduce_tagged(hosts, data_bytes, None)
-    }
-
-    /// [`Engine::add_allreduce`] with a service tag: every chunk flow's FCT
-    /// reports under the service's SLO.
-    pub fn add_allreduce_tagged(
+    /// Attach a ring allreduce over `hosts` of `data_bytes`; every chunk
+    /// flow's FCT reports under `service`.
+    pub(crate) fn add_allreduce_tagged(
         &mut self,
         hosts: Vec<HostId>,
         data_bytes: u64,
@@ -1437,7 +1135,7 @@ impl Engine {
 
     /// Attach a probe train: `count` probes of `payload` bytes from `src`
     /// to `dst` every `interval_ns`.
-    pub fn add_probe_train(
+    pub(crate) fn add_probe_train(
         &mut self,
         src: HostId,
         dst: HostId,
@@ -1458,7 +1156,7 @@ impl Engine {
 
     /// Install the initial events: rotations, scheduled flows, app timers.
     /// Call once before running.
-    pub fn prime(&mut self, q: &mut EventQueue<Event>) {
+    pub(crate) fn prime(&mut self, q: &mut EventQueue<Event>) {
         // Per-node rotations (only for rotating schedules).
         if self.slice_cfg.num_slices > 1 {
             for node in 0..self.cfg.node_num {
@@ -1498,32 +1196,13 @@ impl Engine {
         // Allreduce first steps.
         for c in 0..self.collectives.len() {
             let sends = self.collectives[c].start();
-            let service = self.collective_service[c];
-            for s in sends {
-                self.start_flow(
-                    SimTime::ZERO,
-                    s.from,
-                    s.to,
-                    s.bytes,
-                    TransportKind::Paced,
-                    FlowKind::Chunk { collective: c },
-                    service,
-                    q,
-                );
-            }
+            self.start_chunks(c, sends, SimTime::ZERO, q);
         }
         // Probe trains.
         for t in 0..self.probe_trains.len() {
             q.schedule(SimTime::from_ns(1), Event::Timer(Timer::ProbeSend(t)));
         }
-        // Fault windows: each edge is an ordinary (time, seq) event, so
-        // campaigns replay byte-identically.
-        if let Some(f) = &self.faults {
-            for (i, s) in f.specs.iter().enumerate() {
-                q.schedule(s.start, Event::Timer(Timer::FaultStart(i)));
-                q.schedule(s.end, Event::Timer(Timer::FaultEnd(i)));
-            }
-        }
+        self.schedule_fault_edges(0..self.faults.specs().len(), q);
         // Telemetry sampling cadence: the timer is simply never scheduled
         // when sampling is off, so a disabled run pays nothing.
         if self.cfg.sample_every_ns > 0 && self.telemetry.is_enabled() {
@@ -1536,7 +1215,7 @@ impl Engine {
     /// Start a flow now; returns its id. `service` tags the flow's
     /// completion latency for SLO accounting.
     #[allow(clippy::too_many_arguments)]
-    pub fn start_flow(
+    fn start_flow(
         &mut self,
         now: SimTime,
         src: HostId,
@@ -1578,7 +1257,7 @@ impl Engine {
             _ => self.fct.start(id, bytes, now),
         }
         self.flows.insert(id, fs);
-        self.obs.flow_begin(id, now);
+        self.cursors.flow_begin(id, now);
         match &self.flows[&id].transport {
             Transport::Paced => {
                 self.hosts[src.index()].backlog.push(id);
@@ -1592,6 +1271,21 @@ impl Engine {
         }
         self.pump_host(src, now, q);
         id
+    }
+
+    /// Start one ring step of collective `c`: a paced chunk flow per send,
+    /// tagged with the collective's service.
+    fn start_chunks(
+        &mut self,
+        c: usize,
+        sends: Vec<ChunkSend>,
+        now: SimTime,
+        q: &mut EventQueue<Event>,
+    ) {
+        let (kind, service) = (FlowKind::Chunk { collective: c }, self.collective_service[c]);
+        for s in sends {
+            self.start_flow(now, s.from, s.to, s.bytes, TransportKind::Paced, kind, service, q);
+        }
     }
 
     /// Queue paced-flow segments into the vma stack, respecting socket
@@ -1616,8 +1310,7 @@ impl Engine {
                 let len = to_u32((f.bytes - f.queued).min(MSS as u64));
                 // Elephant classification: the simulator knows flow sizes,
                 // so it classifies by size directly — the steady state that
-                // PIAS-style aging converges to on persistent connections
-                // (the aging tracker still records for telemetry).
+                // PIAS-style aging converges to on persistent connections.
                 let use_mice = split_mice && f.bytes < elephant_threshold;
                 let stack = if use_mice { &mut h.vma_mice } else { &mut h.vma };
                 if !stack.would_accept(dst_tor, len) {
@@ -1636,7 +1329,10 @@ impl Engine {
                     )
                     .ok();
                 f.queued += len as u64;
-                h.aging.record(fid, len as u64);
+                if split_mice {
+                    // Aging has one reader: `pick_electrical` under this policy.
+                    h.aging.record(fid, len as u64);
+                }
             }
             if f.queued < f.bytes {
                 still.push(fid);
@@ -1663,17 +1359,20 @@ impl Engine {
         let src_tor = self.hosts[src.index()].tor;
         let dst_tor = self.hosts[dst_host.index()].tor;
         let topo = self.topology_id(src_tor, dst_tor);
+        let aging = self.policy == DispatchPolicy::MiceElectrical;
         let Some(f) = self.flows.get_mut(&fid) else { return };
         let Transport::Tcp { sender, .. } = &mut f.transport else { return };
         sender.set_topology(topo, now);
+        let h = &mut self.hosts[src.index()];
         // Respect socket capacity before consuming sender state.
-        while self.hosts[src.index()].vma.would_accept(dst_tor, MSS) {
+        while h.vma.would_accept(dst_tor, MSS) {
             let Some((seq, len)) = sender.next_segment(now) else { break };
-            self.hosts[src.index()]
-                .vma
+            h.vma
                 .send(dst_tor, Segment { flow: fid, dst_host, bytes: len, seq, queued_at: now })
                 .ok();
-            self.hosts[src.index()].aging.record(fid, len as u64);
+            if aging {
+                h.aging.record(fid, len as u64);
+            }
         }
     }
 
@@ -1697,39 +1396,30 @@ impl Engine {
         let kind = f.kind;
         let service = f.service;
         let (src, dst) = (f.src_host, f.dst_host);
-        self.obs.flow_end(fid, now);
+        self.hosts[src.index()].aging.forget(fid);
+        self.cursors.flow_end(fid, now);
+        // Whose FCT clock stops here: a request's runs on until its
+        // response lands.
+        let measured = match kind {
+            FlowKind::Plain | FlowKind::Chunk { .. } => Some(fid),
+            FlowKind::Request { .. } => None,
+            FlowKind::Response { of } => Some(of),
+        };
+        if let Some(rec) = measured.and_then(|id| self.fct.complete(id, now)) {
+            self.note_completion(rec, service, now);
+        }
         match kind {
-            FlowKind::Plain => {
-                if let Some(rec) = self.fct.complete(fid, now) {
-                    self.note_completion(rec, service, now);
-                }
-            }
+            FlowKind::Plain | FlowKind::Response { .. } => {}
             FlowKind::Chunk { collective } => {
-                if let Some(rec) = self.fct.complete(fid, now) {
-                    self.note_completion(rec, service, now);
-                }
                 if let Some(next) = self.collectives[collective].on_chunk_complete() {
-                    for s in next {
-                        self.start_flow(
-                            now,
-                            s.from,
-                            s.to,
-                            s.bytes,
-                            TransportKind::Paced,
-                            FlowKind::Chunk { collective },
-                            service,
-                            q,
-                        );
-                    }
+                    self.start_chunks(collective, next, now, q);
                 } else if self.collectives[collective].is_done() {
                     self.collective_done[collective] = Some(now);
                 }
             }
             FlowKind::Request { response_bytes } => {
-                // Server answers; the request's FCT completes with the
-                // response (handled below). The response inherits the
-                // request's service tag so the full round trip reports
-                // under one SLO.
+                // Server answers. The response inherits the request's
+                // service tag so the full round trip reports under one SLO.
                 self.start_flow(
                     now,
                     dst,
@@ -1740,11 +1430,6 @@ impl Engine {
                     service,
                     q,
                 );
-            }
-            FlowKind::Response { of } => {
-                if let Some(rec) = self.fct.complete(of, now) {
-                    self.note_completion(rec, service, now);
-                }
             }
         }
     }
@@ -1757,13 +1442,9 @@ impl Engine {
         id
     }
 
-    fn elec_enabled(&self) -> bool {
-        self.elec_bw.is_some()
-    }
-
     /// Decide which fabric carries this packet.
     fn pick_electrical(&mut self, host: HostId, pkt: &Packet) -> bool {
-        if !self.elec_enabled() {
+        if self.elec_bw.is_none() {
             return false;
         }
         match self.policy {
@@ -1781,70 +1462,79 @@ impl Engine {
         }
     }
 
-    /// Send a packet from a host into the network (NIC time already spent).
+    /// Send a packet from a host into the network (NIC time already spent),
+    /// over the fabric the dispatch policy picks — or the electrical one
+    /// regardless when `force_electrical` (mice-stack traffic).
     fn dispatch_from_host(
         &mut self,
         host: HostId,
         pkt: Packet,
+        force_electrical: bool,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
         let src_tor = self.hosts[host.index()].tor;
+        let pid = pkt.id;
         if pkt.is_data() {
             self.tm_accum.add(src_tor, pkt.dst, pkt.size as f64);
             self.counters.host_tx_packets += 1;
         }
-        if self.pick_electrical(host, &pkt) {
-            self.dispatch_electrical(host, pkt, now, q);
-        } else {
-            self.obs.open(pkt.id, Stage::Propagation, now);
+        if !(force_electrical || self.pick_electrical(host, &pkt)) {
+            self.cursors.enter(pid, Stage::Propagation, now);
             q.schedule_after(now, HOST_WIRE_NS, Event::TorIngress(src_tor, pkt));
-        }
-    }
-
-    /// Send a packet over the electrical fabric (accounting done by caller
-    /// or by [`Self::dispatch_from_host`]).
-    fn dispatch_electrical(
-        &mut self,
-        host: HostId,
-        pkt: Packet,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) {
-        let src_tor = self.hosts[host.index()].tor;
-        let size = pkt.size;
-        let pid = pkt.id;
-        if self.elec[src_tor.index()].queue.push(size, pkt).is_err() {
-            self.counters.link_drops += 1;
-            self.obs.dropped(pid, now, 4);
             return;
         }
-        self.obs.open(pid, Stage::CalendarWait, now);
-        let link = &mut self.elec[src_tor.index()];
-        if !link.draining {
-            link.draining = true;
-            let at = link.busy_until.max(now);
-            q.schedule(at, Event::ElecFree(src_tor));
+        match self.elec[src_tor.index()].push(pkt, now) {
+            Err(_) => self.drop_packet(pid, now, DropSite::Link),
+            Ok(kick) => {
+                self.cursors.enter(pid, Stage::CalendarWait, now);
+                if let Some(at) = kick {
+                    q.schedule(at, Event::ElecFree(src_tor));
+                }
+            }
         }
     }
 
     /// Deliver a packet to a host's downlink queue at its ToR.
     #[allow(clippy::wrong_self_convention)] // "to" = toward the downlink, not a conversion
     fn to_downlink(&mut self, host: HostId, pkt: Packet, now: SimTime, q: &mut EventQueue<Event>) {
-        let size = pkt.size;
         let pid = pkt.id;
-        if self.downlinks[host.index()].queue.push(size, pkt).is_err() {
-            self.counters.link_drops += 1;
-            self.obs.dropped(pid, now, 4);
-            return;
+        match self.downlinks[host.index()].push(pkt, now) {
+            Err(_) => self.drop_packet(pid, now, DropSite::Link),
+            Ok(kick) => {
+                self.cursors.enter(pid, Stage::Rx, now);
+                if let Some(at) = kick {
+                    q.schedule(at, Event::DownlinkFree(host));
+                }
+            }
         }
-        self.obs.open(pid, Stage::Rx, now);
-        let link = &mut self.downlinks[host.index()];
-        if !link.draining {
-            link.draining = true;
-            let at = link.busy_until.max(now);
-            q.schedule(at, Event::DownlinkFree(host));
-        }
+    }
+
+    /// The one drop funnel: count the packet against the cause that names
+    /// `site` and end its lifecycle span there.
+    fn drop_packet(&mut self, pid: u64, at: SimTime, site: DropSite) {
+        let c = &mut self.counters;
+        *match site {
+            DropSite::Switch => &mut c.switch_drops,
+            DropSite::NoRoute => &mut c.no_route_drops,
+            DropSite::Fabric => &mut c.fabric_drops,
+            DropSite::Link => &mut c.link_drops,
+            DropSite::Trimmed => &mut c.trimmed_received,
+        } += 1;
+        self.cursors.end_packet(pid, at, PacketEnd::Dropped(site));
+    }
+
+    /// A retransmission fired for `flow`: counter, trace record, span mark.
+    fn note_retransmit(&mut self, flow: FlowId, at: SimTime, kind: RetxKind) {
+        let c = &mut self.counters;
+        *match kind {
+            RetxKind::Watchdog => &mut c.watchdog_retransmits,
+            RetxKind::Rto => &mut c.rto_retransmits,
+            RetxKind::FastRetx => &mut c.fast_retransmits,
+            RetxKind::Nack => &mut c.nack_retransmits,
+        } += 1;
+        self.trace.emit(at, TraceKind::Retransmit { flow, kind });
+        self.cursors.retransmit(flow, at, kind);
     }
 
     // -- routing ------------------------------------------------------------
@@ -1853,13 +1543,14 @@ impl Engine {
     /// slice. Returns whether any path was produced.
     fn install_routes_for(&mut self, node: NodeId, dst: NodeId) -> bool {
         let Some(spec) = &self.router else { return false };
-        let arr = if spec.ta { None } else { Some(self.tors[node.index()].current_slice()) };
+        let active = self.fabric.schedule();
+        // One held instance (TA) routes on the wildcard slice; a rotation
+        // routes from the slice the packet arrived in.
+        let ta = active.slice_config().num_slices == 1;
+        let arr = if ta { None } else { Some(self.tors[node.index()].current_slice()) };
         // While a link-down fault is active, paths compile against the
         // masked time-expanded graph so the reroute avoids the failed link.
-        let sched = match self.faults.as_ref().and_then(|f| f.masked.as_ref()) {
-            Some(masked) => masked,
-            None => self.fabric.schedule(),
-        };
+        let sched = self.fault_masked.as_ref().unwrap_or(active);
         let paths: Vec<Path> = spec.algo.paths(sched, node, dst, arr);
         if paths.is_empty() {
             return false;
@@ -1922,13 +1613,9 @@ impl Engine {
     fn on_host_tx(&mut self, host: HostId, now: SimTime, q: &mut EventQueue<Event>) {
         self.hosts[host.index()].tx_scheduled = false;
         let tor = self.hosts[host.index()].tor;
-        if let Some(&i) = self.faults.as_ref().and_then(|f| f.pause_mask.get(&tor)) {
+        if let Some(resume) = self.faults.pause_until(tor) {
             // NIC pause storm: data transmission defers to the window end.
             // (ACKs bypass the NIC data queue in this model and still flow.)
-            let resume = self.faults.as_ref().map_or(now, |f| f.specs[i].end);
-            if let Some(f) = &mut self.faults {
-                f.per_fault[i].paused_tx += 1;
-            }
             self.hosts[host.index()].tx_scheduled = true;
             q.schedule(resume.max(now + 1), Event::HostTx(host));
             return;
@@ -1945,8 +1632,8 @@ impl Engine {
         match popped {
             Some((dst_tor, seg)) => {
                 let src_tor = self.hosts[host.index()].tor;
-                let mut pkt = Packet::data(
-                    0,
+                let pkt = Packet::data(
+                    self.alloc_pkt_id(),
                     seg.flow,
                     src_tor,
                     dst_tor,
@@ -1956,19 +1643,10 @@ impl Engine {
                     seg.seq,
                     now,
                 );
-                pkt.id = self.alloc_pkt_id();
-                self.obs.packet_begin(seg.flow, pkt.id, seg.queued_at, now);
+                self.cursors.packet_begin(seg.flow, pkt.id, seg.queued_at, now);
                 let tx = self.cfg.host_link_bandwidth().tx_time_ns(pkt.size as u64).max(1);
                 self.hosts[host.index()].nic_free = now + tx;
-                if force_electrical {
-                    // Mice-stack traffic bypasses policy but is still
-                    // accounted like any other host transmission.
-                    self.tm_accum.add(src_tor, pkt.dst, pkt.size as f64);
-                    self.counters.host_tx_packets += 1;
-                    self.dispatch_electrical(host, pkt, now, q);
-                } else {
-                    self.dispatch_from_host(host, pkt, now, q);
-                }
+                self.dispatch_from_host(host, pkt, force_electrical, now, q);
                 // Keep draining.
                 self.pump_host(host, now + tx, q);
             }
@@ -1981,8 +1659,7 @@ impl Engine {
                     .chain(self.hosts[host.index()].vma_mice.next_unblock(now))
                     .min();
                 if let Some(t) = t {
-                    let h = &mut self.hosts[host.index()];
-                    h.tx_scheduled = true;
+                    self.hosts[host.index()].tx_scheduled = true;
                     q.schedule(t, Event::HostTx(host));
                 }
             }
@@ -2012,37 +1689,41 @@ impl Engine {
         if let Some(msg) = res.pushback {
             // Broadcast to the sender ToR's hosts after a control RTT.
             for h in self.hosts_of(src_tor).map(HostId) {
-                q.schedule_after(now, 2_000, Event::HostControl(h, msg.clone()));
+                q.schedule_after(now, 2_000, Event::HostControl(h, msg));
             }
         }
-        match res.decision {
-            IngressDecision::DeliverLocal(p) => {
-                let host = p.dst_host;
-                // `u32::MAX`: a control packet addressed to the switch itself.
-                if host.0 != u32::MAX {
-                    self.to_downlink(host, p, now, q);
-                }
-            }
+        self.after_admission(node, pid, res.decision, now, now, q);
+    }
+
+    /// What the switch decided for packet `pid` — on first ingress or when
+    /// an offloaded packet is re-admitted — becomes the packet's next step.
+    /// `recall_floor` is the earliest a follow-up offload recall may fire.
+    #[inline]
+    fn after_admission(
+        &mut self,
+        node: NodeId,
+        pid: u64,
+        decision: IngressDecision,
+        recall_floor: SimTime,
+        now: SimTime,
+        q: &mut EventQueue<Event>,
+    ) {
+        match decision {
+            IngressDecision::DeliverLocal(p) => self.to_downlink(p.dst_host, p, now, q),
             IngressDecision::Enqueued { port, .. } | IngressDecision::Trimmed { port, .. } => {
-                self.obs.open(pid, Stage::CalendarWait, now);
+                self.cursors.enter(pid, Stage::CalendarWait, now);
                 if self.tors[node.index()].has_active_traffic(port) {
                     self.kick_port(node, port, now, q);
                 }
             }
             IngressDecision::Offloaded { .. } => {
-                self.obs.open(pid, Stage::CalendarWait, now);
+                self.cursors.enter(pid, Stage::CalendarWait, now);
                 if let Some(t) = self.tors[node.index()].next_offload_recall() {
-                    self.schedule_recall(node, t.max(now), q);
+                    self.schedule_recall(node, t.max(recall_floor), q);
                 }
             }
-            IngressDecision::Dropped(_) => {
-                self.counters.switch_drops += 1;
-                self.obs.dropped(pid, now, 1);
-            }
-            IngressDecision::NoRoute(_) => {
-                self.counters.no_route_drops += 1;
-                self.obs.dropped(pid, now, 2);
-            }
+            IngressDecision::Dropped(_) => self.drop_packet(pid, now, DropSite::Switch),
+            IngressDecision::NoRoute(_) => self.drop_packet(pid, now, DropSite::NoRoute),
         }
     }
 
@@ -2066,19 +1747,19 @@ impl Engine {
             self.port_pending[node.index()][port.index()] = true;
             self.counters.guardband_holds += 1;
             self.trace.emit(now, TraceKind::GuardbandHold { node, port });
-            if self.obs.spans.is_on() {
+            if self.cursors.is_on() {
                 if let Some((pid, _)) = self.tors[node.index()].head_packet_ids(port) {
-                    self.obs.hold_begin(pid, now);
+                    self.cursors.hold(pid, now);
                 }
             }
             q.schedule(resume.max(now + 1), Event::PortFree(node, port));
             return;
         }
-        self.obs.profiler.enter(Phase::Drain);
+        self.profiler.enter(Phase::Drain);
         let popped = self.tors[node.index()].pop_if_fits(port, local, SLICE_END_MARGIN_NS);
-        self.obs.profiler.exit(Phase::Drain);
+        self.profiler.exit(Phase::Drain);
         // Every drain attempt refreshes the EQO estimate inside the switch.
-        self.obs.profiler.mark(Phase::EqoTick);
+        self.profiler.mark(Phase::EqoTick);
         match popped {
             Some((pkt, tx)) => {
                 if cfg!(feature = "strict-invariants") && self.slice_cfg.num_slices > 1 {
@@ -2104,50 +1785,36 @@ impl Engine {
                         self.slice_cfg.remaining_in_slice(local),
                     );
                 }
-                if let Some((fi, corrupted)) = self.fault_tx_check(node, port) {
-                    // Drain-and-drop: the port still cycles at line rate so
-                    // the queue behind the fault drains, but the packet is
-                    // charged to the fault instead of reaching the fabric.
-                    self.port_pending[node.index()][port.index()] = true;
-                    q.schedule_after(now, tx, Event::PortFree(node, port));
+                // The port is busy for the serialization time — also when a
+                // fault eats the packet (drain-and-drop: the port still
+                // cycles at line rate so the queue behind the fault drains).
+                self.port_pending[node.index()][port.index()] = true;
+                q.schedule_after(now, tx, Event::PortFree(node, port));
+                if let Some(fault) = self.faults.on_tx(node, port, &mut self.rng) {
+                    // Charged to the fault instead of reaching the fabric.
                     self.counters.fault_drops += 1;
-                    let code = self.faults.as_ref().map_or(0, |f| f.specs[fi].kind.code());
-                    if let Some(f) = &mut self.faults {
-                        let c = &mut f.per_fault[fi];
-                        if corrupted {
-                            c.corrupted += 1;
-                        } else {
-                            c.dropped += 1;
-                        }
-                    }
                     self.trace.emit(now, TraceKind::FaultDrop { node, port });
-                    self.obs.profiler.mark(Phase::FaultRuntime);
-                    self.obs.fault_dropped(pkt.id, now, code);
+                    self.profiler.mark(Phase::FaultRuntime);
+                    self.cursors.end_packet(pkt.id, now, PacketEnd::FaultDropped(fault.code()));
                     return;
                 }
                 self.tx_bytes_per_port[node.index()][port.index()] += pkt.size as u64;
-                // Port is busy for the serialization time.
-                self.port_pending[node.index()][port.index()] = true;
-                q.schedule_after(now, tx, Event::PortFree(node, port));
-                self.obs.serialized(pkt.id, now, tx);
+                self.cursors.serialized(pkt.id, now, tx);
                 match self.fabric.transit(node, port, now) {
                     openoptics_fabric::Transit::Delivered { node: peer, latency_ns, .. } => {
                         let delay = self.pipeline.delay_ns(pkt.size, &mut self.rng) + latency_ns;
-                        self.obs.open(pkt.id, Stage::Propagation, now + tx);
+                        self.cursors.enter(pkt.id, Stage::Propagation, now + tx);
                         q.schedule_after(now, delay.max(tx), Event::TorIngress(peer, pkt));
                     }
                     lost => {
-                        self.counters.fabric_drops += 1;
-                        self.obs.dropped(pkt.id, now + tx, 3);
-                        if self.trace.is_on() {
-                            let kind = match lost {
-                                openoptics_fabric::Transit::Guardband => {
-                                    TraceKind::GuardbandDrop { node, port }
-                                }
-                                _ => TraceKind::NoCircuitDrop { node, port },
-                            };
-                            self.trace.emit(now, kind);
-                        }
+                        self.drop_packet(pkt.id, now + tx, DropSite::Fabric);
+                        let kind = match lost {
+                            openoptics_fabric::Transit::Guardband => {
+                                TraceKind::GuardbandDrop { node, port }
+                            }
+                            _ => TraceKind::NoCircuitDrop { node, port },
+                        };
+                        self.trace.emit(now, kind);
                     }
                 }
             }
@@ -2168,24 +1835,16 @@ impl Engine {
     }
 
     fn on_rotate(&mut self, node: NodeId, now: SimTime, q: &mut EventQueue<Event>) {
-        let corrupted = self.faults.as_ref().and_then(|f| f.slice_mask.get(&node).copied());
-        match corrupted {
-            Some(i) => {
-                // Schedule corruption: the switch misses the boundary and
-                // stays in its stale slice while the fabric moves on, so
-                // its transmissions meet dark circuits. The miss is
-                // replayed (resync) when the window closes.
-                if let Some(f) = &mut self.faults {
-                    f.per_fault[i].missed_rotations += 1;
-                    f.rotation_lag[i] += 1;
-                }
-                self.obs.profiler.mark(Phase::FaultRuntime);
-            }
-            None => {
-                self.obs.profiler.enter(Phase::Rotation);
-                self.tors[node.index()].rotate(now);
-                self.obs.profiler.exit(Phase::Rotation);
-            }
+        if self.faults.miss_rotation(node) {
+            // Schedule corruption: the switch misses the boundary and
+            // stays in its stale slice while the fabric moves on, so its
+            // transmissions meet dark circuits. The miss is replayed
+            // (resync) when the window closes.
+            self.profiler.mark(Phase::FaultRuntime);
+        } else {
+            self.profiler.enter(Phase::Rotation);
+            self.tors[node.index()].rotate(now);
+            self.profiler.exit(Phase::Rotation);
         }
         let fire = now + self.slice_cfg.slice_ns;
         q.schedule(fire, Event::Rotate(node));
@@ -2220,59 +1879,23 @@ impl Engine {
 
     fn on_elec_free(&mut self, node: NodeId, now: SimTime, q: &mut EventQueue<Event>) {
         let bw = self.elec_bw.expect("electrical fabric enabled");
-        let link = &mut self.elec[node.index()];
-        if now < link.busy_until {
-            q.schedule(link.busy_until, Event::ElecFree(node));
-            return;
-        }
-        match link.queue.pop() {
-            Some((len, pkt)) => {
-                let tx = bw.tx_time_ns(len as u64).max(1);
-                link.busy_until = now + tx;
-                let busy_until = link.busy_until;
-                q.schedule(busy_until, Event::ElecFree(node));
-                self.obs.serialized(pkt.id, now, tx);
-                self.obs.open(pkt.id, Stage::Propagation, now + tx);
-                let host = pkt.dst_host;
-                let core = self.cfg.electrical_core_ns;
-                q.schedule_after(now, tx + core, Event::HostRx(host, pkt));
-            }
-            None => {
-                link.draining = false;
-            }
-        }
+        let Some((pkt, tx)) = self.elec[node.index()].pop(now, bw) else { return };
+        q.schedule_after(now, tx, Event::ElecFree(node));
+        self.cursors.serialized(pkt.id, now, tx);
+        self.cursors.enter(pkt.id, Stage::Propagation, now + tx);
+        let host = pkt.dst_host;
+        q.schedule_after(now, tx + self.cfg.electrical_core_ns, Event::HostRx(host, pkt));
     }
 
     fn on_downlink_free(&mut self, host: HostId, now: SimTime, q: &mut EventQueue<Event>) {
         let bw = self.cfg.host_link_bandwidth();
-        let link = &mut self.downlinks[host.index()];
-        if now < link.busy_until {
-            q.schedule(link.busy_until, Event::DownlinkFree(host));
-            return;
-        }
-        match link.queue.pop() {
-            Some((len, pkt)) => {
-                let tx = bw.tx_time_ns(len as u64).max(1);
-                link.busy_until = now + tx;
-                q.schedule(link.busy_until, Event::DownlinkFree(host));
-                q.schedule_after(now, tx, Event::HostRx(host, pkt));
-            }
-            None => {
-                link.draining = false;
-            }
-        }
+        let Some((pkt, tx)) = self.downlinks[host.index()].pop(now, bw) else { return };
+        q.schedule_after(now, tx, Event::DownlinkFree(host));
+        q.schedule_after(now, tx, Event::HostRx(host, pkt));
     }
 
-    fn on_host_rx(
-        &mut self,
-        host: HostId,
-        mut pkt: Packet,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) {
-        // Move the kind out of the delivered packet (it is consumed here)
-        // instead of cloning it — Control carries heap-allocated reports.
-        match std::mem::replace(&mut pkt.kind, PacketKind::Data) {
+    fn on_host_rx(&mut self, host: HostId, pkt: Packet, now: SimTime, q: &mut EventQueue<Event>) {
+        match pkt.kind {
             PacketKind::Data => {
                 self.counters.delivered_packets += 1;
                 self.counters.delivered_payload_bytes += pkt.payload as u64;
@@ -2282,8 +1905,7 @@ impl Engine {
                 if pkt.trimmed {
                     // Opera-style trimming: the header made it; NACK the
                     // payload back to the source after a reverse-path delay.
-                    self.counters.trimmed_received += 1;
-                    self.obs.dropped(pkt.id, now, 5);
+                    self.drop_packet(pkt.id, now, DropSite::Trimmed);
                     q.schedule_after(
                         now,
                         5_000,
@@ -2291,7 +1913,7 @@ impl Engine {
                     );
                     return;
                 }
-                self.obs.delivered(pkt.id, now);
+                self.cursors.end_packet(pkt.id, now, PacketEnd::Delivered);
                 let fid = pkt.flow;
                 let Some(f) = self.flows.get_mut(&fid) else { return };
                 match &mut f.transport {
@@ -2306,7 +1928,7 @@ impl Engine {
                         // Send an ACK back through the network.
                         let src_host = f.src_host;
                         let mut ack = Packet::data(
-                            0,
+                            self.alloc_pkt_id(),
                             fid,
                             self.hosts[host.index()].tor,
                             self.hosts[src_host.index()].tor,
@@ -2316,53 +1938,33 @@ impl Engine {
                             0,
                             now,
                         );
-                        ack.id = self.alloc_pkt_id();
                         ack.size = HEADER_BYTES;
                         ack.kind = PacketKind::Ack { cum_ack: cum };
-                        self.dispatch_from_host(host, ack, now, q);
+                        self.dispatch_from_host(host, ack, false, now, q);
                     }
                 }
             }
             PacketKind::Ack { cum_ack } => {
                 let fid = pkt.flow;
-                let mut finished = false;
+                let Some(f) = self.flows.get(&fid) else { return };
+                let src = f.src_host;
                 let topo = self
-                    .flows
-                    .get(&fid)
-                    .map(|f| {
-                        let src_tor = self.hosts[f.src_host.index()].tor;
-                        let dst_tor = self.hosts[f.dst_host.index()].tor;
-                        self.topology_id(src_tor, dst_tor)
-                    })
-                    .unwrap_or(0);
-                let mut fast_retx = false;
-                if let Some(f) = self.flows.get_mut(&fid) {
-                    match &mut f.transport {
-                        Transport::Tcp { sender, .. } => {
-                            sender.set_topology(topo, now);
-                            let before = sender.fast_retransmits;
-                            sender.on_ack(cum_ack, now);
-                            fast_retx = sender.fast_retransmits > before;
-                            if sender.done() && !f.done {
-                                finished = true;
-                            }
-                        }
-                        Transport::Paced => {}
-                    }
-                }
+                    .topology_id(self.hosts[src.index()].tor, self.hosts[f.dst_host.index()].tor);
+                let Some(f) = self.flows.get_mut(&fid) else { return };
+                let Transport::Tcp { sender, .. } = &mut f.transport else { return };
+                sender.set_topology(topo, now);
+                let before = sender.fast_retransmits;
+                sender.on_ack(cum_ack, now);
+                let fast_retx = sender.fast_retransmits > before;
+                let finished = sender.done() && !f.done;
                 if fast_retx {
-                    self.counters.fast_retransmits += 1;
-                    self.trace
-                        .emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::FastRetx });
-                    self.obs.retransmit_mark(fid, now, 3);
+                    self.note_retransmit(fid, now, RetxKind::FastRetx);
                 }
                 if finished {
                     self.finish_flow(fid, now, q);
                 } else {
                     self.pump_tcp(fid, now);
-                    if let Some(f) = self.flows.get(&fid) {
-                        self.pump_host(f.src_host, now, q);
-                    }
+                    self.pump_host(src, now, q);
                 }
             }
             PacketKind::Probe { echo_of, is_reply } => {
@@ -2377,7 +1979,7 @@ impl Engine {
                     }
                 } else {
                     let mut reply = Packet::data(
-                        0,
+                        self.alloc_pkt_id(),
                         pkt.flow,
                         self.hosts[host.index()].tor,
                         pkt.src,
@@ -2387,38 +1989,20 @@ impl Engine {
                         pkt.hops as u64,
                         now,
                     );
-                    reply.id = self.alloc_pkt_id();
                     reply.kind = PacketKind::Probe { echo_of, is_reply: true };
-                    self.dispatch_from_host(host, reply, now, q);
+                    self.dispatch_from_host(host, reply, false, now, q);
                 }
             }
-            PacketKind::Control(msg) => self.on_host_control(host, msg, now, q),
         }
     }
 
-    fn on_host_control(
-        &mut self,
-        host: HostId,
-        msg: ControlMsg,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) {
-        match msg {
-            ControlMsg::PushBack { dst, slice, cycle } => {
-                self.counters.pushback_deliveries += 1;
-                // The embargo lasts until the named (cycle, slice) ends.
-                let end = (cycle * self.slice_cfg.num_slices as u64 + slice as u64 + 1)
-                    * self.slice_cfg.slice_ns;
-                self.hosts[host.index()].vma.block_until(dst, SimTime::from_ns(end));
-            }
-            ControlMsg::CircuitNotify { dst, .. } => {
-                if self.hosts[host.index()].vma.resume(dst) {
-                    self.trace.emit(now, TraceKind::FlowResume { host, dst });
-                }
-                self.pump_host(host, now, q);
-            }
-            _ => {}
-        }
+    /// A push-back broadcast reached `host`: embargo the named destination
+    /// until the named (cycle, slice) ends.
+    fn on_host_control(&mut self, host: HostId, msg: PushBack) {
+        self.counters.pushback_deliveries += 1;
+        let end = (msg.cycle * self.slice_cfg.num_slices as u64 + msg.slice as u64 + 1)
+            * self.slice_cfg.slice_ns;
+        self.hosts[host.index()].vma.block_until(msg.dst, SimTime::from_ns(end));
     }
 
     /// Schedule an `OffloadRecall` for `node` at `t` unless one is already
@@ -2462,34 +2046,23 @@ impl Engine {
         let rank = to_u32(abs.saturating_sub(cur));
         let pid = pkt.id;
         let res = self.tors[node.index()].reinject_offloaded(pkt, port, rank, now);
-        match res.decision {
-            IngressDecision::Enqueued { port, .. } | IngressDecision::Trimmed { port, .. } => {
-                self.obs.open(pid, Stage::CalendarWait, now);
-                if self.tors[node.index()].has_active_traffic(port) {
-                    self.kick_port(node, port, now, q);
-                }
-            }
-            IngressDecision::Dropped(_) => {
-                self.counters.switch_drops += 1;
-                self.obs.dropped(pid, now, 1);
-            }
-            IngressDecision::Offloaded { .. } => {
-                self.obs.open(pid, Stage::CalendarWait, now);
-                if let Some(t) = self.tors[node.index()].next_offload_recall() {
-                    self.schedule_recall(node, t.max(now + 1), q);
-                }
-            }
-            _ => {}
-        }
+        self.after_admission(node, pid, res.decision, now + 1, now, q);
     }
 
     fn on_timer(&mut self, timer: Timer, now: SimTime, q: &mut EventQueue<Event>) {
         match timer {
             Timer::FlowStart(idx) => {
-                let p = &self.pending_flows[idx];
-                let (src, dst, bytes, transport, service) =
-                    (p.src, p.dst, p.bytes, p.transport, p.service);
-                self.start_flow(now, src, dst, bytes, transport, FlowKind::Plain, service, q);
+                let p = self.pending_flows[idx];
+                self.start_flow(
+                    now,
+                    p.src,
+                    p.dst,
+                    p.bytes,
+                    p.transport,
+                    FlowKind::Plain,
+                    p.service,
+                    q,
+                );
             }
             Timer::MemcachedOp { app, client_idx } => {
                 let (params, server, client, stop_at, service) = {
@@ -2525,10 +2098,7 @@ impl Engine {
                     f.queued = f.bytes - missing;
                     let src = f.src_host;
                     self.hosts[src.index()].backlog.push(fid);
-                    self.counters.watchdog_retransmits += 1;
-                    self.trace
-                        .emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::Watchdog });
-                    self.obs.retransmit_mark(fid, now, 1);
+                    self.note_retransmit(fid, now, RetxKind::Watchdog);
                     self.pump_host(src, now, q);
                 }
                 if let Some(f) = self.flows.get_mut(&fid) {
@@ -2537,34 +2107,20 @@ impl Engine {
                 q.schedule_after(now, WATCHDOG_NS, Event::Timer(Timer::FlowWatchdog(fid)));
             }
             Timer::TcpRto(fid) => {
-                let mut fired = false;
-                let mut deadline = None;
-                let mut src = None;
-                if let Some(f) = self.flows.get_mut(&fid) {
-                    if f.done {
-                        return;
-                    }
-                    match &mut f.transport {
-                        Transport::Tcp { sender, .. } => {
-                            fired = sender.maybe_timeout(now);
-                            deadline = Some(sender.rto_deadline());
-                            src = Some(f.src_host);
-                        }
-                        Transport::Paced => {}
-                    }
+                let Some(f) = self.flows.get_mut(&fid) else { return };
+                if f.done {
+                    return;
                 }
+                let src = f.src_host;
+                let Transport::Tcp { sender, .. } = &mut f.transport else { return };
+                let fired = sender.maybe_timeout(now);
+                let deadline = sender.rto_deadline();
                 if fired {
-                    self.counters.rto_retransmits += 1;
-                    self.trace.emit(now, TraceKind::Retransmit { flow: fid, kind: RetxKind::Rto });
-                    self.obs.retransmit_mark(fid, now, 2);
+                    self.note_retransmit(fid, now, RetxKind::Rto);
                     self.pump_tcp(fid, now);
-                    if let Some(s) = src {
-                        self.pump_host(s, now, q);
-                    }
+                    self.pump_host(src, now, q);
                 }
-                if let Some(d) = deadline {
-                    q.schedule(d.max(now + 1), Event::Timer(Timer::TcpRto(fid)));
-                }
+                q.schedule(deadline.max(now + 1), Event::Timer(Timer::TcpRto(fid)));
             }
             Timer::NotifyHosts(node) => self.on_notify_hosts(node, now, q),
             Timer::FaultStart(i) => self.on_fault_transition(i, true, now, q),
@@ -2584,9 +2140,7 @@ impl Engine {
                     .vma
                     .send(dst_tor, Segment { flow, dst_host, bytes: len, seq, queued_at: now })
                     .ok();
-                self.counters.nack_retransmits += 1;
-                self.trace.emit(now, TraceKind::Retransmit { flow, kind: RetxKind::Nack });
-                self.obs.retransmit_mark(flow, now, 4);
+                self.note_retransmit(flow, now, RetxKind::Nack);
                 self.pump_host(src, now, q);
             }
             Timer::ProbeSend(t) => {
@@ -2601,15 +2155,14 @@ impl Engine {
                 };
                 let dst_tor = self.hosts[dst.index()].tor;
                 let src_tor = self.hosts[src.index()].tor;
-                let mut pkt = Packet::data(0, 0, src_tor, dst_tor, src, dst, payload, 0, now);
-                pkt.id = self.alloc_pkt_id();
+                let id = self.alloc_pkt_id();
+                let mut pkt = Packet::data(id, 0, src_tor, dst_tor, src, dst, payload, 0, now);
                 pkt.kind = PacketKind::Probe { echo_of: now, is_reply: false };
-                self.dispatch_from_host(src, pkt, now, q);
+                self.dispatch_from_host(src, pkt, false, now, q);
                 q.schedule_after(now, interval, Event::Timer(Timer::ProbeSend(t)));
             }
             Timer::Sample => {
-                let stats = q.stats();
-                self.take_sample(now, Some(stats));
+                self.take_sample(now, q.stats());
                 q.schedule_after(now, self.cfg.sample_every_ns, Event::Timer(Timer::Sample));
             }
         }
@@ -2624,7 +2177,7 @@ impl World for Engine {
         // every consumer (routing, pause state, dispatch) sees the schedule
         // that is physically active at `now`.
         self.fabric.schedule_at(now);
-        self.obs.profiler.event(phase_of(&event), now);
+        self.profiler.event(phase_of(&event), now);
         match event {
             Event::HostTx(h) => self.on_host_tx(h, now, q),
             Event::TorIngress(n, p) => self.on_tor_ingress(n, p, now, q),
@@ -2635,7 +2188,7 @@ impl World for Engine {
             Event::DownlinkFree(h) => self.on_downlink_free(h, now, q),
             Event::OffloadRecall(n) => self.on_offload_recall(n, now, q),
             Event::Reinject(n, abs, port, pkt) => self.on_reinject(n, abs, port, pkt, now, q),
-            Event::HostControl(h, m) => self.on_host_control(h, m, now, q),
+            Event::HostControl(h, m) => self.on_host_control(h, m),
             Event::Timer(t) => self.on_timer(t, now, q),
         }
     }

@@ -156,9 +156,10 @@ impl OpenOpticsNet {
     /// The single reconfigure hook: retarget the stored architecture's
     /// schedule generator at `tm` and redeploy the regenerated schedule.
     /// Works before the first run (instant) and mid-run (honors the OCS
-    /// reconfiguration delay); the installed routing scheme is preserved
-    /// and its tables recompile lazily against the new topology. Errors
-    /// with [`Error::Config`] on networks not built via
+    /// reconfiguration delay), before or after traffic is attached: the
+    /// installed routing scheme and everything attached to the network are
+    /// preserved, and route tables recompile lazily against the new
+    /// topology. Errors with [`Error::Config`] on networks not built via
     /// [`deploy`](Self::deploy).
     pub fn reconfigure(&mut self, tm: &TrafficMatrix) -> Result<(), Error> {
         let mut arch = self.arch.take().ok_or_else(|| {
@@ -232,7 +233,9 @@ impl OpenOpticsNet {
 
     /// `deploy_topo()`: validate `circuits` for a `num_slices`-slice cycle
     /// and install them. Before the simulation starts this is instant; on a
-    /// running TA network it honors the OCS reconfiguration delay.
+    /// running TA network it honors the OCS reconfiguration delay. Either
+    /// way only the schedule changes: flows, apps, services, fault plans,
+    /// routing and policies already attached stay attached.
     pub fn deploy_topo(
         &mut self,
         circuits: &[Circuit],
@@ -250,10 +253,6 @@ impl OpenOpticsNet {
         self.layout.compile(circuits)?;
         if self.primed {
             let done = self.engine.reconfigure_schedule(sched, self.now);
-            // The schedule's slice count may have changed (e.g. SORN
-            // growing extra slices); keep the router's TA flag honest.
-            let ta = self.is_ta();
-            self.engine.refresh_router_ta(ta);
             // Once the OCS finishes moving, switches re-notify their hosts
             // of the new circuits (drives flow pausing on static schedules,
             // where no rotation would otherwise refresh the state).
@@ -262,17 +261,7 @@ impl OpenOpticsNet {
                     .schedule(done, Event::Timer(crate::engine::Timer::NotifyHosts(NodeId(node))));
             }
         } else {
-            // The old engine is discarded below, so take its config instead
-            // of cloning it.
-            let netcfg = std::mem::take(&mut self.engine.cfg);
-            let mut fresh = Engine::new(netcfg, sched);
-            // Policies and routing survive a pre-run redeploy; only the
-            // architecture descriptor module may originate these values.
-            fresh.policy = self.engine.policy;
-            fresh.pause_mode = self.engine.pause_mode;
-            let ta = fresh.schedule().slice_config().num_slices == 1;
-            fresh.adopt_router(&mut self.engine, ta);
-            self.engine = fresh;
+            self.engine.install_schedule(sched);
         }
         Ok(())
     }
@@ -319,8 +308,7 @@ impl OpenOpticsNet {
         )?;
         let lookup =
             if algo.requires_source_routing() { LookupMode::SourceRouting } else { lookup };
-        let ta = self.is_ta();
-        self.engine.set_router(algo, lookup, multipath, ta);
+        self.engine.set_router(algo, lookup, multipath);
         Ok(())
     }
 
@@ -369,9 +357,10 @@ impl OpenOpticsNet {
     // -- workload & execution ----------------------------------------------
 
     /// Declare a service: a named latency stream flows can be tagged with,
-    /// with optional SLO accounting (see [`Engine::declare_service`]).
-    /// Declare services before the first run so scenario-driven and
-    /// programmatic setups assign identical ids.
+    /// with optional SLO accounting. Returns the service id used for
+    /// tagging; declaration order is the id order. Declare services before
+    /// the first run so scenario-driven and programmatic setups assign
+    /// identical ids.
     pub fn declare_service(
         &mut self,
         name: &str,
@@ -426,11 +415,7 @@ impl OpenOpticsNet {
         if self.primed {
             // Mirror add_flow: post-prime campaigns schedule their own
             // window edges (prime() handles the pre-run case).
-            for i in range {
-                let Some(spec) = self.engine.fault_spec(i) else { continue };
-                self.queue.schedule(spec.start, Event::Timer(crate::engine::Timer::FaultStart(i)));
-                self.queue.schedule(spec.end, Event::Timer(crate::engine::Timer::FaultEnd(i)));
-            }
+            self.engine.schedule_fault_edges(range, &mut self.queue);
         }
         Ok(())
     }
@@ -442,7 +427,7 @@ impl OpenOpticsNet {
         self.engine.fault_report()
     }
 
-    /// Attach a memcached app (see [`Engine::add_memcached`]).
+    /// Attach a memcached app: `clients` SET to `server` until `stop_at`.
     pub fn add_memcached(
         &mut self,
         params: MemcachedParams,
@@ -450,8 +435,7 @@ impl OpenOpticsNet {
         clients: Vec<HostId>,
         stop_at: SimTime,
     ) -> usize {
-        assert!(!self.primed, "attach apps before the first run");
-        self.engine.add_memcached(params, server, clients, stop_at)
+        self.add_memcached_tagged(params, server, clients, stop_at, None)
     }
 
     /// [`OpenOpticsNet::add_memcached`] with a service tag: each op's
@@ -468,10 +452,9 @@ impl OpenOpticsNet {
         self.engine.add_memcached_tagged(params, server, clients, stop_at, service)
     }
 
-    /// Attach a ring allreduce (see [`Engine::add_allreduce`]).
+    /// Attach a ring allreduce over `hosts` of `data_bytes`.
     pub fn add_allreduce(&mut self, hosts: Vec<HostId>, data_bytes: u64) -> usize {
-        assert!(!self.primed, "attach apps before the first run");
-        self.engine.add_allreduce(hosts, data_bytes)
+        self.add_allreduce_tagged(hosts, data_bytes, None)
     }
 
     /// [`OpenOpticsNet::add_allreduce`] with a service tag: every chunk
@@ -486,7 +469,8 @@ impl OpenOpticsNet {
         self.engine.add_allreduce_tagged(hosts, data_bytes, service)
     }
 
-    /// Attach a UDP probe train (see [`Engine::add_probe_train`]).
+    /// Attach a UDP probe train: `count` probes of `payload` bytes from
+    /// `src` to `dst` every `interval_ns`.
     pub fn add_probe_train(
         &mut self,
         src: HostId,
@@ -513,7 +497,7 @@ impl OpenOpticsNet {
     /// first, so the snapshot is complete. Stamped in sim time only —
     /// byte-identical across runs.
     pub fn telemetry_snapshot(&self) -> openoptics_telemetry::Snapshot {
-        self.engine.sync_telemetry(Some(self.queue.stats()));
+        self.engine.sync_telemetry(self.queue.stats());
         self.engine.telemetry().snapshot(self.now)
     }
 
@@ -676,13 +660,6 @@ impl OpenOpticsNet {
         self.engine.profiler().set_clock(clock);
     }
 
-    /// The wall-clock profiler report (inclusive/exclusive real time per
-    /// phase), or `None` when no clock was installed. Not deterministic —
-    /// for stderr self-profiling only.
-    pub fn profiler_wall_report(&self) -> Option<String> {
-        self.engine.profiler().wall_report()
-    }
-
     /// Run for `total` simulated time, taking a telemetry snapshot every
     /// `every` (and a final one at the end). The periodic-snapshot loop of
     /// a monitoring study: snapshots land at deterministic sim times.
@@ -733,7 +710,7 @@ impl OpenOpticsNet {
     }
 
     /// Point-in-time event-queue statistics (pending/peak/far/overlay
-    /// counters) — the data behind the `--profile` queue-mix line.
+    /// counters).
     pub fn queue_stats(&self) -> openoptics_sim::QueueStats {
         self.queue.stats()
     }

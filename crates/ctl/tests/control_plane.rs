@@ -292,6 +292,31 @@ fn mid_run_mutations_replay_exactly() {
 }
 
 #[test]
+fn a_reconfigure_before_the_first_run_keeps_the_attached_workloads(
+) -> Result<(), Box<dyn std::error::Error>> {
+    // Attach-then-adapt through the control plane: `sweep_cell.json` is
+    // c-Through scheduled for its own demand records, so reconfiguring to
+    // those records before the first `run_until` regenerates the deployed
+    // schedule — and must leave the scenario's flows and probe train in
+    // place. (It used to swap in an empty engine: 0 packets, 0 flows.)
+    let text = include_str!("../../../examples/scenarios/sweep_cell.json");
+    let mut plain = Session::new(Scenario::parse(text)?)?;
+    plain.run_until(20_000_000);
+    assert!(plain.net().engine.counters.host_tx_packets > 1_000);
+    assert_eq!(plain.net().fct().completed().len(), 2);
+
+    let mut adapted = Session::new(Scenario::parse(text)?)?;
+    adapted.apply(Op::Reconfigure { tm: adapted.scenario().architecture.tm.clone() })?;
+    adapted.run_until(20_000_000);
+    assert_eq!(adapted.export_bundle(), plain.export_bundle());
+
+    let doc = adapted.checkpoint().to_json();
+    let restored = Session::restore(Checkpoint::parse(&doc)?, None)?;
+    assert_eq!(restored.export_bundle(), adapted.export_bundle());
+    Ok(())
+}
+
+#[test]
 fn invalid_operations_are_rejected_and_not_journaled() {
     let mut s = Session::new(scenario()).unwrap();
     s.run_until(500_000);

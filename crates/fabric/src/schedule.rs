@@ -232,11 +232,6 @@ impl OpticalSchedule {
         }
         true
     }
-
-    /// Total circuits lit in a given slice.
-    pub fn circuits_in_slice(&self, slice: SliceIndex) -> usize {
-        (0..self.num_nodes).map(|n| self.neighbors(NodeId(n), slice).count()).sum::<usize>() / 2
-    }
 }
 
 impl fmt::Debug for OpticalSchedule {
@@ -284,7 +279,6 @@ mod tests {
         assert_eq!(s.port_to(NodeId(0), NodeId(3), 0), None);
         assert_eq!(s.slices_connecting(NodeId(0), NodeId(2)), vec![1]);
         assert!(s.cycle_covers_all_pairs());
-        assert_eq!(s.circuits_in_slice(0), 2);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl ClockSync {
     pub fn guardband_contribution_ns(&self) -> u64 {
         2 * self.max_err_ns
     }
-
-    /// Raw offset of a node, ns (positive = clock runs ahead).
-    pub fn offset_ns(&self, node: usize) -> i64 {
-        self.offsets_ns[node]
-    }
 }
 
 #[cfg(test)]
@@ -95,9 +90,7 @@ mod tests {
     fn offsets_bounded() {
         let mut rng = SimRng::new(1);
         let cs = ClockSync::uniform(100, 28, &mut rng);
-        for n in 0..100 {
-            assert!(cs.offset_ns(n).unsigned_abs() <= 28);
-        }
+        assert!(cs.offsets_ns.iter().all(|o| o.unsigned_abs() <= 28));
         assert_eq!(cs.guardband_contribution_ns(), 56);
     }
 

@@ -1,16 +1,19 @@
 #![deny(missing_docs)]
 //! # openoptics-faults
 //!
-//! Deterministic, seed-driven fault-injection plans for the OpenOptics
-//! simulation.
+//! Deterministic, seed-driven fault injection for the OpenOptics
+//! simulation: the plan, the runtime state machine, and the report.
 //!
 //! A [`FaultPlan`] schedules typed fault windows on the simulation clock:
 //! optical link down/up, transceiver flap with BER-style packet corruption,
 //! an OCS port stuck dark, calendar-slice schedule corruption (a switch
-//! misses rotations), and host NIC pause storms. Plans are *data*: this
-//! crate only describes and validates campaigns; the core engine injects
-//! each window edge as an ordinary `(time, seq)` event through the calendar
-//! event queue, so campaigns replay byte-identically at any `--jobs` count.
+//! misses rotations), and host NIC pause storms. Plans are *data*; a
+//! [`FaultRuntime`] is what a running campaign looks like — which windows
+//! are open, what that does to a transmission, a rotation or a host, and
+//! what each fault has cost so far. The core engine holds one, injects each
+//! window edge as an ordinary `(time, seq)` event through the calendar
+//! event queue, and asks the runtime at the three places a fault can bite,
+//! so campaigns replay byte-identically at any `--jobs` count.
 //!
 //! Plans are built like `NetConfig` — through a validating builder:
 //!
@@ -29,6 +32,10 @@
 //! Campaign results come back as a [`FaultReport`]: per-fault counters
 //! ([`FaultCounters`]) plus campaign-wide delivery/retransmission totals,
 //! mirrored into the telemetry registry under `faults.*` names.
+
+mod runtime;
+
+pub use runtime::FaultRuntime;
 
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::time::SimTime;

@@ -159,11 +159,6 @@ impl RingAllreduce {
             Some(self.sends_for_step(self.step))
         }
     }
-
-    /// Total bytes each host transmits over the whole collective.
-    pub fn bytes_per_host(&self) -> u64 {
-        self.chunk_bytes * self.total_steps as u64
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +184,6 @@ mod tests {
         let ar = RingAllreduce::new(hosts(8), 20_000_000);
         assert_eq!(ar.total_steps(), 14);
         assert_eq!(ar.chunk_bytes(), 2_500_000);
-        assert_eq!(ar.bytes_per_host(), 35_000_000);
     }
 
     #[test]

@@ -183,11 +183,6 @@ impl TcpSender {
         self.states[t].cwnd as u64
     }
 
-    /// Cumulative acknowledged bytes (goodput).
-    pub fn acked_bytes(&self) -> u64 {
-        self.cum_acked
-    }
-
     /// Whether all application bytes are acknowledged.
     pub fn done(&self) -> bool {
         match self.total {

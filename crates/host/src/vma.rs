@@ -183,11 +183,6 @@ impl VmaStack {
         found
     }
 
-    /// Bytes queued toward `dst`.
-    pub fn queued_bytes(&self, dst: NodeId) -> u64 {
-        self.queues.get(&dst).map(|q| q.bytes()).unwrap_or(0)
-    }
-
     /// Total queued bytes across destinations.
     pub fn total_queued(&self) -> u64 {
         self.queues.values().map(|q| q.bytes()).sum()
@@ -265,7 +260,6 @@ mod tests {
         v.pause(NodeId(1));
         v.send(NodeId(1), seg(1, 100, 0)).unwrap();
         assert!(v.pop_next(SimTime::ZERO).is_none());
-        assert_eq!(v.queued_bytes(NodeId(1)), 100);
         v.resume(NodeId(1));
         assert!(v.pop_next(SimTime::ZERO).is_some());
     }

@@ -338,26 +338,6 @@ impl Profiler {
         out
     }
 
-    /// Wall-clock report (inclusive/exclusive ns per phase), or `None`
-    /// when no clock was installed. Not deterministic — stderr only.
-    pub fn wall_report(&self) -> Option<String> {
-        if !self.has_clock() {
-            return None;
-        }
-        let mut out = String::from("phase                events   wall_incl_ns   wall_excl_ns\n");
-        for (p, s) in self.stats() {
-            let marker = if p.is_sub() { "  - " } else { "" };
-            out.push_str(&format!(
-                "{:<20} {:>9} {:>13} {:>13}\n",
-                format!("{marker}{}", p.name()),
-                s.events,
-                s.wall_incl_ns,
-                s.wall_incl_ns.saturating_sub(s.wall_child_ns)
-            ));
-        }
-        Some(out)
-    }
-
     /// Mirror per-phase event counts into the telemetry registry.
     pub fn mirror_into(&self, reg: &Registry) {
         for (p, s) in self.stats() {

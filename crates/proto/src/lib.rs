@@ -2,19 +2,16 @@
 //!
 //! Packet and control-message formats shared by every OpenOptics component.
 //!
-//! Data packets are modeled structurally (a [`Packet`] struct rather than
-//! raw frames — the simulation never parses payload bytes), but every
-//! *control* message the paper's backend exchanges between switches, hosts,
-//! and the optical controller (§5.2: push-back, circuit notifications,
-//! traffic reports, buffer-offload envelopes) has a real wire codec in
-//! [`wire`], built on `bytes`, so the control plane's byte cost is accounted
-//! and round-trips are tested.
+//! Packets are modeled structurally (a [`Packet`] struct rather than raw
+//! frames — the simulation never parses payload bytes), and the one control
+//! message the data plane sends, [`PushBack`], is a plain value handed to
+//! hosts by the engine. There is no wire codec: nothing in the simulation
+//! serializes a message.
 
 pub mod ids;
 pub mod message;
 pub mod packet;
-pub mod wire;
 
 pub use ids::{FlowId, HostId, NodeId, PortId};
-pub use message::ControlMsg;
+pub use message::PushBack;
 pub use packet::{Packet, PacketKind, SourceHop, SourceRoute, HEADER_BYTES, MTU};

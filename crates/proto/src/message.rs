@@ -1,118 +1,24 @@
-//! Control messages of the OpenOptics infrastructure services (§5.2).
+//! The one control message the data plane sends (§5.2).
 //!
-//! Four message families exist in the paper's backend:
-//!
-//! * **Push-back** — broadcast by a switch when a calendar queue for a time
-//!   slice is full, telling hosts to stop sending toward that destination in
-//!   that slice (last-resort flow control).
-//! * **Circuit notification** — switches signal connected hosts about
-//!   upcoming circuits, driving flow pausing and offload return.
-//! * **Traffic report** — hosts/switches report per-destination volume to
-//!   the optical controller for TA topology optimization.
-//! * **Offload** — switch⇄host envelopes moving buffered packets off and
-//!   back onto the switch (buffer offloading).
+//! The paper's backend has four infrastructure services. Only push-back
+//! travels as a message here; the others are modelled where they act:
+//! circuit notification is the engine's `Timer::NotifyHosts`, traffic
+//! collection is `take_traffic_matrix` / `host_pending_demand`, and buffer
+//! offloading is the switch's `OffloadBook`.
 
 use crate::ids::NodeId;
-use openoptics_sim::time::{SimTime, SliceIndex};
+use openoptics_sim::time::SliceIndex;
 
-/// A control-plane message. Wire sizes are modeled explicitly so the control
-/// overhead shows up in link accounting.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ControlMsg {
-    /// "Calendar queue for `(dst, slice)` is full — hold traffic to `dst` in
-    /// `slice` until cycle `cycle` completes." Broadcast to sender hosts.
-    PushBack {
-        /// Destination endpoint whose queue overflowed.
-        dst: NodeId,
-        /// Cycle-relative slice index of the full queue.
-        slice: SliceIndex,
-        /// Absolute cycle count after which sending may resume.
-        cycle: u64,
-    },
-    /// "A circuit from your ToR to `dst` opens at `opens_at` and lasts one
-    /// slice." Sent by switches to their hosts ahead of time.
-    CircuitNotify {
-        /// Remote endpoint the circuit reaches.
-        dst: NodeId,
-        /// Absolute instant the circuit becomes usable.
-        opens_at: SimTime,
-        /// Cycle-relative slice index of the circuit.
-        slice: SliceIndex,
-    },
-    /// Periodic per-destination traffic volume report for the controller.
-    TrafficReport {
-        /// Reporting endpoint.
-        from: NodeId,
-        /// `(destination, bytes since last report)` pairs.
-        volumes: Vec<(NodeId, u64)>,
-    },
-    /// Switch → host: store these bytes for calendar slice `slice`
-    /// (buffer offloading; the actual packets ride as opaque cargo in the
-    /// simulation and are re-injected on return).
-    OffloadStore {
-        /// Cycle-relative slice the stored packets are destined for.
-        slice: SliceIndex,
-        /// Number of packets in the envelope.
-        count: u32,
-        /// Total stored bytes.
-        bytes: u64,
-    },
-    /// Host → switch: returning previously offloaded packets ahead of their
-    /// slice.
-    OffloadReturn {
-        /// Cycle-relative slice the returned packets are destined for.
-        slice: SliceIndex,
-        /// Number of packets in the envelope.
-        count: u32,
-        /// Total returned bytes.
-        bytes: u64,
-    },
-}
-
-impl ControlMsg {
-    /// Payload bytes this message occupies on the wire (see [`crate::wire`]
-    /// for the exact layout).
-    pub fn wire_bytes(&self) -> u32 {
-        match self {
-            ControlMsg::PushBack { .. } => 1 + 4 + 4 + 8,
-            ControlMsg::CircuitNotify { .. } => 1 + 4 + 8 + 4,
-            ControlMsg::TrafficReport { volumes, .. } => 1 + 4 + 2 + 12 * volumes.len() as u32,
-            ControlMsg::OffloadStore { .. } | ControlMsg::OffloadReturn { .. } => 1 + 4 + 4 + 8,
-        }
-    }
-
-    /// Short tag for logs and counters.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ControlMsg::PushBack { .. } => "push-back",
-            ControlMsg::CircuitNotify { .. } => "circuit-notify",
-            ControlMsg::TrafficReport { .. } => "traffic-report",
-            ControlMsg::OffloadStore { .. } => "offload-store",
-            ControlMsg::OffloadReturn { .. } => "offload-return",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_sizes() {
-        let pb = ControlMsg::PushBack { dst: NodeId(1), slice: 0, cycle: 1 };
-        assert_eq!(pb.wire_bytes(), 17);
-        let cn = ControlMsg::CircuitNotify { dst: NodeId(1), opens_at: SimTime::ZERO, slice: 0 };
-        assert_eq!(cn.wire_bytes(), 17);
-        let tr = ControlMsg::TrafficReport {
-            from: NodeId(0),
-            volumes: vec![(NodeId(1), 100), (NodeId(2), 200)],
-        };
-        assert_eq!(tr.wire_bytes(), 1 + 4 + 2 + 24);
-    }
-
-    #[test]
-    fn tags() {
-        let m = ControlMsg::OffloadStore { slice: 1, count: 2, bytes: 3000 };
-        assert_eq!(m.tag(), "offload-store");
-    }
+/// "Calendar queue for `(dst, slice)` is full — hold traffic to `dst` in
+/// `slice` until cycle `cycle` completes." Broadcast by a switch to the
+/// sender's hosts when a packet finds its calendar queue full (last-resort
+/// flow control).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PushBack {
+    /// Destination endpoint whose queue overflowed.
+    pub dst: NodeId,
+    /// Cycle-relative slice index of the full queue.
+    pub slice: SliceIndex,
+    /// Absolute cycle count after which sending may resume.
+    pub cycle: u64,
 }

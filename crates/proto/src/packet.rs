@@ -8,7 +8,6 @@
 //! such as Opera and UCMP, §3).
 
 use crate::ids::{FlowId, HostId, NodeId, PortId};
-use crate::message::ControlMsg;
 use openoptics_sim::time::{SimTime, SliceIndex};
 
 /// Standard Ethernet MTU used throughout the evaluation.
@@ -75,7 +74,7 @@ impl SourceRoute {
 /// What a packet is, for the consumers that care (transports and services).
 /// The data plane treats all kinds uniformly; kinds exist so host logic can
 /// demultiplex without payload parsing.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PacketKind {
     /// Transport payload segment (TCP-like or raw).
     Data,
@@ -92,8 +91,6 @@ pub enum PacketKind {
         /// Whether this is the reply leg.
         is_reply: bool,
     },
-    /// An infrastructure-service control message (§5.2).
-    Control(ControlMsg),
 }
 
 /// A simulated packet.
@@ -101,7 +98,7 @@ pub enum PacketKind {
 pub struct Packet {
     /// Globally unique packet id (monotone per run).
     pub id: u64,
-    /// Flow this packet belongs to (0 for control traffic).
+    /// Flow this packet belongs to (0 for probes).
     pub flow: FlowId,
     /// Source endpoint node (ToR of the sending host).
     pub src: NodeId,
@@ -159,27 +156,6 @@ impl Packet {
             payload,
             seq,
             kind: PacketKind::Data,
-            created,
-            ingress_ts: created,
-            source_route: None,
-            hops: 0,
-            trimmed: false,
-        }
-    }
-
-    /// A minimum-size control packet carrying `msg`.
-    pub fn control(id: u64, src: NodeId, dst: NodeId, msg: ControlMsg, created: SimTime) -> Self {
-        Packet {
-            id,
-            flow: 0,
-            src,
-            dst,
-            src_host: HostId(u32::MAX),
-            dst_host: HostId(u32::MAX),
-            size: HEADER_BYTES + msg.wire_bytes(),
-            payload: 0,
-            seq: 0,
-            kind: PacketKind::Control(msg),
             created,
             ingress_ts: created,
             source_route: None,
@@ -247,13 +223,5 @@ mod tests {
     fn packet_age() {
         let p = mk_data();
         assert_eq!(p.age_ns(SimTime::from_us(3)), 3000);
-    }
-
-    #[test]
-    fn control_packet_size_tracks_message() {
-        let msg = ControlMsg::PushBack { dst: NodeId(3), slice: 2, cycle: 9 };
-        let p = Packet::control(2, NodeId(0), NodeId(1), msg.clone(), SimTime::ZERO);
-        assert_eq!(p.size, HEADER_BYTES + msg.wire_bytes());
-        assert!(!p.is_data());
     }
 }

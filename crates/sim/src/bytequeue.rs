@@ -135,11 +135,6 @@ impl<T> ByteQueue<T> {
     pub fn peak_bytes(&self) -> u64 {
         self.peak_bytes
     }
-
-    /// Reset the high-water mark to the current occupancy.
-    pub fn reset_peak(&mut self) {
-        self.peak_bytes = self.bytes;
-    }
 }
 
 #[cfg(test)]
@@ -199,8 +194,6 @@ mod tests {
         q.push(300, ()).expect("push fits the test queue capacity");
         q.pop();
         assert_eq!(q.peak_bytes(), 700);
-        q.reset_peak();
-        assert_eq!(q.peak_bytes(), 300);
     }
 
     #[test]

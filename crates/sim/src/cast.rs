@@ -21,12 +21,6 @@ pub fn to_u32(v: u64) -> u32 {
     u32::try_from(v).expect("u64 value exceeds u32 range; upstream clamp is broken")
 }
 
-/// `u64 -> u16` with a loud failure on truncation.
-#[inline]
-pub fn to_u16(v: u64) -> u16 {
-    u16::try_from(v).expect("u64 value exceeds u16 range; upstream clamp is broken")
-}
-
 /// `u64 -> u8` with a loud failure on truncation. For small structural
 /// counts (hop counts, port indices) bounded by topology shape.
 #[inline]
@@ -51,7 +45,6 @@ mod tests {
     fn in_range_values_pass_through() {
         assert_eq!(to_u32(0), 0);
         assert_eq!(to_u32(u32::MAX as u64), u32::MAX);
-        assert_eq!(to_u16(65_535), u16::MAX);
         assert_eq!(to_u8(255), u8::MAX);
     }
 

@@ -176,30 +176,10 @@ impl SliceConfig {
         SliceConfig::new(2 * US, num_slices, 200)
     }
 
-    /// Duration of a full optical cycle, ns.
-    #[inline]
-    pub fn cycle_ns(&self) -> u64 {
-        self.slice_ns * self.num_slices as u64
-    }
-
     /// The slice index (within the cycle) active at instant `t`.
     #[inline]
     pub fn slice_at(&self, t: SimTime) -> SliceIndex {
         ((t.0 / self.slice_ns) % self.num_slices as u64) as SliceIndex
-    }
-
-    /// The absolute ordinal of the slice active at `t` (not wrapped to the
-    /// cycle). Useful for computing how many slice boundaries separate two
-    /// instants.
-    #[inline]
-    pub fn absolute_slice_at(&self, t: SimTime) -> u64 {
-        t.0 / self.slice_ns
-    }
-
-    /// The index of the cycle active at `t`.
-    #[inline]
-    pub fn cycle_at(&self, t: SimTime) -> u64 {
-        t.0 / self.cycle_ns()
     }
 
     /// Start instant of the slice active at `t`.
@@ -225,27 +205,6 @@ impl SliceConfig {
     #[inline]
     pub fn in_guardband(&self, t: SimTime) -> bool {
         self.offset_in_slice(t) < self.guard_ns
-    }
-
-    /// The earliest instant `>= t` at which slice `target` (a cycle-relative
-    /// index) begins.
-    pub fn next_start_of_slice(&self, t: SimTime, target: SliceIndex) -> SimTime {
-        debug_assert!(target < self.num_slices);
-        let cur = self.slice_at(t);
-        let cur_start = self.slice_start(t);
-        let delta = if target >= cur {
-            (target - cur) as u64
-        } else {
-            (self.num_slices - cur + target) as u64
-        };
-        if delta == 0 && self.offset_in_slice(t) == 0 {
-            t
-        } else if delta == 0 {
-            // Current slice has already started; wait a full cycle.
-            SimTime(cur_start.0 + self.cycle_ns())
-        } else {
-            SimTime(cur_start.0 + delta * self.slice_ns)
-        }
     }
 
     /// Number of whole slices a packet waits to depart in slice `dep` when it
@@ -305,12 +264,10 @@ mod tests {
     #[test]
     fn slice_indexing_wraps_cycle() {
         let sc = SliceConfig::new(2 * US, 8, 200);
-        assert_eq!(sc.cycle_ns(), 16 * US);
         assert_eq!(sc.slice_at(SimTime::ZERO), 0);
         assert_eq!(sc.slice_at(SimTime::from_us(2)), 1);
         assert_eq!(sc.slice_at(SimTime::from_us(15)), 7);
         assert_eq!(sc.slice_at(SimTime::from_us(16)), 0);
-        assert_eq!(sc.cycle_at(SimTime::from_us(16)), 1);
     }
 
     #[test]
@@ -329,19 +286,6 @@ mod tests {
         assert!(sc.in_guardband(SimTime::from_ns(99)));
         assert!(!sc.in_guardband(SimTime::from_ns(100)));
         assert!(sc.in_guardband(SimTime::from_ns(1_050)));
-    }
-
-    #[test]
-    fn next_start_of_slice_forward() {
-        let sc = SliceConfig::new(1_000, 4, 100);
-        // At t=2_345 (slice 2), slice 3 starts at 3_000.
-        assert_eq!(sc.next_start_of_slice(SimTime::from_ns(2_345), 3), SimTime::from_ns(3_000));
-        // Wrapping: slice 1 next starts at 5_000.
-        assert_eq!(sc.next_start_of_slice(SimTime::from_ns(2_345), 1), SimTime::from_ns(5_000));
-        // Same slice already started: wait a full cycle.
-        assert_eq!(sc.next_start_of_slice(SimTime::from_ns(2_345), 2), SimTime::from_ns(6_000));
-        // Exactly at a boundary of the target slice: now.
-        assert_eq!(sc.next_start_of_slice(SimTime::from_ns(2_000), 2), SimTime::from_ns(2_000));
     }
 
     #[test]
@@ -400,22 +344,6 @@ mod proptests {
             prop_assert!(t.as_ns() - start.as_ns() < cfg.slice_ns);
             prop_assert_eq!(cfg.slice_at(start), slice);
             prop_assert_eq!(cfg.offset_in_slice(t) + cfg.remaining_in_slice(t), cfg.slice_ns);
-        }
-
-        #[test]
-        fn next_start_of_slice_is_future_and_correct(
-            cfg in arb_cfg(),
-            t in 0u64..u64::MAX / 8,
-            target in any::<u32>(),
-        ) {
-            let t = SimTime::from_ns(t);
-            let target = target % cfg.num_slices;
-            let at = cfg.next_start_of_slice(t, target);
-            prop_assert!(at >= t);
-            prop_assert_eq!(cfg.slice_at(at), target);
-            prop_assert_eq!(cfg.offset_in_slice(at), 0);
-            // Never waits more than a full cycle.
-            prop_assert!(at.as_ns() - t.as_ns() <= cfg.cycle_ns());
         }
 
         #[test]

@@ -130,11 +130,6 @@ impl<T> CalendarPort<T> {
         self.queues.iter().map(|q| q.bytes()).sum()
     }
 
-    /// Total buffered items across the ring.
-    pub fn total_len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
     /// High-water mark of total occupancy (sum of per-queue peaks is an
     /// over-estimate; this tracks the per-queue peaks summed, which is what
     /// Table 3 reports per-port anyway).
@@ -142,30 +137,9 @@ impl<T> CalendarPort<T> {
         self.queues.iter().map(|q| q.peak_bytes()).sum()
     }
 
-    /// Reset per-queue peaks.
-    pub fn reset_peaks(&mut self) {
-        for q in &mut self.queues {
-            q.reset_peak();
-        }
-    }
-
     /// Rotations performed.
     pub fn rotations(&self) -> u64 {
         self.rotations
-    }
-
-    /// Drain up to `max_items` from the queue at ring index `idx`
-    /// regardless of pause state — used by buffer offloading to move a
-    /// far-future queue onto a host.
-    pub fn drain_queue(&mut self, idx: usize, max_items: usize) -> Vec<(u32, T)> {
-        let mut out = Vec::new();
-        while out.len() < max_items {
-            match self.queues[idx].pop_even_if_paused() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-        out
     }
 }
 
@@ -245,24 +219,9 @@ mod tests {
         cp.enqueue(1, 200, 2).expect("rank fits the ring with capacity to spare");
         cp.enqueue(1, 300, 3).expect("rank fits the ring with capacity to spare");
         assert_eq!(cp.total_bytes(), 600);
-        assert_eq!(cp.total_len(), 3);
         assert_eq!(cp.active_bytes(), 100);
         cp.pop_active();
         assert_eq!(cp.peak_bytes(), 600);
-        cp.reset_peaks();
-        assert_eq!(cp.peak_bytes(), 500);
-    }
-
-    #[test]
-    fn drain_ignores_pause() {
-        let mut cp: CalendarPort<u32> = CalendarPort::new(4, 10_000);
-        cp.enqueue(2, 100, 1).expect("rank fits the ring with capacity to spare");
-        cp.enqueue(2, 100, 2).expect("rank fits the ring with capacity to spare");
-        cp.enqueue(2, 100, 3).expect("rank fits the ring with capacity to spare");
-        let idx = cp.index_for_rank(2);
-        let drained = cp.drain_queue(idx, 2);
-        assert_eq!(drained.len(), 2);
-        assert_eq!(cp.queue_len(idx), 1);
     }
 }
 

@@ -51,11 +51,6 @@ impl Eqo {
         self.bandwidth.bytes_in_ns(self.interval_ns)
     }
 
-    /// Worst-case estimation error from drain quantization alone, bytes.
-    pub fn quantization_error_bytes(&self) -> u64 {
-        self.drain_per_interval()
-    }
-
     /// Pipeline overhead of the generator stream: generated packets per
     /// second over the switch's packet-processing capacity (Tofino2:
     /// 1.5 Bpps). At 50 ns this is 1.3% (§7).

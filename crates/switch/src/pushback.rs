@@ -7,7 +7,7 @@
 //! for that slice. One message per `(destination, slice, cycle)` suffices —
 //! this module deduplicates so the broadcast doesn't storm.
 
-use openoptics_proto::{ControlMsg, NodeId};
+use openoptics_proto::{NodeId, PushBack};
 use openoptics_sim::hash::FxHashSet;
 use openoptics_sim::time::SliceIndex;
 
@@ -40,14 +40,14 @@ impl PushbackGen {
         dst: NodeId,
         slice: SliceIndex,
         cycle: u64,
-    ) -> Option<ControlMsg> {
+    ) -> Option<PushBack> {
         self.events += 1;
         if !self.enabled {
             return None;
         }
         if self.sent.insert((dst, slice, cycle)) {
             self.emitted += 1;
-            Some(ControlMsg::PushBack { dst, slice, cycle })
+            Some(PushBack { dst, slice, cycle })
         } else {
             None
         }
@@ -80,7 +80,7 @@ mod tests {
     fn emits_once_per_dst_slice_cycle() {
         let mut g = PushbackGen::new(true);
         let m = g.on_queue_full(NodeId(3), 2, 10);
-        assert_eq!(m, Some(ControlMsg::PushBack { dst: NodeId(3), slice: 2, cycle: 10 }));
+        assert_eq!(m, Some(PushBack { dst: NodeId(3), slice: 2, cycle: 10 }));
         assert_eq!(g.on_queue_full(NodeId(3), 2, 10), None);
         assert_eq!(g.events, 2);
         assert_eq!(g.emitted, 1);

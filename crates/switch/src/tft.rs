@@ -93,11 +93,6 @@ impl TimeFlowTable {
         self.wildcard.clear();
     }
 
-    /// Remove only wildcard entries (e.g. before laying a new static route).
-    pub fn clear_wildcards(&mut self) {
-        self.wildcard.clear();
-    }
-
     /// Number of installed entries (match keys).
     pub fn len(&self) -> usize {
         self.exact.len() + self.wildcard.len()
@@ -106,17 +101,6 @@ impl TimeFlowTable {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.exact.is_empty() && self.wildcard.is_empty()
-    }
-
-    /// Total actions across all groups (the number an ASIC would burn
-    /// action-memory entries on).
-    pub fn total_actions(&self) -> usize {
-        self.exact.values().chain(self.wildcard.values()).map(|g| g.actions.len()).sum()
-    }
-
-    /// Whether an exact entry exists for `(arr, dst)`.
-    pub fn has_exact(&self, arr: SliceIndex, dst: NodeId) -> bool {
-        self.exact.contains_key(&(arr, dst))
     }
 
     /// Look up the action for `packet` arriving in slice `arr`.
@@ -320,15 +304,5 @@ mod tests {
         assert_eq!(t.len(), 1);
         let p = pkt(1, 1, NodeId(3), 0);
         assert_eq!(t.lookup(&p, 0).expect("flow matches an installed entry").port, PortId(5));
-    }
-
-    #[test]
-    fn clear_wildcards_keeps_exact() {
-        let mut t = TimeFlowTable::new();
-        t.install(entry(None, NodeId(3), vec![(PortId(0), None, 1)], MultipathMode::None));
-        t.install(entry(Some(1), NodeId(3), vec![(PortId(1), Some(1), 1)], MultipathMode::None));
-        t.clear_wildcards();
-        assert_eq!(t.len(), 1);
-        assert!(t.has_exact(1, NodeId(3)));
     }
 }

@@ -18,7 +18,7 @@ use crate::offload::{OffloadBook, OffloadPolicy};
 use crate::pushback::PushbackGen;
 use crate::tft::TimeFlowTable;
 use openoptics_proto::packet::HEADER_BYTES;
-use openoptics_proto::{ControlMsg, FlowId, NodeId, Packet, PortId};
+use openoptics_proto::{FlowId, NodeId, Packet, PortId, PushBack};
 use openoptics_routing::RouteEntry;
 use openoptics_sim::cast::idx_u32;
 use openoptics_sim::rate::Bandwidth;
@@ -52,25 +52,6 @@ pub struct TorConfig {
     /// Ablation switch: read ground-truth queue occupancy for congestion
     /// detection instead of the EQO estimate (impossible on hardware).
     pub use_true_occupancy: bool,
-}
-
-impl TorConfig {
-    /// A reasonable default for tests and examples.
-    pub fn basic(id: NodeId, slice_cfg: SliceConfig, uplinks: u16) -> Self {
-        TorConfig {
-            id,
-            slice_cfg,
-            uplinks,
-            uplink_bandwidth: Bandwidth::gbps(100),
-            num_queues: 32.min(slice_cfg.num_slices as usize).max(1),
-            queue_capacity: 2 * 1024 * 1024,
-            congestion: CongestionConfig::default(),
-            pushback_enabled: false,
-            offload: None,
-            eqo_interval_ns: Eqo::PAPER_INTERVAL_NS,
-            use_true_occupancy: false,
-        }
-    }
 }
 
 /// Why a packet was dropped at the switch.
@@ -123,7 +104,7 @@ pub struct IngressResult {
     /// What happened to the packet.
     pub decision: IngressDecision,
     /// Push-back message to broadcast to local hosts, if generated.
-    pub pushback: Option<ControlMsg>,
+    pub pushback: Option<PushBack>,
 }
 
 /// Packet-level counters for one switch.
@@ -287,21 +268,9 @@ impl ToRSwitch {
         self.abs_slice
     }
 
-    /// Initialize the local slice counters (used when a switch joins with a
-    /// clock offset).
-    pub fn set_slice(&mut self, slice: SliceIndex, abs: u64) {
-        self.current_slice = slice;
-        self.abs_slice = abs;
-    }
-
     /// Total bytes currently buffered in calendar queues.
     pub fn buffer_bytes(&self) -> u64 {
         self.ports.iter().map(|p| p.total_bytes()).sum()
-    }
-
-    /// Packets currently buffered in calendar queues.
-    pub fn buffer_packets(&self) -> usize {
-        self.ports.iter().map(|p| p.total_len()).sum()
     }
 
     /// Per-port buffered bytes (the `buffer_usage()` monitoring API).
@@ -561,7 +530,7 @@ impl ToRSwitch {
         }
     }
 
-    fn queue_full_pushback(&mut self, pkt: &Packet, rank: u32, now: SimTime) -> Option<ControlMsg> {
+    fn queue_full_pushback(&mut self, pkt: &Packet, rank: u32, now: SimTime) -> Option<PushBack> {
         let slice = self.cfg.slice_cfg.advance(self.current_slice, rank);
         let cycle = (self.abs_slice + rank as u64) / self.cfg.slice_cfg.num_slices as u64;
         let msg = self.pushback.on_queue_full(pkt.dst, slice, cycle);
@@ -662,7 +631,19 @@ mod tests {
     use openoptics_routing::{MultipathMode, RouteAction, RouteMatch};
 
     fn cfg(num_slices: u32) -> TorConfig {
-        TorConfig::basic(NodeId(0), SliceConfig::new(2_000, num_slices, 200), 2)
+        TorConfig {
+            id: NodeId(0),
+            slice_cfg: SliceConfig::new(2_000, num_slices, 200),
+            uplinks: 2,
+            uplink_bandwidth: Bandwidth::gbps(100),
+            num_queues: 32.min(num_slices as usize).max(1),
+            queue_capacity: 2 * 1024 * 1024,
+            congestion: CongestionConfig::default(),
+            pushback_enabled: false,
+            offload: None,
+            eqo_interval_ns: Eqo::PAPER_INTERVAL_NS,
+            use_true_occupancy: false,
+        }
     }
 
     fn entry(arr: Option<u32>, dst: NodeId, port: PortId, dep: Option<u32>) -> RouteEntry {
@@ -864,7 +845,6 @@ mod tests {
         for i in 0..5 {
             t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
         }
-        assert_eq!(t.buffer_packets(), 5);
         assert_eq!(t.buffer_bytes(), 5 * 1064);
         assert_eq!(t.peak_buffer_bytes, 5 * 1064);
         assert_eq!(t.port_buffer_bytes(PortId(0)), 5 * 1064);

@@ -1,0 +1,59 @@
+//! The one bounded keep-first store.
+//!
+//! The trace buffer, the sampled time series and the subscription frame
+//! log all keep the *first* `capacity` items they are handed and count the
+//! rest, so what a run exports never depends on how long it ran. This is
+//! that policy, once; [`KeepFirst::dropped`] is the single place a store's
+//! losses are read from.
+
+/// A `Vec` that stops growing at `capacity`: the first `capacity` items
+/// pushed are kept, in order, and later ones are counted in `dropped`.
+#[derive(Clone, Debug)]
+pub struct KeepFirst<T> {
+    capacity: usize,
+    items: Vec<T>,
+    dropped: u64,
+}
+
+impl<T> KeepFirst<T> {
+    /// An empty store keeping at most `capacity` items.
+    pub fn new(capacity: usize) -> Self {
+        KeepFirst { capacity, items: Vec::new(), dropped: 0 }
+    }
+
+    /// Append an item (counted, not kept, once the store is full).
+    #[inline]
+    pub fn push(&mut self, item: T) {
+        if self.items.len() < self.capacity {
+            self.items.push(item);
+        } else {
+            self.dropped = self.dropped.saturating_add(1);
+        }
+    }
+
+    /// The items held, in push order.
+    pub fn as_slice(&self) -> &[T] {
+        &self.items
+    }
+
+    /// Number of items held.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Items rejected because the store was full.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Items pushed at or after position `cursor` (empty when past the
+    /// end) — the delta a reader at `cursor` has not yet seen.
+    pub fn since(&self, cursor: usize) -> &[T] {
+        self.items.get(cursor..).unwrap_or(&[])
+    }
+}

@@ -33,6 +33,9 @@ pub mod instruments;
 /// The workspace's one JSON layer: parser, streaming writer, path-carrying
 /// field reader.
 pub mod json;
+/// The one bounded keep-first store behind the trace buffer, the time
+/// series and the frame log.
+pub mod keep_first;
 pub mod labels;
 pub mod registry;
 /// Deterministic fixed-bucket quantile sketch (p50/p99/p999 with a
@@ -48,6 +51,7 @@ pub mod trace;
 
 pub use error::TelemetryError;
 pub use instruments::{Counter, Gauge, Histogram, HistogramSummary};
+pub use keep_first::KeepFirst;
 pub use labels::Labels;
 pub use registry::{Registry, Snapshot};
 pub use sketch::QuantileSketch;

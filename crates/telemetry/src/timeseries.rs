@@ -10,6 +10,7 @@
 //! stream are byte-identical at any `--jobs` count.
 
 use crate::json::{self, ToJson, Writer};
+use crate::keep_first::KeepFirst;
 use crate::slo::SloSummary;
 
 /// One sampling instant: every counter/gauge plus per-service summaries.
@@ -47,54 +48,20 @@ impl ToJson for SampleRow {
 }
 
 /// Bounded store of sample rows: the first `capacity` rows are kept and
-/// later ones counted in `dropped`, mirroring the trace buffer's
-/// deterministic keep-first policy.
-#[derive(Clone, Debug)]
-pub struct TimeSeries {
-    capacity: usize,
-    rows: Vec<SampleRow>,
-    dropped: u64,
-}
+/// later ones counted in `dropped`, the trace buffer's deterministic
+/// keep-first policy.
+pub type TimeSeries = KeepFirst<SampleRow>;
 
-impl TimeSeries {
-    /// An empty series keeping at most `capacity` rows.
-    pub fn new(capacity: usize) -> Self {
-        TimeSeries { capacity, rows: Vec::new(), dropped: 0 }
-    }
-
-    /// Append a row (counted once full).
-    pub fn push(&mut self, row: SampleRow) {
-        if self.rows.len() < self.capacity {
-            self.rows.push(row);
-        } else {
-            self.dropped = self.dropped.saturating_add(1);
-        }
-    }
-
+impl KeepFirst<SampleRow> {
     /// Rows held, in sampling order.
     pub fn rows(&self) -> &[SampleRow] {
-        &self.rows
-    }
-
-    /// Number of rows held.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether no rows are held.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Rows rejected because the store was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.as_slice()
     }
 
     /// The whole series as JSON lines (one sample frame per row).
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
-        for row in &self.rows {
+        for row in self.as_slice() {
             out.push_str(&row.to_json());
             out.push('\n');
         }
@@ -109,56 +76,12 @@ impl TimeSeries {
 /// cursor into the log and drain `since(cursor)` after each run step. The
 /// keep-first bound makes the log — and therefore every subscriber's view
 /// of it — deterministic regardless of run length.
-#[derive(Clone, Debug)]
-pub struct FrameLog {
-    capacity: usize,
-    lines: Vec<String>,
-    dropped: u64,
-}
+pub type FrameLog = KeepFirst<String>;
 
-impl FrameLog {
-    /// An empty log keeping at most `capacity` frame lines.
-    pub fn new(capacity: usize) -> Self {
-        FrameLog { capacity, lines: Vec::new(), dropped: 0 }
-    }
-
-    /// Append a rendered frame line (counted once full).
-    pub fn push(&mut self, line: String) {
-        if self.lines.len() < self.capacity {
-            self.lines.push(line);
-        } else {
-            self.dropped = self.dropped.saturating_add(1);
-        }
-    }
-
-    /// Number of frame lines held.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether no frames are held.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// Frames rejected because the log was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
+impl KeepFirst<String> {
     /// All frame lines held, in emission order.
     pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// Frames appended at or after position `cursor` (empty when past the
-    /// end) — the delta a subscriber at `cursor` has not yet seen.
-    pub fn since(&self, cursor: usize) -> &[String] {
-        if cursor >= self.lines.len() {
-            &[]
-        } else {
-            &self.lines[cursor..]
-        }
+        self.as_slice()
     }
 }
 

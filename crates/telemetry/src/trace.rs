@@ -5,7 +5,7 @@
 //! the first `capacity` records are kept and later ones are counted in
 //! `dropped`, so a run's trace is deterministic regardless of length.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -13,6 +13,7 @@ use openoptics_proto::{FlowId, HostId, NodeId, PortId};
 use openoptics_sim::time::{SimTime, SliceIndex};
 
 use crate::json::{self, ToJson, Writer};
+use crate::keep_first::KeepFirst;
 
 /// Which retransmission mechanism fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,9 +211,8 @@ pub const FLIGHT_CAPACITY: usize = 64;
 /// Shared storage of the trace stream.
 #[derive(Debug)]
 pub(crate) struct TraceBuf {
-    capacity: usize,
-    records: RefCell<Vec<TraceRecord>>,
-    dropped: Cell<u64>,
+    /// The first `capacity` records (see [`KeepFirst`]).
+    records: RefCell<KeepFirst<TraceRecord>>,
     /// Flight recorder: ring of the most recent records. Where the main
     /// buffer keeps the *first* `capacity` records, this keeps the *last*
     /// [`FLIGHT_CAPACITY`] — the short tail worth dumping when a fault
@@ -223,21 +223,14 @@ pub(crate) struct TraceBuf {
 impl TraceBuf {
     pub(crate) fn new(capacity: usize) -> Self {
         TraceBuf {
-            capacity,
-            records: RefCell::new(Vec::new()),
-            dropped: Cell::new(0),
+            records: RefCell::new(KeepFirst::new(capacity)),
             recent: RefCell::new(VecDeque::with_capacity(FLIGHT_CAPACITY)),
         }
     }
 
     #[inline]
     fn push(&self, rec: TraceRecord) {
-        let mut records = self.records.borrow_mut();
-        if records.len() < self.capacity {
-            records.push(rec);
-        } else {
-            self.dropped.set(self.dropped.get().saturating_add(1));
-        }
+        self.records.borrow_mut().push(rec);
         let mut recent = self.recent.borrow_mut();
         if recent.len() == FLIGHT_CAPACITY {
             recent.pop_front();
@@ -290,7 +283,7 @@ impl Trace {
 
     /// Records rejected because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |b| b.dropped.get())
+        self.0.as_ref().map_or(0, |b| b.records.borrow().dropped())
     }
 
     /// An independent copy of the stream: same capacity, records, and drop
@@ -300,9 +293,7 @@ impl Trace {
         match &self.0 {
             None => Trace(None),
             Some(b) => Trace(Some(Rc::new(TraceBuf {
-                capacity: b.capacity,
                 records: RefCell::new(b.records.borrow().clone()),
-                dropped: Cell::new(b.dropped.get()),
                 recent: RefCell::new(b.recent.borrow().clone()),
             }))),
         }
@@ -310,7 +301,7 @@ impl Trace {
 
     /// Copy of the records held so far, in emission order.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.0.as_ref().map_or_else(Vec::new, |b| b.records.borrow().clone())
+        self.0.as_ref().map_or_else(Vec::new, |b| b.records.borrow().as_slice().to_vec())
     }
 
     /// Flight recorder contents: the most recent [`FLIGHT_CAPACITY`]
@@ -326,7 +317,7 @@ impl Trace {
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         if let Some(b) = &self.0 {
-            for rec in b.records.borrow().iter() {
+            for rec in b.records.borrow().as_slice() {
                 out.push_str(&rec.to_json());
                 out.push('\n');
             }

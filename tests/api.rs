@@ -148,3 +148,40 @@ fn ta_reconfiguration_honors_ocs_delay() {
     net.run_for(SimTime::from_ms(30));
     assert_eq!(net.fct().completed().len(), 1, "flow completes on the new topology");
 }
+
+#[test]
+fn deploy_topo_before_the_first_run_keeps_what_was_attached() -> Result<(), Error> {
+    // Hand-built attach-then-adapt: a topology deployed after the traffic
+    // (here a different schedule first, then the real one) swaps only the
+    // schedule. The flow, the fault plan and the routing scheme stay, so the
+    // run equals one that deployed the real schedule up front.
+    let run = |redeploy: bool| -> Result<_, Error> {
+        let mut net = OpenOpticsNet::new(cfg());
+        let (rotor, slices) = round_robin(4, 1);
+        let held = vec![Circuit::held(NodeId(0), PortId(0), NodeId(1), PortId(0))];
+        if redeploy {
+            net.deploy_topo(&held, 1)?;
+        } else {
+            net.deploy_topo(&rotor, slices)?;
+        }
+        net.deploy_routing(Direct, LookupMode::PerHop, MultipathMode::None)?;
+        net.add_flow(SimTime::from_ns(50), HostId(0), HostId(3), 60_000, TransportKind::Paced);
+        let plan = openoptics::faults::FaultPlan::builder()
+            .transceiver_flap(NodeId(0), PortId(0), 30, 0, 400_000)
+            .build()?;
+        net.inject_faults(&plan)?;
+        if redeploy {
+            net.deploy_topo(&rotor, slices)?;
+        }
+        net.run_for(SimTime::from_ms(25));
+        assert_eq!(net.fct().completed().len(), 1, "the attached flow ran (redeploy: {redeploy})");
+        assert!(net.fault_report().corrupted > 0, "the attached fault plan ran");
+        Ok((
+            net.export_telemetry("json")?,
+            net.export_trace()?,
+            format!("{:?} {:?}", net.fault_report(), net.fct().completed()),
+        ))
+    };
+    assert_eq!(run(true)?, run(false)?);
+    Ok(())
+}

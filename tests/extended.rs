@@ -156,14 +156,3 @@ fn seeds_change_stochastic_outcomes() {
     let (a, b) = (run(1), run(2));
     assert!(a != b, "per-packet delays must depend on the seed");
 }
-
-#[test]
-fn control_messages_survive_wire_roundtrip_in_context() {
-    // The wire codec is exercised against messages the engine actually
-    // generates under stress (push-back), end to end through encode/decode.
-    use openoptics::proto::wire;
-    use openoptics::proto::ControlMsg;
-    let msg = ControlMsg::PushBack { dst: NodeId(3), slice: 6, cycle: 12 };
-    let bytes = wire::encode(&msg);
-    assert_eq!(wire::decode(bytes).unwrap(), msg);
-}

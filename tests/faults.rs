@@ -261,3 +261,59 @@ proptest! {
         prop_assert_eq!(run_campaign(seed, &plan), run_campaign(seed, &plan));
     }
 }
+
+/// Packet conservation through the engine's one drop funnel: every data
+/// packet a host transmits is delivered or counted against exactly one
+/// cause, and nothing is left inside a switch once the network has drained.
+#[test]
+fn every_transmitted_packet_is_delivered_or_counted_against_one_cause() -> Result<(), Error> {
+    let cfg = NetConfig::builder()
+        .node_num(8)
+        .uplink(1)
+        .slice_ns(10_000)
+        .guard_ns(200)
+        .sync_err_ns(0)
+        .congestion_policy("drop")
+        .queue_capacity(24_000)
+        .seed(11)
+        .build()?;
+    let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet())?;
+    assert!(net.engine.watchdog_retransmit, "the watchdog recovers what the faults destroy");
+    let plan = FaultPlan::builder()
+        .link_down(NodeId(2), PortId(0), 50_000, 3_000_000)
+        .transceiver_flap(NodeId(5), PortId(0), 30, 20_000, 4_000_000)
+        .build()?;
+    net.inject_faults(&plan)?;
+    // Paced flows only: no ACKs, no probes — every packet is a data packet.
+    let flows = 8;
+    for h in 0..flows {
+        let (src, dst) = (HostId(h), HostId((h + 3) % 8));
+        net.add_flow(SimTime::from_ns(100), src, dst, 400_000, TransportKind::Paced);
+    }
+    for _ in 0..400 {
+        if net.fct().completed().len() == flows as usize {
+            break;
+        }
+        net.run_for(SimTime::from_ms(1));
+    }
+    assert_eq!(net.fct().completed().len(), flows as usize, "every flow completes");
+    net.run_for(SimTime::from_ms(5));
+
+    let c = net.engine.counters;
+    let causes = [c.fabric_drops, c.switch_drops, c.no_route_drops, c.link_drops, c.fault_drops];
+    assert_eq!(
+        c.host_tx_packets,
+        c.delivered_packets + causes.iter().sum::<u64>(),
+        "residual by cause [fabric, switch, no_route, link, fault] = {causes:?}, \
+         delivered {}, transmitted {}",
+        c.delivered_packets,
+        c.host_tx_packets,
+    );
+    assert!(causes.iter().filter(|&&n| n > 0).count() >= 3, "{causes:?}");
+    for node in (0..8).map(NodeId) {
+        let tor = net.engine.tor(node);
+        assert_eq!(tor.buffer_bytes(), 0, "{node} still buffers packets");
+        assert!(tor.offload_book.is_empty(), "{node} still has packets parked on hosts");
+    }
+    Ok(())
+}

@@ -95,9 +95,9 @@ fn chrome_trace_is_byte_identical_across_worker_counts() {
     // bytes (spans are stamped in sim time only and collected in index
     // order, never in completion order).
     bench::par::set_jobs(1);
-    let (_, serial) = bench::fig8::run_mice_with_spans(2, 4, false);
+    let (_, serial) = bench::fig8::run_mice_with_spans(2, 4);
     bench::par::set_jobs(4);
-    let (_, parallel) = bench::fig8::run_mice_with_spans(2, 4, false);
+    let (_, parallel) = bench::fig8::run_mice_with_spans(2, 4);
     bench::par::set_jobs(1);
     let serial = serial.expect("span capture present");
     let parallel = parallel.expect("span capture present");

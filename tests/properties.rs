@@ -18,6 +18,44 @@ fn rr_schedule(n: u32, uplinks: u16) -> OpticalSchedule {
 /// Run length of `run_for_is_pause_invariant`, ns.
 const HORIZON_NS: u64 = 3_000_000;
 
+/// The randomized quick-mode network behind `run_for_is_pause_invariant`
+/// and `pre_run_reconfigure_to_the_deployed_demand_is_a_no_op`: sampled
+/// config x architecture x fault plan, deployed, with the plan injected.
+fn sampled_net(
+    n: u32,
+    slice_us: u64,
+    seed: u64,
+    arch: openoptics::core::Architecture,
+    fault_pick: u8,
+) -> openoptics::core::OpenOpticsNet {
+    use openoptics::faults::FaultPlan;
+    use openoptics::prelude::*;
+    let cfg = NetConfig::builder()
+        .node_num(n)
+        .uplink(1)
+        .hosts_per_node(1)
+        .slice_ns(slice_us * 50_000)
+        .guard_ns(1_000)
+        .span_sample_every(4)
+        .seed(seed)
+        .build()
+        .expect("sampled config is valid");
+    let mut net = OpenOpticsNet::deploy_preset(cfg, arch).expect("sampled architecture deploys");
+    let plan = match fault_pick {
+        0 => None,
+        1 => Some(FaultPlan::builder().link_down(NodeId(1), PortId(0), 200_000, 900_000)),
+        2 => {
+            Some(FaultPlan::builder().transceiver_flap(NodeId(2), PortId(0), 40, 100_000, 900_000))
+        }
+        _ => Some(FaultPlan::builder().nic_pause_storm(NodeId(0), 300_000, 1_200_000)),
+    }
+    .map(|b| b.build().expect("sampled plan is valid"));
+    if let Some(p) = &plan {
+        net.inject_faults(p).expect("plan validates against this net");
+    }
+    net
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -183,41 +221,14 @@ proptest! {
         fault_pick in 0u8..4,
         pauses in proptest::collection::vec(1u64..HORIZON_NS, 1..6),
     ) {
-        use openoptics::faults::FaultPlan;
         use openoptics::prelude::*;
         let run = |pauses: &[u64]| -> (String, String, String) {
-            let cfg = NetConfig::builder()
-                .node_num(n)
-                .uplink(1)
-                .hosts_per_node(1)
-                .slice_ns(slice_us * 50_000)
-                .guard_ns(1_000)
-                .span_sample_every(4)
-                .seed(seed)
-                .build()
-                .expect("sampled config is valid");
-            let mut net = match arch_pick {
-                0 => OpenOpticsNet::deploy_preset(cfg, Architecture::clos()),
-                1 => OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()),
-                _ => OpenOpticsNet::deploy_preset(cfg, Architecture::opera()),
-            }
-            .expect("sampled architecture deploys");
-            let plan = match fault_pick {
-                0 => None,
-                1 => Some(FaultPlan::builder().link_down(NodeId(1), PortId(0), 200_000, 900_000)),
-                2 => Some(FaultPlan::builder().transceiver_flap(
-                    NodeId(2),
-                    PortId(0),
-                    40,
-                    100_000,
-                    900_000,
-                )),
-                _ => Some(FaultPlan::builder().nic_pause_storm(NodeId(0), 300_000, 1_200_000)),
-            }
-            .map(|b| b.build().expect("sampled plan is valid"));
-            if let Some(p) = &plan {
-                net.inject_faults(p).expect("plan validates against this net");
-            }
+            let arch = match arch_pick {
+                0 => Architecture::clos(),
+                1 => Architecture::rotornet(),
+                _ => Architecture::opera(),
+            };
+            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick);
             let stop = SimTime::from_ms(2);
             let clients = (1..n).map(HostId).collect();
             net.add_memcached(MemcachedParams::paper(), HostId(0), clients, stop);
@@ -239,6 +250,65 @@ proptest! {
         prop_assert_eq!(&paused.0, &straight.0, "telemetry diverged pausing at {:?}", pauses);
         prop_assert_eq!(&paused.1, &straight.1, "spans diverged pausing at {:?}", pauses);
         prop_assert_eq!(&paused.2, &straight.2, "fault report diverged pausing at {:?}", pauses);
+    }
+
+    /// Attach-then-adapt (Table 1, Fig. 5): a `reconfigure` issued *before*
+    /// the first run, after every kind of workload, a service and a fault
+    /// plan are attached, must touch nothing but the schedule. RotorNet and
+    /// c-Through regenerate the deployed schedule from the deployed demand,
+    /// so the reconfigured network must run exactly like the untouched one.
+    /// (It used to run empty: the redeploy built a fresh engine.)
+    #[test]
+    fn pre_run_reconfigure_to_the_deployed_demand_is_a_no_op(
+        n in 4u32..9,
+        slice_us in 1u64..4,
+        seed in 0u64..1_000,
+        arch_pick in 0u8..2,
+        fault_pick in 0u8..4,
+    ) {
+        use openoptics::prelude::*;
+        let mut tm = TrafficMatrix::zeros(n as usize);
+        for src in 1..n {
+            tm.set(NodeId(src), NodeId(0), f64::from(100 * src));
+        }
+        let run = |reconfigure: bool| -> Result<[String; 6], Error> {
+            let arch =
+                if arch_pick == 0 { Architecture::rotornet() } else { Architecture::cthrough(&tm) };
+            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick);
+            let slo = SloTarget { latency_ns: 200_000, objective_milli: 990, window_ns: 500_000 };
+            let svc = net.declare_service("cache", Some(slo));
+            net.add_flow_tagged(
+                SimTime::from_ns(500),
+                HostId(1),
+                HostId(0),
+                300_000,
+                TransportKind::Tcp(Default::default()),
+                Some(svc),
+            );
+            let clients = (1..n).map(HostId).collect();
+            net.add_memcached(MemcachedParams::paper(), HostId(0), clients, SimTime::from_ms(1));
+            net.add_allreduce((0..n).map(HostId).collect(), 40_000);
+            net.add_probe_train(HostId(2), HostId(0), 50_000, 10, 64);
+            if reconfigure {
+                net.reconfigure(&tm)?;
+            }
+            net.run_for(SimTime::from_ns(HORIZON_NS));
+            Ok([
+                net.export_telemetry("json")?,
+                net.export_trace()?,
+                net.export_slo_report()?,
+                net.export_spans_chrome_trace()?,
+                format!("{:?}", net.fault_report()),
+                format!("{:?}", net.fct().completed()),
+            ])
+        };
+        let (plain, reconfigured) = (run(false)?, run(true)?);
+        let names = ["telemetry", "trace", "slo report", "spans", "fault report", "fct records"];
+        for ((name, a), b) in names.iter().zip(&plain).zip(&reconfigured) {
+            prop_assert_eq!(a, b, "{} diverged after a pre-run reconfigure", name);
+        }
+        prop_assert!(plain[0].contains("\"engine.host_tx_packets\":"), "telemetry exports counters");
+        prop_assert!(!plain[5].is_empty() && plain[5] != "[]", "the workload completes flows");
     }
 
     /// The wildcard reduction: a schedule of held circuits routes
