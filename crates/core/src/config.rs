@@ -38,9 +38,6 @@ pub struct NetConfig {
     pub emulated_fabric: bool,
     /// Parallel electrical fabric rate, Gbps; 0 disables it.
     pub electrical_gbps: u64,
-    /// One-way latency across the electrical fabric (two extra switch
-    /// pipelines), ns.
-    pub electrical_core_ns: u64,
     /// Calendar queues per optical uplink.
     pub num_queues: usize,
     /// Byte capacity of each calendar queue.
@@ -70,10 +67,9 @@ pub struct NetConfig {
     /// OCS count ("OCSes count and structure", §4.1): 0 = one large OCS
     /// carrying every fiber (the testbed's Polatis); k > 0 = k devices with
     /// uplink `p` of every node cabled to device `p mod k` (parallel
-    /// rails, as in RotorNet/Opera deployments).
+    /// rails, as in RotorNet/Opera deployments). Devices are sized to the
+    /// cabling.
     pub ocs_count: u16,
-    /// Ports per OCS device; 0 = auto-size to the cabling.
-    pub ocs_ports: u32,
     /// Defer-response window: how many slices past the planned one the
     /// congestion service may push a packet.
     pub defer_max_extra_slices: u32,
@@ -81,8 +77,6 @@ pub struct NetConfig {
     /// calendar queues' ground-truth occupancy instead of the EQO estimate
     /// (impossible on real hardware — the ghost-thread limitation §5.2).
     pub eqo_ground_truth: bool,
-    /// vma segment-queue capacity per destination, bytes.
-    pub segment_queue_bytes: u64,
     /// PIAS-style elephant threshold for flow aging, bytes.
     pub elephant_threshold: u64,
     /// Telemetry registry armed: counters/gauges/histograms and the trace
@@ -98,10 +92,6 @@ pub struct NetConfig {
     /// disables span recording entirely (the default — spans never touch
     /// the hot path unless asked for).
     pub span_sample_every: u64,
-    /// Span-event buffer capacity. When full, *new* lifecycle trees are
-    /// skipped (and counted) but already-open spans still complete, so the
-    /// recorded stream stays well-formed.
-    pub span_capacity: u64,
     /// Telemetry sampling cadence, ns of sim time between time-series
     /// samples: each tick snapshots every counter/gauge plus the
     /// per-service latency summaries into the time-series store and the
@@ -131,7 +121,6 @@ impl Default for NetConfig {
             ocs_reconfig_ns: 25_000_000,
             emulated_fabric: true,
             electrical_gbps: 0,
-            electrical_core_ns: 3_000,
             num_queues: 32,
             queue_capacity: 2 * 1024 * 1024,
             congestion_detection: true,
@@ -145,15 +134,12 @@ impl Default for NetConfig {
             sync_err_ns: 28,
             fabric_dead_ns: 100,
             ocs_count: 0,
-            ocs_ports: 0,
             defer_max_extra_slices: 31,
             eqo_ground_truth: false,
-            segment_queue_bytes: 4 * 1024 * 1024,
             elephant_threshold: 1_000_000,
             telemetry: true,
             trace_capacity: 4_096,
             span_sample_every: 0,
-            span_capacity: 65_536,
             sample_every_ns: 0,
             workers: 1,
             seed: 1,
@@ -177,7 +163,6 @@ macro_rules! for_each_config_field {
         $m!(u64 ocs_reconfig_ns);
         $m!(bool emulated_fabric);
         $m!(u64 electrical_gbps);
-        $m!(u64 electrical_core_ns);
         $m!(usize num_queues);
         $m!(u64 queue_capacity);
         $m!(bool congestion_detection);
@@ -191,15 +176,12 @@ macro_rules! for_each_config_field {
         $m!(u64 sync_err_ns);
         $m!(u64 fabric_dead_ns);
         $m!(u16 ocs_count);
-        $m!(u32 ocs_ports);
         $m!(u32 defer_max_extra_slices);
         $m!(bool eqo_ground_truth);
-        $m!(u64 segment_queue_bytes);
         $m!(u64 elephant_threshold);
         $m!(bool telemetry);
         $m!(u64 trace_capacity);
         $m!(u64 span_sample_every);
-        $m!(u64 span_capacity);
         $m!(u64 sample_every_ns);
         $m!(usize workers);
         $m!(u64 seed);

@@ -13,6 +13,7 @@
 //! offloading — happens as a consequence.
 
 use crate::config::NetConfig;
+use crate::net::DeployError;
 use openoptics_fabric::{Circuit, ClockSync, Fabric, FabricProfile, OpticalSchedule};
 use openoptics_faults::{FaultError, FaultKind, FaultPlan, FaultReport, FaultRuntime};
 use openoptics_host::apps::{ChunkSend, MemcachedParams, RingAllreduce};
@@ -51,6 +52,15 @@ const HOST_WIRE_NS: u64 = 500;
 const SLICE_END_MARGIN_NS: u64 = 40;
 /// Paced-flow watchdog period, ns.
 const WATCHDOG_NS: u64 = 10_000_000;
+/// One-way latency across the electrical fabric (two extra switch
+/// pipelines), ns.
+const ELECTRICAL_CORE_NS: u64 = 3_000;
+/// vma segment-queue capacity per destination (the socket buffer), bytes.
+const SEGMENT_QUEUE_BYTES: u64 = 4 * 1024 * 1024;
+/// Span events kept. When full, *new* lifecycle trees are skipped (and
+/// counted) but already-open spans still complete, so the recorded stream
+/// stays well-formed.
+const SPAN_CAPACITY: usize = 65_536;
 /// Sample rows kept by the time-series store (keep-first, like the trace).
 const SAMPLE_CAPACITY: usize = 65_536;
 /// Frame lines kept by the subscription frame log.
@@ -426,7 +436,6 @@ fn phase_of(event: &Event) -> Phase {
 pub struct Engine {
     /// Static configuration this engine was built from.
     pub cfg: NetConfig,
-    slice_cfg: SliceConfig,
     fabric: Fabric,
     tors: Vec<ToRSwitch>,
     hosts: Vec<HostState>,
@@ -584,8 +593,8 @@ impl Engine {
         let hosts: Vec<HostState> = (0..cfg.total_hosts())
             .map(|h| HostState {
                 tor: NodeId(h / cfg.hosts_per_node),
-                vma: VmaStack::new(cfg.segment_queue_bytes),
-                vma_mice: VmaStack::new(cfg.segment_queue_bytes),
+                vma: VmaStack::new(SEGMENT_QUEUE_BYTES),
+                vma_mice: VmaStack::new(SEGMENT_QUEUE_BYTES),
                 nic_free: SimTime::ZERO,
                 tx_scheduled: false,
                 backlog: vec![],
@@ -593,9 +602,8 @@ impl Engine {
             })
             .collect();
         let link = Link::new(16 * 1024 * 1024);
-        let spans = Spans::bounded(cfg.span_sample_every, cfg.seed, cfg.span_capacity as usize);
+        let spans = Spans::bounded(cfg.span_sample_every, cfg.seed, SPAN_CAPACITY);
         Engine {
-            slice_cfg,
             fabric: build_fabric(&cfg, schedule),
             port_pending: vec![vec![false; cfg.uplink as usize]; n as usize],
             tx_bytes_per_port: vec![vec![0; cfg.uplink as usize]; n as usize],
@@ -640,16 +648,77 @@ impl Engine {
         }
     }
 
-    /// Replace the optical schedule of an engine that has not run yet, in
-    /// place: only what [`Engine::new`] derives from the schedule (the
-    /// slice structure, the fabric, the switches) is rebuilt. Everything
-    /// attached so far — flows, apps, services, the fault plan, the
-    /// router, policies — survives by not being touched, and neither the
-    /// RNG nor the clock offsets are redrawn.
-    pub(crate) fn install_schedule(&mut self, schedule: OpticalSchedule) {
-        self.slice_cfg = schedule.slice_config();
-        self.tors = build_tors(&self.cfg, self.slice_cfg, &self.telemetry);
-        self.fabric = build_fabric(&self.cfg, schedule);
+    /// The one way a schedule reaches the engine (`deploy_topo`,
+    /// `deploy_staged`, `reconfigure`). `running` is `None` until the
+    /// first run, the clock and the event queue after it.
+    ///
+    /// Before anything has run the swap is instant and in place: only what
+    /// [`Engine::new`] derives from the schedule (the fabric, the switches)
+    /// is rebuilt. Everything attached so far — flows, apps, services, the
+    /// fault plan, the router, policies — survives by not being touched,
+    /// and neither the RNG nor the clock offsets are redrawn.
+    ///
+    /// On a running network the OCS starts moving: the fabric is dark for
+    /// `ocs_reconfig_ns` and the old schedule stays the active one until
+    /// the move lands. What the engine derived from it is refreshed then
+    /// ([`Engine::on_schedule_active`]), not here. Switches re-notify their
+    /// hosts of the new circuits at the same instant (drives flow pausing
+    /// on static schedules, where no rotation would otherwise refresh the
+    /// state). The switches' calendars were built for the slice structure
+    /// the network started on, and a held instance never primed a `Rotate`,
+    /// so a schedule with a different slice structure is refused instead of
+    /// letting the switches drift out of step with the fabric.
+    pub(crate) fn deploy_schedule(
+        &mut self,
+        schedule: OpticalSchedule,
+        running: Option<(SimTime, &mut EventQueue<Event>)>,
+    ) -> Result<(), DeployError> {
+        let Some((now, q)) = running else {
+            self.tors = build_tors(&self.cfg, schedule.slice_config(), &self.telemetry);
+            self.fabric = build_fabric(&self.cfg, schedule);
+            return Ok(());
+        };
+        // An earlier move that finished since the last event has landed.
+        self.advance_fabric(now);
+        let (active, requested) = (self.slice_cfg(), schedule.slice_config());
+        if active != requested {
+            return Err(DeployError::SliceStructure { active, requested });
+        }
+        let done = self.fabric.reconfigure(schedule, now);
+        for node in 0..self.cfg.node_num {
+            q.schedule(done, Event::Timer(Timer::NotifyHosts(NodeId(node))));
+        }
+        Ok(())
+    }
+
+    /// Bring the fabric to `now`: a deployed schedule whose OCS move has
+    /// finished takes effect on this call.
+    #[inline]
+    fn advance_fabric(&mut self, now: SimTime) {
+        if self.fabric.advance(now) {
+            self.on_schedule_active();
+        }
+    }
+
+    /// The active schedule just changed. This is the only place that reacts
+    /// to that: route tables compiled against the old schedule are dropped
+    /// (the next lookup miss recompiles against the new one) and the
+    /// link-down mask is rebuilt from the new circuits. Nothing else the
+    /// engine uses is a copy — slice structure, TA-ness and direct-circuit
+    /// lookups ask the fabric each time. A move that lands on the schedule
+    /// already active does not come through here ([`Fabric::advance`]):
+    /// dropping the tables anyway would be visible, because what a table
+    /// holds depends on the order its misses came in.
+    #[cold]
+    fn on_schedule_active(&mut self) {
+        self.invalidate_routes();
+        self.rebuild_masked_schedule();
+    }
+
+    /// The slice structure of the active schedule.
+    #[inline]
+    fn slice_cfg(&self) -> SliceConfig {
+        self.fabric.schedule().slice_config()
     }
 
     /// An independent copy of the whole engine — the warm-state leg of a
@@ -906,8 +975,9 @@ impl Engine {
     }
 
     /// Rebuild the link-down-masked schedule routing compiles against from
-    /// the links that are down right now. Called on every window edge and
-    /// after a reconfiguration.
+    /// the links that are down right now and the active schedule. Its two
+    /// inputs change on link-down window edges and when a deployed schedule
+    /// becomes active; those are its two callers.
     fn rebuild_masked_schedule(&mut self) {
         let down: Vec<(NodeId, PortId)> = self.faults.down_links().collect();
         self.fault_masked = if down.is_empty() {
@@ -938,12 +1008,13 @@ impl Engine {
         q: &mut EventQueue<Event>,
     ) {
         let Some((spec, lag)) = self.faults.flip(idx, up) else { return };
-        self.rebuild_masked_schedule();
         if spec.kind == FaultKind::LinkDown {
-            // Link-down edges are visible to the controller: stale route
-            // tables are dropped so the next lookup recompiles against the
-            // masked time-expanded graph (bounded by the router's hop
-            // horizon — the reroute cannot wander).
+            // Link-down edges are visible to the controller: the mask
+            // follows the set of down links, and stale route tables are
+            // dropped so the next lookup recompiles against the masked
+            // time-expanded graph (bounded by the router's hop horizon —
+            // the reroute cannot wander).
+            self.rebuild_masked_schedule();
             self.invalidate_routes();
         }
         // A recovering slice-corrupted switch replays its missed rotations
@@ -986,22 +1057,6 @@ impl Engine {
         for t in &mut self.tors {
             t.tft_mut().clear();
         }
-    }
-
-    /// Replace the optical schedule (TA reconfiguration). Honors the OCS
-    /// reconfiguration delay; routing tables are cleared so new paths are
-    /// computed against the new topology.
-    pub(crate) fn reconfigure_schedule(
-        &mut self,
-        schedule: OpticalSchedule,
-        now: SimTime,
-    ) -> SimTime {
-        let done = self.fabric.reconfigure(schedule, now);
-        self.invalidate_routes();
-        // Link-down masks derived from the old schedule are stale; rebuild
-        // (they refresh again at the next fault window edge).
-        self.rebuild_masked_schedule();
-        done
     }
 
     /// The active optical schedule.
@@ -1158,11 +1213,11 @@ impl Engine {
     /// Call once before running.
     pub(crate) fn prime(&mut self, q: &mut EventQueue<Event>) {
         // Per-node rotations (only for rotating schedules).
-        if self.slice_cfg.num_slices > 1 {
+        let slice_cfg = self.slice_cfg();
+        if slice_cfg.num_slices > 1 {
             for node in 0..self.cfg.node_num {
-                let fire = self
-                    .sync
-                    .global_fire_time(node as usize, SimTime::from_ns(self.slice_cfg.slice_ns));
+                let fire =
+                    self.sync.global_fire_time(node as usize, SimTime::from_ns(slice_cfg.slice_ns));
                 q.schedule(fire, Event::Rotate(NodeId(node)));
             }
         }
@@ -1170,10 +1225,10 @@ impl Engine {
         if self.pause_mode == PauseMode::DirectCircuit {
             for node in 0..self.cfg.node_num {
                 self.refresh_pause_state(NodeId(node), 0, SimTime::ZERO);
-                if self.slice_cfg.num_slices > 1 {
+                if slice_cfg.num_slices > 1 {
                     let lead = 200;
                     q.schedule(
-                        SimTime::from_ns(self.slice_cfg.slice_ns - lead),
+                        SimTime::from_ns(slice_cfg.slice_ns - lead),
                         Event::Timer(Timer::NotifyHosts(NodeId(node))),
                     );
                 }
@@ -1735,14 +1790,15 @@ impl Engine {
         q: &mut EventQueue<Event>,
     ) {
         self.port_pending[node.index()][port.index()] = false;
+        let slice_cfg = self.slice_cfg();
         // All slice-relative gating below runs on the switch's LOCAL clock:
         // a badly synchronized node holds off / transmits at the wrong
         // instants, and the fabric (global truth) punishes it — which is
         // exactly what the guardband budget of §7 must absorb.
         let local = self.sync.local_time(node.index(), now);
         // Hold transmission during the (locally perceived) guardband.
-        if self.slice_cfg.num_slices > 1 && self.slice_cfg.in_guardband(local) {
-            let resume_local = self.slice_cfg.slice_start(local) + self.slice_cfg.guard_ns;
+        if slice_cfg.num_slices > 1 && slice_cfg.in_guardband(local) {
+            let resume_local = slice_cfg.slice_start(local) + slice_cfg.guard_ns;
             let resume = self.sync.global_fire_time(node.index(), resume_local);
             self.port_pending[node.index()][port.index()] = true;
             self.counters.guardband_holds += 1;
@@ -1762,16 +1818,15 @@ impl Engine {
         self.profiler.mark(Phase::EqoTick);
         match popped {
             Some((pkt, tx)) => {
-                if cfg!(feature = "strict-invariants") && self.slice_cfg.num_slices > 1 {
+                if cfg!(feature = "strict-invariants") && slice_cfg.num_slices > 1 {
                     // Guardband containment: the hold branch above already
                     // deferred guardband instants, and pop_if_fits only
                     // releases a packet whose serialization makes the slice
                     // tail. A transmit start inside the guardband or a tail
                     // past the slice end would be silently eaten by the
                     // fabric instead.
-                    let in_guard = self.slice_cfg.in_guardband(local);
-                    let overrun =
-                        tx + SLICE_END_MARGIN_NS > self.slice_cfg.remaining_in_slice(local);
+                    let in_guard = slice_cfg.in_guardband(local);
+                    let overrun = tx + SLICE_END_MARGIN_NS > slice_cfg.remaining_in_slice(local);
                     if in_guard || overrun {
                         // Last act before dying: push the flight recorder
                         // into the frame stream so a subscriber sees the
@@ -1782,7 +1837,7 @@ impl Engine {
                     assert!(
                         !overrun,
                         "transmit of {tx} ns overruns the slice: {} ns remain at local {local}",
-                        self.slice_cfg.remaining_in_slice(local),
+                        slice_cfg.remaining_in_slice(local),
                     );
                 }
                 // The port is busy for the serialization time — also when a
@@ -1819,13 +1874,11 @@ impl Engine {
                 }
             }
             None => {
-                if self.tors[node.index()].has_active_traffic(port) && self.slice_cfg.num_slices > 1
-                {
+                if self.tors[node.index()].has_active_traffic(port) && slice_cfg.num_slices > 1 {
                     // Head doesn't fit before the slice ends: retry after
                     // the next rotation + guard (local clock).
-                    let next_local = self.slice_cfg.slice_start(local)
-                        + self.slice_cfg.slice_ns
-                        + self.slice_cfg.guard_ns;
+                    let next_local =
+                        slice_cfg.slice_start(local) + slice_cfg.slice_ns + slice_cfg.guard_ns;
                     let next = self.sync.global_fire_time(node.index(), next_local);
                     self.port_pending[node.index()][port.index()] = true;
                     q.schedule(next.max(now + 1), Event::PortFree(node, port));
@@ -1846,15 +1899,15 @@ impl Engine {
             self.tors[node.index()].rotate(now);
             self.profiler.exit(Phase::Rotation);
         }
-        let fire = now + self.slice_cfg.slice_ns;
-        q.schedule(fire, Event::Rotate(node));
+        let slice_ns = self.slice_cfg().slice_ns;
+        q.schedule(now + slice_ns, Event::Rotate(node));
         self.kick_all_ports(node, now, q);
         if self.pause_mode == PauseMode::DirectCircuit {
             // Broadcast circuit notifications ahead of the next boundary so
             // hosts resume exactly when their circuit opens (§5.2: switches
             // notify hosts of upcoming circuit connections).
             let lead = 200;
-            let at = now + (self.slice_cfg.slice_ns - lead);
+            let at = now + (slice_ns - lead);
             q.schedule(at, Event::Timer(Timer::NotifyHosts(node)));
         }
     }
@@ -1865,7 +1918,7 @@ impl Engine {
         if self.pause_mode != PauseMode::DirectCircuit {
             return;
         }
-        let upcoming = self.slice_cfg.advance(self.tors[node.index()].current_slice(), 1);
+        let upcoming = self.slice_cfg().advance(self.tors[node.index()].current_slice(), 1);
         self.refresh_pause_state(node, upcoming, now);
         for h in self.hosts_of(node).map(HostId) {
             self.counters.circuit_notifications += 1;
@@ -1884,7 +1937,7 @@ impl Engine {
         self.cursors.serialized(pkt.id, now, tx);
         self.cursors.enter(pkt.id, Stage::Propagation, now + tx);
         let host = pkt.dst_host;
-        q.schedule_after(now, tx + self.cfg.electrical_core_ns, Event::HostRx(host, pkt));
+        q.schedule_after(now, tx + ELECTRICAL_CORE_NS, Event::HostRx(host, pkt));
     }
 
     fn on_downlink_free(&mut self, host: HostId, now: SimTime, q: &mut EventQueue<Event>) {
@@ -2000,8 +2053,9 @@ impl Engine {
     /// until the named (cycle, slice) ends.
     fn on_host_control(&mut self, host: HostId, msg: PushBack) {
         self.counters.pushback_deliveries += 1;
-        let end = (msg.cycle * self.slice_cfg.num_slices as u64 + msg.slice as u64 + 1)
-            * self.slice_cfg.slice_ns;
+        let slice_cfg = self.slice_cfg();
+        let end =
+            (msg.cycle * slice_cfg.num_slices as u64 + msg.slice as u64 + 1) * slice_cfg.slice_ns;
         self.hosts[host.index()].vma.block_until(msg.dst, SimTime::from_ns(end));
     }
 
@@ -2173,10 +2227,10 @@ impl World for Engine {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, q: &mut EventQueue<Event>) {
-        // Promote any pending TA reconfiguration whose delay has elapsed so
-        // every consumer (routing, pause state, dispatch) sees the schedule
-        // that is physically active at `now`.
-        self.fabric.schedule_at(now);
+        // A deployed schedule whose OCS move has finished takes effect here,
+        // before the event runs, so every consumer (routing, pause state,
+        // dispatch) sees the schedule that is physically active at `now`.
+        self.advance_fabric(now);
         self.profiler.event(phase_of(&event), now);
         match event {
             Event::HostTx(h) => self.on_host_tx(h, now, q),

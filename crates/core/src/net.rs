@@ -33,19 +33,31 @@ use openoptics_fabric::{Circuit, LayoutError, OcsLayout, OpticalSchedule, Schedu
 use openoptics_host::apps::MemcachedParams;
 use openoptics_proto::{FlowId, HostId, NodeId, PortId};
 use openoptics_routing::{LookupMode, MultipathMode, RouteEntry, RoutingAlgorithm};
-use openoptics_sim::time::SimTime;
+use openoptics_sim::time::{SimTime, SliceConfig};
 use openoptics_sim::{run, EventQueue};
 use openoptics_topo::TrafficMatrix;
 
-/// Why a topology deployment was rejected: either the circuits are not a
-/// valid schedule (port conflicts, out-of-range references) or they are not
-/// physically realizable on the configured OCS structure.
+/// Why a topology deployment was rejected: the circuits are not a valid
+/// schedule (port conflicts, out-of-range references), they are not
+/// physically realizable on the configured OCS structure, or the network is
+/// already running on a different slice structure.
 #[derive(Debug)]
 pub enum DeployError {
     /// Logical schedule validation failed.
     Schedule(ScheduleError),
     /// Physical OCS-structure compilation failed.
     Layout(LayoutError),
+    /// The network has run, and the schedule's slice structure is not the
+    /// active one. Switch calendars and rotation timers are laid out for
+    /// the slice structure the network started on (a held instance never
+    /// started rotating at all), so it is fixed from the first run on;
+    /// redeploy circuits freely, within the same number of slices.
+    SliceStructure {
+        /// The slice structure the running network rotates on.
+        active: SliceConfig,
+        /// The slice structure of the refused schedule.
+        requested: SliceConfig,
+    },
 }
 
 impl std::fmt::Display for DeployError {
@@ -53,6 +65,12 @@ impl std::fmt::Display for DeployError {
         match self {
             DeployError::Schedule(e) => write!(f, "schedule: {e}"),
             DeployError::Layout(e) => write!(f, "layout: {e}"),
+            DeployError::SliceStructure { active, requested } => write!(
+                f,
+                "slice structure: the running network rotates on {} slice(s), the new schedule \
+                 has {}; the slice structure is fixed once a network has run",
+                active.num_slices, requested.num_slices
+            ),
         }
     }
 }
@@ -97,14 +115,13 @@ impl OpenOpticsNet {
     pub fn new(cfg: NetConfig) -> Self {
         let sched = OpticalSchedule::empty(cfg.slice_config(1), cfg.node_num, cfg.uplink);
         let fibers = cfg.node_num * u32::from(cfg.uplink);
+        // Devices are sized to the cabling: every fiber gets a port.
         let layout = if cfg.ocs_count == 0 {
-            let ports = if cfg.ocs_ports == 0 { fibers } else { cfg.ocs_ports };
-            OcsLayout::single(cfg.node_num, cfg.uplink, ports)
+            OcsLayout::single(cfg.node_num, cfg.uplink, fibers)
                 .expect("auto-sized single OCS always fits")
         } else {
-            let per_dev = fibers.div_ceil(u32::from(cfg.ocs_count));
-            let ports = if cfg.ocs_ports == 0 { per_dev } else { cfg.ocs_ports };
             let k = cfg.ocs_count;
+            let ports = fibers.div_ceil(u32::from(k));
             OcsLayout::build(k, ports, cfg.node_num, cfg.uplink, |_, p| p.0 % k)
                 .expect("rail cabling fits when ports are auto-sized")
         };
@@ -154,13 +171,12 @@ impl OpenOpticsNet {
     }
 
     /// The single reconfigure hook: retarget the stored architecture's
-    /// schedule generator at `tm` and redeploy the regenerated schedule.
-    /// Works before the first run (instant) and mid-run (honors the OCS
-    /// reconfiguration delay), before or after traffic is attached: the
-    /// installed routing scheme and everything attached to the network are
-    /// preserved, and route tables recompile lazily against the new
-    /// topology. Errors with [`Error::Config`] on networks not built via
-    /// [`deploy`](Self::deploy).
+    /// schedule generator at `tm` and redeploy the regenerated schedule
+    /// through [`deploy_topo`](Self::deploy_topo) — instant before the
+    /// first run, an OCS move on a running network, with the same rules.
+    /// Before or after traffic is attached: the installed routing scheme
+    /// and everything attached to the network are preserved. Errors with
+    /// [`Error::Config`] on networks not built via [`deploy`](Self::deploy).
     pub fn reconfigure(&mut self, tm: &TrafficMatrix) -> Result<(), Error> {
         let mut arch = self.arch.take().ok_or_else(|| {
             Error::Config(crate::config::ConfigError {
@@ -232,38 +248,30 @@ impl OpenOpticsNet {
     }
 
     /// `deploy_topo()`: validate `circuits` for a `num_slices`-slice cycle
-    /// and install them. Before the simulation starts this is instant; on a
-    /// running TA network it honors the OCS reconfiguration delay. Either
-    /// way only the schedule changes: flows, apps, services, fault plans,
-    /// routing and policies already attached stay attached.
+    /// and install them. Either way only the schedule changes: flows, apps,
+    /// services, fault plans, routing and policies already attached stay
+    /// attached.
+    ///
+    /// Before the first run the swap is instant. On a network that has run
+    /// the OCS has to move: the whole fabric is dark for `ocs_reconfig_ns`,
+    /// the old schedule stays the active one until the move lands, and at
+    /// that instant routes and the link-down mask switch to the new
+    /// circuits and switches re-notify their hosts. The slice structure is
+    /// fixed once running — a schedule with a different slice count is
+    /// refused with [`DeployError::SliceStructure`] and changes nothing.
     pub fn deploy_topo(
         &mut self,
         circuits: &[Circuit],
         num_slices: u32,
     ) -> Result<(), DeployError> {
-        let cfg = self.engine.cfg.slice_config(num_slices);
-        let sched = OpticalSchedule::build(
-            cfg,
-            self.engine.cfg.node_num,
-            self.engine.cfg.uplink,
-            circuits,
-        )?;
+        let cfg = &self.engine.cfg;
+        let slices = cfg.slice_config(num_slices);
+        let sched = OpticalSchedule::build(slices, cfg.node_num, cfg.uplink, circuits)?;
         // Physical feasibility: every circuit must compile onto one OCS of
         // the configured structure (§4.2's controller sanity check).
         self.layout.compile(circuits)?;
-        if self.primed {
-            let done = self.engine.reconfigure_schedule(sched, self.now);
-            // Once the OCS finishes moving, switches re-notify their hosts
-            // of the new circuits (drives flow pausing on static schedules,
-            // where no rotation would otherwise refresh the state).
-            for node in 0..self.engine.cfg.node_num {
-                self.queue
-                    .schedule(done, Event::Timer(crate::engine::Timer::NotifyHosts(NodeId(node))));
-            }
-        } else {
-            self.engine.install_schedule(sched);
-        }
-        Ok(())
+        let running = self.primed.then_some((self.now, &mut self.queue));
+        self.engine.deploy_schedule(sched, running)
     }
 
     /// Deploy the staged circuits (then clear the staging area).

@@ -316,6 +316,98 @@ fn a_reconfigure_before_the_first_run_keeps_the_attached_workloads(
     Ok(())
 }
 
+/// c-Through with a 200 us OCS, scheduled for 1 -> 0 and 2 -> 0. Host 3's
+/// elephant has no circuit and waits, paused, for the redeploy that gives
+/// it one; host 1's is on the wire when the fabric goes dark.
+const REDEPLOY_SCENARIO: &str = r#"{
+    "version": 1,
+    "config": {
+        "node_num": 8, "uplink": 2, "hosts_per_node": 1, "sync_err_ns": 0,
+        "ocs_reconfig_ns": 200000, "seed": 7, "telemetry": true
+    },
+    "architecture": { "name": "cthrough", "tm": [[1, 0, 1000.0], [2, 0, 1000.0]] },
+    "workloads": [
+        { "kind": "flow", "at_ns": 100, "src": 1, "dst": 0, "bytes": 5000000 },
+        { "kind": "flow", "at_ns": 100, "src": 3, "dst": 0, "bytes": 2000000 }
+    ],
+    "stop_ns": 30000000
+}"#;
+
+#[test]
+fn a_flow_in_flight_across_a_reconfigure_survives_checkpoint_and_fork(
+) -> Result<(), Box<dyn std::error::Error>> {
+    // The redeploy moves a circuit (2 <-> 0 becomes 3 <-> 0) under live
+    // traffic; the checkpoint and the fork are taken while the OCS is still
+    // moving, so the swap, the route refresh and the host re-notification
+    // all happen on the far side of them.
+    let until_mid_move = |s: &mut Session| {
+        s.run_until(300_000);
+        s.apply(Op::Reconfigure { tm: TmSpec::Records(vec![(1, 0, 1000.0), (3, 0, 1000.0)]) })?;
+        s.run_until(400_000);
+        Ok::<_, openoptics_ctl::ScenarioError>(())
+    };
+    let mut straight = Session::new(Scenario::parse(REDEPLOY_SCENARIO)?)?;
+    until_mid_move(&mut straight)?;
+    straight.run_until(30_000_000);
+    let net = straight.net();
+    assert!(net.telemetry_snapshot().counter("fabric.lost_reconfig") > 0, "nothing was in flight");
+    let (n0, n3) = (openoptics_proto::NodeId(0), openoptics_proto::NodeId(3));
+    assert!(net.engine.schedule().port_to(n3, n0, 0).is_some(), "the redeploy landed");
+    assert_eq!(net.fct().completed().len(), 2, "both elephants finish on the new circuits");
+    assert_eq!(net.engine.counters.no_route_drops, 0);
+
+    let mut base = Session::new(Scenario::parse(REDEPLOY_SCENARIO)?)?;
+    until_mid_move(&mut base)?;
+    let mut forked = base.fork();
+    let mut restored = Session::restore(Checkpoint::parse(&base.checkpoint().to_json())?, None)?;
+    assert_eq!(restored.now_ns(), 400_000);
+    for branch in [&mut forked, &mut restored] {
+        branch.run_until(30_000_000);
+        assert_eq!(branch.export_bundle(), straight.export_bundle());
+    }
+    Ok(())
+}
+
+#[test]
+fn a_running_session_refuses_a_redeploy_that_changes_the_slice_count() {
+    // Semi-oblivious over an all-zero demand is the bare round robin; the
+    // mesh asks for three more slices. Before the first run that is a plain
+    // redeploy; on a running network it is a typed error like any other,
+    // and the session carries on untouched.
+    let sorn = SCENARIO.replacen(
+        r#"{ "name": "rotornet" }"#,
+        r#"{ "name": "semi_oblivious", "extra_slices": 3, "tm": 0 }"#,
+        1,
+    );
+    let load = |cp: &mut ControlPlane| {
+        let loaded = cp.handle_line(&format!(
+            r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{sorn}}}}}"#
+        ));
+        assert!(loaded.contains(r#""result""#), "{loaded}");
+    };
+    let reconfigure = r#"{"id":3,"method":"reconfigure","params":{"name":"s","tm":"mesh"}}"#;
+
+    let mut fresh = ControlPlane::new();
+    load(&mut fresh);
+    let ok = fresh.handle_line(reconfigure);
+    assert!(ok.contains(r#""result""#), "{ok}");
+
+    let mut cp = ControlPlane::new();
+    load(&mut cp);
+    cp.handle_line(r#"{"id":2,"method":"run_until","params":{"name":"s","ns":500000}}"#);
+    let status = r#"{"id":4,"method":"status","params":{"name":"s"}}"#;
+    let before = cp.handle_line(status);
+    let refused = cp.handle_line(reconfigure);
+    assert!(
+        refused.starts_with(
+            r#"{"id":3,"error":{"field":"reconfigure","reason":"deploy: slice structure: "#
+        ),
+        "{refused}"
+    );
+    assert!(refused.contains("7 slice(s)") && refused.contains("has 10"), "{refused}");
+    assert_eq!(cp.handle_line(status), before, "a refused op is not journaled");
+}
+
 #[test]
 fn invalid_operations_are_rejected_and_not_journaled() {
     let mut s = Session::new(scenario()).unwrap();

@@ -3,15 +3,17 @@
 //! [`Fabric`] answers one question for the data plane — *if node N transmits
 //! on optical port p at instant t, where does the light come out?* — and one
 //! for the control plane — *replace the schedule, honoring the device's
-//! reconfiguration delay*. During a TA reconfiguration the affected circuits
-//! are dark ([`Transit::Reconfiguring`]); during the per-slice guardband of
-//! a TO schedule everything is dark ([`Transit::Guardband`]), matching the
-//! emulated fabric's behavior of dropping packets that match no lookup
-//! entry (§5.3).
+//! reconfiguration delay*. While the device moves, the whole fabric is dark
+//! ([`Transit::Reconfiguring`]); the new schedule becomes the active one on
+//! the first [`Fabric::advance`] at or after the end of the move, and that
+//! call says so — the one moment everything derived from the schedule has
+//! to be refreshed. During the per-slice guardband of a TO schedule
+//! everything is dark too ([`Transit::Guardband`]), matching the emulated
+//! fabric's behavior of dropping packets that match no lookup entry (§5.3).
 
 use crate::schedule::OpticalSchedule;
 use openoptics_proto::{NodeId, PortId};
-use openoptics_sim::time::{SimTime, SliceIndex};
+use openoptics_sim::time::SimTime;
 
 /// How the fabric was realized — affects transit latency only (Fig. 13
 /// shows the emulated fabric closely tracks, and slightly beats, real OCS
@@ -61,7 +63,8 @@ pub enum Transit {
     NoCircuit,
     /// The instant falls in the slice guardband; circuits are mid-flight.
     Guardband,
-    /// A TA reconfiguration is in progress on this circuit.
+    /// A reconfiguration is in progress: the device is moving and the whole
+    /// fabric is dark, whether or not this particular circuit changes.
     Reconfiguring,
 }
 
@@ -117,38 +120,41 @@ impl Fabric {
         }
     }
 
-    /// The active schedule at instant `t` (the pending one once its
-    /// reconfiguration completes).
-    pub fn schedule_at(&mut self, t: SimTime) -> &OpticalSchedule {
-        self.promote(t);
-        &self.schedule
-    }
-
-    /// The currently installed schedule, ignoring pending swaps.
+    /// The active schedule: the one light travels through, and the one a
+    /// pending replacement turns into only inside [`Fabric::advance`].
     pub fn schedule(&self) -> &OpticalSchedule {
         &self.schedule
     }
 
-    /// Fabric latency profile.
-    pub fn profile(&self) -> FabricProfile {
-        self.profile
+    /// Bring the fabric to instant `now`: a pending schedule whose move has
+    /// finished becomes the active one. Returns `true` on exactly the one
+    /// call where the active schedule *changed*, so the caller can refresh
+    /// whatever it derived from the old one; a finished move to the very
+    /// schedule that was already active leaves nothing stale and reports
+    /// `false`. Nothing else promotes a schedule.
+    #[inline]
+    pub fn advance(&mut self, now: SimTime) -> bool {
+        match &self.pending {
+            Some(p) if now >= p.done => self.promote(),
+            _ => false,
+        }
     }
 
-    fn promote(&mut self, t: SimTime) {
-        if let Some(p) = &self.pending {
-            if t >= p.done {
-                self.schedule = self.pending.take().expect("pending vanished").next;
-            }
-        }
+    #[cold]
+    fn promote(&mut self) -> bool {
+        let Some(p) = self.pending.take() else { return false };
+        let changed = p.next != self.schedule;
+        self.schedule = p.next;
+        changed
     }
 
     /// Begin replacing the schedule (TA workflow). The swap completes after
     /// the device's reconfiguration delay; until then, transit through the
     /// fabric reports [`Transit::Reconfiguring`]. A reconfiguration issued
     /// while another is pending replaces it (last write wins), with the
-    /// clock restarting — matching an OCS that must re-steer.
+    /// clock restarting — matching an OCS that must re-steer. Call
+    /// [`Fabric::advance`] first if an earlier move may have finished.
     pub fn reconfigure(&mut self, next: OpticalSchedule, now: SimTime) -> SimTime {
-        self.promote(now);
         let done = now + self.reconfig_ns;
         self.pending = Some(PendingReconfig { started: now, done, next });
         done
@@ -161,14 +167,9 @@ impl Fabric {
         self.dead_ns = dead_ns;
     }
 
-    /// Whether a reconfiguration is in progress at `t`.
-    pub fn reconfiguring_at(&self, t: SimTime) -> bool {
-        self.pending.as_ref().map(|p| t >= p.started && t < p.done).unwrap_or(false)
-    }
-
-    /// The slice index active at `t` under the current schedule's clock.
-    pub fn slice_at(&self, t: SimTime) -> SliceIndex {
-        self.schedule.slice_config().slice_at(t)
+    /// Whether the device is mid-move at `t`.
+    fn reconfiguring_at(&self, t: SimTime) -> bool {
+        self.pending.as_ref().is_some_and(|p| t >= p.started && t < p.done)
     }
 
     /// Inject light on `(node, port)` at instant `t`.
@@ -176,9 +177,9 @@ impl Fabric {
     /// `t` is the instant the *head* of the packet reaches the fabric. The
     /// caller is responsible for ensuring the tail also fits in the slice —
     /// the calendar-queue system guarantees that by construction (§5.1), so
-    /// the fabric checks only the head against the guardband.
+    /// the fabric checks only the head against the guardband. The active
+    /// schedule is whatever the last [`Fabric::advance`] left.
     pub fn transit(&mut self, node: NodeId, port: PortId, t: SimTime) -> Transit {
-        self.promote(t);
         if self.reconfiguring_at(t) {
             self.lost_reconfig += 1;
             return Transit::Reconfiguring;
@@ -296,17 +297,32 @@ mod tests {
 
         let done = f.reconfigure(s1, SimTime::from_ns(1_000));
         assert_eq!(done, SimTime::from_ns(26_000));
-        // Mid-reconfig: dark.
+        // Mid-reconfig: dark, and the old schedule is still the active one.
+        assert!(!f.advance(SimTime::from_ns(10_000)));
         assert_eq!(
             f.transit(NodeId(0), PortId(0), SimTime::from_ns(10_000)),
             Transit::Reconfiguring
         );
+        assert_eq!(f.schedule().port_to(NodeId(0), NodeId(1), 0), Some(PortId(0)));
+        assert!(!f.advance(SimTime::from_ns(25_999)));
+        // The first call at or after `done` swaps, and is the only one to say so.
+        assert!(f.advance(done));
+        assert!(!f.advance(done));
+        assert!(!f.advance(SimTime::from_ns(30_000)));
         // After: new schedule reaches N2.
         match f.transit(NodeId(0), PortId(0), SimTime::from_ns(30_000)) {
             Transit::Delivered { node, .. } => assert_eq!(node, NodeId(2)),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(f.total_lost(), 1);
+        // A move to the schedule already active darkens the fabric all the
+        // same, but lands without anything having changed.
+        let same = f.schedule().clone();
+        let done = f.reconfigure(same, SimTime::from_ns(40_000));
+        let mid = SimTime::from_ns(50_000);
+        assert_eq!(f.transit(NodeId(0), PortId(0), mid), Transit::Reconfiguring);
+        assert!(!f.advance(done));
+        assert!(matches!(f.transit(NodeId(0), PortId(0), done), Transit::Delivered { .. }));
     }
 
     #[test]

@@ -50,8 +50,10 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// A validated, immutable optical schedule over one cycle.
-#[derive(Clone)]
+/// A validated, immutable optical schedule over one cycle. Two schedules
+/// are equal when they were built from the same circuit list over the same
+/// slice structure.
+#[derive(Clone, PartialEq)]
 pub struct OpticalSchedule {
     cfg: SliceConfig,
     num_nodes: u32,

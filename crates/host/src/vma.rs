@@ -15,7 +15,7 @@
 
 use openoptics_proto::{FlowId, HostId, NodeId};
 use openoptics_sim::bytequeue::ByteQueue;
-use openoptics_sim::hash::FxHashMap;
+use openoptics_sim::cast::idx_u32;
 use openoptics_sim::time::SimTime;
 
 /// One queued application segment.
@@ -34,29 +34,34 @@ pub struct Segment {
     pub queued_at: SimTime,
 }
 
-/// Per-destination pause state.
-#[derive(Clone, Copy, Debug, Default)]
-struct DstState {
+/// Everything the stack keeps about one destination node.
+#[derive(Clone, Debug)]
+struct Dst {
+    /// The segment queue (the socket buffer toward this destination).
+    queue: ByteQueue<Segment>,
     /// Flow-pausing gate: destination held until explicitly resumed.
     paused: bool,
     /// Push-back embargo deadline (send allowed at or after this instant).
     blocked_until: SimTime,
 }
 
+impl Dst {
+    fn sendable(&self, now: SimTime) -> bool {
+        !self.paused && now >= self.blocked_until
+    }
+}
+
 /// The host's user-space send stack: one segment queue per destination
 /// endpoint node (ToR).
 #[derive(Clone, Debug)]
 pub struct VmaStack {
-    queues: FxHashMap<NodeId, ByteQueue<Segment>>,
-    state: FxHashMap<NodeId, DstState>,
+    /// Indexed by destination node id, grown on first use; an entry nobody
+    /// has touched yet is an empty, unpaused, unblocked queue, which is
+    /// also what a destination past the end of the table is.
+    dsts: Vec<Dst>,
     queue_capacity: u64,
-    /// All destinations ever seen, kept sorted — the queue map only grows,
-    /// so [`Self::pop_next`] can scan this instead of re-sorting the key
-    /// set on every transmitted packet.
-    known_dsts: Vec<NodeId>,
-    /// Reusable scratch for the per-call non-empty destination list.
-    scratch_dsts: Vec<NodeId>,
-    /// Round-robin cursor over destinations for fair draining.
+    /// Round-robin cursor over the non-empty destinations, for fair
+    /// draining.
     rr_cursor: usize,
     /// Segments rejected because the segment queue was full (application
     /// push-back events).
@@ -74,11 +79,8 @@ impl VmaStack {
     /// bytes (the socket buffer).
     pub fn new(queue_capacity: u64) -> Self {
         VmaStack {
-            queues: FxHashMap::default(),
-            state: FxHashMap::default(),
+            dsts: vec![],
             queue_capacity,
-            known_dsts: vec![],
-            scratch_dsts: vec![],
             rr_cursor: 0,
             app_pushback_events: 0,
             pause_events: 0,
@@ -87,40 +89,42 @@ impl VmaStack {
         }
     }
 
+    /// The entry for `dst`, growing the table up to it on first use.
+    fn dst_mut(&mut self, dst: NodeId) -> &mut Dst {
+        if dst.index() >= self.dsts.len() {
+            let fresh = Dst {
+                queue: ByteQueue::new(self.queue_capacity),
+                paused: false,
+                blocked_until: SimTime::ZERO,
+            };
+            self.dsts.resize(dst.index() + 1, fresh);
+        }
+        &mut self.dsts[dst.index()]
+    }
+
     /// Enqueue an application segment toward `dst`. `Err` is the socket
     /// pushing back on the application (queue full) — the caller should
     /// retry after draining.
     pub fn send(&mut self, dst: NodeId, seg: Segment) -> Result<(), Segment> {
-        let cap = self.queue_capacity;
-        let q = self.queues.entry(dst).or_insert_with(|| {
-            // First segment toward this destination: register it in the
-            // sorted scan list.
-            ByteQueue::new(cap)
-        });
-        let bytes = seg.bytes;
-        let res = q.push(bytes, seg).inspect_err(|_s| {
-            self.app_pushback_events += 1;
-        });
-        if let Err(pos) = self.known_dsts.binary_search(&dst) {
-            self.known_dsts.insert(pos, dst);
-        }
+        let res = self.dst_mut(dst).queue.push(seg.bytes, seg);
+        self.app_pushback_events += u64::from(res.is_err());
         res
     }
 
     /// Whether a segment of `bytes` toward `dst` would be accepted.
     pub fn would_accept(&self, dst: NodeId, bytes: u32) -> bool {
-        self.queues
-            .get(&dst)
-            .map(|q| q.would_fit(bytes))
-            .unwrap_or(bytes as u64 <= self.queue_capacity)
+        match self.dsts.get(dst.index()) {
+            Some(d) => d.queue.would_fit(bytes),
+            None => bytes as u64 <= self.queue_capacity,
+        }
     }
 
     /// Flow pausing: hold all traffic toward `dst` (until [`Self::resume`]).
     /// Returns whether this was a running → paused transition.
     pub fn pause(&mut self, dst: NodeId) -> bool {
-        let s = self.state.entry(dst).or_default();
-        let transition = !s.paused;
-        s.paused = true;
+        let d = self.dst_mut(dst);
+        let transition = !d.paused;
+        d.paused = true;
         self.pause_events += transition as u64;
         transition
     }
@@ -128,92 +132,76 @@ impl VmaStack {
     /// Release a flow-pausing hold. Returns whether this was a
     /// paused → running transition.
     pub fn resume(&mut self, dst: NodeId) -> bool {
-        let s = self.state.entry(dst).or_default();
-        let transition = s.paused;
-        s.paused = false;
+        let d = self.dst_mut(dst);
+        let transition = d.paused;
+        d.paused = false;
         self.resume_events += transition as u64;
         transition
     }
 
     /// Push-back: embargo `dst` until `deadline`.
     pub fn block_until(&mut self, dst: NodeId, deadline: SimTime) {
-        let s = self.state.entry(dst).or_default();
-        if deadline > s.blocked_until {
-            s.blocked_until = deadline;
+        let d = self.dst_mut(dst);
+        if deadline > d.blocked_until {
+            d.blocked_until = deadline;
             self.block_events += 1;
         }
     }
 
     /// Whether `dst` may be drained at `now`.
     pub fn sendable(&self, dst: NodeId, now: SimTime) -> bool {
-        match self.state.get(&dst) {
-            Some(s) => !s.paused && now >= s.blocked_until,
-            None => true,
-        }
+        self.dsts.get(dst.index()).is_none_or(|d| d.sendable(now))
     }
 
     /// Pop the next segment to transmit, round-robin across sendable
     /// destinations. Returns the destination node alongside the segment.
+    ///
+    /// The round runs over the *non-empty* destinations in ascending node
+    /// order, starting at the cursor taken modulo their count, and the
+    /// cursor moves one past the destination served.
     pub fn pop_next(&mut self, now: SimTime) -> Option<(NodeId, Segment)> {
-        // Rebuild the non-empty destination list from the presorted known
-        // set (deterministic order, no per-packet allocation or sort).
-        let mut dsts = std::mem::take(&mut self.scratch_dsts);
-        dsts.clear();
-        dsts.extend(
-            self.known_dsts.iter().filter(|d| self.queues.get(d).is_some_and(|q| !q.is_empty())),
-        );
-        if dsts.is_empty() {
-            self.scratch_dsts = dsts;
+        let n = self.dsts.iter().filter(|d| !d.queue.is_empty()).count();
+        if n == 0 {
             return None;
         }
-        let n = dsts.len();
-        let mut found = None;
-        for i in 0..n {
-            let dst = dsts[(self.rr_cursor + i) % n];
-            if !self.sendable(dst, now) {
-                continue;
-            }
-            if let Some((_, seg)) = self.queues.get_mut(&dst).and_then(|q| q.pop()) {
-                self.rr_cursor = (self.rr_cursor + i + 1) % n.max(1);
-                found = Some((dst, seg));
-                break;
-            }
-        }
-        self.scratch_dsts = dsts;
-        found
+        let start = self.rr_cursor % n;
+        let busy = self.dsts.iter().enumerate().filter(|(_, d)| !d.queue.is_empty());
+        let (served, at) = busy
+            .clone()
+            .skip(start)
+            .chain(busy.take(start))
+            .enumerate()
+            .find_map(|(i, (at, d))| d.sendable(now).then_some((i, at)))?;
+        let (_, seg) = self.dsts[at].queue.pop()?;
+        self.rr_cursor = (start + served + 1) % n;
+        Some((NodeId(idx_u32(at)), seg))
     }
 
     /// Total queued bytes across destinations.
     pub fn total_queued(&self) -> u64 {
-        self.queues.values().map(|q| q.bytes()).sum()
+        self.dsts.iter().map(|d| d.queue.bytes()).sum()
     }
 
-    /// Per-destination queued bytes snapshot — the host's contribution to
-    /// traffic collection (§5.2: "packets buffered in separate queues
-    /// inside vma based on the destination switch").
+    /// Per-destination queued bytes snapshot, in ascending node order — the
+    /// host's contribution to traffic collection (§5.2: "packets buffered
+    /// in separate queues inside vma based on the destination switch").
     pub fn queue_snapshot(&self) -> Vec<(NodeId, u64)> {
-        let mut v: Vec<(NodeId, u64)> = self.queues.iter().map(|(d, q)| (*d, q.bytes())).collect();
-        v.sort_unstable_by_key(|(d, _)| *d);
-        v
+        let queued = self.dsts.iter().enumerate().filter(|(_, d)| d.queue.bytes() > 0);
+        queued.map(|(at, d)| (NodeId(idx_u32(at)), d.queue.bytes())).collect()
     }
 
     /// Whether any sendable destination has queued data at `now`.
     pub fn has_sendable(&self, now: SimTime) -> bool {
-        self.queues.iter().any(|(d, q)| !q.is_empty() && self.sendable(*d, now))
+        self.dsts.iter().any(|d| !d.queue.is_empty() && d.sendable(now))
     }
 
     /// The earliest push-back embargo expiry among destinations with queued
-    /// data, if every such destination is currently blocked (for engine
-    /// re-scheduling).
+    /// data that only an embargo holds back (for engine re-scheduling).
     pub fn next_unblock(&self, now: SimTime) -> Option<SimTime> {
-        self.queues
+        self.dsts
             .iter()
-            .filter(|(d, q)| {
-                !q.is_empty()
-                    && !self.sendable(**d, now)
-                    && !self.state.get(d).map(|s| s.paused).unwrap_or(false)
-            })
-            .filter_map(|(d, _)| self.state.get(d).map(|s| s.blocked_until))
+            .filter(|d| !d.queue.is_empty() && !d.paused && now < d.blocked_until)
+            .map(|d| d.blocked_until)
             .min()
     }
 }

@@ -1,13 +1,15 @@
 //! Integration tests of the Table-1 user API surface: the topology,
 //! routing, and monitoring calls behave as the paper documents them.
 
-use openoptics::core::{Error, NetConfig, OpenOpticsNet, TransportKind};
+use openoptics::core::{
+    Architecture, DeployError, Error, NetConfig, OpenOpticsNet, ScheduleGen, TransportKind,
+};
 use openoptics::fabric::Circuit;
 use openoptics::proto::{HostId, NodeId, PortId};
 use openoptics::routing::algos::{Direct, Vlb};
 use openoptics::routing::{LookupMode, MultipathMode, RouteAction, RouteEntry, RouteMatch};
 use openoptics::sim::time::SimTime;
-use openoptics::topo::round_robin;
+use openoptics::topo::{round_robin, TrafficMatrix};
 
 fn cfg() -> NetConfig {
     NetConfig::builder()
@@ -183,5 +185,123 @@ fn deploy_topo_before_the_first_run_keeps_what_was_attached() -> Result<(), Erro
         ))
     };
     assert_eq!(run(true)?, run(false)?);
+    Ok(())
+}
+
+#[test]
+fn routes_compiled_during_the_ocs_move_do_not_outlive_it() -> Result<(), Error> {
+    // A flow in flight across a redeploy that moves its circuit to the
+    // other port. While the OCS moves the old schedule is still the active
+    // one, so lookups made in the dark window compile against it; when the
+    // move lands those routes must go, or the flow keeps asking for a port
+    // that no longer reaches its destination. (It used to: 0 of 1 flows,
+    // 158,917 no-route drops by 61 ms.)
+    let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    let (p0, p1) = (PortId(0), PortId(1));
+    let mut c = cfg();
+    c.uplink = 2;
+    c.ocs_reconfig_ns = 2_000_000;
+    let mut net = OpenOpticsNet::new(c);
+    let ring = |to_1, to_2| {
+        [
+            Circuit::held(n0, to_1, n1, p0),
+            Circuit::held(n0, to_2, n2, p0),
+            Circuit::held(n1, p1, n3, p0),
+            Circuit::held(n2, p1, n3, p1),
+        ]
+    };
+    // B swaps node 0's two ports: 0 <-> 1 is still a direct circuit.
+    let (a, b) = (ring(p0, p1), ring(p1, p0));
+    net.deploy_topo(&a, 1)?;
+    net.deploy_routing(Direct, LookupMode::PerHop, MultipathMode::None)?;
+    net.add_flow(SimTime::from_ns(50), HostId(0), HostId(1), 60_000_000, TransportKind::Paced);
+    net.run_for(SimTime::from_ms(1));
+    net.deploy_topo(&b, 1)?;
+    // The old schedule stays the active one until the move lands at 3 ms.
+    net.run_for(SimTime::from_ms(1));
+    assert_eq!(net.engine.schedule().port_to(n0, n1, 0), Some(p0));
+    net.run_for(SimTime::from_ms(59));
+    assert_eq!(net.engine.schedule().port_to(n0, n1, 0), Some(p1));
+    let c = net.engine.counters;
+    assert!(c.fabric_drops > 0, "the flow was in flight while the fabric was dark");
+    assert_eq!(c.no_route_drops, 0, "a stale route outlived the move: {c:?}");
+    assert_eq!(net.fct().completed().len(), 1, "the flow completes on the moved circuit: {c:?}");
+    Ok(())
+}
+
+#[test]
+fn a_running_network_refuses_a_different_slice_structure() -> Result<(), Error> {
+    // The Fig. 5c loop — raise SORN's extra-slice budget, redeploy — on a
+    // network that has run. The switches' calendars and rotation timers are
+    // laid out for the 9 slices it started on; a 12-slice fabric under them
+    // would rotate out of step (it used to: 1,373 fabric drops against 42,
+    // 35 of 40 flows by 41 ms). The redeploy is refused, nothing changes,
+    // and the run goes on as if it had not been asked.
+    let mut tm = TrafficMatrix::zeros(8);
+    tm.set(NodeId(0), NodeId(5), 500.0);
+    let build = || -> Result<OpenOpticsNet, Error> {
+        let cfg = NetConfig::builder().node_num(8).slice_ns(10_000).sync_err_ns(0).build()?;
+        let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::semi_oblivious(&tm, 2))?;
+        for h in 0..8 {
+            for k in 1..=5 {
+                let (src, dst) = (HostId(h), HostId((h + k) % 8));
+                net.add_flow(SimTime::from_ns(100), src, dst, 100_000, TransportKind::Paced);
+            }
+        }
+        net.run_for(SimTime::from_ms(1));
+        Ok(net)
+    };
+    let finish = |mut net: OpenOpticsNet| -> Result<_, Error> {
+        net.run_for(SimTime::from_ms(40));
+        assert_eq!(net.fct().completed().len(), 40, "{:?}", net.engine.counters);
+        Ok((net.export_telemetry("json")?, format!("{:?}", net.fct().completed())))
+    };
+    let untouched = finish(build()?)?;
+
+    let mut net = build()?;
+    let before = net.engine.schedule().slice_config().num_slices;
+    if let Some(ScheduleGen::Sorn { extra_slices, .. }) =
+        net.arch_mut().map(Architecture::schedule_mut)
+    {
+        *extra_slices = 5;
+    }
+    let refused = net.reconfigure(&tm);
+    assert!(
+        matches!(&refused, Err(Error::Deploy(DeployError::SliceStructure { active, requested }))
+            if (active.num_slices, requested.num_slices) == (before, before + 3)),
+        "a typed slice-structure refusal expected, got {refused:?}"
+    );
+    let said = refused.map_err(|e| e.to_string());
+    assert!(
+        matches!(&said, Err(m) if m.contains("9 slice(s)") && m.contains("has 12")),
+        "the refusal names both slice counts: {said:?}"
+    );
+    assert_eq!(net.engine.schedule().slice_config().num_slices, before);
+    assert_eq!(finish(net)?, untouched, "a refused redeploy must leave no trace");
+    Ok(())
+}
+
+#[test]
+fn held_and_rotating_do_not_swap_once_running() -> Result<(), Error> {
+    // 1 <-> N slices is the same refusal: a held instance never primed a
+    // `Rotate`, and a rotation cannot be stopped into one. Before the first
+    // run either direction is a plain redeploy.
+    let (rotor, slices) = round_robin(4, 1);
+    let held = vec![Circuit::held(NodeId(0), PortId(0), NodeId(1), PortId(0))];
+    for (first, then) in [((&held, 1), (&rotor, slices)), ((&rotor, slices), (&held, 1))] {
+        let mut net = OpenOpticsNet::new(cfg());
+        net.deploy_topo(then.0, then.1)?;
+        net.deploy_topo(first.0, first.1)?;
+        net.run_for(SimTime::from_us(50));
+        let refused = net.deploy_topo(then.0, then.1);
+        assert!(
+            matches!(refused, Err(DeployError::SliceStructure { active, requested })
+                if (active.num_slices, requested.num_slices) == (first.1, then.1)),
+            "{refused:?}"
+        );
+        net.connect(then.0[0])?;
+        assert!(matches!(net.deploy_staged(then.1), Err(DeployError::SliceStructure { .. })));
+        assert_eq!(net.engine.schedule().slice_config().num_slices, first.1);
+    }
     Ok(())
 }

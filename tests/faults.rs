@@ -317,3 +317,60 @@ fn every_transmitted_packet_is_delivered_or_counted_against_one_cause() -> Resul
     }
     Ok(())
 }
+
+/// A link-down window open across a mid-run redeploy: once the OCS move
+/// lands, the mask routing compiles against is the *new* schedule minus the
+/// circuit on the downed port — not the old schedule's leftovers. Ring
+/// 0-1-3-2 becomes ring 0-2-1-3 with `(N0, p0)` down throughout: 0 -> 1 runs
+/// 0.p1 -> 2 -> 3 -> 1 before the move and 0.p1 -> 3 -> 1 after it, over two
+/// circuits only the new schedule has.
+#[test]
+fn link_down_mask_follows_a_redeploy() -> Result<(), Error> {
+    use openoptics::routing::algos::Ecmp;
+    let (n0, n1, n2, n3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+    let (p0, p1) = (PortId(0), PortId(1));
+    let cfg = NetConfig::builder()
+        .node_num(4)
+        .uplink(2)
+        .sync_err_ns(0)
+        .ocs_reconfig_ns(200_000)
+        .build()?;
+    let mut net = OpenOpticsNet::new(cfg);
+    let a = [
+        Circuit::held(n0, p0, n1, p0),
+        Circuit::held(n0, p1, n2, p0),
+        Circuit::held(n2, p1, n3, p0),
+        Circuit::held(n3, p1, n1, p1),
+    ];
+    let b = [
+        Circuit::held(n0, p0, n2, p0),
+        Circuit::held(n0, p1, n3, p1),
+        Circuit::held(n3, p0, n1, p1),
+        Circuit::held(n2, p1, n1, p0),
+    ];
+    net.deploy_topo(&a, 1)?;
+    net.deploy_routing(Ecmp::default(), LookupMode::PerHop, MultipathMode::PerFlow)?;
+    net.inject_faults(&FaultPlan::builder().link_down(n0, p0, 100_000, 50_000_000).build()?)?;
+    net.add_flow(SimTime::from_ns(50), HostId(0), HostId(1), 20_000_000, TransportKind::Paced);
+    net.run_for(SimTime::from_ms(1));
+    assert_eq!(net.bw_usage(n3, p0), 0, "3.p0 leads back to 2 on the old ring: never used");
+    net.deploy_topo(&b, 1)?;
+    // The move lands at 1.2 ms; whatever the dead port still held when the
+    // window opened has long drained into the fault by then.
+    net.run_for(SimTime::from_us(200));
+    let (into_dead_port, dropped) = (net.bw_usage(n0, p0), net.fault_report().dropped);
+    assert!(into_dead_port > 0, "the flow was on the port until it died");
+    net.run_for(SimTime::from_ms(40));
+
+    assert_eq!(net.fct().completed().len(), 1, "{:?}", net.engine.counters);
+    assert_eq!(net.engine.counters.no_route_drops, 0, "a route led where no circuit goes");
+    let report = net.fault_report();
+    assert_eq!(
+        (net.bw_usage(n0, p0), report.dropped),
+        (into_dead_port, dropped),
+        "the new schedule's masked routes never offer the dead port: {report:?}"
+    );
+    assert_eq!(net.bw_usage(n2, p0), 0, "0.p0 <-> 2.p0 is the masked circuit of the new ring");
+    assert!(net.bw_usage(n3, p0) > 0, "3.p0 <-> 1.p1 exists only in the new schedule");
+    Ok(())
+}

@@ -18,8 +18,11 @@ fn rr_schedule(n: u32, uplinks: u16) -> OpticalSchedule {
 /// Run length of `run_for_is_pause_invariant`, ns.
 const HORIZON_NS: u64 = 3_000_000;
 
+/// The OCS reconfiguration delay `NetConfig` defaults to, ns.
+const OCS_DEFAULT_NS: u64 = 25_000_000;
+
 /// The randomized quick-mode network behind `run_for_is_pause_invariant`
-/// and `pre_run_reconfigure_to_the_deployed_demand_is_a_no_op`: sampled
+/// and the two reconfigure-to-the-deployed-demand properties: sampled
 /// config x architecture x fault plan, deployed, with the plan injected.
 fn sampled_net(
     n: u32,
@@ -27,6 +30,7 @@ fn sampled_net(
     seed: u64,
     arch: openoptics::core::Architecture,
     fault_pick: u8,
+    ocs_reconfig_ns: u64,
 ) -> openoptics::core::OpenOpticsNet {
     use openoptics::faults::FaultPlan;
     use openoptics::prelude::*;
@@ -37,6 +41,7 @@ fn sampled_net(
         .slice_ns(slice_us * 50_000)
         .guard_ns(1_000)
         .span_sample_every(4)
+        .ocs_reconfig_ns(ocs_reconfig_ns)
         .seed(seed)
         .build()
         .expect("sampled config is valid");
@@ -54,6 +59,16 @@ fn sampled_net(
         net.inject_faults(p).expect("plan validates against this net");
     }
     net
+}
+
+/// The demand both reconfigure-to-the-deployed-demand properties deploy
+/// c-Through for and reconfigure to: every node sends to node 0.
+fn incast_demand(n: u32) -> openoptics::topo::TrafficMatrix {
+    let mut tm = openoptics::topo::TrafficMatrix::zeros(n as usize);
+    for src in 1..n {
+        tm.set(NodeId(src), NodeId(0), f64::from(100 * src));
+    }
+    tm
 }
 
 proptest! {
@@ -228,7 +243,7 @@ proptest! {
                 1 => Architecture::rotornet(),
                 _ => Architecture::opera(),
             };
-            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick);
+            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick, OCS_DEFAULT_NS);
             let stop = SimTime::from_ms(2);
             let clients = (1..n).map(HostId).collect();
             net.add_memcached(MemcachedParams::paper(), HostId(0), clients, stop);
@@ -267,14 +282,11 @@ proptest! {
         fault_pick in 0u8..4,
     ) {
         use openoptics::prelude::*;
-        let mut tm = TrafficMatrix::zeros(n as usize);
-        for src in 1..n {
-            tm.set(NodeId(src), NodeId(0), f64::from(100 * src));
-        }
+        let tm = incast_demand(n);
         let run = |reconfigure: bool| -> Result<[String; 6], Error> {
             let arch =
                 if arch_pick == 0 { Architecture::rotornet() } else { Architecture::cthrough(&tm) };
-            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick);
+            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick, OCS_DEFAULT_NS);
             let slo = SloTarget { latency_ns: 200_000, objective_milli: 990, window_ns: 500_000 };
             let svc = net.declare_service("cache", Some(slo));
             net.add_flow_tagged(
@@ -309,6 +321,51 @@ proptest! {
         }
         prop_assert!(plain[0].contains("\"engine.host_tx_packets\":"), "telemetry exports counters");
         prop_assert!(!plain[5].is_empty() && plain[5] != "[]", "the workload completes flows");
+    }
+
+    /// The same redeploy on a *running* network, with an OCS that moves in
+    /// no time: the fabric swaps to an identical schedule at the next event,
+    /// routes recompile against it and hosts are re-notified — and no flow,
+    /// delivered byte or drop may tell the difference. RotorNet and
+    /// c-Through ignore the previous circuits when they regenerate, so the
+    /// redeployed schedule is the deployed one.
+    #[test]
+    fn mid_run_reconfigure_to_the_deployed_demand_moves_no_packet(
+        n in 4u32..9,
+        slice_us in 1u64..4,
+        seed in 0u64..1_000,
+        arch_pick in 0u8..2,
+        fault_pick in 0u8..4,
+        at in 1u64..HORIZON_NS,
+    ) {
+        use openoptics::prelude::*;
+        let tm = incast_demand(n);
+        let run = |reconfigure: bool| -> Result<_, Error> {
+            let arch =
+                if arch_pick == 0 { Architecture::rotornet() } else { Architecture::cthrough(&tm) };
+            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick, 0);
+            let tcp = TransportKind::Tcp(Default::default());
+            net.add_flow(SimTime::from_ns(500), HostId(1), HostId(0), 300_000, tcp);
+            let clients = (1..n).map(HostId).collect();
+            net.add_memcached(MemcachedParams::paper(), HostId(0), clients, SimTime::from_ms(1));
+            net.add_allreduce((0..n).map(HostId).collect(), 40_000);
+            net.run_for(SimTime::from_ns(at));
+            if reconfigure {
+                net.reconfigure(&tm)?;
+            }
+            net.run_for(SimTime::from_ns(HORIZON_NS - at));
+            // What the redeploy itself adds — the `NotifyHosts` events and
+            // the notifications they deliver — is the allowed difference.
+            let counters = openoptics::core::engine::EngineCounters {
+                circuit_notifications: 0,
+                ..net.engine.counters
+            };
+            Ok((format!("{:?}", net.fct().completed()), format!("{counters:?}")))
+        };
+        let (plain, reconfigured) = (run(false)?, run(true)?);
+        prop_assert_eq!(&plain.1, &reconfigured.1, "counters moved reconfiguring at {} ns", at);
+        prop_assert_eq!(&plain.0, &reconfigured.0, "FCT records moved reconfiguring at {} ns", at);
+        prop_assert!(plain.0 != "[]", "the workload completes flows");
     }
 
     /// The wildcard reduction: a schedule of held circuits routes
