@@ -23,17 +23,16 @@ use openoptics_host::vma::{Segment, VmaStack};
 use openoptics_host::FlowAging;
 use openoptics_obs::{DropSite, PacketEnd, Phase, Profiler, SpanCursors, SpanEvent, Spans, Stage};
 use openoptics_proto::packet::{PacketKind, HEADER_BYTES};
-use openoptics_proto::{FlowId, HostId, NodeId, Packet, PortId, PushBack};
+use openoptics_proto::{FlowId, HostId, NodeId, Packet, PacketStore, PktRef, PortId, PushBack};
 use openoptics_routing::{compile, LookupMode, MultipathMode, Path, RoutingAlgorithm};
 use openoptics_sim::bytequeue::ByteQueue;
 use openoptics_sim::cast::{idx_u32, to_u32, to_u8};
-use openoptics_sim::hash::FxHashMap;
 use openoptics_sim::rate::Bandwidth;
 use openoptics_sim::time::{SimTime, SliceConfig};
 use openoptics_sim::{EventQueue, SimRng, World};
 use openoptics_switch::congestion::{CongestionConfig, CongestionPolicy};
 use openoptics_switch::offload::OffloadPolicy;
-use openoptics_switch::{IngressDecision, IngressResult, PipelineModel, ToRSwitch, TorConfig};
+use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::json;
 use openoptics_telemetry::{
     FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow, ServiceStats,
@@ -132,11 +131,18 @@ enum FlowKind {
     },
 }
 
-#[allow(clippy::large_enum_variant)] // one Transport per flow; boxing buys nothing
 #[derive(Clone)]
 enum Transport {
     Paced,
-    Tcp { sender: TcpSender, receiver: TcpReceiver },
+    /// Boxed: most flows are paced, and every delivered packet touches its
+    /// flow's record, so the table stays dense in what paced flows need.
+    Tcp(Box<TcpEndpoints>),
+}
+
+#[derive(Clone)]
+struct TcpEndpoints {
+    sender: TcpSender,
+    receiver: TcpReceiver,
 }
 
 #[derive(Clone)]
@@ -154,6 +160,30 @@ struct FlowState {
     /// Declared service this flow belongs to (SLO accounting), if any.
     service: Option<u16>,
     done: bool,
+}
+
+/// Every flow ever started, dense by id: ids are handed out from 1 in start
+/// order and a record is never removed (finished flows keep answering
+/// [`Engine::flow_delivered`]), so the id is the index.
+#[derive(Clone, Default)]
+struct FlowTable(Vec<FlowState>);
+
+const _: () = assert!(std::mem::size_of::<FlowState>() <= 80);
+
+impl FlowTable {
+    fn get(&self, id: FlowId) -> Option<&FlowState> {
+        self.0.get(usize::try_from(id.checked_sub(1)?).ok()?)
+    }
+
+    fn get_mut(&mut self, id: FlowId) -> Option<&mut FlowState> {
+        self.0.get_mut(usize::try_from(id.checked_sub(1)?).ok()?)
+    }
+
+    /// Record a new flow and hand out its id.
+    fn insert(&mut self, flow: FlowState) -> FlowId {
+        self.0.push(flow);
+        self.0.len() as FlowId
+    }
 }
 
 #[derive(Clone)]
@@ -174,7 +204,7 @@ struct HostState {
 
 #[derive(Clone)]
 struct Link {
-    queue: ByteQueue<Packet>,
+    queue: ByteQueue<PktRef>,
     busy_until: SimTime,
     draining: bool,
 }
@@ -184,12 +214,12 @@ impl Link {
         Link { queue: ByteQueue::new(capacity), busy_until: SimTime::ZERO, draining: false }
     }
 
-    /// Queue `pkt` behind whatever the link is sending; `Err` is a tail
-    /// drop. `Ok(Some(at))` means the link was idle: the caller schedules
-    /// its free event at `at`, and exactly one stays outstanding until the
-    /// queue runs dry.
-    fn push(&mut self, pkt: Packet, now: SimTime) -> Result<Option<SimTime>, Packet> {
-        self.queue.push(pkt.size, pkt)?;
+    /// Queue `pkt`, `size` bytes on the wire, behind whatever the link is
+    /// sending; `Err` is a tail drop. `Ok(Some(at))` means the link was
+    /// idle: the caller schedules its free event at `at`, and exactly one
+    /// stays outstanding until the queue runs dry.
+    fn push(&mut self, pkt: PktRef, size: u32, now: SimTime) -> Result<Option<SimTime>, PktRef> {
+        self.queue.push(size, pkt)?;
         if self.draining {
             return Ok(None);
         }
@@ -200,7 +230,7 @@ impl Link {
     /// The link's free event fired: start sending the head packet at rate
     /// `bw`, if there is one. Returns it with its serialization time — the
     /// caller schedules the next free event that far ahead — or goes idle.
-    fn pop(&mut self, now: SimTime, bw: Bandwidth) -> Option<(Packet, u64)> {
+    fn pop(&mut self, now: SimTime, bw: Bandwidth) -> Option<(PktRef, u64)> {
         debug_assert!(now >= self.busy_until, "one free event per link, never early");
         let Some((len, pkt)) = self.queue.pop() else {
             self.draining = false;
@@ -231,16 +261,16 @@ struct ProbeTrain {
     stats: ProbeStats,
 }
 
-/// Simulation events.
-#[allow(clippy::large_enum_variant)] // Packet-carrying events dominate by design
-#[derive(Clone)]
+/// Simulation events. A packet-carrying event names its packet; the packet
+/// itself stays in the engine's [`PacketStore`].
+#[derive(Clone, Copy)]
 pub enum Event {
     /// Host NIC may transmit.
     HostTx(HostId),
     /// Packet head reaches a ToR ingress pipeline.
-    TorIngress(NodeId, Packet),
+    TorIngress(NodeId, PktRef),
     /// Packet fully received by a host.
-    HostRx(HostId, Packet),
+    HostRx(HostId, PktRef),
     /// Slice-boundary rotation at one switch (locally clocked).
     Rotate(NodeId),
     /// An optical uplink is free to transmit.
@@ -252,15 +282,21 @@ pub enum Event {
     /// Check for due offload recalls at a switch.
     OffloadRecall(NodeId),
     /// Re-admit a recalled offloaded packet.
-    Reinject(NodeId, u64, PortId, Packet),
+    Reinject(NodeId, u64, PortId, PktRef),
     /// Deliver a push-back broadcast to a host.
     HostControl(HostId, PushBack),
     /// Application / transport timer.
     Timer(Timer),
 }
 
+// The event queue moves whole entries (bucket sort, sorted insert, heap
+// sift): an event that grows past a packet handle's worth of payload is a
+// data-plane slowdown on every workload.
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
+const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES <= 48);
+
 /// Application and transport timers.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub enum Timer {
     /// Next memcached operation for `clients[client_idx]` of app `app`.
     MemcachedOp {
@@ -449,9 +485,15 @@ pub struct Engine {
     router: Option<RouterSpec>,
     pipeline: PipelineModel,
     sync: ClockSync,
-    flows: FxHashMap<FlowId, FlowState>,
-    next_flow_id: FlowId,
+    flows: FlowTable,
     next_pkt_id: u64,
+    /// Every packet in the network, written once when a host sends it and
+    /// freed where it is delivered or dropped. Events, calendar queues,
+    /// offload books and link queues hold its [`PktRef`].
+    packets: PacketStore,
+    /// Pending `TorIngress` / `HostRx` / `Reinject` events: the packets
+    /// only the event queue names (`strict-invariants` conservation check).
+    pkt_events: usize,
     /// Flow-completion-time collector.
     pub fct: FctStats,
     memcached: Vec<MemcachedApp>,
@@ -615,9 +657,10 @@ impl Engine {
             router: None,
             pipeline: PipelineModel::default(),
             sync,
-            flows: FxHashMap::default(),
-            next_flow_id: 1,
+            flows: FlowTable::default(),
             next_pkt_id: 1,
+            packets: PacketStore::new(),
+            pkt_events: 0,
             fct: FctStats::new(),
             memcached: vec![],
             probe_trains: vec![],
@@ -738,6 +781,23 @@ impl Engine {
         e.cursors = self.cursors.deep_clone();
         e.profiler = self.profiler.deep_clone();
         e
+    }
+
+    /// Packets in the network right now: sent and neither delivered nor
+    /// dropped yet.
+    pub fn live_packets(&self) -> usize {
+        self.packets.live()
+    }
+
+    /// `strict-invariants`: every live packet is named exactly once — by a
+    /// pending packet event, a calendar queue, an offload book or a link
+    /// queue. A leaked handle leaves `live` above the sum; a handle freed
+    /// twice, or freed while something still names it, leaves it below.
+    pub(crate) fn assert_packets_conserved(&self) {
+        let links = self.elec.iter().chain(&self.downlinks).map(|l| l.queue.len());
+        let held = self.tors.iter().map(ToRSwitch::held_packets).chain(links).sum::<usize>();
+        let named = self.pkt_events + held;
+        assert_eq!(self.packets.live(), named, "packets stored != packets some holder names");
     }
 
     /// Whether lifecycle-span recording is active for this engine.
@@ -1112,16 +1172,16 @@ impl Engine {
 
     /// The TCP endpoints of `flow`, if it exists and runs over TCP.
     fn tcp(&self, flow: FlowId) -> Option<(&TcpSender, &TcpReceiver)> {
-        match &self.flows.get(&flow)?.transport {
-            Transport::Tcp { sender, receiver } => Some((sender, receiver)),
+        match &self.flows.get(flow)?.transport {
+            Transport::Tcp(tcp) => Some((&tcp.sender, &tcp.receiver)),
             Transport::Paced => None,
         }
     }
 
     /// Bytes delivered so far for a flow.
     pub fn flow_delivered(&self, flow: FlowId) -> u64 {
-        self.flows.get(&flow).map_or(0, |f| match &f.transport {
-            Transport::Tcp { receiver, .. } => receiver.delivered_bytes,
+        self.flows.get(flow).map_or(0, |f| match &f.transport {
+            Transport::Tcp(tcp) => tcp.receiver.delivered_bytes,
             Transport::Paced => f.delivered,
         })
     }
@@ -1281,21 +1341,20 @@ impl Engine {
         service: Option<u16>,
         q: &mut EventQueue<Event>,
     ) -> FlowId {
-        let id = self.next_flow_id;
-        self.next_flow_id += 1;
-        let transport = match transport {
-            TransportKind::Paced => Transport::Paced,
-            TransportKind::Tcp(cfg) => Transport::Tcp {
-                sender: TcpSender::new(cfg, Some(bytes), now),
-                receiver: TcpReceiver::new(),
-            },
-            TransportKind::TdTcp(cfg) => Transport::Tcp {
-                // Two topologies: the optical fabric and the electrical one.
-                sender: TcpSender::with_topologies(cfg, 2, Some(bytes), now),
-                receiver: TcpReceiver::new(),
-            },
+        let sender = match transport {
+            TransportKind::Paced => None,
+            TransportKind::Tcp(cfg) => Some(TcpSender::new(cfg, Some(bytes), now)),
+            // Two topologies: the optical fabric and the electrical one.
+            TransportKind::TdTcp(cfg) => Some(TcpSender::with_topologies(cfg, 2, Some(bytes), now)),
         };
-        let fs = FlowState {
+        let rto_deadline = sender.as_ref().map(TcpSender::rto_deadline);
+        let transport = match sender {
+            None => Transport::Paced,
+            Some(sender) => {
+                Transport::Tcp(Box::new(TcpEndpoints { sender, receiver: TcpReceiver::new() }))
+            }
+        };
+        let id = self.flows.insert(FlowState {
             src_host: src,
             dst_host: dst,
             bytes,
@@ -1306,20 +1365,18 @@ impl Engine {
             kind,
             service,
             done: false,
-        };
-        match fs.kind {
+        });
+        match kind {
             FlowKind::Response { .. } => {}
             _ => self.fct.start(id, bytes, now),
         }
-        self.flows.insert(id, fs);
         self.cursors.flow_begin(id, now);
-        match &self.flows[&id].transport {
-            Transport::Paced => {
+        match rto_deadline {
+            None => {
                 self.hosts[src.index()].backlog.push(id);
                 q.schedule_after(now, WATCHDOG_NS, Event::Timer(Timer::FlowWatchdog(id)));
             }
-            Transport::Tcp { sender, .. } => {
-                let deadline = sender.rto_deadline();
+            Some(deadline) => {
                 q.schedule(deadline, Event::Timer(Timer::TcpRto(id)));
                 self.pump_tcp(id, now);
             }
@@ -1346,16 +1403,14 @@ impl Engine {
     /// Queue paced-flow segments into the vma stack, respecting socket
     /// capacity (application push-back).
     fn pump_backlog(&mut self, host: HostId, now: SimTime) {
-        // Take the backlog to iterate without aliasing `self`; flows that
-        // remain unfinished are collected into `still`, which becomes the
-        // new backlog (reusing the taken allocation's slot keeps this a
-        // zero-copy swap rather than a per-call clone).
-        let backlog = std::mem::take(&mut self.hosts[host.index()].backlog);
-        let mut still = vec![];
-        for &fid in &backlog {
-            let Some(f) = self.flows.get_mut(&fid) else { continue };
+        // Take the backlog to filter it without aliasing `self`; flows with
+        // bytes still unqueued keep their place (`retain` in order), and the
+        // same allocation goes back as the new backlog.
+        let mut backlog = std::mem::take(&mut self.hosts[host.index()].backlog);
+        backlog.retain(|&fid| {
+            let Some(f) = self.flows.get_mut(fid) else { return false };
             if f.done {
-                continue;
+                return false;
             }
             let dst_tor = self.hosts[f.dst_host.index()].tor;
             let split_mice = self.policy == DispatchPolicy::MiceElectrical;
@@ -1389,11 +1444,9 @@ impl Engine {
                     h.aging.record(fid, len as u64);
                 }
             }
-            if f.queued < f.bytes {
-                still.push(fid);
-            }
-        }
-        self.hosts[host.index()].backlog = still;
+            f.queued < f.bytes
+        });
+        self.hosts[host.index()].backlog = backlog;
     }
 
     /// The TDTCP topology id a host currently sends to `dst_tor` through:
@@ -1409,14 +1462,15 @@ impl Engine {
 
     /// Pump TCP/TDTCP segments into vma as the window allows.
     fn pump_tcp(&mut self, fid: FlowId, now: SimTime) {
-        let Some(f) = self.flows.get(&fid) else { return };
+        let Some(f) = self.flows.get(fid) else { return };
         let (src, dst_host) = (f.src_host, f.dst_host);
         let src_tor = self.hosts[src.index()].tor;
         let dst_tor = self.hosts[dst_host.index()].tor;
         let topo = self.topology_id(src_tor, dst_tor);
         let aging = self.policy == DispatchPolicy::MiceElectrical;
-        let Some(f) = self.flows.get_mut(&fid) else { return };
-        let Transport::Tcp { sender, .. } = &mut f.transport else { return };
+        let Some(f) = self.flows.get_mut(fid) else { return };
+        let Transport::Tcp(tcp) = &mut f.transport else { return };
+        let sender = &mut tcp.sender;
         sender.set_topology(topo, now);
         let h = &mut self.hosts[src.index()];
         // Respect socket capacity before consuming sender state.
@@ -1443,7 +1497,7 @@ impl Engine {
     }
 
     fn finish_flow(&mut self, fid: FlowId, now: SimTime, q: &mut EventQueue<Event>) {
-        let Some(f) = self.flows.get_mut(&fid) else { return };
+        let Some(f) = self.flows.get_mut(fid) else { return };
         if f.done {
             return;
         }
@@ -1529,18 +1583,21 @@ impl Engine {
         q: &mut EventQueue<Event>,
     ) {
         let src_tor = self.hosts[host.index()].tor;
-        let pid = pkt.id;
+        let (pid, size) = (pkt.id, pkt.size);
         if pkt.is_data() {
-            self.tm_accum.add(src_tor, pkt.dst, pkt.size as f64);
+            self.tm_accum.add(src_tor, pkt.dst, size as f64);
             self.counters.host_tx_packets += 1;
         }
-        if !(force_electrical || self.pick_electrical(host, &pkt)) {
+        let electrical = force_electrical || self.pick_electrical(host, &pkt);
+        let pkt = self.packets.insert(pkt);
+        if !electrical {
             self.cursors.enter(pid, Stage::Propagation, now);
+            self.pkt_events += 1;
             q.schedule_after(now, HOST_WIRE_NS, Event::TorIngress(src_tor, pkt));
             return;
         }
-        match self.elec[src_tor.index()].push(pkt, now) {
-            Err(_) => self.drop_packet(pid, now, DropSite::Link),
+        match self.elec[src_tor.index()].push(pkt, size, now) {
+            Err(pkt) => self.drop_packet(pkt, now, DropSite::Link),
             Ok(kick) => {
                 self.cursors.enter(pid, Stage::CalendarWait, now);
                 if let Some(at) = kick {
@@ -1552,10 +1609,10 @@ impl Engine {
 
     /// Deliver a packet to a host's downlink queue at its ToR.
     #[allow(clippy::wrong_self_convention)] // "to" = toward the downlink, not a conversion
-    fn to_downlink(&mut self, host: HostId, pkt: Packet, now: SimTime, q: &mut EventQueue<Event>) {
-        let pid = pkt.id;
-        match self.downlinks[host.index()].push(pkt, now) {
-            Err(_) => self.drop_packet(pid, now, DropSite::Link),
+    fn to_downlink(&mut self, host: HostId, pkt: PktRef, now: SimTime, q: &mut EventQueue<Event>) {
+        let Packet { id: pid, size, .. } = self.packets[pkt];
+        match self.downlinks[host.index()].push(pkt, size, now) {
+            Err(pkt) => self.drop_packet(pkt, now, DropSite::Link),
             Ok(kick) => {
                 self.cursors.enter(pid, Stage::Rx, now);
                 if let Some(at) = kick {
@@ -1565,9 +1622,15 @@ impl Engine {
         }
     }
 
-    /// The one drop funnel: count the packet against the cause that names
-    /// `site` and end its lifecycle span there.
-    fn drop_packet(&mut self, pid: u64, at: SimTime, site: DropSite) {
+    /// The one drop funnel: free the packet and count the loss.
+    fn drop_packet(&mut self, pkt: PktRef, at: SimTime, site: DropSite) {
+        let pid = self.packets.remove(pkt).id;
+        self.count_drop(pid, at, site);
+    }
+
+    /// Count packet `pid` against the cause that names `site` and end its
+    /// lifecycle span there.
+    fn count_drop(&mut self, pid: u64, at: SimTime, site: DropSite) {
         let c = &mut self.counters;
         *match site {
             DropSite::Switch => &mut c.switch_drops,
@@ -1724,22 +1787,22 @@ impl Engine {
     fn on_tor_ingress(
         &mut self,
         node: NodeId,
-        pkt: Packet,
+        pkt: PktRef,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let (src_tor, dst, pid) = (pkt.src, pkt.dst, pkt.id);
-        let mut res = self.tors[node.index()].ingress(pkt, now);
-        if let IngressDecision::NoRoute(unrouted) = res.decision {
+        let header = &mut self.packets[pkt];
+        let (src_tor, dst) = (header.src, header.dst);
+        let mut res = self.tors[node.index()].ingress(pkt, header, now);
+        if matches!(res.decision, IngressDecision::NoRoute) {
             // Table miss (reported before admission, so it never carries a
             // push-back): compile routes for this (node, dst) lazily and
-            // retry once with the fresh entries.
+            // retry once with the fresh entries. The retry is a second pass
+            // through the ingress pipeline and counts a second hop.
             debug_assert!(res.pushback.is_none());
-            res = if self.install_routes_for(node, dst) {
-                self.tors[node.index()].ingress(unrouted, now)
-            } else {
-                IngressResult { decision: IngressDecision::NoRoute(unrouted), pushback: None }
-            };
+            if self.install_routes_for(node, dst) {
+                res = self.tors[node.index()].ingress(pkt, &mut self.packets[pkt], now);
+            }
         }
         if let Some(msg) = res.pushback {
             // Broadcast to the sender ToR's hosts after a control RTT.
@@ -1747,24 +1810,25 @@ impl Engine {
                 q.schedule_after(now, 2_000, Event::HostControl(h, msg));
             }
         }
-        self.after_admission(node, pid, res.decision, now, now, q);
+        self.after_admission(node, pkt, res.decision, now, now, q);
     }
 
-    /// What the switch decided for packet `pid` — on first ingress or when
-    /// an offloaded packet is re-admitted — becomes the packet's next step.
+    /// What the switch decided for `pkt` — on first ingress or when an
+    /// offloaded packet is re-admitted — becomes the packet's next step.
     /// `recall_floor` is the earliest a follow-up offload recall may fire.
     #[inline]
     fn after_admission(
         &mut self,
         node: NodeId,
-        pid: u64,
+        pkt: PktRef,
         decision: IngressDecision,
         recall_floor: SimTime,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
+        let Packet { id: pid, dst_host, .. } = self.packets[pkt];
         match decision {
-            IngressDecision::DeliverLocal(p) => self.to_downlink(p.dst_host, p, now, q),
+            IngressDecision::DeliverLocal => self.to_downlink(dst_host, pkt, now, q),
             IngressDecision::Enqueued { port, .. } | IngressDecision::Trimmed { port, .. } => {
                 self.cursors.enter(pid, Stage::CalendarWait, now);
                 if self.tors[node.index()].has_active_traffic(port) {
@@ -1777,8 +1841,8 @@ impl Engine {
                     self.schedule_recall(node, t.max(recall_floor), q);
                 }
             }
-            IngressDecision::Dropped(_) => self.drop_packet(pid, now, DropSite::Switch),
-            IngressDecision::NoRoute(_) => self.drop_packet(pid, now, DropSite::NoRoute),
+            IngressDecision::Dropped(_) => self.drop_packet(pkt, now, DropSite::Switch),
+            IngressDecision::NoRoute => self.drop_packet(pkt, now, DropSite::NoRoute),
         }
     }
 
@@ -1804,8 +1868,8 @@ impl Engine {
             self.counters.guardband_holds += 1;
             self.trace.emit(now, TraceKind::GuardbandHold { node, port });
             if self.cursors.is_on() {
-                if let Some((pid, _)) = self.tors[node.index()].head_packet_ids(port) {
-                    self.cursors.hold(pid, now);
+                if let Some(head) = self.tors[node.index()].head_packet(port) {
+                    self.cursors.hold(self.packets[head].id, now);
                 }
             }
             q.schedule(resume.max(now + 1), Event::PortFree(node, port));
@@ -1850,19 +1914,22 @@ impl Engine {
                     self.counters.fault_drops += 1;
                     self.trace.emit(now, TraceKind::FaultDrop { node, port });
                     self.profiler.mark(Phase::FaultRuntime);
-                    self.cursors.end_packet(pkt.id, now, PacketEnd::FaultDropped(fault.code()));
+                    let pid = self.packets.remove(pkt).id;
+                    self.cursors.end_packet(pid, now, PacketEnd::FaultDropped(fault.code()));
                     return;
                 }
-                self.tx_bytes_per_port[node.index()][port.index()] += pkt.size as u64;
-                self.cursors.serialized(pkt.id, now, tx);
+                let Packet { id: pid, size, .. } = self.packets[pkt];
+                self.tx_bytes_per_port[node.index()][port.index()] += size as u64;
+                self.cursors.serialized(pid, now, tx);
                 match self.fabric.transit(node, port, now) {
                     openoptics_fabric::Transit::Delivered { node: peer, latency_ns, .. } => {
-                        let delay = self.pipeline.delay_ns(pkt.size, &mut self.rng) + latency_ns;
-                        self.cursors.enter(pkt.id, Stage::Propagation, now + tx);
+                        let delay = self.pipeline.delay_ns(size, &mut self.rng) + latency_ns;
+                        self.cursors.enter(pid, Stage::Propagation, now + tx);
+                        self.pkt_events += 1;
                         q.schedule_after(now, delay.max(tx), Event::TorIngress(peer, pkt));
                     }
                     lost => {
-                        self.drop_packet(pkt.id, now + tx, DropSite::Fabric);
+                        self.drop_packet(pkt, now + tx, DropSite::Fabric);
                         let kind = match lost {
                             openoptics_fabric::Transit::Guardband => {
                                 TraceKind::GuardbandDrop { node, port }
@@ -1934,9 +2001,10 @@ impl Engine {
         let bw = self.elec_bw.expect("electrical fabric enabled");
         let Some((pkt, tx)) = self.elec[node.index()].pop(now, bw) else { return };
         q.schedule_after(now, tx, Event::ElecFree(node));
-        self.cursors.serialized(pkt.id, now, tx);
-        self.cursors.enter(pkt.id, Stage::Propagation, now + tx);
-        let host = pkt.dst_host;
+        let Packet { id: pid, dst_host: host, .. } = self.packets[pkt];
+        self.cursors.serialized(pid, now, tx);
+        self.cursors.enter(pid, Stage::Propagation, now + tx);
+        self.pkt_events += 1;
         q.schedule_after(now, tx + ELECTRICAL_CORE_NS, Event::HostRx(host, pkt));
     }
 
@@ -1944,10 +2012,13 @@ impl Engine {
         let bw = self.cfg.host_link_bandwidth();
         let Some((pkt, tx)) = self.downlinks[host.index()].pop(now, bw) else { return };
         q.schedule_after(now, tx, Event::DownlinkFree(host));
+        self.pkt_events += 1;
         q.schedule_after(now, tx, Event::HostRx(host, pkt));
     }
 
-    fn on_host_rx(&mut self, host: HostId, pkt: Packet, now: SimTime, q: &mut EventQueue<Event>) {
+    fn on_host_rx(&mut self, host: HostId, pkt: PktRef, now: SimTime, q: &mut EventQueue<Event>) {
+        // Delivered: the slot is free before any reply is written.
+        let pkt = self.packets.remove(pkt);
         match pkt.kind {
             PacketKind::Data => {
                 self.counters.delivered_packets += 1;
@@ -1958,7 +2029,7 @@ impl Engine {
                 if pkt.trimmed {
                     // Opera-style trimming: the header made it; NACK the
                     // payload back to the source after a reverse-path delay.
-                    self.drop_packet(pkt.id, now, DropSite::Trimmed);
+                    self.count_drop(pkt.id, now, DropSite::Trimmed);
                     q.schedule_after(
                         now,
                         5_000,
@@ -1968,7 +2039,7 @@ impl Engine {
                 }
                 self.cursors.end_packet(pkt.id, now, PacketEnd::Delivered);
                 let fid = pkt.flow;
-                let Some(f) = self.flows.get_mut(&fid) else { return };
+                let Some(f) = self.flows.get_mut(fid) else { return };
                 match &mut f.transport {
                     Transport::Paced => {
                         f.delivered = (f.delivered + pkt.payload as u64).min(f.bytes);
@@ -1976,8 +2047,8 @@ impl Engine {
                             self.finish_flow(fid, now, q);
                         }
                     }
-                    Transport::Tcp { receiver, .. } => {
-                        let cum = receiver.on_data(pkt.seq, pkt.payload);
+                    Transport::Tcp(tcp) => {
+                        let cum = tcp.receiver.on_data(pkt.seq, pkt.payload);
                         // Send an ACK back through the network.
                         let src_host = f.src_host;
                         let mut ack = Packet::data(
@@ -1999,12 +2070,13 @@ impl Engine {
             }
             PacketKind::Ack { cum_ack } => {
                 let fid = pkt.flow;
-                let Some(f) = self.flows.get(&fid) else { return };
+                let Some(f) = self.flows.get(fid) else { return };
                 let src = f.src_host;
                 let topo = self
                     .topology_id(self.hosts[src.index()].tor, self.hosts[f.dst_host.index()].tor);
-                let Some(f) = self.flows.get_mut(&fid) else { return };
-                let Transport::Tcp { sender, .. } = &mut f.transport else { return };
+                let Some(f) = self.flows.get_mut(fid) else { return };
+                let Transport::Tcp(tcp) = &mut f.transport else { return };
+                let sender = &mut tcp.sender;
                 sender.set_topology(topo, now);
                 let before = sender.fast_retransmits;
                 sender.on_ack(cum_ack, now);
@@ -2079,7 +2151,9 @@ impl Engine {
         let due = self.tors[node.index()].offload_due(now);
         for (abs, port, pkt) in due {
             // Host round trip: recall notify + host link serialization.
-            let rtt = 2_000 + self.cfg.host_link_bandwidth().tx_time_ns(pkt.size as u64);
+            let size = self.packets[pkt].size;
+            let rtt = 2_000 + self.cfg.host_link_bandwidth().tx_time_ns(size as u64);
+            self.pkt_events += 1;
             q.schedule_after(now, rtt, Event::Reinject(node, abs, port, pkt));
         }
         if let Some(t) = self.tors[node.index()].next_offload_recall() {
@@ -2092,15 +2166,15 @@ impl Engine {
         node: NodeId,
         abs: u64,
         port: PortId,
-        pkt: Packet,
+        pkt: PktRef,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
         let cur = self.tors[node.index()].abs_slice();
         let rank = to_u32(abs.saturating_sub(cur));
-        let pid = pkt.id;
-        let res = self.tors[node.index()].reinject_offloaded(pkt, port, rank, now);
-        self.after_admission(node, pid, res.decision, now + 1, now, q);
+        let header = &mut self.packets[pkt];
+        let res = self.tors[node.index()].reinject_offloaded(pkt, header, port, rank, now);
+        self.after_admission(node, pkt, res.decision, now + 1, now, q);
     }
 
     fn on_timer(&mut self, timer: Timer, now: SimTime, q: &mut EventQueue<Event>) {
@@ -2141,7 +2215,7 @@ impl Engine {
             }
             Timer::FlowWatchdog(fid) => {
                 let retransmit = self.watchdog_retransmit;
-                let Some(f) = self.flows.get_mut(&fid) else { return };
+                let Some(f) = self.flows.get_mut(fid) else { return };
                 if f.done {
                     return;
                 }
@@ -2155,20 +2229,20 @@ impl Engine {
                     self.note_retransmit(fid, now, RetxKind::Watchdog);
                     self.pump_host(src, now, q);
                 }
-                if let Some(f) = self.flows.get_mut(&fid) {
+                if let Some(f) = self.flows.get_mut(fid) {
                     f.delivered_at_last_watchdog = f.delivered;
                 }
                 q.schedule_after(now, WATCHDOG_NS, Event::Timer(Timer::FlowWatchdog(fid)));
             }
             Timer::TcpRto(fid) => {
-                let Some(f) = self.flows.get_mut(&fid) else { return };
+                let Some(f) = self.flows.get_mut(fid) else { return };
                 if f.done {
                     return;
                 }
                 let src = f.src_host;
-                let Transport::Tcp { sender, .. } = &mut f.transport else { return };
-                let fired = sender.maybe_timeout(now);
-                let deadline = sender.rto_deadline();
+                let Transport::Tcp(tcp) = &mut f.transport else { return };
+                let fired = tcp.sender.maybe_timeout(now);
+                let deadline = tcp.sender.rto_deadline();
                 if fired {
                     self.note_retransmit(fid, now, RetxKind::Rto);
                     self.pump_tcp(fid, now);
@@ -2180,7 +2254,7 @@ impl Engine {
             Timer::FaultStart(i) => self.on_fault_transition(i, true, now, q),
             Timer::FaultEnd(i) => self.on_fault_transition(i, false, now, q),
             Timer::NackRetx { flow, seq } => {
-                let Some(f) = self.flows.get_mut(&flow) else { return };
+                let Some(f) = self.flows.get_mut(flow) else { return };
                 if f.done {
                     return;
                 }
@@ -2232,6 +2306,9 @@ impl World for Engine {
         // dispatch) sees the schedule that is physically active at `now`.
         self.advance_fabric(now);
         self.profiler.event(phase_of(&event), now);
+        if let Event::TorIngress(..) | Event::HostRx(..) | Event::Reinject(..) = event {
+            self.pkt_events -= 1;
+        }
         match event {
             Event::HostTx(h) => self.on_host_tx(h, now, q),
             Event::TorIngress(n, p) => self.on_tor_ingress(n, p, now, q),

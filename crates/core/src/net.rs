@@ -698,6 +698,9 @@ impl OpenOpticsNet {
         let until = self.now + dur.as_ns();
         run(&mut self.engine, &mut self.queue, until);
         self.now = until;
+        if cfg!(feature = "strict-invariants") {
+            self.engine.assert_packets_conserved();
+        }
     }
 
     /// Completed-flow FCT statistics.

@@ -14,4 +14,6 @@ pub mod packet;
 
 pub use ids::{FlowId, HostId, NodeId, PortId};
 pub use message::PushBack;
-pub use packet::{Packet, PacketKind, SourceHop, SourceRoute, HEADER_BYTES, MTU};
+pub use packet::{
+    Packet, PacketKind, PacketStore, PktRef, SourceHop, SourceRoute, HEADER_BYTES, MTU,
+};

@@ -8,7 +8,9 @@
 //! such as Opera and UCMP, §3).
 
 use crate::ids::{FlowId, HostId, NodeId, PortId};
+use openoptics_sim::cast::idx_u32;
 use openoptics_sim::time::{SimTime, SliceIndex};
+use std::ops::{Index, IndexMut};
 
 /// Standard Ethernet MTU used throughout the evaluation.
 pub const MTU: u32 = 1500;
@@ -177,6 +179,98 @@ impl Packet {
     }
 }
 
+/// The name of a packet held in a [`PacketStore`]: what events, calendar
+/// queues, offload books and link queues carry instead of the packet.
+///
+/// Deliberately neither `Ord` nor `Hash` nor `Display`: which slot a packet
+/// got depends on the order earlier packets were freed in, so a handle must
+/// never become a sort key, a hash input or an exported byte.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PktRef(u32);
+
+/// Where packets live from creation to delivery or drop: written once on
+/// [`insert`](Self::insert), edited in place through its [`PktRef`], and
+/// the slot reused (last freed first) after [`remove`](Self::remove).
+#[derive(Clone, Debug, Default)]
+pub struct PacketStore {
+    slots: Vec<Packet>,
+    free: Vec<u32>,
+    /// Whether each slot holds a packet; kept only so `strict-invariants`
+    /// can catch a handle used after its packet was removed.
+    live: Vec<bool>,
+}
+
+impl PacketStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Park `pkt` and return its name.
+    pub fn insert(&mut self, pkt: Packet) -> PktRef {
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = pkt;
+                i
+            }
+            None => {
+                self.slots.push(pkt);
+                self.live.push(false);
+                idx_u32(self.slots.len() - 1)
+            }
+        };
+        self.live[i as usize] = true;
+        PktRef(i)
+    }
+
+    /// Take the packet out; its slot is free for reuse and keeps no heap
+    /// memory (the source route leaves with the packet).
+    pub fn remove(&mut self, r: PktRef) -> Packet {
+        self.check_live(r);
+        self.live[r.0 as usize] = false;
+        self.free.push(r.0);
+        let slot = &mut self.slots[r.0 as usize];
+        Packet { source_route: slot.source_route.take(), ..*slot }
+    }
+
+    /// Slots ever allocated: the most packets that were live at once.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Packets currently held.
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    #[inline]
+    fn check_live(&self, r: PktRef) {
+        if cfg!(feature = "strict-invariants") {
+            assert!(
+                self.live[r.0 as usize],
+                "packet handle {r:?} used after its packet was removed"
+            );
+        }
+    }
+}
+
+impl Index<PktRef> for PacketStore {
+    type Output = Packet;
+    #[inline]
+    fn index(&self, r: PktRef) -> &Packet {
+        self.check_live(r);
+        &self.slots[r.0 as usize]
+    }
+}
+
+impl IndexMut<PktRef> for PacketStore {
+    #[inline]
+    fn index_mut(&mut self, r: PktRef) -> &mut Packet {
+        self.check_live(r);
+        &mut self.slots[r.0 as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,5 +317,76 @@ mod tests {
     fn packet_age() {
         let p = mk_data();
         assert_eq!(p.age_ns(SimTime::from_us(3)), 3000);
+    }
+
+    fn mk_id(id: u64) -> Packet {
+        Packet { id, ..mk_data() }
+    }
+
+    #[test]
+    fn store_reuses_the_last_freed_slot_first() {
+        let mut s = PacketStore::new();
+        let [a, b, c] = [1, 2, 3].map(|id| s.insert(mk_id(id)));
+        s.remove(a);
+        s.remove(c);
+        // LIFO: `c`'s slot comes back first, then `a`'s; only then does the
+        // store grow.
+        assert_eq!(s.insert(mk_id(4)), c);
+        assert_eq!(s.insert(mk_id(5)), a);
+        assert_eq!((s[c].id, s[a].id, s[b].id), (4, 5, 2));
+        assert_eq!(s.slots(), 3);
+        s.insert(mk_id(6));
+        assert_eq!(s.slots(), 4);
+    }
+
+    #[test]
+    fn store_counts_slots_and_live_packets() {
+        let mut s = PacketStore::new();
+        assert_eq!((s.slots(), s.live()), (0, 0));
+        let a = s.insert(mk_id(1));
+        let b = s.insert(mk_id(2));
+        assert_eq!((s.slots(), s.live()), (2, 2));
+        assert_eq!(s.remove(a).id, 1);
+        assert_eq!((s.slots(), s.live()), (2, 1));
+        let c = s.insert(mk_id(3));
+        let d = s.insert(mk_id(4));
+        assert_eq!((s.slots(), s.live()), (3, 3));
+        for r in [b, c, d] {
+            s.remove(r);
+        }
+        assert_eq!((s.slots(), s.live()), (3, 0));
+    }
+
+    #[test]
+    fn store_edits_in_place_and_a_freed_slot_keeps_no_heap_memory() {
+        let mut s = PacketStore::new();
+        let mut p = mk_data();
+        p.source_route =
+            Some(SourceRoute::new(vec![SourceHop { port: PortId(1), dep_slice: None }]));
+        let r = s.insert(p);
+        s[r].hops = 3;
+        let out = s.remove(r);
+        assert_eq!((out.hops, out.source_route.map(|sr| sr.total())), (3, Some(1)));
+        assert!(s.slots.iter().all(|slot| slot.source_route.is_none()));
+    }
+
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "used after its packet was removed")]
+    fn strict_reading_a_dead_handle_panics() {
+        let mut s = PacketStore::new();
+        let r = s.insert(mk_data());
+        s.remove(r);
+        let _ = s[r].id;
+    }
+
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "used after its packet was removed")]
+    fn strict_freeing_a_handle_twice_panics() {
+        let mut s = PacketStore::new();
+        let r = s.insert(mk_data());
+        s.remove(r);
+        s.remove(r);
     }
 }

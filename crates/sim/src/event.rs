@@ -151,6 +151,12 @@ fn bucket_of(time: SimTime) -> u64 {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes one pending event occupies: its `(time, seq)` key plus the
+    /// payload. A bucket sort, a sorted insert and a heap sift each move
+    /// whole entries, so a world with a hot queue pins this with a `const`
+    /// assertion.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -291,7 +297,6 @@ impl<E> EventQueue<E> {
     /// it in place of the `peek_time` + `pop` pair, halving the
     /// cursor-advance (`ensure_current`) work per delivered event — the
     /// dominant fixed cost of the hot loop once handlers are cheap.
-    #[inline]
     pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;

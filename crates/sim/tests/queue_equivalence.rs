@@ -20,6 +20,23 @@ fn check_pop(cal: &mut EventQueue<u64>, reference: &mut Reference) -> Result<(),
     Ok(())
 }
 
+/// A 32-byte `Copy` payload — the size of the engine's `Event` — that a
+/// queue moving entries by the wrong width would corrupt.
+type Wide = [u64; 4];
+
+fn wide(time: u64, seq: u64) -> Wide {
+    [seq, !seq, time, seq ^ time]
+}
+
+/// Pop the wide-payload queue against the reference's head (left in place
+/// for [`check_pop`]): same key, payload intact.
+fn check_pop_wide(cal: &mut EventQueue<Wide>, reference: &Reference) -> Result<(), TestCaseError> {
+    let got = cal.pop().map(|(t, p)| (t.as_ns(), p));
+    let want = reference.peek().map(|&Reverse((t, s))| (t, wide(t, s)));
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -32,6 +49,7 @@ proptest! {
         ops in collection::vec((0u8..9u8, any::<u64>()), 0..400)
     ) {
         let mut cal: EventQueue<u64> = EventQueue::new();
+        let mut cal_wide: EventQueue<Wide> = EventQueue::new();
         let mut reference = Reference::new();
         let mut seq = 0u64;
         for &(op, raw) in &ops {
@@ -43,18 +61,23 @@ proptest! {
             };
             if op <= 5 {
                 cal.schedule(SimTime::from_ns(time), seq);
+                cal_wide.schedule(SimTime::from_ns(time), wide(time, seq));
                 reference.push(Reverse((time, seq)));
                 seq += 1;
             } else {
+                check_pop_wide(&mut cal_wide, &reference)?;
                 check_pop(&mut cal, &mut reference)?;
             }
         }
-        // Drain both to the end; lengths must agree at every step.
+        // Drain all three to the end; lengths must agree at every step.
         while !reference.is_empty() || !cal.is_empty() {
             prop_assert_eq!(cal.len(), reference.len());
+            prop_assert_eq!(cal_wide.len(), reference.len());
+            check_pop_wide(&mut cal_wide, &reference)?;
             check_pop(&mut cal, &mut reference)?;
         }
         prop_assert_eq!(cal.pop(), None);
+        prop_assert_eq!(cal_wide.pop(), None);
     }
 
     /// Pure FIFO stress: every event lands on one of a handful of instants,

@@ -27,7 +27,8 @@ pub struct Eqo {
     /// intervals).
     applied_until: SimTime,
     interval_ns: u64,
-    bandwidth: Bandwidth,
+    /// Bytes drained per interval at line rate.
+    drain_per_interval: u64,
 }
 
 impl Eqo {
@@ -39,7 +40,7 @@ impl Eqo {
             regs: vec![vec![0; queues]; ports],
             applied_until: SimTime::ZERO,
             interval_ns,
-            bandwidth,
+            drain_per_interval: bandwidth.bytes_in_ns(interval_ns),
         }
     }
 
@@ -48,7 +49,7 @@ impl Eqo {
 
     /// Bytes drained per update interval at line rate.
     pub fn drain_per_interval(&self) -> u64 {
-        self.bandwidth.bytes_in_ns(self.interval_ns)
+        self.drain_per_interval
     }
 
     /// Pipeline overhead of the generator stream: generated packets per
@@ -62,20 +63,27 @@ impl Eqo {
     /// queue of each port. `active[p]` is port `p`'s active queue index.
     pub fn refresh(&mut self, now: SimTime, active: &[usize]) {
         debug_assert_eq!(active.len(), self.regs.len());
+        self.refresh_with(now, |p| active[p]);
+    }
+
+    /// [`Eqo::refresh`] for a caller that can name each port's active queue
+    /// without first collecting the indices (the switch, on every packet).
+    pub fn refresh_with(&mut self, now: SimTime, active: impl Fn(usize) -> usize) {
         let elapsed = now.saturating_since(self.applied_until);
         let ticks = elapsed / self.interval_ns;
         if ticks == 0 {
             return;
         }
         let drain = if cfg!(feature = "strict-invariants") {
-            self.drain_per_interval()
+            self.drain_per_interval
                 .checked_mul(ticks)
                 .expect("EQO drain overflowed u64: interval * ticks")
         } else {
-            self.drain_per_interval() * ticks
+            self.drain_per_interval * ticks
         };
-        for (p, &a) in active.iter().enumerate() {
-            self.regs[p][a] = self.regs[p][a].saturating_sub(drain);
+        for (p, regs) in self.regs.iter_mut().enumerate() {
+            let a = active(p);
+            regs[a] = regs[a].saturating_sub(drain);
         }
         self.applied_until += ticks * self.interval_ns;
         if cfg!(feature = "strict-invariants") {

@@ -11,7 +11,7 @@
 //! over the host links; the Fig. 14 experiment measures how stable that
 //! round trip is.
 
-use openoptics_proto::{Packet, PortId};
+use openoptics_proto::{PktRef, PortId};
 use openoptics_sim::time::{SimTime, SliceConfig};
 use std::collections::BTreeMap;
 
@@ -34,10 +34,11 @@ impl OffloadPolicy {
     }
 }
 
-/// The switch's ledger of parked packets, keyed by absolute slice ordinal.
+/// The switch's ledger of parked packets, keyed by absolute slice ordinal:
+/// `(egress port, wire size, handle)` per packet.
 #[derive(Clone, Debug, Default)]
 pub struct OffloadBook {
-    parked: BTreeMap<u64, Vec<(PortId, Packet)>>,
+    parked: BTreeMap<u64, Vec<(PortId, u32, PktRef)>>,
     parked_bytes: u64,
     /// Total packets ever parked.
     pub offloaded_packets: u64,
@@ -55,14 +56,14 @@ impl OffloadBook {
         Self::default()
     }
 
-    /// Park a packet destined for absolute slice `abs_slice`, remembering
-    /// the uplink it must eventually leave on.
-    pub fn park(&mut self, abs_slice: u64, port: PortId, pkt: Packet) {
+    /// Park a packet of `size` wire bytes destined for absolute slice
+    /// `abs_slice`, remembering the uplink it must eventually leave on.
+    pub fn park(&mut self, abs_slice: u64, port: PortId, size: u32, pkt: PktRef) {
         self.offloaded_packets += 1;
-        self.offloaded_bytes += pkt.size as u64;
-        self.parked_bytes += pkt.size as u64;
+        self.offloaded_bytes += size as u64;
+        self.parked_bytes += size as u64;
         self.peak_parked_bytes = self.peak_parked_bytes.max(self.parked_bytes);
-        self.parked.entry(abs_slice).or_default().push((port, pkt));
+        self.parked.entry(abs_slice).or_default().push((port, size, pkt));
     }
 
     /// Bytes currently parked on hosts.
@@ -98,7 +99,7 @@ impl OffloadBook {
         now: SimTime,
         cfg: &SliceConfig,
         lead_ns: u64,
-    ) -> Vec<(u64, PortId, Packet)> {
+    ) -> Vec<(u64, PortId, PktRef)> {
         let due_slices: Vec<u64> = self
             .parked
             .keys()
@@ -108,11 +109,11 @@ impl OffloadBook {
         let mut out = Vec::new();
         for s in due_slices {
             let batch = self.parked.remove(&s).expect("key just listed");
-            for (_, p) in &batch {
-                self.parked_bytes -= p.size as u64;
+            for &(_, size, _) in &batch {
+                self.parked_bytes -= size as u64;
             }
             self.returned_packets += batch.len() as u64;
-            out.extend(batch.into_iter().map(|(port, p)| (s, port, p)));
+            out.extend(batch.into_iter().map(|(port, _, p)| (s, port, p)));
         }
         out
     }
@@ -121,23 +122,14 @@ impl OffloadBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openoptics_proto::{HostId, NodeId};
+    use openoptics_proto::{HostId, NodeId, Packet, PacketStore};
 
-    fn pkt(id: u64, size: u32) -> Packet {
-        let mut p = Packet::data(
-            id,
-            1,
-            NodeId(0),
-            NodeId(1),
-            HostId(0),
-            HostId(1),
-            size - 64,
-            0,
-            SimTime::ZERO,
-        );
+    /// Store packet `id`, `size` bytes on the wire, and park it for `abs`.
+    fn park(b: &mut OffloadBook, store: &mut PacketStore, abs: u64, port: u16, id: u64, size: u32) {
+        let (n0, n1, h0, h1) = (NodeId(0), NodeId(1), HostId(0), HostId(1));
+        let p = Packet::data(id, 1, n0, n1, h0, h1, size - 64, 0, SimTime::ZERO);
         assert_eq!(p.size, size);
-        p.hops = 1;
-        p
+        b.park(abs, PortId(port), size, store.insert(p));
     }
 
     fn cfg() -> SliceConfig {
@@ -154,10 +146,10 @@ mod tests {
 
     #[test]
     fn park_and_recall_in_slice_order() {
-        let mut b = OffloadBook::new();
-        b.park(50, PortId(0), pkt(1, 1500));
-        b.park(40, PortId(0), pkt(2, 1500));
-        b.park(60, PortId(1), pkt(3, 1500));
+        let (mut b, mut store) = (OffloadBook::new(), PacketStore::new());
+        park(&mut b, &mut store, 50, 0, 1, 1500);
+        park(&mut b, &mut store, 40, 0, 2, 1500);
+        park(&mut b, &mut store, 60, 1, 3, 1500);
         assert_eq!(b.parked_packets(), 3);
         let c = cfg();
         // Recall deadline for slice 40 = 40*100us - 10us = 3.99 ms.
@@ -168,16 +160,16 @@ mod tests {
         let due = b.due(SimTime::from_ms(4), &c, 10_000);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].0, 40);
-        assert_eq!(due[0].2.id, 2);
+        assert_eq!(store[due[0].2].id, 2);
         assert_eq!(b.parked_packets(), 2);
         assert_eq!(b.returned_packets, 1);
     }
 
     #[test]
     fn byte_accounting_and_peak() {
-        let mut b = OffloadBook::new();
-        b.park(10, PortId(0), pkt(1, 1500));
-        b.park(10, PortId(0), pkt(2, 500));
+        let (mut b, mut store) = (OffloadBook::new(), PacketStore::new());
+        park(&mut b, &mut store, 10, 0, 1, 1500);
+        park(&mut b, &mut store, 10, 0, 2, 500);
         assert_eq!(b.parked_bytes(), 2000);
         assert_eq!(b.peak_parked_bytes, 2000);
         let due = b.due(SimTime::from_secs(1), &cfg(), 0);

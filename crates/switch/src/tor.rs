@@ -18,7 +18,7 @@ use crate::offload::{OffloadBook, OffloadPolicy};
 use crate::pushback::PushbackGen;
 use crate::tft::TimeFlowTable;
 use openoptics_proto::packet::HEADER_BYTES;
-use openoptics_proto::{FlowId, NodeId, Packet, PortId, PushBack};
+use openoptics_proto::{NodeId, Packet, PktRef, PortId, PushBack};
 use openoptics_routing::RouteEntry;
 use openoptics_sim::cast::idx_u32;
 use openoptics_sim::rate::Bandwidth;
@@ -65,11 +65,13 @@ pub enum DropReason {
     RankOverflow,
 }
 
-/// Outcome of one ingress pipeline pass.
-#[derive(Debug)]
+/// Outcome of one ingress pipeline pass. The switch keeps the packet's
+/// handle only when it buffered or parked it; otherwise the caller still
+/// holds the packet.
+#[derive(Clone, Copy, Debug)]
 pub enum IngressDecision {
     /// Destination is this switch: hand to the local host layer.
-    DeliverLocal(Packet),
+    DeliverLocal,
     /// Buffered in a calendar queue.
     Enqueued {
         /// Uplink the packet will leave on.
@@ -91,15 +93,15 @@ pub enum IngressDecision {
         /// Slices until departure.
         rank: u32,
     },
-    /// Dropped; packet consumed.
+    /// Dropped.
     Dropped(DropReason),
-    /// No matching time-flow entry; packet returned so the caller can
-    /// consult the controller (lazy table population) and retry.
-    NoRoute(Packet),
+    /// No matching time-flow entry; the caller can consult the controller
+    /// (lazy table population) and retry.
+    NoRoute,
 }
 
 /// Ingress outcome plus any push-back broadcast to emit.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct IngressResult {
     /// What happened to the packet.
     pub decision: IngressDecision,
@@ -188,7 +190,7 @@ pub struct ToRSwitch {
     /// Static configuration.
     pub cfg: TorConfig,
     tft: TimeFlowTable,
-    ports: Vec<CalendarPort<Packet>>,
+    ports: Vec<CalendarPort<PktRef>>,
     eqo: Eqo,
     pushback: PushbackGen,
     /// Offload ledger (meaningful only when `cfg.offload` is set).
@@ -283,8 +285,10 @@ impl ToRSwitch {
         self.ports.iter().map(|p| p.rank_overflow).sum()
     }
 
-    fn active_indices(&self) -> Vec<usize> {
-        self.ports.iter().map(|p| p.active_index()).collect()
+    /// Bring the EQO registers to `now`: drain each port's active queue.
+    fn refresh_eqo(&mut self, now: SimTime) {
+        let ToRSwitch { eqo, ports, .. } = self;
+        eqo.refresh_with(now, |p| ports[p].active_index());
     }
 
     fn note_peak(&mut self) {
@@ -297,8 +301,7 @@ impl ToRSwitch {
     /// Slice-boundary rotation: apply pending EQO drain for the old active
     /// queues, then rotate every port and bump the slice counters.
     pub fn rotate(&mut self, now: SimTime) {
-        let active = self.active_indices();
-        self.eqo.refresh(now, &active);
+        self.refresh_eqo(now);
         for p in &mut self.ports {
             p.rotate();
         }
@@ -321,58 +324,65 @@ impl ToRSwitch {
         }
     }
 
-    /// Ingress pipeline for one packet.
-    pub fn ingress(&mut self, mut pkt: Packet, now: SimTime) -> IngressResult {
-        let active = self.active_indices();
-        self.eqo.refresh(now, &active);
+    /// Ingress pipeline for the packet named `h`, whose header `pkt` is
+    /// rewritten in place (ingress timestamp, hop count, source route,
+    /// trim).
+    pub fn ingress(&mut self, h: PktRef, pkt: &mut Packet, now: SimTime) -> IngressResult {
+        self.refresh_eqo(now);
         pkt.ingress_ts = now;
 
         if pkt.dst == self.cfg.id {
             self.counters.delivered_local += 1;
-            return IngressResult { decision: IngressDecision::DeliverLocal(pkt), pushback: None };
+            return IngressResult { decision: IngressDecision::DeliverLocal, pushback: None };
         }
         pkt.hops = pkt.hops.saturating_add(1);
 
         // Resolve the egress decision: an in-flight source route wins;
         // otherwise the time-flow table (which may itself stamp a route).
-        let (port, dep_slice) = if let Some(hop) =
-            pkt.source_route.as_ref().and_then(|sr| sr.current())
-        {
-            pkt.source_route.as_mut().expect("just read").advance();
-            // The executed hop's header entry is popped off the wire.
-            pkt.size = pkt.size.saturating_sub(4);
-            (hop.port, hop.dep_slice)
-        } else {
-            let Some(action) = self.tft.lookup(&pkt, self.current_slice) else {
-                return IngressResult { decision: IngressDecision::NoRoute(pkt), pushback: None };
+        let (port, dep_slice) =
+            if let Some(hop) = pkt.source_route.as_ref().and_then(|sr| sr.current()) {
+                pkt.source_route.as_mut().expect("just read").advance();
+                // The executed hop's header entry is popped off the wire.
+                pkt.size = pkt.size.saturating_sub(4);
+                (hop.port, hop.dep_slice)
+            } else {
+                let Some(action) = self.tft.lookup(pkt, self.current_slice) else {
+                    return IngressResult { decision: IngressDecision::NoRoute, pushback: None };
+                };
+                let (port, dep) = (action.port, action.dep_slice);
+                if let Some(mut sr) = action.source_route() {
+                    // Stamping the hop stack costs wire bytes (4 per hop,
+                    // Fig. 3d); the first hop is executed and popped right away.
+                    pkt.size += sr.wire_bytes().saturating_sub(4);
+                    sr.advance();
+                    pkt.source_route = Some(sr);
+                }
+                (port, dep)
             };
-            let (port, dep) = (action.port, action.dep_slice);
-            if let Some(mut sr) = action.source_route() {
-                // Stamping the hop stack costs wire bytes (4 per hop,
-                // Fig. 3d); the first hop is executed and popped right away.
-                pkt.size += sr.wire_bytes().saturating_sub(4);
-                sr.advance();
-                pkt.source_route = Some(sr);
-            }
-            (port, dep)
-        };
 
         let rank = match dep_slice {
             Some(dep) => self.cfg.slice_cfg.rank(self.current_slice, dep),
             None => 0,
         };
-        self.admit(pkt, port, rank, now)
+        self.admit(h, pkt, port, rank, now)
     }
 
     /// Admission: offload check, congestion detection, calendar enqueue.
-    fn admit(&mut self, mut pkt: Packet, port: PortId, rank: u32, now: SimTime) -> IngressResult {
+    fn admit(
+        &mut self,
+        h: PktRef,
+        pkt: &mut Packet,
+        port: PortId,
+        rank: u32,
+        now: SimTime,
+    ) -> IngressResult {
         let pidx = port.index();
 
         // Buffer offloading: far-future ranks are parked on hosts.
         if let Some(pol) = self.cfg.offload {
             if pol.should_offload(rank) || !self.ports[pidx].rank_fits(rank) {
                 let abs = self.abs_slice + rank as u64;
-                self.offload_book.park(abs, port, pkt);
+                self.offload_book.park(abs, port, pkt.size, h);
                 return IngressResult {
                     decision: IngressDecision::Offloaded { abs_slice: abs, port },
                     pushback: None,
@@ -382,7 +392,7 @@ impl ToRSwitch {
             self.counters.dropped_rank += 1;
             // A rank the ring cannot express is also a queue-full condition
             // for push-back purposes.
-            let pb = self.queue_full_pushback(&pkt, rank, now);
+            let pb = self.queue_full_pushback(pkt, rank, now);
             return IngressResult {
                 decision: IngressDecision::Dropped(DropReason::RankOverflow),
                 pushback: pb,
@@ -419,7 +429,7 @@ impl ToRSwitch {
         let mut pushback = None;
         if evaluate(&self.cfg.congestion, est, pkt.size, admissible) == CongestionOutcome::Congested
         {
-            pushback = self.queue_full_pushback(&pkt, rank, now);
+            pushback = self.queue_full_pushback(pkt, rank, now);
             match self.cfg.congestion.policy {
                 CongestionPolicy::Drop => {
                     self.counters.dropped_congestion += 1;
@@ -447,7 +457,7 @@ impl ToRSwitch {
                             if let Some(pol) = self.cfg.offload {
                                 if pol.should_offload(r) {
                                     let abs = self.abs_slice + r as u64;
-                                    self.offload_book.park(abs, port, pkt);
+                                    self.offload_book.park(abs, port, pkt.size, h);
                                     self.counters.deferred += 1;
                                     return IngressResult {
                                         decision: IngressDecision::Offloaded {
@@ -499,7 +509,7 @@ impl ToRSwitch {
 
         // Ground-truth enqueue.
         let size = pkt.size;
-        match self.ports[pidx].enqueue(chosen_rank, size, pkt) {
+        match self.ports[pidx].enqueue(chosen_rank, size, h) {
             Ok(qidx) => {
                 self.eqo.on_enqueue(pidx, qidx, size);
                 self.counters.enqueued += 1;
@@ -545,15 +555,14 @@ impl ToRSwitch {
 
     /// Pop the next packet from `port`'s active queue if its serialization
     /// (plus `end_margin_ns` safety) still fits in the current slice.
-    /// Returns the packet and its serialization time.
+    /// Returns the packet's handle and its serialization time.
     pub fn pop_if_fits(
         &mut self,
         port: PortId,
         now: SimTime,
         end_margin_ns: u64,
-    ) -> Option<(Packet, u64)> {
-        let active = self.active_indices();
-        self.eqo.refresh(now, &active);
+    ) -> Option<(PktRef, u64)> {
+        self.refresh_eqo(now);
         let cp = &mut self.ports[port.index()];
         let (len, _) = *cp.peek_active()?;
         let tx = self.cfg.uplink_bandwidth.tx_time_ns(len as u64).max(1);
@@ -580,16 +589,23 @@ impl ToRSwitch {
         self.ports[port.index()].active_bytes() > 0
     }
 
-    /// Packet and flow id of the head of `port`'s active queue, if any —
-    /// a non-destructive peek for observability (guardband-hold spans).
-    pub fn head_packet_ids(&self, port: PortId) -> Option<(u64, FlowId)> {
-        self.ports[port.index()].peek_active().map(|(_, p)| (p.id, p.flow))
+    /// The packet at the head of `port`'s active queue, if any — a
+    /// non-destructive peek for observability (guardband-hold spans).
+    pub fn head_packet(&self, port: PortId) -> Option<PktRef> {
+        self.ports[port.index()].peek_active().map(|&(_, h)| h)
+    }
+
+    /// Packets this switch holds a handle to: every calendar queue plus the
+    /// offload book.
+    pub fn held_packets(&self) -> usize {
+        let queues = self.ports.iter().flat_map(|p| (0..p.num_queues()).map(|i| p.queue_len(i)));
+        queues.sum::<usize>() + self.offload_book.parked_packets()
     }
 
     /// Offload batches due for recall at `now` (engine re-injects them
     /// through [`ToRSwitch::reinject_offloaded`] after the host round trip).
     /// Returns `(target absolute slice, port, packet)` triples.
-    pub fn offload_due(&mut self, now: SimTime) -> Vec<(u64, PortId, Packet)> {
+    pub fn offload_due(&mut self, now: SimTime) -> Vec<(u64, PortId, PktRef)> {
         match self.cfg.offload {
             Some(pol) => self.offload_book.due(now, &self.cfg.slice_cfg, pol.return_lead_ns),
             None => vec![],
@@ -608,14 +624,15 @@ impl ToRSwitch {
     /// admission path, now with a near rank.
     pub fn reinject_offloaded(
         &mut self,
-        pkt: Packet,
+        h: PktRef,
+        pkt: &mut Packet,
         port: PortId,
         rank: u32,
         now: SimTime,
     ) -> IngressResult {
         // Bypass the offload check for near ranks by construction: the
         // caller recalls with lead < keep_ranks slices.
-        self.admit(pkt, port, rank, now)
+        self.admit(h, pkt, port, rank, now)
     }
 
     /// The push-back generator's statistics.
@@ -627,7 +644,7 @@ impl ToRSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openoptics_proto::HostId;
+    use openoptics_proto::{HostId, PacketStore};
     use openoptics_routing::{MultipathMode, RouteAction, RouteMatch};
 
     fn cfg(num_slices: u32) -> TorConfig {
@@ -659,30 +676,39 @@ mod tests {
         Packet::data(id, 1, NodeId(0), dst, HostId(0), HostId(9), 1000, 0, SimTime::ZERO)
     }
 
+    /// Store `p` and run it through `t`'s ingress pipeline, as the engine does.
+    fn ingress(
+        t: &mut ToRSwitch,
+        store: &mut PacketStore,
+        p: Packet,
+        now: SimTime,
+    ) -> (PktRef, IngressResult) {
+        let h = store.insert(p);
+        (h, t.ingress(h, &mut store[h], now))
+    }
+
     #[test]
     fn local_delivery_short_circuits() {
-        let mut t = ToRSwitch::new(cfg(8));
-        let r = t.ingress(pkt(1, NodeId(0)), SimTime::from_ns(300));
-        assert!(matches!(r.decision, IngressDecision::DeliverLocal(_)));
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
+        let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(0)), SimTime::from_ns(300));
+        assert!(matches!(r.decision, IngressDecision::DeliverLocal));
         assert_eq!(t.counters.delivered_local, 1);
     }
 
     #[test]
-    fn no_route_returns_packet() {
-        let mut t = ToRSwitch::new(cfg(8));
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300));
-        match r.decision {
-            IngressDecision::NoRoute(p) => assert_eq!(p.dst, NodeId(3)),
-            other => panic!("unexpected {other:?}"),
-        }
+    fn no_route_leaves_the_packet_with_the_caller() {
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
+        let (h, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
+        assert!(matches!(r.decision, IngressDecision::NoRoute), "unexpected {:?}", r.decision);
+        assert_eq!((store[h].dst, t.held_packets()), (NodeId(3), 0));
     }
 
     #[test]
     fn enqueue_rank_matches_departure_slice() {
-        let mut t = ToRSwitch::new(cfg(8));
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
         // Arrive slice 0, depart slice 3 -> rank 3.
         t.install_routes([entry(Some(0), NodeId(3), PortId(1), Some(3))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300));
+        let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
         match r.decision {
             IngressDecision::Enqueued { port, rank } => {
                 assert_eq!(port, PortId(1));
@@ -699,15 +725,15 @@ mod tests {
         assert!(t.has_active_traffic(PortId(1)));
         let (p, tx) =
             t.pop_if_fits(PortId(1), SimTime::from_ns(6_300), 0).expect("head fits the slice");
-        assert_eq!(p.id, 1);
+        assert_eq!(store[p].id, 1);
         assert!(tx > 0);
     }
 
     #[test]
     fn tail_that_misses_slice_waits() {
-        let mut t = ToRSwitch::new(cfg(8));
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
-        t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(200));
+        ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(200));
         // 1064-byte wire packet at 100 Gbps = ~85 ns; only 50 ns left.
         assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0).is_none());
         // Earlier in the slice it fits.
@@ -717,13 +743,13 @@ mod tests {
     #[test]
     fn source_route_overrides_table() {
         use openoptics_proto::packet::{SourceHop, SourceRoute};
-        let mut t = ToRSwitch::new(cfg(8));
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
         // Table says port 0; the packet carries a source route via port 1.
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
         let mut p = pkt(1, NodeId(3));
         p.source_route =
             Some(SourceRoute::new(vec![SourceHop { port: PortId(1), dep_slice: Some(2) }]));
-        let r = t.ingress(p, SimTime::from_ns(300));
+        let (_, r) = ingress(&mut t, &mut store, p, SimTime::from_ns(300));
         match r.decision {
             IngressDecision::Enqueued { port, rank } => {
                 assert_eq!(port, PortId(1));
@@ -741,13 +767,13 @@ mod tests {
             threshold_bytes: 1_000_000,
             policy: CongestionPolicy::Drop,
         };
-        let mut t = ToRSwitch::new(c);
+        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         // Admissible for a future slice: 100 Gbps x 1800 ns = 22_500 B.
         // 21 x 1064 B = 22_344 B fit; the 22nd exceeds.
         let mut dropped = 0;
         for i in 0..25 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            let (_, r) = ingress(&mut t, &mut store, pkt(i, NodeId(3)), SimTime::from_ns(300));
             if matches!(r.decision, IngressDecision::Dropped(DropReason::Congestion)) {
                 dropped += 1;
             }
@@ -760,11 +786,11 @@ mod tests {
     fn congestion_defer_moves_to_later_slice() {
         let mut c = cfg(8);
         c.congestion.policy = CongestionPolicy::Defer { max_extra_slices: 4 };
-        let mut t = ToRSwitch::new(c);
+        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut ranks = vec![];
         for i in 0..30 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            let (_, r) = ingress(&mut t, &mut store, pkt(i, NodeId(3)), SimTime::from_ns(300));
             if let IngressDecision::Enqueued { rank, .. } = r.decision {
                 ranks.push(rank);
             }
@@ -778,11 +804,11 @@ mod tests {
     fn congestion_trim_keeps_header() {
         let mut c = cfg(8);
         c.congestion.policy = CongestionPolicy::Trim;
-        let mut t = ToRSwitch::new(c);
+        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut saw_trim = false;
         for i in 0..30 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            let (_, r) = ingress(&mut t, &mut store, pkt(i, NodeId(3)), SimTime::from_ns(300));
             if matches!(r.decision, IngressDecision::Trimmed { .. }) {
                 saw_trim = true;
             }
@@ -796,11 +822,11 @@ mod tests {
         let mut c = cfg(8);
         c.pushback_enabled = true;
         c.congestion.policy = CongestionPolicy::Drop;
-        let mut t = ToRSwitch::new(c);
+        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut msgs = 0;
         for i in 0..40 {
-            let r = t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            let (_, r) = ingress(&mut t, &mut store, pkt(i, NodeId(3)), SimTime::from_ns(300));
             if r.pushback.is_some() {
                 msgs += 1;
             }
@@ -812,9 +838,9 @@ mod tests {
     fn rank_overflow_without_offload_drops() {
         let mut c = cfg(64); // 64 slices but only 32 queues
         c.num_queues = 32;
-        let mut t = ToRSwitch::new(c);
+        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300));
+        let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
         assert!(matches!(r.decision, IngressDecision::Dropped(DropReason::RankOverflow)));
     }
 
@@ -823,9 +849,9 @@ mod tests {
         let mut c = cfg(64);
         c.num_queues = 32;
         c.offload = Some(OffloadPolicy { keep_ranks: 8, return_lead_ns: 3_000 });
-        let mut t = ToRSwitch::new(c);
+        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(300));
+        let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
         match r.decision {
             IngressDecision::Offloaded { abs_slice, .. } => assert_eq!(abs_slice, 40),
             other => panic!("unexpected {other:?}"),
@@ -840,10 +866,10 @@ mod tests {
 
     #[test]
     fn buffer_telemetry_tracks_peak() {
-        let mut t = ToRSwitch::new(cfg(8));
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(2))]);
         for i in 0..5 {
-            t.ingress(pkt(i, NodeId(3)), SimTime::from_ns(300));
+            ingress(&mut t, &mut store, pkt(i, NodeId(3)), SimTime::from_ns(300));
         }
         assert_eq!(t.buffer_bytes(), 5 * 1064);
         assert_eq!(t.peak_buffer_bytes, 5 * 1064);
@@ -855,10 +881,10 @@ mod tests {
     fn attached_telemetry_observes_mechanics() {
         use openoptics_telemetry::Registry;
         let reg = Registry::enabled(1024);
-        let mut t = ToRSwitch::new(cfg(8));
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
         t.attach_telemetry(&reg);
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
-        t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(200));
+        ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(200));
         // Head misses the slice tail at 1_950 ns (needs ~85 ns, 50 left).
         assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0).is_none());
         t.rotate(SimTime::from_ns(2_000));
@@ -879,9 +905,9 @@ mod tests {
     #[test]
     fn static_single_slice_acts_as_flow_table() {
         // num_slices = 1: wildcard entries, immediate transmission.
-        let mut t = ToRSwitch::new(cfg(1));
+        let (mut t, mut store) = (ToRSwitch::new(cfg(1)), PacketStore::new());
         t.install_routes([entry(None, NodeId(3), PortId(0), None)]);
-        let r = t.ingress(pkt(1, NodeId(3)), SimTime::from_ns(5));
+        let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(5));
         assert!(matches!(r.decision, IngressDecision::Enqueued { rank: 0, .. }));
         // pop works regardless of slice remaining (static mode).
         assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_999), 0).is_some());

@@ -1,0 +1,186 @@
+//! Allocation guard for the per-packet data path: counts that repeat
+//! exactly, where a timing would not. A packet is written once into the
+//! engine's store and named by a handle from then on, so forwarding it —
+//! switch ingress, calendar dequeue, host transmit — must not touch the
+//! allocator. Its own test binary because it installs a counting
+//! `#[global_allocator]`; the count is per thread, so the harness and
+//! sibling tests do not disturb it.
+
+use openoptics::core::engine::Event;
+use openoptics::prelude::*;
+use openoptics::proto::{Packet, PacketStore};
+use openoptics::routing::{RouteAction, RouteEntry, RouteMatch};
+use openoptics::sim::rate::Bandwidth;
+use openoptics::sim::time::SliceConfig;
+use openoptics::sim::{EventQueue, World};
+use openoptics::switch::congestion::CongestionConfig;
+use openoptics::switch::{IngressDecision, ToRSwitch, TorConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is forwarded to `System` unchanged, so its
+// guarantees carry over; the thread-local is const-initialised and has no
+// destructor, so touching it here neither allocates nor re-enters.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (`realloc` included: the default goes through `alloc`) this
+/// thread performs inside `f`.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = std::hint::black_box(f());
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+const SLICE_NS: u64 = 50_000;
+
+/// A 12 x 2 RotorNet under VLB, one host per ToR, telemetry off.
+fn rotor_net() -> Result<OpenOpticsNet, Error> {
+    let cfg = NetConfig::builder()
+        .node_num(12)
+        .uplink(2)
+        .slice_ns(SLICE_NS)
+        .guard_ns(1_000)
+        .sync_err_ns(0)
+        .telemetry(false)
+        .seed(3)
+        .build()?;
+    OpenOpticsNet::deploy(
+        cfg,
+        Architecture::rotornet(),
+        Box::new(Vlb),
+        LookupMode::PerHop,
+        MultipathMode::PerPacket,
+    )
+}
+
+/// `Paced` mice between every pair of hosts, a new one every 500 ns: what is
+/// left to allocate in steady state is per flow (its table row, its FCT
+/// record, its socket queue), not per packet.
+#[test]
+fn steady_state_forwarding_allocates_per_flow_not_per_packet() -> Result<(), Error> {
+    let mut net = rotor_net()?;
+    let cycle_ns = u64::from(net.engine.schedule().slice_config().num_slices) * SLICE_NS;
+    let (warm_ns, window_ns) = (2 * cycle_ns, 4 * cycle_ns);
+    let mut at = 100;
+    for i in 0u32.. {
+        if at >= warm_ns + window_ns {
+            break;
+        }
+        let (src, hop) = (i % 12, 1 + (i / 12) % 11);
+        let dst = (src + hop) % 12;
+        net.add_flow(SimTime::from_ns(at), HostId(src), HostId(dst), 50_000, TransportKind::Paced);
+        at += 500;
+    }
+    net.run_for(SimTime::from_ns(warm_ns));
+    let delivered_before = net.engine.counters.delivered_packets;
+    let (allocations, ()) = allocations_in(|| net.run_for(SimTime::from_ns(window_ns)));
+    let delivered = net.engine.counters.delivered_packets - delivered_before;
+    assert!(delivered > 10_000, "the window must carry real traffic: {delivered} packets");
+    // 35 packets per flow, two hops each. Measured here: 639,717
+    // allocations for the window's 154,319 packets (4.1 each) when every
+    // `ingress`, `pop_if_fits` and `rotate` built a `Vec` of active queue
+    // indices and every `HostTx` a new backlog; 12,677 (0.08 each, about
+    // five per flow started) with the data path allocation-free.
+    assert!(
+        allocations * 4 < delivered,
+        "{allocations} allocations for {delivered} delivered packets",
+    );
+    Ok(())
+}
+
+fn tor() -> ToRSwitch {
+    let mut t = ToRSwitch::new(TorConfig {
+        id: NodeId(0),
+        slice_cfg: SliceConfig::new(SLICE_NS, 8, 1_000),
+        uplinks: 2,
+        uplink_bandwidth: Bandwidth::gbps(100),
+        num_queues: 8,
+        queue_capacity: 2 * 1024 * 1024,
+        congestion: CongestionConfig::default(),
+        pushback_enabled: false,
+        offload: None,
+        eqo_interval_ns: 50,
+        use_true_occupancy: false,
+    });
+    t.install_routes([RouteEntry {
+        node: NodeId(0),
+        m: RouteMatch { arr_slice: Some(0), dst: NodeId(3) },
+        actions: vec![(
+            RouteAction { port: PortId(1), dep_slice: Some(0), push_source_route: None },
+            1,
+        )],
+        multipath: MultipathMode::None,
+    }]);
+    t
+}
+
+#[test]
+fn switch_ingress_and_dequeue_allocate_nothing() {
+    let (mut t, mut store) = (tor(), PacketStore::new());
+    let mut pass = |t: &mut ToRSwitch, id: u64, at: u64| {
+        let now = SimTime::from_ns(at);
+        let (n0, n3, h0, h9) = (NodeId(0), NodeId(3), HostId(0), HostId(9));
+        let h = store.insert(Packet::data(id, 1, n0, n3, h0, h9, 1_000, 0, now));
+        let (on_ingress, res) = allocations_in(|| t.ingress(h, &mut store[h], now));
+        assert!(matches!(res.decision, IngressDecision::Enqueued { .. }), "{:?}", res.decision);
+        let (on_pop, popped) = allocations_in(|| t.pop_if_fits(PortId(1), now, 0));
+        assert_eq!(popped.map(|(head, _)| head), Some(h));
+        store.remove(h);
+        (on_ingress, on_pop)
+    };
+    // The first packet grows the calendar queue it lands in; from then on
+    // the path is steady.
+    pass(&mut t, 1, 2_000);
+    for (id, at) in [(2, 3_000), (3, 3_001), (4, 9_000)] {
+        assert_eq!(pass(&mut t, id, at), (0, 0), "packet {id}");
+    }
+}
+
+/// A host whose socket is full keeps its one flow in the backlog across
+/// every `HostTx`: queue a segment, send a packet, same backlog.
+#[test]
+fn host_tx_with_an_unchanged_backlog_allocates_nothing() -> Result<(), Error> {
+    let mut net = rotor_net()?;
+    // Sixteen times the 4 MiB socket: most of it waits in the backlog.
+    net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 64 << 20, TransportKind::Paced);
+    let cycle_ns = u64::from(net.engine.schedule().slice_config().num_slices) * SLICE_NS;
+    net.run_for(SimTime::from_ns(2 * cycle_ns));
+    let delivered = net.flow_delivered(1);
+    assert!(delivered > 0 && delivered < 32 << 20, "mid-transfer, socket still full: {delivered}");
+    // One transmit opportunity, handed to the engine directly. Its two
+    // follow-up events (the packet's ingress 500 ns on, the next `HostTx`)
+    // land in the queue bucket the cursor is on, grown beforehand.
+    let now = SimTime::from_ns((net.now().as_ns() / 1024 + 2) * 1024);
+    let mut q = EventQueue::new();
+    for _ in 0..8 {
+        q.schedule(now, Event::HostTx(HostId(0)));
+    }
+    while q.pop().is_some() {}
+    let sent_before = net.engine.counters.host_tx_packets;
+    let (allocations, ()) =
+        allocations_in(|| net.engine.handle(now, Event::HostTx(HostId(0)), &mut q));
+    assert_eq!(net.engine.counters.host_tx_packets, sent_before + 1, "the host did transmit");
+    assert_eq!(q.len(), 2);
+    assert_eq!(allocations, 0);
+    Ok(())
+}

@@ -315,6 +315,8 @@ fn every_transmitted_packet_is_delivered_or_counted_against_one_cause() -> Resul
         assert_eq!(tor.buffer_bytes(), 0, "{node} still buffers packets");
         assert!(tor.offload_book.is_empty(), "{node} still has packets parked on hosts");
     }
+    // Every drop site freed its packet: a leaked handle would still be live.
+    assert_eq!(net.engine.live_packets(), 0, "the drained network still stores packets");
     Ok(())
 }
 
