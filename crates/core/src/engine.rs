@@ -289,11 +289,12 @@ pub enum Event {
     Timer(Timer),
 }
 
-// The event queue moves whole entries (bucket sort, sorted insert, heap
-// sift): an event that grows past a packet handle's worth of payload is a
-// data-plane slowdown on every workload.
+// The event queue writes an event into a slab node once and reads it back
+// once, and the far heap sifts whole events: a node that outgrows a cache
+// line, or an event that grows past a packet handle's worth of payload, is
+// a data-plane slowdown on every workload.
 const _: () = assert!(std::mem::size_of::<Event>() <= 32);
-const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES <= 48);
+const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES <= 56);
 
 /// Application and transport timers.
 #[derive(Clone, Copy)]

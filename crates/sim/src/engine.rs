@@ -3,8 +3,11 @@
 //! A [`World`] owns all simulation state and interprets events; [`run`]
 //! repeatedly pops the earliest event and hands it to the world together
 //! with the queue so handlers can schedule follow-ups. Time never flows
-//! backwards: scheduling an event in the past is a logic error and panics in
-//! debug builds.
+//! backwards through a run: the loop asserts (debug builds and
+//! `strict-invariants`) that each event fires no earlier than the one before
+//! it. Nothing checks a `schedule` — the queue accepts a time behind its
+//! cursor and delivers it next, in `(time, seq)` order — so a handler that
+//! schedules before `now` is caught here, at the pop.
 
 use crate::event::EventQueue;
 use crate::time::SimTime;

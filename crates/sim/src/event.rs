@@ -9,15 +9,32 @@
 //!
 //! # Structure
 //!
-//! Time is divided into fixed buckets of 2^`BUCKET_BITS` ns. A ring of
+//! Time is divided into fixed buckets of 2^`BUCKET_BITS` ns, and a ring of
 //! `NUM_BUCKETS` buckets covers the *near window* (~4 ms) starting at the
-//! queue's current position; each ring slot is an unsorted `Vec` that is
-//! sorted once, lazily, when the cursor reaches it. Three auxiliary
-//! structures keep arbitrary schedules correct:
+//! queue's current position. Every event in that window is stored exactly
+//! once, in a node of one `slab` — `(time, seq)`, the event, and the index
+//! of the next node of whatever list it is on — and freed nodes are reused
+//! through a LIFO free list threaded through the same `next` field, so in
+//! steady state the queue neither allocates nor moves an event between
+//! being scheduled and being popped. Two tables of `u32` list heads index
+//! the slab:
 //!
-//! * `overlay` — a small binary heap for events that land in (or before) the
-//!   *current, already-sorted* bucket; `pop` takes the smaller of the bucket
-//!   head and the overlay head.
+//! * `heads` — one per ring bucket (16 KB in all): an unordered list a
+//!   schedule pushes onto the front of.
+//! * `fine` — the one bucket the cursor is on, split into `FINE_SLOTS`
+//!   slots of 16 ns, each an ascending `(time, seq)` list, with one
+//!   occupancy bit per slot. When the cursor reaches a bucket its `heads`
+//!   list is distributed over the slots; from then on a schedule into that
+//!   bucket is a sorted link into its slot (one to three nodes long in the
+//!   engine's event mix; appending behind the slot's tail, which is where a
+//!   schedule at or after everything pending lands, takes no walk), and a
+//!   pop is the lowest set bit, an unlink and a free.
+//!
+//! Three auxiliary structures keep arbitrary schedules correct:
+//!
+//! * `overlay` — a small binary heap for events that land in a bucket
+//!   *behind* the cursor; `pop` takes the smaller of the first occupied
+//!   slot's head and the overlay's head.
 //! * `far` — a binary heap for events beyond the near window (sparse
 //!   watchdogs, RTO polls). When the window empties, the queue jumps its
 //!   base directly to the earliest far event and redistributes the now-near
@@ -39,6 +56,7 @@
 //! assert_eq!(q.pop(), Some((SimTime::from_us(3), "late")));
 //! ```
 
+use crate::cast::idx_u32;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -50,7 +68,14 @@ const BUCKET_BITS: u32 = 10;
 /// comfortably covering slice rotations (µs–100 µs scale) while keeping the
 /// 10 ms watchdog timers in the far heap.
 const NUM_BUCKETS: usize = 4096;
+/// log2 of the slots the cursor's bucket is split into: one occupancy bit
+/// each in a `u64`, 16 ns of a 1024 ns bucket per slot.
+const FINE_BITS: u32 = 6;
+const FINE_SLOTS: usize = 1 << FINE_BITS;
+/// "No node": the end of a list, an empty bucket, an empty free list.
+const NIL: u32 = u32::MAX;
 
+/// A heap entry: the far and overlay heaps hold their events by value.
 #[derive(Clone)]
 struct Entry<E> {
     time: SimTime,
@@ -83,30 +108,60 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A slab slot: one near-window event and its place on a list. `event` is
+/// `None` exactly while the node is on the free list.
+#[derive(Clone)]
+struct Node<E> {
+    time: SimTime,
+    seq: u64,
+    /// The next node of the bucket, slot or free list this one is on.
+    next: u32,
+    event: Option<E>,
+}
+
+impl<E> Node<E> {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
 /// A time-ordered queue of pending events.
 ///
 /// Events at equal timestamps are delivered in the order they were scheduled
 /// (FIFO). See the module docs for the calendar structure.
 ///
-/// Cloning copies the entire pending set (buckets, overlay, far heap, and
-/// every sequence counter), so a cloned queue replays the exact same
-/// delivery order as the original — the property checkpoint forks rely on.
+/// Cloning copies the entire pending set (slab, list heads, overlay, far
+/// heap, and every sequence counter), so a cloned queue replays the exact
+/// same delivery order as the original — the property checkpoint forks rely
+/// on.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// The near-window ring; slot `b % NUM_BUCKETS` holds absolute bucket `b`.
-    buckets: Vec<Vec<Entry<E>>>,
+    /// Every near-window event, live or freed; all `u32`s below index it.
+    slab: Vec<Node<E>>,
+    /// Head of the LIFO list of freed nodes.
+    free: u32,
+    /// Nodes on the free list; only read by the `strict-invariants` check.
+    free_len: usize,
+    /// The near-window ring; slot `b % NUM_BUCKETS` heads the unordered list
+    /// of absolute bucket `b`. The cursor's own slot is always empty: that
+    /// bucket lives in `fine`.
+    heads: Vec<u32>,
+    /// Bucket `cur` by 16 ns slot: head and tail of each slot's ascending
+    /// `(time, seq)` list, meaningful where the slot's `occupied` bit is set.
+    fine: [u32; FINE_SLOTS],
+    fine_tail: [u32; FINE_SLOTS],
+    occupied: u64,
     /// First absolute bucket of the near window.
     base: u64,
     /// Absolute bucket the cursor is on (`base <= cur < base + NUM_BUCKETS`).
     cur: u64,
-    /// Whether the current bucket has been sorted for draining.
-    cur_sorted: bool,
-    /// Events at or before the current bucket that arrived after it was
-    /// sorted (min-heap via the inverted `Entry` ordering).
+    /// Events scheduled into a bucket behind the cursor (min-heap via the
+    /// inverted `Entry` ordering).
     overlay: BinaryHeap<Entry<E>>,
     /// Events beyond the near window (min-heap).
     far: BinaryHeap<Entry<E>>,
-    /// Events currently stored in ring buckets (excluding overlay/far).
+    /// Events currently stored in the slab (excluding overlay/far).
     near_len: usize,
     /// Total pending events.
     len: usize,
@@ -150,20 +205,35 @@ fn bucket_of(time: SimTime) -> u64 {
     time.as_ns() >> BUCKET_BITS
 }
 
+#[inline]
+fn ring_slot(bucket: u64) -> usize {
+    (bucket % NUM_BUCKETS as u64) as usize
+}
+
+#[inline]
+fn fine_slot(time: SimTime) -> usize {
+    ((time.as_ns() >> (BUCKET_BITS - FINE_BITS)) % FINE_SLOTS as u64) as usize
+}
+
 impl<E> EventQueue<E> {
-    /// Bytes one pending event occupies: its `(time, seq)` key plus the
-    /// payload. A bucket sort, a sorted insert and a heap sift each move
-    /// whole entries, so a world with a hot queue pins this with a `const`
-    /// assertion.
-    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+    /// Bytes one pending near-window event occupies: its `(time, seq)` key,
+    /// its list link and the payload. It is written once when scheduled and
+    /// read once when popped; the ring's memory is
+    /// [`slab_nodes`](Self::slab_nodes) times this.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Node<E>>();
 
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            free_len: 0,
+            heads: vec![NIL; NUM_BUCKETS],
+            fine: [NIL; FINE_SLOTS],
+            fine_tail: [NIL; FINE_SLOTS],
+            occupied: 0,
             base: 0,
             cur: 0,
-            cur_sorted: false,
             overlay: BinaryHeap::new(),
             far: BinaryHeap::new(),
             near_len: 0,
@@ -198,34 +268,17 @@ impl<E> EventQueue<E> {
                 }
             }
         }
-        let entry = Entry { time, seq, event };
         let b = bucket_of(time);
         if b >= self.base + NUM_BUCKETS as u64 {
             self.far_scheduled += 1;
-            self.far.push(entry);
+            self.far.push(Entry { time, seq, event });
         } else if b < self.cur {
             // Before the drain point: merge via the overlay so already-popped
             // positions are never revisited.
             self.overlay_scheduled += 1;
-            self.overlay.push(entry);
-        } else if b == self.cur && self.cur_sorted {
-            // Into the sorted current bucket (the kick-at-`now` hot path): a
-            // sorted insert keeps the bucket drainable from the back. The new
-            // entry carries the largest seq so far, so for the common
-            // schedule-at-current-time case it is the smallest key in the
-            // bucket (descending order) and lands at the tail with no shift.
-            let slot = &mut self.buckets[(b % NUM_BUCKETS as u64) as usize];
-            let key = std::cmp::Reverse(entry.key());
-            let pos = slot.partition_point(|e| std::cmp::Reverse(e.key()) < key);
-            slot.insert(pos, entry);
-            self.near_len += 1;
+            self.overlay.push(Entry { time, seq, event });
         } else {
-            if b == self.cur {
-                // Late arrival into the unsorted current bucket.
-                self.cur_sorted = false;
-            }
-            self.buckets[(b % NUM_BUCKETS as u64) as usize].push(entry);
-            self.near_len += 1;
+            self.link_near(time, seq, event);
         }
     }
 
@@ -234,54 +287,124 @@ impl<E> EventQueue<E> {
         self.schedule(now + delay_ns, event);
     }
 
+    /// Store a near-window event (`cur <= bucket < base + NUM_BUCKETS`) in a
+    /// recycled or new node and link it: sorted into its slot if the cursor
+    /// is on its bucket, onto the front of its bucket's list otherwise.
+    fn link_near(&mut self, time: SimTime, seq: u64, event: E) {
+        let node = Node { time, seq, next: NIL, event: Some(event) };
+        let idx = match self.free {
+            NIL => {
+                let idx = idx_u32(self.slab.len());
+                assert!(idx != NIL, "event queue slab outgrew its u32 indices");
+                self.slab.push(node);
+                idx
+            }
+            idx => {
+                let slot = &mut self.slab[idx as usize];
+                self.free = slot.next;
+                self.free_len -= 1;
+                *slot = node;
+                idx
+            }
+        };
+        self.near_len += 1;
+        let b = bucket_of(time);
+        if b == self.cur {
+            self.link_fine(idx, (time, seq));
+        } else {
+            let head = &mut self.heads[ring_slot(b)];
+            self.slab[idx as usize].next = *head;
+            *head = idx;
+        }
+    }
+
+    /// Link node `idx`, whose key is `key` and whose bucket is `cur`, into
+    /// its slot's ascending list.
+    fn link_fine(&mut self, idx: u32, key: (SimTime, u64)) {
+        let s = fine_slot(key.0);
+        let bit = 1u64 << s;
+        if self.occupied & bit == 0 {
+            self.occupied |= bit;
+            self.slab[idx as usize].next = NIL;
+            self.fine[s] = idx;
+            self.fine_tail[s] = idx;
+            return;
+        }
+        let tail = self.fine_tail[s];
+        if self.slab[tail as usize].key() < key {
+            // Where a schedule at or after everything in the slot lands —
+            // any number of kicks at `now` append without a walk.
+            self.slab[idx as usize].next = NIL;
+            self.slab[tail as usize].next = idx;
+            self.fine_tail[s] = idx;
+            return;
+        }
+        // Before the tail, so the walk ends inside the list.
+        let (mut prev, mut at) = (NIL, self.fine[s]);
+        while self.slab[at as usize].key() < key {
+            (prev, at) = (at, self.slab[at as usize].next);
+        }
+        self.slab[idx as usize].next = at;
+        if prev == NIL {
+            self.fine[s] = idx;
+        } else {
+            self.slab[prev as usize].next = idx;
+        }
+    }
+
     /// Move every far-heap event that now falls inside the near window
-    /// (`base .. base + NUM_BUCKETS`) into its ring bucket.
+    /// (`base .. base + NUM_BUCKETS`) into the ring.
     fn refill_from_far(&mut self) {
         let horizon = self.base + NUM_BUCKETS as u64;
         while let Some(e) = self.far.peek() {
             if bucket_of(e.time) >= horizon {
                 break;
             }
-            let e = self.far.pop().expect("peeked entry vanished");
-            self.buckets[(bucket_of(e.time) % NUM_BUCKETS as u64) as usize].push(e);
-            self.near_len += 1;
+            let Entry { time, seq, event } = self.far.pop().expect("peeked entry vanished");
+            self.link_near(time, seq, event);
         }
     }
 
-    /// Advance the cursor to the bucket holding the earliest pending event
-    /// and sort it for draining. After this, the global minimum is the
-    /// smaller of the current bucket's tail and the overlay's head.
+    /// Advance the cursor to the bucket holding the earliest pending event.
+    /// After this, the global minimum is the smaller of the first occupied
+    /// slot's head and the overlay's head. The caller has checked `len > 0`.
     fn ensure_current(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        loop {
-            let slot = (self.cur % NUM_BUCKETS as u64) as usize;
-            if !self.buckets[slot].is_empty() || !self.overlay.is_empty() {
-                if !self.buckets[slot].is_empty() && !self.cur_sorted {
-                    // Sort descending so draining pops from the back.
-                    self.buckets[slot].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-                    self.cur_sorted = true;
-                }
-                return;
-            }
+        while self.occupied == 0 && self.overlay.is_empty() {
             if self.near_len == 0 {
                 // Everything pending lives in the far heap: jump the window
                 // straight to it instead of walking empty buckets.
                 let t = self.far.peek().expect("len > 0 but queue empty").time;
                 self.base = bucket_of(t);
                 self.cur = self.base;
-                self.cur_sorted = false;
                 self.refill_from_far();
                 continue;
             }
-            // Walk to the next bucket; on window end, refill from `far`.
+            // Walk to the next bucket. Every ring event sits in a bucket from
+            // `cur` to the window's end, so the walk stops inside the window:
+            // `base` moves only by the jump above.
             self.cur += 1;
-            self.cur_sorted = false;
-            if self.cur == self.base + NUM_BUCKETS as u64 {
-                self.base = self.cur;
-                self.refill_from_far();
+            debug_assert!(self.cur < self.base + NUM_BUCKETS as u64);
+            // Open it: distribute its list over the slots.
+            let mut idx = std::mem::replace(&mut self.heads[ring_slot(self.cur)], NIL);
+            while idx != NIL {
+                let node = &self.slab[idx as usize];
+                let (next, key) = (node.next, node.key());
+                self.link_fine(idx, key);
+                idx = next;
             }
+        }
+    }
+
+    /// Key of the earliest pending event, and whether the ring rather than
+    /// the overlay holds it. Call after [`ensure_current`](Self::ensure_current).
+    fn head(&self) -> ((SimTime, u64), bool) {
+        let near = (self.occupied != 0)
+            .then(|| self.slab[self.fine[self.occupied.trailing_zeros() as usize] as usize].key());
+        match (near, self.overlay.peek().map(Entry::key)) {
+            (Some(n), Some(o)) => (n.min(o), n < o),
+            (Some(n), None) => (n, true),
+            (None, Some(o)) => (o, false),
+            (None, None) => unreachable!("ensure_current found no event"),
         }
     }
 
@@ -302,27 +425,31 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.ensure_current();
-        let slot = (self.cur % NUM_BUCKETS as u64) as usize;
-        let (take_bucket, head_time) = match (self.buckets[slot].last(), self.overlay.peek()) {
-            (Some(b), Some(o)) if b.key() < o.key() => (true, b.time),
-            (Some(b), None) => (true, b.time),
-            (_, Some(o)) => (false, o.time),
-            (None, None) => unreachable!("ensure_current found no event"),
-        };
-        if head_time > until {
+        let ((time, seq), near) = self.head();
+        if time > until {
             return None;
         }
+        let event = if near {
+            let s = self.occupied.trailing_zeros() as usize;
+            let idx = self.fine[s];
+            let node = &mut self.slab[idx as usize];
+            self.fine[s] = node.next;
+            if node.next == NIL {
+                self.occupied &= !(1u64 << s);
+            }
+            node.next = self.free;
+            self.free = idx;
+            self.free_len += 1;
+            self.near_len -= 1;
+            node.event.take()
+        } else {
+            self.overlay.pop().map(|e| e.event)
+        };
+        let Some(event) = event else {
+            unreachable!("event queue head vanished, or its node was on the free list")
+        };
         self.len -= 1;
         self.popped_total += 1;
-        let e = match if take_bucket {
-            self.near_len -= 1;
-            self.buckets[slot].pop()
-        } else {
-            self.overlay.pop()
-        } {
-            Some(e) => e,
-            None => unreachable!("peeked head vanished"),
-        };
         if cfg!(feature = "strict-invariants") {
             assert_eq!(
                 self.near_len + self.overlay.len() + self.far.len(),
@@ -334,18 +461,23 @@ impl<E> EventQueue<E> {
                 self.len as u64,
                 "event queue conservation: scheduled - popped != pending"
             );
+            assert_eq!(
+                self.slab.len() - self.free_len,
+                self.near_len,
+                "event queue slab leak: nodes - freed != near"
+            );
             if let Some(last) = self.last_popped {
                 assert!(
-                    e.key() > last,
+                    (time, seq) > last,
                     "event queue delivered (time, seq) keys out of order: \
                      {:?} after {:?}",
-                    e.key(),
+                    (time, seq),
                     last,
                 );
             }
-            self.last_popped = Some(e.key());
+            self.last_popped = Some((time, seq));
         }
-        Some((e.time, e.event))
+        Some((time, event))
     }
 
     /// Test hook: pretend an event with the given `(time, seq)` key was
@@ -361,15 +493,7 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.ensure_current();
-        let slot = (self.cur % NUM_BUCKETS as u64) as usize;
-        let bucket = self.buckets[slot].last().map(|e| e.key());
-        let overlay = self.overlay.peek().map(|e| e.key());
-        match (bucket, overlay) {
-            (Some(b), Some(o)) => Some(b.min(o).0),
-            (Some(b), None) => Some(b.0),
-            (None, Some(o)) => Some(o.0),
-            (None, None) => unreachable!("ensure_current found no event"),
-        }
+        Some(self.head().0 .0)
     }
 
     /// Number of pending events.
@@ -385,6 +509,14 @@ impl<E> EventQueue<E> {
     /// Total number of events ever scheduled on this queue.
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
+    }
+
+    /// Nodes the slab holds, pending or free — the ring's memory in units of
+    /// [`ENTRY_BYTES`](Self::ENTRY_BYTES). A node is only added when every
+    /// other holds a pending event, so this never exceeds
+    /// [`QueueStats::peak_len`].
+    pub fn slab_nodes(&self) -> usize {
+        self.slab.len()
     }
 
     /// Statistics for telemetry mirroring.
@@ -462,7 +594,7 @@ mod tests {
         q.schedule(SimTime::from_secs(1), 1); // far
         assert_eq!(q.pop(), Some((SimTime::from_ns(2_000), 0)));
         // An earlier *bucket* than the drain point -> overlay (a same-bucket
-        // arrival would sorted-insert into the current bucket instead).
+        // arrival would be linked into its slot of the cursor's bucket).
         q.schedule(SimTime::from_ns(500), 2);
         let s = q.stats();
         assert_eq!(s.scheduled_total, 3);
@@ -493,12 +625,54 @@ mod tests {
         q.schedule(SimTime::from_ns(1_000), 0);
         q.schedule(SimTime::from_ns(1_000), 1);
         assert_eq!(q.pop(), Some((SimTime::from_ns(1_000), 0)));
-        q.schedule(SimTime::from_ns(1_000), 2); // lands in overlay
+        q.schedule(SimTime::from_ns(1_000), 2); // the cursor's bucket: behind 1
         q.schedule(SimTime::from_ns(999), 3); // "past" relative to drain point
         assert_eq!(q.pop(), Some((SimTime::from_ns(999), 3)));
         assert_eq!(q.pop(), Some((SimTime::from_ns(1_000), 1)));
         assert_eq!(q.pop(), Some((SimTime::from_ns(1_000), 2)));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn a_schedule_behind_an_advanced_cursor_takes_the_overlay_and_pops_first() {
+        // The overlay heap's only customer. Inside a run nothing schedules
+        // behind the cursor; between runs a caller can: a `pop_before` that
+        // stops short of the next event has already walked the cursor to
+        // that event's bucket, and `now` is buckets behind it.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_us(500), "next");
+        let now = SimTime::from_us(100);
+        assert_eq!(q.pop_before(now), None);
+        assert_eq!(q.len(), 1);
+        q.schedule(now, "added at now");
+        q.schedule(SimTime::from_us(499), "also behind");
+        assert_eq!(q.stats().overlay_scheduled, 2);
+        assert_eq!(q.peek_time(), Some(now));
+        assert_eq!(q.pop(), Some((now, "added at now")));
+        assert_eq!(q.pop(), Some((SimTime::from_us(499), "also behind")));
+        assert_eq!(q.pop(), Some((SimTime::from_us(500), "next")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn many_kicks_at_one_instant_stay_fifo_around_earlier_and_later_arrivals() {
+        // One 16 ns slot of the cursor's bucket taking appends (the tail
+        // path), an arrival before everything in it and one in its middle.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ns(5_000);
+        q.schedule(t, 0);
+        assert_eq!(q.pop(), Some((t, 0)));
+        for i in 1..=50 {
+            q.schedule(t + 2, i);
+        }
+        q.schedule(t + 1, 51);
+        q.schedule(t + 3, 52);
+        q.schedule(t + 2, 53);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let mut expect = vec![(t + 1, 51)];
+        expect.extend((1..=50).map(|i| (t + 2, i)));
+        expect.extend([(t + 2, 53), (t + 3, 52)]);
+        assert_eq!(order, expect);
     }
 
     #[test]

@@ -37,17 +37,28 @@ impl Bandwidth {
     }
 
     /// Time to serialize `bytes` onto the wire, in ns, rounded to nearest.
-    /// Uses 128-bit intermediates so multi-gigabyte transfers don't overflow.
+    /// Every packet of every hop asks this, so the division is 64-bit when
+    /// the numerator fits (anything under ~2.3 GB) and 128-bit otherwise,
+    /// so multi-gigabyte transfers still don't overflow.
     #[inline]
     pub fn tx_time_ns(self, bytes: u64) -> u64 {
         debug_assert!(self.0 > 0);
-        ((bytes as u128 * 8 * 1_000_000_000 + self.0 as u128 / 2) / self.0 as u128) as u64
+        match bytes.checked_mul(8 * 1_000_000_000).and_then(|n| n.checked_add(self.0 / 2)) {
+            Some(n) => n / self.0,
+            None => {
+                ((bytes as u128 * 8 * 1_000_000_000 + self.0 as u128 / 2) / self.0 as u128) as u64
+            }
+        }
     }
 
-    /// Bytes transmittable in `ns` nanoseconds at this rate (floor).
+    /// Bytes transmittable in `ns` nanoseconds at this rate (floor); 64-bit
+    /// arithmetic when the product fits, 128-bit otherwise.
     #[inline]
     pub fn bytes_in_ns(self, ns: u64) -> u64 {
-        (self.0 as u128 * ns as u128 / 8 / 1_000_000_000) as u64
+        match self.0.checked_mul(ns) {
+            Some(bit_ns) => bit_ns / (8 * 1_000_000_000),
+            None => (self.0 as u128 * ns as u128 / 8 / 1_000_000_000) as u64,
+        }
     }
 
     /// Scale the bandwidth by a rational factor `num/den` (e.g. rate limits).
@@ -76,6 +87,7 @@ impl fmt::Display for Bandwidth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn serialization_times_match_paper_arithmetic() {
@@ -103,6 +115,37 @@ mod tests {
         // 1 TB at 1 Mbps doesn't overflow.
         let t = Bandwidth::mbps(1).tx_time_ns(1_000_000_000_000);
         assert_eq!(t, 8_000_000_000_000_000);
+    }
+
+    /// The all-`u128` formulas both conversions used before they took the
+    /// `u64` path when it fits.
+    fn tx_time_ns_wide(rate: u64, bytes: u64) -> u64 {
+        ((bytes as u128 * 8 * 1_000_000_000 + rate as u128 / 2) / rate as u128) as u64
+    }
+
+    fn bytes_in_ns_wide(rate: u64, ns: u64) -> u64 {
+        (rate as u128 * ns as u128 / 8 / 1_000_000_000) as u64
+    }
+
+    proptest! {
+        #[test]
+        fn narrow_and_wide_paths_agree(
+            rate in 1_000_000_000u64..=1_600_000_000_000,
+            bytes in 0u64..=1 << 40,
+            ns in any::<u64>(),
+        ) {
+            let bw = Bandwidth(rate);
+            prop_assert_eq!(bw.tx_time_ns(bytes), tx_time_ns_wide(rate, bytes));
+            prop_assert_eq!(bw.bytes_in_ns(ns), bytes_in_ns_wide(rate, ns));
+            // Either side of the edge where each product stops fitting a u64.
+            let edge_bytes = u64::MAX / 8_000_000_000;
+            let edge_ns = u64::MAX / rate;
+            for d in 0..3 {
+                let (b, n) = (edge_bytes - 1 + d, edge_ns - 1 + d);
+                prop_assert_eq!(bw.tx_time_ns(b), tx_time_ns_wide(rate, b));
+                prop_assert_eq!(bw.bytes_in_ns(n), bytes_in_ns_wide(rate, n));
+            }
+        }
     }
 
     #[test]

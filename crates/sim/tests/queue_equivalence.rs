@@ -4,10 +4,11 @@
 //! including FIFO order among events scheduled for the same instant, the
 //! property that keeps seeded runs reproducible.
 
-use openoptics_sim::{EventQueue, SimTime};
+use openoptics_sim::{EventQueue, QueueStats, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
+use std::fmt::Debug;
 
 /// Reference model: a min-heap over `(time, seq)`; `seq` is the insertion
 /// counter, so ties pop in FIFO order — exactly the queue's contract.
@@ -34,6 +35,168 @@ fn check_pop_wide(cal: &mut EventQueue<Wide>, reference: &Reference) -> Result<(
     let got = cal.pop().map(|(t, p)| (t.as_ns(), p));
     let want = reference.peek().map(|&Reverse((t, s))| (t, wide(t, s)));
     prop_assert_eq!(got, want);
+    Ok(())
+}
+
+/// The geometry the exported counts depend on, restated rather than
+/// imported: a change to either moves `sim.far_scheduled` on every
+/// workload and has to show up here as a reviewed diff.
+const BUCKET_NS: u64 = 1 << 10;
+const WINDOW_BUCKETS: u64 = 4096;
+
+type Keys = BTreeSet<(u64, u64)>;
+
+/// An independent statement of where a schedule lands and where the cursor
+/// goes, over three ordered sets of `(time, seq)` keys: enough to predict
+/// every delivery, `pop_before` horizons included, and every `QueueStats`
+/// field.
+#[derive(Default)]
+struct Model {
+    base: u64,
+    cur: u64,
+    near: Keys,
+    overlay: Keys,
+    far: Keys,
+    stats: QueueStats,
+}
+
+impl Model {
+    fn schedule(&mut self, time: u64) -> u64 {
+        let seq = self.stats.scheduled_total;
+        self.stats.scheduled_total += 1;
+        self.stats.len += 1;
+        self.stats.peak_len = self.stats.peak_len.max(self.stats.len);
+        let b = time / BUCKET_NS;
+        if b >= self.base + WINDOW_BUCKETS {
+            self.stats.far_scheduled += 1;
+            self.far.insert((time, seq));
+        } else if b < self.cur {
+            self.stats.overlay_scheduled += 1;
+            self.overlay.insert((time, seq));
+        } else {
+            self.near.insert((time, seq));
+        }
+        seq
+    }
+
+    /// The earliest pending key. Looking for it is what moves the cursor:
+    /// not at all while something waits behind it, else to the earliest
+    /// ring event's bucket, and when the ring is empty the whole window
+    /// jumps to the earliest far event and takes in what now fits.
+    fn head(&mut self) -> Option<(u64, u64)> {
+        if self.overlay.is_empty() {
+            if self.near.is_empty() {
+                self.base = self.far.first()?.0 / BUCKET_NS;
+                let beyond = self.far.split_off(&((self.base + WINDOW_BUCKETS) * BUCKET_NS, 0));
+                self.near = std::mem::replace(&mut self.far, beyond);
+            }
+            self.cur = self.near.first()?.0 / BUCKET_NS;
+        }
+        self.near.first().into_iter().chain(self.overlay.first()).min().copied()
+    }
+
+    fn pop_before(&mut self, until: u64) -> Option<(u64, u64)> {
+        let head = self.head().filter(|&(time, _)| time <= until)?;
+        if !self.near.remove(&head) {
+            self.overlay.remove(&head);
+        }
+        self.stats.len -= 1;
+        self.stats.popped_total += 1;
+        Some(head)
+    }
+}
+
+/// One step of [`drive`]: `raw` picks the offset, the horizon or nothing.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Schedule `raw %` this many ns after the last delivery.
+    Ahead(u64),
+    /// Schedule up to 3 us *before* the last delivery: the cursor's bucket
+    /// or one behind it.
+    Behind,
+    /// Schedule within 1.5 us of the window's far end: the last ring bucket
+    /// or the first far one.
+    WindowEdge,
+    /// `pop_before` a horizon up to 20 us past the last delivery — often
+    /// short of the head, which moves the cursor and delivers nothing.
+    PopBefore,
+    Pop,
+    Peek,
+    /// Clone the queue; the copy takes every later step too.
+    Fork,
+}
+
+fn step() -> impl Strategy<Value = (Step, u64)> {
+    let kind = prop_oneof![
+        Just(Step::Ahead(1)),
+        Just(Step::Ahead(2_000)),
+        Just(Step::Ahead(2_000)),
+        Just(Step::Ahead(300_000)),
+        Just(Step::Ahead(30_000_000)),
+        Just(Step::Behind),
+        Just(Step::WindowEdge),
+        Just(Step::PopBefore),
+        Just(Step::PopBefore),
+        Just(Step::Pop),
+        Just(Step::Peek),
+        Just(Step::Fork),
+    ];
+    (kind, any::<u64>())
+}
+
+/// Run `steps`, then pops enough to drain whatever they left, on a queue
+/// carrying `payload(time, seq)`, on every fork of it, and on the
+/// [`Model`]; all must agree on every answer and, after every step, on the
+/// statistics.
+fn drive<P: Clone + PartialEq + Debug>(
+    steps: &[(Step, u64)],
+    payload: fn(u64, u64) -> P,
+) -> Result<(), TestCaseError> {
+    let mut queues = vec![EventQueue::<P>::new()];
+    let mut model = Model::default();
+    let mut now = 0u64;
+    // A step schedules at most one event, so this many pops end on `None`.
+    let drain = std::iter::repeat_n((Step::Pop, 0), steps.len() + 1);
+    for (step, raw) in steps.iter().copied().chain(drain) {
+        let time = match step {
+            Step::Ahead(span) => Some(now + raw % span),
+            Step::Behind => Some(now.saturating_sub(raw % 3_000)),
+            Step::WindowEdge => {
+                Some((model.base + WINDOW_BUCKETS) * BUCKET_NS - 1_500 + raw % 3_000)
+            }
+            _ => None,
+        };
+        let until = if matches!(step, Step::PopBefore) { now + raw % 20_000 } else { u64::MAX };
+        match (step, time) {
+            (_, Some(time)) => {
+                let seq = model.schedule(time);
+                for q in &mut queues {
+                    q.schedule(SimTime::from_ns(time), payload(time, seq));
+                }
+            }
+            (Step::Fork, _) if queues.len() < 4 => queues.push(queues[0].clone()),
+            (Step::Fork, _) => {}
+            (Step::Peek, _) => {
+                let want = model.head().map(|(time, _)| time);
+                for q in &mut queues {
+                    prop_assert_eq!(q.peek_time().map(SimTime::as_ns), want);
+                }
+            }
+            _ => {
+                let want = model.pop_before(until);
+                for q in &mut queues {
+                    let got = q.pop_before(SimTime::from_ns(until));
+                    let got = got.map(|(time, p)| (time.as_ns(), p));
+                    prop_assert_eq!(got, want.map(|(time, seq)| (time, payload(time, seq))));
+                }
+                now = want.map_or(now, |(time, _)| time);
+            }
+        }
+        for q in &queues {
+            prop_assert_eq!(q.stats(), model.stats);
+        }
+    }
+    prop_assert_eq!(model.stats.len, 0);
     Ok(())
 }
 
@@ -132,5 +295,17 @@ proptest! {
         while !reference.is_empty() {
             check_pop(&mut cal, &mut reference)?;
         }
+    }
+
+    /// Bounded pops, schedules at and behind the cursor, and forks, against
+    /// the model — deliveries, the three-way classification counts and the
+    /// fork contract (a clone delivers the identical remainder) — with the
+    /// narrow payload and with one the size of the engine's `Event`.
+    #[test]
+    fn horizons_past_schedules_and_forks_match_the_model(
+        steps in collection::vec(step(), 0..300)
+    ) {
+        drive(&steps, |_, seq| seq)?;
+        drive(&steps, wide)?;
     }
 }

@@ -2,7 +2,8 @@
 //! exactly, where a timing would not. A packet is written once into the
 //! engine's store and named by a handle from then on, so forwarding it —
 //! switch ingress, calendar dequeue, host transmit — must not touch the
-//! allocator. Its own test binary because it installs a counting
+//! allocator, and neither must the event queue that carries it between
+//! them. Its own test binary because it installs a counting
 //! `#[global_allocator]`; the count is per thread, so the harness and
 //! sibling tests do not disturb it.
 
@@ -183,4 +184,41 @@ fn host_tx_with_an_unchanged_backlog_allocates_nothing() -> Result<(), Error> {
     assert_eq!(q.len(), 2);
     assert_eq!(allocations, 0);
     Ok(())
+}
+
+/// The event queue under every handler: each event sits in one slab node
+/// from `schedule` to `pop` and a popped node is the next one reused, so
+/// once the slab and the far heap have seen their busiest moment, churn —
+/// serialization and propagation delays, slice boundaries, 10 ms watchdogs
+/// that cross the near window — never touches the allocator.
+#[test]
+fn steady_state_queue_churn_allocates_nothing() {
+    const PENDING: usize = 500;
+    let mut q = EventQueue::new();
+    for i in 0..PENDING as u64 {
+        q.schedule(SimTime::from_ns(i * 37 % SLICE_NS), Event::HostTx(HostId(0)));
+    }
+    let step = |q: &mut EventQueue<Event>, i: u64| {
+        if let Some((now, ev)) = q.pop() {
+            let delay_ns = match i % 1_000 {
+                0 => 10_000_000,
+                n if n % 10 == 1 => SLICE_NS,
+                n if n % 2 == 0 => 120,
+                _ => 500,
+            };
+            q.schedule_after(now, delay_ns, ev);
+        }
+        assert!(q.slab_nodes() <= q.stats().peak_len);
+    };
+    // Three watchdog periods: a step advances the clock ~30 ns.
+    (0..1_000_000).for_each(|i| step(&mut q, i));
+    let before = q.stats();
+    let (allocations, ()) = allocations_in(|| (0..100_000).for_each(|i| step(&mut q, i)));
+    let after = q.stats();
+    assert_eq!((q.len(), after.peak_len), (PENDING, PENDING));
+    assert_eq!(after.popped_total - before.popped_total, 100_000);
+    // Every watchdog leaves the window, and so does a slice-scale delay
+    // scheduled near the window's end.
+    assert!(after.far_scheduled - before.far_scheduled >= 100);
+    assert_eq!(allocations, 0);
 }
