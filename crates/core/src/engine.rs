@@ -12,6 +12,8 @@
 //! — queue rotation, guardbands, EQO, congestion responses, push-back,
 //! offloading — happens as a consequence.
 
+use std::cell::RefCell;
+
 use crate::config::NetConfig;
 use crate::net::DeployError;
 use openoptics_fabric::{Circuit, ClockSync, Fabric, FabricProfile, OpticalSchedule};
@@ -35,8 +37,8 @@ use openoptics_switch::offload::OffloadPolicy;
 use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::json;
 use openoptics_telemetry::{
-    FlightTrigger, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow, ServiceStats,
-    SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
+    FlightTrigger, Frame, FrameLog, Labels, Mirror, QuantileSketch, Registry, RetxKind, SampleRow,
+    ServiceStats, SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
 };
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::fct::{FlowRecord, ELEPHANT_MIN_BYTES, MICE_MAX_BYTES};
@@ -62,8 +64,11 @@ const SEGMENT_QUEUE_BYTES: u64 = 4 * 1024 * 1024;
 const SPAN_CAPACITY: usize = 65_536;
 /// Sample rows kept by the time-series store (keep-first, like the trace).
 const SAMPLE_CAPACITY: usize = 65_536;
-/// Frame lines kept by the subscription frame log.
+/// Frames kept by the subscription frame log. Every row has a frame, so a
+/// log no larger than the series fills no later than it: a kept sample
+/// frame always finds its row.
 const FRAME_CAPACITY: usize = 65_536;
+const _: () = assert!(FRAME_CAPACITY <= SAMPLE_CAPACITY);
 /// Flow-class labels for the per-class latency sketches, index-aligned
 /// with [`Engine::class_sketches`] (mice < 100 KB ≤ medium < 1 MB ≤
 /// elephants).
@@ -535,6 +540,9 @@ pub struct Engine {
     pub delay_samples: Vec<u64>,
     /// Metrics registry + trace stream (disabled = every handle detached).
     telemetry: Registry,
+    /// The handles [`Engine::sync_telemetry`] writes through, bound against
+    /// `telemetry` on first use (a `RefCell` because mirroring is `&self`).
+    mirror: RefCell<Mirror>,
     /// The registry's trace stream: bound once at construction, `detached`
     /// (inert) when telemetry is off so hot paths pay one branch.
     trace: Trace,
@@ -546,8 +554,9 @@ pub struct Engine {
     /// Sim-time-sampled counter/gauge/service series (empty unless
     /// `sample_every_ns > 0`).
     timeseries: TimeSeries,
-    /// Rendered frame lines for streaming subscriptions (samples, SLO
-    /// transitions, flight-recorder dumps).
+    /// Frames for streaming subscriptions: each sample as the index of its
+    /// row in `timeseries`, SLO transitions and flight-recorder dumps as
+    /// rendered lines.
     frames: FrameLog,
     /// Injected fault campaign (empty = sunny-day run).
     faults: FaultRuntime,
@@ -679,6 +688,7 @@ impl Engine {
             watchdog_retransmit: true,
             delay_samples: vec![],
             telemetry,
+            mirror: RefCell::default(),
             trace,
             services: vec![],
             class_sketches: [QuantileSketch::new(), QuantileSketch::new(), QuantileSketch::new()],
@@ -769,8 +779,9 @@ impl Engine {
     /// checkpoint fork. The derived `Clone` copies all simulation state but
     /// shares telemetry/obs buffers through `Rc` handles; this method then
     /// deep-clones those buffers and re-binds every held instrument handle
-    /// against the copy, so the fork and the original diverge without ever
-    /// writing into each other's exports.
+    /// against the copy (the mirror's are dropped by its `Clone` and bind
+    /// again on its next pass), so the fork and the original diverge without
+    /// ever writing into each other's exports.
     pub fn fork(&self) -> Engine {
         let mut e = self.clone();
         e.telemetry = self.telemetry.deep_clone();
@@ -826,39 +837,40 @@ impl Engine {
     }
 
     /// Mirror engine-side plain counters into the registry so a snapshot
-    /// sees them. Cheap relative to a snapshot; call before snapshotting.
+    /// sees them; call before snapshotting. After the first call a pass is
+    /// a store per series through the handles `mirror` holds.
     /// `qs` carries the event-queue statistics, which live outside the
     /// engine (the sim crate does not depend on telemetry).
     pub fn sync_telemetry(&self, qs: openoptics_sim::QueueStats) {
-        let reg = &self.telemetry;
-        if !reg.is_enabled() {
+        if !self.telemetry.is_enabled() {
             return;
         }
+        let mut mirror = self.mirror.borrow_mut();
+        let m = &mut mirror.pass(&self.telemetry);
         for (name, v) in self.counters.counter_pairs() {
-            reg.counter(name, Labels::None).set(v);
+            m.counter(name, Labels::None, v);
         }
-        reg.counter("sim.events_scheduled", Labels::None).set(qs.scheduled_total);
-        reg.counter("sim.events_popped", Labels::None).set(qs.popped_total);
-        reg.counter("sim.events_far_scheduled", Labels::None).set(qs.far_scheduled);
-        reg.counter("sim.events_overlay_scheduled", Labels::None).set(qs.overlay_scheduled);
-        reg.gauge("sim.queue_len", Labels::None).set(qs.len as i64);
-        reg.gauge("sim.queue_peak_len", Labels::None).set(qs.peak_len as i64);
+        m.counter("sim.events_scheduled", Labels::None, qs.scheduled_total);
+        m.counter("sim.events_popped", Labels::None, qs.popped_total);
+        m.counter("sim.events_far_scheduled", Labels::None, qs.far_scheduled);
+        m.counter("sim.events_overlay_scheduled", Labels::None, qs.overlay_scheduled);
+        m.gauge("sim.queue_len", Labels::None, qs.len as i64);
+        m.gauge("sim.queue_peak_len", Labels::None, qs.peak_len as i64);
         for (name, v) in self.fabric.counter_pairs() {
-            reg.counter(name, Labels::None).set(v);
+            m.counter(name, Labels::None, v);
         }
         for t in &self.tors {
             let node = Labels::Node(t.cfg.id);
             for (name, v) in t.counters.counter_pairs() {
-                reg.counter(name, node).set(v);
+                m.counter(name, node, v);
             }
             let (pb_events, pb_emitted) = t.pushback_stats();
-            reg.counter("tor.pushback_events", node).set(pb_events);
-            reg.counter("tor.pushback_emitted", node).set(pb_emitted);
-            reg.counter("tor.rank_overflows", node).set(t.rank_overflows());
-            reg.counter("tor.offloaded_packets", node).set(t.offload_book.offloaded_packets);
-            reg.gauge("tor.buffer_bytes", node).set(t.buffer_bytes().min(i64::MAX as u64) as i64);
-            reg.gauge("tor.peak_buffer_bytes", node)
-                .set(t.peak_buffer_bytes.min(i64::MAX as u64) as i64);
+            m.counter("tor.pushback_events", node, pb_events);
+            m.counter("tor.pushback_emitted", node, pb_emitted);
+            m.counter("tor.rank_overflows", node, t.rank_overflows());
+            m.counter("tor.offloaded_packets", node, t.offload_book.offloaded_packets);
+            m.gauge("tor.buffer_bytes", node, t.buffer_bytes().min(i64::MAX as u64) as i64);
+            m.gauge("tor.peak_buffer_bytes", node, t.peak_buffer_bytes.min(i64::MAX as u64) as i64);
         }
         let mut pauses = 0u64;
         let mut resumes = 0u64;
@@ -874,21 +886,24 @@ impl Engine {
                 queued += v.total_queued();
             }
         }
-        reg.counter("host.vma_pause_transitions", Labels::None).set(pauses);
-        reg.counter("host.vma_resume_transitions", Labels::None).set(resumes);
-        reg.counter("host.vma_block_extensions", Labels::None).set(blocks);
-        reg.counter("host.vma_app_pushbacks", Labels::None).set(app_pushbacks);
-        reg.gauge("host.vma_queued_bytes", Labels::None).set(queued.min(i64::MAX as u64) as i64);
-        reg.gauge("fabric.sync_max_err_ns", Labels::None)
-            .set(self.sync.max_err_ns().min(i64::MAX as u64) as i64);
-        reg.counter("fct.completed_flows", Labels::None).set(self.fct.completed().len() as u64);
+        m.counter("host.vma_pause_transitions", Labels::None, pauses);
+        m.counter("host.vma_resume_transitions", Labels::None, resumes);
+        m.counter("host.vma_block_extensions", Labels::None, blocks);
+        m.counter("host.vma_app_pushbacks", Labels::None, app_pushbacks);
+        m.gauge("host.vma_queued_bytes", Labels::None, queued.min(i64::MAX as u64) as i64);
+        m.gauge(
+            "fabric.sync_max_err_ns",
+            Labels::None,
+            self.sync.max_err_ns().min(i64::MAX as u64) as i64,
+        );
+        m.counter("fct.completed_flows", Labels::None, self.fct.completed().len() as u64);
         if !self.faults.specs().is_empty() {
             for (name, v) in self.faults.totals().counter_pairs() {
-                reg.counter(name, Labels::None).set(v);
+                m.counter(name, Labels::None, v);
             }
         }
-        self.cursors.spans().mirror_into(reg);
-        self.profiler.mirror_into(reg);
+        self.cursors.spans().mirror_into(m);
+        self.profiler.mirror_into(m);
     }
 
     // -- services, sampling, and the frame stream ---------------------------
@@ -920,6 +935,16 @@ impl Engine {
     /// The subscription frame log.
     pub fn frames(&self) -> &FrameLog {
         &self.frames
+    }
+
+    /// Write one of [`Engine::frames`] as its JSON value: a sample from the
+    /// row it indexes in this engine's time series, an event frame's stored
+    /// line as it is.
+    pub fn write_frame(&self, frame: &Frame, w: &mut json::Writer) {
+        match frame {
+            Frame::Sample(row) => w.value(&self.timeseries.rows()[*row]),
+            Frame::Line(line) => w.raw(line),
+        }
     }
 
     /// Feed one completed flow into latency accounting: its class sketch
@@ -957,23 +982,27 @@ impl Engine {
             w.field("bad", svc.bad());
             w.field("total", svc.total());
         });
-        self.frames.push(line);
+        self.frames.push(Frame::Line(line));
         self.trace.emit(now, kind);
     }
 
-    /// One sampling tick: mirror counters, snapshot, and append the row to
-    /// the time series and the frame log.
+    /// One sampling tick: mirror counters (full series or not, so what the
+    /// registry shows between ticks does not depend on it), store the row,
+    /// and note its index in the frame log. Nothing is rendered here: a
+    /// subscriber draining the frame or a time-series export does that.
     fn take_sample(&mut self, now: SimTime, queue_stats: openoptics_sim::QueueStats) {
         self.sync_telemetry(queue_stats);
-        let snap = self.telemetry.snapshot(now);
-        let row = SampleRow {
-            at_ns: now.as_ns(),
-            counters: snap.counters,
-            gauges: snap.gauges,
-            services: self.services.iter().map(|s| s.summary()).collect(),
-        };
-        self.frames.push(row.to_json());
-        self.timeseries.push(row);
+        let index = self.timeseries.len();
+        self.timeseries.push_with(|| {
+            let reg = &self.telemetry;
+            let (counters, gauges) = (reg.counter_values(), reg.gauge_values());
+            let services = self.services.iter().map(|s| s.summary()).collect();
+            SampleRow { at_ns: now.as_ns(), counters, gauges, services }
+        });
+        self.frames.push_with(|| {
+            assert!(index < self.timeseries.len(), "a kept sample frame has no row");
+            Frame::Sample(index)
+        });
     }
 
     /// Dump the flight recorder — the trace stream's ring of most recent
@@ -991,7 +1020,7 @@ impl Engine {
             w.field("trigger", trigger.as_str());
             w.field("records", &recent);
         });
-        self.frames.push(line);
+        self.frames.push(Frame::Line(line));
         self.trace.emit(now, TraceKind::FlightDump { trigger, records: idx_u32(recent.len()) });
     }
 

@@ -40,6 +40,6 @@ pub use openoptics_faults::{
     FaultCounters, FaultError, FaultKind, FaultPlan, FaultPlanBuilder, FaultReport, FaultSpec,
 };
 pub use openoptics_telemetry::{
-    FrameLog, QuantileSketch, SampleRow, SloSummary, SloTarget, TimeSeries,
+    Frame, FrameLog, QuantileSketch, SampleRow, SloSummary, SloTarget, TimeSeries,
 };
 pub use workflow::run_ta_loop;

@@ -617,6 +617,7 @@ impl OpenOpticsNet {
 
     /// The subscription frame stream captured so far: sample rows, SLO
     /// state transitions, and flight-recorder dumps, in emission order.
+    /// [`Engine::write_frame`] turns one into its JSON value.
     pub fn frames(&self) -> &openoptics_telemetry::FrameLog {
         self.engine.frames()
     }
@@ -792,6 +793,46 @@ mod tests {
             .expect("testbed routing deploys");
         off.run_for(SimTime::from_ms(1));
         assert!(off.export_timeseries().is_err());
+    }
+
+    /// The handles `sync_telemetry` writes through were bound against one
+    /// registry. A fork binds its own: running it moves the series it
+    /// mirrors and no cell of the parent. A fault plan installed after
+    /// the first tick lengthens the sequence, and its series still export.
+    #[test]
+    fn a_fork_mirrors_into_its_own_registry_and_late_faults_export(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        let cfg = NetConfig { sample_every_ns: 100_000, ..small_cfg() };
+        let mut net = rotor_net(&cfg);
+        net.deploy_routing(Vlb, LookupMode::PerHop, MultipathMode::PerPacket)?;
+        net.add_flow(SimTime::from_ns(100), HostId(0), HostId(3), 4 << 20, TransportKind::Paced);
+        net.run_for(SimTime::from_us(250));
+        assert_eq!(net.engine.timeseries().len(), 2, "two ticks bound the handles");
+        let exported = net.export_telemetry("json")?;
+        let raw = net.telemetry().snapshot(net.now());
+        assert!(!exported.contains("faults."), "no plan yet:\n{exported}");
+
+        let mut fork = net.fork();
+        assert_eq!(fork.export_telemetry("json")?, exported);
+        let plan = openoptics_faults::FaultPlan::builder()
+            .link_down(NodeId(0), PortId(0), 300_000, 400_000)
+            .build()?;
+        fork.inject_faults(&plan)?;
+        fork.run_for(SimTime::from_us(500));
+        let moved = fork.telemetry_snapshot();
+        assert!(moved.counter("sim.events_popped") > raw.counter("sim.events_popped"));
+        assert!(
+            moved.counter("engine.delivered_packets") > raw.counter("engine.delivered_packets")
+        );
+        assert!(moved.counters.iter().any(|(name, _)| name.starts_with("faults.")));
+        let last = fork.engine.timeseries().rows().last().ok_or("no rows")?;
+        assert!(last.counters.iter().any(|(name, _)| name.starts_with("faults.")));
+
+        // Read without mirroring first: what the fork's ticks would have
+        // overwritten had they kept the parent's handles.
+        assert_eq!(net.telemetry().snapshot(net.now()), raw, "the fork wrote the parent's cells");
+        assert_eq!(net.export_telemetry("json")?, exported);
+        Ok(())
     }
 
     #[test]

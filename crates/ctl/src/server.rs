@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-use openoptics_core::json::{self, object, Json, Reader};
+use openoptics_core::json::{self, object, Json, Reader, Writer};
 
 use crate::checkpoint::{Checkpoint, Op};
 use crate::scenario::{Scenario, ScenarioError};
@@ -140,28 +140,28 @@ impl ControlPlane {
     }
 
     /// Frame lines owed to `subs` since the last drain, advancing every
-    /// cursor. Subscriptions to sessions that no longer exist stay
-    /// registered but yield nothing.
+    /// cursor. This is where a frame becomes a line (`Engine::write_frame`
+    /// renders a sample from its row, once per subscriber that drains it,
+    /// and splices an event frame's stored line in). Subscriptions to sessions that no
+    /// longer exist stay registered but yield nothing.
     fn drain_frames(&self, subs: &mut Subscriptions) -> Vec<String> {
         let mut out = Vec::new();
         for (name, cursor) in subs.cursors.iter_mut() {
             let Some(s) = self.sessions.get(name) else { continue };
-            let frames = s.net().frames();
+            let engine = &s.net().engine;
+            let frames = engine.frames();
             let fresh = frames.since(*cursor);
             let take = fresh.len().min(MAX_FRAMES_PER_TURN);
-            let frame_line = |frame: &str| {
-                object(|w| {
-                    w.field("sub", name);
-                    w.key("frame");
-                    w.raw(frame);
-                })
-            };
-            out.extend(fresh[..take].iter().map(|line| frame_line(line)));
+            out.extend(
+                fresh[..take].iter().map(|f| frame_line(name, |w| engine.write_frame(f, w))),
+            );
             if fresh.len() > take {
-                out.push(frame_line(&object(|w| {
-                    w.field("frame", "overflow");
-                    w.field("skipped", fresh.len() - take);
-                })));
+                out.push(frame_line(name, |w| {
+                    w.obj(|w| {
+                        w.field("frame", "overflow");
+                        w.field("skipped", fresh.len() - take);
+                    })
+                }));
             }
             *cursor = frames.len();
         }
@@ -298,6 +298,15 @@ impl ControlPlane {
         let name = at.str()?;
         self.sessions.get_mut(name).ok_or_else(|| at.err(format!("no session named `{name}`")))
     }
+}
+
+/// One streamed line: the subscription's name and the frame `frame` writes.
+fn frame_line(sub: &str, frame: impl FnOnce(&mut Writer)) -> String {
+    object(|w| {
+        w.field("sub", sub);
+        w.key("frame");
+        frame(w);
+    })
 }
 
 fn now_obj(s: &Session) -> String {

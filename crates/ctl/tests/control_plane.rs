@@ -560,6 +560,83 @@ fn subscription_stream_is_reproducible() -> Result<(), Box<dyn std::error::Error
     Ok(())
 }
 
+/// A sample is stored once, as its row, and rendered where it is read: the
+/// frame a subscriber drains and the `export timeseries` line with the same
+/// `t_ns` are the same bytes, event frames keep their place between the
+/// samples, and a fork's or a restored session's frames index that
+/// session's own rows — all three continue with the same stream.
+#[test]
+fn streamed_sample_frames_are_the_exported_rows() -> Result<(), Box<dyn std::error::Error>> {
+    let mut cp = ControlPlane::new();
+    let mut subs = Subscriptions::new();
+    let mut call = |req: String| cp.handle_request(&req, &mut subs);
+    let text_of = |response: &str| -> Result<String, Box<dyn std::error::Error>> {
+        let doc = json::parse(response)?;
+        Ok(doc.get("result").and_then(|r| r.get("text")).ok_or("no text")?.as_str()?.to_string())
+    };
+    call(format!(
+        r#"{{"id":1,"method":"load","params":{{"name":"s","scenario":{SLO_SCENARIO}}}}}"#
+    ));
+    call(r#"{"id":2,"method":"subscribe","params":{"name":"s"}}"#.to_string());
+    // Mid-stream: the fault window (and its flight dump) is open at 700 us.
+    let mut streams = vec![call(
+        r#"{"id":3,"method":"run_until","params":{"name":"s","ns":700000}}"#.to_string(),
+    )];
+    let ckpt = call(r#"{"id":4,"method":"checkpoint","params":{"name":"s"}}"#.to_string());
+    let ckpt = json::parse(&ckpt[0])?;
+    let ckpt = ckpt.get("result").and_then(|r| r.get("checkpoint")).ok_or("no checkpoint")?;
+    call(format!(r#"{{"id":5,"method":"restore","params":{{"name":"r","checkpoint":{ckpt}}}}}"#));
+    call(r#"{"id":6,"method":"fork","params":{"name":"f","from":"s"}}"#.to_string());
+    for name in ["r", "f"] {
+        call(format!(r#"{{"id":7,"method":"subscribe","params":{{"name":"{name}"}}}}"#));
+    }
+    // One session per turn, so each turn's frames are one session's; the
+    // second fault window puts a flight dump into every continuation.
+    for name in ["s", "r", "f"] {
+        call(format!(
+            r#"{{"id":8,"method":"inject_faults","params":{{"name":"{name}","faults":[{{"kind":"link_down","node":1,"port":1,"start_ns":1250000,"end_ns":1600000}}]}}}}"#
+        ));
+        streams.push(call(format!(
+            r#"{{"id":9,"method":"run_until","params":{{"name":"{name}","ns":2000000}}}}"#
+        )));
+    }
+    let mut tails = Vec::new();
+    for (name, turns) in [("s", &streams[..2]), ("r", &streams[2..3]), ("f", &streams[3..])] {
+        let export = call(format!(
+            r#"{{"id":10,"method":"export","params":{{"name":"{name}","what":"timeseries"}}}}"#
+        ));
+        let rows = text_of(&export[0])?;
+        let prefix = format!(r#"{{"sub":"{name}","frame":"#);
+        let (mut samples, mut events, mut last_ns) = (0, 0, 0);
+        let mut tail = Vec::new();
+        for line in turns.iter().flat_map(|turn| &turn[..turn.len() - 1]) {
+            let frame = line
+                .strip_prefix(&prefix)
+                .and_then(|l| l.strip_suffix('}'))
+                .ok_or_else(|| format!("not a frame of `{name}`: {line}"))?;
+            let doc = json::parse(frame)?;
+            let t_ns = doc.get("t_ns").ok_or("a frame without t_ns")?.as_u64()?;
+            assert!(t_ns >= last_ns, "frames out of order at {t_ns}: {line}");
+            last_ns = t_ns;
+            if doc.get("frame").ok_or("no kind")?.as_str()? == "sample" {
+                let row = rows.lines().find(|r| r.contains(&format!(r#""t_ns":{t_ns},"#)));
+                assert_eq!(Some(frame), row, "frame and exported row differ at {t_ns}");
+                samples += 1;
+            } else {
+                events += 1;
+            }
+            if t_ns > 700_000 {
+                tail.push(frame.to_string());
+            }
+        }
+        assert!(samples >= if name == "s" { 19 } else { 12 }, "{name}: {samples} samples");
+        assert!(events > 0, "{name}: no slo or flight frame between the samples");
+        tails.push(tail);
+    }
+    assert!(tails[0] == tails[1] && tails[0] == tails[2], "s, r and f continue differently");
+    Ok(())
+}
+
 #[test]
 fn unsubscribe_stops_the_stream_and_frames_only_flow_while_subscribed() {
     let mut cp = ControlPlane::new();

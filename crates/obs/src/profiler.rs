@@ -20,7 +20,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use openoptics_sim::time::SimTime;
-use openoptics_telemetry::{Labels, Registry};
+use openoptics_telemetry::{Labels, MirrorPass};
 
 /// Engine phase charged for an event or a nested piece of work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -339,9 +339,11 @@ impl Profiler {
     }
 
     /// Mirror per-phase event counts into the telemetry registry.
-    pub fn mirror_into(&self, reg: &Registry) {
-        for (p, s) in self.stats() {
-            reg.counter(p.counter_name(), Labels::None).set(s.events);
+    pub fn mirror_into(&self, m: &mut MirrorPass<'_>) {
+        let Some(b) = &self.0 else { return };
+        let stats = b.stats.borrow();
+        for p in PHASES {
+            m.counter(p.counter_name(), Labels::None, stats[p.index()].events);
         }
     }
 }

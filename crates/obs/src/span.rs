@@ -17,7 +17,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use openoptics_sim::time::SimTime;
-use openoptics_telemetry::{Labels, Registry};
+use openoptics_telemetry::{Labels, MirrorPass};
 
 /// Lifecycle stage a span is attributed to.
 ///
@@ -298,13 +298,13 @@ impl Spans {
     }
 
     /// Mirror summary counters into the telemetry registry (`obs.*`).
-    pub fn mirror_into(&self, reg: &Registry) {
+    pub fn mirror_into(&self, m: &mut MirrorPass<'_>) {
         if !self.is_on() {
             return;
         }
-        reg.counter("obs.span_events", Labels::None).set(self.len() as u64);
-        reg.counter("obs.spans_started", Labels::None).set(self.started());
-        reg.counter("obs.spans_skipped", Labels::None).set(self.skipped());
+        m.counter("obs.span_events", Labels::None, self.len() as u64);
+        m.counter("obs.spans_started", Labels::None, self.started());
+        m.counter("obs.spans_skipped", Labels::None, self.skipped());
     }
 }
 

@@ -894,7 +894,7 @@ mod tests {
         let (_, eqo) = snap
             .histograms
             .iter()
-            .find(|(n, _)| n == "tor.eqo_abs_err_bytes{node=N0}")
+            .find(|(n, _)| &**n == "tor.eqo_abs_err_bytes{node=N0}")
             .expect("eqo histogram registered");
         assert_eq!(eqo.count, 1, "one admission, one EQO sample");
         let events: Vec<&'static str> =

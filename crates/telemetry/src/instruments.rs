@@ -109,8 +109,8 @@ pub(crate) struct HistData {
     max: Cell<u64>,
 }
 
-impl HistData {
-    pub(crate) fn new() -> Self {
+impl Default for HistData {
+    fn default() -> Self {
         HistData {
             counts: RefCell::new([0; HIST_BUCKETS]),
             count: Cell::new(0),
@@ -119,7 +119,9 @@ impl HistData {
             max: Cell::new(0),
         }
     }
+}
 
+impl HistData {
     #[inline]
     fn record(&self, v: u64) {
         self.counts.borrow_mut()[bucket_index(v)] += 1;
@@ -310,7 +312,7 @@ mod tests {
 
     #[test]
     fn histogram_summary_aggregates() {
-        let h = Histogram(Some(Rc::new(HistData::new())));
+        let h = Histogram(Some(Rc::default()));
         for v in [0u64, 1, 3, 3, 8, 1000] {
             h.record(v);
         }
@@ -326,7 +328,7 @@ mod tests {
 
     #[test]
     fn histogram_count_saturates() {
-        let h = Histogram(Some(Rc::new(HistData::new())));
+        let h = Histogram(Some(Rc::default()));
         h.0.as_ref().unwrap().count.set(u64::MAX);
         h.record(1);
         assert_eq!(h.summary().count, u64::MAX);

@@ -4,7 +4,9 @@
 //! log all keep the *first* `capacity` items they are handed and count the
 //! rest, so what a run exports never depends on how long it ran. This is
 //! that policy, once; [`KeepFirst::dropped`] is the single place a store's
-//! losses are read from.
+//! losses are read from. A full store does not ask for the item at all
+//! ([`KeepFirst::push_with`]): what a producer would spend building it —
+//! a sample row is a walk over every series — is not spent to bump a count.
 
 /// A `Vec` that stops growing at `capacity`: the first `capacity` items
 /// pushed are kept, in order, and later ones are counted in `dropped`.
@@ -24,8 +26,15 @@ impl<T> KeepFirst<T> {
     /// Append an item (counted, not kept, once the store is full).
     #[inline]
     pub fn push(&mut self, item: T) {
+        self.push_with(|| item);
+    }
+
+    /// Append the item `build` returns; a full store counts the loss
+    /// without calling `build`.
+    #[inline]
+    pub fn push_with(&mut self, build: impl FnOnce() -> T) {
         if self.items.len() < self.capacity {
-            self.items.push(item);
+            self.items.push(build());
         } else {
             self.dropped = self.dropped.saturating_add(1);
         }
@@ -55,5 +64,24 @@ impl<T> KeepFirst<T> {
     /// end) — the delta a reader at `cursor` has not yet seen.
     pub fn since(&self, cursor: usize) -> &[T] {
         self.items.get(cursor..).unwrap_or(&[])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_full_store_counts_without_building() {
+        let mut store = KeepFirst::new(2);
+        let mut built = 0;
+        for i in 0..5 {
+            store.push_with(|| {
+                built += 1;
+                i
+            });
+        }
+        assert_eq!(store.as_slice(), [0, 1]);
+        assert_eq!((built, store.dropped()), (2, 3));
     }
 }

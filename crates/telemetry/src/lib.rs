@@ -37,6 +37,9 @@ pub mod json;
 /// series and the frame log.
 pub mod keep_first;
 pub mod labels;
+/// Handles bound once for routines that copy plain fields into the
+/// registry before every snapshot.
+pub mod mirror;
 pub mod registry;
 /// Deterministic fixed-bucket quantile sketch (p50/p99/p999 with a
 /// documented ≤ 1/16 relative overestimate).
@@ -53,8 +56,9 @@ pub use error::TelemetryError;
 pub use instruments::{Counter, Gauge, Histogram, HistogramSummary};
 pub use keep_first::KeepFirst;
 pub use labels::Labels;
-pub use registry::{Registry, Snapshot};
+pub use mirror::{Mirror, MirrorPass};
+pub use registry::{Registry, SeriesName, Snapshot};
 pub use sketch::QuantileSketch;
 pub use slo::{ServiceStats, SloSummary, SloTarget, SloTransition};
-pub use timeseries::{FrameLog, SampleRow, TimeSeries};
+pub use timeseries::{Frame, FrameLog, SampleRow, TimeSeries};
 pub use trace::{FlightTrigger, RetxKind, Trace, TraceKind, TraceRecord};

@@ -1,6 +1,12 @@
 //! The metrics registry and its deterministic snapshots.
+//!
+//! A series renders its `{name}{labels}` string once, at the first
+//! snapshot that reads it, and every snapshot after that carries a shared
+//! handle ([`SeriesName`]) to the same string: registering a series
+//! formats nothing, and a snapshot allocates one `Vec` per instrument kind
+//! however many series there are.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -16,11 +22,44 @@ use crate::trace::Trace;
 /// ordering over this key is what makes snapshots deterministic.
 type Key = (&'static str, Labels);
 
+/// A series' rendered name, `{name}{labels}`: one string per series,
+/// shared by every snapshot and sample row that lists it.
+pub type SeriesName = Rc<str>;
+
+/// One registered series: its storage and, once a snapshot has read it,
+/// its rendered name.
+#[derive(Debug, Default)]
+struct Series<T> {
+    data: Rc<T>,
+    name: OnceCell<SeriesName>,
+}
+
+impl<T> Series<T> {
+    /// The rendered name of the series registered under `key`.
+    fn name(&self, (name, labels): &Key) -> SeriesName {
+        Rc::clone(self.name.get_or_init(|| format!("{name}{labels}").into()))
+    }
+}
+
+type SeriesMap<T> = RefCell<BTreeMap<Key, Series<T>>>;
+
+/// `(rendered name, value)` of every series in `map`, in key order.
+fn scalars<T: Copy>(map: &SeriesMap<Cell<T>>) -> Vec<(SeriesName, T)> {
+    map.borrow().iter().map(|(key, s)| (s.name(key), s.data.get())).collect()
+}
+
+/// A copy of `map` over separate storage, `copy` duplicating one series'
+/// (a name already rendered is shared, not rendered again).
+fn deep_cloned<T>(map: &SeriesMap<T>, copy: impl Fn(&T) -> T) -> SeriesMap<T> {
+    let series = |s: &Series<T>| Series { data: Rc::new(copy(&s.data)), name: s.name.clone() };
+    RefCell::new(map.borrow().iter().map(|(k, s)| (*k, series(s))).collect())
+}
+
 #[derive(Debug)]
 struct Inner {
-    counters: RefCell<BTreeMap<Key, Rc<Cell<u64>>>>,
-    gauges: RefCell<BTreeMap<Key, Rc<Cell<i64>>>>,
-    histograms: RefCell<BTreeMap<Key, Rc<HistData>>>,
+    counters: SeriesMap<Cell<u64>>,
+    gauges: SeriesMap<Cell<i64>>,
+    histograms: SeriesMap<HistData>,
     trace: Trace,
 }
 
@@ -74,7 +113,7 @@ impl Registry {
         match &self.inner {
             None => Counter::detached(),
             Some(inner) => Counter(Some(Rc::clone(
-                inner.counters.borrow_mut().entry((name, labels)).or_default(),
+                &inner.counters.borrow_mut().entry((name, labels)).or_default().data,
             ))),
         }
     }
@@ -83,9 +122,9 @@ impl Registry {
     pub fn gauge(&self, name: &'static str, labels: Labels) -> Gauge {
         match &self.inner {
             None => Gauge::detached(),
-            Some(inner) => {
-                Gauge(Some(Rc::clone(inner.gauges.borrow_mut().entry((name, labels)).or_default())))
-            }
+            Some(inner) => Gauge(Some(Rc::clone(
+                &inner.gauges.borrow_mut().entry((name, labels)).or_default().data,
+            ))),
         }
     }
 
@@ -94,11 +133,7 @@ impl Registry {
         match &self.inner {
             None => Histogram::detached(),
             Some(inner) => Histogram(Some(Rc::clone(
-                inner
-                    .histograms
-                    .borrow_mut()
-                    .entry((name, labels))
-                    .or_insert_with(|| Rc::new(HistData::new())),
+                &inner.histograms.borrow_mut().entry((name, labels)).or_default().data,
             ))),
         }
     }
@@ -118,40 +153,36 @@ impl Registry {
     /// of a checkpoint fork.
     pub fn deep_clone(&self) -> Registry {
         let Some(inner) = &self.inner else { return Registry::disabled() };
-        let counters = inner
-            .counters
-            .borrow()
-            .iter()
-            .map(|(k, v)| (*k, Rc::new(Cell::new(v.get()))))
-            .collect();
-        let gauges =
-            inner.gauges.borrow().iter().map(|(k, v)| (*k, Rc::new(Cell::new(v.get())))).collect();
-        let histograms =
-            inner.histograms.borrow().iter().map(|(k, h)| (*k, Rc::new(h.deep_clone()))).collect();
         Registry {
             inner: Some(Rc::new(Inner {
-                counters: RefCell::new(counters),
-                gauges: RefCell::new(gauges),
-                histograms: RefCell::new(histograms),
+                counters: deep_cloned(&inner.counters, Cell::clone),
+                gauges: deep_cloned(&inner.gauges, Cell::clone),
+                histograms: deep_cloned(&inner.histograms, HistData::deep_clone),
                 trace: inner.trace.deep_clone(),
             })),
         }
     }
 
+    /// `(rendered name, value)` of every counter, sorted by series key.
+    /// With [`Registry::gauge_values`], the scalar half of a snapshot and
+    /// all a sample row holds.
+    pub fn counter_values(&self) -> Vec<(SeriesName, u64)> {
+        self.inner.as_ref().map_or_else(Vec::new, |inner| scalars(&inner.counters))
+    }
+
+    /// `(rendered name, value)` of every gauge, sorted by series key.
+    pub fn gauge_values(&self) -> Vec<(SeriesName, i64)> {
+        self.inner.as_ref().map_or_else(Vec::new, |inner| scalars(&inner.gauges))
+    }
+
     /// Render every series at sim-time `at`. Series appear sorted by
     /// `(name, labels)`; the result is byte-identical for identical runs.
     pub fn snapshot(&self, at: SimTime) -> Snapshot {
-        let mut snap = Snapshot { at, ..Snapshot::default() };
+        let (counters, gauges) = (self.counter_values(), self.gauge_values());
+        let mut snap = Snapshot { at, counters, gauges, ..Snapshot::default() };
         let Some(inner) = &self.inner else { return snap };
-        for ((name, labels), v) in inner.counters.borrow().iter() {
-            snap.counters.push((format!("{name}{labels}"), v.get()));
-        }
-        for ((name, labels), v) in inner.gauges.borrow().iter() {
-            snap.gauges.push((format!("{name}{labels}"), v.get()));
-        }
-        for ((name, labels), h) in inner.histograms.borrow().iter() {
-            snap.histograms.push((format!("{name}{labels}"), h.summary()));
-        }
+        snap.histograms =
+            inner.histograms.borrow().iter().map(|(k, s)| (s.name(k), s.data.summary())).collect();
         snap.trace_len = inner.trace.len() as u64;
         snap.trace_dropped = inner.trace.dropped();
         snap
@@ -165,11 +196,11 @@ pub struct Snapshot {
     /// Simulation instant the snapshot was taken.
     pub at: SimTime,
     /// `(rendered name, value)`, sorted by series key.
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(SeriesName, u64)>,
     /// `(rendered name, value)`, sorted by series key.
-    pub gauges: Vec<(String, i64)>,
+    pub gauges: Vec<(SeriesName, i64)>,
     /// `(rendered name, summary)`, sorted by series key.
-    pub histograms: Vec<(String, HistogramSummary)>,
+    pub histograms: Vec<(SeriesName, HistogramSummary)>,
     /// Records held in the trace stream.
     pub trace_len: u64,
     /// Trace records rejected for capacity.
@@ -178,10 +209,10 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Value of a counter series by exact rendered name (0 when absent).
+    /// A scan: the list is sorted by series *key*, which orders
+    /// `Node(2) < Node(10)` and `a` before `a.b`, not by rendered name.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .map_or(0, |i| self.counters[i].1)
+        self.counters.iter().find(|(n, _)| **n == *name).map_or(0, |(_, v)| *v)
     }
 
     /// Sum counters by *base* name, folding labeled series together:
@@ -273,7 +304,7 @@ impl ToJson for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openoptics_proto::NodeId;
+    use openoptics_proto::{HostId, NodeId, PortId};
 
     #[test]
     fn disabled_registry_hands_out_detached_handles() {
@@ -308,10 +339,93 @@ mod tests {
         a1.add(5);
         b.inc();
         let snap = r.snapshot(SimTime::ZERO);
-        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| &**n).collect();
         assert_eq!(names, vec!["a.first{node=N0}", "a.first{node=N1}", "b.second"]);
         assert_eq!(snap.counter("a.first{node=N0}"), 3, "clones share storage");
         assert_eq!(snap.counter("missing"), 0);
+    }
+
+    #[test]
+    fn counter_lookup_follows_key_order_not_rendered_order() {
+        // Series sort by key: `Node(9) < Node(10)` although "…N10}" <
+        // "…N9}", and `tor` before `tor.x` although '{' sorts after '.'.
+        let r = Registry::enabled(0);
+        for node in 0..12 {
+            r.counter("tor.x", Labels::Node(NodeId(node))).set(100 + u64::from(node));
+            r.counter("tor", Labels::Node(NodeId(node))).set(200 + u64::from(node));
+        }
+        let snap = r.snapshot(SimTime::ZERO);
+        for node in 0..12 {
+            assert_eq!(snap.counter(&format!("tor.x{{node=N{node}}}")), 100 + node, "N{node}");
+            assert_eq!(snap.counter(&format!("tor{{node=N{node}}}")), 200 + node, "N{node}");
+        }
+        assert_eq!(snap.counter("tor.x"), 0);
+    }
+
+    #[test]
+    fn a_name_is_rendered_once_and_reads_as_name_then_labels() {
+        let all = [
+            Labels::None,
+            Labels::Node(NodeId(10)),
+            Labels::NodePort(NodeId(2), PortId(1)),
+            Labels::NodeQueue(NodeId(2), PortId(1), 7),
+            Labels::Host(HostId(9)),
+            Labels::Pair(NodeId(1), NodeId(2)),
+            Labels::Slice(5),
+        ];
+        let r = Registry::enabled(0);
+        for labels in all {
+            r.counter("s.c", labels).inc();
+            r.gauge("s.g", labels).set(-1);
+            r.histogram("s.h", labels).record(3);
+        }
+        let first = r.snapshot(SimTime::ZERO);
+        let (again, copy) = (r.snapshot(SimTime::ZERO), r.deep_clone().snapshot(SimTime::ZERO));
+        assert_eq!((&again, &copy), (&first, &first));
+        // `all` is in key order, so series and labels line up.
+        for (i, labels) in all.iter().enumerate() {
+            assert_eq!(*first.counters[i].0, format!("s.c{labels}"));
+            assert_eq!(*first.gauges[i].0, format!("s.g{labels}"));
+            assert_eq!(*first.histograms[i].0, format!("s.h{labels}"));
+            // One string per series, shared by every snapshot and by the copy.
+            assert!(Rc::ptr_eq(&first.counters[i].0, &again.counters[i].0));
+            assert!(Rc::ptr_eq(&first.counters[i].0, &copy.counters[i].0));
+        }
+    }
+
+    #[test]
+    fn exports_of_a_50_node_registry_read_as_formatted_names() {
+        let r = Registry::enabled(0);
+        let (mut json, mut csv) = (String::new(), String::new());
+        for name in ["bench.a", "bench.b"] {
+            for node in 0..50u32 {
+                r.counter(name, Labels::Node(NodeId(node))).add(u64::from(node) + 1);
+                let rendered = format!("{name}{}", Labels::Node(NodeId(node)));
+                let _ = write!(
+                    json,
+                    "{}\"{rendered}\":{}",
+                    if json.is_empty() { "" } else { "," },
+                    node + 1
+                );
+                let _ = writeln!(csv, "counter,{rendered},value,{}", node + 1);
+            }
+        }
+        r.gauge("bench.g", Labels::Node(NodeId(11))).set(-5);
+        let snap = r.snapshot(SimTime::from_ns(7));
+        assert_eq!(
+            snap.to_json(),
+            format!(
+                "{{\"at_ns\":7,\"counters\":{{{json}}},\"gauges\":{{\"bench.g{{node=N11}}\":-5}},\
+                 \"histograms\":{{}},\"trace\":{{\"len\":0,\"dropped\":0}}}}"
+            )
+        );
+        assert_eq!(
+            snap.to_csv(),
+            format!(
+                "type,name,field,value\nmeta,snapshot,at_ns,7\n{csv}\
+                 gauge,bench.g{{node=N11}},value,-5\nmeta,trace,len,0\nmeta,trace,dropped,0\n"
+            )
+        );
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! When `NetConfig::sample_every_ns > 0` the engine schedules a sampling
 //! timer on the simulation clock; each firing appends a [`SampleRow`] —
 //! every counter and gauge plus the per-service latency summaries — to a
-//! bounded [`TimeSeries`] and renders the same row into the [`FrameLog`],
-//! the line buffer streaming subscriptions drain. Both stores are plain
-//! owned data (deep-cloned by `fork`), stamped exclusively with sim time,
+//! bounded [`TimeSeries`] and notes the row's index in the [`FrameLog`],
+//! the log streaming subscriptions drain. A sample is stored once, as its
+//! row (a shared name handle and a value per series), and rendered when
+//! somebody reads it: a subscriber draining the log, or a time-series
+//! export. Both stores are plain owned data (cloned by `fork`, so a fork's
+//! frames index the fork's own rows), stamped exclusively with sim time,
 //! and rendered with stable field order, so the series and the frame
 //! stream are byte-identical at any `--jobs` count.
 
 use crate::json::{self, ToJson, Writer};
 use crate::keep_first::KeepFirst;
+use crate::registry::SeriesName;
 use crate::slo::SloSummary;
 
 /// One sampling instant: every counter/gauge plus per-service summaries.
@@ -19,9 +23,9 @@ pub struct SampleRow {
     /// Sim time of the sample.
     pub at_ns: u64,
     /// `(rendered name, value)` for every counter, sorted by series key.
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(SeriesName, u64)>,
     /// `(rendered name, value)` for every gauge, sorted by series key.
-    pub gauges: Vec<(String, i64)>,
+    pub gauges: Vec<(SeriesName, i64)>,
     /// Per-service latency/SLO summaries, in service-declaration order.
     pub services: Vec<SloSummary>,
 }
@@ -69,21 +73,26 @@ impl KeepFirst<SampleRow> {
     }
 }
 
-/// Bounded log of rendered frame lines for streaming subscriptions.
+/// One entry of the [`FrameLog`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// A sampling tick: the index of its row in the [`TimeSeries`] of the
+    /// engine that owns both, which renders it for whoever reads the frame
+    /// (`Engine::write_frame`).
+    Sample(usize),
+    /// An event frame (SLO transition, flight-recorder dump) as a finished
+    /// JSON line.
+    Line(String),
+}
+
+/// Bounded log of frames for streaming subscriptions.
 ///
 /// The engine appends every frame it produces (samples, SLO transitions,
-/// flight-recorder dumps) as a finished JSON line; subscribers keep a
-/// cursor into the log and drain `since(cursor)` after each run step. The
-/// keep-first bound makes the log — and therefore every subscriber's view
-/// of it — deterministic regardless of run length.
-pub type FrameLog = KeepFirst<String>;
-
-impl KeepFirst<String> {
-    /// All frame lines held, in emission order.
-    pub fn lines(&self) -> &[String] {
-        self.as_slice()
-    }
-}
+/// flight-recorder dumps); subscribers keep a cursor into the log and
+/// drain `since(cursor)` after each run step. The keep-first bound makes
+/// the log — and therefore every subscriber's view of it — deterministic
+/// regardless of run length.
+pub type FrameLog = KeepFirst<Frame>;
 
 #[cfg(test)]
 mod tests {
@@ -123,10 +132,10 @@ mod tests {
     #[test]
     fn frame_log_cursors() {
         let mut log = FrameLog::new(8);
-        log.push("{\"frame\":\"a\"}".into());
-        log.push("{\"frame\":\"b\"}".into());
+        log.push(Frame::Line("{\"frame\":\"slo\"}".into()));
+        log.push(Frame::Sample(0));
         assert_eq!(log.since(0).len(), 2);
-        assert_eq!(log.since(1), ["{\"frame\":\"b\"}".to_string()]);
+        assert_eq!(log.since(1), [Frame::Sample(0)]);
         assert!(log.since(2).is_empty());
         assert!(log.since(99).is_empty());
     }

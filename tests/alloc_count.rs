@@ -3,11 +3,13 @@
 //! engine's store and named by a handle from then on, so forwarding it —
 //! switch ingress, calendar dequeue, host transmit — must not touch the
 //! allocator, and neither must the event queue that carries it between
-//! them. Its own test binary because it installs a counting
+//! them; and a telemetry sampling tick stores one row, whose size in
+//! allocations does not depend on how many series it holds. Its own test
+//! binary because it installs a counting
 //! `#[global_allocator]`; the count is per thread, so the harness and
 //! sibling tests do not disturb it.
 
-use openoptics::core::engine::Event;
+use openoptics::core::engine::{Event, Timer};
 use openoptics::prelude::*;
 use openoptics::proto::{Packet, PacketStore};
 use openoptics::routing::{RouteAction, RouteEntry, RouteMatch};
@@ -183,6 +185,56 @@ fn host_tx_with_an_unchanged_backlog_allocates_nothing() -> Result<(), Error> {
     assert_eq!(net.engine.counters.host_tx_packets, sent_before + 1, "the host did transmit");
     assert_eq!(q.len(), 2);
     assert_eq!(allocations, 0);
+    Ok(())
+}
+
+/// Allocations of one sampling tick on an idle `node_num`-ToR testbed with
+/// telemetry, spans and 100 us sampling on, after twenty warm-up ticks.
+fn sampling_tick_allocations(node_num: u32) -> Result<(u64, usize), Error> {
+    let cfg = NetConfig::builder()
+        .node_num(node_num)
+        .uplink(1)
+        .slice_ns(SLICE_NS)
+        .guard_ns(1_000)
+        .telemetry(true)
+        .span_sample_every(4)
+        .sample_every_ns(100_000)
+        .build()?;
+    let mut net = OpenOpticsNet::deploy(
+        cfg,
+        Architecture::rotornet(),
+        Box::new(Vlb),
+        LookupMode::PerHop,
+        MultipathMode::PerPacket,
+    )?;
+    // Twenty rows: names rendered, mirror handles bound, and both stores
+    // (rows, frames) grown to 32 slots, so the tick measured next grows
+    // neither. The tick's follow-up event lands in a queue grown beforehand.
+    net.run_for(SimTime::from_ns(20 * 100_000 + 50_000));
+    assert_eq!(net.engine.timeseries().len(), 20);
+    let now = net.now();
+    let mut q = EventQueue::new();
+    for _ in 0..8 {
+        q.schedule(now, Event::Timer(Timer::Sample));
+    }
+    while q.pop().is_some() {}
+    let (allocations, ()) =
+        allocations_in(|| net.engine.handle(now, Event::Timer(Timer::Sample), &mut q));
+    let rows = net.engine.timeseries().rows();
+    assert_eq!((rows.len(), net.frames().len(), q.len()), (21, 21, 1));
+    Ok((allocations, rows[20].counters.len() + rows[20].gauges.len()))
+}
+
+/// A tick costs what it stores: one `Vec` of counters and one of gauges
+/// (name handles and values; no service is declared here, and each one
+/// declared adds its summary's name), whatever the number of series. It was
+/// one `String` per series more, twice — the row and its rendered line.
+#[test]
+fn a_sampling_tick_allocates_the_same_at_4_and_8_tors() -> Result<(), Error> {
+    let (at_4, series_at_4) = sampling_tick_allocations(4)?;
+    let (at_8, series_at_8) = sampling_tick_allocations(8)?;
+    assert!(series_at_8 >= series_at_4 + 4 * 16, "{series_at_4} -> {series_at_8} series");
+    assert_eq!((at_4, at_8), (2, 2));
     Ok(())
 }
 
