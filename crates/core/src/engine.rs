@@ -300,6 +300,10 @@ pub enum Event {
 // a data-plane slowdown on every workload.
 const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES <= 56);
+// Every calendar, vma and link queue is a `ByteQueue` (20,736 calendar
+// queues at 108 × 6) and every packet-hop pushes through one: a per-push
+// statistic grows both the struct and the store each push pays.
+const _: () = assert!(std::mem::size_of::<ByteQueue<PktRef>>() <= 56);
 
 /// Application and transport timers.
 #[derive(Clone, Copy)]
@@ -810,6 +814,20 @@ impl Engine {
         let held = self.tors.iter().map(ToRSwitch::held_packets).chain(links).sum::<usize>();
         let named = self.pkt_events + held;
         assert_eq!(self.packets.live(), named, "packets stored != packets some holder names");
+    }
+
+    /// `strict-invariants`: what the per-packet paths read instead of
+    /// scanning agrees with a scan — every calendar port's running byte
+    /// total with its queues' bytes summed, every vma stack's busy list with
+    /// its non-empty destinations in ascending order.
+    pub(crate) fn assert_queue_summaries(&self) {
+        for t in &self.tors {
+            t.assert_port_totals();
+        }
+        for h in &self.hosts {
+            h.vma.assert_busy_list();
+            h.vma_mice.assert_busy_list();
+        }
     }
 
     /// Whether lifecycle-span recording is active for this engine.

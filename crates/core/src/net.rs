@@ -701,6 +701,7 @@ impl OpenOpticsNet {
         self.now = until;
         if cfg!(feature = "strict-invariants") {
             self.engine.assert_packets_conserved();
+            self.engine.assert_queue_summaries();
         }
     }
 

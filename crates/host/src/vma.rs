@@ -12,6 +12,12 @@
 //!   (driven by circuit-notification messages);
 //! * **push-back blocks** — a destination is embargoed until a wall-clock
 //!   deadline (driven by push-back broadcasts).
+//!
+//! The stack indexes its destinations densely by node id and keeps, beside
+//! them, the ascending list of the ones with queued segments. Transmit-side
+//! questions — what to send next, whether anything is sendable, when an
+//! embargo lifts — walk that list, so they cost what is queued rather than
+//! the size of the fabric (107 destinations per host at 108 ToRs).
 
 use openoptics_proto::{FlowId, HostId, NodeId};
 use openoptics_sim::bytequeue::ByteQueue;
@@ -59,9 +65,12 @@ pub struct VmaStack {
     /// has touched yet is an empty, unpaused, unblocked queue, which is
     /// also what a destination past the end of the table is.
     dsts: Vec<Dst>,
+    /// Ids of the destinations whose queue is non-empty, ascending: an id
+    /// enters when `send` fills an empty queue and leaves when `pop_next`
+    /// empties it.
+    busy: Vec<u32>,
     queue_capacity: u64,
-    /// Round-robin cursor over the non-empty destinations, for fair
-    /// draining.
+    /// Round-robin cursor over `busy`, for fair draining.
     rr_cursor: usize,
     /// Segments rejected because the segment queue was full (application
     /// push-back events).
@@ -80,6 +89,7 @@ impl VmaStack {
     pub fn new(queue_capacity: u64) -> Self {
         VmaStack {
             dsts: vec![],
+            busy: vec![],
             queue_capacity,
             rr_cursor: 0,
             app_pushback_events: 0,
@@ -106,8 +116,14 @@ impl VmaStack {
     /// pushing back on the application (queue full) — the caller should
     /// retry after draining.
     pub fn send(&mut self, dst: NodeId, seg: Segment) -> Result<(), Segment> {
-        let res = self.dst_mut(dst).queue.push(seg.bytes, seg);
+        let queue = &mut self.dst_mut(dst).queue;
+        let was_empty = queue.is_empty();
+        let res = queue.push(seg.bytes, seg);
         self.app_pushback_events += u64::from(res.is_err());
+        if was_empty && res.is_ok() {
+            let id = idx_u32(dst.index());
+            self.busy.insert(self.busy.partition_point(|&b| b < id), id);
+        }
         res
     }
 
@@ -160,6 +176,75 @@ impl VmaStack {
     /// order, starting at the cursor taken modulo their count, and the
     /// cursor moves one past the destination served.
     pub fn pop_next(&mut self, now: SimTime) -> Option<(NodeId, Segment)> {
+        let n = self.busy.len();
+        if n == 0 {
+            return None;
+        }
+        let start = self.rr_cursor % n;
+        let (served, &at) = self.busy[start..]
+            .iter()
+            .chain(&self.busy[..start])
+            .enumerate()
+            .find(|&(_, &at)| self.dsts[at as usize].sendable(now))?;
+        let queue = &mut self.dsts[at as usize].queue;
+        let (_, seg) = queue.pop()?;
+        if queue.is_empty() {
+            self.busy.remove((start + served) % n);
+        }
+        self.rr_cursor = (start + served + 1) % n;
+        Some((NodeId(at), seg))
+    }
+
+    /// Total queued bytes across destinations.
+    pub fn total_queued(&self) -> u64 {
+        self.busy_dsts().map(|d| d.queue.bytes()).sum()
+    }
+
+    /// Per-destination queued bytes snapshot, in ascending node order — the
+    /// host's contribution to traffic collection (§5.2: "packets buffered
+    /// in separate queues inside vma based on the destination switch").
+    pub fn queue_snapshot(&self) -> Vec<(NodeId, u64)> {
+        let queued = self.busy.iter().map(|&at| (NodeId(at), self.dsts[at as usize].queue.bytes()));
+        queued.filter(|&(_, bytes)| bytes > 0).collect()
+    }
+
+    /// Whether any sendable destination has queued data at `now`.
+    pub fn has_sendable(&self, now: SimTime) -> bool {
+        self.busy_dsts().any(|d| d.sendable(now))
+    }
+
+    /// The earliest push-back embargo expiry among destinations with queued
+    /// data that only an embargo holds back (for engine re-scheduling).
+    pub fn next_unblock(&self, now: SimTime) -> Option<SimTime> {
+        self.busy_dsts()
+            .filter(|d| !d.paused && now < d.blocked_until)
+            .map(|d| d.blocked_until)
+            .min()
+    }
+
+    /// The destinations with queued segments, ascending.
+    fn busy_dsts(&self) -> impl Iterator<Item = &Dst> {
+        self.busy.iter().map(|&at| &self.dsts[at as usize])
+    }
+
+    /// `strict-invariants`: the busy list is exactly the destinations with
+    /// queued segments, in ascending order.
+    pub fn assert_busy_list(&self) {
+        let non_empty = self.dsts.iter().enumerate().filter(|(_, d)| !d.queue.is_empty());
+        assert!(
+            self.busy.iter().copied().eq(non_empty.map(|(at, _)| idx_u32(at))),
+            "vma busy list {:?} != non-empty destinations",
+            self.busy,
+        );
+    }
+}
+
+/// The full-scan transmit path the busy list replaced, code verbatim: every
+/// destination visited on every call. The oracle `pop_next`, `has_sendable`
+/// and `next_unblock` must equal on pops, cursor and answers.
+#[cfg(test)]
+impl VmaStack {
+    fn pop_next_reference(&mut self, now: SimTime) -> Option<(NodeId, Segment)> {
         let n = self.dsts.iter().filter(|d| !d.queue.is_empty()).count();
         if n == 0 {
             return None;
@@ -177,27 +262,11 @@ impl VmaStack {
         Some((NodeId(idx_u32(at)), seg))
     }
 
-    /// Total queued bytes across destinations.
-    pub fn total_queued(&self) -> u64 {
-        self.dsts.iter().map(|d| d.queue.bytes()).sum()
-    }
-
-    /// Per-destination queued bytes snapshot, in ascending node order — the
-    /// host's contribution to traffic collection (§5.2: "packets buffered
-    /// in separate queues inside vma based on the destination switch").
-    pub fn queue_snapshot(&self) -> Vec<(NodeId, u64)> {
-        let queued = self.dsts.iter().enumerate().filter(|(_, d)| d.queue.bytes() > 0);
-        queued.map(|(at, d)| (NodeId(idx_u32(at)), d.queue.bytes())).collect()
-    }
-
-    /// Whether any sendable destination has queued data at `now`.
-    pub fn has_sendable(&self, now: SimTime) -> bool {
+    fn has_sendable_reference(&self, now: SimTime) -> bool {
         self.dsts.iter().any(|d| !d.queue.is_empty() && d.sendable(now))
     }
 
-    /// The earliest push-back embargo expiry among destinations with queued
-    /// data that only an embargo holds back (for engine re-scheduling).
-    pub fn next_unblock(&self, now: SimTime) -> Option<SimTime> {
+    fn next_unblock_reference(&self, now: SimTime) -> Option<SimTime> {
         self.dsts
             .iter()
             .filter(|d| !d.queue.is_empty() && !d.paused && now < d.blocked_until)
@@ -316,5 +385,93 @@ mod tests {
         v.send(NodeId(2), seg(1, 300, 0)).unwrap();
         v.send(NodeId(1), seg(2, 100, 0)).unwrap();
         assert_eq!(v.queue_snapshot(), vec![(NodeId(1), 100), (NodeId(2), 300)]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Send { dst: u32, bytes: u32 },
+        Pause(u32),
+        Resume(u32),
+        BlockUntil { dst: u32, after_ns: u64 },
+        PopNext,
+        Advance(u64),
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        (1u32..=130).prop_flat_map(|dsts| {
+            // Choice is uniform: sends and pops are listed twice, so
+            // queues both fill and drain.
+            let send = (0..dsts, 0u32..1_500).prop_map(|(dst, bytes)| Op::Send { dst, bytes });
+            let op = prop_oneof![
+                send.clone(),
+                send,
+                (0..dsts).prop_map(Op::Pause),
+                (0..dsts).prop_map(Op::Resume),
+                (0..dsts, 0u64..5_000).prop_map(|(dst, after_ns)| Op::BlockUntil { dst, after_ns }),
+                Just(Op::PopNext),
+                Just(Op::PopNext),
+                (0u64..3_000).prop_map(Op::Advance),
+            ];
+            proptest::collection::vec(op, 1..300)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The busy-list transmit path against the full scan it replaced:
+        /// same pops in the same order, same cursor, same answers, on every
+        /// prefix of an arbitrary send / pause / block / pop sequence.
+        #[test]
+        fn busy_list_matches_full_scan(ops in arb_ops()) {
+            // A small socket, so full queues push back too.
+            let (mut fast, mut full) = (VmaStack::new(4_000), VmaStack::new(4_000));
+            let mut now = SimTime::ZERO;
+            for (seq, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Send { dst, bytes } => {
+                        let s = Segment {
+                            flow: u64::from(dst),
+                            dst_host: HostId(dst),
+                            bytes,
+                            seq: seq as u64,
+                            queued_at: now,
+                        };
+                        let dst = NodeId(dst);
+                        prop_assert_eq!(fast.send(dst, s.clone()).is_ok(), full.send(dst, s).is_ok());
+                    }
+                    Op::Pause(dst) => {
+                        prop_assert_eq!(fast.pause(NodeId(dst)), full.pause(NodeId(dst)));
+                    }
+                    Op::Resume(dst) => {
+                        prop_assert_eq!(fast.resume(NodeId(dst)), full.resume(NodeId(dst)));
+                    }
+                    Op::BlockUntil { dst, after_ns } => {
+                        fast.block_until(NodeId(dst), now + after_ns);
+                        full.block_until(NodeId(dst), now + after_ns);
+                    }
+                    Op::PopNext => {
+                        prop_assert_eq!(fast.pop_next(now), full.pop_next_reference(now));
+                    }
+                    Op::Advance(ns) => now += ns,
+                }
+                prop_assert_eq!(fast.rr_cursor, full.rr_cursor);
+                prop_assert_eq!(fast.has_sendable(now), full.has_sendable_reference(now));
+                prop_assert_eq!(fast.next_unblock(now), full.next_unblock_reference(now));
+                // `full`'s own busy list is stale (the reference pop never
+                // shrinks it), so the snapshot is checked against a scan.
+                let scan = full.dsts.iter().enumerate().filter(|(_, d)| d.queue.bytes() > 0);
+                let scan: Vec<_> = scan.map(|(at, d)| (NodeId(idx_u32(at)), d.queue.bytes())).collect();
+                prop_assert_eq!(fast.total_queued(), scan.iter().map(|&(_, b)| b).sum::<u64>());
+                prop_assert_eq!(fast.queue_snapshot(), scan);
+                fast.assert_busy_list();
+            }
+        }
     }
 }

@@ -5,6 +5,14 @@
 //! tracks total occupancy against a capacity, and the whole queue can be
 //! paused/resumed — the modern-ASIC queue-pausing feature OpenOptics is
 //! built on.
+//!
+//! It keeps only what some caller reads: the items, their byte total, the
+//! capacity and the pause gate. Every calendar, vma and link queue in a run
+//! is one of these (20,736 calendar queues alone at 108 ToRs × 6 uplinks ×
+//! 32), and every packet pushes through several, so a statistic kept here
+//! is a store per packet-hop and a field per queue; aggregates that are
+//! exported live with their owner (`CalendarPort`'s byte total, the
+//! switch's `peak_buffer_bytes`). The core crate pins the struct's size.
 
 use std::collections::VecDeque;
 
@@ -15,42 +23,22 @@ pub struct ByteQueue<T> {
     bytes: u64,
     capacity: u64,
     paused: bool,
-    /// Cumulative bytes ever accepted (for telemetry / bw_usage()).
-    accepted_bytes: u64,
-    /// Cumulative count and bytes rejected for capacity.
-    dropped: u64,
-    dropped_bytes: u64,
-    /// High-water mark of occupancy, for buffer-usage reporting (Table 3).
-    peak_bytes: u64,
 }
 
 impl<T> ByteQueue<T> {
     /// An empty, unpaused queue with the given byte capacity.
     pub fn new(capacity: u64) -> Self {
-        ByteQueue {
-            items: VecDeque::new(),
-            bytes: 0,
-            capacity,
-            paused: false,
-            accepted_bytes: 0,
-            dropped: 0,
-            dropped_bytes: 0,
-            peak_bytes: 0,
-        }
+        ByteQueue { items: VecDeque::new(), bytes: 0, capacity, paused: false }
     }
 
     /// Try to enqueue an item of `len` bytes. Fails (returning the item)
     /// when it would exceed capacity. Pausing does not affect admission —
     /// a paused queue still buffers; it just will not release.
     pub fn push(&mut self, len: u32, item: T) -> Result<(), T> {
-        if self.bytes + len as u64 > self.capacity {
-            self.dropped += 1;
-            self.dropped_bytes += len as u64;
+        if !self.would_fit(len) {
             return Err(item);
         }
         self.bytes += len as u64;
-        self.accepted_bytes += len as u64;
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
         self.items.push_back((len, item));
         Ok(())
     }
@@ -115,26 +103,6 @@ impl<T> ByteQueue<T> {
     pub fn capacity(&self) -> u64 {
         self.capacity
     }
-
-    /// Cumulative accepted bytes.
-    pub fn accepted_bytes(&self) -> u64 {
-        self.accepted_bytes
-    }
-
-    /// Count of items rejected for capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Bytes rejected for capacity.
-    pub fn dropped_bytes(&self) -> u64 {
-        self.dropped_bytes
-    }
-
-    /// High-water mark of occupancy since creation (or last reset).
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak_bytes
-    }
 }
 
 #[cfg(test)]
@@ -154,14 +122,13 @@ mod tests {
     }
 
     #[test]
-    fn capacity_rejects_and_counts() {
+    fn capacity_rejects_and_returns_the_item() {
         let mut q = ByteQueue::new(250);
         q.push(100, 1).expect("push fits the test queue capacity");
         q.push(100, 2).expect("push fits the test queue capacity");
         assert!(!q.would_fit(100));
         assert_eq!(q.push(100, 3), Err(3));
-        assert_eq!(q.dropped(), 1);
-        assert_eq!(q.dropped_bytes(), 100);
+        assert_eq!((q.bytes(), q.len()), (200, 2), "a rejected push leaves no trace");
         assert!(q.would_fit(50));
         q.push(50, 4).expect("push fits the test queue capacity");
         assert_eq!(q.bytes(), 250);
@@ -188,20 +155,22 @@ mod tests {
     }
 
     #[test]
-    fn peak_tracking() {
+    fn occupancy_follows_pushes_and_pops() {
         let mut q = ByteQueue::new(1000);
         q.push(400, ()).expect("push fits the test queue capacity");
         q.push(300, ()).expect("push fits the test queue capacity");
+        assert_eq!(q.bytes(), 700);
         q.pop();
-        assert_eq!(q.peak_bytes(), 700);
+        assert_eq!((q.bytes(), q.len()), (300, 1));
     }
 
     #[test]
-    fn accepted_bytes_accumulates() {
+    fn pop_frees_capacity_for_the_next_push() {
         let mut q = ByteQueue::new(100);
         q.push(60, ()).expect("push fits the test queue capacity");
+        assert!(!q.would_fit(60));
         q.pop();
-        q.push(60, ()).expect("push fits the test queue capacity");
-        assert_eq!(q.accepted_bytes(), 120);
+        q.push(60, ()).expect("the pop made room for a second 60-byte push");
+        assert_eq!(q.bytes(), 60);
     }
 }

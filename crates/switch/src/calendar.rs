@@ -6,6 +6,12 @@
 //! arrival time slice"). At every slice boundary the rotation pauses the
 //! active queue and resumes the next — triggered in hardware by the on-chip
 //! packet generator, here by the engine's per-node rotation event.
+//!
+//! The port keeps the byte total of its ring as a field, updated by its two
+//! mutators (`enqueue` on success, `pop_active`), so
+//! [`CalendarPort::total_bytes`] is a load rather than a sum over the ring:
+//! the switch reads it after every enqueue to track its buffer high-water
+//! mark, and at 32 queues per port that sum was most of admission's cost.
 
 use openoptics_sim::bytequeue::ByteQueue;
 
@@ -14,7 +20,8 @@ use openoptics_sim::bytequeue::ByteQueue;
 pub struct CalendarPort<T> {
     queues: Vec<ByteQueue<T>>,
     active: usize,
-    rotations: u64,
+    /// Bytes across the ring: the sum of every queue's `bytes()`.
+    total: u64,
     /// Packets that arrived with a rank too large for the ring (counted,
     /// rejected by `enqueue`).
     pub rank_overflow: u64,
@@ -30,7 +37,7 @@ impl<T> CalendarPort<T> {
         for q in queues.iter_mut().skip(1) {
             q.pause();
         }
-        CalendarPort { queues, active: 0, rotations: 0, rank_overflow: 0 }
+        CalendarPort { queues, active: 0, total: 0, rank_overflow: 0 }
     }
 
     /// Number of queues in the ring.
@@ -65,15 +72,12 @@ impl<T> CalendarPort<T> {
         }
         let idx = self.index_for_rank(rank);
         match self.queues[idx].push(len, item) {
-            Ok(()) => Ok(idx),
+            Ok(()) => {
+                self.total += u64::from(len);
+                Ok(idx)
+            }
             Err(item) => Err(EnqueueError::QueueFull(item)),
         }
-    }
-
-    /// Whether an item of `len` bytes fits the queue for `rank` (ground
-    /// truth; the data plane must use the EQO estimate instead, §5.2).
-    pub fn would_fit(&self, rank: u32, len: u32) -> bool {
-        self.rank_fits(rank) && self.queues[self.index_for_rank(rank)].would_fit(len)
     }
 
     /// Rotate at a slice boundary: pause the active queue, activate the
@@ -83,7 +87,6 @@ impl<T> CalendarPort<T> {
         self.queues[self.active].pause();
         self.active = (self.active + 1) % self.queues.len();
         self.queues[self.active].resume();
-        self.rotations += 1;
         if cfg!(feature = "strict-invariants") {
             // Exactly the active queue may be unpaused; a second live queue
             // would let packets leave out of slice order.
@@ -102,7 +105,9 @@ impl<T> CalendarPort<T> {
     /// Pop the head of the active queue (respects pause — but the active
     /// queue is always resumed).
     pub fn pop_active(&mut self) -> Option<(u32, T)> {
-        self.queues[self.active].pop()
+        let (len, item) = self.queues[self.active].pop()?;
+        self.total -= u64::from(len);
+        Some((len, item))
     }
 
     /// Peek the head of the active queue without dequeuing.
@@ -127,19 +132,7 @@ impl<T> CalendarPort<T> {
 
     /// Total buffered bytes across the ring.
     pub fn total_bytes(&self) -> u64 {
-        self.queues.iter().map(|q| q.bytes()).sum()
-    }
-
-    /// High-water mark of total occupancy (sum of per-queue peaks is an
-    /// over-estimate; this tracks the per-queue peaks summed, which is what
-    /// Table 3 reports per-port anyway).
-    pub fn peak_bytes(&self) -> u64 {
-        self.queues.iter().map(|q| q.peak_bytes()).sum()
-    }
-
-    /// Rotations performed.
-    pub fn rotations(&self) -> u64 {
-        self.rotations
+        self.total
     }
 }
 
@@ -191,10 +184,12 @@ mod tests {
         let mut cp: CalendarPort<u32> = CalendarPort::new(2, 250);
         cp.enqueue(0, 200, 1).expect("rank fits the ring with capacity to spare");
         assert!(matches!(cp.enqueue(0, 100, 2), Err(EnqueueError::QueueFull(2))));
-        assert!(cp.would_fit(0, 50));
-        assert!(!cp.would_fit(0, 51));
+        assert_eq!(cp.total_bytes(), 200, "a rejected item adds nothing to the total");
+        assert!(matches!(cp.enqueue(0, 50, 3), Ok(0)), "50 bytes still fit queue 0");
+        assert!(matches!(cp.enqueue(0, 1, 4), Err(EnqueueError::QueueFull(4))));
         // Other queues unaffected.
-        assert!(cp.would_fit(1, 250));
+        assert!(matches!(cp.enqueue(1, 250, 5), Ok(1)), "queue 1 is empty");
+        assert_eq!(cp.total_bytes(), 500);
     }
 
     #[test]
@@ -209,11 +204,10 @@ mod tests {
         // Full ring cycle later the queue is active again.
         cp.rotate();
         assert_eq!(cp.pop_active(), Some((100, "missed")));
-        assert_eq!(cp.rotations(), 3);
     }
 
     #[test]
-    fn totals_and_peaks() {
+    fn totals_follow_enqueues_pops_and_rotations() {
         let mut cp: CalendarPort<u32> = CalendarPort::new(4, 10_000);
         cp.enqueue(0, 100, 1).expect("rank fits the ring with capacity to spare");
         cp.enqueue(1, 200, 2).expect("rank fits the ring with capacity to spare");
@@ -221,7 +215,11 @@ mod tests {
         assert_eq!(cp.total_bytes(), 600);
         assert_eq!(cp.active_bytes(), 100);
         cp.pop_active();
-        assert_eq!(cp.peak_bytes(), 600);
+        assert_eq!(cp.total_bytes(), 500);
+        cp.rotate();
+        assert_eq!((cp.total_bytes(), cp.active_bytes()), (500, 500), "rotation moves no bytes");
+        cp.pop_active();
+        assert_eq!((cp.total_bytes(), cp.queue_bytes(1)), (300, 300));
     }
 }
 
@@ -266,7 +264,7 @@ mod proptests {
                     Op::Enqueue { rank } => {
                         let id = next_id;
                         next_id += 1;
-                        cp.enqueue(u32::from(rank), 100, id).expect("rank fits the ring with capacity to spare");
+                        cp.enqueue(u32::from(rank), 100 + u32::from(rank), id).expect("rank fits the ring with capacity to spare");
                         model.entry(abs + rank as u64).or_default().push(id);
                     }
                     Op::Rotate => {
@@ -287,6 +285,8 @@ mod proptests {
                         prop_assert_eq!(got, expect, "at abs slice {}", abs);
                     }
                 }
+                let by_queue: u64 = (0..queues).map(|i| cp.queue_bytes(i)).sum();
+                prop_assert_eq!(cp.total_bytes(), by_queue);
             }
         }
     }

@@ -14,6 +14,10 @@
 //! each rotation and before each estimate read. Between refreshes the
 //! active queue is constant, so lazy application is bit-equivalent to
 //! per-tick updates.
+//!
+//! The registers are one flat array, `port * queues + queue`, as the
+//! hardware's register array is: a refresh touches one register per port
+//! and an enqueue one register, with no per-port allocation in between.
 
 use openoptics_sim::rate::Bandwidth;
 use openoptics_sim::time::SimTime;
@@ -21,8 +25,10 @@ use openoptics_sim::time::SimTime;
 /// The ingress-pipeline occupancy estimator for one switch.
 #[derive(Debug, Clone)]
 pub struct Eqo {
-    /// `regs[port][queue]` — estimated occupancy in bytes.
-    regs: Vec<Vec<u64>>,
+    /// `regs[port * queues + queue]` — estimated occupancy in bytes.
+    regs: Vec<u64>,
+    /// Queues per port: the row length of `regs`.
+    queues: usize,
     /// Last instant up to which decrements were applied (quantized to whole
     /// intervals).
     applied_until: SimTime,
@@ -35,9 +41,10 @@ impl Eqo {
     /// Estimator for `ports` ports of `queues` queues each, decrementing
     /// every `interval_ns` at `bandwidth` line rate.
     pub fn new(ports: usize, queues: usize, interval_ns: u64, bandwidth: Bandwidth) -> Self {
-        assert!(interval_ns > 0);
+        assert!(interval_ns > 0 && queues > 0);
         Eqo {
-            regs: vec![vec![0; queues]; ports],
+            regs: vec![0; ports * queues],
+            queues,
             applied_until: SimTime::ZERO,
             interval_ns,
             drain_per_interval: bandwidth.bytes_in_ns(interval_ns),
@@ -62,7 +69,7 @@ impl Eqo {
     /// Apply all whole elapsed intervals of line-rate drain to the active
     /// queue of each port. `active[p]` is port `p`'s active queue index.
     pub fn refresh(&mut self, now: SimTime, active: &[usize]) {
-        debug_assert_eq!(active.len(), self.regs.len());
+        debug_assert_eq!(active.len() * self.queues, self.regs.len());
         self.refresh_with(now, |p| active[p]);
     }
 
@@ -81,9 +88,9 @@ impl Eqo {
         } else {
             self.drain_per_interval * ticks
         };
-        for (p, regs) in self.regs.iter_mut().enumerate() {
-            let a = active(p);
-            regs[a] = regs[a].saturating_sub(drain);
+        for (p, regs) in self.regs.chunks_exact_mut(self.queues).enumerate() {
+            let r = &mut regs[active(p)];
+            *r = r.saturating_sub(drain);
         }
         self.applied_until += ticks * self.interval_ns;
         if cfg!(feature = "strict-invariants") {
@@ -101,29 +108,18 @@ impl Eqo {
 
     /// Record an enqueue of `bytes` into `(port, queue)`.
     pub fn on_enqueue(&mut self, port: usize, queue: usize, bytes: u32) {
+        let r = &mut self.regs[port * self.queues + queue];
         if cfg!(feature = "strict-invariants") {
-            self.regs[port][queue] = self.regs[port][queue]
-                .checked_add(bytes as u64)
-                .expect("EQO register overflowed u64 on enqueue");
+            *r = r.checked_add(u64::from(bytes)).expect("EQO register overflowed u64 on enqueue");
         } else {
-            self.regs[port][queue] += bytes as u64;
+            *r += u64::from(bytes);
         }
     }
 
     /// Current estimate for `(port, queue)`, bytes. Call [`Eqo::refresh`]
     /// first for an up-to-date value.
     pub fn estimate(&self, port: usize, queue: usize) -> u64 {
-        self.regs[port][queue]
-    }
-
-    /// Zero a register (queue drained out-of-band, e.g. offloaded).
-    pub fn reset(&mut self, port: usize, queue: usize) {
-        self.regs[port][queue] = 0;
-    }
-
-    /// The configured update interval.
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ns
+        self.regs[port * self.queues + queue]
     }
 }
 
@@ -167,6 +163,17 @@ mod tests {
         e.on_enqueue(1, 0, 100);
         e.refresh(SimTime::from_us(1), &[0, 0]);
         assert_eq!(e.estimate(1, 0), 0);
+    }
+
+    #[test]
+    fn each_port_drains_only_its_own_active_queue() {
+        let mut e = eqo50();
+        for (port, queue) in [(0, 1), (0, 3), (1, 0), (1, 1)] {
+            e.on_enqueue(port, queue, 1_000);
+        }
+        e.refresh(SimTime::from_ns(100), &[1, 0]);
+        let regs = [(0, 1), (0, 3), (1, 0), (1, 1)].map(|(p, q)| e.estimate(p, q));
+        assert_eq!(regs, [0, 1_000, 0, 1_000]);
     }
 
     #[test]

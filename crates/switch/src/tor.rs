@@ -281,8 +281,29 @@ impl ToRSwitch {
     }
 
     /// Rank-overflow events across ports.
+    ///
+    /// Always 0 today: `admit` checks `rank_fits` before every enqueue, so
+    /// `CalendarPort::rank_overflow` is never bumped and real rank drops
+    /// land in `counters.dropped_rank` (`rank_overflow_without_offload_drops`
+    /// pins both). The engine still exports it as `tor.rank_overflows`;
+    /// deleting or redirecting that series moves exported telemetry bytes,
+    /// so it belongs with a change that moves exports on purpose.
     pub fn rank_overflows(&self) -> u64 {
         self.ports.iter().map(|p| p.rank_overflow).sum()
+    }
+
+    /// `strict-invariants`: each port's running byte total equals its
+    /// queues' bytes summed.
+    pub fn assert_port_totals(&self) {
+        for (i, p) in self.ports.iter().enumerate() {
+            let summed: u64 = (0..p.num_queues()).map(|q| p.queue_bytes(q)).sum();
+            assert_eq!(
+                p.total_bytes(),
+                summed,
+                "node {} port {i}: running byte total != queue bytes summed",
+                self.cfg.id,
+            );
+        }
     }
 
     /// Bring the EQO registers to `now`: drain each port's active queue.
@@ -842,6 +863,9 @@ mod tests {
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
         let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
         assert!(matches!(r.decision, IngressDecision::Dropped(DropReason::RankOverflow)));
+        // The drop is counted as `dropped_rank`; the exported
+        // `rank_overflows` series cannot see it (see `rank_overflows`).
+        assert_eq!((t.counters.dropped_rank, t.rank_overflows()), (1, 0));
     }
 
     #[test]
@@ -875,6 +899,20 @@ mod tests {
         assert_eq!(t.peak_buffer_bytes, 5 * 1064);
         assert_eq!(t.port_buffer_bytes(PortId(0)), 5 * 1064);
         assert_eq!(t.port_buffer_bytes(PortId(1)), 0);
+        // Rotations move no bytes; pops lower the total, never the peak.
+        t.rotate(SimTime::from_ns(2_000));
+        t.rotate(SimTime::from_ns(4_000));
+        assert_eq!((t.buffer_bytes(), t.peak_buffer_bytes), (5 * 1064, 5 * 1064));
+        for left in (0..5).rev() {
+            assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(4_300), 0).is_some());
+            assert_eq!(t.buffer_bytes(), left * 1064);
+        }
+        assert_eq!(t.peak_buffer_bytes, 5 * 1064);
+        t.assert_port_totals();
+        // A later, smaller burst does not lower the high-water mark.
+        t.install_routes([entry(Some(2), NodeId(3), PortId(0), Some(2))]);
+        ingress(&mut t, &mut store, pkt(9, NodeId(3)), SimTime::from_ns(4_400));
+        assert_eq!((t.buffer_bytes(), t.peak_buffer_bytes), (1064, 5 * 1064));
     }
 
     #[test]

@@ -91,6 +91,8 @@ impl Trace {
 pub struct FlowSizeDist {
     /// `(bytes, cumulative probability)`, strictly increasing in both.
     points: Vec<(u64, f64)>,
+    /// `ln` of each anchor's bytes, so a quantile costs one `exp`.
+    ln_sizes: Vec<f64>,
 }
 
 impl FlowSizeDist {
@@ -104,7 +106,8 @@ impl FlowSizeDist {
             assert!(w[0].0 < w[1].0, "sizes must increase");
             assert!(w[0].1 < w[1].1, "probabilities must increase");
         }
-        FlowSizeDist { points }
+        let ln_sizes = points.iter().map(|&(bytes, _)| (bytes as f64).ln()).collect();
+        FlowSizeDist { points, ln_sizes }
     }
 
     /// Inverse-transform sample: log-linear interpolation between anchors.
@@ -115,6 +118,22 @@ impl FlowSizeDist {
 
     /// The size at cumulative probability `u` in `[0, 1]`.
     pub fn quantile(&self, u: f64) -> u64 {
+        let u = u.clamp(0.0, 1.0);
+        for (i, w) in self.points.windows(2).enumerate() {
+            let (p0, p1) = (w[0].1, w[1].1);
+            if u <= p1 {
+                let f = (u - p0) / (p1 - p0);
+                let (l0, l1) = (self.ln_sizes[i], self.ln_sizes[i + 1]);
+                return (l0 + f * (l1 - l0)).exp().round().max(1.0) as u64;
+            }
+        }
+        self.range().1
+    }
+
+    /// The quantile as first written, `ln` of both anchors taken per call:
+    /// the oracle [`FlowSizeDist::quantile`] must equal bit for bit.
+    #[cfg(test)]
+    fn quantile_reference(&self, u: f64) -> u64 {
         let u = u.clamp(0.0, 1.0);
         for w in self.points.windows(2) {
             let (s0, p0) = w[0];
@@ -152,6 +171,26 @@ mod tests {
         assert_eq!(d.quantile(0.0), 64);
         assert_eq!(d.quantile(0.40), 256);
         assert_eq!(d.quantile(1.0), 1_048_576);
+    }
+
+    #[test]
+    fn stored_logs_give_the_reference_quantiles_exactly() {
+        const GRID: u32 = 200_000;
+        for trace in Trace::ALL {
+            let d = trace.dist();
+            let grid = (0..=GRID).map(|i| f64::from(i) / f64::from(GRID));
+            let mut rng = SimRng::new(11);
+            let random = (0..GRID).map(|_| rng.f64());
+            for u in grid.chain(random).chain([-0.5, 1.5]) {
+                assert_eq!(d.quantile(u), d.quantile_reference(u), "{} at u = {u}", trace.name());
+            }
+            let steps = 10_000;
+            let mean_reference = (0..steps)
+                .map(|i| d.quantile_reference((i as f64 + 0.5) / steps as f64) as f64)
+                .sum::<f64>()
+                / steps as f64;
+            assert_eq!(d.mean_bytes().to_bits(), mean_reference.to_bits(), "{}", trace.name());
+        }
     }
 
     #[test]
