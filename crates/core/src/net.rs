@@ -29,6 +29,7 @@ use crate::arch::Architecture;
 use crate::config::NetConfig;
 use crate::engine::{Engine, Event, TransportKind};
 use crate::error::Error;
+use crate::json::{self, Text, Writer};
 use openoptics_fabric::{Circuit, LayoutError, OcsLayout, OpticalSchedule, ScheduleError};
 use openoptics_host::apps::MemcachedParams;
 use openoptics_proto::{FlowId, HostId, NodeId, PortId};
@@ -36,6 +37,7 @@ use openoptics_routing::{LookupMode, MultipathMode, RouteEntry, RoutingAlgorithm
 use openoptics_sim::time::{SimTime, SliceConfig};
 use openoptics_sim::{run, EventQueue};
 use openoptics_topo::TrafficMatrix;
+use std::fmt::Write;
 
 /// Why a topology deployment was rejected: the circuits are not a valid
 /// schedule (port conflicts, out-of-range references), they are not
@@ -512,9 +514,7 @@ impl OpenOpticsNet {
     /// Export the current telemetry snapshot as `"json"` or `"csv"`.
     /// Errors if telemetry is disabled or the format is unknown.
     pub fn export_telemetry(&self, format: &str) -> Result<String, Error> {
-        if !self.engine.telemetry().is_enabled() {
-            return Err(openoptics_telemetry::TelemetryError::Disabled.into());
-        }
+        self.telemetry_on()?;
         let snap = self.telemetry_snapshot();
         match format {
             "json" => Ok(snap.to_json()),
@@ -525,13 +525,25 @@ impl OpenOpticsNet {
         }
     }
 
-    /// The trace-event stream captured so far, one JSON object per line
-    /// (first `trace_capacity` events; later ones are counted as dropped).
-    pub fn export_trace(&self) -> Result<String, Error> {
+    fn telemetry_on(&self) -> Result<(), Error> {
         if !self.engine.telemetry().is_enabled() {
             return Err(openoptics_telemetry::TelemetryError::Disabled.into());
         }
-        Ok(self.engine.telemetry().trace().to_json_lines())
+        Ok(())
+    }
+
+    /// The trace-event stream captured so far, one JSON object per line
+    /// (first `trace_capacity` events; later ones are counted as dropped).
+    pub fn export_trace(&self) -> Result<String, Error> {
+        to_text(|t| self.write_trace(t))
+    }
+
+    /// [`OpenOpticsNet::export_trace`] into a text sink; on an error
+    /// nothing is written (so for every `write_*` export here).
+    pub fn write_trace(&self, t: &mut Text<'_>) -> Result<(), Error> {
+        self.telemetry_on()?;
+        self.engine.telemetry().trace().write_json_lines(t);
+        Ok(())
     }
 
     /// The sampled time series as JSON lines, one [`SampleRow`] per line
@@ -541,10 +553,17 @@ impl OpenOpticsNet {
     ///
     /// [`SampleRow`]: openoptics_telemetry::SampleRow
     pub fn export_timeseries(&self) -> Result<String, Error> {
-        if !self.engine.telemetry().is_enabled() || self.engine.cfg.sample_every_ns == 0 {
+        to_text(|t| self.write_timeseries(t))
+    }
+
+    /// [`OpenOpticsNet::export_timeseries`] into a text sink.
+    pub fn write_timeseries(&self, t: &mut Text<'_>) -> Result<(), Error> {
+        self.telemetry_on()?;
+        if self.engine.cfg.sample_every_ns == 0 {
             return Err(openoptics_telemetry::TelemetryError::Disabled.into());
         }
-        Ok(self.engine.timeseries().to_json_lines())
+        json::write_lines(t, self.engine.timeseries().rows());
+        Ok(())
     }
 
     /// A deterministic plain-text SLO report: per-flow-class latency
@@ -552,11 +571,12 @@ impl OpenOpticsNet {
     /// p50/p99/p999, SLO burn and fault attribution). Errors when telemetry
     /// is disabled.
     pub fn export_slo_report(&self) -> Result<String, Error> {
-        if !self.engine.telemetry().is_enabled() {
-            return Err(openoptics_telemetry::TelemetryError::Disabled.into());
-        }
-        use std::fmt::Write as _;
-        let mut out = String::new();
+        to_text(|t| self.write_slo_report(t))
+    }
+
+    /// [`OpenOpticsNet::export_slo_report`] into a text sink.
+    pub fn write_slo_report(&self, out: &mut impl Write) -> Result<(), Error> {
+        self.telemetry_on()?;
         let _ = writeln!(out, "== openoptics slo report @ {} ns ==", self.now.as_ns());
         let _ = writeln!(
             out,
@@ -607,7 +627,7 @@ impl OpenOpticsNet {
                 );
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Per-service SLO summaries (empty when no services were declared).
@@ -622,27 +642,40 @@ impl OpenOpticsNet {
         self.engine.frames()
     }
 
+    /// The finalized span table every span export renders. Errors when
+    /// span recording is off.
+    fn span_table(&self) -> Result<openoptics_obs::SpanTable, Error> {
+        if !self.engine.has_span_recording() {
+            return Err(openoptics_obs::ObsError::Disabled.into());
+        }
+        self.engine.span_table(self.now).map_err(|e| openoptics_obs::ObsError::from(e).into())
+    }
+
     /// The recorded lifecycle spans as Chrome trace-event JSON (loadable
     /// in Perfetto / `chrome://tracing`). Requires `span_sample_every > 0`
     /// in the configuration; errors when span recording is off. Stamped in
     /// sim time only — byte-identical across runs.
     pub fn export_spans_chrome_trace(&self) -> Result<String, Error> {
-        if !self.engine.has_span_recording() {
-            return Err(openoptics_obs::ObsError::Disabled.into());
-        }
-        let events = self.engine.span_events(self.now);
-        openoptics_obs::chrome_trace(&events).map_err(|e| openoptics_obs::ObsError::from(e).into())
+        Ok(json::render(&self.span_table()?))
+    }
+
+    /// [`OpenOpticsNet::export_spans_chrome_trace`] into a writer.
+    pub fn write_spans_chrome_trace(&self, w: &mut Writer) -> Result<(), Error> {
+        w.value(&self.span_table()?);
+        Ok(())
     }
 
     /// The recorded lifecycle spans as a deterministic plain-text report:
     /// stage totals plus per-flow lifecycle trees. Errors when span
     /// recording is off.
     pub fn export_span_report(&self) -> Result<String, Error> {
-        if !self.engine.has_span_recording() {
-            return Err(openoptics_obs::ObsError::Disabled.into());
-        }
-        let events = self.engine.span_events(self.now);
-        openoptics_obs::span_report(&events).map_err(|e| openoptics_obs::ObsError::from(e).into())
+        to_text(|t| self.write_span_report(t))
+    }
+
+    /// [`OpenOpticsNet::export_span_report`] into a text sink.
+    pub fn write_span_report(&self, t: &mut Text<'_>) -> Result<(), Error> {
+        self.span_table()?.write_report(t);
+        Ok(())
     }
 
     /// The finalized lifecycle-span stream itself (for programmatic tree
@@ -727,6 +760,13 @@ impl OpenOpticsNet {
     pub fn queue_stats(&self) -> openoptics_sim::QueueStats {
         self.queue.stats()
     }
+}
+
+/// A text export as a `String`: what `write` puts into an unescaped sink.
+fn to_text(write: impl FnOnce(&mut Text<'_>) -> Result<(), Error>) -> Result<String, Error> {
+    let mut result = Ok(());
+    let text = json::text(|t| result = write(t));
+    result.map(|()| text)
 }
 
 #[cfg(test)]

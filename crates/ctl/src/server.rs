@@ -101,41 +101,20 @@ impl ControlPlane {
     /// requests with drains on the same connection is what streams a live
     /// run.
     pub fn handle_request(&mut self, line: &str, subs: &mut Subscriptions) -> Vec<String> {
-        let (id, outcome) = match json::parse(line) {
+        let response = match json::parse(line) {
             Ok(req) => {
-                let id = req.get("id").cloned().unwrap_or(Json::Null);
-                (id, self.dispatch(&req, subs))
+                let id = req.get("id").unwrap_or(&Json::Null);
+                response_line(id, |w| self.dispatch(&req, subs, w))
             }
-            Err(e) => (Json::Null, Err(ScenarioError::new("request", e.to_string()))),
+            Err(e) => refusal(ScenarioError::new("request", e.to_string())),
         };
-        self.turn(&id, outcome, subs)
+        self.turn(response, subs)
     }
 
-    /// One turn's lines: the frames owed to `subs`, then the response to
-    /// request `id`.
-    fn turn(
-        &self,
-        id: &Json,
-        outcome: Result<String, ScenarioError>,
-        subs: &mut Subscriptions,
-    ) -> Vec<String> {
+    /// One turn's lines: the frames owed to `subs`, then `response`.
+    fn turn(&self, response: String, subs: &mut Subscriptions) -> Vec<String> {
         let mut out = self.drain_frames(subs);
-        out.push(object(|w| {
-            w.field("id", id);
-            match &outcome {
-                Ok(result) => {
-                    w.key("result");
-                    w.raw(result);
-                }
-                Err(e) => {
-                    w.key("error");
-                    w.obj(|w| {
-                        w.field("field", &e.field);
-                        w.field("reason", &e.reason);
-                    });
-                }
-            }
-        }));
+        out.push(response);
         out
     }
 
@@ -168,8 +147,14 @@ impl ControlPlane {
         out
     }
 
-    /// Run one request; `Ok` carries the rendered `result` value.
-    fn dispatch(&mut self, req: &Json, subs: &mut Subscriptions) -> Result<String, ScenarioError> {
+    /// Run one request, writing its `result` value into the response
+    /// line `w` is writing. What an `Err` interrupted is rewound.
+    fn dispatch(
+        &mut self,
+        req: &Json,
+        subs: &mut Subscriptions,
+        w: &mut Writer,
+    ) -> Result<(), ScenarioError> {
         let req = Reader::new(req, "");
         let method = req.req("method")?.str()?;
         let empty = Json::Obj(vec![]);
@@ -178,34 +163,33 @@ impl ControlPlane {
             "load" => {
                 let name = params.req("name")?.str()?;
                 let session = Session::new(Scenario::from_json(params.req("scenario")?.json())?)?;
-                let result = object(|w| {
+                w.obj(|w| {
                     w.field("now_ns", session.now_ns());
                     w.field("stop_ns", session.stop_ns());
                     w.field("hosts", session.scenario().config.total_hosts());
                 });
                 self.sessions.insert(name.to_string(), session);
-                Ok(result)
             }
             "status" => {
                 let s = self.session(&params, "name")?;
-                Ok(object(|w| {
+                w.obj(|w| {
                     w.field("now_ns", s.now_ns());
                     w.field("stop_ns", s.stop_ns());
                     w.field("journal_len", s.journal().len());
                     w.field("events_scheduled", s.net().events_scheduled());
-                }))
+                });
             }
             "run_until" => {
                 let ns = params.req("ns")?.u64()?;
                 let s = self.session_mut(&params)?;
                 s.run_until(ns);
-                Ok(now_obj(s))
+                now_obj(s, w);
             }
             "run_for" => {
                 let dur = params.req("dur_ns")?.u64()?;
                 let s = self.session_mut(&params)?;
                 s.run_for(dur);
-                Ok(now_obj(s))
+                now_obj(s, w);
             }
             // The params of these methods are the journal entry of the same
             // name, and errors are reported against that form.
@@ -213,28 +197,33 @@ impl ControlPlane {
                 let op = Op::from_json(Reader::new(params.json(), "journal[0]"), method)?;
                 let s = self.session_mut(&params)?;
                 s.apply(op)?;
-                Ok(now_obj(s))
+                now_obj(s, w);
             }
             "export" => {
                 let what = params.req("what")?;
                 let kind = what.str()?;
                 let s = self.session(&params, "name")?;
                 let net = s.net();
-                let text = match kind {
-                    "bundle" => s.export_bundle(),
-                    "telemetry" => net.telemetry_snapshot().to_json(),
-                    "telemetry_csv" => net.telemetry_snapshot().to_csv(),
-                    "trace" => what.ctx(net.export_trace())?,
-                    "timeseries" => what.ctx(net.export_timeseries())?,
-                    "slo" => what.ctx(net.export_slo_report())?,
-                    "spans" => what.ctx(net.export_spans_chrome_trace())?,
-                    "span_report" => what.ctx(net.export_span_report())?,
-                    other => {
-                        return Err(what
-                            .err(format!("unknown export `{other}` (want bundle, telemetry, telemetry_csv, trace, timeseries, slo, spans or span_report)")))
+                let refused = |e: openoptics_core::Error| what.err(e.to_string());
+                // Each export is written straight into the response line,
+                // escaped as it goes.
+                w.obj(|w| {
+                    w.key("text");
+                    match kind {
+                        "bundle" => w.text_of(|t| s.write_bundle(t)),
+                        "telemetry" => w.string_of(|w| w.value(net.telemetry_snapshot())),
+                        "telemetry_csv" => w.text_of(|t| net.telemetry_snapshot().write_csv(t)),
+                        "trace" => w.text_of(|t| net.write_trace(t)).map_err(refused)?,
+                        "timeseries" => w.text_of(|t| net.write_timeseries(t)).map_err(refused)?,
+                        "slo" => w.text_of(|t| net.write_slo_report(t)).map_err(refused)?,
+                        "spans" => w.string_of(|w| net.write_spans_chrome_trace(w)).map_err(refused)?,
+                        "span_report" => w.text_of(|t| net.write_span_report(t)).map_err(refused)?,
+                        other => {
+                            return Err(what.err(format!("unknown export `{other}` (want bundle, telemetry, telemetry_csv, trace, timeseries, slo, spans or span_report)")))
+                        }
                     }
-                };
-                Ok(object(|w| w.field("text", &text)))
+                    Ok(())
+                })?;
             }
             "subscribe" => {
                 // The cursor starts at the current end of the frame log:
@@ -244,46 +233,45 @@ impl ControlPlane {
                 // are connection state, not simulation state.
                 let cursor = self.session(&params, "name")?.net().frames().len();
                 subs.cursors.insert(params.req("name")?.str()?.to_string(), cursor);
-                Ok(object(|w| {
+                w.obj(|w| {
                     w.field("subscribed", true);
                     w.field("cursor", cursor);
-                }))
+                });
             }
             "unsubscribe" => {
                 let was = subs.cursors.remove(params.req("name")?.str()?).is_some();
-                Ok(object(|w| {
+                w.obj(|w| {
                     w.field("subscribed", false);
                     w.field("was_subscribed", was);
-                }))
+                });
             }
             "checkpoint" => {
                 let ckpt = self.session(&params, "name")?.checkpoint();
-                Ok(object(|w| w.field("checkpoint", &ckpt)))
+                w.obj(|w| w.field("checkpoint", &ckpt));
             }
             "restore" => {
                 let name = params.req("name")?.str()?;
                 let ckpt = Checkpoint::from_json(params.req("checkpoint")?.json())?;
                 let s = Session::restore(ckpt, None)?;
-                let result = now_obj(&s);
+                now_obj(&s, w);
                 self.sessions.insert(name.to_string(), s);
-                Ok(result)
             }
             "fork" => {
                 let branch = self.session(&params, "from")?.fork();
-                let result = now_obj(&branch);
+                now_obj(&branch, w);
                 self.sessions.insert(params.req("name")?.str()?.to_string(), branch);
-                Ok(result)
             }
             "sessions" => {
                 let names: Vec<&String> = self.sessions.keys().collect();
-                Ok(object(|w| w.field("names", &names)))
+                w.obj(|w| w.field("names", &names));
             }
             "shutdown" => {
                 self.shutdown = true;
-                Ok(object(|w| w.field("ok", true)))
+                w.obj(|w| w.field("ok", true));
             }
-            other => Err(ScenarioError::new("method", format!("unknown method `{other}`"))),
+            other => return Err(ScenarioError::new("method", format!("unknown method `{other}`"))),
         }
+        Ok(())
     }
 
     /// The session named by string param `key`.
@@ -309,8 +297,35 @@ fn frame_line(sub: &str, frame: impl FnOnce(&mut Writer)) -> String {
     })
 }
 
-fn now_obj(s: &Session) -> String {
-    object(|w| w.field("now_ns", s.now_ns()))
+fn now_obj(s: &Session, w: &mut Writer) {
+    w.obj(|w| w.field("now_ns", s.now_ns()));
+}
+
+/// The response line to request `id`: the `result` that `dispatch` writes,
+/// or — if it fails, even half-way — the typed `error` instead.
+fn response_line(
+    id: &Json,
+    dispatch: impl FnOnce(&mut Writer) -> Result<(), ScenarioError>,
+) -> String {
+    object(|w| {
+        w.field("id", id);
+        let before = w.mark();
+        w.key("result");
+        if let Err(e) = dispatch(w) {
+            w.rewind(before);
+            w.key("error");
+            w.obj(|w| {
+                w.field("field", &e.field);
+                w.field("reason", &e.reason);
+            });
+        }
+    })
+}
+
+/// The response to a request that could not be read: an `error` with a
+/// null id.
+fn refusal(e: ScenarioError) -> String {
+    response_line(&Json::Null, |_| Err(e))
 }
 
 /// Bind `addr` and serve the control plane over TCP until a `shutdown`
@@ -380,18 +395,28 @@ fn serve_lines(
         } else {
             std::str::from_utf8(&line).map_err(|_| "request line is not UTF-8".to_string())
         };
-        let lines = match request {
+        let mut lines = match request {
             Ok(text) if text.trim().is_empty() => continue,
             Ok(text) => cp.handle_request(text, &mut subs),
-            Err(reason) => {
-                cp.turn(&Json::Null, Err(ScenarioError::new("request", reason)), &mut subs)
-            }
+            Err(reason) => cp.turn(refusal(ScenarioError::new("request", reason)), &mut subs),
         };
-        let mut turn = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-        for l in &lines {
-            turn.push_str(l);
-            turn.push('\n');
-        }
+        // A turn without frames is its response line: the (possibly
+        // megabytes long) line is not copied again.
+        let response = lines.pop().unwrap_or_default();
+        let mut turn = if lines.is_empty() {
+            response
+        } else {
+            let mut turn = String::with_capacity(
+                lines.iter().map(|l| l.len() + 1).sum::<usize>() + response.len() + 1,
+            );
+            for l in &lines {
+                turn.push_str(l);
+                turn.push('\n');
+            }
+            turn.push_str(&response);
+            turn
+        };
+        turn.push('\n');
         writer.write_all(turn.as_bytes())?;
     }
     Ok(())

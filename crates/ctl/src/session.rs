@@ -10,6 +10,7 @@
 
 use std::fmt::Write;
 
+use openoptics_core::json::{self, Text};
 use openoptics_core::OpenOpticsNet;
 use openoptics_proto::HostId;
 use openoptics_sim::SimTime;
@@ -185,16 +186,15 @@ impl Session {
     /// This is the byte-identity probe the CI determinism gates compare:
     /// two engines in the same state render the same bundle.
     pub fn export_bundle(&self) -> String {
-        let telemetry = self.net.telemetry_snapshot().to_json();
-        let spans = self.net.export_span_report().ok();
-        // One allocation for the two big sections plus the short lines.
-        let mut out =
-            String::with_capacity(telemetry.len() + spans.as_ref().map_or(0, String::len) + 1024);
+        json::text(|out| self.write_bundle(out))
+    }
+
+    /// [`Session::export_bundle`] into a text sink.
+    pub fn write_bundle(&self, out: &mut Text<'_>) {
         let _ = writeln!(out, "== openoptics-ctl export @ {} ns ==", self.now_ns());
-        out.push_str("-- telemetry --\n");
-        out.push_str(&telemetry);
-        out.push('\n');
-        out.push_str("-- faults --\n");
+        let _ = out.write_str("-- telemetry --\n");
+        out.json(&self.net.telemetry_snapshot());
+        let _ = out.write_str("\n-- faults --\n");
         let report = self.net.fault_report();
         let _ = writeln!(
             out,
@@ -214,25 +214,23 @@ impl Session {
                 f.activations, f.dropped, f.corrupted, f.missed_rotations, f.paused_tx, f.reroutes,
             );
         }
-        out.push_str("-- fct --\n");
+        let _ = out.write_str("-- fct --\n");
         let fct = self.net.fct();
         let _ =
             writeln!(out, "completed={} outstanding={}", fct.completed().len(), fct.outstanding());
         let slo = self.net.slo_summaries();
         if !slo.is_empty() {
-            out.push_str("-- slo --\n");
+            let _ = out.write_str("-- slo --\n");
             for s in &slo {
-                out.push_str(&s.to_json());
-                out.push('\n');
+                out.json(s);
+                let _ = out.write_str("\n");
             }
         }
-        if let Some(spans) = spans {
-            out.push_str("-- spans --\n");
-            out.push_str(&spans);
-            if !spans.ends_with('\n') {
-                out.push('\n');
-            }
+        // The section is left out, header and all, when span recording is off.
+        let before = out.mark();
+        let _ = out.write_str("-- spans --\n");
+        if self.net.write_span_report(out).is_err() {
+            out.rewind(before);
         }
-        out
     }
 }

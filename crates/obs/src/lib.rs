@@ -12,13 +12,15 @@
 //! * **A sim-time profiler** ([`Profiler`], [`Phase`]) — per-engine-phase
 //!   event counts and sim-time attribution, with an opt-in wall-clock
 //!   mode for bench self-profiling.
-//! * **Exporters** ([`chrome_trace`], [`span_report`]) — Chrome
-//!   trace-event / Perfetto JSON and a plain-text span report, both pure
-//!   functions of the recorded stream.
+//! * **Exporters** ([`SpanTable`]) — one finalized row per span, built
+//!   in place from the recorded stream; it renders as Chrome trace-event /
+//!   Perfetto JSON (`ToJson`) and as a plain-text span report
+//!   ([`SpanTable::write_report`]), both into a sink.
 //!
 //! ```
-//! use openoptics_obs::{chrome_trace, Spans, Stage};
+//! use openoptics_obs::{Spans, Stage};
 //! use openoptics_sim::time::SimTime;
+//! use openoptics_telemetry::json;
 //!
 //! let spans = Spans::bounded(1, 0, 1024); // sample every flow
 //! if spans.is_on() {
@@ -26,22 +28,23 @@
 //!     let f = spans.span_begin(t, 0, 7, 0, Stage::Flow, 0);
 //!     spans.span_end(SimTime::from_ns(900), f, Stage::Flow);
 //! }
-//! let json = chrome_trace(&spans.finalized_events(SimTime::from_ns(1_000))).unwrap();
-//! assert!(json.starts_with("{\"traceEvents\":["));
+//! let table = spans.table(SimTime::from_ns(1_000)).unwrap();
+//! assert!(json::render(&table).starts_with("{\"traceEvents\":["));
 //! ```
 
 mod cursor;
 mod profiler;
+#[cfg(test)]
+mod reference;
 mod report;
 mod span;
+mod table;
 
 pub use cursor::{DropSite, PacketEnd, SpanCursors};
 pub use profiler::{Phase, PhaseStat, Profiler, PHASES, PHASE_COUNT};
-pub use report::{
-    build_forest, chrome_trace, span_report, stage_sum_vs_span, SpanNode, WellFormedError,
-    REPORT_MAX_FLOWS,
-};
-pub use span::{finalize, SpanEvent, SpanPhase, Spans, Stage};
+pub use report::{build_forest, stage_sum_vs_span, SpanNode, WellFormedError, REPORT_MAX_FLOWS};
+pub use span::{SpanEvent, SpanPhase, Spans, Stage};
+pub use table::{finalize, SpanTable};
 
 /// Why an observability request was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,9 +77,15 @@ impl From<WellFormedError> for ObsError {
 mod tests {
     use super::*;
     use openoptics_sim::time::SimTime;
+    use openoptics_telemetry::json;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_ns(ns)
+    }
+
+    fn report(s: &Spans, now: SimTime) -> Result<String, WellFormedError> {
+        let table = s.table(now)?;
+        Ok(json::text(|out| table.write_report(out)))
     }
 
     #[test]
@@ -224,23 +233,24 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_valid_and_integer_only() {
+    fn chrome_trace_is_valid_and_integer_only() -> Result<(), WellFormedError> {
         let s = Spans::bounded(1, 0, 1024);
         let f = s.span_begin(t(100), 0, 3, 0, Stage::Flow, 0);
         let p = s.span_begin(t(150), f, 3, 11, Stage::Packet, 0);
         s.span_end(t(400), p, Stage::Packet);
         s.span_end(t(500), f, Stage::Flow);
-        let json = chrome_trace(&s.finalized_events(t(500))).unwrap();
+        let json = json::render(&s.table(t(500))?);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("\"displayTimeUnit\":\"ns\"}"));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"pid\":3"));
         assert!(json.contains("\"tid\":11"));
         assert!(!json.contains('.')); // integers only: replayable bytes
+        Ok(())
     }
 
     #[test]
-    fn report_totals_and_trees() {
+    fn report_totals_and_trees() -> Result<(), WellFormedError> {
         let s = Spans::bounded(1, 0, 1024);
         let f = s.span_begin(t(0), 0, 2, 0, Stage::Flow, 0);
         let p = s.span_begin(t(10), f, 2, 4, Stage::Packet, 0);
@@ -248,13 +258,14 @@ mod tests {
         s.span_end(t(60), w, Stage::CalendarWait);
         s.span_end(t(60), p, Stage::Packet);
         s.span_end(t(80), f, Stage::Flow);
-        let rep = span_report(&s.finalized_events(t(80))).unwrap();
+        let rep = report(&s, t(80))?;
         assert!(rep.contains("calendar_wait"));
         assert!(rep.contains("flow 2"));
         assert!(rep.contains("packet 4"));
+        Ok(())
     }
 
-    /// Every rendering branch of [`span_report`] against literal bytes:
+    /// Every rendering branch of the span report against literal bytes:
     /// the three duration units in tree and totals column, values that
     /// round up into the next magnitude's digits (`1_999` ns, `999_999` ns),
     /// the first `ms` value, an exact binary tie (`1_125` ns is 1.125 us
@@ -288,7 +299,7 @@ mod tests {
         for _ in 0..REPORT_MAX_FLOWS + 1 {
             s.span_mark(t(4_000_000), 0, 0, 0, Stage::FaultDrop, 1);
         }
-        let report = span_report(&s.finalized_events(t(5_000_000)))?;
+        let report = report(&s, t(5_000_000))?;
         let head = "\
 span report: 63 spans
 

@@ -19,6 +19,9 @@ use std::rc::Rc;
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::{Labels, MirrorPass};
 
+use crate::report::WellFormedError;
+use crate::table::{finalize, SpanTable};
+
 /// Lifecycle stage a span is attributed to.
 ///
 /// `Flow` and `Packet` are the tree roots; the remaining stages tile a
@@ -58,6 +61,9 @@ pub enum Stage {
     /// 1 switch, 2 no-route, 3 fabric, 4 link queue, 5 trimmed).
     Drop,
 }
+
+/// Number of [`Stage`] variants.
+pub(crate) const STAGE_COUNT: usize = Stage::Drop as usize + 1;
 
 impl Stage {
     /// Stable display name (also the Chrome trace-event `name`).
@@ -297,6 +303,15 @@ impl Spans {
         finalize(&b.events.borrow(), now)
     }
 
+    /// The span table of [`Spans::finalized_events`], built in place from
+    /// the recorded edges: what every export renders. Empty when detached.
+    pub fn table(&self, now: SimTime) -> Result<SpanTable, WellFormedError> {
+        match &self.0 {
+            Some(b) => SpanTable::finalized(&b.events.borrow(), now),
+            None => SpanTable::finalized(&[], now),
+        }
+    }
+
     /// Mirror summary counters into the telemetry registry (`obs.*`).
     pub fn mirror_into(&self, m: &mut MirrorPass<'_>) {
         if !self.is_on() {
@@ -306,66 +321,4 @@ impl Spans {
         m.counter("obs.spans_started", Labels::None, self.started());
         m.counter("obs.spans_skipped", Labels::None, self.skipped());
     }
-}
-
-/// Close every open span in `events` (see [`Spans::finalized_events`]).
-/// Public so externally-assembled streams (tests, replay tools) can be
-/// normalized the same way.
-pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
-    let mut out: Vec<SpanEvent> = events.to_vec();
-    // Span ids are allocated densely from 1 in begin order, and a child's
-    // id is always greater than its parent's, so a single descending pass
-    // settles every end before its parent is visited.
-    let max_span = out.iter().map(|e| e.span).max().unwrap_or(0) as usize;
-    let mut begin_at: Vec<Option<SimTime>> = vec![None; max_span + 1];
-    let mut parent_of: Vec<u64> = vec![0; max_span + 1];
-    let mut stage_of: Vec<Stage> = vec![Stage::Packet; max_span + 1];
-    // Index into `out` of the span's End event, if recorded.
-    let mut end_idx: Vec<Option<usize>> = vec![None; max_span + 1];
-    for (i, e) in out.iter().enumerate() {
-        let s = e.span as usize;
-        match e.phase {
-            SpanPhase::Begin => {
-                begin_at[s] = Some(e.at);
-                parent_of[s] = e.parent;
-                stage_of[s] = e.stage;
-            }
-            SpanPhase::End => end_idx[s] = Some(i),
-        }
-    }
-    let mut final_end: Vec<SimTime> = vec![SimTime::ZERO; max_span + 1];
-    // Highest ids first: children settle before their parents.
-    for s in (1..=max_span).rev() {
-        let Some(begin) = begin_at[s] else { continue };
-        let recorded = end_idx[s].map(|i| out[i].at);
-        let mut end = recorded.unwrap_or(begin).max(begin).max(if recorded.is_none() {
-            now
-        } else {
-            SimTime::ZERO
-        });
-        end = end.max(final_end[s]); // raised by children below
-        final_end[s] = end;
-        match end_idx[s] {
-            Some(i) => out[i].at = end,
-            None => {
-                out.push(SpanEvent {
-                    at: end,
-                    span: s as u64,
-                    parent: 0,
-                    flow: 0,
-                    packet: 0,
-                    stage: stage_of[s],
-                    phase: SpanPhase::End,
-                    arg: 0,
-                });
-                end_idx[s] = Some(out.len() - 1);
-            }
-        }
-        // Propagate to the parent: it must not end before this child.
-        let p = parent_of[s] as usize;
-        if p > 0 && p <= max_span {
-            final_end[p] = final_end[p].max(end);
-        }
-    }
-    out
 }

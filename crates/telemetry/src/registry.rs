@@ -8,7 +8,7 @@
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::Write;
 use std::rc::Rc;
 
 use openoptics_sim::time::SimTime;
@@ -235,11 +235,18 @@ impl Snapshot {
         json::render(self)
     }
 
-    /// CSV with header `type,name,field,value`, one row per scalar.
-    /// Histograms flatten to `count`/`sum`/`min`/`max` plus one
-    /// `bucket_<i>` row per non-empty bucket.
+    /// CSV with header `type,name,field,value`, one row per scalar
+    /// ([`Snapshot::write_csv`] into a `String`).
     pub fn to_csv(&self) -> String {
         let mut s = String::with_capacity(1024);
+        self.write_csv(&mut s);
+        s
+    }
+
+    /// Write the CSV rendering to `s`: header `type,name,field,value`, one
+    /// row per scalar. Histograms flatten to `count`/`sum`/`min`/`max` plus
+    /// one `bucket_<i>` row per non-empty bucket.
+    pub fn write_csv(&self, s: &mut impl Write) {
         let _ = writeln!(s, "type,name,field,value");
         let _ = writeln!(s, "meta,snapshot,at_ns,{}", self.at.as_ns());
         for (name, v) in &self.counters {
@@ -259,7 +266,6 @@ impl Snapshot {
         }
         let _ = writeln!(s, "meta,trace,len,{}", self.trace_len);
         let _ = writeln!(s, "meta,trace,dropped,{}", self.trace_dropped);
-        s
     }
 }
 
