@@ -14,8 +14,9 @@ use crate::time::SimTime;
 
 /// Simulation state machine: interprets events of type `Self::Event`.
 pub trait World {
-    /// The event alphabet of this world.
-    type Event;
+    /// The event alphabet of this world. `Copy`: the queue stores an
+    /// event once and moves it as plain bytes.
+    type Event: Copy;
 
     /// Handle one event at instant `now`, scheduling any follow-up events on
     /// `queue`.

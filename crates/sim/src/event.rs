@@ -108,15 +108,17 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A slab slot: one near-window event and its place on a list. `event` is
-/// `None` exactly while the node is on the free list.
+/// A slab slot: one near-window event and its place on a list. A node on
+/// the free list keeps the stale event it last held, which nothing reads:
+/// an event moves in and out of its node as a plain copy, with no tag to
+/// write or check beside it.
 #[derive(Clone)]
 struct Node<E> {
     time: SimTime,
     seq: u64,
     /// The next node of the bucket, slot or free list this one is on.
     next: u32,
-    event: Option<E>,
+    event: E,
 }
 
 impl<E> Node<E> {
@@ -194,7 +196,7 @@ pub struct QueueStats {
     pub overlay_scheduled: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
@@ -215,7 +217,7 @@ fn fine_slot(time: SimTime) -> usize {
     ((time.as_ns() >> (BUCKET_BITS - FINE_BITS)) % FINE_SLOTS as u64) as usize
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Bytes one pending near-window event occupies: its `(time, seq)` key,
     /// its list link and the payload. It is written once when scheduled and
     /// read once when popped; the ring's memory is
@@ -291,7 +293,7 @@ impl<E> EventQueue<E> {
     /// recycled or new node and link it: sorted into its slot if the cursor
     /// is on its bucket, onto the front of its bucket's list otherwise.
     fn link_near(&mut self, time: SimTime, seq: u64, event: E) {
-        let node = Node { time, seq, next: NIL, event: Some(event) };
+        let node = Node { time, seq, next: NIL, event };
         let idx = match self.free {
             NIL => {
                 let idx = idx_u32(self.slab.len());
@@ -441,12 +443,10 @@ impl<E> EventQueue<E> {
             self.free = idx;
             self.free_len += 1;
             self.near_len -= 1;
-            node.event.take()
+            node.event
         } else {
-            self.overlay.pop().map(|e| e.event)
-        };
-        let Some(event) = event else {
-            unreachable!("event queue head vanished, or its node was on the free list")
+            let Some(e) = self.overlay.pop() else { unreachable!("event queue head vanished") };
+            e.event
         };
         self.len -= 1;
         self.popped_total += 1;

@@ -148,7 +148,7 @@ fn step() -> impl Strategy<Value = (Step, u64)> {
 /// carrying `payload(time, seq)`, on every fork of it, and on the
 /// [`Model`]; all must agree on every answer and, after every step, on the
 /// statistics.
-fn drive<P: Clone + PartialEq + Debug>(
+fn drive<P: Copy + PartialEq + Debug>(
     steps: &[(Step, u64)],
     payload: fn(u64, u64) -> P,
 ) -> Result<(), TestCaseError> {
