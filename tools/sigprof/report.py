@@ -4,6 +4,11 @@
     report.py sigprof.out                  self shares by symbol, inlined function, file, line
     report.py sigprof.out --under REGEX    inclusive share of frames matching REGEX, and
                                            what those samples were in directly beneath it
+    report.py sigprof.out --callers REGEX [--depth N]
+                                           for samples whose leaf matches REGEX, the first N
+                                           frames above the matching run (who called it)
+    report.py sigprof.out --pcs N          the N most sampled instructions, each with its
+                                           line and inlined frames
 
 Every distinct PC of the profiled executable goes through `addr2line -i -f -C` once, so a
 sample's stack is its physical frames with their inlined frames expanded (build with
@@ -21,6 +26,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 
 # What rustc's legacy mangling leaves in a name llvm-addr2line took from the symbol table.
 ESCAPES = {"$LT$": "<", "$GT$": ">", "$u20$": " ", "$C$": ",", "..": "::"}
@@ -78,6 +84,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("profile")
     ap.add_argument("--under", metavar="REGEX")
+    ap.add_argument("--callers", metavar="REGEX")
+    ap.add_argument("--depth", type=int, default=1, metavar="N")
+    ap.add_argument("--pcs", type=int, metavar="N")
     args = ap.parse_args()
 
     maps, stacks = load(args.profile)
@@ -121,6 +130,29 @@ def main():
         show(f"directly beneath {args.under} (share of the process)", children, total)
         return
 
+    if args.callers:
+        rx = re.compile(args.callers)
+        chains, hits = collections.Counter(), 0
+        for frames in samples:
+            if not rx.search(frames[0][0]):
+                continue
+            hits += 1
+            # Past the leaf's run of matching frames, the first N that do not match.
+            i = next((i for i, f in enumerate(frames) if not rx.search(f[0])), len(frames))
+            chains[" <- ".join(f[0] for f in frames[i:i + args.depth]) or "[no caller]"] += 1
+        print(f"leaf {args.callers}: {hits} / {total} samples = {100 * hits / max(total, 1):.1f} %")
+        show(f"first {args.depth} frame(s) above it (share of the process)", chains, total)
+        return
+
+    if args.pcs:
+        print(f"\ntop {args.pcs} sampled instructions: offset, line, inlined frames (leaf first)")
+        for pc, n in collections.Counter(s[0] for s in stacks).most_common(args.pcs):
+            frames = expand([pc])
+            at = hex(pc - base) if mapping(pc) == exe else frames[0][0]
+            chain = " <- ".join(f[0] for f in frames)
+            print(f"  {100 * n / total:5.1f} %  {n:6d}  {at}  {frames[0][1]}:{frames[0][2]}  {chain}")
+        return
+
     # A PC's last frame is the symbol it is physically in; the ones before were inlined.
     outer = [(table.get(s[0]) or expand(s[:1]))[-1][0] for s in stacks]
     show("self, by outer symbol", collections.Counter(outer), total)
@@ -130,4 +162,10 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # inside the try: a reader gone by now is not an error either
+    except BrokenPipeError:
+        # The reader (`| head`) is gone: say nothing more, not even at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
