@@ -59,6 +59,7 @@ fn measure(interval_ns: u64, steps: usize, seed: u64) -> Fig12Row {
             last = now;
             eqo.refresh(SimTime::from_ns(now), &[0]);
             let est = eqo.estimate(0, 0);
+            #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
             let err = (est as f64 - truth).abs() as u64;
             max_err = max_err.max(err);
             sum_err += err as f64;

@@ -60,6 +60,7 @@ fn measure(stack: &'static str, n: usize, seed: u64) -> Fig14Row {
         arrivals.push(send + rtt);
     }
     rtts.sort_unstable();
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
     let pct = |v: &[u64], q: f64| v[((q / 100.0 * v.len() as f64) as usize).min(v.len() - 1)];
     let p50 = pct(&rtts, 50.0) as f64 / 1e3;
     let band95 = (pct(&rtts, 97.5) - pct(&rtts, 2.5)) as f64 / 1e3;

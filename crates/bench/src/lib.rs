@@ -17,6 +17,10 @@
 //! finishes in seconds to minutes. Absolute numbers therefore differ from
 //! the paper; the *shape* — orderings, factors, crossovers — is the
 //! reproduction target (see EXPERIMENTS.md).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the harness measures wall time, reads argv and writes artifacts by design"
+)]
 
 pub mod ablations;
 pub mod faults;

@@ -37,6 +37,10 @@
 //!
 //! Each experiment reports its wall-clock time, scheduled-event count and
 //! merged telemetry totals to stderr.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the harness measures wall time, reads argv and writes artifacts by design"
+)]
 
 use openoptics_bench as x;
 use std::time::Instant;

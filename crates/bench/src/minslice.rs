@@ -41,6 +41,7 @@ pub fn run() -> MinSlice {
     let sync = 2 * ClockSync::PAPER_MAX_ERR_NS;
     let total = rotation + eqo_ns + sync;
     // Round up to the next 50 ns with >=25% headroom, min 200.
+    #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
     let guard = (((total as f64 * 1.25) / 50.0).ceil() as u64 * 50).max(200);
     MinSlice {
         rotation_variance_ns: rotation,

@@ -139,15 +139,16 @@ fn run_cell(
         net.inject_faults(&plan).expect("sweep fault plan targets this testbed");
     }
     // All-pairs mesh, per-flow bytes scaled by the load factor.
+    #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
     let bytes = (load * 100_000.0) as u64;
-    let mut i = 0u64;
+    let mut i = 0usize;
     for s in 0..NODES {
         for d in 0..NODES {
             if s == d {
                 continue;
             }
             net.add_flow(
-                SimTime::from_ns(100 + i * 5_000),
+                SimTime::from_ns(100 + i as u64 * 5_000),
                 HostId(s),
                 HostId(d),
                 bytes,
@@ -161,7 +162,7 @@ fn run_cell(
     fcts.sort_unstable();
     let p = |q: f64| FctStats::percentile(&fcts, q).map(|x| x as f64 / 1_000.0).unwrap_or(f64::NAN);
     let outcome =
-        Outcome::Ran { completed: fcts.len(), total: i as usize, p50_us: p(50.0), p99_us: p(99.0) };
+        Outcome::Ran { completed: fcts.len(), total: i, p50_us: p(50.0), p99_us: p(99.0) };
     crate::par::note_net(&net);
     Cell { arch, algo, load, fault, outcome }
 }

@@ -85,6 +85,7 @@ fn measure(routing: &'static str, offload: bool, trace: Trace, ms: u64) -> Table
         samples.push(total);
     }
     samples.sort_unstable();
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
     let p999 = samples[((samples.len() as f64 * 0.999) as usize).min(samples.len() - 1)];
     let peak: u64 =
         (0..NODES).map(|n| net.engine.tor(NodeId(n)).peak_buffer_bytes).max().unwrap_or(0);

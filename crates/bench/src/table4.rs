@@ -99,6 +99,7 @@ fn measure(
     } else {
         delays.iter().sum::<u64>() as f64 / delays.len() as f64 / 1e3
     };
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
     let p95 = if delays.is_empty() {
         0.0
     } else {

@@ -30,6 +30,7 @@ fn usage_errors_exit_2_with_the_table_generated_usage() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "the test inspects the binary's working directory")]
 fn a_run_writes_nothing_into_its_working_directory() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("experiments-empty-cwd");
     let _ = std::fs::remove_dir_all(&dir);

@@ -31,7 +31,7 @@ use openoptics_proto::packet::{PacketKind, HEADER_BYTES};
 use openoptics_proto::{FlowId, HostId, NodeId, Packet, PacketStore, PktRef, PortId, PushBack};
 use openoptics_routing::{compile, LookupMode, MultipathMode, Path, RoutingAlgorithm};
 use openoptics_sim::bytequeue::ByteQueue;
-use openoptics_sim::cast::{idx_u32, to_u32, to_u8};
+use openoptics_sim::cast::{idx_u32, to_u32, to_u8, to_usize};
 use openoptics_sim::rate::Bandwidth;
 use openoptics_sim::time::{SimTime, SliceConfig};
 use openoptics_sim::{EventQueue, SimRng, World};
@@ -650,7 +650,7 @@ impl Engine {
         } else {
             ClockSync::uniform(n, cfg.sync_err_ns, &mut rng)
         };
-        let telemetry = Registry::new(cfg.telemetry, cfg.trace_capacity as usize);
+        let telemetry = Registry::new(cfg.telemetry, to_usize(cfg.trace_capacity));
         let trace = telemetry.trace();
         let hosts: Vec<HostState> = (0..cfg.total_hosts())
             .map(|h| HostState {
@@ -1266,7 +1266,6 @@ impl Engine {
     /// Schedule a flow to start at `at`, tagged with `service` for SLO
     /// accounting; returns its pending-flow index (used by the API layer
     /// to arm the start timer after priming).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn add_flow_tagged(
         &mut self,
         at: SimTime,
@@ -1389,7 +1388,7 @@ impl Engine {
 
     /// Start a flow now; returns its id. `service` tags the flow's
     /// completion latency for SLO accounting.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per flow attribute")]
     fn start_flow(
         &mut self,
         now: SimTime,
@@ -1668,7 +1667,7 @@ impl Engine {
     }
 
     /// Deliver a packet to a host's downlink queue at its ToR.
-    #[allow(clippy::wrong_self_convention)] // "to" = toward the downlink, not a conversion
+    #[expect(clippy::wrong_self_convention, reason = "named for the downlink, not a conversion")]
     fn to_downlink(&mut self, host: HostId, pkt: PktRef, now: SimTime, q: &mut EventQueue<Event>) {
         let Packet { id: pid, size, .. } = self.packets[pkt];
         match self.downlinks[host.index()].push(pkt, size, now) {

@@ -395,7 +395,6 @@ impl OpenOpticsNet {
 
     /// [`OpenOpticsNet::add_flow`] with a service tag: the flow's FCT
     /// reports into the service's latency sketch and SLO accounting.
-    #[allow(clippy::too_many_arguments)]
     pub fn add_flow_tagged(
         &mut self,
         at: SimTime,

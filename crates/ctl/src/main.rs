@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use openoptics_ctl::{Checkpoint, Scenario, Session};
 
 fn main() -> ExitCode {
-    // oolint: allow(wall-clock, the CLI boundary: argv selects the command and its files)
+    #[expect(clippy::disallowed_methods, reason = "the CLI boundary: argv selects the command")]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter().map(String::as_str);
     let code = match it.next() {
@@ -80,7 +80,7 @@ fn parse_flags<'a>(it: impl Iterator<Item = &'a str>) -> Result<RunFlags, String
 }
 
 fn read(path: &str) -> Result<String, String> {
-    // oolint: allow(wall-clock, the CLI boundary: the scenario/checkpoint document is the input)
+    #[expect(clippy::disallowed_methods, reason = "the CLI boundary: the document is the input")]
     std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
 }
 
@@ -113,7 +113,7 @@ fn drive(mut session: Session, flags: &RunFlags) -> Result<(), String> {
     if let (Some(at), Some(path)) = (flags.save_at, &flags.checkpoint) {
         session.run_until(at);
         let doc = session.checkpoint().to_json();
-        // oolint: allow(wall-clock, the CLI boundary: the checkpoint is written, never read back)
+        #[expect(clippy::disallowed_methods, reason = "the CLI boundary: writing the checkpoint")]
         std::fs::write(path, doc + "\n").map_err(|e| format!("writing {path}: {e}"))?;
     }
     session.run_until(session.stop_ns());

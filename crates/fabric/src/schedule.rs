@@ -15,15 +15,34 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScheduleError {
     /// A circuit references a node `>= num_nodes`.
-    NodeOutOfRange { circuit: Circuit },
+    NodeOutOfRange {
+        /// The offending circuit.
+        circuit: Circuit,
+    },
     /// A circuit references a port `>= uplinks`.
-    PortOutOfRange { circuit: Circuit },
+    PortOutOfRange {
+        /// The offending circuit.
+        circuit: Circuit,
+    },
     /// A circuit references a slice `>= num_slices`.
-    SliceOutOfRange { circuit: Circuit },
+    SliceOutOfRange {
+        /// The offending circuit.
+        circuit: Circuit,
+    },
     /// A circuit connects a node to itself.
-    Loopback { circuit: Circuit },
+    Loopback {
+        /// The offending circuit.
+        circuit: Circuit,
+    },
     /// Two circuits claim the same `(node, port)` in the same slice.
-    PortConflict { node: NodeId, port: PortId, slice: SliceIndex },
+    PortConflict {
+        /// The node whose port is claimed twice.
+        node: NodeId,
+        /// The port both circuits claim.
+        port: PortId,
+        /// The slice both circuits are in.
+        slice: SliceIndex,
+    },
 }
 
 impl fmt::Display for ScheduleError {

@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # openoptics-faults
 //!
 //! Deterministic, seed-driven fault injection for the OpenOptics

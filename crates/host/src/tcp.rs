@@ -174,11 +174,13 @@ impl TcpSender {
     }
 
     /// The active topology's congestion window, bytes.
+    #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
     pub fn cwnd(&self) -> u64 {
         self.states[self.active].cwnd as u64
     }
 
     /// The congestion window of topology `t`, bytes.
+    #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
     pub fn cwnd_of(&self, t: usize) -> u64 {
         self.states[t].cwnd as u64
     }

@@ -42,6 +42,7 @@ impl ProbeStats {
     }
 
     /// RTT percentile in ns (p in [0, 100]).
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
     pub fn percentile_ns(&self, p: f64) -> Option<u64> {
         if self.samples_ns.is_empty() {
             return None;

@@ -76,6 +76,7 @@ impl From<WellFormedError> for ObsError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openoptics_sim::cast::to_usize;
     use openoptics_sim::time::SimTime;
     use openoptics_telemetry::json;
 
@@ -200,12 +201,12 @@ mod tests {
         let recorded_end =
             |span: u64| raw.iter().find(|e| e.span == span && e.phase == SpanPhase::End);
         // A span's own end, raised along its ancestor chain.
-        let mut want_end = vec![SimTime::ZERO; next as usize];
+        let mut want_end = vec![SimTime::ZERO; to_usize(next)];
         for span in 1..next {
             let own = recorded_end(span).map_or(begin_of(span)?.at.max(now), |e| e.at);
             let mut up = span;
             while up != 0 {
-                want_end[up as usize] = want_end[up as usize].max(own);
+                want_end[to_usize(up)] = want_end[to_usize(up)].max(own);
                 up = begin_of(up)?.parent;
             }
         }
@@ -216,7 +217,7 @@ mod tests {
         for e in synthesized {
             assert_eq!(e.phase, SpanPhase::End);
             assert_eq!(e.stage, begin_of(e.span)?.stage, "span {}", e.span);
-            assert_eq!(e.at, want_end[e.span as usize], "span {}", e.span);
+            assert_eq!(e.at, want_end[to_usize(e.span)], "span {}", e.span);
         }
         assert!(build_forest(&out).is_ok());
         Ok(())

@@ -10,7 +10,7 @@
 //! Event counts are exact.
 //!
 //! Wall-clock mode is opt-in via an injected clock closure (the simulator
-//! itself never reads host time — the `wall-clock` oolint rule): with a
+//! itself never reads host time — clippy's `disallowed_methods`): with a
 //! clock installed the profiler also measures real nanoseconds per phase,
 //! inclusive and exclusive of nested sub-phases. Wall numbers are for the
 //! bench binary's self-profiling only and never appear in deterministic

@@ -8,19 +8,20 @@ use std::fmt::Write;
 
 use crate::report::{SpanNode, WellFormedError, REPORT_MAX_FLOWS};
 use crate::span::{SpanEvent, SpanPhase, Stage};
+use openoptics_sim::cast::to_usize;
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::json;
 
 /// The copying finalize: the stream plus a synthesized end per open span.
 pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
     let mut out: Vec<SpanEvent> = events.to_vec();
-    let max_span = out.iter().map(|e| e.span).max().unwrap_or(0) as usize;
+    let max_span = to_usize(out.iter().map(|e| e.span).max().unwrap_or(0));
     let mut begin_at: Vec<Option<SimTime>> = vec![None; max_span + 1];
     let mut parent_of: Vec<u64> = vec![0; max_span + 1];
     let mut stage_of: Vec<Stage> = vec![Stage::Packet; max_span + 1];
     let mut end_idx: Vec<Option<usize>> = vec![None; max_span + 1];
     for (i, e) in out.iter().enumerate() {
-        let s = e.span as usize;
+        let s = to_usize(e.span);
         match e.phase {
             SpanPhase::Begin => {
                 begin_at[s] = Some(e.at);
@@ -57,7 +58,7 @@ pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
                 end_idx[s] = Some(out.len() - 1);
             }
         }
-        let p = parent_of[s] as usize;
+        let p = to_usize(parent_of[s]);
         if p > 0 && p <= max_span {
             final_end[p] = final_end[p].max(end);
         }
@@ -67,11 +68,11 @@ pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
 
 /// A node per span, each with its own children `Vec`.
 pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedError> {
-    let max_span = events.iter().map(|e| e.span).max().unwrap_or(0) as usize;
+    let max_span = to_usize(events.iter().map(|e| e.span).max().unwrap_or(0));
     let mut nodes: Vec<Option<SpanNode>> = vec![None; max_span + 1];
     let mut ended: Vec<bool> = vec![false; max_span + 1];
     for e in events {
-        let s = e.span as usize;
+        let s = to_usize(e.span);
         match e.phase {
             SpanPhase::Begin => {
                 if nodes[s].is_some() {
@@ -125,7 +126,7 @@ pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedErr
         if parent == 0 {
             continue;
         }
-        let p = parent as usize;
+        let p = to_usize(parent);
         if p > max_span || index_of[p] == usize::MAX {
             return Err(WellFormedError::UnknownParent { span, parent });
         }

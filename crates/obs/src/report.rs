@@ -10,6 +10,7 @@ use std::fmt::Write;
 
 use crate::span::{SpanEvent, Stage, STAGE_COUNT};
 use crate::table::{Row, SpanTable};
+use openoptics_sim::cast::to_usize;
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::json::{self, Text, ToJson};
 
@@ -118,7 +119,7 @@ pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedErr
     }
     for i in 0..out.len() {
         // The table checked that every parent is a span.
-        let parent = out[i].parent as usize;
+        let parent = to_usize(out[i].parent);
         if parent != 0 {
             let p = index_of[parent];
             out[p].children.push(i);
@@ -224,11 +225,11 @@ impl Children {
         // In a recorded stream a child's id follows its parent's, so one
         // ascending pass reaches every member; a stream where some parent
         // id follows its child's takes a pass per such level.
-        let ordered = rows.iter().enumerate().all(|(s, r)| !child(r) || (r.parent as usize) < s);
+        let ordered = rows.iter().enumerate().all(|(s, r)| !child(r) || to_usize(r.parent) < s);
         loop {
             let mut grew = false;
             for (s, r) in rows.iter().enumerate() {
-                if child(r) && !member[s] && member.get(r.parent as usize) == Some(&true) {
+                if child(r) && !member[s] && member.get(to_usize(r.parent)) == Some(&true) {
                     member[s] = true;
                     grew = true;
                 }
@@ -240,7 +241,7 @@ impl Children {
         let mut first = vec![0; rows.len() + 1];
         let kids = || rows.iter().enumerate().filter(|&(s, r)| member[s] && child(r));
         for (_, r) in kids() {
-            first[r.parent as usize + 1] += 1;
+            first[to_usize(r.parent) + 1] += 1;
         }
         for s in 1..first.len() {
             first[s] += first[s - 1];
@@ -248,7 +249,7 @@ impl Children {
         let mut at = first.clone();
         let mut list = vec![0; first[rows.len()]];
         for (s, r) in kids() {
-            let p = r.parent as usize;
+            let p = to_usize(r.parent);
             list[at[p]] = s;
             at[p] += 1;
         }

@@ -7,6 +7,7 @@
 //! precedence, of a stream-order reconstruction. Every export reads it;
 //! [`finalize`] and [`crate::build_forest`] are views over it.
 
+use openoptics_sim::cast::to_usize;
 use openoptics_sim::time::SimTime;
 
 use crate::report::WellFormedError;
@@ -64,11 +65,11 @@ pub struct SpanTable {
 /// stream shows anything that can make the stream-order check fail (a
 /// repeated edge, an end before its begin), so a clean stream skips it.
 fn fill(events: &[SpanEvent], now: Option<SimTime>) -> (Vec<Row>, bool) {
-    let n = events.iter().map(|e| e.span).max().map_or(0, |m| m as usize + 1);
+    let n = events.iter().map(|e| e.span).max().map_or(0, |m| to_usize(m) + 1);
     let mut rows = vec![Row::EMPTY; n];
     let mut suspect = false;
     for e in events {
-        let r = &mut rows[e.span as usize];
+        let r = &mut rows[to_usize(e.span)];
         match e.phase {
             // A repeated begin overwrites: finalize reads the last one.
             SpanPhase::Begin => {
@@ -107,7 +108,7 @@ fn fill(events: &[SpanEvent], now: Option<SimTime>) -> (Vec<Row>, bool) {
             let open = if r.ends == 0 { now } else { SimTime::ZERO };
             let end = r.end.max(r.begin).max(open);
             rows[s].end = end;
-            let p = r.parent as usize;
+            let p = to_usize(r.parent);
             if p > 0 && p < s {
                 rows[p].end = rows[p].end.max(end);
             }
@@ -179,7 +180,7 @@ fn first_stream_error(
     // Per span id: (first begin's time, if begun; ended).
     let mut seen: Vec<(Option<SimTime>, bool)> = vec![(None, false); rows.len()];
     for e in events {
-        let s = e.span as usize;
+        let s = to_usize(e.span);
         let (begun, ended) = &mut seen[s];
         match e.phase {
             SpanPhase::Begin => {
@@ -233,7 +234,7 @@ pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
         ),
     );
     for e in out[..events.len()].iter_mut().rev() {
-        let r = &mut rows[e.span as usize];
+        let r = &mut rows[to_usize(e.span)];
         if e.phase == SpanPhase::End && r.is_span() && r.ends > 0 {
             e.at = r.end;
             r.ends = 0; // earlier ends of the span keep their time
@@ -355,7 +356,7 @@ mod tests {
             match kind {
                 0 => {
                     let e = events[i];
-                    events.insert(value as usize % (events.len() + 1), e);
+                    events.insert(to_usize(value) % (events.len() + 1), e);
                 }
                 1 => drop(events.remove(i)),
                 2 => events[i].span = value % ids,

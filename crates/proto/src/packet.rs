@@ -68,6 +68,7 @@ impl SourceRoute {
 
     /// Wire bytes this route adds to the packet header
     /// (4 bytes per hop: 2 port + 2 slice, mirroring a compact P4 header stack).
+    #[expect(clippy::cast_possible_truncation, reason = "a route has a handful of hops")]
     pub fn wire_bytes(&self) -> u32 {
         4 * self.hops.len() as u32
     }
@@ -135,7 +136,7 @@ pub struct Packet {
 
 impl Packet {
     /// A data packet carrying `payload` application bytes.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per header field")]
     pub fn data(
         id: u64,
         flow: FlowId,

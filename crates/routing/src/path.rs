@@ -52,15 +52,27 @@ pub enum PathError {
     /// First hop is not at the source.
     WrongOrigin,
     /// A hop departs on a port with no circuit in its departure slice.
-    DarkCircuit { hop: usize },
+    DarkCircuit {
+        /// Index of the offending hop.
+        hop: usize,
+    },
     /// The hop sequence does not land on the destination.
-    WrongDestination { lands_on: NodeId },
+    WrongDestination {
+        /// Where the last hop delivers the packet.
+        lands_on: NodeId,
+    },
     /// Hop `hop` is at a different node than where the previous hop's
     /// circuit delivered the packet.
-    Discontinuous { hop: usize },
+    Discontinuous {
+        /// Index of the offending hop.
+        hop: usize,
+    },
     /// A TA-style wildcard hop appears in a multi-slice (TO) path, or
     /// departure slices are inconsistent with waiting.
-    BadTiming { hop: usize },
+    BadTiming {
+        /// Index of the offending hop.
+        hop: usize,
+    },
 }
 
 impl Path {

@@ -2,16 +2,37 @@
 //!
 //! Silent truncation is a determinism hazard: a sim-time delta or byte
 //! count that overflows a narrowing `as` cast produces a *valid-looking*
-//! wrong number, and the run diverges without any error. The oolint
-//! `numeric-cast` ratchet counts every narrowing `as` in sim-path crates;
-//! hot-path sites use these helpers instead, which panic loudly at the
-//! moment of truncation rather than corrupting simulated state.
+//! wrong number, and the run diverges without any error. Clippy's
+//! `cast_possible_truncation` (denied workspace-wide, DESIGN.md
+//! "Determinism invariants & lint policy") rejects every narrowing `as`;
+//! sites off the hot path use these helpers instead, which panic loudly at
+//! the moment of truncation rather than corrupting simulated state.
 //!
-//! The helpers are `#[inline]` wrappers over `try_from` — on the hot path
-//! the bounds are structurally guaranteed (e.g. a segment length already
+//! The checked helpers are `#[inline]` wrappers over `try_from` — the
+//! bounds are structurally guaranteed (e.g. a segment length already
 //! clamped to the MSS), so the branch predicts perfectly and the cost is
 //! noise; the value is the loud failure if a refactor ever breaks the
-//! clamp.
+//! clamp. `to_usize` is the one unchecked helper: on the 64-bit hosts
+//! this workspace builds for it cannot truncate, which a compile-time
+//! assertion pins, so the event queue, the sketch and the span table index
+//! by `u64` ids without a runtime check.
+
+const _: () = assert!(usize::BITS == 64, "u64 ids index memory as usize: 64-bit targets only");
+
+/// `u64 -> usize` for ids and indices: a plain `as`, lossless because
+/// `usize` is 64 bits wide (asserted at compile time above).
+#[inline]
+#[expect(clippy::cast_possible_truncation, reason = "usize is 64 bits wide, asserted above")]
+pub const fn to_usize(v: u64) -> usize {
+    v as usize
+}
+
+/// `u128 -> u64` with a loud failure on truncation. For the result of a
+/// multiply-divide widened to 128 bits so the product cannot overflow.
+#[inline]
+pub fn to_u64(v: u128) -> u64 {
+    u64::try_from(v).expect("u128 value exceeds u64 range; widened arithmetic overflowed")
+}
 
 /// `u64 -> u32` with a loud failure on truncation. For quantities already
 /// bounded by construction (segment lengths clamped to the MSS, ranks
@@ -46,6 +67,8 @@ mod tests {
         assert_eq!(to_u32(0), 0);
         assert_eq!(to_u32(u32::MAX as u64), u32::MAX);
         assert_eq!(to_u8(255), u8::MAX);
+        assert_eq!(to_u64(u64::MAX as u128), u64::MAX);
+        assert_eq!(to_usize(u64::MAX), usize::MAX);
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! assert_eq!(q.pop(), Some((SimTime::from_us(3), "late")));
 //! ```
 
-use crate::cast::idx_u32;
+use crate::cast::{idx_u32, to_usize};
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -209,7 +209,7 @@ fn bucket_of(time: SimTime) -> u64 {
 
 #[inline]
 fn ring_slot(bucket: u64) -> usize {
-    (bucket % NUM_BUCKETS as u64) as usize
+    to_usize(bucket % NUM_BUCKETS as u64)
 }
 
 #[inline]

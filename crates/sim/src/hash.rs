@@ -44,6 +44,7 @@ pub fn packet_hash(ingress_ns: u64, salt: u64) -> u64 {
 /// Reduce a hash to an index in `0..n` with multiply-shift (avoids the
 /// modulo bias of `h % n` for non-power-of-two `n`).
 #[inline]
+#[expect(clippy::cast_possible_truncation, reason = "the product's high word is below n")]
 pub fn bucket(h: u64, n: usize) -> usize {
     debug_assert!(n > 0);
     ((h as u128 * n as u128) >> 64) as usize
@@ -128,11 +129,11 @@ impl std::hash::Hasher for FxHasher {
 pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`]; construct with `FxHashMap::default()`.
-// oolint: allow(nondet-map, this alias IS the sanctioned deterministic map)
+#[expect(clippy::disallowed_types, reason = "this alias IS the sanctioned deterministic map")]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` using [`FxHasher`]; construct with `FxHashSet::default()`.
-// oolint: allow(nondet-map, this alias IS the sanctioned deterministic set)
+#[expect(clippy::disallowed_types, reason = "this alias IS the sanctioned deterministic set")]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
@@ -212,7 +213,7 @@ mod tests {
         let n = 64;
         let mut counts = vec![0usize; n];
         for i in 0..6400u64 {
-            counts[(fx_of(i) as usize) % n] += 1;
+            counts[crate::cast::to_usize(fx_of(i)) % n] += 1;
         }
         for &c in &counts {
             assert!((50..200).contains(&c), "skewed fx bucket count {c}");

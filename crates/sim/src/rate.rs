@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::cast::to_u64;
+
 /// A link bandwidth, stored in bits per second.
 ///
 /// The conversions here are the ones the paper leans on for its guardband
@@ -46,7 +48,7 @@ impl Bandwidth {
         match bytes.checked_mul(8 * 1_000_000_000).and_then(|n| n.checked_add(self.0 / 2)) {
             Some(n) => n / self.0,
             None => {
-                ((bytes as u128 * 8 * 1_000_000_000 + self.0 as u128 / 2) / self.0 as u128) as u64
+                to_u64((bytes as u128 * 8 * 1_000_000_000 + self.0 as u128 / 2) / self.0 as u128)
             }
         }
     }
@@ -57,14 +59,14 @@ impl Bandwidth {
     pub fn bytes_in_ns(self, ns: u64) -> u64 {
         match self.0.checked_mul(ns) {
             Some(bit_ns) => bit_ns / (8 * 1_000_000_000),
-            None => (self.0 as u128 * ns as u128 / 8 / 1_000_000_000) as u64,
+            None => to_u64(self.0 as u128 * ns as u128 / 8 / 1_000_000_000),
         }
     }
 
     /// Scale the bandwidth by a rational factor `num/den` (e.g. rate limits).
     #[inline]
     pub fn scale(self, num: u64, den: u64) -> Bandwidth {
-        Bandwidth((self.0 as u128 * num as u128 / den as u128) as u64)
+        Bandwidth(to_u64(self.0 as u128 * num as u128 / den as u128))
     }
 }
 
@@ -120,11 +122,11 @@ mod tests {
     /// The all-`u128` formulas both conversions used before they took the
     /// `u64` path when it fits.
     fn tx_time_ns_wide(rate: u64, bytes: u64) -> u64 {
-        ((bytes as u128 * 8 * 1_000_000_000 + rate as u128 / 2) / rate as u128) as u64
+        to_u64((bytes as u128 * 8 * 1_000_000_000 + rate as u128 / 2) / rate as u128)
     }
 
     fn bytes_in_ns_wide(rate: u64, ns: u64) -> u64 {
-        (rate as u128 * ns as u128 / 8 / 1_000_000_000) as u64
+        to_u64(rate as u128 * ns as u128 / 8 / 1_000_000_000)
     }
 
     proptest! {
@@ -132,7 +134,8 @@ mod tests {
         fn narrow_and_wide_paths_agree(
             rate in 1_000_000_000u64..=1_600_000_000_000,
             bytes in 0u64..=1 << 40,
-            ns in any::<u64>(),
+            // At most 200 bytes per ns: every window whose byte count fits u64.
+            ns in 0..=u64::MAX / 200,
         ) {
             let bw = Bandwidth(rate);
             prop_assert_eq!(bw.tx_time_ns(bytes), tx_time_ns_wide(rate, bytes));

@@ -142,6 +142,7 @@ impl SimRng {
 
     /// Exponentially distributed draw with the given mean (for Poisson
     /// inter-arrival gaps). Returns at least 1 to keep event times advancing.
+    #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
     pub fn exp_ns(&mut self, mean_ns: f64) -> u64 {
         debug_assert!(mean_ns > 0.0);
         let u = self.f64().max(f64::MIN_POSITIVE);
@@ -169,8 +170,11 @@ pub trait RangeSample<T> {
     fn sample(self, rng: &mut SimRng) -> T;
 }
 
+// The impls `allow` rather than `expect` truncation: the last cast narrows
+// for some `$t` only.
 macro_rules! impl_range_sample {
     ($($t:ty),*) => {$(
+        #[allow(clippy::cast_possible_truncation, reason = "the draw lies in the range")]
         impl RangeSample<$t> for Range<$t> {
             #[inline]
             fn sample(self, rng: &mut SimRng) -> $t {
@@ -180,6 +184,7 @@ macro_rules! impl_range_sample {
                 (self.start as i128 + off as i128) as $t
             }
         }
+        #[allow(clippy::cast_possible_truncation, reason = "the draw lies in the range")]
         impl RangeSample<$t> for RangeInclusive<$t> {
             #[inline]
             fn sample(self, rng: &mut SimRng) -> $t {

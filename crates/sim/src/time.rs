@@ -178,6 +178,7 @@ impl SliceConfig {
 
     /// The slice index (within the cycle) active at instant `t`.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "the remainder is below num_slices")]
     pub fn slice_at(&self, t: SimTime) -> SliceIndex {
         ((t.0 / self.slice_ns) % self.num_slices as u64) as SliceIndex
     }
@@ -222,6 +223,7 @@ impl SliceConfig {
 
     /// Slice index `base + delta` wrapped around the cycle.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "the remainder is below num_slices")]
     pub fn advance(&self, base: SliceIndex, delta: u32) -> SliceIndex {
         ((base as u64 + delta as u64) % self.num_slices as u64) as SliceIndex
     }

@@ -145,6 +145,7 @@ impl HistData {
         }
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "a histogram has 65 buckets")]
     pub(crate) fn summary(&self) -> HistogramSummary {
         let counts = self.counts.borrow();
         let buckets = counts
@@ -265,7 +266,7 @@ mod tests {
     #[test]
     fn bucket_bounds_bracket_their_values() {
         for v in [0u64, 1, 2, 3, 5, 100, 4096, u64::MAX / 2, u64::MAX] {
-            let i = bucket_index(v) as u8;
+            let i = u8::try_from(bucket_index(v)).unwrap();
             assert!(v <= bucket_upper_bound(i), "v={v} above bound of bucket {i}");
             if i > 0 {
                 assert!(v > bucket_upper_bound(i - 1), "v={v} not above bucket {}", i - 1);

@@ -84,6 +84,7 @@ impl Json {
     /// The value as an unsigned integer, or a type error. A [`Json::Num`]
     /// qualifies only when it is integral and below 2^53, where `f64` is
     /// exact — a conversion never changes the number.
+    #[expect(clippy::cast_possible_truncation, reason = "the float is integral and below 2^53")]
     pub fn as_u64(&self) -> Result<u64, JsonError> {
         match self {
             Json::Int(i) => u64::try_from(*i).map_err(|_| self.mismatch("unsigned integer")),
@@ -364,6 +365,7 @@ impl Writer {
     /// Write a float: integral values below 2^53 print without a decimal
     /// point, everything else in Rust's shortest round-trip form, and the
     /// non-finite values JSON cannot express as `null`.
+    #[expect(clippy::cast_possible_truncation, reason = "the float is integral and below 2^53")]
     pub fn float(&mut self, n: f64) {
         if n.fract() == 0.0 && n.abs() < F64_EXACT {
             return self.int(n as i128);

@@ -17,6 +17,8 @@
 //! `v ≤ r < v + v/16` — an overestimate by strictly less than **6.25 %**
 //! relative error. No floats are involved anywhere.
 
+use openoptics_sim::cast::to_usize;
+
 /// Values below this are counted in exact width-1 buckets.
 const LINEAR_MAX: u64 = 16;
 /// Sub-buckets per power-of-two octave (`2^SUB_BITS`).
@@ -25,27 +27,28 @@ const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS;
 /// Total fixed bucket count: 16 exact slots + 16 per octave for octaves
 /// 4..=63.
-pub const SKETCH_BUCKETS: usize = LINEAR_MAX as usize + (64 - SUB_BITS as usize) * SUB;
+pub const SKETCH_BUCKETS: usize = to_usize(LINEAR_MAX) + (64 - SUB_BITS as usize) * SUB;
 
 /// Bucket index of a sample value (monotone in the value).
 #[inline]
 fn bucket_index(v: u64) -> usize {
     if v < LINEAR_MAX {
-        return v as usize;
+        return to_usize(v);
     }
     let k = 63 - v.leading_zeros(); // k >= 4
-    let sub = ((v >> (k - SUB_BITS)) as usize) & (SUB - 1);
-    LINEAR_MAX as usize + (k - SUB_BITS) as usize * SUB + sub
+    let sub = to_usize(v >> (k - SUB_BITS)) & (SUB - 1);
+    to_usize(LINEAR_MAX) + (k - SUB_BITS) as usize * SUB + sub
 }
 
 /// Largest value that maps into bucket `i` (the reported quantile value).
 #[inline]
 fn bucket_upper_bound(i: usize) -> u64 {
-    if i < LINEAR_MAX as usize {
+    if i < to_usize(LINEAR_MAX) {
         return i as u64;
     }
-    let oct = (i - LINEAR_MAX as usize) / SUB;
-    let sub = ((i - LINEAR_MAX as usize) % SUB) as u64;
+    let oct = (i - to_usize(LINEAR_MAX)) / SUB;
+    let sub = ((i - to_usize(LINEAR_MAX)) % SUB) as u64;
+    #[expect(clippy::cast_possible_truncation, reason = "there are 60 octaves")]
     let k = SUB_BITS + oct as u32; // octave: 2^k ..
     let width = 1u64 << (k - SUB_BITS);
     let lo = (LINEAR_MAX + sub) << (k - SUB_BITS);
@@ -117,6 +120,7 @@ impl QuantileSketch {
             return 0;
         }
         // Nearest rank: ceil(count * numer / denom), clamped to [1, count].
+        #[expect(clippy::cast_possible_truncation, reason = "clamped to count, a u64")]
         let rank = (self.count as u128 * numer as u128)
             .div_ceil(denom as u128)
             .clamp(1, self.count as u128) as u64;
@@ -186,7 +190,7 @@ mod tests {
         vals.sort_unstable();
         for (numer, denom) in [(1, 2), (99, 100), (999, 1000)] {
             let rank = (vals.len() as u64 * numer).div_ceil(denom).clamp(1, vals.len() as u64);
-            let exact = vals[rank as usize - 1];
+            let exact = vals[to_usize(rank) - 1];
             let got = s.quantile(numer, denom);
             assert!(got >= exact, "p{numer}/{denom}: {got} < exact {exact}");
             assert!((got - exact) * 16 <= exact, "p{numer}/{denom}: {got} off {exact}");

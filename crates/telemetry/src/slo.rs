@@ -147,7 +147,7 @@ impl ServiceStats {
             return 0;
         }
         let num = u128::from(self.bad) * 1_000_000;
-        (num / (u128::from(self.total) * budget)).min(u128::from(u64::MAX)) as u64
+        u64::try_from(num / (u128::from(self.total) * budget)).unwrap_or(u64::MAX)
     }
 
     /// Total samples recorded.

@@ -62,47 +62,142 @@ impl FlightTrigger {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKind {
     /// A node rotated its calendar queues at a slice boundary.
-    SliceRotate { node: NodeId, slice: SliceIndex },
+    SliceRotate {
+        /// The rotating ToR.
+        node: NodeId,
+        /// The slice that became active.
+        slice: SliceIndex,
+    },
     /// An uplink paused because its locally-perceived slice was inside the
     /// reconfiguration guardband; transmission resumes after it.
-    GuardbandHold { node: NodeId, port: PortId },
+    GuardbandHold {
+        /// The holding ToR.
+        node: NodeId,
+        /// The paused uplink.
+        port: PortId,
+    },
     /// The head packet of an active calendar queue did not fit in the
     /// remainder of the slice and waits a full cycle.
-    SliceMiss { node: NodeId, port: PortId },
+    SliceMiss {
+        /// The ToR whose head packet missed.
+        node: NodeId,
+        /// The uplink the packet waits on.
+        port: PortId,
+    },
     /// The fabric dropped a packet that crossed during the guardband.
-    GuardbandDrop { node: NodeId, port: PortId },
+    GuardbandDrop {
+        /// The sending ToR.
+        node: NodeId,
+        /// The uplink the packet left on.
+        port: PortId,
+    },
     /// The fabric dropped a packet sent on a port with no circuit in the
     /// active slice (or while the OCS was reconfiguring).
-    NoCircuitDrop { node: NodeId, port: PortId },
+    NoCircuitDrop {
+        /// The sending ToR.
+        node: NodeId,
+        /// The uplink the packet left on.
+        port: PortId,
+    },
     /// One EQO estimation sample: estimated vs. true queue occupancy at
     /// admission (§5.2).
-    EqoSample { node: NodeId, port: PortId, queue: u32, estimate_bytes: u64, actual_bytes: u64 },
+    EqoSample {
+        /// The admitting ToR.
+        node: NodeId,
+        /// The uplink whose calendar queue was estimated.
+        port: PortId,
+        /// The index of the calendar queue the packet was admitted to.
+        queue: u32,
+        /// The EQO's estimate of that queue's occupancy.
+        estimate_bytes: u64,
+        /// The queue's true occupancy.
+        actual_bytes: u64,
+    },
     /// A switch broadcast a push-back message for `(dst, slice, cycle)`.
-    PushbackAssert { node: NodeId, dst: NodeId, slice: SliceIndex, cycle: u64 },
+    PushbackAssert {
+        /// The ToR whose calendar queue filled.
+        node: NodeId,
+        /// The destination whose queue overflowed.
+        dst: NodeId,
+        /// The slice of the full queue.
+        slice: SliceIndex,
+        /// The cycle after which sending may resume.
+        cycle: u64,
+    },
     /// The dedup entry for a push-back expired (the embargoed cycle passed).
-    PushbackDeassert { node: NodeId, dst: NodeId, slice: SliceIndex, cycle: u64 },
+    PushbackDeassert {
+        /// The ToR whose dedup entry expired.
+        node: NodeId,
+        /// The destination ToR of the expired push-back.
+        dst: NodeId,
+        /// The slice of the expired push-back.
+        slice: SliceIndex,
+        /// The cycle that passed.
+        cycle: u64,
+    },
     /// A host's per-destination segment queue transitioned to paused.
-    FlowPause { host: HostId, dst: NodeId },
+    FlowPause {
+        /// The pausing host.
+        host: HostId,
+        /// The destination ToR of the paused queue.
+        dst: NodeId,
+    },
     /// A host's per-destination segment queue resumed.
-    FlowResume { host: HostId, dst: NodeId },
+    FlowResume {
+        /// The resuming host.
+        host: HostId,
+        /// The destination ToR of the resumed queue.
+        dst: NodeId,
+    },
     /// A retransmission fired for a flow.
-    Retransmit { flow: FlowId, kind: RetxKind },
+    Retransmit {
+        /// The retransmitting flow.
+        flow: FlowId,
+        /// What triggered the retransmission.
+        kind: RetxKind,
+    },
     /// An injected fault destroyed a packet at an optical port (link down,
     /// stuck OCS port, or transceiver-flap corruption): the switch drained
     /// the packet and charged it to the fault instead of transmitting.
-    FaultDrop { node: NodeId, port: PortId },
+    FaultDrop {
+        /// The ToR that drained the packet.
+        node: NodeId,
+        /// The faulted optical port.
+        port: PortId,
+    },
     /// An injected fault window became active on `(node, port)` (`port` is
     /// 0 for node-scoped faults).
-    FaultInject { node: NodeId, port: PortId },
+    FaultInject {
+        /// The faulted node.
+        node: NodeId,
+        /// The faulted port, or 0 for a node-scoped fault.
+        port: PortId,
+    },
     /// An injected fault window cleared on `(node, port)`.
-    FaultClear { node: NodeId, port: PortId },
+    FaultClear {
+        /// The recovered node.
+        node: NodeId,
+        /// The recovered port, or 0 for a node-scoped fault.
+        port: PortId,
+    },
     /// A service's rolling SLO window went into breach.
-    SloBreach { service: u32 },
+    SloBreach {
+        /// The breaching service's index.
+        service: u32,
+    },
     /// A service's rolling SLO window recovered from breach.
-    SloRecover { service: u32 },
+    SloRecover {
+        /// The recovered service's index.
+        service: u32,
+    },
     /// The flight recorder dumped its ring of recent trace events into the
     /// subscription frame stream (`records` events, see `trigger`).
-    FlightDump { trigger: FlightTrigger, records: u32 },
+    FlightDump {
+        /// What caused the dump.
+        trigger: FlightTrigger,
+        /// How many events the dump carries.
+        records: u32,
+    },
 }
 
 impl TraceKind {
@@ -324,6 +419,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openoptics_sim::cast::to_u32;
 
     #[test]
     fn bounded_buffer_keeps_head_and_counts_drops() {
@@ -331,7 +427,7 @@ mod tests {
         for i in 0..5u64 {
             tr.emit(
                 SimTime::from_ns(i),
-                TraceKind::SliceRotate { node: NodeId(0), slice: i as u32 },
+                TraceKind::SliceRotate { node: NodeId(0), slice: to_u32(i) },
             );
         }
         assert_eq!(tr.len(), 2);
@@ -357,7 +453,7 @@ mod tests {
         for i in 0..(FLIGHT_CAPACITY as u64 + 10) {
             tr.emit(
                 SimTime::from_ns(i),
-                TraceKind::SliceRotate { node: NodeId(0), slice: i as u32 },
+                TraceKind::SliceRotate { node: NodeId(0), slice: to_u32(i) },
             );
         }
         // Main buffer kept the head; the flight ring kept the tail.

@@ -50,9 +50,7 @@ fn perfect_matching_on_support(m: &TrafficMatrix, eps: f64) -> Option<Vec<usize>
         for j in 0..n {
             if m.get(NodeId(idx_u32(i)), NodeId(idx_u32(j))) > eps && !visited[j] {
                 visited[j] = true;
-                if match_col[j].is_none()
-                    || try_kuhn(match_col[j].unwrap(), m, eps, visited, match_col)
-                {
+                if match_col[j].is_none_or(|k| try_kuhn(k, m, eps, visited, match_col)) {
                     match_col[j] = Some(i);
                     return true;
                 }

@@ -60,6 +60,7 @@ pub fn opera_schedule(n: u32, uplinks: u16) -> (Vec<Circuit>, u32) {
                 break 'attempt;
             }
         }
+        #[expect(clippy::panic, reason = "documented: no connected slice means no Opera schedule")]
         circuits.extend(chosen.unwrap_or_else(|| {
             panic!("no connected {uplinks}-regular slice found for n={n}, ts={ts}")
         }));

@@ -97,6 +97,7 @@ pub fn round_robin(n: u32, uplinks: u16) -> (Vec<Circuit>, u32) {
 /// `dim` hops (one per differing coordinate).
 pub fn round_robin_multidim(n: u32, dim: u32) -> (Vec<Circuit>, u32) {
     assert!(dim >= 1);
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; to_u32 checks the rest")]
     let s = to_u32(f64::from(n).powf(1.0 / f64::from(dim)).round() as u64);
     assert_eq!(
         s.checked_pow(dim).expect("grid size overflow"),

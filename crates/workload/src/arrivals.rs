@@ -63,7 +63,7 @@ impl PoissonArrivals {
     }
 
     /// Draw the next flow.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "an endless generator, not an Iterator")]
     pub fn next(&mut self) -> FlowArrival {
         let gap = self.rng.exp_ns(self.mean_gap_ns);
         self.next_at += gap;

@@ -101,7 +101,8 @@ impl FlowSizeDist {
     pub fn from_cdf(points: Vec<(u64, f64)>) -> Self {
         assert!(points.len() >= 2, "need at least two CDF points");
         assert_eq!(points[0].1, 0.0, "CDF must start at probability 0");
-        assert!((points.last().unwrap().1 - 1.0).abs() < 1e-12, "CDF must end at 1");
+        let last = points.last().expect("checked: at least two points");
+        assert!((last.1 - 1.0).abs() < 1e-12, "CDF must end at 1");
         for w in points.windows(2) {
             assert!(w[0].0 < w[1].0, "sizes must increase");
             assert!(w[0].1 < w[1].1, "probabilities must increase");
@@ -117,6 +118,7 @@ impl FlowSizeDist {
     }
 
     /// The size at cumulative probability `u` in `[0, 1]`.
+    #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
     pub fn quantile(&self, u: f64) -> u64 {
         let u = u.clamp(0.0, 1.0);
         for (i, w) in self.points.windows(2).enumerate() {
@@ -133,6 +135,7 @@ impl FlowSizeDist {
     /// The quantile as first written, `ln` of both anchors taken per call:
     /// the oracle [`FlowSizeDist::quantile`] must equal bit for bit.
     #[cfg(test)]
+    #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
     fn quantile_reference(&self, u: f64) -> u64 {
         let u = u.clamp(0.0, 1.0);
         for w in self.points.windows(2) {

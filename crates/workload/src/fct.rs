@@ -95,6 +95,7 @@ impl FctStats {
     }
 
     /// Nearest-rank percentile of a sorted sample vector.
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
     pub fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
         if sorted.is_empty() {
             return None;
@@ -113,6 +114,7 @@ impl FctStats {
 
     /// CDF points `(fct_ns, cumulative fraction)` at `resolution` evenly
     /// spaced fractions — the series Figs. 8/10 plot.
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
     pub fn cdf(sorted: &[u64], resolution: usize) -> Vec<(u64, f64)> {
         if sorted.is_empty() {
             return vec![];

@@ -117,6 +117,7 @@ struct Client {
 impl Client {
     /// Send one request and return its `result`, panicking on an `error`
     /// response (this is an example; real callers would match on it).
+    #[expect(clippy::panic, reason = "an example stops at the first failed call")]
     fn call(&mut self, method: &str, params: Vec<(String, Json)>) -> Json {
         self.next_id += 1;
         let request = Json::Obj(vec![

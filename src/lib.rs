@@ -1,4 +1,3 @@
-#![deny(missing_docs)]
 //! # OpenOptics (facade crate)
 //!
 //! Umbrella crate re-exporting the whole OpenOptics workspace under one

@@ -9,6 +9,7 @@ use openoptics::obs::{build_forest, Spans, Stage};
 use openoptics::proto::HostId;
 use openoptics::routing::algos::Vlb;
 use openoptics::routing::{LookupMode, MultipathMode};
+use openoptics::sim::cast::to_usize;
 use openoptics::sim::time::SimTime;
 use openoptics::topo::round_robin;
 use openoptics_bench as bench;
@@ -31,7 +32,7 @@ fn cfg(span_sample_every: u64) -> NetConfig {
 fn run_one(cfg: NetConfig) -> OpenOpticsNet {
     let mut net = OpenOpticsNet::new(cfg.clone());
     let (circuits, slices) = round_robin(cfg.node_num, cfg.uplink);
-    net.deploy_topo(&circuits, slices).unwrap();
+    net.deploy_topo(&circuits, slices).expect("a round robin deploys");
     net.deploy_routing(Vlb, LookupMode::PerHop, MultipathMode::PerPacket)
         .expect("routing pairs with this schedule");
     for i in 0..4u32 {
@@ -62,7 +63,7 @@ fn recorded_stream_is_well_formed() {
             assert_eq!(n.stage, Stage::Flow, "root span {i} is not a flow: {:?}", n.stage);
         }
         if n.stage == Stage::Packet {
-            assert_eq!(forest[n.parent as usize - 1].stage, Stage::Flow);
+            assert_eq!(forest[to_usize(n.parent) - 1].stage, Stage::Flow);
         }
         for &c in &n.children {
             assert!(forest[c].begin >= n.begin && forest[c].end <= n.end);

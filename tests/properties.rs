@@ -5,6 +5,7 @@ use openoptics::fabric::OpticalSchedule;
 use openoptics::proto::NodeId;
 use openoptics::routing::algos::{Direct, Hoho, Ucmp, Vlb};
 use openoptics::routing::{compile, LookupMode, MultipathMode, RoutingAlgorithm};
+use openoptics::sim::cast::to_usize;
 use openoptics::sim::time::SliceConfig;
 use openoptics::topo::round_robin;
 use proptest::prelude::*;
@@ -409,7 +410,7 @@ proptest! {
         let mut sorted = values.clone();
         sorted.sort_unstable();
         for (numer, denom) in [(1u64, 2u64), (99, 100), (999, 1000)] {
-            let rank = ((sorted.len() as u64 * numer).div_ceil(denom)).max(1) as usize;
+            let rank = to_usize((sorted.len() as u64 * numer).div_ceil(denom).max(1));
             let exact = sorted[rank.min(sorted.len()) - 1];
             let got = sk.quantile(numer, denom);
             prop_assert!(got >= exact, "q{numer}/{denom}: {got} < exact {exact}");

@@ -23,7 +23,7 @@ fn cfg() -> NetConfig {
 fn run_one(cfg: NetConfig) -> OpenOpticsNet {
     let mut net = OpenOpticsNet::new(cfg.clone());
     let (circuits, slices) = round_robin(cfg.node_num, cfg.uplink);
-    net.deploy_topo(&circuits, slices).unwrap();
+    net.deploy_topo(&circuits, slices).expect("a round robin deploys");
     net.deploy_routing(Vlb, LookupMode::PerHop, MultipathMode::PerPacket)
         .expect("routing pairs with this schedule");
     for i in 0..4u32 {
