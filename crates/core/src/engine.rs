@@ -12,8 +12,6 @@
 //! — queue rotation, guardbands, EQO, congestion responses, push-back,
 //! offloading — happens as a consequence.
 
-use std::cell::RefCell;
-
 use crate::config::NetConfig;
 use crate::net::DeployError;
 use openoptics_fabric::{Circuit, ClockSync, Fabric, FabricProfile, OpticalSchedule};
@@ -40,8 +38,8 @@ use openoptics_switch::offload::OffloadPolicy;
 use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::json;
 use openoptics_telemetry::{
-    FlightTrigger, Frame, FrameLog, Labels, Mirror, QuantileSketch, Registry, RetxKind, SampleRow,
-    ServiceStats, SloTarget, SloTransition, TimeSeries, Trace, TraceKind,
+    FlightTrigger, Frame, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow,
+    ServiceStats, SloTarget, SloTransition, TimeSeries, TraceKind,
 };
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::fct::{FlowRecord, ELEPHANT_MIN_BYTES, MICE_MAX_BYTES};
@@ -464,9 +462,10 @@ fn phase_of(event: &Event) -> Phase {
 /// The engine: all network state plus the event interpreter.
 ///
 /// `Clone` is derived so it stays field-complete by construction (a new
-/// field that cannot be cloned breaks the build, not determinism), but the
-/// derived copy shares telemetry/obs buffers through their `Rc` handles —
-/// use [`Engine::fork`] for the independent copy checkpoint forks need.
+/// field that cannot be cloned breaks the build, not determinism), and it
+/// is the fork: the engine owns its registry, trace, spans and profiler by
+/// value and no component holds a handle into another's storage, so a
+/// clone and its original never write into each other's exports.
 ///
 /// Dispatch policy and pause mode are composed through an
 /// [`Architecture`](crate::arch::Architecture) descriptor at deploy time;
@@ -548,14 +547,10 @@ pub struct Engine {
     pub watchdog_retransmit: bool,
     /// One-way delays (ns) of delivered data packets, when recording.
     pub delay_samples: Vec<u64>,
-    /// Metrics registry + trace stream (disabled = every handle detached).
+    /// Metrics registry and the trace stream every component emits into
+    /// (disabled: no storage, and a detached trace so hot paths pay one
+    /// branch).
     telemetry: Registry,
-    /// The handles [`Engine::sync_telemetry`] writes through, bound against
-    /// `telemetry` on first use (a `RefCell` because mirroring is `&self`).
-    mirror: RefCell<Mirror>,
-    /// The registry's trace stream: bound once at construction, `detached`
-    /// (inert) when telemetry is off so hot paths pay one branch.
-    trace: Trace,
     /// Declared services: per-service latency sketches + SLO accounting.
     services: Vec<ServiceStats>,
     /// Per-flow-class FCT sketches (mice/medium/elephant), fed on every
@@ -600,10 +595,8 @@ fn build_fabric(cfg: &NetConfig, schedule: OpticalSchedule) -> Fabric {
     fabric
 }
 
-/// One ToR switch per node, shaped by `slice_cfg` and reporting into
-/// `telemetry` (series are get-or-create by key, so rebuilding the
-/// switches re-binds the same series).
-fn build_tors(cfg: &NetConfig, slice_cfg: SliceConfig, telemetry: &Registry) -> Vec<ToRSwitch> {
+/// One ToR switch per node, shaped by `slice_cfg`.
+fn build_tors(cfg: &NetConfig, slice_cfg: SliceConfig) -> Vec<ToRSwitch> {
     let congestion = CongestionConfig {
         detection_enabled: cfg.congestion_detection,
         threshold_bytes: cfg.congestion_threshold,
@@ -620,7 +613,7 @@ fn build_tors(cfg: &NetConfig, slice_cfg: SliceConfig, telemetry: &Registry) -> 
     });
     (0..cfg.node_num)
         .map(|i| {
-            let mut tor = ToRSwitch::new(TorConfig {
+            let tor = TorConfig {
                 id: NodeId(i),
                 slice_cfg,
                 uplinks: cfg.uplink,
@@ -632,9 +625,8 @@ fn build_tors(cfg: &NetConfig, slice_cfg: SliceConfig, telemetry: &Registry) -> 
                 offload,
                 eqo_interval_ns: cfg.eqo_interval_ns,
                 use_true_occupancy: cfg.eqo_ground_truth,
-            });
-            tor.attach_telemetry(telemetry);
-            tor
+            };
+            ToRSwitch::new(tor, cfg.telemetry)
         })
         .collect()
 }
@@ -651,7 +643,6 @@ impl Engine {
             ClockSync::uniform(n, cfg.sync_err_ns, &mut rng)
         };
         let telemetry = Registry::new(cfg.telemetry, to_usize(cfg.trace_capacity));
-        let trace = telemetry.trace();
         let hosts: Vec<HostState> = (0..cfg.total_hosts())
             .map(|h| HostState {
                 tor: NodeId(h / cfg.hosts_per_node),
@@ -669,7 +660,7 @@ impl Engine {
             fabric: build_fabric(&cfg, schedule),
             port_pending: vec![vec![false; cfg.uplink as usize]; n as usize],
             tx_bytes_per_port: vec![vec![0; cfg.uplink as usize]; n as usize],
-            tors: build_tors(&cfg, slice_cfg, &telemetry),
+            tors: build_tors(&cfg, slice_cfg),
             hosts,
             elec: vec![link.clone(); n as usize],
             elec_bw: cfg.electrical_bandwidth(),
@@ -698,8 +689,6 @@ impl Engine {
             watchdog_retransmit: true,
             delay_samples: vec![],
             telemetry,
-            mirror: RefCell::default(),
-            trace,
             services: vec![],
             class_sketches: [QuantileSketch::new(), QuantileSketch::new(), QuantileSketch::new()],
             timeseries: TimeSeries::new(SAMPLE_CAPACITY),
@@ -738,7 +727,7 @@ impl Engine {
         running: Option<(SimTime, &mut EventQueue<Event>)>,
     ) -> Result<(), DeployError> {
         let Some((now, q)) = running else {
-            self.tors = build_tors(&self.cfg, schedule.slice_config(), &self.telemetry);
+            self.tors = build_tors(&self.cfg, schedule.slice_config());
             self.fabric = build_fabric(&self.cfg, schedule);
             return Ok(());
         };
@@ -783,26 +772,6 @@ impl Engine {
     #[inline]
     fn slice_cfg(&self) -> SliceConfig {
         self.fabric.schedule().slice_config()
-    }
-
-    /// An independent copy of the whole engine — the warm-state leg of a
-    /// checkpoint fork. The derived `Clone` copies all simulation state but
-    /// shares telemetry/obs buffers through `Rc` handles; this method then
-    /// deep-clones those buffers and re-binds every held instrument handle
-    /// against the copy (the mirror's are dropped by its `Clone` and bind
-    /// again on its next pass), so the fork and the original diverge without
-    /// ever writing into each other's exports.
-    pub fn fork(&self) -> Engine {
-        let mut e = self.clone();
-        e.telemetry = self.telemetry.deep_clone();
-        e.trace = e.telemetry.trace();
-        let reg = e.telemetry.clone();
-        for tor in &mut e.tors {
-            tor.attach_telemetry(&reg);
-        }
-        e.cursors = self.cursors.deep_clone();
-        e.profiler = self.profiler.deep_clone();
-        e
     }
 
     /// Packets in the network right now: sent and neither delivered nor
@@ -868,15 +837,11 @@ impl Engine {
 
     /// Mirror engine-side plain counters into the registry so a snapshot
     /// sees them; call before snapshotting. After the first call a pass is
-    /// a store per series through the handles `mirror` holds.
+    /// a store per series through the handles the registry has cached.
     /// `qs` carries the event-queue statistics, which live outside the
     /// engine (the sim crate does not depend on telemetry).
     pub fn sync_telemetry(&self, qs: openoptics_sim::QueueStats) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let mut mirror = self.mirror.borrow_mut();
-        let m = &mut mirror.pass(&self.telemetry);
+        let Some(ref mut m) = self.telemetry.mirror() else { return };
         for (name, v) in self.counters.counter_pairs() {
             m.counter(name, Labels::None, v);
         }
@@ -901,6 +866,9 @@ impl Engine {
             m.counter("tor.offloaded_packets", node, t.offload_book.offloaded_packets);
             m.gauge("tor.buffer_bytes", node, t.buffer_bytes().min(i64::MAX as u64) as i64);
             m.gauge("tor.peak_buffer_bytes", node, t.peak_buffer_bytes.min(i64::MAX as u64) as i64);
+            if let Some(h) = t.eqo_abs_err() {
+                m.histogram("tor.eqo_abs_err_bytes", node, h);
+            }
         }
         let mut pauses = 0u64;
         let mut resumes = 0u64;
@@ -1013,7 +981,7 @@ impl Engine {
             w.field("total", svc.total());
         });
         self.frames.push(Frame::Line(line));
-        self.trace.emit(now, kind);
+        self.telemetry.trace_mut().emit(now, kind);
     }
 
     /// One sampling tick: mirror counters (full series or not, so what the
@@ -1040,10 +1008,10 @@ impl Engine {
     /// on fault activation and when a strict-invariants check is about to
     /// trip; no-op when tracing is off.
     fn flight_dump(&mut self, now: SimTime, trigger: FlightTrigger) {
-        if !self.trace.is_on() {
+        if !self.telemetry.trace().is_on() {
             return;
         }
-        let recent = self.trace.recent_records();
+        let recent = self.telemetry.trace().recent_records();
         let line = json::object(|w| {
             w.field("frame", "flight");
             w.field("t_ns", now.as_ns());
@@ -1051,7 +1019,8 @@ impl Engine {
             w.field("records", &recent);
         });
         self.frames.push(Frame::Line(line));
-        self.trace.emit(now, TraceKind::FlightDump { trigger, records: idx_u32(recent.len()) });
+        let records = idx_u32(recent.len());
+        self.telemetry.trace_mut().emit(now, TraceKind::FlightDump { trigger, records });
     }
 
     // -- fault injection -----------------------------------------------------
@@ -1140,11 +1109,11 @@ impl Engine {
         // A recovering slice-corrupted switch replays its missed rotations
         // to resynchronize its calendar with the fabric.
         for _ in 0..lag {
-            self.tors[spec.node.index()].rotate(now);
+            self.tors[spec.node.index()].rotate(now, self.telemetry.trace_mut());
         }
         let (node, port) = (spec.node, spec.port);
         if up {
-            self.trace.emit(now, TraceKind::FaultInject { node, port });
+            self.telemetry.trace_mut().emit(now, TraceKind::FaultInject { node, port });
             // A fault firing is exactly the moment a subscriber wants the
             // recent trace tail: dump the flight recorder (which now ends
             // with the FaultInject record just emitted).
@@ -1152,7 +1121,7 @@ impl Engine {
         } else {
             // A cleared fault can unblock traffic already queued at the node.
             self.kick_all_ports(node, now, q);
-            self.trace.emit(now, TraceKind::FaultClear { node, port });
+            self.telemetry.trace_mut().emit(now, TraceKind::FaultClear { node, port });
         }
         self.profiler.mark(Phase::FaultRuntime);
     }
@@ -1710,7 +1679,7 @@ impl Engine {
             RetxKind::FastRetx => &mut c.fast_retransmits,
             RetxKind::Nack => &mut c.nack_retransmits,
         } += 1;
-        self.trace.emit(at, TraceKind::Retransmit { flow, kind });
+        self.telemetry.trace_mut().emit(at, TraceKind::Retransmit { flow, kind });
         self.cursors.retransmit(flow, at, kind);
     }
 
@@ -1761,7 +1730,7 @@ impl Engine {
     /// (DirectCircuit pause mode — the flow-pausing service fed by circuit
     /// notifications).
     fn refresh_pause_state(&mut self, node: NodeId, slice: u32, now: SimTime) {
-        let tracing = self.trace.is_on();
+        let tracing = self.telemetry.trace().is_on();
         for h in self.hosts_of(node).map(HostId) {
             for d in (0..self.cfg.node_num).map(NodeId) {
                 if d == node {
@@ -1779,7 +1748,7 @@ impl Engine {
                     } else {
                         TraceKind::FlowPause { host: h, dst: d }
                     };
-                    self.trace.emit(now, kind);
+                    self.telemetry.trace_mut().emit(now, kind);
                 }
             }
         }
@@ -1852,7 +1821,8 @@ impl Engine {
     ) {
         let header = &mut self.packets[pkt];
         let (src_tor, dst) = (header.src, header.dst);
-        let mut res = self.tors[node.index()].ingress(pkt, header, now);
+        let trace = self.telemetry.trace_mut();
+        let mut res = self.tors[node.index()].ingress(pkt, header, now, trace);
         if matches!(res.decision, IngressDecision::NoRoute) {
             // Table miss (reported before admission, so it never carries a
             // push-back): compile routes for this (node, dst) lazily and
@@ -1860,7 +1830,9 @@ impl Engine {
             // through the ingress pipeline and counts a second hop.
             debug_assert!(res.pushback.is_none());
             if self.install_routes_for(node, dst) {
-                res = self.tors[node.index()].ingress(pkt, &mut self.packets[pkt], now);
+                let header = &mut self.packets[pkt];
+                let trace = self.telemetry.trace_mut();
+                res = self.tors[node.index()].ingress(pkt, header, now, trace);
             }
         }
         if let Some(msg) = res.pushback {
@@ -1925,7 +1897,7 @@ impl Engine {
             let resume = self.sync.global_fire_time(node.index(), resume_local);
             self.port_pending[node.index()][port.index()] = true;
             self.counters.guardband_holds += 1;
-            self.trace.emit(now, TraceKind::GuardbandHold { node, port });
+            self.telemetry.trace_mut().emit(now, TraceKind::GuardbandHold { node, port });
             if self.cursors.is_on() {
                 if let Some(head) = self.tors[node.index()].head_packet(port) {
                     self.cursors.hold(self.packets[head].id, now);
@@ -1935,7 +1907,8 @@ impl Engine {
             return;
         }
         self.profiler.enter(Phase::Drain);
-        let popped = self.tors[node.index()].pop_if_fits(port, local, SLICE_END_MARGIN_NS);
+        let trace = self.telemetry.trace_mut();
+        let popped = self.tors[node.index()].pop_if_fits(port, local, SLICE_END_MARGIN_NS, trace);
         self.profiler.exit(Phase::Drain);
         // Every drain attempt refreshes the EQO estimate inside the switch.
         self.profiler.mark(Phase::EqoTick);
@@ -1971,7 +1944,7 @@ impl Engine {
                 if let Some(fault) = self.faults.on_tx(node, port, &mut self.rng) {
                     // Charged to the fault instead of reaching the fabric.
                     self.counters.fault_drops += 1;
-                    self.trace.emit(now, TraceKind::FaultDrop { node, port });
+                    self.telemetry.trace_mut().emit(now, TraceKind::FaultDrop { node, port });
                     self.profiler.mark(Phase::FaultRuntime);
                     let pid = self.packets.remove(pkt).id;
                     self.cursors.end_packet(pid, now, PacketEnd::FaultDropped(fault.code()));
@@ -1995,7 +1968,7 @@ impl Engine {
                             }
                             _ => TraceKind::NoCircuitDrop { node, port },
                         };
-                        self.trace.emit(now, kind);
+                        self.telemetry.trace_mut().emit(now, kind);
                     }
                 }
             }
@@ -2022,7 +1995,7 @@ impl Engine {
             self.profiler.mark(Phase::FaultRuntime);
         } else {
             self.profiler.enter(Phase::Rotation);
-            self.tors[node.index()].rotate(now);
+            self.tors[node.index()].rotate(now, self.telemetry.trace_mut());
             self.profiler.exit(Phase::Rotation);
         }
         let slice_ns = self.slice_cfg().slice_ns;
@@ -2232,7 +2205,8 @@ impl Engine {
         let cur = self.tors[node.index()].abs_slice();
         let rank = to_u32(abs.saturating_sub(cur));
         let header = &mut self.packets[pkt];
-        let res = self.tors[node.index()].reinject_offloaded(pkt, header, port, rank, now);
+        let trace = self.telemetry.trace_mut();
+        let res = self.tors[node.index()].reinject_offloaded(pkt, header, port, rank, now, trace);
         self.after_admission(node, pkt, res.decision, now + 1, now, q);
     }
 

@@ -93,10 +93,11 @@ impl From<LayoutError> for DeployError {
 
 /// The user-facing network object.
 ///
-/// `Clone` is derived for field-completeness; the copy shares telemetry
-/// and span buffers with the original through `Rc` handles. Use
-/// [`OpenOpticsNet::fork`] for the fully independent copy a what-if branch
-/// needs.
+/// `Clone` is derived, and a clone is a warm what-if branch: an
+/// independent copy of the engine, the event queue and every telemetry,
+/// trace and span buffer at the current instant. Running the clone and the
+/// original produces two separate histories; each, run alone, is
+/// byte-identical to an uninterrupted run.
 #[derive(Clone)]
 pub struct OpenOpticsNet {
     /// The engine carrying all network state.
@@ -221,17 +222,6 @@ impl OpenOpticsNet {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// An independent copy of the whole network at its current instant —
-    /// a warm what-if branch. The fork owns deep copies of the engine,
-    /// event queue, and every telemetry/trace/span buffer, so running the
-    /// fork and the original produces two fully separate histories; each,
-    /// run alone, is byte-identical to an uninterrupted run.
-    pub fn fork(&self) -> OpenOpticsNet {
-        let mut net = self.clone();
-        net.engine = self.engine.fork();
-        net
     }
 
     /// The primitive `connect()` call: stage one circuit. Loopback circuits
@@ -494,8 +484,8 @@ impl OpenOpticsNet {
 
     // -- telemetry ---------------------------------------------------------
 
-    /// The metrics registry the network reports into. Disabled (every
-    /// handle detached, zero hot-path cost) when the configuration said
+    /// The metrics registry the network reports into. Disabled (no
+    /// storage, zero hot-path cost) when the configuration said
     /// `telemetry: false`.
     pub fn telemetry(&self) -> &openoptics_telemetry::Registry {
         self.engine.telemetry()
@@ -836,7 +826,7 @@ mod tests {
     }
 
     /// The handles `sync_telemetry` writes through were bound against one
-    /// registry. A fork binds its own: running it moves the series it
+    /// registry. A clone binds its own: running it moves the series it
     /// mirrors and no cell of the parent. A fault plan installed after
     /// the first tick lengthens the sequence, and its series still export.
     #[test]
@@ -852,7 +842,7 @@ mod tests {
         let raw = net.telemetry().snapshot(net.now());
         assert!(!exported.contains("faults."), "no plan yet:\n{exported}");
 
-        let mut fork = net.fork();
+        let mut fork = net.clone();
         assert_eq!(fork.export_telemetry("json")?, exported);
         let plan = openoptics_faults::FaultPlan::builder()
             .link_down(NodeId(0), PortId(0), 300_000, 400_000)

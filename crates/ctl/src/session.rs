@@ -164,19 +164,16 @@ impl Session {
         Ok(s)
     }
 
-    /// Branch the run in memory: an independent deep copy sharing nothing
-    /// mutable with the original.
+    /// Branch the run in memory: [`Clone`], which copies the network with
+    /// everything it owns and so shares nothing with the original. The
+    /// `fork` RPC and the benchmark name it.
     ///
     /// Forking is O(state) and keeps the warm engine, so it is the cheap
     /// way to explore what-if branches (inject a fault in one branch, not
     /// the other) from the same instant. Both branches carry the full
     /// journal, so either can still be checkpointed to disk later.
     pub fn fork(&self) -> Session {
-        Session {
-            scenario: self.scenario.clone(),
-            net: self.net.fork(),
-            journal: self.journal.clone(),
-        }
+        self.clone()
     }
 
     /// Render the canonical export bundle: sim time, telemetry snapshot,

@@ -63,7 +63,8 @@ struct PktCursor {
 }
 
 /// The span stream plus the cursors of every sampled flow and in-flight
-/// packet. `Default` records nothing.
+/// packet, owned by value: a clone is an independent copy that can finish
+/// what the original began. `Default` records nothing.
 #[derive(Clone, Default)]
 pub struct SpanCursors {
     spans: Spans,
@@ -88,12 +89,6 @@ impl SpanCursors {
     #[inline]
     pub fn is_on(&self) -> bool {
         self.spans.is_on()
-    }
-
-    /// An independent copy: same cursors, separate span storage (see
-    /// [`Spans::deep_clone`]).
-    pub fn deep_clone(&self) -> Self {
-        SpanCursors { spans: self.spans.deep_clone(), ..self.clone() }
     }
 
     /// Open the flow's root span, if the flow falls in the sample.
@@ -283,11 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn a_deep_clone_shares_no_storage_with_the_original() {
+    fn a_clone_shares_no_storage_with_the_original() {
         let mut a = SpanCursors::new(Spans::bounded(1, 0, usize::MAX));
         a.flow_begin(1, t(0));
         a.packet_begin(1, 1, t(0), t(1));
-        let mut b = a.deep_clone();
+        let mut b = a.clone();
         let before = a.spans().len();
         // The copy carries the cursors: it can finish what the original began.
         b.end_packet(1, t(9), PacketEnd::Delivered);

@@ -1,7 +1,8 @@
 //! # OpenOptics observability: lifecycle spans, profiler, trace export.
 //!
-//! Three pieces, all deterministic; a detached handle (span sampling or
-//! telemetry off in the configuration) costs one `Option` branch per call:
+//! Three pieces, all deterministic and owned by value (a clone is an
+//! independent copy); a detached one (span sampling or telemetry off in the
+//! configuration) costs one `Option` branch per call:
 //!
 //! * **Causal lifecycle spans** ([`Spans`], [`Stage`]) — sampled
 //!   packets/flows are stamped with sim-time begin/end events per stage,
@@ -336,7 +337,7 @@ flow 7 [0 .. 3456789] 3.457ms
 
     #[test]
     fn profiler_attributes_gaps_and_counts() {
-        let p = Profiler::enabled();
+        let mut p = Profiler::enabled();
         p.event(Phase::HostTx, t(100));
         p.event(Phase::PortFree, t(250)); // 150 ns charged to HostTx
         p.enter(Phase::Drain);
@@ -355,20 +356,14 @@ flow 7 [0 .. 3456789] 3.457ms
 
     #[test]
     fn profiler_wall_mode_nests_inclusive_exclusive() {
-        let p = Profiler::enabled();
-        let fake = std::cell::Cell::new(0u64);
-        // A deterministic "clock" the test advances by hand.
-        let ticks = std::rc::Rc::new(std::cell::RefCell::new(vec![0u64, 10, 20, 100]));
-        let ticks2 = ticks.clone();
+        let mut p = Profiler::enabled();
+        // A deterministic "clock": one reading per call, the last repeated.
+        let readings = [0u64, 10, 20, 100];
+        let calls = std::cell::Cell::new(0);
         p.set_clock(move || {
-            let mut v = ticks2.borrow_mut();
-            if v.is_empty() {
-                fake.get()
-            } else {
-                let t = v.remove(0);
-                fake.set(t);
-                t
-            }
+            let i = calls.get();
+            calls.set(i + 1);
+            readings[i.min(readings.len() - 1)]
         });
         p.event(Phase::PortFree, t(0)); // clock: 0
         p.enter(Phase::Drain); // clock: 10

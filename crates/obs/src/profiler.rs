@@ -16,8 +16,7 @@
 //! bench binary's self-profiling only and never appear in deterministic
 //! exports.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::cell::RefCell;
 
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::{Labels, MirrorPass};
@@ -165,37 +164,73 @@ pub struct PhaseStat {
 
 type WallClock = Box<dyn Fn() -> u64>;
 
-pub(crate) struct ProfBuf {
-    stats: RefCell<[PhaseStat; PHASE_COUNT]>,
+struct ProfBuf {
+    stats: [PhaseStat; PHASE_COUNT],
     /// Phase and sim-time of the most recent top-level event.
-    last: Cell<Option<(usize, SimTime)>>,
+    last: Option<(usize, SimTime)>,
+    /// A `RefCell` because a clock is installed through `&self`, which the
+    /// frozen benchmark spells (`benchmark/src/sim.rs:172`).
     clock: RefCell<Option<WallClock>>,
     /// Open wall frames: `(phase index, start, child wall accumulated)`.
-    wall_stack: RefCell<Vec<(usize, u64, u64)>>,
+    wall_stack: Vec<(usize, u64, u64)>,
 }
 
-/// Handle to the profiler. Detached (inert) when profiling is off, so the
-/// per-event hook is a single branch.
+impl Clone for ProfBuf {
+    /// The sim-time accumulators copy exactly. The wall clock does **not**
+    /// carry over — wall mode is bench-only self-profiling, so a copy
+    /// starts without a clock — and the open wall frames are dropped with it.
+    fn clone(&self) -> Self {
+        ProfBuf {
+            stats: self.stats,
+            last: self.last,
+            clock: RefCell::new(None),
+            wall_stack: Vec::new(),
+        }
+    }
+}
+
+impl ProfBuf {
+    /// The installed wall clock's reading, if any.
+    fn wall_now(&mut self) -> Option<u64> {
+        self.clock.get_mut().as_ref().map(|clock| clock())
+    }
+
+    /// Close the innermost open wall frame at wall time `t`, charging its
+    /// time to its parent's children.
+    fn close_frame(&mut self, t: u64) {
+        let Some((p, start, child)) = self.wall_stack.pop() else { return };
+        let elapsed = t.saturating_sub(start);
+        self.stats[p].wall_incl_ns += elapsed;
+        self.stats[p].wall_child_ns += child;
+        if let Some((_, _, parent_child)) = self.wall_stack.last_mut() {
+            *parent_child += elapsed;
+        }
+    }
+}
+
+/// The engine-phase profiler, owned by value: a clone copies the sim-time
+/// accumulators and starts without a wall clock. Detached (inert) when
+/// profiling is off, so the per-event hook is a single branch.
 #[derive(Clone, Default)]
-pub struct Profiler(pub(crate) Option<Rc<ProfBuf>>);
+pub struct Profiler(Option<Box<ProfBuf>>);
 
 impl Profiler {
-    /// A handle that records nothing.
+    /// A profiler that records nothing.
     pub fn detached() -> Profiler {
         Profiler(None)
     }
 
-    /// A recording handle (sim-time attribution; wall clock not installed).
+    /// A recording profiler (sim-time attribution; wall clock not installed).
     pub fn enabled() -> Profiler {
-        Profiler(Some(Rc::new(ProfBuf {
-            stats: RefCell::new([PhaseStat::default(); PHASE_COUNT]),
-            last: Cell::new(None),
+        Profiler(Some(Box::new(ProfBuf {
+            stats: [PhaseStat::default(); PHASE_COUNT],
+            last: None,
             clock: RefCell::new(None),
-            wall_stack: RefCell::new(Vec::new()),
+            wall_stack: Vec::new(),
         })))
     }
 
-    /// Whether this handle records anything.
+    /// Whether this profiler records anything.
     #[inline]
     pub fn is_on(&self) -> bool {
         self.0.is_some()
@@ -210,113 +245,62 @@ impl Profiler {
         }
     }
 
-    /// Whether a wall clock is installed.
-    pub fn has_clock(&self) -> bool {
-        self.0.as_ref().is_some_and(|b| b.clock.borrow().is_some())
-    }
-
     /// Top-level hook: one call per dispatched engine event. Charges the
     /// sim-time gap since the previous event to that event's phase, then
     /// makes `phase` current.
     #[inline]
-    pub fn event(&self, phase: Phase, now: SimTime) {
-        let Some(b) = &self.0 else { return };
+    pub fn event(&mut self, phase: Phase, now: SimTime) {
+        let Some(b) = &mut self.0 else { return };
         let idx = phase.index();
-        {
-            let mut stats = b.stats.borrow_mut();
-            if let Some((prev, at)) = b.last.get() {
-                stats[prev].sim_ns += now.saturating_since(at);
-            }
-            stats[idx].events += 1;
+        if let Some((prev, at)) = b.last {
+            b.stats[prev].sim_ns += now.saturating_since(at);
         }
-        b.last.set(Some((idx, now)));
-        if b.clock.borrow().is_some() {
+        b.stats[idx].events += 1;
+        b.last = Some((idx, now));
+        if let Some(t) = b.wall_now() {
             // Close whatever frames the previous event left open and open
             // the new top-level frame.
-            let t = b.clock.borrow().as_ref().map_or(0, |c| c());
-            let mut stack = b.wall_stack.borrow_mut();
-            while let Some((p, start, child)) = stack.pop() {
-                let elapsed = t.saturating_sub(start);
-                let mut stats = b.stats.borrow_mut();
-                stats[p].wall_incl_ns += elapsed;
-                stats[p].wall_child_ns += child;
-                if let Some((_, _, parent_child)) = stack.last_mut() {
-                    *parent_child += elapsed;
-                }
+            while !b.wall_stack.is_empty() {
+                b.close_frame(t);
             }
-            stack.push((idx, t, 0));
+            b.wall_stack.push((idx, t, 0));
         }
     }
 
     /// Enter a nested sub-phase (counts it; starts a wall frame when a
     /// clock is installed). Pair with [`Profiler::exit`].
     #[inline]
-    pub fn enter(&self, sub: Phase) {
-        let Some(b) = &self.0 else { return };
+    pub fn enter(&mut self, sub: Phase) {
+        let Some(b) = &mut self.0 else { return };
         let idx = sub.index();
-        b.stats.borrow_mut()[idx].events += 1;
-        if b.clock.borrow().is_some() {
-            let t = b.clock.borrow().as_ref().map_or(0, |c| c());
-            b.wall_stack.borrow_mut().push((idx, t, 0));
+        b.stats[idx].events += 1;
+        if let Some(t) = b.wall_now() {
+            b.wall_stack.push((idx, t, 0));
         }
     }
 
     /// Leave the most recent sub-phase frame opened with [`Profiler::enter`].
     #[inline]
-    pub fn exit(&self, sub: Phase) {
-        let Some(b) = &self.0 else { return };
-        if b.clock.borrow().is_none() {
-            return;
-        }
-        let idx = sub.index();
-        let t = b.clock.borrow().as_ref().map_or(0, |c| c());
-        let mut stack = b.wall_stack.borrow_mut();
-        if let Some(&(p, start, child)) = stack.last() {
-            if p == idx {
-                stack.pop();
-                let elapsed = t.saturating_sub(start);
-                let mut stats = b.stats.borrow_mut();
-                stats[p].wall_incl_ns += elapsed;
-                stats[p].wall_child_ns += child;
-                if let Some((_, _, parent_child)) = stack.last_mut() {
-                    *parent_child += elapsed;
-                }
-            }
+    pub fn exit(&mut self, sub: Phase) {
+        let Some(b) = &mut self.0 else { return };
+        let Some(t) = b.wall_now() else { return };
+        if b.wall_stack.last().is_some_and(|&(p, _, _)| p == sub.index()) {
+            b.close_frame(t);
         }
     }
 
     /// Count a sub-phase occurrence without timing it.
     #[inline]
-    pub fn mark(&self, sub: Phase) {
-        if let Some(b) = &self.0 {
-            b.stats.borrow_mut()[sub.index()].events += 1;
-        }
-    }
-
-    /// An independent copy of the accumulators (checkpoint forks). The wall
-    /// clock does **not** carry over — wall mode is bench-only
-    /// self-profiling and a fork starts without a clock installed — so any
-    /// open wall frames are dropped with it; sim-time attribution state
-    /// copies exactly.
-    pub fn deep_clone(&self) -> Profiler {
-        match &self.0 {
-            None => Profiler(None),
-            Some(b) => Profiler(Some(Rc::new(ProfBuf {
-                stats: RefCell::new(*b.stats.borrow()),
-                last: Cell::new(b.last.get()),
-                clock: RefCell::new(None),
-                wall_stack: RefCell::new(Vec::new()),
-            }))),
+    pub fn mark(&mut self, sub: Phase) {
+        if let Some(b) = &mut self.0 {
+            b.stats[sub.index()].events += 1;
         }
     }
 
     /// Snapshot of every phase's accumulators, in [`PHASES`] order.
     pub fn stats(&self) -> Vec<(Phase, PhaseStat)> {
         match &self.0 {
-            Some(b) => {
-                let stats = b.stats.borrow();
-                PHASES.iter().map(|p| (*p, stats[p.index()])).collect()
-            }
+            Some(b) => PHASES.iter().map(|p| (*p, b.stats[p.index()])).collect(),
             None => Vec::new(),
         }
     }
@@ -341,9 +325,8 @@ impl Profiler {
     /// Mirror per-phase event counts into the telemetry registry.
     pub fn mirror_into(&self, m: &mut MirrorPass<'_>) {
         let Some(b) = &self.0 else { return };
-        let stats = b.stats.borrow();
         for p in PHASES {
-            m.counter(p.counter_name(), Labels::None, stats[p.index()].events);
+            m.counter(p.counter_name(), Labels::None, b.stats[p.index()].events);
         }
     }
 }

@@ -7,14 +7,13 @@
 //! retransmits included, reconstructs into a single tree.
 //!
 //! Recording follows the telemetry crate's zero-cost-when-disabled idiom:
-//! [`Spans`] is a handle around an optional shared buffer; a detached
-//! handle turns every call into a single `None` branch. Sampling is
-//! head-based and seed-deterministic — flow `f` is sampled iff
+//! [`Spans`] owns an optional buffer; a detached stream turns every call
+//! into a single `None` branch. Sampling is head-based and
+//! seed-deterministic — flow `f` is sampled iff
 //! `f % sample_every == seed % sample_every` — so the same seed records
 //! the same spans at any worker count.
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::{Labels, MirrorPass};
@@ -117,7 +116,11 @@ pub struct SpanEvent {
     pub arg: u64,
 }
 
-pub(crate) struct SpanBuf {
+/// Storage of a recording stream. The counters and the event list are
+/// cells because recording goes through `&self`, which the frozen
+/// benchmark spells (`benchmark/src/kernels.rs:378`).
+#[derive(Clone)]
+struct SpanBuf {
     /// Soft cap on recorded events: once reached, *new* flow/packet spans
     /// are refused (counted in `skipped`) but edges of already-admitted
     /// spans always append, so every begin keeps its end.
@@ -130,26 +133,27 @@ pub(crate) struct SpanBuf {
     events: RefCell<Vec<SpanEvent>>,
 }
 
-/// Handle to the span stream. Cheap to clone; detached (inert) when span
-/// recording is off, so hot paths pay one branch.
+/// The span stream, owned by value: a clone is an independent copy.
+/// Detached (inert) when span recording is off, so hot paths pay one
+/// branch.
 #[derive(Clone, Default)]
-pub struct Spans(pub(crate) Option<Rc<SpanBuf>>);
+pub struct Spans(Option<Box<SpanBuf>>);
 
 impl Spans {
-    /// A handle that records nothing (span recording off).
+    /// A stream that records nothing (span recording off).
     pub fn detached() -> Spans {
         Spans(None)
     }
 
-    /// A recording handle sampling every `sample_every`-th flow id (with a
+    /// A recording stream sampling every `sample_every`-th flow id (with a
     /// seed-derived phase) into a buffer admitting new spans while fewer
     /// than `capacity` events are held. `sample_every == 0` disables
-    /// recording entirely (returns a detached handle).
+    /// recording entirely (returns a detached stream).
     pub fn bounded(sample_every: u64, seed: u64, capacity: usize) -> Spans {
         if sample_every == 0 {
             return Spans(None);
         }
-        Spans(Some(Rc::new(SpanBuf {
+        Spans(Some(Box::new(SpanBuf {
             capacity,
             sample_every,
             sample_phase: seed % sample_every,
@@ -160,7 +164,7 @@ impl Spans {
         })))
     }
 
-    /// Whether this handle records anything.
+    /// Whether this stream records anything.
     #[inline]
     pub fn is_on(&self) -> bool {
         self.0.is_some()
@@ -271,24 +275,6 @@ impl Spans {
     /// Root spans refused because the buffer was at capacity.
     pub fn skipped(&self) -> u64 {
         self.0.as_ref().map_or(0, |b| b.skipped.get())
-    }
-
-    /// An independent copy of the stream: same sampling parameters, same
-    /// recorded events and counters, separate storage — span recording in
-    /// one copy never appears in the other (checkpoint forks).
-    pub fn deep_clone(&self) -> Spans {
-        match &self.0 {
-            None => Spans(None),
-            Some(b) => Spans(Some(Rc::new(SpanBuf {
-                capacity: b.capacity,
-                sample_every: b.sample_every,
-                sample_phase: b.sample_phase,
-                next_span: Cell::new(b.next_span.get()),
-                started: Cell::new(b.started.get()),
-                skipped: Cell::new(b.skipped.get()),
-                events: RefCell::new(b.events.borrow().clone()),
-            }))),
-        }
     }
 
     /// A well-formed copy of the stream: every `Begin` is guaranteed an

@@ -7,7 +7,8 @@
 //! [`ToRSwitch`] with three calls: [`ToRSwitch::ingress`] when a packet
 //! head arrives, [`ToRSwitch::rotate`] at each (locally clocked) slice
 //! boundary, and [`ToRSwitch::pop_if_fits`] when an uplink is free to
-//! transmit.
+//! transmit. Each takes the trace stream it may emit into; the switch
+//! holds no handle into anyone else's storage.
 
 use crate::calendar::{CalendarPort, EnqueueError};
 use crate::congestion::{
@@ -23,7 +24,7 @@ use openoptics_routing::RouteEntry;
 use openoptics_sim::cast::idx_u32;
 use openoptics_sim::rate::Bandwidth;
 use openoptics_sim::time::{SimTime, SliceConfig, SliceIndex};
-use openoptics_telemetry::{Counter, Histogram, Labels, Registry, Trace, TraceKind};
+use openoptics_telemetry::{Log2Histogram, Trace, TraceKind};
 
 /// Static configuration of one ToR switch.
 #[derive(Clone, Debug)]
@@ -133,13 +134,17 @@ pub struct TorCounters {
     pub tx_bytes: u64,
     /// Packets transmitted.
     pub tx_packets: u64,
+    /// Head-of-line packets that missed the tail of their slice.
+    pub slice_miss: u64,
+    /// Calendar rotations performed.
+    pub rotations: u64,
 }
 
 impl TorCounters {
     /// Every counter as a `(metric name, value)` pair, for telemetry
     /// mirroring. The pattern has no `..`, so a counter added without a
     /// name here does not build.
-    pub fn counter_pairs(&self) -> [(&'static str, u64); 10] {
+    pub fn counter_pairs(&self) -> [(&'static str, u64); 12] {
         let TorCounters {
             enqueued,
             delivered_local,
@@ -151,6 +156,8 @@ impl TorCounters {
             dropped_rank,
             tx_bytes,
             tx_packets,
+            slice_miss,
+            rotations,
         } = *self;
         [
             ("tor.enqueued", enqueued),
@@ -163,28 +170,16 @@ impl TorCounters {
             ("tor.dropped_rank", dropped_rank),
             ("tor.tx_bytes", tx_bytes),
             ("tor.tx_packets", tx_packets),
+            ("tor.slice_miss", slice_miss),
+            ("tor.rotations", rotations),
         ]
     }
 }
 
-/// Live registry instruments of one switch. Detached (free) by default;
-/// [`ToRSwitch::attach_telemetry`] binds them to a registry.
-#[derive(Clone, Debug, Default)]
-struct TorTele {
-    /// Head-of-line packets that missed the tail of their slice.
-    slice_miss: Counter,
-    /// Calendar rotations performed.
-    rotations: Counter,
-    /// |EQO estimate − true occupancy| at each admission, bytes.
-    eqo_abs_err: Histogram,
-    trace: Trace,
-}
-
 /// The switch model.
 ///
-/// Cloning copies the full switch state (tables, calendar ports, offload
-/// ledger) but shares telemetry handles; checkpoint forks re-bind them via
-/// [`ToRSwitch::attach_telemetry`].
+/// It owns all of its state — tables, calendar ports, offload ledger,
+/// counters — so a clone is an independent copy.
 #[derive(Clone)]
 pub struct ToRSwitch {
     /// Static configuration.
@@ -201,12 +196,16 @@ pub struct ToRSwitch {
     pub counters: TorCounters,
     /// Peak total calendar occupancy observed, bytes (Table 3).
     pub peak_buffer_bytes: u64,
-    tele: TorTele,
+    /// |EQO estimate − true occupancy| at each admission, bytes; kept only
+    /// with telemetry on (boxed, so a switch without it does not carry the
+    /// 65 buckets inline).
+    eqo_abs_err: Option<Box<Log2Histogram>>,
 }
 
 impl ToRSwitch {
-    /// Build a switch from its configuration.
-    pub fn new(cfg: TorConfig) -> Self {
+    /// Build a switch from its configuration. With `telemetry` it also
+    /// keeps a histogram of EQO estimation error, and traces each sample.
+    pub fn new(cfg: TorConfig, telemetry: bool) -> Self {
         let ports = (0..cfg.uplinks)
             .map(|_| CalendarPort::new(cfg.num_queues, cfg.queue_capacity))
             .collect();
@@ -228,21 +227,13 @@ impl ToRSwitch {
             abs_slice: 0,
             counters: TorCounters::default(),
             peak_buffer_bytes: 0,
-            tele: TorTele::default(),
+            eqo_abs_err: telemetry.then(Box::default),
         }
     }
 
-    /// Bind this switch's live instruments (slice-miss counter, EQO error
-    /// histogram, trace stream) to `registry`. A disabled registry hands
-    /// out detached handles, so hot paths stay branch-only.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        let node = Labels::Node(self.cfg.id);
-        self.tele = TorTele {
-            slice_miss: registry.counter("tor.slice_miss", node),
-            rotations: registry.counter("tor.rotations", node),
-            eqo_abs_err: registry.histogram("tor.eqo_abs_err_bytes", node),
-            trace: registry.trace(),
-        };
+    /// The EQO estimation-error histogram (`None` with telemetry off).
+    pub fn eqo_abs_err(&self) -> Option<&Log2Histogram> {
+        self.eqo_abs_err.as_deref()
     }
 
     /// Install compiled route entries (the `deploy_routing` endpoint).
@@ -321,24 +312,20 @@ impl ToRSwitch {
 
     /// Slice-boundary rotation: apply pending EQO drain for the old active
     /// queues, then rotate every port and bump the slice counters.
-    pub fn rotate(&mut self, now: SimTime) {
+    pub fn rotate(&mut self, now: SimTime, trace: &mut Trace) {
         self.refresh_eqo(now);
         for p in &mut self.ports {
             p.rotate();
         }
         self.current_slice = self.cfg.slice_cfg.advance(self.current_slice, 1);
         self.abs_slice += 1;
-        self.tele.rotations.inc();
+        self.counters.rotations += 1;
         let min_cycle = self.abs_slice / self.cfg.slice_cfg.num_slices as u64;
-        if self.tele.trace.is_on() {
-            self.tele
-                .trace
-                .emit(now, TraceKind::SliceRotate { node: self.cfg.id, slice: self.current_slice });
+        if trace.is_on() {
+            let node = self.cfg.id;
+            trace.emit(now, TraceKind::SliceRotate { node, slice: self.current_slice });
             for (dst, slice, cycle) in self.pushback.gc_collect(min_cycle) {
-                self.tele.trace.emit(
-                    now,
-                    TraceKind::PushbackDeassert { node: self.cfg.id, dst, slice, cycle },
-                );
+                trace.emit(now, TraceKind::PushbackDeassert { node, dst, slice, cycle });
             }
         } else {
             self.pushback.gc(min_cycle);
@@ -348,7 +335,13 @@ impl ToRSwitch {
     /// Ingress pipeline for the packet named `h`, whose header `pkt` is
     /// rewritten in place (ingress timestamp, hop count, source route,
     /// trim).
-    pub fn ingress(&mut self, h: PktRef, pkt: &mut Packet, now: SimTime) -> IngressResult {
+    pub fn ingress(
+        &mut self,
+        h: PktRef,
+        pkt: &mut Packet,
+        now: SimTime,
+        trace: &mut Trace,
+    ) -> IngressResult {
         self.refresh_eqo(now);
         pkt.ingress_ts = now;
 
@@ -385,7 +378,7 @@ impl ToRSwitch {
             Some(dep) => self.cfg.slice_cfg.rank(self.current_slice, dep),
             None => 0,
         };
-        self.admit(h, pkt, port, rank, now)
+        self.admit(h, pkt, port, rank, now, trace)
     }
 
     /// Admission: offload check, congestion detection, calendar enqueue.
@@ -396,6 +389,7 @@ impl ToRSwitch {
         port: PortId,
         rank: u32,
         now: SimTime,
+        trace: &mut Trace,
     ) -> IngressResult {
         let pidx = port.index();
 
@@ -413,7 +407,7 @@ impl ToRSwitch {
             self.counters.dropped_rank += 1;
             // A rank the ring cannot express is also a queue-full condition
             // for push-back purposes.
-            let pb = self.queue_full_pushback(pkt, rank, now);
+            let pb = self.queue_full_pushback(pkt, rank, now, trace);
             return IngressResult {
                 decision: IngressDecision::Dropped(DropReason::RankOverflow),
                 pushback: pb,
@@ -428,10 +422,10 @@ impl ToRSwitch {
         } else {
             let est = self.eqo.estimate(pidx, qidx);
             // One EQO error sample per admission: |estimate − ground truth|.
-            if self.tele.eqo_abs_err.is_attached() {
+            if let Some(hist) = &mut self.eqo_abs_err {
                 let actual = self.ports[pidx].queue_bytes(qidx);
-                self.tele.eqo_abs_err.record(est.abs_diff(actual));
-                self.tele.trace.emit(
+                hist.record(est.abs_diff(actual));
+                trace.emit(
                     now,
                     TraceKind::EqoSample {
                         node: self.cfg.id,
@@ -450,7 +444,7 @@ impl ToRSwitch {
         let mut pushback = None;
         if evaluate(&self.cfg.congestion, est, pkt.size, admissible) == CongestionOutcome::Congested
         {
-            pushback = self.queue_full_pushback(pkt, rank, now);
+            pushback = self.queue_full_pushback(pkt, rank, now, trace);
             match self.cfg.congestion.policy {
                 CongestionPolicy::Drop => {
                     self.counters.dropped_congestion += 1;
@@ -561,12 +555,18 @@ impl ToRSwitch {
         }
     }
 
-    fn queue_full_pushback(&mut self, pkt: &Packet, rank: u32, now: SimTime) -> Option<PushBack> {
+    fn queue_full_pushback(
+        &mut self,
+        pkt: &Packet,
+        rank: u32,
+        now: SimTime,
+        trace: &mut Trace,
+    ) -> Option<PushBack> {
         let slice = self.cfg.slice_cfg.advance(self.current_slice, rank);
         let cycle = (self.abs_slice + rank as u64) / self.cfg.slice_cfg.num_slices as u64;
         let msg = self.pushback.on_queue_full(pkt.dst, slice, cycle);
         if msg.is_some() {
-            self.tele.trace.emit(
+            trace.emit(
                 now,
                 TraceKind::PushbackAssert { node: self.cfg.id, dst: pkt.dst, slice, cycle },
             );
@@ -582,6 +582,7 @@ impl ToRSwitch {
         port: PortId,
         now: SimTime,
         end_margin_ns: u64,
+        trace: &mut Trace,
     ) -> Option<(PktRef, u64)> {
         self.refresh_eqo(now);
         let cp = &mut self.ports[port.index()];
@@ -595,8 +596,8 @@ impl ToRSwitch {
         if tx + end_margin_ns > remaining {
             // Distinct from an empty queue: the head exists but cannot make
             // the tail of this slice and waits a full cycle.
-            self.tele.slice_miss.inc();
-            self.tele.trace.emit(now, TraceKind::SliceMiss { node: self.cfg.id, port });
+            self.counters.slice_miss += 1;
+            trace.emit(now, TraceKind::SliceMiss { node: self.cfg.id, port });
             return None;
         }
         let (len, pkt) = cp.pop_active().expect("peeked head vanished");
@@ -650,10 +651,11 @@ impl ToRSwitch {
         port: PortId,
         rank: u32,
         now: SimTime,
+        trace: &mut Trace,
     ) -> IngressResult {
         // Bypass the offload check for near ranks by construction: the
         // caller recalls with lead < keep_ranks slices.
-        self.admit(h, pkt, port, rank, now)
+        self.admit(h, pkt, port, rank, now, trace)
     }
 
     /// The push-back generator's statistics.
@@ -697,6 +699,17 @@ mod tests {
         Packet::data(id, 1, NodeId(0), dst, HostId(0), HostId(9), 1000, 0, SimTime::ZERO)
     }
 
+    /// `t`'s slice boundary at `ns`, traced nowhere.
+    fn rotate(t: &mut ToRSwitch, ns: u64) {
+        t.rotate(SimTime::from_ns(ns), &mut Trace::detached());
+    }
+
+    /// `t`'s transmit attempt on `port` at `ns` with no end margin, traced
+    /// nowhere.
+    fn pop(t: &mut ToRSwitch, port: PortId, ns: u64) -> Option<(PktRef, u64)> {
+        t.pop_if_fits(port, SimTime::from_ns(ns), 0, &mut Trace::detached())
+    }
+
     /// Store `p` and run it through `t`'s ingress pipeline, as the engine does.
     fn ingress(
         t: &mut ToRSwitch,
@@ -705,12 +718,12 @@ mod tests {
         now: SimTime,
     ) -> (PktRef, IngressResult) {
         let h = store.insert(p);
-        (h, t.ingress(h, &mut store[h], now))
+        (h, t.ingress(h, &mut store[h], now, &mut Trace::detached()))
     }
 
     #[test]
     fn local_delivery_short_circuits() {
-        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8), false), PacketStore::new());
         let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(0)), SimTime::from_ns(300));
         assert!(matches!(r.decision, IngressDecision::DeliverLocal));
         assert_eq!(t.counters.delivered_local, 1);
@@ -718,7 +731,7 @@ mod tests {
 
     #[test]
     fn no_route_leaves_the_packet_with_the_caller() {
-        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8), false), PacketStore::new());
         let (h, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
         assert!(matches!(r.decision, IngressDecision::NoRoute), "unexpected {:?}", r.decision);
         assert_eq!((store[h].dst, t.held_packets()), (NodeId(3), 0));
@@ -726,7 +739,7 @@ mod tests {
 
     #[test]
     fn enqueue_rank_matches_departure_slice() {
-        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8), false), PacketStore::new());
         // Arrive slice 0, depart slice 3 -> rank 3.
         t.install_routes([entry(Some(0), NodeId(3), PortId(1), Some(3))]);
         let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
@@ -741,30 +754,29 @@ mod tests {
         assert!(!t.has_active_traffic(PortId(1)));
         // ...but after three rotations it is.
         for i in 1..=3u64 {
-            t.rotate(SimTime::from_ns(2_000 * i));
+            rotate(&mut t, 2_000 * i);
         }
         assert!(t.has_active_traffic(PortId(1)));
-        let (p, tx) =
-            t.pop_if_fits(PortId(1), SimTime::from_ns(6_300), 0).expect("head fits the slice");
+        let (p, tx) = pop(&mut t, PortId(1), 6_300).expect("head fits the slice");
         assert_eq!(store[p].id, 1);
         assert!(tx > 0);
     }
 
     #[test]
     fn tail_that_misses_slice_waits() {
-        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8), false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
         ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(200));
         // 1064-byte wire packet at 100 Gbps = ~85 ns; only 50 ns left.
-        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0).is_none());
+        assert!(pop(&mut t, PortId(0), 1_950).is_none());
         // Earlier in the slice it fits.
-        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_000), 0).is_some());
+        assert!(pop(&mut t, PortId(0), 1_000).is_some());
     }
 
     #[test]
     fn source_route_overrides_table() {
         use openoptics_proto::packet::{SourceHop, SourceRoute};
-        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8), false), PacketStore::new());
         // Table says port 0; the packet carries a source route via port 1.
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
         let mut p = pkt(1, NodeId(3));
@@ -788,7 +800,7 @@ mod tests {
             threshold_bytes: 1_000_000,
             policy: CongestionPolicy::Drop,
         };
-        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(c, false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         // Admissible for a future slice: 100 Gbps x 1800 ns = 22_500 B.
         // 21 x 1064 B = 22_344 B fit; the 22nd exceeds.
@@ -807,7 +819,7 @@ mod tests {
     fn congestion_defer_moves_to_later_slice() {
         let mut c = cfg(8);
         c.congestion.policy = CongestionPolicy::Defer { max_extra_slices: 4 };
-        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(c, false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut ranks = vec![];
         for i in 0..30 {
@@ -825,7 +837,7 @@ mod tests {
     fn congestion_trim_keeps_header() {
         let mut c = cfg(8);
         c.congestion.policy = CongestionPolicy::Trim;
-        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(c, false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut saw_trim = false;
         for i in 0..30 {
@@ -843,7 +855,7 @@ mod tests {
         let mut c = cfg(8);
         c.pushback_enabled = true;
         c.congestion.policy = CongestionPolicy::Drop;
-        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(c, false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
         let mut msgs = 0;
         for i in 0..40 {
@@ -859,7 +871,7 @@ mod tests {
     fn rank_overflow_without_offload_drops() {
         let mut c = cfg(64); // 64 slices but only 32 queues
         c.num_queues = 32;
-        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(c, false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
         let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
         assert!(matches!(r.decision, IngressDecision::Dropped(DropReason::RankOverflow)));
@@ -873,7 +885,7 @@ mod tests {
         let mut c = cfg(64);
         c.num_queues = 32;
         c.offload = Some(OffloadPolicy { keep_ranks: 8, return_lead_ns: 3_000 });
-        let (mut t, mut store) = (ToRSwitch::new(c), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(c, false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
         let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
         match r.decision {
@@ -890,7 +902,7 @@ mod tests {
 
     #[test]
     fn buffer_telemetry_tracks_peak() {
-        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8), false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(2))]);
         for i in 0..5 {
             ingress(&mut t, &mut store, pkt(i, NodeId(3)), SimTime::from_ns(300));
@@ -900,11 +912,11 @@ mod tests {
         assert_eq!(t.port_buffer_bytes(PortId(0)), 5 * 1064);
         assert_eq!(t.port_buffer_bytes(PortId(1)), 0);
         // Rotations move no bytes; pops lower the total, never the peak.
-        t.rotate(SimTime::from_ns(2_000));
-        t.rotate(SimTime::from_ns(4_000));
+        rotate(&mut t, 2_000);
+        rotate(&mut t, 4_000);
         assert_eq!((t.buffer_bytes(), t.peak_buffer_bytes), (5 * 1064, 5 * 1064));
         for left in (0..5).rev() {
-            assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(4_300), 0).is_some());
+            assert!(pop(&mut t, PortId(0), 4_300).is_some());
             assert_eq!(t.buffer_bytes(), left * 1064);
         }
         assert_eq!(t.peak_buffer_bytes, 5 * 1064);
@@ -916,38 +928,31 @@ mod tests {
     }
 
     #[test]
-    fn attached_telemetry_observes_mechanics() {
-        use openoptics_telemetry::Registry;
-        let reg = Registry::enabled(1024);
-        let (mut t, mut store) = (ToRSwitch::new(cfg(8)), PacketStore::new());
-        t.attach_telemetry(&reg);
+    fn telemetry_observes_mechanics() {
+        let (mut t, mut store) = (ToRSwitch::new(cfg(8), true), PacketStore::new());
+        let mut trace = Trace::bounded(1024);
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
-        ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(200));
+        let h = store.insert(pkt(1, NodeId(3)));
+        t.ingress(h, &mut store[h], SimTime::from_ns(200), &mut trace);
         // Head misses the slice tail at 1_950 ns (needs ~85 ns, 50 left).
-        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0).is_none());
-        t.rotate(SimTime::from_ns(2_000));
-        let snap = reg.snapshot(SimTime::from_ns(2_000));
-        assert_eq!(snap.counter("tor.slice_miss{node=N0}"), 1);
-        assert_eq!(snap.counter("tor.rotations{node=N0}"), 1);
-        let (_, eqo) = snap
-            .histograms
-            .iter()
-            .find(|(n, _)| &**n == "tor.eqo_abs_err_bytes{node=N0}")
-            .expect("eqo histogram registered");
+        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0, &mut trace).is_none());
+        t.rotate(SimTime::from_ns(2_000), &mut trace);
+        assert_eq!((t.counters.slice_miss, t.counters.rotations), (1, 1));
+        let eqo = t.eqo_abs_err().expect("telemetry keeps the EQO histogram").summary();
         assert_eq!(eqo.count, 1, "one admission, one EQO sample");
-        let events: Vec<&'static str> =
-            reg.trace().records().iter().map(|r| r.kind.name()).collect();
+        let events: Vec<&'static str> = trace.records().iter().map(|r| r.kind.name()).collect();
         assert_eq!(events, vec!["eqo_sample", "slice_miss", "slice_rotate"]);
+        assert!(ToRSwitch::new(cfg(8), false).eqo_abs_err().is_none());
     }
 
     #[test]
     fn static_single_slice_acts_as_flow_table() {
         // num_slices = 1: wildcard entries, immediate transmission.
-        let (mut t, mut store) = (ToRSwitch::new(cfg(1)), PacketStore::new());
+        let (mut t, mut store) = (ToRSwitch::new(cfg(1), false), PacketStore::new());
         t.install_routes([entry(None, NodeId(3), PortId(0), None)]);
         let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(5));
         assert!(matches!(r.decision, IngressDecision::Enqueued { rank: 0, .. }));
         // pop works regardless of slice remaining (static mode).
-        assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_999), 0).is_some());
+        assert!(pop(&mut t, PortId(0), 1_999).is_some());
     }
 }

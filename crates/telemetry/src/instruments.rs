@@ -1,14 +1,15 @@
-//! Instrument handles: counters, gauges, and log₂ histograms.
+//! Instruments: counter and gauge handles, and the log₂ histogram value.
 //!
-//! A handle is either *attached* (it shares storage with a
-//! [`Registry`](crate::Registry) series through an `Rc`) or *detached* (the
-//! `Option` is `None`, the state
-//! a disabled registry hands out and the `Default` of every handle). All
-//! hot-path operations on a detached handle are a single branch — this is
-//! the zero-cost-when-disabled contract the churn micro-bench measures.
+//! A counter or gauge handle is either *attached* (it shares the cell of a
+//! [`Registry`](crate::Registry) series) or *detached* (the `Option` is
+//! `None`, the state a disabled registry hands out and the `Default` of
+//! every handle). All hot-path operations on a detached handle are a single
+//! branch — this is the zero-cost-when-disabled contract the churn
+//! micro-bench measures. Engine components do not hold handles: they count
+//! in plain fields, which a [`MirrorPass`](crate::MirrorPass) copies into
+//! the registry. A [`Log2Histogram`] is such a plain value.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::cell::Cell;
 
 /// Number of histogram buckets: one for zero plus one per power of two of
 /// the `u64` range.
@@ -17,7 +18,14 @@ pub const HIST_BUCKETS: usize = 65;
 /// A monotonically increasing `u64` counter. Saturates at `u64::MAX`
 /// instead of wrapping, so overflow can never masquerade as a reset.
 #[derive(Clone, Debug, Default)]
-pub struct Counter(pub(crate) Option<Rc<Cell<u64>>>);
+pub struct Counter(
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reserved: the frozen benchmark increments a counter through `&self` after its \
+                  registry is dropped (benchmark/src/kernels.rs:341)"
+    )]
+    pub(crate) Option<std::rc::Rc<Cell<u64>>>,
+);
 
 impl Counter {
     /// A detached counter; all operations are no-ops.
@@ -63,7 +71,15 @@ impl Counter {
 
 /// A signed point-in-time value (queue depth, clock offset, …).
 #[derive(Clone, Debug, Default)]
-pub struct Gauge(pub(crate) Option<Rc<Cell<i64>>>);
+pub struct Gauge(
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reserved with `Counter`: the mirror cache sets gauges through these handles \
+                  because the frozen benchmark exports through `&OpenOpticsNet` \
+                  (benchmark/src/sim.rs:404); both become indices together"
+    )]
+    pub(crate) Option<std::rc::Rc<Cell<i64>>>,
+);
 
 impl Gauge {
     /// A detached gauge; all operations are no-ops.
@@ -99,66 +115,50 @@ impl Gauge {
     }
 }
 
-/// Shared storage of one histogram series.
-#[derive(Debug)]
-pub(crate) struct HistData {
-    counts: RefCell<[u64; HIST_BUCKETS]>,
-    count: Cell<u64>,
-    sum: Cell<u64>,
-    min: Cell<u64>,
-    max: Cell<u64>,
+/// A log₂ histogram of `u64` values (sim-time durations, byte counts): a
+/// plain value its owner records into. A mirror pass copies it into a
+/// registry series ([`MirrorPass::histogram`](crate::MirrorPass::histogram)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Log2Histogram {
+    counts: [u64; HIST_BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
 }
 
-impl Default for HistData {
+impl Default for Log2Histogram {
     fn default() -> Self {
-        HistData {
-            counts: RefCell::new([0; HIST_BUCKETS]),
-            count: Cell::new(0),
-            sum: Cell::new(0),
-            min: Cell::new(u64::MAX),
-            max: Cell::new(0),
-        }
+        Log2Histogram { counts: [0; HIST_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 }
 
-impl HistData {
+impl Log2Histogram {
+    /// Record one observation.
     #[inline]
-    fn record(&self, v: u64) {
-        self.counts.borrow_mut()[bucket_index(v)] += 1;
-        self.count.set(self.count.get().saturating_add(1));
-        self.sum.set(self.sum.get().saturating_add(v));
-        if v < self.min.get() {
-            self.min.set(v);
-        }
-        if v > self.max.get() {
-            self.max.set(v);
-        }
+    pub fn record(&mut self, v: u64) {
+        self.counts[bucket_index(v)] += 1;
+        self.count = self.count.saturating_add(1);
+        self.sum = self.sum.saturating_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
-    pub(crate) fn deep_clone(&self) -> HistData {
-        HistData {
-            counts: RefCell::new(*self.counts.borrow()),
-            count: Cell::new(self.count.get()),
-            sum: Cell::new(self.sum.get()),
-            min: Cell::new(self.min.get()),
-            max: Cell::new(self.max.get()),
-        }
-    }
-
+    /// Aggregate view of everything recorded so far.
     #[expect(clippy::cast_possible_truncation, reason = "a histogram has 65 buckets")]
-    pub(crate) fn summary(&self) -> HistogramSummary {
-        let counts = self.counts.borrow();
-        let buckets = counts
+    pub fn summary(&self) -> HistogramSummary {
+        let buckets = self
+            .counts
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
             .map(|(i, &c)| (i as u8, c))
             .collect();
         HistogramSummary {
-            count: self.count.get(),
-            sum: self.sum.get(),
-            min: if self.count.get() == 0 { 0 } else { self.min.get() },
-            max: self.max.get(),
+            count: self.count,
+            sum: self.sum,
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
             buckets,
         }
     }
@@ -184,36 +184,6 @@ pub fn bucket_upper_bound(i: u8) -> u64 {
         u64::MAX
     } else {
         (1u64 << i) - 1
-    }
-}
-
-/// A log₂ histogram of `u64` values (sim-time durations, byte counts).
-#[derive(Clone, Debug, Default)]
-pub struct Histogram(pub(crate) Option<Rc<HistData>>);
-
-impl Histogram {
-    /// A detached histogram; all operations are no-ops.
-    pub fn detached() -> Self {
-        Histogram(None)
-    }
-
-    /// Whether this handle is attached to a registry series.
-    #[inline]
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if let Some(h) = &self.0 {
-            h.record(v);
-        }
-    }
-
-    /// Aggregate view of everything recorded so far (empty when detached).
-    pub fn summary(&self) -> HistogramSummary {
-        self.0.as_ref().map_or_else(HistogramSummary::default, |h| h.summary())
     }
 }
 
@@ -285,14 +255,11 @@ mod tests {
         g.set(5);
         g.add(-2);
         assert_eq!(g.get(), 0);
-        let h = Histogram::detached();
-        h.record(42);
-        assert_eq!(h.summary(), HistogramSummary::default());
     }
 
     #[test]
     fn counter_saturates_instead_of_wrapping() {
-        let c = Counter(Some(Rc::new(Cell::new(u64::MAX - 1))));
+        let c = Counter(Some(Cell::new(u64::MAX - 1).into()));
         c.inc();
         assert_eq!(c.get(), u64::MAX);
         c.inc();
@@ -303,7 +270,7 @@ mod tests {
 
     #[test]
     fn gauge_saturates_both_directions() {
-        let g = Gauge(Some(Rc::new(Cell::new(i64::MAX - 1))));
+        let g = Gauge(Some(Cell::new(i64::MAX - 1).into()));
         g.add(5);
         assert_eq!(g.get(), i64::MAX);
         g.set(i64::MIN + 1);
@@ -313,7 +280,7 @@ mod tests {
 
     #[test]
     fn histogram_summary_aggregates() {
-        let h = Histogram(Some(Rc::default()));
+        let mut h = Log2Histogram::default();
         for v in [0u64, 1, 3, 3, 8, 1000] {
             h.record(v);
         }
@@ -329,8 +296,7 @@ mod tests {
 
     #[test]
     fn histogram_count_saturates() {
-        let h = Histogram(Some(Rc::default()));
-        h.0.as_ref().unwrap().count.set(u64::MAX);
+        let mut h = Log2Histogram { count: u64::MAX, ..Log2Histogram::default() };
         h.record(1);
         assert_eq!(h.summary().count, u64::MAX);
     }

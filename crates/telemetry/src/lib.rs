@@ -8,11 +8,16 @@
 //!
 //! ## Design rules
 //!
-//! * **Zero cost when disabled.** Every instrument handle is an
-//!   `Option<Rc<…>>`. A disabled [`Registry`] hands out detached handles
-//!   whose hot-path operations compile to a single `None` branch — no
+//! * **Zero cost when disabled.** Components count in plain fields and a
+//!   [`MirrorPass`] copies them into the registry at snapshot points; a
+//!   disabled [`Registry`] has no storage and no pass. Records reach the
+//!   one [`Trace`], which the registry owns, through `&mut`; a detached
+//!   trace, like a detached [`Counter`], costs a single `None` branch — no
 //!   allocation, no hashing, no atomics. The benchmark's
 //!   `telemetry.counter_off_ns` row prices that branch.
+//! * **One owner.** The registry owns its series and its trace by value,
+//!   so a clone is an independent copy. The one shared cell left is the
+//!   one a [`Counter`] or [`Gauge`] handle points into.
 //! * **Sim time only.** Snapshots and trace records are stamped with
 //!   [`SimTime`](openoptics_sim::time::SimTime), never the wall clock, so a
 //!   seeded run exports byte-identical telemetry at any `--jobs` count.
@@ -24,8 +29,8 @@
 //! streaming writer, path-carrying field reader): it is the lowest crate
 //! that renders JSON, and every crate above it reads and writes through it.
 //!
-//! Instruments are single-threaded by construction (`Rc`/`Cell`), matching
-//! the one-engine-per-worker execution model of the deterministic parallel
+//! Instruments are single-threaded by construction (`Cell`), matching the
+//! one-engine-per-worker execution model of the deterministic parallel
 //! runner.
 
 pub mod error;
@@ -53,10 +58,10 @@ pub mod timeseries;
 pub mod trace;
 
 pub use error::TelemetryError;
-pub use instruments::{Counter, Gauge, Histogram, HistogramSummary};
+pub use instruments::{Counter, Gauge, HistogramSummary, Log2Histogram};
 pub use keep_first::KeepFirst;
 pub use labels::Labels;
-pub use mirror::{Mirror, MirrorPass};
+pub use mirror::MirrorPass;
 pub use registry::{Registry, SeriesName, Snapshot};
 pub use sketch::QuantileSketch;
 pub use slo::{ServiceStats, SloSummary, SloTarget, SloTransition};

@@ -1,13 +1,16 @@
 //! Handles bound once, for a caller that sets the same series every pass.
 //!
-//! State that lives in plain fields (engine counters, queue statistics,
-//! span and profiler totals) is copied into the registry before a snapshot
-//! reads it. The copy names the same series in the same order every time,
-//! so a [`Mirror`] remembers the handle each position resolved to and a
-//! pass after the first is a pointer comparison and a `Cell` store per
-//! series instead of a `BTreeMap` search by `(name, labels)`.
+//! State that lives in plain fields (engine and switch counters, queue
+//! statistics, span and profiler totals) is copied into the registry
+//! before a snapshot reads it. The copy names the same series in the same
+//! order every time, so the registry's `Mirror` remembers the handle each
+//! position resolved to and a pass after the first is a pointer comparison
+//! and a `Cell` store per series instead of a `BTreeMap` search by
+//! `(name, labels)`.
 
-use crate::instruments::{Counter, Gauge};
+use std::cell::RefMut;
+
+use crate::instruments::{Counter, Gauge, Log2Histogram};
 use crate::labels::Labels;
 use crate::registry::Registry;
 
@@ -34,42 +37,32 @@ fn bound<'a, H>(
 
 /// A positional cache of the handles one mirroring routine writes through.
 ///
-/// The handles point into the registry they were bound against, so a clone
-/// starts empty: the owner of a copied engine swaps in a
-/// [`Registry::deep_clone`] and must not write the original's series; one
-/// that keeps sharing the registry binds once more at no harm. A pass whose
-/// sequence changes — a fault plan that starts emitting `faults.*` mid-run
-/// — re-binds the positions that moved and is cached again from the next
+/// The registry owns it, next to the cells the handles point into, and a
+/// clone of the registry starts with an empty one. A pass whose sequence
+/// changes — a fault plan that starts emitting `faults.*` mid-run —
+/// re-binds the positions that moved and is cached again from the next
 /// pass on.
 #[derive(Debug, Default)]
-pub struct Mirror {
+pub(crate) struct Mirror {
     counters: Bound<Counter>,
     gauges: Bound<Gauge>,
 }
 
-impl Clone for Mirror {
-    fn clone(&self) -> Self {
-        Mirror::default()
-    }
-}
-
-impl Mirror {
-    /// Start one pass over `reg`.
-    pub fn pass<'a>(&'a mut self, reg: &'a Registry) -> MirrorPass<'a> {
-        MirrorPass { reg, cache: self, counters: 0, gauges: 0 }
-    }
-}
-
-/// One pass of a mirroring routine: every call sets the next series.
+/// One pass of a mirroring routine ([`Registry::mirror`]): every call sets
+/// the next series.
 #[derive(Debug)]
 pub struct MirrorPass<'a> {
     reg: &'a Registry,
-    cache: &'a mut Mirror,
+    cache: RefMut<'a, Mirror>,
     counters: usize,
     gauges: usize,
 }
 
-impl MirrorPass<'_> {
+impl<'a> MirrorPass<'a> {
+    pub(crate) fn new(reg: &'a Registry, cache: RefMut<'a, Mirror>) -> Self {
+        MirrorPass { reg, cache, counters: 0, gauges: 0 }
+    }
+
     /// Set the counter series `(name, labels)` to `v`.
     #[inline]
     pub fn counter(&mut self, name: &'static str, labels: Labels, v: u64) {
@@ -86,6 +79,12 @@ impl MirrorPass<'_> {
         bound(&mut self.cache.gauges, self.gauges, name, labels, || reg.gauge(name, labels)).set(v);
         self.gauges += 1;
     }
+
+    /// Set the histogram series `(name, labels)` to a copy of `h`. There is
+    /// one histogram per switch, so it is found by key, not cached.
+    pub fn histogram(&mut self, name: &'static str, labels: Labels, h: &Log2Histogram) {
+        self.reg.set_histogram(name, labels, h);
+    }
 }
 
 #[cfg(test)]
@@ -94,8 +93,8 @@ mod tests {
     use openoptics_sim::time::SimTime;
 
     /// One pass of a routine whose middle series is optional.
-    fn pass(mirror: &mut Mirror, reg: &Registry, with_middle: bool, v: u64) {
-        let mut m = mirror.pass(reg);
+    fn pass(reg: &Registry, with_middle: bool, v: u64) {
+        let mut m = reg.mirror().unwrap();
         m.counter("m.first", Labels::None, v);
         if with_middle {
             m.counter("m.middle", Labels::None, v + 1);
@@ -107,10 +106,9 @@ mod tests {
     #[test]
     fn a_sequence_that_grows_mid_run_rebinds_itself() {
         let reg = Registry::enabled(0);
-        let mut mirror = Mirror::default();
-        pass(&mut mirror, &reg, false, 10);
-        pass(&mut mirror, &reg, true, 20);
-        pass(&mut mirror, &reg, true, 30);
+        pass(&reg, false, 10);
+        pass(&reg, true, 20);
+        pass(&reg, true, 30);
         let snap = reg.snapshot(SimTime::ZERO);
         let counters: Vec<(&str, u64)> = snap.counters.iter().map(|(n, v)| (&**n, *v)).collect();
         assert_eq!(counters, [("m.first", 30), ("m.last", 32), ("m.middle", 31)]);
@@ -118,13 +116,14 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_binds_against_the_registry_it_is_given() {
+    fn a_clone_mirrors_into_its_own_series() {
         let reg = Registry::enabled(0);
-        let mut mirror = Mirror::default();
-        pass(&mut mirror, &reg, false, 10);
-        let copy = reg.deep_clone();
-        pass(&mut mirror.clone(), &copy, false, 20);
+        pass(&reg, false, 10);
+        let copy = reg.clone();
+        pass(&copy, false, 20);
         assert_eq!(reg.snapshot(SimTime::ZERO).counters[0].1, 10);
+        pass(&reg, false, 30);
         assert_eq!(copy.snapshot(SimTime::ZERO).counters[0].1, 20);
+        assert_eq!(reg.snapshot(SimTime::ZERO).counters[0].1, 30);
     }
 }

@@ -9,13 +9,13 @@
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write;
-use std::rc::Rc;
 
 use openoptics_sim::time::SimTime;
 
-use crate::instruments::{Counter, Gauge, HistData, Histogram, HistogramSummary};
+use crate::instruments::{Counter, Gauge, HistogramSummary, Log2Histogram};
 use crate::json::{self, ToJson, Writer};
 use crate::labels::Labels;
+use crate::mirror::{Mirror, MirrorPass};
 use crate::trace::Trace;
 
 /// A metric series key: a static name plus a typed label set. `BTreeMap`
@@ -24,20 +24,37 @@ type Key = (&'static str, Labels);
 
 /// A series' rendered name, `{name}{labels}`: one string per series,
 /// shared by every snapshot and sample row that lists it.
-pub type SeriesName = Rc<str>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "not pinned by the frozen benchmark: a name is rendered once and never written \
+              again, so sharing it cannot make a clone write into its original"
+)]
+pub type SeriesName = std::rc::Rc<str>;
 
-/// One registered series: its storage and, once a snapshot has read it,
-/// its rendered name.
+/// One registered series: its cell and, once a snapshot has read it, its
+/// rendered name. A clone gets a new cell holding the same value and
+/// shares the name.
 #[derive(Debug, Default)]
 struct Series<T> {
-    data: Rc<T>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "reserved: the cell a `Counter` or `Gauge` handle shares, which the frozen \
+                  benchmark pins (benchmark/src/kernels.rs:341)"
+    )]
+    data: std::rc::Rc<T>,
     name: OnceCell<SeriesName>,
+}
+
+impl<T: Clone> Clone for Series<T> {
+    fn clone(&self) -> Self {
+        Series { data: T::clone(&self.data).into(), name: self.name.clone() }
+    }
 }
 
 impl<T> Series<T> {
     /// The rendered name of the series registered under `key`.
     fn name(&self, (name, labels): &Key) -> SeriesName {
-        Rc::clone(self.name.get_or_init(|| format!("{name}{labels}").into()))
+        self.name.get_or_init(|| format!("{name}{labels}").into()).clone()
     }
 }
 
@@ -48,35 +65,45 @@ fn scalars<T: Copy>(map: &SeriesMap<Cell<T>>) -> Vec<(SeriesName, T)> {
     map.borrow().iter().map(|(key, s)| (s.name(key), s.data.get())).collect()
 }
 
-/// A copy of `map` over separate storage, `copy` duplicating one series'
-/// (a name already rendered is shared, not rendered again).
-fn deep_cloned<T>(map: &SeriesMap<T>, copy: impl Fn(&T) -> T) -> SeriesMap<T> {
-    let series = |s: &Series<T>| Series { data: Rc::new(copy(&s.data)), name: s.name.clone() };
-    RefCell::new(map.borrow().iter().map(|(k, s)| (*k, series(s))).collect())
-}
-
-#[derive(Debug)]
+/// The series of an enabled registry, and the mirror cache of handles into
+/// them. A clone copies every series into a new cell, shares the names
+/// already rendered and starts with an empty cache: the cached handles
+/// point into the original's cells.
+#[derive(Debug, Default)]
 struct Inner {
     counters: SeriesMap<Cell<u64>>,
     gauges: SeriesMap<Cell<i64>>,
-    histograms: SeriesMap<HistData>,
-    trace: Trace,
+    histograms: SeriesMap<Cell<Log2Histogram>>,
+    mirror: RefCell<Mirror>,
 }
 
-/// The registry: hands out instrument handles and renders snapshots.
+impl Clone for Inner {
+    fn clone(&self) -> Self {
+        Inner {
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            histograms: self.histograms.clone(),
+            mirror: RefCell::default(),
+        }
+    }
+}
+
+/// The registry: every series by `(name, labels)` and the run's one trace
+/// stream, owned by value. A clone shares nothing with its original.
 ///
-/// Cloning is cheap (an `Rc` bump) and clones share all series. A registry
-/// built with [`Registry::disabled`] holds no storage at all and hands out
-/// detached handles — see the crate docs for the zero-cost contract.
+/// A registry built with [`Registry::disabled`] holds no storage at all and
+/// hands out detached handles — see the crate docs for the zero-cost
+/// contract.
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    inner: Option<Rc<Inner>>,
+    inner: Option<Box<Inner>>,
+    trace: Trace,
 }
 
 impl Registry {
     /// A disabled registry: no storage, detached handles, empty snapshots.
     pub fn disabled() -> Self {
-        Registry { inner: None }
+        Registry::default()
     }
 
     /// An enabled registry whose trace stream keeps at most
@@ -84,14 +111,7 @@ impl Registry {
     pub fn enabled(trace_capacity: usize) -> Self {
         let trace =
             if trace_capacity > 0 { Trace::bounded(trace_capacity) } else { Trace::detached() };
-        Registry {
-            inner: Some(Rc::new(Inner {
-                counters: RefCell::new(BTreeMap::new()),
-                gauges: RefCell::new(BTreeMap::new()),
-                histograms: RefCell::new(BTreeMap::new()),
-                trace,
-            })),
-        }
+        Registry { inner: Some(Box::default()), trace }
     }
 
     /// [`Registry::enabled`] or [`Registry::disabled`] by flag.
@@ -112,9 +132,9 @@ impl Registry {
     pub fn counter(&self, name: &'static str, labels: Labels) -> Counter {
         match &self.inner {
             None => Counter::detached(),
-            Some(inner) => Counter(Some(Rc::clone(
-                &inner.counters.borrow_mut().entry((name, labels)).or_default().data,
-            ))),
+            Some(inner) => Counter(Some(
+                inner.counters.borrow_mut().entry((name, labels)).or_default().data.clone(),
+            )),
         }
     }
 
@@ -122,45 +142,36 @@ impl Registry {
     pub fn gauge(&self, name: &'static str, labels: Labels) -> Gauge {
         match &self.inner {
             None => Gauge::detached(),
-            Some(inner) => Gauge(Some(Rc::clone(
-                &inner.gauges.borrow_mut().entry((name, labels)).or_default().data,
-            ))),
+            Some(inner) => Gauge(Some(
+                inner.gauges.borrow_mut().entry((name, labels)).or_default().data.clone(),
+            )),
         }
     }
 
-    /// Get or create the histogram series `(name, labels)`.
-    pub fn histogram(&self, name: &'static str, labels: Labels) -> Histogram {
-        match &self.inner {
-            None => Histogram::detached(),
-            Some(inner) => Histogram(Some(Rc::clone(
-                &inner.histograms.borrow_mut().entry((name, labels)).or_default().data,
-            ))),
+    /// Set the histogram series `(name, labels)`, creating it if needed.
+    pub(crate) fn set_histogram(&self, name: &'static str, labels: Labels, h: &Log2Histogram) {
+        if let Some(inner) = &self.inner {
+            inner.histograms.borrow_mut().entry((name, labels)).or_default().data.set(*h);
         }
     }
 
-    /// Handle to the trace stream (detached when the registry is disabled
-    /// or was built with `trace_capacity == 0`).
-    pub fn trace(&self) -> Trace {
-        self.inner.as_ref().map_or_else(Trace::detached, |i| i.trace.clone())
+    /// Start one pass of a routine that copies plain fields into the
+    /// registry (`None` when disabled). The registry keeps the pass's
+    /// positional cache of handles next to the series they point into.
+    pub fn mirror(&self) -> Option<MirrorPass<'_>> {
+        let inner = self.inner.as_ref()?;
+        Some(MirrorPass::new(self, inner.mirror.borrow_mut()))
     }
 
-    /// An independent copy of every series: same keys, same current values,
-    /// separate storage. Instrument handles held by components still point
-    /// at *this* registry's cells; after a deep clone the caller re-binds
-    /// them against the copy (e.g. `ToRSwitch::attach_telemetry`), which
-    /// lands on the copied cells because [`Registry::counter`] and friends
-    /// are get-or-create by `(name, labels)` key. This is the telemetry leg
-    /// of a checkpoint fork.
-    pub fn deep_clone(&self) -> Registry {
-        let Some(inner) = &self.inner else { return Registry::disabled() };
-        Registry {
-            inner: Some(Rc::new(Inner {
-                counters: deep_cloned(&inner.counters, Cell::clone),
-                gauges: deep_cloned(&inner.gauges, Cell::clone),
-                histograms: deep_cloned(&inner.histograms, HistData::deep_clone),
-                trace: inner.trace.deep_clone(),
-            })),
-        }
+    /// The trace stream (detached when the registry is disabled or was
+    /// built with `trace_capacity == 0`).
+    pub fn trace(&self) -> &Trace {
+        &self.trace
+    }
+
+    /// The trace stream, to emit into.
+    pub fn trace_mut(&mut self) -> &mut Trace {
+        &mut self.trace
     }
 
     /// `(rendered name, value)` of every counter, sorted by series key.
@@ -181,10 +192,14 @@ impl Registry {
         let (counters, gauges) = (self.counter_values(), self.gauge_values());
         let mut snap = Snapshot { at, counters, gauges, ..Snapshot::default() };
         let Some(inner) = &self.inner else { return snap };
-        snap.histograms =
-            inner.histograms.borrow().iter().map(|(k, s)| (s.name(k), s.data.summary())).collect();
-        snap.trace_len = inner.trace.len() as u64;
-        snap.trace_dropped = inner.trace.dropped();
+        snap.histograms = inner
+            .histograms
+            .borrow()
+            .iter()
+            .map(|(k, s)| (s.name(k), s.data.get().summary()))
+            .collect();
+        snap.trace_len = self.trace.len() as u64;
+        snap.trace_dropped = self.trace.dropped();
         snap
     }
 }
@@ -320,6 +335,7 @@ mod tests {
         c.add(10);
         assert!(!c.is_attached());
         assert!(!r.trace().is_on());
+        assert!(r.mirror().is_none());
         let snap = r.snapshot(SimTime::from_us(1));
         assert!(snap.counters.is_empty());
         assert_eq!(snap.to_json(), snapshot_json_empty(1_000));
@@ -380,23 +396,32 @@ mod tests {
             Labels::Slice(5),
         ];
         let r = Registry::enabled(0);
+        let mut h = Log2Histogram::default();
+        h.record(3);
         for labels in all {
             r.counter("s.c", labels).inc();
             r.gauge("s.g", labels).set(-1);
-            r.histogram("s.h", labels).record(3);
+            r.mirror().unwrap().histogram("s.h", labels, &h);
         }
         let first = r.snapshot(SimTime::ZERO);
-        let (again, copy) = (r.snapshot(SimTime::ZERO), r.deep_clone().snapshot(SimTime::ZERO));
-        assert_eq!((&again, &copy), (&first, &first));
+        let copy = r.clone();
+        let (again, copied) = (r.snapshot(SimTime::ZERO), copy.snapshot(SimTime::ZERO));
+        assert_eq!((&again, &copied), (&first, &first));
         // `all` is in key order, so series and labels line up.
         for (i, labels) in all.iter().enumerate() {
             assert_eq!(*first.counters[i].0, format!("s.c{labels}"));
             assert_eq!(*first.gauges[i].0, format!("s.g{labels}"));
             assert_eq!(*first.histograms[i].0, format!("s.h{labels}"));
-            // One string per series, shared by every snapshot and by the copy.
-            assert!(Rc::ptr_eq(&first.counters[i].0, &again.counters[i].0));
-            assert!(Rc::ptr_eq(&first.counters[i].0, &copy.counters[i].0));
+            // One string per series, shared by every snapshot and by the clone.
+            assert!(std::ptr::eq(first.counters[i].0.as_ptr(), again.counters[i].0.as_ptr()));
+            assert!(std::ptr::eq(first.counters[i].0.as_ptr(), copied.counters[i].0.as_ptr()));
         }
+        // The clone has its own cells: a write to one is not seen by the other.
+        copy.counter("s.c", Labels::None).add(10);
+        r.gauge("s.g", Labels::None).set(5);
+        assert_eq!(r.snapshot(SimTime::ZERO).counter("s.c"), 1);
+        assert_eq!(copy.snapshot(SimTime::ZERO).counter("s.c"), 11);
+        assert_eq!(copy.snapshot(SimTime::ZERO).gauges[0].1, -1);
     }
 
     #[test]
@@ -450,9 +475,10 @@ mod tests {
             let r = Registry::enabled(4);
             r.counter("c", Labels::None).add(3);
             r.gauge("g", Labels::Node(NodeId(2))).set(-4);
-            let h = r.histogram("h", Labels::None);
+            let mut h = Log2Histogram::default();
             h.record(5);
             h.record(900);
+            r.mirror().unwrap().histogram("h", Labels::None, &h);
             r.snapshot(SimTime::from_ms(2))
         };
         let (s1, s2) = (build(), build());

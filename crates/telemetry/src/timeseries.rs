@@ -7,10 +7,10 @@
 //! the log streaming subscriptions drain. A sample is stored once, as its
 //! row (a shared name handle and a value per series), and rendered when
 //! somebody reads it: a subscriber draining the log, or a time-series
-//! export. Both stores are plain owned data (cloned by `fork`, so a fork's
-//! frames index the fork's own rows), stamped exclusively with sim time,
-//! and rendered with stable field order, so the series and the frame
-//! stream are byte-identical at any `--jobs` count.
+//! export. Both stores are plain owned data (cloned with the engine, so a
+//! clone's frames index the clone's own rows), stamped exclusively with
+//! sim time, and rendered with stable field order, so the series and the
+//! frame stream are byte-identical at any `--jobs` count.
 
 use crate::json::{self, ToJson, Writer};
 use crate::keep_first::KeepFirst;

@@ -5,9 +5,7 @@
 //! the first `capacity` records are kept and later ones are counted in
 //! `dropped`, so a run's trace is deterministic regardless of length.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use openoptics_proto::{FlowId, HostId, NodeId, PortId};
 use openoptics_sim::time::{SimTime, SliceIndex};
@@ -303,52 +301,37 @@ impl ToJson for TraceRecord {
 /// How many recent records the flight recorder retains.
 pub const FLIGHT_CAPACITY: usize = 64;
 
-/// Shared storage of the trace stream.
-#[derive(Debug)]
-pub(crate) struct TraceBuf {
+/// Storage of an attached trace stream.
+#[derive(Clone, Debug)]
+struct TraceBuf {
     /// The first `capacity` records (see [`KeepFirst`]).
-    records: RefCell<KeepFirst<TraceRecord>>,
+    records: KeepFirst<TraceRecord>,
     /// Flight recorder: ring of the most recent records. Where the main
     /// buffer keeps the *first* `capacity` records, this keeps the *last*
     /// [`FLIGHT_CAPACITY`] — the short tail worth dumping when a fault
     /// fires or an invariant is about to trip late in a long run.
-    recent: RefCell<VecDeque<TraceRecord>>,
+    recent: VecDeque<TraceRecord>,
 }
 
-impl TraceBuf {
-    pub(crate) fn new(capacity: usize) -> Self {
-        TraceBuf {
-            records: RefCell::new(KeepFirst::new(capacity)),
-            recent: RefCell::new(VecDeque::with_capacity(FLIGHT_CAPACITY)),
-        }
-    }
-
-    #[inline]
-    fn push(&self, rec: TraceRecord) {
-        self.records.borrow_mut().push(rec);
-        let mut recent = self.recent.borrow_mut();
-        if recent.len() == FLIGHT_CAPACITY {
-            recent.pop_front();
-        }
-        recent.push_back(rec);
-    }
-}
-
-/// Handle to the trace stream. Detached handles (`Default`, or from a
-/// disabled registry) drop every record at the cost of one branch.
+/// The trace stream, owned by value: the registry holds the one a run
+/// emits into, and a clone is an independent copy. A detached stream
+/// (`Default`, or a disabled registry's) drops every record at the cost of
+/// one branch.
 #[derive(Clone, Debug, Default)]
-pub struct Trace(pub(crate) Option<Rc<TraceBuf>>);
+pub struct Trace(Option<Box<TraceBuf>>);
 
 impl Trace {
-    /// A detached trace handle; `emit` is a no-op.
+    /// A detached stream; `emit` is a no-op.
     pub fn detached() -> Self {
         Trace(None)
     }
 
-    /// An attached, bounded trace stream. Mostly useful for tests; the
-    /// engine obtains its handle from the registry.
+    /// An attached stream keeping the first `capacity` records.
     pub fn bounded(capacity: usize) -> Self {
-        Trace(Some(Rc::new(TraceBuf::new(capacity))))
+        Trace(Some(Box::new(TraceBuf {
+            records: KeepFirst::new(capacity),
+            recent: VecDeque::with_capacity(FLIGHT_CAPACITY),
+        })))
     }
 
     /// Whether records are being kept. Callers may use this to skip
@@ -360,15 +343,19 @@ impl Trace {
 
     /// Append a record (no-op when detached; counted once full).
     #[inline]
-    pub fn emit(&self, t: SimTime, kind: TraceKind) {
-        if let Some(b) = &self.0 {
-            b.push(TraceRecord { t, kind });
+    pub fn emit(&mut self, t: SimTime, kind: TraceKind) {
+        let Some(b) = &mut self.0 else { return };
+        let rec = TraceRecord { t, kind };
+        b.records.push(rec);
+        if b.recent.len() == FLIGHT_CAPACITY {
+            b.recent.pop_front();
         }
+        b.recent.push_back(rec);
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |b| b.records.borrow().len())
+        self.records().len()
     }
 
     /// Whether no records are held.
@@ -378,25 +365,12 @@ impl Trace {
 
     /// Records rejected because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |b| b.records.borrow().dropped())
+        self.0.as_ref().map_or(0, |b| b.records.dropped())
     }
 
-    /// An independent copy of the stream: same capacity, records, and drop
-    /// count, separate storage. Emissions into one copy never appear in the
-    /// other — the isolation checkpoint forks need.
-    pub fn deep_clone(&self) -> Trace {
-        match &self.0 {
-            None => Trace(None),
-            Some(b) => Trace(Some(Rc::new(TraceBuf {
-                records: RefCell::new(b.records.borrow().clone()),
-                recent: RefCell::new(b.recent.borrow().clone()),
-            }))),
-        }
-    }
-
-    /// Copy of the records held so far, in emission order.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.0.as_ref().map_or_else(Vec::new, |b| b.records.borrow().as_slice().to_vec())
+    /// The records held so far, in emission order.
+    pub fn records(&self) -> &[TraceRecord] {
+        self.0.as_ref().map_or(&[], |b| b.records.as_slice())
     }
 
     /// Flight recorder contents: the most recent [`FLIGHT_CAPACITY`]
@@ -405,14 +379,12 @@ impl Trace {
     ///
     /// [`records`]: Trace::records
     pub fn recent_records(&self) -> Vec<TraceRecord> {
-        self.0.as_ref().map_or_else(Vec::new, |b| b.recent.borrow().iter().copied().collect())
+        self.0.as_ref().map_or_else(Vec::new, |b| b.recent.iter().copied().collect())
     }
 
     /// Write the whole stream to `t` as JSON lines (one object per record).
     pub fn write_json_lines(&self, t: &mut Text<'_>) {
-        if let Some(b) = &self.0 {
-            json::write_lines(t, b.records.borrow().as_slice());
-        }
+        json::write_lines(t, self.records());
     }
 }
 
@@ -423,7 +395,7 @@ mod tests {
 
     #[test]
     fn bounded_buffer_keeps_head_and_counts_drops() {
-        let tr = Trace::bounded(2);
+        let mut tr = Trace::bounded(2);
         for i in 0..5u64 {
             tr.emit(
                 SimTime::from_ns(i),
@@ -439,7 +411,7 @@ mod tests {
 
     #[test]
     fn detached_trace_is_inert() {
-        let tr = Trace::detached();
+        let mut tr = Trace::detached();
         assert!(!tr.is_on());
         tr.emit(SimTime::ZERO, TraceKind::Retransmit { flow: 1, kind: RetxKind::Rto });
         assert!(tr.is_empty());
@@ -449,7 +421,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_keeps_the_tail() {
-        let tr = Trace::bounded(2);
+        let mut tr = Trace::bounded(2);
         for i in 0..(FLIGHT_CAPACITY as u64 + 10) {
             tr.emit(
                 SimTime::from_ns(i),

@@ -18,6 +18,7 @@ use openoptics::sim::time::SliceConfig;
 use openoptics::sim::{EventQueue, World};
 use openoptics::switch::congestion::CongestionConfig;
 use openoptics::switch::{IngressDecision, ToRSwitch, TorConfig};
+use openoptics::telemetry::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -112,7 +113,7 @@ fn steady_state_forwarding_allocates_per_flow_not_per_packet() -> Result<(), Err
 }
 
 fn tor() -> ToRSwitch {
-    let mut t = ToRSwitch::new(TorConfig {
+    let cfg = TorConfig {
         id: NodeId(0),
         slice_cfg: SliceConfig::new(SLICE_NS, 8, 1_000),
         uplinks: 2,
@@ -124,7 +125,8 @@ fn tor() -> ToRSwitch {
         offload: None,
         eqo_interval_ns: 50,
         use_true_occupancy: false,
-    });
+    };
+    let mut t = ToRSwitch::new(cfg, false);
     t.install_routes([RouteEntry {
         node: NodeId(0),
         m: RouteMatch { arr_slice: Some(0), dst: NodeId(3) },
@@ -139,14 +141,14 @@ fn tor() -> ToRSwitch {
 
 #[test]
 fn switch_ingress_and_dequeue_allocate_nothing() {
-    let (mut t, mut store) = (tor(), PacketStore::new());
+    let (mut t, mut store, mut trace) = (tor(), PacketStore::new(), Trace::detached());
     let mut pass = |t: &mut ToRSwitch, id: u64, at: u64| {
         let now = SimTime::from_ns(at);
         let (n0, n3, h0, h9) = (NodeId(0), NodeId(3), HostId(0), HostId(9));
         let h = store.insert(Packet::data(id, 1, n0, n3, h0, h9, 1_000, 0, now));
-        let (on_ingress, res) = allocations_in(|| t.ingress(h, &mut store[h], now));
+        let (on_ingress, res) = allocations_in(|| t.ingress(h, &mut store[h], now, &mut trace));
         assert!(matches!(res.decision, IngressDecision::Enqueued { .. }), "{:?}", res.decision);
-        let (on_pop, popped) = allocations_in(|| t.pop_if_fits(PortId(1), now, 0));
+        let (on_pop, popped) = allocations_in(|| t.pop_if_fits(PortId(1), now, 0, &mut trace));
         assert_eq!(popped.map(|(head, _)| head), Some(h));
         store.remove(h);
         (on_ingress, on_pop)

@@ -305,3 +305,64 @@ fn held_and_rotating_do_not_swap_once_running() -> Result<(), Error> {
     }
     Ok(())
 }
+
+/// The four exports a run leaves behind: telemetry snapshot, trace, profiler
+/// report and span report.
+fn exports(net: &OpenOpticsNet) -> Result<[String; 4], Error> {
+    let telemetry = net.export_telemetry("json")?;
+    Ok([telemetry, net.export_trace()?, net.profiler_report()?, net.export_span_report()?])
+}
+
+/// Clone `original`, take the clone through `branch`, and check that the
+/// clone's exports moved while none of the original's did.
+fn a_clone_moves_only_itself<T: Clone>(
+    original: &T,
+    net: impl Fn(&T) -> &OpenOpticsNet,
+    branch: impl FnOnce(&mut T) -> Result<(), Box<dyn std::error::Error>>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let before = exports(net(original))?;
+    let mut copy = original.clone();
+    branch(&mut copy)?;
+    let (after, moved) = (exports(net(original))?, exports(net(&copy))?);
+    for (i, what) in ["telemetry", "trace", "profiler report", "span report"].iter().enumerate() {
+        assert_ne!(moved[i], before[i], "the clone's {what} did not move");
+        assert_eq!(after[i], before[i], "running the clone moved its original's {what}");
+    }
+    Ok(())
+}
+
+/// A clone owns everything it writes to: running it 2 ms on, with a flow
+/// of its own so that spans move too, leaves every byte its original
+/// exports as it was. Checked on a network and on a control-plane session.
+#[test]
+fn a_clone_shares_nothing_with_its_original() -> Result<(), Box<dyn std::error::Error>> {
+    use openoptics::ctl::{Op, Scenario, Session, TransportSpec};
+    let cfg = NetConfig::builder().node_num(4).slice_ns(10_000).span_sample_every(1).build()?;
+    let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet())?;
+    net.add_flow(SimTime::from_ns(100), HostId(0), HostId(3), 200_000, TransportKind::Paced);
+    net.run_for(SimTime::from_us(100));
+    a_clone_moves_only_itself(
+        &net,
+        |net| net,
+        |copy| {
+            copy.add_flow(copy.now(), HostId(1), HostId(2), 200_000, TransportKind::Paced);
+            copy.run_for(SimTime::from_ms(2));
+            Ok(())
+        },
+    )?;
+
+    let mut session = Session::new(Scenario::parse(
+        r#"{"version": 1,
+            "config": {"node_num": 4, "slice_ns": 10000, "span_sample_every": 1},
+            "architecture": {"name": "rotornet"},
+            "workloads": [{"kind": "flow", "at_ns": 100, "src": 0, "dst": 3, "bytes": 200000}],
+            "stop_ns": 2100000}"#,
+    )?)?;
+    session.run_until(100_000);
+    a_clone_moves_only_itself(&session, Session::net, |copy| {
+        let transport = TransportSpec::default();
+        copy.apply(Op::AddFlow { at_ns: 100_000, src: 1, dst: 2, bytes: 200_000, transport })?;
+        copy.run_for(2_000_000);
+        Ok(())
+    })
+}

@@ -2,11 +2,10 @@
 //! trace capture, periodic snapshots, and the disabled mode's error surface.
 
 use openoptics::core::{Error, NetConfig, OpenOpticsNet, TransportKind};
-use openoptics::proto::{HostId, NodeId, PortId};
+use openoptics::proto::HostId;
 use openoptics::routing::algos::Vlb;
 use openoptics::routing::{LookupMode, MultipathMode};
 use openoptics::sim::time::SimTime;
-use openoptics::telemetry::TraceKind;
 use openoptics::topo::round_robin;
 
 fn cfg() -> NetConfig {
@@ -167,7 +166,8 @@ fn registry_handles_survive_direct_use() {
     c.inc();
     let snap = net.telemetry_snapshot();
     assert_eq!(snap.counter("user.custom_metric"), 42);
+    // The trace stream is there to read; the engine is its one writer.
     let tr = reg.trace();
-    assert!(tr.is_on());
-    tr.emit(SimTime::from_ms(9), TraceKind::SliceMiss { node: NodeId(0), port: PortId(0) });
+    assert!(tr.is_on() && !tr.is_empty());
+    assert_eq!(tr.len() as u64, snap.trace_len);
 }
