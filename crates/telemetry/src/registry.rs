@@ -89,7 +89,11 @@ impl Clone for Inner {
 }
 
 /// The registry: every series by `(name, labels)` and the run's one trace
-/// stream, owned by value. A clone shares nothing with its original.
+/// stream, owned by value. A clone shares nothing with its original: a
+/// handle taken from a clone counts into the clone's copy of the series,
+/// which the network never exports, so take handles from
+/// `net.telemetry()` itself. The engine is the trace's only writer;
+/// [`Registry::trace`] is for reading it.
 ///
 /// A registry built with [`Registry::disabled`] holds no storage at all and
 /// hands out detached handles — see the crate docs for the zero-cost

@@ -78,6 +78,28 @@ fn snapshot_reports_real_traffic() {
 }
 
 #[test]
+fn switch_mechanics_reach_the_snapshot() {
+    // A switch counts rotations and slice misses and keeps its EQO-error
+    // histogram in plain fields; the mirror pass names them per node.
+    let net = run_one(cfg());
+    let snap = net.telemetry_snapshot();
+    for n in 0..4u32 {
+        let tor = net.engine.tor(openoptics::proto::NodeId(n));
+        let rotations = format!("tor.rotations{{node=N{n}}}");
+        assert!(tor.counters.rotations > 0, "N{n} rotated");
+        assert_eq!(snap.counter(&rotations), tor.counters.rotations, "{rotations}");
+        let slice_miss = format!("tor.slice_miss{{node=N{n}}}");
+        assert!(snap.counters.iter().any(|(name, _)| **name == *slice_miss), "{slice_miss}");
+        assert_eq!(snap.counter(&slice_miss), tor.counters.slice_miss, "{slice_miss}");
+        let eqo = format!("tor.eqo_abs_err_bytes{{node=N{n}}}");
+        let series = snap.histograms.iter().find(|(name, _)| **name == *eqo);
+        let held = tor.eqo_abs_err().expect("telemetry keeps the EQO histogram").summary();
+        assert!(held.count > 0, "N{n} admitted packets");
+        assert_eq!(series.map(|(_, s)| s.count), Some(held.count), "{eqo}");
+    }
+}
+
+#[test]
 fn trace_captures_rotation_events() {
     let net = run_one(cfg());
     let trace = net.export_trace().unwrap();
