@@ -299,9 +299,9 @@ pub enum Event {
 }
 
 // The event queue writes an event into a slab node once and reads it back
-// once, and the far heap sifts whole events: a node that outgrows a cache
-// line, or an event that grows past a packet handle's worth of payload, is
-// a data-plane slowdown on every workload.
+// once, near or far: a node that outgrows a cache line, or an event that
+// grows past a packet handle's worth of payload, is a data-plane slowdown
+// on every workload.
 const _: () = assert!(std::mem::size_of::<Event>() <= 32);
 const _: () = assert!(EventQueue::<Event>::ENTRY_BYTES <= 56);
 // Every calendar, vma and link queue is a `ByteQueue` (20,736 calendar

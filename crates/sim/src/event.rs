@@ -3,21 +3,22 @@
 //! A bucketed **calendar queue** keyed by `(time, sequence)`. The sequence
 //! number breaks ties between events scheduled for the same instant in
 //! insertion order, which makes runs bit-for-bit reproducible regardless of
-//! queue internals — the exact contract the previous `BinaryHeap`
-//! implementation had, now at amortized O(1) schedule/pop for the dense
-//! near-future event mix a slice-rotating simulator produces.
+//! queue internals — the exact contract of a binary heap over the same key
+//! (the reference `tests/queue_equivalence.rs` checks against), at
+//! amortized O(1) schedule/pop for the dense near-future event mix a
+//! slice-rotating simulator produces.
 //!
 //! # Structure
 //!
 //! Time is divided into fixed buckets of 2^`BUCKET_BITS` ns, and a ring of
 //! `NUM_BUCKETS` buckets covers the *near window* (~4 ms) starting at the
-//! queue's current position. Every event in that window is stored exactly
-//! once, in a node of one `slab` — `(time, seq)`, the event, and the index
-//! of the next node of whatever list it is on — and freed nodes are reused
-//! through a LIFO free list threaded through the same `next` field, so in
-//! steady state the queue neither allocates nor moves an event between
-//! being scheduled and being popped. Two tables of `u32` list heads index
-//! the slab:
+//! queue's current position. Every pending event is stored exactly once,
+//! in a node of one `slab` — `(time, seq)`, the event, and the index of the
+//! next node of whatever list it is on — and freed nodes are reused through
+//! a LIFO free list threaded through the same `next` field, so in steady
+//! state the queue neither allocates nor copies an event between being
+//! scheduled and being popped. Four kinds of list hold the pending nodes,
+//! each named by a `u32` head:
 //!
 //! * `heads` — one per ring bucket (16 KB in all): an unordered list a
 //!   schedule pushes onto the front of.
@@ -29,19 +30,24 @@
 //!   engine's event mix; appending behind the slot's tail, which is where a
 //!   schedule at or after everything pending lands, takes no walk), and a
 //!   pop is the lowest set bit, an unlink and a free.
+//! * `overlay` — one ascending `(time, seq)` list, linked like a slot, for
+//!   events that land in a bucket *behind* the cursor; `pop` takes the
+//!   smaller of the first occupied slot's head and the overlay's head.
+//! * `far` — the nodes of events beyond the near window (watchdogs, RTO
+//!   polls, short delays scheduled near the window's end), on one
+//!   unordered list per *epoch* of `NUM_BUCKETS` buckets, exactly one
+//!   window width; a map from each non-empty epoch to its list head orders
+//!   them. When the window empties, the queue jumps its base directly to the
+//!   earliest far event's bucket, found by scanning only the lowest epoch's
+//!   list. The new window starts inside that epoch and is one epoch wide, so
+//!   that whole list is linked into the ring, and of the next epoch, the
+//!   only other one the window reaches, the part before the window's end. A
+//!   far event is visited at most three times and never sifted, and a sparse
+//!   distribution costs a map lookup per jump instead of a scan of empty
+//!   buckets.
 //!
-//! Three auxiliary structures keep arbitrary schedules correct:
-//!
-//! * `overlay` — a small binary heap for events that land in a bucket
-//!   *behind* the cursor; `pop` takes the smaller of the first occupied
-//!   slot's head and the overlay's head.
-//! * `far` — a binary heap for events beyond the near window (sparse
-//!   watchdogs, RTO polls). When the window empties, the queue jumps its
-//!   base directly to the earliest far event and redistributes the now-near
-//!   events into the ring, so pathological sparse distributions degrade to
-//!   plain heap behavior (O(log n)) instead of scanning empty buckets.
-//! * `near_len` — lets the cursor skip the empty-bucket scan entirely when
-//!   the ring holds nothing.
+//! `near_len` lets the cursor skip the empty-bucket scan entirely when the
+//! ring holds nothing.
 //!
 //! Events at equal timestamps are delivered in the order they were scheduled
 //! (FIFO), which is the property that makes the whole simulation
@@ -58,16 +64,17 @@
 
 use crate::cast::{idx_u32, to_usize};
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// log2 of the bucket width in ns (1024 ns ≈ one EQO interval batch; a few
 /// packet serializations at 100 Gbps).
 const BUCKET_BITS: u32 = 10;
-/// Ring size; together with [`BUCKET_BITS`] the near window spans ~4.2 ms,
-/// comfortably covering slice rotations (µs–100 µs scale) while keeping the
-/// 10 ms watchdog timers in the far heap.
-const NUM_BUCKETS: usize = 4096;
+/// log2 of the ring size; together with [`BUCKET_BITS`] the near window
+/// spans ~4.2 ms, comfortably covering slice rotations (µs–100 µs scale)
+/// while sending the 10 ms watchdog timers far. A far event's epoch is its
+/// bucket shifted right by this: one window width.
+const WINDOW_BITS: u32 = 12;
+const NUM_BUCKETS: usize = 1 << WINDOW_BITS;
 /// log2 of the slots the cursor's bucket is split into: one occupancy bit
 /// each in a `u64`, 16 ns of a 1024 ns bucket per slot.
 const FINE_BITS: u32 = 6;
@@ -75,40 +82,7 @@ const FINE_SLOTS: usize = 1 << FINE_BITS;
 /// "No node": the end of a list, an empty bucket, an empty free list.
 const NIL: u32 = u32::MAX;
 
-/// A heap entry: the far and overlay heaps hold their events by value.
-#[derive(Clone)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> Entry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// A slab slot: one near-window event and its place on a list. A node on
+/// A slab slot: one pending event and its place on a list. A node on
 /// the free list keeps the stale event it last held, which nothing reads:
 /// an event moves in and out of its node as a plain copy, with no tag to
 /// write or check beside it.
@@ -116,7 +90,7 @@ impl<E> Ord for Entry<E> {
 struct Node<E> {
     time: SimTime,
     seq: u64,
-    /// The next node of the bucket, slot or free list this one is on.
+    /// The next node of the list this one is on.
     next: u32,
     event: E,
 }
@@ -133,13 +107,13 @@ impl<E> Node<E> {
 /// Events at equal timestamps are delivered in the order they were scheduled
 /// (FIFO). See the module docs for the calendar structure.
 ///
-/// Cloning copies the entire pending set (slab, list heads, overlay, far
-/// heap, and every sequence counter), so a cloned queue replays the exact
+/// Cloning copies the entire pending set (slab, list heads, overlay, epoch
+/// map, and every sequence counter), so a cloned queue replays the exact
 /// same delivery order as the original — the property checkpoint forks rely
 /// on.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// Every near-window event, live or freed; all `u32`s below index it.
+    /// Every pending event, and the freed nodes; all `u32`s below index it.
     slab: Vec<Node<E>>,
     /// Head of the LIFO list of freed nodes.
     free: u32,
@@ -150,7 +124,8 @@ pub struct EventQueue<E> {
     /// bucket lives in `fine`.
     heads: Vec<u32>,
     /// Bucket `cur` by 16 ns slot: head and tail of each slot's ascending
-    /// `(time, seq)` list, meaningful where the slot's `occupied` bit is set.
+    /// `(time, seq)` list. An empty slot's head is `NIL` and its `occupied`
+    /// bit clear; its tail is stale.
     fine: [u32; FINE_SLOTS],
     fine_tail: [u32; FINE_SLOTS],
     occupied: u64,
@@ -158,13 +133,18 @@ pub struct EventQueue<E> {
     base: u64,
     /// Absolute bucket the cursor is on (`base <= cur < base + NUM_BUCKETS`).
     cur: u64,
-    /// Events scheduled into a bucket behind the cursor (min-heap via the
-    /// inverted `Entry` ordering).
-    overlay: BinaryHeap<Entry<E>>,
-    /// Events beyond the near window (min-heap).
-    far: BinaryHeap<Entry<E>>,
-    /// Events currently stored in the slab (excluding overlay/far).
+    /// Head and tail of the ascending `(time, seq)` list of events scheduled
+    /// into a bucket behind the cursor; the tail is stale while the head is
+    /// `NIL`.
+    overlay: u32,
+    overlay_tail: u32,
+    /// Events beyond the near window: each non-empty epoch
+    /// (`bucket >> WINDOW_BITS`) to the head of its unordered list.
+    far: BTreeMap<u64, u32>,
+    /// Events linked into the ring (`heads` and `fine`).
     near_len: usize,
+    /// Events on the `far` lists.
+    far_len: usize,
     /// Total pending events.
     len: usize,
     next_seq: u64,
@@ -190,9 +170,9 @@ pub struct QueueStats {
     pub scheduled_total: u64,
     /// Events ever popped.
     pub popped_total: u64,
-    /// Events that landed in the far heap (beyond the near window).
+    /// Events scheduled beyond the near window (`far`).
     pub far_scheduled: u64,
-    /// Events that landed in the overlay heap (at/behind the drain point).
+    /// Events scheduled into a bucket behind the cursor (`overlay`).
     pub overlay_scheduled: u64,
 }
 
@@ -217,11 +197,45 @@ fn fine_slot(time: SimTime) -> usize {
     ((time.as_ns() >> (BUCKET_BITS - FINE_BITS)) % FINE_SLOTS as u64) as usize
 }
 
+/// Push node `idx` onto the front of the unordered list `head`.
+fn push_front<E>(slab: &mut [Node<E>], head: &mut u32, idx: u32) {
+    slab[idx as usize].next = *head;
+    *head = idx;
+}
+
+/// Link node `idx` into the ascending `(time, seq)` list from `head` to
+/// `tail` (a stale `tail` when `head` is `NIL`).
+fn link_sorted<E>(slab: &mut [Node<E>], head: &mut u32, tail: &mut u32, idx: u32) {
+    let key = slab[idx as usize].key();
+    if *head == NIL || slab[*tail as usize].key() < key {
+        // Where a schedule at or after everything on the list lands — any
+        // number of kicks at `now` append without a walk.
+        slab[idx as usize].next = NIL;
+        match *head {
+            NIL => *head = idx,
+            _ => slab[*tail as usize].next = idx,
+        }
+        *tail = idx;
+        return;
+    }
+    // Before the tail, so the walk ends inside the list.
+    let (mut prev, mut at) = (NIL, *head);
+    while slab[at as usize].key() < key {
+        (prev, at) = (at, slab[at as usize].next);
+    }
+    slab[idx as usize].next = at;
+    if prev == NIL {
+        *head = idx;
+    } else {
+        slab[prev as usize].next = idx;
+    }
+}
+
 impl<E: Copy> EventQueue<E> {
-    /// Bytes one pending near-window event occupies: its `(time, seq)` key,
-    /// its list link and the payload. It is written once when scheduled and
-    /// read once when popped; the ring's memory is
-    /// [`slab_nodes`](Self::slab_nodes) times this.
+    /// Bytes one pending event occupies: its `(time, seq)` key, its list
+    /// link and the payload. It is written once when scheduled and read once
+    /// when popped; the slab's memory is [`slab_nodes`](Self::slab_nodes)
+    /// times this.
     pub const ENTRY_BYTES: usize = std::mem::size_of::<Node<E>>();
 
     /// An empty queue.
@@ -236,9 +250,11 @@ impl<E: Copy> EventQueue<E> {
             occupied: 0,
             base: 0,
             cur: 0,
-            overlay: BinaryHeap::new(),
-            far: BinaryHeap::new(),
+            overlay: NIL,
+            overlay_tail: NIL,
+            far: BTreeMap::new(),
             near_len: 0,
+            far_len: 0,
             len: 0,
             next_seq: 0,
             scheduled_total: 0,
@@ -271,16 +287,18 @@ impl<E: Copy> EventQueue<E> {
             }
         }
         let b = bucket_of(time);
+        let idx = self.alloc(Node { time, seq, next: NIL, event });
         if b >= self.base + NUM_BUCKETS as u64 {
             self.far_scheduled += 1;
-            self.far.push(Entry { time, seq, event });
+            self.far_len += 1;
+            push_front(&mut self.slab, self.far.entry(b >> WINDOW_BITS).or_insert(NIL), idx);
         } else if b < self.cur {
             // Before the drain point: merge via the overlay so already-popped
             // positions are never revisited.
             self.overlay_scheduled += 1;
-            self.overlay.push(Entry { time, seq, event });
+            link_sorted(&mut self.slab, &mut self.overlay, &mut self.overlay_tail, idx);
         } else {
-            self.link_near(time, seq, event);
+            self.link_near(idx);
         }
     }
 
@@ -289,12 +307,9 @@ impl<E: Copy> EventQueue<E> {
         self.schedule(now + delay_ns, event);
     }
 
-    /// Store a near-window event (`cur <= bucket < base + NUM_BUCKETS`) in a
-    /// recycled or new node and link it: sorted into its slot if the cursor
-    /// is on its bucket, onto the front of its bucket's list otherwise.
-    fn link_near(&mut self, time: SimTime, seq: u64, event: E) {
-        let node = Node { time, seq, next: NIL, event };
-        let idx = match self.free {
+    /// Store `node` in a recycled node, or a new one when none is free.
+    fn alloc(&mut self, node: Node<E>) -> u32 {
+        match self.free {
             NIL => {
                 let idx = idx_u32(self.slab.len());
                 assert!(idx != NIL, "event queue slab outgrew its u32 indices");
@@ -308,77 +323,84 @@ impl<E: Copy> EventQueue<E> {
                 *slot = node;
                 idx
             }
-        };
+        }
+    }
+
+    /// Link node `idx`, due in the ring (`cur <= bucket < base +
+    /// NUM_BUCKETS`): sorted into its slot if the cursor is on its bucket,
+    /// onto the front of its bucket's list otherwise.
+    fn link_near(&mut self, idx: u32) {
         self.near_len += 1;
-        let b = bucket_of(time);
+        let b = bucket_of(self.slab[idx as usize].time);
         if b == self.cur {
-            self.link_fine(idx, (time, seq));
+            self.link_fine(idx);
         } else {
-            let head = &mut self.heads[ring_slot(b)];
-            self.slab[idx as usize].next = *head;
-            *head = idx;
+            push_front(&mut self.slab, &mut self.heads[ring_slot(b)], idx);
         }
     }
 
-    /// Link node `idx`, whose key is `key` and whose bucket is `cur`, into
-    /// its slot's ascending list.
-    fn link_fine(&mut self, idx: u32, key: (SimTime, u64)) {
-        let s = fine_slot(key.0);
-        let bit = 1u64 << s;
-        if self.occupied & bit == 0 {
-            self.occupied |= bit;
-            self.slab[idx as usize].next = NIL;
-            self.fine[s] = idx;
-            self.fine_tail[s] = idx;
-            return;
+    /// Link node `idx`, whose bucket is `cur`, into its slot's ascending
+    /// list.
+    fn link_fine(&mut self, idx: u32) {
+        let s = fine_slot(self.slab[idx as usize].time);
+        self.occupied |= 1u64 << s;
+        link_sorted(&mut self.slab, &mut self.fine[s], &mut self.fine_tail[s], idx);
+    }
+
+    /// With the ring and the overlay empty, move the window to the earliest
+    /// far event: `base` and `cur` become its bucket, and every far event
+    /// that now falls inside the window joins the ring.
+    fn jump(&mut self) {
+        let (epoch, head) = self.far.pop_first().expect("len > 0 but queue empty");
+        let (mut first, mut idx) = (SimTime::MAX, head);
+        while idx != NIL {
+            let node = &self.slab[idx as usize];
+            first = first.min(node.time);
+            idx = node.next;
         }
-        let tail = self.fine_tail[s];
-        if self.slab[tail as usize].key() < key {
-            // Where a schedule at or after everything in the slot lands —
-            // any number of kicks at `now` append without a walk.
-            self.slab[idx as usize].next = NIL;
-            self.slab[tail as usize].next = idx;
-            self.fine_tail[s] = idx;
-            return;
-        }
-        // Before the tail, so the walk ends inside the list.
-        let (mut prev, mut at) = (NIL, self.fine[s]);
-        while self.slab[at as usize].key() < key {
-            (prev, at) = (at, self.slab[at as usize].next);
-        }
-        self.slab[idx as usize].next = at;
-        if prev == NIL {
-            self.fine[s] = idx;
-        } else {
-            self.slab[prev as usize].next = idx;
+        self.base = bucket_of(first);
+        self.cur = self.base;
+        // The window starts inside `epoch` and is one epoch wide: it takes
+        // all of that epoch and the front of the next, and nothing beyond.
+        let rest = self.take_far(head);
+        debug_assert_eq!(rest, NIL, "a far event before the earliest one");
+        let next = epoch + 1;
+        if let Some(&head) = self.far.get(&next) {
+            match self.take_far(head) {
+                NIL => self.far.remove(&next),
+                kept => self.far.insert(next, kept),
+            };
         }
     }
 
-    /// Move every far-heap event that now falls inside the near window
-    /// (`base .. base + NUM_BUCKETS`) into the ring.
-    fn refill_from_far(&mut self) {
+    /// Link every event on the far list `head` that falls inside the window
+    /// into the ring; return the list of the rest.
+    fn take_far(&mut self, head: u32) -> u32 {
         let horizon = self.base + NUM_BUCKETS as u64;
-        while let Some(e) = self.far.peek() {
-            if bucket_of(e.time) >= horizon {
-                break;
+        let (mut kept, mut idx) = (NIL, head);
+        while idx != NIL {
+            let node = &self.slab[idx as usize];
+            let next = node.next;
+            if bucket_of(node.time) < horizon {
+                self.far_len -= 1;
+                self.link_near(idx);
+            } else {
+                push_front(&mut self.slab, &mut kept, idx);
             }
-            let Entry { time, seq, event } = self.far.pop().expect("peeked entry vanished");
-            self.link_near(time, seq, event);
+            idx = next;
         }
+        kept
     }
 
     /// Advance the cursor to the bucket holding the earliest pending event.
     /// After this, the global minimum is the smaller of the first occupied
     /// slot's head and the overlay's head. The caller has checked `len > 0`.
     fn ensure_current(&mut self) {
-        while self.occupied == 0 && self.overlay.is_empty() {
+        while self.occupied == 0 && self.overlay == NIL {
             if self.near_len == 0 {
-                // Everything pending lives in the far heap: jump the window
-                // straight to it instead of walking empty buckets.
-                let t = self.far.peek().expect("len > 0 but queue empty").time;
-                self.base = bucket_of(t);
-                self.cur = self.base;
-                self.refill_from_far();
+                // Everything pending is far: jump the window straight to it
+                // instead of walking empty buckets.
+                self.jump();
                 continue;
             }
             // Walk to the next bucket. Every ring event sits in a bucket from
@@ -389,9 +411,8 @@ impl<E: Copy> EventQueue<E> {
             // Open it: distribute its list over the slots.
             let mut idx = std::mem::replace(&mut self.heads[ring_slot(self.cur)], NIL);
             while idx != NIL {
-                let node = &self.slab[idx as usize];
-                let (next, key) = (node.next, node.key());
-                self.link_fine(idx, key);
+                let next = self.slab[idx as usize].next;
+                self.link_fine(idx);
                 idx = next;
             }
         }
@@ -400,9 +421,10 @@ impl<E: Copy> EventQueue<E> {
     /// Key of the earliest pending event, and whether the ring rather than
     /// the overlay holds it. Call after [`ensure_current`](Self::ensure_current).
     fn head(&self) -> ((SimTime, u64), bool) {
-        let near = (self.occupied != 0)
-            .then(|| self.slab[self.fine[self.occupied.trailing_zeros() as usize] as usize].key());
-        match (near, self.overlay.peek().map(Entry::key)) {
+        let key = |idx: u32| self.slab[idx as usize].key();
+        let near =
+            (self.occupied != 0).then(|| key(self.fine[self.occupied.trailing_zeros() as usize]));
+        match (near, (self.overlay != NIL).then(|| key(self.overlay))) {
             (Some(n), Some(o)) => (n.min(o), n < o),
             (Some(n), None) => (n, true),
             (None, Some(o)) => (o, false),
@@ -431,28 +453,31 @@ impl<E: Copy> EventQueue<E> {
         if time > until {
             return None;
         }
-        let event = if near {
+        let idx = if near {
             let s = self.occupied.trailing_zeros() as usize;
             let idx = self.fine[s];
-            let node = &mut self.slab[idx as usize];
-            self.fine[s] = node.next;
-            if node.next == NIL {
+            self.fine[s] = self.slab[idx as usize].next;
+            if self.fine[s] == NIL {
                 self.occupied &= !(1u64 << s);
             }
-            node.next = self.free;
-            self.free = idx;
-            self.free_len += 1;
             self.near_len -= 1;
-            node.event
+            idx
         } else {
-            let Some(e) = self.overlay.pop() else { unreachable!("event queue head vanished") };
-            e.event
+            let idx = self.overlay;
+            self.overlay = self.slab[idx as usize].next;
+            idx
         };
+        push_front(&mut self.slab, &mut self.free, idx);
+        self.free_len += 1;
+        let event = self.slab[idx as usize].event;
         self.len -= 1;
         self.popped_total += 1;
         if cfg!(feature = "strict-invariants") {
+            let next = |&i: &u32| Some(self.slab[i as usize].next).filter(|&n| n != NIL);
+            let overlay_len =
+                std::iter::successors(Some(self.overlay).filter(|&n| n != NIL), next).count();
             assert_eq!(
-                self.near_len + self.overlay.len() + self.far.len(),
+                self.near_len + overlay_len + self.far_len,
                 self.len,
                 "event queue occupancy leak: near + overlay + far != pending"
             );
@@ -463,8 +488,8 @@ impl<E: Copy> EventQueue<E> {
             );
             assert_eq!(
                 self.slab.len() - self.free_len,
-                self.near_len,
-                "event queue slab leak: nodes - freed != near"
+                self.len,
+                "event queue slab leak: nodes - freed != pending"
             );
             if let Some(last) = self.last_popped {
                 assert!(
@@ -511,7 +536,8 @@ impl<E: Copy> EventQueue<E> {
         self.scheduled_total
     }
 
-    /// Nodes the slab holds, pending or free — the ring's memory in units of
+    /// Nodes the slab holds, pending or free — the queue's memory, bar the
+    /// ring's heads and the epoch map, in units of
     /// [`ENTRY_BYTES`](Self::ENTRY_BYTES). A node is only added when every
     /// other holds a pending event, so this never exceeds
     /// [`QueueStats::peak_len`].
@@ -609,12 +635,55 @@ mod tests {
     fn far_future_events_cross_windows() {
         let mut q = EventQueue::new();
         // One event per ~10 ms over a second: every pop crosses the near
-        // window and exercises the far-heap jump.
+        // window and exercises the jump, one epoch list per event.
         for i in (0..100u64).rev() {
             q.schedule(SimTime::from_ns(i * 10_000_000 + 1), i);
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_jump_takes_the_first_far_epoch_whole_and_the_next_only_where_it_fits() {
+        // An epoch is one window width. The first jump lands a quarter of
+        // the way into epoch 1, so the window takes all of that epoch and
+        // epoch 2 up to 2.25 epochs; the second jump, to 2.25 epochs, takes
+        // the rest of epoch 2 and epoch 3 up to 3.25.
+        const E: u64 = (NUM_BUCKETS as u64) << BUCKET_BITS;
+        let times = [
+            // Epoch 2: inside the first window, and from its end on.
+            2 * E + E / 4 - 1,
+            2 * E + E / 10,
+            2 * E + E / 4,
+            3 * E - 1,
+            // Epoch 1, from the earliest far event to its last ns, with a tie.
+            E + E / 2,
+            2 * E - 1,
+            E + E / 4,
+            E + E / 2,
+            // Epoch 3: inside the second window, and beyond it.
+            3 * E + E / 2,
+            3 * E + E / 10,
+        ];
+        let mut q = EventQueue::new();
+        let mut want: Vec<_> = times.iter().copied().zip(0u64..).collect();
+        for &(t, seq) in &want {
+            q.schedule(SimTime::from_ns(t), seq);
+        }
+        assert_eq!(q.stats().far_scheduled, 10);
+        let mut got = vec![q.pop().unwrap()];
+        assert_eq!(got[0], (SimTime::from_ns(E + E / 4), 6));
+        // After the first jump: one schedule into the part of epoch 2 it
+        // kept, one into the part it took.
+        for (t, seq) in [(2 * E + E / 2, 10), (2 * E + E / 5, 11)] {
+            q.schedule(SimTime::from_ns(t), seq);
+            want.push((t, seq));
+        }
+        assert_eq!(q.stats().far_scheduled, 11);
+        got.extend(std::iter::from_fn(|| q.pop()));
+        want.sort_unstable();
+        let got: Vec<_> = got.into_iter().map(|(t, seq)| (t.as_ns(), seq)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -635,7 +704,7 @@ mod tests {
 
     #[test]
     fn a_schedule_behind_an_advanced_cursor_takes_the_overlay_and_pops_first() {
-        // The overlay heap's only customer. Inside a run nothing schedules
+        // The overlay's only customer. Inside a run nothing schedules
         // behind the cursor; between runs a caller can: a `pop_before` that
         // stops short of the next event has already walked the cursor to
         // that event's bucket, and `now` is buckets behind it.

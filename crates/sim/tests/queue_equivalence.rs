@@ -40,7 +40,8 @@ fn check_pop_wide(cal: &mut EventQueue<Wide>, reference: &Reference) -> Result<(
 
 /// The geometry the exported counts depend on, restated rather than
 /// imported: a change to either moves `sim.far_scheduled` on every
-/// workload and has to show up here as a reviewed diff.
+/// workload and has to show up here as a reviewed diff. A far epoch is
+/// `WINDOW_BUCKETS` buckets, aligned to a multiple of that.
 const BUCKET_NS: u64 = 1 << 10;
 const WINDOW_BUCKETS: u64 = 4096;
 
@@ -117,6 +118,10 @@ enum Step {
     /// Schedule within 1.5 us of the window's far end: the last ring bucket
     /// or the first far one.
     WindowEdge,
+    /// Schedule within 1.5 us of the start of epoch `epoch(base) + k`: the
+    /// boundary between two far lists, or, for `k = 1` once `base` is past
+    /// its epoch's start, one the window spans.
+    EpochEdge(u64),
     /// `pop_before` a horizon up to 20 us past the last delivery — often
     /// short of the head, which moves the cursor and delivers nothing.
     PopBefore,
@@ -135,6 +140,8 @@ fn step() -> impl Strategy<Value = (Step, u64)> {
         Just(Step::Ahead(30_000_000)),
         Just(Step::Behind),
         Just(Step::WindowEdge),
+        Just(Step::EpochEdge(1)),
+        Just(Step::EpochEdge(2)),
         Just(Step::PopBefore),
         Just(Step::PopBefore),
         Just(Step::Pop),
@@ -163,6 +170,10 @@ fn drive<P: Copy + PartialEq + Debug>(
             Step::Behind => Some(now.saturating_sub(raw % 3_000)),
             Step::WindowEdge => {
                 Some((model.base + WINDOW_BUCKETS) * BUCKET_NS - 1_500 + raw % 3_000)
+            }
+            Step::EpochEdge(k) => {
+                let epoch = model.base / WINDOW_BUCKETS + k;
+                Some(epoch * WINDOW_BUCKETS * BUCKET_NS - 1_500 + raw % 3_000)
             }
             _ => None,
         };
@@ -206,7 +217,7 @@ proptest! {
     /// Arbitrary schedule/pop interleavings with the engine's
     /// characteristic time mix — a dense near-future cluster, a mid-range
     /// band, and sparse watchdog-scale outliers (which cross the calendar's
-    /// near-window boundary and exercise the far-heap path).
+    /// near-window boundary and exercise the far epochs).
     #[test]
     fn calendar_matches_reference_heap(
         ops in collection::vec((0u8..9u8, any::<u64>()), 0..400)

@@ -25,7 +25,7 @@ fn legal_mixed_traffic_passes_all_checks() {
     for i in 0..500u64 {
         q.schedule(SimTime::from_ns(i * 37 % 9_000), i);
     }
-    q.schedule(SimTime::from_secs(1), 500); // far heap
+    q.schedule(SimTime::from_secs(1), 500); // far
     let mut popped = 0;
     while let Some((t, _)) = q.pop() {
         popped += 1;

@@ -240,11 +240,15 @@ fn a_sampling_tick_allocates_the_same_at_4_and_8_tors() -> Result<(), Error> {
     Ok(())
 }
 
+/// One window width of queue time: 4,096 buckets of 1,024 ns.
+const WINDOW_NS: u64 = 4_096 * 1_024;
+
 /// The event queue under every handler: each event sits in one slab node
-/// from `schedule` to `pop` and a popped node is the next one reused, so
-/// once the slab and the far heap have seen their busiest moment, churn —
-/// serialization and propagation delays, slice boundaries, 10 ms watchdogs
-/// that cross the near window — never touches the allocator.
+/// from `schedule` to `pop`, far or near, and a popped node is the next one
+/// reused, so once the slab and the epoch map have seen their busiest
+/// moment, churn — serialization and propagation delays, slice boundaries,
+/// 10 ms watchdogs that cross the near window, and the window jumps that
+/// bring them back — never touches the allocator.
 #[test]
 fn steady_state_queue_churn_allocates_nothing() {
     const PENDING: usize = 500;
@@ -253,26 +257,56 @@ fn steady_state_queue_churn_allocates_nothing() {
         q.schedule(SimTime::from_ns(i * 37 % SLICE_NS), Event::HostTx(HostId(0)));
     }
     let step = |q: &mut EventQueue<Event>, i: u64| {
-        if let Some((now, ev)) = q.pop() {
-            let delay_ns = match i % 1_000 {
-                0 => 10_000_000,
-                n if n % 10 == 1 => SLICE_NS,
-                n if n % 2 == 0 => 120,
-                _ => 500,
-            };
-            q.schedule_after(now, delay_ns, ev);
-        }
+        let (now, ev) = q.pop().expect("every pop schedules one event");
+        let delay_ns = match i % 1_000 {
+            0 => 10_000_000,
+            n if n % 10 == 1 => SLICE_NS,
+            n if n % 2 == 0 => 120,
+            _ => 500,
+        };
+        q.schedule_after(now, delay_ns, ev);
         assert!(q.slab_nodes() <= q.stats().peak_len);
+        now.as_ns()
     };
     // Three watchdog periods: a step advances the clock ~30 ns.
-    (0..1_000_000).for_each(|i| step(&mut q, i));
+    (0..1_000_000).for_each(|i| _ = step(&mut q, i));
     let before = q.stats();
-    let (allocations, ()) = allocations_in(|| (0..100_000).for_each(|i| step(&mut q, i)));
+    let (allocations, span_ns) = allocations_in(|| {
+        let first = step(&mut q, 0);
+        (1..1_000_000).fold(0, |_, i| step(&mut q, i)) - first
+    });
     let after = q.stats();
     assert_eq!((q.len(), after.peak_len), (PENDING, PENDING));
-    assert_eq!(after.popped_total - before.popped_total, 100_000);
+    assert_eq!(after.popped_total - before.popped_total, 1_000_000);
+    // The window's base moves only by a jump: more than two window widths
+    // of queue time take at least two.
+    assert!(span_ns > 2 * WINDOW_NS, "{span_ns} ns of queue time");
     // Every watchdog leaves the window, and so does a slice-scale delay
     // scheduled near the window's end.
     assert!(after.far_scheduled - before.far_scheduled >= 100);
+    assert_eq!(allocations, 0);
+}
+
+/// A far-heavy queue: 50,000 events over four epochs (each one window
+/// width), all beyond the first window. Draining them jumps the window from
+/// epoch to epoch, moving nodes between lists and shrinking the epoch map,
+/// so once scheduling has grown the slab and the map, it allocates nothing.
+#[test]
+fn draining_far_epochs_allocates_nothing() {
+    const FAR: u64 = 50_000;
+    let mut q = EventQueue::new();
+    for i in 0..FAR {
+        let t = WINDOW_NS + i.wrapping_mul(2_654_435_761) % (4 * WINDOW_NS);
+        q.schedule(SimTime::from_ns(t), Event::HostTx(HostId(0)));
+    }
+    assert_eq!(q.stats().far_scheduled, FAR);
+    let (allocations, ()) = allocations_in(|| {
+        let mut last = SimTime::ZERO;
+        while let Some((t, _)) = q.pop() {
+            assert!(t >= last, "{t:?} after {last:?}");
+            last = t;
+        }
+    });
+    assert_eq!((q.stats().popped_total, q.len()), (FAR, 0));
     assert_eq!(allocations, 0);
 }
