@@ -1910,7 +1910,8 @@ impl Engine {
         let trace = self.telemetry.trace_mut();
         let popped = self.tors[node.index()].pop_if_fits(port, local, SLICE_END_MARGIN_NS, trace);
         self.profiler.exit(Phase::Drain);
-        // Every drain attempt refreshes the EQO estimate inside the switch.
+        // Counted per drain attempt, like `Drain`: the EQO itself catches up
+        // in admission and rotation, on the engine clock (`Phase::EqoTick`).
         self.profiler.mark(Phase::EqoTick);
         match popped {
             Some((pkt, tx)) => {

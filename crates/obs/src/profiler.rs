@@ -48,7 +48,11 @@ pub enum Phase {
     Timer,
     /// Sub-phase of [`Phase::Rotate`]: the actual queue rotation.
     Rotation,
-    /// Sub-phase of [`Phase::PortFree`]: EQO estimate refresh tick.
+    /// Sub-phase of [`Phase::PortFree`]: counts drain attempts, exactly as
+    /// [`Phase::Drain`] does. The name predates the rule that the EQO
+    /// catches up where it is read (admission and rotation, on the engine
+    /// clock), not in the drain; the phase keeps its place because exports
+    /// index phases by position.
     EqoTick,
     /// Sub-phase of [`Phase::PortFree`]: head-of-queue drain attempt.
     Drain,

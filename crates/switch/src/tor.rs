@@ -342,7 +342,6 @@ impl ToRSwitch {
         now: SimTime,
         trace: &mut Trace,
     ) -> IngressResult {
-        self.refresh_eqo(now);
         pkt.ingress_ts = now;
 
         if pkt.dst == self.cfg.id {
@@ -382,6 +381,12 @@ impl ToRSwitch {
     }
 
     /// Admission: offload check, congestion detection, calendar enqueue.
+    ///
+    /// The EQO catches up to `now` here, before any register is read or
+    /// written, so first ingress and re-admission see the same estimate.
+    /// `now` is the engine clock, as in [`ToRSwitch::rotate`]: the switch's
+    /// local clock gates transmission only, and how many drain attempts ran
+    /// before an admission cannot change what it decides.
     fn admit(
         &mut self,
         h: PktRef,
@@ -391,6 +396,7 @@ impl ToRSwitch {
         now: SimTime,
         trace: &mut Trace,
     ) -> IngressResult {
+        self.refresh_eqo(now);
         let pidx = port.index();
 
         // Buffer offloading: far-future ranks are parked on hosts.
@@ -576,7 +582,8 @@ impl ToRSwitch {
 
     /// Pop the next packet from `port`'s active queue if its serialization
     /// (plus `end_margin_ns` safety) still fits in the current slice.
-    /// Returns the packet's handle and its serialization time.
+    /// Returns the packet's handle and its serialization time. `now` is the
+    /// switch's local clock; the EQO is left alone (admission catches it up).
     pub fn pop_if_fits(
         &mut self,
         port: PortId,
@@ -584,7 +591,6 @@ impl ToRSwitch {
         end_margin_ns: u64,
         trace: &mut Trace,
     ) -> Option<(PktRef, u64)> {
-        self.refresh_eqo(now);
         let cp = &mut self.ports[port.index()];
         let (len, _) = *cp.peek_active()?;
         let tx = self.cfg.uplink_bandwidth.tx_time_ns(len as u64).max(1);
@@ -943,6 +949,68 @@ mod tests {
         let events: Vec<&'static str> = trace.records().iter().map(|r| r.kind.name()).collect();
         assert_eq!(events, vec!["eqo_sample", "slice_miss", "slice_rotate"]);
         assert!(ToRSwitch::new(cfg(8), false).eqo_abs_err().is_none());
+    }
+
+    /// The `EqoSample` estimates `trace` recorded, in order.
+    fn eqo_estimates(trace: &Trace) -> Vec<u64> {
+        let estimate = |r: &openoptics_telemetry::TraceRecord| match r.kind {
+            TraceKind::EqoSample { estimate_bytes, .. } => Some(estimate_bytes),
+            _ => None,
+        };
+        trace.records().iter().filter_map(estimate).collect()
+    }
+
+    #[test]
+    fn empty_drains_leave_the_next_admission_unchanged() {
+        // Two identical switches admit the same packets; one also runs drain
+        // attempts on an empty port in between, at local times both behind
+        // and ahead of the next admission. The EQO catches up only in
+        // admission and rotation, on the engine clock, so the extra drains
+        // move neither the estimate the next admission reads nor its error
+        // sample.
+        let admit_all = |drains: &[u64]| {
+            let (mut t, mut store) = (ToRSwitch::new(cfg(8), true), PacketStore::new());
+            let mut trace = Trace::bounded(64);
+            t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
+            for i in 0..12 {
+                let h = store.insert(pkt(i, NodeId(3)));
+                t.ingress(h, &mut store[h], SimTime::from_ns(100), &mut trace);
+            }
+            for &ns in drains {
+                let popped = t.pop_if_fits(PortId(1), SimTime::from_ns(ns), 0, &mut trace);
+                assert!(popped.is_none(), "port 1 holds nothing");
+            }
+            let h = store.insert(pkt(12, NodeId(3)));
+            t.ingress(h, &mut store[h], SimTime::from_ns(500), &mut trace);
+            (eqo_estimates(&trace), *t.eqo_abs_err().expect("telemetry on"))
+        };
+        let (plain, plain_err) = admit_all(&[]);
+        let (drained, drained_err) = admit_all(&[400, 560, 1_333]);
+        // 12 x 1064 B admitted at 100 ns; eight whole 50 ns ticks of 625 B
+        // drain by 500 ns.
+        assert_eq!(plain[12], 12 * 1064 - 8 * 625);
+        assert_eq!((drained, drained_err), (plain, plain_err));
+    }
+
+    #[test]
+    fn a_reinjected_packet_sees_a_caught_up_estimate() {
+        let mut c = cfg(64);
+        c.num_queues = 32;
+        c.offload = Some(OffloadPolicy { keep_ranks: 8, return_lead_ns: 3_000 });
+        let (mut t, mut store) = (ToRSwitch::new(c, true), PacketStore::new());
+        let mut trace = Trace::bounded(64);
+        t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
+        for i in 0..10 {
+            let h = store.insert(pkt(i, NodeId(3)));
+            t.ingress(h, &mut store[h], SimTime::from_ns(100), &mut trace);
+        }
+        // Re-admitted into the same active queue 400 ns later: eight whole
+        // ticks of 625 B have drained since the last admission.
+        let h = store.insert(pkt(10, NodeId(3)));
+        let now = SimTime::from_ns(500);
+        let r = t.reinject_offloaded(h, &mut store[h], PortId(0), 0, now, &mut trace);
+        assert!(matches!(r.decision, IngressDecision::Enqueued { rank: 0, .. }));
+        assert_eq!(eqo_estimates(&trace).last(), Some(&(10 * 1064 - 8 * 625)));
     }
 
     #[test]
