@@ -208,44 +208,99 @@ struct HostState {
     aging: FlowAging,
 }
 
+/// Schedule a link's free event `ev` because a packet arrived at `now` and
+/// none is pending. `free` is when the link's last transmission ends and the
+/// sequence number reserved for its free event, which was left out because
+/// nothing waited behind it. If that event would still be pending, it is
+/// scheduled now exactly where it would have fired; otherwise it would
+/// have found nothing to send, and the link is kicked at `now`.
+#[inline]
+fn schedule_free(free: (SimTime, u64), now: SimTime, ev: Event, q: &mut EventQueue<Event>) {
+    if free > q.current_key() {
+        q.schedule_reserved(free.0, free.1, ev);
+    } else {
+        q.schedule(now, ev);
+    }
+}
+
+/// An electrical uplink or a host downlink: a FIFO drained at line rate by
+/// its free event (`ElecFree` / `DownlinkFree`), which is pending exactly
+/// while a packet waits.
 #[derive(Clone)]
 struct Link {
     queue: ByteQueue<PktRef>,
+    /// When the packet on the wire ends.
     busy_until: SimTime,
+    /// A free event is pending.
     draining: bool,
+    /// The sequence number reserved for the free event at `busy_until`
+    /// when the last transmission left the queue empty.
+    free_seq: u64,
 }
 
 impl Link {
     fn new(capacity: u64) -> Self {
-        Link { queue: ByteQueue::new(capacity), busy_until: SimTime::ZERO, draining: false }
+        Link {
+            queue: ByteQueue::new(capacity),
+            busy_until: SimTime::ZERO,
+            draining: false,
+            free_seq: 0,
+        }
     }
 
     /// Queue `pkt`, `size` bytes on the wire, behind whatever the link is
-    /// sending; `Err` is a tail drop. `Ok(Some(at))` means the link was
-    /// idle: the caller schedules its free event at `at`, and exactly one
-    /// stays outstanding until the queue runs dry.
-    fn push(&mut self, pkt: PktRef, size: u32, now: SimTime) -> Result<Option<SimTime>, PktRef> {
+    /// sending; `Err` is a tail drop. An idle link gets its free event `ev`
+    /// ([`schedule_free`]).
+    fn push(
+        &mut self,
+        pkt: PktRef,
+        size: u32,
+        now: SimTime,
+        ev: Event,
+        q: &mut EventQueue<Event>,
+    ) -> Result<(), PktRef> {
         self.queue.push(size, pkt)?;
-        if self.draining {
-            return Ok(None);
+        if !self.draining {
+            self.draining = true;
+            schedule_free((self.busy_until, self.free_seq), now, ev, q);
         }
-        self.draining = true;
-        Ok(Some(self.busy_until.max(now)))
+        Ok(())
     }
 
-    /// The link's free event fired: start sending the head packet at rate
-    /// `bw`, if there is one. Returns it with its serialization time — the
-    /// caller schedules the next free event that far ahead — or goes idle.
-    fn pop(&mut self, now: SimTime, bw: Bandwidth) -> Option<(PktRef, u64)> {
+    /// The link's free event `ev` fired: start sending the head packet at
+    /// rate `bw` and return it with its serialization time. The next free
+    /// event is scheduled that far ahead if another packet waits; if none
+    /// does, only its sequence number is reserved, at the same point.
+    fn pop(
+        &mut self,
+        now: SimTime,
+        bw: Bandwidth,
+        ev: Event,
+        q: &mut EventQueue<Event>,
+    ) -> (PktRef, u64) {
         debug_assert!(now >= self.busy_until, "one free event per link, never early");
-        let Some((len, pkt)) = self.queue.pop() else {
-            self.draining = false;
-            return None;
-        };
+        let (len, pkt) = self.queue.pop().expect("a free event fires only with a packet waiting");
         let tx = bw.tx_time_ns(len as u64).max(1);
         self.busy_until = now + tx;
-        Some((pkt, tx))
+        if self.queue.is_empty() {
+            self.draining = false;
+            self.free_seq = q.reserve_seq();
+        } else {
+            q.schedule(self.busy_until, ev);
+        }
+        (pkt, tx)
     }
+}
+
+/// Where an optical port's `PortFree` event stands.
+#[derive(Clone, Copy, Default)]
+struct PortFreeState {
+    /// A `PortFree` is pending.
+    pending: bool,
+    /// When the last transmission ends and the sequence number reserved for
+    /// its `PortFree`, if it left the active queue empty outside a schedule
+    /// move ([`schedule_free`]).
+    free: (SimTime, u64),
 }
 
 #[derive(Clone)]
@@ -494,7 +549,7 @@ pub struct Engine {
     elec: Vec<Link>,
     elec_bw: Option<Bandwidth>,
     downlinks: Vec<Link>,
-    port_pending: Vec<Vec<bool>>,
+    ports: Vec<Vec<PortFreeState>>,
     /// Per-port transmitted bytes (bw_usage telemetry).
     tx_bytes_per_port: Vec<Vec<u64>>,
     router: Option<RouterSpec>,
@@ -658,7 +713,7 @@ impl Engine {
         let spans = Spans::bounded(cfg.span_sample_every, cfg.seed, SPAN_CAPACITY);
         Engine {
             fabric: build_fabric(&cfg, schedule),
-            port_pending: vec![vec![false; cfg.uplink as usize]; n as usize],
+            ports: vec![vec![PortFreeState::default(); cfg.uplink as usize]; n as usize],
             tx_bytes_per_port: vec![vec![0; cfg.uplink as usize]; n as usize],
             tors: build_tors(&cfg, slice_cfg),
             hosts,
@@ -740,6 +795,19 @@ impl Engine {
         let done = self.fabric.reconfigure(schedule, now);
         for node in 0..self.cfg.node_num {
             q.schedule(done, Event::Timer(Timer::NotifyHosts(NodeId(node))));
+        }
+        // Until the move lands every optical port keeps its free event in
+        // the queue, as it would with traffic waiting: those left out are
+        // scheduled now, at the key they were reserved under.
+        for node in 0..self.cfg.node_num {
+            for port in 0..self.cfg.uplink {
+                let state = &mut self.ports[node as usize][port as usize];
+                if !state.pending && state.free > q.current_key() {
+                    state.pending = true;
+                    let (at, seq) = state.free;
+                    q.schedule_reserved(at, seq, Event::PortFree(NodeId(node), PortId(port)));
+                }
+            }
         }
         Ok(())
     }
@@ -1624,14 +1692,9 @@ impl Engine {
             q.schedule_after(now, HOST_WIRE_NS, Event::TorIngress(src_tor, pkt));
             return;
         }
-        match self.elec[src_tor.index()].push(pkt, size, now) {
+        match self.elec[src_tor.index()].push(pkt, size, now, Event::ElecFree(src_tor), q) {
             Err(pkt) => self.drop_packet(pkt, now, DropSite::Link),
-            Ok(kick) => {
-                self.cursors.enter(pid, Stage::CalendarWait, now);
-                if let Some(at) = kick {
-                    q.schedule(at, Event::ElecFree(src_tor));
-                }
-            }
+            Ok(()) => self.cursors.enter(pid, Stage::CalendarWait, now),
         }
     }
 
@@ -1639,14 +1702,9 @@ impl Engine {
     #[expect(clippy::wrong_self_convention, reason = "named for the downlink, not a conversion")]
     fn to_downlink(&mut self, host: HostId, pkt: PktRef, now: SimTime, q: &mut EventQueue<Event>) {
         let Packet { id: pid, size, .. } = self.packets[pkt];
-        match self.downlinks[host.index()].push(pkt, size, now) {
+        match self.downlinks[host.index()].push(pkt, size, now, Event::DownlinkFree(host), q) {
             Err(pkt) => self.drop_packet(pkt, now, DropSite::Link),
-            Ok(kick) => {
-                self.cursors.enter(pid, Stage::Rx, now);
-                if let Some(at) = kick {
-                    q.schedule(at, Event::DownlinkFree(host));
-                }
-            }
+            Ok(()) => self.cursors.enter(pid, Stage::Rx, now),
         }
     }
 
@@ -1709,13 +1767,15 @@ impl Engine {
         true
     }
 
-    /// Kick an optical port if it is idle.
+    /// Make sure a `PortFree` is pending for an optical port with traffic
+    /// in its active queue ([`schedule_free`]).
     fn kick_port(&mut self, node: NodeId, port: PortId, now: SimTime, q: &mut EventQueue<Event>) {
-        if self.port_pending[node.index()][port.index()] {
+        let state = &mut self.ports[node.index()][port.index()];
+        if state.pending {
             return;
         }
-        self.port_pending[node.index()][port.index()] = true;
-        q.schedule(now, Event::PortFree(node, port));
+        state.pending = true;
+        schedule_free(state.free, now, Event::PortFree(node, port), q);
     }
 
     fn kick_all_ports(&mut self, node: NodeId, now: SimTime, q: &mut EventQueue<Event>) {
@@ -1884,7 +1944,7 @@ impl Engine {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        self.port_pending[node.index()][port.index()] = false;
+        self.ports[node.index()][port.index()].pending = false;
         let slice_cfg = self.slice_cfg();
         // All slice-relative gating below runs on the switch's LOCAL clock:
         // a badly synchronized node holds off / transmits at the wrong
@@ -1895,7 +1955,7 @@ impl Engine {
         if slice_cfg.num_slices > 1 && slice_cfg.in_guardband(local) {
             let resume_local = slice_cfg.slice_start(local) + slice_cfg.guard_ns;
             let resume = self.sync.global_fire_time(node.index(), resume_local);
-            self.port_pending[node.index()][port.index()] = true;
+            self.ports[node.index()][port.index()].pending = true;
             self.counters.guardband_holds += 1;
             self.telemetry.trace_mut().emit(now, TraceKind::GuardbandHold { node, port });
             if self.cursors.is_on() {
@@ -1940,8 +2000,17 @@ impl Engine {
                 // The port is busy for the serialization time — also when a
                 // fault eats the packet (drain-and-drop: the port still
                 // cycles at line rate so the queue behind the fault drains).
-                self.port_pending[node.index()][port.index()] = true;
-                q.schedule_after(now, tx, Event::PortFree(node, port));
+                // With nothing left in the active queue the next `PortFree`
+                // would find it empty: only its place in line is kept, and
+                // the next kick schedules it there if it is still ahead. A
+                // schedule move keeps every free event in the queue.
+                let state = &mut self.ports[node.index()][port.index()];
+                if self.tors[node.index()].has_active_traffic(port) || self.fabric.is_moving() {
+                    state.pending = true;
+                    q.schedule_after(now, tx, Event::PortFree(node, port));
+                } else {
+                    state.free = (now + tx, q.reserve_seq());
+                }
                 if let Some(fault) = self.faults.on_tx(node, port, &mut self.rng) {
                     // Charged to the fault instead of reaching the fabric.
                     self.counters.fault_drops += 1;
@@ -1980,7 +2049,7 @@ impl Engine {
                     let next_local =
                         slice_cfg.slice_start(local) + slice_cfg.slice_ns + slice_cfg.guard_ns;
                     let next = self.sync.global_fire_time(node.index(), next_local);
-                    self.port_pending[node.index()][port.index()] = true;
+                    self.ports[node.index()][port.index()].pending = true;
                     q.schedule(next.max(now + 1), Event::PortFree(node, port));
                 }
             }
@@ -2032,8 +2101,7 @@ impl Engine {
 
     fn on_elec_free(&mut self, node: NodeId, now: SimTime, q: &mut EventQueue<Event>) {
         let bw = self.elec_bw.expect("electrical fabric enabled");
-        let Some((pkt, tx)) = self.elec[node.index()].pop(now, bw) else { return };
-        q.schedule_after(now, tx, Event::ElecFree(node));
+        let (pkt, tx) = self.elec[node.index()].pop(now, bw, Event::ElecFree(node), q);
         let Packet { id: pid, dst_host: host, .. } = self.packets[pkt];
         self.cursors.serialized(pid, now, tx);
         self.cursors.enter(pid, Stage::Propagation, now + tx);
@@ -2043,8 +2111,7 @@ impl Engine {
 
     fn on_downlink_free(&mut self, host: HostId, now: SimTime, q: &mut EventQueue<Event>) {
         let bw = self.cfg.host_link_bandwidth();
-        let Some((pkt, tx)) = self.downlinks[host.index()].pop(now, bw) else { return };
-        q.schedule_after(now, tx, Event::DownlinkFree(host));
+        let (pkt, tx) = self.downlinks[host.index()].pop(now, bw, Event::DownlinkFree(host), q);
         self.pkt_events += 1;
         q.schedule_after(now, tx, Event::HostRx(host, pkt));
     }

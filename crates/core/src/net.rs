@@ -988,4 +988,98 @@ mod tests {
         net.run_for(SimTime::from_ms(5));
         assert!(net.bw_usage(NodeId(0), PortId(0)) > 0);
     }
+
+    /// Events the engine dispatched (or entered, for a sub-phase) in
+    /// `phase` so far; telemetry must be on.
+    fn phase_events(net: &OpenOpticsNet, phase: openoptics_obs::Phase) -> u64 {
+        let stats = net.engine.profiler().stats();
+        stats.iter().find(|(p, _)| *p == phase).expect("telemetry is on").1.events
+    }
+
+    /// When each packet started to serialize, in order, for every recorded
+    /// packet (span recording must sample every flow).
+    fn departures(net: &OpenOpticsNet) -> Vec<(u64, SimTime)> {
+        use openoptics_obs::{SpanPhase, Stage};
+        let events = net.span_events();
+        let begins = events.iter().filter(|e| e.phase == SpanPhase::Begin);
+        begins.filter(|e| e.stage == Stage::Serialization).map(|e| (e.packet, e.at)).collect()
+    }
+
+    #[test]
+    fn an_idle_link_costs_no_event() {
+        // One packet across a 2-ToR rotornet: one optical hop, then the
+        // destination host's downlink. Each transmission leaves its queue
+        // empty, so neither link runs a free event after it; each runs
+        // only the one that sends the packet.
+        let cfg = NetConfig { node_num: 2, ..small_cfg() };
+        let mut net = OpenOpticsNet::new(cfg);
+        let circuit = |s| Circuit::in_slice(NodeId(0), PortId(0), NodeId(1), PortId(0), s);
+        net.deploy_topo(&[circuit(0), circuit(1)], 2).expect("a two-slice rotation deploys");
+        net.deploy_routing(Vlb, LookupMode::PerHop, MultipathMode::PerPacket)
+            .expect("VLB deploys on the test topology");
+        net.add_flow(SimTime::from_ns(100), HostId(0), HostId(1), 1_000, TransportKind::Paced);
+        net.run_for(SimTime::from_ms(1));
+        assert_eq!(net.fct().completed().len(), 1, "the packet arrives");
+        use openoptics_obs::Phase;
+        let frees = (phase_events(&net, Phase::PortFree), phase_events(&net, Phase::DownlinkFree));
+        assert_eq!(frees, (1, 1));
+    }
+
+    /// A 1 Gbps uplink serializes ToR 0's first packet for ~8.5 us, and the
+    /// schedule is redeployed while it does: the same rotation one slice
+    /// later (a real move, same slice structure) whose OCS move lands long
+    /// before the port frees. Returns the network just after the redeploy,
+    /// its configuration, the first packet's id and when it left, and the
+    /// events pending just before the redeploy.
+    fn move_during_an_idle_gap() -> (OpenOpticsNet, NetConfig, u64, SimTime, usize) {
+        let cfg = NetConfig {
+            slice_ns: 20_000,
+            guard_ns: 1_000,
+            uplink_gbps: 1,
+            ocs_reconfig_ns: 1_000,
+            span_sample_every: 1,
+            ..small_cfg()
+        };
+        let mut net = rotor_net(&cfg);
+        net.deploy_routing(Vlb, LookupMode::PerHop, MultipathMode::PerPacket)
+            .expect("VLB deploys on the test topology");
+        net.add_flow(SimTime::from_ns(100), HostId(0), HostId(1), 1_000, TransportKind::Paced);
+        net.run_for(SimTime::from_ns(2_000));
+        let [(first, left)] = departures(&net)[..] else { panic!("one packet has left") };
+        let free_at = left + cfg.uplink_bandwidth().tx_time_ns(1_000 + 64);
+        assert!(free_at > SimTime::from_ns(2_000 + cfg.ocs_reconfig_ns), "the move lands first");
+        let (mut circuits, slices) = round_robin(cfg.node_num, cfg.uplink);
+        for c in &mut circuits {
+            c.slice = c.slice.map(|s| (s + 1) % slices);
+        }
+        let pending = net.queue_stats().len;
+        net.deploy_topo(&circuits, slices).expect("same slice structure");
+        (net, cfg, first, left, pending)
+    }
+
+    #[test]
+    fn a_move_during_an_idle_gap_holds_the_next_packet_to_the_new_guardband() {
+        let (mut net, cfg, first, left, _) = move_during_an_idle_gap();
+        // The next packet on ToR 0's port reaches the switch 500 ns after
+        // leaving its host, 200 ns into slice 1 — after the port freed, and
+        // inside a guardband of the new schedule. It leaves when that closes.
+        net.add_flow(SimTime::from_ns(19_700), HostId(0), HostId(2), 1_000, TransportKind::Paced);
+        net.run_for(SimTime::from_ns(40_000));
+        let sc = net.engine.schedule().slice_config();
+        let arrival = SimTime::from_ns(20_200);
+        let free_at = left + cfg.uplink_bandwidth().tx_time_ns(1_000 + 64);
+        assert!(sc.in_guardband(arrival) && free_at < arrival);
+        let next = departures(&net).into_iter().find(|&(pkt, _)| pkt != first).map(|(_, at)| at);
+        assert_eq!(next, Some(sc.slice_start(arrival) + sc.guard_ns));
+    }
+
+    #[test]
+    fn a_move_schedules_an_idle_ports_free_event_at_once() {
+        // One host notification per switch, and the free event ToR 0's port
+        // left out, scheduled under the sequence number it reserved: until
+        // the move lands, every port runs exactly the events it would if
+        // none were ever left out.
+        let (net, cfg, _, _, pending) = move_during_an_idle_gap();
+        assert_eq!(net.queue_stats().len, pending + cfg.node_num as usize + 1);
+    }
 }

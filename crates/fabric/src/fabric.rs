@@ -126,6 +126,12 @@ impl Fabric {
         &self.schedule
     }
 
+    /// Whether a deployed schedule is still moving in: issued by
+    /// [`Fabric::reconfigure`] and not yet made active by [`Fabric::advance`].
+    pub fn is_moving(&self) -> bool {
+        self.pending.is_some()
+    }
+
     /// Bring the fabric to instant `now`: a pending schedule whose move has
     /// finished becomes the active one. Returns `true` on exactly the one
     /// call where the active schedule *changed*, so the caller can refresh

@@ -52,6 +52,14 @@
 //! Events at equal timestamps are delivered in the order they were scheduled
 //! (FIFO), which is the property that makes the whole simulation
 //! deterministic under a fixed seed.
+//!
+//! A caller may also take a sequence number now and schedule under it later
+//! ([`EventQueue::reserve_seq`], [`EventQueue::schedule_reserved`]): the
+//! event then fires exactly where it would have had it been scheduled at
+//! reservation time. The engine uses this to leave out a link's "free"
+//! event when nothing waits behind the transmission, and to schedule it
+//! after all if a packet turns up before it would have fired;
+//! [`EventQueue::current_key`] is what it compares against.
 //! ```
 //! use openoptics_sim::{EventQueue, SimTime};
 //!
@@ -153,6 +161,8 @@ pub struct EventQueue<E> {
     far_scheduled: u64,
     overlay_scheduled: u64,
     peak_len: usize,
+    /// What [`current_key`](Self::current_key) returns.
+    current: (SimTime, u64),
     /// Key of the most recently popped event; only read by the
     /// `strict-invariants` monotonicity check.
     last_popped: Option<(SimTime, u64)>,
@@ -262,14 +272,60 @@ impl<E: Copy> EventQueue<E> {
             far_scheduled: 0,
             overlay_scheduled: 0,
             peak_len: 0,
+            current: (SimTime::ZERO, 0),
             last_popped: None,
         }
     }
 
     /// Schedule `event` to fire at absolute instant `time`.
+    #[inline]
     pub fn schedule(&mut self, time: SimTime, event: E) {
+        let seq = self.reserve_seq();
+        self.insert(time, seq, event);
+    }
+
+    /// Take the next sequence number without scheduling anything. An event
+    /// scheduled under it later ([`schedule_reserved`](Self::schedule_reserved))
+    /// is ordered as if it had been scheduled now; a number never used
+    /// leaves no trace but the gap.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `time` under `seq`, a number
+    /// [`reserve_seq`](Self::reserve_seq) handed out earlier. The key must
+    /// lie after [`current_key`](Self::current_key): an event the queue has
+    /// already passed cannot be put back in front of it.
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        if cfg!(feature = "strict-invariants") {
+            assert!(
+                (time, seq) > self.current,
+                "reserved key {:?} scheduled at or behind the current key {:?}",
+                (time, seq),
+                self.current,
+            );
+            assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        }
+        self.insert(time, seq, event);
+    }
+
+    /// The `(time, seq)` the queue has delivered up to: the key of the event
+    /// popped last — the one being handled, inside a run — or, once a
+    /// [`pop_before`](Self::pop_before)`(until)` has found nothing more due,
+    /// `(until, u64::MAX)`. `(SimTime::ZERO, 0)` before anything is popped.
+    /// A reserved key after it names an event that would still be pending.
+    #[inline]
+    pub fn current_key(&self) -> (SimTime, u64) {
+        self.current
+    }
+
+    /// Link a new event with key `(time, seq)` into whichever list its time
+    /// falls in.
+    #[inline]
+    fn insert(&mut self, time: SimTime, seq: u64, event: E) {
         self.scheduled_total += 1;
         self.len += 1;
         if self.len > self.peak_len {
@@ -446,13 +502,16 @@ impl<E: Copy> EventQueue<E> {
     /// dominant fixed cost of the hot loop once handlers are cheap.
     pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.len == 0 {
+            self.drained_to(until);
             return None;
         }
         self.ensure_current();
         let ((time, seq), near) = self.head();
         if time > until {
+            self.drained_to(until);
             return None;
         }
+        self.current = (time, seq);
         let idx = if near {
             let s = self.occupied.trailing_zeros() as usize;
             let idx = self.fine[s];
@@ -503,6 +562,13 @@ impl<E: Copy> EventQueue<E> {
             self.last_popped = Some((time, seq));
         }
         Some((time, event))
+    }
+
+    /// Nothing is due by `until`: every event at or before it has been
+    /// delivered.
+    #[cold]
+    fn drained_to(&mut self, until: SimTime) {
+        self.current = self.current.max((until, u64::MAX));
     }
 
     /// Test hook: pretend an event with the given `(time, seq)` key was
@@ -742,6 +808,41 @@ mod tests {
         expect.extend((1..=50).map(|i| (t + 2, i)));
         expect.extend([(t + 2, 53), (t + 3, 52)]);
         assert_eq!(order, expect);
+    }
+
+    #[test]
+    fn a_reserved_event_fires_where_its_number_says() {
+        // A number taken before two same-instant schedules orders its event
+        // ahead of them, however late it is scheduled; the current key
+        // tells whether it would still be pending.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ns(4_000);
+        q.schedule(SimTime::from_ns(100), "first");
+        let seq = q.reserve_seq();
+        q.schedule(t, "a");
+        q.schedule(t, "b");
+        assert_eq!(q.pop(), Some((SimTime::from_ns(100), "first")));
+        assert_eq!(q.current_key(), (SimTime::from_ns(100), 0));
+        assert!((t, seq) > q.current_key());
+        q.schedule_reserved(t, seq, "reserved");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["reserved", "a", "b"]);
+        assert_eq!(q.current_key(), (SimTime::MAX, u64::MAX), "drained to the end");
+        assert_eq!(q.stats().scheduled_total, 4, "a reservation alone is not a schedule");
+    }
+
+    #[test]
+    fn a_bounded_pop_that_finds_nothing_due_moves_the_current_key_to_its_horizon() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ns(10), ());
+        q.schedule(SimTime::from_ns(50), ());
+        assert!(q.pop_before(SimTime::from_ns(20)).is_some());
+        assert_eq!(q.current_key(), (SimTime::from_ns(10), 0));
+        assert!(q.pop_before(SimTime::from_ns(20)).is_none());
+        assert_eq!(q.current_key(), (SimTime::from_ns(20), u64::MAX));
+        // An earlier horizon never moves it back.
+        assert!(q.pop_before(SimTime::from_ns(15)).is_none());
+        assert_eq!(q.current_key(), (SimTime::from_ns(20), u64::MAX));
     }
 
     #[test]

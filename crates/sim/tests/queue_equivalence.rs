@@ -2,8 +2,11 @@
 //! reference binary-heap queue it replaced: for any interleaving of
 //! schedules and pops, both structures produce the identical pop sequence —
 //! including FIFO order among events scheduled for the same instant, the
-//! property that keeps seeded runs reproducible.
+//! property that keeps seeded runs reproducible. A sequence number taken
+//! early and scheduled under later orders its event exactly where the
+//! number says.
 
+use openoptics_sim::cast::to_usize;
 use openoptics_sim::{EventQueue, QueueStats, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -59,11 +62,25 @@ struct Model {
     overlay: Keys,
     far: Keys,
     stats: QueueStats,
+    next_seq: u64,
+    /// What `current_key` answers: the last key delivered, or `(until,
+    /// u64::MAX)` once a bounded pop found nothing due by `until`.
+    current: (u64, u64),
 }
 
 impl Model {
+    fn reserve(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
     fn schedule(&mut self, time: u64) -> u64 {
-        let seq = self.stats.scheduled_total;
+        let seq = self.reserve();
+        self.insert(time, seq);
+        seq
+    }
+
+    fn insert(&mut self, time: u64, seq: u64) {
         self.stats.scheduled_total += 1;
         self.stats.len += 1;
         self.stats.peak_len = self.stats.peak_len.max(self.stats.len);
@@ -77,7 +94,6 @@ impl Model {
         } else {
             self.near.insert((time, seq));
         }
-        seq
     }
 
     /// The earliest pending key. Looking for it is what moves the cursor:
@@ -97,7 +113,11 @@ impl Model {
     }
 
     fn pop_before(&mut self, until: u64) -> Option<(u64, u64)> {
-        let head = self.head().filter(|&(time, _)| time <= until)?;
+        let Some(head) = self.head().filter(|&(time, _)| time <= until) else {
+            self.current = self.current.max((until, u64::MAX));
+            return None;
+        };
+        self.current = head;
         if !self.near.remove(&head) {
             self.overlay.remove(&head);
         }
@@ -122,6 +142,12 @@ enum Step {
     /// boundary between two far lists, or, for `k = 1` once `base` is past
     /// its epoch's start, one the window spans.
     EpochEdge(u64),
+    /// Take a sequence number without scheduling anything.
+    Reserve,
+    /// Schedule, `raw %` this many ns after the last delivery, under one of
+    /// the numbers reserved and not yet used — never at or behind the
+    /// current key, as the engine does when a packet meets an idle link.
+    ScheduleReserved(u64),
     /// `pop_before` a horizon up to 20 us past the last delivery — often
     /// short of the head, which moves the cursor and delivers nothing.
     PopBefore,
@@ -142,6 +168,10 @@ fn step() -> impl Strategy<Value = (Step, u64)> {
         Just(Step::WindowEdge),
         Just(Step::EpochEdge(1)),
         Just(Step::EpochEdge(2)),
+        Just(Step::Reserve),
+        Just(Step::Reserve),
+        Just(Step::ScheduleReserved(2_000)),
+        Just(Step::ScheduleReserved(30_000_000)),
         Just(Step::PopBefore),
         Just(Step::PopBefore),
         Just(Step::Pop),
@@ -154,13 +184,14 @@ fn step() -> impl Strategy<Value = (Step, u64)> {
 /// Run `steps`, then pops enough to drain whatever they left, on a queue
 /// carrying `payload(time, seq)`, on every fork of it, and on the
 /// [`Model`]; all must agree on every answer and, after every step, on the
-/// statistics.
+/// statistics and the current key.
 fn drive<P: Copy + PartialEq + Debug>(
     steps: &[(Step, u64)],
     payload: fn(u64, u64) -> P,
 ) -> Result<(), TestCaseError> {
     let mut queues = vec![EventQueue::<P>::new()];
     let mut model = Model::default();
+    let mut reserved: Vec<u64> = vec![];
     let mut now = 0u64;
     // A step schedules at most one event, so this many pops end on `None`.
     let drain = std::iter::repeat_n((Step::Pop, 0), steps.len() + 1);
@@ -185,6 +216,27 @@ fn drive<P: Copy + PartialEq + Debug>(
                     q.schedule(SimTime::from_ns(time), payload(time, seq));
                 }
             }
+            (Step::Reserve, _) => {
+                let seq = model.reserve();
+                for q in &mut queues {
+                    prop_assert_eq!(q.reserve_seq(), seq);
+                }
+                reserved.push(seq);
+            }
+            (Step::ScheduleReserved(span), _) if !reserved.is_empty() => {
+                let seq = reserved.swap_remove(to_usize(raw % reserved.len() as u64));
+                // The first instant at which `seq` lies after the current key.
+                let (at, last) = model.current;
+                let earliest = if seq > last { Some(at) } else { at.checked_add(1) };
+                if let Some(earliest) = earliest {
+                    let time = (now + raw % span).max(earliest);
+                    model.insert(time, seq);
+                    for q in &mut queues {
+                        q.schedule_reserved(SimTime::from_ns(time), seq, payload(time, seq));
+                    }
+                }
+            }
+            (Step::ScheduleReserved(_), _) => {}
             (Step::Fork, _) if queues.len() < 4 => queues.push(queues[0].clone()),
             (Step::Fork, _) => {}
             (Step::Peek, _) => {
@@ -205,6 +257,8 @@ fn drive<P: Copy + PartialEq + Debug>(
         }
         for q in &queues {
             prop_assert_eq!(q.stats(), model.stats);
+            let (time, seq) = q.current_key();
+            prop_assert_eq!((time.as_ns(), seq), model.current);
         }
     }
     prop_assert_eq!(model.stats.len, 0);

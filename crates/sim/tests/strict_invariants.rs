@@ -1,6 +1,7 @@
 //! Proof that the `strict-invariants` checks actually fire: a deliberately
-//! corrupted queue must trip the `(time, seq)` monotonicity assertion, and
-//! a legal mixed workload must not.
+//! corrupted queue must trip the `(time, seq)` monotonicity assertion, a
+//! reserved number scheduled behind the current key must be refused, and a
+//! legal mixed workload must not trip anything.
 
 #![cfg(feature = "strict-invariants")]
 
@@ -15,6 +16,17 @@ fn monotonicity_check_trips_on_rewound_queue() {
     // rewinds the (time, seq) key and must be caught.
     q.force_last_popped_for_test(SimTime::from_ns(1_000), 999);
     let _ = q.pop();
+}
+
+#[test]
+#[should_panic(expected = "at or behind the current key")]
+fn a_reserved_key_behind_the_current_key_is_refused() {
+    let mut q = EventQueue::new();
+    let seq = q.reserve_seq();
+    q.schedule(SimTime::from_ns(10), ());
+    let _ = q.pop();
+    // `(10 ns, seq)` would have fired before the event just delivered.
+    q.schedule_reserved(SimTime::from_ns(10), seq, ());
 }
 
 #[test]
