@@ -930,7 +930,6 @@ impl Engine {
             let (pb_events, pb_emitted) = t.pushback_stats();
             m.counter("tor.pushback_events", node, pb_events);
             m.counter("tor.pushback_emitted", node, pb_emitted);
-            m.counter("tor.rank_overflows", node, t.rank_overflows());
             m.counter("tor.offloaded_packets", node, t.offload_book.offloaded_packets);
             m.gauge("tor.buffer_bytes", node, t.buffer_bytes().min(i64::MAX as u64) as i64);
             m.gauge("tor.peak_buffer_bytes", node, t.peak_buffer_bytes.min(i64::MAX as u64) as i64);

@@ -278,7 +278,6 @@ impl<E: Copy> EventQueue<E> {
     }
 
     /// Schedule `event` to fire at absolute instant `time`.
-    #[inline]
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.reserve_seq();
         self.insert(time, seq, event);
@@ -288,7 +287,6 @@ impl<E: Copy> EventQueue<E> {
     /// scheduled under it later ([`schedule_reserved`](Self::schedule_reserved))
     /// is ordered as if it had been scheduled now; a number never used
     /// leaves no trace but the gap.
-    #[inline]
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -317,14 +315,12 @@ impl<E: Copy> EventQueue<E> {
     /// [`pop_before`](Self::pop_before)`(until)` has found nothing more due,
     /// `(until, u64::MAX)`. `(SimTime::ZERO, 0)` before anything is popped.
     /// A reserved key after it names an event that would still be pending.
-    #[inline]
     pub fn current_key(&self) -> (SimTime, u64) {
         self.current
     }
 
     /// Link a new event with key `(time, seq)` into whichever list its time
     /// falls in.
-    #[inline]
     fn insert(&mut self, time: SimTime, seq: u64, event: E) {
         self.scheduled_total += 1;
         self.len += 1;

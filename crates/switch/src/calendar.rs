@@ -22,9 +22,6 @@ pub struct CalendarPort<T> {
     active: usize,
     /// Bytes across the ring: the sum of every queue's `bytes()`.
     total: u64,
-    /// Packets that arrived with a rank too large for the ring (counted,
-    /// rejected by `enqueue`).
-    pub rank_overflow: u64,
 }
 
 impl<T> CalendarPort<T> {
@@ -37,7 +34,7 @@ impl<T> CalendarPort<T> {
         for q in queues.iter_mut().skip(1) {
             q.pause();
         }
-        CalendarPort { queues, active: 0, total: 0, rank_overflow: 0 }
+        CalendarPort { queues, active: 0, total: 0 }
     }
 
     /// Number of queues in the ring.
@@ -67,7 +64,6 @@ impl<T> CalendarPort<T> {
     /// `QueueFull` when the target queue lacks capacity.
     pub fn enqueue(&mut self, rank: u32, len: u32, item: T) -> Result<usize, EnqueueError<T>> {
         if !self.rank_fits(rank) {
-            self.rank_overflow += 1;
             return Err(EnqueueError::RankOverflow(item));
         }
         let idx = self.index_for_rank(rank);
@@ -171,10 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_overflow_rejected_and_counted() {
+    fn rank_overflow_rejected() {
         let mut cp: CalendarPort<u32> = CalendarPort::new(4, 10_000);
         assert!(matches!(cp.enqueue(4, 100, 7), Err(EnqueueError::RankOverflow(7))));
-        assert_eq!(cp.rank_overflow, 1);
+        assert_eq!(cp.total_bytes(), 0, "a rejected item is not held");
         assert!(cp.rank_fits(3));
         assert!(!cp.rank_fits(4));
     }

@@ -271,18 +271,6 @@ impl ToRSwitch {
         self.ports[port.index()].total_bytes()
     }
 
-    /// Rank-overflow events across ports.
-    ///
-    /// Always 0 today: `admit` checks `rank_fits` before every enqueue, so
-    /// `CalendarPort::rank_overflow` is never bumped and real rank drops
-    /// land in `counters.dropped_rank` (`rank_overflow_without_offload_drops`
-    /// pins both). The engine still exports it as `tor.rank_overflows`;
-    /// deleting or redirecting that series moves exported telemetry bytes,
-    /// so it belongs with a change that moves exports on purpose.
-    pub fn rank_overflows(&self) -> u64 {
-        self.ports.iter().map(|p| p.rank_overflow).sum()
-    }
-
     /// `strict-invariants`: each port's running byte total equals its
     /// queues' bytes summed.
     pub fn assert_port_totals(&self) {
@@ -881,9 +869,8 @@ mod tests {
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
         let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
         assert!(matches!(r.decision, IngressDecision::Dropped(DropReason::RankOverflow)));
-        // The drop is counted as `dropped_rank`; the exported
-        // `rank_overflows` series cannot see it (see `rank_overflows`).
-        assert_eq!((t.counters.dropped_rank, t.rank_overflows()), (1, 0));
+        // Exported as `tor.dropped_rank`.
+        assert_eq!((t.counters.dropped_rank, t.held_packets()), (1, 0));
     }
 
     #[test]
