@@ -8,7 +8,10 @@
 //! would have produced, byte-for-byte — and keeps the document small,
 //! portable and diffable. The cost is O(t) restore time;
 //! [`crate::Session::fork`] is the O(state) in-memory alternative for warm
-//! what-if branches (see DESIGN.md for the tradeoff).
+//! what-if branches (see DESIGN.md for the tradeoff). The `restore` RPC
+//! takes it by itself when a session of the same control plane still sits
+//! at the checkpoint: scenario, journal and `at_ns` fix the state, so a
+//! fork of that session is what the replay would build.
 
 use openoptics_core::json::{self, Json, Reader, ToJson, Writer};
 

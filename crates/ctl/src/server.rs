@@ -252,7 +252,10 @@ impl ControlPlane {
             "restore" => {
                 let name = params.req("name")?.str()?;
                 let ckpt = Checkpoint::from_json(params.req("checkpoint")?.json())?;
-                let s = Session::restore(ckpt, None)?;
+                let s = match self.twin(&ckpt) {
+                    Some(twin) => twin.fork(),
+                    None => Session::restore(ckpt, None)?,
+                };
                 now_obj(&s, w);
                 self.sessions.insert(name.to_string(), s);
             }
@@ -272,6 +275,21 @@ impl ControlPlane {
             other => return Err(ScenarioError::new("method", format!("unknown method `{other}`"))),
         }
         Ok(())
+    }
+
+    /// The first session, in name order, that is at the state `ckpt`
+    /// restores: its own checkpoint renders to the same document. The
+    /// scenario, journal and `now` determine a session's state (the replay
+    /// contract `restore` rests on), so a fork of the twin is the session a
+    /// replay would build. Only sessions at the checkpoint's `now` with a
+    /// journal as long as its are rendered.
+    fn twin(&self, ckpt: &Checkpoint) -> Option<&Session> {
+        let mut doc = None;
+        self.sessions.values().find(|s| {
+            s.now_ns() == ckpt.at_ns
+                && s.journal().len() == ckpt.journal.len()
+                && *doc.get_or_insert_with(|| json::render(ckpt)) == json::render(&s.checkpoint())
+        })
     }
 
     /// The session named by string param `key`.

@@ -143,7 +143,10 @@ impl Session {
     /// RNG streams, telemetry counters, span buffers — matches an
     /// uninterrupted run exactly; continuing to any later time produces
     /// byte-identical exports. Restore cost is proportional to simulated
-    /// time; see [`Session::fork`] for the O(state) in-memory alternative.
+    /// time; see [`Session::fork`] for the O(state) in-memory alternative,
+    /// which the `restore` RPC answers with instead when a live session of
+    /// its control plane is at the checkpoint already. This function always
+    /// replays.
     ///
     /// The second parameter is reserved: `benchmark/` passes `Some(1)` here.
     pub fn restore(ckpt: Checkpoint, _reserved: Option<usize>) -> Result<Session, ScenarioError> {

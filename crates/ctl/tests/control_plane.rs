@@ -485,6 +485,149 @@ fn rpc_checkpoint_travels_inline_and_restores() {
     assert!(sessions.contains(r#"["a","b"]"#), "{sessions}");
 }
 
+/// One connection to a control plane: every call must succeed, and its
+/// turn's lines come back.
+struct Client {
+    cp: ControlPlane,
+    subs: Subscriptions,
+    id: u64,
+}
+
+impl Client {
+    fn new() -> Client {
+        Client { cp: ControlPlane::new(), subs: Subscriptions::new(), id: 0 }
+    }
+
+    fn call(&mut self, method: &str, params: &str) -> Vec<String> {
+        self.id += 1;
+        let request = format!(r#"{{"id":{},"method":"{method}","params":{params}}}"#, self.id);
+        let lines = self.cp.handle_request(&request, &mut self.subs);
+        let response = lines.last().expect("a turn ends with its response");
+        assert!(response.contains(r#""result""#), "{method} {params}: {response}");
+        lines
+    }
+
+    /// The `result` member of a call's response.
+    fn result(&mut self, method: &str, params: &str) -> json::Json {
+        let lines = self.call(method, params);
+        let doc = json::parse(lines.last().expect("a response")).expect("a JSON response");
+        doc.get("result").expect("a result").clone()
+    }
+
+    fn export(&mut self, name: &str, what: &str) -> String {
+        let result = self.result("export", &format!(r#"{{"name":"{name}","what":"{what}"}}"#));
+        result.get("text").and_then(|t| t.as_str().ok()).expect("an export text").to_string()
+    }
+
+    /// `name`'s `now_ns` after restoring `doc` into it.
+    fn restore(&mut self, name: &str, doc: &json::Json) -> u64 {
+        let params = format!(r#"{{"name":"{name}","checkpoint":{doc}}}"#);
+        let now = self.result("restore", &params).get("now_ns").map(|n| n.as_u64());
+        now.expect("restore answers now_ns").expect("an integer")
+    }
+
+    /// Run `name` to `ns`, returning the frames the run streamed to it.
+    fn run_until(&mut self, name: &str, ns: u64) -> Vec<String> {
+        let lines = self.call("run_until", &format!(r#"{{"name":"{name}","ns":{ns}}}"#));
+        let prefix = format!(r#"{{"sub":"{name}","frame":"#);
+        lines.iter().filter_map(|l| l.strip_prefix(&prefix).map(str::to_string)).collect()
+    }
+
+    /// What a finished session has to show: its bundle and time series.
+    fn exports(&mut self, name: &str) -> (String, String) {
+        (self.export(name, "bundle"), self.export(name, "timeseries"))
+    }
+}
+
+/// `restore` of a checkpoint a live session still sits at forks that
+/// session (its *twin*); any other checkpoint is replayed. Both paths,
+/// and the source that never stopped, continue with the same exports and
+/// the same streamed frames, and no session that differs from the
+/// checkpoint — one step further with a journal as long, or at the same
+/// instant with one journal entry more or a different one — is taken for
+/// its twin.
+#[test]
+fn rpc_restore_forks_a_live_twin_and_replays_the_rest() {
+    let scenario = SLO_SCENARIO.replace(
+        r#""sample_every_ns": 100000"#,
+        r#""sample_every_ns": 100000, "span_sample_every": 2"#,
+    );
+    let stop = 2_000_000;
+    let mut c = Client::new();
+    c.call("load", &format!(r#"{{"name":"src","scenario":{scenario}}}"#));
+    c.call("subscribe", r#"{"name":"src"}"#);
+    // Every journaled op before the checkpoint, with exports between them.
+    c.run_until("src", 200_000);
+    c.call("add_flow", r#"{"name":"src","at_ns":250000,"src":1,"dst":6,"bytes":60000}"#);
+    for what in ["bundle", "spans", "timeseries"] {
+        c.export("src", what);
+    }
+    c.call(
+        "inject_faults",
+        r#"{"name":"src","faults":[{"kind":"link_down","node":2,"port":1,"start_ns":450000,"end_ns":900000}]}"#,
+    );
+    c.run_until("src", 400_000);
+    c.call("reconfigure", r#"{"name":"src","tm":"mesh"}"#);
+    for what in ["bundle", "spans", "timeseries"] {
+        c.export("src", what);
+    }
+    c.run_until("src", 700_000);
+    let at = 700_000;
+    let doc = c.result("checkpoint", r#"{"name":"src"}"#).get("checkpoint").cloned().unwrap();
+
+    // Two siblings at the same instant, one `add_flow` further than `src`
+    // and named before it: `alt` and `sib` differ only in that flow.
+    for (name, bytes) in [("alt", 30_000), ("sib", 90_000)] {
+        c.call("fork", &format!(r#"{{"name":"{name}","from":"src"}}"#));
+        c.call(
+            "add_flow",
+            &format!(r#"{{"name":"{name}","at_ns":750000,"src":3,"dst":4,"bytes":{bytes}}}"#),
+        );
+    }
+    let sib_doc = c.result("checkpoint", r#"{"name":"sib"}"#).get("checkpoint").cloned().unwrap();
+
+    // The twin restore (of `src`) and a replay of the same document in a
+    // control plane that holds no session at all.
+    assert_eq!(c.restore("twin", &doc), at);
+    let mut fresh = Client::new();
+    assert_eq!(fresh.restore("replay", &doc), at);
+    c.call("subscribe", r#"{"name":"twin"}"#);
+    fresh.call("subscribe", r#"{"name":"replay"}"#);
+    let twin_frames = c.run_until("twin", stop);
+    let replay_frames = fresh.run_until("replay", stop);
+    // `src` one step further keeps its journal length (the advance merges
+    // into its last `run_until`); with `twin` at the end too, nothing sits
+    // at `doc` any more, and this restore replays.
+    let mut frames = c.run_until("src", at + 100_000);
+    assert_eq!(c.restore("late", &doc), at);
+    frames.extend(c.run_until("src", stop));
+    c.run_until("late", stop);
+    assert!(frames.len() >= 10, "{} frames after the checkpoint", frames.len());
+    assert!(twin_frames == frames, "the twin restore streams other frames than its source");
+    assert!(replay_frames == frames, "the replay streams other frames than the source");
+    let source = c.exports("src");
+    assert!(source.0.contains("-- spans --") && source.1.len() > 1000);
+    for name in ["twin", "late"] {
+        assert!(c.exports(name) == source, "restore `{name}` exports differ from the source");
+    }
+    assert!(fresh.exports("replay") == source, "the replay exports differ from the source");
+
+    // `sib`'s document: `alt` is at the same instant with a journal as
+    // long, and comes first; only `sib` itself is its twin.
+    assert_eq!(c.restore("sib_twin", &sib_doc), at);
+    assert_eq!(fresh.restore("sib_replay", &sib_doc), at);
+    let mut ends = Vec::new();
+    for name in ["sib", "sib_twin"] {
+        c.run_until(name, stop);
+        ends.push(c.exports(name));
+    }
+    fresh.run_until("sib_replay", stop);
+    ends.push(fresh.exports("sib_replay"));
+    assert!(ends[0] != source, "the extra flow left no trace in the bundle");
+    assert!(ends[1] == ends[0], "the twin restore of `sib`'s document continues differently");
+    assert!(ends[2] == ends[0], "the replay of `sib`'s document continues differently");
+}
+
 // --- streaming subscriptions ---
 
 #[test]

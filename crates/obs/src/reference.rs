@@ -168,7 +168,7 @@ pub fn chrome_trace(events: &[SpanEvent]) -> Result<String, WellFormedError> {
     }))
 }
 
-fn write_ns(out: &mut String, ns: u64, width: usize) {
+pub(crate) fn write_ns(out: &mut String, ns: u64, width: usize) {
     let _ = if ns >= 1_000_000 {
         write!(out, "{:>width$.3}ms", ns as f64 / 1_000_000.0)
     } else if ns >= 1_000 {

@@ -10,7 +10,7 @@ use std::fmt::Write;
 
 use crate::span::{SpanEvent, Stage, STAGE_COUNT};
 use crate::table::{Row, SpanTable};
-use openoptics_sim::cast::to_usize;
+use openoptics_sim::cast::{idx_u32, to_usize};
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::json::{self, Text, ToJson};
 
@@ -185,20 +185,63 @@ impl ToJson for SpanTable {
     }
 }
 
+/// From here on `ns as f64` is not exact, and [`write_ns`] leaves
+/// rounding to the float it prints.
+const F64_EXACT: u64 = 1 << 53;
+
 /// Append `ns` in its display unit, the number right-aligned in `width`
 /// columns (every unit is two characters, so a caller padding the whole
 /// field to `w` passes `w - 2`).
-fn write_ns(out: &mut Text<'_>, ns: u64, width: usize) {
-    let _ = if ns >= 1_000_000 {
-        write!(out, "{:>width$.3}ms", ns as f64 / 1_000_000.0)
-    } else if ns >= 1_000 {
-        write!(out, "{:>width$.2}us", ns as f64 / 1_000.0)
-    } else if width > 0 {
-        write!(out, "{ns:>width$}ns")
-    } else {
-        out.int(ns);
-        out.write_str("ns")
+///
+/// The digits are those `{:.3}` / `{:.2}` prints for `ns` as milli- or
+/// microseconds in `f64`. Below 2^53 the quotient's rounding error is less
+/// than its distance to any rounding boundary except a decimal half-way
+/// value, so every other `ns` rounds to nearest in integers. A half-way
+/// value (`ns` ≡ 5 mod 10 in µs, ≡ 500 mod 1000 in ms) goes through the
+/// float: it ties half-to-even when the quotient is exact (1,125 ns prints
+/// `1.12us`) and follows the quotient's error when it is not (1,005 ns
+/// prints `1.00us`).
+fn write_ns(line: &mut String, ns: u64, width: usize) {
+    // The unit, its ns, the ns its last printed digit stands for, and how
+    // many digits follow the point.
+    let (unit, per_unit, step, places) = match ns {
+        1_000_000.. => ("ms", 1_000_000, 1_000, 3),
+        1_000.. => ("us", 1_000, 10, 2),
+        _ => ("ns", 1, 1, 0),
     };
+    if (step > 1 && ns % step == step / 2) || ns >= F64_EXACT {
+        let _ = write!(line, "{:>width$.places$}{unit}", ns as f64 / per_unit as f64);
+        return;
+    }
+    // The whole part has a digit at least: `ns` is one `per_unit` or more.
+    let start = line.len();
+    push_int(line, (ns + step / 2) / step);
+    if places > 0 {
+        line.insert(line.len() - places, '.');
+    }
+    let written = line.len() - start;
+    if written < width {
+        line.insert_str(start, &" ".repeat(width - written));
+    }
+    line.push_str(unit);
+}
+
+/// Append the decimal digits of `u`. They are pushed one by one, which
+/// is cheaper than checking them as a `str` and copying it.
+fn push_int(line: &mut String, mut u: u64) {
+    let mut digits = [0; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        line.push(char::from(d));
+    }
 }
 
 /// How many flow trees [`SpanTable::write_report`] prints in full before
@@ -206,11 +249,11 @@ fn write_ns(out: &mut Text<'_>, ns: u64, width: usize) {
 /// cover every span).
 pub const REPORT_MAX_FLOWS: usize = 50;
 
-/// The children of the spans a report prints, in span-id order: those of
-/// span `s` are `list[first[s]..first[s + 1]]`.
+/// The children of the spans a report prints, in span-id order, as a
+/// CSR: those of span `s` are `list[offsets[s]..offsets[s + 1]]`.
 struct Children {
-    first: Vec<usize>,
-    list: Vec<usize>,
+    offsets: Vec<u32>,
+    list: Vec<u32>,
 }
 
 impl Children {
@@ -238,26 +281,29 @@ impl Children {
                 break;
             }
         }
-        let mut first = vec![0; rows.len() + 1];
+        // Count each parent's children, sum the counts so that
+        // `offsets[p]` is where `p`'s run ends, then place the children
+        // backwards, which leaves `offsets[p]` where the run starts.
+        let mut offsets = vec![0; rows.len() + 1];
         let kids = || rows.iter().enumerate().filter(|&(s, r)| member[s] && child(r));
         for (_, r) in kids() {
-            first[to_usize(r.parent) + 1] += 1;
+            offsets[to_usize(r.parent)] += 1;
         }
-        for s in 1..first.len() {
-            first[s] += first[s - 1];
+        for s in 1..offsets.len() {
+            offsets[s] += offsets[s - 1];
         }
-        let mut at = first.clone();
-        let mut list = vec![0; first[rows.len()]];
-        for (s, r) in kids() {
-            let p = to_usize(r.parent);
-            list[at[p]] = s;
-            at[p] += 1;
+        let mut list = vec![0; to_usize(offsets[rows.len()].into())];
+        for (s, r) in kids().rev() {
+            let at = &mut offsets[to_usize(r.parent)];
+            *at -= 1;
+            list[to_usize((*at).into())] = idx_u32(s);
         }
-        Children { first, list }
+        Children { offsets, list }
     }
 
-    fn of(&self, s: usize) -> &[usize] {
-        &self.list[self.first[s]..self.first[s + 1]]
+    fn of(&self, s: usize) -> &[u32] {
+        let run = |s: usize| to_usize(self.offsets[s].into());
+        &self.list[run(s)..run(s + 1)]
     }
 }
 
@@ -292,55 +338,66 @@ impl SpanTable {
 
         let _ = write!(out, "span report: {spans} spans\n\n");
         let _ = out.write_str("stage            count    total_sim\n");
+        let mut line = String::new();
         for (s, count, ns) in &totals {
-            let _ = write!(out, "{:<15} {:>6} ", s.name(), count);
-            write_ns(out, *ns, 10);
-            let _ = out.write_str("\n");
+            line.clear();
+            let _ = write!(line, "{:<15} {:>6} ", s.name(), count);
+            write_ns(&mut line, *ns, 10);
+            line.push('\n');
+            let _ = out.write_str(&line);
         }
         let _ = out.write_str("\n");
         for &r in printed {
-            self.write_node(&children, r, 0, out);
+            self.write_node(&children, r, 0, &mut line, out);
         }
         if roots.len() > printed.len() {
             let _ = writeln!(out, "(+{} more root spans)", roots.len() - printed.len());
         }
     }
 
-    // Writes each line straight into `out`, integers without the
-    // formatting machinery: a report runs to tens of thousands of lines,
-    // and it is most of what an export bundle costs.
-    fn write_node(&self, children: &Children, s: usize, depth: usize, out: &mut Text<'_>) {
+    // Builds each line in `line` and writes it to `out` whole, so it is
+    // escaped once; integers skip the formatting machinery. A report runs
+    // to tens of thousands of lines, and it is most of what an export
+    // bundle costs.
+    fn write_node(
+        &self,
+        children: &Children,
+        s: usize,
+        depth: usize,
+        line: &mut String,
+        out: &mut Text<'_>,
+    ) {
         let r = &self.rows[s];
+        line.clear();
         for _ in 0..depth {
-            let _ = out.write_str("  ");
+            line.push_str("  ");
         }
         match r.stage {
             Stage::Flow => {
-                let _ = out.write_str("flow ");
-                out.int(r.flow);
+                line.push_str("flow ");
+                push_int(line, r.flow);
             }
             Stage::Packet => {
-                let _ = out.write_str("packet ");
-                out.int(r.packet);
+                line.push_str("packet ");
+                push_int(line, r.packet);
             }
-            _ => {
-                let _ = out.write_str(r.stage.name());
-            }
+            _ => line.push_str(r.stage.name()),
         }
-        let _ = out.write_str(" [");
-        out.int(r.begin.as_ns());
-        let _ = out.write_str(" .. ");
-        out.int(r.end.as_ns());
-        let _ = out.write_str("] ");
-        write_ns(out, r.duration_ns(), 0);
+        line.push_str(" [");
+        push_int(line, r.begin.as_ns());
+        line.push_str(" .. ");
+        push_int(line, r.end.as_ns());
+        line.push_str("] ");
+        write_ns(line, r.duration_ns(), 0);
         if r.arg != 0 {
-            let _ = out.write_str(" (arg ");
-            out.int(r.arg);
-            let _ = out.write_str(")");
+            line.push_str(" (arg ");
+            push_int(line, r.arg);
+            line.push(')');
         }
-        let _ = out.write_str("\n");
+        line.push('\n');
+        let _ = out.write_str(line);
         for &c in children.of(s) {
-            self.write_node(children, c, depth + 1, out);
+            self.write_node(children, to_usize(c.into()), depth + 1, line, out);
         }
     }
 }
@@ -361,4 +418,62 @@ pub fn stage_sum_vs_span(forest: &[SpanNode], node: usize) -> Option<(u64, u64)>
         .map(|c| c.duration_ns())
         .sum();
     Some((stage_sum, n.duration_ns()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference;
+    use proptest::prelude::*;
+
+    /// `write_ns` and the float formatting it replaced, byte for byte, in
+    /// the tree column (width 0) and the totals column (width 10).
+    fn same_as_floats(ns: u64) -> Result<(), TestCaseError> {
+        for width in [0, 10] {
+            let (mut ints, mut floats) = (String::new(), String::new());
+            write_ns(&mut ints, ns, width);
+            reference::write_ns(&mut floats, ns, width);
+            prop_assert_eq!(ints, floats, "{} ns, width {}", ns, width);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// Half the cases below 2 ms, where the ns and µs columns are.
+        #[test]
+        fn durations_print_like_the_float_formatting(
+            ns in prop_oneof![0u64..2_000_000, 0u64..=10_000_000_000_000],
+        ) {
+            same_as_floats(ns)?;
+        }
+
+        /// Half-way values in every unit: ns ≡ 5 (mod 10) in µs, ≡ 500
+        /// (mod 1000) in ms.
+        #[test]
+        fn half_way_durations_print_like_the_float_formatting(
+            k in 100u64..100_000,
+            m in 1u64..10_000_000_000,
+        ) {
+            same_as_floats(k * 10 + 5)?;
+            same_as_floats(m * 1_000 + 500)?;
+        }
+    }
+
+    #[test]
+    fn unit_boundaries_and_ties_print_like_the_float_formatting() -> Result<(), TestCaseError> {
+        let boundaries = [0, 1, 999, 1_000, 1_994, 1_995, 1_999, 999_000, 1_000_000, 1_000_001];
+        // Exact binary ties (1.125 us, 1.375 us) go half-to-even; inexact
+        // ones follow the quotient's error.
+        let ties = [1_125, 1_375, 1_005, 1_015, 999_995, 1_000_500, 1_500_500, 2_500_500];
+        let f64_edge = [F64_EXACT - 1, F64_EXACT, F64_EXACT + 1, u64::MAX];
+        for ns in boundaries.into_iter().chain(999_994..=999_999).chain(ties).chain(f64_edge) {
+            same_as_floats(ns)?;
+        }
+        let mut line = String::new();
+        write_ns(&mut line, 1_125, 0);
+        assert_eq!(line, "1.12us");
+        Ok(())
+    }
 }

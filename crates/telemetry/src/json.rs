@@ -471,11 +471,6 @@ impl Writer {
 pub struct Text<'a>(&'a mut Writer);
 
 impl Text<'_> {
-    /// Write `u` in decimal (digits never need an escape).
-    pub fn int(&mut self, u: u64) {
-        push_u64(&mut self.0.out, u);
-    }
-
     /// Write `v` as compact JSON into the text.
     pub fn json(&mut self, v: &(impl ToJson + ?Sized)) {
         v.write_json(self.0);

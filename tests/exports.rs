@@ -189,3 +189,53 @@ proptest! {
         );
     }
 }
+
+/// The durations of a span report's tree lines, from their intervals.
+fn report_durations(bundle: &str) -> Vec<u64> {
+    let report = bundle.split("-- spans --\n").nth(1).unwrap_or("");
+    report
+        .lines()
+        .filter_map(|line| {
+            let interval = line.split_once('[')?.1.split_once(']')?.0;
+            let (begin, end) = interval.split_once(" .. ")?;
+            Some(end.parse::<u64>().ok()? - begin.parse::<u64>().ok()?)
+        })
+        .collect()
+}
+
+/// A bundle's span report through the RPC escaper, with a duration of
+/// every rounding class the report's integer formatting tells apart:
+/// below 1 µs, a µs half-way value that is an exact binary fraction
+/// (a multiple of 125 ns) and one that is not, and a ms half-way value —
+/// the open `flow 1` span, which ends at `now`, is 1,000,500 ns long at
+/// the first instant and 1,062,500 ns (1.0625 ms, exact) at the second.
+#[test]
+fn a_bundle_with_every_rounding_class_answers_its_string_export() -> TestResult {
+    let mut cp = ControlPlane::new();
+    let load =
+        format!(r#"{{"id":0,"method":"load","params":{{"name":"s","scenario":{SCENARIO}}}}}"#);
+    assert!(cp.handle_line(&load).starts_with(r#"{"id":0,"result":"#));
+    let mut twin = Session::new(Scenario::parse(SCENARIO)?)?;
+    for (id, ns) in [(1, 1_000_600), (2, 1_062_600)] {
+        cp.handle_line(&format!(
+            r#"{{"id":0,"method":"run_until","params":{{"name":"s","ns":{ns}}}}}"#
+        ));
+        twin.run_until(ns);
+        let bundle = twin.export_bundle();
+        let durations = report_durations(&bundle);
+        let us_tie = |n: u64| (1_000..1_000_000).contains(&n) && n % 10 == 5;
+        let classes = [
+            durations.iter().any(|&n| n < 1_000),
+            durations.iter().any(|&n| us_tie(n) && n % 125 == 0),
+            durations.iter().any(|&n| us_tie(n) && n % 125 != 0),
+            durations.iter().any(|&n| n >= 1_000_000 && n % 1_000 == 500),
+        ];
+        assert_eq!(classes, [true; 4], "rounding classes in the report at {ns} ns");
+        let request =
+            format!(r#"{{"id":{id},"method":"export","params":{{"name":"s","what":"bundle"}}}}"#);
+        let want =
+            format!("{{\"id\":{id},\"result\":{}}}", json::object(|w| w.field("text", &bundle)));
+        assert!(cp.handle_line(&request) == want, "the bundle at {ns} ns differs over RPC");
+    }
+    Ok(())
+}
