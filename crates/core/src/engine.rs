@@ -22,8 +22,7 @@ use openoptics_host::udp::ProbeStats;
 use openoptics_host::vma::{Segment, VmaStack};
 use openoptics_host::FlowAging;
 use openoptics_obs::{
-    DropSite, PacketEnd, Phase, Profiler, SpanCursors, SpanEvent, SpanTable, Spans, Stage,
-    WellFormedError,
+    DropSite, PacketEnd, Phase, Profiler, SpanCursors, SpanTable, Spans, Stage, WellFormedError,
 };
 use openoptics_proto::packet::{PacketKind, HEADER_BYTES};
 use openoptics_proto::{FlowId, HostId, NodeId, Packet, PacketStore, PktRef, PortId, PushBack};
@@ -878,15 +877,9 @@ impl Engine {
         self.cursors.is_on()
     }
 
-    /// A finalized, well-formed copy of the recorded span stream at sim
-    /// time `now` (still-open spans get synthesized ends; parent ends are
-    /// extended to cover late children). Empty when spans are off.
-    pub fn span_events(&self, now: SimTime) -> Vec<SpanEvent> {
-        self.cursors.spans().finalized_events(now)
-    }
-
-    /// The span table of [`Engine::span_events`], built in place from the
-    /// recorded stream (nothing copied): what the span exports render.
+    /// The recorded spans settled at sim time `now` (still-open spans
+    /// close at `now`; parent ends cover late children): what the span
+    /// exports render. Empty when spans are off.
     pub fn span_table(&self, now: SimTime) -> Result<SpanTable, WellFormedError> {
         self.cursors.spans().table(now)
     }

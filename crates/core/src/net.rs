@@ -631,9 +631,11 @@ impl OpenOpticsNet {
         self.engine.frames()
     }
 
-    /// The finalized span table every span export renders. Errors when
-    /// span recording is off.
-    fn span_table(&self) -> Result<openoptics_obs::SpanTable, Error> {
+    /// The recorded spans, one settled row per span: what every span
+    /// export renders, and the programmatic view of the span trees
+    /// ([`openoptics_obs::SpanTable::spans`]). Errors when span recording
+    /// is off.
+    pub fn span_table(&self) -> Result<openoptics_obs::SpanTable, Error> {
         if !self.engine.has_span_recording() {
             return Err(openoptics_obs::ObsError::Disabled.into());
         }
@@ -665,13 +667,6 @@ impl OpenOpticsNet {
     pub fn write_span_report(&self, t: &mut Text<'_>) -> Result<(), Error> {
         self.span_table()?.write_report(t);
         Ok(())
-    }
-
-    /// The finalized lifecycle-span stream itself (for programmatic tree
-    /// reconstruction via [`openoptics_obs::build_forest`]). Empty when
-    /// span recording is off.
-    pub fn span_events(&self) -> Vec<openoptics_obs::SpanEvent> {
-        self.engine.span_events(self.now)
     }
 
     /// The deterministic sim-time profiler report: per engine phase, the
@@ -999,10 +994,10 @@ mod tests {
     /// When each packet started to serialize, in order, for every recorded
     /// packet (span recording must sample every flow).
     fn departures(net: &OpenOpticsNet) -> Vec<(u64, SimTime)> {
-        use openoptics_obs::{SpanPhase, Stage};
-        let events = net.span_events();
-        let begins = events.iter().filter(|e| e.phase == SpanPhase::Begin);
-        begins.filter(|e| e.stage == Stage::Serialization).map(|e| (e.packet, e.at)).collect()
+        let table = net.span_table().expect("span recording is on");
+        let serialized =
+            table.spans().filter(|(_, r)| r.stage == openoptics_obs::Stage::Serialization);
+        serialized.map(|(_, r)| (r.packet, r.begin)).collect()
     }
 
     #[test]

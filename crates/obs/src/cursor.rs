@@ -214,7 +214,7 @@ impl SpanCursors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{build_forest, stage_sum_vs_span, WellFormedError};
+    use crate::table::WellFormedError;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_ns(ns)
@@ -258,21 +258,32 @@ mod tests {
         c.flow_end(7, t(1_000));
         c.flow_end(8, t(1_000));
 
-        let forest = build_forest(&c.spans().finalized_events(t(1_000)))?;
+        let table = c.spans().table(t(1_000))?;
         let args = |stage: Stage| -> Vec<u64> {
-            forest.iter().filter(|n| n.stage == stage).map(|n| n.arg).collect()
+            table.spans().filter(|(_, r)| r.stage == stage).map(|(_, r)| r.arg).collect()
         };
         assert_eq!(args(Stage::Drop), [1, 2, 3, 4, 5]);
         assert_eq!(args(Stage::FaultDrop), [3]);
         assert_eq!(args(Stage::Retransmit), [1, 2, 3, 4]);
         assert_eq!(args(Stage::TcpDelivery), [0]);
         assert_eq!(args(Stage::GuardbandHold).len(), ends.len());
-        assert!(forest.iter().all(|n| n.flow == 7), "flow 8 was never sampled");
-        let packets: Vec<usize> =
-            (0..forest.len()).filter(|&i| forest[i].stage == Stage::Packet).collect();
+        assert!(table.spans().all(|(_, r)| r.flow == 7), "flow 8 was never sampled");
+        let packets: Vec<(u64, u64)> = table
+            .spans()
+            .filter(|(_, r)| r.stage == Stage::Packet)
+            .map(|(id, r)| (id, r.duration_ns()))
+            .collect();
         assert_eq!(packets.len(), ends.len());
-        for i in packets {
-            assert_eq!(stage_sum_vs_span(&forest, i), Some((50, 50)));
+        for (id, span) in packets {
+            let stages: u64 = table
+                .spans()
+                .filter(|(_, r)| r.parent == id)
+                .filter(|(_, r)| {
+                    !matches!(r.stage, Stage::Retransmit | Stage::FaultDrop | Stage::Drop)
+                })
+                .map(|(_, r)| r.duration_ns())
+                .sum();
+            assert_eq!((stages, span), (50, 50));
         }
         Ok(())
     }

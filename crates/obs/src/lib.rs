@@ -13,10 +13,11 @@
 //! * **A sim-time profiler** ([`Profiler`], [`Phase`]) — per-engine-phase
 //!   event counts and sim-time attribution, with an opt-in wall-clock
 //!   mode for bench self-profiling.
-//! * **Exporters** ([`SpanTable`]) — one finalized row per span, built
-//!   in place from the recorded stream; it renders as Chrome trace-event /
+//! * **Exporters** ([`SpanTable`]) — the recorded rows, one per span,
+//!   with every end settled; it renders as Chrome trace-event /
 //!   Perfetto JSON (`ToJson`) and as a plain-text span report
-//!   ([`SpanTable::write_report`]), both into a sink.
+//!   ([`SpanTable::write_report`]), both into a sink, and its rows
+//!   ([`SpanTable::spans`]) are the programmatic view.
 //!
 //! ```
 //! use openoptics_obs::{Spans, Stage};
@@ -43,9 +44,9 @@ mod table;
 
 pub use cursor::{DropSite, PacketEnd, SpanCursors};
 pub use profiler::{Phase, PhaseStat, Profiler, PHASES, PHASE_COUNT};
-pub use report::{build_forest, stage_sum_vs_span, SpanNode, WellFormedError, REPORT_MAX_FLOWS};
-pub use span::{SpanEvent, SpanPhase, Spans, Stage};
-pub use table::{finalize, SpanTable};
+pub use report::REPORT_MAX_FLOWS;
+pub use span::{Spans, Stage};
+pub use table::{SpanRow, SpanTable, WellFormedError};
 
 /// Why an observability request was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,7 +54,7 @@ pub enum ObsError {
     /// Span recording (or profiling) is not enabled for this network —
     /// set `span_sample_every` (or `telemetry`) in the configuration.
     Disabled,
-    /// The recorded stream failed well-formedness checks.
+    /// The recording calls were misused (see [`WellFormedError`]).
     Malformed(WellFormedError),
 }
 
@@ -118,34 +119,32 @@ mod tests {
         assert_eq!(s.skipped(), 1);
         s.span_end(t(4), a, Stage::Packet); // ...but ends still land
         assert_eq!(s.len(), 4);
-        assert!(build_forest(&s.finalized_events(t(5))).is_ok());
+        assert!(s.table(t(5)).is_ok());
     }
 
     #[test]
-    fn finalize_closes_open_spans_and_covers_children() {
+    fn table_closes_open_spans_and_covers_children() -> Result<(), WellFormedError> {
         let s = Spans::bounded(1, 0, 1024);
         let f = s.span_begin(t(10), 0, 1, 0, Stage::Flow, 0);
         let p = s.span_begin(t(20), f, 1, 9, Stage::Packet, 0);
         let st = s.span_begin(t(20), p, 1, 9, Stage::Serialization, 0);
         s.span_end(t(90), st, Stage::Serialization);
         s.span_end(t(30), f, Stage::Flow); // flow "ends" before its packet
-        let events = s.finalized_events(t(50));
-        let forest = build_forest(&events).expect("well-formed after finalize");
-        let flow = forest.iter().find(|n| n.stage == Stage::Flow).unwrap();
-        let pkt = forest.iter().find(|n| n.stage == Stage::Packet).unwrap();
+        let table = s.table(t(50))?;
         // The open packet span closed at max(now, child end) = 90, and
         // the flow end was raised to cover it.
-        assert_eq!(pkt.end.as_ns(), 90);
-        assert_eq!(flow.end.as_ns(), 90);
+        let end = |id| table.span(id).map(|r| r.end.as_ns());
+        assert_eq!((end(f), end(p), end(st)), (Some(90), Some(90), Some(90)));
+        assert_eq!(table.spans().map(|(id, _)| id).collect::<Vec<_>>(), [f, p, st]);
+        Ok(())
     }
 
-    /// `finalize` used to recover the stage of every span it closed by
-    /// re-scanning the stream; this pins stage, order and time of each
-    /// synthesized end to what that lookup (and a closure over ancestor
-    /// chains, not the descending pass) yields, on a stream with
-    /// thousands of spans still open.
+    /// `finalize` once recovered the stage of every span it closed by
+    /// re-scanning the stream; this pins stage and end of every settled
+    /// row to what that lookup (and a closure over ancestor chains, not
+    /// the descending pass) yields, with thousands of spans still open.
     #[test]
-    fn finalize_closes_thousands_of_open_spans_like_the_rescan_did() -> Result<(), &'static str> {
+    fn table_closes_thousands_of_open_spans_like_the_rescan_did() -> Result<(), WellFormedError> {
         const STAGES: [Stage; 7] = [
             Stage::HostTxQueue,
             Stage::CalendarWait,
@@ -156,82 +155,81 @@ mod tests {
             Stage::TcpDelivery,
         ];
         let now = t(20_000);
-        let mut raw: Vec<SpanEvent> = Vec::new();
-        let mut edge = |at: u64, span: u64, parent: u64, stage: Stage, phase: SpanPhase| {
-            raw.push(SpanEvent {
-                at: t(at),
-                span,
-                parent,
-                flow: 0,
-                packet: 0,
-                stage,
-                phase,
-                arg: 0,
-            });
+        let s = Spans::bounded(1, 0, usize::MAX);
+        // Per span id: (begin, recorded end, parent, stage).
+        let mut want: Vec<(u64, Option<u64>, u64, Stage)> = vec![(0, None, 0, Stage::Flow)];
+        let mut begin = |at: u64, parent: u64, stage: Stage| {
+            want.push((at, None, parent, stage));
+            s.span_begin(t(at), parent, 0, 0, stage, 0)
         };
         // 40 flows x 10 packets x 7 stages = 3,240 spans; half the flows
         // begin after `now`, and only every third stage span is closed.
-        let mut next = 1;
+        let mut closed = Vec::new();
         for f in 0..40 {
-            let flow = next;
-            edge(f * 1_000, flow, 0, Stage::Flow, SpanPhase::Begin);
-            next += 1;
+            let flow = begin(f * 1_000, 0, Stage::Flow);
             for p in 0..10 {
-                let (pkt, at) = (next, f * 1_000 + p * 100);
-                edge(at, pkt, flow, Stage::Packet, SpanPhase::Begin);
-                next += 1;
+                let at = f * 1_000 + p * 100;
+                let pkt = begin(at, flow, Stage::Packet);
                 for (k, stage) in (0..).zip(STAGES) {
-                    edge(at + k * 10, next, pkt, stage, SpanPhase::Begin);
-                    if next % 3 == 0 {
-                        edge(at + k * 10 + 5, next, 0, stage, SpanPhase::End);
+                    let id = begin(at + k * 10, pkt, stage);
+                    if id % 3 == 0 {
+                        s.span_end(t(at + k * 10 + 5), id, stage);
+                        closed.push((id, at + k * 10 + 5));
                     }
-                    next += 1;
                 }
             }
         }
-        let out = finalize(&raw, now);
-
-        // Recorded edges keep their place (no closed span here has
-        // children, so none of their times move either).
-        assert_eq!(out[..raw.len()], raw[..]);
-        let begin_of = |span: u64| {
-            raw.iter()
-                .find(|e| e.span == span && e.phase == SpanPhase::Begin)
-                .ok_or("a span without a begin")
-        };
-        let recorded_end =
-            |span: u64| raw.iter().find(|e| e.span == span && e.phase == SpanPhase::End);
+        for (id, at) in closed {
+            want[to_usize(id)].1 = Some(at);
+        }
         // A span's own end, raised along its ancestor chain.
-        let mut want_end = vec![SimTime::ZERO; to_usize(next)];
-        for span in 1..next {
-            let own = recorded_end(span).map_or(begin_of(span)?.at.max(now), |e| e.at);
+        let mut want_end = vec![0; want.len()];
+        for span in 1..want.len() {
+            let (begin, recorded, ..) = want[span];
+            let own = recorded.unwrap_or(begin.max(now.as_ns()));
             let mut up = span;
             while up != 0 {
-                want_end[to_usize(up)] = want_end[to_usize(up)].max(own);
-                up = begin_of(up)?.parent;
+                want_end[up] = want_end[up].max(own);
+                up = to_usize(want[up].2);
             }
         }
-        let open: Vec<u64> = (1..next).rev().filter(|s| recorded_end(*s).is_none()).collect();
-        assert!(open.len() > 2_000, "{} open spans", open.len());
-        let synthesized = &out[raw.len()..];
-        assert_eq!(synthesized.iter().map(|e| e.span).collect::<Vec<_>>(), open);
-        for e in synthesized {
-            assert_eq!(e.phase, SpanPhase::End);
-            assert_eq!(e.stage, begin_of(e.span)?.stage, "span {}", e.span);
-            assert_eq!(e.at, want_end[to_usize(e.span)], "span {}", e.span);
+        let open = want.iter().skip(1).filter(|w| w.1.is_none()).count();
+        assert!(open > 2_000, "{open} open spans");
+        let table = s.table(now)?;
+        assert_eq!(table.spans().count(), want.len() - 1);
+        for (id, r) in table.spans() {
+            let (begin, _, parent, stage) = want[to_usize(id)];
+            assert_eq!((r.begin.as_ns(), r.parent, r.stage), (begin, parent, stage), "span {id}");
+            assert_eq!(r.end.as_ns(), want_end[to_usize(id)], "span {id}");
         }
-        assert!(build_forest(&out).is_ok());
         Ok(())
     }
 
+    /// The three ways to misuse the recording calls. Each makes `table`
+    /// fail with its error, the first one recorded wins, and the edge
+    /// still counts toward the capacity.
     #[test]
-    fn forest_rejects_malformed_streams() {
-        let s = Spans::bounded(1, 0, 16);
-        let a = s.span_begin(t(1), 0, 1, 1, Stage::Packet, 0);
-        s.span_end(t(5), a, Stage::Packet);
-        s.span_end(t(6), a, Stage::Packet);
-        let raw: Vec<SpanEvent> = s.finalized_events(t(9));
-        assert_eq!(build_forest(&raw).err(), Some(WellFormedError::DuplicateEnd(a)));
+    fn table_reports_each_misuse() {
+        let ended_twice = Spans::bounded(1, 0, 16);
+        let a = ended_twice.span_begin(t(1), 0, 1, 1, Stage::Packet, 0);
+        ended_twice.span_end(t(5), a, Stage::Packet);
+        ended_twice.span_end(t(6), a, Stage::Packet);
+        ended_twice.span_end(t(7), 9, Stage::Packet);
+        assert_eq!(ended_twice.len(), 4);
+        assert_eq!(ended_twice.table(t(9)).err(), Some(WellFormedError::DuplicateEnd(a)));
+
+        let never_begun = Spans::bounded(1, 0, 16);
+        never_begun.span_end(t(5), 3, Stage::Rx);
+        assert_eq!(never_begun.len(), 1);
+        assert_eq!(never_begun.table(t(9)).err(), Some(WellFormedError::EndWithoutBegin(3)));
+
+        let orphan = Spans::bounded(1, 0, 16);
+        let a = orphan.span_begin(t(1), 0, 1, 0, Stage::Flow, 0);
+        let b = orphan.span_begin(t(2), a + 1, 1, 1, Stage::Packet, 0);
+        orphan.span_begin(t(3), 7, 1, 1, Stage::Packet, 0);
+        assert_eq!(orphan.len(), 3);
+        let first = WellFormedError::UnknownParent { span: b, parent: b };
+        assert_eq!(orphan.table(t(9)).err(), Some(first));
     }
 
     #[test]

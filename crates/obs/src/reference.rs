@@ -1,16 +1,58 @@
-//! The span exporters as they were before the span table: finalize
-//! copies the stream and synthesizes ends, `build_forest` builds a node
-//! per span with its own children `Vec`, and the two renderers walk that
-//! forest. Kept verbatim (comments aside) as the oracle the table's
-//! proptests compare against.
+//! The span recording and exporters as they were before a span was
+//! recorded as its row: the stream of begin and end edges, the finalize
+//! that copies it and synthesizes an end per open span, `build_forest`
+//! building a node per span with its own children `Vec`, and the two
+//! renderers walking that forest. Kept (comments aside) as the oracle the
+//! table's exports are compared against.
 
 use std::fmt::Write;
 
-use crate::report::{SpanNode, WellFormedError, REPORT_MAX_FLOWS};
-use crate::span::{SpanEvent, SpanPhase, Stage};
+use crate::report::REPORT_MAX_FLOWS;
+use crate::span::Stage;
 use openoptics_sim::cast::to_usize;
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::json;
+
+/// Begin or end edge of a span.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpanPhase {
+    Begin,
+    End,
+}
+
+/// One recorded span edge. `Begin` edges carry the causal identity;
+/// `End` edges only the span id and stage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanEvent {
+    pub at: SimTime,
+    pub span: u64,
+    pub parent: u64,
+    pub flow: u64,
+    pub packet: u64,
+    pub stage: Stage,
+    pub phase: SpanPhase,
+    pub arg: u64,
+}
+
+/// One reconstructed span interval with resolved children.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpanNode {
+    pub span: u64,
+    pub parent: u64,
+    pub flow: u64,
+    pub packet: u64,
+    pub stage: Stage,
+    pub begin: SimTime,
+    pub end: SimTime,
+    pub arg: u64,
+    pub children: Vec<usize>,
+}
+
+impl SpanNode {
+    pub fn duration_ns(&self) -> u64 {
+        self.end.saturating_since(self.begin)
+    }
+}
 
 /// The copying finalize: the stream plus a synthesized end per open span.
 pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
@@ -66,8 +108,9 @@ pub fn finalize(events: &[SpanEvent], now: SimTime) -> Vec<SpanEvent> {
     out
 }
 
-/// A node per span, each with its own children `Vec`.
-pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedError> {
+/// A node per span, each with its own children `Vec`, of a well-formed
+/// (finalized) stream.
+pub fn build_forest(events: &[SpanEvent]) -> Vec<SpanNode> {
     let max_span = to_usize(events.iter().map(|e| e.span).max().unwrap_or(0));
     let mut nodes: Vec<Option<SpanNode>> = vec![None; max_span + 1];
     let mut ended: Vec<bool> = vec![false; max_span + 1];
@@ -75,9 +118,7 @@ pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedErr
         let s = to_usize(e.span);
         match e.phase {
             SpanPhase::Begin => {
-                if nodes[s].is_some() {
-                    return Err(WellFormedError::DuplicateBegin(e.span));
-                }
+                assert!(nodes[s].is_none(), "span {}: duplicate begin", e.span);
                 nodes[s] = Some(SpanNode {
                     span: e.span,
                     parent: e.parent,
@@ -91,26 +132,16 @@ pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedErr
                 });
             }
             SpanPhase::End => {
-                if ended[s] {
-                    return Err(WellFormedError::DuplicateEnd(e.span));
-                }
-                match &mut nodes[s] {
-                    Some(n) => {
-                        if e.at < n.begin {
-                            return Err(WellFormedError::EndBeforeBegin(e.span));
-                        }
-                        n.end = e.at;
-                        ended[s] = true;
-                    }
-                    None => return Err(WellFormedError::EndWithoutBegin(e.span)),
-                }
+                assert!(!ended[s], "span {}: duplicate end", e.span);
+                let n = nodes[s].as_mut().expect("an end follows its begin");
+                assert!(e.at >= n.begin, "span {}: ends before it begins", e.span);
+                n.end = e.at;
+                ended[s] = true;
             }
         }
     }
     for (s, n) in nodes.iter().enumerate() {
-        if n.is_some() && !ended[s] {
-            return Err(WellFormedError::MissingEnd(s as u64));
-        }
+        assert!(n.is_none() || ended[s], "span {s}: begin without end");
     }
     // Compact into a dense vector, remembering where each span id landed.
     let mut index_of: Vec<usize> = vec![usize::MAX; max_span + 1];
@@ -126,23 +157,17 @@ pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedErr
         if parent == 0 {
             continue;
         }
-        let p = to_usize(parent);
-        if p > max_span || index_of[p] == usize::MAX {
-            return Err(WellFormedError::UnknownParent { span, parent });
-        }
-        let pi = index_of[p];
-        if out[pi].end < out[i].end {
-            return Err(WellFormedError::ParentEndsBeforeChild { parent, child: span });
-        }
+        let pi = index_of[to_usize(parent)];
+        assert!(out[pi].end >= out[i].end, "span {parent} ends before its child {span}");
         out[pi].children.push(i);
     }
-    Ok(out)
+    out
 }
 
 /// The Chrome trace rendered from the forest.
-pub fn chrome_trace(events: &[SpanEvent]) -> Result<String, WellFormedError> {
-    let forest = build_forest(events)?;
-    Ok(json::object(|w| {
+pub fn chrome_trace(events: &[SpanEvent]) -> String {
+    let forest = build_forest(events);
+    json::object(|w| {
         w.key("traceEvents");
         w.arr(|w| {
             for n in &forest {
@@ -165,7 +190,7 @@ pub fn chrome_trace(events: &[SpanEvent]) -> Result<String, WellFormedError> {
             }
         });
         w.field("displayTimeUnit", "ns");
-    }))
+    })
 }
 
 pub(crate) fn write_ns(out: &mut String, ns: u64, width: usize) {
@@ -200,8 +225,8 @@ fn render_node(forest: &[SpanNode], i: usize, depth: usize, out: &mut String) {
 }
 
 /// The span report rendered from the forest.
-pub fn span_report(events: &[SpanEvent]) -> Result<String, WellFormedError> {
-    let forest = build_forest(events)?;
+pub fn span_report(events: &[SpanEvent]) -> String {
+    let forest = build_forest(events);
     let mut out = String::new();
     let _ = write!(out, "span report: {} spans\n\n", forest.len());
     // Stage totals over *leaf-stage* spans (roots would double-count).
@@ -234,5 +259,5 @@ pub fn span_report(events: &[SpanEvent]) -> Result<String, WellFormedError> {
         }
         render_node(&forest, r, 0, &mut out);
     }
-    Ok(out)
+    out
 }

@@ -1,4 +1,4 @@
-//! Span-tree reconstruction and exporters.
+//! The span exporters.
 //!
 //! Both exporters read a [`SpanTable`] (see [`crate::Spans::table`]), so
 //! they are pure functions of the recorded stream and byte-identical for
@@ -8,125 +8,10 @@
 
 use std::fmt::Write;
 
-use crate::span::{SpanEvent, Stage, STAGE_COUNT};
-use crate::table::{Row, SpanTable};
+use crate::span::{Stage, STAGE_COUNT};
+use crate::table::{SpanRow, SpanTable};
 use openoptics_sim::cast::{idx_u32, to_usize};
-use openoptics_sim::time::SimTime;
 use openoptics_telemetry::json::{self, Text, ToJson};
-
-/// One reconstructed span interval with resolved children.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanNode {
-    /// Span id.
-    pub span: u64,
-    /// Causal parent span id (0 = root).
-    pub parent: u64,
-    /// Owning flow id (0 for flow-less spans).
-    pub flow: u64,
-    /// Owning packet id (0 for flow-level spans).
-    pub packet: u64,
-    /// Stage attribution.
-    pub stage: Stage,
-    /// Interval start.
-    pub begin: SimTime,
-    /// Interval end.
-    pub end: SimTime,
-    /// Stage-specific annotation.
-    pub arg: u64,
-    /// Indices (into the forest's node vector) of this span's children,
-    /// in span-id order.
-    pub children: Vec<usize>,
-}
-
-impl SpanNode {
-    /// Interval length, ns.
-    pub fn duration_ns(&self) -> u64 {
-        self.end.saturating_since(self.begin)
-    }
-}
-
-/// Why a span stream failed well-formedness checks.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WellFormedError {
-    /// Two `Begin` edges carried the same span id.
-    DuplicateBegin(u64),
-    /// Two `End` edges carried the same span id.
-    DuplicateEnd(u64),
-    /// An `End` edge had no matching `Begin`.
-    EndWithoutBegin(u64),
-    /// A `Begin` edge had no matching `End`.
-    MissingEnd(u64),
-    /// A span ended before it began.
-    EndBeforeBegin(u64),
-    /// A `Begin` named a parent span that does not exist.
-    UnknownParent {
-        /// The child span.
-        span: u64,
-        /// The missing parent id.
-        parent: u64,
-    },
-    /// A parent span ended before one of its children.
-    ParentEndsBeforeChild {
-        /// The parent span.
-        parent: u64,
-        /// The child that outlived it.
-        child: u64,
-    },
-}
-
-impl std::fmt::Display for WellFormedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WellFormedError::DuplicateBegin(s) => write!(f, "span {s}: duplicate begin"),
-            WellFormedError::DuplicateEnd(s) => write!(f, "span {s}: duplicate end"),
-            WellFormedError::EndWithoutBegin(s) => write!(f, "span {s}: end without begin"),
-            WellFormedError::MissingEnd(s) => write!(f, "span {s}: begin without end"),
-            WellFormedError::EndBeforeBegin(s) => write!(f, "span {s}: ends before it begins"),
-            WellFormedError::UnknownParent { span, parent } => {
-                write!(f, "span {span}: parent {parent} does not exist")
-            }
-            WellFormedError::ParentEndsBeforeChild { parent, child } => {
-                write!(f, "span {parent} ends before its child {child}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WellFormedError {}
-
-/// Reconstruct the span forest, verifying well-formedness: every begin
-/// has exactly one end, ends do not precede begins, parents exist and end
-/// no earlier than every child. Nodes come back in span-id order; roots
-/// are the nodes with `parent == 0`. No export needs this; it is the tree
-/// view for tests and tools.
-pub fn build_forest(events: &[SpanEvent]) -> Result<Vec<SpanNode>, WellFormedError> {
-    let table = SpanTable::recorded(events)?;
-    let mut index_of = vec![usize::MAX; table.rows.len()];
-    let mut out: Vec<SpanNode> = Vec::new();
-    for (s, r) in table.spans() {
-        index_of[s] = out.len();
-        out.push(SpanNode {
-            span: s as u64,
-            parent: r.parent,
-            flow: r.flow,
-            packet: r.packet,
-            stage: r.stage,
-            begin: r.begin,
-            end: r.end,
-            arg: r.arg,
-            children: Vec::new(),
-        });
-    }
-    for i in 0..out.len() {
-        // The table checked that every parent is a span.
-        let parent = to_usize(out[i].parent);
-        if parent != 0 {
-            let p = index_of[parent];
-            out[p].children.push(i);
-        }
-    }
-    Ok(out)
-}
 
 fn lifecycle(stage: Stage) -> bool {
     matches!(stage, Stage::Flow | Stage::Packet)
@@ -168,15 +53,8 @@ impl ToJson for SpanTable {
                             })
                         })
                     });
-                    let ints = [
-                        r.begin.as_ns(),
-                        r.duration_ns(),
-                        r.flow,
-                        r.packet,
-                        s as u64,
-                        r.parent,
-                        r.arg,
-                    ];
+                    let ints =
+                        [r.begin.as_ns(), r.duration_ns(), r.flow, r.packet, s, r.parent, r.arg];
                     w.fill(event, &ints);
                 }
             });
@@ -259,33 +137,21 @@ struct Children {
 impl Children {
     /// Children of every span that hangs (through any number of parents)
     /// from one of `roots`; nothing is built for the other trees.
-    fn of_trees(rows: &[Row], roots: &[usize]) -> Children {
+    fn of_trees(rows: &[SpanRow], roots: &[usize]) -> Children {
         let mut member = vec![false; rows.len()];
         for &r in roots {
             member[r] = true;
         }
-        let child = |r: &Row| r.is_span() && r.parent != 0;
-        // In a recorded stream a child's id follows its parent's, so one
-        // ascending pass reaches every member; a stream where some parent
-        // id follows its child's takes a pass per such level.
-        let ordered = rows.iter().enumerate().all(|(s, r)| !child(r) || to_usize(r.parent) < s);
-        loop {
-            let mut grew = false;
-            for (s, r) in rows.iter().enumerate() {
-                if child(r) && !member[s] && member.get(to_usize(r.parent)) == Some(&true) {
-                    member[s] = true;
-                    grew = true;
-                }
-            }
-            if ordered || !grew {
-                break;
-            }
+        // A child's id follows its parent's, so one ascending pass reaches
+        // every member (row 0, the roots' parent, is none).
+        for (s, r) in rows.iter().enumerate() {
+            member[s] |= member[to_usize(r.parent)];
         }
         // Count each parent's children, sum the counts so that
         // `offsets[p]` is where `p`'s run ends, then place the children
         // backwards, which leaves `offsets[p]` where the run starts.
         let mut offsets = vec![0; rows.len() + 1];
-        let kids = || rows.iter().enumerate().filter(|&(s, r)| member[s] && child(r));
+        let kids = || rows.iter().enumerate().filter(|&(s, r)| member[s] && r.parent != 0);
         for (_, r) in kids() {
             offsets[to_usize(r.parent)] += 1;
         }
@@ -319,7 +185,7 @@ impl SpanTable {
         for (s, r) in self.spans() {
             spans += 1;
             if r.parent == 0 {
-                roots.push(s);
+                roots.push(to_usize(s));
             }
             if lifecycle(r.stage) {
                 continue;
@@ -400,24 +266,6 @@ impl SpanTable {
             self.write_node(children, to_usize(c.into()), depth + 1, line, out);
         }
     }
-}
-
-/// The sum of a packet span's stage durations and the packet span's own
-/// duration, for checking the tiling invariant (they are equal for
-/// delivered packets). Returns `None` if `node` is not a packet span.
-pub fn stage_sum_vs_span(forest: &[SpanNode], node: usize) -> Option<(u64, u64)> {
-    let n = forest.get(node)?;
-    if n.stage != Stage::Packet {
-        return None;
-    }
-    let stage_sum: u64 = n
-        .children
-        .iter()
-        .map(|&c| &forest[c])
-        .filter(|c| !matches!(c.stage, Stage::Retransmit | Stage::FaultDrop | Stage::Drop))
-        .map(|c| c.duration_ns())
-        .sum();
-    Some((stage_sum, n.duration_ns()))
 }
 
 #[cfg(test)]

@@ -15,11 +15,11 @@
 
 use std::cell::{Cell, RefCell};
 
+use openoptics_sim::cast::to_usize;
 use openoptics_sim::time::SimTime;
 use openoptics_telemetry::{Labels, MirrorPass};
 
-use crate::report::WellFormedError;
-use crate::table::{finalize, SpanTable};
+use crate::table::{SpanRow, SpanTable, WellFormedError};
 
 /// Lifecycle stage a span is attributed to.
 ///
@@ -84,53 +84,33 @@ impl Stage {
     }
 }
 
-/// Begin or end edge of a span.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpanPhase {
-    /// The span opens at `at`.
-    Begin,
-    /// The span closes at `at`.
-    End,
-}
-
-/// One recorded span edge. `Begin` events carry the causal identity
-/// (parent, flow, packet); `End` events carry only the span id and stage
-/// — exports join the two on the span id.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Sim-time stamp, ns.
-    pub at: SimTime,
-    /// Span this edge belongs to (allocated in begin order, starting at 1).
-    pub span: u64,
-    /// Causal parent span id (0 = root).
-    pub parent: u64,
-    /// Flow the span belongs to (0 on `End` edges and flow-less spans).
-    pub flow: u64,
-    /// Packet id the span belongs to (0 for flow-level spans and `End`s).
-    pub packet: u64,
-    /// Stage attribution.
-    pub stage: Stage,
-    /// Edge kind.
-    pub phase: SpanPhase,
-    /// Stage-specific annotation (drop site, retransmit kind, fault code).
-    pub arg: u64,
-}
-
-/// Storage of a recording stream. The counters and the event list are
-/// cells because recording goes through `&self`, which the frozen
-/// benchmark spells (`benchmark/src/kernels.rs:378`).
+/// Storage of a recording stream. The counters and the rows are cells
+/// because recording goes through `&self`, which the frozen benchmark
+/// spells (`benchmark/src/kernels.rs:378`).
 #[derive(Clone)]
 struct SpanBuf {
-    /// Soft cap on recorded events: once reached, *new* flow/packet spans
-    /// are refused (counted in `skipped`) but edges of already-admitted
-    /// spans always append, so every begin keeps its end.
+    /// Soft cap on recorded edges (a begin, or an end naming a span):
+    /// once reached, *new* flow/packet spans are refused (counted in
+    /// `skipped`) but already-admitted spans still end.
     capacity: usize,
     sample_every: u64,
     sample_phase: u64,
-    next_span: Cell<u64>,
-    started: Cell<u64>,
+    edges: Cell<usize>,
     skipped: Cell<u64>,
-    events: RefCell<Vec<SpanEvent>>,
+    /// The first misuse of the recording calls, which [`Spans::table`]
+    /// reports.
+    misuse: Cell<Option<WellFormedError>>,
+    /// Row `s` is span `s`: `span_begin` pushes it, `span_end` writes its
+    /// end. Row 0 is [`SpanRow::ROOT`].
+    rows: RefCell<Vec<SpanRow>>,
+}
+
+impl SpanBuf {
+    fn misused(&self, e: WellFormedError) {
+        if self.misuse.get().is_none() {
+            self.misuse.set(Some(e));
+        }
+    }
 }
 
 /// The span stream, owned by value: a clone is an independent copy.
@@ -147,7 +127,7 @@ impl Spans {
 
     /// A recording stream sampling every `sample_every`-th flow id (with a
     /// seed-derived phase) into a buffer admitting new spans while fewer
-    /// than `capacity` events are held. `sample_every == 0` disables
+    /// than `capacity` edges are recorded. `sample_every == 0` disables
     /// recording entirely (returns a detached stream).
     pub fn bounded(sample_every: u64, seed: u64, capacity: usize) -> Spans {
         if sample_every == 0 {
@@ -157,10 +137,10 @@ impl Spans {
             capacity,
             sample_every,
             sample_phase: seed % sample_every,
-            next_span: Cell::new(1),
-            started: Cell::new(0),
+            edges: Cell::new(0),
             skipped: Cell::new(0),
-            events: RefCell::new(Vec::new()),
+            misuse: Cell::new(None),
+            rows: RefCell::new(vec![SpanRow::ROOT]),
         })))
     }
 
@@ -184,7 +164,7 @@ impl Spans {
     pub fn admit(&self) -> bool {
         match &self.0 {
             Some(b) => {
-                if b.events.borrow().len() < b.capacity {
+                if b.edges.get() < b.capacity {
                     true
                 } else {
                     b.skipped.set(b.skipped.get() + 1);
@@ -195,7 +175,8 @@ impl Spans {
         }
     }
 
-    /// Open a span; returns its id (0 when detached).
+    /// Open a span; returns its id (0 when detached). `parent` must be 0
+    /// or an earlier span.
     #[inline]
     pub fn span_begin(
         &self,
@@ -207,40 +188,34 @@ impl Spans {
         arg: u64,
     ) -> u64 {
         let Some(b) = &self.0 else { return 0 };
-        let span = b.next_span.get();
-        b.next_span.set(span + 1);
-        b.started.set(b.started.get() + 1);
-        b.events.borrow_mut().push(SpanEvent {
-            at,
-            span,
-            parent,
-            flow,
-            packet,
-            stage,
-            phase: SpanPhase::Begin,
-            arg,
-        });
+        let mut rows = b.rows.borrow_mut();
+        let span = rows.len() as u64;
+        if parent >= span {
+            b.misused(WellFormedError::UnknownParent { span, parent });
+        }
+        b.edges.set(b.edges.get() + 1);
+        rows.push(SpanRow { begin: at, parent, flow, packet, arg, stage, ..SpanRow::ROOT });
         span
     }
 
-    /// Close span `span` at `at`. `stage` must repeat the begin's stage
-    /// (`tests/obs.rs::recorded_stream_is_well_formed` checks the stream).
+    /// Close span `span` at `at` (span 0, a detached begin's id, is
+    /// ignored). `_stage` names the begin's stage at the call site; the
+    /// row keeps the begin's.
     #[inline]
-    pub fn span_end(&self, at: SimTime, span: u64, stage: Stage) {
+    pub fn span_end(&self, at: SimTime, span: u64, _stage: Stage) {
         let Some(b) = &self.0 else { return };
         if span == 0 {
             return;
         }
-        b.events.borrow_mut().push(SpanEvent {
-            at,
-            span,
-            parent: 0,
-            flow: 0,
-            packet: 0,
-            stage,
-            phase: SpanPhase::End,
-            arg: 0,
-        });
+        b.edges.set(b.edges.get() + 1);
+        match b.rows.borrow_mut().get_mut(to_usize(span)) {
+            Some(r) if r.ended => b.misused(WellFormedError::DuplicateEnd(span)),
+            Some(r) => {
+                r.end = at;
+                r.ended = true;
+            }
+            None => b.misused(WellFormedError::EndWithoutBegin(span)),
+        }
     }
 
     /// Record an instantaneous annotation span (begin and end at `at`).
@@ -257,9 +232,9 @@ impl Spans {
         self.span_end(at, s, stage);
     }
 
-    /// Recorded event count.
+    /// Recorded edge count: two per ended span, one per open one.
     pub fn len(&self) -> usize {
-        self.0.as_ref().map_or(0, |b| b.events.borrow().len())
+        self.0.as_ref().map_or(0, |b| b.edges.get())
     }
 
     /// Whether nothing has been recorded.
@@ -269,7 +244,7 @@ impl Spans {
 
     /// Root spans admitted so far (flow + packet + annotation spans).
     pub fn started(&self) -> u64 {
-        self.0.as_ref().map_or(0, |b| b.started.get())
+        self.0.as_ref().map_or(0, |b| b.rows.borrow().len() as u64 - 1)
     }
 
     /// Root spans refused because the buffer was at capacity.
@@ -277,24 +252,14 @@ impl Spans {
         self.0.as_ref().map_or(0, |b| b.skipped.get())
     }
 
-    /// A well-formed copy of the stream: every `Begin` is guaranteed an
-    /// `End`. Spans still open get one synthesized at
-    /// `max(begin, now, latest descendant end)`, and parent ends are
-    /// extended to cover late children (a retransmitted packet can land
-    /// after its flow completed), so exports and tree builders can rely
-    /// on strict nesting. Deterministic: output depends only on the
-    /// recorded stream and `now`.
-    pub fn finalized_events(&self, now: SimTime) -> Vec<SpanEvent> {
-        let Some(b) = &self.0 else { return Vec::new() };
-        finalize(&b.events.borrow(), now)
-    }
-
-    /// The span table of [`Spans::finalized_events`], built in place from
-    /// the recorded edges: what every export renders. Empty when detached.
+    /// The recorded rows settled at `now` (see [`SpanTable`]): what every
+    /// export renders. Empty when detached; the first misuse of the
+    /// recording calls when there was one.
     pub fn table(&self, now: SimTime) -> Result<SpanTable, WellFormedError> {
-        match &self.0 {
-            Some(b) => SpanTable::finalized(&b.events.borrow(), now),
-            None => SpanTable::finalized(&[], now),
+        let Some(b) = &self.0 else { return Ok(SpanTable::default()) };
+        match b.misuse.get() {
+            Some(e) => Err(e),
+            None => Ok(SpanTable::settled(b.rows.borrow().clone(), now)),
         }
     }
 

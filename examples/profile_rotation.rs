@@ -18,7 +18,7 @@
 //! JSON (`net.export_spans_chrome_trace()`) and load the file in Perfetto
 //! or `chrome://tracing`.
 
-use openoptics::obs::{build_forest, SpanNode, Stage};
+use openoptics::obs::{SpanTable, Stage};
 use openoptics::prelude::*;
 
 fn main() {
@@ -64,10 +64,9 @@ fn main() {
     println!("{}", net.profiler_report().expect("telemetry on by default"));
 
     // 2. Stage totals across every sampled packet, top 5 by sim-time.
-    let events = net.span_events();
-    let forest = build_forest(&events).expect("recorded stream is well-formed");
+    let table = net.span_table().expect("span recording is on");
     let mut totals: Vec<(Stage, u64, usize)> = Vec::new();
-    for n in &forest {
+    for (_, n) in table.spans() {
         if matches!(n.stage, Stage::Flow | Stage::Packet) {
             continue;
         }
@@ -86,27 +85,24 @@ fn main() {
     }
 
     // 3. The slowest packet's lifecycle, as a causal tree.
-    let slowest = forest
-        .iter()
-        .enumerate()
+    let slowest = table
+        .spans()
         .filter(|(_, n)| n.stage == Stage::Packet)
-        .max_by_key(|(i, n)| (n.duration_ns(), usize::MAX - i))
-        .map(|(i, _)| i);
-    if let Some(i) = slowest {
-        let p = &forest[i];
+        .max_by_key(|(id, n)| (n.duration_ns(), u64::MAX - id));
+    if let Some((id, p)) = slowest {
         println!(
             "\nslowest packet: flow {} packet {} — {:.2} us end to end",
             p.flow,
             p.packet,
             p.duration_ns() as f64 / 1e3
         );
-        print_tree(&forest, i, 1);
+        print_tree(&table, id, 1);
     }
 }
 
 /// Print one span and its children, indented by tree depth.
-fn print_tree(forest: &[SpanNode], node: usize, depth: usize) {
-    let n = &forest[node];
+fn print_tree(table: &SpanTable, id: u64, depth: usize) {
+    let Some(n) = table.span(id) else { return };
     println!(
         "{:indent$}{} [{} .. {}] {:.2} us",
         "",
@@ -116,7 +112,7 @@ fn print_tree(forest: &[SpanNode], node: usize, depth: usize) {
         n.duration_ns() as f64 / 1e3,
         indent = depth * 2
     );
-    for &c in &n.children {
-        print_tree(forest, c, depth + 1);
+    for (child, _) in table.spans().filter(|(_, c)| c.parent == id) {
+        print_tree(table, child, depth + 1);
     }
 }

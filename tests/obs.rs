@@ -5,11 +5,10 @@
 //! sum to its end-to-end latency).
 
 use openoptics::core::{Error, NetConfig, OpenOpticsNet, TransportKind};
-use openoptics::obs::{build_forest, Spans, Stage};
+use openoptics::obs::{SpanTable, Spans, Stage};
 use openoptics::proto::HostId;
 use openoptics::routing::algos::Vlb;
 use openoptics::routing::{LookupMode, MultipathMode};
-use openoptics::sim::cast::to_usize;
 use openoptics::sim::time::SimTime;
 use openoptics::topo::round_robin;
 use openoptics_bench as bench;
@@ -48,26 +47,35 @@ fn run_one(cfg: NetConfig) -> OpenOpticsNet {
     net
 }
 
+/// The sum of packet span `id`'s stage durations (annotations left out)
+/// and the packet span's own duration: equal for a delivered packet.
+fn stage_sum_vs_span(table: &SpanTable, id: u64) -> (u64, u64) {
+    let stages = table.spans().filter(|(_, r)| r.parent == id);
+    let tiles = stages
+        .filter(|(_, r)| !matches!(r.stage, Stage::Retransmit | Stage::FaultDrop | Stage::Drop));
+    let sum = tiles.map(|(_, r)| r.duration_ns()).sum();
+    (sum, table.span(id).map_or(0, |r| r.duration_ns()))
+}
+
 #[test]
 fn recorded_stream_is_well_formed() {
-    // A real simulation's finalized span stream must reconstruct into a
-    // forest: unique begin/end per span, parents recorded before children,
-    // every parent covering its children.
+    // A real simulation's settled span table is a forest: parents recorded
+    // before children, every parent covering its children.
     let net = run_one(cfg(1));
-    let events = net.span_events();
-    assert!(!events.is_empty(), "sampling every flow must record spans");
-    let forest = build_forest(&events).expect("stream well-formed");
+    let table = net.span_table().expect("span recording is on and well-formed");
+    assert!(table.spans().next().is_some(), "sampling every flow must record spans");
     // Roots are flow spans; every packet span sits under a flow.
-    for (i, n) in forest.iter().enumerate() {
-        if n.parent == 0 {
-            assert_eq!(n.stage, Stage::Flow, "root span {i} is not a flow: {:?}", n.stage);
+    for (id, r) in table.spans() {
+        if r.parent == 0 {
+            assert_eq!(r.stage, Stage::Flow, "root span {id} is not a flow: {:?}", r.stage);
+            continue;
         }
-        if n.stage == Stage::Packet {
-            assert_eq!(forest[to_usize(n.parent) - 1].stage, Stage::Flow);
+        let parent = table.span(r.parent).expect("a parent is an earlier span");
+        assert!(r.parent < id);
+        if r.stage == Stage::Packet {
+            assert_eq!(parent.stage, Stage::Flow);
         }
-        for &c in &n.children {
-            assert!(forest[c].begin >= n.begin && forest[c].end <= n.end);
-        }
+        assert!(r.begin >= parent.begin && r.end <= parent.end);
     }
 }
 
@@ -112,7 +120,7 @@ fn disabled_spans_record_nothing_and_exports_error() {
     // span_sample_every = 0 (the default): no samples, no memory, and the
     // export surface reports Disabled instead of an empty file.
     let net = run_one(cfg(0));
-    assert!(net.span_events().is_empty());
+    assert!(matches!(net.span_table(), Err(Error::Obs(_))));
     assert!(matches!(net.export_spans_chrome_trace(), Err(Error::Obs(_))));
     assert!(matches!(net.export_span_report(), Err(Error::Obs(_))));
     // A detached handle is inert no matter what is thrown at it.
@@ -120,7 +128,8 @@ fn disabled_spans_record_nothing_and_exports_error() {
     let id = s.span_begin(SimTime::from_ns(5), 0, 1, 1, Stage::Packet, 0);
     s.span_end(SimTime::from_ns(9), id, Stage::Packet);
     assert!(!s.is_on());
-    assert!(s.finalized_events(SimTime::from_ns(10)).is_empty());
+    assert!(s.is_empty());
+    assert!(s.table(SimTime::from_ns(10)).unwrap().spans().next().is_none());
 }
 
 proptest! {
@@ -152,15 +161,14 @@ proptest! {
             );
         }
         net.run_for(SimTime::from_ms(5));
-        let events = net.span_events();
-        let forest = build_forest(&events).expect("stream well-formed");
+        let table = net.span_table().expect("span recording is on and well-formed");
         let mut delivered = 0usize;
-        for i in 0..forest.len() {
-            let n = &forest[i];
+        for (id, n) in table.spans() {
             if n.stage != Stage::Packet {
                 continue;
             }
-            let kids: Vec<Stage> = n.children.iter().map(|&ch| forest[ch].stage).collect();
+            let kids: Vec<Stage> =
+                table.spans().filter(|(_, c)| c.parent == id).map(|(_, c)| c.stage).collect();
             // Only packets that completed delivery tile exactly; dropped
             // packets end at the drop point with their last stage open.
             if !kids.contains(&Stage::TcpDelivery)
@@ -169,12 +177,11 @@ proptest! {
                 continue;
             }
             delivered += 1;
-            let (sum, e2e) = openoptics::obs::stage_sum_vs_span(&forest, i)
-                .expect("packet node");
+            let (sum, e2e) = stage_sum_vs_span(&table, id);
             prop_assert_eq!(
                 sum, e2e,
                 "packet span {} [{} .. {}]: stage sum {} != end-to-end {}",
-                n.span, n.begin.as_ns(), n.end.as_ns(), sum, e2e
+                id, n.begin.as_ns(), n.end.as_ns(), sum, e2e
             );
         }
         prop_assert!(delivered > 0, "workload must deliver at least one sampled packet");
