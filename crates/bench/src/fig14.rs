@@ -12,6 +12,7 @@
 //! with a heavy tail.
 
 use crate::util::Table;
+use openoptics_sim::nearest_rank;
 use openoptics_sim::rng::SimRng;
 
 /// Per-stack RTT stability summary (values in µs).
@@ -60,15 +61,15 @@ fn measure(stack: &'static str, n: usize, seed: u64) -> Fig14Row {
         arrivals.push(send + rtt);
     }
     rtts.sort_unstable();
-    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
-    let pct = |v: &[u64], q: f64| v[((q / 100.0 * v.len() as f64) as usize).min(v.len() - 1)];
-    let p50 = pct(&rtts, 50.0) as f64 / 1e3;
-    let band95 = (pct(&rtts, 97.5) - pct(&rtts, 2.5)) as f64 / 1e3;
+    // The `numer / denom` quantile.
+    let pct = |v: &[u64], numer, denom| v[nearest_rank(v.len(), numer, denom) - 1];
+    let p50 = pct(&rtts, 1, 2) as f64 / 1e3;
+    let band95 = (pct(&rtts, 39, 40) - pct(&rtts, 1, 40)) as f64 / 1e3;
     // Spacing deviation: difference of consecutive arrivals vs the cadence.
     let mut devs: Vec<u64> =
         arrivals.windows(2).map(|w| (w[1] - w[0]).abs_diff(interval)).collect();
     devs.sort_unstable();
-    let dev95 = pct(&devs, 95.0) as f64 / 1e3;
+    let dev95 = pct(&devs, 19, 20) as f64 / 1e3;
     Fig14Row { stack, p50_us: p50, band95_us: band95, spacing_dev95_us: dev95 }
 }
 

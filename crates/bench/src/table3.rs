@@ -13,6 +13,7 @@ use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
 use openoptics_proto::NodeId;
 use openoptics_routing::algos::{Hoho, Ucmp, Vlb};
 use openoptics_routing::{LookupMode, MultipathMode, RoutingAlgorithm};
+use openoptics_sim::nearest_rank;
 use openoptics_sim::time::SimTime;
 use openoptics_workload::{PoissonArrivals, Trace};
 
@@ -85,8 +86,7 @@ fn measure(routing: &'static str, offload: bool, trace: Trace, ms: u64) -> Table
         samples.push(total);
     }
     samples.sort_unstable();
-    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
-    let p999 = samples[((samples.len() as f64 * 0.999) as usize).min(samples.len() - 1)];
+    let p999 = samples[nearest_rank(samples.len(), 999, 1_000) - 1];
     let peak: u64 =
         (0..NODES).map(|n| net.engine.tor(NodeId(n)).peak_buffer_bytes).max().unwrap_or(0);
     let off_peak: u64 = (0..NODES)

@@ -13,6 +13,7 @@ use crate::util::{testbed, Table};
 use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
 use openoptics_routing::algos::Hoho;
 use openoptics_routing::{LookupMode, MultipathMode};
+use openoptics_sim::nearest_rank;
 use openoptics_sim::time::SimTime;
 use openoptics_workload::{PoissonArrivals, Trace};
 
@@ -99,11 +100,9 @@ fn measure(
     } else {
         delays.iter().sum::<u64>() as f64 / delays.len() as f64 / 1e3
     };
-    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
-    let p95 = if delays.is_empty() {
-        0.0
-    } else {
-        delays[((delays.len() as f64 * 0.95) as usize).min(delays.len() - 1)] as f64 / 1e3
+    let p95 = match nearest_rank(delays.len(), 95, 100) {
+        0 => 0.0,
+        rank => delays[rank - 1] as f64 / 1e3,
     };
     Table4Row {
         config,

@@ -5,6 +5,7 @@
 //! stepped increases corresponding to additional routing hops. This module
 //! collects the samples and computes the distribution statistics.
 
+use openoptics_sim::nearest_rank;
 use openoptics_sim::time::SimTime;
 
 /// RTT sample collector for a probe train.
@@ -41,18 +42,14 @@ impl ProbeStats {
         self.samples_ns.is_empty()
     }
 
-    /// RTT percentile in ns (p in [0, 100]).
-    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
+    /// Nearest-rank RTT percentile in ns (p in [0, 100], to a thousandth):
+    /// the smallest sample with at least p% of the mass at or below it.
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the rank is clamped")]
     pub fn percentile_ns(&self, p: f64) -> Option<u64> {
-        if self.samples_ns.is_empty() {
-            return None;
-        }
         let mut v = self.samples_ns.clone();
         v.sort_unstable();
-        // Nearest-rank: the smallest sample with at least p% of the mass at
-        // or below it.
-        let idx = ((p / 100.0 * v.len() as f64).ceil() as usize).saturating_sub(1);
-        Some(v[idx.min(v.len() - 1)])
+        let rank = nearest_rank(v.len(), (p * 1_000.0).round() as u64, 100_000);
+        rank.checked_sub(1).map(|i| v[i])
     }
 
     /// Mean RTT, ns.

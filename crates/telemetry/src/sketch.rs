@@ -18,6 +18,7 @@
 //! relative error. No floats are involved anywhere.
 
 use openoptics_sim::cast::to_usize;
+use openoptics_sim::nearest_rank;
 
 /// Values below this are counted in exact width-1 buckets.
 const LINEAR_MAX: u64 = 16;
@@ -119,11 +120,7 @@ impl QuantileSketch {
         if self.count == 0 || denom == 0 {
             return 0;
         }
-        // Nearest rank: ceil(count * numer / denom), clamped to [1, count].
-        #[expect(clippy::cast_possible_truncation, reason = "clamped to count, a u64")]
-        let rank = (self.count as u128 * numer as u128)
-            .div_ceil(denom as u128)
-            .clamp(1, self.count as u128) as u64;
+        let rank = nearest_rank(to_usize(self.count), numer, denom) as u64;
         let mut cum = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             cum += c;

@@ -6,6 +6,7 @@
 
 use openoptics_proto::FlowId;
 use openoptics_sim::hash::FxHashMap;
+use openoptics_sim::nearest_rank;
 use openoptics_sim::time::SimTime;
 
 /// Mice/elephant size split, bytes.
@@ -94,14 +95,12 @@ impl FctStats {
         self.fcts_in_range(ELEPHANT_MIN_BYTES, u64::MAX)
     }
 
-    /// Nearest-rank percentile of a sorted sample vector.
-    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
+    /// Nearest-rank percentile of a sorted sample vector, `p` in percent
+    /// to a thousandth ([`nearest_rank`]).
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the rank is clamped")]
     pub fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
-        if sorted.is_empty() {
-            return None;
-        }
-        let idx = ((p / 100.0 * sorted.len() as f64).ceil() as usize).saturating_sub(1);
-        Some(sorted[idx.min(sorted.len() - 1)])
+        let rank = nearest_rank(sorted.len(), (p * 1_000.0).round() as u64, 100_000);
+        rank.checked_sub(1).map(|i| sorted[i])
     }
 
     /// Mean of a sample vector, ns.
@@ -114,16 +113,14 @@ impl FctStats {
 
     /// CDF points `(fct_ns, cumulative fraction)` at `resolution` evenly
     /// spaced fractions — the series Figs. 8/10 plot.
-    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; the index is clamped")]
     pub fn cdf(sorted: &[u64], resolution: usize) -> Vec<(u64, f64)> {
         if sorted.is_empty() {
             return vec![];
         }
         (1..=resolution)
             .map(|i| {
-                let f = i as f64 / resolution as f64;
-                let idx = ((f * sorted.len() as f64).ceil() as usize).saturating_sub(1);
-                (sorted[idx.min(sorted.len() - 1)], f)
+                let rank = nearest_rank(sorted.len(), i as u64, resolution as u64);
+                (sorted[rank - 1], i as f64 / resolution as f64)
             })
             .collect()
     }
@@ -173,6 +170,8 @@ mod tests {
         assert_eq!(FctStats::percentile(&v, 50.0), Some(50));
         assert_eq!(FctStats::percentile(&v, 99.0), Some(99));
         assert_eq!(FctStats::percentile(&v, 99.9), Some(100));
+        let thousand: Vec<u64> = (1..=1_000).collect();
+        assert_eq!(FctStats::percentile(&thousand, 99.9), Some(999));
         assert_eq!(FctStats::percentile(&v, 100.0), Some(100));
         assert_eq!(FctStats::percentile(&[], 50.0), None);
     }
