@@ -13,13 +13,13 @@
 //!    slice; recall too early and the switch buffers refill.
 
 use crate::par;
-use crate::util::{testbed, Table};
-use openoptics_core::{Architecture, NetConfig, OpenOpticsNet, TransportKind};
+use crate::util::{attach_poisson, testbed, Table};
+use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
 use openoptics_proto::{HostId, NodeId};
 use openoptics_routing::algos::Hoho;
 use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::time::SimTime;
-use openoptics_workload::{PoissonArrivals, Trace};
+use openoptics_workload::Trace;
 
 /// One guardband-sweep point.
 #[derive(Clone, Debug)]
@@ -102,7 +102,7 @@ pub fn defer_sweep(ms: u64) -> Vec<DeferRow> {
             .expect("rotornet deploys");
             net.engine.record_delays = true;
             net.engine.watchdog_retransmit = false;
-            attach_trace(&mut net, Trace::Rpc, 0.35, ms);
+            attach_poisson(&mut net, Trace::Rpc, 0.35, SimTime::from_ms(ms), 5);
             net.run_for(SimTime::from_ms(ms));
             let c = net.engine.counters;
             let lost = c.switch_drops + c.fabric_drops + c.no_route_drops + c.link_drops;
@@ -156,7 +156,7 @@ pub fn eqo_sweep(ms: u64) -> Vec<EqoRow> {
             )
             .expect("rotornet deploys");
             net.engine.watchdog_retransmit = false;
-            attach_trace(&mut net, Trace::KvStore, 0.3, ms);
+            attach_poisson(&mut net, Trace::KvStore, 0.3, SimTime::from_ms(ms), 5);
             net.run_for(SimTime::from_ms(ms));
             let c = net.engine.counters;
             let lost = c.switch_drops + c.fabric_drops + c.no_route_drops + c.link_drops;
@@ -229,15 +229,6 @@ pub fn offload_lead_sweep() -> Vec<LeadRow> {
             }
         }
     })
-}
-
-fn attach_trace(net: &mut OpenOpticsNet, trace: Trace, load: f64, ms: u64) {
-    let cfg: &NetConfig = &net.engine.cfg;
-    let hosts = (0..cfg.total_hosts()).map(HostId).collect();
-    let mut gen = PoissonArrivals::new(hosts, trace.dist(), cfg.host_link_bandwidth(), load, 5);
-    for f in gen.take_until(SimTime::from_ms(ms)) {
-        net.add_flow(f.at, f.src, f.dst, f.bytes.min(2_000_000), TransportKind::Paced);
-    }
 }
 
 /// Render all four ablations.

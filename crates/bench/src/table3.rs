@@ -8,14 +8,14 @@
 //! offloading cuts the switch-resident share by an order of magnitude.
 
 use crate::par;
-use crate::util::{testbed, Table};
-use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
+use crate::util::{attach_poisson, testbed, Table};
+use openoptics_core::{Architecture, OpenOpticsNet};
 use openoptics_proto::NodeId;
 use openoptics_routing::algos::{Hoho, Ucmp, Vlb};
 use openoptics_routing::{LookupMode, MultipathMode, RoutingAlgorithm};
 use openoptics_sim::nearest_rank;
 use openoptics_sim::time::SimTime;
-use openoptics_workload::{PoissonArrivals, Trace};
+use openoptics_workload::Trace;
 
 /// ToR count for the load benchmark (a reduced stand-in for the 108-ToR
 /// setup; see EXPERIMENTS.md).
@@ -57,25 +57,13 @@ fn build(routing: &'static str, offload: bool) -> OpenOpticsNet {
         .expect("rotornet deploys")
 }
 
-fn attach_load(net: &mut OpenOpticsNet, trace: Trace, load: f64, horizon: SimTime, seed: u64) {
-    let hosts = (0..net.engine.cfg.total_hosts()).map(openoptics_proto::HostId).collect();
-    let mut gen =
-        PoissonArrivals::new(hosts, trace.dist(), net.engine.cfg.host_link_bandwidth(), load, seed);
-    for f in gen.take_until(horizon) {
-        // Cap single flows at 2 MB so one straggler doesn't dominate the
-        // short window (documented substitution; the distribution body is
-        // preserved).
-        net.add_flow(f.at, f.src, f.dst, f.bytes.min(2_000_000), TransportKind::Paced);
-    }
-}
-
 fn measure(routing: &'static str, offload: bool, trace: Trace, ms: u64) -> Table3Row {
     let algo_key = routing.split('+').next().expect("non-empty routing key");
     let mut net = build(algo_key, offload);
     // The paper's "40% core link utilization" is fabric-side; VLB doubles
     // every byte (two hops), so host injection of 20% yields 40% core for
     // VLB and less for the single-ish-hop schemes.
-    attach_load(&mut net, trace, 0.2, SimTime::from_ms(ms), 3);
+    attach_poisson(&mut net, trace, 0.2, SimTime::from_ms(ms), 3);
     // Run in slice-sized steps and sample the observed ToR's buffer.
     let mut samples = vec![];
     let steps = ms * 1_000_000 / SLICE_NS;

@@ -9,13 +9,13 @@
 //! throughput cost (senders are held back).
 
 use crate::par;
-use crate::util::{testbed, Table};
-use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
+use crate::util::{attach_poisson, testbed, Table};
+use openoptics_core::{Architecture, OpenOpticsNet};
 use openoptics_routing::algos::Hoho;
 use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::nearest_rank;
 use openoptics_sim::time::SimTime;
-use openoptics_workload::{PoissonArrivals, Trace};
+use openoptics_workload::Trace;
 
 const NODES: u32 = 12;
 const SLICE_NS: u64 = 300_000;
@@ -70,22 +70,11 @@ fn measure(
     ms: u64,
 ) -> Table4Row {
     let mut net = build(detection, pushback);
-    let hosts = (0..NODES).map(openoptics_proto::HostId).collect();
-    let mut gen = PoissonArrivals::new(
-        hosts,
-        trace.dist(),
-        net.engine.cfg.host_link_bandwidth(),
-        // The stress point: the paper drives 70% core utilization on a
-        // 6-uplink fabric; this reduced single-uplink stand-in saturates
-        // earlier (HOHO's deferrals inflate hop counts), so the equivalent
-        // stress lands at ~50% host injection (~70% core). See
-        // EXPERIMENTS.md.
-        0.42,
-        4,
-    );
-    for f in gen.take_until(SimTime::from_ms(ms)) {
-        net.add_flow(f.at, f.src, f.dst, f.bytes.min(2_000_000), TransportKind::Paced);
-    }
+    // The stress point: the paper drives 70% core utilization on a
+    // 6-uplink fabric; this reduced single-uplink stand-in saturates
+    // earlier (HOHO's deferrals inflate hop counts), so the equivalent
+    // stress lands at ~50% host injection (~70% core). See EXPERIMENTS.md.
+    attach_poisson(&mut net, trace, 0.42, SimTime::from_ms(ms), 4);
     net.run_for(SimTime::from_ms(ms));
     par::note_net(&net);
     let c = net.engine.counters;

@@ -1,11 +1,11 @@
 //! Shared experiment plumbing: testbed configurations, workload
 //! attachment, and result formatting.
 
-use openoptics_core::{NetConfig, OpenOpticsNet};
+use openoptics_core::{NetConfig, OpenOpticsNet, TransportKind};
 use openoptics_proto::{HostId, NodeId};
 use openoptics_sim::time::SimTime;
 use openoptics_topo::TrafficMatrix;
-use openoptics_workload::FctStats;
+use openoptics_workload::{FctStats, PoissonArrivals, Trace};
 
 /// The 8-ToR testbed of Fig. 7 (one host per ToR, 100 Gbps links),
 /// parameterized by slice duration and uplink count.
@@ -55,6 +55,25 @@ pub fn attach_memcached(net: &mut OpenOpticsNet, stop: SimTime) {
     let n = net.engine.cfg.total_hosts();
     let clients: Vec<HostId> = (1..n).map(HostId).collect();
     net.add_memcached(MemcachedParams::paper(), HostId(0), clients, stop);
+}
+
+/// Attach Poisson flow arrivals over all hosts, sized by `trace`, at
+/// `load` of the host link until `horizon`. Single flows are capped at
+/// 2 MB so one straggler doesn't dominate a short window (documented
+/// substitution; the distribution body is preserved).
+pub fn attach_poisson(
+    net: &mut OpenOpticsNet,
+    trace: Trace,
+    load: f64,
+    horizon: SimTime,
+    seed: u64,
+) {
+    let cfg = &net.engine.cfg;
+    let hosts = (0..cfg.total_hosts()).map(HostId).collect();
+    let mut gen = PoissonArrivals::new(hosts, trace.dist(), cfg.host_link_bandwidth(), load, seed);
+    for f in gen.take_until(horizon) {
+        net.add_flow(f.at, f.src, f.dst, f.bytes.min(2_000_000), TransportKind::Paced);
+    }
 }
 
 /// Mice FCT percentiles in microseconds: `(p50, p90, p99, samples)`.
