@@ -14,9 +14,6 @@ use openoptics_sim::time::SliceConfig;
 /// The static configuration file contents.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Endpoint node type: `"rack"` (ToR-centric) or `"host"`
-    /// (host-centric; modeled identically with one host per node).
-    pub node: String,
     /// Number of endpoint nodes attached to the optical fabric.
     pub node_num: u32,
     /// Optical uplinks per endpoint node.
@@ -83,10 +80,6 @@ pub struct NetConfig {
     /// stream record. `false` leaves every instrument detached (zero-cost
     /// disabled mode: hot paths see a single `Option` branch).
     pub telemetry: bool,
-    /// Trace-event buffer capacity (records kept; later events are counted
-    /// but dropped so exports stay deterministic). 0 disables tracing while
-    /// keeping metrics on.
-    pub trace_capacity: u64,
     /// Lifecycle-span sampling stride: record causal begin/end spans for
     /// every Nth flow (flows whose id is congruent to `seed % N`). 0
     /// disables span recording entirely (the default — spans never touch
@@ -110,7 +103,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            node: "rack".to_string(),
             node_num: 8,
             uplink: 1,
             hosts_per_node: 1,
@@ -138,7 +130,6 @@ impl Default for NetConfig {
             eqo_ground_truth: false,
             elephant_threshold: 1_000_000,
             telemetry: true,
-            trace_capacity: 4_096,
             span_sample_every: 0,
             sample_every_ns: 0,
             workers: 1,
@@ -152,7 +143,6 @@ impl Default for NetConfig {
 /// written, or the compiler complains about the struct literal).
 macro_rules! for_each_config_field {
     ($m:ident) => {
-        $m!(str node);
         $m!(u32 node_num);
         $m!(u16 uplink);
         $m!(u32 hosts_per_node);
@@ -180,7 +170,6 @@ macro_rules! for_each_config_field {
         $m!(bool eqo_ground_truth);
         $m!(u64 elephant_threshold);
         $m!(bool telemetry);
-        $m!(u64 trace_capacity);
         $m!(u64 span_sample_every);
         $m!(u64 sample_every_ns);
         $m!(usize workers);
@@ -259,10 +248,6 @@ impl NetConfig {
     /// Range-check the configuration ([`NetConfig::builder`] calls this;
     /// hand-built or JSON-loaded configurations may call it directly).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        match self.node.as_str() {
-            "rack" | "host" => {}
-            other => return Err(err("node", format!("{other:?} is not \"rack\" or \"host\""))),
-        }
         if self.node_num == 0 {
             return Err(err("node_num", "a network needs at least one node"));
         }
@@ -415,7 +400,6 @@ mod tests {
         let c =
             NetConfig::from_json(r#"{"node":"host","node_num":128,"uplink":2,"slice_ns":2000}"#)
                 .expect("literal is a valid partial config");
-        assert_eq!(c.node, "host");
         assert_eq!(c.node_num, 128);
         assert_eq!(c.uplink, 2);
         assert_eq!(c.slice_ns, 2_000);

@@ -28,7 +28,7 @@ use openoptics_proto::packet::{PacketKind, HEADER_BYTES};
 use openoptics_proto::{FlowId, HostId, NodeId, Packet, PacketStore, PktRef, PortId, PushBack};
 use openoptics_routing::{compile, LookupMode, MultipathMode, Path, RoutingAlgorithm};
 use openoptics_sim::bytequeue::ByteQueue;
-use openoptics_sim::cast::{idx_u32, to_u32, to_u8, to_usize};
+use openoptics_sim::cast::{idx_u32, to_u32, to_u8};
 use openoptics_sim::rate::Bandwidth;
 use openoptics_sim::time::{SimTime, SliceConfig};
 use openoptics_sim::{EventQueue, SimRng, World};
@@ -58,9 +58,11 @@ const WATCHDOG_NS: u64 = 10_000_000;
 const ELECTRICAL_CORE_NS: u64 = 3_000;
 /// vma segment-queue capacity per destination (the socket buffer), bytes.
 const SEGMENT_QUEUE_BYTES: u64 = 4 * 1024 * 1024;
-/// Span events kept. When full, *new* lifecycle trees are skipped (and
-/// counted) but already-open spans still complete, so the recorded stream
-/// stays well-formed.
+/// Trace records kept (first-N); later ones are counted but dropped, so
+/// exports stay deterministic.
+pub const TRACE_CAPACITY: usize = 4_096;
+/// Span edges (a begin, or an end) kept. When full, *new* lifecycle trees
+/// are skipped (and counted) but already-open spans still end.
 const SPAN_CAPACITY: usize = 65_536;
 /// Sample rows kept by the time-series store (keep-first, like the trace).
 const SAMPLE_CAPACITY: usize = 65_536;
@@ -696,7 +698,7 @@ impl Engine {
         } else {
             ClockSync::uniform(n, cfg.sync_err_ns, &mut rng)
         };
-        let telemetry = Registry::new(cfg.telemetry, to_usize(cfg.trace_capacity));
+        let telemetry = Registry::new(cfg.telemetry, TRACE_CAPACITY);
         let hosts: Vec<HostState> = (0..cfg.total_hosts())
             .map(|h| HostState {
                 tor: NodeId(h / cfg.hosts_per_node),

@@ -522,7 +522,8 @@ impl OpenOpticsNet {
     }
 
     /// The trace-event stream captured so far, one JSON object per line
-    /// (first `trace_capacity` events; later ones are counted as dropped).
+    /// (first [`crate::engine::TRACE_CAPACITY`] events; later ones are
+    /// counted as dropped).
     pub fn export_trace(&self) -> Result<String, Error> {
         to_text(|t| self.write_trace(t))
     }

@@ -12,10 +12,10 @@
 use openoptics::prelude::*;
 
 /// Scale-up (intra-rack) config: GPU hosts as endpoint nodes on a fast TO
-/// rotor — `{"node":"host", ...}` in the paper's JSON.
+/// rotor (the paper's JSON says `"node": "host"`; every endpoint node is
+/// modeled the same way, one host per node).
 fn rack_conf() -> NetConfig {
     NetConfig::builder()
-        .node("host")
         .node_num(8) // 8 GPUs per rack
         .uplink(2)
         .slice_ns(5_000) // fast scale-up slices
@@ -28,7 +28,6 @@ fn rack_conf() -> NetConfig {
 /// Scale-out (inter-rack) config: racks as endpoint nodes on a TA mesh.
 fn core_conf() -> NetConfig {
     NetConfig::builder()
-        .node("rack")
         .node_num(4) // 4 racks
         .uplink(2)
         .slice_ns(1_000_000)

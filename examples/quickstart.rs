@@ -15,7 +15,6 @@ fn main() {
     // default; JSON strings work too: `NetConfig::from_json(r#"{...}"#)`.
     let cfg = NetConfig::from_json(
         r#"{
-            "node": "rack",
             "node_num": 8,
             "uplink": 1,
             "hosts_per_node": 1,
