@@ -1,9 +1,9 @@
 //! Lifecycle cursors: where each sampled flow and in-flight packet
 //! currently is in the span tree.
 //!
-//! [`Spans`] is the append-only stream; [`SpanCursors`] is the bookkeeping
-//! that turns "packet 17 just left the calendar queue" into the right
-//! begin/end edges on it — the flow's root span, each packet's root span
+//! [`Spans`] is the recording, a row per span; [`SpanCursors`] is the
+//! bookkeeping that turns "packet 17 just left the calendar queue" into the
+//! right begins and ends on it — the flow's root span, each packet's root span
 //! and whichever stage span is open, so stages tile a packet's life with
 //! no gap and no overlap. The engine names *what happened* ([`Stage`],
 //! [`PacketEnd`], [`DropSite`], [`RetxKind`]); the integer codes that land

@@ -113,7 +113,7 @@ mod tests {
         let s = Spans::bounded(1, 0, 3);
         let a = s.span_begin(t(1), 0, 1, 1, Stage::Packet, 0);
         let b = s.span_begin(t(2), a, 1, 1, Stage::Rx, 0);
-        assert!(s.admit()); // 2 events < 3
+        assert!(s.admit()); // 2 edges < 3
         s.span_end(t(3), b, Stage::Rx);
         assert!(!s.admit()); // full: new roots refused...
         assert_eq!(s.skipped(), 1);
