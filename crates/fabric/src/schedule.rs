@@ -203,15 +203,17 @@ impl OpticalSchedule {
     }
 
     /// The first slice `>= from` (wrapping the cycle) with a direct circuit
-    /// `a <-> b`: `(slice, slices waited, a's egress port)`, if any exists
-    /// in the cycle.
+    /// `a <-> b`, waiting at most `max_wait` slices: `(slice, slices waited,
+    /// a's egress port)`, if one exists. `u32::MAX` searches the whole
+    /// cycle.
     pub fn first_slice_connecting(
         &self,
         a: NodeId,
         b: NodeId,
         from: SliceIndex,
+        max_wait: u32,
     ) -> Option<(SliceIndex, u32, PortId)> {
-        (0..self.cfg.num_slices).find_map(|d| {
+        (0..self.cfg.num_slices.min(max_wait.saturating_add(1))).find_map(|d| {
             let ts = self.cfg.advance(from, d);
             self.port_to(a, b, ts).map(|port| (ts, d, port))
         })
@@ -246,7 +248,9 @@ impl OpticalSchedule {
     pub fn cycle_covers_all_pairs(&self) -> bool {
         for a in 0..self.num_nodes {
             for b in 0..self.num_nodes {
-                if a != b && self.first_slice_connecting(NodeId(a), NodeId(b), 0).is_none() {
+                if a != b
+                    && self.first_slice_connecting(NodeId(a), NodeId(b), 0, u32::MAX).is_none()
+                {
                     return false;
                 }
             }
@@ -306,8 +310,14 @@ mod tests {
     fn first_slice_connecting_wraps() {
         let s = OpticalSchedule::build(cfg(3), 4, 1, &rr4()).unwrap();
         // 0<->1 only in slice 0; from slice 1 we wait 2 slices.
-        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 1), Some((0, 2, PortId(0))));
-        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 0), Some((0, 0, PortId(0))));
+        assert_eq!(
+            s.first_slice_connecting(NodeId(0), NodeId(1), 1, u32::MAX),
+            Some((0, 2, PortId(0)))
+        );
+        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 0, 0), Some((0, 0, PortId(0))));
+        // A bound short of the circuit finds nothing; one reaching it does.
+        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 1, 1), None);
+        assert_eq!(s.first_slice_connecting(NodeId(0), NodeId(1), 1, 2), Some((0, 2, PortId(0))));
     }
 
     #[test]

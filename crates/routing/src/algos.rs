@@ -10,7 +10,7 @@
 //! compiler aggregates duplicates into weighted groups.
 
 use crate::path::{Path, PathHop};
-use crate::timegraph::earliest_arrival;
+use crate::timegraph::sweep;
 use crate::{LookupMode, MultipathMode, RoutingAlgorithm};
 use openoptics_fabric::OpticalSchedule;
 use openoptics_proto::{NodeId, PortId};
@@ -131,7 +131,7 @@ impl RoutingAlgorithm for Direct {
         arr: Option<SliceIndex>,
     ) -> Vec<Path> {
         match arr {
-            Some(ts) => match schedule.first_slice_connecting(src, dst, ts) {
+            Some(ts) => match schedule.first_slice_connecting(src, dst, ts, u32::MAX) {
                 Some((dep, _, port)) => vec![Path {
                     src,
                     dst,
@@ -439,7 +439,9 @@ impl RoutingAlgorithm for Vlb {
             // Second hop: wait at `inter` for its direct circuit to dst,
             // searching from the slice the packet lands in (it can depart
             // within the same slice if the circuit exists right now).
-            if let Some((dep2, _, port2)) = schedule.first_slice_connecting(inter, dst, ts) {
+            if let Some((dep2, _, port2)) =
+                schedule.first_slice_connecting(inter, dst, ts, u32::MAX)
+            {
                 out.push(Path {
                     src,
                     dst,
@@ -539,12 +541,14 @@ impl RoutingAlgorithm for Ucmp {
         arr: Option<SliceIndex>,
     ) -> Vec<Path> {
         let ts = arr.expect("UCMP is a TO scheme; arrival slice required");
-        let info = earliest_arrival(schedule, src, ts, self.max_hops);
+        let info = sweep(schedule, src, ts, self.max_hops, Some(dst));
         let Some(best_delta) = info.delta_to(dst) else { return vec![] };
 
+        // A candidate counts only if its circuit comes exactly `best_delta`
+        // slices after `ts`, so no scan needs to look further.
         let mut out = Vec::new();
         // Direct candidate.
-        if let Some((dep, wait, port)) = schedule.first_slice_connecting(src, dst, ts) {
+        if let Some((dep, wait, port)) = schedule.first_slice_connecting(src, dst, ts, best_delta) {
             if wait == best_delta {
                 out.push(Path {
                     src,
@@ -561,7 +565,9 @@ impl RoutingAlgorithm for Ucmp {
             if inter == dst {
                 continue; // covered by the direct candidate (wait == 0)
             }
-            if let Some((dep2, wait2, port2)) = schedule.first_slice_connecting(inter, dst, ts) {
+            if let Some((dep2, wait2, port2)) =
+                schedule.first_slice_connecting(inter, dst, ts, best_delta)
+            {
                 if wait2 == best_delta {
                     out.push(Path {
                         src,
@@ -633,7 +639,7 @@ impl RoutingAlgorithm for Hoho {
         arr: Option<SliceIndex>,
     ) -> Vec<Path> {
         let ts = arr.expect("HOHO is a TO scheme; arrival slice required");
-        earliest_arrival(schedule, src, ts, self.max_hops).path_to(dst).into_iter().collect()
+        sweep(schedule, src, ts, self.max_hops, Some(dst)).path_to(dst).into_iter().collect()
     }
 }
 
@@ -796,6 +802,111 @@ mod tests {
         let paths = Ucmp::default().paths(&s, NodeId(0), NodeId(5), Some(0));
         let waits: Vec<u32> = paths.iter().map(|p| p.slices_waited(&s)).collect();
         assert!(waits.windows(2).all(|w| w[0] == w[1]), "non-uniform costs: {waits:?}");
+    }
+
+    /// `Ucmp::paths` as it stood before its sweep stopped at `dst` and its
+    /// candidate scans at `best_delta`: the oracle the bounded form must
+    /// equal.
+    fn ucmp_paths_reference(
+        ucmp: &Ucmp,
+        schedule: &OpticalSchedule,
+        src: NodeId,
+        dst: NodeId,
+        ts: SliceIndex,
+    ) -> Vec<Path> {
+        let info = crate::earliest_arrival(schedule, src, ts, ucmp.max_hops);
+        let Some(best_delta) = info.delta_to(dst) else { return vec![] };
+
+        let mut out = Vec::new();
+        if let Some((dep, wait, port)) = schedule.first_slice_connecting(src, dst, ts, u32::MAX) {
+            if wait == best_delta {
+                out.push(Path {
+                    src,
+                    dst,
+                    arr_slice: Some(ts),
+                    hops: vec![PathHop { node: src, port, dep_slice: Some(dep) }],
+                });
+            }
+        }
+        for (port, inter) in schedule.neighbors(src, ts) {
+            if inter == dst {
+                continue;
+            }
+            if let Some((dep2, wait2, port2)) =
+                schedule.first_slice_connecting(inter, dst, ts, u32::MAX)
+            {
+                if wait2 == best_delta {
+                    out.push(Path {
+                        src,
+                        dst,
+                        arr_slice: Some(ts),
+                        hops: vec![
+                            PathHop { node: src, port, dep_slice: Some(ts) },
+                            PathHop { node: inter, port: port2, dep_slice: Some(dep2) },
+                        ],
+                    });
+                }
+            }
+            if out.len() >= ucmp.max_paths {
+                break;
+            }
+        }
+        if out.is_empty() {
+            if let Some(p) = info.path_to(dst) {
+                out.push(p);
+            }
+        }
+        out.truncate(ucmp.max_paths);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn ucmp_equals_its_unbounded_reference(
+            n in 2u32..=24,
+            uplinks in 1u16..=4,
+            src in 0u32..24,
+            dst in 0u32..24,
+            max_hops in 1u32..=6,
+            max_paths in 1usize..=8,
+            down in 0usize..2048,
+        ) {
+            // In half the cases one circuit is down, so some pairs lose
+            // their direct slice and UCMP falls back to the sweep's path.
+            let (mut cs, slices) = round_robin(n, uplinks);
+            if down < 1024 {
+                cs.remove(down % cs.len());
+            }
+            let s = OpticalSchedule::build(SliceConfig::new(1_000, slices, 100), n, uplinks, &cs)
+                .expect("schedule deploys");
+            let (src, dst) = (NodeId(src % n), NodeId(dst % n));
+            let ucmp = Ucmp { max_paths, max_hops };
+            for ts in 0..s.slice_config().num_slices {
+                proptest::prop_assert_eq!(
+                    ucmp.paths(&s, src, dst, Some(ts)),
+                    ucmp_paths_reference(&ucmp, &s, src, dst, ts),
+                    "{:?} src={} dst={} ts={}", s, src, dst, ts
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ucmp_equals_its_unbounded_reference_at_paper_scale() {
+        let s = rr_schedule(108, 6);
+        let ucmp = Ucmp::default();
+        for (src, dst) in [(0, 1), (0, 53), (53, 107), (107, 0)] {
+            let (src, dst) = (NodeId(src), NodeId(dst));
+            for ts in 0..s.slice_config().num_slices {
+                assert_eq!(
+                    ucmp.paths(&s, src, dst, Some(ts)),
+                    ucmp_paths_reference(&ucmp, &s, src, dst, ts),
+                    "src={src} dst={dst} ts={ts}"
+                );
+            }
+        }
     }
 
     #[test]

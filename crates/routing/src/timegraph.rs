@@ -39,15 +39,31 @@ pub struct EarliestInfo {
     arr: SliceIndex,
 }
 
-/// Sweep the time-expanded graph from `(src, arr)` within `max_hops` hops.
-/// The horizon is one full cycle — waiting longer than a cycle can never
-/// improve arrival time on a periodic schedule — and the sweep stops as
-/// soon as every node is labelled.
+/// Sweep the time-expanded graph from `(src, arr)` within `max_hops` hops,
+/// labelling every node it can reach. The horizon is one full cycle —
+/// waiting longer than a cycle can never improve arrival time on a periodic
+/// schedule — and the sweep stops once the slice in which the last node was
+/// labelled has finished its fixpoint.
 pub fn earliest_arrival(
     schedule: &OpticalSchedule,
     src: NodeId,
     arr: SliceIndex,
     max_hops: u32,
+) -> EarliestInfo {
+    sweep(schedule, src, arr, max_hops, None)
+}
+
+/// The one sweep body. After each slice's fixpoint it stops if every node
+/// is labelled or, when `dst` is given, if `dst` is. With `dst` the
+/// labels of `dst` and of every node on its `prev` chain are final, as is
+/// any label whose delta is at most the last slice swept; other nodes may
+/// be unlabelled or not yet at their least label.
+pub(crate) fn sweep(
+    schedule: &OpticalSchedule,
+    src: NodeId,
+    arr: SliceIndex,
+    max_hops: u32,
+    dst: Option<NodeId>,
 ) -> EarliestInfo {
     let n = schedule.num_nodes() as usize;
     let cfg = schedule.slice_config();
@@ -64,12 +80,11 @@ pub fn earliest_arrival(
     // fixpoint (Opera-style same-slice relays), visiting nodes and ports in
     // ascending order so ties resolve the same way every time. A label only
     // ever improves, and a candidate minted at a later delta compares
-    // greater than every existing label — so once no node is unlabelled
-    // neither `best` nor `prev` can change again and the sweep is done.
+    // greater than every existing label — so once a slice's fixpoint has
+    // finished, no label of that delta or less, and no `prev` on its chain,
+    // can change again. The sweep is done when that covers every node, or
+    // the one node it was asked for.
     for delta in 0..=cfg.num_slices {
-        if unlabelled == 0 {
-            break;
-        }
         let slice = cfg.advance(arr, delta);
         // A new slice lights new circuits: every labelled node relays once.
         // After that, relaying again from an unchanged label would offer
@@ -99,6 +114,9 @@ pub fn earliest_arrival(
                     }
                 }
             }
+        }
+        if unlabelled == 0 || dst.and_then(|d| best.get(d.index())).is_some_and(Option::is_some) {
+            break;
         }
     }
     EarliestInfo { best, prev, src, arr }
@@ -156,7 +174,9 @@ impl EarliestInfo {
 }
 
 /// The `earliest_path()` helper of Table 1: the first path from `src` to
-/// `dst` at or after slice `ts`, within `max_hops`.
+/// `dst` at or after slice `ts`, within `max_hops`. The sweep behind it
+/// stops in the slice that settles `dst` rather than labelling every node;
+/// the path is the one [`earliest_arrival`] would give.
 /// ```
 /// use openoptics_routing::earliest_path;
 /// use openoptics_fabric::OpticalSchedule;
@@ -172,7 +192,7 @@ impl EarliestInfo {
 /// path.validate(&sched).unwrap();
 /// // Multi-hop tours beat waiting for the direct circuit.
 /// assert!(path.slices_waited(&sched) <= sched.first_slice_connecting(
-///     NodeId(0), NodeId(5), 0).unwrap().1);
+///     NodeId(0), NodeId(5), 0, u32::MAX).unwrap().1);
 /// ```
 pub fn earliest_path(
     schedule: &OpticalSchedule,
@@ -181,7 +201,7 @@ pub fn earliest_path(
     ts: SliceIndex,
     max_hops: u32,
 ) -> Option<Path> {
-    earliest_arrival(schedule, src, ts, max_hops).path_to(dst)
+    sweep(schedule, src, ts, max_hops, Some(dst)).path_to(dst)
 }
 
 /// The sweep as it stood before it learned to stop early and skip clean
@@ -348,7 +368,7 @@ mod tests {
                 }
                 for arr in 0..3u32 {
                     let info = earliest_arrival(&s, NodeId(src), arr, 1);
-                    let expect = s.first_slice_connecting(NodeId(src), NodeId(dst), arr);
+                    let expect = s.first_slice_connecting(NodeId(src), NodeId(dst), arr, u32::MAX);
                     assert_eq!(
                         info.delta_to(NodeId(dst)),
                         expect.map(|(_, wait, _)| wait),
@@ -431,20 +451,41 @@ mod tests {
         arrive
     }
 
-    /// New sweep == reference sweep, `best` and `prev`, at every arrival slice.
+    /// New sweep == reference sweep, `best` and `prev`, at every arrival
+    /// slice; and for every destination, the sweep stopped at it gives that
+    /// destination the reference's label and path.
     fn matches_reference(
         s: &OpticalSchedule,
         src: NodeId,
         max_hops: u32,
     ) -> Result<(), TestCaseError> {
         for arr in 0..s.slice_config().num_slices {
-            prop_assert_eq!(
-                earliest_arrival(s, src, arr, max_hops),
-                earliest_arrival_reference(s, src, arr, max_hops),
-                "{s:?} src={src} arr={arr} max_hops={max_hops}"
-            );
+            let reference = earliest_arrival_reference(s, src, arr, max_hops);
+            let at = format!("{s:?} src={src} arr={arr} max_hops={max_hops}");
+            prop_assert_eq!(&earliest_arrival(s, src, arr, max_hops), &reference, "{}", at);
+            for dst in (0..s.num_nodes()).map(NodeId) {
+                let stopped = sweep(s, src, arr, max_hops, Some(dst));
+                prop_assert_eq!(stopped.best(dst), reference.best(dst), "{} dst={}", at, dst);
+                prop_assert_eq!(stopped.path_to(dst), reference.path_to(dst), "{} dst={}", at, dst);
+            }
         }
         Ok(())
+    }
+
+    #[test]
+    fn a_destination_stops_the_sweep_in_the_slice_that_settles_it() {
+        // From N0 at ts0, N1 is settled in slice 0; N2 and N3 are first
+        // reached in slice 1, which a sweep stopped at N1 never runs.
+        let s = fig2();
+        let stopped = sweep(&s, NodeId(0), 0, 4, Some(NodeId(1)));
+        assert_eq!(stopped.best(NodeId(1)), Some((0, 1)));
+        assert_eq!((stopped.best(NodeId(2)), stopped.best(NodeId(3))), (None, None));
+        let full = earliest_arrival(&s, NodeId(0), 0, 4);
+        assert_eq!(full.best(NodeId(2)), Some((1, 1)));
+        // The source is settled before slice 0, so slice 0 is all it runs.
+        assert_eq!(sweep(&s, NodeId(0), 0, 4, Some(NodeId(0))), stopped);
+        // A destination out of range is never labelled: the sweep runs on.
+        assert_eq!(sweep(&s, NodeId(0), 0, 4, Some(NodeId(99))), full);
     }
 
     #[test]

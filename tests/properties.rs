@@ -22,9 +22,17 @@ const HORIZON_NS: u64 = 3_000_000;
 /// The OCS reconfiguration delay `NetConfig` defaults to, ns.
 const OCS_DEFAULT_NS: u64 = 25_000_000;
 
-/// The randomized quick-mode network behind `run_for_is_pause_invariant`
-/// and the two reconfigure-to-the-deployed-demand properties: sampled
-/// config x architecture x fault plan, deployed, with the plan injected.
+/// What a sampled network observes: `(telemetry, span_sample_every,
+/// sample_every_ns)`.
+type Observation = (bool, u64, u64);
+
+/// Telemetry on (the default), spans on every 4th flow, no time series.
+const SPANS_EVERY_4TH: Observation = (true, 4, 0);
+
+/// The randomized quick-mode network behind `run_for_is_pause_invariant`,
+/// `observation_never_perturbs` and the two reconfigure-to-the-deployed-
+/// demand properties: sampled config x architecture x fault plan, deployed,
+/// with the plan injected.
 fn sampled_net(
     n: u32,
     slice_us: u64,
@@ -32,6 +40,7 @@ fn sampled_net(
     arch: openoptics::core::Architecture,
     fault_pick: u8,
     ocs_reconfig_ns: u64,
+    (telemetry, span_sample_every, sample_every_ns): Observation,
 ) -> openoptics::core::OpenOpticsNet {
     use openoptics::faults::FaultPlan;
     use openoptics::prelude::*;
@@ -41,7 +50,9 @@ fn sampled_net(
         .hosts_per_node(1)
         .slice_ns(slice_us * 50_000)
         .guard_ns(1_000)
-        .span_sample_every(4)
+        .telemetry(telemetry)
+        .span_sample_every(span_sample_every)
+        .sample_every_ns(sample_every_ns)
         .ocs_reconfig_ns(ocs_reconfig_ns)
         .seed(seed)
         .build()
@@ -244,7 +255,8 @@ proptest! {
                 1 => Architecture::rotornet(),
                 _ => Architecture::opera(),
             };
-            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick, OCS_DEFAULT_NS);
+            let mut net =
+                sampled_net(n, slice_us, seed, arch, fault_pick, OCS_DEFAULT_NS, SPANS_EVERY_4TH);
             let stop = SimTime::from_ms(2);
             let clients = (1..n).map(HostId).collect();
             net.add_memcached(MemcachedParams::paper(), HostId(0), clients, stop);
@@ -268,6 +280,53 @@ proptest! {
         prop_assert_eq!(&paused.2, &straight.2, "fault report diverged pausing at {:?}", pauses);
     }
 
+    /// Observing a run never changes it. Telemetry (which also arms the
+    /// engine-phase profiler), lifecycle spans and time-series sampling,
+    /// each on or off, must leave the FCT records, the engine counters and
+    /// the fault report exactly as a run with all three off has them.
+    #[test]
+    fn observation_never_perturbs(
+        n in 4u32..9,
+        slice_us in 1u64..4,
+        seed in 0u64..1_000,
+        arch_pick in 0u8..3,
+        fault_pick in 0u8..4,
+    ) {
+        use openoptics::prelude::*;
+        let run = |observation: Observation| -> [String; 3] {
+            let arch = match arch_pick {
+                0 => Architecture::clos(),
+                1 => Architecture::rotornet(),
+                _ => Architecture::opera(),
+            };
+            let mut net =
+                sampled_net(n, slice_us, seed, arch, fault_pick, OCS_DEFAULT_NS, observation);
+            let tcp = TransportKind::Tcp(Default::default());
+            net.add_flow(SimTime::from_ns(500), HostId(1), HostId(0), 300_000, tcp);
+            let clients = (1..n).map(HostId).collect();
+            net.add_memcached(MemcachedParams::paper(), HostId(0), clients, SimTime::from_ms(2));
+            net.run_for(SimTime::from_ns(HORIZON_NS));
+            [
+                format!("{:?}", net.fct().completed()),
+                format!("{:?}", net.engine.counters),
+                format!("{:?}", net.fault_report()),
+            ]
+        };
+        let bare = run((false, 0, 0));
+        prop_assert!(bare[0] != "[]", "the workload completes flows");
+        // Every on/off combination but all-off: bit 0 telemetry, bit 1
+        // spans on every 4th flow, bit 2 a sample every 100 us.
+        for on in 1..8u8 {
+            let pick = |bit: u8, value: u64| if on & bit != 0 { value } else { 0 };
+            let observation = (on & 1 != 0, pick(2, 4), pick(4, 100_000));
+            let observed = run(observation);
+            let names = ["fct records", "counters", "fault report"];
+            for ((name, a), b) in names.iter().zip(&bare).zip(&observed) {
+                prop_assert_eq!(a, b, "{} moved observing with {:?}", name, observation);
+            }
+        }
+    }
+
     /// Attach-then-adapt (Table 1, Fig. 5): a `reconfigure` issued *before*
     /// the first run, after every kind of workload, a service and a fault
     /// plan are attached, must touch nothing but the schedule. RotorNet and
@@ -287,7 +346,8 @@ proptest! {
         let run = |reconfigure: bool| -> Result<[String; 6], Error> {
             let arch =
                 if arch_pick == 0 { Architecture::rotornet() } else { Architecture::cthrough(&tm) };
-            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick, OCS_DEFAULT_NS);
+            let mut net =
+                sampled_net(n, slice_us, seed, arch, fault_pick, OCS_DEFAULT_NS, SPANS_EVERY_4TH);
             let slo = SloTarget { latency_ns: 200_000, objective_milli: 990, window_ns: 500_000 };
             let svc = net.declare_service("cache", Some(slo));
             net.add_flow_tagged(
@@ -344,7 +404,7 @@ proptest! {
         let run = |reconfigure: bool| -> Result<_, Error> {
             let arch =
                 if arch_pick == 0 { Architecture::rotornet() } else { Architecture::cthrough(&tm) };
-            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick, 0);
+            let mut net = sampled_net(n, slice_us, seed, arch, fault_pick, 0, SPANS_EVERY_4TH);
             let tcp = TransportKind::Tcp(Default::default());
             net.add_flow(SimTime::from_ns(500), HostId(1), HostId(0), 300_000, tcp);
             let clients = (1..n).map(HostId).collect();
