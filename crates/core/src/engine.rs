@@ -37,8 +37,8 @@ use openoptics_switch::offload::OffloadPolicy;
 use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::json;
 use openoptics_telemetry::{
-    FlightTrigger, Frame, FrameLog, Labels, QuantileSketch, Registry, RetxKind, SampleRow,
-    ServiceStats, SloTarget, SloTransition, TimeSeries, TraceKind,
+    FlightTrigger, Frame, FrameLog, Labels, QuantileSketch, Registry, RetxKind, ServiceStats,
+    SloTarget, SloTransition, TimeSeries, TraceKind,
 };
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::fct::{FlowRecord, ELEPHANT_MIN_BYTES, MICE_MAX_BYTES};
@@ -1002,7 +1002,9 @@ impl Engine {
     /// line as it is.
     pub fn write_frame(&self, frame: &Frame, w: &mut json::Writer) {
         match frame {
-            Frame::Sample(row) => w.value(&self.timeseries.rows()[*row]),
+            Frame::Sample(row) => {
+                w.value(self.timeseries.row(*row).expect("a sample frame indexes a kept row"))
+            }
             Frame::Line(line) => w.raw(line),
         }
     }
@@ -1053,11 +1055,9 @@ impl Engine {
     fn take_sample(&mut self, now: SimTime, queue_stats: openoptics_sim::QueueStats) {
         self.sync_telemetry(queue_stats);
         let index = self.timeseries.len();
-        self.timeseries.push_with(|| {
-            let reg = &self.telemetry;
-            let (counters, gauges) = (reg.counter_values(), reg.gauge_values());
-            let services = self.services.iter().map(|s| s.summary()).collect();
-            SampleRow { at_ns: now.as_ns(), counters, gauges, services }
+        let services = &self.services;
+        self.timeseries.push_sample(now.as_ns(), &self.telemetry, || {
+            services.iter().map(|s| s.summary()).collect()
         });
         self.frames.push_with(|| {
             assert!(index < self.timeseries.len(), "a kept sample frame has no row");

@@ -536,10 +536,12 @@ impl OpenOpticsNet {
         Ok(())
     }
 
-    /// The sampled time series as JSON lines, one [`SampleRow`] per line
-    /// (see [`openoptics_telemetry::SampleRow::to_json`]). Errors when
-    /// telemetry is disabled or sampling was never configured
-    /// (`sample_every_ns == 0`). Byte-identical across runs.
+    /// The sampled time series as JSON lines, one stored row per line, in
+    /// the bytes of the [`SampleRow`] it was sampled as (see
+    /// [`openoptics_telemetry::SampleRow::to_json`]): each line is rendered
+    /// from the row's values and the series names it shares with its
+    /// neighbours. Errors when telemetry is disabled or sampling was never
+    /// configured (`sample_every_ns == 0`). Byte-identical across runs.
     ///
     /// [`SampleRow`]: openoptics_telemetry::SampleRow
     pub fn export_timeseries(&self) -> Result<String, Error> {
@@ -852,7 +854,7 @@ mod tests {
         );
         assert!(moved.counters.iter().any(|(name, _)| name.starts_with("faults.")));
         let last = fork.engine.timeseries().rows().last().ok_or("no rows")?;
-        assert!(last.counters.iter().any(|(name, _)| name.starts_with("faults.")));
+        assert!(last.counters().any(|(name, _)| name.starts_with("faults.")));
 
         // Read without mirroring first: what the fork's ticks would have
         // overwritten had they kept the parent's handles.

@@ -17,7 +17,7 @@ use std::cell::{Cell, RefCell};
 
 use openoptics_sim::cast::to_usize;
 use openoptics_sim::time::SimTime;
-use openoptics_telemetry::{Labels, MirrorPass};
+use openoptics_telemetry::{ChunkedVec, Labels, MirrorPass};
 
 use crate::table::{SpanRow, SpanTable, WellFormedError};
 
@@ -101,8 +101,9 @@ struct SpanBuf {
     /// reports.
     misuse: Cell<Option<WellFormedError>>,
     /// Row `s` is span `s`: `span_begin` pushes it, `span_end` writes its
-    /// end. Row 0 is [`SpanRow::ROOT`].
-    rows: RefCell<Vec<SpanRow>>,
+    /// end. Row 0 is [`SpanRow::ROOT`]. The rows grow a chunk at a time,
+    /// so a recording never copies what it already holds.
+    rows: RefCell<ChunkedVec<SpanRow>>,
 }
 
 impl SpanBuf {
@@ -133,6 +134,8 @@ impl Spans {
         if sample_every == 0 {
             return Spans(None);
         }
+        let mut rows = ChunkedVec::new();
+        rows.push(SpanRow::ROOT);
         Spans(Some(Box::new(SpanBuf {
             capacity,
             sample_every,
@@ -140,7 +143,7 @@ impl Spans {
             edges: Cell::new(0),
             skipped: Cell::new(0),
             misuse: Cell::new(None),
-            rows: RefCell::new(vec![SpanRow::ROOT]),
+            rows: RefCell::new(rows),
         })))
     }
 
@@ -259,7 +262,7 @@ impl Spans {
         let Some(b) = &self.0 else { return Ok(SpanTable::default()) };
         match b.misuse.get() {
             Some(e) => Err(e),
-            None => Ok(SpanTable::settled(b.rows.borrow().clone(), now)),
+            None => Ok(SpanTable::settled(b.rows.borrow().to_vec(), now)),
         }
     }
 

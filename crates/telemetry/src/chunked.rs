@@ -1,0 +1,175 @@
+//! The one growable store that never copies what it holds.
+//!
+//! A `Vec` grows by doubling: the old block is copied into one twice its
+//! size while both are live, and the new block is up to half empty. The
+//! big observability stores — a sample's values, a span's row — only ever
+//! append, so they grow here instead, in fixed chunks of [`CHUNK_LEN`]
+//! items: growing opens one more chunk and moves nothing. Item `i` lives
+//! at `(i >> CHUNK_SHIFT, i & MASK)`.
+
+/// `log2` of the items a chunk holds.
+pub const CHUNK_SHIFT: u32 = 12;
+/// Items a chunk holds ([`ChunkedVec::push_run`] may open a larger one).
+pub const CHUNK_LEN: usize = 1 << CHUNK_SHIFT;
+const MASK: usize = CHUNK_LEN - 1;
+
+/// An append-only sequence stored in fixed chunks. Indices are the ones
+/// [`ChunkedVec::push`] and [`ChunkedVec::push_run`] return: a run never
+/// straddles two chunks, so the rest of a chunk too short for it stays
+/// unused and the run starts the next one.
+#[derive(Debug)]
+pub struct ChunkedVec<T> {
+    chunks: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for ChunkedVec<T> {
+    fn default() -> Self {
+        ChunkedVec { chunks: Vec::new(), len: 0 }
+    }
+}
+
+impl<T: Clone> Clone for ChunkedVec<T> {
+    /// A copy whose last chunk keeps its full capacity, so the copy grows
+    /// without copying too.
+    fn clone(&self) -> Self {
+        let chunks = self
+            .chunks
+            .iter()
+            .map(|c| {
+                let mut copy = Vec::with_capacity(c.capacity());
+                copy.extend_from_slice(c);
+                copy
+            })
+            .collect();
+        ChunkedVec { chunks, len: self.len }
+    }
+}
+
+impl<T: Clone> ChunkedVec<T> {
+    /// Every item, in push order, in one `Vec` of exactly that length.
+    pub fn to_vec(&self) -> Vec<T> {
+        let mut all = Vec::with_capacity(self.len);
+        self.chunks.iter().for_each(|c| all.extend_from_slice(c));
+        all
+    }
+}
+
+impl<T> ChunkedVec<T> {
+    /// An empty store; the first push opens the first chunk.
+    pub fn new() -> Self {
+        ChunkedVec::default()
+    }
+
+    /// Items held (the unused tails a run skipped are not counted).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The index the next item gets if the last chunk has room for it.
+    fn end(&self) -> usize {
+        self.chunks.last().map_or(0, |c| ((self.chunks.len() - 1) << CHUNK_SHIFT) + c.len())
+    }
+
+    /// The last chunk, a new one of `capacity` items first when the last
+    /// has room for fewer than `n` more.
+    fn room_for(&mut self, n: usize, capacity: usize) -> &mut Vec<T> {
+        let full = self.chunks.last().is_none_or(|c| c.capacity() - c.len() < n);
+        if full {
+            self.chunks.push(Vec::with_capacity(capacity));
+        }
+        self.chunks.last_mut().expect("a chunk with room was just ensured")
+    }
+
+    /// Append `item`; returns its index.
+    #[inline]
+    pub fn push(&mut self, item: T) -> usize {
+        let chunk = self.room_for(1, CHUNK_LEN);
+        chunk.push(item);
+        self.len += 1;
+        self.end() - 1
+    }
+
+    /// Append `items` contiguously in one chunk; returns the index of the
+    /// first ([`ChunkedVec::run`] reads them back). A run longer than a
+    /// chunk gets a chunk of its own, as long as the run.
+    pub fn push_run(&mut self, items: impl ExactSizeIterator<Item = T>) -> usize {
+        let n = items.len();
+        if n == 0 {
+            return self.end();
+        }
+        let chunk = self.room_for(n, n.max(CHUNK_LEN));
+        let start = chunk.len();
+        chunk.extend(items);
+        assert_eq!(chunk.len() - start, n, "an ExactSizeIterator yields its length");
+        self.len += n;
+        self.end() - n
+    }
+
+    /// The `n` items of the run that starts at `start`.
+    pub fn run(&self, start: usize, n: usize) -> &[T] {
+        if n == 0 {
+            return &[];
+        }
+        &self.chunks[start >> CHUNK_SHIFT][start & MASK..][..n]
+    }
+
+    /// The item at `i`, to change in place.
+    #[inline]
+    pub fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        self.chunks.get_mut(i >> CHUNK_SHIFT)?.get_mut(i & MASK)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn indices_address_items_across_chunks() {
+        let mut v = ChunkedVec::new();
+        for i in 0..3 * CHUNK_LEN + 5 {
+            assert_eq!(v.push(i), i);
+        }
+        assert_eq!(v.len(), 3 * CHUNK_LEN + 5);
+        *v.get_mut(2 * CHUNK_LEN + 1).unwrap() = 7;
+        assert!(v.get_mut(3 * CHUNK_LEN + 5).is_none());
+        let all = v.to_vec();
+        assert_eq!((all.len(), all[CHUNK_LEN], all[2 * CHUNK_LEN + 1]), (v.len(), CHUNK_LEN, 7));
+    }
+
+    #[test]
+    fn a_run_never_straddles_and_a_long_run_gets_its_own_chunk() {
+        let mut v = ChunkedVec::new();
+        let width = CHUNK_LEN / 3 + 1;
+        let starts: Vec<usize> =
+            (0..4).map(|r| v.push_run((0..width).map(|k| r * 10 + k))).collect();
+        // Two runs fit a chunk; the third starts the next one.
+        assert_eq!(starts, [0, width, CHUNK_LEN, CHUNK_LEN + width]);
+        assert_eq!(v.run(starts[2], width)[1], 21);
+        let long = v.push_run(0..CHUNK_LEN + 1);
+        assert_eq!(long, 2 * CHUNK_LEN);
+        assert_eq!(v.run(long, CHUNK_LEN + 1).last(), Some(&CHUNK_LEN));
+        // The chunk after the long one starts clean.
+        assert_eq!(v.push(9), 3 * CHUNK_LEN);
+        assert_eq!(v.push_run(std::iter::empty()), 3 * CHUNK_LEN + 1);
+        assert!(v.run(3 * CHUNK_LEN + 1, 0).is_empty());
+        assert_eq!(v.len(), 4 * width + CHUNK_LEN + 2);
+        assert_eq!(v.to_vec().len(), v.len(), "skipped tails hold nothing");
+    }
+
+    #[test]
+    fn a_clone_is_equal_and_grows_apart() {
+        let mut v = ChunkedVec::new();
+        (0..CHUNK_LEN + 3).for_each(|i| _ = v.push(i));
+        let mut copy = v.clone();
+        assert_eq!(copy.push(1), CHUNK_LEN + 3);
+        let (all, copied) = (v.to_vec(), copy.to_vec());
+        assert_eq!((all.len() + 1, &copied[..all.len()]), (copied.len(), &all[..]));
+    }
+}

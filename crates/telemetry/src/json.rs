@@ -592,9 +592,9 @@ pub fn text(body: impl FnOnce(&mut Text<'_>)) -> String {
 }
 
 /// Write `items` to `t` as JSON lines: one compact value per line.
-pub fn write_lines<T: ToJson>(t: &mut Text<'_>, items: &[T]) {
+pub fn write_lines<T: ToJson>(t: &mut Text<'_>, items: impl IntoIterator<Item = T>) {
     for item in items {
-        t.json(item);
+        t.json(&item);
         let _ = t.write_str("\n");
     }
 }

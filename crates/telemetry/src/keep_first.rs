@@ -1,12 +1,15 @@
 //! The one bounded keep-first store.
 //!
-//! The trace buffer, the sampled time series and the subscription frame
-//! log all keep the *first* `capacity` items they are handed and count the
-//! rest, so what a run exports never depends on how long it ran. This is
-//! that policy, once; [`KeepFirst::dropped`] is the single place a store's
-//! losses are read from. A full store does not ask for the item at all
-//! ([`KeepFirst::push_with`]): what a producer would spend building it —
-//! a sample row is a walk over every series — is not spent to bump a count.
+//! The trace buffer, the subscription frame log and the sampled time
+//! series all keep the *first* `capacity` items they are handed and count
+//! the rest, so what a run exports never depends on how long it ran. This
+//! is that policy, once; [`KeepFirst::dropped`] is the single place a
+//! store's losses are read from. The time series keeps only its row heads
+//! here — a row's values live in value columns beside them (see
+//! [`crate::TimeSeries`]), so what it holds is not a `KeepFirst` of rows.
+//! A full store does not ask for the item at all ([`KeepFirst::push_with`]):
+//! what a producer would spend building it — a sample is a walk over every
+//! series — is not spent to bump a count.
 
 /// A `Vec` that stops growing at `capacity`: the first `capacity` items
 /// pushed are kept, in order, and later ones are counted in `dropped`.

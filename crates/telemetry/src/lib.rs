@@ -33,13 +33,14 @@
 //! one-engine-per-worker execution model of the deterministic parallel
 //! runner.
 
+pub mod chunked;
 pub mod error;
 pub mod instruments;
 /// The workspace's one JSON layer: parser, streaming writer, path-carrying
 /// field reader.
 pub mod json;
 /// The one bounded keep-first store behind the trace buffer, the time
-/// series and the frame log.
+/// series' row heads and the frame log.
 pub mod keep_first;
 pub mod labels;
 /// Handles bound once for routines that copy plain fields into the
@@ -57,6 +58,7 @@ pub mod slo;
 pub mod timeseries;
 pub mod trace;
 
+pub use chunked::ChunkedVec;
 pub use error::TelemetryError;
 pub use instruments::{Counter, Gauge, HistogramSummary, Log2Histogram};
 pub use keep_first::KeepFirst;
@@ -65,5 +67,5 @@ pub use mirror::MirrorPass;
 pub use registry::{Registry, SeriesName, Snapshot};
 pub use sketch::QuantileSketch;
 pub use slo::{ServiceStats, SloSummary, SloTarget, SloTransition};
-pub use timeseries::{Frame, FrameLog, SampleRow, TimeSeries};
+pub use timeseries::{Frame, FrameLog, Row, SampleRow, TimeSeries};
 pub use trace::{FlightTrigger, RetxKind, Trace, TraceKind, TraceRecord};

@@ -1,12 +1,13 @@
 //! The metrics registry and its deterministic snapshots.
 //!
 //! A series renders its `{name}{labels}` string once, at the first
-//! snapshot that reads it, and every snapshot after that carries a shared
-//! handle ([`SeriesName`]) to the same string: registering a series
-//! formats nothing, and a snapshot allocates one `Vec` per instrument kind
-//! however many series there are.
+//! snapshot or sample that reads it, and every snapshot after that carries
+//! a shared handle ([`SeriesName`]) to the same string: registering a
+//! series formats nothing, and a snapshot allocates one `Vec` per
+//! instrument kind however many series there are. A sampling tick reads
+//! the values alone, and the names only when the set of series changed.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, Ref, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -61,7 +62,7 @@ impl<T> Series<T> {
 type SeriesMap<T> = RefCell<BTreeMap<Key, Series<T>>>;
 
 /// `(rendered name, value)` of every series in `map`, in key order.
-fn scalars<T: Copy>(map: &SeriesMap<Cell<T>>) -> Vec<(SeriesName, T)> {
+fn named_values<T: Copy>(map: &SeriesMap<Cell<T>>) -> Vec<(SeriesName, T)> {
     map.borrow().iter().map(|(key, s)| (s.name(key), s.data.get())).collect()
 }
 
@@ -178,33 +179,70 @@ impl Registry {
         &mut self.trace
     }
 
-    /// `(rendered name, value)` of every counter, sorted by series key.
-    /// With [`Registry::gauge_values`], the scalar half of a snapshot and
-    /// all a sample row holds.
-    pub fn counter_values(&self) -> Vec<(SeriesName, u64)> {
-        self.inner.as_ref().map_or_else(Vec::new, |inner| scalars(&inner.counters))
-    }
-
-    /// `(rendered name, value)` of every gauge, sorted by series key.
-    pub fn gauge_values(&self) -> Vec<(SeriesName, i64)> {
-        self.inner.as_ref().map_or_else(Vec::new, |inner| scalars(&inner.gauges))
+    /// The counters and gauges, borrowed for one sampling tick (`None`
+    /// when disabled).
+    pub(crate) fn scalars(&self) -> Option<Scalars<'_>> {
+        let inner = self.inner.as_ref()?;
+        Some(Scalars { counters: inner.counters.borrow(), gauges: inner.gauges.borrow() })
     }
 
     /// Render every series at sim-time `at`. Series appear sorted by
     /// `(name, labels)`; the result is byte-identical for identical runs.
     pub fn snapshot(&self, at: SimTime) -> Snapshot {
-        let (counters, gauges) = (self.counter_values(), self.gauge_values());
-        let mut snap = Snapshot { at, counters, gauges, ..Snapshot::default() };
-        let Some(inner) = &self.inner else { return snap };
-        snap.histograms = inner
-            .histograms
-            .borrow()
-            .iter()
-            .map(|(k, s)| (s.name(k), s.data.get().summary()))
-            .collect();
-        snap.trace_len = self.trace.len() as u64;
-        snap.trace_dropped = self.trace.dropped();
-        snap
+        let Some(inner) = &self.inner else { return Snapshot { at, ..Snapshot::default() } };
+        Snapshot {
+            at,
+            counters: named_values(&inner.counters),
+            gauges: named_values(&inner.gauges),
+            histograms: inner
+                .histograms
+                .borrow()
+                .iter()
+                .map(|(k, s)| (s.name(k), s.data.get().summary()))
+                .collect(),
+            trace_len: self.trace.len() as u64,
+            trace_dropped: self.trace.dropped(),
+        }
+    }
+}
+
+/// The counters and gauges of an enabled registry, borrowed for one
+/// sampling tick: a sample reads their values in key order and, only when
+/// the set of series changed, their names.
+pub(crate) struct Scalars<'a> {
+    counters: Ref<'a, BTreeMap<Key, Series<Cell<u64>>>>,
+    gauges: Ref<'a, BTreeMap<Key, Series<Cell<i64>>>>,
+}
+
+impl Scalars<'_> {
+    /// Every counter's value, in key order.
+    pub(crate) fn counters(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.counters.values().map(|s| s.data.get())
+    }
+
+    /// Every gauge's value, in key order.
+    pub(crate) fn gauges(&self) -> impl ExactSizeIterator<Item = i64> + '_ {
+        self.gauges.values().map(|s| s.data.get())
+    }
+
+    /// Every counter's rendered name, in key order.
+    pub(crate) fn counter_names(&self) -> impl ExactSizeIterator<Item = SeriesName> + '_ {
+        self.counters.iter().map(|(k, s)| s.name(k))
+    }
+
+    /// Every gauge's rendered name, in key order.
+    pub(crate) fn gauge_names(&self) -> impl ExactSizeIterator<Item = SeriesName> + '_ {
+        self.gauges.iter().map(|(k, s)| s.name(k))
+    }
+
+    /// Whether `counters` and `gauges` are these series' names, in order:
+    /// the same rendered strings, not equal copies.
+    pub(crate) fn named(&self, counters: &[SeriesName], gauges: &[SeriesName]) -> bool {
+        let same = |a: &SeriesName, b: SeriesName| std::ptr::eq::<str>(&**a, &*b);
+        counters.len() == self.counters.len()
+            && gauges.len() == self.gauges.len()
+            && counters.iter().zip(self.counter_names()).all(|(a, b)| same(a, b))
+            && gauges.iter().zip(self.gauge_names()).all(|(a, b)| same(a, b))
     }
 }
 

@@ -3,13 +3,15 @@
 //! engine's store and named by a handle from then on, so forwarding it —
 //! switch ingress, calendar dequeue, host transmit — must not touch the
 //! allocator, and neither must the event queue that carries it between
-//! them; and a telemetry sampling tick stores one row, whose size in
-//! allocations does not depend on how many series it holds. Its own test
-//! binary because it installs a counting
-//! `#[global_allocator]`; the count is per thread, so the harness and
-//! sibling tests do not disturb it.
+//! them. A telemetry sampling tick stores a row's values in chunked value
+//! columns and a span is a row in chunked storage, so both allocate only
+//! when they open a chunk, and what a tick keeps is 8 bytes per series.
+//! Its own test binary because it installs a counting
+//! `#[global_allocator]`; the counts are per thread, so the harness and
+//! sibling tests do not disturb them.
 
 use openoptics::core::engine::{Event, Timer};
+use openoptics::obs::{SpanRow, Spans, Stage};
 use openoptics::prelude::*;
 use openoptics::proto::{Packet, PacketStore};
 use openoptics::routing::{RouteAction, RouteEntry, RouteMatch};
@@ -18,27 +20,36 @@ use openoptics::sim::time::SliceConfig;
 use openoptics::sim::{EventQueue, World};
 use openoptics::switch::congestion::CongestionConfig;
 use openoptics::switch::{IngressDecision, ToRSwitch, TorConfig};
+use openoptics::telemetry::chunked::CHUNK_LEN;
 use openoptics::telemetry::Trace;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
+/// A layout's size as a signed byte count.
+fn bytes(layout: Layout) -> i64 {
+    i64::try_from(layout.size()).unwrap_or(i64::MAX)
+}
+
 // SAFETY: every request is forwarded to `System` unchanged, so its
-// guarantees carry over; the thread-local is const-initialised and has no
-// destructor, so touching it here neither allocates nor re-enters.
+// guarantees carry over; the thread-locals are const-initialised and have
+// no destructor, so touching them here neither allocates nor re-enters.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        LIVE_BYTES.with(|n| n.set(n.get() + bytes(layout)));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.with(|n| n.set(n.get() - bytes(layout)));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -47,12 +58,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations (`realloc` included: the default goes through `alloc`) this
-/// thread performs inside `f`.
-fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCATIONS.with(Cell::get);
+/// Allocations (`realloc` included: the default goes through `alloc` and
+/// `dealloc`) this thread performs inside `f`, and the bytes it holds
+/// afterwards that it did not hold before (negative when it freed more).
+fn heap_in<T>(f: impl FnOnce() -> T) -> ((u64, i64), T) {
+    let before = (ALLOCATIONS.with(Cell::get), LIVE_BYTES.with(Cell::get));
     let out = std::hint::black_box(f());
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    let after = (ALLOCATIONS.with(Cell::get), LIVE_BYTES.with(Cell::get));
+    ((after.0 - before.0, after.1 - before.1), out)
+}
+
+/// Allocations this thread performs inside `f`.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let ((allocations, _), out) = heap_in(f);
+    (allocations, out)
 }
 
 const SLICE_NS: u64 = 50_000;
@@ -190,9 +209,21 @@ fn host_tx_with_an_unchanged_backlog_allocates_nothing() -> Result<(), Error> {
     Ok(())
 }
 
-/// Allocations of one sampling tick on an idle `node_num`-ToR testbed with
-/// telemetry, spans and 100 us sampling on, after twenty warm-up ticks.
-fn sampling_tick_allocations(node_num: u32) -> Result<(u64, usize), Error> {
+/// Bytes of one value chunk: counter and gauge values are 8 bytes each.
+const VALUE_CHUNK_BYTES: i64 = 8 * CHUNK_LEN as i64;
+
+/// Sampling ticks run before the measured ones: enough that the row heads
+/// and the frame log (doubling `Vec`s, one entry per tick) have grown to
+/// 512 slots, which the 200 measured ticks do not fill, so only the value
+/// columns grow while they are measured.
+const WARM_TICKS: usize = 257;
+const MEASURED_TICKS: usize = 200;
+
+/// `(allocations, live bytes gained)` of each of 200 sampling ticks, one at
+/// a time, on an idle `node_num`-ToR testbed with telemetry, spans and
+/// 100 us sampling on, after [`WARM_TICKS`] ticks (names rendered, mirror
+/// handles bound); with the number of series a row holds.
+fn sampling_ticks(node_num: u32) -> Result<(Vec<(u64, i64)>, usize), Error> {
     let cfg = NetConfig::builder()
         .node_num(node_num)
         .uplink(1)
@@ -209,35 +240,94 @@ fn sampling_tick_allocations(node_num: u32) -> Result<(u64, usize), Error> {
         LookupMode::PerHop,
         MultipathMode::PerPacket,
     )?;
-    // Twenty rows: names rendered, mirror handles bound, and both stores
-    // (rows, frames) grown to 32 slots, so the tick measured next grows
-    // neither. The tick's follow-up event lands in a queue grown beforehand.
-    net.run_for(SimTime::from_ns(20 * 100_000 + 50_000));
-    assert_eq!(net.engine.timeseries().len(), 20);
-    let now = net.now();
-    let mut q = EventQueue::new();
-    for _ in 0..8 {
-        q.schedule(now, Event::Timer(Timer::Sample));
+    net.run_for(SimTime::from_ns(WARM_TICKS as u64 * 100_000 + 50_000));
+    assert_eq!(net.engine.timeseries().len(), WARM_TICKS);
+    let mut ticks = Vec::new();
+    for k in 0..MEASURED_TICKS {
+        // Each tick's follow-up event lands in a queue grown beforehand.
+        let now = SimTime::from_ns(net.now().as_ns() + k as u64 * 100_000);
+        let mut q = EventQueue::new();
+        for _ in 0..8 {
+            q.schedule(now, Event::Timer(Timer::Sample));
+        }
+        while q.pop().is_some() {}
+        let (heap, ()) = heap_in(|| net.engine.handle(now, Event::Timer(Timer::Sample), &mut q));
+        assert_eq!(q.len(), 1);
+        ticks.push(heap);
     }
-    while q.pop().is_some() {}
-    let (allocations, ()) =
-        allocations_in(|| net.engine.handle(now, Event::Timer(Timer::Sample), &mut q));
-    let rows = net.engine.timeseries().rows();
-    assert_eq!((rows.len(), net.frames().len(), q.len()), (21, 21, 1));
-    Ok((allocations, rows[20].counters.len() + rows[20].gauges.len()))
+    let ts = net.engine.timeseries();
+    let rows = WARM_TICKS + MEASURED_TICKS;
+    assert_eq!((ts.len(), net.frames().len()), (rows, rows));
+    let width = |i: usize| ts.row(i).map(|r| r.counters().len() + r.gauges().len());
+    let series = width(rows - 1).expect("the last row is kept");
+    assert_eq!(width(WARM_TICKS), Some(series), "the series set must stay put");
+    Ok((ticks, series))
 }
 
-/// A tick costs what it stores: one `Vec` of counters and one of gauges
-/// (name handles and values; no service is declared here, and each one
-/// declared adds its summary's name), whatever the number of series. It was
-/// one `String` per series more, twice — the row and its rendered line.
+/// What a call that may open chunks of `chunk` bytes gained, split into
+/// the chunks it opened and the rest, which can only be the list of chunk
+/// headers doubling (24 B a chunk, no item moves) when the chunk count
+/// passes a power of two. Each is one allocation.
+fn chunks_opened((allocations, live): (u64, i64), chunk: i64) -> i64 {
+    let (opened, headers) = (live / chunk, live % chunk);
+    assert!((0..4_096).contains(&headers), "{live} B is not whole chunks and a header list");
+    assert_eq!(
+        allocations,
+        u64::try_from(opened).expect("a gain") + u64::from(headers > 0),
+        "{live} B"
+    );
+    opened
+}
+
+/// A tick stores its values and nothing else: a steady-state tick
+/// allocates nothing, at 4 and at 8 ToRs alike, and a tick that opens a
+/// value chunk allocates that chunk (and, past a power of two of chunks,
+/// their header list). Over 200 ticks the live bytes grow by 8 B per
+/// series per tick, to within a chunk per column at either end, the
+/// unused tail of each chunk (less than one row) and the header lists.
 #[test]
-fn a_sampling_tick_allocates_the_same_at_4_and_8_tors() -> Result<(), Error> {
-    let (at_4, series_at_4) = sampling_tick_allocations(4)?;
-    let (at_8, series_at_8) = sampling_tick_allocations(8)?;
-    assert!(series_at_8 >= series_at_4 + 4 * 16, "{series_at_4} -> {series_at_8} series");
-    assert_eq!((at_4, at_8), (2, 2));
+fn a_sampling_tick_allocates_only_value_chunks_and_keeps_8_bytes_per_series() -> Result<(), Error> {
+    let mut widths = Vec::new();
+    for node_num in [4, 8] {
+        let (ticks, series) = sampling_ticks(node_num)?;
+        let opened: Vec<i64> = ticks.iter().map(|&t| chunks_opened(t, VALUE_CHUNK_BYTES)).collect();
+        assert!(ticks.contains(&(0, 0)), "no steady-state tick at {node_num} ToRs");
+        assert!(ticks.contains(&(1, VALUE_CHUNK_BYTES)), "no lone chunk opened at {node_num} ToRs");
+        let grown: i64 = ticks.iter().map(|&(_, live)| live).sum();
+        let opened: i64 = opened.iter().sum();
+        let row = 8 * i64::try_from(series).unwrap();
+        let values = row * i64::try_from(ticks.len()).unwrap();
+        assert!(
+            grown + 2 * VALUE_CHUNK_BYTES >= values
+                && grown <= values + 2 * VALUE_CHUNK_BYTES + opened * row + 4_096,
+            "{node_num} ToRs, {series} series: {grown} B for {values} B of values"
+        );
+        widths.push(series);
+    }
+    assert!(widths[1] >= widths[0] + 4 * 16, "{widths:?} series");
     Ok(())
+}
+
+/// A span is a row in chunked storage: opening one allocates only when
+/// its id starts a chunk (one chunk of rows, moving nothing already
+/// recorded), and closing one never allocates.
+#[test]
+fn span_begin_and_end_allocate_only_at_chunk_boundaries() {
+    const SPANS: u64 = 9 * CHUNK_LEN as u64 + 5;
+    let spans = Spans::bounded(1, 0, usize::MAX);
+    let chunk = i64::try_from(CHUNK_LEN * std::mem::size_of::<SpanRow>()).unwrap();
+    let mut opened = 0;
+    for i in 1..=SPANS {
+        let at = SimTime::from_ns(i);
+        let (heap, id) = heap_in(|| spans.span_begin(at, i - 1, i, i, Stage::Packet, 0));
+        assert_eq!(id, i);
+        let starts_a_chunk = id % CHUNK_LEN as u64 == 0;
+        assert_eq!(chunks_opened(heap, chunk), i64::from(starts_a_chunk), "span {id}");
+        opened += u64::from(starts_a_chunk);
+        let (heap, ()) = heap_in(|| spans.span_end(at, id, Stage::Packet));
+        assert_eq!(heap, (0, 0), "ending span {id}");
+    }
+    assert_eq!((opened, spans.started()), (9, SPANS));
 }
 
 /// One window width of queue time: 4,096 buckets of 1,024 ns.

@@ -4,7 +4,7 @@
 //! writer escapes any document the way rendering and escaping it would.
 
 use openoptics::core::json::{self, Json};
-use openoptics::ctl::{ControlPlane, Scenario, Session};
+use openoptics::ctl::{ControlPlane, Scenario, Session, Subscriptions};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
@@ -56,6 +56,60 @@ fn every_export_answers_its_string_export_byte_for_byte() -> TestResult {
             assert!(text.len() > 100, "`{what}` at {ns} ns exported only {text:?}");
         }
     }
+    Ok(())
+}
+
+/// FNV-1a-64 of `text`, in hex.
+fn fnv1a(text: &str) -> String {
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{hash:016x}")
+}
+
+/// A series set that grows mid-run: a fault plan injected after the
+/// second tick starts `faults.*` series, so later rows list more names
+/// than earlier ones. The drained frame stream and `export timeseries`
+/// are pinned to the bytes they had when every row stored its own names.
+#[test]
+fn a_series_set_that_grows_mid_run_streams_and_exports_unchanged_bytes() -> TestResult {
+    let mut cp = ControlPlane::new();
+    let mut subs = Subscriptions::new();
+    let mut call = |req: String| cp.handle_request(&req, &mut subs);
+    let plain = SCENARIO.replace(
+        r#","faults":[{"kind":"link_down","node":1,"port":0,"start_ns":30000,"end_ns":400000}]"#,
+        "",
+    );
+    assert_ne!(plain, SCENARIO, "the scenario's own fault plan is taken out");
+    call(format!(r#"{{"id":0,"method":"load","params":{{"name":"s","scenario":{plain}}}}}"#));
+    call(r#"{"id":1,"method":"subscribe","params":{"name":"s"}}"#.to_string());
+    let mut frames =
+        call(r#"{"id":2,"method":"run_until","params":{"name":"s","ns":120000}}"#.into());
+    frames.pop();
+    call(
+        r#"{"id":3,"method":"inject_faults","params":{"name":"s","faults":[{"kind":"link_down","node":1,"port":0,"start_ns":300000,"end_ns":700000},{"kind":"nic_pause_storm","node":2,"start_ns":900000,"end_ns":950000}]}}"#
+            .into(),
+    );
+    for (id, ns) in [(4, 600_000), (5, 1_500_000)] {
+        let mut turn = call(format!(
+            r#"{{"id":{id},"method":"run_until","params":{{"name":"s","ns":{ns}}}}}"#
+        ));
+        turn.pop();
+        frames.extend(turn);
+    }
+    let export =
+        call(r#"{"id":6,"method":"export","params":{"name":"s","what":"timeseries"}}"#.into());
+    let doc = json::parse(&export[0])?;
+    let rows = doc.get("result").and_then(|r| r.get("text")).ok_or("no text")?.as_str()?;
+    let lines: Vec<&str> = rows.lines().collect();
+    let (first, last) = (lines.first().ok_or("no rows")?, lines.last().ok_or("no rows")?);
+    assert!(!first.contains("faults.") && last.contains("faults."), "the series set must grow");
+    assert_eq!(lines.len(), 30);
+    let stream = frames.join("\n");
+    assert_eq!(
+        (fnv1a(rows), rows.len(), fnv1a(&stream), stream.len()),
+        ("fd4bdcbc1bf5a912".to_string(), 114_458, "a2d06c992b97b167".to_string(), 122_655)
+    );
     Ok(())
 }
 
