@@ -6,12 +6,12 @@
 //! the 34 ns spread.
 
 use crate::util::Table;
-use openoptics_sim::rng::SimRng;
+use openoptics_sim::SimRng;
 use openoptics_switch::PipelineModel;
 
 /// Per-packet-size delay statistics, ns.
 #[derive(Clone, Debug)]
-pub struct Fig11Row {
+pub(crate) struct Fig11Row {
     /// Packet size, bytes.
     pub size: u32,
     /// Minimum observed delay, ns.
@@ -24,19 +24,17 @@ pub struct Fig11Row {
 
 /// Summary of the sweep: global bounds and the rotation-variance window.
 #[derive(Clone, Debug)]
-pub struct Fig11Summary {
+pub(crate) struct Fig11Summary {
     /// Per-size rows.
     pub rows: Vec<Fig11Row>,
     /// Global minimum delay (the rotation offset), ns.
     pub global_min_ns: u64,
-    /// Global maximum delay, ns.
-    pub global_max_ns: u64,
     /// The guardband contribution (max - min), ns.
     pub variance_ns: u64,
 }
 
 /// Measure `probes` packets per size over the pipeline model.
-pub fn run(probes: usize) -> Fig11Summary {
+pub(crate) fn run(probes: usize) -> Fig11Summary {
     let model = PipelineModel::default();
     let mut rng = SimRng::new(11);
     let mut rows = vec![];
@@ -56,11 +54,11 @@ pub fn run(probes: usize) -> Fig11Summary {
         gmax = gmax.max(max);
         rows.push(Fig11Row { size, min_ns: min, mean_ns: sum as f64 / probes as f64, max_ns: max });
     }
-    Fig11Summary { rows, global_min_ns: gmin, global_max_ns: gmax, variance_ns: gmax - gmin }
+    Fig11Summary { rows, global_min_ns: gmin, variance_ns: gmax - gmin }
 }
 
 /// Render as a table plus the guardband summary line.
-pub fn render(s: &Fig11Summary) -> String {
+pub(crate) fn render(s: &Fig11Summary) -> String {
     let mut t = Table::new(&["packet size", "min", "mean", "max"]);
     for r in &s.rows {
         t.row(vec![

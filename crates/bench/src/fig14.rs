@@ -13,11 +13,11 @@
 
 use crate::util::Table;
 use openoptics_sim::nearest_rank;
-use openoptics_sim::rng::SimRng;
+use openoptics_sim::SimRng;
 
 /// Per-stack RTT stability summary (values in µs).
 #[derive(Clone, Debug)]
-pub struct Fig14Row {
+pub(crate) struct Fig14Row {
     /// Host stack under test.
     pub stack: &'static str,
     /// Median RTT, µs.
@@ -74,12 +74,12 @@ fn measure(stack: &'static str, n: usize, seed: u64) -> Fig14Row {
 }
 
 /// Run both stacks with `n` echoes each.
-pub fn run(n: usize) -> Vec<Fig14Row> {
+pub(crate) fn run(n: usize) -> Vec<Fig14Row> {
     vec![measure("libvma", n, 14), measure("kernel-udp", n, 15)]
 }
 
 /// Render as a table.
-pub fn render(rows: &[Fig14Row]) -> String {
+pub(crate) fn render(rows: &[Fig14Row]) -> String {
     let mut t = Table::new(&["host stack", "p50 RTT", "95% band", "95% spacing deviation"]);
     for r in rows {
         t.row(vec![

@@ -5,7 +5,7 @@
 //! function that regenerates the paper's rows/series and returns them as
 //! structured data. [`EXPERIMENTS`] is the one table of what the
 //! `experiments` binary can run; the binary prints each entry's section
-//! (fanning independent simulation points over the [`par`] worker pool).
+//! (fanning independent simulation points over the `par` worker pool).
 //!
 //! The harness's stdout is the repository's byte-stable oracle
 //! (`experiments_full.txt`, `sweep_quick.txt`); it records no performance
@@ -22,25 +22,28 @@
     reason = "the harness measures wall time, reads argv and writes artifacts by design"
 )]
 
-pub mod ablations;
-pub mod faults;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig8;
-pub mod fig9;
-pub mod minslice;
-pub mod par;
+mod ablations;
+mod faults;
+mod fig10;
+mod fig11;
+mod fig12;
+mod fig13;
+mod fig14;
+mod fig8;
+mod fig9;
+mod minslice;
+mod par;
 /// Per-service SLO accounting under a fault window (`experiments slo`).
-pub mod slo;
+mod slo;
 /// The architecture × routing composition matrix (`experiments sweep`).
-pub mod sweep;
-pub mod table2;
-pub mod table3;
-pub mod table4;
-pub mod util;
+mod sweep;
+mod table2;
+mod table3;
+mod table4;
+mod util;
+
+pub use fig8::{render_mice, run_mice, run_mice_with_spans, MiceRow, SpanCapture};
+pub use par::{set_jobs, take_events, take_metrics};
 
 /// The flags every experiment body receives.
 #[derive(Clone, Copy, Debug, Default)]

@@ -59,7 +59,7 @@ fn main() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
             "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => x::par::set_jobs(n),
+                Some(n) if n >= 1 => x::set_jobs(n),
                 _ => usage_error("--jobs expects a positive integer"),
             },
             flag if flag.starts_with("--") => usage_error(&format!("unknown flag: {flag}")),
@@ -82,18 +82,18 @@ fn main() {
 /// the telemetry totals merged across its networks (identical at any
 /// `--jobs` count) on stderr.
 fn report(id: &str, body: impl FnOnce()) {
-    x::par::take_events(); // drop any counts from a previous section
-    x::par::take_metrics();
+    x::take_events(); // drop any counts from a previous section
+    x::take_metrics();
     let t = Instant::now();
     body();
     let wall_s = t.elapsed().as_secs_f64();
-    let events = x::par::take_events();
+    let events = x::take_events();
     if events > 0 {
         eprintln!("[{id} took {wall_s:.2}s; {events} events]");
     } else {
         eprintln!("[{id} took {wall_s:.2}s]");
     }
-    let metrics = x::par::take_metrics();
+    let metrics = x::take_metrics();
     if !metrics.is_empty() {
         let g = |k: &str| metrics.get(k).copied().unwrap_or(0);
         let retx = g("engine.watchdog_retransmits")

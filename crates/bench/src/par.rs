@@ -29,7 +29,7 @@ pub fn set_jobs(n: usize) {
 
 /// The effective worker count: the configured value, or available
 /// parallelism when unset.
-pub fn jobs() -> usize {
+pub(crate) fn jobs() -> usize {
     match JOBS.load(Ordering::Acquire) {
         0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         n => n,
@@ -41,7 +41,7 @@ pub fn jobs() -> usize {
 static METRICS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
 
 /// Record simulation work done (a network's `events_scheduled()` total).
-pub fn note_events(n: u64) {
+pub(crate) fn note_events(n: u64) {
     EVENTS.fetch_add(n, Ordering::AcqRel);
 }
 
@@ -54,7 +54,7 @@ pub fn take_events() -> u64 {
 /// counters, merged (by saturating sum) into the experiment-wide totals.
 /// Summing is commutative, so the merged result is identical at any
 /// `--jobs` count regardless of completion order.
-pub fn note_net(net: &openoptics_core::OpenOpticsNet) {
+pub(crate) fn note_net(net: &openoptics_core::OpenOpticsNet) {
     note_events(net.events_scheduled());
     if net.telemetry().is_enabled() {
         let totals = net.telemetry_snapshot().counter_totals();
@@ -76,7 +76,7 @@ pub fn take_metrics() -> BTreeMap<String, u64> {
 /// inline, in order, on the calling thread — identical to a serial loop.
 /// `f` must be self-contained per index (build, run, and reduce one
 /// simulation point); a panic in any point propagates.
-pub fn par_map<R, F>(n: usize, f: F) -> Vec<R>
+pub(crate) fn par_map<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,

@@ -5,18 +5,18 @@ use openoptics_switch::{ResourceUsage, SwitchResourceModel};
 
 /// The modeled usage alongside the paper's reported numbers.
 #[derive(Clone, Debug)]
-pub struct Table2 {
+pub(crate) struct Table2 {
     /// Model prediction for the 108-ToR deployment.
     pub usage: ResourceUsage,
 }
 
 /// Evaluate the resource model at the paper's configuration.
-pub fn run() -> Table2 {
+pub(crate) fn run() -> Table2 {
     Table2 { usage: SwitchResourceModel::paper_108_tor().usage() }
 }
 
 /// Render as a table with the paper's column for comparison.
-pub fn render(t2: &Table2) -> String {
+pub(crate) fn render(t2: &Table2) -> String {
     let u = &t2.usage;
     let mut t = Table::new(&["resource", "model", "paper"]);
     let rows = [

@@ -4,25 +4,25 @@
 //! simulation point owns its RNG). This is the `--jobs 1` vs `--jobs 4`
 //! acceptance check from the issue, run in-process against fig8a --quick.
 //!
-//! Single test function: `par::set_jobs` is a process-global knob, so the
+//! Single test function: `set_jobs` is a process-global knob, so the
 //! serial and parallel runs must happen sequentially in one test.
 
 use openoptics_bench as x;
 
 #[test]
 fn fig8a_quick_output_identical_across_worker_counts() {
-    x::par::set_jobs(1);
-    x::par::take_metrics();
-    let serial_rows = x::fig8::run_mice(8);
-    let serial = x::fig8::render_mice(&serial_rows);
-    let serial_events = x::par::take_events();
-    let serial_metrics = x::par::take_metrics();
+    x::set_jobs(1);
+    x::take_metrics();
+    let serial_rows = x::run_mice(8);
+    let serial = x::render_mice(&serial_rows);
+    let serial_events = x::take_events();
+    let serial_metrics = x::take_metrics();
 
-    x::par::set_jobs(4);
-    let parallel_rows = x::fig8::run_mice(8);
-    let parallel = x::fig8::render_mice(&parallel_rows);
-    let parallel_events = x::par::take_events();
-    let parallel_metrics = x::par::take_metrics();
+    x::set_jobs(4);
+    let parallel_rows = x::run_mice(8);
+    let parallel = x::render_mice(&parallel_rows);
+    let parallel_events = x::take_events();
+    let parallel_metrics = x::take_metrics();
 
     assert_eq!(serial, parallel, "rendered fig8a output differs between --jobs 1 and --jobs 4");
     assert_eq!(

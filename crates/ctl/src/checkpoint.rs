@@ -128,7 +128,7 @@ impl Checkpoint {
     }
 
     /// Validate an already-parsed checkpoint document.
-    pub fn from_json(doc: &Json) -> Result<Checkpoint, ScenarioError> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Checkpoint, ScenarioError> {
         doc.as_obj().map_err(at("checkpoint"))?;
         let r = Reader::new(doc, "");
         let version = r.req("version")?.u64()?;

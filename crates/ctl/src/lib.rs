@@ -8,7 +8,7 @@
 //!   describing a whole run — engine configuration, architecture × routing
 //!   pairing, workloads, fault campaign, stop time — with typed validation
 //!   errors that name the offending field.
-//! - **Sessions and the server** ([`Session`], [`server`]): load a
+//! - **Sessions and the server** ([`Session`], `server`): load a
 //!   scenario, step simulated time on demand, mutate the run live (inject
 //!   faults, add flows, swap routing), and export telemetry — over a
 //!   line-delimited JSON-RPC TCP protocol or directly in-process.
@@ -24,18 +24,18 @@
 //! See GUIDE.md at the repository root for a task-oriented walkthrough.
 
 /// Checkpoint documents: journaled operations and replay-based restore.
-pub mod checkpoint;
+mod checkpoint;
 /// The versioned scenario-file format and its typed validation.
-pub mod scenario;
+mod scenario;
 /// The line-delimited JSON-RPC protocol layer and TCP server loop.
-pub mod server;
+mod server;
 /// Live runs: stepping, mutation, forking, and the export bundle.
-pub mod session;
+mod session;
 
 pub use checkpoint::{Checkpoint, Op, CHECKPOINT_VERSION};
 pub use scenario::{
     ArchSpec, FaultEntry, RoutingSpec, Scenario, ScenarioError, SloEntry, TmSpec, TransportSpec,
-    WorkloadSpec, SCENARIO_VERSION,
+    WorkloadSpec, MAX_CALENDAR_QUEUES, MAX_HOSTS, MAX_NODES, MAX_SLICES, SCENARIO_VERSION,
 };
 pub use server::{serve, serve_on, ControlPlane, Subscriptions, MAX_FRAMES_PER_TURN};
 pub use session::Session;

@@ -32,6 +32,27 @@ use openoptics_topo::TrafficMatrix;
 /// The scenario file format version this crate reads and writes.
 pub const SCENARIO_VERSION: u64 = 1;
 
+// Shape bounds. One server process hosts every session, so a document must
+// not be able to ask for more memory than the process has: each bound caps
+// one allocation that grows with a number the document controls. The
+// largest configuration in the repository is 128 nodes; paper scale is
+// 108 nodes x 6 uplinks x 32 queues.
+
+/// The largest `config.node_num`. Parsing alone builds an `n x n` `f64` traffic
+/// matrix: 8 MiB at this bound (at `u32::MAX` it would be 147 EB).
+pub const MAX_NODES: u32 = 1 << 10;
+/// The largest `node_num x uplink x num_queues`: the calendar queues a deploy
+/// allocates, each at most 56 bytes before a packet is queued, so 112 MiB
+/// at this bound. Paper scale is 20,736.
+pub const MAX_CALENDAR_QUEUES: u64 = 1 << 21;
+/// The largest `node_num x hosts_per_node`: the hosts a deploy builds, each with
+/// its own transport and segment-queue state. It also keeps every host id
+/// inside `u32`.
+pub const MAX_HOSTS: u64 = 1 << 16;
+/// The largest `architecture.num_slices` and `architecture.extra_slices`: each
+/// slice is one `node x uplink` row of the optical schedule.
+pub const MAX_SLICES: u32 = 1 << 16;
+
 /// A typed validation error: which field is wrong and why.
 ///
 /// `field` is a JSON-path-like locator (`"workloads[2].bytes"`,
@@ -62,7 +83,7 @@ pub enum TmSpec {
 
 impl TmSpec {
     /// Materialize the matrix for an `n`-node network.
-    pub fn matrix(&self, n: u32) -> TrafficMatrix {
+    pub(crate) fn matrix(&self, n: u32) -> TrafficMatrix {
         match self {
             TmSpec::Mesh => mesh(n, 1.0),
             TmSpec::Uniform(v) => mesh(n, *v),
@@ -115,6 +136,28 @@ impl ToJson for TmSpec {
     }
 }
 
+/// Refuse a configuration whose shape exceeds a memory bound (see
+/// [`MAX_NODES`] and the bounds after it), before anything is built.
+fn check_shape(cfg: &NetConfig) -> Result<(), ScenarioError> {
+    let too_big = |field: &str, what: String, most: u64| {
+        Err(ScenarioError::new(field, format!("{what}; a scenario may ask for at most {most}")))
+    };
+    let nodes = u64::from(cfg.node_num);
+    if cfg.node_num > MAX_NODES {
+        return too_big("config.node_num", format!("{nodes} nodes"), MAX_NODES.into());
+    }
+    let queues = nodes * u64::from(cfg.uplink) * cfg.num_queues as u64;
+    if queues > MAX_CALENDAR_QUEUES {
+        let what = format!("node_num x uplink x num_queues is {queues} calendar queues");
+        return too_big("config", what, MAX_CALENDAR_QUEUES);
+    }
+    let hosts = nodes * u64::from(cfg.hosts_per_node);
+    if hosts > MAX_HOSTS {
+        return too_big("config", format!("node_num x hosts_per_node is {hosts} hosts"), MAX_HOSTS);
+    }
+    Ok(())
+}
+
 fn mesh(n: u32, v: f64) -> TrafficMatrix {
     let mut tm = TrafficMatrix::uniform(n as usize, v);
     for i in 0..n {
@@ -150,7 +193,7 @@ fn unknown_arch(name: &str) -> ScenarioError {
 
 impl ArchSpec {
     /// A spec with default shape parameters for the given preset name.
-    pub fn named(name: &str) -> ArchSpec {
+    pub(crate) fn named(name: &str) -> ArchSpec {
         ArchSpec {
             name: name.to_string(),
             dim: 3,
@@ -161,7 +204,7 @@ impl ArchSpec {
     }
 
     /// Instantiate the [`Architecture`] this spec names.
-    pub fn build(&self, cfg: &NetConfig) -> Result<Architecture, ScenarioError> {
+    pub(crate) fn build(&self, cfg: &NetConfig) -> Result<Architecture, ScenarioError> {
         let shape = PresetShape {
             tm: &self.tm.matrix(cfg.node_num),
             mordia_slices: if self.num_slices == 0 { cfg.node_num } else { self.num_slices },
@@ -181,6 +224,11 @@ impl ArchSpec {
         spec.dim = r.uint_or("dim", spec.dim)?;
         spec.num_slices = r.uint_or("num_slices", spec.num_slices)?;
         spec.extra_slices = r.uint_or("extra_slices", spec.extra_slices)?;
+        let slices = [("num_slices", spec.num_slices), ("extra_slices", spec.extra_slices)];
+        if let Some(&(key, n)) = slices.iter().find(|&&(_, n)| n > MAX_SLICES) {
+            let reason = format!("{n} slices; a scenario may ask for at most {MAX_SLICES}");
+            return Err(r.req(key)?.err(reason));
+        }
         if let Some(tm) = r.opt("tm") {
             spec.tm = TmSpec::from_json(tm)?;
         }
@@ -231,7 +279,7 @@ fn unknown_routing(algo: &str) -> ScenarioError {
 impl RoutingSpec {
     /// A spec with the idiomatic lookup/multipath pairing for `algo` — the
     /// same pairing the built-in sweeps use.
-    pub fn named(algo: &str) -> RoutingSpec {
+    pub(crate) fn named(algo: &str) -> RoutingSpec {
         let (lookup, multipath) = algos::by_name(algo)
             .map_or((LookupMode::PerHop, MultipathMode::None), |(_, l, m)| (l, m));
         RoutingSpec {
@@ -251,7 +299,7 @@ impl RoutingSpec {
     }
 
     /// Instantiate the routing choice this spec names.
-    pub fn build(
+    pub(crate) fn build(
         &self,
     ) -> Result<(Box<dyn RoutingAlgorithm>, LookupMode, MultipathMode), ScenarioError> {
         let (algo, _, _) = algos::by_name(&self.algo).ok_or_else(|| unknown_routing(&self.algo))?;
@@ -331,7 +379,7 @@ impl PartialEq for TransportSpec {
 
 impl TransportSpec {
     /// The engine-level transport this spec resolves to.
-    pub fn kind(&self) -> TransportKind {
+    pub(crate) fn kind(&self) -> TransportKind {
         self.kind
     }
 
@@ -423,7 +471,7 @@ impl SloEntry {
     }
 
     /// The engine-level target this entry declares.
-    pub fn target(&self) -> openoptics_core::SloTarget {
+    pub(crate) fn target(&self) -> openoptics_core::SloTarget {
         openoptics_core::SloTarget {
             latency_ns: self.latency_ns,
             objective_milli: self.objective_milli,
@@ -561,7 +609,7 @@ impl WorkloadSpec {
     }
 
     /// The service name this workload tags its latencies with, if any.
-    pub fn service(&self) -> Option<&str> {
+    pub(crate) fn service(&self) -> Option<&str> {
         match self {
             WorkloadSpec::Flow { service, .. }
             | WorkloadSpec::Memcached { service, .. }
@@ -733,7 +781,7 @@ impl Scenario {
     }
 
     /// Validate an already-parsed scenario document.
-    pub fn from_json(doc: &Json) -> Result<Scenario, ScenarioError> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Scenario, ScenarioError> {
         doc.as_obj().map_err(at("scenario"))?;
         let r = Reader::new(doc, "");
         let version = r.req("version")?.u64()?;
@@ -755,6 +803,7 @@ impl Scenario {
             }
         };
         config.validate().map_err(at("config"))?;
+        check_shape(&config)?;
         let architecture = ArchSpec::from_json(r.req("architecture")?)?;
         let routing = r.opt("routing").map(RoutingSpec::from_json).transpose()?;
         let total_hosts = config.total_hosts();

@@ -53,11 +53,6 @@ impl Subscriptions {
     pub fn new() -> Subscriptions {
         Subscriptions::default()
     }
-
-    /// Session names currently subscribed, in name order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.cursors.keys().map(String::as_str)
-    }
 }
 
 /// The protocol state machine: named sessions plus request dispatch.

@@ -190,7 +190,7 @@ impl Session {
     }
 
     /// [`Session::export_bundle`] into a text sink.
-    pub fn write_bundle(&self, out: &mut Text<'_>) {
+    pub(crate) fn write_bundle(&self, out: &mut Text<'_>) {
         let _ = writeln!(out, "== openoptics-ctl export @ {} ns ==", self.now_ns());
         let _ = out.write_str("-- telemetry --\n");
         out.json(&self.net.telemetry_snapshot());

@@ -5,6 +5,7 @@
 use openoptics_core::json;
 use openoptics_ctl::{
     Checkpoint, ControlPlane, FaultEntry, Op, Scenario, Session, Subscriptions, TmSpec,
+    MAX_CALENDAR_QUEUES, MAX_HOSTS, MAX_NODES, MAX_SLICES,
 };
 
 /// A small faulted run that exercises every subsystem the bundle exports:
@@ -178,6 +179,69 @@ fn typed_rejections_name_the_offending_field() {
         let err = Scenario::parse(text).expect_err(text);
         assert_eq!(err.field, field, "wrong field for `{text}`: {err}");
     }
+}
+
+// --- shape bounds ---
+
+/// A document with `config` and `architecture` spliced in.
+fn shaped(config: &str, architecture: &str) -> String {
+    format!(
+        r#"{{"version": 1, "config": {{{config}}}, "architecture": {{{architecture}}},
+            "stop_ns": 10}}"#
+    )
+}
+
+/// Every bound, just past it and exactly at it: `(past, at, field)`.
+fn bound_cases() -> Vec<(String, String, &'static str)> {
+    let clos = r#""name": "clos""#;
+    let nodes = |n: u64| shaped(&format!(r#""node_num": {n}"#), clos);
+    // 1024 nodes x 64 uplinks x 32 queues is exactly the calendar bound.
+    let queues = |q: u64| {
+        shaped(&format!(r#""node_num": {MAX_NODES}, "uplink": 64, "num_queues": {q}"#), clos)
+    };
+    let hosts =
+        |h: u64| shaped(&format!(r#""node_num": {MAX_NODES}, "hosts_per_node": {h}"#), clos);
+    let mordia = |s: u32| shaped("", &format!(r#""name": "mordia", "num_slices": {s}"#));
+    let sorn = |s: u32| shaped("", &format!(r#""name": "semi_oblivious", "extra_slices": {s}"#));
+    let per_node_hosts = MAX_HOSTS / u64::from(MAX_NODES);
+    let per_node_queues = MAX_CALENDAR_QUEUES / u64::from(MAX_NODES) / 64;
+    vec![
+        (nodes(u64::from(MAX_NODES) + 1), nodes(MAX_NODES.into()), "config.node_num"),
+        (nodes(u32::MAX.into()), nodes(MAX_NODES.into()), "config.node_num"),
+        (queues(per_node_queues + 1), queues(per_node_queues), "config"),
+        (hosts(per_node_hosts + 1), hosts(per_node_hosts), "config"),
+        (mordia(MAX_SLICES + 1), mordia(MAX_SLICES), "architecture.num_slices"),
+        (sorn(MAX_SLICES + 1), sorn(MAX_SLICES), "architecture.extra_slices"),
+    ]
+}
+
+#[test]
+fn each_shape_bound_is_refused_past_it_and_accepted_at_it() {
+    for (past, at, field) in bound_cases() {
+        let err = Scenario::parse(&past).expect_err(&past);
+        assert_eq!(err.field, field, "wrong field for `{past}`: {err}");
+        assert!(err.reason.contains("a scenario may ask for at most"), "{err}");
+        Scenario::parse(&at).unwrap_or_else(|e| panic!("`{at}` is at the bound: {e}"));
+    }
+}
+
+#[test]
+fn a_refused_load_leaves_the_server_answering() {
+    let mut cp = ControlPlane::new();
+    for (i, (past, _, field)) in bound_cases().into_iter().enumerate() {
+        let refused = cp.handle_line(&format!(
+            r#"{{"id":{i},"method":"load","params":{{"name":"big","scenario":{past}}}}}"#
+        ));
+        assert!(refused.contains(r#""error""#) && refused.contains(field), "{refused}");
+    }
+    let missing = cp.handle_line(r#"{"id":7,"method":"status","params":{"name":"big"}}"#);
+    assert!(missing.contains("no session named"), "{missing}");
+    let load = cp.handle_line(&format!(
+        r#"{{"id":8,"method":"load","params":{{"name":"s","scenario":{SCENARIO}}}}}"#
+    ));
+    assert!(load.contains(r#""result""#), "{load}");
+    let status = cp.handle_line(r#"{"id":9,"method":"status","params":{"name":"s"}}"#);
+    assert!(status.contains(r#""now_ns":0"#), "{status}");
 }
 
 // --- determinism ---

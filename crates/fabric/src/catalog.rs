@@ -78,17 +78,6 @@ pub const OCS_CATALOG: [OcsProfile; 4] = [
     },
 ];
 
-/// The testbed's real OCS: a Polatis Series 6000 MEMS switch with tens of
-/// milliseconds reconfiguration delay (§6), suitable for TA architectures
-/// like Jupiter and c-Through.
-pub const POLATIS_MEMS: OcsProfile = OcsProfile {
-    name: "polatis-series-6000",
-    port_count: 192,
-    reconfig_ns: 25_000_000,
-    min_slice_ns: 250_000_000,
-    relative_cost: 0.5,
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,13 +114,5 @@ mod tests {
                 d.duty_cycle_at(d.min_slice_ns)
             );
         }
-    }
-
-    #[test]
-    fn mems_is_ta_only() {
-        // MEMS reconfiguration is far slower than any TO slice in the
-        // catalog (read through a function so the comparison is evaluated).
-        let slowest_to = OCS_CATALOG.iter().map(|d| d.reconfig_ns).max().unwrap();
-        assert!(POLATIS_MEMS.reconfig_ns > 100 * slowest_to);
     }
 }

@@ -17,12 +17,12 @@
 //! emulated profile adds the cut-through forwarding latency of the emulating
 //! switch, mirroring the paper's realism argument in Fig. 13.
 
-pub mod catalog;
-pub mod circuit;
-pub mod fabric;
-pub mod layout;
-pub mod schedule;
-pub mod sync;
+mod catalog;
+mod circuit;
+mod fabric;
+mod layout;
+mod schedule;
+mod sync;
 
 pub use catalog::{OcsProfile, OCS_CATALOG};
 pub use circuit::Circuit;

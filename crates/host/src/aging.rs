@@ -37,19 +37,9 @@ impl FlowAging {
         self.sent.get(&flow).map(|&b| b >= self.threshold).unwrap_or(false)
     }
 
-    /// Bytes recorded for `flow`.
-    pub fn bytes(&self, flow: FlowId) -> u64 {
-        self.sent.get(&flow).copied().unwrap_or(0)
-    }
-
     /// Forget a finished flow.
     pub fn forget(&mut self, flow: FlowId) {
         self.sent.remove(&flow);
-    }
-
-    /// Number of tracked flows.
-    pub fn tracked(&self) -> usize {
-        self.sent.len()
     }
 }
 
@@ -65,7 +55,7 @@ mod tests {
         assert!(a.record(7, 600), "crossing the threshold must edge-trigger");
         assert!(a.is_elephant(7));
         assert!(!a.record(7, 100), "already an elephant: no re-trigger");
-        assert_eq!(a.bytes(7), 1_100);
+        assert_eq!(a.sent.get(&7).copied().unwrap_or(0), 1_100);
     }
 
     #[test]
@@ -75,7 +65,7 @@ mod tests {
         a.record(2, 100);
         assert!(a.is_elephant(1));
         assert!(!a.is_elephant(2));
-        assert_eq!(a.tracked(), 2);
+        assert_eq!(a.sent.len(), 2);
     }
 
     #[test]
@@ -84,14 +74,14 @@ mod tests {
         a.record(1, 600);
         a.forget(1);
         assert!(!a.is_elephant(1));
-        assert_eq!(a.bytes(1), 0);
-        assert_eq!(a.tracked(), 0);
+        assert_eq!(a.sent.get(&1).copied().unwrap_or(0), 0);
+        assert_eq!(a.sent.len(), 0);
     }
 
     #[test]
     fn unknown_flow_is_mouse() {
         let a = FlowAging::new(500);
         assert!(!a.is_elephant(99));
-        assert_eq!(a.bytes(99), 0);
+        assert_eq!(a.sent.get(&99).copied().unwrap_or(0), 0);
     }
 }

@@ -14,9 +14,8 @@
 //! network and feeds completions back.
 
 use openoptics_proto::HostId;
-use openoptics_sim::cast::idx_u32;
-use openoptics_sim::rate::Bandwidth;
-use openoptics_sim::rng::SimRng;
+use openoptics_sim::idx_u32;
+use openoptics_sim::SimRng;
 
 /// Memcached/Memslap SET workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -43,22 +42,6 @@ impl MemcachedParams {
     /// Draw the next inter-operation gap.
     pub fn next_gap_ns(&self, rng: &mut SimRng) -> u64 {
         rng.exp_ns(self.mean_interval_ns as f64)
-    }
-}
-
-/// iperf-style bulk-flow parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct IperfParams {
-    /// Application-level rate cap — the testbed's CPU bound (§6: "the
-    /// 40 Gbps throughput in Clos is the upper bound because it is
-    /// CPU-bound").
-    pub app_limit: Bandwidth,
-}
-
-impl IperfParams {
-    /// The §6 Case II configuration.
-    pub fn paper() -> Self {
-        IperfParams { app_limit: Bandwidth::gbps(40) }
     }
 }
 
@@ -102,21 +85,6 @@ impl RingAllreduce {
             total_steps,
             received_in_step: 0,
         }
-    }
-
-    /// Total steps the collective runs.
-    pub fn total_steps(&self) -> u32 {
-        self.total_steps
-    }
-
-    /// Current step (0-based).
-    pub fn step(&self) -> u32 {
-        self.step
-    }
-
-    /// Chunk size per step.
-    pub fn chunk_bytes(&self) -> u64 {
-        self.chunk_bytes
     }
 
     /// Whether the collective has completed.
@@ -182,8 +150,8 @@ mod tests {
     #[test]
     fn allreduce_step_count_and_chunks() {
         let ar = RingAllreduce::new(hosts(8), 20_000_000);
-        assert_eq!(ar.total_steps(), 14);
-        assert_eq!(ar.chunk_bytes(), 2_500_000);
+        assert_eq!(ar.total_steps, 14);
+        assert_eq!(ar.chunk_bytes, 2_500_000);
     }
 
     #[test]
@@ -203,7 +171,7 @@ mod tests {
         assert_eq!(ar.on_chunk_complete(), None);
         let next = ar.on_chunk_complete().expect("step barrier releases");
         assert_eq!(next.len(), 3);
-        assert_eq!(ar.step(), 1);
+        assert_eq!(ar.step, 1);
     }
 
     #[test]
@@ -220,14 +188,14 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(steps_run, ar.total_steps());
+        assert_eq!(steps_run, ar.total_steps);
         assert_eq!(outstanding, 0);
     }
 
     #[test]
     fn allreduce_uneven_division_rounds_up() {
         let ar = RingAllreduce::new(hosts(3), 1_000);
-        assert_eq!(ar.chunk_bytes(), 334);
+        assert_eq!(ar.chunk_bytes, 334);
     }
 
     #[test]

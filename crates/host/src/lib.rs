@@ -4,26 +4,26 @@
 //! with the libvma user-space stack on Mellanox NICs; this crate models the
 //! same structures:
 //!
-//! * [`vma`] — segment-queue sockets with per-destination pausing: the
+//! * `vma` — segment-queue sockets with per-destination pausing: the
 //!   flow-pausing service (elephants held until their circuit) and the
 //!   push-back blocks, with natural application back-pressure when the
 //!   segment queue fills;
-//! * [`aging`] — PIAS-style flow aging to spot elephants without prior
+//! * `aging` — PIAS-style flow aging to spot elephants without prior
 //!   flow-size knowledge;
 //! * [`tcp`] — an event-driven TCP sender/receiver pair with configurable
 //!   dupack threshold, enough to reproduce the reordering pathology of
 //!   Fig. 9; built with two topologies the sender keeps TDTCP-style
 //!   per-topology congestion state, the kind of "newly designed protocol"
 //!   the framework exists to let researchers evaluate (§6 Case II);
-//! * [`udp`] — the UDP RTT probe train of Fig. 13;
+//! * `udp` — the UDP RTT probe train of Fig. 13;
 //! * [`apps`] — workload state machines: Memcached/Memslap SETs, Gloo ring
 //!   allreduce, and iperf bulk flows (§6).
 
-pub mod aging;
+mod aging;
 pub mod apps;
 pub mod tcp;
-pub mod udp;
-pub mod vma;
+mod udp;
+mod vma;
 
 pub use aging::FlowAging;
 pub use tcp::{TcpConfig, TcpReceiver, TcpSender};

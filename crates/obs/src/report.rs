@@ -10,7 +10,7 @@ use std::fmt::Write;
 
 use crate::span::{Stage, STAGE_COUNT};
 use crate::table::{SpanRow, SpanTable};
-use openoptics_sim::cast::{idx_u32, to_usize};
+use openoptics_sim::{idx_u32, to_usize};
 use openoptics_telemetry::json::{self, Text, ToJson};
 
 fn lifecycle(stage: Stage) -> bool {

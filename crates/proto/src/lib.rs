@@ -8,9 +8,9 @@
 //! hosts by the engine. There is no wire codec: nothing in the simulation
 //! serializes a message.
 
-pub mod ids;
-pub mod message;
-pub mod packet;
+mod ids;
+mod message;
+mod packet;
 
 pub use ids::{FlowId, HostId, NodeId, PortId};
 pub use message::PushBack;

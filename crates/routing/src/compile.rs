@@ -7,8 +7,8 @@
 //! (five tuple).
 
 use crate::path::Path;
-use openoptics_proto::packet::{SourceHop, SourceRoute};
 use openoptics_proto::{NodeId, PortId};
+use openoptics_proto::{SourceHop, SourceRoute};
 use openoptics_sim::time::SliceIndex;
 use std::collections::BTreeMap;
 

@@ -13,16 +13,16 @@
 //! apply unchanged.
 //!
 //! TA materializations: [`algos::Direct`], [`algos::Ecmp`], [`algos::Wcmp`],
-//! [`algos::Ksp`].  TO materializations: [`algos::Vlb`],
+//! `Ksp` (by name only). TO materializations: [`algos::Vlb`],
 //! [`algos::OperaRouting`], [`algos::Ucmp`], [`algos::Hoho`].
 
 pub mod algos;
-pub mod compile;
-pub mod path;
-pub mod timegraph;
+mod compile;
+mod path;
+mod timegraph;
 
 pub use compile::{compile, LookupMode, MultipathMode, RouteAction, RouteEntry, RouteMatch};
-pub use path::{Path, PathHop};
+pub use path::{Path, PathError, PathHop};
 pub use timegraph::{earliest_arrival, earliest_path, EarliestInfo};
 
 use openoptics_fabric::OpticalSchedule;

@@ -58,7 +58,7 @@ impl<T> ByteQueue<T> {
 
     /// Dequeue ignoring the pause gate — used when draining a queue for
     /// offload to a host rather than for transmission.
-    pub fn pop_even_if_paused(&mut self) -> Option<(u32, T)> {
+    pub(crate) fn pop_even_if_paused(&mut self) -> Option<(u32, T)> {
         let (len, item) = self.items.pop_front()?;
         self.bytes -= len as u64;
         Some((len, item))
@@ -97,11 +97,6 @@ impl<T> ByteQueue<T> {
     /// Whether no items are queued.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Byte capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 }
 

@@ -30,7 +30,7 @@ pub const fn to_usize(v: u64) -> usize {
 /// `u128 -> u64` with a loud failure on truncation. For the result of a
 /// multiply-divide widened to 128 bits so the product cannot overflow.
 #[inline]
-pub fn to_u64(v: u128) -> u64 {
+pub(crate) fn to_u64(v: u128) -> u64 {
     u64::try_from(v).expect("u128 value exceeds u64 range; widened arithmetic overflowed")
 }
 

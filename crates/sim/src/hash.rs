@@ -11,7 +11,7 @@ const FNV_PRIME: u64 = 0x100000001b3;
 
 /// FNV-1a over an arbitrary byte string.
 #[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
@@ -62,7 +62,7 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// on every lookup; simulation-internal maps are keyed by ids the simulator
 /// itself allocates, so that defense buys nothing. This is the rustc /
 /// Firefox "Fx" scheme: rotate-xor-multiply per word, one multiply per
-/// 8 bytes. Like [`fnv1a`] it is fully deterministic (no per-process random
+/// 8 bytes. Like `fnv1a` it is fully deterministic (no per-process random
 /// state), so iteration-order-independent uses stay reproducible across
 /// runs and platforms.
 ///
@@ -126,7 +126,7 @@ impl std::hash::Hasher for FxHasher {
 }
 
 /// [`BuildHasher`](std::hash::BuildHasher) producing [`FxHasher`]s.
-pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`]; construct with `FxHashMap::default()`.
 #[expect(clippy::disallowed_types, reason = "this alias IS the sanctioned deterministic map")]

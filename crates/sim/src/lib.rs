@@ -15,17 +15,17 @@
 //! switches, or optics. Higher layers define their event types and drive
 //! [`EventQueue`] / [`run`].
 
-pub mod bytequeue;
-/// Checked narrowing conversions: [`cast::to_u32`] and friends.
-pub mod cast;
-pub mod engine;
-pub mod event;
+mod bytequeue;
+mod cast;
+mod engine;
+mod event;
 pub mod hash;
 pub mod rate;
-pub mod rng;
+mod rng;
 pub mod time;
 
 pub use bytequeue::ByteQueue;
+pub use cast::{idx_u32, to_u32, to_u8, to_usize};
 pub use engine::{run, run_while, World};
 pub use event::{EventQueue, QueueStats};
 pub use rate::Bandwidth;

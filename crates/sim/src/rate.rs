@@ -20,12 +20,6 @@ impl Bandwidth {
         Bandwidth(g * 1_000_000_000)
     }
 
-    /// From megabits per second.
-    #[inline]
-    pub const fn mbps(m: u64) -> Self {
-        Bandwidth(m * 1_000_000)
-    }
-
     /// Raw bits per second.
     #[inline]
     pub const fn bps(self) -> u64 {
@@ -34,7 +28,7 @@ impl Bandwidth {
 
     /// Bandwidth as fractional Gbps (for reporting).
     #[inline]
-    pub fn as_gbps_f64(self) -> f64 {
+    pub(crate) fn as_gbps_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -61,12 +55,6 @@ impl Bandwidth {
             Some(bit_ns) => bit_ns / (8 * 1_000_000_000),
             None => to_u64(self.0 as u128 * ns as u128 / 8 / 1_000_000_000),
         }
-    }
-
-    /// Scale the bandwidth by a rational factor `num/den` (e.g. rate limits).
-    #[inline]
-    pub fn scale(self, num: u64, den: u64) -> Bandwidth {
-        Bandwidth(to_u64(self.0 as u128 * num as u128 / den as u128))
     }
 }
 
@@ -115,7 +103,7 @@ mod tests {
         let t = Bandwidth::gbps(100).tx_time_ns(20_000_000);
         assert_eq!(t, 1_600_000);
         // 1 TB at 1 Mbps doesn't overflow.
-        let t = Bandwidth::mbps(1).tx_time_ns(1_000_000_000_000);
+        let t = Bandwidth(1_000_000).tx_time_ns(1_000_000_000_000);
         assert_eq!(t, 8_000_000_000_000_000);
     }
 
@@ -152,14 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn scaling() {
-        assert_eq!(Bandwidth::gbps(100).scale(1, 10), Bandwidth::gbps(10));
-        assert_eq!(Bandwidth::gbps(3).scale(2, 3), Bandwidth::gbps(2));
-    }
-
-    #[test]
     fn display() {
         assert_eq!(format!("{}", Bandwidth::gbps(100)), "100.0Gbps");
-        assert_eq!(format!("{}", Bandwidth::mbps(250)), "250.0Mbps");
+        assert_eq!(format!("{}", Bandwidth(250_000_000)), "250.0Mbps");
     }
 }

@@ -56,20 +56,8 @@ impl SimRng {
     }
 
     /// Create from full 256-bit key material.
-    pub fn from_seed(seed: [u8; 32]) -> Self {
+    pub(crate) fn from_seed(seed: [u8; 32]) -> Self {
         SimRng { seed, counter: 0, block: [0; 16], word: 16 }
-    }
-
-    /// Derive an independent child stream, e.g. one per node, so adding a
-    /// consumer does not perturb the draws seen by others.
-    pub fn fork(&self, salt: u64) -> SimRng {
-        let mut seed = self.seed;
-        for (i, b) in salt.to_le_bytes().iter().enumerate() {
-            seed[i] ^= b.rotate_left(crate::cast::idx_u32(i));
-            seed[i + 8] ^= b;
-        }
-        seed[31] ^= 0xA5;
-        SimRng::from_seed(seed)
     }
 
     /// Produce the next ChaCha8 keystream block.
@@ -154,14 +142,6 @@ impl SimRng {
         assert!(!items.is_empty(), "cannot pick from an empty slice");
         &items[self.range(0..items.len())]
     }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.range(0..=i);
-            items.swap(i, j);
-        }
-    }
 }
 
 /// Ranges [`SimRng::range`] can sample from uniformly.
@@ -221,16 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_is_deterministic_and_independent() {
-        let root = SimRng::new(7);
-        let mut c1 = root.fork(1);
-        let mut c1b = SimRng::new(7).fork(1);
-        let mut c2 = root.fork(2);
-        assert_eq!(c1.u64(), c1b.u64());
-        assert_ne!(c1.u64(), c2.u64());
-    }
-
-    #[test]
     fn exp_ns_has_roughly_right_mean() {
         let mut r = SimRng::new(3);
         let n = 20_000;
@@ -245,16 +215,6 @@ mod tests {
         let mut r = SimRng::new(9);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl SimTime {
     /// The time origin.
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable instant; used as an "infinitely far" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from nanoseconds.
     #[inline]
@@ -66,7 +66,7 @@ impl SimTime {
 
     /// Time as fractional microseconds (for reporting).
     #[inline]
-    pub fn as_us_f64(self) -> f64 {
+    pub(crate) fn as_us_f64(self) -> f64 {
         self.0 as f64 / US as f64
     }
 
@@ -86,12 +86,6 @@ impl SimTime {
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> u64 {
         self.0.saturating_sub(earlier.0)
-    }
-
-    /// `self + ns`, saturating at [`SimTime::MAX`].
-    #[inline]
-    pub fn saturating_add(self, ns: u64) -> SimTime {
-        SimTime(self.0.saturating_add(ns))
     }
 }
 
@@ -170,12 +164,6 @@ impl SliceConfig {
         SliceConfig { slice_ns, num_slices, guard_ns }
     }
 
-    /// The paper's record-setting minimum configuration: 2 µs slices with a
-    /// 200 ns guardband (§7, "Minimum time slice duration").
-    pub fn min_commodity(num_slices: u32) -> Self {
-        SliceConfig::new(2 * US, num_slices, 200)
-    }
-
     /// The slice index (within the cycle) active at instant `t`.
     #[inline]
     #[expect(clippy::cast_possible_truncation, reason = "the remainder is below num_slices")]
@@ -252,7 +240,6 @@ mod tests {
         assert_eq!((t + 250).as_ns(), 5_250);
         assert_eq!(t - SimTime::from_us(2), 3_000);
         assert_eq!(SimTime::from_ns(10).saturating_since(SimTime::from_ns(20)), 0);
-        assert_eq!(SimTime::MAX.saturating_add(5), SimTime::MAX);
     }
 
     #[test]
@@ -309,7 +296,7 @@ mod tests {
     #[test]
     fn duty_cycle_matches_paper() {
         // 2 us slice, 200 ns guardband -> 90% duty cycle (§7).
-        let sc = SliceConfig::min_commodity(8);
+        let sc = SliceConfig::new(2_000, 8, 200);
         assert!((sc.duty_cycle() - 0.9).abs() < 1e-9);
     }
 

@@ -6,7 +6,7 @@
 //! early and scheduled under later orders its event exactly where the
 //! number says.
 
-use openoptics_sim::cast::to_usize;
+use openoptics_sim::to_usize;
 use openoptics_sim::{EventQueue, QueueStats, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;

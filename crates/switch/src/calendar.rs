@@ -13,7 +13,7 @@
 //! the switch reads it after every enqueue to track its buffer high-water
 //! mark, and at 32 queues per port that sum was most of admission's cost.
 
-use openoptics_sim::bytequeue::ByteQueue;
+use openoptics_sim::ByteQueue;
 
 /// A set of calendar queues for one egress port.
 #[derive(Debug, Clone)]
@@ -38,22 +38,22 @@ impl<T> CalendarPort<T> {
     }
 
     /// Number of queues in the ring.
-    pub fn num_queues(&self) -> usize {
+    pub(crate) fn num_queues(&self) -> usize {
         self.queues.len()
     }
 
     /// Index of the active queue.
-    pub fn active_index(&self) -> usize {
+    pub(crate) fn active_index(&self) -> usize {
         self.active
     }
 
     /// Ring index that rank `rank` maps to.
-    pub fn index_for_rank(&self, rank: u32) -> usize {
+    pub(crate) fn index_for_rank(&self, rank: u32) -> usize {
         (self.active + rank as usize) % self.queues.len()
     }
 
     /// Whether a rank is representable without wrapping onto a nearer slice.
-    pub fn rank_fits(&self, rank: u32) -> bool {
+    pub(crate) fn rank_fits(&self, rank: u32) -> bool {
         (rank as usize) < self.queues.len()
     }
 
@@ -107,27 +107,27 @@ impl<T> CalendarPort<T> {
     }
 
     /// Peek the head of the active queue without dequeuing.
-    pub fn peek_active(&self) -> Option<&(u32, T)> {
+    pub(crate) fn peek_active(&self) -> Option<&(u32, T)> {
         self.queues[self.active].peek()
     }
 
     /// Bytes in the active queue.
-    pub fn active_bytes(&self) -> u64 {
+    pub(crate) fn active_bytes(&self) -> u64 {
         self.queues[self.active].bytes()
     }
 
     /// Bytes in the queue at ring index `idx`.
-    pub fn queue_bytes(&self, idx: usize) -> u64 {
+    pub(crate) fn queue_bytes(&self, idx: usize) -> u64 {
         self.queues[idx].bytes()
     }
 
     /// Items in the queue at ring index `idx`.
-    pub fn queue_len(&self, idx: usize) -> usize {
+    pub(crate) fn queue_len(&self, idx: usize) -> usize {
         self.queues[idx].len()
     }
 
     /// Total buffered bytes across the ring.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.total
     }
 }

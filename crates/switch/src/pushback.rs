@@ -13,7 +13,7 @@ use openoptics_sim::time::SliceIndex;
 
 /// Push-back message generator for one switch.
 #[derive(Debug, Clone, Default)]
-pub struct PushbackGen {
+pub(crate) struct PushbackGen {
     enabled: bool,
     sent: FxHashSet<(NodeId, SliceIndex, u64)>,
     /// Messages emitted (post-deduplication).
@@ -24,18 +24,13 @@ pub struct PushbackGen {
 
 impl PushbackGen {
     /// A generator; disabled generators observe events but emit nothing.
-    pub fn new(enabled: bool) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         PushbackGen { enabled, ..Default::default() }
-    }
-
-    /// Whether the service is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// A packet toward `dst` found the queue for `slice` (in absolute cycle
     /// `cycle`) full. Returns the message to broadcast, if one is due.
-    pub fn on_queue_full(
+    pub(crate) fn on_queue_full(
         &mut self,
         dst: NodeId,
         slice: SliceIndex,
@@ -54,14 +49,14 @@ impl PushbackGen {
     }
 
     /// Drop dedup state older than `min_cycle` (bounded memory).
-    pub fn gc(&mut self, min_cycle: u64) {
+    pub(crate) fn gc(&mut self, min_cycle: u64) {
         self.sent.retain(|&(_, _, c)| c >= min_cycle);
     }
 
     /// [`PushbackGen::gc`], returning the expired keys in sorted order —
     /// each is a push-back whose embargoed cycle has passed (deassert).
     /// Sorted so trace emission is independent of hash iteration order.
-    pub fn gc_collect(&mut self, min_cycle: u64) -> Vec<(NodeId, SliceIndex, u64)> {
+    pub(crate) fn gc_collect(&mut self, min_cycle: u64) -> Vec<(NodeId, SliceIndex, u64)> {
         let mut expired: Vec<_> =
             self.sent.iter().copied().filter(|&(_, _, c)| c < min_cycle).collect();
         expired.sort_unstable();

@@ -68,12 +68,12 @@ impl SwitchResourceModel {
 
     /// Full time-flow table size: one exact entry per (destination,
     /// arrival slice) pair, destinations excluding self.
-    pub fn tft_entries(&self) -> u64 {
+    pub(crate) fn tft_entries(&self) -> u64 {
         (self.num_nodes as u64 - 1) * self.num_slices as u64
     }
 
     /// EQO + occupancy registers: one per (port, queue).
-    pub fn registers(&self) -> u64 {
+    pub(crate) fn registers(&self) -> u64 {
         self.uplinks as u64 * self.queues_per_port as u64
     }
 

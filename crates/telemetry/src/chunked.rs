@@ -8,13 +8,13 @@
 //! at `(i >> CHUNK_SHIFT, i & MASK)`.
 
 /// `log2` of the items a chunk holds.
-pub const CHUNK_SHIFT: u32 = 12;
-/// Items a chunk holds ([`ChunkedVec::push_run`] may open a larger one).
+pub(crate) const CHUNK_SHIFT: u32 = 12;
+/// Items a chunk holds (`ChunkedVec::push_run` may open a larger one).
 pub const CHUNK_LEN: usize = 1 << CHUNK_SHIFT;
 const MASK: usize = CHUNK_LEN - 1;
 
 /// An append-only sequence stored in fixed chunks. Indices are the ones
-/// [`ChunkedVec::push`] and [`ChunkedVec::push_run`] return: a run never
+/// [`ChunkedVec::push`] and `ChunkedVec::push_run` return: a run never
 /// straddles two chunks, so the rest of a chunk too short for it stays
 /// unused and the run starts the next one.
 #[derive(Debug)]
@@ -98,7 +98,7 @@ impl<T> ChunkedVec<T> {
     /// Append `items` contiguously in one chunk; returns the index of the
     /// first ([`ChunkedVec::run`] reads them back). A run longer than a
     /// chunk gets a chunk of its own, as long as the run.
-    pub fn push_run(&mut self, items: impl ExactSizeIterator<Item = T>) -> usize {
+    pub(crate) fn push_run(&mut self, items: impl ExactSizeIterator<Item = T>) -> usize {
         let n = items.len();
         if n == 0 {
             return self.end();
@@ -112,7 +112,7 @@ impl<T> ChunkedVec<T> {
     }
 
     /// The `n` items of the run that starts at `start`.
-    pub fn run(&self, start: usize, n: usize) -> &[T] {
+    pub(crate) fn run(&self, start: usize, n: usize) -> &[T] {
         if n == 0 {
             return &[];
         }

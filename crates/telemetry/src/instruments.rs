@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 /// Number of histogram buckets: one for zero plus one per power of two of
 /// the `u64` range.
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 /// A monotonically increasing `u64` counter. Saturates at `u64::MAX`
 /// instead of wrapping, so overflow can never masquerade as a reset.
@@ -29,14 +29,8 @@ pub struct Counter(
 
 impl Counter {
     /// A detached counter; all operations are no-ops.
-    pub const fn detached() -> Self {
+    pub(crate) const fn detached() -> Self {
         Counter(None)
-    }
-
-    /// Whether this handle is attached to a registry series.
-    #[inline]
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Increment by one.
@@ -57,15 +51,10 @@ impl Counter {
     /// that live outside the registry (e.g. engine structs) at snapshot
     /// time; hot paths should use [`Counter::add`].
     #[inline]
-    pub fn set(&self, v: u64) {
+    pub(crate) fn set(&self, v: u64) {
         if let Some(c) = &self.0 {
             c.set(v);
         }
-    }
-
-    /// Current value (0 when detached).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.get())
     }
 }
 
@@ -83,35 +72,16 @@ pub struct Gauge(
 
 impl Gauge {
     /// A detached gauge; all operations are no-ops.
-    pub const fn detached() -> Self {
+    pub(crate) const fn detached() -> Self {
         Gauge(None)
-    }
-
-    /// Whether this handle is attached to a registry series.
-    #[inline]
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Overwrite the value.
     #[inline]
-    pub fn set(&self, v: i64) {
+    pub(crate) fn set(&self, v: i64) {
         if let Some(c) = &self.0 {
             c.set(v);
         }
-    }
-
-    /// Adjust by a signed delta, saturating at the `i64` range.
-    #[inline]
-    pub fn add(&self, d: i64) {
-        if let Some(c) = &self.0 {
-            c.set(c.get().saturating_add(d));
-        }
-    }
-
-    /// Current value (0 when detached).
-    pub fn get(&self) -> i64 {
-        self.0.as_ref().map_or(0, |c| c.get())
     }
 }
 
@@ -168,22 +138,11 @@ impl Log2Histogram {
 /// `[2^(i-1), 2^i)`. Values are typically sim-time durations in ns or byte
 /// counts; log₂ buckets cover the full `u64` range in 65 slots.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
         64 - v.leading_zeros() as usize
-    }
-}
-
-/// Inclusive upper bound of a bucket (`2^i - 1`; bucket 0 → 0).
-pub fn bucket_upper_bound(i: u8) -> u64 {
-    if i == 0 {
-        0
-    } else if i >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
     }
 }
 
@@ -199,25 +158,24 @@ pub struct HistogramSummary {
     pub min: u64,
     /// Largest observed value (0 when empty).
     pub max: u64,
-    /// Non-empty buckets, ascending by index; see [`bucket_index`].
+    /// Non-empty buckets, ascending by index; see `bucket_index`.
     pub buckets: Vec<(u8, u64)>,
-}
-
-impl HistogramSummary {
-    /// Mean of the observed values, or 0 when empty. Computed on demand so
-    /// exports stay float-free.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inclusive upper bound of a bucket (`2^i - 1`; bucket 0 → 0).
+    fn bucket_upper_bound(i: u8) -> u64 {
+        if i == 0 {
+            0
+        } else if i >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << i) - 1
+        }
+    }
 
     #[test]
     fn bucket_index_is_log2() {
@@ -249,33 +207,21 @@ mod tests {
         let c = Counter::detached();
         c.inc();
         c.add(100);
-        assert_eq!(c.get(), 0);
-        assert!(!c.is_attached());
+        assert!(c.0.is_none());
         let g = Gauge::detached();
         g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 0);
+        assert!(g.0.is_none());
     }
 
     #[test]
     fn counter_saturates_instead_of_wrapping() {
         let c = Counter(Some(Cell::new(u64::MAX - 1).into()));
         c.inc();
-        assert_eq!(c.get(), u64::MAX);
+        assert_eq!(c.0.as_ref().unwrap().get(), u64::MAX);
         c.inc();
-        assert_eq!(c.get(), u64::MAX, "must saturate, not wrap to 0");
+        assert_eq!(c.0.as_ref().unwrap().get(), u64::MAX, "must saturate, not wrap to 0");
         c.add(u64::MAX);
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn gauge_saturates_both_directions() {
-        let g = Gauge(Some(Cell::new(i64::MAX - 1).into()));
-        g.add(5);
-        assert_eq!(g.get(), i64::MAX);
-        g.set(i64::MIN + 1);
-        g.add(-5);
-        assert_eq!(g.get(), i64::MIN);
+        assert_eq!(c.0.as_ref().unwrap().get(), u64::MAX);
     }
 
     #[test]
@@ -291,7 +237,6 @@ mod tests {
         assert_eq!(s.max, 1000);
         // 0 -> b0; 1 -> b1; 3,3 -> b2; 8 -> b4; 1000 -> b10.
         assert_eq!(s.buckets, vec![(0, 1), (1, 1), (2, 2), (4, 1), (10, 1)]);
-        assert!((s.mean() - 1015.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

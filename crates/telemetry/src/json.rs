@@ -25,7 +25,7 @@
 use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting [`parse`] accepts.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -350,7 +350,7 @@ impl Writer {
     }
 
     /// Write an integer exactly.
-    pub fn int(&mut self, i: i128) {
+    pub(crate) fn int(&mut self, i: i128) {
         self.before_value();
         // Counters are most of what exports print, so the common case —
         // the value fits 64 bits — skips the formatting machinery.
@@ -879,7 +879,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The path of the value under the cursor.
-    pub fn path(&self) -> String {
+    pub(crate) fn path(&self) -> String {
         let mut out = self.parent.map_or(String::new(), Reader::path);
         match self.step {
             Step::Root(name) => out.push_str(name),

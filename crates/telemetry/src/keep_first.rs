@@ -44,7 +44,7 @@ impl<T> KeepFirst<T> {
     }
 
     /// The items held, in push order.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.items
     }
 
@@ -59,7 +59,7 @@ impl<T> KeepFirst<T> {
     }
 
     /// Items rejected because the store was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 

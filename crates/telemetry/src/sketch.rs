@@ -17,8 +17,8 @@
 //! `v ≤ r < v + v/16` — an overestimate by strictly less than **6.25 %**
 //! relative error. No floats are involved anywhere.
 
-use openoptics_sim::cast::to_usize;
 use openoptics_sim::nearest_rank;
+use openoptics_sim::to_usize;
 
 /// Values below this are counted in exact width-1 buckets.
 const LINEAR_MAX: u64 = 16;
@@ -28,7 +28,7 @@ const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS;
 /// Total fixed bucket count: 16 exact slots + 16 per octave for octaves
 /// 4..=63.
-pub const SKETCH_BUCKETS: usize = to_usize(LINEAR_MAX) + (64 - SUB_BITS as usize) * SUB;
+pub(crate) const SKETCH_BUCKETS: usize = to_usize(LINEAR_MAX) + (64 - SUB_BITS as usize) * SUB;
 
 /// Bucket index of a sample value (monotone in the value).
 #[inline]
@@ -62,8 +62,6 @@ fn bucket_upper_bound(i: usize) -> u64 {
 pub struct QuantileSketch {
     counts: Vec<u64>,
     count: u64,
-    sum: u64,
-    min: u64,
     max: u64,
 }
 
@@ -77,7 +75,7 @@ impl QuantileSketch {
     /// An empty sketch. All `SKETCH_BUCKETS` slots exist up front, so the
     /// memory cost is fixed (~8 KiB) and merge never reallocates.
     pub fn new() -> Self {
-        QuantileSketch { counts: vec![0; SKETCH_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
+        QuantileSketch { counts: vec![0; SKETCH_BUCKETS], count: 0, max: 0 }
     }
 
     /// Record one sample.
@@ -85,33 +83,12 @@ impl QuantileSketch {
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_index(v)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Saturating sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
     }
 
     /// Nearest-rank quantile `numer/denom`, reported as the containing
@@ -154,8 +131,6 @@ impl QuantileSketch {
             *a += b;
         }
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 }
@@ -173,8 +148,7 @@ mod tests {
         assert_eq!(s.quantile(1, 32), 0);
         assert_eq!(s.quantile(16, 32), 15);
         assert_eq!(s.quantile(32, 32), 31);
-        assert_eq!(s.min(), 0);
-        assert_eq!(s.max(), 31);
+        assert_eq!(s.max, 31);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! Everything is integer arithmetic on sim-time values, so SLO state is
 //! byte-identical at any worker count.
 
-use crate::json::{self, ToJson, Writer};
+use crate::json::{ToJson, Writer};
 use crate::sketch::QuantileSketch;
 
 /// A declared latency objective for one service.
@@ -82,16 +82,6 @@ impl ServiceStats {
     /// The service name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The declared SLO target, if any.
-    pub fn target(&self) -> Option<SloTarget> {
-        self.target
-    }
-
-    /// The latency sketch.
-    pub fn sketch(&self) -> &QuantileSketch {
-        &self.sketch
     }
 
     /// Record one request latency observed at sim time `at_ns`.
@@ -160,16 +150,6 @@ impl ServiceStats {
         self.bad
     }
 
-    /// Bad samples recorded while an injected fault was active.
-    pub fn bad_in_fault(&self) -> u64 {
-        self.bad_in_fault
-    }
-
-    /// Whether the current window is in breach.
-    pub fn breached(&self) -> bool {
-        self.breached
-    }
-
     /// Point-in-time summary for exports and sample frames.
     pub fn summary(&self) -> SloSummary {
         SloSummary {
@@ -212,13 +192,6 @@ pub struct SloSummary {
     pub has_target: bool,
 }
 
-impl SloSummary {
-    /// Render as one JSON object with a stable field order.
-    pub fn to_json(&self) -> String {
-        json::render(self)
-    }
-}
-
 impl ToJson for SloSummary {
     fn write_json(&self, w: &mut Writer) {
         w.obj(|w| {
@@ -240,6 +213,7 @@ impl ToJson for SloSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn target() -> SloTarget {
         SloTarget { latency_ns: 1_000, objective_milli: 900, window_ns: 1_000_000 }
@@ -256,10 +230,10 @@ mod tests {
         assert_eq!(s.record(9, 5_000, false), None);
         // Another slow one tips the window over budget.
         assert_eq!(s.record(10, 5_000, false), Some(SloTransition::Breach));
-        assert!(s.breached());
+        assert!(s.breached);
         // A new window full of fast requests recovers.
         assert_eq!(s.record(1_000_001, 10, false), Some(SloTransition::Recover));
-        assert!(!s.breached());
+        assert!(!s.breached);
     }
 
     #[test]
@@ -274,7 +248,7 @@ mod tests {
         }
         assert_eq!(s.burn_milli(), 1000);
         assert_eq!(s.bad(), 10);
-        assert_eq!(s.bad_in_fault(), 5);
+        assert_eq!(s.bad_in_fault, 5);
     }
 
     #[test]
@@ -283,8 +257,8 @@ mod tests {
         assert_eq!(s.record(0, 123, true), None);
         assert_eq!(s.burn_milli(), 0);
         assert_eq!(s.total(), 1);
-        assert_eq!(s.sketch().count(), 1);
-        let json = s.summary().to_json();
+        assert_eq!(s.sketch.count(), 1);
+        let json = json::render(&s.summary());
         assert!(!json.contains("burn_milli"), "{json}");
     }
 }

@@ -8,22 +8,25 @@
 //! * [`matching`] — Edmonds/Hungarian-style max-weight matchings used by
 //!   c-Through-class TA architectures;
 //! * [`bvn`] — Birkhoff–von-Neumann decomposition used by Mordia;
-//! * [`jupiter`] — Google Jupiter's gradually-evolving mesh;
-//! * [`sorn`] — the semi-oblivious skewed round-robin (TA+TO hybrid, §4.3);
-//! * [`expander`] — Opera-style per-slice connected expander schedules;
-//! * [`matrix`] — the traffic-matrix type all TA algorithms consume.
+//! * `jupiter` — Google Jupiter's gradually-evolving mesh;
+//! * `sorn` — the semi-oblivious skewed round-robin (TA+TO hybrid, §4.3);
+//! * `expander` — Opera-style per-slice connected expander schedules;
+//! * `matrix` — the traffic-matrix type all TA algorithms consume.
 //!
 //! Every generator returns plain [`openoptics_fabric::Circuit`] lists that
 //! `deploy_topo()` validates and installs; nothing here touches the data
 //! plane.
 
 pub mod bvn;
-pub mod expander;
-pub mod jupiter;
+mod expander;
+mod jupiter;
 pub mod matching;
-pub mod matrix;
+mod matrix;
 pub mod round_robin;
-pub mod sorn;
+mod sorn;
 
+pub use expander::opera_schedule;
+pub use jupiter::{evolve, uniform_mesh};
 pub use matrix::TrafficMatrix;
-pub use round_robin::{one_factorization, round_robin, round_robin_multidim};
+pub use round_robin::{round_robin, round_robin_multidim};
+pub use sorn::{pair_time_share, sorn};

@@ -5,7 +5,7 @@
 //! Entry `(i, j)` is demand from endpoint node `i` to node `j`, in bytes.
 
 use openoptics_proto::NodeId;
-use openoptics_sim::cast::idx_u32;
+use openoptics_sim::idx_u32;
 use std::fmt;
 
 /// An `n x n` demand matrix (row = source, column = destination).
@@ -44,13 +44,8 @@ impl TrafficMatrix {
     }
 
     /// Matrix dimension.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
-    }
-
-    /// Whether the matrix has zero dimension.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Demand from `s` to `d`.
@@ -76,39 +71,17 @@ impl TrafficMatrix {
         self.data.iter().sum()
     }
 
-    /// Row sum (total egress demand of `s`).
-    pub fn row_sum(&self, s: NodeId) -> f64 {
-        (0..self.n).map(|j| self.data[s.index() * self.n + j]).sum()
-    }
-
-    /// Column sum (total ingress demand of `d`).
-    pub fn col_sum(&self, d: NodeId) -> f64 {
-        (0..self.n).map(|i| self.data[i * self.n + d.index()]).sum()
-    }
-
     /// Symmetrized demand `get(a,b) + get(b,a)` — what bidirectional
     /// circuits serve.
     pub fn pair_demand(&self, a: NodeId, b: NodeId) -> f64 {
         self.get(a, b) + self.get(b, a)
     }
 
-    /// Ordered pairs with positive demand, heaviest first.
-    pub fn hot_pairs(&self) -> Vec<(NodeId, NodeId, f64)> {
-        let mut v: Vec<(NodeId, NodeId, f64)> = (0..self.n)
-            .flat_map(|i| (0..self.n).map(move |j| (i, j)))
-            .filter(|&(i, j)| i != j)
-            .map(|(i, j)| (NodeId(idx_u32(i)), NodeId(idx_u32(j)), self.data[i * self.n + j]))
-            .filter(|&(_, _, v)| v > 0.0)
-            .collect();
-        v.sort_by(|a, b| b.2.total_cmp(&a.2).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
-        v
-    }
-
     /// Sinkhorn-Knopp normalization toward a doubly stochastic matrix
     /// (all row and column sums 1), the precondition for Birkhoff–von-Neumann
     /// decomposition. Zero rows/columns receive uniform fill first so the
     /// iteration converges. `iters` of 50 is plenty for DCN-size matrices.
-    pub fn to_doubly_stochastic(&self, iters: usize) -> TrafficMatrix {
+    pub(crate) fn to_doubly_stochastic(&self, iters: usize) -> TrafficMatrix {
         let n = self.n;
         let mut m = self.clone();
         // Fill empty rows/columns and the diagonal-free structure with a
@@ -141,16 +114,6 @@ impl TrafficMatrix {
         }
         m
     }
-
-    /// Largest absolute deviation of any row/column sum from 1.
-    pub fn stochasticity_error(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for i in 0..self.n {
-            worst = worst.max((self.row_sum(NodeId(idx_u32(i))) - 1.0).abs());
-            worst = worst.max((self.col_sum(NodeId(idx_u32(i))) - 1.0).abs());
-        }
-        worst
-    }
 }
 
 impl fmt::Debug for TrafficMatrix {
@@ -162,6 +125,28 @@ impl fmt::Debug for TrafficMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TrafficMatrix {
+        /// Row sum (total egress demand of `s`).
+        fn row_sum(&self, s: NodeId) -> f64 {
+            (0..self.n).map(|j| self.data[s.index() * self.n + j]).sum()
+        }
+
+        /// Column sum (total ingress demand of `d`).
+        fn col_sum(&self, d: NodeId) -> f64 {
+            (0..self.n).map(|i| self.data[i * self.n + d.index()]).sum()
+        }
+
+        /// Largest absolute deviation of any row/column sum from 1.
+        fn stochasticity_error(&self) -> f64 {
+            let mut worst: f64 = 0.0;
+            for i in 0..self.n {
+                worst = worst.max((self.row_sum(NodeId(idx_u32(i))) - 1.0).abs());
+                worst = worst.max((self.col_sum(NodeId(idx_u32(i))) - 1.0).abs());
+            }
+            worst
+        }
+    }
 
     #[test]
     fn accumulation_and_sums() {
@@ -182,18 +167,6 @@ mod tests {
         tm.set(NodeId(1), NodeId(0), 4.0);
         assert_eq!(tm.pair_demand(NodeId(0), NodeId(1)), 7.0);
         assert_eq!(tm.pair_demand(NodeId(1), NodeId(0)), 7.0);
-    }
-
-    #[test]
-    fn hot_pairs_sorted_desc() {
-        let mut tm = TrafficMatrix::zeros(3);
-        tm.set(NodeId(0), NodeId(1), 1.0);
-        tm.set(NodeId(1), NodeId(2), 9.0);
-        tm.set(NodeId(2), NodeId(0), 5.0);
-        let hp = tm.hot_pairs();
-        assert_eq!(hp[0].2, 9.0);
-        assert_eq!(hp[1].2, 5.0);
-        assert_eq!(hp[2].2, 1.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! Samples are drawn by inverse-transform over a piecewise log-linear CDF.
 
-use openoptics_sim::rng::SimRng;
+use openoptics_sim::SimRng;
 
 /// Which benchmark trace to synthesize.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -98,7 +98,7 @@ pub struct FlowSizeDist {
 impl FlowSizeDist {
     /// Build from CDF anchor points. The first probability must be 0.0 and
     /// the last 1.0; both coordinates must be strictly increasing.
-    pub fn from_cdf(points: Vec<(u64, f64)>) -> Self {
+    pub(crate) fn from_cdf(points: Vec<(u64, f64)>) -> Self {
         assert!(points.len() >= 2, "need at least two CDF points");
         assert_eq!(points[0].1, 0.0, "CDF must start at probability 0");
         let last = points.last().expect("checked: at least two points");
@@ -152,7 +152,7 @@ impl FlowSizeDist {
 
     /// Mean flow size (bytes), by numerical integration of the quantile
     /// function — the value load scaling divides by.
-    pub fn mean_bytes(&self) -> f64 {
+    pub(crate) fn mean_bytes(&self) -> f64 {
         let steps = 10_000;
         (0..steps).map(|i| self.quantile((i as f64 + 0.5) / steps as f64) as f64).sum::<f64>()
             / steps as f64

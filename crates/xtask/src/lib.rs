@@ -12,9 +12,10 @@
 //!   enum variants, so this stays a text scan ([`relaxed_lines`]) that
 //!   `tests/workspace.rs` runs over every first-party source.
 //! * **the manifest guard** in `tests/workspace.rs` — the root package and
-//!   every `crates/*` manifest inherit the workspace lint table, and no
-//!   `vendor/*` manifest does. Without it, deleting one line would switch
-//!   off every rule for a crate.
+//!   every `crates/*` manifest inherit the workspace lint table, no
+//!   `vendor/*` manifest does, and the table still sets `unreachable_pub`.
+//!   Without it, deleting one line would switch off every rule for a
+//!   crate, or let a crate's public surface outgrow what its root exports.
 
 /// 1-based numbers of the lines of `src` whose code names the `Relaxed`
 /// ordering (`Ordering::Relaxed`, or `Relaxed` imported on its own).

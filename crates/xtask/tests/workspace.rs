@@ -1,6 +1,7 @@
 //! The checks of `xtask`'s crate docs, run over this workspace: no
-//! first-party source names the `Relaxed` ordering, and every first-party
-//! manifest, and no vendored one, inherits the workspace lint table.
+//! first-party source names the `Relaxed` ordering, every first-party
+//! manifest, and no vendored one, inherits the workspace lint table, and
+//! that table still sets `unreachable_pub`.
 #![expect(clippy::disallowed_methods, reason = "these tests read the workspace's own files")]
 
 use std::fs;
@@ -87,4 +88,22 @@ fn first_party_manifests_and_only_they_inherit_the_workspace_lints() {
     for dir in &vendored {
         assert!(!inherits_workspace_lints(dir), "{} is third-party code", dir.display());
     }
+}
+
+/// `unreachable_pub` is what keeps each crate's public surface to the
+/// names its root exports: a `pub` item no other crate can reach does not
+/// build under CI's `-D warnings`. Deleting its line from the table would
+/// drop that gate silently, as deleting `[lints] workspace = true` would
+/// for a whole crate.
+#[test]
+fn the_workspace_lint_table_sets_unreachable_pub() {
+    let manifest = fs::read_to_string(root().join("Cargo.toml")).expect("manifest reads");
+    let table = manifest
+        .split("\n[")
+        .find(|table| table.starts_with("workspace.lints.rust]"))
+        .expect("the root manifest has a [workspace.lints.rust] table");
+    assert!(
+        table.lines().any(|l| l.replace(' ', "") == r#"unreachable_pub="warn""#),
+        "[workspace.lints.rust] must set unreachable_pub = \"warn\":\n{table}"
+    );
 }

@@ -10,7 +10,7 @@
 //! ```
 
 use openoptics::prelude::*;
-use openoptics::topo::sorn::pair_time_share;
+use openoptics::topo::pair_time_share;
 
 fn cfg() -> NetConfig {
     NetConfig::builder().node_num(8).uplink(1).slice_ns(100_000).build().expect("valid config")
