@@ -17,7 +17,7 @@
 //! collected TM (historical volume) and the pending host demand.
 
 use crate::net::OpenOpticsNet;
-use openoptics_sim::time::SimTime;
+use openoptics_sim::SimTime;
 use openoptics_topo::TrafficMatrix;
 
 /// What one reconfiguration step sees.

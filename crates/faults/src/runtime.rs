@@ -13,8 +13,8 @@
 use crate::{FaultCounters, FaultError, FaultKind, FaultPlan, FaultReport, FaultSpec};
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::hash::FxHashMap;
-use openoptics_sim::time::SimTime;
 use openoptics_sim::SimRng;
+use openoptics_sim::SimTime;
 
 /// Runtime state of an injected fault campaign; `Default` is "no campaign".
 ///

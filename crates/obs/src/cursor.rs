@@ -13,7 +13,7 @@
 
 use crate::span::{Spans, Stage};
 use openoptics_sim::hash::FxHashMap;
-use openoptics_sim::time::SimTime;
+use openoptics_sim::SimTime;
 use openoptics_telemetry::RetxKind;
 
 /// Where a packet was dropped. The discriminant is the `arg` of the

@@ -6,7 +6,7 @@
 use openoptics_fabric::OpticalSchedule;
 use openoptics_proto::NodeId;
 use openoptics_routing::earliest_arrival;
-use openoptics_sim::time::SliceConfig;
+use openoptics_sim::SliceConfig;
 use openoptics_topo::round_robin;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -90,7 +90,7 @@ impl<'a> MirrorPass<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openoptics_sim::time::SimTime;
+    use openoptics_sim::SimTime;
 
     /// One pass of a routine whose middle series is optional.
     fn pass(reg: &Registry, with_middle: bool, v: u64) {

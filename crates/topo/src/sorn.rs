@@ -67,7 +67,7 @@ mod tests {
     use super::*;
     use openoptics_fabric::OpticalSchedule;
     use openoptics_proto::NodeId;
-    use openoptics_sim::time::SliceConfig;
+    use openoptics_sim::SliceConfig;
 
     fn hotspot_tm(n: usize) -> TrafficMatrix {
         let mut tm = TrafficMatrix::uniform(n, 1.0);

@@ -8,7 +8,7 @@ use openoptics::fabric::Circuit;
 use openoptics::proto::{HostId, NodeId, PortId};
 use openoptics::routing::algos::{Direct, Vlb};
 use openoptics::routing::{LookupMode, MultipathMode, RouteAction, RouteEntry, RouteMatch};
-use openoptics::sim::time::SimTime;
+use openoptics::sim::SimTime;
 use openoptics::topo::{round_robin, TrafficMatrix};
 
 fn cfg() -> NetConfig {

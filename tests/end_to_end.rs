@@ -8,9 +8,9 @@ use openoptics::core::{
 use openoptics::proto::{HostId, NodeId};
 use openoptics::routing::algos::{Direct, Hoho, Ucmp, Vlb};
 use openoptics::routing::{LookupMode, MultipathMode, RoutingAlgorithm};
-use openoptics::sim::time::SimTime;
+use openoptics::sim::SimTime;
 use openoptics::workload::{PoissonArrivals, Trace};
-use openoptics_host::tcp::TcpConfig;
+use openoptics_host::TcpConfig;
 
 fn cfg(n: u32, uplinks: u16, slice_us: u64) -> NetConfig {
     NetConfig {

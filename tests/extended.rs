@@ -7,7 +7,7 @@ use openoptics::core::{Architecture, NetConfig, OpenOpticsNet, TransportKind};
 use openoptics::proto::{HostId, NodeId, PortId};
 use openoptics::routing::algos::Hoho;
 use openoptics::routing::{LookupMode, MultipathMode};
-use openoptics::sim::time::SimTime;
+use openoptics::sim::SimTime;
 use openoptics::topo::round_robin_multidim;
 
 fn base_cfg() -> NetConfig {
