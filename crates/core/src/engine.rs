@@ -37,12 +37,13 @@ use openoptics_switch::{CongestionConfig, CongestionPolicy};
 use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::json;
 use openoptics_telemetry::{
-    FlightTrigger, Frame, FrameLog, Labels, QuantileSketch, Registry, RetxKind, ServiceStats,
-    SloTarget, SloTransition, TimeSeries, TraceKind,
+    ChunkedVec, FlightTrigger, Frame, FrameLog, Labels, QuantileSketch, Registry, RetxKind,
+    ServiceStats, SloTarget, SloTransition, TimeSeries, TraceKind,
 };
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::FctStats;
 use openoptics_workload::{FlowRecord, ELEPHANT_MIN_BYTES, MICE_MAX_BYTES};
+use std::collections::VecDeque;
 
 /// Maximum payload per packet (MTU minus headers).
 pub(crate) const MSS: u32 = 1436;
@@ -404,16 +405,36 @@ pub enum Timer {
     Sample,
 }
 
-/// A flow scheduled to start at `at` (`Timer::FlowStart` indexes these).
+/// A flow attached to start at `at` (`Timer::FlowStart` indexes these).
+/// A TCP flow's configuration waits in `Engine::pending_tcp` instead of
+/// here, so the paced majority does not carry one.
 #[derive(Clone, Copy)]
 struct PendingFlow {
     at: SimTime,
+    bytes: u64,
     src: HostId,
     dst: HostId,
-    bytes: u64,
-    transport: TransportKind,
+    /// `0` for a paced flow, else one more than the index of its transport
+    /// in `Engine::pending_tcp`.
+    transport: u32,
     /// Declared service the flow reports latency under, if any.
     service: Option<u16>,
+}
+
+// One record per attached flow: 44k of them wait at `rotor_load`'s peak.
+const _: () = assert!(std::mem::size_of::<PendingFlow>() == 32);
+
+/// The starts of the flows attached before the run, queued one at a time.
+/// `prime` takes the sequence numbers scheduling every start there would
+/// have taken (flow `i` gets `seq0 + i`) and orders the flows by
+/// `(at, i)`. Only the start at `next` waits in the event queue, and it
+/// queues its successor when it fires, so every start pops at the key it
+/// would have had.
+#[derive(Clone, Default)]
+struct StartCursor {
+    order: Vec<u32>,
+    next: usize,
+    seq0: u64,
 }
 
 /// Aggregate packet counters.
@@ -574,8 +595,23 @@ pub struct Engine {
     collective_service: Vec<Option<u16>>,
     /// Completion time of each collective, once done.
     pub collective_done: Vec<Option<SimTime>>,
-    /// Pre-scheduled flows (installed before run).
-    pending_flows: Vec<PendingFlow>,
+    /// Every flow attached with a start time, in attach order. Fixed
+    /// chunks: attaching many never copies the list.
+    pending_flows: ChunkedVec<PendingFlow>,
+    /// The transports of the attached flows that are not paced.
+    pending_tcp: Vec<TransportKind>,
+    starts: StartCursor,
+    /// Armed paced-flow watchdogs as `(at, seq, flow)`, each under the
+    /// sequence number it took when armed. Every watchdog fires exactly
+    /// `WATCHDOG_NS` after it is armed, so they come due in arming order;
+    /// only the front waits in the event queue, and it queues the next
+    /// when it fires.
+    watchdogs: VecDeque<(SimTime, u64, FlowId)>,
+    /// Schedule every start at prime and every watchdog when armed: the
+    /// reference the start cursor and the watchdog FIFO are checked
+    /// against.
+    #[cfg(test)]
+    eager: bool,
     tm_accum: TrafficMatrix,
     rng: SimRng,
     /// Outstanding `OffloadRecall` firing times per node. Every offloaded
@@ -734,7 +770,12 @@ impl Engine {
             collectives: vec![],
             collective_service: vec![],
             collective_done: vec![],
-            pending_flows: vec![],
+            pending_flows: ChunkedVec::new(),
+            pending_tcp: vec![],
+            starts: StartCursor::default(),
+            watchdogs: VecDeque::new(),
+            #[cfg(test)]
+            eager: false,
             tm_accum: TrafficMatrix::zeros(n as usize),
             rng,
             recall_outstanding: vec![vec![]; n as usize],
@@ -1306,8 +1347,25 @@ impl Engine {
         transport: TransportKind,
         service: Option<u16>,
     ) -> usize {
-        self.pending_flows.push(PendingFlow { at, src, dst, bytes, transport, service });
-        self.pending_flows.len() - 1
+        let transport = match transport {
+            TransportKind::Paced => 0,
+            tcp => {
+                self.pending_tcp.push(tcp);
+                idx_u32(self.pending_tcp.len())
+            }
+        };
+        self.pending_flows.push(PendingFlow { at, bytes, src, dst, transport, service })
+    }
+
+    fn pending_flow(&self, idx: usize) -> PendingFlow {
+        *self.pending_flows.get(idx).expect("a FlowStart names an attached flow")
+    }
+
+    fn pending_transport(&self, p: &PendingFlow) -> TransportKind {
+        match p.transport.checked_sub(1) {
+            None => TransportKind::Paced,
+            Some(k) => self.pending_tcp[k as usize],
+        }
     }
 
     /// Attach a memcached app: `clients` SET to `server` until `stop_at`;
@@ -1384,10 +1442,12 @@ impl Engine {
                 }
             }
         }
-        // Scheduled flows.
-        for i in 0..self.pending_flows.len() {
-            q.schedule(self.pending_flows[i].at, Event::Timer(Timer::FlowStart(i)));
-        }
+        // Scheduled flows: their records, and each one's completion, take
+        // exactly the room they need.
+        let n = self.pending_flows.len();
+        self.flows.0.reserve_exact(n);
+        self.fct.reserve_exact(n);
+        self.prime_starts(q);
         // Memcached ops.
         for (a, app) in self.memcached.iter().enumerate() {
             for c in 0..app.clients.len() {
@@ -1412,6 +1472,83 @@ impl Engine {
         // when sampling is off, so a disabled run pays nothing.
         if self.cfg.sample_every_ns > 0 && self.telemetry.is_enabled() {
             q.schedule(SimTime::from_ns(self.cfg.sample_every_ns), Event::Timer(Timer::Sample));
+        }
+    }
+
+    /// Reserve every pre-run flow's start number and queue the first start
+    /// (see [`StartCursor`]).
+    fn prime_starts(&mut self, q: &mut EventQueue<Event>) {
+        let n = self.pending_flows.len();
+        #[cfg(test)]
+        if self.eager {
+            for i in 0..n {
+                q.schedule(self.pending_flow(i).at, Event::Timer(Timer::FlowStart(i)));
+            }
+            return;
+        }
+        let mut order: Vec<u32> = (0..idx_u32(n)).collect();
+        // Stable: flows that start together keep their attach order.
+        order.sort_by_key(|&i| self.pending_flow(i as usize).at);
+        let Some(&lead) = order.first() else { return };
+        // Flow 0 leading at t = 0 on a queue that has scheduled nothing has
+        // the key (ZERO, 0), the current key before the first pop, which
+        // `schedule_reserved` refuses; scheduling it outright gives it the
+        // same number.
+        let first = if lead == 0 {
+            q.schedule(self.pending_flow(0).at, Event::Timer(Timer::FlowStart(0)));
+            1
+        } else {
+            0
+        };
+        // Flow `i` gets `seq0 + i`, the number scheduling every start here
+        // would have given it.
+        let mut seq0 = None;
+        for i in first..n as u64 {
+            let seq = q.reserve_seq();
+            seq0.get_or_insert(seq - i);
+        }
+        self.starts = StartCursor { order, next: 0, seq0: seq0.unwrap_or(0) };
+        if lead != 0 {
+            self.queue_next_start(q);
+        }
+    }
+
+    /// Queue the pre-run start the cursor is on, under its reserved number.
+    fn queue_next_start(&self, q: &mut EventQueue<Event>) {
+        if let Some(&i) = self.starts.order.get(self.starts.next) {
+            let ev = Event::Timer(Timer::FlowStart(i as usize));
+            q.schedule_reserved(
+                self.pending_flow(i as usize).at,
+                self.starts.seq0 + u64::from(i),
+                ev,
+            );
+        }
+    }
+
+    /// Arm `fid`'s watchdog to fire `WATCHDOG_NS` after `now`.
+    fn arm_watchdog(&mut self, fid: FlowId, now: SimTime, q: &mut EventQueue<Event>) {
+        let ev = Event::Timer(Timer::FlowWatchdog(fid));
+        #[cfg(test)]
+        if self.eager {
+            q.schedule_after(now, WATCHDOG_NS, ev);
+            return;
+        }
+        let (at, seq) = (now + WATCHDOG_NS, q.reserve_seq());
+        if self.watchdogs.is_empty() {
+            q.schedule_reserved(at, seq, ev);
+        }
+        self.watchdogs.push_back((at, seq, fid));
+    }
+
+    /// The front watchdog is firing: queue the one behind it.
+    fn watchdog_fired(&mut self, q: &mut EventQueue<Event>) {
+        #[cfg(test)]
+        if self.eager {
+            return;
+        }
+        self.watchdogs.pop_front();
+        if let Some(&(at, seq, fid)) = self.watchdogs.front() {
+            q.schedule_reserved(at, seq, Event::Timer(Timer::FlowWatchdog(fid)));
         }
     }
 
@@ -1464,7 +1601,7 @@ impl Engine {
         match rto_deadline {
             None => {
                 self.hosts[src.index()].backlog.push(id);
-                q.schedule_after(now, WATCHDOG_NS, Event::Timer(Timer::FlowWatchdog(id)));
+                self.arm_watchdog(id, now, q);
             }
             Some(deadline) => {
                 q.schedule(deadline, Event::Timer(Timer::TcpRto(id)));
@@ -2275,13 +2412,20 @@ impl Engine {
     fn on_timer(&mut self, timer: Timer, now: SimTime, q: &mut EventQueue<Event>) {
         match timer {
             Timer::FlowStart(idx) => {
-                let p = self.pending_flows[idx];
+                // A pre-run start queues its successor; one attached after
+                // prime was scheduled on its own.
+                if idx < self.starts.order.len() {
+                    self.starts.next += 1;
+                    self.queue_next_start(q);
+                }
+                let p = self.pending_flow(idx);
+                let transport = self.pending_transport(&p);
                 self.start_flow(
                     now,
                     p.src,
                     p.dst,
                     p.bytes,
-                    p.transport,
+                    transport,
                     FlowKind::Plain,
                     p.service,
                     q,
@@ -2309,6 +2453,7 @@ impl Engine {
                 q.schedule_after(now, gap, Event::Timer(Timer::MemcachedOp { app, client_idx }));
             }
             Timer::FlowWatchdog(fid) => {
+                self.watchdog_fired(q);
                 let retransmit = self.watchdog_retransmit;
                 let Some(f) = self.flows.get_mut(fid) else { return };
                 if f.done {
@@ -2327,7 +2472,7 @@ impl Engine {
                 if let Some(f) = self.flows.get_mut(fid) {
                     f.delivered_at_last_watchdog = f.delivered;
                 }
-                q.schedule_after(now, WATCHDOG_NS, Event::Timer(Timer::FlowWatchdog(fid)));
+                self.arm_watchdog(fid, now, q);
             }
             Timer::TcpRto(fid) => {
                 let Some(f) = self.flows.get_mut(fid) else { return };
@@ -2419,3 +2564,6 @@ impl World for Engine {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -214,7 +214,9 @@ impl ArchSpec {
         Architecture::by_name(&self.name, &shape).ok_or_else(|| unknown_arch(&self.name))
     }
 
-    fn from_json(r: Reader<'_>) -> Result<ArchSpec, ScenarioError> {
+    /// Parse the `architecture` object of a scenario whose network has
+    /// `node_num` nodes.
+    fn from_json(r: Reader<'_>, node_num: u32) -> Result<ArchSpec, ScenarioError> {
         let r = r.obj()?;
         let name = r.req("name")?.str()?;
         if !Architecture::PRESET_NAMES.contains(&name) {
@@ -229,11 +231,25 @@ impl ArchSpec {
             let reason = format!("{n} slices; a scenario may ask for at most {MAX_SLICES}");
             return Err(r.req(key)?.err(reason));
         }
+        if name == "shale" && !is_grid(node_num, spec.dim) {
+            let reason = format!(
+                "shale needs node_num to be a perfect dim-th power of at least 2; \
+                 {node_num} nodes do not form a {}-dimensional grid",
+                spec.dim
+            );
+            return Err(ScenarioError::new("architecture.dim", reason));
+        }
         if let Some(tm) = r.opt("tm") {
             spec.tm = TmSpec::from_json(tm)?;
         }
         Ok(spec)
     }
+}
+
+/// Whether `n` nodes form a `dim`-dimensional grid with equal sides of at
+/// least 2: the shape Shale's multi-dimensional round robin builds on.
+fn is_grid(n: u32, dim: u32) -> bool {
+    dim >= 1 && (2..=n).map_while(|side| side.checked_pow(dim).filter(|&p| p <= n)).any(|p| p == n)
 }
 
 impl ToJson for ArchSpec {
@@ -804,7 +820,7 @@ impl Scenario {
         };
         config.validate().map_err(at("config"))?;
         check_shape(&config)?;
-        let architecture = ArchSpec::from_json(r.req("architecture")?)?;
+        let architecture = ArchSpec::from_json(r.req("architecture")?, config.node_num)?;
         let routing = r.opt("routing").map(RoutingSpec::from_json).transpose()?;
         let total_hosts = config.total_hosts();
         let workloads = list(r.opt("workloads"), |w| WorkloadSpec::from_json(w, total_hosts))?;

@@ -244,6 +244,41 @@ fn a_refused_load_leaves_the_server_answering() {
     assert!(status.contains(r#""now_ns":0"#), "{status}");
 }
 
+/// A `shale` scenario whose nodes do not form a `dim`-dimensional grid
+/// used to pass `check` and then panic building its schedule, taking a
+/// `load`ing server down with it. It is refused at `architecture.dim`,
+/// and the server keeps answering.
+#[test]
+fn a_shale_shape_that_is_not_a_grid_is_refused_at_its_dim() {
+    let shale = |nodes: u32, dim: &str| {
+        shaped(&format!(r#""node_num": {nodes}, "uplink": 1"#), &format!(r#""name": "shale"{dim}"#))
+    };
+    let refused =
+        [shale(10, r#", "dim": 2"#), shale(9, r#", "dim": 0"#), shale(9, ""), shale(1, "")];
+    let mut cp = ControlPlane::new();
+    for (i, doc) in refused.iter().enumerate() {
+        let err = Scenario::parse(doc).expect_err(doc);
+        assert_eq!(err.field, "architecture.dim", "{err}");
+        let reply = cp.handle_line(&format!(
+            r#"{{"id":{i},"method":"load","params":{{"name":"grid","scenario":{doc}}}}}"#
+        ));
+        assert!(reply.contains(r#""error""#) && reply.contains("architecture.dim"), "{reply}");
+    }
+    let missing = cp.handle_line(r#"{"id":7,"method":"status","params":{"name":"grid"}}"#);
+    assert!(missing.contains("no session named"), "{missing}");
+    for (i, doc) in
+        [shale(9, r#", "dim": 2"#), shale(8, ""), shale(5, r#", "dim": 1"#)].iter().enumerate()
+    {
+        let load = cp.handle_line(&format!(
+            r#"{{"id":{i},"method":"load","params":{{"name":"g{i}","scenario":{doc}}}}}"#
+        ));
+        assert!(load.contains(r#""result""#), "{load}");
+        let status =
+            cp.handle_line(&format!(r#"{{"id":9,"method":"status","params":{{"name":"g{i}"}}}}"#));
+        assert!(status.contains(r#""now_ns":0"#), "{status}");
+    }
+}
+
 // --- determinism ---
 
 #[test]

@@ -58,8 +58,10 @@
 //! event then fires exactly where it would have had it been scheduled at
 //! reservation time. The engine uses this to leave out a link's "free"
 //! event when nothing waits behind the transmission, and to schedule it
-//! after all if a packet turns up before it would have fired;
-//! [`EventQueue::current_key`] is what it compares against.
+//! after all if a packet turns up before it would have fired
+//! ([`EventQueue::current_key`] is what it compares against); and to keep
+//! only the next pre-run flow start and the earliest paced-flow watchdog
+//! pending, the rest waiting in order outside the queue.
 //! ```
 //! use openoptics_sim::{EventQueue, SimTime};
 //!

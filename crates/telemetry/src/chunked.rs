@@ -2,10 +2,10 @@
 //!
 //! A `Vec` grows by doubling: the old block is copied into one twice its
 //! size while both are live, and the new block is up to half empty. The
-//! big observability stores — a sample's values, a span's row — only ever
-//! append, so they grow here instead, in fixed chunks of [`CHUNK_LEN`]
-//! items: growing opens one more chunk and moves nothing. Item `i` lives
-//! at `(i >> CHUNK_SHIFT, i & MASK)`.
+//! big observability stores — a sample's values, a span's row — and the
+//! engine's list of attached flows only ever append, so they grow here
+//! instead, in fixed chunks of [`CHUNK_LEN`] items: growing opens one more
+//! chunk and moves nothing. Item `i` lives at `(i >> CHUNK_SHIFT, i & MASK)`.
 
 /// `log2` of the items a chunk holds.
 pub(crate) const CHUNK_SHIFT: u32 = 12;
@@ -119,6 +119,12 @@ impl<T> ChunkedVec<T> {
         &self.chunks[start >> CHUNK_SHIFT][start & MASK..][..n]
     }
 
+    /// The item at `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<&T> {
+        self.chunks.get(i >> CHUNK_SHIFT)?.get(i & MASK)
+    }
+
     /// The item at `i`, to change in place.
     #[inline]
     pub fn get_mut(&mut self, i: usize) -> Option<&mut T> {
@@ -139,6 +145,11 @@ mod tests {
         assert_eq!(v.len(), 3 * CHUNK_LEN + 5);
         *v.get_mut(2 * CHUNK_LEN + 1).unwrap() = 7;
         assert!(v.get_mut(3 * CHUNK_LEN + 5).is_none());
+        assert_eq!(
+            (v.get(2 * CHUNK_LEN + 1), v.get(CHUNK_LEN - 1)),
+            (Some(&7), Some(&(CHUNK_LEN - 1)))
+        );
+        assert!(v.get(3 * CHUNK_LEN + 5).is_none());
         let all = v.to_vec();
         assert_eq!((all.len(), all[CHUNK_LEN], all[2 * CHUNK_LEN + 1]), (v.len(), CHUNK_LEN, 7));
     }

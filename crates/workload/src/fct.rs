@@ -63,6 +63,12 @@ impl FctStats {
         Some(rec)
     }
 
+    /// Make room for exactly `n` more completion records, so a run whose
+    /// flow count is known up front never doubles the record list.
+    pub fn reserve_exact(&mut self, n: usize) {
+        self.completed.reserve_exact(n);
+    }
+
     /// Completed flows.
     pub fn completed(&self) -> &[FlowRecord] {
         &self.completed

@@ -46,7 +46,6 @@ fn sampled_net(
     ocs_reconfig_ns: u64,
     (telemetry, span_sample_every, sample_every_ns): Observation,
 ) -> openoptics::core::OpenOpticsNet {
-    use openoptics::faults::FaultPlan;
     use openoptics::prelude::*;
     let cfg = NetConfig::builder()
         .node_num(n)
@@ -62,19 +61,26 @@ fn sampled_net(
         .build()
         .expect("sampled config is valid");
     let mut net = OpenOpticsNet::deploy_preset(cfg, arch).expect("sampled architecture deploys");
-    let plan = match fault_pick {
-        0 => None,
-        1 => Some(FaultPlan::builder().link_down(NodeId(1), PortId(0), 200_000, 900_000)),
-        2 => {
-            Some(FaultPlan::builder().transceiver_flap(NodeId(2), PortId(0), 40, 100_000, 900_000))
-        }
-        _ => Some(FaultPlan::builder().nic_pause_storm(NodeId(0), 300_000, 1_200_000)),
-    }
-    .map(|b| b.build().expect("sampled plan is valid"));
-    if let Some(p) = &plan {
-        net.inject_faults(p).expect("plan validates against this net");
+    if let Some(p) = sampled_plan(fault_pick, 0) {
+        net.inject_faults(&p).expect("plan validates against this net");
     }
     net
+}
+
+/// `sampled_net`'s fault plan for `fault_pick`, every window `shift_ns`
+/// later.
+fn sampled_plan(fault_pick: u8, shift_ns: u64) -> Option<openoptics::faults::FaultPlan> {
+    use openoptics::faults::FaultPlan;
+    use openoptics::prelude::PortId;
+    let b = FaultPlan::builder();
+    let at = |ns: u64| ns + shift_ns;
+    match fault_pick {
+        0 => None,
+        1 => Some(b.link_down(NodeId(1), PortId(0), at(200_000), at(900_000))),
+        2 => Some(b.transceiver_flap(NodeId(2), PortId(0), 40, at(100_000), at(900_000))),
+        _ => Some(b.nic_pause_storm(NodeId(0), at(300_000), at(1_200_000))),
+    }
+    .map(|b| b.build().expect("sampled plan is valid"))
 }
 
 /// The demand both reconfigure-to-the-deployed-demand properties deploy
@@ -489,6 +495,92 @@ proptest! {
         prop_assert_eq!(&plain.1, &reconfigured.1, "counters moved reconfiguring at {} ns", at);
         prop_assert_eq!(&plain.0, &reconfigured.0, "FCT records moved reconfiguring at {} ns", at);
         prop_assert!(plain.0 != "[]", "the workload completes flows");
+    }
+
+    /// Metamorphic relation (a), cycle shift: the schedule repeats every
+    /// cycle C, so shifting every flow start, fault window and
+    /// `reconfigure` call by k cycles must shift every FCT record by
+    /// exactly k·C and leave the counters and the fault report as they
+    /// were. Clos runs its preset routing; rotornet and opera run Direct,
+    /// HOHO, or VLB or UCMP per flow, paced and TCP. Per-packet spraying
+    /// is left out: VLB's and Opera source routing's (both presets'
+    /// default), and UCMP's too, where a scheme offers more than one path.
+    /// `TimeFlowTable::lookup` picks the path by hashing the absolute
+    /// `ingress_ts`, standing in for the switch's on-chip RNG, so a shift
+    /// re-rolls every spray (a TCP flow on opera under per-packet UCMP
+    /// finished 4.7 us earlier one cycle later).
+    #[test]
+    fn a_cycle_shift_shifts_every_fct_by_k_cycles(
+        n in 4u32..9,
+        slice_us in 1u64..4,
+        seed in 0u64..1_000,
+        arch_pick in 0u8..3,
+        routing_pick in 0u8..4,
+        fault_pick in 0u8..4,
+        k in prop_oneof![Just(1u64), Just(3)],
+        reconfigure in any::<bool>(),
+        reconfigure_at in 1u64..HORIZON_NS,
+        flows in proptest::collection::vec(
+            (0u64..1_000_000, 0u32..8, 0u32..8, 1u64..30, any::<bool>()),
+            1..10,
+        ),
+    ) {
+        use openoptics::prelude::*;
+        let tm = incast_demand(n);
+        let arch = || match arch_pick {
+            0 => Architecture::clos(),
+            1 => Architecture::rotornet(),
+            _ => Architecture::opera(),
+        };
+        let run = |shift_ns: u64| -> Result<[String; 3], Error> {
+            let mut net = sampled_net(n, slice_us, seed, arch(), 0, 0, (false, 0, 0));
+            let hop = LookupMode::PerHop;
+            match (arch_pick, routing_pick) {
+                (0, _) => Ok(()),
+                (_, 0) => net.deploy_routing(Direct, hop, MultipathMode::None),
+                (_, 1) => net.deploy_routing(Vlb, hop, MultipathMode::PerFlow),
+                (_, 2) => net.deploy_routing(Hoho::default(), hop, MultipathMode::None),
+                _ => net.deploy_routing(Ucmp::default(), hop, MultipathMode::PerFlow),
+            }?;
+            if let Some(p) = sampled_plan(fault_pick, shift_ns) {
+                net.inject_faults(&p)?;
+            }
+            for &(at, src, dst, size, tcp) in &flows {
+                let (src, dst) = (src % n, dst % n);
+                let dst = if src == dst { (dst + 1) % n } else { dst };
+                let transport =
+                    if tcp { TransportKind::Tcp(Default::default()) } else { TransportKind::Paced };
+                let at = SimTime::from_ns(at + shift_ns);
+                net.add_flow(at, HostId(src), HostId(dst), size * 10_000, transport);
+            }
+            if reconfigure {
+                net.run_for(SimTime::from_ns(reconfigure_at + shift_ns));
+                net.reconfigure(&tm)?;
+            }
+            net.run_for(SimTime::from_ns(HORIZON_NS + shift_ns - net.now().as_ns()));
+            let unshifted: Vec<_> = net
+                .fct()
+                .completed()
+                .iter()
+                .map(|r| (r.flow, r.bytes, r.start.as_ns() - shift_ns, r.end.as_ns() - shift_ns))
+                .collect();
+            Ok([
+                format!("{unshifted:?}"),
+                format!("{:?}", net.engine.counters),
+                format!("{:?}", net.fault_report()),
+            ])
+        };
+        let net = sampled_net(n, slice_us, seed, arch(), 0, 0, (false, 0, 0));
+        let slice_cfg = net.engine.schedule().slice_config();
+        let cycle_ns = u64::from(slice_cfg.num_slices) * slice_cfg.slice_ns;
+        let base = run(0)?;
+        // Direct routing around a downed link may complete nothing.
+        prop_assume!(base[0] != "[]");
+        let shifted = run(k * cycle_ns)?;
+        let names = ["fct records less k cycles", "counters", "fault report"];
+        for ((name, a), b) in names.iter().zip(&base).zip(&shifted) {
+            prop_assert_eq!(a, b, "{} moved shifting by {} cycles", name, k);
+        }
     }
 
     /// The wildcard reduction: a schedule of held circuits routes
