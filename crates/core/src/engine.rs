@@ -595,8 +595,10 @@ pub struct Engine {
     collective_service: Vec<Option<u16>>,
     /// Completion time of each collective, once done.
     pub collective_done: Vec<Option<SimTime>>,
-    /// Every flow attached with a start time, in attach order. Fixed
-    /// chunks: attaching many never copies the list.
+    /// Every flow attached with a start time, in attach order. A first
+    /// chunk that grows with the list, so a handful of flows costs a
+    /// handful of records, then fixed chunks: attaching many copies at
+    /// most that first chunk.
     pending_flows: ChunkedVec<PendingFlow>,
     /// The transports of the attached flows that are not paced.
     pending_tcp: Vec<TransportKind>,
@@ -770,7 +772,7 @@ impl Engine {
             collectives: vec![],
             collective_service: vec![],
             collective_done: vec![],
-            pending_flows: ChunkedVec::new(),
+            pending_flows: ChunkedVec::growing(),
             pending_tcp: vec![],
             starts: StartCursor::default(),
             watchdogs: VecDeque::new(),

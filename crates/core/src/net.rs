@@ -262,7 +262,7 @@ impl OpenOpticsNet {
         let sched = OpticalSchedule::build(slices, cfg.node_num, cfg.uplink, circuits)?;
         // Physical feasibility: every circuit must compile onto one OCS of
         // the configured structure (§4.2's controller sanity check).
-        self.layout.compile(circuits)?;
+        self.layout.verify(circuits)?;
         let running = self.primed.then_some((self.now, &mut self.queue));
         self.engine.deploy_schedule(sched, running)
     }

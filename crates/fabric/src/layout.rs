@@ -163,6 +163,24 @@ impl OcsLayout {
     /// verifying physical feasibility.
     pub fn compile(&self, circuits: &[Circuit]) -> Result<Vec<CrossConnect>, LayoutError> {
         let mut out = Vec::with_capacity(circuits.len());
+        self.cross_connects(circuits, |x| out.push(x))?;
+        Ok(out)
+    }
+
+    /// Verify that every circuit is realizable on this layout, without
+    /// building the cross-connects: the same check, and the same first
+    /// error, as [`OcsLayout::compile`].
+    pub fn verify(&self, circuits: &[Circuit]) -> Result<(), LayoutError> {
+        self.cross_connects(circuits, drop)
+    }
+
+    /// The feasibility loop: hands each circuit's cross-connect to `sink`,
+    /// in order, and stops at the first circuit that cannot be realized.
+    fn cross_connects(
+        &self,
+        circuits: &[Circuit],
+        mut sink: impl FnMut(CrossConnect),
+    ) -> Result<(), LayoutError> {
         for &c in circuits {
             let ta = self
                 .termination(c.a, c.a_port)
@@ -177,9 +195,9 @@ impl OcsLayout {
                     ocs_b: tb.ocs,
                 });
             }
-            out.push(CrossConnect { ocs: ta.ocs, a: ta.ocs_port, b: tb.ocs_port, slice: c.slice });
+            sink(CrossConnect { ocs: ta.ocs, a: ta.ocs_port, b: tb.ocs_port, slice: c.slice });
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -209,6 +227,35 @@ mod tests {
         assert_eq!(xc[0].slice, Some(2));
         // Ports are distinct on the device.
         assert_ne!(xc[0].a, xc[0].b);
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// On 6 nodes x 2 rails, circuits over nodes 0..8 and ports
+            /// 0..3: nodes 6 and 7 and port 2 are not cabled, and a
+            /// circuit joining port 0 to port 1 spans two devices.
+            #[test]
+            fn verify_gives_compiles_verdict(
+                ends in proptest::collection::vec((0u32..8, 0u16..3, 0u32..8, 0u16..3), 0..12),
+                clean in 0usize..12,
+            ) {
+                let layout = per_uplink_rails(6, 2, 16);
+                let circuits: Vec<Circuit> = ends
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(a, ap, b, bp))| {
+                        // A feasible prefix, so an error can also come late.
+                        let (a, ap, b, bp) =
+                            if i < clean { (a % 6, ap % 2, b % 6, ap % 2) } else { (a, ap, b, bp) };
+                        Circuit::in_slice(NodeId(a), PortId(ap), NodeId(b), PortId(bp), 0)
+                    })
+                    .collect();
+                prop_assert_eq!(layout.verify(&circuits), layout.compile(&circuits).map(|_| ()));
+            }
+        }
     }
 
     #[test]

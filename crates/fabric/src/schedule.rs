@@ -84,23 +84,22 @@ pub struct OpticalSchedule {
 }
 
 impl OpticalSchedule {
-    /// Validate and build a schedule from a circuit list.
+    /// Validate and build a schedule from a circuit list. Circuits are
+    /// checked in order, each for a loopback, then its nodes, ports and
+    /// slice being in range, then its two slots per slice (`a`'s first)
+    /// being free; the first failure is the error.
     pub fn build(
         cfg: SliceConfig,
         num_nodes: u32,
         uplinks: u16,
         circuits: &[Circuit],
     ) -> Result<Self, ScheduleError> {
-        let slots = num_nodes as usize * uplinks as usize * cfg.num_slices as usize;
-        let mut sched = OpticalSchedule {
-            cfg,
-            num_nodes,
-            uplinks,
-            table: vec![None; slots],
-            circuits: circuits.to_vec(),
-        };
+        let ports = uplinks as usize;
+        let slice_slots = num_nodes as usize * ports;
+        let mut table = vec![None; slice_slots * cfg.num_slices as usize];
+        let circuits = circuits.to_vec();
 
-        for &c in circuits {
+        for &c in &circuits {
             if c.is_loopback() {
                 return Err(ScheduleError::Loopback { circuit: c });
             }
@@ -110,26 +109,32 @@ impl OpticalSchedule {
             if c.a_port.0 >= uplinks || c.b_port.0 >= uplinks {
                 return Err(ScheduleError::PortOutOfRange { circuit: c });
             }
-            if let Some(ts) = c.slice {
-                if ts >= cfg.num_slices {
+            let slices = match c.slice {
+                Some(ts) if ts >= cfg.num_slices => {
                     return Err(ScheduleError::SliceOutOfRange { circuit: c });
                 }
-            }
-            for ts in c.slice.map_or(0..cfg.num_slices, |ts| ts..ts + 1) {
-                for (n, p, peer, peer_p) in
-                    [(c.a, c.a_port, c.b, c.b_port), (c.b, c.b_port, c.a, c.a_port)]
-                {
-                    let at = sched.row(n, ts) + p.index();
-                    let slot = &mut sched.table[at];
-                    if slot.is_some() {
-                        return Err(ScheduleError::PortConflict { node: n, port: p, slice: ts });
-                    }
-                    *slot = Some((peer, peer_p));
+                Some(ts) => ts..ts + 1,
+                None => 0..cfg.num_slices,
+            };
+            let a = c.a.index() * ports + c.a_port.index();
+            let b = c.b.index() * ports + c.b_port.index();
+            for ts in slices {
+                let row = ts as usize * slice_slots;
+                let conflict = |node, port| ScheduleError::PortConflict { node, port, slice: ts };
+                let slot = &mut table[row + a];
+                if slot.is_some() {
+                    return Err(conflict(c.a, c.a_port));
                 }
+                *slot = Some((c.b, c.b_port));
+                let slot = &mut table[row + b];
+                if slot.is_some() {
+                    return Err(conflict(c.b, c.b_port));
+                }
+                *slot = Some((c.a, c.a_port));
             }
         }
 
-        Ok(sched)
+        Ok(OpticalSchedule { cfg, num_nodes, uplinks, table, circuits })
     }
 
     /// Where the ports of `node` during `slice` start in `table`.
@@ -294,6 +299,127 @@ mod tests {
             }
         }
         cs
+    }
+
+    /// [`OpticalSchedule::build`] as first written: each circuit's slots
+    /// written through `row` over a pair of `(node, port, peer)` tuples.
+    fn build_reference(
+        cfg: SliceConfig,
+        num_nodes: u32,
+        uplinks: u16,
+        circuits: &[Circuit],
+    ) -> Result<OpticalSchedule, ScheduleError> {
+        let slots = num_nodes as usize * uplinks as usize * cfg.num_slices as usize;
+        let mut sched = OpticalSchedule {
+            cfg,
+            num_nodes,
+            uplinks,
+            table: vec![None; slots],
+            circuits: circuits.to_vec(),
+        };
+        for &c in circuits {
+            if c.is_loopback() {
+                return Err(ScheduleError::Loopback { circuit: c });
+            }
+            if c.a.0 >= num_nodes || c.b.0 >= num_nodes {
+                return Err(ScheduleError::NodeOutOfRange { circuit: c });
+            }
+            if c.a_port.0 >= uplinks || c.b_port.0 >= uplinks {
+                return Err(ScheduleError::PortOutOfRange { circuit: c });
+            }
+            if let Some(ts) = c.slice {
+                if ts >= cfg.num_slices {
+                    return Err(ScheduleError::SliceOutOfRange { circuit: c });
+                }
+            }
+            for ts in c.slice.map_or(0..cfg.num_slices, |ts| ts..ts + 1) {
+                for (n, p, peer, peer_p) in
+                    [(c.a, c.a_port, c.b, c.b_port), (c.b, c.b_port, c.a, c.a_port)]
+                {
+                    let at = sched.row(n, ts) + p.index();
+                    let slot = &mut sched.table[at];
+                    if slot.is_some() {
+                        return Err(ScheduleError::PortConflict { node: n, port: p, slice: ts });
+                    }
+                    *slot = Some((peer, peer_p));
+                }
+            }
+        }
+        Ok(sched)
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A valid schedule's circuits: 6 nodes x 2 uplinks, 5 slices, a
+        /// round robin on port 0 and held circuits on port 1.
+        fn valid() -> Vec<Circuit> {
+            let mut cs = Vec::new();
+            for ts in 0..5 {
+                for x in 0..5 {
+                    let y = (2 * ts + 5 - x) % 5;
+                    let peer = if x == y { 5 } else { y };
+                    if x < peer {
+                        cs.push(Circuit::in_slice(
+                            NodeId(x),
+                            PortId(0),
+                            NodeId(peer),
+                            PortId(0),
+                            ts,
+                        ));
+                    }
+                }
+            }
+            cs.extend(
+                (0..3)
+                    .map(|i| Circuit::held(NodeId(2 * i), PortId(1), NodeId(2 * i + 1), PortId(1))),
+            );
+            cs
+        }
+
+        /// Each mutation breaks one rule: a loopback, a node, port or slice
+        /// out of range, or a port another circuit already lights.
+        fn mutate(cs: &mut [Circuit], kind: u8, at: usize, other: usize) {
+            let other = cs[other];
+            let c = &mut cs[at];
+            match kind {
+                0 => c.b = c.a,
+                1 => c.b = NodeId(6),
+                2 => c.a = NodeId(u32::MAX),
+                3 => c.a_port = PortId(2),
+                4 => c.b_port = PortId(u16::MAX),
+                5 => c.slice = Some(5),
+                6 => c.slice = None,
+                _ => {
+                    c.a = other.b;
+                    c.a_port = other.b_port;
+                    c.slice = other.slice;
+                }
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn build_reports_the_references_first_error(
+                mutations in proptest::collection::vec((0u8..8, 0usize..18, 0usize..18), 0..4),
+                rotate in 0usize..18,
+            ) {
+                let mut cs = valid();
+                prop_assert_eq!(cs.len(), 18);
+                cs.rotate_left(rotate);
+                for (kind, at, other) in mutations {
+                    mutate(&mut cs, kind, at, other);
+                }
+                let cfg = SliceConfig::new(1_000, 5, 100);
+                let got = OpticalSchedule::build(cfg, 6, 2, &cs);
+                let want = build_reference(cfg, 6, 2, &cs);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => prop_assert!(got == want),
+                    (got, want) => prop_assert_eq!(got.err(), want.err()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -151,7 +151,10 @@ pub trait RangeSample<T> {
 }
 
 // The impls `allow` rather than `expect` truncation: the last cast narrows
-// for some `$t` only.
+// for some `$t` only. A span is reduced with a `u64` `%` (a `u128` one is a
+// library call): a half-open span is at most `2^64 - 1`, and an inclusive
+// one reaches `2^64` only for the full `u64`/`i64` range, where every draw
+// is already in range.
 macro_rules! impl_range_sample {
     ($($t:ty),*) => {$(
         #[allow(clippy::cast_possible_truncation, reason = "the draw lies in the range")]
@@ -159,8 +162,8 @@ macro_rules! impl_range_sample {
             #[inline]
             fn sample(self, rng: &mut SimRng) -> $t {
                 assert!(self.start < self.end, "cannot sample an empty range");
-                let span = (self.end as i128 - self.start as i128) as u128;
-                let off = (rng.u64() as u128) % span;
+                let span = (self.end as i128 - self.start as i128) as u64;
+                let off = rng.u64() % span;
                 (self.start as i128 + off as i128) as $t
             }
         }
@@ -170,8 +173,11 @@ macro_rules! impl_range_sample {
             fn sample(self, rng: &mut SimRng) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "cannot sample an empty range");
-                let span = (hi as i128 - lo as i128) as u128 + 1;
-                let off = (rng.u64() as u128) % span;
+                let draw = rng.u64();
+                let off = match ((hi as i128 - lo as i128) as u64).checked_add(1) {
+                    Some(span) => draw % span,
+                    None => draw,
+                };
                 (lo as i128 + off as i128) as $t
             }
         }
@@ -248,5 +254,70 @@ mod tests {
         let mut b = SimRng::new(0);
         assert_eq!(first, b.u64());
         assert_ne!(first, 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A bound: one of the type's extremes or an arbitrary value.
+    fn bound(pick: u8, any: i128, min: i128, max: i128) -> i128 {
+        match pick {
+            0 => min,
+            1 => min + 1,
+            2 => 0,
+            3 => max - 1,
+            4 => max,
+            _ => any,
+        }
+    }
+
+    /// For each integer type, `SimRng::range` against the reduction as
+    /// first written (one `u128` `%`), on the same draw, over half-open
+    /// and inclusive ranges whose bounds include the type's extremes.
+    macro_rules! same_draws_as_u128_reduction {
+        ($($name:ident: $t:ty),*) => {$(
+            proptest! {
+                #[test]
+                #[allow(clippy::cast_possible_truncation, reason = "bounds lie in the type")]
+                fn $name(
+                    picks in (0u8..8, 0u8..8),
+                    values in (any::<$t>(), any::<$t>()),
+                    seed in any::<u64>(),
+                ) {
+                    let (min, max) = (<$t>::MIN as i128, <$t>::MAX as i128);
+                    let a = bound(picks.0, values.0 as i128, min, max);
+                    let b = bound(picks.1, values.1 as i128, min, max);
+                    let (lo, hi) = (a.min(b) as $t, a.max(b) as $t);
+                    let draw = SimRng::new(seed).u64() as u128;
+                    let span = (hi as i128 - lo as i128) as u128 + 1;
+                    let inclusive = (lo as i128 + (draw % span) as i128) as $t;
+                    prop_assert_eq!(SimRng::new(seed).range(lo..=hi), inclusive);
+                    if lo < hi {
+                        let span = (hi as i128 - lo as i128) as u128;
+                        let half_open = (lo as i128 + (draw % span) as i128) as $t;
+                        prop_assert_eq!(SimRng::new(seed).range(lo..hi), half_open);
+                    }
+                }
+            }
+        )*};
+    }
+    same_draws_as_u128_reduction!(
+        u8_draws: u8, u16_draws: u16, u32_draws: u32, u64_draws: u64, usize_draws: usize,
+        i8_draws: i8, i16_draws: i16, i32_draws: i32, i64_draws: i64, isize_draws: isize
+    );
+
+    #[test]
+    fn the_full_inclusive_range_is_the_raw_draw() {
+        for seed in 0..64 {
+            let draw = SimRng::new(seed).u64();
+            assert_eq!(SimRng::new(seed).range(0..=u64::MAX), draw);
+            assert_eq!(
+                SimRng::new(seed).range(i64::MIN..=i64::MAX),
+                i64::MIN.wrapping_add_unsigned(draw)
+            );
+        }
     }
 }

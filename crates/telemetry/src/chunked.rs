@@ -6,6 +6,9 @@
 //! engine's list of attached flows only ever append, so they grow here
 //! instead, in fixed chunks of [`CHUNK_LEN`] items: growing opens one more
 //! chunk and moves nothing. Item `i` lives at `(i >> CHUNK_SHIFT, i & MASK)`.
+//! A list that is often short — the attached flows of a network that has
+//! only a handful — starts [`ChunkedVec::growing`]: its first chunk doubles
+//! like a `Vec` until it holds a chunk, so it costs what it holds.
 
 /// `log2` of the items a chunk holds.
 pub(crate) const CHUNK_SHIFT: u32 = 12;
@@ -61,6 +64,13 @@ impl<T> ChunkedVec<T> {
         ChunkedVec::default()
     }
 
+    /// An empty store whose first chunk starts empty and doubles (from 4
+    /// items, like a `Vec`) up to [`CHUNK_LEN`]: only that chunk ever
+    /// moves, and a short list holds no more than a `Vec` would.
+    pub fn growing() -> Self {
+        ChunkedVec { chunks: vec![Vec::new()], len: 0 }
+    }
+
     /// Items held (the unused tails a run skipped are not counted).
     pub fn len(&self) -> usize {
         self.len
@@ -76,12 +86,19 @@ impl<T> ChunkedVec<T> {
         self.chunks.last().map_or(0, |c| ((self.chunks.len() - 1) << CHUNK_SHIFT) + c.len())
     }
 
-    /// The last chunk, a new one of `capacity` items first when the last
-    /// has room for fewer than `n` more.
+    /// The last chunk, with room for `n` more items: a first chunk opened
+    /// short ([`ChunkedVec::growing`]) doubles while they fit in
+    /// [`CHUNK_LEN`]; otherwise a new chunk of `capacity` items is opened
+    /// when the last has room for fewer than `n` more.
     fn room_for(&mut self, n: usize, capacity: usize) -> &mut Vec<T> {
-        let full = self.chunks.last().is_none_or(|c| c.capacity() - c.len() < n);
-        if full {
-            self.chunks.push(Vec::with_capacity(capacity));
+        let first = self.chunks.len() == 1;
+        match self.chunks.last_mut() {
+            Some(c) if c.capacity() - c.len() >= n => {}
+            Some(c) if first && c.len() + n <= CHUNK_LEN => {
+                let to = (2 * c.capacity()).max(4).clamp(c.len() + n, CHUNK_LEN);
+                c.reserve_exact(to - c.len());
+            }
+            _ => self.chunks.push(Vec::with_capacity(capacity)),
         }
         self.chunks.last_mut().expect("a chunk with room was just ensured")
     }
@@ -172,6 +189,32 @@ mod tests {
         assert!(v.run(3 * CHUNK_LEN + 1, 0).is_empty());
         assert_eq!(v.len(), 4 * width + CHUNK_LEN + 2);
         assert_eq!(v.to_vec().len(), v.len(), "skipped tails hold nothing");
+    }
+
+    #[test]
+    fn a_growing_store_doubles_its_first_chunk_then_opens_full_ones() {
+        let mut v = ChunkedVec::growing();
+        let capacities =
+            |v: &ChunkedVec<usize>| -> Vec<usize> { v.chunks.iter().map(Vec::capacity).collect() };
+        assert_eq!((v.len(), v.get(0), capacities(&v)), (0, None, vec![0]));
+        for i in 0..5 {
+            assert_eq!(v.push(i), i);
+        }
+        assert_eq!(capacities(&v), [8]);
+        (5..CHUNK_LEN).for_each(|i| _ = v.push(i));
+        assert_eq!(capacities(&v), [CHUNK_LEN]);
+        assert_eq!(v.push(7), CHUNK_LEN);
+        assert_eq!(capacities(&v), [CHUNK_LEN, CHUNK_LEN]);
+        assert_eq!((v.get(CHUNK_LEN - 1), v.get(CHUNK_LEN)), (Some(&(CHUNK_LEN - 1)), Some(&7)));
+        // A run that fits grows the first chunk; one that does not skips it.
+        let mut v = ChunkedVec::growing();
+        assert_eq!(v.push_run(0..5), 0);
+        assert_eq!(v.push_run(0..CHUNK_LEN - 5), 5);
+        assert_eq!(capacities(&v), [CHUNK_LEN]);
+        let mut v = ChunkedVec::growing();
+        v.push(1);
+        assert_eq!(v.push_run(0..CHUNK_LEN), CHUNK_LEN);
+        assert_eq!((capacities(&v), v.run(CHUNK_LEN, CHUNK_LEN)[9]), (vec![4, CHUNK_LEN], 9));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! connected in practice; the verification loop makes the guarantee
 //! unconditional.
 
-use crate::round_robin::one_factorization;
+use crate::round_robin::OneFactorization;
 use openoptics_fabric::{Circuit, OpticalSchedule};
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::idx_u32;
@@ -30,7 +30,7 @@ pub fn opera_schedule(n: u32, uplinks: u16) -> (Vec<Circuit>, u32) {
         uplinks >= 2 || n <= 2,
         "Opera needs >= 2 uplinks for per-slice connectivity (got {uplinks})"
     );
-    let rounds = one_factorization(n);
+    let rounds = OneFactorization::new(n);
     let num_slices = idx_u32(rounds.len());
     let r = rounds.len();
 

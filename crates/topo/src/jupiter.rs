@@ -15,7 +15,7 @@
 
 use crate::matching::max_weight_pairs;
 use crate::matrix::TrafficMatrix;
-use crate::round_robin::one_factorization;
+use crate::round_robin::OneFactorization;
 use openoptics_fabric::Circuit;
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::idx_u32;
@@ -24,7 +24,7 @@ use openoptics_sim::idx_u32;
 /// of the 1-factorization, spreading connectivity evenly. Requires
 /// `uplinks <= rounds(n)`; all circuits are held (TA semantics).
 pub fn uniform_mesh(n: u32, uplinks: u16) -> Vec<Circuit> {
-    let rounds = one_factorization(n);
+    let rounds = OneFactorization::new(n);
     assert!(
         (uplinks as usize) <= rounds.len(),
         "cannot stripe {uplinks} uplinks over only {} distinct matchings",

@@ -15,35 +15,58 @@ use openoptics_fabric::Circuit;
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::{idx_u32, to_u32};
 
-/// Rounds of a 1-factorization of K_n: each round is a set of disjoint
-/// pairs; across rounds every unordered pair appears exactly once. For even
-/// `n` there are `n-1` rounds and every node is matched in every round; for
-/// odd `n` there are `n` rounds and each node idles exactly once.
-pub(crate) fn one_factorization(n: u32) -> Vec<Vec<(u32, u32)>> {
-    assert!(n >= 2, "need at least two nodes");
-    let even = n.is_multiple_of(2);
-    // With odd n, insert a phantom node `n`; pairs touching it are dropped.
-    let m = if even { n } else { n + 1 };
-    let rounds = m - 1;
-    let mut out = Vec::with_capacity(rounds as usize);
-    for r in 0..rounds {
-        let mut round = Vec::with_capacity((m / 2) as usize);
-        // Circle method: node m-1 is fixed, others rotate.
-        let pair = (m - 1, r);
-        if pair.0 < n && pair.1 < n {
-            round.push((pair.0.min(pair.1), pair.0.max(pair.1)));
-        }
-        for k in 1..m / 2 {
-            let a = (r + k) % (m - 1);
-            let b = (r + m - 1 - k) % (m - 1);
-            if a < n && b < n {
-                round.push((a.min(b), a.max(b)));
+/// A 1-factorization of K_n: rounds of disjoint pairs; across rounds every
+/// unordered pair appears exactly once. For even `n` there are `n-1` rounds
+/// and every node is matched in every round; for odd `n` there are `n`
+/// rounds and each node idles exactly once. Every round holds `n / 2`
+/// pairs `(a, b)` with `a < b`, ascending, so all of them live in one flat
+/// buffer and round `r` is `&factorization[r]`.
+pub(crate) struct OneFactorization {
+    pairs: Vec<(u32, u32)>,
+    width: usize,
+}
+
+impl OneFactorization {
+    /// The circle method: node `q = m - 1` is fixed and round `r` pairs
+    /// `x` with `y ≡ 2r - x (mod q)`, and `r` with `q`, over `m = n` nodes
+    /// (even `n`) or `m = n + 1` (odd `n`: the phantom node `n` is `q`,
+    /// and its pair is dropped). Walking `x` upward and keeping `x < y`
+    /// writes each round already sorted.
+    pub(crate) fn new(n: u32) -> Self {
+        assert!(n >= 2, "need at least two nodes");
+        let q = if n.is_multiple_of(2) { n - 1 } else { n };
+        let width = (n / 2) as usize;
+        let mut pairs = Vec::with_capacity(q as usize * width);
+        for r in 0..q {
+            // The partner of x = 0, then one less (mod q) per step.
+            let mut y = (2 * r) % q;
+            for x in 0..q {
+                if y == x {
+                    if q < n {
+                        pairs.push((x, q));
+                    }
+                } else if x < y {
+                    pairs.push((x, y));
+                }
+                y = if y == 0 { q - 1 } else { y - 1 };
             }
         }
-        round.sort_unstable();
-        out.push(round);
+        debug_assert_eq!(pairs.len(), q as usize * width);
+        OneFactorization { pairs, width }
     }
-    out
+
+    /// Number of rounds.
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len() / self.width
+    }
+}
+
+impl std::ops::Index<usize> for OneFactorization {
+    type Output = [(u32, u32)];
+
+    fn index(&self, round: usize) -> &[(u32, u32)] {
+        &self.pairs[round * self.width..][..self.width]
+    }
 }
 
 /// Single-dimensional round-robin schedule with `uplinks` optical uplinks
@@ -68,14 +91,16 @@ pub(crate) fn one_factorization(n: u32) -> Vec<Vec<(u32, u32)>> {
 /// ```
 pub fn round_robin(n: u32, uplinks: u16) -> (Vec<Circuit>, u32) {
     assert!(uplinks >= 1);
-    let rounds = one_factorization(n);
+    let rounds = OneFactorization::new(n);
     let num_slices = idx_u32(rounds.len());
+    // Grown by pushes, not reserved: the list's size is part of the
+    // deploy path's memory profile (DESIGN.md "What deploying 108 × 6
+    // costs").
     let mut circuits = Vec::new();
-    for (ts, _) in rounds.iter().enumerate() {
+    for ts in 0..rounds.len() {
         for j in 0..uplinks {
             let shift = (j as usize * rounds.len() / uplinks as usize) % rounds.len();
-            let round = &rounds[(ts + shift) % rounds.len()];
-            for &(a, b) in round {
+            for &(a, b) in &rounds[(ts + shift) % rounds.len()] {
                 circuits.push(Circuit::in_slice(
                     NodeId(a),
                     PortId(j),
@@ -107,7 +132,7 @@ pub fn round_robin_multidim(n: u32, dim: u32) -> (Vec<Circuit>, u32) {
     if dim == 1 {
         return round_robin(n, 1);
     }
-    let rounds = one_factorization(s);
+    let rounds = OneFactorization::new(s);
     let rounds_per_dim = idx_u32(rounds.len());
     let num_slices = dim * rounds_per_dim;
     let stride = |d: u32| s.pow(d);
@@ -140,12 +165,82 @@ mod tests {
     use openoptics_sim::hash::FxHashSet;
     use openoptics_sim::SliceConfig;
 
+    /// The factorization as first written: one sorted `Vec` per round.
+    fn one_factorization_reference(n: u32) -> Vec<Vec<(u32, u32)>> {
+        assert!(n >= 2, "need at least two nodes");
+        let even = n.is_multiple_of(2);
+        // With odd n, insert a phantom node `n`; pairs touching it are dropped.
+        let m = if even { n } else { n + 1 };
+        let rounds = m - 1;
+        let mut out = Vec::with_capacity(rounds as usize);
+        for r in 0..rounds {
+            let mut round = Vec::with_capacity((m / 2) as usize);
+            // Circle method: node m-1 is fixed, others rotate.
+            let pair = (m - 1, r);
+            if pair.0 < n && pair.1 < n {
+                round.push((pair.0.min(pair.1), pair.0.max(pair.1)));
+            }
+            for k in 1..m / 2 {
+                let a = (r + k) % (m - 1);
+                let b = (r + m - 1 - k) % (m - 1);
+                if a < n && b < n {
+                    round.push((a.min(b), a.max(b)));
+                }
+            }
+            round.sort_unstable();
+            out.push(round);
+        }
+        out
+    }
+
+    /// [`round_robin`] as first written, over the per-round reference.
+    fn round_robin_reference(n: u32, uplinks: u16) -> (Vec<Circuit>, u32) {
+        assert!(uplinks >= 1);
+        let rounds = one_factorization_reference(n);
+        let num_slices = idx_u32(rounds.len());
+        let mut circuits = Vec::new();
+        for (ts, _) in rounds.iter().enumerate() {
+            for j in 0..uplinks {
+                let shift = (j as usize * rounds.len() / uplinks as usize) % rounds.len();
+                let round = &rounds[(ts + shift) % rounds.len()];
+                for &(a, b) in round {
+                    circuits.push(Circuit::in_slice(
+                        NodeId(a),
+                        PortId(j),
+                        NodeId(b),
+                        PortId(j),
+                        idx_u32(ts),
+                    ));
+                }
+            }
+        }
+        (circuits, num_slices)
+    }
+
+    #[test]
+    fn flat_factorization_and_round_robin_equal_the_per_round_reference() {
+        for n in 2..=130 {
+            let (flat, reference) = (OneFactorization::new(n), one_factorization_reference(n));
+            assert_eq!(flat.len(), reference.len(), "n={n}");
+            for (r, round) in reference.iter().enumerate() {
+                assert_eq!(&flat[r], &round[..], "n={n} round {r}");
+            }
+            for uplinks in 1..=8 {
+                assert_eq!(
+                    round_robin(n, uplinks),
+                    round_robin_reference(n, uplinks),
+                    "n={n} uplinks={uplinks}"
+                );
+            }
+        }
+    }
+
     fn check_factorization(n: u32) {
-        let rounds = one_factorization(n);
+        let rounds = OneFactorization::new(n);
         let expected_rounds = if n.is_multiple_of(2) { n - 1 } else { n };
         assert_eq!(idx_u32(rounds.len()), expected_rounds, "n={n}");
         let mut seen = FxHashSet::default();
-        for round in &rounds {
+        for round in (0..rounds.len()).map(|r| &rounds[r]) {
             let mut in_round = FxHashSet::default();
             for &(a, b) in round {
                 assert!(a < b && b < n, "n={n} bad pair ({a},{b})");

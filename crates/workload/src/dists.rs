@@ -52,36 +52,45 @@ impl Trace {
     /// ```
     pub fn dist(&self) -> FlowSizeDist {
         match self {
-            Trace::KvStore => FlowSizeDist::from_cdf(vec![
-                (64, 0.0),
-                (256, 0.40),
-                (512, 0.60),
-                (1_024, 0.75),
-                (4_096, 0.90),
-                (16_384, 0.96),
-                (65_536, 0.99),
-                (1_048_576, 1.0),
-            ]),
-            Trace::Rpc => FlowSizeDist::from_cdf(vec![
-                (64, 0.0),
-                (256, 0.20),
-                (1_024, 0.45),
-                (4_096, 0.65),
-                (16_384, 0.78),
-                (65_536, 0.88),
-                (262_144, 0.94),
-                (1_048_576, 0.98),
-                (10_485_760, 1.0),
-            ]),
-            Trace::Hadoop => FlowSizeDist::from_cdf(vec![
-                (256, 0.0),
-                (1_024, 0.15),
-                (10_240, 0.40),
-                (102_400, 0.62),
-                (1_048_576, 0.80),
-                (10_485_760, 0.93),
-                (104_857_600, 1.0),
-            ]),
+            Trace::KvStore => FlowSizeDist::from_cdf(
+                vec![
+                    (64, 0.0),
+                    (256, 0.40),
+                    (512, 0.60),
+                    (1_024, 0.75),
+                    (4_096, 0.90),
+                    (16_384, 0.96),
+                    (65_536, 0.99),
+                    (1_048_576, 1.0),
+                ],
+                5_713.420_3,
+            ),
+            Trace::Rpc => FlowSizeDist::from_cdf(
+                vec![
+                    (64, 0.0),
+                    (256, 0.20),
+                    (1_024, 0.45),
+                    (4_096, 0.65),
+                    (16_384, 0.78),
+                    (65_536, 0.88),
+                    (262_144, 0.94),
+                    (1_048_576, 0.98),
+                    (10_485_760, 1.0),
+                ],
+                118_478.135_2,
+            ),
+            Trace::Hadoop => FlowSizeDist::from_cdf(
+                vec![
+                    (256, 0.0),
+                    (1_024, 0.15),
+                    (10_240, 0.40),
+                    (102_400, 0.62),
+                    (1_048_576, 0.80),
+                    (10_485_760, 0.93),
+                    (104_857_600, 1.0),
+                ],
+                3_484_868.157_9,
+            ),
         }
     }
 }
@@ -93,12 +102,18 @@ pub struct FlowSizeDist {
     points: Vec<(u64, f64)>,
     /// `ln` of each anchor's bytes, so a quantile costs one `exp`.
     ln_sizes: Vec<f64>,
+    /// Mean flow size (bytes): the trace's own constant, equal bit for bit
+    /// to the 10,000-step integration of the quantile function
+    /// (`FlowSizeDist::integrated_mean`, pinned by a test), so that
+    /// integration runs in no generator.
+    mean_bytes: f64,
 }
 
 impl FlowSizeDist {
-    /// Build from CDF anchor points. The first probability must be 0.0 and
-    /// the last 1.0; both coordinates must be strictly increasing.
-    pub(crate) fn from_cdf(points: Vec<(u64, f64)>) -> Self {
+    /// Build from CDF anchor points and the mean they integrate to. The
+    /// first probability must be 0.0 and the last 1.0; both coordinates
+    /// must be strictly increasing.
+    fn from_cdf(points: Vec<(u64, f64)>, mean_bytes: f64) -> Self {
         assert!(points.len() >= 2, "need at least two CDF points");
         assert_eq!(points[0].1, 0.0, "CDF must start at probability 0");
         let last = points.last().expect("checked: at least two points");
@@ -108,7 +123,7 @@ impl FlowSizeDist {
             assert!(w[0].1 < w[1].1, "probabilities must increase");
         }
         let ln_sizes = points.iter().map(|&(bytes, _)| (bytes as f64).ln()).collect();
-        FlowSizeDist { points, ln_sizes }
+        FlowSizeDist { points, ln_sizes, mean_bytes }
     }
 
     /// Inverse-transform sample: log-linear interpolation between anchors.
@@ -118,7 +133,6 @@ impl FlowSizeDist {
     }
 
     /// The size at cumulative probability `u` in `[0, 1]`.
-    #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
     pub fn quantile(&self, u: f64) -> u64 {
         let u = u.clamp(0.0, 1.0);
         for (i, w) in self.points.windows(2).enumerate() {
@@ -126,7 +140,7 @@ impl FlowSizeDist {
             if u <= p1 {
                 let f = (u - p0) / (p1 - p0);
                 let (l0, l1) = (self.ln_sizes[i], self.ln_sizes[i + 1]);
-                return (l0 + f * (l1 - l0)).exp().round().max(1.0) as u64;
+                return round_half_away((l0 + f * (l1 - l0)).exp()).max(1);
             }
         }
         self.range().1
@@ -150,9 +164,15 @@ impl FlowSizeDist {
         self.points.last().expect("non-empty").0
     }
 
-    /// Mean flow size (bytes), by numerical integration of the quantile
-    /// function — the value load scaling divides by.
+    /// Mean flow size (bytes) — the value load scaling divides by.
     pub(crate) fn mean_bytes(&self) -> f64 {
+        self.mean_bytes
+    }
+
+    /// The mean by numerical integration of the quantile function over
+    /// 10,000 midpoints: what each trace's `mean_bytes` constant must equal.
+    #[cfg(test)]
+    fn integrated_mean(&self) -> f64 {
         let steps = 10_000;
         (0..steps).map(|i| self.quantile((i as f64 + 0.5) / steps as f64) as f64).sum::<f64>()
             / steps as f64
@@ -162,6 +182,16 @@ impl FlowSizeDist {
     pub fn range(&self) -> (u64, u64) {
         (self.points[0].0, self.points.last().expect("non-empty").0)
     }
+}
+
+/// `x.round() as u64` (half away from zero, saturating) in integer
+/// arithmetic: `f64::round` is a library call on baseline x86-64. Exact for
+/// `x` in `[0, 2^53)`, where `x - trunc(x)` is exact; above that every
+/// `f64` is already whole.
+#[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
+fn round_half_away(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
 
 #[cfg(test)]
@@ -193,6 +223,53 @@ mod tests {
                 .sum::<f64>()
                 / steps as f64;
             assert_eq!(d.mean_bytes().to_bits(), mean_reference.to_bits(), "{}", trace.name());
+        }
+    }
+
+    #[test]
+    fn each_trace_mean_is_its_integration_bit_for_bit() {
+        for trace in Trace::ALL {
+            let d = trace.dist();
+            assert_eq!(d.mean_bytes().to_bits(), d.integrated_mean().to_bits(), "{}", trace.name());
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// 2^53: below it an `f64` can hold a fraction.
+        const EXACT: f64 = 9_007_199_254_740_992.0;
+
+        proptest! {
+            // Bit patterns of non-negative `f64`s ascend with their values,
+            // so a range of patterns is every `f64` in a range of values.
+            #[test]
+            fn integer_rounding_is_f64_round(bits in 0u64..EXACT.to_bits()) {
+                let x = f64::from_bits(bits);
+                #[expect(clippy::cast_possible_truncation, reason = "a float-to-int `as` saturates")]
+                let reference = x.round() as u64;
+                prop_assert_eq!(round_half_away(x), reference);
+            }
+
+            #[test]
+            fn integer_rounding_is_exact_at_halves(whole in 0u64..1 << 52) {
+                let half = whole as f64 + 0.5;
+                prop_assert_eq!(round_half_away(half), whole + 1);
+                prop_assert_eq!(round_half_away(whole as f64), whole);
+            }
+
+            #[test]
+            fn quantiles_round_as_before(
+                bits in 0u64..=1f64.to_bits(),
+                grid in 0u64..=1 << 53,
+                trace in 0usize..3,
+            ) {
+                let d = Trace::ALL[trace].dist();
+                for u in [f64::from_bits(bits), grid as f64 / EXACT] {
+                    prop_assert_eq!(d.quantile(u), d.quantile_reference(u), "u = {}", u);
+                }
+            }
         }
     }
 
@@ -241,12 +318,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "CDF must start")]
     fn rejects_bad_cdf() {
-        FlowSizeDist::from_cdf(vec![(10, 0.5), (100, 1.0)]);
+        FlowSizeDist::from_cdf(vec![(10, 0.5), (100, 1.0)], 50.0);
     }
 
     #[test]
     #[should_panic(expected = "probabilities must increase")]
     fn rejects_flat_cdf() {
-        FlowSizeDist::from_cdf(vec![(10, 0.0), (50, 0.5), (100, 0.5), (200, 1.0)]);
+        FlowSizeDist::from_cdf(vec![(10, 0.0), (50, 0.5), (100, 0.5), (200, 1.0)], 50.0);
     }
 }

@@ -7,7 +7,9 @@
 //! columns and a span is a row in chunked storage, so both allocate only
 //! when they open a chunk, and what a tick keeps is 8 bytes per series.
 //! A flow attached before the run costs its own bytes and no event-queue
-//! node, pinned by the live-byte high-water.
+//! node, pinned by the live-byte high-water, and a short pending list no
+//! more than its flows. Deploying the 108 x 6 cell makes a pinned number
+//! of allocations.
 //! Its own test binary because it installs a counting
 //! `#[global_allocator]`; the counts are per thread, so the harness and
 //! sibling tests do not disturb them.
@@ -462,5 +464,55 @@ fn a_pre_run_flow_costs_its_bytes_once() -> Result<(), Error> {
     );
     let per_flow = (long_peak - short_peak) / i64::try_from(long_flows - flows).unwrap();
     assert!(per_flow * 10 <= 324 * 6, "{per_flow} B per pre-run flow");
+    Ok(())
+}
+
+/// Four flows attached before the run: the engine's pending list holds
+/// their four 32-byte records in one allocation, not a 4,096-record chunk.
+#[test]
+fn a_short_pending_list_costs_only_its_flows() -> Result<(), Error> {
+    let mut net = rotor_net()?;
+    let (heap, ()) = heap_in(|| {
+        for i in 0..4 {
+            let at = SimTime::from_ns(100 + u64::from(i));
+            net.add_flow(at, HostId(i), HostId(5), 3_000, TransportKind::Paced);
+        }
+    });
+    assert_eq!(heap, (1, 4 * 32));
+    Ok(())
+}
+
+/// Deploying the paper-scale cell — a 108 x 6 RotorNet under VLB — makes
+/// a pinned number of allocations, about 18 per ToR. The round robin is one
+/// flat factorization (it was a `Vec` per round: 107 more) and the OCS
+/// check builds no cross-connect list (one more), so either coming back
+/// moves the count. An optimized build makes one allocation fewer: the
+/// optimizer drops one that never escapes.
+#[test]
+fn deploying_108_by_6_makes_a_pinned_number_of_allocations() -> Result<(), Error> {
+    let cfg = NetConfig::builder()
+        .node_num(108)
+        .uplink(6)
+        .slice_ns(300_000)
+        .guard_ns(1_000)
+        .sync_err_ns(28)
+        .telemetry(false)
+        .seed(1)
+        .build()?;
+    let (allocations, net) = allocations_in(|| {
+        OpenOpticsNet::deploy(
+            cfg,
+            Architecture::rotornet(),
+            Box::new(Vlb),
+            LookupMode::PerHop,
+            MultipathMode::PerPacket,
+        )
+    });
+    assert_eq!(net?.engine.schedule().circuits().len(), 108 / 2 * 107 * 6);
+    let pinned = if cfg!(debug_assertions) { 1_981 } else { 1_980 };
+    assert_eq!(
+        allocations, pinned,
+        "2,088 (2,087 optimized) with a Vec per round and a cross-connect list"
+    );
     Ok(())
 }
