@@ -52,6 +52,10 @@ const HOST_WIRE_NS: u64 = 500;
 /// Safety margin kept at the end of each slice when deciding whether a
 /// packet's tail still fits (§7: the 34 ns rotation variance, padded).
 const SLICE_END_MARGIN_NS: u64 = 40;
+/// How far ahead of a slice boundary a switch notifies its hosts of the
+/// circuits about to open (§5.2), ns; a slice no longer than this is
+/// notified at its start.
+const NOTIFY_LEAD_NS: u64 = 200;
 /// Paced-flow watchdog period, ns.
 const WATCHDOG_NS: u64 = 10_000_000;
 /// One-way latency across the electrical fabric (two extra switch
@@ -210,18 +214,55 @@ struct HostState {
     aging: FlowAging,
 }
 
-/// Schedule a link's free event `ev` because a packet arrived at `now` and
-/// none is pending. `free` is when the link's last transmission ends and the
-/// sequence number reserved for its free event, which was left out because
-/// nothing waited behind it. If that event would still be pending, it is
-/// scheduled now exactly where it would have fired; otherwise it would
-/// have found nothing to send, and the link is kicked at `now`.
-#[inline]
-fn schedule_free(free: (SimTime, u64), now: SimTime, ev: Event, q: &mut EventQueue<Event>) {
-    if free > q.current_key() {
-        q.schedule_reserved(free.0, free.1, ev);
-    } else {
-        q.schedule(now, ev);
+/// Where a link's free event stands — an electrical uplink's `ElecFree`, a
+/// host downlink's `DownlinkFree`, an optical port's `PortFree`. A
+/// transmission that leaves nothing waiting behind it leaves its free event
+/// out of the queue and keeps only its place in line; the next packet
+/// schedules it there if it would still be pending.
+#[derive(Clone, Copy, Default)]
+struct FreeEvent {
+    /// The free event is pending.
+    pending: bool,
+    /// When the last transmission left out ends, and the sequence number
+    /// reserved for its free event. `(SimTime::ZERO, 0)` until then, which
+    /// no event's key ever is.
+    free: (SimTime, u64),
+}
+
+impl FreeEvent {
+    /// Schedule the free event `ev` left out, exactly where it would have
+    /// fired, if it would still be pending; return whether one is pending.
+    #[inline]
+    fn resume(&mut self, ev: Event, q: &mut EventQueue<Event>) -> bool {
+        if !self.pending && self.free > q.current_key() {
+            self.pending = true;
+            q.schedule_reserved(self.free.0, self.free.1, ev);
+        }
+        self.pending
+    }
+
+    /// A packet waits at `now`: make sure the free event `ev` is pending.
+    /// One left out that would have fired already would have found nothing
+    /// to send, so the link is kicked at `now`.
+    #[inline]
+    fn kick(&mut self, now: SimTime, ev: Event, q: &mut EventQueue<Event>) {
+        if !self.resume(ev, q) {
+            self.pending = true;
+            q.schedule(now, ev);
+        }
+    }
+
+    /// The free event fired at `now` and started a transmission of `tx` ns:
+    /// the next fires when it ends, scheduled if `more` packets wait, left
+    /// out under a reserved number otherwise.
+    #[inline]
+    fn sent(&mut self, now: SimTime, tx: u64, more: bool, ev: Event, q: &mut EventQueue<Event>) {
+        self.pending = more;
+        if more {
+            q.schedule(now + tx, ev);
+        } else {
+            self.free = (now + tx, q.reserve_seq());
+        }
     }
 }
 
@@ -231,28 +272,16 @@ fn schedule_free(free: (SimTime, u64), now: SimTime, ev: Event, q: &mut EventQue
 #[derive(Clone)]
 struct Link {
     queue: ByteQueue<PktRef>,
-    /// When the packet on the wire ends.
-    busy_until: SimTime,
-    /// A free event is pending.
-    draining: bool,
-    /// The sequence number reserved for the free event at `busy_until`
-    /// when the last transmission left the queue empty.
-    free_seq: u64,
+    free: FreeEvent,
 }
 
 impl Link {
     fn new(capacity: u64) -> Self {
-        Link {
-            queue: ByteQueue::new(capacity),
-            busy_until: SimTime::ZERO,
-            draining: false,
-            free_seq: 0,
-        }
+        Link { queue: ByteQueue::new(capacity), free: FreeEvent::default() }
     }
 
     /// Queue `pkt`, `size` bytes on the wire, behind whatever the link is
-    /// sending; `Err` is a tail drop. An idle link gets its free event `ev`
-    /// ([`schedule_free`]).
+    /// sending; `Err` is a tail drop. An idle link gets its free event `ev`.
     fn push(
         &mut self,
         pkt: PktRef,
@@ -262,17 +291,12 @@ impl Link {
         q: &mut EventQueue<Event>,
     ) -> Result<(), PktRef> {
         self.queue.push(size, pkt)?;
-        if !self.draining {
-            self.draining = true;
-            schedule_free((self.busy_until, self.free_seq), now, ev, q);
-        }
+        self.free.kick(now, ev, q);
         Ok(())
     }
 
     /// The link's free event `ev` fired: start sending the head packet at
-    /// rate `bw` and return it with its serialization time. The next free
-    /// event is scheduled that far ahead if another packet waits; if none
-    /// does, only its sequence number is reserved, at the same point.
+    /// rate `bw` and return it with its serialization time.
     fn pop(
         &mut self,
         now: SimTime,
@@ -280,29 +304,11 @@ impl Link {
         ev: Event,
         q: &mut EventQueue<Event>,
     ) -> (PktRef, u64) {
-        debug_assert!(now >= self.busy_until, "one free event per link, never early");
         let (len, pkt) = self.queue.pop().expect("a free event fires only with a packet waiting");
         let tx = bw.tx_time_ns(len as u64).max(1);
-        self.busy_until = now + tx;
-        if self.queue.is_empty() {
-            self.draining = false;
-            self.free_seq = q.reserve_seq();
-        } else {
-            q.schedule(self.busy_until, ev);
-        }
+        self.free.sent(now, tx, !self.queue.is_empty(), ev, q);
         (pkt, tx)
     }
-}
-
-/// Where an optical port's `PortFree` event stands.
-#[derive(Clone, Copy, Default)]
-struct PortFreeState {
-    /// A `PortFree` is pending.
-    pending: bool,
-    /// When the last transmission ends and the sequence number reserved for
-    /// its `PortFree`, if it left the active queue empty outside a schedule
-    /// move ([`schedule_free`]).
-    free: (SimTime, u64),
 }
 
 #[derive(Clone)]
@@ -571,7 +577,7 @@ pub struct Engine {
     elec: Vec<Link>,
     elec_bw: Option<Bandwidth>,
     downlinks: Vec<Link>,
-    ports: Vec<Vec<PortFreeState>>,
+    ports: Vec<Vec<FreeEvent>>,
     /// Per-port transmitted bytes (bw_usage telemetry).
     tx_bytes_per_port: Vec<Vec<u64>>,
     router: Option<RouterSpec>,
@@ -752,7 +758,7 @@ impl Engine {
         let spans = Spans::bounded(cfg.span_sample_every, cfg.seed, SPAN_CAPACITY);
         Engine {
             fabric: build_fabric(&cfg, schedule),
-            ports: vec![vec![PortFreeState::default(); cfg.uplink as usize]; n as usize],
+            ports: vec![vec![FreeEvent::default(); cfg.uplink as usize]; n as usize],
             tx_bytes_per_port: vec![vec![0; cfg.uplink as usize]; n as usize],
             tors: build_tors(&cfg, slice_cfg),
             hosts,
@@ -845,12 +851,8 @@ impl Engine {
         // scheduled now, at the key they were reserved under.
         for node in 0..self.cfg.node_num {
             for port in 0..self.cfg.uplink {
-                let state = &mut self.ports[node as usize][port as usize];
-                if !state.pending && state.free > q.current_key() {
-                    state.pending = true;
-                    let (at, seq) = state.free;
-                    q.schedule_reserved(at, seq, Event::PortFree(NodeId(node), PortId(port)));
-                }
+                let ev = Event::PortFree(NodeId(node), PortId(port));
+                self.ports[node as usize][port as usize].resume(ev, q);
             }
         }
         Ok(())
@@ -1436,9 +1438,8 @@ impl Engine {
             for node in 0..self.cfg.node_num {
                 self.refresh_pause_state(NodeId(node), 0, SimTime::ZERO);
                 if slice_cfg.num_slices > 1 {
-                    let lead = 200;
                     q.schedule(
-                        SimTime::from_ns(slice_cfg.slice_ns - lead),
+                        SimTime::from_ns(slice_cfg.slice_ns.saturating_sub(NOTIFY_LEAD_NS)),
                         Event::Timer(Timer::NotifyHosts(NodeId(node))),
                     );
                 }
@@ -1491,28 +1492,11 @@ impl Engine {
         let mut order: Vec<u32> = (0..idx_u32(n)).collect();
         // Stable: flows that start together keep their attach order.
         order.sort_by_key(|&i| self.pending_flow(i as usize).at);
-        let Some(&lead) = order.first() else { return };
-        // Flow 0 leading at t = 0 on a queue that has scheduled nothing has
-        // the key (ZERO, 0), the current key before the first pop, which
-        // `schedule_reserved` refuses; scheduling it outright gives it the
-        // same number.
-        let first = if lead == 0 {
-            q.schedule(self.pending_flow(0).at, Event::Timer(Timer::FlowStart(0)));
-            1
-        } else {
-            0
-        };
         // Flow `i` gets `seq0 + i`, the number scheduling every start here
         // would have given it.
-        let mut seq0 = None;
-        for i in first..n as u64 {
-            let seq = q.reserve_seq();
-            seq0.get_or_insert(seq - i);
-        }
-        self.starts = StartCursor { order, next: 0, seq0: seq0.unwrap_or(0) };
-        if lead != 0 {
-            self.queue_next_start(q);
-        }
+        let Some(seq0) = (0..n).map(|_| q.reserve_seq()).min() else { return };
+        self.starts = StartCursor { order, next: 0, seq0 };
+        self.queue_next_start(q);
     }
 
     /// Queue the pre-run start the cursor is on, under its reserved number.
@@ -1901,14 +1885,9 @@ impl Engine {
     }
 
     /// Make sure a `PortFree` is pending for an optical port with traffic
-    /// in its active queue ([`schedule_free`]).
+    /// in its active queue.
     fn kick_port(&mut self, node: NodeId, port: PortId, now: SimTime, q: &mut EventQueue<Event>) {
-        let state = &mut self.ports[node.index()][port.index()];
-        if state.pending {
-            return;
-        }
-        state.pending = true;
-        schedule_free(state.free, now, Event::PortFree(node, port), q);
+        self.ports[node.index()][port.index()].kick(now, Event::PortFree(node, port), q);
     }
 
     fn kick_all_ports(&mut self, node: NodeId, now: SimTime, q: &mut EventQueue<Event>) {
@@ -2137,13 +2116,10 @@ impl Engine {
                 // would find it empty: only its place in line is kept, and
                 // the next kick schedules it there if it is still ahead. A
                 // schedule move keeps every free event in the queue.
-                let state = &mut self.ports[node.index()][port.index()];
-                if self.tors[node.index()].has_active_traffic(port) || self.fabric.is_moving() {
-                    state.pending = true;
-                    q.schedule_after(now, tx, Event::PortFree(node, port));
-                } else {
-                    state.free = (now + tx, q.reserve_seq());
-                }
+                let more =
+                    self.tors[node.index()].has_active_traffic(port) || self.fabric.is_moving();
+                let ev = Event::PortFree(node, port);
+                self.ports[node.index()][port.index()].sent(now, tx, more, ev, q);
                 if let Some(fault) = self.faults.on_tx(node, port, &mut self.rng) {
                     // Charged to the fault instead of reaching the fabric.
                     self.counters.fault_drops += 1;
@@ -2208,8 +2184,7 @@ impl Engine {
             // Broadcast circuit notifications ahead of the next boundary so
             // hosts resume exactly when their circuit opens (§5.2: switches
             // notify hosts of upcoming circuit connections).
-            let lead = 200;
-            let at = now + (slice_ns - lead);
+            let at = now + slice_ns.saturating_sub(NOTIFY_LEAD_NS);
             q.schedule(at, Event::Timer(Timer::NotifyHosts(node)));
         }
     }
@@ -2325,16 +2300,11 @@ impl Engine {
                     self.pump_host(src, now, q);
                 }
             }
-            PacketKind::Probe { echo_of, is_reply } => {
+            PacketKind::Probe { echo_of, is_reply, train } => {
                 if is_reply {
                     // pkt.seq carries the forward hop count.
                     let total_hops = to_u8(pkt.seq) + pkt.hops;
-                    for t in &mut self.probe_trains {
-                        if t.src == host {
-                            t.stats.record(echo_of, now, total_hops);
-                            break;
-                        }
-                    }
+                    self.probe_trains[train as usize].stats.record(echo_of, now, total_hops);
                 } else {
                     let mut reply = Packet::data(
                         self.alloc_pkt_id(),
@@ -2347,7 +2317,7 @@ impl Engine {
                         pkt.hops as u64,
                         now,
                     );
-                    reply.kind = PacketKind::Probe { echo_of, is_reply: true };
+                    reply.kind = PacketKind::Probe { echo_of, is_reply: true, train };
                     self.dispatch_from_host(host, reply, false, now, q);
                 }
             }
@@ -2527,7 +2497,7 @@ impl Engine {
                 let src_tor = self.hosts[src.index()].tor;
                 let id = self.alloc_pkt_id();
                 let mut pkt = Packet::data(id, 0, src_tor, dst_tor, src, dst, payload, 0, now);
-                pkt.kind = PacketKind::Probe { echo_of: now, is_reply: false };
+                pkt.kind = PacketKind::Probe { echo_of: now, is_reply: false, train: idx_u32(t) };
                 self.dispatch_from_host(src, pkt, false, now, q);
                 q.schedule_after(now, interval, Event::Timer(Timer::ProbeSend(t)));
             }

@@ -120,8 +120,8 @@ proptest! {
 }
 
 /// On clos nothing is scheduled before the starts, so a flow 0 leading at
-/// t = 0 has the key `(ZERO, 0)` — the current key before the first pop,
-/// which `schedule_reserved` refuses under `strict-invariants`.
+/// t = 0 takes the queue's first key, `(ZERO, 1)`: just after the current
+/// key before the first pop, `(ZERO, 0)`, which no event has.
 #[test]
 fn a_leading_flow_0_at_t_0_on_an_empty_queue_starts_first() {
     let case = Case {

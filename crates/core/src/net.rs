@@ -729,7 +729,7 @@ impl OpenOpticsNet {
     /// natural unit of simulation work (events/second is the engine's
     /// throughput metric).
     pub fn events_scheduled(&self) -> u64 {
-        self.queue.scheduled_total()
+        self.queue.stats().scheduled_total
     }
 
     /// Bytes delivered for a flow so far.

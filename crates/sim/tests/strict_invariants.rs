@@ -31,7 +31,7 @@ fn a_reserved_key_behind_the_current_key_is_refused() {
 
 #[test]
 fn legal_mixed_traffic_passes_all_checks() {
-    // Near, far, and overlay traffic interleaved: every pop runs the
+    // Near, far, and at-the-drain-point traffic interleaved: every pop runs the
     // occupancy-conservation and monotonicity checks.
     let mut q = EventQueue::new();
     for i in 0..500u64 {
@@ -42,7 +42,7 @@ fn legal_mixed_traffic_passes_all_checks() {
     while let Some((t, _)) = q.pop() {
         popped += 1;
         if popped == 100 {
-            // Behind the drain point: lands in the overlay.
+            // At the drain point: linked into the cursor's bucket.
             q.schedule(t, 501);
         }
     }

@@ -284,6 +284,24 @@ fn direct_circuit_pausing_gates_hosts() {
 }
 
 #[test]
+fn a_slice_no_longer_than_the_notification_lead_still_notifies_hosts() {
+    // 150 ns slices are shorter than the 200 ns circuit-notification lead:
+    // each slice's hosts are notified at its start instead of the lead
+    // ahead of its end.
+    let cfg = NetConfig { slice_ns: 150, guard_ns: 10, ..cfg(8, 1, 1) };
+    let mut net = OpenOpticsNet::deploy_preset(
+        cfg,
+        Architecture::rotornet().with_pause(PauseMode::DirectCircuit),
+    )
+    .expect("rotornet-direct deploys");
+    net.add_flow(SimTime::from_ns(100), HostId(0), HostId(5), 100_000, TransportKind::Paced);
+    net.run_for(SimTime::from_ns(15_000));
+    // One broadcast per node and slice boundary, to its one host.
+    let notified = net.engine.counters.circuit_notifications;
+    assert!(notified >= 8 * 90, "hosts were notified {notified} times in 100 slices");
+}
+
+#[test]
 fn memcached_and_allreduce_coexist() {
     use openoptics_host::apps::MemcachedParams;
     let mut net =
@@ -310,6 +328,20 @@ fn probe_train_measures_stepped_rtts() {
     let by_hops = stats.by_hops();
     for w in by_hops.windows(2) {
         assert!(w[1].1 > w[0].1, "RTT must grow with hops: {by_hops:?}");
+    }
+}
+
+#[test]
+fn two_probe_trains_from_one_host_keep_their_own_replies() {
+    let mut net = OpenOpticsNet::deploy_preset(cfg(8, 1, 100), Architecture::rotornet())
+        .expect("rotornet deploys");
+    let near = net.add_probe_train(HostId(0), HostId(1), 50_000, 20, 100);
+    let far = net.add_probe_train(HostId(0), HostId(5), 70_000, 10, 100);
+    net.run_for(SimTime::from_ms(30));
+    for (t, sent) in [(near, 20usize), (far, 10)] {
+        let stats = net.engine.probe_stats(t);
+        assert_eq!(stats.sent, sent as u64);
+        assert_eq!(stats.len(), sent, "train {t} recorded another train's replies");
     }
 }
 
