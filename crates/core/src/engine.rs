@@ -38,7 +38,7 @@ use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::json;
 use openoptics_telemetry::{
     ChunkedVec, FlightTrigger, Frame, FrameLog, Labels, QuantileSketch, Registry, RetxKind,
-    ServiceStats, SloTarget, SloTransition, TimeSeries, TraceKind,
+    ServiceStats, SloTarget, SloTransition, TimeSeries, TraceKind, CHUNK_LEN,
 };
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::FctStats;
@@ -174,27 +174,129 @@ struct FlowState {
     done: bool,
 }
 
+/// A `ChunkedVec` whose chunk is freed once none of its items will be read
+/// again: each chunk counts the items pushed into it that have not
+/// expired. The last chunk is never freed (the next push may land in it),
+/// so a chunk whose count reached zero while it was last goes when the
+/// next chunk opens.
+#[derive(Clone)]
+struct Expiring<T> {
+    items: ChunkedVec<T>,
+    /// The first chunk's items that have not expired; a list that never
+    /// leaves its first chunk allocates nothing more than that chunk.
+    first_live: u32,
+    /// The same count for every later chunk.
+    more_live: Vec<u32>,
+}
+
+/// A chunk [`Expiring`] freed: its index and its items.
+type Freed<T> = Option<(usize, Vec<T>)>;
+
+impl<T> Expiring<T> {
+    /// Empty; the first chunk doubles like a `Vec` ([`ChunkedVec::growing`]).
+    fn growing() -> Self {
+        Expiring { items: ChunkedVec::growing(), first_live: 0, more_live: Vec::new() }
+    }
+
+    fn live(&mut self, k: usize) -> &mut u32 {
+        match k.checked_sub(1) {
+            None => &mut self.first_live,
+            Some(j) => &mut self.more_live[j],
+        }
+    }
+
+    /// Append `item`; returns its index, and the chunk before it if that
+    /// was waiting to be freed.
+    fn push(&mut self, item: T) -> (usize, Freed<T>) {
+        let i = self.items.push(item);
+        let k = i / CHUNK_LEN;
+        let mut freed = None;
+        if k > self.more_live.len() {
+            self.more_live.push(0);
+            if *self.live(k - 1) == 0 {
+                freed = self.items.release_chunk(k - 1).map(|items| (k - 1, items));
+            }
+        }
+        *self.live(k) += 1;
+        (i, freed)
+    }
+
+    /// Item `i` will not be read again; returns its chunk if that frees it.
+    fn expire(&mut self, i: usize) -> Freed<T> {
+        let k = i / CHUNK_LEN;
+        let live = self.live(k);
+        *live -= 1;
+        if *live > 0 {
+            return None;
+        }
+        self.items.release_chunk(k).map(|items| (k, items))
+    }
+}
+
 /// Every flow ever started, dense by id: ids are handed out from 1 in start
-/// order and a record is never removed (finished flows keep answering
-/// [`Engine::flow_delivered`]), so the id is the index.
-#[derive(Clone, Default)]
-struct FlowTable(Vec<FlowState>);
+/// order, so the id is one more than the row's index. A paced flow's row
+/// is read no more once the flow is done, and a chunk of rows is freed
+/// when every flow in it is ([`Expiring`]). A TCP flow's row stays: its
+/// receiver still ACKs late duplicates after the sender is done.
+#[derive(Clone)]
+struct FlowTable {
+    rows: Expiring<FlowState>,
+    /// Per chunk of rows freed, each flow's size, which is what it
+    /// delivered ([`Engine::flow_delivered`]); empty for a chunk still held.
+    freed_bytes: Vec<Box<[u64]>>,
+}
 
 const _: () = assert!(std::mem::size_of::<FlowState>() <= 80);
 
 impl FlowTable {
+    fn new() -> Self {
+        FlowTable { rows: Expiring::growing(), freed_bytes: Vec::new() }
+    }
+
     fn get(&self, id: FlowId) -> Option<&FlowState> {
-        self.0.get(usize::try_from(id.checked_sub(1)?).ok()?)
+        self.rows.items.get(usize::try_from(id.checked_sub(1)?).ok()?)
     }
 
     fn get_mut(&mut self, id: FlowId) -> Option<&mut FlowState> {
-        self.0.get_mut(usize::try_from(id.checked_sub(1)?).ok()?)
+        self.rows.items.get_mut(usize::try_from(id.checked_sub(1)?).ok()?)
     }
 
     /// Record a new flow and hand out its id.
     fn insert(&mut self, flow: FlowState) -> FlowId {
-        self.0.push(flow);
-        self.0.len() as FlowId
+        let (i, freed) = self.rows.push(flow);
+        self.keep_sizes(freed);
+        i as FlowId + 1
+    }
+
+    /// The done paced flow `id` will not be read again.
+    fn finished(&mut self, id: FlowId) {
+        let freed = self.rows.expire(usize::try_from(id - 1).expect("a flow id is an index"));
+        self.keep_sizes(freed);
+    }
+
+    /// What a freed flow delivered, or `None` if its row is held or it never
+    /// started.
+    fn freed_delivered(&self, id: FlowId) -> Option<u64> {
+        let i = usize::try_from(id.checked_sub(1)?).ok()?;
+        self.freed_bytes.get(i / CHUNK_LEN)?.get(i % CHUNK_LEN).copied()
+    }
+
+    /// Keep the sizes of a freed chunk's flows.
+    fn keep_sizes(&mut self, freed: Freed<FlowState>) {
+        let Some((k, rows)) = freed else { return };
+        if cfg!(feature = "strict-invariants") {
+            for f in &rows {
+                let paced = matches!(f.transport, Transport::Paced);
+                assert!(
+                    f.done && paced && f.delivered == f.bytes,
+                    "a freed flow delivered its size"
+                );
+            }
+        }
+        if self.freed_bytes.len() <= k {
+            self.freed_bytes.resize_with(k + 1, Box::default);
+        }
+        self.freed_bytes[k] = rows.iter().map(|f| f.bytes).collect();
     }
 }
 
@@ -435,7 +537,7 @@ const _: () = assert!(std::mem::size_of::<PendingFlow>() == 32);
 /// have taken (flow `i` gets `seq0 + i`) and orders the flows by
 /// `(at, i)`. Only the start at `next` waits in the event queue, and it
 /// queues its successor when it fires, so every start pops at the key it
-/// would have had.
+/// would have had. The order is dropped once the last start has fired.
 #[derive(Clone, Default)]
 struct StartCursor {
     order: Vec<u32>,
@@ -604,8 +706,9 @@ pub struct Engine {
     /// Every flow attached with a start time, in attach order. A first
     /// chunk that grows with the list, so a handful of flows costs a
     /// handful of records, then fixed chunks: attaching many copies at
-    /// most that first chunk.
-    pending_flows: ChunkedVec<PendingFlow>,
+    /// most that first chunk. A record is read no more once its flow
+    /// starts, and a chunk is freed once every flow in it has.
+    pending_flows: Expiring<PendingFlow>,
     /// The transports of the attached flows that are not paced.
     pending_tcp: Vec<TransportKind>,
     starts: StartCursor,
@@ -613,13 +716,17 @@ pub struct Engine {
     /// sequence number it took when armed. Every watchdog fires exactly
     /// `WATCHDOG_NS` after it is armed, so they come due in arming order;
     /// only the front waits in the event queue, and it queues the next
-    /// when it fires.
+    /// one whose flow is not done when it fires. The entries of done flows
+    /// behind the front are dropped there, or when the FIFO would grow.
     watchdogs: VecDeque<(SimTime, u64, FlowId)>,
     /// Schedule every start at prime and every watchdog when armed: the
     /// reference the start cursor and the watchdog FIFO are checked
     /// against.
     #[cfg(test)]
     eager: bool,
+    /// Watchdogs popped for a flow that was done or freed.
+    #[cfg(test)]
+    dead_watchdogs: u64,
     tm_accum: TrafficMatrix,
     rng: SimRng,
     /// Outstanding `OffloadRecall` firing times per node. Every offloaded
@@ -768,7 +875,7 @@ impl Engine {
             router: None,
             pipeline: PipelineModel::default(),
             sync,
-            flows: FlowTable::default(),
+            flows: FlowTable::new(),
             next_pkt_id: 1,
             packets: PacketStore::new(),
             pkt_events: 0,
@@ -778,12 +885,14 @@ impl Engine {
             collectives: vec![],
             collective_service: vec![],
             collective_done: vec![],
-            pending_flows: ChunkedVec::growing(),
+            pending_flows: Expiring::growing(),
             pending_tcp: vec![],
             starts: StartCursor::default(),
             watchdogs: VecDeque::new(),
             #[cfg(test)]
             eager: false,
+            #[cfg(test)]
+            dead_watchdogs: 0,
             tm_accum: TrafficMatrix::zeros(n as usize),
             rng,
             recall_outstanding: vec![vec![]; n as usize],
@@ -1316,10 +1425,13 @@ impl Engine {
 
     /// Bytes delivered so far for a flow.
     pub fn flow_delivered(&self, flow: FlowId) -> u64 {
-        self.flows.get(flow).map_or(0, |f| match &f.transport {
-            Transport::Tcp(tcp) => tcp.receiver.delivered_bytes,
-            Transport::Paced => f.delivered,
-        })
+        match self.flows.get(flow) {
+            Some(f) => match &f.transport {
+                Transport::Tcp(tcp) => tcp.receiver.delivered_bytes,
+                Transport::Paced => f.delivered,
+            },
+            None => self.flows.freed_delivered(flow).unwrap_or(0),
+        }
     }
 
     /// Reordering events observed by a TCP flow's receiver (Fig. 9b).
@@ -1358,11 +1470,23 @@ impl Engine {
                 idx_u32(self.pending_tcp.len())
             }
         };
-        self.pending_flows.push(PendingFlow { at, bytes, src, dst, transport, service })
+        // A chunk this frees had every flow in it started.
+        self.pending_flows.push(PendingFlow { at, bytes, src, dst, transport, service }).0
     }
 
     fn pending_flow(&self, idx: usize) -> PendingFlow {
-        *self.pending_flows.get(idx).expect("a FlowStart names an attached flow")
+        *self.pending_flows.items.get(idx).expect("a FlowStart names an unstarted flow")
+    }
+
+    /// Whether what a flow no longer needs is freed: its pending record
+    /// once it starts, a paced flow's row once it is done. The eager
+    /// reference keeps everything.
+    fn frees(&self) -> bool {
+        #[cfg(test)]
+        if self.eager {
+            return false;
+        }
+        true
     }
 
     fn pending_transport(&self, p: &PendingFlow) -> TransportKind {
@@ -1445,11 +1569,9 @@ impl Engine {
                 }
             }
         }
-        // Scheduled flows: their records, and each one's completion, take
-        // exactly the room they need.
-        let n = self.pending_flows.len();
-        self.flows.0.reserve_exact(n);
-        self.fct.reserve_exact(n);
+        // Scheduled flows: each one's completion takes exactly the room it
+        // needs.
+        self.fct.reserve_exact(self.pending_flows.items.len());
         self.prime_starts(q);
         // Memcached ops.
         for (a, app) in self.memcached.iter().enumerate() {
@@ -1481,7 +1603,7 @@ impl Engine {
     /// Reserve every pre-run flow's start number and queue the first start
     /// (see [`StartCursor`]).
     fn prime_starts(&mut self, q: &mut EventQueue<Event>) {
-        let n = self.pending_flows.len();
+        let n = self.pending_flows.items.len();
         #[cfg(test)]
         if self.eager {
             for i in 0..n {
@@ -1522,20 +1644,47 @@ impl Engine {
         let (at, seq) = (now + WATCHDOG_NS, q.reserve_seq());
         if self.watchdogs.is_empty() {
             q.schedule_reserved(at, seq, ev);
+        } else if self.watchdogs.len() == self.watchdogs.capacity() {
+            self.compact_watchdogs();
         }
         self.watchdogs.push_back((at, seq, fid));
     }
 
-    /// The front watchdog is firing: queue the one behind it.
+    /// Whether `fid` has a row and is not done: a watchdog for any other
+    /// flow would do nothing when it fires.
+    fn flow_running(&self, fid: FlowId) -> bool {
+        self.flows.get(fid).is_some_and(|f| !f.done)
+    }
+
+    /// The front watchdog is firing: queue the first one behind it whose
+    /// flow is still running, dropping those before it.
     fn watchdog_fired(&mut self, q: &mut EventQueue<Event>) {
         #[cfg(test)]
         if self.eager {
             return;
         }
         self.watchdogs.pop_front();
-        if let Some(&(at, seq, fid)) = self.watchdogs.front() {
-            q.schedule_reserved(at, seq, Event::Timer(Timer::FlowWatchdog(fid)));
+        while let Some(&(at, seq, fid)) = self.watchdogs.front() {
+            if self.flow_running(fid) {
+                q.schedule_reserved(at, seq, Event::Timer(Timer::FlowWatchdog(fid)));
+                return;
+            }
+            self.watchdogs.pop_front();
         }
+    }
+
+    /// The FIFO is full: drop the entries of flows no longer running,
+    /// except the front, which waits in the event queue. When that frees
+    /// less than a quarter of it, it grows anyway, so the next compaction
+    /// is as many arms away as this one scanned.
+    fn compact_watchdogs(&mut self) {
+        let mut front = true;
+        let mut watchdogs = std::mem::take(&mut self.watchdogs);
+        watchdogs.retain(|&(_, _, fid)| std::mem::take(&mut front) || self.flow_running(fid));
+        if watchdogs.len() > watchdogs.capacity() / 4 * 3 {
+            watchdogs.reserve(watchdogs.len());
+        }
+        self.watchdogs = watchdogs;
     }
 
     // -- flows --------------------------------------------------------------
@@ -1718,6 +1867,9 @@ impl Engine {
         let kind = f.kind;
         let service = f.service;
         let (src, dst) = (f.src_host, f.dst_host);
+        if matches!(f.transport, Transport::Paced) && self.frees() {
+            self.flows.finished(fid);
+        }
         self.hosts[src.index()].aging.forget(fid);
         self.cursors.flow_end(fid, now);
         // Whose FCT clock stops here: a request's runs on until its
@@ -2388,9 +2540,16 @@ impl Engine {
                 // prime was scheduled on its own.
                 if idx < self.starts.order.len() {
                     self.starts.next += 1;
+                    if self.starts.next == self.starts.order.len() {
+                        self.starts.order = Vec::new();
+                    }
                     self.queue_next_start(q);
                 }
                 let p = self.pending_flow(idx);
+                if self.frees() {
+                    // A chunk this frees had every flow in it started.
+                    _ = self.pending_flows.expire(idx);
+                }
                 let transport = self.pending_transport(&p);
                 self.start_flow(
                     now,
@@ -2426,6 +2585,10 @@ impl Engine {
             }
             Timer::FlowWatchdog(fid) => {
                 self.watchdog_fired(q);
+                #[cfg(test)]
+                {
+                    self.dead_watchdogs += u64::from(!self.flow_running(fid));
+                }
                 let retransmit = self.watchdog_retransmit;
                 let Some(f) = self.flows.get_mut(fid) else { return };
                 if f.done {
@@ -2537,5 +2700,7 @@ impl World for Engine {
     }
 }
 
+#[cfg(test)]
+mod route_oracle;
 #[cfg(test)]
 mod tests;

@@ -3,9 +3,12 @@
 //! A `Vec` grows by doubling: the old block is copied into one twice its
 //! size while both are live, and the new block is up to half empty. The
 //! big observability stores — a sample's values, a span's row — and the
-//! engine's list of attached flows only ever append, so they grow here
-//! instead, in fixed chunks of [`CHUNK_LEN`] items: growing opens one more
-//! chunk and moves nothing. Item `i` lives at `(i >> CHUNK_SHIFT, i & MASK)`.
+//! engine's per-flow lists grow here instead, in fixed chunks of
+//! [`CHUNK_LEN`] items: growing opens one more chunk and moves nothing.
+//! Item `i` lives at `(i >> CHUNK_SHIFT, i & MASK)`, so indices never
+//! move, and a store whose old items are no longer read — the engine's
+//! pending and finished flows — can free a whole chunk of them
+//! ([`ChunkedVec::release_chunk`]) while the rest keep their indices.
 //! A list that is often short — the attached flows of a network that has
 //! only a handful — starts [`ChunkedVec::growing`]: its first chunk doubles
 //! like a `Vec` until it holds a chunk, so it costs what it holds.
@@ -16,10 +19,11 @@ pub(crate) const CHUNK_SHIFT: u32 = 12;
 pub const CHUNK_LEN: usize = 1 << CHUNK_SHIFT;
 const MASK: usize = CHUNK_LEN - 1;
 
-/// An append-only sequence stored in fixed chunks. Indices are the ones
-/// [`ChunkedVec::push`] and `ChunkedVec::push_run` return: a run never
-/// straddles two chunks, so the rest of a chunk too short for it stays
-/// unused and the run starts the next one.
+/// A sequence stored in fixed chunks that grows only at its end. Indices
+/// are the ones [`ChunkedVec::push`] and `ChunkedVec::push_run` return: a
+/// run never straddles two chunks, so the rest of a chunk too short for it
+/// stays unused and the run starts the next one. A released chunk's items
+/// are gone; every other index still answers.
 #[derive(Debug)]
 pub struct ChunkedVec<T> {
     chunks: Vec<Vec<T>>,
@@ -50,7 +54,8 @@ impl<T: Clone> Clone for ChunkedVec<T> {
 }
 
 impl<T: Clone> ChunkedVec<T> {
-    /// Every item, in push order, in one `Vec` of exactly that length.
+    /// Every item, in push order, in one `Vec` of exactly that length
+    /// (without the items of released chunks).
     pub fn to_vec(&self) -> Vec<T> {
         let mut all = Vec::with_capacity(self.len);
         self.chunks.iter().for_each(|c| all.extend_from_slice(c));
@@ -71,7 +76,8 @@ impl<T> ChunkedVec<T> {
         ChunkedVec { chunks: vec![Vec::new()], len: 0 }
     }
 
-    /// Items held (the unused tails a run skipped are not counted).
+    /// Items pushed (the unused tails a run skipped are not counted;
+    /// released items are).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -147,6 +153,18 @@ impl<T> ChunkedVec<T> {
     pub fn get_mut(&mut self, i: usize) -> Option<&mut T> {
         self.chunks.get_mut(i >> CHUNK_SHIFT)?.get_mut(i & MASK)
     }
+
+    /// Take out and return the items of chunk `k` (those at indices
+    /// `k * CHUNK_LEN ..`), freeing its memory; they answer `None` from
+    /// then on and no other index moves. The last chunk is never released,
+    /// since the next push may land in it: `None` then, as for a chunk
+    /// already released.
+    pub fn release_chunk(&mut self, k: usize) -> Option<Vec<T>> {
+        if k + 1 >= self.chunks.len() || self.chunks[k].capacity() == 0 {
+            return None;
+        }
+        Some(std::mem::take(&mut self.chunks[k]))
+    }
 }
 
 #[cfg(test)]
@@ -215,6 +233,44 @@ mod tests {
         v.push(1);
         assert_eq!(v.push_run(0..CHUNK_LEN), CHUNK_LEN);
         assert_eq!((capacities(&v), v.run(CHUNK_LEN, CHUNK_LEN)[9]), (vec![4, CHUNK_LEN], 9));
+    }
+
+    #[test]
+    fn a_released_chunk_answers_none_and_the_last_chunk_stays() {
+        let mut v = ChunkedVec::growing();
+        (0..2 * CHUNK_LEN + 3).for_each(|i| _ = v.push(i));
+        assert_eq!(v.release_chunk(2), None, "the last chunk is never released");
+        assert_eq!(v.release_chunk(3), None);
+        let freed = v.release_chunk(0).expect("a full chunk behind the last");
+        assert_eq!((freed.len(), freed[7]), (CHUNK_LEN, 7));
+        assert_eq!(v.release_chunk(0), None, "released once");
+        assert!((0..CHUNK_LEN).all(|i| v.get(i).is_none() && v.get_mut(i).is_none()));
+        assert_eq!(
+            (v.get(CHUNK_LEN), v.get(2 * CHUNK_LEN + 2)),
+            (Some(&CHUNK_LEN), Some(&(2 * CHUNK_LEN + 2)))
+        );
+        // Indices keep counting from where they were.
+        assert_eq!((v.push(1), v.len()), (2 * CHUNK_LEN + 3, 2 * CHUNK_LEN + 4));
+        assert_eq!(v.release_chunk(1).map(|c| c[0]), Some(CHUNK_LEN));
+        assert_eq!(
+            v.to_vec(),
+            [&(2 * CHUNK_LEN..2 * CHUNK_LEN + 3).collect::<Vec<_>>()[..], &[1]].concat()
+        );
+    }
+
+    #[test]
+    fn a_store_with_released_chunks_clones_to_the_same_items() {
+        let mut v = ChunkedVec::new();
+        (0..3 * CHUNK_LEN + 2).for_each(|i| _ = v.push(i));
+        v.release_chunk(1);
+        let mut copy = v.clone();
+        assert!((0..3 * CHUNK_LEN + 2).all(|i| copy.get(i) == v.get(i)));
+        assert_eq!((copy.get(CHUNK_LEN), copy.get(2 * CHUNK_LEN)), (None, Some(&(2 * CHUNK_LEN))));
+        assert_eq!((copy.len(), copy.to_vec()), (v.len(), v.to_vec()));
+        // The copy releases and grows on its own.
+        assert_eq!(copy.release_chunk(0).map(|c| c.len()), Some(CHUNK_LEN));
+        assert_eq!(copy.push(5), 3 * CHUNK_LEN + 2);
+        assert_eq!((v.get(0), v.len()), (Some(&0), 3 * CHUNK_LEN + 2));
     }
 
     #[test]

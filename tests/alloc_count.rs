@@ -486,8 +486,9 @@ fn a_short_pending_list_costs_only_its_flows() -> Result<(), Error> {
 /// a pinned number of allocations, about 18 per ToR. The round robin is one
 /// flat factorization (it was a `Vec` per round: 107 more) and the OCS
 /// check builds no cross-connect list (one more), so either coming back
-/// moves the count. An optimized build makes one allocation fewer: the
-/// optimizer drops one that never escapes.
+/// moves the count. The flow table's list of chunks is one allocation
+/// (1,981 while the table was a plain `Vec`). An optimized build makes one
+/// allocation fewer: the optimizer drops one that never escapes.
 #[test]
 fn deploying_108_by_6_makes_a_pinned_number_of_allocations() -> Result<(), Error> {
     let cfg = NetConfig::builder()
@@ -509,10 +510,82 @@ fn deploying_108_by_6_makes_a_pinned_number_of_allocations() -> Result<(), Error
         )
     });
     assert_eq!(net?.engine.schedule().circuits().len(), 108 / 2 * 107 * 6);
-    let pinned = if cfg!(debug_assertions) { 1_981 } else { 1_980 };
+    let pinned = if cfg!(debug_assertions) { 1_982 } else { 1_981 };
     assert_eq!(
         allocations, pinned,
         "2,088 (2,087 optimized) with a Vec per round and a cross-connect list"
     );
+    Ok(())
+}
+
+/// What each extra pre-run flow added to the live-byte high-water of
+/// [`pre_run_load`] while every pending record, flow row and watchdog of a
+/// finished flow lived as long as the engine: 183 B, in a debug and an
+/// optimized build alike.
+const KEPT_PER_FLOW: i64 = 183;
+
+/// A pre-run flow's pending record goes once it starts and its row once
+/// it is done (a chunk at a time), and its watchdog leaves the FIFO: what
+/// each extra flow adds to the high-water is at most 75 % of what it added
+/// when they all stayed (128 B now, in both builds).
+#[test]
+fn a_finished_pre_run_flow_gives_its_bytes_back() -> Result<(), Error> {
+    const HORIZON_NS: u64 = 2_000_000;
+    let (short_peak, flows, _) = pre_run_load(HORIZON_NS)?;
+    let (long_peak, long_flows, _) = pre_run_load(4 * HORIZON_NS)?;
+    let per_flow = (long_peak - short_peak) / i64::try_from(long_flows - flows).unwrap();
+    assert!(per_flow * 4 <= KEPT_PER_FLOW * 3, "{per_flow} B per pre-run flow");
+    Ok(())
+}
+
+/// Flows attached per round of [`ctl_rounds`]: a power of two, so after a
+/// power of two of rounds the FCT record list (which doubles) is full.
+const ROUND_FLOWS: u32 = 512;
+/// Simulated time each round runs for, ns.
+const ROUND_NS: u64 = 1_000_000;
+
+/// What a control-plane session does: `rounds` times, attach
+/// [`ROUND_FLOWS`] paced 3 kB flows starting over the next half round and
+/// run one round. Returns the live bytes the network holds at the end,
+/// less what every finished flow may keep — its 32-byte FCT record,
+/// counted at the record list's doubled capacity, and the 8 bytes that
+/// answer `flow_delivered` once its row is freed — and the flows finished.
+fn ctl_rounds(rounds: u32) -> Result<(i64, usize), Error> {
+    // The network is returned, so its bytes are still held when counted.
+    let ((_, live), net) = heap_in(|| -> Result<OpenOpticsNet, Error> {
+        let mut net = rotor_net()?;
+        let mut started = 0;
+        for _ in 0..rounds {
+            let now = net.now().as_ns();
+            for i in 0..ROUND_FLOWS {
+                let (src, hop) = (started % 12, 1 + (started / 12) % 11);
+                let (src, dst) = (HostId(src), HostId((src + hop) % 12));
+                let at = SimTime::from_ns(now + 1 + u64::from(i) * ROUND_NS / 2 / 512);
+                net.add_flow(at, src, dst, 3_000, TransportKind::Paced);
+                started += 1;
+            }
+            net.run_for(SimTime::from_ns(ROUND_NS));
+        }
+        Ok(net)
+    });
+    let finished = net?.fct().completed().len();
+    assert_eq!(finished, (rounds * ROUND_FLOWS) as usize, "every flow finishes");
+    let kept = 32 * finished.next_power_of_two() + 8 * finished;
+    Ok((live - i64::try_from(kept).expect("a byte count fits i64"), finished))
+}
+
+/// A long control-plane session holds what its flows in flight need, not
+/// what every flow it ever ran did: over 4x the rounds (and flows), the
+/// live bytes less each finished flow's FCT record and 8-byte size grow by
+/// less than a byte per extra flow (4,528 B over 12,288 flows here; they
+/// grew by 1,282,312 B, 104 B a flow, while every row, pending record and
+/// watchdog stayed).
+#[test]
+fn a_session_s_memory_does_not_grow_with_its_rounds() -> Result<(), Error> {
+    let (short, flows) = ctl_rounds(8)?;
+    let (long, long_flows) = ctl_rounds(32)?;
+    assert_eq!(long_flows, 4 * flows);
+    let grown = usize::try_from(long - short).unwrap_or(0);
+    assert!(grown < long_flows - flows, "{short} B -> {long} B over {flows} -> {long_flows} flows");
     Ok(())
 }
