@@ -14,7 +14,7 @@
 
 use crate::config::NetConfig;
 use crate::net::DeployError;
-use openoptics_fabric::{Circuit, ClockSync, Fabric, FabricProfile, OpticalSchedule};
+use openoptics_fabric::{ClockSync, Fabric, FabricProfile, OpticalSchedule};
 use openoptics_faults::{FaultError, FaultKind, FaultPlan, FaultReport, FaultRuntime};
 use openoptics_host::apps::{ChunkSend, MemcachedParams, RingAllreduce};
 use openoptics_host::FlowAging;
@@ -721,9 +721,10 @@ pub struct Engine {
     watchdogs: VecDeque<(SimTime, u64, FlowId)>,
     /// Schedule every start at prime and every watchdog when armed: the
     /// reference the start cursor and the watchdog FIFO are checked
-    /// against.
-    #[cfg(test)]
-    eager: bool,
+    /// against, and what the other tie order runs on (the cursor and the
+    /// FIFO take their events in scheduling order).
+    #[cfg(any(test, feature = "tie-order-probe"))]
+    pub(crate) eager: bool,
     /// Watchdogs popped for a flow that was done or freed.
     #[cfg(test)]
     dead_watchdogs: u64,
@@ -889,7 +890,7 @@ impl Engine {
             pending_tcp: vec![],
             starts: StartCursor::default(),
             watchdogs: VecDeque::new(),
-            #[cfg(test)]
+            #[cfg(any(test, feature = "tie-order-probe"))]
             eager: false,
             #[cfg(test)]
             dead_watchdogs: 0,
@@ -1280,28 +1281,19 @@ impl Engine {
     }
 
     /// Rebuild the link-down-masked schedule routing compiles against from
-    /// the links that are down right now and the active schedule. Its two
+    /// the links that are down right now and the active schedule: a copy
+    /// with every down `(node, port)` darkened, and its peer. Its two
     /// inputs change on link-down window edges and when a deployed schedule
     /// becomes active; those are its two callers.
     fn rebuild_masked_schedule(&mut self) {
-        let down: Vec<(NodeId, PortId)> = self.faults.down_links().collect();
-        self.fault_masked = if down.is_empty() {
-            None
-        } else {
-            let sched = self.fabric.schedule();
-            let kept: Vec<Circuit> = sched
-                .circuits()
-                .iter()
-                .filter(|c| !down.iter().any(|&(n, p)| c.peer_of(n, p).is_some()))
-                .copied()
-                .collect();
-            // A subset of a valid circuit list stays valid (validation is
-            // per-circuit ranges plus pairwise conflicts); if the rebuild
-            // fails anyway, fall back to the unmasked schedule — the drop
-            // mask alone still degrades gracefully.
-            OpticalSchedule::build(sched.slice_config(), sched.num_nodes(), sched.uplinks(), &kept)
-                .ok()
-        };
+        let mut down = self.faults.down_links().peekable();
+        self.fault_masked = down.peek().is_some().then(|| {
+            let mut masked = self.fabric.schedule().clone();
+            for (node, port) in down {
+                masked.darken(node, port);
+            }
+            masked
+        });
     }
 
     /// One fault window edge: activate or clear campaign fault `idx`.
@@ -1482,7 +1474,7 @@ impl Engine {
     /// once it starts, a paced flow's row once it is done. The eager
     /// reference keeps everything.
     fn frees(&self) -> bool {
-        #[cfg(test)]
+        #[cfg(any(test, feature = "tie-order-probe"))]
         if self.eager {
             return false;
         }
@@ -1604,7 +1596,7 @@ impl Engine {
     /// (see [`StartCursor`]).
     fn prime_starts(&mut self, q: &mut EventQueue<Event>) {
         let n = self.pending_flows.items.len();
-        #[cfg(test)]
+        #[cfg(any(test, feature = "tie-order-probe"))]
         if self.eager {
             for i in 0..n {
                 q.schedule(self.pending_flow(i).at, Event::Timer(Timer::FlowStart(i)));
@@ -1636,7 +1628,7 @@ impl Engine {
     /// Arm `fid`'s watchdog to fire `WATCHDOG_NS` after `now`.
     fn arm_watchdog(&mut self, fid: FlowId, now: SimTime, q: &mut EventQueue<Event>) {
         let ev = Event::Timer(Timer::FlowWatchdog(fid));
-        #[cfg(test)]
+        #[cfg(any(test, feature = "tie-order-probe"))]
         if self.eager {
             q.schedule_after(now, WATCHDOG_NS, ev);
             return;
@@ -1659,7 +1651,7 @@ impl Engine {
     /// The front watchdog is firing: queue the first one behind it whose
     /// flow is still running, dropping those before it.
     fn watchdog_fired(&mut self, q: &mut EventQueue<Event>) {
-        #[cfg(test)]
+        #[cfg(any(test, feature = "tie-order-probe"))]
         if self.eager {
             return;
         }

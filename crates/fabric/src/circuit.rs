@@ -82,6 +82,36 @@ impl Circuit {
     }
 }
 
+/// Where a schedule generator writes its cycle: the number of slices
+/// first, then every circuit in order. An error from the sink stops the
+/// generator, which returns it.
+pub trait CircuitSink {
+    /// Why the sink refused what it was handed.
+    type Error;
+    /// The cycle has `num_slices` slices; called once, before any circuit.
+    fn cycle(&mut self, num_slices: u32) -> Result<(), Self::Error>;
+    /// The next circuit of the cycle.
+    fn circuit(&mut self, c: Circuit) -> Result<(), Self::Error>;
+}
+
+/// A circuit list and its slice count: what the list-returning generators
+/// collect.
+impl CircuitSink for (Vec<Circuit>, u32) {
+    type Error = std::convert::Infallible;
+
+    #[inline]
+    fn cycle(&mut self, num_slices: u32) -> Result<(), Self::Error> {
+        self.1 = num_slices;
+        Ok(())
+    }
+
+    #[inline]
+    fn circuit(&mut self, c: Circuit) -> Result<(), Self::Error> {
+        self.0.push(c);
+        Ok(())
+    }
+}
+
 impl fmt::Debug for Circuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.slice {

@@ -25,7 +25,7 @@ mod schedule;
 mod sync;
 
 pub use catalog::{OcsProfile, OCS_CATALOG};
-pub use circuit::Circuit;
+pub use circuit::{Circuit, CircuitSink};
 pub use fabric::{Fabric, FabricProfile, Transit};
 pub use layout::{CrossConnect, LayoutError, OcsLayout};
 pub use schedule::{OpticalSchedule, ScheduleError};

@@ -370,12 +370,12 @@ mod tests {
     }
 
     /// `s` without the circuits touching `(node, port)` — how the engine's
-    /// `rebuild_fault_masks` derives the schedule routes compile against
-    /// while that link is down.
+    /// `rebuild_masked_schedule` derives the schedule routes compile
+    /// against while that link is down.
     fn masked(s: &OpticalSchedule, node: NodeId, port: PortId) -> OpticalSchedule {
-        let kept: Vec<Circuit> =
-            s.circuits().iter().filter(|c| c.peer_of(node, port).is_none()).copied().collect();
-        deploy(s.num_nodes(), s.uplinks(), s.slice_config().num_slices, &kept)
+        let mut masked = s.clone();
+        masked.darken(node, port);
+        masked
     }
 
     /// A partial schedule from arbitrary `(a, b, a_port, b_port, slice)`
@@ -568,7 +568,8 @@ mod tests {
             max_hops in 1u32..=6,
         ) {
             let s = rr(n, uplinks);
-            let down = s.circuits()[down % s.circuits().len()];
+            let circuits: Vec<Circuit> = s.circuits().collect();
+            let down = circuits[down % circuits.len()];
             matches_reference(&masked(&s, down.a, down.a_port), NodeId(src % n), max_hops)?;
         }
 

@@ -166,6 +166,10 @@ pub struct EventQueue<E> {
     /// Key of the most recently popped event; only read by the
     /// `strict-invariants` monotonicity check.
     last_popped: Option<(SimTime, u64)>,
+    /// Sequence numbers count down, so same-instant events pop
+    /// last-scheduled first ([`EventQueue::pop_ties_last_scheduled_first`]).
+    #[cfg(feature = "tie-order-probe")]
+    count_down: bool,
 }
 
 /// Point-in-time statistics of an [`EventQueue`], for telemetry mirroring.
@@ -275,7 +279,20 @@ impl<E: Copy> EventQueue<E> {
             peak_len: 0,
             current: (SimTime::ZERO, 0),
             last_popped: None,
+            #[cfg(feature = "tie-order-probe")]
+            count_down: false,
         }
+    }
+
+    /// Hand out sequence numbers counting down from `u64::MAX - 1`
+    /// instead of up from 1, so that events scheduled for the same instant
+    /// pop last-scheduled first: the other tie order, for tests that ask
+    /// which results depend on it. Only before anything is scheduled or
+    /// reserved.
+    #[cfg(feature = "tie-order-probe")]
+    pub fn pop_ties_last_scheduled_first(&mut self) {
+        assert_eq!(self.next_seq, 1, "the tie order is chosen before the first sequence number");
+        self.count_down = true;
     }
 
     /// Schedule `event` to fire at absolute instant `time`.
@@ -291,7 +308,20 @@ impl<E: Copy> EventQueue<E> {
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        #[cfg(feature = "tie-order-probe")]
+        if self.count_down {
+            return u64::MAX - seq;
+        }
         seq
+    }
+
+    /// Whether `seq` was handed out by [`reserve_seq`](Self::reserve_seq).
+    fn was_reserved(&self, seq: u64) -> bool {
+        #[cfg(feature = "tie-order-probe")]
+        if self.count_down {
+            return u64::MAX - seq < self.next_seq;
+        }
+        seq < self.next_seq
     }
 
     /// Schedule `event` at `time` under `seq`, a number
@@ -306,7 +336,7 @@ impl<E: Copy> EventQueue<E> {
                 (time, seq),
                 self.current,
             );
-            assert!(seq < self.next_seq, "seq {seq} was never reserved");
+            assert!(self.was_reserved(seq), "seq {seq} was never reserved");
         }
         self.insert(time, seq, event);
     }
@@ -611,6 +641,24 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[cfg(feature = "tie-order-probe")]
+    #[test]
+    fn counting_down_pops_ties_last_scheduled_first() {
+        let mut q = EventQueue::new();
+        q.pop_ties_last_scheduled_first();
+        q.schedule(SimTime::from_ns(5), 0);
+        q.schedule(SimTime::from_ns(1), 1);
+        let seq = q.reserve_seq();
+        q.schedule(SimTime::from_ns(5), 2);
+        q.schedule(SimTime::from_ns(1), 3);
+        q.schedule_reserved(SimTime::from_ns(5), seq, 4);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(1), 3)));
+        // A same-instant schedule from a handler pops next.
+        q.schedule(SimTime::from_ns(1), 5);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![5, 1, 2, 4, 0]);
     }
 
     #[test]

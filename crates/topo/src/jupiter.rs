@@ -15,8 +15,8 @@
 
 use crate::matching::max_weight_pairs;
 use crate::matrix::TrafficMatrix;
-use crate::round_robin::OneFactorization;
-use openoptics_fabric::Circuit;
+use crate::round_robin::{collect, OneFactorization};
+use openoptics_fabric::{Circuit, CircuitSink};
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::idx_u32;
 
@@ -24,6 +24,15 @@ use openoptics_sim::idx_u32;
 /// of the 1-factorization, spreading connectivity evenly. Requires
 /// `uplinks <= rounds(n)`; all circuits are held (TA semantics).
 pub fn uniform_mesh(n: u32, uplinks: u16) -> Vec<Circuit> {
+    collect(|sink| uniform_mesh_into(n, uplinks, sink)).0
+}
+
+/// [`uniform_mesh`] written into `sink`, a one-slice cycle.
+pub fn uniform_mesh_into<S: CircuitSink>(
+    n: u32,
+    uplinks: u16,
+    sink: &mut S,
+) -> Result<(), S::Error> {
     let rounds = OneFactorization::new(n);
     assert!(
         (uplinks as usize) <= rounds.len(),
@@ -31,13 +40,13 @@ pub fn uniform_mesh(n: u32, uplinks: u16) -> Vec<Circuit> {
         rounds.len()
     );
     let spread = rounds.len() / uplinks as usize;
-    let mut circuits = Vec::new();
+    sink.cycle(1)?;
     for j in 0..uplinks {
         for &(a, b) in &rounds[j as usize * spread] {
-            circuits.push(Circuit::held(NodeId(a), PortId(j), NodeId(b), PortId(j)));
+            sink.circuit(Circuit::held(NodeId(a), PortId(j), NodeId(b), PortId(j)))?;
         }
     }
-    circuits
+    Ok(())
 }
 
 /// One Jupiter evolution step: adapt `prev` to the new traffic matrix,

@@ -13,9 +13,13 @@
 //! * `expander` — Opera-style per-slice connected expander schedules;
 //! * `matrix` — the traffic-matrix type all TA algorithms consume.
 //!
-//! Every generator returns plain [`openoptics_fabric::Circuit`] lists that
-//! `deploy_topo()` validates and installs; nothing here touches the data
-//! plane.
+//! A generator returns a plain [`openoptics_fabric::Circuit`] list that
+//! `deploy_topo()` validates and installs. The 1-factorization generators
+//! (round robin, multi-dimensional round robin, uniform mesh, Opera, SORN)
+//! also write their cycle into an [`openoptics_fabric::CircuitSink`]
+//! (`round_robin_into` and kin), which is how an architecture lights its
+//! schedule in place without a list in between; the list form collects
+//! from the same sink. Nothing here touches the data plane.
 
 pub mod bvn;
 mod expander;
@@ -25,8 +29,10 @@ mod matrix;
 pub mod round_robin;
 mod sorn;
 
-pub use expander::opera_schedule;
-pub use jupiter::{evolve, uniform_mesh};
+pub use expander::{opera_schedule, opera_schedule_into};
+pub use jupiter::{evolve, uniform_mesh, uniform_mesh_into};
 pub use matrix::TrafficMatrix;
-pub use round_robin::{round_robin, round_robin_multidim};
-pub use sorn::{pair_time_share, sorn};
+pub use round_robin::{
+    round_robin, round_robin_into, round_robin_multidim, round_robin_multidim_into,
+};
+pub use sorn::{pair_time_share, sorn, sorn_into};

@@ -11,9 +11,10 @@
 //! exactly once. Odd `n` adds a phantom node, giving `n` rounds with one
 //! node idle per round.
 
-use openoptics_fabric::Circuit;
+use openoptics_fabric::{Circuit, CircuitSink};
 use openoptics_proto::{NodeId, PortId};
 use openoptics_sim::{idx_u32, to_u32};
+use std::convert::Infallible;
 
 /// A 1-factorization of K_n: rounds of disjoint pairs; across rounds every
 /// unordered pair appears exactly once. For even `n` there are `n-1` rounds
@@ -71,7 +72,7 @@ impl std::ops::Index<usize> for OneFactorization {
 
 /// Single-dimensional round-robin schedule with `uplinks` optical uplinks
 /// per node, for `n` endpoint nodes. Returns the circuit list and the
-/// number of slices per cycle.
+/// number of slices per cycle: what [`round_robin_into`] writes, collected.
 ///
 /// Uplink `j` runs the same 1-factorization phase-shifted by
 /// `j * rounds / uplinks`, so at any slice the union of all uplinks forms a
@@ -90,28 +91,53 @@ impl std::ops::Index<usize> for OneFactorization {
 /// assert!(sched.cycle_covers_all_pairs());
 /// ```
 pub fn round_robin(n: u32, uplinks: u16) -> (Vec<Circuit>, u32) {
+    collect(|sink| round_robin_into(n, uplinks, sink))
+}
+
+/// [`round_robin`] written into `sink`, circuit by circuit in slice order,
+/// with no list in between.
+pub fn round_robin_into<S: CircuitSink>(
+    n: u32,
+    uplinks: u16,
+    sink: &mut S,
+) -> Result<(), S::Error> {
     assert!(uplinks >= 1);
     let rounds = OneFactorization::new(n);
-    let num_slices = idx_u32(rounds.len());
-    // Grown by pushes, not reserved: the list's size is part of the
-    // deploy path's memory profile (DESIGN.md "What deploying 108 × 6
-    // costs").
-    let mut circuits = Vec::new();
+    sink.cycle(idx_u32(rounds.len()))?;
+    striped(&rounds, uplinks, sink)
+}
+
+/// The round-robin cycle's circuits: in slice `ts`, uplink `j` carries
+/// round `ts + j * rounds / uplinks`.
+pub(crate) fn striped<S: CircuitSink>(
+    rounds: &OneFactorization,
+    uplinks: u16,
+    sink: &mut S,
+) -> Result<(), S::Error> {
     for ts in 0..rounds.len() {
         for j in 0..uplinks {
             let shift = (j as usize * rounds.len() / uplinks as usize) % rounds.len();
             for &(a, b) in &rounds[(ts + shift) % rounds.len()] {
-                circuits.push(Circuit::in_slice(
+                sink.circuit(Circuit::in_slice(
                     NodeId(a),
                     PortId(j),
                     NodeId(b),
                     PortId(j),
                     idx_u32(ts),
-                ));
+                ))?;
             }
         }
     }
-    (circuits, num_slices)
+    Ok(())
+}
+
+/// What a generator writes into a list sink.
+pub(crate) fn collect(
+    generate: impl FnOnce(&mut (Vec<Circuit>, u32)) -> Result<(), Infallible>,
+) -> (Vec<Circuit>, u32) {
+    let mut list = (Vec::new(), 0);
+    let Ok(()) = generate(&mut list);
+    list
 }
 
 /// Multi-dimensional round robin (Shale, §4.2): nodes form a `dim`-dimensional
@@ -121,6 +147,15 @@ pub fn round_robin(n: u32, uplinks: u16) -> (Vec<Circuit>, u32) {
 /// `dim * rounds(s)` slices, and any pair of nodes is reachable in at most
 /// `dim` hops (one per differing coordinate).
 pub fn round_robin_multidim(n: u32, dim: u32) -> (Vec<Circuit>, u32) {
+    collect(|sink| round_robin_multidim_into(n, dim, sink))
+}
+
+/// [`round_robin_multidim`] written into `sink`.
+pub fn round_robin_multidim_into<S: CircuitSink>(
+    n: u32,
+    dim: u32,
+    sink: &mut S,
+) -> Result<(), S::Error> {
     assert!(dim >= 1);
     #[expect(clippy::cast_possible_truncation, reason = "`as` saturates; to_u32 checks the rest")]
     let s = to_u32(f64::from(n).powf(1.0 / f64::from(dim)).round() as u64);
@@ -130,14 +165,13 @@ pub fn round_robin_multidim(n: u32, dim: u32) -> (Vec<Circuit>, u32) {
         "multi-dimensional round robin needs node count to be a perfect power: {n} != {s}^{dim}"
     );
     if dim == 1 {
-        return round_robin(n, 1);
+        return round_robin_into(n, 1, sink);
     }
     let rounds = OneFactorization::new(s);
     let rounds_per_dim = idx_u32(rounds.len());
     let num_slices = dim * rounds_per_dim;
     let stride = |d: u32| s.pow(d);
-
-    let mut circuits = Vec::new();
+    sink.cycle(num_slices)?;
     for ts in 0..num_slices {
         let d = ts / rounds_per_dim;
         let r = (ts % rounds_per_dim) as usize;
@@ -151,11 +185,11 @@ pub fn round_robin_multidim(n: u32, dim: u32) -> (Vec<Circuit>, u32) {
             for &(a, b) in &rounds[r] {
                 let na = base + a * stride(d);
                 let nb = base + b * stride(d);
-                circuits.push(Circuit::in_slice(NodeId(na), PortId(0), NodeId(nb), PortId(0), ts));
+                sink.circuit(Circuit::in_slice(NodeId(na), PortId(0), NodeId(nb), PortId(0), ts))?;
             }
         }
     }
-    (circuits, num_slices)
+    Ok(())
 }
 
 #[cfg(test)]

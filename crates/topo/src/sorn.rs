@@ -13,41 +13,48 @@
 
 use crate::bvn::decompose_into_pairings;
 use crate::matrix::TrafficMatrix;
-use crate::round_robin::round_robin;
-use openoptics_fabric::Circuit;
+use crate::round_robin::{collect, round_robin_into, striped, OneFactorization};
+use openoptics_fabric::{Circuit, CircuitSink};
 use openoptics_proto::PortId;
+use openoptics_sim::idx_u32;
 
 /// Build a SORN schedule: the `round_robin(n, uplinks)` base cycle plus
 /// `extra_slices` demand-dedicated slices derived from the traffic matrix.
-/// Returns circuits and the total slice count.
+/// Returns circuits and the total slice count: what [`sorn_into`] writes,
+/// collected.
 pub fn sorn(tm: &TrafficMatrix, n: u32, uplinks: u16, extra_slices: u32) -> (Vec<Circuit>, u32) {
-    let (mut circuits, base_slices) = round_robin(n, uplinks);
+    collect(|sink| sorn_into(tm, n, uplinks, extra_slices, sink))
+}
+
+/// [`sorn`] written into `sink`: the base cycle's circuits, then the
+/// extra slices'.
+pub fn sorn_into<S: CircuitSink>(
+    tm: &TrafficMatrix,
+    n: u32,
+    uplinks: u16,
+    extra_slices: u32,
+    sink: &mut S,
+) -> Result<(), S::Error> {
     if extra_slices == 0 {
-        return (circuits, base_slices);
+        return round_robin_into(n, uplinks, sink);
     }
+    assert!(uplinks >= 1);
+    let rounds = OneFactorization::new(n);
+    let base_slices = idx_u32(rounds.len());
     let terms = decompose_into_pairings(tm, extra_slices as usize);
-    let mut ts = base_slices;
-    // Heaviest pairings first; repeat the list if demand has fewer distinct
-    // pairings than extra slices.
-    let mut added = 0;
-    'outer: while added < extra_slices {
-        if terms.is_empty() {
-            break;
+    // Heaviest pairings first, the list repeated if demand has fewer
+    // distinct pairings than extra slices; no demand, no extra slice.
+    let added = if terms.is_empty() { 0 } else { extra_slices };
+    sink.cycle(base_slices + added)?;
+    striped(&rounds, uplinks, sink)?;
+    for (ts, term) in (base_slices..base_slices + added).zip(terms.iter().cycle()) {
+        for &(a, b) in &term.pairs {
+            sink.circuit(Circuit::in_slice(a, PortId(0), b, PortId(0), ts))?;
         }
-        for term in &terms {
-            if added >= extra_slices {
-                break 'outer;
-            }
-            for &(a, b) in &term.pairs {
-                circuits.push(Circuit::in_slice(a, PortId(0), b, PortId(0), ts));
-            }
-            // Extra slices beyond port 0 stay dark on other uplinks: the
-            // skewed slices concentrate capacity on hotspots by design.
-            ts += 1;
-            added += 1;
-        }
+        // Extra slices beyond port 0 stay dark on other uplinks: the
+        // skewed slices concentrate capacity on hotspots by design.
     }
-    (circuits, base_slices + added)
+    Ok(())
 }
 
 /// The share of cycle time a node pair gets under a schedule, used to
@@ -65,6 +72,7 @@ pub fn pair_time_share(circuits: &[Circuit], num_slices: u32, a: u32, b: u32) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::round_robin::round_robin;
     use openoptics_fabric::OpticalSchedule;
     use openoptics_proto::NodeId;
     use openoptics_sim::SliceConfig;
@@ -119,5 +127,23 @@ mod tests {
         let (_, slices) = sorn(&tm, 8, 1, 4);
         let (_, base) = round_robin(8, 1);
         assert_eq!(slices, base);
+    }
+
+    #[test]
+    fn pair_time_share_reads_the_same_off_the_schedule() {
+        let mut tm = hotspot_tm(8);
+        tm.set(NodeId(2), NodeId(6), 200.0);
+        for (circuits, slices) in [sorn(&tm, 8, 2, 3), round_robin(8, 3)] {
+            let cfg = SliceConfig::new(1_000, slices, 100);
+            let s = OpticalSchedule::build(cfg, 8, 3, &circuits).unwrap();
+            let view: Vec<Circuit> = s.circuits().collect();
+            for (a, b) in (0..8).flat_map(|a| (0..8).map(move |b| (a, b))) {
+                assert_eq!(
+                    pair_time_share(&view, slices, a, b),
+                    pair_time_share(&circuits, slices, a, b),
+                    "{a}<->{b}"
+                );
+            }
+        }
     }
 }

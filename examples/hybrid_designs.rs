@@ -9,6 +9,7 @@
 //! cargo run --release --example hybrid_designs
 //! ```
 
+use openoptics::fabric::OpticalSchedule;
 use openoptics::prelude::*;
 use openoptics::topo::pair_time_share;
 
@@ -65,10 +66,10 @@ fn main() {
     // How much of the cycle each schedule dedicates to the hot pair.
     let plain_sched = plain.engine.schedule();
     let skewed_sched = skewed.engine.schedule();
-    let plain_share =
-        pair_time_share(plain_sched.circuits(), plain_sched.slice_config().num_slices, 0, 1);
-    let skewed_share =
-        pair_time_share(skewed_sched.circuits(), skewed_sched.slice_config().num_slices, 0, 1);
+    let share = |s: &OpticalSchedule| {
+        pair_time_share(&s.circuits().collect::<Vec<_>>(), s.slice_config().num_slices, 0, 1)
+    };
+    let (plain_share, skewed_share) = (share(plain_sched), share(skewed_sched));
 
     println!("\nhot-pair (0<->1) share of cycle time:");
     println!("  plain round robin : {:.0}%", plain_share * 100.0);

@@ -93,6 +93,78 @@ fn incast_demand(n: u32) -> openoptics::topo::TrafficMatrix {
     tm
 }
 
+/// What one run of `tie_order_run` leaves, split by how reversing the
+/// order of same-instant events treats it.
+#[derive(PartialEq)]
+struct TieOutcome {
+    /// `(flow, bytes, start, end)` in completion order.
+    records: Vec<(u64, u64, u64, u64)>,
+    /// `(bytes, start, end)` of every completed flow, sorted: the records
+    /// without their flow ids or order.
+    fcts: Vec<(u64, u64, u64)>,
+    guardband_holds: u64,
+    /// The engine counters less `guardband_holds`.
+    counters: String,
+    paused_tx: u64,
+    /// The fault report less every `paused_tx`.
+    fault_report: String,
+}
+
+/// A sampled network (telemetry off) under a TCP flow, a paced flow from
+/// every host at one instant and a memcached load, run for
+/// `HORIZON_NS` with same-instant events popping first- or last-scheduled
+/// first.
+fn tie_order_run(
+    (n, slice_us, seed, arch_pick, fault_pick): (u32, u64, u64, u8, u8),
+    last_first: bool,
+) -> TieOutcome {
+    use openoptics::prelude::*;
+    let arch = match arch_pick {
+        0 => Architecture::clos(),
+        1 => Architecture::rotornet(),
+        _ => Architecture::opera(),
+    };
+    let mut net = sampled_net(n, slice_us, seed, arch, 0, OCS_DEFAULT_NS, (false, 0, 0));
+    if last_first {
+        net.pop_ties_last_scheduled_first();
+    }
+    if let Some(p) = sampled_plan(fault_pick, 0) {
+        net.inject_faults(&p).expect("plan validates against this net");
+    }
+    let tcp = TransportKind::Tcp(Default::default());
+    net.add_flow(SimTime::from_ns(500), HostId(1), HostId(0), 300_000, tcp);
+    for src in 1..n {
+        let dst = HostId((src + 1) % n);
+        net.add_flow(SimTime::from_ns(1_000), HostId(src), dst, 40_000, TransportKind::Paced);
+    }
+    let clients = (1..n).map(HostId).collect();
+    net.add_memcached(MemcachedParams::paper(), HostId(0), clients, SimTime::from_ms(2));
+    net.run_for(SimTime::from_ns(HORIZON_NS));
+    let records: Vec<_> = net
+        .fct()
+        .completed()
+        .iter()
+        .map(|r| (r.flow, r.bytes, r.start.as_ns(), r.end.as_ns()))
+        .collect();
+    let mut fcts: Vec<_> = records.iter().map(|&(_, b, s, e)| (b, s, e)).collect();
+    fcts.sort_unstable();
+    let mut counters = net.engine.counters;
+    let guardband_holds = std::mem::take(&mut counters.guardband_holds);
+    let mut report = net.fault_report();
+    let paused_tx = std::mem::take(&mut report.paused_tx);
+    for f in &mut report.per_fault {
+        f.paused_tx = 0;
+    }
+    TieOutcome {
+        records,
+        fcts,
+        guardband_holds,
+        counters: format!("{counters:?}"),
+        paused_tx,
+        fault_report: format!("{report:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -583,6 +655,33 @@ proptest! {
         }
     }
 
+    /// Same-instant order (finding, ROADMAP N1): the order in which events
+    /// due at one nanosecond pop is whatever order the handlers scheduled
+    /// them in, and reversing it is not neutral. Reversed, the flows that
+    /// start together take their ids the other way round, completions at
+    /// one instant are recorded in another order, and a flow can finish at
+    /// another time; a guardband hold and a NIC pause storm's paused
+    /// transmissions can be counted differently. Every other engine
+    /// counter, the rest of the fault report and the number of completed
+    /// flows and their bytes hold. `tie_order_finding_on_a_grid` pins how
+    /// often each moves.
+    #[test]
+    fn reversing_same_instant_ties_moves_only_what_the_finding_names(
+        n in 4u32..9,
+        slice_us in 1u64..4,
+        seed in 0u64..1_000,
+        arch_pick in 0u8..3,
+        fault_pick in 0u8..4,
+    ) {
+        let case = (n, slice_us, seed, arch_pick, fault_pick);
+        let (first, last) = (tie_order_run(case, false), tie_order_run(case, true));
+        prop_assert!(!first.records.is_empty(), "the workload completes flows");
+        prop_assert_eq!(&first.counters, &last.counters, "engine counters but guardband holds moved");
+        prop_assert_eq!(&first.fault_report, &last.fault_report, "fault report but paused_tx moved");
+        let bytes = |o: &TieOutcome| o.fcts.iter().map(|f| f.0).collect::<Vec<_>>();
+        prop_assert_eq!(bytes(&first), bytes(&last), "which flows completed moved");
+    }
+
     /// The wildcard reduction: a schedule of held circuits routes
     /// identically from every arrival slice.
     #[test]
@@ -658,4 +757,48 @@ proptest! {
         prop_assert_eq!(merged.p50(), single.p50());
         prop_assert_eq!(merged.p999(), single.p999());
     }
+}
+
+/// How often reversing the same-instant order moves each output, over 144
+/// sampled networks: 3 architectures x 4 fault plans x 3 sizes x 2 seeds x
+/// 2 slice lengths (ROADMAP N1; see
+/// `reversing_same_instant_ties_moves_only_what_the_finding_names`). A
+/// change to the tie rule or to what ties moves these counts.
+#[test]
+fn tie_order_finding_on_a_grid() {
+    let mut moved = [0; 5];
+    let mut cases = 0;
+    for arch_pick in 0..3 {
+        for fault_pick in 0..4 {
+            for n in [4, 6, 8] {
+                for seed in [1, 2] {
+                    for slice_us in [1, 3] {
+                        let case = (n, slice_us, seed, arch_pick, fault_pick);
+                        let (a, b) = (tie_order_run(case, false), tie_order_run(case, true));
+                        let by_flow = |o: &TieOutcome| {
+                            let mut r = o.records.clone();
+                            r.sort_unstable();
+                            r
+                        };
+                        let outputs = [
+                            a.records != b.records,
+                            by_flow(&a) != by_flow(&b),
+                            a.fcts != b.fcts,
+                            a.guardband_holds != b.guardband_holds,
+                            a.paused_tx != b.paused_tx,
+                        ];
+                        for (m, o) in moved.iter_mut().zip(outputs) {
+                            *m += u32::from(o);
+                        }
+                        assert!(a.counters == b.counters && a.fault_report == b.fault_report);
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 144);
+    // records in completion order, records by flow id, completion times,
+    // guardband holds, paused transmissions
+    assert_eq!(moved, [144, 144, 48, 2, 26]);
 }
