@@ -332,6 +332,21 @@ mod tests {
     }
 
     #[test]
+    fn a_move_to_the_same_circuits_in_another_order_changes_nothing() {
+        let cfg = SliceConfig::new(1_000_000, 1, 100);
+        let cs = [
+            Circuit::held(NodeId(0), PortId(0), NodeId(1), PortId(0)),
+            Circuit::held(NodeId(3), PortId(0), NodeId(2), PortId(0)),
+        ];
+        let s0 = OpticalSchedule::build(cfg, 4, 1, &cs).unwrap();
+        let mut f = Fabric::new(s0, FabricProfile::RealOcs { propagation_ns: 50 }, 1_000);
+        let reversed = [cs[1].canonical(), cs[0]];
+        let done =
+            f.reconfigure(OpticalSchedule::build(cfg, 4, 1, &reversed).unwrap(), SimTime::ZERO);
+        assert!(!f.advance(done), "the slots are the same");
+    }
+
+    #[test]
     fn single_slice_schedule_has_no_guardband_drops() {
         let cfg = SliceConfig::new(1_000, 1, 100);
         let s = OpticalSchedule::build(
