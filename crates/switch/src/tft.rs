@@ -17,7 +17,7 @@ use openoptics_sim::idx_u32;
 use openoptics_sim::time::SliceIndex;
 
 /// The per-node time-flow table.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 /// ```
 /// use openoptics_switch::TimeFlowTable;
 /// use openoptics_routing::{RouteEntry, RouteMatch, RouteAction, MultipathMode};
@@ -48,6 +48,15 @@ pub struct TimeFlowTable {
     pub hits: u64,
     /// Lookup misses (no entry matched).
     pub misses: u64,
+    /// The schedule's cycle: a per-packet spray hashes the ingress time
+    /// within it.
+    cycle_ns: u64,
+}
+
+impl Default for TimeFlowTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -58,9 +67,24 @@ struct TableGroup {
 }
 
 impl TimeFlowTable {
-    /// An empty table.
+    /// An empty table that knows no cycle (`u64::MAX` ns): a per-packet
+    /// spray hashes the absolute ingress time.
     pub fn new() -> Self {
-        Self::default()
+        Self::for_cycle(u64::MAX)
+    }
+
+    /// An empty table on a schedule whose cycle is `cycle_ns`: a spray
+    /// hashes the ingress time within the cycle, so shifting all traffic
+    /// by whole cycles sprays every packet the same way.
+    pub fn for_cycle(cycle_ns: u64) -> Self {
+        assert!(cycle_ns > 0, "a cycle lasts at least 1 ns");
+        TimeFlowTable {
+            exact: FxHashMap::default(),
+            wildcard: FxHashMap::default(),
+            hits: 0,
+            misses: 0,
+            cycle_ns,
+        }
     }
 
     /// Install (or replace) one compiled route entry.
@@ -107,9 +131,11 @@ impl TimeFlowTable {
     ///
     /// Priority: exact arrival-slice match, then wildcard. Within a group,
     /// the action is picked by the group's multipath mode: per-flow hashes
-    /// `(src, dst, flow)`, per-packet hashes the ingress timestamp plus the
-    /// packet id (the "on-chip random number generator" alternative in §3
-    /// maps to the same selection semantics).
+    /// `(src, dst, flow)`, per-packet hashes the ingress time within the
+    /// cycle plus the packet id (the "on-chip random number generator"
+    /// alternative in §3 maps to the same selection semantics). On a held
+    /// one-slice schedule the cycle is that one slice, so the spray hashes
+    /// the ingress time modulo the slice length.
     pub fn lookup(&mut self, packet: &Packet, arr: SliceIndex) -> Option<&RouteAction> {
         let group = self.exact.get(&(arr, packet.dst)).or_else(|| self.wildcard.get(&packet.dst));
         let Some(group) = group else {
@@ -124,7 +150,7 @@ impl TimeFlowTable {
                 weighted_index(&group.actions, group.total_weight, h)
             }
             MultipathMode::PerPacket => {
-                let h = packet_hash(packet.ingress_ts.as_ns(), packet.id);
+                let h = packet_hash(packet.ingress_ts.as_ns() % self.cycle_ns, packet.id);
                 weighted_index(&group.actions, group.total_weight, h)
             }
         };
@@ -272,6 +298,25 @@ mod tests {
             counts[port.index()] += 1;
         }
         assert!(counts[0] > 100 && counts[1] > 100, "skewed spray: {counts:?}");
+    }
+
+    #[test]
+    fn a_spray_repeats_one_cycle_later() {
+        let cycle_ns = 4 * 1_000;
+        let mut t = TimeFlowTable::for_cycle(cycle_ns);
+        t.install(entry(
+            Some(0),
+            NodeId(3),
+            (0..4).map(|p| (PortId(p), Some(0), 1)).collect(),
+            MultipathMode::PerPacket,
+        ));
+        for i in 0..200 {
+            let at = |k: u64| {
+                let p = pkt(i, 42, NodeId(3), i * 37 + k * cycle_ns);
+                t.clone().lookup(&p, 0).expect("flow matches an installed entry").port
+            };
+            assert_eq!(at(0), at(3));
+        }
     }
 
     #[test]

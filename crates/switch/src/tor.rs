@@ -217,9 +217,10 @@ impl ToRSwitch {
             cfg.uplink_bandwidth,
         );
         let pushback = PushbackGen::new(cfg.pushback_enabled);
+        let cycle_ns = cfg.slice_cfg.slice_ns * u64::from(cfg.slice_cfg.num_slices);
         ToRSwitch {
             cfg,
-            tft: TimeFlowTable::new(),
+            tft: TimeFlowTable::for_cycle(cycle_ns),
             ports,
             eqo,
             pushback,
