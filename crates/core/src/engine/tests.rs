@@ -1,11 +1,11 @@
 //! The start cursor, the watchdog FIFO and the freeing of finished flows
 //! against the eager reference: scheduling every pre-run start at prime
 //! and every watchdog when it is armed, and keeping every pending record
-//! and flow row. Both keep each event's `(time, seq)`, so a run must not
-//! tell them apart, except that the lazy path never pops a watchdog whose
-//! flow was done before it came to the front.
+//! and flow row. Both schedule each event under the key its tie gives, so
+//! a run must not tell them apart, except that the lazy path never pops a
+//! watchdog whose flow was done before it came to the front.
 
-use super::TransportKind;
+use super::{TransportKind, WATCHDOG_NS};
 use crate::{Architecture, NetConfig, OpenOpticsNet};
 use openoptics_faults::FaultPlan;
 use openoptics_host::apps::MemcachedParams;
@@ -194,8 +194,7 @@ proptest! {
 }
 
 /// On clos nothing is scheduled before the starts, so a flow 0 leading at
-/// t = 0 takes the queue's first key, `(ZERO, 1)`: just after the current
-/// key before the first pop, `(ZERO, 0)`, which no event has.
+/// t = 0, whose start has the lowest key of the instant, starts first.
 #[test]
 fn a_leading_flow_0_at_t_0_on_an_empty_queue_starts_first() {
     let case = Case {
@@ -211,6 +210,32 @@ fn a_leading_flow_0_at_t_0_on_an_empty_queue_starts_first() {
     let (eager, lazy) = (run(&case, true), run(&case, false));
     let first = "[FlowRecord { flow: 1, bytes: 35000, start: 0ns,";
     assert!(eager.same[0].starts_with(first), "{}", eager.same[0]);
+    same_run(&eager, &lazy).unwrap();
+}
+
+/// A flow's watchdog fires at the instant a later flow starts: the re-arm
+/// comes first (watchdogs rank before starts), so the FIFO holds the two
+/// in flow-id order, the order their ties pop in, and the lazy run still
+/// matches the eager one.
+#[test]
+fn watchdogs_armed_at_one_instant_wait_in_flow_id_order() {
+    let run = |eager: bool| {
+        let cfg = NetConfig::builder().node_num(4).hosts_per_node(1).host_link_gbps(1).build();
+        let arch = Architecture::clos();
+        let mut net = OpenOpticsNet::deploy_preset(cfg.unwrap(), arch).unwrap();
+        net.engine.eager = eager;
+        // 16 ms at 1 Gbps: still sending when its first watchdog fires.
+        let second = SimTime::from_ns(WATCHDOG_NS);
+        net.add_flow(SimTime::ZERO, HostId(0), HostId(1), 2_000_000, TransportKind::Paced);
+        net.add_flow(second, HostId(0), HostId(2), 2_000_000, TransportKind::Paced);
+        net.run_for(SimTime::from_ns(WATCHDOG_NS + 1));
+        let fifo: Vec<_> = net.engine.watchdogs.iter().map(|&(at, id)| (at.as_ns(), id)).collect();
+        net.run_for(SimTime::from_ns(HORIZON_NS - WATCHDOG_NS - 1));
+        (fifo, outcome(&net))
+    };
+    let ((_, eager), (fifo, lazy)) = (run(true), run(false));
+    assert_eq!(fifo, [(2 * WATCHDOG_NS, 1), (2 * WATCHDOG_NS, 2)]);
+    assert!(lazy.same[0] != "[]", "the first flow completes");
     same_run(&eager, &lazy).unwrap();
 }
 

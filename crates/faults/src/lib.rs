@@ -10,7 +10,7 @@
 //! [`FaultRuntime`] is what a running campaign looks like — which windows
 //! are open, what that does to a transmission, a rotation or a host, and
 //! what each fault has cost so far. The core engine holds one, injects each
-//! window edge as an ordinary `(time, seq)` event through the calendar
+//! window edge as an ordinary `(time, order)` event through the calendar
 //! event queue, and asks the runtime at the three places a fault can bite,
 //! so campaigns replay byte-identically at any `--jobs` count.
 //!

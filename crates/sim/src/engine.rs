@@ -6,7 +6,7 @@
 //! backwards through a run: the loop asserts (debug builds and
 //! `strict-invariants`) that each event fires no earlier than the one before
 //! it. Nothing checks a `schedule` — the queue accepts a time behind its
-//! cursor and delivers it next, in `(time, seq)` order — so a handler that
+//! cursor and delivers it next, in `(time, order)` order — so a handler that
 //! schedules before `now` is caught here, at the pop.
 
 use crate::event::EventQueue;
@@ -61,7 +61,7 @@ mod tests {
             self.fired_at.push(now);
             if self.remaining > 0 {
                 self.remaining -= 1;
-                q.schedule_after(now, 10, ());
+                q.schedule(now + 10, ());
             }
         }
     }

@@ -1,8 +1,10 @@
 //! Deterministic pending-event queue.
 //!
-//! A bucketed **calendar queue** keyed by `(time, sequence)`. The sequence
-//! number breaks ties between events scheduled for the same instant in
-//! insertion order, which makes runs bit-for-bit reproducible regardless of
+//! A bucketed **calendar queue** keyed by `(time, order)`. `order` says
+//! where an event stands among those due at the same instant (its [`Tie`]):
+//! a rank the caller names, lowest first, then within the rank either a
+//! key the caller names or the queue's own sequence number, which keeps the
+//! order of scheduling. Runs are bit-for-bit reproducible regardless of
 //! queue internals — the exact contract of a binary heap over the same key
 //! (the reference `tests/queue_equivalence.rs` checks against), at
 //! amortized O(1) schedule/pop for the dense near-future event mix a
@@ -13,7 +15,7 @@
 //! Time is divided into fixed buckets of 2^`BUCKET_BITS` ns, and a ring of
 //! `NUM_BUCKETS` buckets covers the *near window* (~4 ms) starting at the
 //! queue's current position. Every pending event is stored exactly once,
-//! in a node of one `slab` — `(time, seq)`, the event, and the index of the
+//! in a node of one `slab` — `(time, order)`, the event, and the index of the
 //! next node of whatever list it is on — and freed nodes are reused through
 //! a LIFO free list threaded through the same `next` field, so in steady
 //! state the queue neither allocates nor copies an event between being
@@ -23,7 +25,7 @@
 //! * `heads` — one per ring bucket (16 KB in all): an unordered list a
 //!   schedule pushes onto the front of.
 //! * `fine` — the one bucket the cursor is on, split into `FINE_SLOTS`
-//!   slots of 16 ns, each an ascending `(time, seq)` list, with one
+//!   slots of 16 ns, each an ascending `(time, order)` list, with one
 //!   occupancy bit per slot. When the cursor reaches a bucket its `heads`
 //!   list is distributed over the slots; from then on a schedule into that
 //!   bucket is a sorted link into its slot (one to three nodes long in the
@@ -50,26 +52,23 @@
 //! `near_len` lets the cursor skip the empty-bucket scan entirely when the
 //! ring holds nothing.
 //!
-//! Events at equal timestamps are delivered in the order they were scheduled
-//! (FIFO), which is the property that makes the whole simulation
-//! deterministic under a fixed seed.
-//!
-//! A caller may also take a sequence number now and schedule under it later
-//! ([`EventQueue::reserve_seq`], [`EventQueue::schedule_reserved`]): the
-//! event then fires exactly where it would have had it been scheduled at
-//! reservation time. The engine uses this to leave out a link's "free"
-//! event when nothing waits behind the transmission, and to schedule it
-//! after all if a packet turns up before it would have fired
-//! ([`EventQueue::current_key`] is what it compares against); and to keep
-//! only the next pre-run flow start and the earliest paced-flow watchdog
-//! pending, the rest waiting in order outside the queue.
+//! Events at equal timestamps are delivered by rank, then by key, and
+//! events of one rank scheduled without a key in the order they were
+//! scheduled (FIFO). Since an event with a key gets its place from the key
+//! alone, a caller may schedule it late — after events that would have
+//! been scheduled behind it — and it still pops where it would have.
 //! ```
-//! use openoptics_sim::{EventQueue, SimTime};
+//! use openoptics_sim::{EventQueue, SimTime, Tie};
 //!
 //! let mut q = EventQueue::new();
+//! let t = SimTime::from_us(1);
 //! q.schedule(SimTime::from_us(3), "late");
-//! q.schedule(SimTime::from_us(1), "early");
-//! assert_eq!(q.pop(), Some((SimTime::from_us(1), "early")));
+//! q.schedule(t, "first in rank 0");
+//! q.schedule_tied(t, Tie::key(1, 7), "rank 1, key 7");
+//! q.schedule_tied(t, Tie::key(1, 2), "rank 1, key 2");
+//! assert_eq!(q.pop(), Some((t, "first in rank 0")));
+//! assert_eq!(q.pop(), Some((t, "rank 1, key 2")));
+//! assert_eq!(q.pop(), Some((t, "rank 1, key 7")));
 //! assert_eq!(q.pop(), Some((SimTime::from_us(3), "late")));
 //! ```
 
@@ -93,6 +92,42 @@ const FINE_SLOTS: usize = 1 << FINE_BITS;
 /// "No node": the end of a list, an empty bucket, an empty free list.
 const NIL: u32 = u32::MAX;
 
+/// Bits of an order below its rank: a key, or a FIFO tie's flag and
+/// sequence number.
+const RANK_SHIFT: u32 = 59;
+/// Set in a FIFO tie's order, so that within a rank keyed events go first.
+const FIFO: u64 = 1 << 58;
+
+/// Where an event stands among the events due at the same instant: the
+/// low 64 bits of its queue key, after the time.
+///
+/// A tie has a rank (`0..32`, lowest first) and, within the rank, either a
+/// key the caller names (below 2^58; ascending) or no key: those events pop
+/// after the rank's keyed ones, in the order they were scheduled. A key
+/// must be unique among the events pending at one instant and rank, since
+/// nothing else orders two events under the same key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tie(u64);
+
+impl Tie {
+    /// In rank `rank`, by scheduling order.
+    pub const fn fifo(rank: u8) -> Tie {
+        Tie(Tie::key(rank, 0).0 | FIFO)
+    }
+
+    /// In rank `rank`, by `key`.
+    pub const fn key(rank: u8, key: u64) -> Tie {
+        assert!(rank < 32, "a rank is below 32");
+        assert!(key < FIFO, "a key is below 2^58");
+        Tie(((rank as u64) << RANK_SHIFT) | key)
+    }
+
+    /// The rank.
+    pub const fn rank(self) -> u8 {
+        (self.0 >> RANK_SHIFT) as u8
+    }
+}
+
 /// A slab slot: one pending event and its place on a list. A node on
 /// the free list keeps the stale event it last held, which nothing reads:
 /// an event moves in and out of its node as a plain copy, with no tag to
@@ -100,7 +135,8 @@ const NIL: u32 = u32::MAX;
 #[derive(Clone)]
 struct Node<E> {
     time: SimTime,
-    seq: u64,
+    /// The [`Tie`], a FIFO one with its sequence number filled in.
+    order: u64,
     /// The next node of the list this one is on.
     next: u32,
     event: E,
@@ -109,17 +145,17 @@ struct Node<E> {
 impl<E> Node<E> {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+        (self.time, self.order)
     }
 }
 
 /// A time-ordered queue of pending events.
 ///
-/// Events at equal timestamps are delivered in the order they were scheduled
-/// (FIFO). See the module docs for the calendar structure.
+/// Events at equal timestamps are delivered by their [`Tie`]s. See the
+/// module docs for the calendar structure.
 ///
 /// Cloning copies the entire pending set (slab, list heads, epoch map, and
-/// every sequence counter), so a cloned queue replays the exact
+/// the sequence counter), so a cloned queue replays the exact
 /// same delivery order as the original — the property checkpoint forks rely
 /// on.
 #[derive(Clone)]
@@ -135,7 +171,7 @@ pub struct EventQueue<E> {
     /// bucket lives in `fine`.
     heads: Vec<u32>,
     /// Bucket `cur` by 16 ns slot: head and tail of each slot's ascending
-    /// `(time, seq)` list; slot 0 also holds the events scheduled into a
+    /// `(time, order)` list; slot 0 also holds the events scheduled into a
     /// bucket behind the cursor. An empty slot's head is `NIL` and its
     /// `occupied` bit clear; its tail is stale.
     fine: [u32; FINE_SLOTS],
@@ -161,13 +197,11 @@ pub struct EventQueue<E> {
     far_scheduled: u64,
     overlay_scheduled: u64,
     peak_len: usize,
-    /// What [`current_key`](Self::current_key) returns.
-    current: (SimTime, u64),
     /// Key of the most recently popped event; only read by the
     /// `strict-invariants` monotonicity check.
     last_popped: Option<(SimTime, u64)>,
-    /// Sequence numbers count down, so same-instant events pop
-    /// last-scheduled first ([`EventQueue::pop_ties_last_scheduled_first`]).
+    /// Sequence numbers count down, so FIFO ties pop last-scheduled first
+    /// ([`EventQueue::reverse_fifo_ties`]).
     #[cfg(feature = "tie-order-probe")]
     count_down: bool,
 }
@@ -218,7 +252,7 @@ fn push_front<E>(slab: &mut [Node<E>], head: &mut u32, idx: u32) {
     *head = idx;
 }
 
-/// Link node `idx` into the ascending `(time, seq)` list from `head` to
+/// Link node `idx` into the ascending `(time, order)` list from `head` to
 /// `tail` (a stale `tail` when `head` is `NIL`).
 fn link_sorted<E>(slab: &mut [Node<E>], head: &mut u32, tail: &mut u32, idx: u32) {
     let key = slab[idx as usize].key();
@@ -247,7 +281,7 @@ fn link_sorted<E>(slab: &mut [Node<E>], head: &mut u32, tail: &mut u32, idx: u32
 }
 
 impl<E: Copy> EventQueue<E> {
-    /// Bytes one pending event occupies: its `(time, seq)` key, its list
+    /// Bytes one pending event occupies: its `(time, order)` key, its list
     /// link and the payload. It is written once when scheduled and read once
     /// when popped; the slab's memory is [`slab_nodes`](Self::slab_nodes)
     /// times this.
@@ -269,109 +303,72 @@ impl<E: Copy> EventQueue<E> {
             near_len: 0,
             far_len: 0,
             len: 0,
-            // 0 is never an event's number: `(SimTime::ZERO, 0)`, the
-            // current key before the first pop, is before every event.
-            next_seq: 1,
+            next_seq: 0,
             scheduled_total: 0,
             popped_total: 0,
             far_scheduled: 0,
             overlay_scheduled: 0,
             peak_len: 0,
-            current: (SimTime::ZERO, 0),
             last_popped: None,
             #[cfg(feature = "tie-order-probe")]
             count_down: false,
         }
     }
 
-    /// Hand out sequence numbers counting down from `u64::MAX - 1`
-    /// instead of up from 1, so that events scheduled for the same instant
-    /// pop last-scheduled first: the other tie order, for tests that ask
-    /// which results depend on it. Only before anything is scheduled or
-    /// reserved.
+    /// Hand out sequence numbers counting down instead of up, so that
+    /// events of one rank scheduled for the same instant without a key pop
+    /// last-scheduled first: the other FIFO order, for tests that ask which
+    /// results depend on it. Keyed ties keep their order. Only before the
+    /// first event without a key is scheduled.
     #[cfg(feature = "tie-order-probe")]
-    pub fn pop_ties_last_scheduled_first(&mut self) {
-        assert_eq!(self.next_seq, 1, "the tie order is chosen before the first sequence number");
+    pub fn reverse_fifo_ties(&mut self) {
+        assert_eq!(self.next_seq, 0, "the FIFO order is chosen before the first schedule");
         self.count_down = true;
     }
 
-    /// Schedule `event` to fire at absolute instant `time`.
+    /// Schedule `event` to fire at absolute instant `time`, in rank 0 by
+    /// scheduling order.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.reserve_seq();
-        self.insert(time, seq, event);
+        self.schedule_tied(time, Tie::fifo(0), event);
     }
 
-    /// Take the next sequence number without scheduling anything. An event
-    /// scheduled under it later ([`schedule_reserved`](Self::schedule_reserved))
-    /// is ordered as if it had been scheduled now; a number never used
-    /// leaves no trace but the gap.
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        #[cfg(feature = "tie-order-probe")]
-        if self.count_down {
-            return u64::MAX - seq;
+    /// Schedule `event` to fire at absolute instant `time`, placed among
+    /// the events due then by `tie`. It may lie behind what the queue has
+    /// delivered: a lower-rank follow-on at the current instant pops next.
+    #[inline]
+    pub fn schedule_tied(&mut self, time: SimTime, tie: Tie, event: E) {
+        let mut order = tie.0;
+        if order & FIFO != 0 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            #[cfg(feature = "tie-order-probe")]
+            let seq = if self.count_down { FIFO - 1 - seq } else { seq };
+            order |= seq;
         }
-        seq
+        self.insert(time, order, event);
     }
 
-    /// Whether `seq` was handed out by [`reserve_seq`](Self::reserve_seq).
-    fn was_reserved(&self, seq: u64) -> bool {
-        #[cfg(feature = "tie-order-probe")]
-        if self.count_down {
-            return u64::MAX - seq < self.next_seq;
-        }
-        seq < self.next_seq
-    }
-
-    /// Schedule `event` at `time` under `seq`, a number
-    /// [`reserve_seq`](Self::reserve_seq) handed out earlier. The key must
-    /// lie after [`current_key`](Self::current_key): an event the queue has
-    /// already passed cannot be put back in front of it.
-    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: E) {
-        if cfg!(feature = "strict-invariants") {
-            assert!(
-                (time, seq) > self.current,
-                "reserved key {:?} scheduled at or behind the current key {:?}",
-                (time, seq),
-                self.current,
-            );
-            assert!(self.was_reserved(seq), "seq {seq} was never reserved");
-        }
-        self.insert(time, seq, event);
-    }
-
-    /// The `(time, seq)` the queue has delivered up to: the key of the event
-    /// popped last — the one being handled, inside a run — or, once a
-    /// [`pop_before`](Self::pop_before)`(until)` has found nothing more due,
-    /// `(until, u64::MAX)`. `(SimTime::ZERO, 0)` before anything is popped,
-    /// which is before every event: sequence numbers start at 1. A reserved
-    /// key after it names an event that would still be pending.
-    pub fn current_key(&self) -> (SimTime, u64) {
-        self.current
-    }
-
-    /// Link a new event with key `(time, seq)` into whichever list its time
-    /// falls in.
-    fn insert(&mut self, time: SimTime, seq: u64, event: E) {
+    /// Link a new event with key `(time, order)` into whichever list its
+    /// time falls in.
+    fn insert(&mut self, time: SimTime, order: u64, event: E) {
         self.scheduled_total += 1;
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
         }
         if cfg!(feature = "strict-invariants") {
-            // A schedule may land at or behind the drain point (a kick at
-            // `now`, or a caller scheduling between runs); rewind the
-            // monotonicity watermark past such entries so only genuine
-            // reordering of already-pending events trips the pop-side check.
-            if let Some(last) = self.last_popped {
-                if (time, seq) < last {
-                    self.last_popped = Some((time, seq.saturating_sub(1)));
-                }
+            // A schedule may land behind the drain point (a lower-rank
+            // follow-on at `now`, or a caller scheduling between runs);
+            // rewind the monotonicity watermark to just before such an
+            // entry, which pops next (or clear it, for an order of 0), so
+            // only genuine reordering of already-pending events trips the
+            // pop-side check.
+            if self.last_popped.is_some_and(|last| (time, order) < last) {
+                self.last_popped = order.checked_sub(1).map(|before| (time, before));
             }
         }
         let b = bucket_of(time);
-        let idx = self.alloc(Node { time, seq, next: NIL, event });
+        let idx = self.alloc(Node { time, order, next: NIL, event });
         if b >= self.base + NUM_BUCKETS as u64 {
             self.far_scheduled += 1;
             self.far_len += 1;
@@ -385,11 +382,6 @@ impl<E: Copy> EventQueue<E> {
         } else {
             self.link_near(idx);
         }
-    }
-
-    /// Schedule `event` to fire `delay_ns` after `now`.
-    pub fn schedule_after(&mut self, now: SimTime, delay_ns: u64, event: E) {
-        self.schedule(now + delay_ns, event);
     }
 
     /// Store `node` in a recycled node, or a new one when none is free.
@@ -521,18 +513,15 @@ impl<E: Copy> EventQueue<E> {
     /// cheap.
     pub fn pop_before(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.len == 0 {
-            self.drained_to(until);
             return None;
         }
         self.ensure_current();
         let s = self.occupied.trailing_zeros() as usize;
         let idx = self.fine[s];
-        let (time, seq) = self.slab[idx as usize].key();
+        let (time, order) = self.slab[idx as usize].key();
         if time > until {
-            self.drained_to(until);
             return None;
         }
-        self.current = (time, seq);
         self.fine[s] = self.slab[idx as usize].next;
         if self.fine[s] == NIL {
             self.occupied &= !(1u64 << s);
@@ -561,30 +550,23 @@ impl<E: Copy> EventQueue<E> {
             );
             if let Some(last) = self.last_popped {
                 assert!(
-                    (time, seq) > last,
-                    "event queue delivered (time, seq) keys out of order: \
+                    (time, order) > last,
+                    "event queue delivered (time, order) keys out of order: \
                      {:?} after {:?}",
-                    (time, seq),
+                    (time, order),
                     last,
                 );
             }
-            self.last_popped = Some((time, seq));
+            self.last_popped = Some((time, order));
         }
         Some((time, event))
     }
 
-    /// Nothing is due by `until`: every event at or before it has been
-    /// delivered.
-    #[cold]
-    fn drained_to(&mut self, until: SimTime) {
-        self.current = self.current.max((until, u64::MAX));
-    }
-
-    /// Test hook: pretend an event with the given `(time, seq)` key was
+    /// Test hook: pretend an event with the given `(time, order)` key was
     /// already delivered, so a test can prove the monotonicity check trips.
     #[cfg(feature = "strict-invariants")]
-    pub fn force_last_popped_for_test(&mut self, time: SimTime, seq: u64) {
-        self.last_popped = Some((time, seq));
+    pub fn force_last_popped_for_test(&mut self, time: SimTime, order: u64) {
+        self.last_popped = Some((time, order));
     }
 
     /// Number of pending events.
@@ -643,22 +625,77 @@ mod tests {
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
+    #[test]
+    fn ties_pop_by_rank_then_key_then_scheduling_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ns(5);
+        q.schedule_tied(t, Tie::fifo(2), "rank 2, first scheduled");
+        q.schedule_tied(t, Tie::key(2, 9), "rank 2, key 9");
+        q.schedule_tied(t, Tie::fifo(2), "rank 2, second scheduled");
+        q.schedule_tied(t, Tie::key(2, 3), "rank 2, key 3");
+        q.schedule_tied(t, Tie::key(1, 1 << 57), "rank 1");
+        q.schedule_tied(SimTime::from_ns(4), Tie::key(31, 0), "earlier");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            [
+                "earlier",
+                "rank 1",
+                "rank 2, key 3",
+                "rank 2, key 9",
+                "rank 2, first scheduled",
+                "rank 2, second scheduled"
+            ]
+        );
+        assert_eq!(Tie::key(17, 5).rank(), 17);
+        assert_eq!(Tie::fifo(31).rank(), 31);
+    }
+
+    #[test]
+    fn a_lower_rank_follow_on_at_the_current_instant_pops_next() {
+        // Handling a rank-3 event at `t` schedules a rank-1 event at `t`:
+        // it goes ahead of the rank-3 events still pending at `t`.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ns(3_000);
+        for key in 0..3 {
+            q.schedule_tied(t, Tie::key(3, key), key);
+        }
+        assert_eq!(q.pop(), Some((t, 0)));
+        q.schedule_tied(t, Tie::key(1, 7), 7);
+        q.schedule_tied(t, Tie::key(3, 1 << 40), 8);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, [7, 1, 2, 8]);
+    }
+
+    #[test]
+    fn a_keyed_event_scheduled_late_pops_where_its_key_says() {
+        // What lazy scheduling rests on: scheduled after the events that
+        // pop behind it, even after the queue delivered an earlier one.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_ns(4_000);
+        q.schedule(SimTime::from_ns(100), "first");
+        q.schedule_tied(t, Tie::key(2, 8), "b");
+        q.schedule_tied(t, Tie::key(2, 9), "c");
+        assert_eq!(q.pop(), Some((SimTime::from_ns(100), "first")));
+        q.schedule_tied(t, Tie::key(2, 4), "a");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["a", "b", "c"]);
+    }
+
     #[cfg(feature = "tie-order-probe")]
     #[test]
-    fn counting_down_pops_ties_last_scheduled_first() {
+    fn reversed_fifo_ties_pop_last_scheduled_first_and_keyed_ones_hold() {
         let mut q = EventQueue::new();
-        q.pop_ties_last_scheduled_first();
-        q.schedule(SimTime::from_ns(5), 0);
+        q.reverse_fifo_ties();
+        let t = SimTime::from_ns(5);
+        q.schedule(t, 0);
         q.schedule(SimTime::from_ns(1), 1);
-        let seq = q.reserve_seq();
-        q.schedule(SimTime::from_ns(5), 2);
-        q.schedule(SimTime::from_ns(1), 3);
-        q.schedule_reserved(SimTime::from_ns(5), seq, 4);
-        assert_eq!(q.pop(), Some((SimTime::from_ns(1), 3)));
-        // A same-instant schedule from a handler pops next.
-        q.schedule(SimTime::from_ns(1), 5);
+        q.schedule_tied(t, Tie::key(0, 2), 2);
+        q.schedule_tied(t, Tie::key(0, 1), 3);
+        q.schedule(t, 4);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(1), 1)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![5, 1, 2, 4, 0]);
+        assert_eq!(order, vec![3, 2, 4, 0]);
     }
 
     #[test]
@@ -670,13 +707,6 @@ mod tests {
         q.schedule(SimTime::from_ns(1), 3);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![1, 3, 0, 2]);
-    }
-
-    #[test]
-    fn schedule_after_offsets() {
-        let mut q = EventQueue::new();
-        q.schedule_after(SimTime::from_ns(100), 50, ());
-        assert_eq!(q.pop(), Some((SimTime::from_ns(150), ())));
     }
 
     #[test]
@@ -850,41 +880,6 @@ mod tests {
         expect.extend((1..=50).map(|i| (t + 2, i)));
         expect.extend([(t + 2, 53), (t + 3, 52)]);
         assert_eq!(order, expect);
-    }
-
-    #[test]
-    fn a_reserved_event_fires_where_its_number_says() {
-        // A number taken before two same-instant schedules orders its event
-        // ahead of them, however late it is scheduled; the current key
-        // tells whether it would still be pending.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ns(4_000);
-        q.schedule(SimTime::from_ns(100), "first");
-        let seq = q.reserve_seq();
-        q.schedule(t, "a");
-        q.schedule(t, "b");
-        assert_eq!(q.pop(), Some((SimTime::from_ns(100), "first")));
-        assert_eq!(q.current_key(), (SimTime::from_ns(100), 1), "numbers start at 1");
-        assert!((t, seq) > q.current_key());
-        q.schedule_reserved(t, seq, "reserved");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["reserved", "a", "b"]);
-        assert_eq!(q.current_key(), (SimTime::MAX, u64::MAX), "drained to the end");
-        assert_eq!(q.stats().scheduled_total, 4, "a reservation alone is not a schedule");
-    }
-
-    #[test]
-    fn a_bounded_pop_that_finds_nothing_due_moves_the_current_key_to_its_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(10), ());
-        q.schedule(SimTime::from_ns(50), ());
-        assert!(q.pop_before(SimTime::from_ns(20)).is_some());
-        assert_eq!(q.current_key(), (SimTime::from_ns(10), 1));
-        assert!(q.pop_before(SimTime::from_ns(20)).is_none());
-        assert_eq!(q.current_key(), (SimTime::from_ns(20), u64::MAX));
-        // An earlier horizon never moves it back.
-        assert!(q.pop_before(SimTime::from_ns(15)).is_none());
-        assert_eq!(q.current_key(), (SimTime::from_ns(20), u64::MAX));
     }
 
     #[test]

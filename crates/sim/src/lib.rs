@@ -27,7 +27,7 @@ pub mod time;
 pub use bytequeue::ByteQueue;
 pub use cast::{idx_u32, to_u32, to_u8, to_usize};
 pub use engine::{run, World};
-pub use event::{EventQueue, QueueStats};
+pub use event::{EventQueue, QueueStats, Tie};
 pub use rate::Bandwidth;
 pub use rng::SimRng;
 pub use time::{SimTime, SliceConfig, MS, NS, SEC, US};

@@ -1,25 +1,43 @@
 //! The calendar [`EventQueue`] must be observationally equivalent to the
 //! reference binary-heap queue it replaced: for any interleaving of
 //! schedules and pops, both structures produce the identical pop sequence —
-//! including FIFO order among events scheduled for the same instant, the
-//! property that keeps seeded runs reproducible. A sequence number taken
-//! early and scheduled under later orders its event exactly where the
-//! number says.
+//! same-instant events by rank, then by key, then in scheduling order, the
+//! property that keeps seeded runs reproducible. An event scheduled late
+//! under a key, or under a lower rank at the instant being delivered, pops
+//! exactly where its key says.
 
-use openoptics_sim::to_usize;
-use openoptics_sim::{EventQueue, QueueStats, SimTime};
+use openoptics_sim::{EventQueue, QueueStats, SimTime, Tie};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt::Debug;
 
-/// Reference model: a min-heap over `(time, seq)`; `seq` is the insertion
-/// counter, so ties pop in FIFO order — exactly the queue's contract.
-type Reference = BinaryHeap<Reverse<(u64, u64)>>;
+/// The key layout, restated rather than imported: a tie's rank in the top 5
+/// bits, then a keyed tie's key, or a FIFO tie's flag (bit 58) and the
+/// queue's sequence number.
+const RANK_SHIFT: u32 = 59;
+const FIFO: u64 = 1 << 58;
+
+/// A tie picked by `raw`: one of four ranks, keyed (with a key made unique
+/// by `n`, the count of schedules so far) or FIFO; and the order it stands
+/// for, given the next sequence number `seq`.
+fn tie_of(raw: u64, n: u64, seq: u64) -> (Tie, u64) {
+    let rank = (raw % 4) as u8;
+    let rank_bits = u64::from(rank) << RANK_SHIFT;
+    if raw >> 2 & 1 == 0 {
+        (Tie::fifo(rank), rank_bits | FIFO | seq)
+    } else {
+        let key = ((raw >> 3) % 1_000) << 32 | n;
+        (Tie::key(rank, key), rank_bits | key)
+    }
+}
+
+/// Reference model: a min-heap over `(time, order, payload)`.
+type Reference = BinaryHeap<Reverse<(u64, u64, u64)>>;
 
 fn check_pop(cal: &mut EventQueue<u64>, reference: &mut Reference) -> Result<(), TestCaseError> {
     let got = cal.pop().map(|(t, s)| (t.as_ns(), s));
-    let want = reference.pop().map(|Reverse(k)| k);
+    let want = reference.pop().map(|Reverse((t, _, p))| (t, p));
     prop_assert_eq!(got, want);
     Ok(())
 }
@@ -36,7 +54,7 @@ fn wide(time: u64, seq: u64) -> Wide {
 /// for [`check_pop`]): same key, payload intact.
 fn check_pop_wide(cal: &mut EventQueue<Wide>, reference: &Reference) -> Result<(), TestCaseError> {
     let got = cal.pop().map(|(t, p)| (t.as_ns(), p));
-    let want = reference.peek().map(|&Reverse((t, s))| (t, wide(t, s)));
+    let want = reference.peek().map(|&Reverse((t, _, p))| (t, wide(t, p)));
     prop_assert_eq!(got, want);
     Ok(())
 }
@@ -51,7 +69,7 @@ const WINDOW_BUCKETS: u64 = 4096;
 type Keys = BTreeSet<(u64, u64)>;
 
 /// An independent statement of where a schedule lands and where the cursor
-/// goes, over three ordered sets of `(time, seq)` keys: enough to predict
+/// goes, over three ordered sets of `(time, order)` keys: enough to predict
 /// every delivery, `pop_before` horizons included, and every `QueueStats`
 /// field.
 #[derive(Default)]
@@ -62,38 +80,32 @@ struct Model {
     overlay: Keys,
     far: Keys,
     stats: QueueStats,
+    /// FIFO ties scheduled so far: the next one's sequence number.
     next_seq: u64,
-    /// What `current_key` answers: the last key delivered, or `(until,
-    /// u64::MAX)` once a bounded pop found nothing due by `until`.
-    current: (u64, u64),
 }
 
 impl Model {
-    /// Numbers start at 1.
-    fn reserve(&mut self) -> u64 {
-        self.next_seq += 1;
-        self.next_seq
+    /// Schedule at `time` under the tie `raw` picks; return it and its order.
+    fn schedule(&mut self, time: u64, raw: u64) -> (Tie, u64) {
+        let (tie, order) = tie_of(raw, self.stats.scheduled_total, self.next_seq);
+        self.next_seq += u64::from(order & FIFO != 0);
+        self.insert(time, order);
+        (tie, order)
     }
 
-    fn schedule(&mut self, time: u64) -> u64 {
-        let seq = self.reserve();
-        self.insert(time, seq);
-        seq
-    }
-
-    fn insert(&mut self, time: u64, seq: u64) {
+    fn insert(&mut self, time: u64, order: u64) {
         self.stats.scheduled_total += 1;
         self.stats.len += 1;
         self.stats.peak_len = self.stats.peak_len.max(self.stats.len);
         let b = time / BUCKET_NS;
         if b >= self.base + WINDOW_BUCKETS {
             self.stats.far_scheduled += 1;
-            self.far.insert((time, seq));
+            self.far.insert((time, order));
         } else if b < self.cur {
             self.stats.overlay_scheduled += 1;
-            self.overlay.insert((time, seq));
+            self.overlay.insert((time, order));
         } else {
-            self.near.insert((time, seq));
+            self.near.insert((time, order));
         }
     }
 
@@ -114,11 +126,7 @@ impl Model {
     }
 
     fn pop_before(&mut self, until: u64) -> Option<(u64, u64)> {
-        let Some(head) = self.head().filter(|&(time, _)| time <= until) else {
-            self.current = self.current.max((until, u64::MAX));
-            return None;
-        };
-        self.current = head;
+        let head = self.head().filter(|&(time, _)| time <= until)?;
         if !self.near.remove(&head) {
             self.overlay.remove(&head);
         }
@@ -131,7 +139,8 @@ impl Model {
 /// One step of [`drive`]: `raw` picks the offset, the horizon or nothing.
 #[derive(Clone, Copy, Debug)]
 enum Step {
-    /// Schedule `raw %` this many ns after the last delivery.
+    /// Schedule `raw %` this many ns after the last delivery, under a tie
+    /// `raw` picks.
     Ahead(u64),
     /// Schedule up to 3 us *before* the last delivery: the cursor's bucket
     /// or one behind it.
@@ -143,12 +152,10 @@ enum Step {
     /// boundary between two far lists, or, for `k = 1` once `base` is past
     /// its epoch's start, one the window spans.
     EpochEdge(u64),
-    /// Take a sequence number without scheduling anything.
-    Reserve,
-    /// Schedule, `raw %` this many ns after the last delivery, under one of
-    /// the numbers reserved and not yet used — never at or behind the
-    /// current key, as the engine does when a packet meets an idle link.
-    ScheduleReserved(u64),
+    /// Schedule at the instant of the last delivery, under a tie `raw`
+    /// picks: often a lower rank or key than the event just delivered, as
+    /// the engine does when a handler's follow-on ranks before it.
+    AtNow,
     /// `pop_before` a horizon up to 20 us past the last delivery — often
     /// short of the head, which moves the cursor and delivers nothing.
     PopBefore,
@@ -168,10 +175,8 @@ fn step() -> impl Strategy<Value = (Step, u64)> {
         Just(Step::WindowEdge),
         Just(Step::EpochEdge(1)),
         Just(Step::EpochEdge(2)),
-        Just(Step::Reserve),
-        Just(Step::Reserve),
-        Just(Step::ScheduleReserved(2_000)),
-        Just(Step::ScheduleReserved(30_000_000)),
+        Just(Step::AtNow),
+        Just(Step::AtNow),
         Just(Step::PopBefore),
         Just(Step::PopBefore),
         Just(Step::Pop),
@@ -181,16 +186,15 @@ fn step() -> impl Strategy<Value = (Step, u64)> {
 }
 
 /// Run `steps`, then pops enough to drain whatever they left, on a queue
-/// carrying `payload(time, seq)`, on every fork of it, and on the
+/// carrying `payload(time, order)`, on every fork of it, and on the
 /// [`Model`]; all must agree on every answer and, after every step, on the
-/// statistics and the current key.
+/// statistics.
 fn drive<P: Copy + PartialEq + Debug>(
     steps: &[(Step, u64)],
     payload: fn(u64, u64) -> P,
 ) -> Result<(), TestCaseError> {
     let mut queues = vec![EventQueue::<P>::new()];
     let mut model = Model::default();
-    let mut reserved: Vec<u64> = vec![];
     let mut now = 0u64;
     // A step schedules at most one event, so this many pops end on `None`.
     let drain = std::iter::repeat_n((Step::Pop, 0), steps.len() + 1);
@@ -198,6 +202,7 @@ fn drive<P: Copy + PartialEq + Debug>(
         let time = match step {
             Step::Ahead(span) => Some(now + raw % span),
             Step::Behind => Some(now.saturating_sub(raw % 3_000)),
+            Step::AtNow => Some(now),
             Step::WindowEdge => {
                 Some((model.base + WINDOW_BUCKETS) * BUCKET_NS - 1_500 + raw % 3_000)
             }
@@ -210,32 +215,11 @@ fn drive<P: Copy + PartialEq + Debug>(
         let until = if matches!(step, Step::PopBefore) { now + raw % 20_000 } else { u64::MAX };
         match (step, time) {
             (_, Some(time)) => {
-                let seq = model.schedule(time);
+                let (tie, order) = model.schedule(time, raw);
                 for q in &mut queues {
-                    q.schedule(SimTime::from_ns(time), payload(time, seq));
+                    q.schedule_tied(SimTime::from_ns(time), tie, payload(time, order));
                 }
             }
-            (Step::Reserve, _) => {
-                let seq = model.reserve();
-                for q in &mut queues {
-                    prop_assert_eq!(q.reserve_seq(), seq);
-                }
-                reserved.push(seq);
-            }
-            (Step::ScheduleReserved(span), _) if !reserved.is_empty() => {
-                let seq = reserved.swap_remove(to_usize(raw % reserved.len() as u64));
-                // The first instant at which `seq` lies after the current key.
-                let (at, last) = model.current;
-                let earliest = if seq > last { Some(at) } else { at.checked_add(1) };
-                if let Some(earliest) = earliest {
-                    let time = (now + raw % span).max(earliest);
-                    model.insert(time, seq);
-                    for q in &mut queues {
-                        q.schedule_reserved(SimTime::from_ns(time), seq, payload(time, seq));
-                    }
-                }
-            }
-            (Step::ScheduleReserved(_), _) => {}
             (Step::Fork, _) if queues.len() < 4 => queues.push(queues[0].clone()),
             (Step::Fork, _) => {}
             _ => {
@@ -243,15 +227,13 @@ fn drive<P: Copy + PartialEq + Debug>(
                 for q in &mut queues {
                     let got = q.pop_before(SimTime::from_ns(until));
                     let got = got.map(|(time, p)| (time.as_ns(), p));
-                    prop_assert_eq!(got, want.map(|(time, seq)| (time, payload(time, seq))));
+                    prop_assert_eq!(got, want.map(|(time, order)| (time, payload(time, order))));
                 }
                 now = want.map_or(now, |(time, _)| time);
             }
         }
         for q in &queues {
             prop_assert_eq!(q.stats(), model.stats);
-            let (time, seq) = q.current_key();
-            prop_assert_eq!((time.as_ns(), seq), model.current);
         }
     }
     prop_assert_eq!(model.stats.len, 0);
@@ -272,7 +254,7 @@ proptest! {
         let mut cal: EventQueue<u64> = EventQueue::new();
         let mut cal_wide: EventQueue<Wide> = EventQueue::new();
         let mut reference = Reference::new();
-        let mut seq = 0u64;
+        let (mut n, mut seq) = (0u64, 0u64);
         for &(op, raw) in &ops {
             let time = match op {
                 0..=2 => raw % 5_000,                     // dense near-future
@@ -281,10 +263,13 @@ proptest! {
                 _ => 0,                                   // pop
             };
             if op <= 5 {
-                cal.schedule(SimTime::from_ns(time), seq);
-                cal_wide.schedule(SimTime::from_ns(time), wide(time, seq));
-                reference.push(Reverse((time, seq)));
-                seq += 1;
+                // Ties from the low bits, so that the dense band collides.
+                let (tie, order) = tie_of(raw, n, seq);
+                seq += u64::from(order & FIFO != 0);
+                cal.schedule_tied(SimTime::from_ns(time), tie, n);
+                cal_wide.schedule_tied(SimTime::from_ns(time), tie, wide(time, n));
+                reference.push(Reverse((time, order, n)));
+                n += 1;
             } else {
                 check_pop_wide(&mut cal_wide, &reference)?;
                 check_pop(&mut cal, &mut reference)?;
@@ -301,18 +286,22 @@ proptest! {
         prop_assert_eq!(cal_wide.pop(), None);
     }
 
-    /// Pure FIFO stress: every event lands on one of a handful of instants,
-    /// so correctness rests entirely on the sequence-number tie-break.
+    /// Pure tie stress: every event lands on one of a handful of instants,
+    /// so correctness rests entirely on the tie-break — rank, key, and the
+    /// sequence number among one rank's unkeyed events.
     #[test]
-    fn tie_break_order_is_fifo(
-        times in collection::vec(0u64..4u64, 1..200)
+    fn tie_break_order_is_rank_key_then_fifo(
+        times in collection::vec((0u64..4u64, any::<u64>()), 1..200)
     ) {
         let mut cal: EventQueue<u64> = EventQueue::new();
         let mut reference = Reference::new();
-        for (seq, &t) in times.iter().enumerate() {
+        let mut seq = 0;
+        for (n, &(t, raw)) in (0u64..).zip(&times) {
             let time = t * 1_000;
-            cal.schedule(SimTime::from_ns(time), seq as u64);
-            reference.push(Reverse((time, seq as u64)));
+            let (tie, order) = tie_of(raw, n, seq);
+            seq += u64::from(order & FIFO != 0);
+            cal.schedule_tied(SimTime::from_ns(time), tie, n);
+            reference.push(Reverse((time, order, n)));
         }
         while !reference.is_empty() {
             check_pop(&mut cal, &mut reference)?;
@@ -330,18 +319,18 @@ proptest! {
         let mut reference = Reference::new();
         let mut seq = 0u64;
         cal.schedule(SimTime::ZERO, seq);
-        reference.push(Reverse((0, seq)));
+        reference.push(Reverse((0, FIFO | seq, seq)));
         seq += 1;
         for &(fanout, raw) in &steps {
             let got = cal.pop().map(|(t, s)| (t.as_ns(), s));
-            let want = reference.pop().map(|Reverse(k)| k);
+            let want = reference.pop().map(|Reverse((t, _, p))| (t, p));
             prop_assert_eq!(got, want);
             let Some((now, _)) = got else { break };
             for i in 0..fanout {
                 // Successors from sub-µs to multi-ms after `now`.
                 let delay = 1 + (raw >> (i * 13)) % 10_000_000;
                 cal.schedule(SimTime::from_ns(now + delay), seq);
-                reference.push(Reverse((now + delay, seq)));
+                reference.push(Reverse((now + delay, FIFO | seq, seq)));
                 seq += 1;
             }
         }
@@ -358,7 +347,7 @@ proptest! {
     fn horizons_past_schedules_and_forks_match_the_model(
         steps in collection::vec(step(), 0..300)
     ) {
-        drive(&steps, |_, seq| seq)?;
+        drive(&steps, |_, order| order)?;
         drive(&steps, wide)?;
     }
 }

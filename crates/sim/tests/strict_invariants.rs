@@ -1,11 +1,12 @@
 //! Proof that the `strict-invariants` checks actually fire: a deliberately
-//! corrupted queue must trip the `(time, seq)` monotonicity assertion, a
-//! reserved number scheduled behind the current key must be refused, and a
-//! legal mixed workload must not trip anything.
+//! corrupted queue must trip the `(time, order)` monotonicity assertion, so
+//! must a key used twice at one instant, and a legal mixed workload —
+//! lower-rank follow-ons at the instant being delivered included — must
+//! not trip anything.
 
 #![cfg(feature = "strict-invariants")]
 
-use openoptics_sim::{EventQueue, SimTime};
+use openoptics_sim::{EventQueue, SimTime, Tie};
 
 #[test]
 #[should_panic(expected = "keys out of order")]
@@ -13,20 +14,20 @@ fn monotonicity_check_trips_on_rewound_queue() {
     let mut q = EventQueue::new();
     q.schedule(SimTime::from_ns(10), ());
     // Claim an event far in the future was already delivered; the next pop
-    // rewinds the (time, seq) key and must be caught.
+    // rewinds the (time, order) key and must be caught.
     q.force_last_popped_for_test(SimTime::from_ns(1_000), 999);
     let _ = q.pop();
 }
 
 #[test]
-#[should_panic(expected = "at or behind the current key")]
-fn a_reserved_key_behind_the_current_key_is_refused() {
+#[should_panic(expected = "keys out of order")]
+fn a_key_used_twice_at_one_instant_is_caught() {
+    // Nothing orders two events under one key: the second pop does not
+    // come after the first.
     let mut q = EventQueue::new();
-    let seq = q.reserve_seq();
-    q.schedule(SimTime::from_ns(10), ());
-    let _ = q.pop();
-    // `(10 ns, seq)` would have fired before the event just delivered.
-    q.schedule_reserved(SimTime::from_ns(10), seq, ());
+    q.schedule_tied(SimTime::from_ns(10), Tie::key(3, 5), ());
+    q.schedule_tied(SimTime::from_ns(10), Tie::key(3, 5), ());
+    while q.pop().is_some() {}
 }
 
 #[test]
@@ -44,7 +45,11 @@ fn legal_mixed_traffic_passes_all_checks() {
         if popped == 100 {
             // At the drain point: linked into the cursor's bucket.
             q.schedule(t, 501);
+            // A lower-rank follow-on, and a keyed one in the rank just
+            // delivered: both behind the key just popped, both legal.
+            q.schedule_tied(t, Tie::key(0, 0), 502);
+            q.schedule_tied(t, Tie::fifo(0), 503);
         }
     }
-    assert_eq!(popped, 502);
+    assert_eq!(popped, 504);
 }

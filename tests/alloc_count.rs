@@ -372,7 +372,7 @@ fn steady_state_queue_churn_allocates_nothing() {
             n if n % 2 == 0 => 120,
             _ => 500,
         };
-        q.schedule_after(now, delay_ns, ev);
+        q.schedule(now + delay_ns, ev);
         assert!(q.slab_nodes() <= q.stats().peak_len);
         now.as_ns()
     };
