@@ -5,19 +5,18 @@
 //! 1. **Guardband sweep** — the §7 budget from the loss side: shrink the
 //!    guardband below the dead-window + sync + variance budget and watch
 //!    fabric loss appear. Validates the 200 ns choice end to end.
-//! 2. **Defer-window sweep** — how far the congestion service may push a
-//!    packet: 0 (drop-on-full) trades loss for latency.
+//! 2. **Congestion response** — drop on full against `defer`, which keeps
+//!    a packet on its path (a later slice to the same peer, else the
+//!    planned queue): loss against latency.
 //! 3. **EQO vs. ground truth** — what the estimate costs versus the
 //!    (hardware-impossible) exact occupancy read.
 //! 4. **Offload recall lead** — recall too late and packets miss their
 //!    slice; recall too early and the switch buffers refill.
 
 use crate::par;
-use crate::util::{attach_poisson, testbed, Table};
+use crate::util::{attach_poisson, hoho_open_loop, loss_rate, mean_us, testbed, Table};
 use openoptics_core::{Architecture, OpenOpticsNet, TransportKind};
 use openoptics_proto::{HostId, NodeId};
-use openoptics_routing::algos::Hoho;
-use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::SimTime;
 use openoptics_workload::Trace;
 
@@ -39,84 +38,59 @@ pub(crate) fn guardband_sweep() -> Vec<GuardRow> {
     const GUARDS: [u64; 7] = [0, 50, 100, 130, 160, 200, 400];
     par::par_map(GUARDS.len(), |i| {
         let guard = GUARDS[i];
-        {
-            let mut cfg = testbed(2_000, 1);
-            cfg.guard_ns = guard;
-            cfg.fabric_dead_ns = 100;
-            cfg.sync_err_ns = 28;
-            let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet())
-                .expect("rotornet deploys");
-            for i in 0..8u32 {
-                net.add_flow(
-                    SimTime::from_ns(100 + i as u64 * 977),
-                    HostId(i),
-                    HostId((i + 3) % 8),
-                    200_000,
-                    TransportKind::Paced,
-                );
-            }
-            net.run_for(SimTime::from_ms(40));
-            let (delivered, lost) = net.engine.fabric_stats();
-            par::note_net(&net);
-            GuardRow {
-                guard_ns: guard,
-                fabric_loss: lost as f64 / (delivered + lost).max(1) as f64,
-                completed: net.fct().completed().len(),
-            }
+        let mut cfg = testbed(2_000, 1);
+        cfg.guard_ns = guard;
+        cfg.fabric_dead_ns = 100;
+        cfg.sync_err_ns = 28;
+        let mut net =
+            OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
+        for i in 0..8u32 {
+            net.add_flow(
+                SimTime::from_ns(100 + i as u64 * 977),
+                HostId(i),
+                HostId((i + 3) % 8),
+                200_000,
+                TransportKind::Paced,
+            );
+        }
+        net.run_for(SimTime::from_ms(40));
+        let (delivered, lost) = net.engine.fabric_stats();
+        par::note_net(&net);
+        GuardRow {
+            guard_ns: guard,
+            fabric_loss: lost as f64 / (delivered + lost).max(1) as f64,
+            completed: net.fct().completed().len(),
         }
     })
 }
 
-/// One defer-window point.
+/// One congestion-response point.
 #[derive(Clone, Debug)]
-pub(crate) struct DeferRow {
-    /// Defer window, slices (0 = drop on full).
-    pub window: u32,
+pub(crate) struct ResponseRow {
+    /// The `congestion_policy`.
+    pub policy: &'static str,
     /// Loss rate.
     pub loss: f64,
     /// Mean delivered-packet delay, µs.
     pub avg_delay_us: f64,
 }
 
-/// Sweep the congestion defer window under bursty load.
-pub(crate) fn defer_sweep(ms: u64) -> Vec<DeferRow> {
-    const WINDOWS: [u32; 5] = [0, 1, 4, 10, 31];
-    par::par_map(WINDOWS.len(), |i| {
-        let window = WINDOWS[i];
-        {
-            let mut cfg = testbed(300_000, 1);
-            cfg.node_num = 12;
-            if window == 0 {
-                cfg.congestion_policy = "drop".to_string();
-            } else {
-                cfg.congestion_policy = "defer".to_string();
-                cfg.defer_max_extra_slices = window;
-            }
-            let mut net = OpenOpticsNet::deploy(
-                cfg,
-                Architecture::rotornet(),
-                Box::new(Hoho::default()),
-                LookupMode::PerHop,
-                MultipathMode::None,
-            )
-            .expect("rotornet deploys");
-            net.engine.record_delays = true;
-            net.engine.watchdog_retransmit = false;
-            attach_poisson(&mut net, Trace::Rpc, 0.35, SimTime::from_ms(ms), 5);
-            net.run_for(SimTime::from_ms(ms));
-            let c = net.engine.counters;
-            let lost = c.switch_drops + c.fabric_drops + c.no_route_drops + c.link_drops;
-            let delays = &net.engine.delay_samples;
-            par::note_net(&net);
-            DeferRow {
-                window,
-                loss: lost as f64 / c.host_tx_packets.max(1) as f64,
-                avg_delay_us: if delays.is_empty() {
-                    0.0
-                } else {
-                    delays.iter().sum::<u64>() as f64 / delays.len() as f64 / 1e3
-                },
-            }
+/// Drop on full against `defer` under bursty load.
+pub(crate) fn response_sweep(ms: u64) -> Vec<ResponseRow> {
+    const POLICIES: [&str; 2] = ["drop", "defer"];
+    par::par_map(POLICIES.len(), |i| {
+        let policy = POLICIES[i];
+        let mut cfg = testbed(300_000, 1);
+        cfg.node_num = 12;
+        cfg.congestion_policy = policy.to_string();
+        let mut net = hoho_open_loop(cfg);
+        attach_poisson(&mut net, Trace::Rpc, 0.35, SimTime::from_ms(ms), 5);
+        net.run_for(SimTime::from_ms(ms));
+        par::note_net(&net);
+        ResponseRow {
+            policy,
+            loss: loss_rate(&net),
+            avg_delay_us: mean_us(&net.engine.delay_samples),
         }
     })
 }
@@ -128,8 +102,9 @@ pub(crate) struct EqoRow {
     pub mode: &'static str,
     /// Loss rate.
     pub loss: f64,
-    /// Deferred packets.
-    pub deferred: u64,
+    /// Congested packets `defer` found no later slice for, kept in their
+    /// planned queue (`tor.defer_exhausted`).
+    pub held: u64,
     /// Capacity drops (the ground-truth overflows an estimator can miss).
     pub capacity_drops: u64,
 }
@@ -143,37 +118,20 @@ pub(crate) fn eqo_sweep(ms: u64) -> Vec<EqoRow> {
     const MODES: [(&str, bool); 2] = [("eqo-estimate", false), ("ground-truth", true)];
     par::par_map(MODES.len(), |i| {
         let (mode, truth) = MODES[i];
-        {
-            let mut cfg = testbed(20_000, 1);
-            cfg.node_num = 8;
-            cfg.eqo_ground_truth = truth;
-            let mut net = OpenOpticsNet::deploy(
-                cfg,
-                Architecture::rotornet(),
-                Box::new(Hoho::default()),
-                LookupMode::PerHop,
-                MultipathMode::None,
-            )
-            .expect("rotornet deploys");
-            net.engine.watchdog_retransmit = false;
-            attach_poisson(&mut net, Trace::KvStore, 0.3, SimTime::from_ms(ms), 5);
-            net.run_for(SimTime::from_ms(ms));
-            let c = net.engine.counters;
-            let lost = c.switch_drops + c.fabric_drops + c.no_route_drops + c.link_drops;
-            let mut deferred = 0;
-            let mut cap = 0;
-            for n in 0..8 {
-                deferred += net.engine.tor(NodeId(n)).counters.deferred;
-                cap += net.engine.tor(NodeId(n)).counters.dropped_capacity;
-            }
-            par::note_net(&net);
-            EqoRow {
-                mode,
-                loss: lost as f64 / c.host_tx_packets.max(1) as f64,
-                deferred,
-                capacity_drops: cap,
-            }
+        let mut cfg = testbed(20_000, 1);
+        cfg.node_num = 8;
+        cfg.eqo_ground_truth = truth;
+        let mut net = hoho_open_loop(cfg);
+        attach_poisson(&mut net, Trace::KvStore, 0.3, SimTime::from_ms(ms), 5);
+        net.run_for(SimTime::from_ms(ms));
+        let mut held = 0;
+        let mut cap = 0;
+        for n in 0..8 {
+            held += net.engine.tor(NodeId(n)).counters.defer_exhausted;
+            cap += net.engine.tor(NodeId(n)).counters.dropped_capacity;
         }
+        par::note_net(&net);
+        EqoRow { mode, loss: loss_rate(&net), held, capacity_drops: cap }
     })
 }
 
@@ -195,38 +153,36 @@ pub(crate) fn offload_lead_sweep() -> Vec<LeadRow> {
     const LEADS: [u64; 6] = [500, 5_000, 20_000, 60_000, 150_000, 280_000];
     par::par_map(LEADS.len(), |i| {
         let lead = LEADS[i];
-        {
-            let mut cfg = testbed(300_000, 1);
-            cfg.node_num = 12;
-            cfg.num_queues = 4;
-            cfg.offload = true;
-            cfg.offload_keep_ranks = 2;
-            cfg.offload_return_lead_ns = lead;
-            let mut net = OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet())
-                .expect("rotornet deploys");
-            for i in 0..12u32 {
-                net.add_flow(
-                    SimTime::from_ns(100 + i as u64 * 1_313),
-                    HostId(i),
-                    HostId((i + 5) % 12),
-                    400_000,
-                    TransportKind::Paced,
-                );
-            }
-            net.run_for(SimTime::from_ms(80));
-            let resident: u64 =
-                (0..12).map(|n| net.engine.tor(NodeId(n)).peak_buffer_bytes).max().unwrap_or(0);
-            let fcts: Vec<u64> = net.fct().completed().iter().map(|r| r.fct_ns()).collect();
-            par::note_net(&net);
-            LeadRow {
-                lead_ns: lead,
-                resident_mb: resident as f64 / 1e6,
-                mean_fct_ms: if fcts.is_empty() {
-                    f64::NAN
-                } else {
-                    fcts.iter().sum::<u64>() as f64 / fcts.len() as f64 / 1e6
-                },
-            }
+        let mut cfg = testbed(300_000, 1);
+        cfg.node_num = 12;
+        cfg.num_queues = 4;
+        cfg.offload = true;
+        cfg.offload_keep_ranks = 2;
+        cfg.offload_return_lead_ns = lead;
+        let mut net =
+            OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
+        for i in 0..12u32 {
+            net.add_flow(
+                SimTime::from_ns(100 + i as u64 * 1_313),
+                HostId(i),
+                HostId((i + 5) % 12),
+                400_000,
+                TransportKind::Paced,
+            );
+        }
+        net.run_for(SimTime::from_ms(80));
+        let resident: u64 =
+            (0..12).map(|n| net.engine.tor(NodeId(n)).peak_buffer_bytes).max().unwrap_or(0);
+        let fcts: Vec<u64> = net.fct().completed().iter().map(|r| r.fct_ns()).collect();
+        par::note_net(&net);
+        LeadRow {
+            lead_ns: lead,
+            resident_mb: resident as f64 / 1e6,
+            mean_fct_ms: if fcts.is_empty() {
+                f64::NAN
+            } else {
+                fcts.iter().sum::<u64>() as f64 / fcts.len() as f64 / 1e6
+            },
         }
     })
 }
@@ -247,11 +203,11 @@ pub(crate) fn render(ms: u64) -> String {
     out.push_str(&t.render());
     out.push_str("(loss must vanish once guard >= dead + 2x sync error; paper picks 200ns)\n");
 
-    out.push_str("\n-- defer-window sweep (HOHO, RPC trace) --\n");
-    let mut t = Table::new(&["window (slices)", "loss", "avg delay"]);
-    for r in defer_sweep(ms) {
+    out.push_str("\n-- congestion response (HOHO, RPC trace) --\n");
+    let mut t = Table::new(&["policy", "loss", "avg delay"]);
+    for r in response_sweep(ms) {
         t.row(vec![
-            r.window.to_string(),
+            r.policy.to_string(),
             format!("{:.2}%", r.loss * 100.0),
             format!("{:.0}us", r.avg_delay_us),
         ]);
@@ -259,12 +215,12 @@ pub(crate) fn render(ms: u64) -> String {
     out.push_str(&t.render());
 
     out.push_str("\n-- EQO estimate vs ground-truth occupancy (20us slices, KV) --\n");
-    let mut t = Table::new(&["detector input", "loss", "deferred", "capacity drops"]);
+    let mut t = Table::new(&["detector input", "loss", "held in queue", "capacity drops"]);
     for r in eqo_sweep(ms) {
         t.row(vec![
             r.mode.to_string(),
             format!("{:.2}%", r.loss * 100.0),
-            r.deferred.to_string(),
+            r.held.to_string(),
             r.capacity_drops.to_string(),
         ]);
     }

@@ -73,11 +73,13 @@ const SCENARIOS: [&str; 6] = [
     "nic_pause_storm",
 ];
 
-/// Run the six scenarios; each is an independent parallel point.
-pub(crate) fn run(ms: u64) -> Vec<FaultsRow> {
+/// Run the six scenarios at `seed` (the committed table's is 7); each is
+/// an independent parallel point.
+pub(crate) fn run(ms: u64, seed: u64) -> Vec<FaultsRow> {
     par::par_map(SCENARIOS.len(), |i| {
-        let mut net = OpenOpticsNet::deploy_preset(faults_cfg(), Architecture::rotornet())
-            .expect("rotornet deploys");
+        let cfg = openoptics_core::NetConfig { seed, ..faults_cfg() };
+        let mut net =
+            OpenOpticsNet::deploy_preset(cfg, Architecture::rotornet()).expect("rotornet deploys");
         if i > 0 {
             net.inject_faults(&plan_for(i)).expect("plans target the testbed");
         }
@@ -103,8 +105,8 @@ pub(crate) fn run(ms: u64) -> Vec<FaultsRow> {
     })
 }
 
-/// Render as a table.
-pub(crate) fn render(rows: &[FaultsRow]) -> String {
+/// The scenarios as a table.
+pub(crate) fn table(rows: &[FaultsRow]) -> Table {
     let mut t = Table::new(&[
         "scenario",
         "completed",
@@ -129,5 +131,5 @@ pub(crate) fn render(rows: &[FaultsRow]) -> String {
             r.retransmitted.to_string(),
         ]);
     }
-    t.render()
+    t
 }

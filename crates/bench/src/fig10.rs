@@ -36,35 +36,47 @@ pub(crate) struct Fig10Row {
     pub cdf: Vec<(u64, f64)>,
 }
 
-/// Run the device × routing sweep. `duration_ms` is the workload window.
-/// Each `(device, routing)` cell is an independent parallel point.
-pub(crate) fn run(duration_ms: u64) -> Vec<Fig10Row> {
-    par::par_map(OCS_CATALOG.len() * 2, |i| {
-        let dev = &OCS_CATALOG[i / 2];
-        let routing = ["vlb", "ucmp"][i % 2];
-        let mut cfg = util::testbed(dev.min_slice_ns, 2);
-        cfg.guard_ns = dev.guardband_ns();
-        let arch = Architecture::rotornet();
-        let mut net = match routing {
-            "vlb" => OpenOpticsNet::deploy_preset(cfg, arch),
-            _ => OpenOpticsNet::deploy(
-                cfg,
-                arch,
-                Box::new(Ucmp::default()),
-                LookupMode::PerHop,
-                MultipathMode::PerPacket,
-            ),
-        }
-        .expect("rotornet deploys");
-        let stop = SimTime::from_ms(duration_ms);
-        util::attach_memcached(&mut net, stop);
+/// Fig. 10's cells, in table order: each catalog device under VLB, then
+/// UCMP.
+pub const FIG10_CELLS: usize = OCS_CATALOG.len() * 2;
+
+/// Fig. 10's cell `i` (device `i / 2`; VLB for an even `i`, UCMP for an
+/// odd one) at `seed` (the figure's is 7), deployed, with memcached
+/// attached until `duration_ms`.
+pub fn fig10_cell(i: usize, duration_ms: u64, seed: u64) -> OpenOpticsNet {
+    let dev = &OCS_CATALOG[i / 2];
+    let mut cfg = util::testbed(dev.min_slice_ns, 2);
+    cfg.guard_ns = dev.guardband_ns();
+    cfg.seed = seed;
+    let arch = Architecture::rotornet();
+    let mut net = match i % 2 {
+        0 => OpenOpticsNet::deploy_preset(cfg, arch),
+        _ => OpenOpticsNet::deploy(
+            cfg,
+            arch,
+            Box::new(Ucmp::default()),
+            LookupMode::PerHop,
+            MultipathMode::PerPacket,
+        ),
+    }
+    .expect("rotornet deploys");
+    util::attach_memcached(&mut net, SimTime::from_ms(duration_ms));
+    net
+}
+
+/// Run the device × routing sweep at `seed`. `duration_ms` is the workload
+/// window. Each `(device, routing)` cell is an independent parallel point.
+pub(crate) fn run(duration_ms: u64, seed: u64) -> Vec<Fig10Row> {
+    par::par_map(FIG10_CELLS, |i| {
+        let mut net = fig10_cell(i, duration_ms, seed);
         net.run_for(SimTime::from_ms(duration_ms + 10));
         par::note_net(&net);
         let (p50, _, p99, samples) = util::mice_percentiles(net.fct());
+        let dev = &OCS_CATALOG[i / 2];
         Fig10Row {
             device: dev.name,
             slice_ns: dev.min_slice_ns,
-            routing: if routing == "vlb" { "VLB" } else { "UCMP" },
+            routing: ["VLB", "UCMP"][i % 2],
             p50_us: p50,
             p99_us: p99,
             samples,
@@ -73,8 +85,8 @@ pub(crate) fn run(duration_ms: u64) -> Vec<Fig10Row> {
     })
 }
 
-/// Render as a table.
-pub(crate) fn render(rows: &[Fig10Row]) -> String {
+/// The figure's table: one row per cell.
+pub(crate) fn table(rows: &[Fig10Row]) -> Table {
     let mut t = Table::new(&["device", "slice", "routing", "p50", "p99", "ops"]);
     for r in rows {
         t.row(vec![
@@ -86,7 +98,12 @@ pub(crate) fn render(rows: &[Fig10Row]) -> String {
             r.samples.to_string(),
         ]);
     }
-    let mut out = t.render();
+    t
+}
+
+/// Render the table and the CDF series.
+pub(crate) fn render(rows: &[Fig10Row]) -> String {
+    let mut out = table(rows).render();
     out.push_str("\nCDF series (cumulative fraction -> FCT):\n");
     for r in rows {
         let series = r

@@ -93,6 +93,17 @@ const SETUPS: usize = 5;
 /// Run the full Fig. 9 sweep; each `(dupack, setup)` cell is an
 /// independent parallel point.
 pub(crate) fn run(ms: u64) -> Vec<Fig9Row> {
+    // Direct circuits beside a 10 Gbps electrical fabric.
+    let hybrid = || {
+        OpenOpticsNet::deploy(
+            openoptics_core::NetConfig { electrical_gbps: 10, ..iperf_cfg() },
+            Architecture::rotornet().with_dispatch(DispatchPolicy::HybridDirect),
+            Box::new(Direct),
+            LookupMode::PerHop,
+            MultipathMode::None,
+        )
+        .expect("rotornet-hybrid deploys")
+    };
     par::par_map(2 * SETUPS, |i| {
         let dupack = [3u32, 5][i / SETUPS];
         match i % SETUPS {
@@ -104,12 +115,8 @@ pub(crate) fn run(ms: u64) -> Vec<Fig9Row> {
                 ms,
             ),
             1 => {
-                let mut direct_cfg = iperf_cfg();
-                // Direct-circuit traffic waits for its own circuit rather
-                // than deferring onto another pair's slice.
-                direct_cfg.congestion_policy = "wait".to_string();
                 let direct = OpenOpticsNet::deploy(
-                    direct_cfg,
+                    iperf_cfg(),
                     Architecture::rotornet().with_pause(PauseMode::DirectCircuit),
                     Box::new(Direct),
                     LookupMode::PerHop,
@@ -123,42 +130,12 @@ pub(crate) fn run(ms: u64) -> Vec<Fig9Row> {
                     .expect("rotornet deploys");
                 measure("rotornet-vlb", vlb, dupack, ms)
             }
-            3 => {
-                let mut hybrid_cfg = iperf_cfg();
-                hybrid_cfg.electrical_gbps = 10;
-                hybrid_cfg.congestion_policy = "wait".to_string();
-                let hybrid = OpenOpticsNet::deploy(
-                    hybrid_cfg,
-                    Architecture::rotornet().with_dispatch(DispatchPolicy::HybridDirect),
-                    Box::new(Direct),
-                    LookupMode::PerHop,
-                    MultipathMode::None,
-                )
-                .expect("rotornet-hybrid deploys");
-                measure("rotornet-hybrid", hybrid, dupack, ms)
-            }
+            3 => measure("rotornet-hybrid", hybrid(), dupack, ms),
+            // The "newly designed protocol" the framework lets us evaluate:
+            // TDTCP's per-topology state on the same hybrid network.
             _ => {
-                // The "newly designed protocol" the framework lets us
-                // evaluate: TDTCP's per-topology state on the same hybrid
-                // network.
-                let mut hybrid_cfg = iperf_cfg();
-                hybrid_cfg.electrical_gbps = 10;
-                hybrid_cfg.congestion_policy = "wait".to_string();
-                let hybrid_td = OpenOpticsNet::deploy(
-                    hybrid_cfg,
-                    Architecture::rotornet().with_dispatch(DispatchPolicy::HybridDirect),
-                    Box::new(Direct),
-                    LookupMode::PerHop,
-                    MultipathMode::None,
-                )
-                .expect("rotornet-hybrid deploys");
-                measure_with(
-                    "rotornet-hybrid-tdtcp",
-                    hybrid_td,
-                    TransportKind::TdTcp(tcp(dupack)),
-                    dupack,
-                    ms,
-                )
+                let td = TransportKind::TdTcp(tcp(dupack));
+                measure_with("rotornet-hybrid-tdtcp", hybrid(), td, dupack, ms)
             }
         }
     })

@@ -42,8 +42,10 @@ mod table3;
 mod table4;
 mod util;
 
+pub use fig10::{fig10_cell, FIG10_CELLS};
 pub use fig8::{render_mice, run_mice, run_mice_with_spans, MiceRow, SpanCapture};
 pub use par::{set_jobs, take_events, take_metrics};
+use util::Table;
 
 /// The flags every experiment body receives.
 #[derive(Clone, Copy, Debug, Default)]
@@ -73,6 +75,25 @@ pub struct Experiment {
     pub in_all: bool,
     /// Print the experiment's tables to stdout.
     pub run: fn(Opts),
+    /// The experiment's table at one seed, for `--seeds`; `None` for an
+    /// experiment that does not take one.
+    seeded: Option<fn(Opts, u64) -> Table>,
+}
+
+impl Experiment {
+    /// Whether the experiment takes `--seeds`.
+    pub fn takes_seeds(&self) -> bool {
+        self.seeded.is_some()
+    }
+
+    /// Print the experiment's table over seeds `1..=k` (`k >= 1`), each
+    /// cell summarized across them (`median [min, max]` for a number).
+    pub fn run_seeds(&self, o: Opts, k: u64) {
+        let table = self.seeded.expect("the experiment takes seeds");
+        let tables: Vec<Table> = (1..=k).map(|seed| table(o, seed)).collect();
+        let summary = Table::ensemble(&tables).render();
+        print!("-- median [min, max] over seeds 1..={k} --\n{summary}");
+    }
 }
 
 /// Every experiment, in `all` order. Dispatch, the `all` sequence, the
@@ -83,93 +104,108 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Fig. 8a — memcached mice FCTs per architecture",
         in_all: true,
         run: run_fig8a,
+        seeded: None,
     },
     Experiment {
         id: "fig8b",
         title: "Fig. 8b — Gloo ring-allreduce completion per architecture",
         in_all: true,
         run: run_fig8b,
+        seeded: None,
     },
     Experiment {
         id: "fig9",
         title: "Fig. 9 — TCP throughput & reordering (iperf)",
         in_all: true,
         run: |o| print!("{}", fig9::render(&fig9::run(o.pick(10, 50)))),
+        seeded: None,
     },
     Experiment {
         id: "fig10",
         title: "Fig. 10 — mice FCT vs OCS slice duration (VLB / UCMP)",
         in_all: true,
-        run: |o| print!("{}", fig10::render(&fig10::run(o.pick(8, 30)))),
+        run: |o| print!("{}", fig10::render(&fig10::run(o.pick(8, 30), 7))),
+        seeded: Some(|o, seed| fig10::table(&fig10::run(o.pick(8, 30), seed))),
     },
     Experiment {
         id: "fig11",
         title: "Fig. 11 — switch-to-switch delay vs packet size",
         in_all: true,
         run: |o| print!("{}", fig11::render(&fig11::run(o.pick(500, 5_000)))),
+        seeded: None,
     },
     Experiment {
         id: "fig12",
         title: "Fig. 12 — EQO error vs update interval",
         in_all: true,
         run: |o| print!("{}", fig12::render(&fig12::run(o.pick(2_000, 20_000)))),
+        seeded: None,
     },
     Experiment {
         id: "fig13",
         title: "Fig. 13 — UDP RTT distribution (emulated vs real OCS)",
         in_all: true,
         run: |o| print!("{}", fig13::render(&fig13::run(o.pick(400, 3_000)))),
+        seeded: None,
     },
     Experiment {
         id: "fig14",
         title: "Fig. 14 — offload RTT stability (libvma vs kernel)",
         in_all: true,
         run: |o| print!("{}", fig14::render(&fig14::run(o.pick(2_000, 20_000)))),
+        seeded: None,
     },
     Experiment {
         id: "table2",
         title: "Table 2 — Tofino2 resource usage (108-ToR)",
         in_all: true,
         run: |_| print!("{}", table2::render(&table2::run())),
+        seeded: None,
     },
     Experiment {
         id: "table3",
         title: "Table 3 — p99.9 buffer usage (300us slices, 40% load)",
         in_all: true,
         run: run_table3,
+        seeded: None,
     },
     Experiment {
         id: "table4",
         title: "Table 4 — congestion detection & push-back ablation (HOHO, 70% load)",
         in_all: true,
-        run: |o| print!("{}", table4::render(&table4::run(o.pick(6, 30)))),
+        run: |o| print!("{}", table4::render(&table4::run(o.pick(6, 30), None))),
+        seeded: Some(|o, seed| table4::table(&table4::run(o.pick(6, 30), Some(seed)))),
     },
     Experiment {
         id: "ablations",
-        title: "Ablations — guardband / defer window / EQO / offload lead",
+        title: "Ablations — guardband / congestion response / EQO / offload lead",
         in_all: true,
         run: |o| print!("{}", ablations::render(o.pick(6, 20))),
+        seeded: None,
     },
     Experiment {
         id: "minslice",
         title: "§7 — minimum time-slice derivation",
         in_all: true,
         run: |_| print!("{}", minslice::render(&minslice::run())),
+        seeded: None,
     },
     Experiment {
         id: "faults",
         title: "Faults — injected-failure degradation & recovery",
         in_all: true,
-        run: |o| print!("{}", faults::render(&faults::run(o.pick(40, 80)))),
+        run: |o| print!("{}", faults::table(&faults::run(o.pick(40, 80), 7)).render()),
+        seeded: Some(|o, seed| faults::table(&faults::run(o.pick(40, 80), seed))),
     },
     Experiment {
         id: "slo",
         title: "SLO — per-service latency objectives under a fault window",
         in_all: true,
         run: |o| {
-            let (rows, samples) = slo::run(o.pick(40, 80));
+            let (rows, samples) = slo::run(o.pick(40, 80), 7);
             print!("{}", slo::render(&rows, samples));
         },
+        seeded: Some(|o, seed| slo::table(&slo::run(o.pick(40, 80), seed).0)),
     },
     // Not part of `all`: the composition matrix is a harness gate (CI
     // byte-identity + compatibility coverage against `sweep_quick.txt`),
@@ -180,6 +216,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Sweep — architecture x routing composition matrix",
         in_all: false,
         run: |o| print!("{}", sweep::render(&sweep::run(o.quick))),
+        seeded: None,
     },
 ];
 
@@ -189,10 +226,16 @@ pub fn select(which: &str) -> Vec<&'static Experiment> {
     EXPERIMENTS.iter().filter(|e| if which == "all" { e.in_all } else { e.id == which }).collect()
 }
 
-/// The `experiments` usage line, listing every id in table order.
+/// The `experiments` usage line, listing every id in table order and the
+/// ids `--seeds` takes.
 pub fn usage() -> String {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
-    format!("usage: experiments <{}|all> [--quick] [--jobs N]", ids.join("|"))
+    let seeded: Vec<&str> = EXPERIMENTS.iter().filter(|e| e.takes_seeds()).map(|e| e.id).collect();
+    format!(
+        "usage: experiments <{}|all> [--quick] [--jobs N] [--seeds K (ids {})]",
+        ids.join("|"),
+        seeded.join(", ")
+    )
 }
 
 fn run_fig8a(o: Opts) {

@@ -2,7 +2,7 @@
 //! evaluation.
 //!
 //! ```text
-//! experiments <id|all> [--quick] [--jobs N]
+//! experiments <id|all> [--quick] [--jobs N] [--seeds K]
 //! ```
 //!
 //! The ids, their section titles and which of them `all` runs come from
@@ -22,6 +22,13 @@
 //!
 //! `--quick` shrinks measurement windows for smoke runs (used by CI); the
 //! default windows are the EXPERIMENTS.md settings.
+//!
+//! `--seeds K` runs an experiment that takes a seed (Fig. 10, Table 4,
+//! faults, SLO; `all` runs those four) at seeds 1..=K instead of at its
+//! committed seed, and prints its table with each numeric cell as `median
+//! [min, max]` over the K runs: a shape that holds at every seed, told
+//! apart from a tail one re-roll moves. An id that takes no seed is a
+//! usage error.
 //!
 //! `--jobs N` sets the worker count for the parallel experiment runner
 //! (default: available parallelism). Independent simulation points fan out
@@ -53,6 +60,7 @@ fn usage_error(msg: &str) -> ! {
 
 fn main() {
     let mut opts = x::Opts::default();
+    let mut seeds = None;
     let mut which = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -61,6 +69,10 @@ fn main() {
             "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => x::set_jobs(n),
                 _ => usage_error("--jobs expects a positive integer"),
+            },
+            "--seeds" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
+                Some(k) if k >= 1 => seeds = Some(k),
+                _ => usage_error("--seeds expects a positive integer"),
             },
             flag if flag.starts_with("--") => usage_error(&format!("unknown flag: {flag}")),
             // The first positional argument is the experiment id.
@@ -73,8 +85,17 @@ fn main() {
         usage_error(&format!("unknown experiment id: {which}"));
     }
     for e in selected {
+        if seeds.is_some() && !e.takes_seeds() {
+            if which == "all" {
+                continue;
+            }
+            usage_error(&format!("{} takes no --seeds", e.id));
+        }
         println!("\n=== {} ===", e.title);
-        report(e.id, || (e.run)(opts));
+        match seeds {
+            None => report(e.id, || (e.run)(opts)),
+            Some(k) => report(e.id, || e.run_seeds(opts, k)),
+        }
     }
 }
 

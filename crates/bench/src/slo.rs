@@ -25,10 +25,12 @@ use openoptics_host::apps::MemcachedParams;
 use openoptics_proto::{HostId, NodeId, PortId};
 use openoptics_sim::SimTime;
 
-/// Run the SLO scenario for `ms` simulated milliseconds, returning the
-/// per-service summaries in declaration order plus the sampled-row count.
-pub(crate) fn run(ms: u64) -> (Vec<SloSummary>, usize) {
+/// Run the SLO scenario for `ms` simulated milliseconds at `seed` (the
+/// committed table's is 7), returning the per-service summaries in
+/// declaration order plus the sampled-row count.
+pub(crate) fn run(ms: u64, seed: u64) -> (Vec<SloSummary>, usize) {
     let mut cfg = util::testbed(10_000, 2);
+    cfg.seed = seed;
     cfg.uplink_gbps = 25;
     cfg.sync_err_ns = 0;
     cfg.sample_every_ns = 100_000;
@@ -78,8 +80,8 @@ pub(crate) fn run(ms: u64) -> (Vec<SloSummary>, usize) {
     (net.slo_summaries(), samples)
 }
 
-/// Render the per-service table.
-pub(crate) fn render(rows: &[SloSummary], samples: usize) -> String {
+/// The per-service table.
+pub(crate) fn table(rows: &[SloSummary]) -> Table {
     let mut t = Table::new(&[
         "service",
         "count",
@@ -104,7 +106,12 @@ pub(crate) fn render(rows: &[SloSummary], samples: usize) -> String {
             if r.breached { "yes" } else { "no" }.to_string(),
         ]);
     }
-    let mut out = t.render();
+    t
+}
+
+/// Render the per-service table and the sample count.
+pub(crate) fn render(rows: &[SloSummary], samples: usize) -> String {
+    let mut out = table(rows).render();
     out.push_str(&format!("({samples} sampled rows in the time series)\n"));
     out
 }

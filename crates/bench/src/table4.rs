@@ -9,10 +9,8 @@
 //! throughput cost (senders are held back).
 
 use crate::par;
-use crate::util::{attach_poisson, testbed, Table};
-use openoptics_core::{Architecture, OpenOpticsNet};
-use openoptics_routing::algos::Hoho;
-use openoptics_routing::{LookupMode, MultipathMode};
+use crate::util::{attach_poisson, hoho_open_loop, loss_rate, mean_us, testbed, Table};
+use openoptics_core::OpenOpticsNet;
 use openoptics_sim::nearest_rank;
 use openoptics_sim::SimTime;
 use openoptics_workload::Trace;
@@ -37,9 +35,10 @@ pub(crate) struct Table4Row {
     pub p95_delay_us: f64,
 }
 
-fn build(detection: bool, pushback: bool) -> OpenOpticsNet {
+fn build(detection: bool, pushback: bool, seed: u64) -> OpenOpticsNet {
     let mut cfg = testbed(SLICE_NS, 1);
     cfg.node_num = NODES;
+    cfg.seed = seed;
     cfg.congestion_detection = detection;
     cfg.pushback = pushback;
     cfg.congestion_policy = "defer".to_string();
@@ -47,19 +46,9 @@ fn build(detection: bool, pushback: bool) -> OpenOpticsNet {
     // Let the slice-capacity condition (the paper's novel detector) bind;
     // the classical threshold sits near queue capacity.
     cfg.congestion_threshold = 6 * 1024 * 1024;
-    let mut net = OpenOpticsNet::deploy(
-        cfg,
-        Architecture::rotornet(),
-        Box::new(Hoho::default()),
-        LookupMode::PerHop,
-        MultipathMode::None,
-    )
-    .expect("rotornet deploys");
-    net.engine.record_delays = true;
     // Open-loop trace replay: measure first-transmission loss and delay,
     // not a retransmission storm.
-    net.engine.watchdog_retransmit = false;
-    net
+    hoho_open_loop(cfg)
 }
 
 fn measure(
@@ -68,27 +57,19 @@ fn measure(
     pushback: bool,
     trace: Trace,
     ms: u64,
+    (net_seed, arrival_seed): (u64, u64),
 ) -> Table4Row {
-    let mut net = build(detection, pushback);
+    let mut net = build(detection, pushback, net_seed);
     // The stress point: the paper drives 70% core utilization on a
     // 6-uplink fabric; this reduced single-uplink stand-in saturates
     // earlier (HOHO's deferrals inflate hop counts), so the equivalent
     // stress lands at ~50% host injection (~70% core). See EXPERIMENTS.md.
-    attach_poisson(&mut net, trace, 0.42, SimTime::from_ms(ms), 4);
+    attach_poisson(&mut net, trace, 0.42, SimTime::from_ms(ms), arrival_seed);
     net.run_for(SimTime::from_ms(ms));
     par::note_net(&net);
-    let c = net.engine.counters;
-    let lost = c.switch_drops + c.fabric_drops + c.link_drops + c.no_route_drops;
-    let loss_rate =
-        if c.host_tx_packets > 0 { lost as f64 / c.host_tx_packets as f64 } else { 0.0 };
-    let tput = c.delivered_payload_bytes as f64 * 8.0 / (ms as f64 / 1e3) / 1e9;
+    let tput = net.engine.counters.delivered_payload_bytes as f64 * 8.0 / (ms as f64 / 1e3) / 1e9;
     let mut delays = std::mem::take(&mut net.engine.delay_samples);
     delays.sort_unstable();
-    let avg = if delays.is_empty() {
-        0.0
-    } else {
-        delays.iter().sum::<u64>() as f64 / delays.len() as f64 / 1e3
-    };
     let p95 = match nearest_rank(delays.len(), 95, 100) {
         0 => 0.0,
         rank => delays[rank - 1] as f64 / 1e3,
@@ -97,15 +78,18 @@ fn measure(
         config,
         trace: trace.name(),
         throughput_gbps: tput,
-        loss_rate,
-        avg_delay_us: avg,
+        loss_rate: loss_rate(&net),
+        avg_delay_us: mean_us(&delays),
         p95_delay_us: p95,
     }
 }
 
 /// Run the 3-config × 3-trace ablation over `ms` milliseconds per cell;
-/// each `(config, trace)` cell is an independent parallel point.
-pub(crate) fn run(ms: u64) -> Vec<Table4Row> {
+/// each `(config, trace)` cell is an independent parallel point. `seed`
+/// seeds both the network and the arrivals; `None` keeps the committed
+/// table's seeds (7 and 4).
+pub(crate) fn run(ms: u64, seed: Option<u64>) -> Vec<Table4Row> {
+    let seeds = seed.map_or((7, 4), |s| (s, s));
     const CONFIGS: [(&str, bool, bool); 3] = [
         ("no detection, no push-back", false, false),
         ("detection only", true, false),
@@ -114,12 +98,12 @@ pub(crate) fn run(ms: u64) -> Vec<Table4Row> {
     par::par_map(CONFIGS.len() * Trace::ALL.len(), |i| {
         let (config, det, pb) = CONFIGS[i / Trace::ALL.len()];
         let trace = Trace::ALL[i % Trace::ALL.len()];
-        measure(config, det, pb, trace, ms)
+        measure(config, det, pb, trace, ms, seeds)
     })
 }
 
-/// Render as a table.
-pub(crate) fn render(rows: &[Table4Row]) -> String {
+/// The ablation as a table.
+pub(crate) fn table(rows: &[Table4Row]) -> Table {
     let mut t = Table::new(&["config", "trace", "throughput", "loss", "avg delay", "p95 delay"]);
     for r in rows {
         t.row(vec![
@@ -131,9 +115,14 @@ pub(crate) fn render(rows: &[Table4Row]) -> String {
             format!("{:.0}us", r.p95_delay_us),
         ]);
     }
+    t
+}
+
+/// Render the table and the paper's shape.
+pub(crate) fn render(rows: &[Table4Row]) -> String {
     format!(
         "{}(paper shape: col-1 ~1-2% loss with ms-scale p95; detection+push-back -> 0% loss, \
          us-scale delays, somewhat lower throughput)\n",
-        t.render()
+        table(rows).render()
     )
 }

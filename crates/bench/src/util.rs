@@ -1,8 +1,10 @@
 //! Shared experiment plumbing: testbed configurations, workload
 //! attachment, and result formatting.
 
-use openoptics_core::{NetConfig, OpenOpticsNet, TransportKind};
+use openoptics_core::{Architecture, NetConfig, OpenOpticsNet, TransportKind};
 use openoptics_proto::{HostId, NodeId};
+use openoptics_routing::algos::Hoho;
+use openoptics_routing::{LookupMode, MultipathMode};
 use openoptics_sim::SimTime;
 use openoptics_topo::TrafficMatrix;
 use openoptics_workload::{FctStats, PoissonArrivals, Trace};
@@ -76,6 +78,34 @@ pub(crate) fn attach_poisson(
     }
 }
 
+/// RotorNet under per-hop HOHO on `cfg`, replaying traffic open-loop:
+/// each delivered packet's delay recorded and no watchdog retransmission,
+/// so loss and delay are first-transmission figures (Table 4, ablations).
+pub(crate) fn hoho_open_loop(cfg: NetConfig) -> OpenOpticsNet {
+    let (lookup, multipath) = (LookupMode::PerHop, MultipathMode::None);
+    let hoho = Box::new(Hoho::default());
+    let mut net = OpenOpticsNet::deploy(cfg, Architecture::rotornet(), hoho, lookup, multipath)
+        .expect("rotornet deploys");
+    net.engine.record_delays = true;
+    net.engine.watchdog_retransmit = false;
+    net
+}
+
+/// Packets lost to any cause, over packets the hosts sent.
+pub(crate) fn loss_rate(net: &OpenOpticsNet) -> f64 {
+    let c = net.engine.counters;
+    let lost = c.switch_drops + c.fabric_drops + c.no_route_drops + c.link_drops;
+    lost as f64 / c.host_tx_packets.max(1) as f64
+}
+
+/// Mean of `delays_ns` in µs; 0 for none.
+pub(crate) fn mean_us(delays_ns: &[u64]) -> f64 {
+    if delays_ns.is_empty() {
+        return 0.0;
+    }
+    delays_ns.iter().sum::<u64>() as f64 / delays_ns.len() as f64 / 1e3
+}
+
 /// Mice FCT percentiles in microseconds: `(p50, p90, p99, samples)`.
 pub(crate) fn mice_percentiles(fct: &FctStats) -> (f64, f64, f64, usize) {
     let v = fct.mice_fcts();
@@ -134,6 +164,62 @@ impl Table {
         }
         out
     }
+
+    /// Cell by cell, what `tables` (one per seed, of one shape) read: a
+    /// cell equal at every seed as it is; a number as `median [min, max]`
+    /// (the lower median for an even count), in the cells' own unit and
+    /// precision (a `us`/`ms` time through [`us`]); anything else as each
+    /// value read, with how many seeds read it.
+    pub(crate) fn ensemble(tables: &[Table]) -> Table {
+        let cell = |r: usize, c: usize| {
+            summarize(&tables.iter().map(|t| t.rows[r][c].as_str()).collect::<Vec<_>>())
+        };
+        let (header, rows) = (&tables[0].header, 0..tables[0].rows.len());
+        let rows = rows.map(|r| (0..header.len()).map(|c| cell(r, c)).collect()).collect();
+        Table { header: header.clone(), rows }
+    }
+}
+
+/// One ensemble cell (see [`Table::ensemble`]).
+fn summarize(cells: &[&str]) -> String {
+    if cells.iter().all(|c| *c == cells[0]) {
+        return cells[0].to_string();
+    }
+    match cells.iter().map(|c| number(c)).collect::<Option<Vec<_>>>() {
+        Some(v) if v.iter().all(|n| n.2 == v[0].2) => {
+            let decimals = v.iter().map(|n| n.1).max().unwrap_or(0);
+            let show = |x: f64| match v[0].2 {
+                "us" => us(x),
+                unit => format!("{x:.decimals$}{unit}"),
+            };
+            let mut xs: Vec<f64> = v.iter().map(|n| n.0).collect();
+            xs.sort_by(f64::total_cmp);
+            let (lo, mid, hi) = (xs[0], xs[(xs.len() - 1) / 2], xs[xs.len() - 1]);
+            format!("{} [{}, {}]", show(mid), show(lo), show(hi))
+        }
+        _ => {
+            let mut seen = std::collections::BTreeMap::new();
+            for c in cells {
+                *seen.entry(*c).or_insert(0) += 1;
+            }
+            let each: Vec<String> = seen.iter().map(|(v, k)| format!("{v} x{k}")).collect();
+            each.join(", ")
+        }
+    }
+}
+
+/// A cell's number, its decimal places and its unit: `"1.50ms"` reads
+/// `(1500.0, 2, "us")`, `"0.42%"` `(0.42, 2, "%")`, `"8 us"` `(8.0, 0,
+/// " us")`.
+fn number(cell: &str) -> Option<(f64, usize, &str)> {
+    let end = cell.find(|c: char| !(c.is_ascii_digit() || c == '.')).unwrap_or(cell.len());
+    let (digits, unit) = cell.split_at(end);
+    let x: f64 = digits.parse().ok()?;
+    let decimals = digits.find('.').map_or(0, |dot| digits.len() - dot - 1);
+    match unit {
+        "ms" => Some((x * 1_000.0, decimals, "us")),
+        _ => Some((x, decimals, unit)),
+    }
 }
 
 #[cfg(test)]
@@ -157,6 +243,32 @@ mod tests {
         assert_eq!(tm.get(NodeId(3), NodeId(4)), 0.0);
         let r = ring_tm(4);
         assert!(r.get(NodeId(3), NodeId(0)) > 0.0);
+    }
+
+    #[test]
+    fn an_ensemble_summarizes_each_cell_over_the_seeds() {
+        let tables: Vec<Table> = [
+            ["ucmp", "32.7us", "0.00%", "no", "3/8"],
+            ["ucmp", "1.20ms", "0.10%", "yes", "2/8"],
+            ["ucmp", "40.1us", "0.25%", "no", "-"],
+        ]
+        .iter()
+        .map(|cells| {
+            let mut t = Table::new(&["routing", "p99", "loss", "breached", "done"]);
+            t.row(cells.iter().map(|c| c.to_string()).collect());
+            t
+        })
+        .collect();
+        assert_eq!(
+            Table::ensemble(&tables).rows[0],
+            [
+                "ucmp",
+                "40.1us [32.7us, 1.20ms]",
+                "0.10% [0.00%, 0.25%]",
+                "no x2, yes x1",
+                "- x1, 2/8 x1, 3/8 x1",
+            ]
+        );
     }
 
     #[test]

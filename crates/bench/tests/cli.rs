@@ -20,6 +20,8 @@ fn usage_errors_exit_2_with_the_table_generated_usage() {
         &["fig12", "--quik"],
         &["table3", &removed[1]],
         &["no-such-id"],
+        &["fig10", "--seeds", "0"],
+        &["fig12", "--seeds", "2"],
     ] {
         let out = experiments().args(args).output().expect("experiments starts");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

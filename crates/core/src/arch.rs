@@ -203,8 +203,6 @@ pub struct Architecture {
     electrical_gbps_default: u64,
     /// Forced `cfg.emulated_fabric` value (real-OCS designs), if any.
     emulated_fabric: Option<bool>,
-    /// Forced `cfg.congestion_policy`, if any.
-    congestion_policy: Option<&'static str>,
     /// Minimum uplink count the design needs (`cfg.uplink` is raised).
     min_uplink: u16,
     /// Exact uplink count the design requires (`cfg.uplink` is replaced).
@@ -236,7 +234,6 @@ impl Architecture {
             default_routing: || (Box::new(Direct), LookupMode::PerHop, MultipathMode::None),
             electrical_gbps_default: 100,
             emulated_fabric: None,
-            congestion_policy: None,
             min_uplink: 0,
             fixed_uplink: None,
         }
@@ -253,7 +250,6 @@ impl Architecture {
             default_routing: || (Box::new(Direct), LookupMode::PerHop, MultipathMode::None),
             electrical_gbps_default: 10,
             emulated_fabric: Some(false),
-            congestion_policy: Some("wait"),
             min_uplink: 0,
             fixed_uplink: None,
         }
@@ -270,7 +266,6 @@ impl Architecture {
             },
             electrical_gbps_default: 0,
             emulated_fabric: Some(false),
-            congestion_policy: None,
             min_uplink: 2,
             fixed_uplink: None,
         }
@@ -286,7 +281,6 @@ impl Architecture {
             default_routing: || (Box::new(Direct), LookupMode::PerHop, MultipathMode::None),
             electrical_gbps_default: 0,
             emulated_fabric: None,
-            congestion_policy: Some("wait"),
             min_uplink: 0,
             fixed_uplink: None,
         }
@@ -301,7 +295,6 @@ impl Architecture {
             default_routing: || (Box::new(Vlb), LookupMode::PerHop, MultipathMode::PerPacket),
             electrical_gbps_default: 0,
             emulated_fabric: None,
-            congestion_policy: None,
             min_uplink: 0,
             fixed_uplink: None,
         }
@@ -322,7 +315,6 @@ impl Architecture {
             },
             electrical_gbps_default: 0,
             emulated_fabric: None,
-            congestion_policy: None,
             min_uplink: 2,
             fixed_uplink: None,
         }
@@ -340,7 +332,6 @@ impl Architecture {
             },
             electrical_gbps_default: 0,
             emulated_fabric: None,
-            congestion_policy: None,
             min_uplink: 0,
             fixed_uplink: Some(1),
         }
@@ -355,7 +346,6 @@ impl Architecture {
             default_routing: || (Box::new(Vlb), LookupMode::PerHop, MultipathMode::PerPacket),
             electrical_gbps_default: 0,
             emulated_fabric: None,
-            congestion_policy: None,
             min_uplink: 0,
             fixed_uplink: None,
         }
@@ -416,9 +406,6 @@ impl Architecture {
     ///   when the caller left it 0;
     /// * `emulated_fabric`: real-OCS designs (c-Through, Jupiter) force it
     ///   `false`;
-    /// * `congestion_policy`: direct-circuit designs (c-Through, Mordia)
-    ///   force `"wait"` — deferring onto another pair's slice would strand
-    ///   packets;
     /// * `uplink`: raised to the design minimum (mesh designs need ≥ 2
     ///   stripes) or pinned exactly (Shale's single optical uplink).
     pub(crate) fn apply_defaults(&self, cfg: &mut NetConfig) {
@@ -427,9 +414,6 @@ impl Architecture {
         }
         if let Some(e) = self.emulated_fabric {
             cfg.emulated_fabric = e;
-        }
-        if let Some(p) = self.congestion_policy {
-            cfg.congestion_policy = p.to_string();
         }
         if cfg.uplink < self.min_uplink {
             cfg.uplink = self.min_uplink;
@@ -699,7 +683,6 @@ mod tests {
         Architecture::cthrough(&TrafficMatrix::zeros(8)).apply_defaults(&mut cfg);
         assert_eq!(cfg.electrical_gbps, 10);
         assert!(!cfg.emulated_fabric);
-        assert_eq!(cfg.congestion_policy, "wait");
 
         // A caller-set rate is respected.
         let mut cfg =

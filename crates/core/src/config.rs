@@ -43,7 +43,8 @@ pub struct NetConfig {
     pub congestion_detection: bool,
     /// Congestion threshold, bytes.
     pub congestion_threshold: u64,
-    /// Congestion response: `"drop"`, `"trim"`, or `"defer"`.
+    /// Congestion response: `"drop"`, `"trim"`, or `"defer"` (`"wait"` is
+    /// accepted as another spelling of `"defer"`).
     pub congestion_policy: String,
     /// Traffic push-back service armed.
     pub pushback: bool,
@@ -67,9 +68,6 @@ pub struct NetConfig {
     /// rails, as in RotorNet/Opera deployments). Devices are sized to the
     /// cabling.
     pub ocs_count: u16,
-    /// Defer-response window: how many slices past the planned one the
-    /// congestion service may push a packet.
-    pub defer_max_extra_slices: u32,
     /// Ablation switch: when `true` the congestion detector reads the
     /// calendar queues' ground-truth occupancy instead of the EQO estimate
     /// (impossible on real hardware — the ghost-thread limitation §5.2).
@@ -126,7 +124,6 @@ impl Default for NetConfig {
             sync_err_ns: 28,
             fabric_dead_ns: 100,
             ocs_count: 0,
-            defer_max_extra_slices: 31,
             eqo_ground_truth: false,
             elephant_threshold: 1_000_000,
             telemetry: true,
@@ -166,7 +163,6 @@ macro_rules! for_each_config_field {
         $m!(u64 sync_err_ns);
         $m!(u64 fabric_dead_ns);
         $m!(u16 ocs_count);
-        $m!(u32 defer_max_extra_slices);
         $m!(bool eqo_ground_truth);
         $m!(u64 elephant_threshold);
         $m!(bool telemetry);
@@ -293,7 +289,7 @@ impl NetConfig {
             other => {
                 return Err(err(
                     "congestion_policy",
-                    format!("{other:?} is not one of \"drop\", \"trim\", \"wait\", \"defer\""),
+                    format!("{other:?} is not one of \"drop\", \"trim\", \"defer\""),
                 ))
             }
         }
@@ -399,6 +395,16 @@ mod tests {
         assert_eq!(c.uplink, 2);
         assert_eq!(c.slice_ns, 2_000);
         assert_eq!(c.hosts_per_node, 1); // default
+    }
+
+    #[test]
+    fn an_old_scenario_s_config_still_parses() {
+        // A key the struct no longer has (the defer window) is ignored, and
+        // `"wait"` is a spelling of `"defer"`.
+        let old =
+            NetConfig::from_json(r#"{"defer_max_extra_slices":4,"congestion_policy":"wait"}"#)
+                .expect("unknown keys are ignored");
+        assert_eq!((old.congestion_policy.as_str(), old.validate()), ("wait", Ok(())));
     }
 
     #[test]

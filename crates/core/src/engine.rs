@@ -34,7 +34,7 @@ use openoptics_sim::{EventQueue, SimRng, Tie, World};
 use openoptics_sim::{SimTime, SliceConfig};
 use openoptics_switch::OffloadPolicy;
 use openoptics_switch::{CongestionConfig, CongestionPolicy};
-use openoptics_switch::{IngressDecision, PipelineModel, ToRSwitch, TorConfig};
+use openoptics_switch::{IngressDecision, IngressResult, PipelineModel, ToRSwitch, TorConfig};
 use openoptics_telemetry::json;
 use openoptics_telemetry::{
     ChunkedVec, FlightTrigger, Frame, FrameLog, Labels, QuantileSketch, Registry, RetxKind,
@@ -840,8 +840,9 @@ fn build_tors(cfg: &NetConfig, slice_cfg: SliceConfig) -> Vec<ToRSwitch> {
         policy: match cfg.congestion_policy.as_str() {
             "drop" => CongestionPolicy::Drop,
             "trim" => CongestionPolicy::Trim,
-            "wait" => CongestionPolicy::Wait,
-            _ => CongestionPolicy::Defer { max_extra_slices: cfg.defer_max_extra_slices },
+            // `"wait"` is a reserved spelling of `"defer"` (DESIGN.md
+            // "Reserved names").
+            _ => CongestionPolicy::Defer,
         },
     };
     let offload = cfg.offload.then_some(OffloadPolicy {
@@ -2156,21 +2157,15 @@ impl Engine {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let header = &mut self.packets[pkt];
-        let (src_tor, dst) = (header.src, header.dst);
-        let trace = self.telemetry.trace_mut();
-        let mut res = self.tors[node.index()].ingress(pkt, header, now, trace);
-        if matches!(res.decision, IngressDecision::NoRoute) {
-            // Table miss (reported before admission, so it never carries a
-            // push-back): compile routes for this (node, dst) lazily and
-            // retry once with the fresh entries. The retry is a second pass
-            // through the ingress pipeline and counts a second hop.
+        let Packet { src: src_tor, dst, .. } = self.packets[pkt];
+        let mut res = self.tor_ingress(node, pkt, now);
+        // Table miss (reported before admission, so it never carries a
+        // push-back): compile routes for this (node, dst) lazily and retry
+        // once with the fresh entries. The retry is a second pass through
+        // the ingress pipeline and counts a second hop.
+        if matches!(res.decision, IngressDecision::NoRoute) && self.install_routes_for(node, dst) {
             debug_assert!(res.pushback.is_none());
-            if self.install_routes_for(node, dst) {
-                let header = &mut self.packets[pkt];
-                let trace = self.telemetry.trace_mut();
-                res = self.tors[node.index()].ingress(pkt, header, now, trace);
-            }
+            res = self.tor_ingress(node, pkt, now);
         }
         if let Some(msg) = res.pushback {
             // Broadcast to the sender ToR's hosts after a control RTT.
@@ -2179,6 +2174,12 @@ impl Engine {
             }
         }
         self.after_admission(node, pkt, res.decision, now, now, q);
+    }
+
+    /// `pkt` through `node`'s ingress pipeline, on the active schedule.
+    fn tor_ingress(&mut self, node: NodeId, pkt: PktRef, now: SimTime) -> IngressResult {
+        let (header, schedule) = (&mut self.packets[pkt], self.fabric.schedule());
+        self.tors[node.index()].ingress(pkt, header, schedule, now, self.telemetry.trace_mut())
     }
 
     /// What the switch decided for `pkt` — on first ingress or when an
@@ -2538,11 +2539,11 @@ impl Engine {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let cur = self.tors[node.index()].abs_slice();
-        let rank = to_u32(abs.saturating_sub(cur));
-        let header = &mut self.packets[pkt];
-        let trace = self.telemetry.trace_mut();
-        let res = self.tors[node.index()].reinject_offloaded(pkt, header, port, rank, now, trace);
+        let tor = &mut self.tors[node.index()];
+        let to = (port, to_u32(abs.saturating_sub(tor.abs_slice())));
+        let (header, schedule) = (&mut self.packets[pkt], self.fabric.schedule());
+        let res =
+            tor.reinject_offloaded(pkt, header, to, schedule, now, self.telemetry.trace_mut());
         self.after_admission(node, pkt, res.decision, now + 1, now, q);
     }
 

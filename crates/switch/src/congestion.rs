@@ -10,7 +10,7 @@
 //!
 //! Detection is a *service*: the response is the architecture's choice
 //! ([`CongestionPolicy`]) — drop (RotorNet), trim (Opera), or defer to a
-//! later slice (UCMP, HOHO).
+//! later slice that still reaches the path's next hop (UCMP, HOHO).
 
 use openoptics_sim::Bandwidth;
 use openoptics_sim::{SimTime, SliceConfig};
@@ -23,18 +23,12 @@ pub enum CongestionPolicy {
     /// Trim the payload, forwarding a header-only packet the receiver can
     /// NACK (Opera-style packet trimming).
     Trim,
-    /// Defer to the first later slice whose queue admits the packet, up to
-    /// `max_extra_slices` ahead (UCMP/HOHO-style).
-    Defer {
-        /// How many slices past the planned one to try.
-        max_extra_slices: u32,
-    },
-    /// Enqueue anyway and accept the slice miss (the packet waits a full
-    /// calendar cycle) — the right response when deferral would launch the
-    /// packet into a circuit that cannot reach its destination (sparse TA
-    /// schedules like Mordia's demand-only slices). Detection still fires
-    /// push-back.
-    Wait,
+    /// Defer to the first later slice, at most one cycle on, whose circuit
+    /// on the same port reaches the same peer and whose queue admits the
+    /// packet (UCMP/HOHO-style). A packet never leaves its path: with no
+    /// such slice it stays in its planned queue and waits for that
+    /// circuit's next turn (the §5.2 failure mode is delay, not a detour).
+    Defer,
 }
 
 /// Configuration of the congestion-detection service.
@@ -55,18 +49,9 @@ impl Default for CongestionConfig {
         CongestionConfig {
             detection_enabled: true,
             threshold_bytes: 200_000,
-            policy: CongestionPolicy::Defer { max_extra_slices: 8 },
+            policy: CongestionPolicy::Defer,
         }
     }
-}
-
-/// Verdict for one packet against one calendar queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CongestionOutcome {
-    /// Queue admits the packet.
-    Admit,
-    /// Queue is congested; apply the policy.
-    Congested,
 }
 
 /// Bytes a queue for departure rank `rank` may hold and still drain within
@@ -93,24 +78,18 @@ pub(crate) fn admissible_bytes(
     }
 }
 
-/// Evaluate the detection condition for a packet of `pkt_len` bytes whose
-/// target queue is estimated at `est_bytes`.
-pub(crate) fn evaluate(
+/// The detection condition: whether a packet of `pkt_len` bytes congests a
+/// queue estimated at `est_bytes` (so the policy applies), or the queue
+/// admits it.
+pub(crate) fn congested(
     config: &CongestionConfig,
     est_bytes: u64,
     pkt_len: u32,
     admissible: u64,
-) -> CongestionOutcome {
-    if !config.detection_enabled {
-        return CongestionOutcome::Admit;
-    }
-    let queue_full = est_bytes + pkt_len as u64 > admissible;
-    let threshold_hit = est_bytes >= config.threshold_bytes;
-    if queue_full || threshold_hit {
-        CongestionOutcome::Congested
-    } else {
-        CongestionOutcome::Admit
-    }
+) -> bool {
+    // (1) the queue is full, or (2) the classical threshold is reached.
+    config.detection_enabled
+        && (est_bytes + u64::from(pkt_len) > admissible || est_bytes >= config.threshold_bytes)
 }
 
 #[cfg(test)]
@@ -147,8 +126,8 @@ mod tests {
             policy: CongestionPolicy::Drop,
         };
         // Admissible 22_500: a queue at 22_000 cannot take 1500 more.
-        assert_eq!(evaluate(&c, 22_000, 1_500, 22_500), CongestionOutcome::Congested);
-        assert_eq!(evaluate(&c, 20_000, 1_500, 22_500), CongestionOutcome::Admit);
+        assert!(congested(&c, 22_000, 1_500, 22_500));
+        assert!(!congested(&c, 20_000, 1_500, 22_500));
     }
 
     #[test]
@@ -158,8 +137,8 @@ mod tests {
             threshold_bytes: 10_000,
             policy: CongestionPolicy::Drop,
         };
-        assert_eq!(evaluate(&c, 10_000, 100, 1_000_000), CongestionOutcome::Congested);
-        assert_eq!(evaluate(&c, 9_999, 100, 1_000_000), CongestionOutcome::Admit);
+        assert!(congested(&c, 10_000, 100, 1_000_000));
+        assert!(!congested(&c, 9_999, 100, 1_000_000));
     }
 
     #[test]
@@ -169,13 +148,13 @@ mod tests {
             threshold_bytes: 0,
             policy: CongestionPolicy::Drop,
         };
-        assert_eq!(evaluate(&c, u64::MAX / 2, 1_500, 0), CongestionOutcome::Admit);
+        assert!(!congested(&c, u64::MAX / 2, 1_500, 0));
     }
 
     #[test]
     fn exact_fit_admits() {
         let c = CongestionConfig::default();
-        assert_eq!(evaluate(&c, 21_000, 1_500, 22_500), CongestionOutcome::Admit);
-        assert_eq!(evaluate(&c, 21_001, 1_500, 22_500), CongestionOutcome::Congested);
+        assert!(!congested(&c, 21_000, 1_500, 22_500));
+        assert!(congested(&c, 21_001, 1_500, 22_500));
     }
 }

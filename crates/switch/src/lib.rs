@@ -31,7 +31,7 @@ mod tft;
 mod tor;
 
 pub use calendar::{CalendarPort, EnqueueError};
-pub use congestion::{CongestionConfig, CongestionOutcome, CongestionPolicy};
+pub use congestion::{CongestionConfig, CongestionPolicy};
 pub use eqo::Eqo;
 pub use offload::OffloadPolicy;
 pub use pipeline::PipelineModel;

@@ -7,17 +7,17 @@
 //! [`ToRSwitch`] with three calls: [`ToRSwitch::ingress`] when a packet
 //! head arrives, [`ToRSwitch::rotate`] at each (locally clocked) slice
 //! boundary, and [`ToRSwitch::pop_if_fits`] when an uplink is free to
-//! transmit. Each takes the trace stream it may emit into; the switch
-//! holds no handle into anyone else's storage.
+//! transmit. Each takes the trace stream it may emit into, and `ingress`
+//! the active schedule, which the `defer` response reads to keep a packet
+//! on its path; the switch holds no handle into anyone else's storage.
 
 use crate::calendar::{CalendarPort, EnqueueError};
-use crate::congestion::{
-    admissible_bytes, evaluate, CongestionConfig, CongestionOutcome, CongestionPolicy,
-};
+use crate::congestion::{admissible_bytes, congested, CongestionConfig, CongestionPolicy};
 use crate::eqo::Eqo;
 use crate::offload::{OffloadBook, OffloadPolicy};
 use crate::pushback::PushbackGen;
 use crate::tft::TimeFlowTable;
+use openoptics_fabric::OpticalSchedule;
 use openoptics_proto::HEADER_BYTES;
 use openoptics_proto::{NodeId, Packet, PktRef, PortId, PushBack};
 use openoptics_routing::RouteEntry;
@@ -59,7 +59,7 @@ pub struct TorConfig {
 /// Why a packet was dropped at the switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DropReason {
-    /// Congestion policy decided to drop (or defer found no room).
+    /// The `drop` congestion policy dropped it.
     Congestion,
     /// Ground-truth queue capacity exceeded (EQO under-estimated).
     QueueCapacity,
@@ -118,10 +118,11 @@ pub struct TorCounters {
     pub enqueued: u64,
     /// Packets delivered to local hosts.
     pub delivered_local: u64,
-    /// Packets deferred to a later slice by congestion response.
+    /// Packets deferred to a later slice to the same peer by the `defer`
+    /// response.
     pub deferred: u64,
-    /// Defer responses that found no admissible slice and fell back to a
-    /// slice-missing enqueue.
+    /// `defer` responses that found no such slice with room and kept the
+    /// planned queue, missing the slice.
     pub defer_exhausted: u64,
     /// Packets trimmed to header-only.
     pub trimmed: u64,
@@ -324,6 +325,7 @@ impl ToRSwitch {
         &mut self,
         h: PktRef,
         pkt: &mut Packet,
+        schedule: &OpticalSchedule,
         now: SimTime,
         trace: &mut Trace,
     ) -> IngressResult {
@@ -362,10 +364,11 @@ impl ToRSwitch {
             Some(dep) => self.cfg.slice_cfg.rank(self.current_slice, dep),
             None => 0,
         };
-        self.admit(h, pkt, port, rank, now, trace)
+        self.admit(h, pkt, (port, rank), schedule, now, trace)
     }
 
-    /// Admission: offload check, congestion detection, calendar enqueue.
+    /// Admission toward `port` at `rank`: offload check, congestion
+    /// detection, calendar enqueue.
     ///
     /// The EQO catches up to `now` here, before any register is read or
     /// written, so first ingress and re-admission see the same estimate.
@@ -376,8 +379,8 @@ impl ToRSwitch {
         &mut self,
         h: PktRef,
         pkt: &mut Packet,
-        port: PortId,
-        rank: u32,
+        (port, rank): (PortId, u32),
+        schedule: &OpticalSchedule,
         now: SimTime,
         trace: &mut Trace,
     ) -> IngressResult {
@@ -387,12 +390,7 @@ impl ToRSwitch {
         // Buffer offloading: far-future ranks are parked on hosts.
         if let Some(pol) = self.cfg.offload {
             if pol.should_offload(rank) || !self.ports[pidx].rank_fits(rank) {
-                let abs = self.abs_slice + rank as u64;
-                self.offload_book.park(abs, port, pkt.size, h);
-                return IngressResult {
-                    decision: IngressDecision::Offloaded { abs_slice: abs, port },
-                    pushback: None,
-                };
+                return self.park(h, pkt.size, (port, rank), None);
             }
         } else if !self.ports[pidx].rank_fits(rank) {
             self.counters.dropped_rank += 1;
@@ -405,15 +403,12 @@ impl ToRSwitch {
             };
         }
 
-        // Congestion detection against the EQO estimate.
-        let mut chosen_rank = rank;
-        let qidx = self.ports[pidx].index_for_rank(rank);
-        let est = if self.cfg.use_true_occupancy {
-            self.ports[pidx].queue_bytes(qidx)
-        } else {
-            let est = self.eqo.estimate(pidx, qidx);
-            // One EQO error sample per admission: |estimate − ground truth|.
+        // Congestion detection against the EQO estimate, sampling its error
+        // once per admission.
+        if !self.cfg.use_true_occupancy {
             if let Some(hist) = &mut self.eqo_abs_err {
+                let qidx = self.ports[pidx].index_for_rank(rank);
+                let est = self.eqo.estimate(pidx, qidx);
                 let actual = self.ports[pidx].queue_bytes(qidx);
                 hist.record(est.abs_diff(actual));
                 trace.emit(
@@ -427,14 +422,11 @@ impl ToRSwitch {
                     },
                 );
             }
-            est
-        };
-        let admissible =
-            admissible_bytes(&self.cfg.slice_cfg, self.cfg.uplink_bandwidth, rank, now);
+        }
+        let mut chosen_rank = rank;
         let mut trimmed = false;
         let mut pushback = None;
-        if evaluate(&self.cfg.congestion, est, pkt.size, admissible) == CongestionOutcome::Congested
-        {
+        if self.congested(pidx, rank, pkt.size, now) {
             pushback = self.queue_full_pushback(pkt, rank, now, trace);
             match self.cfg.congestion.policy {
                 CongestionPolicy::Drop => {
@@ -451,63 +443,22 @@ impl ToRSwitch {
                     trimmed = true;
                     self.counters.trimmed += 1;
                 }
-                CongestionPolicy::Wait => {
-                    // Enqueue into the intended queue regardless; the
-                    // packet misses its slice and waits a cycle.
-                }
-                CongestionPolicy::Defer { max_extra_slices } => {
-                    let mut found = None;
-                    for extra in 1..=max_extra_slices {
-                        let r = rank + extra;
-                        if !self.ports[pidx].rank_fits(r) {
-                            if let Some(pol) = self.cfg.offload {
-                                if pol.should_offload(r) {
-                                    let abs = self.abs_slice + r as u64;
-                                    self.offload_book.park(abs, port, pkt.size, h);
-                                    self.counters.deferred += 1;
-                                    return IngressResult {
-                                        decision: IngressDecision::Offloaded {
-                                            abs_slice: abs,
-                                            port,
-                                        },
-                                        pushback,
-                                    };
-                                }
-                            }
-                            break;
-                        }
-                        let qi = self.ports[pidx].index_for_rank(r);
-                        let e = if self.cfg.use_true_occupancy {
-                            self.ports[pidx].queue_bytes(qi)
-                        } else {
-                            self.eqo.estimate(pidx, qi)
-                        };
-                        let adm = admissible_bytes(
-                            &self.cfg.slice_cfg,
-                            self.cfg.uplink_bandwidth,
-                            r,
-                            now,
-                        );
-                        if evaluate(&self.cfg.congestion, e, pkt.size, adm)
-                            == CongestionOutcome::Admit
-                        {
-                            found = Some(r);
-                            break;
-                        }
-                    }
-                    match found {
+                CongestionPolicy::Defer => {
+                    match self.defer_rank(schedule, port, rank, pkt.size, now) {
                         Some(r) => {
-                            chosen_rank = r;
                             self.counters.deferred += 1;
+                            if !self.ports[pidx].rank_fits(r) {
+                                // Past the calendar's reach: parked for that slice.
+                                return self.park(h, pkt.size, (port, r), pushback);
+                            }
+                            chosen_rank = r;
                         }
-                        None => {
-                            // Every reachable slice is congested: fall back
-                            // to the intended queue and accept the slice
-                            // miss (the §5.2 failure mode is delay, not
-                            // loss; actual loss only occurs when the queue
-                            // capacity itself overflows below).
-                            self.counters.defer_exhausted += 1;
-                        }
+                        // No later slice reaches the same peer with room: keep
+                        // the planned queue and accept the slice miss (the
+                        // §5.2 failure mode is delay, not loss; actual loss
+                        // only occurs when the queue capacity itself
+                        // overflows below).
+                        None => self.counters.defer_exhausted += 1,
                     }
                 }
             }
@@ -544,6 +495,64 @@ impl ToRSwitch {
                 }
             }
         }
+    }
+
+    /// Park `h` (`size` bytes) on a host until the slice `rank` slices on,
+    /// to leave on `port` then: the offload service.
+    fn park(
+        &mut self,
+        h: PktRef,
+        size: u32,
+        (port, rank): (PortId, u32),
+        pushback: Option<PushBack>,
+    ) -> IngressResult {
+        let abs = self.abs_slice + u64::from(rank);
+        self.offload_book.park(abs, port, size, h);
+        IngressResult { decision: IngressDecision::Offloaded { abs_slice: abs, port }, pushback }
+    }
+
+    /// Whether a packet of `size` bytes congests `port`'s queue for
+    /// `rank`, read from the EQO estimate (or the ground truth, in the
+    /// ablation).
+    fn congested(&self, pidx: usize, rank: u32, size: u32, now: SimTime) -> bool {
+        let qidx = self.ports[pidx].index_for_rank(rank);
+        let est = if self.cfg.use_true_occupancy {
+            self.ports[pidx].queue_bytes(qidx)
+        } else {
+            self.eqo.estimate(pidx, qidx)
+        };
+        let admissible =
+            admissible_bytes(&self.cfg.slice_cfg, self.cfg.uplink_bandwidth, rank, now);
+        congested(&self.cfg.congestion, est, size, admissible)
+    }
+
+    /// The `defer` response: the first rank after `rank`, at most one cycle
+    /// on, whose slice connects `port` to the peer `rank`'s slice does
+    /// (the path's next hop) and whose queue admits `size` bytes; past the
+    /// calendar's reach, the first such slice the offload service would
+    /// park for. `None` when there is none, and the packet keeps its
+    /// planned queue.
+    fn defer_rank(
+        &self,
+        schedule: &OpticalSchedule,
+        port: PortId,
+        rank: u32,
+        size: u32,
+        now: SimTime,
+    ) -> Option<u32> {
+        let sc = &self.cfg.slice_cfg;
+        let slice = |r| sc.advance(self.current_slice, r);
+        let peer = |r| schedule.peer(self.cfg.id, port, slice(r)).map(|(node, _)| node);
+        let (next_hop, pidx) = (peer(rank)?, port.index());
+        for r in (rank + 1..=rank + sc.num_slices).filter(|&r| peer(r) == Some(next_hop)) {
+            if !self.ports[pidx].rank_fits(r) {
+                return self.cfg.offload.filter(|pol| pol.should_offload(r)).map(|_| r);
+            }
+            if !self.congested(pidx, r, size, now) {
+                return Some(r);
+            }
+        }
+        None
     }
 
     fn queue_full_pushback(
@@ -633,20 +642,21 @@ impl ToRSwitch {
             .map(|(_, t)| t)
     }
 
-    /// Re-admit a returned offloaded packet: it flows through the normal
-    /// admission path, now with a near rank.
+    /// Re-admit a returned offloaded packet toward `to`, its `(port,
+    /// rank)`: it flows through the normal admission path, now with a near
+    /// rank.
     pub fn reinject_offloaded(
         &mut self,
         h: PktRef,
         pkt: &mut Packet,
-        port: PortId,
-        rank: u32,
+        to: (PortId, u32),
+        schedule: &OpticalSchedule,
         now: SimTime,
         trace: &mut Trace,
     ) -> IngressResult {
         // Bypass the offload check for near ranks by construction: the
         // caller recalls with lead < keep_ranks slices.
-        self.admit(h, pkt, port, rank, now, trace)
+        self.admit(h, pkt, to, schedule, now, trace)
     }
 
     /// The push-back generator's statistics.
@@ -658,6 +668,7 @@ impl ToRSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openoptics_fabric::Circuit;
     use openoptics_proto::{HostId, PacketStore};
     use openoptics_routing::{MultipathMode, RouteAction, RouteMatch};
 
@@ -686,6 +697,24 @@ mod tests {
         }
     }
 
+    /// A schedule in `t`'s slice structure where node 0's port `p` meets
+    /// node `peer(s, p)` in slice `s`, on the peer's port `p`.
+    fn schedule(t: &ToRSwitch, peer: impl Fn(u32, u16) -> u32) -> OpticalSchedule {
+        let n = t.cfg.slice_cfg.num_slices;
+        let circuits: Vec<_> = (0..n)
+            .flat_map(|s| [0, 1].map(|p| (s, PortId(p), NodeId(peer(s, p)))))
+            .map(|(s, p, b)| Circuit { a: NodeId(0), a_port: p, b, b_port: p, slice: Some(s) })
+            .collect();
+        OpticalSchedule::build(t.cfg.slice_cfg, n + 1, 2, &circuits).unwrap()
+    }
+
+    /// Node 0's port `p` meets node `1 + (s + p) mod num_slices` in slice
+    /// `s`: each peer once a cycle on each port, as on a round robin.
+    fn ring(t: &ToRSwitch) -> OpticalSchedule {
+        let n = t.cfg.slice_cfg.num_slices;
+        schedule(t, |s, p| 1 + (s + u32::from(p)) % n)
+    }
+
     fn pkt(id: u64, dst: NodeId) -> Packet {
         Packet::data(id, 1, NodeId(0), dst, HostId(0), HostId(9), 1000, 0, SimTime::ZERO)
     }
@@ -709,7 +738,7 @@ mod tests {
         now: SimTime,
     ) -> (PktRef, IngressResult) {
         let h = store.insert(p);
-        (h, t.ingress(h, &mut store[h], now, &mut Trace::detached()))
+        (h, t.ingress(h, &mut store[h], &ring(t), now, &mut Trace::detached()))
     }
 
     #[test]
@@ -806,21 +835,44 @@ mod tests {
         assert_eq!(t.counters.dropped_congestion, dropped);
     }
 
-    #[test]
-    fn congestion_defer_moves_to_later_slice() {
-        let mut c = cfg(8);
-        c.congestion.policy = CongestionPolicy::Defer { max_extra_slices: 4 };
-        let (mut t, mut store) = (ToRSwitch::new(c, false), PacketStore::new());
+    /// The ranks 50 packets for slice 1 on port 0, admitted at once under
+    /// `defer`, were enqueued at on `schedule`.
+    fn deferred_ranks(t: &mut ToRSwitch, schedule: &OpticalSchedule) -> Vec<u32> {
+        let mut store = PacketStore::new();
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(1))]);
+        let now = SimTime::from_ns(300);
         let mut ranks = vec![];
-        for i in 0..30 {
-            let (_, r) = ingress(&mut t, &mut store, pkt(i, NodeId(3)), SimTime::from_ns(300));
-            if let IngressDecision::Enqueued { rank, .. } = r.decision {
-                ranks.push(rank);
+        for i in 0..50 {
+            let h = store.insert(pkt(i, NodeId(3)));
+            let r = t.ingress(h, &mut store[h], schedule, now, &mut Trace::detached());
+            match r.decision {
+                IngressDecision::Enqueued { rank, .. } => ranks.push(rank),
+                other => panic!("unexpected {other:?}"),
             }
         }
-        assert!(ranks.iter().any(|&r| r > 1), "no packet deferred: {ranks:?}");
-        assert!(t.counters.deferred > 0);
+        ranks
+    }
+
+    #[test]
+    fn congestion_defer_moves_to_a_later_slice_to_the_same_peer() {
+        // The ring, but port 0 meets node 2 in slice 2 too (slice 1's peer).
+        let mut t = ToRSwitch::new(cfg(8), false);
+        let repeat =
+            schedule(&t, |s, p| if (s, p) == (2, 0) { 2 } else { 1 + (s + u32::from(p)) % 8 });
+        let ranks = deferred_ranks(&mut t, &repeat);
+        // 21 x 1064 B fill slice 1's 22_500 B and 21 more slice 2's; the
+        // rest stay planned, as slice 3's circuit leads elsewhere.
+        assert_eq!(ranks, [[1; 21], [2; 21], [1; 21]].concat()[..50]);
+        assert_eq!((t.counters.deferred, t.counters.defer_exhausted), (21, 8));
+    }
+
+    #[test]
+    fn congestion_defer_on_a_round_robin_keeps_the_planned_queue() {
+        let mut t = ToRSwitch::new(cfg(8), false);
+        let schedule = ring(&t);
+        let ranks = deferred_ranks(&mut t, &schedule);
+        assert_eq!(ranks, [1; 50]);
+        assert_eq!((t.counters.deferred, t.counters.defer_exhausted), (0, 29));
         assert_eq!(t.counters.dropped_congestion, 0);
     }
 
@@ -923,7 +975,7 @@ mod tests {
         let mut trace = Trace::bounded(1024);
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
         let h = store.insert(pkt(1, NodeId(3)));
-        t.ingress(h, &mut store[h], SimTime::from_ns(200), &mut trace);
+        t.ingress(h, &mut store[h], &ring(&t), SimTime::from_ns(200), &mut trace);
         // Head misses the slice tail at 1_950 ns (needs ~85 ns, 50 left).
         assert!(t.pop_if_fits(PortId(0), SimTime::from_ns(1_950), 0, &mut trace).is_none());
         t.rotate(SimTime::from_ns(2_000), &mut trace);
@@ -958,14 +1010,14 @@ mod tests {
             t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
             for i in 0..12 {
                 let h = store.insert(pkt(i, NodeId(3)));
-                t.ingress(h, &mut store[h], SimTime::from_ns(100), &mut trace);
+                t.ingress(h, &mut store[h], &ring(&t), SimTime::from_ns(100), &mut trace);
             }
             for &ns in drains {
                 let popped = t.pop_if_fits(PortId(1), SimTime::from_ns(ns), 0, &mut trace);
                 assert!(popped.is_none(), "port 1 holds nothing");
             }
             let h = store.insert(pkt(12, NodeId(3)));
-            t.ingress(h, &mut store[h], SimTime::from_ns(500), &mut trace);
+            t.ingress(h, &mut store[h], &ring(&t), SimTime::from_ns(500), &mut trace);
             (eqo_estimates(&trace), *t.eqo_abs_err().expect("telemetry on"))
         };
         let (plain, plain_err) = admit_all(&[]);
@@ -986,13 +1038,13 @@ mod tests {
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(0))]);
         for i in 0..10 {
             let h = store.insert(pkt(i, NodeId(3)));
-            t.ingress(h, &mut store[h], SimTime::from_ns(100), &mut trace);
+            t.ingress(h, &mut store[h], &ring(&t), SimTime::from_ns(100), &mut trace);
         }
         // Re-admitted into the same active queue 400 ns later: eight whole
         // ticks of 625 B have drained since the last admission.
         let h = store.insert(pkt(10, NodeId(3)));
         let now = SimTime::from_ns(500);
-        let r = t.reinject_offloaded(h, &mut store[h], PortId(0), 0, now, &mut trace);
+        let r = t.reinject_offloaded(h, &mut store[h], (PortId(0), 0), &ring(&t), now, &mut trace);
         assert!(matches!(r.decision, IngressDecision::Enqueued { rank: 0, .. }));
         assert_eq!(eqo_estimates(&trace).last(), Some(&(10 * 1064 - 8 * 625)));
     }

@@ -69,10 +69,8 @@ fn main() {
             dupack,
         );
 
-        let mut direct_cfg = cfg();
-        direct_cfg.congestion_policy = "wait".to_string();
         let direct = OpenOpticsNet::deploy(
-            direct_cfg,
+            cfg(),
             Architecture::rotornet().with_pause(PauseMode::DirectCircuit),
             Box::new(Direct),
             LookupMode::PerHop,
@@ -90,7 +88,6 @@ fn main() {
 
         let mut hybrid_cfg = cfg();
         hybrid_cfg.electrical_gbps = 10;
-        hybrid_cfg.congestion_policy = "wait".to_string();
         let hybrid = OpenOpticsNet::deploy(
             hybrid_cfg,
             Architecture::rotornet().with_dispatch(DispatchPolicy::HybridDirect),
@@ -108,7 +105,6 @@ fn main() {
     // The step beyond parameter tuning: a reconfiguration-aware transport.
     let mut hybrid_cfg = cfg();
     hybrid_cfg.electrical_gbps = 10;
-    hybrid_cfg.congestion_policy = "wait".to_string();
     let td = OpenOpticsNet::deploy(
         hybrid_cfg,
         Architecture::rotornet().with_dispatch(DispatchPolicy::HybridDirect),

@@ -15,6 +15,7 @@
 //! sibling tests do not disturb them.
 
 use openoptics::core::{Event, Timer};
+use openoptics::fabric::OpticalSchedule;
 use openoptics::obs::{SpanRow, Spans, Stage};
 use openoptics::prelude::*;
 use openoptics::proto::{Packet, PacketStore};
@@ -152,7 +153,7 @@ fn steady_state_forwarding_allocates_per_flow_not_per_packet() -> Result<(), Err
 fn tor() -> ToRSwitch {
     let cfg = TorConfig {
         id: NodeId(0),
-        slice_cfg: SliceConfig::new(SLICE_NS, 8, 1_000),
+        slice_cfg: tor_slices(),
         uplinks: 2,
         uplink_bandwidth: Bandwidth::gbps(100),
         num_queues: 8,
@@ -176,14 +177,21 @@ fn tor() -> ToRSwitch {
     t
 }
 
+fn tor_slices() -> SliceConfig {
+    SliceConfig::new(SLICE_NS, 8, 1_000)
+}
+
 #[test]
 fn switch_ingress_and_dequeue_allocate_nothing() {
     let (mut t, mut store, mut trace) = (tor(), PacketStore::new(), Trace::detached());
+    // No packet here is congested, so no circuit is ever read.
+    let dark = OpticalSchedule::build(tor_slices(), 4, 2, &[]).unwrap();
     let mut pass = |t: &mut ToRSwitch, id: u64, at: u64| {
         let now = SimTime::from_ns(at);
         let (n0, n3, h0, h9) = (NodeId(0), NodeId(3), HostId(0), HostId(9));
         let h = store.insert(Packet::data(id, 1, n0, n3, h0, h9, 1_000, 0, now));
-        let (on_ingress, res) = allocations_in(|| t.ingress(h, &mut store[h], now, &mut trace));
+        let (on_ingress, res) =
+            allocations_in(|| t.ingress(h, &mut store[h], &dark, now, &mut trace));
         assert!(matches!(res.decision, IngressDecision::Enqueued { .. }), "{:?}", res.decision);
         let (on_pop, popped) = allocations_in(|| t.pop_if_fits(PortId(1), now, 0, &mut trace));
         assert_eq!(popped.map(|(head, _)| head), Some(h));
@@ -549,7 +557,7 @@ const ROUND_NS: u64 = 1_000_000;
 
 /// What a control-plane session does: `rounds` times, attach
 /// [`ROUND_FLOWS`] paced 3 kB flows starting over the next half round and
-/// run one round. Returns the live bytes the network holds at the end,
+/// run one round; then run one round more. Returns the live bytes the network holds at the end,
 /// less what every finished flow may keep — its 32-byte FCT record,
 /// counted at the record list's doubled capacity, and the 8 bytes that
 /// answer `flow_delivered` once its row is freed — and the flows finished.
@@ -569,6 +577,9 @@ fn ctl_rounds(rounds: u32) -> Result<(i64, usize), Error> {
             }
             net.run_for(SimTime::from_ns(ROUND_NS));
         }
+        // One more round, with nothing attached, lets the last round's
+        // flows finish: a packet that misses its slice waits a whole cycle.
+        net.run_for(SimTime::from_ns(ROUND_NS));
         Ok(net)
     });
     let finished = net?.fct().completed().len();
