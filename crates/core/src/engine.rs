@@ -443,8 +443,8 @@ pub enum Event {
     OffloadRecall(NodeId),
     /// Re-admit a recalled offloaded packet.
     Reinject(NodeId, u64, PortId, PktRef),
-    /// Deliver a push-back broadcast to a host.
-    HostControl(HostId, PushBack),
+    /// Deliver a push-back broadcast to the hosts of a sender ToR.
+    HostControl(NodeId, PushBack),
     /// Application / transport timer.
     Timer(Timer),
 }
@@ -462,9 +462,11 @@ const _: () = assert!(std::mem::size_of::<ByteQueue<PktRef>>() <= 56);
 
 /// Where `ev` stands among the events due at its instant (DESIGN.md
 /// "Same-instant order"): its kind's rank, lowest first, then what it
-/// names. A packet's events are named by the packet's id (a re-admission
-/// by its ToR, then the id) through [`post_packet`], so here they, like a
-/// push-back, keep their scheduling order within the rank.
+/// names. An event named by what it does not carry has key 0 here and is
+/// posted under its own through [`post_keyed`]: a packet's id for a
+/// packet's events (a re-admission by its ToR, then the id) and for the
+/// push-back its admission raised, a move's ordinal for the move's
+/// notifications.
 fn tie(ev: &Event) -> Tie {
     match *ev {
         Event::Timer(Timer::FaultEnd(i)) => Tie::key(0, i as u64),
@@ -474,14 +476,14 @@ fn tie(ev: &Event) -> Tie {
         Event::Timer(Timer::FlowWatchdog(f)) => Tie::key(4, f),
         Event::Timer(Timer::TcpRto(f)) => Tie::key(5, f),
         Event::OffloadRecall(n) => Tie::key(6, n.0.into()),
-        Event::Reinject(..) => Tie::fifo(7),
-        Event::TorIngress(..) => Tie::fifo(8),
+        Event::Reinject(..) => Tie::key(7, 0),
+        Event::TorIngress(..) => Tie::key(8, 0),
         Event::PortFree(n, p) => Tie::key(9, u64::from(n.0) << 16 | u64::from(p.0)),
         Event::ElecFree(n) => Tie::key(10, n.0.into()),
         Event::DownlinkFree(h) => Tie::key(11, h.0.into()),
-        Event::HostRx(..) => Tie::fifo(12),
-        Event::HostControl(..) => Tie::fifo(13),
-        Event::Timer(Timer::NackRetx { .. }) => Tie::fifo(14),
+        Event::HostRx(..) => Tie::key(12, 0),
+        Event::HostControl(..) => Tie::key(13, 0),
+        Event::Timer(Timer::NackRetx { .. }) => Tie::key(14, 0),
         Event::Timer(Timer::FlowStart(i)) => Tie::key(15, i as u64),
         Event::Timer(Timer::MemcachedOp { app: a, client_idx: c }) => {
             Tie::key(16, (a << 32 | c) as u64)
@@ -492,16 +494,18 @@ fn tie(ev: &Event) -> Tie {
     }
 }
 
-/// Schedule `ev` at `at`, in its place among the events due then.
+/// Schedule `ev`, an event that names its key, at `at`, in its place
+/// among the events due then.
 #[inline]
 pub(crate) fn post(q: &mut EventQueue<Event>, at: SimTime, ev: Event) {
     q.schedule_tied(at, tie(&ev), ev);
 }
 
-/// Schedule a packet's event `ev` at `at` under `key`, the packet's id,
-/// so that within its rank the packet created first goes first.
+/// Schedule `ev` at `at` under `key` within its kind's rank: for a
+/// packet's events the packet's id, so that the packet created first goes
+/// first.
 #[inline]
-fn post_packet(q: &mut EventQueue<Event>, at: SimTime, key: u64, ev: Event) {
+fn post_keyed(q: &mut EventQueue<Event>, at: SimTime, key: u64, ev: Event) {
     q.schedule_tied(at, Tie::key(tie(&ev).rank(), key), ev);
 }
 
@@ -723,6 +727,12 @@ pub struct Engine {
     /// Pending `TorIngress` / `HostRx` / `Reinject` events: the packets
     /// only the event queue names (`strict-invariants` conservation check).
     pkt_events: usize,
+    /// ACKs and probes hosts received (a data packet, trimmed or not, is
+    /// counted in `counters.delivered_packets`).
+    control_rx: u64,
+    /// Schedule moves issued; a move's notifications are keyed by its
+    /// ordinal.
+    moves: u64,
     /// Flow-completion-time collector.
     pub fct: FctStats,
     memcached: Vec<MemcachedApp>,
@@ -910,6 +920,8 @@ impl Engine {
             next_pkt_id: 1,
             packets: PacketStore::new(),
             pkt_events: 0,
+            control_rx: 0,
+            moves: 0,
             fct: FctStats::new(),
             memcached: vec![],
             probe_trains: vec![],
@@ -983,11 +995,12 @@ impl Engine {
             return Err(DeployError::SliceStructure { active, requested });
         }
         let done = self.fabric.reconfigure(schedule, now);
+        self.moves += 1;
         for node in 0..self.cfg.node_num {
-            // After the boundary notifications of that instant, if any: a
-            // node may get both.
+            // After the boundary notifications of that instant, if any (a
+            // node may get both), and after an earlier move's.
             let ev = Event::Timer(Timer::NotifyHosts(NodeId(node)));
-            q.schedule_tied(done, Tie::fifo(tie(&ev).rank()), ev);
+            post_keyed(q, done, self.moves << 32 | u64::from(node), ev);
         }
         // Until the move lands every optical port keeps its free event in
         // the queue, as it would with traffic waiting: those left out whose
@@ -1043,11 +1056,18 @@ impl Engine {
     /// pending packet event, a calendar queue, an offload book or a link
     /// queue. A leaked handle leaves `live` above the sum; a handle freed
     /// twice, or freed while something still names it, leaves it below.
+    /// And every packet ever stored (one per id handed out; ACKs, probes,
+    /// trimmed headers and offloaded packets included) was delivered,
+    /// counted against exactly one drop cause, or is still live.
     pub(crate) fn assert_packets_conserved(&self) {
         let links = self.elec.iter().chain(&self.downlinks).map(|l| l.queue.len());
         let held = self.tors.iter().map(ToRSwitch::held_packets).chain(links).sum::<usize>();
-        let named = self.pkt_events + held;
-        assert_eq!(self.packets.live(), named, "packets stored != packets some holder names");
+        let live = self.packets.live();
+        assert_eq!(live, self.pkt_events + held, "packets stored != packets some holder names");
+        let c = &self.counters;
+        let dropped = c.fabric_drops + c.switch_drops + c.no_route_drops + c.link_drops;
+        let gone = c.delivered_packets + self.control_rx + dropped + c.fault_drops;
+        assert_eq!(self.next_pkt_id - 1, gone + live as u64, "sent != delivered + dropped + live");
     }
 
     /// `strict-invariants`: what the per-packet paths read instead of
@@ -1122,30 +1142,16 @@ impl Engine {
                 m.histogram("tor.eqo_abs_err_bytes", node, h);
             }
         }
-        let mut pauses = 0u64;
-        let mut resumes = 0u64;
-        let mut blocks = 0u64;
-        let mut app_pushbacks = 0u64;
-        let mut queued = 0u64;
-        for h in &self.hosts {
-            for v in [&h.vma, &h.vma_mice] {
-                pauses += v.pause_events;
-                resumes += v.resume_events;
-                blocks += v.block_events;
-                app_pushbacks += v.app_pushback_events;
-                queued += v.total_queued();
-            }
-        }
-        m.counter("host.vma_pause_transitions", Labels::None, pauses);
-        m.counter("host.vma_resume_transitions", Labels::None, resumes);
-        m.counter("host.vma_block_extensions", Labels::None, blocks);
-        m.counter("host.vma_app_pushbacks", Labels::None, app_pushbacks);
+        // Summed over both stacks of every host.
+        let vmas = || self.hosts.iter().flat_map(|h| [&h.vma, &h.vma_mice]);
+        let sum = |f: fn(&VmaStack) -> u64| vmas().map(f).sum::<u64>();
+        m.counter("host.vma_pause_transitions", Labels::None, sum(|v| v.pause_events));
+        m.counter("host.vma_resume_transitions", Labels::None, sum(|v| v.resume_events));
+        m.counter("host.vma_block_extensions", Labels::None, sum(|v| v.block_events));
+        m.counter("host.vma_app_pushbacks", Labels::None, sum(|v| v.app_pushback_events));
+        let (queued, max_err) = (sum(VmaStack::total_queued), self.sync.max_err_ns());
         m.gauge("host.vma_queued_bytes", Labels::None, queued.min(i64::MAX as u64) as i64);
-        m.gauge(
-            "fabric.sync_max_err_ns",
-            Labels::None,
-            self.sync.max_err_ns().min(i64::MAX as u64) as i64,
-        );
+        m.gauge("fabric.sync_max_err_ns", Labels::None, max_err.min(i64::MAX as u64) as i64);
         m.counter("fct.completed_flows", Labels::None, self.fct.completed().len() as u64);
         if !self.faults.specs().is_empty() {
             for (name, v) in self.faults.totals().counter_pairs() {
@@ -1972,7 +1978,7 @@ impl Engine {
         if !electrical {
             self.cursors.enter(pid, Stage::Propagation, now);
             self.pkt_events += 1;
-            post_packet(q, now + HOST_WIRE_NS, pid, Event::TorIngress(src_tor, pkt));
+            post_keyed(q, now + HOST_WIRE_NS, pid, Event::TorIngress(src_tor, pkt));
             return;
         }
         match self.elec[src_tor.index()].push(pkt, size, now, Event::ElecFree(src_tor), q) {
@@ -2157,7 +2163,7 @@ impl Engine {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let Packet { src: src_tor, dst, .. } = self.packets[pkt];
+        let dst = self.packets[pkt].dst;
         let mut res = self.tor_ingress(node, pkt, now);
         // Table miss (reported before admission, so it never carries a
         // push-back): compile routes for this (node, dst) lazily and retry
@@ -2167,13 +2173,7 @@ impl Engine {
             debug_assert!(res.pushback.is_none());
             res = self.tor_ingress(node, pkt, now);
         }
-        if let Some(msg) = res.pushback {
-            // Broadcast to the sender ToR's hosts after a control RTT.
-            for h in self.hosts_of(src_tor).map(HostId) {
-                post(q, now + 2_000, Event::HostControl(h, msg));
-            }
-        }
-        self.after_admission(node, pkt, res.decision, now, now, q);
+        self.after_admission(node, pkt, res, now, now, q);
     }
 
     /// `pkt` through `node`'s ingress pipeline, on the active schedule.
@@ -2183,20 +2183,25 @@ impl Engine {
     }
 
     /// What the switch decided for `pkt` — on first ingress or when an
-    /// offloaded packet is re-admitted — becomes the packet's next step.
-    /// `recall_floor` is the earliest a follow-up offload recall may fire.
+    /// offloaded packet is re-admitted — becomes the packet's next step,
+    /// and a push-back the admission raised reaches the sender ToR's hosts
+    /// after a control RTT. `recall_floor` is the earliest a follow-up
+    /// offload recall may fire.
     #[inline]
     fn after_admission(
         &mut self,
         node: NodeId,
         pkt: PktRef,
-        decision: IngressDecision,
+        res: IngressResult,
         recall_floor: SimTime,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let Packet { id: pid, dst_host, .. } = self.packets[pkt];
-        match decision {
+        let Packet { id: pid, src, dst_host, .. } = self.packets[pkt];
+        if let Some(msg) = res.pushback {
+            post_keyed(q, now + 2_000, pid, Event::HostControl(src, msg));
+        }
+        match res.decision {
             IngressDecision::DeliverLocal => self.to_downlink(dst_host, pkt, now, q),
             IngressDecision::Enqueued { port, .. } | IngressDecision::Trimmed { port, .. } => {
                 self.cursors.enter(pid, Stage::CalendarWait, now);
@@ -2302,7 +2307,7 @@ impl Engine {
                         let delay = self.pipeline.delay_ns(size, &mut self.rng) + latency_ns;
                         self.cursors.enter(pid, Stage::Propagation, now + tx);
                         self.pkt_events += 1;
-                        post_packet(q, now + delay.max(tx), pid, Event::TorIngress(peer, pkt));
+                        post_keyed(q, now + delay.max(tx), pid, Event::TorIngress(peer, pkt));
                     }
                     lost => {
                         self.drop_packet(pkt, now + tx, DropSite::Fabric);
@@ -2378,19 +2383,20 @@ impl Engine {
         self.cursors.serialized(pid, now, tx);
         self.cursors.enter(pid, Stage::Propagation, now + tx);
         self.pkt_events += 1;
-        post_packet(q, now + tx + ELECTRICAL_CORE_NS, pid, Event::HostRx(host, pkt));
+        post_keyed(q, now + tx + ELECTRICAL_CORE_NS, pid, Event::HostRx(host, pkt));
     }
 
     fn on_downlink_free(&mut self, host: HostId, now: SimTime, q: &mut EventQueue<Event>) {
         let bw = self.cfg.host_link_bandwidth();
         let (pkt, tx) = self.downlinks[host.index()].pop(now, bw, Event::DownlinkFree(host), q);
         self.pkt_events += 1;
-        post_packet(q, now + tx, self.packets[pkt].id, Event::HostRx(host, pkt));
+        post_keyed(q, now + tx, self.packets[pkt].id, Event::HostRx(host, pkt));
     }
 
     fn on_host_rx(&mut self, host: HostId, pkt: PktRef, now: SimTime, q: &mut EventQueue<Event>) {
         // Delivered: the slot is free before any reply is written.
         let pkt = self.packets.remove(pkt);
+        self.control_rx += u64::from(!pkt.is_data());
         match pkt.kind {
             PacketKind::Data => {
                 self.counters.delivered_packets += 1;
@@ -2403,7 +2409,7 @@ impl Engine {
                     // payload back to the source after a reverse-path delay.
                     self.count_drop(pkt.id, now, DropSite::Trimmed);
                     let ev = Event::Timer(Timer::NackRetx { flow: pkt.flow, seq: pkt.seq });
-                    post_packet(q, now + 5_000, pkt.id, ev);
+                    post_keyed(q, now + 5_000, pkt.id, ev);
                     return;
                 }
                 self.cursors.end_packet(pkt.id, now, PacketEnd::Delivered);
@@ -2485,14 +2491,17 @@ impl Engine {
         }
     }
 
-    /// A push-back broadcast reached `host`: embargo the named destination
-    /// until the named (cycle, slice) ends.
-    fn on_host_control(&mut self, host: HostId, msg: PushBack) {
-        self.counters.pushback_deliveries += 1;
+    /// A push-back broadcast reached the hosts of `tor`: each, in
+    /// ascending order, embargoes the named destination until the named
+    /// (cycle, slice) ends.
+    fn on_host_control(&mut self, tor: NodeId, msg: PushBack) {
         let slice_cfg = self.slice_cfg();
         let end =
             (msg.cycle * slice_cfg.num_slices as u64 + msg.slice as u64 + 1) * slice_cfg.slice_ns;
-        self.hosts[host.index()].vma.block_until(msg.dst, SimTime::from_ns(end));
+        for h in self.hosts_of(tor).map(HostId) {
+            self.counters.pushback_deliveries += 1;
+            self.hosts[h.index()].vma.block_until(msg.dst, SimTime::from_ns(end));
+        }
     }
 
     /// Schedule an `OffloadRecall` for `node` at `t` unless one is already
@@ -2523,7 +2532,7 @@ impl Engine {
             let rtt = 2_000 + self.cfg.host_link_bandwidth().tx_time_ns(size as u64);
             self.pkt_events += 1;
             let ev = Event::Reinject(node, abs, port, pkt);
-            post_packet(q, now + rtt, u64::from(node.0) << 42 | pid, ev);
+            post_keyed(q, now + rtt, u64::from(node.0) << 42 | pid, ev);
         }
         if let Some(t) = self.tors[node.index()].next_offload_recall() {
             self.schedule_recall(node, t.max(now + 1), q);
@@ -2544,7 +2553,7 @@ impl Engine {
         let (header, schedule) = (&mut self.packets[pkt], self.fabric.schedule());
         let res =
             tor.reinject_offloaded(pkt, header, to, schedule, now, self.telemetry.trace_mut());
-        self.after_admission(node, pkt, res.decision, now + 1, now, q);
+        self.after_admission(node, pkt, res, now + 1, now, q);
     }
 
     fn on_timer(&mut self, timer: Timer, now: SimTime, q: &mut EventQueue<Event>) {
@@ -2708,7 +2717,7 @@ impl World for Engine {
             Event::DownlinkFree(h) => self.on_downlink_free(h, now, q),
             Event::OffloadRecall(n) => self.on_offload_recall(n, now, q),
             Event::Reinject(n, abs, port, pkt) => self.on_reinject(n, abs, port, pkt, now, q),
-            Event::HostControl(h, m) => self.on_host_control(h, m),
+            Event::HostControl(n, m) => self.on_host_control(n, m),
             Event::Timer(t) => self.on_timer(t, now, q),
         }
     }

@@ -766,16 +766,6 @@ impl OpenOpticsNet {
     pub fn queue_stats(&self) -> openoptics_sim::QueueStats {
         self.queue.stats()
     }
-
-    /// For tests (test and example builds of the root package have the
-    /// `tie-order-probe` feature): run with the residual same-instant order
-    /// reversed — the events that no rank and key order (DESIGN.md
-    /// "Same-instant order") pop last-scheduled first — to ask which
-    /// results depend on it. Call it before the first run.
-    #[cfg(feature = "tie-order-probe")]
-    pub fn reverse_fifo_ties(&mut self) {
-        self.queue.reverse_fifo_ties();
-    }
 }
 
 /// A text export as a `String`: what `write` puts into an unescaped sink.

@@ -34,11 +34,6 @@ impl OcsProfile {
     pub fn guardband_ns(&self) -> u64 {
         self.reconfig_ns.max(200)
     }
-
-    /// Duty cycle achieved when running this device at `slice_ns`.
-    pub fn duty_cycle_at(&self, slice_ns: u64) -> f64 {
-        1.0 - self.guardband_ns() as f64 / slice_ns as f64
-    }
 }
 
 /// The four OCS technologies sampled for Fig. 10, ordered by supported
@@ -81,6 +76,7 @@ pub const OCS_CATALOG: [OcsProfile; 4] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openoptics_sim::SliceConfig;
 
     #[test]
     fn catalog_is_ordered_by_slice_duration() {
@@ -107,12 +103,8 @@ mod tests {
     #[test]
     fn duty_cycle_at_min_slice_is_at_least_90pct() {
         for d in &OCS_CATALOG {
-            assert!(
-                d.duty_cycle_at(d.min_slice_ns) >= 0.9 - 1e-9,
-                "{} duty cycle {}",
-                d.name,
-                d.duty_cycle_at(d.min_slice_ns)
-            );
+            let duty = SliceConfig::new(d.min_slice_ns, 1, d.guardband_ns()).duty_cycle();
+            assert!(duty >= 0.9 - 1e-9, "{} duty cycle {duty}", d.name);
         }
     }
 }

@@ -80,8 +80,11 @@ pub struct TcpSender {
     /// [`Self::REORDER_GRACE_NS`] of it are attributed to cross-topology
     /// reordering rather than loss (TDTCP's loss disambiguation).
     last_switch: Option<SimTime>,
-    /// Next new byte to send.
+    /// Next byte to send: new data, or after a timeout the hole.
     next_seq: u64,
+    /// One past the highest byte ever sent; a segment below it is a
+    /// retransmission.
+    high_seq: u64,
     /// Highest cumulatively acknowledged byte.
     cum_acked: u64,
     /// Bytes the application wants to send; `None` = unbounded (iperf).
@@ -140,6 +143,7 @@ impl TcpSender {
             active: 0,
             last_switch: None,
             next_seq: 0,
+            high_seq: 0,
             cum_acked: 0,
             total,
             pending_retx: None,
@@ -211,6 +215,8 @@ impl TcpSender {
         let len = self.segment_len_at(seq);
         self.next_seq += len as u64;
         self.segments_sent += 1;
+        self.retransmitted_segments += u64::from(seq < self.high_seq);
+        self.high_seq = self.high_seq.max(self.next_seq);
         Some((seq, len))
     }
 
@@ -231,6 +237,8 @@ impl TcpSender {
         if cum_ack > self.cum_acked {
             let newly = cum_ack - self.cum_acked;
             self.cum_acked = cum_ack;
+            // After a timeout the receiver may hold data past the hole.
+            self.next_seq = self.next_seq.max(cum_ack);
             st.dupacks = 0;
             self.last_progress = now;
             match st.recover {
@@ -267,7 +275,7 @@ impl TcpSender {
                     self.fast_retransmits += 1;
                     st.ssthresh = (inflight as f64 / 2.0).max(2.0 * cfg.mss as f64);
                     st.cwnd = st.ssthresh;
-                    st.recover = Some(self.next_seq.saturating_sub(1));
+                    st.recover = Some(self.high_seq.saturating_sub(1));
                     self.pending_retx = Some(self.cum_acked);
                 }
             }
@@ -279,8 +287,9 @@ impl TcpSender {
     }
 
     /// RTO check: if no progress for `rto_ns`, collapse the active topology
-    /// to slow start and retransmit from the hole. Returns `true` if a
-    /// timeout fired.
+    /// to slow start and go back to the hole: everything sent after it is
+    /// sent again as the window reopens (go-back-N, as a sender without
+    /// SACK does after a timeout). Returns `true` if a timeout fired.
     pub fn maybe_timeout(&mut self, now: SimTime) -> bool {
         if self.inflight() == 0 || self.done() {
             return false;
@@ -294,7 +303,8 @@ impl TcpSender {
         st.cwnd = self.cfg.mss as f64;
         st.recover = None;
         st.dupacks = 0;
-        self.pending_retx = Some(self.cum_acked);
+        self.pending_retx = None;
+        self.next_seq = self.cum_acked;
         self.last_progress = now;
         true
     }
@@ -446,15 +456,24 @@ mod tests {
     }
 
     #[test]
-    fn timeout_collapses_to_one_mss() {
+    fn a_timeout_collapses_to_one_mss_and_goes_back_to_the_hole() {
+        // The first window is lost: it is resent from byte 0 as the window
+        // reopens, instead of one segment per timeout.
         let mut s = TcpSender::new(cfg(), Some(1_000_000), SimTime::ZERO);
         while s.next_segment(SimTime::ZERO).is_some() {}
         assert!(!s.maybe_timeout(SimTime::from_ms(1)), "before RTO");
-        assert!(s.maybe_timeout(SimTime::from_ms(6)));
+        let t = SimTime::from_ms(6);
+        assert!(s.maybe_timeout(t));
         assert_eq!(s.cwnd(), 1436);
-        let (seq, _) = s.next_segment(SimTime::from_ms(6)).unwrap();
-        assert_eq!(seq, 0);
-        assert_eq!(s.timeouts, 1);
+        assert_eq!(s.next_segment(t), Some((0, 1436)));
+        assert_eq!(s.next_segment(t), None, "one MSS window");
+        s.on_ack(1436, t);
+        let resent: Vec<_> = std::iter::from_fn(|| s.next_segment(t)).collect();
+        assert_eq!(resent, [(1436, 1436), (2872, 1436)], "slow start from the hole");
+        // A late ACK for data the receiver held moves the send point past it.
+        s.on_ack(10 * 1436, t);
+        assert_eq!(s.next_segment(t), Some((10 * 1436, 1436)));
+        assert_eq!((s.retransmitted_segments, s.timeouts), (3, 1));
     }
 
     #[test]

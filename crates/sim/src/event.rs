@@ -200,10 +200,6 @@ pub struct EventQueue<E> {
     /// Key of the most recently popped event; only read by the
     /// `strict-invariants` monotonicity check.
     last_popped: Option<(SimTime, u64)>,
-    /// Sequence numbers count down, so FIFO ties pop last-scheduled first
-    /// ([`EventQueue::reverse_fifo_ties`]).
-    #[cfg(feature = "tie-order-probe")]
-    count_down: bool,
 }
 
 /// Point-in-time statistics of an [`EventQueue`], for telemetry mirroring.
@@ -310,24 +306,12 @@ impl<E: Copy> EventQueue<E> {
             overlay_scheduled: 0,
             peak_len: 0,
             last_popped: None,
-            #[cfg(feature = "tie-order-probe")]
-            count_down: false,
         }
-    }
-
-    /// Hand out sequence numbers counting down instead of up, so that
-    /// events of one rank scheduled for the same instant without a key pop
-    /// last-scheduled first: the other FIFO order, for tests that ask which
-    /// results depend on it. Keyed ties keep their order. Only before the
-    /// first event without a key is scheduled.
-    #[cfg(feature = "tie-order-probe")]
-    pub fn reverse_fifo_ties(&mut self) {
-        assert_eq!(self.next_seq, 0, "the FIFO order is chosen before the first schedule");
-        self.count_down = true;
     }
 
     /// Schedule `event` to fire at absolute instant `time`, in rank 0 by
     /// scheduling order.
+    #[expect(clippy::disallowed_methods, reason = "the queue's own FIFO rank")]
     pub fn schedule(&mut self, time: SimTime, event: E) {
         self.schedule_tied(time, Tie::fifo(0), event);
     }
@@ -339,11 +323,8 @@ impl<E: Copy> EventQueue<E> {
     pub fn schedule_tied(&mut self, time: SimTime, tie: Tie, event: E) {
         let mut order = tie.0;
         if order & FIFO != 0 {
-            let seq = self.next_seq;
+            order |= self.next_seq;
             self.next_seq += 1;
-            #[cfg(feature = "tie-order-probe")]
-            let seq = if self.count_down { FIFO - 1 - seq } else { seq };
-            order |= seq;
         }
         self.insert(time, order, event);
     }
@@ -626,6 +607,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "tests the FIFO rank")]
     fn ties_pop_by_rank_then_key_then_scheduling_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_ns(5);
@@ -680,22 +662,6 @@ mod tests {
         q.schedule_tied(t, Tie::key(2, 4), "a");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, ["a", "b", "c"]);
-    }
-
-    #[cfg(feature = "tie-order-probe")]
-    #[test]
-    fn reversed_fifo_ties_pop_last_scheduled_first_and_keyed_ones_hold() {
-        let mut q = EventQueue::new();
-        q.reverse_fifo_ties();
-        let t = SimTime::from_ns(5);
-        q.schedule(t, 0);
-        q.schedule(SimTime::from_ns(1), 1);
-        q.schedule_tied(t, Tie::key(0, 2), 2);
-        q.schedule_tied(t, Tie::key(0, 1), 3);
-        q.schedule(t, 4);
-        assert_eq!(q.pop(), Some((SimTime::from_ns(1), 1)));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![3, 2, 4, 0]);
     }
 
     #[test]

@@ -21,6 +21,7 @@ const FIFO: u64 = 1 << 58;
 /// A tie picked by `raw`: one of four ranks, keyed (with a key made unique
 /// by `n`, the count of schedules so far) or FIFO; and the order it stands
 /// for, given the next sequence number `seq`.
+#[expect(clippy::disallowed_methods, reason = "the reference covers the FIFO rank")]
 fn tie_of(raw: u64, n: u64, seq: u64) -> (Tie, u64) {
     let rank = (raw % 4) as u8;
     let rank_bits = u64::from(rank) << RANK_SHIFT;

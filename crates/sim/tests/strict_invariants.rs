@@ -31,6 +31,7 @@ fn a_key_used_twice_at_one_instant_is_caught() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "a FIFO tie is legal traffic for the queue")]
 fn legal_mixed_traffic_passes_all_checks() {
     // Near, far, and at-the-drain-point traffic interleaved: every pop runs the
     // occupancy-conservation and monotonicity checks.

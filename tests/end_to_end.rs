@@ -223,6 +223,31 @@ fn pushback_protects_against_overload() {
 }
 
 #[test]
+fn a_re_admission_s_push_back_reaches_every_host_of_its_sender() {
+    // Offloaded packets come back into queues that three senders keep
+    // congested, so re-admissions raise push-backs as first ingress does.
+    let mut c = cfg(12, 1, 100);
+    c.hosts_per_node = 2;
+    c.num_queues = 4;
+    c.offload = true;
+    c.offload_keep_ranks = 3;
+    c.offload_return_lead_ns = 30_000;
+    c.pushback = true;
+    c.congestion_policy = "drop".to_string();
+    c.congestion_threshold = 64 * 1024;
+    let mut net =
+        OpenOpticsNet::deploy_preset(c, Architecture::rotornet()).expect("rotornet deploys");
+    net.engine.watchdog_retransmit = false;
+    run_flows(&mut net, &[(2, 0, 2_000_000), (4, 0, 2_000_000), (6, 0, 2_000_000)], 60);
+    let tors: Vec<_> = (0..12).map(|n| net.engine.tor(NodeId(n))).collect();
+    let returned: u64 = tors.iter().map(|t| t.offload_book.returned_packets).sum();
+    let emitted: u64 = tors.iter().map(|t| t.pushback_stats().1).sum();
+    assert!(returned > 0 && emitted > 0, "re-admitted {returned}, push-backs {emitted}");
+    assert_eq!(net.engine.live_packets(), 0, "the network drained");
+    assert_eq!(net.engine.counters.pushback_deliveries, 2 * emitted);
+}
+
+#[test]
 fn offload_round_trips_bytes_intact() {
     // Long slices + tiny ring force offloading; all bytes must still land.
     let mut c = cfg(12, 1, 100);

@@ -265,6 +265,8 @@ proptest! {
 /// Packet conservation through the engine's one drop funnel: every data
 /// packet a host transmits is delivered or counted against exactly one
 /// cause, and nothing is left inside a switch once the network has drained.
+/// (`strict-invariants` checks the same law for every packet kind at the
+/// end of every `run_for`; this run pins that three causes are exercised.)
 #[test]
 fn every_transmitted_packet_is_delivered_or_counted_against_one_cause() -> Result<(), Error> {
     let cfg = NetConfig::builder()

@@ -95,31 +95,14 @@ fn incast_demand(n: u32) -> openoptics::topo::TrafficMatrix {
     tm
 }
 
-/// What one run of `tie_order_run` leaves: the FCT records in completion
-/// order, flow ids included, every engine counter and the fault report.
-type TieOutcome = [String; 3];
-
-/// A `tie_order_run` network: `(n, slice_us, seed, arch_pick, fault_pick)`.
-type TieCase = (u32, u64, u64, u8, u8);
-
-/// Whether a drained `tie_order_run` network of `case` held what it
-/// should: nothing, or (RotorNet under the `link_down` plan, which
-/// `reversing_the_residual_order_moves_nothing_on_a_grid` pins) its TCP
-/// flow still outstanding, with no packet live.
-fn drained_as_pinned(case: TieCase, drained: &drain::Drained) -> bool {
-    let tcp_stall = (case.3, case.4) == (1, 1) && (drained.outstanding, drained.live) == (1, 0);
-    *drained == drain::QUIET || tcp_stall
-}
+/// A `mixed_run` network: `(n, slice_us, seed, arch_pick, fault_pick)`.
+type MixedCase = (u32, u64, u64, u8, u8);
 
 /// A sampled network (telemetry off) under a TCP flow, a paced flow from
-/// every host at one instant and a memcached load, run for `HORIZON_NS`,
-/// with the residual same-instant order — what no rank or key decides —
-/// as scheduled or `reversed`; then drained (`drain::drain`), and what it
-/// held then.
-fn tie_order_run(
-    (n, slice_us, seed, arch_pick, fault_pick): TieCase,
-    reversed: bool,
-) -> (TieOutcome, drain::Drained) {
+/// every host at one instant and a memcached load, run for `HORIZON_NS`
+/// and then drained (`drain::drain`): the flows it completed by
+/// `HORIZON_NS`, and what it held once drained.
+fn mixed_run((n, slice_us, seed, arch_pick, fault_pick): MixedCase) -> (usize, drain::Drained) {
     use openoptics::prelude::*;
     let arch = match arch_pick {
         0 => Architecture::clos(),
@@ -127,9 +110,6 @@ fn tie_order_run(
         _ => Architecture::opera(),
     };
     let mut net = sampled_net(n, slice_us, seed, arch, 0, OCS_DEFAULT_NS, (false, 0, 0));
-    if reversed {
-        net.reverse_fifo_ties();
-    }
     if let Some(p) = sampled_plan(fault_pick, 0) {
         net.inject_faults(&p).expect("plan validates against this net");
     }
@@ -143,19 +123,8 @@ fn tie_order_run(
     let last_start = SimTime::from_ms(2);
     net.add_memcached(MemcachedParams::paper(), HostId(0), clients, last_start);
     net.run_for(SimTime::from_ns(HORIZON_NS));
-    let records: Vec<_> = net
-        .fct()
-        .completed()
-        .iter()
-        .map(|r| (r.flow, r.bytes, r.start.as_ns(), r.end.as_ns()))
-        .collect();
-    let outcome = [
-        format!("{records:?}"),
-        format!("{:?}", net.engine.counters),
-        format!("{:?}", net.fault_report()),
-    ];
-    let drained = drain::drain(&mut net, last_start, SimTime::from_ms(100), 4);
-    (outcome, drained)
+    let completed = net.fct().completed().len();
+    (completed, drain::drain(&mut net, last_start, SimTime::from_ms(100), 4))
 }
 
 proptest! {
@@ -647,17 +616,12 @@ proptest! {
         }
     }
 
-    /// Same-instant order is a stated rule (DESIGN.md "Same-instant
-    /// order"): events due at one nanosecond pop by rank, then by what they
-    /// name. What is left to scheduling order — push-backs, and a schedule
-    /// move's notifications — commutes, so reversing it leaves the FCT
-    /// records, flow ids and completion order included, every engine
-    /// counter and the fault report as they were. Once drained, the network
-    /// holds what it should (`drained_as_pinned`), either way.
-    /// `reversing_the_residual_order_moves_nothing_on_a_grid` runs a fixed
+    /// A sampled network under a mixed workload (`mixed_run`) completes
+    /// flows, and once every flow is done it holds no packet and its ToRs
+    /// transmit nothing. `every_mixed_run_on_a_grid_drains` runs a fixed
     /// grid.
     #[test]
-    fn reversing_the_residual_same_instant_order_changes_nothing(
+    fn a_mixed_run_completes_flows_and_drains(
         n in 4u32..9,
         slice_us in 1u64..4,
         seed in 0u64..1_000,
@@ -665,15 +629,9 @@ proptest! {
         fault_pick in 0u8..4,
     ) {
         let case = (n, slice_us, seed, arch_pick, fault_pick);
-        let ((first, drained), (last, drained_last)) =
-            (tie_order_run(case, false), tie_order_run(case, true));
-        prop_assert!(first[0] != "[]", "the workload completes flows");
-        let names = ["fct records", "engine counters", "fault report"];
-        for ((name, a), b) in names.iter().zip(&first).zip(&last) {
-            prop_assert_eq!(a, b, "{} moved", name);
-        }
-        prop_assert_eq!(&drained, &drained_last, "what the drained network held moved");
-        prop_assert!(drained_as_pinned(case, &drained), "{:?} holds {:?}", case, drained);
+        let (completed, drained) = mixed_run(case);
+        prop_assert!(completed > 0, "the workload completes flows");
+        prop_assert_eq!(drained, drain::QUIET, "{:?}", case);
     }
 
     /// The wildcard reduction: a schedule of held circuits routes
@@ -753,21 +711,14 @@ proptest! {
     }
 }
 
-/// Reversing the residual same-instant order over 144 sampled networks: 3
-/// architectures x 4 fault plans x 3 sizes x 2 seeds x 2 slice lengths
-/// (see `reversing_the_residual_same_instant_order_changes_nothing`); and
-/// each network drains.
-///
-/// A finding is pinned: RotorNet with one uplink under the `link_down`
-/// plan (node 1's only port dark from 200 to 900 us) does not finish its
-/// 300 kB TCP flow by 100 ms in 6 of its 12 nets. No packet is live; the
-/// sender crawls one segment per retransmission timeout (18-19 timeouts,
-/// ~41 kB delivered): a timeout retransmits only the hole at the
-/// cumulative ACK and keeps the send point, so what was sent before the
-/// blackout still fills the collapsed window.
+/// `mixed_run` over 144 sampled networks: 3 architectures x 4 fault plans
+/// x 3 sizes x 2 seeds x 2 slice lengths (see
+/// `a_mixed_run_completes_flows_and_drains`); each network drains. That
+/// includes RotorNet with one uplink under the `link_down` plan (node 1's
+/// only port dark from 200 to 900 us), whose 300 kB TCP flow finishes
+/// only if a retransmission timeout resends everything after the hole.
 #[test]
-fn reversing_the_residual_order_moves_nothing_on_a_grid() {
-    let mut moved = [0; 4];
+fn every_mixed_run_on_a_grid_drains() {
     let mut stalled = vec![];
     let mut cases = 0;
     for arch_pick in 0..3 {
@@ -776,15 +727,9 @@ fn reversing_the_residual_order_moves_nothing_on_a_grid() {
                 for seed in [1, 2] {
                     for slice_us in [1, 3] {
                         let case = (n, slice_us, seed, arch_pick, fault_pick);
-                        let ((a, drained), (b, drained_b)) =
-                            (tie_order_run(case, false), tie_order_run(case, true));
-                        for ((m, a), b) in moved.iter_mut().zip(&a).zip(&b) {
-                            *m += u32::from(a != b);
-                        }
-                        moved[3] += u32::from(drained != drained_b);
-                        assert!(drained_as_pinned(case, &drained), "{case:?} holds {drained:?}");
+                        let (_, drained) = mixed_run(case);
                         if drained != drain::QUIET {
-                            stalled.push(case);
+                            stalled.push((case, drained));
                         }
                         cases += 1;
                     }
@@ -793,8 +738,5 @@ fn reversing_the_residual_order_moves_nothing_on_a_grid() {
         }
     }
     assert_eq!(cases, 144);
-    // FCT records, engine counters, fault report, what the drained net held
-    assert_eq!(moved, [0, 0, 0, 0]);
-    let pinned = [(4, 3, 1), (4, 3, 2), (6, 1, 1), (6, 1, 2), (8, 1, 1), (8, 1, 2)];
-    assert_eq!(stalled, pinned.map(|(n, slice_us, seed)| (n, slice_us, seed, 1, 1)));
+    assert!(stalled.is_empty(), "{stalled:?}");
 }
