@@ -284,6 +284,22 @@ impl NetConfig {
                  parallelism is across independent runs (`experiments --jobs`)",
             ));
         }
+        // With offloading on, a returned packet must come back at a rank
+        // the switch keeps, or it parks again and circles between host and
+        // switch for ever: a rank is kept, and the recall lead is shorter
+        // than the kept ranks' slices.
+        let kept_ns = u64::from(self.offload_keep_ranks).saturating_mul(self.slice_ns);
+        if self.offload && self.offload_return_lead_ns >= kept_ns {
+            let field = if kept_ns == 0 { "offload_keep_ranks" } else { "offload_return_lead_ns" };
+            return Err(err(
+                field,
+                format!(
+                    "a recall lead of {} ns is not under the kept ranks' {kept_ns} ns, so every \
+                     returned packet parks again",
+                    self.offload_return_lead_ns
+                ),
+            ));
+        }
         match self.congestion_policy.as_str() {
             "drop" | "trim" | "wait" | "defer" => {}
             other => {
@@ -405,6 +421,26 @@ mod tests {
             NetConfig::from_json(r#"{"defer_max_extra_slices":4,"congestion_policy":"wait"}"#)
                 .expect("unknown keys are ignored");
         assert_eq!((old.congestion_policy.as_str(), old.validate()), ("wait", Ok(())));
+    }
+
+    #[test]
+    fn offloading_refuses_a_returned_packet_a_rank_it_parks_again() {
+        // `table3`, the ablations' lead sweep and `rotor_load` keep two
+        // ranks of 300 us slices and recall up to 280 us ahead.
+        let on = |keep, lead| NetConfig {
+            offload: true,
+            slice_ns: 300_000,
+            offload_keep_ranks: keep,
+            offload_return_lead_ns: lead,
+            ..Default::default()
+        };
+        let field = |c: NetConfig| c.validate().map_err(|e| e.field);
+        assert_eq!(field(on(2, 599_999)), Ok(()));
+        assert_eq!(field(on(0, 0)), Err("offload_keep_ranks"));
+        for (keep, lead) in [(2, 600_000), (1, 300_000), (u32::MAX, u64::MAX)] {
+            assert_eq!(field(on(keep, lead)), Err("offload_return_lead_ns"), "{keep}, {lead}");
+        }
+        assert_eq!(field(NetConfig { offload: false, ..on(0, u64::MAX) }), Ok(()));
     }
 
     #[test]

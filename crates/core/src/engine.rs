@@ -439,8 +439,6 @@ pub enum Event {
     ElecFree(NodeId),
     /// A host downlink is free.
     DownlinkFree(HostId),
-    /// Check for due offload recalls at a switch.
-    OffloadRecall(NodeId),
     /// Re-admit a recalled offloaded packet.
     Reinject(NodeId, u64, PortId, PktRef),
     /// Deliver a push-back broadcast to the hosts of a sender ToR.
@@ -475,22 +473,21 @@ fn tie(ev: &Event) -> Tie {
         Event::Timer(Timer::NotifyHosts(n)) => Tie::key(3, n.0.into()),
         Event::Timer(Timer::FlowWatchdog(f)) => Tie::key(4, f),
         Event::Timer(Timer::TcpRto(f)) => Tie::key(5, f),
-        Event::OffloadRecall(n) => Tie::key(6, n.0.into()),
-        Event::Reinject(..) => Tie::key(7, 0),
-        Event::TorIngress(..) => Tie::key(8, 0),
-        Event::PortFree(n, p) => Tie::key(9, u64::from(n.0) << 16 | u64::from(p.0)),
-        Event::ElecFree(n) => Tie::key(10, n.0.into()),
-        Event::DownlinkFree(h) => Tie::key(11, h.0.into()),
-        Event::HostRx(..) => Tie::key(12, 0),
-        Event::HostControl(..) => Tie::key(13, 0),
-        Event::Timer(Timer::NackRetx { .. }) => Tie::key(14, 0),
-        Event::Timer(Timer::FlowStart(i)) => Tie::key(15, i as u64),
+        Event::Reinject(..) => Tie::key(6, 0),
+        Event::TorIngress(..) => Tie::key(7, 0),
+        Event::PortFree(n, p) => Tie::key(8, u64::from(n.0) << 16 | u64::from(p.0)),
+        Event::ElecFree(n) => Tie::key(9, n.0.into()),
+        Event::DownlinkFree(h) => Tie::key(10, h.0.into()),
+        Event::HostRx(..) => Tie::key(11, 0),
+        Event::HostControl(..) => Tie::key(12, 0),
+        Event::Timer(Timer::NackRetx { .. }) => Tie::key(13, 0),
+        Event::Timer(Timer::FlowStart(i)) => Tie::key(14, i as u64),
         Event::Timer(Timer::MemcachedOp { app: a, client_idx: c }) => {
-            Tie::key(16, (a << 32 | c) as u64)
+            Tie::key(15, (a << 32 | c) as u64)
         }
-        Event::Timer(Timer::ProbeSend(t)) => Tie::key(17, t as u64),
-        Event::HostTx(h) => Tie::key(18, h.0.into()),
-        Event::Timer(Timer::Sample) => Tie::key(19, 0),
+        Event::Timer(Timer::ProbeSend(t)) => Tie::key(16, t as u64),
+        Event::HostTx(h) => Tie::key(17, h.0.into()),
+        Event::Timer(Timer::Sample) => Tie::key(18, 0),
     }
 }
 
@@ -670,7 +667,6 @@ fn phase_of(event: &Event) -> Phase {
         Event::PortFree(..) => Phase::PortFree,
         Event::ElecFree(_) => Phase::ElecFree,
         Event::DownlinkFree(_) => Phase::DownlinkFree,
-        Event::OffloadRecall(_) => Phase::OffloadRecall,
         Event::Reinject(..) => Phase::Reinject,
         Event::HostControl(..) => Phase::HostControl,
         Event::Timer(_) => Phase::Timer,
@@ -770,14 +766,6 @@ pub struct Engine {
     dead_watchdogs: u64,
     tm_accum: TrafficMatrix,
     rng: SimRng,
-    /// Outstanding `OffloadRecall` firing times per node. Every offloaded
-    /// packet wants a recall at its batch deadline, so without dedup a
-    /// slice-rank's worth of packets schedules a storm of same-time recall
-    /// events of which only the first does any work (table3's dominant
-    /// cost). Scheduling goes through [`Engine::schedule_recall`], which
-    /// skips exact-duplicate times; a recall's tie names only its node, so
-    /// the one kept pops where any of the duplicates would have.
-    recall_outstanding: Vec<Vec<SimTime>>,
     /// Fabric dispatch policy. Crate-private: only an
     /// [`Architecture`](crate::arch::Architecture) descriptor installs it.
     pub(crate) policy: DispatchPolicy,
@@ -938,7 +926,6 @@ impl Engine {
             dead_watchdogs: 0,
             tm_accum: TrafficMatrix::zeros(n as usize),
             rng,
-            recall_outstanding: vec![vec![]; n as usize],
             policy: DispatchPolicy::OpticalOnly,
             pause_mode: PauseMode::None,
             counters: EngineCounters::default(),
@@ -2173,31 +2160,46 @@ impl Engine {
             debug_assert!(res.pushback.is_none());
             res = self.tor_ingress(node, pkt, now);
         }
-        self.after_admission(node, pkt, res, now, now, q);
+        self.after_admission(node, pkt, res, now, q);
     }
 
     /// `pkt` through `node`'s ingress pipeline, on the active schedule.
+    ///
+    /// `strict-invariants`: a packet's `hops` stays within twice the node
+    /// count. A path that visits each ToR once counts at most two hops at
+    /// each, a lazy-compile retry included, so only a loop passes that
+    /// (DESIGN.md "The hop bound").
     fn tor_ingress(&mut self, node: NodeId, pkt: PktRef, now: SimTime) -> IngressResult {
         let (header, schedule) = (&mut self.packets[pkt], self.fabric.schedule());
-        self.tors[node.index()].ingress(pkt, header, schedule, now, self.telemetry.trace_mut())
+        let trace = self.telemetry.trace_mut();
+        let res = self.tors[node.index()].ingress(pkt, header, schedule, now, trace);
+        if cfg!(feature = "strict-invariants") {
+            let (hops, bound) = (u32::from(header.hops), self.cfg.node_num.saturating_mul(2));
+            assert!(
+                hops <= bound,
+                "packet {} took {hops} hops at {node}, past the hop bound 2 x {} nodes: a loop",
+                header.id,
+                self.cfg.node_num,
+            );
+        }
+        res
     }
 
     /// What the switch decided for `pkt` — on first ingress or when an
     /// offloaded packet is re-admitted — becomes the packet's next step,
     /// and a push-back the admission raised reaches the sender ToR's hosts
-    /// after a control RTT. `recall_floor` is the earliest a follow-up
-    /// offload recall may fire.
+    /// after a control RTT. A parked packet's return is posted here, for
+    /// its recall instant plus the host round trip.
     #[inline]
     fn after_admission(
         &mut self,
         node: NodeId,
         pkt: PktRef,
         res: IngressResult,
-        recall_floor: SimTime,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let Packet { id: pid, src, dst_host, .. } = self.packets[pkt];
+        let Packet { id: pid, src, dst_host, size, .. } = self.packets[pkt];
         if let Some(msg) = res.pushback {
             post_keyed(q, now + 2_000, pid, Event::HostControl(src, msg));
         }
@@ -2209,11 +2211,13 @@ impl Engine {
                     self.kick_port(node, port, now, q);
                 }
             }
-            IngressDecision::Offloaded { .. } => {
+            IngressDecision::Offloaded { abs_slice, port, recall } => {
                 self.cursors.enter(pid, Stage::CalendarWait, now);
-                if let Some(t) = self.tors[node.index()].next_offload_recall() {
-                    self.schedule_recall(node, t.max(recall_floor), q);
-                }
+                // Host round trip: recall notify + host link serialization.
+                let rtt = 2_000 + self.cfg.host_link_bandwidth().tx_time_ns(u64::from(size));
+                self.pkt_events += 1;
+                let ev = Event::Reinject(node, abs_slice, port, pkt);
+                post_keyed(q, recall + rtt, u64::from(node.0) << 42 | pid, ev);
             }
             IngressDecision::Dropped(_) => self.drop_packet(pkt, now, DropSite::Switch),
             IngressDecision::NoRoute => self.drop_packet(pkt, now, DropSite::NoRoute),
@@ -2504,41 +2508,6 @@ impl Engine {
         }
     }
 
-    /// Schedule an `OffloadRecall` for `node` at `t` unless one is already
-    /// outstanding at exactly that time (see the `recall_outstanding` field
-    /// docs for why exact-time dedup is output-preserving).
-    fn schedule_recall(&mut self, node: NodeId, t: SimTime, q: &mut EventQueue<Event>) {
-        let out = &mut self.recall_outstanding[node.index()];
-        if out.contains(&t) {
-            return;
-        }
-        out.push(t);
-        post(q, t, Event::OffloadRecall(node));
-    }
-
-    fn on_offload_recall(&mut self, node: NodeId, now: SimTime, q: &mut EventQueue<Event>) {
-        let out = &mut self.recall_outstanding[node.index()];
-        if let Some(i) = out.iter().position(|&t| t == now) {
-            out.swap_remove(i);
-        }
-        let mut due = self.tors[node.index()].offload_due(now);
-        // Keyed by this ToR, then the packet id, and scheduled in key order:
-        // every ToR recalls at the same instant, and a batch out of key
-        // order would walk its slot's list once per packet.
-        due.sort_unstable_by_key(|&(_, _, pkt)| self.packets[pkt].id);
-        for (abs, port, pkt) in due {
-            // Host round trip: recall notify + host link serialization.
-            let Packet { id: pid, size, .. } = self.packets[pkt];
-            let rtt = 2_000 + self.cfg.host_link_bandwidth().tx_time_ns(size as u64);
-            self.pkt_events += 1;
-            let ev = Event::Reinject(node, abs, port, pkt);
-            post_keyed(q, now + rtt, u64::from(node.0) << 42 | pid, ev);
-        }
-        if let Some(t) = self.tors[node.index()].next_offload_recall() {
-            self.schedule_recall(node, t.max(now + 1), q);
-        }
-    }
-
     fn on_reinject(
         &mut self,
         node: NodeId,
@@ -2548,12 +2517,10 @@ impl Engine {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let tor = &mut self.tors[node.index()];
-        let to = (port, to_u32(abs.saturating_sub(tor.abs_slice())));
+        let (tor, trace) = (&mut self.tors[node.index()], self.telemetry.trace_mut());
         let (header, schedule) = (&mut self.packets[pkt], self.fabric.schedule());
-        let res =
-            tor.reinject_offloaded(pkt, header, to, schedule, now, self.telemetry.trace_mut());
-        self.after_admission(node, pkt, res, now + 1, now, q);
+        let res = tor.reinject_offloaded(pkt, header, (port, abs), schedule, now, trace);
+        self.after_admission(node, pkt, res, now, q);
     }
 
     fn on_timer(&mut self, timer: Timer, now: SimTime, q: &mut EventQueue<Event>) {
@@ -2715,7 +2682,6 @@ impl World for Engine {
             Event::PortFree(n, p) => self.on_port_free(n, p, now, q),
             Event::ElecFree(n) => self.on_elec_free(n, now, q),
             Event::DownlinkFree(h) => self.on_downlink_free(h, now, q),
-            Event::OffloadRecall(n) => self.on_offload_recall(n, now, q),
             Event::Reinject(n, abs, port, pkt) => self.on_reinject(n, abs, port, pkt, now, q),
             Event::HostControl(n, m) => self.on_host_control(n, m),
             Event::Timer(t) => self.on_timer(t, now, q),

@@ -132,6 +132,27 @@ fn reserved_worker_count_is_rejected_unless_one() {
     assert!(Scenario::parse(&with(1)).is_ok(), "workers: 1 loads as before");
 }
 
+/// An offloading scenario whose returned packets would park again (no
+/// kept rank, or a recall lead of the kept slices) is refused at `load`,
+/// with the field named.
+#[test]
+fn an_offload_livelock_is_refused_at_load() {
+    let mut cp = ControlPlane::new();
+    for (keep, lead, field) in
+        [(0, 30_000, "offload_keep_ranks"), (1, 100_000, "offload_return_lead_ns")]
+    {
+        let offload = format!(
+            r#""slice_ns": 100000, "offload": true, "offload_keep_ranks": {keep},
+                "offload_return_lead_ns": {lead}"#
+        );
+        let doc = shaped(&offload, r#""name": "rotornet""#);
+        let refused = cp.handle_line(&format!(
+            r#"{{"id":1,"method":"load","params":{{"name":"loop","scenario":{doc}}}}}"#
+        ));
+        assert!(refused.contains(r#""error""#) && refused.contains(field), "{refused}");
+    }
+}
+
 #[test]
 fn typed_rejections_name_the_offending_field() {
     let cases = [

@@ -38,7 +38,9 @@ pub enum Phase {
     ElecFree,
     /// Host downlink free (`Event::DownlinkFree`).
     DownlinkFree,
-    /// Buffer-offload recall sweep (`Event::OffloadRecall`).
+    /// The buffer-offload recall sweep, gone: a parked packet's return is
+    /// posted when it parks, so no event is charged here. Kept while the
+    /// frozen benchmark lists its name (DESIGN.md "Reserved names").
     OffloadRecall,
     /// Offloaded packet reinjection (`Event::Reinject`).
     Reinject,

@@ -25,17 +25,19 @@
 //! * `heads` — one per ring bucket (16 KB in all): an unordered list a
 //!   schedule pushes onto the front of.
 //! * `fine` — the one bucket the cursor is on, split into `FINE_SLOTS`
-//!   slots of 16 ns, each an ascending `(time, order)` list, with one
-//!   occupancy bit per slot. When the cursor reaches a bucket its `heads`
-//!   list is distributed over the slots; from then on a schedule into that
-//!   bucket is a sorted link into its slot (one to three nodes long in the
-//!   engine's event mix; appending behind the slot's tail, which is where a
-//!   schedule at or after everything pending lands, takes no walk), and a
-//!   pop is the lowest set bit, an unlink and a free. An event that lands
-//!   in a bucket *behind* the cursor is a sorted link into slot 0: it is
-//!   earlier than everything in the bucket, so it goes ahead of the slot's
-//!   events, slot 0 pops first, and an occupied slot keeps the cursor
-//!   where it is.
+//!   slots of 16 ns, each a `(time, order)` list, with one occupancy bit
+//!   per slot. When the cursor reaches a bucket its `heads` list is
+//!   distributed over the slots; from then on a schedule into that bucket
+//!   is a link into its slot, and a pop is the lowest set bit, an unlink
+//!   and a free. A link appends behind the slot's tail, which is where a
+//!   schedule at or after everything pending lands, or walks at most
+//!   `WALK_LIMIT` nodes to its place. One that belongs deeper is appended
+//!   and marks the slot, and a marked slot is sorted once, in a retained
+//!   buffer, when the cursor first pops from it: n links cost O(n log n)
+//!   in any order. An event that lands in a bucket *behind* the cursor is
+//!   linked into slot 0: it is earlier than everything in the bucket, so it
+//!   goes ahead of the slot's events, slot 0 pops first, and an occupied
+//!   slot keeps the cursor where it is.
 //! * `far` — the nodes of events beyond the near window (watchdogs, RTO
 //!   polls, short delays scheduled near the window's end), on one
 //!   unordered list per *epoch* of `NUM_BUCKETS` buckets, exactly one
@@ -91,6 +93,11 @@ const FINE_BITS: u32 = 6;
 const FINE_SLOTS: usize = 1 << FINE_BITS;
 /// "No node": the end of a list, an empty bucket, an empty free list.
 const NIL: u32 = u32::MAX;
+/// Nodes a link into a slot's sorted list walks past at most. A node that
+/// belongs deeper is appended instead, and its slot is sorted once, when
+/// the cursor first pops from it. Past nearly every walk the engine's own
+/// mix makes: at 8, `testbed_apps` sorted enough slots to run ~5 % slower.
+const WALK_LIMIT: u32 = 32;
 
 /// Bits of an order below its rank: a key, or a FIFO tie's flag and
 /// sequence number.
@@ -170,13 +177,22 @@ pub struct EventQueue<E> {
     /// of absolute bucket `b`. The cursor's own slot is always empty: that
     /// bucket lives in `fine`.
     heads: Vec<u32>,
-    /// Bucket `cur` by 16 ns slot: head and tail of each slot's ascending
-    /// `(time, order)` list; slot 0 also holds the events scheduled into a
-    /// bucket behind the cursor. An empty slot's head is `NIL` and its
-    /// `occupied` bit clear; its tail is stale.
+    /// Bucket `cur` by 16 ns slot: head and tail of each slot's
+    /// `(time, order)` list, ascending unless `unsorted` marks it; slot 0
+    /// also holds the events scheduled into a bucket behind the cursor. An
+    /// empty slot's head is `NIL` and its `occupied` bit clear; its tail is
+    /// stale.
     fine: [u32; FINE_SLOTS],
     fine_tail: [u32; FINE_SLOTS],
     occupied: u64,
+    /// One bit per slot whose list took an append out of key order: it is
+    /// sorted before its head is read, through `sort_buf`.
+    unsorted: u64,
+    /// The retained buffer a slot is sorted in; empty between sorts.
+    sort_buf: Vec<((SimTime, u64), u32)>,
+    /// Nodes walked and keys compared, linking and sorting.
+    #[cfg(test)]
+    link_steps: u64,
     /// First absolute bucket of the near window.
     base: u64,
     /// Absolute bucket the cursor is on (`base <= cur < base + NUM_BUCKETS`).
@@ -248,34 +264,6 @@ fn push_front<E>(slab: &mut [Node<E>], head: &mut u32, idx: u32) {
     *head = idx;
 }
 
-/// Link node `idx` into the ascending `(time, order)` list from `head` to
-/// `tail` (a stale `tail` when `head` is `NIL`).
-fn link_sorted<E>(slab: &mut [Node<E>], head: &mut u32, tail: &mut u32, idx: u32) {
-    let key = slab[idx as usize].key();
-    if *head == NIL || slab[*tail as usize].key() < key {
-        // Where a schedule at or after everything on the list lands — any
-        // number of kicks at `now` append without a walk.
-        slab[idx as usize].next = NIL;
-        match *head {
-            NIL => *head = idx,
-            _ => slab[*tail as usize].next = idx,
-        }
-        *tail = idx;
-        return;
-    }
-    // Before the tail, so the walk ends inside the list.
-    let (mut prev, mut at) = (NIL, *head);
-    while slab[at as usize].key() < key {
-        (prev, at) = (at, slab[at as usize].next);
-    }
-    slab[idx as usize].next = at;
-    if prev == NIL {
-        *head = idx;
-    } else {
-        slab[prev as usize].next = idx;
-    }
-}
-
 impl<E: Copy> EventQueue<E> {
     /// Bytes one pending event occupies: its `(time, order)` key, its list
     /// link and the payload. It is written once when scheduled and read once
@@ -293,6 +281,10 @@ impl<E: Copy> EventQueue<E> {
             fine: [NIL; FINE_SLOTS],
             fine_tail: [NIL; FINE_SLOTS],
             occupied: 0,
+            unsorted: 0,
+            sort_buf: Vec::new(),
+            #[cfg(test)]
+            link_steps: 0,
             base: 0,
             cur: 0,
             far: BTreeMap::new(),
@@ -385,28 +377,79 @@ impl<E: Copy> EventQueue<E> {
     }
 
     /// Link node `idx`, due in the ring (`cur <= bucket < base +
-    /// NUM_BUCKETS`): sorted into its slot if the cursor is on its bucket,
+    /// NUM_BUCKETS`): linked into its slot if the cursor is on its bucket,
     /// onto the front of its bucket's list otherwise.
     fn link_near(&mut self, idx: u32) {
         self.near_len += 1;
         let b = bucket_of(self.slab[idx as usize].time);
         if b == self.cur {
-            self.link_fine(idx);
+            self.link_slot(fine_slot(self.slab[idx as usize].time), idx);
         } else {
             push_front(&mut self.slab, &mut self.heads[ring_slot(b)], idx);
         }
     }
 
-    /// Link node `idx`, whose bucket is `cur`, into its slot's ascending
-    /// list.
-    fn link_fine(&mut self, idx: u32) {
-        self.link_slot(fine_slot(self.slab[idx as usize].time), idx);
+    /// Link node `idx` into slot `s`'s list: to its place, if that is at
+    /// most [`WALK_LIMIT`] nodes in, else behind the tail, marking the slot.
+    fn link_slot(&mut self, s: usize, idx: u32) {
+        let (bit, key) = (1u64 << s, self.slab[idx as usize].key());
+        self.occupied |= bit;
+        // `prev` is the node `idx` goes behind (`NIL`: it becomes the head).
+        // The tail is where a schedule at or after everything in the slot
+        // lands without a walk (any number of kicks at `now`), as does any
+        // schedule into a marked slot.
+        let mut prev = if self.fine[s] == NIL { NIL } else { self.fine_tail[s] };
+        if prev != NIL && self.unsorted & bit == 0 && key <= self.slab[prev as usize].key() {
+            // Before the tail, so the walk ends inside the list.
+            let (mut before, mut at, mut steps) = (NIL, self.fine[s], 0);
+            while self.slab[at as usize].key() < key && steps < WALK_LIMIT {
+                (before, at, steps) = (at, self.slab[at as usize].next, steps + 1);
+            }
+            #[cfg(test)]
+            {
+                self.link_steps += u64::from(steps);
+            }
+            if steps < WALK_LIMIT {
+                prev = before;
+            } else {
+                self.unsorted |= bit;
+            }
+        }
+        let next = if prev == NIL { self.fine[s] } else { self.slab[prev as usize].next };
+        self.slab[idx as usize].next = next;
+        match prev {
+            NIL => self.fine[s] = idx,
+            _ => self.slab[prev as usize].next = idx,
+        }
+        if next == NIL {
+            self.fine_tail[s] = idx;
+        }
     }
 
-    /// Link node `idx` into slot `s`'s ascending list.
-    fn link_slot(&mut self, s: usize, idx: u32) {
-        self.occupied |= 1u64 << s;
-        link_sorted(&mut self.slab, &mut self.fine[s], &mut self.fine_tail[s], idx);
+    /// Sort marked slot `s`'s list by `(time, order)` and clear its mark.
+    fn sort_slot(&mut self, s: usize) {
+        let mut buf = std::mem::take(&mut self.sort_buf);
+        let mut idx = self.fine[s];
+        while idx != NIL {
+            buf.push((self.slab[idx as usize].key(), idx));
+            idx = self.slab[idx as usize].next;
+        }
+        buf.sort_unstable_by(|a, b| {
+            #[cfg(test)]
+            {
+                self.link_steps += 1;
+            }
+            a.0.cmp(&b.0)
+        });
+        let mut next = NIL;
+        for &(_, idx) in buf.iter().rev() {
+            self.slab[idx as usize].next = next;
+            next = idx;
+        }
+        (self.fine[s], self.fine_tail[s]) = (next, buf[buf.len() - 1].1);
+        self.unsorted &= !(1u64 << s);
+        buf.clear();
+        self.sort_buf = buf;
     }
 
     /// With the ring empty, move the window to the earliest far event:
@@ -474,7 +517,7 @@ impl<E: Copy> EventQueue<E> {
             let mut idx = std::mem::replace(&mut self.heads[ring_slot(self.cur)], NIL);
             while idx != NIL {
                 let next = self.slab[idx as usize].next;
-                self.link_fine(idx);
+                self.link_slot(fine_slot(self.slab[idx as usize].time), idx);
                 idx = next;
             }
         }
@@ -498,6 +541,9 @@ impl<E: Copy> EventQueue<E> {
         }
         self.ensure_current();
         let s = self.occupied.trailing_zeros() as usize;
+        if self.unsorted & (1u64 << s) != 0 {
+            self.sort_slot(s);
+        }
         let idx = self.fine[s];
         let (time, order) = self.slab[idx as usize].key();
         if time > until {
@@ -846,6 +892,32 @@ mod tests {
         expect.extend((1..=50).map(|i| (t + 2, i)));
         expect.extend([(t + 2, 53), (t + 3, 52)]);
         assert_eq!(order, expect);
+    }
+
+    /// Link steps (nodes walked, keys compared sorting) to schedule `keys`
+    /// at one instant of the cursor's bucket and pop them, in key order.
+    fn link_steps_of(keys: impl Iterator<Item = u64>) -> u64 {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ns(10_000), 0);
+        assert_eq!(q.pop(), Some((SimTime::from_ns(10_000), 0)));
+        let mut want: Vec<u64> = keys.collect();
+        for &key in &want {
+            q.schedule_tied(SimTime::from_ns(10_100), Tie::key(3, key), key);
+        }
+        want.sort_unstable();
+        assert!(std::iter::from_fn(|| q.pop()).map(|(_, key)| key).eq(want));
+        q.link_steps
+    }
+
+    #[test]
+    fn an_insert_s_cost_does_not_depend_on_its_order() {
+        // Keys n, 1, 2, ..., n - 1: each link belongs just before the tail.
+        // Walking to its place took n²/2 ≈ 8.4 M steps at n = 4,096; walks
+        // of at most `WALK_LIMIT` nodes and one sort of the slot take ~45 k.
+        const N: u64 = 4_096;
+        let steps = link_steps_of(std::iter::once(N).chain(1..N));
+        assert!(steps <= 2 * N * u64::from(N.ilog2()), "{steps} steps for {N} links");
+        assert_eq!(link_steps_of(0..N), 0, "in key order, nothing walks or sorts");
     }
 
     #[test]

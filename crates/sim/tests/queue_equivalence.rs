@@ -157,6 +157,11 @@ enum Step {
     /// picks: often a lower rank or key than the event just delivered, as
     /// the engine does when a handler's follow-on ranks before it.
     AtNow,
+    /// Schedule `1 + raw % 64` keyed events, their ranks and keys scattered
+    /// by `raw`, at one instant: the last delivery's, 1 ns or 700 ns after
+    /// it (the cursor's bucket), or 5 us after it (a bucket opened later).
+    /// Most link out of key order, past the walk limit.
+    Burst,
     /// `pop_before` a horizon up to 20 us past the last delivery — often
     /// short of the head, which moves the cursor and delivers nothing.
     PopBefore,
@@ -178,6 +183,7 @@ fn step() -> impl Strategy<Value = (Step, u64)> {
         Just(Step::EpochEdge(2)),
         Just(Step::AtNow),
         Just(Step::AtNow),
+        Just(Step::Burst),
         Just(Step::PopBefore),
         Just(Step::PopBefore),
         Just(Step::Pop),
@@ -197,13 +203,16 @@ fn drive<P: Copy + PartialEq + Debug>(
     let mut queues = vec![EventQueue::<P>::new()];
     let mut model = Model::default();
     let mut now = 0u64;
-    // A step schedules at most one event, so this many pops end on `None`.
-    let drain = std::iter::repeat_n((Step::Pop, 0), steps.len() + 1);
+    let burst = |step, raw: u64| if matches!(step, Step::Burst) { 1 + raw % 64 } else { 1 };
+    // A step schedules at most `burst` events, so this many pops end on `None`.
+    let most: u64 = steps.iter().map(|&(step, raw)| burst(step, raw)).sum();
+    let drain = std::iter::repeat_n((Step::Pop, 0), usize::try_from(most).expect("fits") + 1);
     for (step, raw) in steps.iter().copied().chain(drain) {
         let time = match step {
             Step::Ahead(span) => Some(now + raw % span),
             Step::Behind => Some(now.saturating_sub(raw % 3_000)),
             Step::AtNow => Some(now),
+            Step::Burst => Some(now + [0, 1, 700, 5_000][(raw >> 8) as usize % 4]),
             Step::WindowEdge => {
                 Some((model.base + WINDOW_BUCKETS) * BUCKET_NS - 1_500 + raw % 3_000)
             }
@@ -216,9 +225,16 @@ fn drive<P: Copy + PartialEq + Debug>(
         let until = if matches!(step, Step::PopBefore) { now + raw % 20_000 } else { u64::MAX };
         match (step, time) {
             (_, Some(time)) => {
-                let (tie, order) = model.schedule(time, raw);
-                for q in &mut queues {
-                    q.schedule_tied(SimTime::from_ns(time), tie, payload(time, order));
+                for i in 0..burst(step, raw) {
+                    // A burst's events are keyed (bit 2) under scattered keys.
+                    let raw = match step {
+                        Step::Burst => (raw ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 4,
+                        _ => raw,
+                    };
+                    let (tie, order) = model.schedule(time, raw);
+                    for q in &mut queues {
+                        q.schedule_tied(SimTime::from_ns(time), tie, payload(time, order));
+                    }
                 }
             }
             (Step::Fork, _) if queues.len() < 4 => queues.push(queues[0].clone()),

@@ -21,9 +21,9 @@ use openoptics_fabric::OpticalSchedule;
 use openoptics_proto::HEADER_BYTES;
 use openoptics_proto::{NodeId, Packet, PktRef, PortId, PushBack};
 use openoptics_routing::RouteEntry;
-use openoptics_sim::idx_u32;
 use openoptics_sim::time::SliceIndex;
 use openoptics_sim::Bandwidth;
+use openoptics_sim::{idx_u32, to_u32};
 use openoptics_sim::{SimTime, SliceConfig};
 use openoptics_telemetry::{Log2Histogram, Trace, TraceKind};
 
@@ -81,12 +81,16 @@ pub enum IngressDecision {
         /// Slices until departure.
         rank: u32,
     },
-    /// Parked on a host by the offload service.
+    /// Parked on a host by the offload service; the switch keeps no
+    /// handle to it.
     Offloaded {
         /// Absolute slice ordinal the packet is parked for.
         abs_slice: u64,
         /// Uplink it will eventually leave on.
         port: PortId,
+        /// When the switch recalls it: its batch's deadline, or the
+        /// parking instant once that has passed.
+        recall: SimTime,
     },
     /// Payload trimmed (Opera-style); header-only packet enqueued.
     Trimmed {
@@ -254,11 +258,6 @@ impl ToRSwitch {
         self.current_slice
     }
 
-    /// Absolute slice ordinal (not wrapped).
-    pub fn abs_slice(&self) -> u64 {
-        self.abs_slice
-    }
-
     /// Total bytes currently buffered in calendar queues.
     pub fn buffer_bytes(&self) -> u64 {
         self.ports.iter().map(|p| p.total_bytes()).sum()
@@ -390,7 +389,7 @@ impl ToRSwitch {
         // Buffer offloading: far-future ranks are parked on hosts.
         if let Some(pol) = self.cfg.offload {
             if pol.should_offload(rank) || !self.ports[pidx].rank_fits(rank) {
-                return self.park(h, pkt.size, (port, rank), None);
+                return self.park(pkt.size, (port, rank), now, None);
             }
         } else if !self.ports[pidx].rank_fits(rank) {
             self.counters.dropped_rank += 1;
@@ -449,7 +448,7 @@ impl ToRSwitch {
                             self.counters.deferred += 1;
                             if !self.ports[pidx].rank_fits(r) {
                                 // Past the calendar's reach: parked for that slice.
-                                return self.park(h, pkt.size, (port, r), pushback);
+                                return self.park(pkt.size, (port, r), now, pushback);
                             }
                             chosen_rank = r;
                         }
@@ -497,18 +496,22 @@ impl ToRSwitch {
         }
     }
 
-    /// Park `h` (`size` bytes) on a host until the slice `rank` slices on,
-    /// to leave on `port` then: the offload service.
+    /// Park a packet of `size` bytes on a host at `now` until the slice
+    /// `rank` slices on, to leave on `port` then: the offload service.
     fn park(
         &mut self,
-        h: PktRef,
         size: u32,
         (port, rank): (PortId, u32),
+        now: SimTime,
         pushback: Option<PushBack>,
     ) -> IngressResult {
+        let pol = self.cfg.offload.expect("only an offloading switch parks");
         let abs = self.abs_slice + u64::from(rank);
-        self.offload_book.park(abs, port, size, h);
-        IngressResult { decision: IngressDecision::Offloaded { abs_slice: abs, port }, pushback }
+        let recall =
+            OffloadBook::recall_time(abs, &self.cfg.slice_cfg, pol.return_lead_ns).max(now);
+        self.offload_book.park(now, recall, size);
+        let decision = IngressDecision::Offloaded { abs_slice: abs, port, recall };
+        IngressResult { decision, pushback }
     }
 
     /// Whether a packet of `size` bytes congests `port`'s queue for
@@ -617,46 +620,29 @@ impl ToRSwitch {
         self.ports[port.index()].peek_active().map(|&(_, h)| h)
     }
 
-    /// Packets this switch holds a handle to: every calendar queue plus the
-    /// offload book.
+    /// Packets this switch holds a handle to: every calendar queue.
     pub fn held_packets(&self) -> usize {
         let queues = self.ports.iter().flat_map(|p| (0..p.num_queues()).map(|i| p.queue_len(i)));
-        queues.sum::<usize>() + self.offload_book.parked_packets()
+        queues.sum()
     }
 
-    /// Offload batches due for recall at `now` (engine re-injects them
-    /// through [`ToRSwitch::reinject_offloaded`] after the host round trip).
-    /// Returns `(target absolute slice, port, packet)` triples.
-    pub fn offload_due(&mut self, now: SimTime) -> Vec<(u64, PortId, PktRef)> {
-        match self.cfg.offload {
-            Some(pol) => self.offload_book.due(now, &self.cfg.slice_cfg, pol.return_lead_ns),
-            None => vec![],
-        }
-    }
-
-    /// The next offload recall deadline, for engine scheduling.
-    pub fn next_offload_recall(&self) -> Option<SimTime> {
-        self.cfg
-            .offload
-            .and_then(|pol| self.offload_book.next_recall(&self.cfg.slice_cfg, pol.return_lead_ns))
-            .map(|(_, t)| t)
-    }
-
-    /// Re-admit a returned offloaded packet toward `to`, its `(port,
-    /// rank)`: it flows through the normal admission path, now with a near
-    /// rank.
+    /// Re-admit a returned offloaded packet toward `port`, for the
+    /// absolute slice `abs` it was parked for: it flows through the normal
+    /// admission path, now with a near rank. So near that it does not park
+    /// again: `NetConfig::validate` refuses a recall lead of `keep_ranks`
+    /// slices or more.
     pub fn reinject_offloaded(
         &mut self,
         h: PktRef,
         pkt: &mut Packet,
-        to: (PortId, u32),
+        (port, abs): (PortId, u64),
         schedule: &OpticalSchedule,
         now: SimTime,
         trace: &mut Trace,
     ) -> IngressResult {
-        // Bypass the offload check for near ranks by construction: the
-        // caller recalls with lead < keep_ranks slices.
-        self.admit(h, pkt, to, schedule, now, trace)
+        self.offload_book.returned();
+        let rank = to_u32(abs.saturating_sub(self.abs_slice));
+        self.admit(h, pkt, (port, rank), schedule, now, trace)
     }
 
     /// The push-back generator's statistics.
@@ -923,23 +909,26 @@ mod tests {
     }
 
     #[test]
-    fn offload_parks_far_ranks_and_recalls() {
+    fn a_parked_packet_s_recall_is_its_batch_deadline_or_now_once_passed() {
         let mut c = cfg(64);
         c.num_queues = 32;
         c.offload = Some(OffloadPolicy { keep_ranks: 8, return_lead_ns: 3_000 });
         let (mut t, mut store) = (ToRSwitch::new(c, false), PacketStore::new());
         t.install_routes([entry(Some(0), NodeId(3), PortId(0), Some(40))]);
-        let (_, r) = ingress(&mut t, &mut store, pkt(1, NodeId(3)), SimTime::from_ns(300));
-        match r.decision {
-            IngressDecision::Offloaded { abs_slice, .. } => assert_eq!(abs_slice, 40),
-            other => panic!("unexpected {other:?}"),
+        // Slice 40 starts at 80,000 ns and its batch is recalled 3,000 ns
+        // before; a switch still in slice 0 parks for it past that too.
+        for (id, now, want) in [(1, 300, 77_000), (2, 77_000, 77_000), (3, 78_000, 78_000)] {
+            let (_, r) = ingress(&mut t, &mut store, pkt(id, NodeId(3)), SimTime::from_ns(now));
+            match r.decision {
+                IngressDecision::Offloaded { abs_slice, port, recall } => {
+                    assert_eq!((abs_slice, port, recall), (40, PortId(0), SimTime::from_ns(want)));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
-        assert_eq!(t.offload_book.parked_packets(), 1);
-        // Recall due at slice 40 start (80_000 ns) minus 3_000 ns lead.
-        let recall = t.next_offload_recall().expect("a recall is pending");
-        assert_eq!(recall, SimTime::from_ns(77_000));
-        let due = t.offload_due(recall);
-        assert_eq!(due.len(), 1);
+        assert_eq!(t.held_packets(), 0, "the switch keeps no handle to a parked packet");
+        assert_eq!(t.offload_book.offloaded_packets, 3);
+        assert!(!t.offload_book.is_empty());
     }
 
     #[test]

@@ -86,6 +86,38 @@ fn add_installs_manual_entries() {
     assert_eq!(net.fct().completed().len(), 1, "manual entry must carry traffic");
 }
 
+/// Two ToRs that each send node 2's traffic to the other, by entries
+/// installed through `add()`, loop a packet between them. Under
+/// `strict-invariants` the hop bound (twice the node count) stops the run;
+/// the plain build has no TTL, so the packet circles for as long as the
+/// network runs and nothing counts a drop.
+#[test]
+#[cfg_attr(feature = "strict-invariants", should_panic(expected = "past the hop bound"))]
+fn a_two_tor_routing_loop_trips_the_hop_bound() {
+    let mut net = OpenOpticsNet::new(cfg());
+    let circuits = vec![Circuit::held(NodeId(0), PortId(0), NodeId(1), PortId(0))];
+    net.deploy_topo(&circuits, 1).unwrap();
+    for node in [NodeId(0), NodeId(1)] {
+        net.add(RouteEntry {
+            node,
+            m: RouteMatch { arr_slice: None, dst: NodeId(2) },
+            actions: vec![(
+                RouteAction { port: PortId(0), dep_slice: None, push_source_route: None },
+                1,
+            )],
+            multipath: MultipathMode::None,
+        })
+        .unwrap();
+    }
+    net.add_flow(SimTime::from_ns(50), HostId(0), HostId(2), 1_000, TransportKind::Paced);
+    net.run_for(SimTime::from_ms(1));
+    let tx: u64 = [0, 1].map(|n| net.engine.tor(NodeId(n)).counters.tx_packets).iter().sum();
+    assert_eq!(net.engine.live_packets(), 1, "the looping packet is still in the network");
+    // Past 255 hops its `u8` hop count has saturated.
+    assert!(tx > 500, "{tx} transmissions of one packet in 1 ms");
+    assert_eq!(net.engine.counters.switch_drops + net.engine.counters.no_route_drops, 0);
+}
+
 #[test]
 fn monitoring_apis_report_consistent_telemetry() {
     let mut net = OpenOpticsNet::new(cfg());
